@@ -4,8 +4,9 @@
 //! figures [OPTIONS] <WHAT>...
 //!
 //! WHAT:  fig1 table1 fig2 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13
-//!        fig14 warmcache interp batched engine parallel sharded serve
-//!        concurrent ablations slo coldstart all
+//!        fig14 warmcache interp batched engine parallel sharded distributed
+//!        serve concurrent ablations slo coldstart all
+//!        (anything else is a usage error: exit 2, valid names listed)
 //!
 //! OPTIONS:
 //!   --simulate <machine>   run timing figures on the cache simulator
@@ -110,76 +111,55 @@ fn main() {
     if what.is_empty() {
         what.push("all".to_string());
     }
+    let known = |w: &str| w == "all" || FIGURES.iter().any(|(names, _)| names.contains(&w));
+    if let Some(bad) = what.iter().find(|w| !known(w)) {
+        let names: Vec<&str> = FIGURES
+            .iter()
+            .flat_map(|(names, _)| names.iter().copied())
+            .collect();
+        eprintln!(
+            "figures: unknown figure `{bad}`; valid names: {} all",
+            names.join(" ")
+        );
+        std::process::exit(2);
+    }
     let all = what.iter().any(|w| w == "all");
-    let want = |name: &str| all || what.iter().any(|w| w == name);
-
-    if want("fig1") {
-        fig1();
-    }
-    if want("table1") {
-        table1();
-    }
-    if want("fig5") {
-        fig5();
-    }
-    if want("fig6") {
-        fig6();
-    }
-    if want("fig7") {
-        fig7();
-    }
-    if want("fig8") {
-        fig8();
-    }
-    if want("fig9") {
-        fig9(&opts);
-    }
-    if want("fig10") || want("fig11") {
-        fig10_11(&opts);
-    }
-    if want("fig12") || want("fig13") {
-        fig12_13(&opts);
-    }
-    if want("fig2") || want("fig14") {
-        fig14(&opts);
-    }
-    if want("warmcache") {
-        warmcache(&opts);
-    }
-    if want("interp") {
-        interp(&opts);
-    }
-    if want("batched") {
-        batched(&opts);
-    }
-    if want("engine") {
-        engine(&opts);
-    }
-    if want("parallel") {
-        parallel(&opts);
-    }
-    if want("sharded") {
-        sharded(&opts);
-    }
-    if want("distributed") {
-        distributed(&opts);
-    }
-    if want("serve") {
-        serve(&opts);
-    }
-    if want("concurrent") {
-        concurrent(&opts);
-    }
-    if want("ablations") {
-        ablations(&opts);
-    }
-    if want("slo") {
-        slo(&opts);
-    }
-    if want("coldstart") {
-        coldstart(&opts);
+    for (names, run) in FIGURES {
+        if all || what.iter().any(|w| names.contains(&w.as_str())) {
+            run(&opts);
+        }
     }
 }
+
+/// One printable figure: the names that select it and what runs.
+type Figure = (&'static [&'static str], fn(&Options));
+
+/// Every figure name the command line accepts, in print order; names
+/// sharing a row print one figure.
+const FIGURES: &[Figure] = &[
+    (&["fig1"], |_| fig1()),
+    (&["table1"], |_| table1()),
+    (&["fig5"], |_| fig5()),
+    (&["fig6"], |_| fig6()),
+    (&["fig7"], |_| fig7()),
+    (&["fig8"], |_| fig8()),
+    (&["fig9"], fig9),
+    (&["fig10", "fig11"], fig10_11),
+    (&["fig12", "fig13"], fig12_13),
+    (&["fig2", "fig14"], fig14),
+    (&["warmcache"], warmcache),
+    (&["interp"], interp),
+    (&["batched"], batched),
+    (&["engine"], engine),
+    (&["parallel"], parallel),
+    (&["sharded"], sharded),
+    (&["distributed"], distributed),
+    (&["serve"], serve),
+    (&["concurrent"], concurrent),
+    (&["ablations"], ablations),
+    (&["slo"], slo),
+    (&["coldstart"], coldstart),
+];
 
 /// Flush one subcommand's measurements as `BENCH_<figure>.json` next to
 /// its human table; a write failure is reported, never fatal (the table
@@ -1832,9 +1812,8 @@ fn interp(opts: &Options) {
 /// the server.
 fn slo(opts: &Options) {
     use ccindex_obs::{format_ns, Registry, Span};
-    use ccindex_serve::{BatchServer, Request, ServeOptions, ServeStats, ShardServer};
+    use ccindex_serve::{BatchServer, QuerySpec, Request, ServeOptions, ServeStats, ShardServer};
     use ccindex_shard::RemoteShard;
-    use ccindex_wire::Spec;
     use mmdb::{eq, Database, IndexKind, TableBuilder};
     use std::sync::Arc;
     use std::time::Duration;
@@ -1975,11 +1954,7 @@ fn slo(opts: &Options) {
     let server = ShardServer::spawn(server_db).expect("loopback bind");
     let shard = RemoteShard::connect(server.addr());
     let shard = shard.expect("handshake");
-    let spec = Spec {
-        table: "orders".into(),
-        filters: vec![eq("amount", 42)],
-        ..Spec::default()
-    };
+    let spec = QuerySpec::table("orders").filter(eq("amount", 42));
     let mut span = Span::root("client");
     let rows = shard
         .run_spec_traced(&spec, &mut span)
@@ -2018,7 +1993,7 @@ fn slo(opts: &Options) {
 /// byte-identically.
 fn coldstart(opts: &Options) {
     use ccindex_serve::ShardServer;
-    use ccindex_shard::{RemoteShard, ShardBackend};
+    use ccindex_shard::{RemoteShard, ShardRead};
     use mmdb::{between, eq, sum, Database, IndexKind, ResultRows, TableBuilder};
 
     let n = opts.scaled(4_000_000);

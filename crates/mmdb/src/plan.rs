@@ -53,7 +53,7 @@ use crate::query::{
     indexed_nested_loop_join_rids_par, point_select_many_ordered_par, point_select_many_par,
     range_select_many_par, JoinRow,
 };
-use crate::snapshot::CatalogState;
+use crate::snapshot::{CatalogState, Pinned};
 use ccindex_common::DEFAULT_BATCH_LANES;
 
 // ---------------------------------------------------------------------
@@ -347,34 +347,36 @@ impl Agg {
 }
 
 // ---------------------------------------------------------------------
-// The builder
+// The query description and its builders
 // ---------------------------------------------------------------------
 
-/// A composable query over one table (and optionally one joined inner
-/// table), started by [`Database::query`]. Nothing resolves until
-/// [`Query::plan`] or [`Query::run`], so builders can be assembled
-/// freely and fail with a typed error naming the offender.
-#[derive(Debug, Clone)]
-pub struct Query<'db> {
-    cat: &'db CatalogState,
-    table: String,
-    filters: Vec<Predicate>,
-    join: Option<(String, JoinOn)>,
-    group: Option<(String, Agg)>,
-    forced_kind: Option<IndexKind>,
-    exec: Option<ExecOptions>,
+/// The one owned query description: what a [`Query`] builder collects,
+/// what the serving layer queues, what the shard layer routes and what
+/// the wire protocol encodes. It borrows nothing, so it crosses threads
+/// and sockets freely and resolves against a catalog only when
+/// [`CatalogState::compile`] (or [`CatalogRead::run_spec`]) runs.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct QuerySpec {
+    /// The driving (outer) table.
+    pub table: String,
+    /// WHERE conjuncts, in call order.
+    pub filters: Vec<Predicate>,
+    /// Optional join: inner table and the equi-join condition.
+    pub join: Option<(String, JoinOn)>,
+    /// Optional grouped aggregation: group column and aggregate.
+    pub group: Option<(String, Agg)>,
+    /// Optional forced index kind (`using`).
+    pub forced_kind: Option<IndexKind>,
+    /// Optional per-query override of the catalog's [`ExecOptions`].
+    pub exec: Option<ExecOptions>,
 }
 
-impl<'db> Query<'db> {
-    pub(crate) fn new(cat: &'db CatalogState, table: String) -> Self {
+impl QuerySpec {
+    /// A query over `table`, initially selecting every row.
+    pub fn table(table: impl Into<String>) -> Self {
         Self {
-            cat,
-            table,
-            filters: Vec::new(),
-            join: None,
-            group: None,
-            forced_kind: None,
-            exec: None,
+            table: table.into(),
+            ..Self::default()
         }
     }
 
@@ -415,24 +417,155 @@ impl<'db> Query<'db> {
         self.exec = Some(options);
         self
     }
+}
 
-    /// Compile into a physical [`Plan`]: resolve every name, choose an
-    /// access path per probe, and validate aggregate typing.
+/// One client request to a serving front-end (`ccindex-serve`'s
+/// `BatchServer`, locally or across the wire), answered with
+/// [`ResultRows`].
+///
+/// Point and range probes are the coalescible shapes: requests for the
+/// same `table.column` arriving in one batch-formation window merge into
+/// a *single* batched index descent
+/// (`search_batch`/`lower_bound_batch`). Full [`QuerySpec`]s execute as
+/// independent jobs over the shared worker pool.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Request {
+    /// Equality probe: all RIDs where `table.column == value`.
+    Point {
+        /// Probed table.
+        table: String,
+        /// Probed (indexed) column.
+        column: String,
+        /// The probe constant.
+        value: Value,
+    },
+    /// Inclusive range probe: all RIDs where `lo <= table.column <= hi`
+    /// (requires an ordered index; an inverted range matches nothing).
+    Range {
+        /// Probed table.
+        table: String,
+        /// Probed (ordered-indexed) column.
+        column: String,
+        /// Inclusive lower bound.
+        lo: Value,
+        /// Inclusive upper bound.
+        hi: Value,
+    },
+    /// A full query-builder plan (selection/join/group-by).
+    Query(QuerySpec),
+}
+
+impl Request {
+    /// Equality probe on `table.column`.
+    pub fn point(table: &str, column: &str, value: impl Into<Value>) -> Self {
+        Request::Point {
+            table: table.to_owned(),
+            column: column.to_owned(),
+            value: value.into(),
+        }
+    }
+
+    /// Inclusive range probe on `table.column`.
+    pub fn range(table: &str, column: &str, lo: impl Into<Value>, hi: impl Into<Value>) -> Self {
+        Request::Range {
+            table: table.to_owned(),
+            column: column.to_owned(),
+            lo: lo.into(),
+            hi: hi.into(),
+        }
+    }
+
+    /// A full composed query.
+    pub fn query(spec: QuerySpec) -> Self {
+        Request::Query(spec)
+    }
+}
+
+impl From<QuerySpec> for Request {
+    fn from(spec: QuerySpec) -> Self {
+        Request::Query(spec)
+    }
+}
+
+/// A [`QuerySpec`] under construction against one catalog generation,
+/// started by [`Database::query`]: the builder methods are the spec's
+/// own. Nothing resolves until [`Query::plan`] or [`Query::run`], so
+/// builders can be assembled freely and fail with a typed error naming
+/// the offender.
+#[derive(Debug, Clone)]
+pub struct Query<'db> {
+    cat: &'db CatalogState,
+    spec: QuerySpec,
+}
+
+impl<'db> Query<'db> {
+    pub(crate) fn new(cat: &'db CatalogState, table: String) -> Self {
+        Self {
+            cat,
+            spec: QuerySpec::table(table),
+        }
+    }
+
+    /// [`QuerySpec::filter`].
+    pub fn filter(mut self, predicate: Predicate) -> Self {
+        self.spec = self.spec.filter(predicate);
+        self
+    }
+
+    /// [`QuerySpec::join`].
+    pub fn join(mut self, inner_table: &str, condition: JoinOn) -> Self {
+        self.spec = self.spec.join(inner_table, condition);
+        self
+    }
+
+    /// [`QuerySpec::group_by`].
+    pub fn group_by(mut self, column: &str, agg: Agg) -> Self {
+        self.spec = self.spec.group_by(column, agg);
+        self
+    }
+
+    /// [`QuerySpec::using`].
+    pub fn using(mut self, kind: IndexKind) -> Self {
+        self.spec = self.spec.using(kind);
+        self
+    }
+
+    /// [`QuerySpec::exec`].
+    pub fn exec(mut self, options: ExecOptions) -> Self {
+        self.spec = self.spec.exec(options);
+        self
+    }
+
+    /// Compile into a physical [`Plan`] ([`CatalogState::compile`]).
     pub fn plan(&self) -> Result<Plan> {
-        let cat = self.cat;
-        let outer = &self.table;
+        self.cat.compile(&self.spec)
+    }
+
+    /// Compile and execute.
+    pub fn run(&self) -> Result<ResultSet<'db>> {
+        self.plan()?.execute_on(self.cat)
+    }
+}
+
+impl CatalogState {
+    /// Compile `spec` into a physical [`Plan`] against this generation:
+    /// resolve every name, choose an access path per probe, and validate
+    /// aggregate typing.
+    pub fn compile(&self, spec: &QuerySpec) -> Result<Plan> {
+        let cat = self;
+        let outer = &spec.table;
         cat.entry(outer)?;
-        let exec = self.exec.unwrap_or_else(|| cat.exec_options());
+        let exec = spec.exec.unwrap_or(cat.exec);
         // The planner's upper bound on the items a chunkable node can
         // process (the driving table's row count): what an adaptive
         // (`threads == 0`) node's worker count resolves against when the
         // plan is *explained* rather than executed.
         let outer_rows = cat.table(outer)?.rows();
 
-        let mut probes = Vec::with_capacity(self.filters.len());
-        for p in &self.filters {
+        let mut probes = Vec::with_capacity(spec.filters.len());
+        for p in &spec.filters {
             let ordered_required = matches!(p.op, PredOp::Between(..));
-            let kind = resolve_kind(cat, outer, &p.column, ordered_required, self.forced_kind)?;
+            let kind = resolve_kind(cat, outer, &p.column, ordered_required, spec.forced_kind)?;
             probes.push(ProbeStep {
                 column: p.column.clone(),
                 kind,
@@ -447,12 +580,12 @@ impl<'db> Query<'db> {
             });
         }
 
-        let join = match &self.join {
+        let join = match &spec.join {
             None => None,
             Some((inner_table, cond)) => {
                 cat.column(outer, &cond.outer)?;
                 cat.column(inner_table, &cond.inner)?;
-                let kind = resolve_kind(cat, inner_table, &cond.inner, false, self.forced_kind)?;
+                let kind = resolve_kind(cat, inner_table, &cond.inner, false, spec.forced_kind)?;
                 Some(JoinStep {
                     inner_table: inner_table.clone(),
                     outer_column: cond.outer.clone(),
@@ -464,7 +597,7 @@ impl<'db> Query<'db> {
             }
         };
 
-        let group = match &self.group {
+        let group = match &spec.group {
             None => None,
             Some((column, agg)) => {
                 let inner = join.as_ref().map(|j| j.inner_table.as_str());
@@ -514,11 +647,6 @@ impl<'db> Query<'db> {
             group,
             exec,
         })
-    }
-
-    /// Compile and execute.
-    pub fn run(&self) -> Result<ResultSet<'db>> {
-        self.plan()?.execute_on(self.cat)
     }
 }
 
@@ -1067,36 +1195,22 @@ impl Plan {
 }
 
 // ---------------------------------------------------------------------
-// Probes-only sub-plans: the serving front-end's batch entry points
+// The read surface: probe batches and owned-spec execution
 // ---------------------------------------------------------------------
 
-impl Database {
-    /// Answer many equality probes on one `table.column` with a single
-    /// probes-only sub-plan — [`CatalogState::point_probe_batch`]
-    /// against the writer's current tip.
-    pub fn point_probe_batch(
-        &self,
-        table: &str,
-        column: &str,
-        values: &[Value],
-    ) -> Result<Vec<Vec<u32>>> {
-        self.catalog().point_probe_batch(table, column, values)
-    }
+/// The read surface of a catalog generation — what a serving front-end
+/// (`ccindex-serve`'s `BatchServer`) needs from whatever it fronts.
+/// Implemented by the two generation types, [`CatalogState`] here and
+/// the sharded catalog's `ShardedState`; a [`Pinned`] guard of either
+/// forwards to its state, so snapshots serve the same surface.
+///
+/// `Sync` because a window's coalesced jobs run on pool workers against
+/// one shared generation.
+pub trait CatalogRead: Sync {
+    /// The [`ExecOptions`] in force when this generation committed;
+    /// plans compiled against the generation inherit them.
+    fn exec_options(&self) -> ExecOptions;
 
-    /// Answer many inclusive range probes on one `table.column` —
-    /// [`CatalogState::range_probe_batch`] against the writer's current
-    /// tip.
-    pub fn range_probe_batch(
-        &self,
-        table: &str,
-        column: &str,
-        ranges: &[(Value, Value)],
-    ) -> Result<Vec<Vec<u32>>> {
-        self.catalog().range_probe_batch(table, column, ranges)
-    }
-}
-
-impl CatalogState {
     /// Answer many equality probes on one `table.column` with a single
     /// probes-only sub-plan: one access-path resolution (the same
     /// preference order a [`Query::filter`]`(`[`eq`]`)` compiles to),
@@ -1109,40 +1223,16 @@ impl CatalogState {
     /// `query(table).filter(eq(column, values[i])).run()?.rids()`.
     ///
     /// This is the engine hook a batch-forming serving front-end
-    /// (`ccindex-serve`) coalesces concurrent point requests into —
-    /// usually through a pinned [`Snapshot`](crate::snapshot::Snapshot),
-    /// so a whole batch-formation window answers from one generation
-    /// with zero locks on the probe path.
-    pub fn point_probe_batch(
+    /// coalesces concurrent point requests into — usually through a
+    /// pinned [`Snapshot`](crate::snapshot::Snapshot), so a whole
+    /// batch-formation window answers from one generation with zero
+    /// locks on the probe path.
+    fn point_probe_batch(
         &self,
         table: &str,
         column: &str,
         values: &[Value],
-    ) -> Result<Vec<Vec<u32>>> {
-        let kind = resolve_kind(self, table, column, false, None)?;
-        let col = self.column(table, column)?;
-        let entry = self.column_entry(table, column)?;
-        let handle = entry.indexes.get(&kind).expect("kind was just resolved");
-        let exec = self.exec_options();
-        let threads = resolve_threads(exec.threads, values.len());
-        let mut out = match &**handle {
-            IndexHandle::Ordered(idx) => point_select_many_ordered_par(
-                col,
-                &entry.rids,
-                idx.as_ref(),
-                values,
-                exec.lanes,
-                threads,
-            ),
-            IndexHandle::Point(idx) => {
-                point_select_many_par(col, &entry.rids, idx.as_ref(), values, exec.lanes, threads)
-            }
-        };
-        for rids in &mut out {
-            rids.sort_unstable();
-        }
-        Ok(out)
-    }
+    ) -> Result<Vec<Vec<u32>>>;
 
     /// Answer many inclusive range probes on one `table.column` with a
     /// single probes-only sub-plan over an ordered index (typed
@@ -1152,7 +1242,83 @@ impl CatalogState {
     /// range, in submission order — element `i` is byte-identical to
     /// `query(table).filter(between(column, lo, hi)).run()?.rids()`
     /// (an inverted range matches nothing, exactly like [`between`]).
-    pub fn range_probe_batch(
+    fn range_probe_batch(
+        &self,
+        table: &str,
+        column: &str,
+        ranges: &[(Value, Value)],
+    ) -> Result<Vec<Vec<u32>>>;
+
+    /// Compile and execute an owned [`QuerySpec`] against this
+    /// generation.
+    fn run_spec(&self, spec: &QuerySpec) -> Result<ResultRows>;
+}
+
+impl<T: CatalogRead + Send> CatalogRead for Pinned<T> {
+    fn exec_options(&self) -> ExecOptions {
+        T::exec_options(self)
+    }
+
+    fn point_probe_batch(
+        &self,
+        table: &str,
+        column: &str,
+        values: &[Value],
+    ) -> Result<Vec<Vec<u32>>> {
+        T::point_probe_batch(self, table, column, values)
+    }
+
+    fn range_probe_batch(
+        &self,
+        table: &str,
+        column: &str,
+        ranges: &[(Value, Value)],
+    ) -> Result<Vec<Vec<u32>>> {
+        T::range_probe_batch(self, table, column, ranges)
+    }
+
+    fn run_spec(&self, spec: &QuerySpec) -> Result<ResultRows> {
+        T::run_spec(self, spec)
+    }
+}
+
+impl CatalogRead for CatalogState {
+    fn exec_options(&self) -> ExecOptions {
+        self.exec
+    }
+
+    fn point_probe_batch(
+        &self,
+        table: &str,
+        column: &str,
+        values: &[Value],
+    ) -> Result<Vec<Vec<u32>>> {
+        let kind = resolve_kind(self, table, column, false, None)?;
+        let col = self.column(table, column)?;
+        let entry = self.column_entry(table, column)?;
+        let handle = entry.indexes.get(&kind).expect("kind was just resolved");
+        let threads = resolve_threads(self.exec.threads, values.len());
+        let lanes = self.exec.lanes;
+        let mut out = match &**handle {
+            IndexHandle::Ordered(idx) => point_select_many_ordered_par(
+                col,
+                &entry.rids,
+                idx.as_ref(),
+                values,
+                lanes,
+                threads,
+            ),
+            IndexHandle::Point(idx) => {
+                point_select_many_par(col, &entry.rids, idx.as_ref(), values, lanes, threads)
+            }
+        };
+        for rids in &mut out {
+            rids.sort_unstable();
+        }
+        Ok(out)
+    }
+
+    fn range_probe_batch(
         &self,
         table: &str,
         column: &str,
@@ -1168,13 +1334,41 @@ impl CatalogState {
                 table: table.to_owned(),
                 column: column.to_owned(),
             })?;
-        let exec = self.exec_options();
-        let threads = resolve_threads(exec.threads, ranges.len());
-        let mut out = range_select_many_par(col, &entry.rids, idx, ranges, exec.lanes, threads);
+        let threads = resolve_threads(self.exec.threads, ranges.len());
+        let mut out =
+            range_select_many_par(col, &entry.rids, idx, ranges, self.exec.lanes, threads);
         for rids in &mut out {
             rids.sort_unstable();
         }
         Ok(out)
+    }
+
+    fn run_spec(&self, spec: &QuerySpec) -> Result<ResultRows> {
+        Ok(self.compile(spec)?.execute_on(self)?.rows().clone())
+    }
+}
+
+impl Database {
+    /// [`CatalogRead::point_probe_batch`] against the writer's current
+    /// tip.
+    pub fn point_probe_batch(
+        &self,
+        table: &str,
+        column: &str,
+        values: &[Value],
+    ) -> Result<Vec<Vec<u32>>> {
+        self.catalog().point_probe_batch(table, column, values)
+    }
+
+    /// [`CatalogRead::range_probe_batch`] against the writer's current
+    /// tip.
+    pub fn range_probe_batch(
+        &self,
+        table: &str,
+        column: &str,
+        ranges: &[(Value, Value)],
+    ) -> Result<Vec<Vec<u32>>> {
+        self.catalog().range_probe_batch(table, column, ranges)
     }
 }
 

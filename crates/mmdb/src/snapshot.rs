@@ -226,8 +226,9 @@ impl<T: fmt::Debug> fmt::Debug for Pinned<T> {
 /// indexes, plus the [`ExecOptions`] that were in force when it was
 /// committed. Everything a query needs, nothing a writer can touch —
 /// the whole read surface of [`Database`](crate::engine::Database)
-/// ([`query`](CatalogState::query), the probe batches, name resolution)
-/// is defined here and merely delegated to by the mutable engine.
+/// ([`query`](CatalogState::query), name resolution, and the
+/// [`CatalogRead`](crate::plan::CatalogRead) probe batches) is defined
+/// on this type and merely delegated to by the mutable engine.
 ///
 /// Cloning is cheap: table entries sit behind [`Arc`], so a generation
 /// clone is one `BTreeMap` of pointer bumps and untouched tables stay
@@ -253,12 +254,6 @@ impl CatalogState {
     /// [`Database::new`](crate::engine::Database::new) starts from).
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-
-    /// The [`ExecOptions`] in force when this generation committed;
-    /// plans compiled against the generation inherit them.
-    pub fn exec_options(&self) -> ExecOptions {
-        self.exec
     }
 
     /// Registered table names, in name order.

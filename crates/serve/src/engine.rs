@@ -1,199 +1,18 @@
-//! The engine surface a [`BatchServer`](crate::BatchServer) fronts:
-//! anything that can answer coalesced probe batches and replay an owned
-//! [`QuerySpec`] — implemented for the unsharded
-//! [`Database`](mmdb::Database), the scatter-gather
-//! [`ShardedDatabase`](ccindex_shard::ShardedDatabase), and their pinned
-//! [`Snapshot`]/[`ShardedSnapshot`] generations, so one serving
-//! front-end covers both catalogs, live or pinned.
+//! Where a [`BatchServer`](crate::BatchServer) gets what it fronts.
 //!
-//! [`ServeSource`] is how the server gets those snapshots: a source
-//! hands out one pinned generation per batch-formation window
-//! ([`ServeSource::pin`]) and reports the commit-slot counters
-//! ([`ServeSource::observe`]) that
-//! [`ServeStats`](crate::ServeStats) surfaces.
+//! The server executes every window against a [`CatalogRead`] — the one
+//! read trait `mmdb` declares and the two generation types
+//! ([`CatalogState`](mmdb::CatalogState),
+//! [`ShardedState`](ccindex_shard::ShardedState)) implement, reached
+//! here through their pinned [`Snapshot`](mmdb::Snapshot) /
+//! [`ShardedSnapshot`] guards. [`ServeSource`] is how it gets those
+//! guards: a source hands out one pinned generation per batch-formation
+//! window ([`ServeSource::pin`]) and reports the commit-slot counters
+//! ([`ServeSource::observe`]) that [`ServeStats`](crate::ServeStats)
+//! surfaces.
 
-use crate::request::QuerySpec;
-use ccindex_shard::{ShardedDatabase, ShardedHandle, ShardedSnapshot, ShardedState};
-use mmdb::{CatalogState, Database, DatabaseHandle, ExecOptions, Result, ResultRows, Value};
-
-/// A query engine the batch-forming server can front. `Sync` because the
-/// server's clients run on their own threads while the serving thread
-/// executes windows against the shared engine reference.
-pub trait ServeEngine: Sync {
-    /// The engine's execution knobs — the server sizes its shared
-    /// [`WorkerPool`](ccindex_parallel::WorkerPool) from `threads`.
-    fn exec_options(&self) -> ExecOptions;
-
-    /// One batched answer for many equality probes on `table.column`:
-    /// element `i` is the ascending RID set for `values[i]`.
-    fn point_probe_batch(
-        &self,
-        table: &str,
-        column: &str,
-        values: &[Value],
-    ) -> Result<Vec<Vec<u32>>>;
-
-    /// One batched answer for many inclusive range probes on
-    /// `table.column`: element `i` is the ascending RID set for
-    /// `ranges[i]`.
-    fn range_probe_batch(
-        &self,
-        table: &str,
-        column: &str,
-        ranges: &[(Value, Value)],
-    ) -> Result<Vec<Vec<u32>>>;
-
-    /// Replay an owned query spec through the engine's builder.
-    fn run_spec(&self, spec: &QuerySpec) -> Result<ResultRows>;
-}
-
-/// Replay a [`QuerySpec`] through either engine's builder — `Query` and
-/// `ShardedQuery` expose the same consuming surface but share no trait,
-/// so one macro keeps the two `run_spec` impls from drifting apart (a
-/// clause added to `QuerySpec` is threaded through both, or neither).
-macro_rules! replay_spec {
-    ($query:expr, $spec:expr) => {{
-        let mut q = $query;
-        for f in &$spec.filters {
-            q = q.filter(f.clone());
-        }
-        if let Some((inner, cond)) = &$spec.join {
-            q = q.join(inner, cond.clone());
-        }
-        if let Some((column, agg)) = &$spec.group {
-            q = q.group_by(column, agg.clone());
-        }
-        if let Some(kind) = $spec.forced_kind {
-            q = q.using(kind);
-        }
-        if let Some(exec) = $spec.exec {
-            q = q.exec(exec);
-        }
-        Ok(q.run()?.rows().clone())
-    }};
-}
-
-impl ServeEngine for Database {
-    fn exec_options(&self) -> ExecOptions {
-        Database::exec_options(self)
-    }
-
-    fn point_probe_batch(
-        &self,
-        table: &str,
-        column: &str,
-        values: &[Value],
-    ) -> Result<Vec<Vec<u32>>> {
-        Database::point_probe_batch(self, table, column, values)
-    }
-
-    fn range_probe_batch(
-        &self,
-        table: &str,
-        column: &str,
-        ranges: &[(Value, Value)],
-    ) -> Result<Vec<Vec<u32>>> {
-        Database::range_probe_batch(self, table, column, ranges)
-    }
-
-    fn run_spec(&self, spec: &QuerySpec) -> Result<ResultRows> {
-        replay_spec!(self.query(spec.table.clone()), spec)
-    }
-}
-
-// The snapshot impls below call through the state type explicitly
-// (`CatalogState::point_probe_batch(self, ..)` rather than
-// `self.point_probe_batch(..)`): a pinned guard `Deref`s to its state,
-// so the explicit path coerces to the inherent method — the unqualified
-// call would resolve to this trait method and recurse forever.
-
-impl ServeEngine for mmdb::Snapshot {
-    fn exec_options(&self) -> ExecOptions {
-        CatalogState::exec_options(self)
-    }
-
-    fn point_probe_batch(
-        &self,
-        table: &str,
-        column: &str,
-        values: &[Value],
-    ) -> Result<Vec<Vec<u32>>> {
-        CatalogState::point_probe_batch(self, table, column, values)
-    }
-
-    fn range_probe_batch(
-        &self,
-        table: &str,
-        column: &str,
-        ranges: &[(Value, Value)],
-    ) -> Result<Vec<Vec<u32>>> {
-        CatalogState::range_probe_batch(self, table, column, ranges)
-    }
-
-    fn run_spec(&self, spec: &QuerySpec) -> Result<ResultRows> {
-        replay_spec!(CatalogState::query(self, spec.table.clone()), spec)
-    }
-}
-
-impl ServeEngine for ShardedSnapshot {
-    fn exec_options(&self) -> ExecOptions {
-        ShardedState::exec_options(self)
-    }
-
-    fn point_probe_batch(
-        &self,
-        table: &str,
-        column: &str,
-        values: &[Value],
-    ) -> Result<Vec<Vec<u32>>> {
-        ShardedState::point_probe_batch(self, table, column, values)
-    }
-
-    fn range_probe_batch(
-        &self,
-        table: &str,
-        column: &str,
-        ranges: &[(Value, Value)],
-    ) -> Result<Vec<Vec<u32>>> {
-        ShardedState::range_probe_batch(self, table, column, ranges)
-    }
-
-    fn run_spec(&self, spec: &QuerySpec) -> Result<ResultRows> {
-        replay_spec!(ShardedState::query(self, spec.table.clone()), spec)
-    }
-}
-
-impl ServeEngine for ShardedDatabase {
-    fn exec_options(&self) -> ExecOptions {
-        ShardedDatabase::exec_options(self)
-    }
-
-    fn point_probe_batch(
-        &self,
-        table: &str,
-        column: &str,
-        values: &[Value],
-    ) -> Result<Vec<Vec<u32>>> {
-        ShardedDatabase::point_probe_batch(self, table, column, values)
-    }
-
-    fn range_probe_batch(
-        &self,
-        table: &str,
-        column: &str,
-        ranges: &[(Value, Value)],
-    ) -> Result<Vec<Vec<u32>>> {
-        ShardedDatabase::range_probe_batch(self, table, column, ranges)
-    }
-
-    fn run_spec(&self, spec: &QuerySpec) -> Result<ResultRows> {
-        replay_spec!(self.query(spec.table.clone()), spec)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Snapshot sources
-// ---------------------------------------------------------------------
+use ccindex_shard::{ShardedDatabase, ShardedHandle, ShardedSnapshot};
+use mmdb::{CatalogRead, Database, DatabaseHandle};
 
 /// The commit-slot counters of a [`ServeSource`], read at one instant:
 /// the observability [`ServeStats`](crate::ServeStats) carries out of a
@@ -222,7 +41,7 @@ pub struct SnapshotInfo {
 /// commits on another.
 pub trait ServeSource: Sync {
     /// The pinned generation type a window executes against.
-    type Pinned: ServeEngine;
+    type Pinned: CatalogRead;
 
     /// Pin the current committed generation.
     fn pin(&self) -> Self::Pinned;
@@ -239,11 +58,7 @@ impl ServeSource for Database {
     }
 
     fn observe(&self) -> SnapshotInfo {
-        SnapshotInfo {
-            generation: self.generation(),
-            swaps: self.swap_count(),
-            pinned: self.pinned_snapshots(),
-        }
+        self.handle().observe()
     }
 }
 
@@ -271,11 +86,7 @@ impl ServeSource for ShardedDatabase {
     }
 
     fn observe(&self) -> SnapshotInfo {
-        SnapshotInfo {
-            generation: self.generation(),
-            swaps: self.swap_count(),
-            pinned: self.pinned_snapshots(),
-        }
+        self.handle().observe()
     }
 }
 

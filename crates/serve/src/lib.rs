@@ -11,13 +11,15 @@
 //!
 //! The pieces:
 //!
-//! * [`Request`]/[`QuerySpec`] — owned request values (point probe,
-//!   range probe, or a full query-builder plan) that cross threads
-//!   without borrowing a catalog;
-//! * [`ServeEngine`] — the front-able engine surface, implemented for
-//!   [`Database`](mmdb::Database) and
+//! * [`Request`]/[`QuerySpec`] — `mmdb`'s owned request values (point
+//!   probe, range probe, or a full query description), re-exported:
+//!   they cross threads without borrowing a catalog;
+//! * [`ServeSource`] — where windows pin the generation they execute
+//!   against: a [`Database`](mmdb::Database), a
 //!   [`ShardedDatabase`](ccindex_shard::ShardedDatabase) (sharded
-//!   requests scatter through the existing routing);
+//!   requests scatter through the existing routing), or a reader handle
+//!   of either — anything whose pinned generation is a
+//!   [`CatalogRead`](mmdb::CatalogRead);
 //! * [`BatchServer`] — accumulates submissions in a **batch-formation
 //!   window** (size-bound + time-bound, [`ServeOptions`] with
 //!   `CCINDEX_BATCH_MAX`/`CCINDEX_BATCH_WAIT_US` env defaults),
@@ -68,12 +70,11 @@
 
 mod engine;
 mod net;
-mod request;
 mod server;
 
-pub use engine::{ServeEngine, ServeSource, SnapshotInfo};
+pub use engine::{ServeSource, SnapshotInfo};
+pub use mmdb::{QuerySpec, Request};
 pub use net::ShardServer;
-pub use request::{QuerySpec, Request};
 pub use server::{BatchServer, Client, Pending, ServeOptions, ServeStats};
 
 #[cfg(test)]
@@ -304,6 +305,43 @@ mod tests {
             Duration::ZERO,
             "zero wait is meaningful"
         );
+    }
+
+    /// `ShardServer::bind` resolves the window knobs once, strictly. The
+    /// environment is process-wide and the other tests read it, so the
+    /// bad value is set on a child: this test binary re-run on the one
+    /// test below.
+    #[test]
+    fn shard_server_rejects_an_unparsable_window_knob_at_bind() {
+        let child = std::process::Command::new(std::env::current_exe().expect("test binary"))
+            .args([
+                "--exact",
+                "tests::bind_under_a_bad_window_knob",
+                "--nocapture",
+            ])
+            .env("CCINDEX_BATCH_MAX", "lots")
+            .output()
+            .expect("re-run the test binary");
+        let stdout = String::from_utf8_lossy(&child.stdout);
+        assert!(child.status.success(), "{stdout}");
+        assert!(
+            stdout.contains("bind refused: CCINDEX_BATCH_MAX"),
+            "{stdout}"
+        );
+    }
+
+    #[test]
+    fn bind_under_a_bad_window_knob() {
+        if std::env::var("CCINDEX_BATCH_MAX").as_deref() != Ok("lots") {
+            return; // Only meaningful as the child of the test above.
+        }
+        match ShardServer::spawn(Database::new()) {
+            Err(MmdbError::InvalidExecOption { name, value }) => {
+                assert_eq!(value, "lots");
+                println!("bind refused: {name}");
+            }
+            other => panic!("expected InvalidExecOption, got {other:?}"),
+        }
     }
 
     #[test]

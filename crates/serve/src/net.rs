@@ -16,26 +16,22 @@
 //!   serialize through a `Mutex<Database>` and publish a new generation
 //!   through the same commit slot the handle reads.
 //!
-//! Both sides dispatch through the *same* `catalog_*` helpers the
-//! in-process `LocalShard` uses (see `ccindex_shard`), which is what
-//! makes distributed answers byte-identical by construction. One thread
+//! Reads dispatch through the *same* `impl ShardRead for CatalogState`
+//! an in-process shard pins (see `ccindex_shard`), which is what makes
+//! distributed answers byte-identical by construction. One thread
 //! per connection, blocking `std::net` I/O, no async runtime. Every
 //! socket failure is contained to its connection; a request that fails
 //! engine-side answers with the same typed
 //! [`MmdbError`](mmdb::MmdbError) the operation would have raised
 //! in-process, carried in [`ShardResponse::Err`].
 
-use crate::request::{QuerySpec, Request};
 use crate::server::{BatchServer, ServeOptions};
 use ccindex_obs as obs;
 use ccindex_parallel::sync::Arc as MetricArc;
-use ccindex_shard::{
-    catalog_column_values, catalog_columns, catalog_compile, catalog_group_partial,
-    catalog_join_probe_batch, catalog_select,
-};
-use ccindex_wire::{self as wire, OneRequest, ShardRequest, ShardResponse, Spec};
+use ccindex_shard::ShardRead;
+use ccindex_wire::{self as wire, ShardRequest, ShardResponse};
 use mmdb::plan::{Plan, ProbeStep};
-use mmdb::{Database, DatabaseHandle, MmdbError, Result, TableBuilder};
+use mmdb::{CatalogRead, Database, DatabaseHandle, MmdbError, Result, TableBuilder};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -49,6 +45,9 @@ struct Shared {
     db: Mutex<Database>,
     /// The read side: lock-free pinned snapshots of the committed tip.
     handle: DatabaseHandle,
+    /// Window bounds for [`ShardRequest::ExecuteBatch`], read from the
+    /// environment once, at bind time.
+    serve_options: ServeOptions,
     /// Set once; the accept loop and shutdown paths observe it.
     stop: AtomicBool,
     /// The bound address, for the shutdown self-connect.
@@ -155,8 +154,13 @@ impl ShardServer {
         Self::bind(db, "127.0.0.1:0")
     }
 
-    /// Serve `db` on an explicit address.
+    /// Serve `db` on an explicit address. The `CCINDEX_BATCH_*` window
+    /// bounds for remote `ExecuteBatch` windows are resolved here, so a
+    /// set-yet-unparsable one fails start-up with a typed
+    /// [`MmdbError::InvalidExecOption`] instead of being re-read (and
+    /// re-logged) per request.
     pub fn bind(db: Database, bind_addr: &str) -> Result<Self> {
+        let serve_options = ServeOptions::try_from_env()?;
         let listener = TcpListener::bind(bind_addr).map_err(|e| MmdbError::Transport {
             endpoint: bind_addr.to_owned(),
             fault: mmdb::TransportFault::Connect,
@@ -175,6 +179,7 @@ impl ShardServer {
         let shared = Arc::new(Shared {
             handle: db.handle(),
             db: Mutex::new(db),
+            serve_options,
             stop: AtomicBool::new(false),
             addr,
             conns: Mutex::new(Vec::new()),
@@ -393,8 +398,9 @@ fn reply<T>(result: Result<T>, f: impl FnOnce(T) -> ShardResponse) -> ShardRespo
 }
 
 /// Execute one request against the shard. Reads pin a snapshot from the
-/// lock-free handle and dispatch through the shared `catalog_*`
-/// helpers; mutations serialize through the database mutex.
+/// lock-free handle and answer through its [`ShardRead`] /
+/// [`CatalogRead`] impls; mutations serialize through the database
+/// mutex.
 fn respond(shared: &Arc<Shared>, request: ShardRequest) -> ShardResponse {
     use ShardResponse as A;
     match request {
@@ -450,7 +456,7 @@ fn respond(shared: &Arc<Shared>, request: ShardRequest) -> ShardResponse {
                 group: None,
                 exec,
             };
-            reply(catalog_select(&shared.handle.snapshot(), &plan), A::Rids)
+            reply(shared.handle.snapshot().select(&plan), A::Rids)
         }
         ShardRequest::JoinProbeBatch {
             table,
@@ -460,15 +466,10 @@ fn respond(shared: &Arc<Shared>, request: ShardRequest) -> ShardResponse {
             lanes,
             threads,
         } => reply(
-            catalog_join_probe_batch(
-                &shared.handle.snapshot(),
-                &table,
-                &column,
-                kind,
-                &values,
-                lanes,
-                threads,
-            ),
+            shared
+                .handle
+                .snapshot()
+                .join_probe_batch(&table, &column, kind, &values, lanes, threads),
             A::RidSets,
         ),
         ShardRequest::GroupPartial {
@@ -478,8 +479,7 @@ fn respond(shared: &Arc<Shared>, request: ShardRequest) -> ShardResponse {
             agg,
             rids,
         } => reply(
-            catalog_group_partial(
-                &shared.handle.snapshot(),
+            shared.handle.snapshot().group_partial(
                 &table,
                 &group_column,
                 measure.as_deref(),
@@ -493,32 +493,24 @@ fn respond(shared: &Arc<Shared>, request: ShardRequest) -> ShardResponse {
             column,
             rids,
         } => reply(
-            catalog_column_values(&shared.handle.snapshot(), &table, &column, rids.as_deref()),
+            shared
+                .handle
+                .snapshot()
+                .column_values(&table, &column, rids.as_deref()),
             A::Values,
         ),
         ShardRequest::Columns { table } => {
-            reply(catalog_columns(&shared.handle.snapshot(), &table), A::Names)
+            reply(shared.handle.snapshot().columns(&table), A::Names)
         }
-        ShardRequest::Rows { table } => reply(
-            shared.handle.snapshot().table(&table).map(|t| t.rows()),
-            |rows| A::Count(rows as u64),
-        ),
-        ShardRequest::Compile { spec } => {
-            reply(catalog_compile(&shared.handle.snapshot(), &spec), A::Plan)
-        }
-        ShardRequest::RunSpec { spec } => {
-            let snapshot = shared.handle.snapshot();
-            reply(
-                catalog_compile(&snapshot, &spec)
-                    .and_then(|plan| Ok(plan.execute_on(&snapshot)?.rows().clone())),
-                A::Rows,
-            )
-        }
+        ShardRequest::Rows { table } => reply(shared.handle.snapshot().rows(&table), |rows| {
+            A::Count(rows as u64)
+        }),
+        ShardRequest::Compile { spec } => reply(shared.handle.snapshot().compile(&spec), A::Plan),
+        ShardRequest::RunSpec { spec } => reply(shared.handle.snapshot().run_spec(&spec), A::Rows),
         ShardRequest::ExecuteBatch { requests } => {
-            let requests: Vec<Request> = requests.into_iter().map(owned_request).collect();
             let server = BatchServer::with_metrics(
                 &shared.handle,
-                ServeOptions::from_env(),
+                shared.serve_options,
                 MetricArc::clone(&shared.registry),
             );
             A::Batch(server.run_batch(&requests))
@@ -735,43 +727,5 @@ fn rebuilt(report: &mmdb::RebuildReport) -> ShardResponse {
             .iter()
             .map(|(kind, d)| (*kind, d.as_nanos() as u64))
             .collect(),
-    }
-}
-
-/// Lift a wire request into the serving front-end's owned vocabulary.
-fn owned_request(request: OneRequest) -> Request {
-    match request {
-        OneRequest::Point {
-            table,
-            column,
-            value,
-        } => Request::Point {
-            table,
-            column,
-            value,
-        },
-        OneRequest::Range {
-            table,
-            column,
-            lo,
-            hi,
-        } => Request::Range {
-            table,
-            column,
-            lo,
-            hi,
-        },
-        OneRequest::Query(spec) => Request::Query(owned_spec(spec)),
-    }
-}
-
-fn owned_spec(spec: Spec) -> QuerySpec {
-    QuerySpec {
-        table: spec.table,
-        filters: spec.filters,
-        join: spec.join,
-        group: spec.group,
-        forced_kind: spec.forced_kind,
-        exec: spec.exec,
     }
 }

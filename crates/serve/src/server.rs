@@ -3,13 +3,12 @@
 //! engine's native batch shapes, execute over the shared worker pool,
 //! and demultiplex per-client answers in submission order.
 
-use crate::engine::{ServeEngine, ServeSource, SnapshotInfo};
-use crate::request::{QuerySpec, Request};
+use crate::engine::{ServeSource, SnapshotInfo};
 use ccindex_obs as obs;
 use ccindex_parallel::sync::atomic::{AtomicUsize, Ordering};
 use ccindex_parallel::sync::{thread, Arc, Condvar, Instant, Mutex};
 use ccindex_parallel::{BlockingQueue, WorkerPool};
-use mmdb::{parse_knob, MmdbError, Result, ResultRows};
+use mmdb::{parse_knob, CatalogRead, MmdbError, QuerySpec, Request, Result, ResultRows};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -333,7 +332,7 @@ impl ServeStats {
 /// engine's native batch shapes.
 ///
 /// Same-`table.column` point probes in one window merge into a single
-/// [`point_probe_batch`](ServeEngine::point_probe_batch) call (one
+/// [`point_probe_batch`](CatalogRead::point_probe_batch) call (one
 /// batched `search_batch`/`lower_bound_batch` descent), range probes
 /// likewise; full [`QuerySpec`] requests run as independent jobs. The
 /// coalesced jobs execute over a shared

@@ -1,62 +1,72 @@
-//! Transport-generic shard execution: the [`ShardBackend`] trait.
+//! Transport-generic shard execution: [`ShardRead`] and [`ShardBackend`].
 //!
-//! Every per-shard operation the scatter-gather executor performs —
-//! batched probes, probes-only selections, join-probe fan-out, grouped
-//! partial aggregates, column decodes, plan compilation, and the full
-//! mutation surface — goes through this trait instead of calling
-//! [`Database`] methods directly. Two implementations exist:
+//! Every per-shard operation the scatter-gather executor performs goes
+//! through these two traits instead of calling [`Database`] methods
+//! directly:
 //!
-//! * [`LocalShard`] — an in-process [`Database`], the historical
-//!   behavior. Reads run against the engine's committed catalog tip.
-//! * `RemoteShard` (see [`crate::remote`]) — a socket client speaking
-//!   the `ccindex-wire` protocol to a `ShardServer` elsewhere.
+//! * [`ShardRead`] is one shard's **read surface** — batched probes,
+//!   probes-only selections, join-probe fan-out, grouped partial
+//!   aggregates, column decodes, plan compilation, snapshot export. It
+//!   has two implementations: [`CatalogState`] (one immutable
+//!   generation of an in-process engine — what a local shard pins, and
+//!   what the serving layer's `ShardServer` answers wire requests from)
+//!   and `RemoteShard` (see [`crate::remote`]), a socket client speaking
+//!   the `ccindex-wire` protocol to such a server.
+//! * [`ShardBackend`] is the **mutating half**, held only by the
+//!   `ShardedDatabase` writer: table/index admin, column replacement,
+//!   snapshot install, plus [`reader`](ShardBackend::reader) /
+//!   [`pin`](ShardBackend::pin) to reach the read surface of its
+//!   current or frozen tip. [`LocalShard`] wraps a [`Database`];
+//!   `RemoteShard` implements it over the wire.
 //!
-//! Because both route through the *same* operators with the *same*
-//! arguments, distributed execution is byte-identical to in-process
-//! execution by construction — there is one code path, parameterized
-//! over transport. [`ShardPin`] is the snapshot-side twin: the
-//! per-shard entry of a pinned `ShardedState`, either an owned
-//! [`CatalogState`] (a local shard's committed generation) or a cloned
-//! remote client (remote shards serve their server's committed tip).
-//!
-//! The free `catalog_*` functions are the shared read implementations
-//! over a [`CatalogState`]; `LocalShard`, `ShardPin::Local`, and the
-//! serving layer's `ShardServer` all dispatch through them, so a rid
-//! that is out of range or a non-integer measure surfaces as the same
-//! typed error no matter which side of the wire noticed.
+//! A pinned `ShardedState` holds `Arc<dyn ShardRead>` per shard, so
+//! mutating through a snapshot is not a runtime error but a method that
+//! does not exist. And because both sides of the wire run the *same*
+//! `impl ShardRead for CatalogState`, distributed execution is
+//! byte-identical to in-process execution by construction: a rid that
+//! is out of range or a non-integer measure surfaces as the same typed
+//! error no matter which side noticed.
 
-use ccindex_wire::Spec;
 use mmdb::plan::Plan;
 use mmdb::{
-    group_aggregate_pairs, indexed_nested_loop_join_rids_par, AggFn, CatalogState, Column,
-    Database, ExecOptions, GroupRow, IndexKind, MmdbError, RebuildReport, Result, Table, Value,
+    group_aggregate_pairs, indexed_nested_loop_join_rids_par, AggFn, CatalogRead, CatalogState,
+    Column, Database, ExecOptions, GroupRow, IndexKind, MmdbError, QuerySpec, RebuildReport,
+    Result, Table, Value,
 };
+use std::sync::Arc;
 
-use crate::remote::RemoteShard;
-
-/// One shard's generation/exec introspection, transport-generic:
-/// [`Database`] observers locally, the `Hello` handshake remotely.
+/// One shard's generation/exec introspection, transport-generic: the
+/// generation's own counters locally, the `Hello` handshake remotely.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardInfo {
     /// Committed catalog generation.
     pub generation: u64,
-    /// Generations committed so far (`0` when the backend is a pinned
-    /// state, which does not track commits).
+    /// Generations committed so far (`0` when the reader is one frozen
+    /// generation, which does not track commits).
     pub swaps: u64,
-    /// Snapshots currently pinned (`0` for pinned states, as above).
+    /// Snapshots currently pinned (`0` for a frozen generation, as
+    /// above).
     pub pinned: u64,
     /// The execution options in force.
     pub exec: ExecOptions,
 }
 
-/// The complete per-shard conversation of the scatter-gather executor.
+/// One shard's read surface: everything the scatter-gather executor
+/// asks a shard while answering a query. Every method takes `&self` and
+/// there is no mutation here at all, so a composed snapshot (one
+/// `Arc<dyn ShardRead>` per shard) is read-only by type:
 ///
-/// Reads take `&self` and run against the backend's committed tip; the
-/// executor only calls them through a consistent [`ShardPin`] set, so a
-/// query never mixes generations across shards. Mutations take
-/// `&mut self` and are driven one shard at a time by
-/// `ShardedDatabase`'s commit discipline.
-pub trait ShardBackend: std::fmt::Debug + Send + Sync {
+/// ```compile_fail
+/// use ccindex_shard::ShardedDatabase;
+/// use mmdb::TableBuilder;
+///
+/// let db = ShardedDatabase::hash(2)?;
+/// let state = db.snapshot();
+/// // `register` lives on `ShardBackend`, which pins do not implement.
+/// state.shard(0).register(TableBuilder::new("t").build()?)?;
+/// # Ok::<(), mmdb::MmdbError>(())
+/// ```
+pub trait ShardRead: std::fmt::Debug + Send + Sync {
     /// Batched equality probes on `table.column`: one ascending local
     /// RID set per value, in submission order.
     fn point_probe_batch(
@@ -110,13 +120,47 @@ pub trait ShardBackend: std::fmt::Debug + Send + Sync {
     /// Compile a query description through this shard's planner. Every
     /// shard holds the same schema and indexes, so the coordinator uses
     /// shard 0's plan as the scatter template.
-    fn compile(&self, spec: &Spec) -> Result<Plan>;
+    fn compile(&self, spec: &QuerySpec) -> Result<Plan>;
 
     /// Column names of `table`, in declaration order.
     fn columns(&self, table: &str) -> Result<Vec<String>>;
 
     /// Row count of `table` on this shard.
     fn rows(&self, table: &str) -> Result<usize>;
+
+    /// Serialize this shard's catalog into the paged `ccindex-store`
+    /// container (the same bytes [`Database::save_to`] writes to disk).
+    /// A [`CatalogState`] serializes itself — its own generation, not
+    /// whatever the engine has committed since; a remote shard streams
+    /// its server's pinned snapshot across the wire in CRC-checked
+    /// chunks. Queries keep serving throughout — the source side works
+    /// off a pinned generation, never a lock.
+    fn fetch_snapshot(&self) -> Result<Vec<u8>>;
+
+    /// Generation/exec introspection.
+    fn observe(&self) -> Result<ShardInfo>;
+
+    /// Human-readable description for `explain()` output and errors.
+    fn describe(&self) -> String;
+}
+
+/// The mutating half of a shard, plus the way to its read surface.
+///
+/// Mutations take `&mut self` and are driven one shard at a time by
+/// `ShardedDatabase`'s commit discipline; every read the executor
+/// performs goes through the [`ShardRead`] a backend hands out, and only
+/// through a consistent [`pin`](ShardBackend::pin) set, so a query never
+/// mixes generations across local shards.
+pub trait ShardBackend: std::fmt::Debug + Send + Sync {
+    /// The read surface of this shard's current committed tip.
+    fn reader(&self) -> &dyn ShardRead;
+
+    /// Freeze this shard's committed tip for a composed snapshot: a
+    /// local shard pins its [`CatalogState`] generation; a remote shard
+    /// pins a client of its own (remote shards answer from their
+    /// server's committed tip — the server is the snapshot authority
+    /// across the wire).
+    fn pin(&self) -> Arc<dyn ShardRead>;
 
     /// Register this shard's split of a table.
     fn register(&mut self, table: Table) -> Result<()>;
@@ -145,31 +189,13 @@ pub trait ShardBackend: std::fmt::Debug + Send + Sync {
     /// Install new execution options on this shard.
     fn set_exec_options(&mut self, exec: ExecOptions) -> Result<()>;
 
-    /// Serialize this shard's committed catalog tip into the paged
-    /// `ccindex-store` container (the same bytes
-    /// [`Database::save_to`] writes to disk). Local shards serialize
-    /// their pinned tip directly; remote shards stream the server's
-    /// pinned snapshot across the wire in CRC-checked chunks. Queries
-    /// keep serving throughout — the source side works off a pinned
-    /// generation, never a lock.
-    fn fetch_snapshot(&self) -> Result<Vec<u8>>;
-
     /// Replace this shard's entire catalog with a serialized snapshot
-    /// (the bytes a peer's [`ShardBackend::fetch_snapshot`] produced).
+    /// (the bytes a peer's [`ShardRead::fetch_snapshot`] produced).
     /// Installs through the engine's ordinary commit cycle, so readers
     /// pinned to the old generation finish undisturbed. This is how a
     /// rebalanced or freshly-connected shard bootstraps from a peer
     /// without replaying row-by-row registration.
     fn install_snapshot(&mut self, bytes: &[u8]) -> Result<()>;
-
-    /// Pin this shard's committed tip for a composed snapshot.
-    fn pin(&self) -> ShardPin;
-
-    /// Generation/exec introspection.
-    fn observe(&self) -> Result<ShardInfo>;
-
-    /// Human-readable description for `explain()` output and errors.
-    fn describe(&self) -> String;
 
     /// The in-process [`Database`], if this backend has one. Remote
     /// shards return `None` — their engine lives across the wire.
@@ -186,15 +212,11 @@ pub trait ShardBackend: std::fmt::Debug + Send + Sync {
 }
 
 // ---------------------------------------------------------------------
-// Shared catalog-level read implementations
+// The in-process read implementation
 // ---------------------------------------------------------------------
 
 /// Resolve `table.column` in `cat` with typed errors.
-pub(crate) fn table_column<'c>(
-    cat: &'c CatalogState,
-    table: &str,
-    column: &str,
-) -> Result<&'c Column> {
+fn table_column<'c>(cat: &'c CatalogState, table: &str, column: &str) -> Result<&'c Column> {
     cat.table(table)?
         .column(column)
         .ok_or_else(|| MmdbError::UnknownColumn {
@@ -213,153 +235,166 @@ fn check_rids(cat: &CatalogState, table: &str, rids: &[u32]) -> Result<()> {
     }
 }
 
-/// [`ShardBackend::select`] over a catalog: execute the probes-only
-/// plan and keep the RIDs.
-pub fn catalog_select(cat: &CatalogState, plan: &Plan) -> Result<Vec<u32>> {
-    Ok(plan.execute_on(cat)?.rids().to_vec())
-}
-
-/// [`ShardBackend::join_probe_batch`] over a catalog: materialise the
-/// outer values as a synthetic probe column and run the *same*
-/// partitioned indexed nested-loop operator a local join uses, then
-/// demultiplex its rows per probe. Probe `i` of the operator is value
-/// `i`, so per-value match order is exactly the operator's.
-pub fn catalog_join_probe_batch(
-    cat: &CatalogState,
-    table: &str,
-    column: &str,
-    kind: IndexKind,
-    values: &[Value],
-    lanes: usize,
-    threads: usize,
-) -> Result<Vec<Vec<u32>>> {
-    let inner_col = table_column(cat, table, column)?;
-    let inner_rids = cat.rid_list(table, column)?;
-    let handle = cat.index(table, column, kind)?;
-    let probe_col = Column::from_values(values);
-    let probe_rids: Vec<u32> = (0..values.len() as u32).collect();
-    let rows = indexed_nested_loop_join_rids_par(
-        &probe_col,
-        &probe_rids,
-        inner_col,
-        inner_rids,
-        handle.as_search(),
-        lanes,
-        threads,
-    );
-    let mut out = vec![Vec::new(); values.len()];
-    for row in rows {
-        out[row.outer_rid as usize].push(row.inner_rid);
+impl ShardRead for CatalogState {
+    fn point_probe_batch(
+        &self,
+        table: &str,
+        column: &str,
+        values: &[Value],
+    ) -> Result<Vec<Vec<u32>>> {
+        CatalogRead::point_probe_batch(self, table, column, values)
     }
-    Ok(out)
-}
 
-/// [`ShardBackend::group_partial`] over a catalog. Validates the rid
-/// range and the measure's integer domain (mirroring the planner's
-/// check) so a stale or malformed remote request surfaces as a typed
-/// error instead of a server-side panic.
-pub fn catalog_group_partial(
-    cat: &CatalogState,
-    table: &str,
-    group_column: &str,
-    measure: Option<&str>,
-    agg: AggFn,
-    rids: Option<&[u32]>,
-) -> Result<Vec<GroupRow>> {
-    let group_col = table_column(cat, table, group_column)?;
-    let measure_col = match measure {
-        None => None,
-        Some(m) => {
-            let col = table_column(cat, table, m)?;
-            let all_int = col
-                .domain()
-                .values()
-                .iter()
-                .all(|v| matches!(v, Value::Int(_)));
-            if !all_int {
-                return Err(MmdbError::NonIntegerMeasure {
-                    table: table.to_owned(),
-                    column: m.to_owned(),
-                });
+    fn range_probe_batch(
+        &self,
+        table: &str,
+        column: &str,
+        ranges: &[(Value, Value)],
+    ) -> Result<Vec<Vec<u32>>> {
+        CatalogRead::range_probe_batch(self, table, column, ranges)
+    }
+
+    fn select(&self, plan: &Plan) -> Result<Vec<u32>> {
+        Ok(plan.execute_on(self)?.rids().to_vec())
+    }
+
+    /// Materialise the outer values as a synthetic probe column and run
+    /// the *same* partitioned indexed nested-loop operator a local join
+    /// uses, then demultiplex its rows per probe. Probe `i` of the
+    /// operator is value `i`, so per-value match order is exactly the
+    /// operator's.
+    fn join_probe_batch(
+        &self,
+        table: &str,
+        column: &str,
+        kind: IndexKind,
+        values: &[Value],
+        lanes: usize,
+        threads: usize,
+    ) -> Result<Vec<Vec<u32>>> {
+        let inner_col = table_column(self, table, column)?;
+        let inner_rids = self.rid_list(table, column)?;
+        let handle = self.index(table, column, kind)?;
+        let probe_col = Column::from_values(values);
+        let probe_rids: Vec<u32> = (0..values.len() as u32).collect();
+        let rows = indexed_nested_loop_join_rids_par(
+            &probe_col,
+            &probe_rids,
+            inner_col,
+            inner_rids,
+            handle.as_search(),
+            lanes,
+            threads,
+        );
+        let mut out = vec![Vec::new(); values.len()];
+        for row in rows {
+            out[row.outer_rid as usize].push(row.inner_rid);
+        }
+        Ok(out)
+    }
+
+    /// Validates the rid range and the measure's integer domain
+    /// (mirroring the planner's check) so a stale or malformed remote
+    /// request surfaces as a typed error instead of a server-side panic.
+    fn group_partial(
+        &self,
+        table: &str,
+        group_column: &str,
+        measure: Option<&str>,
+        agg: AggFn,
+        rids: Option<&[u32]>,
+    ) -> Result<Vec<GroupRow>> {
+        let group_col = table_column(self, table, group_column)?;
+        let measure_col = match measure {
+            None => None,
+            Some(m) => {
+                let col = table_column(self, table, m)?;
+                let all_int = col
+                    .domain()
+                    .values()
+                    .iter()
+                    .all(|v| matches!(v, Value::Int(_)));
+                if !all_int {
+                    return Err(MmdbError::NonIntegerMeasure {
+                        table: table.to_owned(),
+                        column: m.to_owned(),
+                    });
+                }
+                Some(col)
             }
-            Some(col)
+        };
+        if agg != AggFn::Count && measure_col.is_none() {
+            return Err(MmdbError::Unsupported {
+                what: format!("aggregate {agg:?} needs a measure column"),
+            });
         }
-    };
-    if agg != AggFn::Count && measure_col.is_none() {
-        return Err(MmdbError::Unsupported {
-            what: format!("aggregate {agg:?} needs a measure column"),
-        });
+        match rids {
+            Some(rids) => {
+                check_rids(self, table, rids)?;
+                Ok(group_aggregate_pairs(
+                    group_col,
+                    measure_col,
+                    rids.iter().map(|&r| (r, r)),
+                    agg,
+                ))
+            }
+            None => {
+                let rows = self.table(table)?.rows() as u32;
+                Ok(group_aggregate_pairs(
+                    group_col,
+                    measure_col,
+                    (0..rows).map(|r| (r, r)),
+                    agg,
+                ))
+            }
+        }
     }
-    match rids {
-        Some(rids) => {
-            check_rids(cat, table, rids)?;
-            Ok(group_aggregate_pairs(
-                group_col,
-                measure_col,
-                rids.iter().map(|&r| (r, r)),
-                agg,
-            ))
-        }
-        None => {
-            let rows = cat.table(table)?.rows() as u32;
-            Ok(group_aggregate_pairs(
-                group_col,
-                measure_col,
-                (0..rows).map(|r| (r, r)),
-                agg,
-            ))
-        }
-    }
-}
 
-/// [`ShardBackend::column_values`] over a catalog.
-pub fn catalog_column_values(
-    cat: &CatalogState,
-    table: &str,
-    column: &str,
-    rids: Option<&[u32]>,
-) -> Result<Vec<Value>> {
-    let col = table_column(cat, table, column)?;
-    match rids {
-        None => Ok((0..col.len() as u32)
-            .map(|r| col.value(r).clone())
-            .collect()),
-        Some(rids) => {
-            check_rids(cat, table, rids)?;
-            Ok(rids.iter().map(|&r| col.value(r).clone()).collect())
+    fn column_values(&self, table: &str, column: &str, rids: Option<&[u32]>) -> Result<Vec<Value>> {
+        let col = table_column(self, table, column)?;
+        match rids {
+            None => Ok((0..col.len() as u32)
+                .map(|r| col.value(r).clone())
+                .collect()),
+            Some(rids) => {
+                check_rids(self, table, rids)?;
+                Ok(rids.iter().map(|&r| col.value(r).clone()).collect())
+            }
         }
     }
-}
 
-/// [`ShardBackend::compile`] over a catalog: replay the wire-level
-/// query description through the ordinary builder.
-pub fn catalog_compile(cat: &CatalogState, spec: &Spec) -> Result<Plan> {
-    let mut q = cat.query(&spec.table);
-    for p in &spec.filters {
-        q = q.filter(p.clone());
+    fn compile(&self, spec: &QuerySpec) -> Result<Plan> {
+        CatalogState::compile(self, spec)
     }
-    if let Some((inner, cond)) = &spec.join {
-        q = q.join(inner, cond.clone());
-    }
-    if let Some((column, agg)) = &spec.group {
-        q = q.group_by(column, agg.clone());
-    }
-    if let Some(kind) = spec.forced_kind {
-        q = q.using(kind);
-    }
-    if let Some(exec) = spec.exec {
-        q = q.exec(exec);
-    }
-    q.plan()
-}
 
-/// [`ShardBackend::columns`] over a catalog.
-pub fn catalog_columns(cat: &CatalogState, table: &str) -> Result<Vec<String>> {
-    Ok(cat
-        .table(table)?
-        .columns()
-        .map(|(name, _)| name.to_owned())
-        .collect())
+    fn columns(&self, table: &str) -> Result<Vec<String>> {
+        Ok(self
+            .table(table)?
+            .columns()
+            .map(|(name, _)| name.to_owned())
+            .collect())
+    }
+
+    fn rows(&self, table: &str) -> Result<usize> {
+        Ok(self.table(table)?.rows())
+    }
+
+    fn fetch_snapshot(&self) -> Result<Vec<u8>> {
+        Ok(mmdb::catalog_to_bytes(self))
+    }
+
+    fn observe(&self) -> Result<ShardInfo> {
+        Ok(ShardInfo {
+            generation: self.generation(),
+            swaps: 0,
+            pinned: 0,
+            exec: self.exec_options(),
+        })
+    }
+
+    fn describe(&self) -> String {
+        format!("in-process (generation {})", self.generation())
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -386,73 +421,12 @@ impl LocalShard {
 }
 
 impl ShardBackend for LocalShard {
-    fn point_probe_batch(
-        &self,
-        table: &str,
-        column: &str,
-        values: &[Value],
-    ) -> Result<Vec<Vec<u32>>> {
-        self.db.catalog().point_probe_batch(table, column, values)
+    fn reader(&self) -> &dyn ShardRead {
+        self.db.catalog()
     }
 
-    fn range_probe_batch(
-        &self,
-        table: &str,
-        column: &str,
-        ranges: &[(Value, Value)],
-    ) -> Result<Vec<Vec<u32>>> {
-        self.db.catalog().range_probe_batch(table, column, ranges)
-    }
-
-    fn select(&self, plan: &Plan) -> Result<Vec<u32>> {
-        catalog_select(self.db.catalog(), plan)
-    }
-
-    fn join_probe_batch(
-        &self,
-        table: &str,
-        column: &str,
-        kind: IndexKind,
-        values: &[Value],
-        lanes: usize,
-        threads: usize,
-    ) -> Result<Vec<Vec<u32>>> {
-        catalog_join_probe_batch(
-            self.db.catalog(),
-            table,
-            column,
-            kind,
-            values,
-            lanes,
-            threads,
-        )
-    }
-
-    fn group_partial(
-        &self,
-        table: &str,
-        group_column: &str,
-        measure: Option<&str>,
-        agg: AggFn,
-        rids: Option<&[u32]>,
-    ) -> Result<Vec<GroupRow>> {
-        catalog_group_partial(self.db.catalog(), table, group_column, measure, agg, rids)
-    }
-
-    fn column_values(&self, table: &str, column: &str, rids: Option<&[u32]>) -> Result<Vec<Value>> {
-        catalog_column_values(self.db.catalog(), table, column, rids)
-    }
-
-    fn compile(&self, spec: &Spec) -> Result<Plan> {
-        catalog_compile(self.db.catalog(), spec)
-    }
-
-    fn columns(&self, table: &str) -> Result<Vec<String>> {
-        catalog_columns(self.db.catalog(), table)
-    }
-
-    fn rows(&self, table: &str) -> Result<usize> {
-        Ok(self.db.catalog().table(table)?.rows())
+    fn pin(&self) -> Arc<dyn ShardRead> {
+        Arc::new(self.db.catalog().clone())
     }
 
     fn register(&mut self, table: Table) -> Result<()> {
@@ -489,224 +463,11 @@ impl ShardBackend for LocalShard {
         Ok(())
     }
 
-    fn fetch_snapshot(&self) -> Result<Vec<u8>> {
-        Ok(self.db.save_to_bytes())
-    }
-
     fn install_snapshot(&mut self, bytes: &[u8]) -> Result<()> {
         self.db.restore_from_bytes(bytes, "snapshot transfer")
     }
 
-    fn pin(&self) -> ShardPin {
-        ShardPin::Local(self.db.catalog().clone())
-    }
-
-    fn observe(&self) -> Result<ShardInfo> {
-        Ok(ShardInfo {
-            generation: self.db.generation(),
-            swaps: self.db.swap_count(),
-            pinned: self.db.pinned_snapshots() as u64,
-            exec: self.db.exec_options(),
-        })
-    }
-
-    fn describe(&self) -> String {
-        "in-process".to_owned()
-    }
-
     fn as_database(&self) -> Option<&Database> {
         Some(&self.db)
-    }
-}
-
-// ---------------------------------------------------------------------
-// ShardPin
-// ---------------------------------------------------------------------
-
-/// One shard's entry in a pinned `ShardedState`: an owned
-/// [`CatalogState`] for a local shard (that shard's committed
-/// generation, frozen), or a cloned remote client (remote shards answer
-/// from their server's committed tip — the server is the snapshot
-/// authority across the wire).
-///
-/// Pins are read-only by design: every mutation returns a typed
-/// [`MmdbError::Unsupported`], mirroring how a local `Snapshot` has no
-/// mutation surface at all.
-#[derive(Debug, Clone)]
-pub enum ShardPin {
-    /// A local shard's pinned catalog generation.
-    Local(CatalogState),
-    /// A remote shard, answering from its server's committed tip.
-    Remote(RemoteShard),
-}
-
-impl ShardPin {
-    fn immutable(&self, what: &str) -> MmdbError {
-        MmdbError::Unsupported {
-            what: format!("{what} on a pinned shard snapshot; mutate through ShardedDatabase"),
-        }
-    }
-}
-
-impl ShardBackend for ShardPin {
-    fn point_probe_batch(
-        &self,
-        table: &str,
-        column: &str,
-        values: &[Value],
-    ) -> Result<Vec<Vec<u32>>> {
-        match self {
-            ShardPin::Local(cat) => cat.point_probe_batch(table, column, values),
-            ShardPin::Remote(r) => r.point_probe_batch(table, column, values),
-        }
-    }
-
-    fn range_probe_batch(
-        &self,
-        table: &str,
-        column: &str,
-        ranges: &[(Value, Value)],
-    ) -> Result<Vec<Vec<u32>>> {
-        match self {
-            ShardPin::Local(cat) => cat.range_probe_batch(table, column, ranges),
-            ShardPin::Remote(r) => r.range_probe_batch(table, column, ranges),
-        }
-    }
-
-    fn select(&self, plan: &Plan) -> Result<Vec<u32>> {
-        match self {
-            ShardPin::Local(cat) => catalog_select(cat, plan),
-            ShardPin::Remote(r) => r.select(plan),
-        }
-    }
-
-    fn join_probe_batch(
-        &self,
-        table: &str,
-        column: &str,
-        kind: IndexKind,
-        values: &[Value],
-        lanes: usize,
-        threads: usize,
-    ) -> Result<Vec<Vec<u32>>> {
-        match self {
-            ShardPin::Local(cat) => {
-                catalog_join_probe_batch(cat, table, column, kind, values, lanes, threads)
-            }
-            ShardPin::Remote(r) => r.join_probe_batch(table, column, kind, values, lanes, threads),
-        }
-    }
-
-    fn group_partial(
-        &self,
-        table: &str,
-        group_column: &str,
-        measure: Option<&str>,
-        agg: AggFn,
-        rids: Option<&[u32]>,
-    ) -> Result<Vec<GroupRow>> {
-        match self {
-            ShardPin::Local(cat) => {
-                catalog_group_partial(cat, table, group_column, measure, agg, rids)
-            }
-            ShardPin::Remote(r) => r.group_partial(table, group_column, measure, agg, rids),
-        }
-    }
-
-    fn column_values(&self, table: &str, column: &str, rids: Option<&[u32]>) -> Result<Vec<Value>> {
-        match self {
-            ShardPin::Local(cat) => catalog_column_values(cat, table, column, rids),
-            ShardPin::Remote(r) => r.column_values(table, column, rids),
-        }
-    }
-
-    fn compile(&self, spec: &Spec) -> Result<Plan> {
-        match self {
-            ShardPin::Local(cat) => catalog_compile(cat, spec),
-            ShardPin::Remote(r) => r.compile(spec),
-        }
-    }
-
-    fn columns(&self, table: &str) -> Result<Vec<String>> {
-        match self {
-            ShardPin::Local(cat) => catalog_columns(cat, table),
-            ShardPin::Remote(r) => r.columns(table),
-        }
-    }
-
-    fn rows(&self, table: &str) -> Result<usize> {
-        match self {
-            ShardPin::Local(cat) => Ok(cat.table(table)?.rows()),
-            ShardPin::Remote(r) => ShardBackend::rows(r, table),
-        }
-    }
-
-    fn register(&mut self, _table: Table) -> Result<()> {
-        Err(self.immutable("register"))
-    }
-
-    fn drop_table(&mut self, _table: &str) -> Result<()> {
-        Err(self.immutable("drop_table"))
-    }
-
-    fn create_index(&mut self, _table: &str, _column: &str, _kind: IndexKind) -> Result<()> {
-        Err(self.immutable("create_index"))
-    }
-
-    fn drop_index(&mut self, _table: &str, _column: &str, _kind: IndexKind) -> Result<()> {
-        Err(self.immutable("drop_index"))
-    }
-
-    fn replace_column(
-        &mut self,
-        _table: &str,
-        _column: &str,
-        _values: Vec<Value>,
-    ) -> Result<RebuildReport> {
-        Err(self.immutable("replace_column"))
-    }
-
-    fn rebuild_column(&mut self, _table: &str, _column: &str) -> Result<RebuildReport> {
-        Err(self.immutable("rebuild_column"))
-    }
-
-    fn set_exec_options(&mut self, _exec: ExecOptions) -> Result<()> {
-        Err(self.immutable("set_exec_options"))
-    }
-
-    fn fetch_snapshot(&self) -> Result<Vec<u8>> {
-        match self {
-            // A pinned local state serializes *its* generation — the
-            // frozen one — not whatever the engine has committed since.
-            ShardPin::Local(cat) => Ok(mmdb::catalog_to_bytes(cat)),
-            ShardPin::Remote(r) => r.fetch_snapshot(),
-        }
-    }
-
-    fn install_snapshot(&mut self, _bytes: &[u8]) -> Result<()> {
-        Err(self.immutable("install_snapshot"))
-    }
-
-    fn pin(&self) -> ShardPin {
-        self.clone()
-    }
-
-    fn observe(&self) -> Result<ShardInfo> {
-        match self {
-            ShardPin::Local(cat) => Ok(ShardInfo {
-                generation: cat.generation(),
-                swaps: 0,
-                pinned: 0,
-                exec: cat.exec_options(),
-            }),
-            ShardPin::Remote(r) => r.observe(),
-        }
-    }
-
-    fn describe(&self) -> String {
-        match self {
-            ShardPin::Local(cat) => format!("in-process (generation {})", cat.generation()),
-            ShardPin::Remote(r) => r.describe(),
-        }
     }
 }

@@ -46,10 +46,7 @@ mod partition;
 mod remote;
 mod sharded;
 
-pub use backend::{
-    catalog_column_values, catalog_columns, catalog_compile, catalog_group_partial,
-    catalog_join_probe_batch, catalog_select, LocalShard, ShardBackend, ShardInfo, ShardPin,
-};
+pub use backend::{LocalShard, ShardBackend, ShardInfo, ShardRead};
 pub use partition::{HashPartitioner, Partitioner, RangePartitioner};
 pub use remote::{RemoteShard, SHARD_TIMEOUT_KNOB};
 pub use sharded::{
@@ -60,7 +57,10 @@ pub use sharded::{
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmdb::{between, count, eq, on, sum, Database, IndexKind, MmdbError, TableBuilder, Value};
+    use mmdb::{
+        between, count, eq, on, sum, CatalogRead, Database, IndexKind, MmdbError, TableBuilder,
+        Value,
+    };
 
     fn seed_tables(rows: usize) -> (mmdb::Table, mmdb::Table) {
         let sales = TableBuilder::new("sales")

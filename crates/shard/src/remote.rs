@@ -1,5 +1,6 @@
-//! The remote shard client: a [`ShardBackend`] that speaks the
-//! `ccindex-wire` protocol to a `ShardServer` over plain blocking TCP.
+//! The remote shard client: a [`ShardRead`] + [`ShardBackend`] that
+//! speaks the `ccindex-wire` protocol to a `ShardServer` over plain
+//! blocking TCP.
 //!
 //! One request, one response, one frame each — the serving layer's
 //! batch-formation windows (PR 5) already amortise per-request costs,
@@ -23,19 +24,19 @@
 //!   before the connection died.
 
 use std::net::TcpStream;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use ccindex_obs as obs;
 use ccindex_parallel::sync::Arc as ObsArc;
-use ccindex_wire::{self as wire, OneRequest, ShardRequest, ShardResponse, Spec};
+use ccindex_wire::{self as wire, ShardRequest, ShardResponse};
 use mmdb::plan::{parse_knob, Plan};
 use mmdb::{
-    AggFn, ExecOptions, GroupRow, IndexKind, MmdbError, RebuildReport, Result, ResultRows, Table,
-    TransportFault, Value,
+    AggFn, ExecOptions, GroupRow, IndexKind, MmdbError, QuerySpec, RebuildReport, Request, Result,
+    ResultRows, Table, TransportFault, Value,
 };
 
-use crate::backend::{ShardBackend, ShardInfo, ShardPin};
+use crate::backend::{ShardBackend, ShardInfo, ShardRead};
 
 /// Request deadline knob, in milliseconds. `0` disables the deadline.
 pub const SHARD_TIMEOUT_KNOB: &str = "CCINDEX_SHARD_TIMEOUT_MS";
@@ -65,9 +66,9 @@ fn transport(endpoint: &str, fault: TransportFault, detail: String) -> MmdbError
 }
 
 /// A shard that lives behind a socket: the remote implementation of
-/// [`ShardBackend`]. Cloning yields an independent client to the same
-/// server (with its own connection), which is how a remote shard is
-/// pinned into a composed snapshot.
+/// [`ShardRead`] and [`ShardBackend`]. Cloning yields an independent
+/// client to the same server (with its own connection), which is how a
+/// remote shard is pinned into a composed snapshot.
 #[derive(Debug)]
 pub struct RemoteShard {
     addr: String,
@@ -232,7 +233,7 @@ impl RemoteShard {
     /// Compile and execute a query description on the server, returning
     /// its result rows. Used by the serving layer to front a whole
     /// remote engine.
-    pub fn run_spec(&self, spec: &Spec) -> Result<ResultRows> {
+    pub fn run_spec(&self, spec: &QuerySpec) -> Result<ResultRows> {
         match self.call(&ShardRequest::RunSpec { spec: spec.clone() })? {
             ShardResponse::Rows(rows) => Ok(rows),
             other => Err(self.bad_reply(&other)),
@@ -243,7 +244,7 @@ impl RemoteShard {
     /// `span`'s id, and the server's timing breakdown comes back in the
     /// response frame and is grafted under `span` — one cross-process
     /// latency tree, no clock synchronisation needed.
-    pub fn run_spec_traced(&self, spec: &Spec, span: &mut obs::Span) -> Result<ResultRows> {
+    pub fn run_spec_traced(&self, spec: &QuerySpec, span: &mut obs::Span) -> Result<ResultRows> {
         let req = ShardRequest::RunSpec { spec: spec.clone() };
         let mut rpc = span.child(format!("rpc:{}", self.addr));
         let (resp, node) = self.call_traced(&req, span.id())?;
@@ -270,7 +271,7 @@ impl RemoteShard {
     /// `BatchServer`, one result per request in submission order.
     pub fn execute_batch(
         &self,
-        requests: Vec<OneRequest>,
+        requests: Vec<Request>,
     ) -> Result<Vec<std::result::Result<ResultRows, MmdbError>>> {
         match self.call(&ShardRequest::ExecuteBatch { requests })? {
             ShardResponse::Batch(results) => Ok(results),
@@ -308,7 +309,7 @@ fn variant_name(resp: &ShardResponse) -> &'static str {
     }
 }
 
-impl ShardBackend for RemoteShard {
+impl ShardRead for RemoteShard {
     fn point_probe_batch(
         &self,
         table: &str,
@@ -410,7 +411,7 @@ impl ShardBackend for RemoteShard {
         }
     }
 
-    fn compile(&self, spec: &Spec) -> Result<Plan> {
+    fn compile(&self, spec: &QuerySpec) -> Result<Plan> {
         match self.call(&ShardRequest::Compile { spec: spec.clone() })? {
             ShardResponse::Plan(plan) => Ok(plan),
             other => Err(self.bad_reply(&other)),
@@ -433,6 +434,87 @@ impl ShardBackend for RemoteShard {
             ShardResponse::Count(n) => Ok(n as usize),
             other => Err(self.bad_reply(&other)),
         }
+    }
+
+    fn fetch_snapshot(&self) -> Result<Vec<u8>> {
+        let mut bytes: Vec<u8> = Vec::new();
+        let mut next = 0u32;
+        loop {
+            match self.call(&ShardRequest::FetchSnapshot { chunk: next })? {
+                ShardResponse::SnapshotChunk {
+                    chunk,
+                    total_chunks,
+                    total_len,
+                    crc,
+                    bytes: part,
+                } => {
+                    if chunk != next || total_chunks == 0 || chunk >= total_chunks {
+                        return Err(transport(
+                            &self.addr,
+                            TransportFault::Protocol,
+                            format!(
+                                "snapshot chunk {chunk}/{total_chunks} arrived while \
+                                 expecting chunk {next}"
+                            ),
+                        ));
+                    }
+                    if wire::crc32(&part) != crc {
+                        return Err(transport(
+                            &self.addr,
+                            TransportFault::Checksum,
+                            format!("snapshot chunk {chunk} failed its payload checksum"),
+                        ));
+                    }
+                    bytes.extend_from_slice(&part);
+                    next += 1;
+                    if next == total_chunks {
+                        if bytes.len() as u64 != total_len {
+                            return Err(transport(
+                                &self.addr,
+                                TransportFault::Protocol,
+                                format!(
+                                    "snapshot reassembled to {} bytes, server declared {total_len}",
+                                    bytes.len()
+                                ),
+                            ));
+                        }
+                        return Ok(bytes);
+                    }
+                }
+                other => return Err(self.bad_reply(&other)),
+            }
+        }
+    }
+
+    fn observe(&self) -> Result<ShardInfo> {
+        match self.call(&ShardRequest::Hello)? {
+            ShardResponse::Info {
+                generation,
+                swaps,
+                pinned,
+                exec,
+            } => Ok(ShardInfo {
+                generation,
+                swaps,
+                pinned,
+                exec,
+            }),
+            other => Err(self.bad_reply(&other)),
+        }
+    }
+
+    fn describe(&self) -> String {
+        format!("remote {}", self.addr)
+    }
+}
+
+impl ShardBackend for RemoteShard {
+    fn reader(&self) -> &dyn ShardRead {
+        self
+    }
+
+    fn pin(&self) -> Arc<dyn ShardRead> {
+        Arc::new(self.clone())
     }
 
     fn register(&mut self, table: Table) -> Result<()> {
@@ -518,56 +600,6 @@ impl ShardBackend for RemoteShard {
         }
     }
 
-    fn fetch_snapshot(&self) -> Result<Vec<u8>> {
-        let mut bytes: Vec<u8> = Vec::new();
-        let mut next = 0u32;
-        loop {
-            match self.call(&ShardRequest::FetchSnapshot { chunk: next })? {
-                ShardResponse::SnapshotChunk {
-                    chunk,
-                    total_chunks,
-                    total_len,
-                    crc,
-                    bytes: part,
-                } => {
-                    if chunk != next || total_chunks == 0 || chunk >= total_chunks {
-                        return Err(transport(
-                            &self.addr,
-                            TransportFault::Protocol,
-                            format!(
-                                "snapshot chunk {chunk}/{total_chunks} arrived while \
-                                 expecting chunk {next}"
-                            ),
-                        ));
-                    }
-                    if wire::crc32(&part) != crc {
-                        return Err(transport(
-                            &self.addr,
-                            TransportFault::Checksum,
-                            format!("snapshot chunk {chunk} failed its payload checksum"),
-                        ));
-                    }
-                    bytes.extend_from_slice(&part);
-                    next += 1;
-                    if next == total_chunks {
-                        if bytes.len() as u64 != total_len {
-                            return Err(transport(
-                                &self.addr,
-                                TransportFault::Protocol,
-                                format!(
-                                    "snapshot reassembled to {} bytes, server declared {total_len}",
-                                    bytes.len()
-                                ),
-                            ));
-                        }
-                        return Ok(bytes);
-                    }
-                }
-                other => return Err(self.bad_reply(&other)),
-            }
-        }
-    }
-
     fn install_snapshot(&mut self, bytes: &[u8]) -> Result<()> {
         // At least one chunk, even for an empty catalog, so the server
         // always sees a final chunk and installs.
@@ -600,31 +632,6 @@ impl ShardBackend for RemoteShard {
             }
         }
         Ok(())
-    }
-
-    fn pin(&self) -> ShardPin {
-        ShardPin::Remote(self.clone())
-    }
-
-    fn observe(&self) -> Result<ShardInfo> {
-        match self.call(&ShardRequest::Hello)? {
-            ShardResponse::Info {
-                generation,
-                swaps,
-                pinned,
-                exec,
-            } => Ok(ShardInfo {
-                generation,
-                swaps,
-                pinned,
-                exec,
-            }),
-            other => Err(self.bad_reply(&other)),
-        }
-    }
-
-    fn describe(&self) -> String {
-        format!("remote {}", self.addr)
     }
 
     fn install_metrics(&mut self, registry: &obs::Registry) {

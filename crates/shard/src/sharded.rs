@@ -28,18 +28,17 @@
 //! [`Database`] for every shard count and both partitioners — the
 //! property `tests/sharded_equivalence.rs` and `figures sharded` assert.
 
-use crate::backend::{LocalShard, ShardBackend, ShardPin};
+use crate::backend::{LocalShard, ShardBackend, ShardRead};
 use crate::partition::Partitioner;
 use crate::remote::RemoteShard;
 use ccindex_obs as obs;
 use ccindex_parallel::sync::Arc as MetricArc;
 use ccindex_parallel::WorkerPool;
-use ccindex_wire::Spec;
 use mmdb::domain::Value;
 use mmdb::plan::{Plan, Probe, Side};
 use mmdb::{
-    Agg, AggFn, Column, Database, ExecOptions, GroupRow, IndexKind, JoinOn, JoinRow, MmdbError,
-    Pinned, Predicate, RebuildReport, Result, ResultRows, SwapSlot, Table,
+    Agg, AggFn, CatalogRead, Column, Database, ExecOptions, GroupRow, IndexKind, JoinOn, JoinRow,
+    MmdbError, Pinned, Predicate, QuerySpec, RebuildReport, Result, ResultRows, SwapSlot, Table,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -50,25 +49,28 @@ use std::sync::Arc;
 
 /// N per-shard [`Database`] catalogs behind one engine surface.
 ///
-/// Follows the same epoch/snapshot discipline as [`Database`]: every
-/// successful mutation commits a composed [`ShardedState`] — built from
-/// per-shard catalog generations updated under the *same* mutation — to
-/// a shared [`SwapSlot`], so a pinned [`ShardedSnapshot`] always sees
-/// every shard at one consistent commit (never a half-re-partitioned
-/// table or a column/index mix across shards).
+/// Follows the same epoch/snapshot discipline as [`Database`], and the
+/// same shape: a writer-private `tip`, a shared commit `slot`, and (the
+/// sharded extra) the mutable [`ShardBackend`] per shard. Every
+/// successful mutation commits the tip as a composed [`ShardedState`] —
+/// built from per-shard catalog generations updated under the *same*
+/// mutation — so a pinned [`ShardedSnapshot`] always sees every shard
+/// at one consistent commit (never a half-re-partitioned table or a
+/// column/index mix across shards).
 #[derive(Debug)]
 pub struct ShardedDatabase {
-    partitioner: Arc<dyn Partitioner>,
-    shards: Vec<Box<dyn ShardBackend>>,
-    tables: BTreeMap<String, Arc<ShardedTable>>,
-    exec: ExecOptions,
-    /// Monotonic commit counter for the *composed* catalog.
-    generation: u64,
+    /// The latest composed generation; every read method of this type
+    /// answers from it. Its per-shard pins are refreshed by
+    /// [`ShardedDatabase::publish`], which ends every successful
+    /// mutation — so after a *failed* multi-shard mutation, reads
+    /// through the live catalog keep answering from the last committed
+    /// composed generation of the local shards, not from whatever
+    /// subset of shards the failed mutation reached.
+    tip: ShardedState,
     /// The commit point shared with every reader handle and snapshot.
     slot: Arc<SwapSlot<ShardedState>>,
-    /// Scatter-gather observability handles (shared with every
-    /// committed [`ShardedState`], so pinned snapshots record too).
-    metrics: ShardMetrics,
+    /// The mutating half of each shard, in shard order.
+    shards: Vec<Box<dyn ShardBackend>>,
 }
 
 /// Per-table placement metadata: where every global row lives.
@@ -124,23 +126,28 @@ fn elapsed_ns(since: &std::time::Instant) -> u64 {
 }
 
 /// One immutable generation of the *composed* sharded catalog: a
-/// [`ShardPin`] per shard (all captured under the same commit — a local
-/// shard pins its [`mmdb::CatalogState`], a remote shard pins a client
-/// onto its server's committed tip), the placement metadata that routes
-/// global rows to shards, and the partitioner — everything
+/// pinned [`ShardRead`] per shard (all captured under the same commit —
+/// a local shard pins its [`mmdb::CatalogState`], a remote shard pins a
+/// client onto its server's committed tip), the placement metadata that
+/// routes global rows to shards, and the partitioner — everything
 /// scatter-gather execution needs, nothing a writer can touch. The
-/// sharded twin of [`mmdb::CatalogState`].
+/// sharded twin of [`mmdb::CatalogState`], and like it the one type the
+/// executor runs against, whether reached through the live
+/// [`ShardedDatabase`] or a pinned [`ShardedSnapshot`].
 ///
-/// Cloning is cheap: per-shard states are `BTreeMap`s of `Arc`ed table
-/// entries and the placement tables sit behind `Arc` too, so a
-/// generation clone is pointer bumps all the way down.
+/// Cloning is cheap: per-shard states and the placement tables sit
+/// behind `Arc`, so a generation clone is pointer bumps all the way
+/// down.
 #[derive(Debug, Clone)]
 pub struct ShardedState {
     partitioner: Arc<dyn Partitioner>,
-    shards: Vec<ShardPin>,
+    shards: Vec<Arc<dyn ShardRead>>,
     tables: BTreeMap<String, Arc<ShardedTable>>,
     exec: ExecOptions,
+    /// Monotonic commit counter for the *composed* catalog.
     generation: u64,
+    /// Scatter-gather observability handles, shared by every
+    /// generation, so pinned snapshots record into the same series.
     metrics: ShardMetrics,
 }
 
@@ -180,20 +187,6 @@ impl ShardedHandle {
     pub fn pinned(&self) -> usize {
         self.slot.pinned()
     }
-}
-
-/// The borrowed read surface the scatter-gather executor runs against —
-/// a [`ShardBackend`] reference per shard, buildable from both a live
-/// [`ShardedDatabase`] and an immutable [`ShardedState`], so the same
-/// routing/merging code serves mutable callers, pinned snapshots, and
-/// any local/remote shard mix.
-#[derive(Debug, Clone)]
-struct ShardView<'a> {
-    partitioner: &'a dyn Partitioner,
-    shards: Vec<&'a dyn ShardBackend>,
-    tables: &'a BTreeMap<String, Arc<ShardedTable>>,
-    exec: ExecOptions,
-    metrics: &'a ShardMetrics,
 }
 
 /// What one sharded [`ShardedDatabase::replace_column`] cycle did.
@@ -253,23 +246,18 @@ impl ShardedDatabase {
             shard.set_exec_options(exec)?;
             shard.install_metrics(&metrics.registry);
         }
-        let partitioner: Arc<dyn Partitioner> = Arc::new(partitioner);
-        let initial = ShardedState {
-            partitioner: Arc::clone(&partitioner),
+        let tip = ShardedState {
+            partitioner: Arc::new(partitioner),
             shards: shards.iter().map(|b| b.pin()).collect(),
             tables: BTreeMap::new(),
             exec,
             generation: 0,
-            metrics: metrics.clone(),
+            metrics,
         };
         Ok(Self {
-            partitioner,
+            slot: SwapSlot::new(tip.clone(), 0),
+            tip,
             shards,
-            tables: BTreeMap::new(),
-            exec,
-            generation: 0,
-            slot: SwapSlot::new(initial, 0),
-            metrics,
         })
     }
 
@@ -301,7 +289,7 @@ impl ShardedDatabase {
     /// committed generation, so probes through pinned snapshots and
     /// reader handles record into the same series.
     pub fn registry(&self) -> &MetricArc<obs::Registry> {
-        &self.metrics.registry
+        self.tip.registry()
     }
 
     /// Hash-partitioned catalog sized by the environment:
@@ -319,7 +307,7 @@ impl ShardedDatabase {
 
     /// The partitioner's one-line description (`hash x4`, `range x2: …`).
     pub fn partitioner(&self) -> String {
-        self.partitioner.describe()
+        self.tip.partitioner()
     }
 
     /// One shard's in-process engine, for inspection.
@@ -349,7 +337,7 @@ impl ShardedDatabase {
         for shard in &mut self.shards {
             shard.set_exec_options(options)?;
         }
-        self.exec = options;
+        self.tip.exec = options;
         self.publish();
         Ok(())
     }
@@ -357,7 +345,7 @@ impl ShardedDatabase {
     /// Replace shard `shard`'s backend with `backend`, bootstrapping the
     /// newcomer from the outgoing backend's serialized snapshot: fetch
     /// the paged `ccindex-store` bytes off the old backend's committed
-    /// tip ([`ShardBackend::fetch_snapshot`]), install them on the
+    /// tip ([`ShardRead::fetch_snapshot`]), install them on the
     /// newcomer through its ordinary commit cycle
     /// ([`ShardBackend::install_snapshot`]), then swap it in and commit
     /// a composed generation. The newcomer inherits the catalog-wide
@@ -380,10 +368,10 @@ impl ShardedDatabase {
                     self.shards.len()
                 ),
             })?;
-        let snapshot = outgoing.fetch_snapshot()?;
+        let snapshot = outgoing.reader().fetch_snapshot()?;
         backend.install_snapshot(&snapshot)?;
-        backend.set_exec_options(self.exec)?;
-        backend.install_metrics(&self.metrics.registry);
+        backend.set_exec_options(self.tip.exec)?;
+        backend.install_metrics(&self.tip.metrics.registry);
         self.shards[shard] = backend;
         self.publish();
         Ok(())
@@ -405,9 +393,16 @@ impl ShardedDatabase {
         }
     }
 
+    /// The latest composed generation — what every read method of this
+    /// catalog answers from, and the [`CatalogRead`] surface for running
+    /// an owned [`QuerySpec`] without pinning.
+    pub fn catalog(&self) -> &ShardedState {
+        &self.tip
+    }
+
     /// The commit counter of the composed catalog (0 = empty).
     pub fn generation(&self) -> u64 {
-        self.generation
+        self.tip.generation
     }
 
     /// How many composed generations have been committed.
@@ -422,7 +417,7 @@ impl ShardedDatabase {
 
     /// The catalog-wide [`ExecOptions`] new plans inherit.
     pub fn exec_options(&self) -> ExecOptions {
-        self.exec
+        self.tip.exec
     }
 
     /// Register a table, splitting its rows across shards by the values
@@ -432,7 +427,7 @@ impl ShardedDatabase {
     /// ([`MmdbError::ShardKeyOutOfRange`]).
     pub fn register(&mut self, table: Table, shard_key: &str) -> Result<()> {
         let name = table.name().to_owned();
-        if self.tables.contains_key(&name) {
+        if self.tip.tables.contains_key(&name) {
             return Err(MmdbError::DuplicateTable { table: name });
         }
         let key_col = table
@@ -446,7 +441,7 @@ impl ShardedDatabase {
         for (shard, t) in split.into_iter().enumerate() {
             self.shards[shard].register(t)?;
         }
-        self.tables.insert(
+        self.tip.tables.insert(
             name,
             Arc::new(ShardedTable {
                 shard_key: shard_key.to_owned(),
@@ -462,22 +457,22 @@ impl ShardedDatabase {
 
     /// Registered table names, in name order.
     pub fn tables(&self) -> impl Iterator<Item = &str> {
-        self.tables.keys().map(String::as_str)
+        self.tip.tables()
     }
 
     /// Total (global) row count of `table`.
     pub fn rows(&self, table: &str) -> Result<usize> {
-        Ok(self.meta(table)?.rows)
+        self.tip.rows(table)
     }
 
     /// The declared shard-key column of `table`.
     pub fn shard_key(&self, table: &str) -> Result<&str> {
-        Ok(self.meta(table)?.shard_key.as_str())
+        self.tip.shard_key(table)
     }
 
     /// Where a global row lives: `(shard, local RID)`.
     pub fn placement_of(&self, table: &str, global_rid: u32) -> Result<(usize, u32)> {
-        let meta = self.meta(table)?;
+        let meta = self.tip.meta(table)?;
         let (s, l) = meta.placement[global_rid as usize];
         Ok((s as usize, l))
     }
@@ -485,11 +480,11 @@ impl ShardedDatabase {
     /// Build (or rebuild) a `kind` index on `table.column` — on every
     /// shard, so scattered probes always find their access path.
     pub fn create_index(&mut self, table: &str, column: &str, kind: IndexKind) -> Result<()> {
-        self.meta(table)?;
+        self.tip.meta(table)?;
         for shard in &mut self.shards {
             shard.create_index(table, column, kind)?;
         }
-        Arc::make_mut(self.tables.get_mut(table).expect("checked above"))
+        Arc::make_mut(self.tip.tables.get_mut(table).expect("checked above"))
             .indexes
             .entry(column.to_owned())
             .or_default()
@@ -500,11 +495,11 @@ impl ShardedDatabase {
 
     /// Drop the `kind` index on `table.column` from every shard.
     pub fn drop_index(&mut self, table: &str, column: &str, kind: IndexKind) -> Result<()> {
-        self.meta(table)?;
+        self.tip.meta(table)?;
         for shard in &mut self.shards {
             shard.drop_index(table, column, kind)?;
         }
-        let meta = Arc::make_mut(self.tables.get_mut(table).expect("checked above"));
+        let meta = Arc::make_mut(self.tip.tables.get_mut(table).expect("checked above"));
         if let Some(kinds) = meta.indexes.get_mut(column) {
             kinds.remove(&kind);
             if kinds.is_empty() {
@@ -529,8 +524,9 @@ impl ShardedDatabase {
         column: &str,
         values: Vec<Value>,
     ) -> Result<ShardedRebuildReport> {
-        let meta = self.meta(table)?;
-        if !self.shards[0].columns(table)?.iter().any(|c| c == column) {
+        let meta = self.tip.meta(table)?;
+        let columns = self.shards[0].reader().columns(table)?;
+        if !columns.iter().any(|c| c == column) {
             return Err(MmdbError::UnknownColumn {
                 table: table.to_owned(),
                 column: column.to_owned(),
@@ -548,7 +544,7 @@ impl ShardedDatabase {
             return self.repartition(table, column, values);
         }
         // Route each row's new value to the shard that owns the row.
-        let locals = &self.tables[table].locals;
+        let locals = &meta.locals;
         let per_shard: Vec<Vec<Value>> = locals
             .iter()
             .map(|l| l.iter().map(|&g| values[g as usize].clone()).collect())
@@ -569,7 +565,7 @@ impl ShardedDatabase {
     /// Re-run the rebuild cycle for `table.column` on every shard (each
     /// shard's per-kind rebuilds ride its own worker pool).
     pub fn rebuild_column(&mut self, table: &str, column: &str) -> Result<Vec<RebuildReport>> {
-        self.meta(table)?;
+        self.tip.meta(table)?;
         let mut reports = Vec::with_capacity(self.shards.len());
         for shard in &mut self.shards {
             reports.push(shard.rebuild_column(table, column)?);
@@ -578,91 +574,47 @@ impl ShardedDatabase {
         Ok(reports)
     }
 
-    /// Answer many equality probes on one `table.column` scatter-gather:
-    /// each value routes through the partitioner when the column **is**
-    /// the table's shard key (pruning to the owning shard, or to no
-    /// shard for unowned keys) and fans to every shard otherwise; the
-    /// routed shards each answer their value subset with one local
-    /// [`Database::point_probe_batch`] (a single batched index descent)
-    /// over the shared worker pool, and local RIDs gather back to global
-    /// row order. One ascending global RID set per value, in submission
-    /// order — byte-identical to
-    /// `query(table).filter(eq(column, values[i])).run()?.rids()`.
-    ///
-    /// This is the scatter entry point the batch-forming serving
-    /// front-end (`ccindex-serve`) drives for coalesced point requests.
+    /// [`CatalogRead::point_probe_batch`] on the latest composed
+    /// generation ([`ShardedDatabase::catalog`]).
     pub fn point_probe_batch(
         &self,
         table: &str,
         column: &str,
         values: &[Value],
     ) -> Result<Vec<Vec<u32>>> {
-        self.view().point_probe_batch(table, column, values)
+        self.tip.point_probe_batch(table, column, values)
     }
 
-    /// The range twin of [`ShardedDatabase::point_probe_batch`]: each
-    /// inclusive `[lo, hi]` range prunes to the partitioner's
-    /// [`Partitioner::range_shards`] when the column is the shard key
-    /// (an inverted range routes nowhere), fans everywhere otherwise,
-    /// and the routed shards answer with local
-    /// [`Database::range_probe_batch`] calls. One ascending global RID
-    /// set per range, in submission order.
+    /// [`CatalogRead::range_probe_batch`] on the latest composed
+    /// generation.
     pub fn range_probe_batch(
         &self,
         table: &str,
         column: &str,
         ranges: &[(Value, Value)],
     ) -> Result<Vec<Vec<u32>>> {
-        self.view().range_probe_batch(table, column, ranges)
+        self.tip.range_probe_batch(table, column, ranges)
     }
 
     /// Start a composable query over `table` — the same builder surface
     /// as [`Database::query`], compiled into a [`ShardedPlan`] that
     /// records its shard routing.
     pub fn query(&self, table: impl Into<String>) -> ShardedQuery<'_> {
-        self.view().query(table)
+        self.tip.query(table)
     }
 
     // ---- internals ----
 
-    fn meta(&self, table: &str) -> Result<&ShardedTable> {
-        self.tables
-            .get(table)
-            .map(|t| &**t)
-            .ok_or_else(|| MmdbError::UnknownTable {
-                table: table.to_owned(),
-            })
-    }
-
-    /// The borrowed executor view over the shards' *current* tips.
-    fn view(&self) -> ShardView<'_> {
-        ShardView {
-            partitioner: &*self.partitioner,
-            shards: self.shards.iter().map(|b| &**b).collect(),
-            tables: &self.tables,
-            exec: self.exec,
-            metrics: &self.metrics,
-        }
-    }
-
-    /// Commit the composed catalog: capture every shard's current tip
-    /// plus the placement metadata as one immutable [`ShardedState`] and
-    /// install it. Called exactly once at the end of every successful
-    /// mutation, *after* all shards updated — a pinned snapshot never
-    /// observes half a cross-shard mutation.
+    /// Commit the composed catalog: re-pin every shard's current tip
+    /// into the placement metadata the mutation just updated, and
+    /// install the result as the next immutable [`ShardedState`]. Called
+    /// exactly once at the end of every successful mutation, *after* all
+    /// shards updated — a pinned snapshot never observes half a
+    /// cross-shard mutation.
     fn publish(&mut self) {
-        self.generation += 1;
-        self.slot.install(
-            ShardedState {
-                partitioner: Arc::clone(&self.partitioner),
-                shards: self.shards.iter().map(|b| b.pin()).collect(),
-                tables: self.tables.clone(),
-                exec: self.exec,
-                generation: self.generation,
-                metrics: self.metrics.clone(),
-            },
-            self.generation,
-        );
+        self.tip.shards = self.shards.iter().map(|b| b.pin()).collect();
+        self.tip.generation += 1;
+        self.slot.install(self.tip.clone(), self.tip.generation);
     }
 
     /// Place one row per key value; fails before any state changes.
@@ -671,7 +623,7 @@ impl ShardedDatabase {
         let mut placement = Vec::with_capacity(key_col.len());
         let mut locals: Vec<Vec<u32>> = vec![Vec::new(); self.shards.len()];
         for rid in 0..key_col.len() as u32 {
-            let shard = self.partitioner.shard_of(key_col.value(rid))?;
+            let shard = self.tip.partitioner.shard_of(key_col.value(rid))?;
             placement.push((shard as u32, locals[shard].len() as u32));
             locals[shard].push(rid);
         }
@@ -693,9 +645,9 @@ impl ShardedDatabase {
         let (placement, locals) = self.place_rows(&new_key_col)?;
 
         // Reassemble each column's global values from the current shards.
-        let meta = &self.tables[table];
+        let meta = &self.tip.tables[table];
         let old_placement = meta.placement.clone();
-        let columns: Vec<String> = self.shards[0].columns(table)?;
+        let columns: Vec<String> = self.shards[0].reader().columns(table)?;
         let mut global = mmdb::TableBuilder::new(table);
         for name in &columns {
             let values: Vec<Value> = if name == key_column {
@@ -707,7 +659,7 @@ impl ShardedDatabase {
                 let shard_vals: Vec<Vec<Value>> = self
                     .shards
                     .iter()
-                    .map(|shard| shard.column_values(table, name, None))
+                    .map(|shard| shard.reader().column_values(table, name, None))
                     .collect::<Result<_>>()?;
                 old_placement
                     .iter()
@@ -734,7 +686,7 @@ impl ShardedDatabase {
                 shard.create_index(table, column, *kind)?;
             }
         }
-        let meta = Arc::make_mut(self.tables.get_mut(table).expect("present"));
+        let meta = Arc::make_mut(self.tip.tables.get_mut(table).expect("present"));
         meta.placement = placement;
         meta.locals = locals;
         self.publish();
@@ -751,11 +703,6 @@ impl ShardedState {
         self.generation
     }
 
-    /// The [`ExecOptions`] in force when this generation committed.
-    pub fn exec_options(&self) -> ExecOptions {
-        self.exec
-    }
-
     /// Shard count.
     pub fn shards(&self) -> usize {
         self.shards.len()
@@ -768,11 +715,11 @@ impl ShardedState {
         &self.metrics.registry
     }
 
-    /// One shard's pinned backend, for inspection: a frozen
+    /// One shard's pinned read surface, for inspection: a frozen
     /// [`mmdb::CatalogState`] for local shards, a client onto the
     /// server's committed tip for remote ones.
-    pub fn shard(&self, shard: usize) -> &ShardPin {
-        &self.shards[shard]
+    pub fn shard(&self, shard: usize) -> &dyn ShardRead {
+        &*self.shards[shard]
     }
 
     /// The partitioner's one-line description.
@@ -787,56 +734,85 @@ impl ShardedState {
 
     /// Total (global) row count of `table` in this generation.
     pub fn rows(&self, table: &str) -> Result<usize> {
-        Ok(self.view().meta(table)?.rows)
+        Ok(self.meta(table)?.rows)
     }
 
     /// The declared shard-key column of `table`.
     pub fn shard_key(&self, table: &str) -> Result<&str> {
-        Ok(self.view().meta(table)?.shard_key.as_str())
-    }
-
-    /// The batched point-probe surface of this generation — identical
-    /// semantics to [`ShardedDatabase::point_probe_batch`], but against
-    /// the pinned shards, so it runs lock-free under concurrent commits.
-    pub fn point_probe_batch(
-        &self,
-        table: &str,
-        column: &str,
-        values: &[Value],
-    ) -> Result<Vec<Vec<u32>>> {
-        self.view().point_probe_batch(table, column, values)
-    }
-
-    /// The batched range-probe surface of this generation — identical
-    /// semantics to [`ShardedDatabase::range_probe_batch`].
-    pub fn range_probe_batch(
-        &self,
-        table: &str,
-        column: &str,
-        ranges: &[(Value, Value)],
-    ) -> Result<Vec<Vec<u32>>> {
-        self.view().range_probe_batch(table, column, ranges)
+        Ok(self.meta(table)?.shard_key.as_str())
     }
 
     /// Start a composable query over `table` against this generation —
     /// the same builder [`ShardedDatabase::query`] returns.
     pub fn query(&self, table: impl Into<String>) -> ShardedQuery<'_> {
-        self.view().query(table)
-    }
-
-    fn view(&self) -> ShardView<'_> {
-        ShardView {
-            partitioner: &*self.partitioner,
-            shards: self.shards.iter().map(|p| p as &dyn ShardBackend).collect(),
-            tables: &self.tables,
-            exec: self.exec,
-            metrics: &self.metrics,
+        ShardedQuery {
+            state: self,
+            spec: QuerySpec::table(table),
         }
     }
-}
 
-impl<'a> ShardView<'a> {
-    fn meta(&self, table: &str) -> Result<&'a ShardedTable> {
+    /// Compile `spec`: resolve names and access paths against shard 0
+    /// (every shard has the same schema and indexes), then compute the
+    /// shard routing from the partitioner.
+    pub fn compile(&self, spec: &QuerySpec) -> Result<ShardedPlan> {
+        let meta = self.meta(&spec.table)?;
+        // The per-shard template: one compile is enough because every
+        // shard holds the same tables, columns and index kinds. Shard 0
+        // compiles it — through its local planner or across the wire —
+        // so local and remote catalogs produce the same template.
+        let template = self.shards[0].compile(spec)?;
+
+        // Routing: each shard-key conjunct prunes; everything else fans.
+        let nshards = self.shards.len();
+        let mut probe_targets = Vec::with_capacity(template.probes.len());
+        let mut selected: BTreeSet<usize> = (0..nshards).collect();
+        for step in &template.probes {
+            let target = if step.column == meta.shard_key {
+                let routed = match &step.probe {
+                    Probe::Point(v) => self.partitioner.probe_shards(v),
+                    Probe::Range(lo, hi) => self.partitioner.range_shards(lo, hi),
+                };
+                if routed.len() == nshards {
+                    ShardTargets::All
+                } else {
+                    ShardTargets::Pruned(routed)
+                }
+            } else {
+                ShardTargets::All
+            };
+            if let ShardTargets::Pruned(routed) = &target {
+                let routed: BTreeSet<usize> = routed.iter().copied().collect();
+                selected = selected.intersection(&routed).copied().collect();
+            }
+            probe_targets.push(target);
+        }
+
+        let join = spec.join.as_ref().map(|(inner_table, cond)| {
+            let bucketed = self
+                .meta(inner_table)
+                .map(|m| m.shard_key == cond.inner())
+                .unwrap_or(false);
+            if bucketed {
+                JoinRouting::Bucketed
+            } else {
+                JoinRouting::Fanned
+            }
+        });
+
+        Ok(ShardedPlan {
+            template,
+            routing: ShardRouting {
+                shards: nshards,
+                partitioner: self.partitioner.describe(),
+                shard_key: meta.shard_key.clone(),
+                probe_targets,
+                selected: selected.into_iter().collect(),
+                join,
+            },
+        })
+    }
+
+    fn meta(&self, table: &str) -> Result<&ShardedTable> {
         self.tables
             .get(table)
             .map(|t| &**t)
@@ -845,6 +821,83 @@ impl<'a> ShardView<'a> {
             })
     }
 
+    /// Run the routed per-shard probe subsets over the worker pool (one
+    /// fat job per shard with work), translate local RIDs to global
+    /// through the placement map, and demultiplex each answer back to
+    /// its probe's submission slot. `slots` is the original probe count:
+    /// a probe that routed to no shard (an unowned key) still owns an
+    /// output slot and answers with the empty set.
+    fn gather_pruned<P: Sync>(
+        &self,
+        meta: &ShardedTable,
+        slots: usize,
+        routed: Vec<(Vec<P>, Vec<usize>)>,
+        answer: impl Fn(&dyn ShardRead, &[P]) -> Result<Vec<Vec<u32>>> + Sync,
+    ) -> Result<Vec<Vec<u32>>> {
+        let jobs: Vec<usize> = (0..self.shards.len())
+            .filter(|&s| !routed[s].0.is_empty())
+            .collect();
+        let scattering = std::time::Instant::now();
+        let results = WorkerPool::new(self.exec.threads).run(jobs.len(), |i| {
+            answer(&*self.shards[jobs[i]], &routed[jobs[i]].0)
+        });
+        self.metrics.scatter_ns.record(elapsed_ns(&scattering));
+        let gathering = std::time::Instant::now();
+        let mut out: Vec<Vec<u32>> = (0..slots).map(|_| Vec::new()).collect();
+        for (&s, per_probe) in jobs.iter().zip(results) {
+            let locals = &meta.locals[s];
+            for (&slot, local_rids) in routed[s].1.iter().zip(per_probe?) {
+                out[slot].extend(local_rids.iter().map(|&l| locals[l as usize]));
+            }
+        }
+        for rids in &mut out {
+            rids.sort_unstable();
+        }
+        self.metrics.gather_ns.record(elapsed_ns(&gathering));
+        Ok(out)
+    }
+
+    /// The fanned gather: every shard answers the *same* full probe
+    /// batch (no per-shard subsets, so nothing is cloned), and shard
+    /// `s`'s answer for probe `i` merges straight into output slot `i`.
+    fn gather_fanned(
+        &self,
+        meta: &ShardedTable,
+        slots: usize,
+        answer: impl Fn(&dyn ShardRead) -> Result<Vec<Vec<u32>>> + Sync,
+    ) -> Result<Vec<Vec<u32>>> {
+        let scattering = std::time::Instant::now();
+        let results =
+            WorkerPool::new(self.exec.threads).run(self.shards.len(), |s| answer(&*self.shards[s]));
+        self.metrics.scatter_ns.record(elapsed_ns(&scattering));
+        let gathering = std::time::Instant::now();
+        let mut out: Vec<Vec<u32>> = (0..slots).map(|_| Vec::new()).collect();
+        for (s, per_probe) in results.into_iter().enumerate() {
+            let locals = &meta.locals[s];
+            for (slot, local_rids) in per_probe?.into_iter().enumerate() {
+                out[slot].extend(local_rids.into_iter().map(|l| locals[l as usize]));
+            }
+        }
+        for rids in &mut out {
+            rids.sort_unstable();
+        }
+        self.metrics.gather_ns.record(elapsed_ns(&gathering));
+        Ok(out)
+    }
+}
+
+impl CatalogRead for ShardedState {
+    fn exec_options(&self) -> ExecOptions {
+        self.exec
+    }
+
+    /// Scatter-gather: each value routes through the partitioner when
+    /// the column **is** the table's shard key (pruning to the owning
+    /// shard, or to no shard for unowned keys) and fans to every shard
+    /// otherwise; the routed shards each answer their value subset with
+    /// one [`ShardRead::point_probe_batch`] (a single batched index
+    /// descent) over the shared worker pool, and local RIDs gather back
+    /// to global row order.
     fn point_probe_batch(
         &self,
         table: &str,
@@ -874,6 +927,10 @@ impl<'a> ShardView<'a> {
         }
     }
 
+    /// The range twin of the point scatter: each inclusive `[lo, hi]`
+    /// range prunes to the partitioner's [`Partitioner::range_shards`]
+    /// when the column is the shard key (an inverted range routes
+    /// nowhere), fans everywhere otherwise.
     fn range_probe_batch(
         &self,
         table: &str,
@@ -901,80 +958,8 @@ impl<'a> ShardView<'a> {
         }
     }
 
-    /// Run the routed per-shard probe subsets over the worker pool (one
-    /// fat job per shard with work), translate local RIDs to global
-    /// through the placement map, and demultiplex each answer back to
-    /// its probe's submission slot. `slots` is the original probe count:
-    /// a probe that routed to no shard (an unowned key) still owns an
-    /// output slot and answers with the empty set.
-    fn gather_pruned<P: Sync>(
-        &self,
-        meta: &ShardedTable,
-        slots: usize,
-        routed: Vec<(Vec<P>, Vec<usize>)>,
-        answer: impl Fn(&dyn ShardBackend, &[P]) -> Result<Vec<Vec<u32>>> + Sync,
-    ) -> Result<Vec<Vec<u32>>> {
-        let jobs: Vec<usize> = (0..self.shards.len())
-            .filter(|&s| !routed[s].0.is_empty())
-            .collect();
-        let scattering = std::time::Instant::now();
-        let results = ccindex_parallel::WorkerPool::new(self.exec.threads).run(jobs.len(), |i| {
-            answer(self.shards[jobs[i]], &routed[jobs[i]].0)
-        });
-        self.metrics.scatter_ns.record(elapsed_ns(&scattering));
-        let gathering = std::time::Instant::now();
-        let mut out: Vec<Vec<u32>> = (0..slots).map(|_| Vec::new()).collect();
-        for (&s, per_probe) in jobs.iter().zip(results) {
-            let locals = &meta.locals[s];
-            for (&slot, local_rids) in routed[s].1.iter().zip(per_probe?) {
-                out[slot].extend(local_rids.iter().map(|&l| locals[l as usize]));
-            }
-        }
-        for rids in &mut out {
-            rids.sort_unstable();
-        }
-        self.metrics.gather_ns.record(elapsed_ns(&gathering));
-        Ok(out)
-    }
-
-    /// The fanned gather: every shard answers the *same* full probe
-    /// batch (no per-shard subsets, so nothing is cloned), and shard
-    /// `s`'s answer for probe `i` merges straight into output slot `i`.
-    fn gather_fanned(
-        &self,
-        meta: &ShardedTable,
-        slots: usize,
-        answer: impl Fn(&dyn ShardBackend) -> Result<Vec<Vec<u32>>> + Sync,
-    ) -> Result<Vec<Vec<u32>>> {
-        let scattering = std::time::Instant::now();
-        let results = ccindex_parallel::WorkerPool::new(self.exec.threads)
-            .run(self.shards.len(), |s| answer(self.shards[s]));
-        self.metrics.scatter_ns.record(elapsed_ns(&scattering));
-        let gathering = std::time::Instant::now();
-        let mut out: Vec<Vec<u32>> = (0..slots).map(|_| Vec::new()).collect();
-        for (s, per_probe) in results.into_iter().enumerate() {
-            let locals = &meta.locals[s];
-            for (slot, local_rids) in per_probe?.into_iter().enumerate() {
-                out[slot].extend(local_rids.into_iter().map(|l| locals[l as usize]));
-            }
-        }
-        for rids in &mut out {
-            rids.sort_unstable();
-        }
-        self.metrics.gather_ns.record(elapsed_ns(&gathering));
-        Ok(out)
-    }
-
-    fn query(self, table: impl Into<String>) -> ShardedQuery<'a> {
-        ShardedQuery {
-            view: self,
-            table: table.into(),
-            filters: Vec::new(),
-            join: None,
-            group: None,
-            forced_kind: None,
-            exec: None,
-        }
+    fn run_spec(&self, spec: &QuerySpec) -> Result<ResultRows> {
+        Ok(self.compile(spec)?.execute_on(self)?.rows().clone())
     }
 }
 
@@ -1017,130 +1002,60 @@ fn split_table(table: &Table, locals: &[Vec<u32>]) -> Vec<Table> {
 // The sharded query builder
 // ---------------------------------------------------------------------
 
-/// A composable query over a [`ShardedDatabase`] or a pinned
-/// [`ShardedSnapshot`] — the same surface as [`mmdb::Query`]
+/// A [`QuerySpec`] under construction against a [`ShardedDatabase`] or
+/// a pinned [`ShardedSnapshot`] — the same surface as [`mmdb::Query`]
 /// (`filter`/`join`/`group_by`/`using`/`exec`), compiled by
 /// [`ShardedQuery::plan`] into a [`ShardedPlan`] whose routing is
 /// inspectable and whose executor scatter-gathers across the shards.
 #[derive(Debug, Clone)]
 pub struct ShardedQuery<'db> {
-    view: ShardView<'db>,
-    table: String,
-    filters: Vec<Predicate>,
-    join: Option<(String, JoinOn)>,
-    group: Option<(String, Agg)>,
-    forced_kind: Option<IndexKind>,
-    exec: Option<ExecOptions>,
+    state: &'db ShardedState,
+    spec: QuerySpec,
 }
 
 impl<'db> ShardedQuery<'db> {
-    /// Add a conjunct; multiple filters AND together. Conjuncts on the
-    /// shard-key column additionally prune the scatter set.
+    /// [`QuerySpec::filter`]. Conjuncts on the shard-key column
+    /// additionally prune the scatter set.
     pub fn filter(mut self, predicate: Predicate) -> Self {
-        self.filters.push(predicate);
+        self.spec = self.spec.filter(predicate);
         self
     }
 
-    /// Indexed nested-loop join against `inner_table` (which must also
-    /// be registered in this sharded catalog).
+    /// [`QuerySpec::join`]; `inner_table` must also be registered in
+    /// this sharded catalog.
     pub fn join(mut self, inner_table: &str, condition: JoinOn) -> Self {
-        self.join = Some((inner_table.to_owned(), condition));
+        self.spec = self.spec.join(inner_table, condition);
         self
     }
 
-    /// Group the result by `column` and aggregate each group; per-shard
-    /// partials merge at the gather barrier.
+    /// [`QuerySpec::group_by`]; per-shard partials merge at the gather
+    /// barrier.
     pub fn group_by(mut self, column: &str, agg: Agg) -> Self {
-        self.group = Some((column.to_owned(), agg));
+        self.spec = self.spec.group_by(column, agg);
         self
     }
 
-    /// Force every probe through one [`IndexKind`] (must be built via
-    /// [`ShardedDatabase::create_index`], i.e. on every shard).
+    /// [`QuerySpec::using`]; the kind must be built via
+    /// [`ShardedDatabase::create_index`], i.e. on every shard.
     pub fn using(mut self, kind: IndexKind) -> Self {
-        self.forced_kind = Some(kind);
+        self.spec = self.spec.using(kind);
         self
     }
 
-    /// Override the catalog's [`ExecOptions`] for this query alone.
+    /// [`QuerySpec::exec`].
     pub fn exec(mut self, options: ExecOptions) -> Self {
-        self.exec = Some(options);
+        self.spec = self.spec.exec(options);
         self
     }
 
-    /// Compile: resolve names and access paths against shard 0 (every
-    /// shard has the same schema and indexes), then compute the shard
-    /// routing from the partitioner.
+    /// Compile ([`ShardedState::compile`]).
     pub fn plan(&self) -> Result<ShardedPlan> {
-        let view = &self.view;
-        let meta = view.meta(&self.table)?;
-        // The per-shard template: one compile is enough because every
-        // shard holds the same tables, columns and index kinds. Shard 0
-        // compiles it — through its local planner or across the wire —
-        // so local and remote catalogs produce the same template.
-        let spec = Spec {
-            table: self.table.clone(),
-            filters: self.filters.clone(),
-            join: self.join.clone(),
-            group: self.group.clone(),
-            forced_kind: self.forced_kind,
-            exec: self.exec,
-        };
-        let template = view.shards[0].compile(&spec)?;
-
-        // Routing: each shard-key conjunct prunes; everything else fans.
-        let nshards = view.shards.len();
-        let mut probe_targets = Vec::with_capacity(template.probes.len());
-        let mut selected: BTreeSet<usize> = (0..nshards).collect();
-        for step in &template.probes {
-            let target = if step.column == meta.shard_key {
-                let routed = match &step.probe {
-                    Probe::Point(v) => view.partitioner.probe_shards(v),
-                    Probe::Range(lo, hi) => view.partitioner.range_shards(lo, hi),
-                };
-                if routed.len() == nshards {
-                    ShardTargets::All
-                } else {
-                    ShardTargets::Pruned(routed)
-                }
-            } else {
-                ShardTargets::All
-            };
-            if let ShardTargets::Pruned(routed) = &target {
-                let routed: BTreeSet<usize> = routed.iter().copied().collect();
-                selected = selected.intersection(&routed).copied().collect();
-            }
-            probe_targets.push(target);
-        }
-
-        let join = self.join.as_ref().map(|(inner_table, cond)| {
-            let bucketed = view
-                .meta(inner_table)
-                .map(|m| m.shard_key == cond.inner())
-                .unwrap_or(false);
-            if bucketed {
-                JoinRouting::Bucketed
-            } else {
-                JoinRouting::Fanned
-            }
-        });
-
-        Ok(ShardedPlan {
-            template,
-            routing: ShardRouting {
-                shards: nshards,
-                partitioner: view.partitioner.describe(),
-                shard_key: meta.shard_key.clone(),
-                probe_targets,
-                selected: selected.into_iter().collect(),
-                join,
-            },
-        })
+        self.state.compile(&self.spec)
     }
 
     /// Compile and execute.
     pub fn run(&self) -> Result<ShardedResultSet<'db>> {
-        self.plan()?.execute_view(self.view.clone())
+        self.plan()?.execute_on(self.state)
     }
 }
 
@@ -1251,32 +1166,29 @@ impl ShardedPlan {
     /// Execute against `db` (normally the catalog the plan was compiled
     /// from; names re-resolve, so a stale plan fails with a typed error).
     pub fn execute<'db>(&self, db: &'db ShardedDatabase) -> Result<ShardedResultSet<'db>> {
-        self.execute_view(db.view())
+        self.execute_on(db.catalog())
     }
 
-    /// Execute against a pinned composed generation — the snapshot twin
-    /// of [`ShardedPlan::execute`], byte-identical output. The shard
-    /// count re-validates exactly like the live path, so a plan compiled
-    /// against a different catalog shape fails typed, not out of bounds.
+    /// Execute against one composed generation — what
+    /// [`ShardedPlan::execute`] runs on the live catalog's latest, and
+    /// a pinned snapshot serves lock-free; byte-identical output. The
+    /// shard count re-validates, so a plan compiled against a different
+    /// catalog shape fails typed, not out of bounds.
     pub fn execute_on<'s>(&self, state: &'s ShardedState) -> Result<ShardedResultSet<'s>> {
-        self.execute_view(state.view())
-    }
-
-    fn execute_view<'v>(&self, view: ShardView<'v>) -> Result<ShardedResultSet<'v>> {
         // The recorded routing indexes shards of the compile-time
         // catalog; running against one with a different shard count
         // would index out of bounds, so it is a typed failure too.
-        if self.routing.shards != view.shards.len() {
+        if self.routing.shards != state.shards.len() {
             return Err(MmdbError::Unsupported {
                 what: format!(
                     "plan was compiled for a {}-shard catalog but executed \
                      against {} shard(s); recompile the query",
                     self.routing.shards,
-                    view.shards.len()
+                    state.shards.len()
                 ),
             });
         }
-        let meta = view.meta(&self.template.table)?;
+        let meta = state.meta(&self.template.table)?;
         let exec = self.template.exec;
 
         // ---- scatter: selection ----
@@ -1297,7 +1209,7 @@ impl ShardedPlan {
             // fat job, so `0` here means one worker per shard (capped at
             // the core count by the pool), not the probe-count adaptive.
             let results = WorkerPool::new(exec.threads).run(scatter.len(), |i| {
-                view.shards[scatter[i]].select(&probes_plan)
+                state.shards[scatter[i]].select(&probes_plan)
             });
             let mut v = Vec::with_capacity(scatter.len());
             for (&s, r) in scatter.iter().zip(results) {
@@ -1308,7 +1220,7 @@ impl ShardedPlan {
 
         // ---- scatter: join (and grouped-join) jobs ----
         if let Some(j) = &self.template.join {
-            let inner_meta = view.meta(&j.inner_table)?;
+            let inner_meta = state.meta(&j.inner_table)?;
             // (outer shard, inner shard, outer local RIDs) — bucketed by
             // the owning inner shard when the join column is the inner
             // shard key, fanned to every inner shard otherwise. Bucket
@@ -1324,18 +1236,18 @@ impl ShardedPlan {
                 }
                 match self.routing.join {
                     Some(JoinRouting::Bucketed) => {
-                        let keys = view.shards[*s].column_values(
+                        let keys = state.shards[*s].column_values(
                             &self.template.table,
                             &j.outer_column,
                             Some(&outer_rids),
                         )?;
-                        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); view.shards.len()];
+                        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); state.shards.len()];
                         for (&rid, key) in outer_rids.iter().zip(&keys) {
                             // Placement is the bucketing function: inner
                             // rows were placed by `shard_of`, so an outer
                             // key it cannot place matches no inner row
                             // (no per-row Vec like `probe_shards` makes).
-                            if let Ok(t) = view.partitioner.shard_of(key) {
+                            if let Ok(t) = state.partitioner.shard_of(key) {
                                 buckets[t].push(rid);
                             }
                         }
@@ -1346,7 +1258,7 @@ impl ShardedPlan {
                         }
                     }
                     _ => {
-                        for t in 0..view.shards.len() {
+                        for t in 0..state.shards.len() {
                             if !inner_meta.locals[t].is_empty() {
                                 jobs.push((*s, t, outer_rids.clone()));
                             }
@@ -1378,7 +1290,7 @@ impl ShardedPlan {
                 // `group_aggregate_pairs` applies to domain IDs.
                 let partials = pool.run(jobs.len(), |i| -> Result<Vec<GroupRow>> {
                     let (s, t, rids) = &jobs[i];
-                    let rows = self.join_job(&view, *s, *t, rids, job_threads)?;
+                    let rows = self.join_job(state, *s, *t, rids, job_threads)?;
                     let pick = |r: &JoinRow, side: Side| match side {
                         Side::Outer => r.outer_rid,
                         Side::Inner => r.inner_rid,
@@ -1392,7 +1304,7 @@ impl ShardedPlan {
                         Side::Inner => j.inner_table.as_str(),
                     };
                     let group_rids: Vec<u32> = rows.iter().map(|r| pick(r, g.side)).collect();
-                    let group_vals = view.shards[side_shard(g.side)].column_values(
+                    let group_vals = state.shards[side_shard(g.side)].column_values(
                         side_table(g.side),
                         &g.column,
                         Some(&group_rids),
@@ -1401,7 +1313,7 @@ impl ShardedPlan {
                         None => None,
                         Some((m, side)) => {
                             let m_rids: Vec<u32> = rows.iter().map(|r| pick(r, *side)).collect();
-                            let vals = view.shards[side_shard(*side)].column_values(
+                            let vals = state.shards[side_shard(*side)].column_values(
                                 side_table(*side),
                                 m,
                                 Some(&m_rids),
@@ -1416,7 +1328,7 @@ impl ShardedPlan {
                     collected.push(p?);
                 }
                 return Ok(ShardedResultSet {
-                    view,
+                    state,
                     outer_table: self.template.table.clone(),
                     inner_table: Some(j.inner_table.clone()),
                     rows: ResultRows::Groups(merge_group_partials(g.agg, collected)),
@@ -1427,7 +1339,7 @@ impl ShardedPlan {
             // merge back into the sequential join's (outer, inner) order.
             let results = pool.run(jobs.len(), |i| {
                 let (s, t, rids) = &jobs[i];
-                self.join_job(&view, *s, *t, rids, job_threads)
+                self.join_job(state, *s, *t, rids, job_threads)
             });
             let mut all: Vec<JoinRow> = Vec::new();
             for ((s, t, _), rows) in jobs.iter().zip(results) {
@@ -1440,7 +1352,7 @@ impl ShardedPlan {
             }
             all.sort_unstable();
             return Ok(ShardedResultSet {
-                view,
+                state,
                 outer_table: self.template.table.clone(),
                 inner_table: Some(j.inner_table.clone()),
                 rows: ResultRows::Joined(all),
@@ -1452,7 +1364,7 @@ impl ShardedPlan {
             let partials = WorkerPool::new(exec.threads).run(per_shard.len(), |i| {
                 let (s, sel) = &per_shard[i];
                 let measure = g.measure.as_ref().map(|(m, _)| m.as_str());
-                view.shards[*s].group_partial(
+                state.shards[*s].group_partial(
                     &self.template.table,
                     &g.column,
                     measure,
@@ -1465,7 +1377,7 @@ impl ShardedPlan {
                 collected.push(p?);
             }
             return Ok(ShardedResultSet {
-                view,
+                state,
                 outer_table: self.template.table.clone(),
                 inner_table: None,
                 rows: ResultRows::Groups(merge_group_partials(g.agg, collected)),
@@ -1482,7 +1394,7 @@ impl ShardedPlan {
         }
         rids.sort_unstable();
         Ok(ShardedResultSet {
-            view,
+            state,
             outer_table: self.template.table.clone(),
             inner_table: None,
             rows: ResultRows::Rids(rids),
@@ -1501,19 +1413,19 @@ impl ShardedPlan {
     /// result is unchanged).
     fn join_job(
         &self,
-        view: &ShardView<'_>,
+        state: &ShardedState,
         s: usize,
         t: usize,
         outer_rids: &[u32],
         threads: usize,
     ) -> Result<Vec<JoinRow>> {
         let j = self.template.join.as_ref().expect("join jobs need a join");
-        let values = view.shards[s].column_values(
+        let values = state.shards[s].column_values(
             &self.template.table,
             &j.outer_column,
             Some(outer_rids),
         )?;
-        let matches = view.shards[t].join_probe_batch(
+        let matches = state.shards[t].join_probe_batch(
             &j.inner_table,
             &j.inner_column,
             j.kind,
@@ -1622,7 +1534,7 @@ fn merge_group_partials(agg: AggFn, partials: Vec<Vec<GroupRow>>) -> Vec<GroupRo
 /// [`mmdb::ResultSet`], producing byte-identical [`ResultRows`].
 #[derive(Debug, Clone)]
 pub struct ShardedResultSet<'db> {
-    view: ShardView<'db>,
+    state: &'db ShardedState,
     outer_table: String,
     inner_table: Option<String>,
     rows: ResultRows,
@@ -1681,8 +1593,8 @@ impl ShardedResultSet<'_> {
     /// schema drift fails typed exactly like the in-process resolver.
     pub fn values(&self, column: &str) -> Result<Vec<Value>> {
         let decode_all = |table: &str, rids: &mut dyn Iterator<Item = u32>| -> Result<Vec<Value>> {
-            let meta = self.view.meta(table)?;
-            let mut per_shard: Vec<Vec<u32>> = vec![Vec::new(); self.view.shards.len()];
+            let meta = self.state.meta(table)?;
+            let mut per_shard: Vec<Vec<u32>> = vec![Vec::new(); self.state.shards.len()];
             let mut order: Vec<(u32, u32)> = Vec::new();
             for r in rids {
                 let (s, l) = meta.placement[r as usize];
@@ -1690,11 +1602,11 @@ impl ShardedResultSet<'_> {
                 per_shard[s as usize].push(l);
             }
             let fetched: Vec<Vec<Value>> = self
-                .view
+                .state
                 .shards
                 .iter()
                 .zip(&per_shard)
-                .map(|(&shard, locals)| shard.column_values(table, column, Some(locals)))
+                .map(|(shard, locals)| shard.column_values(table, column, Some(locals)))
                 .collect::<Result<_>>()?;
             Ok(order
                 .into_iter()
@@ -1705,7 +1617,7 @@ impl ShardedResultSet<'_> {
             ResultRows::Rids(rids) => decode_all(&self.outer_table, &mut rids.iter().copied()),
             ResultRows::Joined(rows) => {
                 // Outer binds first, like the unsharded resolver.
-                let outer_has = self.view.shards[0]
+                let outer_has = self.state.shards[0]
                     .columns(&self.outer_table)?
                     .iter()
                     .any(|c| c == column);

@@ -19,7 +19,7 @@
 //!   on the wire (in the same no-serializer spirit as `bench/report.rs`'s
 //!   hand-rolled JSON);
 //! * [`message`] — [`ShardRequest`]/[`ShardResponse`], the complete
-//!   `ShardBackend` conversation.
+//!   `ShardRead`/`ShardBackend` conversation.
 //!
 //! ```
 //! use ccindex_wire::{ShardRequest, ShardResponse};
@@ -47,6 +47,5 @@ pub use frame::{
 };
 pub use message::{
     read_request, read_request_traced, read_response, read_response_traced, write_request,
-    write_request_traced, write_response, write_response_traced, OneRequest, ShardRequest,
-    ShardResponse, Spec,
+    write_request_traced, write_response, write_response_traced, ShardRequest, ShardResponse,
 };

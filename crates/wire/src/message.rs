@@ -2,20 +2,21 @@
 //! server, and every response that comes back. One frame carries one
 //! message.
 //!
-//! [`Spec`] is the wire-level query description (the transport twin of
-//! `ccindex-serve`'s `QuerySpec`); [`ShardRequest`] covers the full
-//! `ShardBackend` surface — probe batches, probes-only selections,
-//! join-probe fan-out, group-by partials, value fetches, plan
-//! compilation, table admin — plus [`ShardRequest::ExecuteBatch`],
-//! which fronts the remote `BatchServer` directly with a whole window
-//! of requests.
+//! [`ShardRequest`] covers the full `ShardRead` + `ShardBackend`
+//! surface — probe batches, probes-only selections, join-probe
+//! fan-out, group-by partials, value fetches, plan compilation, table
+//! admin — plus [`ShardRequest::ExecuteBatch`], which fronts the remote
+//! `BatchServer` directly with a whole window of requests. Query
+//! descriptions and serving requests are `mmdb`'s own [`QuerySpec`] and
+//! [`Request`], encoded directly: the wire has no types of its own for
+//! them.
 
 use std::io::{Read, Write};
 
 use ccindex_obs::SpanNode;
 use mmdb::plan::{Plan, Probe};
 use mmdb::{
-    Agg, AggFn, ExecOptions, GroupRow, IndexKind, JoinOn, MmdbError, Predicate, Result, ResultRows,
+    AggFn, ExecOptions, GroupRow, IndexKind, MmdbError, QuerySpec, Request, Result, ResultRows,
     Value,
 };
 
@@ -26,55 +27,6 @@ use crate::codec::{
     put_result_rows, put_span_node, put_value, Reader, Writer,
 };
 use crate::frame::{read_frame, read_frame_traced, write_frame, write_frame_traced};
-
-/// A query description in wire form: what `ccindex-serve`'s
-/// `QuerySpec` captures, owned and encodable. A shard server replays
-/// it through its local planner ([`ShardRequest::Compile`] /
-/// [`ShardRequest::RunSpec`]).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Spec {
-    /// The driving table.
-    pub table: String,
-    /// WHERE conjuncts, in call order.
-    pub filters: Vec<Predicate>,
-    /// Optional join: inner table and the equi-join condition.
-    pub join: Option<(String, JoinOn)>,
-    /// Optional grouped aggregation: group column and aggregate.
-    pub group: Option<(String, Agg)>,
-    /// Optional forced index kind (`using`).
-    pub forced_kind: Option<IndexKind>,
-    /// Optional execution-option override for the compile.
-    pub exec: Option<ExecOptions>,
-}
-
-/// One serving request in wire form — the transport twin of
-/// `ccindex-serve::Request`, batched by
-/// [`ShardRequest::ExecuteBatch`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum OneRequest {
-    /// A single equality probe.
-    Point {
-        /// Table to probe.
-        table: String,
-        /// Column to probe.
-        column: String,
-        /// The probe value.
-        value: Value,
-    },
-    /// A single inclusive range probe.
-    Range {
-        /// Table to probe.
-        table: String,
-        /// Column to probe.
-        column: String,
-        /// Inclusive lower bound.
-        lo: Value,
-        /// Inclusive upper bound.
-        hi: Value,
-    },
-    /// A full query pipeline.
-    Query(Spec),
-}
 
 /// Everything a coordinator can ask a shard server.
 #[derive(Debug, Clone, PartialEq)]
@@ -162,18 +114,18 @@ pub enum ShardRequest {
     /// physical plan (the coordinator's scatter template).
     Compile {
         /// The query description.
-        spec: Spec,
+        spec: QuerySpec,
     },
     /// Compile and execute `spec`, returning the result rows.
     RunSpec {
         /// The query description.
-        spec: Spec,
+        spec: QuerySpec,
     },
     /// Run a whole window of serving requests through the shard's
     /// `BatchServer` — one result per request, in submission order.
     ExecuteBatch {
         /// The window's requests.
-        requests: Vec<OneRequest>,
+        requests: Vec<Request>,
     },
     /// Register a table (name plus columns in declaration order).
     Register {
@@ -389,10 +341,10 @@ impl PartialEq for ShardResponse {
 }
 
 // ---------------------------------------------------------------------
-// Spec / OneRequest codecs
+// QuerySpec / Request codecs
 // ---------------------------------------------------------------------
 
-fn put_spec(w: &mut Writer, spec: &Spec) {
+fn put_spec(w: &mut Writer, spec: &QuerySpec) {
     w.str(&spec.table);
     w.seq(&spec.filters, put_predicate);
     w.option(spec.join.as_ref(), |w, (inner, cond)| {
@@ -407,8 +359,8 @@ fn put_spec(w: &mut Writer, spec: &Spec) {
     w.option(spec.exec.as_ref(), |w, e| put_exec(w, *e));
 }
 
-fn get_spec(r: &mut Reader<'_>) -> Result<Spec> {
-    Ok(Spec {
+fn get_spec(r: &mut Reader<'_>) -> Result<QuerySpec> {
+    Ok(QuerySpec {
         table: r.str()?,
         filters: r.seq(get_predicate)?,
         join: r.option(|r| Ok((r.str()?, get_join_on(r)?)))?,
@@ -418,9 +370,9 @@ fn get_spec(r: &mut Reader<'_>) -> Result<Spec> {
     })
 }
 
-fn put_one_request(w: &mut Writer, req: &OneRequest) {
+fn put_one_request(w: &mut Writer, req: &Request) {
     match req {
-        OneRequest::Point {
+        Request::Point {
             table,
             column,
             value,
@@ -430,7 +382,7 @@ fn put_one_request(w: &mut Writer, req: &OneRequest) {
             w.str(column);
             put_value(w, value);
         }
-        OneRequest::Range {
+        Request::Range {
             table,
             column,
             lo,
@@ -442,28 +394,28 @@ fn put_one_request(w: &mut Writer, req: &OneRequest) {
             put_value(w, lo);
             put_value(w, hi);
         }
-        OneRequest::Query(spec) => {
+        Request::Query(spec) => {
             w.u8(2);
             put_spec(w, spec);
         }
     }
 }
 
-fn get_one_request(r: &mut Reader<'_>) -> Result<OneRequest> {
+fn get_one_request(r: &mut Reader<'_>) -> Result<Request> {
     Ok(match r.u8()? {
-        0 => OneRequest::Point {
+        0 => Request::Point {
             table: r.str()?,
             column: r.str()?,
             value: get_value(r)?,
         },
-        1 => OneRequest::Range {
+        1 => Request::Range {
             table: r.str()?,
             column: r.str()?,
             lo: get_value(r)?,
             hi: get_value(r)?,
         },
-        2 => OneRequest::Query(get_spec(r)?),
-        other => return Err(r.fail(format!("bad OneRequest tag {other}"))),
+        2 => Request::Query(get_spec(r)?),
+        other => return Err(r.fail(format!("bad Request tag {other}"))),
     })
 }
 

@@ -1,16 +1,17 @@
 //! Wire-format property tests: encode→decode identity for every
 //! message type, and corrupted / truncated / wrong-version frames
-//! decode to typed errors — never panics.
+//! decode to typed errors — never panics. The golden frames pin the
+//! bytes themselves, which encode∘decode = id alone cannot.
 
 use ccindex_obs::SpanNode;
 use ccindex_wire::{
     read_frame, read_request_traced, read_response_traced, write_frame, write_request_traced,
-    write_response_traced, OneRequest, ShardRequest, ShardResponse, Spec, VERSION,
+    write_response_traced, ShardRequest, ShardResponse, VERSION,
 };
 use mmdb::plan::{GroupStep, JoinStep, Plan, Probe, ProbeStep, Side};
 use mmdb::{
     between, count, eq, max, on, sum, Agg, AggFn, ExecOptions, GroupRow, IndexKind, JoinRow,
-    MmdbError, ResultRows, StorageFault, TransportFault, Value,
+    MmdbError, QuerySpec, Request, ResultRows, StorageFault, TransportFault, Value,
 };
 use proptest::prelude::*;
 
@@ -102,7 +103,7 @@ impl Gen {
         }
     }
 
-    fn spec(&mut self) -> Spec {
+    fn spec(&mut self) -> QuerySpec {
         let filters = (0..self.below(3))
             .map(|_| {
                 if self.below(2) == 0 {
@@ -112,7 +113,7 @@ impl Gen {
                 }
             })
             .collect();
-        Spec {
+        QuerySpec {
             table: self.string(),
             filters,
             join: if self.below(2) == 0 {
@@ -146,20 +147,20 @@ impl Gen {
         }
     }
 
-    fn one_request(&mut self) -> OneRequest {
+    fn one_request(&mut self) -> Request {
         match self.below(3) {
-            0 => OneRequest::Point {
+            0 => Request::Point {
                 table: self.string(),
                 column: self.string(),
                 value: self.value(),
             },
-            1 => OneRequest::Range {
+            1 => Request::Range {
                 table: self.string(),
                 column: self.string(),
                 lo: self.value(),
                 hi: self.value(),
             },
-            _ => OneRequest::Query(self.spec()),
+            _ => Request::Query(self.spec()),
         }
     }
 
@@ -620,5 +621,59 @@ proptest! {
         let _ = ShardRequest::decode(&bytes, "peer");
         let _ = ShardResponse::decode(&bytes, "peer");
         let _ = read_frame(&mut &bytes[..], "peer");
+    }
+}
+
+fn unhex(hex: &str) -> Vec<u8> {
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex digit pair"))
+        .collect()
+}
+
+/// The protocol-v3 bytes of one fully-populated query description,
+/// captured from the encoder before `QuerySpec` replaced the wire's own
+/// `Spec` struct. Shared by all three golden frames.
+const GOLDEN_SPEC: &str = "0500000073616c65730200000006000000726567696f6e00010400000065617374\
+06000000616d6f756e7401000a0000000000000000fa000000000000000109000000637573746f6d657273\
+04000000637573740200000069640106000000726567696f6e0106000000616d6f756e7401050104000000\
+0000000008000000000000000200000000000000";
+
+/// A silent change of field order, tag or width would still satisfy
+/// every roundtrip property above; these bytes would not.
+#[test]
+fn golden_frames_pin_protocol_v3_bytes() {
+    assert_eq!(VERSION, 3);
+    let spec = QuerySpec::table("sales")
+        .filter(eq("region", "east"))
+        .filter(between("amount", 10, 250))
+        .join("customers", on("cust", "id"))
+        .group_by("region", sum("amount"))
+        .using(IndexKind::FullCss)
+        .exec(ExecOptions {
+            threads: 4,
+            lanes: 8,
+            shards: 2,
+        });
+    let compile = ShardRequest::Compile { spec: spec.clone() };
+    assert_eq!(compile.encode(), unhex(&format!("09{GOLDEN_SPEC}")));
+    let run = ShardRequest::RunSpec { spec: spec.clone() };
+    assert_eq!(run.encode(), unhex(&format!("0a{GOLDEN_SPEC}")));
+    let batch = ShardRequest::ExecuteBatch {
+        requests: vec![
+            Request::point("sales", "cust", 7),
+            Request::range("sales", "amount", -5, "z"),
+            Request::query(spec),
+        ],
+    };
+    let want = format!(
+        "0b03000000\
+         000500000073616c65730400000063757374000700000000000000\
+         010500000073616c657306000000616d6f756e7400fbffffffffffffff01010000007a\
+         02{GOLDEN_SPEC}"
+    );
+    assert_eq!(batch.encode(), unhex(&want));
+    for req in [compile, run, batch] {
+        assert_eq!(ShardRequest::decode(&req.encode(), "peer").ok(), Some(req));
     }
 }

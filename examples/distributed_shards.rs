@@ -68,7 +68,7 @@ fn main() -> Result<(), MmdbError> {
     for (s, addr) in addrs.iter().enumerate() {
         println!(
             "  shard {s} @ {addr}: {} order rows",
-            remote.backend(s).rows("orders")?
+            remote.backend(s).reader().rows("orders")?
         );
     }
 
@@ -126,7 +126,7 @@ fn main() -> Result<(), MmdbError> {
     for (s, addr) in addrs.iter().enumerate() {
         println!(
             "  shard {s} @ {addr}: {} order rows",
-            remote.backend(s).rows("orders")?
+            remote.backend(s).reader().rows("orders")?
         );
     }
     let post = remote.query("orders").filter(eq("cust", 17)).run()?;

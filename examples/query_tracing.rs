@@ -15,7 +15,6 @@
 //! ```
 
 use ccindex::prelude::*;
-use ccindex::wire::Spec;
 
 fn main() -> Result<(), MmdbError> {
     let n = 40_000usize;
@@ -45,11 +44,7 @@ fn main() -> Result<(), MmdbError> {
 
     // One traced scatter: the same spec to every shard, each RPC a
     // child of the client's root span.
-    let spec = Spec {
-        table: "orders".into(),
-        filters: vec![between("amount", 100, 120)],
-        ..Spec::default()
-    };
+    let spec = QuerySpec::table("orders").filter(between("amount", 100, 120));
     let mut span = Span::root("scatter");
     let mut hits = 0usize;
     for shard in &shards {

@@ -77,9 +77,9 @@ pub mod prelude {
     pub use crate::css::{CssVariant, DynCssTree, FullCssTree, LevelCssTree};
     pub use crate::db::{
         between, build_index, build_ordered_index, count, eq, indexed_nested_loop_join, max, min,
-        on, point_select, point_select_many, range_select, range_select_many, sum, Agg, Database,
-        DatabaseHandle, Domain, ExecOptions, IndexKind, MmdbError, ResultRows, RidList, Snapshot,
-        StorageFault, Table, TableBuilder, Value,
+        on, point_select, point_select_many, range_select, range_select_many, sum, Agg,
+        CatalogRead, Database, DatabaseHandle, Domain, ExecOptions, IndexKind, MmdbError,
+        ResultRows, RidList, Snapshot, StorageFault, Table, TableBuilder, Value,
     };
     pub use crate::gen::{KeyDistribution, KeySetBuilder, LookupStream};
     pub use crate::hash::HashIndex;
@@ -87,8 +87,7 @@ pub mod prelude {
     pub use crate::obs::{Counter, Gauge, Histogram, Registry, Span, SpanNode};
     pub use crate::parallel::{BlockingQueue, WorkerPool};
     pub use crate::serve::{
-        BatchServer, QuerySpec, Request, ServeEngine, ServeOptions, ServeSource, ShardServer,
-        SnapshotInfo,
+        BatchServer, QuerySpec, Request, ServeOptions, ServeSource, ShardServer, SnapshotInfo,
     };
     pub use crate::shard::{
         HashPartitioner, LocalShard, Partitioner, RangePartitioner, RemoteShard, ShardBackend,

@@ -45,6 +45,7 @@ fn index_all(create: &mut dyn FnMut(&str, &str, IndexKind)) {
     create("orders", "amount", IndexKind::BPlusTree);
     create("orders", "day", IndexKind::Hash);
     create("customers", "id", IndexKind::LevelCss);
+    create("customers", "id", IndexKind::FullCss);
     create("customers", "id", IndexKind::Hash);
 }
 
@@ -343,4 +344,60 @@ fn wire_shutdown_stops_a_server_and_later_connects_fail_typed() {
         matches!(err, MmdbError::Transport { .. }),
         "expected a typed transport error, got {err:?}"
     );
+}
+
+#[test]
+fn one_query_spec_answers_identically_on_every_surface() {
+    // One owned `QuerySpec` value — never rebuilt, converted or
+    // re-described — run through every place a query can enter.
+    let rows = 400;
+    let spec = QuerySpec::table("orders")
+        .filter(between("amount", 100, 900))
+        .filter(between("cust", 5, 110))
+        .join("customers", on("cust", "id"))
+        .group_by("region", sum("amount"))
+        .using(IndexKind::FullCss)
+        .exec(ExecOptions::threads(2));
+
+    let db = unsharded(rows);
+    let want = db.catalog().run_spec(&spec).unwrap();
+    assert!(matches!(&want, ResultRows::Groups(g) if g.len() == 4));
+
+    assert_eq!(
+        db.snapshot().run_spec(&spec).unwrap(),
+        want,
+        "pinned Snapshot"
+    );
+
+    let local = local_sharded(rows, HashPartitioner::new(2).unwrap());
+    assert_eq!(
+        local.catalog().run_spec(&spec).unwrap(),
+        want,
+        "2 local shards"
+    );
+    assert_eq!(
+        local.snapshot().run_spec(&spec).unwrap(),
+        want,
+        "pinned ShardedSnapshot"
+    );
+
+    let served = BatchServer::with_options(&db, ServeOptions::default())
+        .run_batch(&[Request::Query(spec.clone())]);
+    assert_eq!(served, [Ok(want.clone())], "BatchServer via Request::Query");
+
+    let server = ShardServer::spawn(unsharded(rows)).unwrap();
+    let remote = RemoteShard::connect(server.addr()).unwrap();
+    assert_eq!(
+        remote.run_spec(&spec).unwrap(),
+        want,
+        "RemoteShard::run_spec"
+    );
+    assert_eq!(
+        remote
+            .execute_batch(vec![Request::Query(spec.clone())])
+            .unwrap(),
+        [Ok(want)],
+        "remote BatchServer window"
+    );
+    server.shutdown();
 }

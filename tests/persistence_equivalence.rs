@@ -251,7 +251,7 @@ fn remote_snapshot_transfer_streams_a_shard_across_the_wire() {
     // shard's snapshot and reopening locally recovers every row.
     let shard_rows: usize = (0..2)
         .map(|s| {
-            let bytes = db.backend(s).fetch_snapshot().unwrap();
+            let bytes = db.backend(s).reader().fetch_snapshot().unwrap();
             let local = Database::open_from_bytes(bytes, "fetched").unwrap();
             local.query("orders").run().unwrap().rids().len()
         })

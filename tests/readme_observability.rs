@@ -2,7 +2,6 @@
 //! so the README cannot silently rot. Update both together.
 
 use ccindex::prelude::*;
-use ccindex::wire::Spec;
 use std::sync::Arc;
 
 fn demo() -> Result<(), MmdbError> {
@@ -57,11 +56,7 @@ fn demo() -> Result<(), MmdbError> {
     let shard_server = ShardServer::spawn(shard_db)?;
     let shard = RemoteShard::connect(shard_server.addr())?;
     let mut span = Span::root("query");
-    let spec = Spec {
-        table: "sales".into(),
-        filters: vec![eq("amount", 40)],
-        ..Spec::default()
-    };
+    let spec = QuerySpec::table("sales").filter(eq("amount", 40));
     assert_eq!(
         shard.run_spec_traced(&spec, &mut span)?,
         ResultRows::Rids(vec![1])

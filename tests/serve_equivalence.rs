@@ -7,10 +7,10 @@
 //! re-partitions the sharded catalog mid-test).
 
 use ccindex::db::domain::Value;
-use ccindex::db::{between, eq, on, sum, Database, IndexKind, MmdbError, ResultRows, TableBuilder};
-use ccindex::serve::{
-    BatchServer, Pending, QuerySpec, Request, ServeEngine, ServeOptions, ServeSource,
+use ccindex::db::{
+    between, eq, on, sum, CatalogRead, Database, IndexKind, MmdbError, ResultRows, TableBuilder,
 };
+use ccindex::serve::{BatchServer, Pending, QuerySpec, Request, ServeOptions, ServeSource};
 use ccindex::shard::{HashPartitioner, Partitioner, RangePartitioner, ShardedDatabase};
 use std::time::Duration;
 
@@ -114,7 +114,7 @@ fn sequential_reference(db: &Database) -> Vec<Result<ResultRows, MmdbError>> {
                 .filter(between(&column, lo, hi))
                 .run()
                 .map(|r| r.rows().clone()),
-            Request::Query(spec) => db.run_spec(&spec),
+            Request::Query(spec) => db.catalog().run_spec(&spec),
         })
         .collect()
 }
