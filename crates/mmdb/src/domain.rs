@@ -12,6 +12,7 @@
 //! on the 4-byte IDs and lets every index in this workspace index IDs
 //! instead of (possibly variable-length) values.
 
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// A database value. Variable-length strings demonstrate benefit (b) of
@@ -90,9 +91,12 @@ impl Domain {
     /// bisections: every live probe advances one step per round, keeping
     /// the round's dictionary accesses independent of one another — the
     /// same software pipelining the CSS-trees apply to directory descents.
+    /// Probes may be owned or borrowed (`&[Value]` or `&[&Value]`), so a
+    /// caller whose probes already live in another dictionary — the
+    /// join's outer→inner domain translation — clones nothing.
     ///
     /// [`DEFAULT_BATCH_LANES`]: ccindex_common::DEFAULT_BATCH_LANES
-    pub fn encode_batch(&self, values: &[Value]) -> Vec<Option<u32>> {
+    pub fn encode_batch<V: Borrow<Value>>(&self, values: &[V]) -> Vec<Option<u32>> {
         const LANES: usize = ccindex_common::DEFAULT_BATCH_LANES;
         let n = self.values.len();
         let mut out = vec![None; values.len()];
@@ -109,7 +113,7 @@ impl Domain {
                 for (lane, probe) in chunk.iter().enumerate() {
                     if lo[lane] < hi[lane] {
                         let mid = lo[lane] + (hi[lane] - lo[lane]) / 2;
-                        if self.values[mid] < *probe {
+                        if self.values[mid] < *probe.borrow() {
                             lo[lane] = mid + 1;
                         } else {
                             hi[lane] = mid;
@@ -120,7 +124,7 @@ impl Domain {
             }
             for (lane, probe) in chunk.iter().enumerate() {
                 let pos = lo[lane];
-                if pos < n && self.values[pos] == *probe {
+                if pos < n && self.values[pos] == *probe.borrow() {
                     out[base + lane] = Some(pos as u32);
                 }
             }
@@ -253,7 +257,7 @@ mod tests {
         let expected: Vec<Option<u32>> = probes.iter().map(|v| d.encode(v)).collect();
         assert_eq!(d.encode_batch(&probes), expected);
         // Degenerate shapes: empty batch, empty domain, ragged tails.
-        assert!(d.encode_batch(&[]).is_empty());
+        assert!(d.encode_batch::<Value>(&[]).is_empty());
         let empty = Domain::from_values(vec![]);
         assert_eq!(empty.encode_batch(&probes[..3]), vec![None, None, None]);
         for len in [1usize, 7, 8, 9, 15, 16, 17] {

@@ -274,6 +274,16 @@ enum PredOp {
     Between(Value, Value),
 }
 
+impl PredOp {
+    /// The index probe this comparison compiles to.
+    fn probe(&self) -> Probe {
+        match self {
+            PredOp::Eq(v) => Probe::Point(v.clone()),
+            PredOp::Between(lo, hi) => Probe::Range(lo.clone(), hi.clone()),
+        }
+    }
+}
+
 /// A borrowed view of a predicate's shape, for layers that need to
 /// inspect or re-encode one (shard routing, the wire format) without
 /// reaching into the private representation.
@@ -416,6 +426,29 @@ impl QuerySpec {
     pub fn exec(mut self, options: ExecOptions) -> Self {
         self.exec = Some(options);
         self
+    }
+
+    /// Whether `other` is this query with different literals: the same
+    /// table, filter columns and comparison kinds (in call order), join,
+    /// grouping, forced kind and exec override — everything
+    /// [`CatalogState::compile`] reads. Two specs of one shape compile
+    /// (against one generation) into plans that differ only in their
+    /// probe constants, which [`Plan::bind_literals`] patches — what
+    /// lets a coordinator compile a shape once and reuse the plan.
+    pub fn same_shape(&self, other: &QuerySpec) -> bool {
+        self.table == other.table
+            && self.join == other.join
+            && self.group == other.group
+            && self.forced_kind == other.forced_kind
+            && self.exec == other.exec
+            && self.filters.len() == other.filters.len()
+            && self.filters.iter().zip(&other.filters).all(|(a, b)| {
+                a.column == b.column
+                    && matches!(
+                        (&a.op, &b.op),
+                        (PredOp::Eq(_), PredOp::Eq(_)) | (PredOp::Between(..), PredOp::Between(..))
+                    )
+            })
     }
 }
 
@@ -569,10 +602,7 @@ impl CatalogState {
             probes.push(ProbeStep {
                 column: p.column.clone(),
                 kind,
-                probe: match &p.op {
-                    PredOp::Eq(v) => Probe::Point(v.clone()),
-                    PredOp::Between(lo, hi) => Probe::Range(lo.clone(), hi.clone()),
-                },
+                probe: p.op.probe(),
                 // A filter stage probes one constant, which cannot be
                 // chunked — recording `exec.threads` here would claim a
                 // partitioning that can never happen.
@@ -841,6 +871,17 @@ fn node_ns(since: &std::time::Instant) -> u64 {
 }
 
 impl Plan {
+    /// Re-point this plan's probe constants at `spec`'s literals. The
+    /// plan must have been compiled from a spec of the same shape
+    /// ([`QuerySpec::same_shape`]): compilation never reads a literal,
+    /// so the patched plan is exactly what compiling `spec` would give.
+    pub fn bind_literals(&mut self, spec: &QuerySpec) {
+        debug_assert_eq!(self.probes.len(), spec.filters.len());
+        for (step, filter) in self.probes.iter_mut().zip(&spec.filters) {
+            step.probe = filter.op.probe();
+        }
+    }
+
     /// A human-readable rendering of the plan, one step per line
     /// (parallel stages carry a `[xN threads]` suffix so the chosen
     /// parallelism is inspectable). An adaptive node (`threads == 0`)
@@ -1592,6 +1633,49 @@ mod tests {
             .run()
             .unwrap()
             .is_empty());
+    }
+
+    #[test]
+    fn a_plan_rebinds_to_any_spec_of_its_shape() {
+        let db = db();
+        let shape = QuerySpec::table("sales")
+            .filter(eq("day", "mon"))
+            .filter(between("amount", 20, 50))
+            .join("customers", on("cust", "id"))
+            .group_by("region", sum("amount"));
+        let other = QuerySpec::table("sales")
+            .filter(eq("day", "tue"))
+            .filter(between("amount", 0, 99))
+            .join("customers", on("cust", "id"))
+            .group_by("region", sum("amount"));
+        assert!(shape.same_shape(&other) && other.same_shape(&shape));
+        let mut rebound = db.catalog().compile(&shape).unwrap();
+        rebound.bind_literals(&other);
+        let compiled = db.catalog().compile(&other).unwrap();
+        assert_eq!(format!("{rebound:?}"), format!("{compiled:?}"));
+        assert_eq!(
+            rebound.execute(&db).unwrap().rows(),
+            compiled.execute(&db).unwrap().rows()
+        );
+        // Anything the planner reads is part of the shape.
+        for different in [
+            QuerySpec::table("customers"),
+            shape.clone().filter(eq("day", "mon")),
+            QuerySpec {
+                filters: vec![between("day", "a", "z"), between("amount", 20, 50)],
+                ..shape.clone()
+            },
+            QuerySpec {
+                filters: vec![eq("cust", 1), between("amount", 20, 50)],
+                ..shape.clone()
+            },
+            shape.clone().join("customers", on("amount", "id")),
+            shape.clone().group_by("region", max("amount")),
+            shape.clone().using(IndexKind::FullCss),
+            shape.clone().exec(ExecOptions::threads(2)),
+        ] {
+            assert!(!shape.same_shape(&different), "{different:?}");
+        }
     }
 
     #[test]

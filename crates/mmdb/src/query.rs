@@ -333,8 +333,9 @@ pub fn range_select_many_par(
 /// intermediate results" (§2.2). Equal inner duplicates all match.
 ///
 /// Batch-shaped on both of the paper's search axes: the outer *domain*
-/// (its distinct values, not its rows) is translated into inner-domain
-/// IDs with one batched dictionary search up front, and outer rows then
+/// (the distinct values the RID stream carries, not its rows) is
+/// translated into inner-domain IDs with one batched dictionary search
+/// up front, and outer rows then
 /// stream through the inner index [`JOIN_PROBE_BLOCK`] probes at a time
 /// via `search_batch`, which batch-aware indexes answer with interleaved
 /// descents.
@@ -361,9 +362,7 @@ pub fn indexed_nested_loop_join_rids(
     inner_rids: &RidList,
     inner_index: &dyn SearchIndex<u32>,
 ) -> Vec<JoinRow> {
-    // Consumer #3, batched and hoisted: one inner-domain lookup per
-    // *distinct* outer value instead of one per outer row.
-    let translation = inner.domain().encode_batch(outer.domain().values());
+    let translation = join_translation(outer, outer_rids, inner);
     join_rids_translated(
         outer,
         outer_rids,
@@ -389,10 +388,38 @@ pub fn indexed_nested_loop_join_rids_par(
     lanes: usize,
     threads: usize,
 ) -> Vec<JoinRow> {
-    let translation = inner.domain().encode_batch(outer.domain().values());
+    let translation = join_translation(outer, outer_rids, inner);
     ccindex_parallel::WorkerPool::new(threads).flat_map_chunks(outer_rids, |chunk| {
         join_rids_translated(outer, chunk, inner_rids, inner_index, &translation, lanes)
     })
+}
+
+/// Consumer #3, batched and hoisted: the outer→inner domain translation,
+/// indexed by outer domain ID — one inner-domain lookup per *distinct*
+/// outer value the RID stream carries instead of one per outer row. A
+/// selection that precedes the join usually carries far fewer values than
+/// the outer domain has, so the stream first marks its IDs in a
+/// domain-sized flag table; the marked IDs come out ascending (no sort,
+/// no dedup), go through one batched dictionary search, and scatter into
+/// the translation (entries for IDs the stream never reads stay `None`).
+/// O(rows + domain), with at most one search per domain value.
+fn join_translation(outer: &Column, outer_rids: &[u32], inner: &Column) -> Vec<Option<u32>> {
+    let domain = outer.domain();
+    let mut carried = vec![false; domain.len()];
+    for &rid in outer_rids {
+        carried[outer.id(rid) as usize] = true;
+    }
+    let (ids, values): (Vec<usize>, Vec<&Value>) = domain
+        .values()
+        .iter()
+        .enumerate()
+        .filter(|&(id, _)| carried[id])
+        .unzip();
+    let mut translation = vec![None; domain.len()];
+    for (id, inner_id) in ids.into_iter().zip(inner.domain().encode_batch(&values)) {
+        translation[id] = inner_id;
+    }
+    translation
 }
 
 /// The blocked probe loop shared by the sequential and partitioned joins:
@@ -720,6 +747,90 @@ mod tests {
             }
             expected.sort_by_key(|j| (j.outer_rid, j.inner_rid));
             assert_eq!(joined, expected, "{kind:?}");
+        }
+    }
+
+    /// Brute-force join of the `outer_rids` stream, in stream order with
+    /// inner matches ascending — the order the RID list yields equal keys.
+    fn brute_force_join(outer: &Column, outer_rids: &[u32], inner: &Column) -> Vec<JoinRow> {
+        let mut rows = Vec::new();
+        for &outer_rid in outer_rids {
+            for inner_rid in 0..inner.len() as u32 {
+                if outer.value(outer_rid) == inner.value(inner_rid) {
+                    rows.push(JoinRow {
+                        outer_rid,
+                        inner_rid,
+                    });
+                }
+            }
+        }
+        rows
+    }
+
+    #[test]
+    fn selection_sized_translation_matches_brute_force() {
+        // 60 distinct outer values over 240 rows; the inner side holds
+        // only every third value, some of them twice, plus values the
+        // outer side never has.
+        let int = |i: usize| Value::Int((i as i64 * 37) % 60);
+        let text = |i: usize| Value::Str(format!("k{:02}", (i * 37) % 60));
+        let inner_int =
+            |i: usize| Value::Int([0, 3, 3, 9, 12, 12, 57, 99, -4][i % 9] + (i / 9) as i64 * 15);
+        let inner_text =
+            |i: usize| Value::Str(format!("k{:02}", [0, 3, 3, 9, 12, 12, 57, 99, 71][i % 9]));
+        for (outer_vals, inner_vals) in [
+            (
+                (0..240).map(int).collect::<Vec<_>>(),
+                (0..36).map(inner_int).collect::<Vec<_>>(),
+            ),
+            (
+                (0..240).map(text).collect::<Vec<_>>(),
+                (0..18).map(inner_text).collect::<Vec<_>>(),
+            ),
+        ] {
+            let outer = Column::from_values(&outer_vals);
+            let inner = Column::from_values(&inner_vals);
+            let inner_rids = RidList::for_column(&inner);
+            let domain = outer.domain().len();
+            assert_eq!(domain, 60);
+            // Unsorted, with repeats; from no row to every row, with
+            // lengths on both sides of the domain size.
+            let stream = |len: usize| -> Vec<u32> {
+                (0..len).map(|i| ((i * 101 + 7) % 240) as u32).collect()
+            };
+            for len in [0, 1, 5, domain - 1, domain, domain + 1, 240] {
+                let outer_rids = stream(len);
+                let want = brute_force_join(&outer, &outer_rids, &inner);
+                for kind in IndexKind::ALL {
+                    let idx = build_index(kind, inner_rids.keys());
+                    assert_eq!(
+                        indexed_nested_loop_join_rids(
+                            &outer,
+                            &outer_rids,
+                            &inner,
+                            &inner_rids,
+                            idx.as_ref()
+                        ),
+                        want,
+                        "{kind:?} len={len}"
+                    );
+                    for threads in [0usize, 1, 3] {
+                        assert_eq!(
+                            indexed_nested_loop_join_rids_par(
+                                &outer,
+                                &outer_rids,
+                                &inner,
+                                &inner_rids,
+                                idx.as_ref(),
+                                4,
+                                threads
+                            ),
+                            want,
+                            "{kind:?} len={len} threads={threads}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -344,6 +344,73 @@ mod tests {
         }
     }
 
+    /// No coordinator sends the v3 `GroupPartial` frame any more (grouped
+    /// plans arrive whole as `RunSpec`), but a v3 server still answers
+    /// it — with the engine's own groups, and typed errors for the
+    /// malformed shapes a foreign client could send.
+    #[test]
+    fn shard_server_still_answers_the_group_partial_frame() {
+        use ccindex_wire::{read_response, write_request, ShardRequest, ShardResponse};
+        use mmdb::AggFn;
+        let db = catalog();
+        let want_sum = db
+            .query("sales")
+            .filter(between("amount", 10, 90))
+            .group_by("cust", sum("amount"))
+            .run()
+            .unwrap()
+            .groups()
+            .to_vec();
+        let selected = db
+            .query("sales")
+            .filter(between("amount", 10, 90))
+            .run()
+            .unwrap()
+            .rids()
+            .to_vec();
+        let want_count = db
+            .query("sales")
+            .group_by("cust", count())
+            .run()
+            .unwrap()
+            .groups()
+            .to_vec();
+        let server = ShardServer::spawn(db).unwrap();
+        let addr = server.addr();
+        let mut stream = std::net::TcpStream::connect(&addr).unwrap();
+        let mut ask = |measure: Option<&str>, agg: AggFn, rids: Option<Vec<u32>>| {
+            let request = ShardRequest::GroupPartial {
+                table: "sales".into(),
+                group_column: "cust".into(),
+                measure: measure.map(str::to_owned),
+                agg,
+                rids,
+            };
+            write_request(&mut stream, &addr, &request).unwrap();
+            read_response(&mut stream, &addr).unwrap()
+        };
+        assert_eq!(
+            ask(Some("amount"), AggFn::Sum, Some(selected)),
+            ShardResponse::Groups(want_sum)
+        );
+        assert_eq!(
+            ask(None, AggFn::Count, None),
+            ShardResponse::Groups(want_count)
+        );
+        for (measure, agg, rids) in [
+            (Some("amount"), AggFn::Max, Some(vec![0, 60])), // rid out of range
+            (None, AggFn::Sum, None),                        // no measure
+            (Some("nocol"), AggFn::Sum, None),               // unknown column
+        ] {
+            assert!(
+                matches!(ask(measure, agg, rids), ShardResponse::Err(_)),
+                "{measure:?} {agg:?}"
+            );
+        }
+        drop(stream);
+        server.shutdown();
+    }
+
     #[test]
     fn zero_clients_and_zero_wait_sessions_terminate() {
         let db = catalog();

@@ -7,8 +7,8 @@
 //! The serving discipline mirrors the in-process split the engine
 //! already has:
 //!
-//! * **reads** (probe batches, selections, join fan-out, group
-//!   partials, value decodes, plan compilation) run against a pinned
+//! * **reads** (whole query specs, probe batches, selections, join
+//!   fan-out, value decodes, plan compilation) run against a pinned
 //!   [`Snapshot`](mmdb::Snapshot) from a lock-free
 //!   [`DatabaseHandle`](mmdb::DatabaseHandle) — every request answers
 //!   from one committed generation and never waits on a writer;
@@ -31,7 +31,10 @@ use ccindex_parallel::sync::Arc as MetricArc;
 use ccindex_shard::ShardRead;
 use ccindex_wire::{self as wire, ShardRequest, ShardResponse};
 use mmdb::plan::{Plan, ProbeStep};
-use mmdb::{CatalogRead, Database, DatabaseHandle, MmdbError, Result, TableBuilder};
+use mmdb::{
+    group_aggregate_pairs, AggFn, CatalogRead, CatalogState, Database, DatabaseHandle, GroupRow,
+    MmdbError, Result, TableBuilder, Value,
+};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -479,7 +482,8 @@ fn respond(shared: &Arc<Shared>, request: ShardRequest) -> ShardResponse {
             agg,
             rids,
         } => reply(
-            shared.handle.snapshot().group_partial(
+            group_partial(
+                &shared.handle.snapshot(),
                 &table,
                 &group_column,
                 measure.as_deref(),
@@ -573,6 +577,67 @@ fn respond(shared: &Arc<Shared>, request: ShardRequest) -> ShardResponse {
         // is on the wire.
         ShardRequest::Shutdown => A::Unit,
     }
+}
+
+/// Answer the v3 `GroupPartial` frame: a grouped partial aggregate over
+/// one table's rows (`rids = None`) or a selected subset, in group-value
+/// order. No coordinator sends this frame any more — grouped plans
+/// arrive whole as `RunSpec` — so the answer lives here, beside the
+/// dispatch, until the next protocol bump removes the frame. Validates
+/// the rid range and the measure's integer domain (mirroring the
+/// planner's check), so a malformed request is a typed error, not a
+/// server-side panic.
+fn group_partial(
+    cat: &CatalogState,
+    table: &str,
+    group_column: &str,
+    measure: Option<&str>,
+    agg: AggFn,
+    rids: Option<&[u32]>,
+) -> Result<Vec<GroupRow>> {
+    let tbl = cat.table(table)?;
+    let column = |name: &str| {
+        tbl.column(name).ok_or_else(|| MmdbError::UnknownColumn {
+            table: table.to_owned(),
+            column: name.to_owned(),
+        })
+    };
+    let group_col = column(group_column)?;
+    let measure_col = match measure {
+        None => None,
+        Some(m) => {
+            let col = column(m)?;
+            if !col
+                .domain()
+                .values()
+                .iter()
+                .all(|v| matches!(v, Value::Int(_)))
+            {
+                return Err(MmdbError::NonIntegerMeasure {
+                    table: table.to_owned(),
+                    column: m.to_owned(),
+                });
+            }
+            Some(col)
+        }
+    };
+    if agg != AggFn::Count && measure_col.is_none() {
+        return Err(MmdbError::Unsupported {
+            what: format!("aggregate {agg:?} needs a measure column"),
+        });
+    }
+    let rows = tbl.rows() as u32;
+    if let Some(bad) = rids.and_then(|rids| rids.iter().find(|&&r| r >= rows)) {
+        return Err(MmdbError::Unsupported {
+            what: format!("rid {bad} is out of range for table `{table}` ({rows} rows)"),
+        });
+    }
+    Ok(match rids {
+        Some(rids) => {
+            group_aggregate_pairs(group_col, measure_col, rids.iter().map(|&r| (r, r)), agg)
+        }
+        None => group_aggregate_pairs(group_col, measure_col, (0..rows).map(|r| (r, r)), agg),
+    })
 }
 
 fn lock_db(shared: &Shared) -> std::sync::MutexGuard<'_, Database> {

@@ -4,14 +4,17 @@
 //! through these two traits instead of calling [`Database`] methods
 //! directly:
 //!
-//! * [`ShardRead`] is one shard's **read surface** — batched probes,
-//!   probes-only selections, join-probe fan-out, grouped partial
-//!   aggregates, column decodes, plan compilation, snapshot export. It
-//!   has two implementations: [`CatalogState`] (one immutable
-//!   generation of an in-process engine — what a local shard pins, and
-//!   what the serving layer's `ShardServer` answers wire requests from)
-//!   and `RemoteShard` (see [`crate::remote`]), a socket client speaking
-//!   the `ccindex-wire` protocol to such a server.
+//! * [`ShardRead`] is one shard's **read surface** — whole-query
+//!   execution ([`run_spec`](ShardRead::run_spec), what a shard-local
+//!   plan costs per routed shard), batched probes, and the pieces a
+//!   non-co-located join streams through the coordinator (probes-only
+//!   selections, column decodes, join-probe fan-out), plus plan
+//!   compilation and snapshot export. It has two implementations:
+//!   [`CatalogState`] (one immutable generation of an in-process engine
+//!   — what a local shard pins, and what the serving layer's
+//!   `ShardServer` answers wire requests from) and `RemoteShard` (see
+//!   [`crate::remote`]), a socket client speaking the `ccindex-wire`
+//!   protocol to such a server.
 //! * [`ShardBackend`] is the **mutating half**, held only by the
 //!   `ShardedDatabase` writer: table/index admin, column replacement,
 //!   snapshot install, plus [`reader`](ShardBackend::reader) /
@@ -29,9 +32,8 @@
 
 use mmdb::plan::Plan;
 use mmdb::{
-    group_aggregate_pairs, indexed_nested_loop_join_rids_par, AggFn, CatalogRead, CatalogState,
-    Column, Database, ExecOptions, GroupRow, IndexKind, MmdbError, QuerySpec, RebuildReport,
-    Result, Table, Value,
+    indexed_nested_loop_join_rids_par, CatalogRead, CatalogState, Column, Database, ExecOptions,
+    IndexKind, MmdbError, QuerySpec, RebuildReport, Result, ResultRows, Table, Value,
 };
 use std::sync::Arc;
 
@@ -67,6 +69,13 @@ pub struct ShardInfo {
 /// # Ok::<(), mmdb::MmdbError>(())
 /// ```
 pub trait ShardRead: std::fmt::Debug + Send + Sync {
+    /// Compile and execute a whole query description on this shard's
+    /// rows, returning **local** RIDs (or this shard's partial groups).
+    /// One call — one round trip for a remote shard — is all a
+    /// shard-local plan asks of each routed shard; the coordinator
+    /// composes the per-shard answers.
+    fn run_spec(&self, spec: &QuerySpec) -> Result<ResultRows>;
+
     /// Batched equality probes on `table.column`: one ascending local
     /// RID set per value, in submission order.
     fn point_probe_batch(
@@ -85,7 +94,8 @@ pub trait ShardRead: std::fmt::Debug + Send + Sync {
     ) -> Result<Vec<Vec<u32>>>;
 
     /// Execute a probes-only selection plan (the probe steps of a
-    /// scatter template) and return the matching local RIDs, ascending.
+    /// scatter template) and return the matching local RIDs, ascending
+    /// — the outer half of a join that is not co-located.
     fn select(&self, plan: &Plan) -> Result<Vec<u32>>;
 
     /// Probe the `kind` index on `table.column` once per outer value —
@@ -102,24 +112,14 @@ pub trait ShardRead: std::fmt::Debug + Send + Sync {
         threads: usize,
     ) -> Result<Vec<Vec<u32>>>;
 
-    /// Grouped partial aggregate over this shard's rows (`rids = None`)
-    /// or a selected subset, in group-value order.
-    fn group_partial(
-        &self,
-        table: &str,
-        group_column: &str,
-        measure: Option<&str>,
-        agg: AggFn,
-        rids: Option<&[u32]>,
-    ) -> Result<Vec<GroupRow>>;
-
     /// Decode column values for the given local RIDs (`None` = every
     /// row, in RID order).
     fn column_values(&self, table: &str, column: &str, rids: Option<&[u32]>) -> Result<Vec<Value>>;
 
     /// Compile a query description through this shard's planner. Every
     /// shard holds the same schema and indexes, so the coordinator uses
-    /// shard 0's plan as the scatter template.
+    /// shard 0's plan as the scatter template — asked once per query
+    /// shape and generation, then served from the coordinator's cache.
     fn compile(&self, spec: &QuerySpec) -> Result<Plan>;
 
     /// Column names of `table`, in declaration order.
@@ -236,6 +236,10 @@ fn check_rids(cat: &CatalogState, table: &str, rids: &[u32]) -> Result<()> {
 }
 
 impl ShardRead for CatalogState {
+    fn run_spec(&self, spec: &QuerySpec) -> Result<ResultRows> {
+        CatalogRead::run_spec(self, spec)
+    }
+
     fn point_probe_batch(
         &self,
         table: &str,
@@ -291,63 +295,6 @@ impl ShardRead for CatalogState {
             out[row.outer_rid as usize].push(row.inner_rid);
         }
         Ok(out)
-    }
-
-    /// Validates the rid range and the measure's integer domain
-    /// (mirroring the planner's check) so a stale or malformed remote
-    /// request surfaces as a typed error instead of a server-side panic.
-    fn group_partial(
-        &self,
-        table: &str,
-        group_column: &str,
-        measure: Option<&str>,
-        agg: AggFn,
-        rids: Option<&[u32]>,
-    ) -> Result<Vec<GroupRow>> {
-        let group_col = table_column(self, table, group_column)?;
-        let measure_col = match measure {
-            None => None,
-            Some(m) => {
-                let col = table_column(self, table, m)?;
-                let all_int = col
-                    .domain()
-                    .values()
-                    .iter()
-                    .all(|v| matches!(v, Value::Int(_)));
-                if !all_int {
-                    return Err(MmdbError::NonIntegerMeasure {
-                        table: table.to_owned(),
-                        column: m.to_owned(),
-                    });
-                }
-                Some(col)
-            }
-        };
-        if agg != AggFn::Count && measure_col.is_none() {
-            return Err(MmdbError::Unsupported {
-                what: format!("aggregate {agg:?} needs a measure column"),
-            });
-        }
-        match rids {
-            Some(rids) => {
-                check_rids(self, table, rids)?;
-                Ok(group_aggregate_pairs(
-                    group_col,
-                    measure_col,
-                    rids.iter().map(|&r| (r, r)),
-                    agg,
-                ))
-            }
-            None => {
-                let rows = self.table(table)?.rows() as u32;
-                Ok(group_aggregate_pairs(
-                    group_col,
-                    measure_col,
-                    (0..rows).map(|r| (r, r)),
-                    agg,
-                ))
-            }
-        }
     }
 
     fn column_values(&self, table: &str, column: &str, rids: Option<&[u32]>) -> Result<Vec<Value>> {

@@ -16,9 +16,12 @@
 //! * [`ShardedDatabase`] — N per-shard `Database` catalogs behind the
 //!   same builder surface (`query(..).filter(..).join(..).group_by(..)`),
 //!   splitting updates by shard and executing queries scatter-gather:
-//!   probe batches route to the shards that can match, join chunks fan
-//!   (or bucket) across inner shards over the shared worker pool, and
-//!   per-shard partial aggregates merge at the gather barrier.
+//!   a shard-local plan (no join, or a join co-located on both shard
+//!   keys) runs whole on each shard the partitioner says can match —
+//!   one request per shard — and the coordinator composes the local RID
+//!   sets, join pairs or partial aggregates; only a join that is not
+//!   co-located streams its outer keys through the coordinator, fanned
+//!   (or bucketed) across inner shards over the shared worker pool.
 //!
 //! ```
 //! use ccindex_shard::ShardedDatabase;
@@ -52,6 +55,7 @@ pub use remote::{RemoteShard, SHARD_TIMEOUT_KNOB};
 pub use sharded::{
     JoinRouting, ShardRouting, ShardTargets, ShardedDatabase, ShardedHandle, ShardedPlan,
     ShardedQuery, ShardedRebuildReport, ShardedResultSet, ShardedSnapshot, ShardedState,
+    TEMPLATE_CACHE_CAPACITY,
 };
 
 #[cfg(test)]
@@ -276,6 +280,14 @@ mod tests {
         let text = plan.explain();
         assert!(text.contains("bucketed by inner shard key id"), "{text}");
         assert!(text.contains("partial aggregates"), "{text}");
+        // ... and co-located (sales is sharded on the outer join column),
+        // so the whole plan runs inside each shard.
+        assert!(plan.is_shard_local());
+        assert!(
+            text.contains("co-located on outer shard key cust"),
+            "{text}"
+        );
+        assert!(text.contains("run: shard-local"), "{text}");
 
         // Join on a non-key inner column: fanned.
         let db2 = {
@@ -293,10 +305,12 @@ mod tests {
             .plan()
             .unwrap();
         assert_eq!(plan.routing.join, Some(JoinRouting::Fanned));
+        assert!(!plan.is_shard_local());
+        let text = plan.explain();
+        assert!(text.contains("fanned to all"), "{text}");
         assert!(
-            plan.explain().contains("fanned to all"),
-            "{}",
-            plan.explain()
+            text.contains("run: join streamed through the coordinator"),
+            "{text}"
         );
     }
 

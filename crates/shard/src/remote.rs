@@ -2,10 +2,13 @@
 //! speaks the `ccindex-wire` protocol to a `ShardServer` over plain
 //! blocking TCP.
 //!
-//! One request, one response, one frame each — the serving layer's
-//! batch-formation windows (PR 5) already amortise per-request costs,
-//! so the transport stays synchronous and dependency-free. Connection
-//! handling:
+//! One request, one response, one frame each, and the coordinator
+//! keeps the request count down instead of the transport hiding it: a
+//! shard-local plan is a single `RunSpec` exchange per routed shard
+//! (compilation is cached coordinator-side per generation), and only a
+//! join that is not co-located pays the `Select` → `ColumnValues` →
+//! `JoinProbeBatch` sequence. So the transport stays synchronous and
+//! dependency-free. Connection handling:
 //!
 //! * [`RemoteShard::connect`] dials with **bounded retry** (5 attempts,
 //!   doubling backoff from 10 ms) and performs a `Hello` handshake, so
@@ -32,8 +35,8 @@ use ccindex_parallel::sync::Arc as ObsArc;
 use ccindex_wire::{self as wire, ShardRequest, ShardResponse};
 use mmdb::plan::{parse_knob, Plan};
 use mmdb::{
-    AggFn, ExecOptions, GroupRow, IndexKind, MmdbError, QuerySpec, RebuildReport, Request, Result,
-    ResultRows, Table, TransportFault, Value,
+    ExecOptions, IndexKind, MmdbError, QuerySpec, RebuildReport, Request, Result, ResultRows,
+    Table, TransportFault, Value,
 };
 
 use crate::backend::{ShardBackend, ShardInfo, ShardRead};
@@ -231,8 +234,9 @@ impl RemoteShard {
     }
 
     /// Compile and execute a query description on the server, returning
-    /// its result rows. Used by the serving layer to front a whole
-    /// remote engine.
+    /// its result rows: [`ShardRead::run_spec`] as an inherent method,
+    /// so a caller fronting one whole remote engine needs no trait in
+    /// scope.
     pub fn run_spec(&self, spec: &QuerySpec) -> Result<ResultRows> {
         match self.call(&ShardRequest::RunSpec { spec: spec.clone() })? {
             ShardResponse::Rows(rows) => Ok(rows),
@@ -310,6 +314,10 @@ fn variant_name(resp: &ShardResponse) -> &'static str {
 }
 
 impl ShardRead for RemoteShard {
+    fn run_spec(&self, spec: &QuerySpec) -> Result<ResultRows> {
+        RemoteShard::run_spec(self, spec)
+    }
+
     fn point_probe_batch(
         &self,
         table: &str,
@@ -376,26 +384,6 @@ impl ShardRead for RemoteShard {
             threads,
         })? {
             ShardResponse::RidSets(sets) => Ok(sets),
-            other => Err(self.bad_reply(&other)),
-        }
-    }
-
-    fn group_partial(
-        &self,
-        table: &str,
-        group_column: &str,
-        measure: Option<&str>,
-        agg: AggFn,
-        rids: Option<&[u32]>,
-    ) -> Result<Vec<GroupRow>> {
-        match self.call(&ShardRequest::GroupPartial {
-            table: table.to_owned(),
-            group_column: group_column.to_owned(),
-            measure: measure.map(str::to_owned),
-            agg,
-            rids: rids.map(<[u32]>::to_vec),
-        })? {
-            ShardResponse::Groups(groups) => Ok(groups),
             other => Err(self.bad_reply(&other)),
         }
     }

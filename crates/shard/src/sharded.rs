@@ -6,27 +6,45 @@
 //! [`Partitioner`]); each shard is a complete [`Database`] catalog over
 //! its row subset, so every existing operator — batched probes,
 //! partitioned joins, grouped aggregation — runs unchanged *inside* a
-//! shard. The new work is all routing and merging:
+//! shard. The coordinator's work is routing, and composing the answers:
 //!
-//! * **selections** scatter a probes-only plan to the shards the
-//!   partitioner says can match (equality on the shard key prunes to one
-//!   shard, ranges prune to the overlapping shards of a range
-//!   partitioner) and gather local RID sets back into global row order;
-//! * **joins** stream the per-shard outer RID chunks through the inner
-//!   table's per-shard indexes over the shared
-//!   [`ccindex_parallel::WorkerPool`] — bucketed by owning inner shard
-//!   when the join column *is* the inner table's shard key (each probe
-//!   batch routed, original probe order restored on merge), fanned to
-//!   every inner shard otherwise — and merge the partial outputs back
-//!   into the sequential join's `(outer, inner)` order;
-//! * **group-bys** aggregate *inside* each scatter job and merge the
-//!   per-shard partial aggregates by group value at the gather barrier,
-//!   the same commutative merge the partitioned
-//!   `group_aggregate_pairs_par` operator uses across workers.
+//! * **Shard-local plans run whole on each routed shard.** A plan is
+//!   shard-local when it has no join, or when its join is co-located:
+//!   the outer join column is the outer table's shard key and the inner
+//!   join column the inner table's, so — every table being placed by the
+//!   one catalog-wide partitioner — an outer row on shard *s* can only
+//!   match inner rows on *s*. The coordinator sends the [`QuerySpec`] to
+//!   each shard the partitioner says can match (equality on the shard
+//!   key prunes to one shard, ranges prune to the overlapping shards of
+//!   a range partitioner) as **one** [`ShardRead::run_spec`] per shard,
+//!   and composes: local RID sets translate to global rows and sort
+//!   (selections), both sides of every pair translate and the pairs sort
+//!   into the sequential join's `(outer, inner)` order (joins), per-shard
+//!   partial aggregates merge by group value (group-bys) — the same
+//!   commutative merge `group_aggregate_pairs_par` uses across workers.
+//!   A query with no filter, join or group asks no shard at all: the
+//!   placement metadata already knows every row. The shards run side by
+//!   side, so an explicit `exec.threads` is split between them (each
+//!   spec goes out with its share) rather than multiplied by them.
+//! * **Only joins that are not co-located stream through the
+//!   coordinator.** Each routed outer shard selects its rows and hands
+//!   over their join-key values once; the coordinator buckets them by
+//!   owning inner shard when the join column *is* the inner table's
+//!   shard key (fans them to every inner shard otherwise), probes the
+//!   inner shards' indexes over the shared
+//!   [`ccindex_parallel::WorkerPool`], and merges the partial outputs —
+//!   or the per-job partial aggregates — exactly as above.
+//! * **Compilation is off the per-query path.** The per-shard [`Plan`]
+//!   template depends on a query's *shape*, never its literals, so each
+//!   composed generation keeps a small bounded map from shape to the
+//!   template shard 0 compiled; a repeated shape costs no request, and
+//!   because every mutation through this catalog publishes a new
+//!   generation with an empty map, nothing is ever invalidated.
 //!
 //! Results are **byte-identical** to the same queries on an unsharded
 //! [`Database`] for every shard count and both partitioners — the
-//! property `tests/sharded_equivalence.rs` and `figures sharded` assert.
+//! property `tests/sharded_equivalence.rs`,
+//! `tests/distributed_equivalence.rs` and `figures sharded` assert.
 
 use crate::backend::{LocalShard, ShardBackend, ShardRead};
 use crate::partition::Partitioner;
@@ -35,13 +53,15 @@ use ccindex_obs as obs;
 use ccindex_parallel::sync::Arc as MetricArc;
 use ccindex_parallel::WorkerPool;
 use mmdb::domain::Value;
-use mmdb::plan::{Plan, Probe, Side};
+use mmdb::plan::{JoinStep, Plan, Probe, Side};
 use mmdb::{
-    Agg, AggFn, CatalogRead, Column, Database, ExecOptions, GroupRow, IndexKind, JoinOn, JoinRow,
-    MmdbError, Pinned, Predicate, QuerySpec, RebuildReport, Result, ResultRows, SwapSlot, Table,
+    between, eq, Agg, AggFn, CatalogRead, Column, Database, ExecOptions, GroupRow, IndexKind,
+    JoinOn, JoinRow, MmdbError, Pinned, Predicate, PredicateOp, QuerySpec, RebuildReport, Result,
+    ResultRows, SwapSlot, Table,
 };
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 // ---------------------------------------------------------------------
 // The sharded catalog
@@ -106,6 +126,16 @@ struct ShardMetrics {
     /// `shard.gather.ns`: per-batch time translating local RIDs to
     /// global and merging answers back into submission order.
     gather_ns: MetricArc<obs::Histogram>,
+    /// `shard.route.pushdown`: queries executed as shard-local plans —
+    /// the whole spec shipped to each routed shard.
+    route_pushdown: MetricArc<obs::Counter>,
+    /// `shard.template.hits`: plan or access-path resolutions served
+    /// from the generation's template cache (no request to shard 0).
+    template_hits: MetricArc<obs::Counter>,
+    /// `shard.template.misses`: resolutions that asked shard 0 to
+    /// compile (first sight of a shape in a generation, or an error,
+    /// which is never cached).
+    template_misses: MetricArc<obs::Counter>,
 }
 
 impl ShardMetrics {
@@ -115,6 +145,9 @@ impl ShardMetrics {
             route_fanned: registry.counter("shard.route.fanned"),
             scatter_ns: registry.histogram("shard.scatter.ns"),
             gather_ns: registry.histogram("shard.gather.ns"),
+            route_pushdown: registry.counter("shard.route.pushdown"),
+            template_hits: registry.counter("shard.template.hits"),
+            template_misses: registry.counter("shard.template.misses"),
             registry,
         }
     }
@@ -123,6 +156,30 @@ impl ShardMetrics {
 /// Nanoseconds since `since`, saturating at `u64::MAX`.
 fn elapsed_ns(since: &std::time::Instant) -> u64 {
     u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// How many query shapes one generation's scatter-template cache holds.
+/// Fixed, so a stream of ad-hoc specs cannot grow coordinator memory: a
+/// new shape arriving at a full cache clears it.
+pub const TEMPLATE_CACHE_CAPACITY: usize = 64;
+
+/// The scatter templates one composed generation has compiled: query
+/// shape ([`QuerySpec::same_shape`]) → the per-shard [`Plan`] shard 0
+/// compiled for the first spec of that shape. Shared by every clone and
+/// pin of the generation; [`ShardedDatabase::publish`] starts the next
+/// generation with a fresh one, so an entry never outlives the schema
+/// and indexes it was compiled against and there is no invalidation.
+#[derive(Debug, Default)]
+struct TemplateCache {
+    entries: Mutex<Vec<(QuerySpec, Plan)>>,
+}
+
+impl TemplateCache {
+    fn entries(&self) -> MutexGuard<'_, Vec<(QuerySpec, Plan)>> {
+        // Every update is a single `push` or `clear`, so the vector is
+        // valid at every step and a poisoned lock loses nothing.
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// One immutable generation of the *composed* sharded catalog: a
@@ -149,6 +206,8 @@ pub struct ShardedState {
     /// Scatter-gather observability handles, shared by every
     /// generation, so pinned snapshots record into the same series.
     metrics: ShardMetrics,
+    /// This generation's compiled scatter templates.
+    templates: Arc<TemplateCache>,
 }
 
 /// The sharded catalog's pinned-generation guard:
@@ -253,6 +312,7 @@ impl ShardedDatabase {
             exec,
             generation: 0,
             metrics,
+            templates: Arc::default(),
         };
         Ok(Self {
             slot: SwapSlot::new(tip.clone(), 0),
@@ -284,7 +344,10 @@ impl ShardedDatabase {
 
     /// The catalog's metric registry: `shard.route.pruned` /
     /// `shard.route.fanned` batch routing counts, `shard.scatter.ns` /
-    /// `shard.gather.ns` per-batch timing histograms, plus
+    /// `shard.gather.ns` per-batch timing histograms,
+    /// `shard.route.pushdown` (queries run as shard-local plans) and
+    /// `shard.template.hits` / `shard.template.misses` (the
+    /// generation's scatter-template cache), plus
     /// `transport.retries` when any shard is remote. Shared with every
     /// committed generation, so probes through pinned snapshots and
     /// reader handles record into the same series.
@@ -610,9 +673,12 @@ impl ShardedDatabase {
     /// install the result as the next immutable [`ShardedState`]. Called
     /// exactly once at the end of every successful mutation, *after* all
     /// shards updated — a pinned snapshot never observes half a
-    /// cross-shard mutation.
+    /// cross-shard mutation. The new generation starts with an empty
+    /// template cache: whatever the mutation changed (an index, a
+    /// schema, the exec options), no plan compiled before it is reused.
     fn publish(&mut self) {
         self.tip.shards = self.shards.iter().map(|b| b.pin()).collect();
+        self.tip.templates = Arc::default();
         self.tip.generation += 1;
         self.slot.install(self.tip.clone(), self.tip.generation);
     }
@@ -751,16 +817,92 @@ impl ShardedState {
         }
     }
 
-    /// Compile `spec`: resolve names and access paths against shard 0
-    /// (every shard has the same schema and indexes), then compute the
-    /// shard routing from the partitioner.
+    /// How many query shapes this generation's scatter-template cache
+    /// holds right now — never more than [`TEMPLATE_CACHE_CAPACITY`],
+    /// and zero again after every commit.
+    pub fn cached_templates(&self) -> usize {
+        self.templates.entries().len()
+    }
+
+    /// The per-shard plan template for `spec`: names and access paths
+    /// resolved against shard 0 — through its local planner or across
+    /// the wire, so local and remote catalogs produce the same template,
+    /// and one compile is enough because every shard holds the same
+    /// tables, columns and index kinds. Shard 0 is only asked the first
+    /// time this generation sees the spec's *shape*; afterwards the
+    /// cached plan is cloned and re-pointed at `spec`'s literals.
+    fn template(&self, spec: &QuerySpec) -> Result<Plan> {
+        let cached = self
+            .templates
+            .entries()
+            .iter()
+            .find(|(shape, _)| shape.same_shape(spec))
+            .map(|(_, plan)| plan.clone());
+        match cached {
+            Some(mut plan) => {
+                self.metrics.template_hits.inc();
+                plan.bind_literals(spec);
+                Ok(plan)
+            }
+            None => self.compile_template(spec),
+        }
+    }
+
+    /// A template-cache miss: shard 0 compiles `spec` and the plan is
+    /// remembered under its shape. Errors are not cached, so a bad name
+    /// fails typed on every call, and the lock is only taken after the
+    /// shard has answered.
+    fn compile_template(&self, spec: &QuerySpec) -> Result<Plan> {
+        self.metrics.template_misses.inc();
+        let plan = self.shards[0].compile(spec)?;
+        let mut entries = self.templates.entries();
+        if entries.len() >= TEMPLATE_CACHE_CAPACITY {
+            entries.clear();
+        }
+        entries.push((spec.clone(), plan.clone()));
+        Ok(plan)
+    }
+
+    /// Resolve the access path of a probe batch on `table.column` —
+    /// point, or range when `ranged` — which is the compile of the
+    /// one-filter query the batch stands for. A generation that has
+    /// compiled that shape (for an earlier batch, or for such a query)
+    /// answers from the cache, building no spec and cloning no plan;
+    /// only a miss spells the query out for shard 0.
+    fn resolve_probe(&self, table: &str, column: &str, ranged: bool) -> Result<()> {
+        let stands_for = |shape: &QuerySpec| {
+            shape.table == table
+                && shape.join.is_none()
+                && shape.group.is_none()
+                && shape.forced_kind.is_none()
+                && shape.exec.is_none()
+                && matches!(shape.filters.as_slice(), [only] if only.column() == column
+                    && matches!(only.op(), PredicateOp::Between(..)) == ranged)
+        };
+        let cached = self
+            .templates
+            .entries()
+            .iter()
+            .any(|(shape, _)| stands_for(shape));
+        if cached {
+            self.metrics.template_hits.inc();
+            return Ok(());
+        }
+        let probe = if ranged {
+            between(column, 0, 0)
+        } else {
+            eq(column, 0)
+        };
+        self.compile_template(&QuerySpec::table(table).filter(probe))
+            .map(drop)
+    }
+
+    /// Compile `spec`: the per-shard template ([`Plan`]) from this
+    /// generation's cache or shard 0, then the shard routing from the
+    /// partitioner.
     pub fn compile(&self, spec: &QuerySpec) -> Result<ShardedPlan> {
         let meta = self.meta(&spec.table)?;
-        // The per-shard template: one compile is enough because every
-        // shard holds the same tables, columns and index kinds. Shard 0
-        // compiles it — through its local planner or across the wire —
-        // so local and remote catalogs produce the same template.
-        let template = self.shards[0].compile(spec)?;
+        let template = self.template(spec)?;
 
         // Routing: each shard-key conjunct prunes; everything else fans.
         let nshards = self.shards.len();
@@ -800,6 +942,7 @@ impl ShardedState {
         });
 
         Ok(ShardedPlan {
+            spec: spec.clone(),
             template,
             routing: ShardRouting {
                 shards: nshards,
@@ -819,6 +962,44 @@ impl ShardedState {
             .ok_or_else(|| MmdbError::UnknownTable {
                 table: table.to_owned(),
             })
+    }
+
+    /// Shard `s`'s local RID `local` of `meta`'s table as a global RID.
+    /// A shard answers with RIDs of rows it holds, so one outside its
+    /// placement is a wrong or stale reply: a typed error naming the
+    /// shard, never an index panic in the coordinator.
+    #[inline]
+    fn global_rid(&self, meta: &ShardedTable, s: usize, local: u32) -> Result<u32> {
+        match meta.locals[s].get(local as usize) {
+            Some(&global) => Ok(global),
+            None => Err(self.rid_out_of_placement(meta, s, local)),
+        }
+    }
+
+    /// Append shard `s`'s `local` RIDs to `out` as global RIDs.
+    fn extend_global(
+        &self,
+        meta: &ShardedTable,
+        s: usize,
+        local: &[u32],
+        out: &mut Vec<u32>,
+    ) -> Result<()> {
+        out.reserve(local.len());
+        for &l in local {
+            out.push(self.global_rid(meta, s, l)?);
+        }
+        Ok(())
+    }
+
+    #[cold]
+    fn rid_out_of_placement(&self, meta: &ShardedTable, s: usize, local: u32) -> MmdbError {
+        MmdbError::Unsupported {
+            what: format!(
+                "shard {s} ({}) answered local rid {local}, but holds {} row(s) of the table",
+                self.shards[s].describe(),
+                meta.locals[s].len()
+            ),
+        }
     }
 
     /// Run the routed per-shard probe subsets over the worker pool (one
@@ -845,9 +1026,8 @@ impl ShardedState {
         let gathering = std::time::Instant::now();
         let mut out: Vec<Vec<u32>> = (0..slots).map(|_| Vec::new()).collect();
         for (&s, per_probe) in jobs.iter().zip(results) {
-            let locals = &meta.locals[s];
             for (&slot, local_rids) in routed[s].1.iter().zip(per_probe?) {
-                out[slot].extend(local_rids.iter().map(|&l| locals[l as usize]));
+                self.extend_global(meta, s, &local_rids, &mut out[slot])?;
             }
         }
         for rids in &mut out {
@@ -873,9 +1053,8 @@ impl ShardedState {
         let gathering = std::time::Instant::now();
         let mut out: Vec<Vec<u32>> = (0..slots).map(|_| Vec::new()).collect();
         for (s, per_probe) in results.into_iter().enumerate() {
-            let locals = &meta.locals[s];
             for (slot, local_rids) in per_probe?.into_iter().enumerate() {
-                out[slot].extend(local_rids.into_iter().map(|l| locals[l as usize]));
+                self.extend_global(meta, s, &local_rids, &mut out[slot])?;
             }
         }
         for rids in &mut out {
@@ -905,12 +1084,12 @@ impl CatalogRead for ShardedState {
         values: &[Value],
     ) -> Result<Vec<Vec<u32>>> {
         let meta = self.meta(table)?;
-        // Resolve the access path once against shard 0 (every shard has
-        // the same schema and index kinds) so a missing table, column or
-        // index fails typed even when routing prunes every probe away —
-        // the per-request query path errors there, and batch answers
-        // must match it byte for byte.
-        self.shards[0].point_probe_batch(table, column, &[])?;
+        // Resolve the access path before routing, so a missing table,
+        // column or index fails typed even when routing prunes every
+        // probe away: the per-request query path errors there, and batch
+        // answers must match it byte for byte. After the generation's
+        // first batch the template cache answers it without a request.
+        self.resolve_probe(table, column, false)?;
         if column == meta.shard_key {
             self.metrics.route_pruned.inc();
             let routed = scatter_pruned(self.shards.len(), values, |v| {
@@ -941,7 +1120,7 @@ impl CatalogRead for ShardedState {
         // Same upfront resolution as the point path: an unordered-only
         // column must fail `NoOrderedIndex` even if every range routes
         // nowhere.
-        self.shards[0].range_probe_batch(table, column, &[])?;
+        self.resolve_probe(table, column, true)?;
         if column == meta.shard_key {
             self.metrics.route_pruned.inc();
             let routed = scatter_pruned(self.shards.len(), ranges, |(lo, hi)| {
@@ -1075,12 +1254,15 @@ pub enum ShardTargets {
 /// How a join scatters across the inner table's shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinRouting {
-    /// The join column is the inner table's shard key: each outer probe
-    /// batch is bucketed to the one inner shard that can hold matches
-    /// (original probe order restored on merge).
+    /// The join column is the inner table's shard key, so each outer row
+    /// has one inner shard that can hold its matches. When the outer
+    /// join column is the outer table's shard key too, that shard is the
+    /// row's own (the join is co-located and runs inside each shard);
+    /// otherwise the coordinator buckets each outer shard's probe batch
+    /// by owning inner shard (original probe order restored on merge).
     Bucketed,
-    /// The join column is not the inner shard key: every outer RID chunk
-    /// fans to every inner shard.
+    /// The join column is not the inner shard key: every outer shard's
+    /// probe batch fans to every inner shard.
     Fanned,
 }
 
@@ -1106,6 +1288,9 @@ pub struct ShardRouting {
 /// plus the recorded [`ShardRouting`].
 #[derive(Debug, Clone)]
 pub struct ShardedPlan {
+    /// The query description the plan was compiled from — what a
+    /// shard-local plan ships to each routed shard.
+    spec: QuerySpec,
     /// The physical plan each routed shard runs (compiled against shard
     /// 0; every shard shares the schema, so it is valid everywhere).
     pub template: Plan,
@@ -1113,10 +1298,41 @@ pub struct ShardedPlan {
     pub routing: ShardRouting,
 }
 
+/// One scatter job of a join that is not co-located: outer shard `s`'s
+/// rows whose matches can live on inner shard `t`, with their join-key
+/// values. A fanned join borrows the outer shard's whole stream for
+/// every `t`; a bucketed one owns its subset.
+struct JoinJob<'a> {
+    s: usize,
+    t: usize,
+    rids: Cow<'a, [u32]>,
+    keys: Cow<'a, [Value]>,
+}
+
 impl ShardedPlan {
+    /// The join this plan has to stream through the coordinator, if any:
+    /// one that is **not** co-located. A join is co-located when it is
+    /// routed [`JoinRouting::Bucketed`] (the inner join column is the
+    /// inner table's shard key) *and* the outer join column is the outer
+    /// table's shard key — one partitioner places every table, so equal
+    /// keys share a shard and each shard can join its own rows.
+    fn coordinator_join(&self) -> Option<&JoinStep> {
+        self.template.join.as_ref().filter(|j| {
+            self.routing.join != Some(JoinRouting::Bucketed)
+                || j.outer_column != self.routing.shard_key
+        })
+    }
+
+    /// Whether the plan runs whole on each routed shard — one request
+    /// per shard, composed by the coordinator — as every plan does
+    /// except a join that is not co-located.
+    pub fn is_shard_local(&self) -> bool {
+        self.coordinator_join().is_none()
+    }
+
     /// Human-readable rendering: the shard routing (scatter set per
-    /// stage, pruned vs fanned join, gather mode), then the per-shard
-    /// plan indented beneath it.
+    /// stage, pruned vs fanned join, execution and gather mode), then
+    /// the per-shard plan indented beneath it.
     pub fn explain(&self) -> String {
         let r = &self.routing;
         let fmt_set = |s: &[usize]| {
@@ -1150,7 +1366,18 @@ impl ShardedPlan {
                     j.inner_table, r.shards
                 )),
             }
+            if self.is_shard_local() {
+                out.push_str(&format!(
+                    " — co-located on outer shard key {}, joined inside each shard",
+                    r.shard_key
+                ));
+            }
         }
+        out.push_str(if self.is_shard_local() {
+            "\n  run: shard-local — the whole plan on each routed shard, one request per shard"
+        } else {
+            "\n  run: join streamed through the coordinator (not co-located)"
+        });
         out.push_str(if self.template.group.is_some() {
             "\n  gather: merge per-shard partial aggregates by group value"
         } else if self.template.join.is_some() {
@@ -1189,259 +1416,295 @@ impl ShardedPlan {
             });
         }
         let meta = state.meta(&self.template.table)?;
-        let exec = self.template.exec;
-
-        // ---- scatter: selection ----
-        // Per routed shard: the local selected RID set (None = all rows,
-        // kept symbolic like the unsharded executor does).
-        let scatter = &self.routing.selected;
-        let per_shard: Vec<(usize, Option<Vec<u32>>)> = if self.template.probes.is_empty() {
-            scatter.iter().map(|&s| (s, None)).collect()
-        } else {
-            let probes_plan = Plan {
-                table: self.template.table.clone(),
-                probes: self.template.probes.clone(),
-                join: None,
-                group: None,
-                exec,
-            };
-            // One job per routed shard; a whole per-shard selection is a
-            // fat job, so `0` here means one worker per shard (capped at
-            // the core count by the pool), not the probe-count adaptive.
-            let results = WorkerPool::new(exec.threads).run(scatter.len(), |i| {
-                state.shards[scatter[i]].select(&probes_plan)
-            });
-            let mut v = Vec::with_capacity(scatter.len());
-            for (&s, r) in scatter.iter().zip(results) {
-                v.push((s, Some(r?)));
-            }
-            v
+        let rows = match self.coordinator_join() {
+            None => self.run_shard_local(state, meta)?,
+            Some(j) => self.run_join_jobs(state, meta, j)?,
         };
+        Ok(ShardedResultSet {
+            state,
+            outer_table: self.template.table.clone(),
+            inner_table: self.template.join.as_ref().map(|j| j.inner_table.clone()),
+            rows,
+        })
+    }
 
-        // ---- scatter: join (and grouped-join) jobs ----
-        if let Some(j) = &self.template.join {
-            let inner_meta = state.meta(&j.inner_table)?;
-            // (outer shard, inner shard, outer local RIDs) — bucketed by
-            // the owning inner shard when the join column is the inner
-            // shard key, fanned to every inner shard otherwise. Bucket
-            // order follows the outer stream, so no probe order is lost.
-            let mut jobs: Vec<(usize, usize, Vec<u32>)> = Vec::new();
-            for (s, sel) in &per_shard {
-                let outer_rids: Vec<u32> = match sel {
-                    Some(r) => r.clone(),
-                    None => (0..meta.locals[*s].len() as u32).collect(),
+    /// The shard-local path: ship the whole spec to each routed shard —
+    /// one [`ShardRead::run_spec`] per shard over the worker pool — and
+    /// compose the per-shard answers into global rows.
+    fn run_shard_local(&self, state: &ShardedState, meta: &ShardedTable) -> Result<ResultRows> {
+        let t = &self.template;
+        if t.probes.is_empty() && t.join.is_none() && t.group.is_none() {
+            // Every row qualifies, and the placement metadata already
+            // knows every row: no shard is asked.
+            return Ok(ResultRows::Rids((0..meta.rows as u32).collect()));
+        }
+        let inner_meta = match &t.join {
+            Some(j) => Some(state.meta(&j.inner_table)?),
+            None => None,
+        };
+        state.metrics.route_pushdown.inc();
+        // A shard holding none of the outer table's rows answers every
+        // plan with nothing, so it is not asked. One job per remaining
+        // shard; a whole per-shard plan is a fat job, so `0` here means
+        // one worker per shard (capped at the core count by the pool),
+        // not the probe-count adaptive.
+        let routed: Vec<usize> = self
+            .routing
+            .selected
+            .iter()
+            .copied()
+            .filter(|&s| !meta.locals[s].is_empty())
+            .collect();
+        // An explicit thread count is the query's whole budget, not each
+        // shard's: the shards run side by side, so each gets its share
+        // (as the jobs of a coordinator-side join do), and the spec goes
+        // out with that share as its exec override.
+        let share = (t.exec.threads / routed.len().max(1)).max(1);
+        let spec = if t.exec.threads > share {
+            Cow::Owned(self.spec.clone().exec(ExecOptions {
+                threads: share,
+                ..t.exec
+            }))
+        } else {
+            Cow::Borrowed(&self.spec)
+        };
+        let answers = WorkerPool::new(t.exec.threads)
+            .run(routed.len(), |i| state.shards[routed[i]].run_spec(&spec));
+
+        let mut rids: Vec<u32> = Vec::new();
+        let mut joined: Vec<JoinRow> = Vec::new();
+        let mut partials: Vec<Vec<GroupRow>> = Vec::new();
+        for (&s, answer) in routed.iter().zip(answers) {
+            match (answer?, inner_meta, &t.group) {
+                (ResultRows::Groups(rows), _, Some(_)) => partials.push(rows),
+                (ResultRows::Joined(rows), Some(inner_meta), None) => {
+                    joined.reserve(rows.len());
+                    for r in rows {
+                        joined.push(JoinRow {
+                            outer_rid: state.global_rid(meta, s, r.outer_rid)?,
+                            inner_rid: state.global_rid(inner_meta, s, r.inner_rid)?,
+                        });
+                    }
+                }
+                (ResultRows::Rids(local), None, None) => {
+                    state.extend_global(meta, s, &local, &mut rids)?
+                }
+                (other, ..) => {
+                    return Err(MmdbError::Unsupported {
+                        what: format!(
+                            "shard {s} ({}) answered a {} result to a plan of another shape",
+                            state.shards[s].describe(),
+                            shape_name(&other)
+                        ),
+                    })
+                }
+            }
+        }
+        Ok(match (&t.group, inner_meta) {
+            (Some(g), _) => ResultRows::Groups(merge_group_partials(g.agg, partials)),
+            (None, Some(_)) => {
+                joined.sort_unstable();
+                ResultRows::Joined(joined)
+            }
+            (None, None) => {
+                rids.sort_unstable();
+                ResultRows::Rids(rids)
+            }
+        })
+    }
+
+    /// The path of a join that is not co-located: matches for an outer
+    /// row can live on another shard, so the outer stream comes to the
+    /// coordinator. Each routed outer shard selects its rows and hands
+    /// over their join-key values — once; every job below gets its slice
+    /// of them. Jobs are bucketed by the owning inner shard when the join
+    /// column is the inner shard key, fanned to every inner shard
+    /// otherwise; bucket order follows the outer stream, so no probe
+    /// order is lost.
+    fn run_join_jobs(
+        &self,
+        state: &ShardedState,
+        meta: &ShardedTable,
+        j: &JoinStep,
+    ) -> Result<ResultRows> {
+        let t = &self.template;
+        let exec = t.exec;
+        let inner_meta = state.meta(&j.inner_table)?;
+        let nshards = state.shards.len();
+
+        // ---- scatter: the outer stream, one fat job per routed shard ----
+        let probes_plan = (!t.probes.is_empty()).then(|| Plan {
+            table: t.table.clone(),
+            probes: t.probes.clone(),
+            join: None,
+            group: None,
+            exec,
+        });
+        let scatter = &self.routing.selected;
+        let streams = WorkerPool::new(exec.threads).run(
+            scatter.len(),
+            |i| -> Result<(Vec<u32>, Vec<Value>)> {
+                let s = scatter[i];
+                let rids: Vec<u32> = match &probes_plan {
+                    Some(plan) => state.shards[s].select(plan)?,
+                    None => (0..meta.locals[s].len() as u32).collect(),
                 };
-                if outer_rids.is_empty() {
-                    continue;
+                if rids.is_empty() {
+                    return Ok((rids, Vec::new()));
                 }
-                match self.routing.join {
-                    Some(JoinRouting::Bucketed) => {
-                        let keys = state.shards[*s].column_values(
-                            &self.template.table,
-                            &j.outer_column,
-                            Some(&outer_rids),
-                        )?;
-                        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); state.shards.len()];
-                        for (&rid, key) in outer_rids.iter().zip(&keys) {
-                            // Placement is the bucketing function: inner
-                            // rows were placed by `shard_of`, so an outer
-                            // key it cannot place matches no inner row
-                            // (no per-row Vec like `probe_shards` makes).
-                            if let Ok(t) = state.partitioner.shard_of(key) {
-                                buckets[t].push(rid);
-                            }
-                        }
-                        for (t, bucket) in buckets.into_iter().enumerate() {
-                            if !bucket.is_empty() && !inner_meta.locals[t].is_empty() {
-                                jobs.push((*s, t, bucket));
-                            }
-                        }
-                    }
-                    _ => {
-                        for t in 0..state.shards.len() {
-                            if !inner_meta.locals[t].is_empty() {
-                                jobs.push((*s, t, outer_rids.clone()));
-                            }
-                        }
-                    }
-                }
+                // No filter means every row: ask for the whole column
+                // instead of shipping the RIDs back.
+                let wanted = probes_plan.as_ref().map(|_| rids.as_slice());
+                let keys = state.shards[s].column_values(&t.table, &j.outer_column, wanted)?;
+                Ok((rids, keys))
+            },
+        );
+        let streams = streams.into_iter().collect::<Result<Vec<_>>>()?;
+
+        let mut jobs: Vec<JoinJob<'_>> = Vec::new();
+        for (&s, (rids, keys)) in scatter.iter().zip(&streams) {
+            if rids.is_empty() {
+                continue;
             }
-            let total: usize = jobs.iter().map(|(_, _, r)| r.len()).sum();
-            let pool_threads = if exec.threads == 0 {
-                ccindex_parallel::adaptive_threads(total)
+            if self.routing.join == Some(JoinRouting::Bucketed) {
+                let mut buckets: Vec<(Vec<u32>, Vec<Value>)> = vec![Default::default(); nshards];
+                for (&rid, key) in rids.iter().zip(keys) {
+                    // Placement is the bucketing function: inner rows
+                    // were placed by `shard_of`, so an outer key it
+                    // cannot place matches no inner row (no per-row Vec
+                    // like `probe_shards` makes).
+                    if let Ok(t) = state.partitioner.shard_of(key) {
+                        buckets[t].0.push(rid);
+                        buckets[t].1.push(key.clone());
+                    }
+                }
+                for (t, (rids, keys)) in buckets.into_iter().enumerate() {
+                    if !rids.is_empty() && !inner_meta.locals[t].is_empty() {
+                        jobs.push(JoinJob {
+                            s,
+                            t,
+                            rids: Cow::Owned(rids),
+                            keys: Cow::Owned(keys),
+                        });
+                    }
+                }
             } else {
-                exec.threads
-            };
-            let pool = WorkerPool::new(pool_threads);
-            // When there are fewer jobs than workers (one shard, or a
-            // hard-pruned scatter), hand each job the leftover
-            // parallelism so a big join still spreads its outer RID
-            // chunks like the unsharded engine would.
-            let job_threads = (pool_threads / jobs.len().max(1)).max(1);
-
-            if let Some(g) = &self.template.group {
-                // Grouped join: aggregate inside each scatter job, merge
-                // partials by group value at the gather barrier. The
-                // group and measure columns can live on *different*
-                // backends (outer vs inner side), so the job fetches
-                // each side's decoded values through its owning backend
-                // and folds the pairs coordinator-side — by decoded
-                // value, the same ordered-map discipline
-                // `group_aggregate_pairs` applies to domain IDs.
-                let partials = pool.run(jobs.len(), |i| -> Result<Vec<GroupRow>> {
-                    let (s, t, rids) = &jobs[i];
-                    let rows = self.join_job(state, *s, *t, rids, job_threads)?;
-                    let pick = |r: &JoinRow, side: Side| match side {
-                        Side::Outer => r.outer_rid,
-                        Side::Inner => r.inner_rid,
-                    };
-                    let side_shard = |side: Side| match side {
-                        Side::Outer => *s,
-                        Side::Inner => *t,
-                    };
-                    let side_table = |side: Side| match side {
-                        Side::Outer => self.template.table.as_str(),
-                        Side::Inner => j.inner_table.as_str(),
-                    };
-                    let group_rids: Vec<u32> = rows.iter().map(|r| pick(r, g.side)).collect();
-                    let group_vals = state.shards[side_shard(g.side)].column_values(
-                        side_table(g.side),
-                        &g.column,
-                        Some(&group_rids),
-                    )?;
-                    let measure_vals = match &g.measure {
-                        None => None,
-                        Some((m, side)) => {
-                            let m_rids: Vec<u32> = rows.iter().map(|r| pick(r, *side)).collect();
-                            let vals = state.shards[side_shard(*side)].column_values(
-                                side_table(*side),
-                                m,
-                                Some(&m_rids),
-                            )?;
-                            Some((side_table(*side), m.as_str(), vals))
-                        }
-                    };
-                    group_decoded_pairs(group_vals, measure_vals, g.agg)
-                });
-                let mut collected = Vec::with_capacity(partials.len());
-                for p in partials {
-                    collected.push(p?);
+                for t in (0..nshards).filter(|&t| !inner_meta.locals[t].is_empty()) {
+                    jobs.push(JoinJob {
+                        s,
+                        t,
+                        rids: Cow::Borrowed(rids),
+                        keys: Cow::Borrowed(keys),
+                    });
                 }
-                return Ok(ShardedResultSet {
-                    state,
-                    outer_table: self.template.table.clone(),
-                    inner_table: Some(j.inner_table.clone()),
-                    rows: ResultRows::Groups(merge_group_partials(g.agg, collected)),
-                });
             }
+        }
+        let total: usize = jobs.iter().map(|job| job.rids.len()).sum();
+        let pool_threads = if exec.threads == 0 {
+            ccindex_parallel::adaptive_threads(total)
+        } else {
+            exec.threads
+        };
+        let pool = WorkerPool::new(pool_threads);
+        // When there are fewer jobs than workers (one shard, or a
+        // hard-pruned scatter), hand each job the leftover parallelism
+        // so a big join still spreads its outer RID chunks like the
+        // unsharded engine would.
+        let job_threads = (pool_threads / jobs.len().max(1)).max(1);
 
+        let Some(g) = &t.group else {
             // Plain join: map each job's local pairs to global RIDs and
             // merge back into the sequential join's (outer, inner) order.
             let results = pool.run(jobs.len(), |i| {
-                let (s, t, rids) = &jobs[i];
-                self.join_job(state, *s, *t, rids, job_threads)
+                join_job(state, j, &jobs[i], exec.lanes, job_threads)
             });
             let mut all: Vec<JoinRow> = Vec::new();
-            for ((s, t, _), rows) in jobs.iter().zip(results) {
-                for r in rows? {
+            for (job, rows) in jobs.iter().zip(results) {
+                let rows = rows?;
+                all.reserve(rows.len());
+                for r in rows {
                     all.push(JoinRow {
-                        outer_rid: meta.locals[*s][r.outer_rid as usize],
-                        inner_rid: inner_meta.locals[*t][r.inner_rid as usize],
+                        outer_rid: state.global_rid(meta, job.s, r.outer_rid)?,
+                        inner_rid: state.global_rid(inner_meta, job.t, r.inner_rid)?,
                     });
                 }
             }
             all.sort_unstable();
-            return Ok(ShardedResultSet {
-                state,
-                outer_table: self.template.table.clone(),
-                inner_table: Some(j.inner_table.clone()),
-                rows: ResultRows::Joined(all),
-            });
-        }
+            return Ok(ResultRows::Joined(all));
+        };
 
-        // ---- grouped selection (no join) ----
-        if let Some(g) = &self.template.group {
-            let partials = WorkerPool::new(exec.threads).run(per_shard.len(), |i| {
-                let (s, sel) = &per_shard[i];
-                let measure = g.measure.as_ref().map(|(m, _)| m.as_str());
-                state.shards[*s].group_partial(
-                    &self.template.table,
-                    &g.column,
-                    measure,
-                    g.agg,
-                    sel.as_deref(),
-                )
-            });
-            let mut collected = Vec::with_capacity(partials.len());
-            for p in partials {
-                collected.push(p?);
+        // Grouped join: aggregate inside each scatter job, merge
+        // partials by group value at the gather barrier. The group and
+        // measure columns can live on *different* backends (outer vs
+        // inner side), so the job fetches each side's decoded values
+        // through its owning backend and folds the pairs
+        // coordinator-side — by decoded value, the same ordered-map
+        // discipline `group_aggregate_pairs` applies to domain IDs.
+        let partials = pool.run(jobs.len(), |i| -> Result<Vec<GroupRow>> {
+            let job = &jobs[i];
+            let rows = join_job(state, j, job, exec.lanes, job_threads)?;
+            if rows.is_empty() {
+                return Ok(Vec::new());
             }
-            return Ok(ShardedResultSet {
-                state,
-                outer_table: self.template.table.clone(),
-                inner_table: None,
-                rows: ResultRows::Groups(merge_group_partials(g.agg, collected)),
-            });
-        }
-
-        // ---- plain selection: gather local RIDs into global order ----
-        let mut rids: Vec<u32> = Vec::new();
-        for (s, sel) in &per_shard {
-            match sel {
-                Some(local) => rids.extend(local.iter().map(|&l| meta.locals[*s][l as usize])),
-                None => rids.extend(meta.locals[*s].iter().copied()),
-            }
-        }
-        rids.sort_unstable();
-        Ok(ShardedResultSet {
-            state,
-            outer_table: self.template.table.clone(),
-            inner_table: None,
-            rows: ResultRows::Rids(rids),
-        })
+            let side_values = |column: &str, side: Side| {
+                let (shard, table, rids): (usize, &str, Vec<u32>) = match side {
+                    Side::Outer => (job.s, &t.table, rows.iter().map(|r| r.outer_rid).collect()),
+                    Side::Inner => (
+                        job.t,
+                        &j.inner_table,
+                        rows.iter().map(|r| r.inner_rid).collect(),
+                    ),
+                };
+                let values = state.shards[shard].column_values(table, column, Some(&rids))?;
+                Ok::<_, MmdbError>((table, values))
+            };
+            let (_, group_vals) = side_values(&g.column, g.side)?;
+            let measure_vals = match &g.measure {
+                None => None,
+                Some((m, side)) => {
+                    let (table, values) = side_values(m, *side)?;
+                    Some((table, m.as_str(), values))
+                }
+            };
+            group_decoded_pairs(group_vals, measure_vals, g.agg)
+        });
+        let partials = partials.into_iter().collect::<Result<Vec<_>>>()?;
+        Ok(ResultRows::Groups(merge_group_partials(g.agg, partials)))
     }
+}
 
-    /// One scatter job of the join stage: fetch the outer join-key
-    /// values from shard `s`'s backend, probe inner shard `t`'s index
-    /// with them ([`ShardBackend::join_probe_batch`] — the same
-    /// partitioned indexed nested-loop operator whichever side of the
-    /// wire it runs on), and pair each outer RID with its matches in
-    /// probe order. `threads` is the job's share of the pool's
-    /// parallelism — 1 when there are enough jobs to keep every worker
-    /// busy, more when the scatter set is smaller than the pool (the
-    /// chunk outputs still concatenate in outer-stream order, so the
-    /// result is unchanged).
-    fn join_job(
-        &self,
-        state: &ShardedState,
-        s: usize,
-        t: usize,
-        outer_rids: &[u32],
-        threads: usize,
-    ) -> Result<Vec<JoinRow>> {
-        let j = self.template.join.as_ref().expect("join jobs need a join");
-        let values = state.shards[s].column_values(
-            &self.template.table,
-            &j.outer_column,
-            Some(outer_rids),
-        )?;
-        let matches = state.shards[t].join_probe_batch(
-            &j.inner_table,
-            &j.inner_column,
-            j.kind,
-            &values,
-            self.template.exec.lanes,
-            threads,
-        )?;
-        let mut rows = Vec::new();
-        for (&outer_rid, inner) in outer_rids.iter().zip(matches) {
-            rows.extend(inner.into_iter().map(|inner_rid| JoinRow {
-                outer_rid,
-                inner_rid,
-            }));
-        }
-        Ok(rows)
+/// One scatter job of the coordinator-side join: probe inner shard
+/// `job.t`'s index with the job's outer join-key values
+/// ([`ShardRead::join_probe_batch`] — the same partitioned indexed
+/// nested-loop operator whichever side of the wire it runs on) and pair
+/// each outer RID with its matches in probe order. `threads` is the
+/// job's share of the pool's parallelism — 1 when there are enough jobs
+/// to keep every worker busy, more when the scatter set is smaller than
+/// the pool (the chunk outputs still concatenate in outer-stream order,
+/// so the result is unchanged).
+fn join_job(
+    state: &ShardedState,
+    j: &JoinStep,
+    job: &JoinJob<'_>,
+    lanes: usize,
+    threads: usize,
+) -> Result<Vec<JoinRow>> {
+    let matches = state.shards[job.t].join_probe_batch(
+        &j.inner_table,
+        &j.inner_column,
+        j.kind,
+        &job.keys,
+        lanes,
+        threads,
+    )?;
+    let mut rows = Vec::new();
+    for (&outer_rid, inner) in job.rids.iter().zip(matches) {
+        rows.extend(inner.into_iter().map(|inner_rid| JoinRow {
+            outer_rid,
+            inner_rid,
+        }));
     }
+    Ok(rows)
 }
 
 /// Fold decoded `(group, measure)` pairs into per-group aggregates, in
@@ -1652,5 +1915,235 @@ fn shape_name(rows: &ResultRows) -> &'static str {
         ResultRows::Rids(_) => "selection",
         ResultRows::Joined(_) => "join",
         ResultRows::Groups(_) => "grouped",
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::backend::ShardInfo;
+    use mmdb::{on, TableBuilder};
+
+    /// Past any row count in these tests.
+    const SHIFT: u32 = 1_000_000;
+
+    /// A shard that records the exec override of every spec it is sent
+    /// and adds `shift` to every RID it answers — `SHIFT` is what a wrong
+    /// or stale reply across the wire looks like to the gather, `0` is a
+    /// faithful shard.
+    #[derive(Debug)]
+    struct Fake {
+        inner: Arc<dyn ShardRead>,
+        shift: u32,
+        sent: Mutex<Vec<Option<ExecOptions>>>,
+    }
+
+    impl Fake {
+        fn shift_sets(&self, sets: Vec<Vec<u32>>) -> Vec<Vec<u32>> {
+            sets.into_iter()
+                .map(|set| set.into_iter().map(|r| r + self.shift).collect())
+                .collect()
+        }
+    }
+
+    impl ShardRead for Fake {
+        fn run_spec(&self, spec: &QuerySpec) -> Result<ResultRows> {
+            self.sent.lock().unwrap().push(spec.exec);
+            Ok(match self.inner.run_spec(spec)? {
+                ResultRows::Rids(rids) => ResultRows::Rids(self.shift_sets(vec![rids]).remove(0)),
+                ResultRows::Joined(rows) => ResultRows::Joined(
+                    rows.into_iter()
+                        .map(|r| JoinRow {
+                            inner_rid: r.inner_rid + self.shift,
+                            ..r
+                        })
+                        .collect(),
+                ),
+                groups => groups,
+            })
+        }
+        fn point_probe_batch(&self, t: &str, c: &str, v: &[Value]) -> Result<Vec<Vec<u32>>> {
+            let sets = self.inner.point_probe_batch(t, c, v)?;
+            Ok(self.shift_sets(sets))
+        }
+        fn range_probe_batch(
+            &self,
+            t: &str,
+            c: &str,
+            r: &[(Value, Value)],
+        ) -> Result<Vec<Vec<u32>>> {
+            let sets = self.inner.range_probe_batch(t, c, r)?;
+            Ok(self.shift_sets(sets))
+        }
+        fn select(&self, plan: &Plan) -> Result<Vec<u32>> {
+            self.inner.select(plan)
+        }
+        fn join_probe_batch(
+            &self,
+            t: &str,
+            c: &str,
+            kind: IndexKind,
+            v: &[Value],
+            lanes: usize,
+            threads: usize,
+        ) -> Result<Vec<Vec<u32>>> {
+            let sets = self.inner.join_probe_batch(t, c, kind, v, lanes, threads)?;
+            Ok(self.shift_sets(sets))
+        }
+        fn column_values(&self, t: &str, c: &str, rids: Option<&[u32]>) -> Result<Vec<Value>> {
+            self.inner.column_values(t, c, rids)
+        }
+        fn compile(&self, spec: &QuerySpec) -> Result<Plan> {
+            self.inner.compile(spec)
+        }
+        fn columns(&self, t: &str) -> Result<Vec<String>> {
+            self.inner.columns(t)
+        }
+        fn rows(&self, t: &str) -> Result<usize> {
+            self.inner.rows(t)
+        }
+        fn fetch_snapshot(&self) -> Result<Vec<u8>> {
+            self.inner.fetch_snapshot()
+        }
+        fn observe(&self) -> Result<ShardInfo> {
+            self.inner.observe()
+        }
+        fn describe(&self) -> String {
+            format!("fake {}", self.inner.describe())
+        }
+    }
+
+    /// `sales` ⋈ `customers` over `shards` hash shards at `threads`
+    /// workers, `sales` sharded on `sales_key`, with shard 1 replaced by
+    /// a [`Fake`] shifting by `shift`.
+    fn with_a_fake_shard(
+        shards: usize,
+        threads: usize,
+        sales_key: &str,
+        shift: u32,
+    ) -> (ShardedState, Arc<Fake>) {
+        let mut db = ShardedDatabase::hash(shards).unwrap();
+        db.set_exec_options(ExecOptions {
+            threads,
+            ..ExecOptions::default()
+        })
+        .unwrap();
+        let sales = TableBuilder::new("sales")
+            .int_column("cust", (0..80).map(|i| (i * 31) % 40))
+            .int_column("amount", (0..80).map(|i| (i * 17) % 500))
+            .build()
+            .unwrap();
+        let customers = TableBuilder::new("customers")
+            .int_column("id", 0..40)
+            .build()
+            .unwrap();
+        db.register(sales, sales_key).unwrap();
+        db.register(customers, "id").unwrap();
+        for (table, column) in [("sales", "cust"), ("sales", "amount"), ("customers", "id")] {
+            db.create_index(table, column, IndexKind::FullCss).unwrap();
+        }
+        let mut state = db.catalog().clone();
+        let fake = Arc::new(Fake {
+            inner: state.shards[1].clone(),
+            shift,
+            sent: Mutex::default(),
+        });
+        state.shards[1] = fake.clone();
+        (state, fake)
+    }
+
+    fn assert_names_the_shard<T: std::fmt::Debug>(what: &str, answer: Result<T>) {
+        match answer {
+            Err(MmdbError::Unsupported { what: text }) => assert!(
+                text.contains("shard 1 (fake") && text.contains("local rid"),
+                "{what}: {text}"
+            ),
+            other => panic!("{what}: expected a typed error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn out_of_range_rids_in_a_shard_reply_are_a_typed_error() {
+        // Shard-local plans: a fanned selection, a co-located join.
+        let (state, _) = with_a_fake_shard(2, 1, "cust", SHIFT);
+        let all = between("amount", 0, 499);
+        let select = state.query("sales").filter(all.clone());
+        assert!(select.plan().unwrap().is_shard_local());
+        assert_names_the_shard("selection", select.run().map(|r| r.rows().clone()));
+        let join = select.join("customers", on("cust", "id"));
+        assert!(join.plan().unwrap().is_shard_local());
+        assert_names_the_shard("co-located join", join.run().map(|r| r.rows().clone()));
+
+        // Probe batches, fanned (non-key column) and pruned (shard key).
+        let amounts: Vec<Value> = (0..500).map(Value::Int).collect();
+        assert_names_the_shard(
+            "fanned points",
+            state.point_probe_batch("sales", "amount", &amounts),
+        );
+        let keys: Vec<Value> = (0..40).map(Value::Int).collect();
+        assert_names_the_shard(
+            "pruned points",
+            state.point_probe_batch("sales", "cust", &keys),
+        );
+        assert_names_the_shard(
+            "fanned ranges",
+            state.range_probe_batch("sales", "amount", &[(Value::Int(0), Value::Int(499))]),
+        );
+
+        // A join streamed through the coordinator (bucketed, but the
+        // outer table is sharded on another column).
+        let (state, _) = with_a_fake_shard(2, 1, "amount", SHIFT);
+        let join = state
+            .query("sales")
+            .filter(all)
+            .join("customers", on("cust", "id"));
+        assert!(!join.plan().unwrap().is_shard_local());
+        assert_names_the_shard("streamed join", join.run().map(|r| r.rows().clone()));
+    }
+
+    #[test]
+    fn an_explicit_thread_count_is_split_across_the_routed_shards() {
+        let sent = |fake: &Fake| std::mem::take(&mut *fake.sent.lock().unwrap());
+        let (state, fake) = with_a_fake_shard(4, 8, "cust", 0);
+        let fanned = state.query("sales").filter(between("amount", 0, 499));
+        let join = fanned.clone().join("customers", on("cust", "id"));
+
+        // Four shards share the catalog's eight workers, two each.
+        fanned.run().unwrap();
+        join.run().unwrap();
+        let two = Some(ExecOptions {
+            threads: 2,
+            ..state.exec
+        });
+        assert_eq!(sent(&fake), [two, two]);
+
+        // A per-query override is the budget that is split.
+        let three = ExecOptions {
+            threads: 3,
+            ..state.exec
+        };
+        join.exec(three).run().unwrap();
+        assert_eq!(
+            sent(&fake),
+            [Some(ExecOptions {
+                threads: 1,
+                ..three
+            })]
+        );
+
+        // A plan routed to one shard keeps the whole budget — the spec
+        // goes out as written — and so does every plan when the thread
+        // count is automatic (each shard sizes its own pool).
+        for cust in 0..40 {
+            state.query("sales").filter(eq("cust", cust)).run().unwrap();
+        }
+        let points = sent(&fake);
+        assert!(!points.is_empty() && points.iter().all(Option::is_none));
+        let (auto, fake) = with_a_fake_shard(4, 0, "cust", 0);
+        auto.query("sales")
+            .filter(between("amount", 0, 499))
+            .run()
+            .unwrap();
+        assert_eq!(sent(&fake), [None]);
     }
 }

@@ -3,10 +3,13 @@
 //! message.
 //!
 //! [`ShardRequest`] covers the full `ShardRead` + `ShardBackend`
-//! surface — probe batches, probes-only selections, join-probe
-//! fan-out, group-by partials, value fetches, plan compilation, table
-//! admin — plus [`ShardRequest::ExecuteBatch`], which fronts the remote
-//! `BatchServer` directly with a whole window of requests. Query
+//! surface — whole query specs, probe batches, probes-only selections,
+//! join-probe fan-out, value fetches, plan compilation, table admin —
+//! plus [`ShardRequest::ExecuteBatch`], which fronts the remote
+//! `BatchServer` directly with a whole window of requests, and one v3
+//! leftover no client sends any more ([`ShardRequest::GroupPartial`]:
+//! grouped plans travel whole as [`ShardRequest::RunSpec`]; the frame
+//! goes at the next version bump). Query
 //! descriptions and serving requests are `mmdb`'s own [`QuerySpec`] and
 //! [`Request`], encoded directly: the wire has no types of its own for
 //! them.
@@ -77,7 +80,10 @@ pub enum ShardRequest {
         /// Worker threads for the probe partitioning.
         threads: usize,
     },
-    /// Grouped partial aggregate over this shard's rows.
+    /// Grouped partial aggregate over this shard's rows. Kept so v3
+    /// stays v3: servers still answer it, but the coordinator ships
+    /// grouped plans whole ([`ShardRequest::RunSpec`]) and no longer
+    /// sends it; remove at the next protocol version.
     GroupPartial {
         /// Table holding the group (and measure) columns.
         table: String,

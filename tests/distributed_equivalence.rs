@@ -401,3 +401,424 @@ fn one_query_spec_answers_identically_on_every_surface() {
     );
     server.shutdown();
 }
+
+// ---------------------------------------------------------------------
+// One request per routed shard: trips, co-location, generations, faults
+// ---------------------------------------------------------------------
+
+/// Framed requests the servers have answered so far, summed.
+fn server_requests(servers: &[ShardServer]) -> u64 {
+    servers
+        .iter()
+        .map(|s| {
+            s.registry()
+                .find_counter("server.requests")
+                .expect("registered at bind")
+                .get()
+        })
+        .sum()
+}
+
+fn counter(db: &ShardedDatabase, name: &str) -> u64 {
+    db.registry()
+        .find_counter(name)
+        .unwrap_or_else(|| panic!("{name} is registered at construction"))
+        .get()
+}
+
+#[test]
+fn a_warm_shape_costs_one_request_per_routed_shard() {
+    let rows = 600;
+    let (db, servers) = distributed(rows, HashPartitioner::new(2).unwrap());
+    // (pipeline, wire requests per run once the shape is warm, shard-local runs)
+    let shapes: [(&str, u64, u64); 7] = [
+        ("point_key", 1, 1),        // pruned to the owning shard
+        ("range_key", 2, 1),        // hash layout: ranges fan
+        ("group_filtered", 2, 1),   // four rows per shard come back
+        ("join_filtered", 2, 1),    // co-located: cust ⋈ id
+        ("join_group_inner", 2, 1), // co-located join + group
+        ("conjunction", 1, 1),      // one conjunct on the shard key prunes
+        ("all", 0, 0),              // placement metadata answers
+    ];
+    for (what, trips, pushdowns) in shapes {
+        let warm = run_sharded(&db, what);
+        let (hits, misses) = (
+            counter(&db, "shard.template.hits"),
+            counter(&db, "shard.template.misses"),
+        );
+        let pushed = counter(&db, "shard.route.pushdown");
+        let before = server_requests(&servers);
+        assert_eq!(run_sharded(&db, what), warm, "`{what}` is repeatable");
+        assert_eq!(
+            server_requests(&servers) - before,
+            trips,
+            "`{what}`: wire requests for a warm shape"
+        );
+        assert_eq!(counter(&db, "shard.template.hits"), hits + 1, "`{what}`");
+        assert_eq!(counter(&db, "shard.template.misses"), misses, "`{what}`");
+        assert_eq!(
+            counter(&db, "shard.route.pushdown"),
+            pushed + pushdowns,
+            "`{what}`"
+        );
+    }
+    // Other literals are the same shape: still no compile.
+    let misses = counter(&db, "shard.template.misses");
+    let before = server_requests(&servers);
+    db.query("orders").filter(eq("cust", 77)).run().unwrap();
+    assert_eq!(server_requests(&servers) - before, 1);
+    assert_eq!(counter(&db, "shard.template.misses"), misses);
+
+    // A probe batch resolves its access path through the same cache: a
+    // warm pruned batch costs as many requests as shards with work.
+    // The batch stands for the one-filter point query, whose template the
+    // queries above already cached: a hit, no compile, no slot of its own.
+    let values: Vec<Value> = (0..64).map(|i| Value::Int(i % KEY_SPACE)).collect();
+    let (cached, hits, misses) = (
+        db.catalog().cached_templates(),
+        counter(&db, "shard.template.hits"),
+        counter(&db, "shard.template.misses"),
+    );
+    let want = db.point_probe_batch("orders", "cust", &values).unwrap();
+    assert_eq!(db.catalog().cached_templates(), cached);
+    assert_eq!(counter(&db, "shard.template.hits"), hits + 1);
+    assert_eq!(counter(&db, "shard.template.misses"), misses);
+    let before = server_requests(&servers);
+    assert_eq!(
+        db.point_probe_batch("orders", "cust", &values).unwrap(),
+        want
+    );
+    assert_eq!(
+        server_requests(&servers) - before,
+        2,
+        "both shards own keys"
+    );
+    let owner = db.query("orders").filter(eq("cust", 42)).plan().unwrap();
+    assert_eq!(owner.routing.selected.len(), 1);
+    let before = server_requests(&servers);
+    db.point_probe_batch("orders", "cust", &vec![Value::Int(42); 64])
+        .unwrap();
+    assert_eq!(server_requests(&servers) - before, 1, "one shard has work");
+    let ranges = [
+        (Value::Int(3), Value::Int(9)),
+        (Value::Int(50), Value::Int(40)),
+    ];
+    db.range_probe_batch("orders", "cust", &ranges).unwrap();
+    let before = server_requests(&servers);
+    db.range_probe_batch("orders", "cust", &ranges).unwrap();
+    assert_eq!(server_requests(&servers) - before, 2);
+    // Validation still beats routing, warm or cold, and is never cached.
+    for _ in 0..2 {
+        assert!(matches!(
+            db.point_probe_batch("orders", "nocol", &[]).unwrap_err(),
+            MmdbError::UnknownColumn { .. }
+        ));
+    }
+    for server in servers {
+        server.shutdown();
+    }
+}
+
+/// The matrix's inner table. With [`orders`], every shard-key candidate
+/// is an integer in `0..1000`, so one range partitioner can own any of
+/// them.
+fn matrix_customers() -> Table {
+    // Ten ids appear twice, so some outer rows match two inner rows.
+    TableBuilder::new("customers")
+        .int_column("id", (0..KEY_SPACE + 10).map(|i| i % KEY_SPACE))
+        .int_column("tier", (0..KEY_SPACE + 10).map(|i| (i * 13) % 40))
+        .str_column(
+            "region",
+            (0..(KEY_SPACE + 10) as usize).map(|i| ["e", "w", "n", "s"][i % 4]),
+        )
+        .build()
+        .expect("equal columns")
+}
+
+fn matrix_indexes(create: &mut dyn FnMut(&str, &str, IndexKind)) {
+    create("orders", "amount", IndexKind::FullCss);
+    create("orders", "cust", IndexKind::Hash);
+    create("orders", "day", IndexKind::Hash);
+    create("customers", "id", IndexKind::FullCss);
+    create("customers", "id", IndexKind::Hash);
+}
+
+/// Join and join+group shapes with the group and the measure on either
+/// side, every aggregate, a forced kind and a per-query exec override.
+fn matrix_spec(what: &str) -> QuerySpec {
+    let q = QuerySpec::table("orders");
+    let joined = |q: QuerySpec| q.join("customers", on("cust", "id"));
+    match what {
+        "join" => joined(q),
+        "join_filtered" => joined(q.filter(between("amount", 150, 850))),
+        "join_pruned" => joined(q.filter(eq("cust", 42))),
+        "join_forced_hash" => joined(q.filter(eq("day", "tue"))).using(IndexKind::Hash),
+        "group_inner_sum_outer" => {
+            joined(q.filter(between("amount", 50, 950))).group_by("region", sum("amount"))
+        }
+        "group_outer_max_inner" => joined(q).group_by("day", max("tier")),
+        "group_inner_min_inner" => joined(q).group_by("region", min("tier")),
+        "group_outer_count" => joined(q.filter(between("amount", 0, 500))).group_by("day", count()),
+        "group_exec_override" => joined(q)
+            .group_by("tier", sum("amount"))
+            .exec(ExecOptions::threads(3)),
+        other => panic!("unknown matrix query {other}"),
+    }
+}
+
+const MATRIX_QUERIES: [&str; 9] = [
+    "join",
+    "join_filtered",
+    "join_pruned",
+    "join_forced_hash",
+    "group_inner_sum_outer",
+    "group_outer_max_inner",
+    "group_inner_min_inner",
+    "group_outer_count",
+    "group_exec_override",
+];
+
+#[test]
+fn joins_match_for_every_placement_of_the_join_columns() {
+    let rows = 600;
+    let mut un = Database::new();
+    un.register(orders(rows)).unwrap();
+    un.register(matrix_customers()).unwrap();
+    matrix_indexes(&mut |t, c, k| un.create_index(t, c, k).unwrap());
+    let reference: Vec<ResultRows> = MATRIX_QUERIES
+        .iter()
+        .map(|&w| un.catalog().run_spec(&matrix_spec(w)).expect("planned"))
+        .collect();
+    assert!(reference.iter().all(|r| match r {
+        ResultRows::Joined(rows) => !rows.is_empty(),
+        ResultRows::Groups(rows) => !rows.is_empty(),
+        ResultRows::Rids(_) => false,
+    }));
+
+    // (outer shard key, inner shard key, runs whole on each shard?)
+    let layouts = [
+        ("cust", "id", true),    // co-located
+        ("amount", "id", false), // bucketed by inner shard key, not co-located
+        ("cust", "tier", false), // inner not sharded on its join column: fanned
+    ];
+    for shards in SHARD_COUNTS {
+        for (outer_key, inner_key, local) in layouts {
+            for range in [false, true] {
+                let servers: Vec<ShardServer> = (0..shards)
+                    .map(|_| ShardServer::spawn(Database::new()).unwrap())
+                    .collect();
+                let addrs: Vec<String> = servers.iter().map(ShardServer::addr).collect();
+                // Under the range layout `cust`, `id` and `tier` all fall
+                // in the first span, so every later shard holds no row of
+                // a table sharded on them.
+                let mut db = if range {
+                    let p = RangePartitioner::int_spans(0, 999, shards).unwrap();
+                    ShardedDatabase::connect(p, &addrs)
+                } else {
+                    ShardedDatabase::connect(HashPartitioner::new(shards).unwrap(), &addrs)
+                }
+                .unwrap();
+                db.register(orders(rows), outer_key).unwrap();
+                db.register(matrix_customers(), inner_key).unwrap();
+                matrix_indexes(&mut |t, c, k| db.create_index(t, c, k).unwrap());
+                let label = format!(
+                    "{} x{shards}, orders on {outer_key}, customers on {inner_key}",
+                    db.partitioner()
+                );
+                if range && shards > 1 && outer_key == "cust" {
+                    assert_eq!(db.backend(1).reader().rows("orders").unwrap(), 0, "{label}");
+                }
+                for (&what, want) in MATRIX_QUERIES.iter().zip(&reference) {
+                    let spec = matrix_spec(what);
+                    let plan = db.catalog().compile(&spec).unwrap();
+                    assert_eq!(plan.is_shard_local(), local, "{label}: `{what}`");
+                    let mode = if local {
+                        "run: shard-local"
+                    } else {
+                        "run: join streamed through the coordinator"
+                    };
+                    assert!(plan.explain().contains(mode), "{}", plan.explain());
+                    // Twice: a cold and a warm template.
+                    for _ in 0..2 {
+                        assert_eq!(
+                            &db.catalog().run_spec(&spec).expect("planned"),
+                            want,
+                            "{label}: `{what}` diverged"
+                        );
+                    }
+                }
+                for server in servers {
+                    server.shutdown();
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn the_template_cache_dies_with_its_generation_and_stays_bounded() {
+    use ccindex::shard::TEMPLATE_CACHE_CAPACITY;
+    let rows = 300;
+    let mut un = unsharded(rows);
+    let (mut db, servers) = distributed(rows, HashPartitioner::new(2).unwrap());
+    type Build = fn(QuerySpec) -> QuerySpec;
+    // (shape, the index whose removal breaks it)
+    let shapes: [(Build, (&str, &str, IndexKind)); 3] = [
+        (
+            |q| {
+                q.filter(between("amount", 100, 500))
+                    .using(IndexKind::BPlusTree)
+            },
+            ("orders", "amount", IndexKind::BPlusTree), // IndexNotBuilt
+        ),
+        (
+            |q| {
+                q.filter(between("cust", 10, 50))
+                    .group_by("day", sum("amount"))
+            },
+            ("orders", "cust", IndexKind::FullCss), // NoOrderedIndex: hash is left
+        ),
+        (
+            |q| {
+                q.join("customers", on("cust", "id"))
+                    .using(IndexKind::LevelCss)
+            },
+            ("customers", "id", IndexKind::LevelCss), // IndexNotBuilt on the inner side
+        ),
+    ];
+    for (build, (table, column, kind)) in shapes {
+        let spec = build(QuerySpec::table("orders"));
+        let same = |db: &ShardedDatabase, un: &Database, when: &str| {
+            for _ in 0..2 {
+                assert_eq!(
+                    db.catalog().run_spec(&spec),
+                    un.catalog().run_spec(&spec),
+                    "{when}: {spec:?}"
+                );
+            }
+        };
+        same(&db, &un, "before");
+        assert!(db.catalog().run_spec(&spec).is_ok());
+        assert!(db.catalog().cached_templates() >= 1);
+
+        un.drop_index(table, column, kind).unwrap();
+        db.drop_index(table, column, kind).unwrap();
+        assert_eq!(db.catalog().cached_templates(), 0, "publish() resets");
+        same(&db, &un, "after drop_index");
+        let err = db.catalog().run_spec(&spec).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                MmdbError::IndexNotBuilt { .. } | MmdbError::NoOrderedIndex { .. }
+            ),
+            "{err:?}"
+        );
+        assert_eq!(db.catalog().cached_templates(), 0, "errors are not cached");
+
+        un.create_index(table, column, kind).unwrap();
+        db.create_index(table, column, kind).unwrap();
+        same(&db, &un, "after create_index");
+        assert!(db.catalog().run_spec(&spec).is_ok());
+    }
+
+    // Typed planning errors are the unsharded catalog's, run after run.
+    for bad in [
+        QuerySpec::table("nope"),
+        QuerySpec::table("orders").filter(eq("nocol", 1)),
+        QuerySpec::table("orders").group_by("day", sum("day")),
+        QuerySpec::table("orders").join("customers", on("cust", "nocol")),
+    ] {
+        let misses = counter(&db, "shard.template.misses");
+        let cached = db.catalog().cached_templates();
+        for _ in 0..2 {
+            let err = db.catalog().run_spec(&bad).unwrap_err();
+            assert_eq!(err, un.catalog().run_spec(&bad).unwrap_err());
+        }
+        assert_eq!(db.catalog().cached_templates(), cached, "{bad:?}");
+        // An unknown outer table fails in the coordinator's own metadata.
+        let asked = if bad.table == "nope" { 0 } else { 2 };
+        assert_eq!(counter(&db, "shard.template.misses"), misses + asked);
+    }
+
+    // A pinned snapshot shares its generation's cache; the next
+    // generation starts empty while the pin keeps its own.
+    let pinned = db.snapshot();
+    let warm = QuerySpec::table("orders").filter(eq("cust", 7));
+    db.catalog().run_spec(&warm).unwrap();
+    let cached = pinned.cached_templates();
+    assert!(cached >= 1);
+    let hits = counter(&db, "shard.template.hits");
+    pinned.run_spec(&warm).unwrap();
+    assert_eq!(counter(&db, "shard.template.hits"), hits + 1);
+    db.create_index("orders", "day", IndexKind::FullCss)
+        .unwrap();
+    assert_eq!(db.catalog().cached_templates(), 0);
+    assert_eq!(pinned.cached_templates(), cached);
+
+    // Ad-hoc shapes cannot grow the map past its capacity.
+    let want = un.catalog().run_spec(&warm).unwrap();
+    for lanes in 1..=TEMPLATE_CACHE_CAPACITY + 6 {
+        let spec = warm.clone().exec(ExecOptions {
+            lanes,
+            ..ExecOptions::default()
+        });
+        assert_eq!(db.catalog().run_spec(&spec).unwrap(), want);
+        let cached = db.catalog().cached_templates();
+        assert!(
+            (1..=TEMPLATE_CACHE_CAPACITY).contains(&cached),
+            "{cached} shapes cached after {lanes}"
+        );
+    }
+    assert_eq!(
+        db.catalog().cached_templates(),
+        6,
+        "cleared once, at capacity"
+    );
+    for server in servers {
+        server.shutdown();
+    }
+}
+
+#[test]
+fn a_shard_killed_between_shard_local_queries_is_a_typed_transport_error() {
+    let rows = 300;
+    let (db, mut servers) = distributed(rows, HashPartitioner::new(2).unwrap());
+    let grouped = || {
+        db.query("orders")
+            .filter(between("amount", 50, 950))
+            .join("customers", on("cust", "id"))
+            .group_by("region", sum("amount"))
+    };
+    assert!(grouped().plan().unwrap().is_shard_local());
+    assert_eq!(grouped().run().unwrap().groups().len(), 4);
+    let pushed = counter(&db, "shard.route.pushdown");
+    servers.remove(1).kill();
+    // The template is cached, so shard 0 is not even asked to compile:
+    // the error comes from the gather barrier, whole — never the
+    // surviving shard's partial groups.
+    for _ in 0..2 {
+        let err = grouped().run().unwrap_err();
+        assert!(
+            matches!(err, MmdbError::Transport { .. }),
+            "expected a typed transport error, got {err:?}"
+        );
+        assert!(err.to_string().contains("127.0.0.1"), "{err}");
+    }
+    assert_eq!(counter(&db, "shard.route.pushdown"), pushed + 2);
+    // A query pruned to the surviving shard still answers.
+    let alive = (0..KEY_SPACE)
+        .find(|&k| {
+            let plan = db.query("orders").filter(eq("cust", k)).plan().unwrap();
+            plan.routing.selected == [0]
+        })
+        .expect("shard 0 owns some key");
+    assert!(!db
+        .query("orders")
+        .filter(eq("cust", alive))
+        .run()
+        .unwrap()
+        .is_empty());
+    for server in servers {
+        server.shutdown();
+    }
+}

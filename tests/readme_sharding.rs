@@ -21,6 +21,7 @@ fn demo() -> Result<(), MmdbError> {
     // records the routing.
     let plan = db.query("sales").filter(eq("cust", 1)).plan()?;
     assert!(plan.explain().contains("(pruned)"));
+    assert!(plan.is_shard_local()); // the whole plan runs on that shard
     assert_eq!(plan.execute(&db)?.rids(), &[0, 2]); // global row ids
 
     // Updates split by owning shard; the shard key re-partitions.
