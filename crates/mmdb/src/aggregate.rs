@@ -7,7 +7,7 @@
 //! `equal_range`s an ordered index reports.
 
 use crate::column::Column;
-use crate::domain::Value;
+use crate::domain::{DomainView, Value};
 use crate::rid::RidList;
 use std::collections::BTreeMap;
 
@@ -33,6 +33,39 @@ pub struct GroupRow {
     pub value: i64,
 }
 
+/// A measure column resolved once per aggregation into its in-place IDs
+/// and its domain's typed array, so the per-row read is two slice loads
+/// and cannot meet a non-integer value.
+#[derive(Clone, Copy)]
+struct Measure<'a> {
+    ids: &'a [u32],
+    ints: &'a [i64],
+}
+
+impl<'a> Measure<'a> {
+    /// `None` for `Count` (which reads no measure); otherwise the measure
+    /// column, which callers have checked is integer-valued
+    /// ([`Domain::is_int`](crate::domain::Domain::is_int) — the planner's
+    /// `NonIntegerMeasure` check).
+    fn resolve(measure: Option<&'a Column>, agg: AggFn) -> Option<Self> {
+        if agg == AggFn::Count {
+            return None;
+        }
+        let column = measure.expect("aggregate other than Count needs a measure column");
+        let DomainView::Int(ints) = column.domain().view() else {
+            panic!("aggregate other than Count needs an integer-valued measure column");
+        };
+        Some(Self {
+            ids: column.ids(),
+            ints,
+        })
+    }
+
+    fn at(self, rid: u32) -> i64 {
+        self.ints[self.ids[rid as usize] as usize]
+    }
+}
+
 /// Grouped aggregation over arbitrary `(group_rid, measure_rid)` pairs —
 /// the operator a query plan runs when grouping *filtered* selections or
 /// join output, where rows no longer arrive clustered by group. Groups
@@ -51,9 +84,7 @@ pub fn group_aggregate_pairs(
     pairs: impl IntoIterator<Item = (u32, u32)>,
     agg: AggFn,
 ) -> Vec<GroupRow> {
-    if agg != AggFn::Count {
-        measure.expect("aggregate other than Count needs a measure column");
-    }
+    let measure = Measure::resolve(measure, agg);
     let mut acc = BTreeMap::new();
     accumulate_pairs(&mut acc, group_col, measure, pairs, agg);
     decode_accumulator(group_col, acc)
@@ -93,9 +124,7 @@ where
     T: Sync,
     F: Fn(&T) -> (u32, u32) + Sync,
 {
-    if agg != AggFn::Count {
-        measure.expect("aggregate other than Count needs a measure column");
-    }
+    let measure = Measure::resolve(measure, agg);
     let partials = ccindex_parallel::WorkerPool::new(threads).map_chunks(items, |chunk| {
         let mut acc = BTreeMap::new();
         accumulate_pairs(
@@ -120,9 +149,7 @@ pub fn group_aggregate_rows_par(
     agg: AggFn,
     threads: usize,
 ) -> Vec<GroupRow> {
-    if agg != AggFn::Count {
-        measure.expect("aggregate other than Count needs a measure column");
-    }
+    let measure = Measure::resolve(measure, agg);
     let pool = ccindex_parallel::WorkerPool::new(threads);
     let ranges = ccindex_parallel::partition(rows as usize, pool.threads());
     let partials = pool.run(ranges.len(), |i| {
@@ -161,23 +188,21 @@ fn combine(agg: AggFn, a: i64, v: i64) -> i64 {
     }
 }
 
-/// The shared accumulation loop of the sequential and per-worker passes.
+/// The shared accumulation loop of the sequential and per-worker passes
+/// (`measure` is `None` exactly for `Count`, see [`Measure::resolve`]).
 fn accumulate_pairs(
     acc: &mut BTreeMap<u32, i64>,
     group_col: &Column,
-    measure: Option<&Column>,
+    measure: Option<Measure<'_>>,
     pairs: impl IntoIterator<Item = (u32, u32)>,
     agg: AggFn,
 ) {
     for (group_rid, measure_rid) in pairs {
         let id = group_col.id(group_rid);
-        match agg {
-            AggFn::Count => *acc.entry(id).or_insert(0) += 1,
-            AggFn::Sum | AggFn::Min | AggFn::Max => {
-                let v = match measure.expect("checked by callers").value(measure_rid) {
-                    Value::Int(v) => *v,
-                    other => panic!("non-integer measure value {other}"),
-                };
+        match measure {
+            None => *acc.entry(id).or_insert(0) += 1,
+            Some(measure) => {
+                let v = measure.at(measure_rid);
                 acc.entry(id)
                     .and_modify(|a| *a = combine(agg, *a, v))
                     .or_insert(v);
@@ -208,9 +233,9 @@ pub fn group_aggregate(
     measure: Option<&Column>,
     agg: AggFn,
 ) -> Vec<GroupRow> {
-    if agg != AggFn::Count {
-        let m = measure.expect("aggregate other than Count needs a measure column");
-        assert_eq!(m.len(), group_col.len(), "measure length mismatch");
+    let measure = Measure::resolve(measure, agg);
+    if let Some(m) = measure {
+        assert_eq!(m.ids.len(), group_col.len(), "measure length mismatch");
     }
     let keys = rids.keys().as_slice();
     let mut out = Vec::new();
@@ -221,29 +246,17 @@ pub fn group_aggregate(
         while end < keys.len() && keys[end] == id {
             end += 1;
         }
-        let value = match agg {
-            AggFn::Count => (end - start) as i64,
-            AggFn::Sum | AggFn::Min | AggFn::Max => {
-                let m = measure.expect("checked above");
-                let mut acc: Option<i64> = None;
-                for pos in start..end {
-                    let v = match m.value(rids.rid(pos)) {
-                        Value::Int(v) => *v,
-                        other => panic!("non-integer measure value {other}"),
-                    };
-                    acc = Some(match (acc, agg) {
-                        (None, _) => v,
-                        (Some(a), AggFn::Sum) => a + v,
-                        (Some(a), AggFn::Min) => a.min(v),
-                        (Some(a), AggFn::Max) => a.max(v),
-                        (Some(_), AggFn::Count) => unreachable!(),
-                    });
-                }
-                acc.expect("non-empty group")
-            }
+        let value = match measure {
+            None => (end - start) as i64,
+            Some(m) => rids
+                .rids_in(start, end)
+                .iter()
+                .map(|&rid| m.at(rid))
+                .reduce(|a, v| combine(agg, a, v))
+                .expect("non-empty group"),
         };
         out.push(GroupRow {
-            group: group_col.domain().decode(id).clone(),
+            group: group_col.domain().decode(id),
             value,
         });
         start = end;

@@ -1,4 +1,5 @@
-//! Sorted domain dictionaries (§2.1).
+//! Sorted domain dictionaries (§2.1), searched by the paper's own index
+//! (§2.2).
 //!
 //! "When data is first loaded into main memory, distinct data values are
 //! stored in an external structure — domain — and only pointers to domain
@@ -11,7 +12,41 @@
 //! `encode(a) < encode(b) ⇔ a < b`, which is what lets range predicates run
 //! on the 4-byte IDs and lets every index in this workspace index IDs
 //! instead of (possibly variable-length) values.
+//!
+//! # Two representations, one canonical choice
+//!
+//! * **Typed** — every value is an [`Value::Int`] (the empty domain
+//!   included): a flat, cache-line-aligned sorted `i64` array, 8 bytes per
+//!   value, under a [`FullCssTree<i64, 8>`](css_tree::FullCssTree)
+//!   directory (eight 8-byte keys = one 64-byte line per node). The
+//!   directory is built where the domain is built and never stored: it is
+//!   a deterministic function of the array, rebuilt in a millisecond or
+//!   two when a saved catalog is opened.
+//! * **Generic** — anything holding a [`Value::Str`] (strings, mixed): a
+//!   sorted `[Value]`, searched by bisection over enum compares.
+//!
+//! The choice is made from the values, never by the caller, and an
+//! all-`Int` domain is *never* held generically — so two domains are
+//! equal exactly when they hold the same values, however each was built
+//! (from rows, from a sort's key run, from a stored page).
+//!
+//! # The §2.2 searches
+//!
+//! "Transforming domain values to domain IDs ... requires searching on
+//! the domain" — that search is [`Domain::encode`] for one constant and
+//! [`Domain::encode_batch`] for the batches the operators hand over, and
+//! on a typed domain both are `search`/`search_batch_lanes` calls on the
+//! CSS-tree: the same kernel the column indexes run, so the engine's
+//! dictionary lookups descend the structure the paper proposes instead of
+//! the binary search it beats. "We can process both equality and
+//! inequality tests on domain IDs directly" — [`Domain::lower_bound_id`]
+//! and [`Domain::id_range`] turn a value bound into an ID bound with the
+//! tree's `lower_bound`. Enum order (`Int` before `Str`) is kept on both
+//! representations: a `Str` probe sorts after every value of a typed
+//! domain, so it encodes to `None` and lower-bounds to `len`.
 
+use ccindex_common::{OrderedIndex, SearchIndex, SortedArray, DEFAULT_BATCH_LANES};
+use css_tree::FullCssTree;
 use std::borrow::Borrow;
 use std::sync::Arc;
 
@@ -46,40 +81,146 @@ impl std::fmt::Display for Value {
     }
 }
 
+/// The directory over a typed domain: 8 eight-byte keys per node, one
+/// 64-byte cache line (§5.1's node-size optimum at this key width).
+type IntDirectory = FullCssTree<i64, 8>;
+
 /// A sorted dictionary of the distinct values of one column.
 ///
-/// Domain IDs are dense `0..len` integers in value order. "Transforming
-/// domain values to domain IDs ... requires searching on the domain"
-/// (§2.2) — [`Domain::encode`] is that search.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Domain IDs are dense `0..len` integers in value order. Cloning shares
+/// the dictionary (and its directory); see the [module docs](self) for
+/// the two representations.
+#[derive(Debug, Clone)]
 pub struct Domain {
-    values: Arc<Vec<Value>>,
+    repr: Repr,
+}
+
+#[derive(Debug, Clone)]
+enum Repr {
+    /// All `Int` (or empty): the tree owns the flat sorted array.
+    Int(Arc<IntDirectory>),
+    /// Sorted, deduplicated, with at least one `Str`.
+    Generic(Arc<[Value]>),
+}
+
+/// A domain's values as its representation stores them, for the callers
+/// inside the crate that work on the typed array directly (the measure
+/// scan, the storage writer).
+pub(crate) enum DomainView<'a> {
+    /// A typed domain's flat sorted array.
+    Int(&'a [i64]),
+    /// A generic domain's sorted values.
+    Generic(&'a [Value]),
+}
+
+impl PartialEq for Domain {
+    fn eq(&self, other: &Self) -> bool {
+        match (self.view(), other.view()) {
+            (DomainView::Int(a), DomainView::Int(b)) => a == b,
+            (DomainView::Generic(a), DomainView::Generic(b)) => a == b,
+            // Canonical representations: an all-`Int` domain is never
+            // generic, so differing representations differ in values.
+            _ => false,
+        }
+    }
+}
+
+impl Eq for Domain {}
+
+/// One batched descent of a typed domain's directory —
+/// [`DEFAULT_BATCH_LANES`] interleaved probes, the kernel the column
+/// indexes use — as domain IDs.
+fn search_ints(tree: &IntDirectory, probes: &[i64]) -> impl Iterator<Item = Option<u32>> {
+    tree.search_batch_lanes(probes, DEFAULT_BATCH_LANES)
+        .into_iter()
+        .map(|hit| hit.map(|pos| pos as u32))
+}
+
+/// The `i64`s of `values` if every one is an `Int`.
+fn all_ints(values: &[Value]) -> Option<Vec<i64>> {
+    values
+        .iter()
+        .map(|v| match v {
+            Value::Int(i) => Some(*i),
+            Value::Str(_) => None,
+        })
+        .collect()
 }
 
 impl Domain {
     /// Build from any collection of values (deduplicated and sorted).
     pub fn from_values(mut values: Vec<Value>) -> Self {
-        values.sort_unstable();
-        values.dedup();
-        Self {
-            values: Arc::new(values),
+        match all_ints(&values) {
+            Some(mut ints) => {
+                ints.sort_unstable();
+                ints.dedup();
+                Self::from_sorted_ints(ints)
+            }
+            None => {
+                values.sort_unstable();
+                values.dedup();
+                Self::from_sorted_values(values)
+            }
         }
+    }
+
+    /// A typed domain over `ints`, which the caller has proven strictly
+    /// increasing (a sort's deduplicated key run, a validated page).
+    pub(crate) fn from_sorted_ints(ints: Vec<i64>) -> Self {
+        debug_assert!(ints.windows(2).all(|w| w[0] < w[1]));
+        let directory = IntDirectory::from_shared(SortedArray::from_vec(ints));
+        Self {
+            repr: Repr::Int(Arc::new(directory)),
+        }
+    }
+
+    /// A generic domain over `values`, which the caller has proven
+    /// strictly increasing and to hold at least one `Str` (all-`Int`
+    /// input belongs in [`Domain::from_sorted_ints`]).
+    pub(crate) fn from_sorted_values(values: Vec<Value>) -> Self {
+        debug_assert!(values.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(matches!(values.last(), Some(Value::Str(_))));
+        Self {
+            repr: Repr::Generic(values.into()),
+        }
+    }
+
+    /// The values, as this domain's representation stores them.
+    pub(crate) fn view(&self) -> DomainView<'_> {
+        match &self.repr {
+            Repr::Int(tree) => DomainView::Int(tree.array().as_slice()),
+            Repr::Generic(values) => DomainView::Generic(values),
+        }
+    }
+
+    /// Whether every value is an `Int` (true of the empty domain) — a
+    /// property of the representation, so O(1).
+    pub fn is_int(&self) -> bool {
+        matches!(self.repr, Repr::Int(_))
     }
 
     /// Number of distinct values.
     pub fn len(&self) -> usize {
-        self.values.len()
+        match self.view() {
+            DomainView::Int(ints) => ints.len(),
+            DomainView::Generic(values) => values.len(),
+        }
     }
 
     /// Whether the domain is empty.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.len() == 0
     }
 
-    /// Domain ID of `value`, if present (binary search on the sorted
-    /// domain — itself one of the paper's three index consumers).
+    /// Domain ID of `value`, if present — §2.2's "searching on the
+    /// domain": a CSS-tree descent on a typed domain, a binary search on
+    /// a generic one.
     pub fn encode(&self, value: &Value) -> Option<u32> {
-        self.values.binary_search(value).ok().map(|i| i as u32)
+        match (&self.repr, value) {
+            (Repr::Int(tree), Value::Int(v)) => tree.search(*v).map(|pos| pos as u32),
+            (Repr::Int(_), Value::Str(_)) => None,
+            (Repr::Generic(values), _) => values.binary_search(value).ok().map(|i| i as u32),
+        }
     }
 
     /// Domain IDs for a whole batch of values; `out[i]` is
@@ -87,56 +228,74 @@ impl Domain {
     ///
     /// "Transforming domain values to domain IDs requires searching on
     /// the domain" (§2.2), and the query operators transform constants by
-    /// the batch, so the search runs [`DEFAULT_BATCH_LANES`] interleaved
-    /// bisections: every live probe advances one step per round, keeping
-    /// the round's dictionary accesses independent of one another — the
-    /// same software pipelining the CSS-trees apply to directory descents.
-    /// Probes may be owned or borrowed (`&[Value]` or `&[&Value]`), so a
-    /// caller whose probes already live in another dictionary — the
-    /// join's outer→inner domain translation — clones nothing.
-    ///
-    /// [`DEFAULT_BATCH_LANES`]: ccindex_common::DEFAULT_BATCH_LANES
+    /// the batch. A typed domain answers with one `search_batch_lanes`
+    /// over its directory; a generic domain runs as many interleaved
+    /// bisections. Probes may be owned or borrowed
+    /// (`&[Value]` or `&[&Value]`), so a caller whose probes already live
+    /// in another dictionary clones nothing.
     pub fn encode_batch<V: Borrow<Value>>(&self, values: &[V]) -> Vec<Option<u32>> {
-        const LANES: usize = ccindex_common::DEFAULT_BATCH_LANES;
-        let n = self.values.len();
-        let mut out = vec![None; values.len()];
-        if n == 0 {
-            return out;
-        }
-        for (chunk_idx, chunk) in values.chunks(LANES).enumerate() {
-            let base = chunk_idx * LANES;
-            let mut lo = [0usize; LANES];
-            let mut hi = [n; LANES];
-            let mut live = true;
-            while live {
-                live = false;
-                for (lane, probe) in chunk.iter().enumerate() {
-                    if lo[lane] < hi[lane] {
-                        let mid = lo[lane] + (hi[lane] - lo[lane]) / 2;
-                        if self.values[mid] < *probe.borrow() {
-                            lo[lane] = mid + 1;
-                        } else {
-                            hi[lane] = mid;
-                        }
-                        live |= lo[lane] < hi[lane];
-                    }
-                }
+        match &self.repr {
+            Repr::Int(tree) => {
+                // `Str` probes sort after every `Int`: absent, unprobed.
+                let ints: Vec<i64> = values
+                    .iter()
+                    .filter_map(|v| match v.borrow() {
+                        Value::Int(i) => Some(*i),
+                        Value::Str(_) => None,
+                    })
+                    .collect();
+                let mut hits = search_ints(tree, &ints);
+                values
+                    .iter()
+                    .map(|v| match v.borrow() {
+                        Value::Int(_) => hits.next().flatten(),
+                        Value::Str(_) => None,
+                    })
+                    .collect()
             }
-            for (lane, probe) in chunk.iter().enumerate() {
-                let pos = lo[lane];
-                if pos < n && self.values[pos] == *probe.borrow() {
-                    out[base + lane] = Some(pos as u32);
-                }
+            Repr::Generic(dictionary) => bisect_batch(dictionary, values),
+        }
+    }
+
+    /// The IDs in `other` of this domain's values at `ids` (`None` where
+    /// `other` lacks the value) — the join's outer→inner translation.
+    /// Between two typed domains the probes are a gather of `i64`s; a
+    /// generic source lends its values by reference.
+    pub(crate) fn translate(&self, ids: &[u32], other: &Domain) -> Vec<Option<u32>> {
+        match (self.view(), &other.repr) {
+            (DomainView::Int(ints), Repr::Int(tree)) => {
+                let probes: Vec<i64> = ids.iter().map(|&id| ints[id as usize]).collect();
+                search_ints(tree, &probes).collect()
+            }
+            (DomainView::Int(_), Repr::Generic(_)) => other.encode_batch(&self.decode_batch(ids)),
+            (DomainView::Generic(values), _) => {
+                let probes: Vec<&Value> = ids.iter().map(|&id| &values[id as usize]).collect();
+                other.encode_batch(&probes)
             }
         }
-        out
     }
 
     /// ID of the first domain value `>= value` (equals `len` when every
     /// value is smaller). This is how inequality predicates on raw values
     /// become inequality predicates on IDs.
     pub fn lower_bound_id(&self, value: &Value) -> u32 {
-        self.values.partition_point(|v| v < value) as u32
+        (match (&self.repr, value) {
+            (Repr::Int(tree), Value::Int(v)) => tree.lower_bound(*v),
+            (Repr::Int(tree), Value::Str(_)) => tree.len(),
+            (Repr::Generic(values), _) => values.partition_point(|v| v < value),
+        }) as u32
+    }
+
+    /// ID of the first domain value `> value`.
+    fn upper_bound_id(&self, value: &Value) -> u32 {
+        (match (&self.repr, value) {
+            (Repr::Int(tree), Value::Int(v)) => match v.checked_add(1) {
+                Some(next) => tree.lower_bound(next),
+                None => tree.len(),
+            },
+            (Repr::Int(tree), Value::Str(_)) => tree.len(),
+            (Repr::Generic(values), _) => values.partition_point(|v| v <= value),
+        }) as u32
     }
 
     /// Inclusive ID range corresponding to the inclusive value range
@@ -150,42 +309,90 @@ impl Domain {
             return None;
         }
         let start = self.lower_bound_id(lo);
-        let end = self.values.partition_point(|v| v <= hi) as u32;
+        let end = self.upper_bound_id(hi);
         (start < end).then(|| (start, end - 1))
     }
 
-    /// The value for `id`.
-    pub fn decode(&self, id: u32) -> &Value {
-        &self.values[id as usize]
+    /// The value for `id` (owned: an `Int` is a copy, and a typed domain
+    /// holds no `Value` to lend).
+    pub fn decode(&self, id: u32) -> Value {
+        match self.view() {
+            DomainView::Int(ints) => Value::Int(ints[id as usize]),
+            DomainView::Generic(values) => values[id as usize].clone(),
+        }
     }
 
     /// Decoded values for a whole batch of IDs; `out[i]` is
-    /// `decode(ids[i]).clone()` — the inverse of [`Domain::encode_batch`].
+    /// `decode(ids[i])` — the inverse of [`Domain::encode_batch`].
     ///
     /// Decoding is a plain array gather (no search), so unlike encoding it
     /// needs no interleaving; the batch form exists so result sets can
     /// surface decoded values in one call instead of a per-row `decode`.
     pub fn decode_batch(&self, ids: &[u32]) -> Vec<Value> {
-        ids.iter()
-            .map(|&id| self.values[id as usize].clone())
-            .collect()
+        match self.view() {
+            DomainView::Int(ints) => ids
+                .iter()
+                .map(|&id| Value::Int(ints[id as usize]))
+                .collect(),
+            DomainView::Generic(values) => {
+                ids.iter().map(|&id| values[id as usize].clone()).collect()
+            }
+        }
     }
 
-    /// All values in ID (= value) order.
-    pub fn values(&self) -> &[Value] {
-        &self.values
-    }
-
-    /// Approximate heap footprint of the dictionary in bytes.
+    /// Heap footprint of the dictionary in bytes: 8 per value plus the
+    /// directory for a typed domain; the enum slots plus the string bytes
+    /// for a generic one.
     pub fn size_bytes(&self) -> usize {
-        self.values
-            .iter()
-            .map(|v| match v {
-                Value::Int(_) => core::mem::size_of::<Value>(),
-                Value::Str(s) => core::mem::size_of::<Value>() + s.len(),
-            })
-            .sum()
+        match &self.repr {
+            Repr::Int(tree) => tree.array().size_bytes() + tree.space().indirect_bytes,
+            Repr::Generic(values) => values
+                .iter()
+                .map(|v| match v {
+                    Value::Int(_) => core::mem::size_of::<Value>(),
+                    Value::Str(s) => core::mem::size_of::<Value>() + s.len(),
+                })
+                .sum(),
+        }
     }
+}
+
+/// The generic representation's batch search: [`DEFAULT_BATCH_LANES`]
+/// interleaved bisections over the enum dictionary. Every live probe
+/// advances one step per round, keeping the round's dictionary accesses
+/// independent of one another — the same software pipelining the CSS-trees
+/// apply to directory descents.
+fn bisect_batch<V: Borrow<Value>>(dictionary: &[Value], probes: &[V]) -> Vec<Option<u32>> {
+    const LANES: usize = DEFAULT_BATCH_LANES;
+    let n = dictionary.len();
+    let mut out = vec![None; probes.len()];
+    for (chunk_idx, chunk) in probes.chunks(LANES).enumerate() {
+        let base = chunk_idx * LANES;
+        let mut lo = [0usize; LANES];
+        let mut hi = [n; LANES];
+        let mut live = true;
+        while live {
+            live = false;
+            for (lane, probe) in chunk.iter().enumerate() {
+                if lo[lane] < hi[lane] {
+                    let mid = lo[lane] + (hi[lane] - lo[lane]) / 2;
+                    if dictionary[mid] < *probe.borrow() {
+                        lo[lane] = mid + 1;
+                    } else {
+                        hi[lane] = mid;
+                    }
+                    live |= lo[lane] < hi[lane];
+                }
+            }
+        }
+        for (lane, probe) in chunk.iter().enumerate() {
+            let pos = lo[lane];
+            if pos < n && dictionary[pos] == *probe.borrow() {
+                out[base + lane] = Some(pos as u32);
+            }
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -282,7 +489,7 @@ mod tests {
     fn decode_roundtrip() {
         let d = domain();
         for id in 0..d.len() as u32 {
-            assert_eq!(d.encode(d.decode(id)).unwrap(), id);
+            assert_eq!(d.encode(&d.decode(id)).unwrap(), id);
         }
     }
 
@@ -293,6 +500,157 @@ mod tests {
         let d = Domain::from_values(vec![Value::Str("a".into()), Value::Int(5)]);
         assert_eq!(d.encode(&Value::Int(5)), Some(0));
         assert_eq!(d.encode(&Value::Str("a".into())), Some(1));
+    }
+
+    /// A typed, a string and a mixed domain, each with probes that hit,
+    /// miss between values, and fall off both ends — in both variants.
+    fn representations() -> [(Domain, Vec<Value>); 3] {
+        let text = |i: i64| Value::Str(format!("k{i:03}"));
+        let mut probes: Vec<Value> = (-3..140).map(Value::Int).collect();
+        probes.extend((-3..140).map(text));
+        probes.extend([Value::Int(i64::MIN), Value::Int(i64::MAX), "".into()]);
+        let int: Vec<Value> = (0..67).map(|i| Value::Int(i * 2)).collect();
+        let string: Vec<Value> = (0..67).map(|i| text(i * 2)).collect();
+        let mixed: Vec<Value> = int.iter().chain(&string).cloned().collect();
+        [int, string, mixed].map(|values| (Domain::from_values(values), probes.clone()))
+    }
+
+    /// What every search must agree with: the sorted values themselves.
+    fn sorted_values(d: &Domain) -> Vec<Value> {
+        d.decode_batch(&(0..d.len() as u32).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn representation_follows_the_values() {
+        let [int, string, mixed] = representations().map(|(d, _)| d);
+        assert!(int.is_int() && !string.is_int() && !mixed.is_int());
+        assert!(Domain::from_values(vec![]).is_int(), "empty is typed");
+        // Equality is about values, however the domain was built.
+        assert_eq!(
+            int,
+            Domain::from_sorted_ints((0..67).map(|i| i * 2).collect())
+        );
+        assert_eq!(mixed, Domain::from_sorted_values(sorted_values(&mixed)));
+        assert_ne!(int, mixed);
+        assert_ne!(int, Domain::from_values(vec![Value::Int(0)]));
+    }
+
+    #[test]
+    fn searches_agree_with_the_sorted_values_on_both_representations() {
+        for (d, probes) in representations() {
+            let values = sorted_values(&d);
+            assert!(values.windows(2).all(|w| w[0] < w[1]));
+            for probe in &probes {
+                assert_eq!(
+                    d.encode(probe),
+                    values.binary_search(probe).ok().map(|i| i as u32),
+                    "encode {probe:?}"
+                );
+                assert_eq!(
+                    d.lower_bound_id(probe) as usize,
+                    values.partition_point(|v| v < probe),
+                    "lower_bound_id {probe:?}"
+                );
+            }
+            // Batches around the lane count, owned and borrowed probes.
+            let expected: Vec<Option<u32>> = probes.iter().map(|v| d.encode(v)).collect();
+            for len in [0usize, 1, 7, 8, 9, 15, 16, 17, probes.len()] {
+                assert_eq!(d.encode_batch(&probes[..len]), expected[..len]);
+            }
+            let borrowed: Vec<&Value> = probes.iter().rev().collect();
+            let mut reversed = expected.clone();
+            reversed.reverse();
+            assert_eq!(d.encode_batch(&borrowed), reversed);
+            // decode_batch inverts encode_batch on the hits.
+            let hits: Vec<u32> = expected.iter().flatten().copied().collect();
+            let present: Vec<Value> = probes
+                .iter()
+                .zip(&expected)
+                .filter_map(|(v, id)| id.map(|_| v.clone()))
+                .collect();
+            assert_eq!(d.decode_batch(&hits), present);
+        }
+    }
+
+    #[test]
+    fn id_ranges_follow_enum_order_across_types() {
+        for (d, probes) in representations() {
+            let values = sorted_values(&d);
+            // Every 7th probe as a bound keeps the square small.
+            let bounds: Vec<&Value> = probes.iter().step_by(7).collect();
+            for lo in &bounds {
+                for hi in &bounds {
+                    let inside: Vec<u32> = (0u32..)
+                        .zip(&values)
+                        .filter_map(|(id, v)| (*lo <= v && v <= *hi).then_some(id))
+                        .collect();
+                    let want = inside
+                        .first()
+                        .map(|&first| (first, inside[inside.len() - 1]));
+                    assert_eq!(d.id_range(lo, hi), want, "[{lo:?}, {hi:?}]");
+                }
+            }
+        }
+        let [int, string, _] = representations().map(|(d, _)| d);
+        // A `Str` sorts after every `Int`, on either side of the probe.
+        assert_eq!(int.encode(&"k000".into()), None);
+        assert_eq!(int.lower_bound_id(&"".into()), 67);
+        assert_eq!(int.id_range(&Value::Int(100), &"z".into()), Some((50, 66)));
+        assert_eq!(int.id_range(&"a".into(), &"z".into()), None);
+        assert_eq!(int.id_range(&"a".into(), &Value::Int(5)), None, "inverted");
+        assert_eq!(string.encode(&Value::Int(0)), None);
+        assert_eq!(string.lower_bound_id(&Value::Int(i64::MAX)), 0);
+        assert_eq!(
+            string.id_range(&Value::Int(0), &"k003".into()),
+            Some((0, 1))
+        );
+        // The top of the integer range has no successor to probe.
+        let top = Domain::from_values(vec![Value::Int(i64::MAX), Value::Int(0)]);
+        assert_eq!(
+            top.id_range(&Value::Int(1), &Value::Int(i64::MAX)),
+            Some((1, 1))
+        );
+    }
+
+    #[test]
+    fn translate_matches_per_value_encode_for_every_pairing() {
+        let domains = representations().map(|(d, _)| d);
+        // Targets that hold some of the source's values and some others.
+        let targets = [
+            Domain::from_values((0..200).map(|i| Value::Int(i * 3)).collect()),
+            Domain::from_values(
+                (0..200)
+                    .map(|i| Value::Str(format!("k{:03}", i * 3)))
+                    .collect(),
+            ),
+            Domain::from_values(
+                (0..200)
+                    .flat_map(|i| [Value::Int(i * 3), Value::Str(format!("k{:03}", i * 3))])
+                    .collect(),
+            ),
+            Domain::from_values(vec![]),
+        ];
+        for source in &domains {
+            let ids: Vec<u32> = (0..source.len() as u32).filter(|id| id % 5 != 1).collect();
+            for target in &targets {
+                let want: Vec<Option<u32>> = ids
+                    .iter()
+                    .map(|&id| target.encode(&source.decode(id)))
+                    .collect();
+                assert_eq!(source.translate(&ids, target), want);
+            }
+            assert!(source.translate(&[], &targets[0]).is_empty());
+        }
+    }
+
+    #[test]
+    fn size_bytes_counts_the_typed_array_and_its_directory() {
+        let typed = Domain::from_values((0..10_000).map(Value::Int).collect());
+        let bytes = typed.size_bytes();
+        // 8 bytes a value, plus a directory of about an eighth of that.
+        assert!((80_000..80_000 * 5 / 4).contains(&bytes), "{bytes}");
+        let strings = Domain::from_values(vec!["ab".into(), "c".into()]);
+        assert_eq!(strings.size_bytes(), 2 * core::mem::size_of::<Value>() + 3);
     }
 
     #[test]

@@ -603,7 +603,7 @@ mod tests {
         );
         assert_eq!(
             db.table("sales").unwrap().value("amount", 3),
-            Some(&Value::Int(4))
+            Some(Value::Int(4))
         );
     }
 
@@ -684,7 +684,7 @@ mod tests {
         assert!(report.rebuilds.is_empty());
         assert_eq!(
             db.table("sales").unwrap().value("region", 4),
-            Some(&Value::Str("e".into()))
+            Some(Value::Str("e".into()))
         );
     }
 
@@ -743,6 +743,41 @@ mod tests {
         drop(before);
         drop(after);
         assert_eq!(db.pinned_snapshots(), 0);
+    }
+
+    #[test]
+    fn a_commit_shares_the_arrays_it_did_not_replace() {
+        let mut db = sales_db();
+        db.create_index("sales", "amount", IndexKind::FullCss)
+            .unwrap();
+        db.create_index("sales", "region", IndexKind::Hash).unwrap();
+        let before = db.snapshot();
+        db.replace_column("sales", "amount", (1..=5).map(Value::Int).collect())
+            .unwrap();
+        let after = db.snapshot();
+        // Copy-on-write of the table entry copied pointers, not rows:
+        // the untouched column's IDs and its RID list are the same
+        // allocations in both generations.
+        let ids = |s: &Snapshot| {
+            s.table("sales")
+                .unwrap()
+                .column("region")
+                .unwrap()
+                .ids()
+                .as_ptr()
+        };
+        let rids = |s: &Snapshot| s.rid_list("sales", "region").unwrap().rids().as_ptr();
+        assert_eq!(ids(&before), ids(&after));
+        assert_eq!(rids(&before), rids(&after));
+        // The replaced column is new, and the pinned reader kept the old.
+        assert_eq!(
+            before.table("sales").unwrap().value("amount", 0),
+            Some(Value::Int(30))
+        );
+        assert_eq!(
+            after.table("sales").unwrap().value("amount", 0),
+            Some(Value::Int(1))
+        );
     }
 
     #[test]

@@ -30,8 +30,11 @@
 //! sortedness, ID ranges, RID permutations, the RID-keys/column-IDs
 //! correspondence, and CSS directory geometry. A bit-flipped,
 //! truncated, or hostile file surfaces as a typed
-//! [`MmdbError::Storage`] — the panicking `from_parts` constructors of
-//! the physical layer are only reached with proven-good parts.
+//! [`MmdbError::Storage`]; what the validation proved is then handed to
+//! the physical layer's crate-private proven-input constructors, so
+//! nothing is checked, sorted or searched a second time. A domain page
+//! decodes straight into its representation — `Int` tags into the typed
+//! `i64` array, whose CSS directory is rebuilt (it is not stored).
 //!
 //! Restoring into a live [`Database`] goes through the same
 //! [`SwapSlot`](crate::snapshot::SwapSlot) commit cycle as every other
@@ -41,7 +44,7 @@
 //! shard server streams to a bootstrapping peer.
 
 use crate::column::Column;
-use crate::domain::{Domain, Value};
+use crate::domain::{Domain, DomainView, Value};
 use crate::engine::{ColumnEntry, Database, TableEntry};
 use crate::error::{MmdbError, Result, StorageFault};
 use crate::index_choice::{IndexHandle, IndexKind};
@@ -270,9 +273,7 @@ fn decode_tables(r: &mut StoreReader) -> Result<BTreeMap<String, Arc<TableEntry>
                     ),
                 ));
             }
-            // Proven: every ID is in range, so the asserting
-            // constructor cannot fire.
-            columns.push((col_name, Column::from_parts(domain, ids)));
+            columns.push((col_name, Column::from_proven_parts(domain, ids)));
         }
         let table = Table::from_parts(name.clone(), columns, rows);
 
@@ -415,25 +416,44 @@ fn css_handle_from_levels(
 // Page payload codecs
 // ---------------------------------------------------------------------
 
+/// Value tags of a [`PageKind::DomainValues`] page.
+const TAG_INT: u8 = 0;
+const TAG_STR: u8 = 1;
+
+fn push_int(out: &mut Vec<u8>, i: i64) {
+    out.push(TAG_INT);
+    out.extend_from_slice(&i.to_le_bytes());
+}
+
+fn push_value(out: &mut Vec<u8>, value: &Value) {
+    match value {
+        Value::Int(i) => push_int(out, *i),
+        Value::Str(s) => {
+            out.push(TAG_STR);
+            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+            out.extend_from_slice(s.as_bytes());
+        }
+    }
+}
+
 fn encode_domain(domain: &Domain) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&(domain.len() as u32).to_le_bytes());
-    for v in domain.values() {
-        match v {
-            Value::Int(i) => {
-                out.push(0);
-                out.extend_from_slice(&i.to_le_bytes());
-            }
-            Value::Str(s) => {
-                out.push(1);
-                out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                out.extend_from_slice(s.as_bytes());
-            }
+    match domain.view() {
+        DomainView::Int(ints) => {
+            out.reserve(ints.len() * 9);
+            ints.iter().for_each(|&i| push_int(&mut out, i));
         }
+        DomainView::Generic(values) => values.iter().for_each(|v| push_value(&mut out, v)),
     }
     out
 }
 
+/// Decode a domain page straight into its representation: `Int` tags
+/// fill the typed array, and the first `Str` tag moves what was read so
+/// far into the generic one. Either way the values are proven strictly
+/// increasing (in enum order, so a tag that flips back to `Int` after a
+/// `Str` is out of order) before a proven-input constructor sees them.
 fn decode_domain(
     r: &mut StoreReader,
     page: u32,
@@ -441,46 +461,54 @@ fn decode_domain(
     table: &str,
     column: &str,
 ) -> Result<Domain> {
+    let at = |detail: &str| corrupt(label, format!("domain of `{table}.{column}`: {detail}"));
+    let unordered = || at("values not strictly increasing");
     let bytes = r.read_page_expect(page, PageKind::DomainValues)?;
     let mut c = MReader::new(&bytes, label);
-    let count = c.u32()?;
-    let mut values = Vec::with_capacity(count.min(1 << 20) as usize);
+    let count = c.u32()? as usize;
+    // A value is at least 5 bytes, so the page bounds the allocation.
+    let capacity = count.min(bytes.len() / 5);
+    let mut ints: Vec<i64> = Vec::with_capacity(capacity);
+    let mut generic: Option<Vec<Value>> = None;
     for _ in 0..count {
-        let v = match c.u8()? {
-            0 => Value::Int(i64::from_le_bytes(
+        let value = match c.u8()? {
+            TAG_INT => Value::Int(i64::from_le_bytes(
                 c.bytes(8)?.try_into().expect("8 bytes requested"),
             )),
-            1 => {
+            TAG_STR => {
                 let len = c.u32()? as usize;
                 let raw = c.bytes(len)?.to_vec();
-                Value::Str(String::from_utf8(raw).map_err(|_| {
-                    corrupt(
-                        label,
-                        format!("domain of `{table}.{column}`: invalid UTF-8"),
-                    )
-                })?)
+                Value::Str(String::from_utf8(raw).map_err(|_| at("invalid UTF-8"))?)
             }
-            tag => {
-                return Err(corrupt(
-                    label,
-                    format!("domain of `{table}.{column}`: unknown value tag {tag}"),
-                ))
-            }
+            tag => return Err(at(&format!("unknown value tag {tag}"))),
         };
-        if let Some(prev) = values.last() {
-            if *prev >= v {
-                return Err(corrupt(
-                    label,
-                    format!("domain of `{table}.{column}`: values not strictly increasing"),
-                ));
+        match (&mut generic, value) {
+            (None, Value::Int(i)) => {
+                if ints.last().is_some_and(|&prev| prev >= i) {
+                    return Err(unordered());
+                }
+                ints.push(i);
+            }
+            (None, first_str) => {
+                // Every `Int` read so far sorts before any `Str`.
+                let mut values = Vec::with_capacity(capacity);
+                values.extend(ints.drain(..).map(Value::Int));
+                values.push(first_str);
+                generic = Some(values);
+            }
+            (Some(values), value) => {
+                if values.last().is_some_and(|prev| *prev >= value) {
+                    return Err(unordered());
+                }
+                values.push(value);
             }
         }
-        values.push(v);
     }
     c.expect_end()?;
-    // Sorted and deduplicated (proven above), so `from_values` is a
-    // no-op pass over already-ordered input.
-    Ok(Domain::from_values(values))
+    Ok(match generic {
+        None => Domain::from_sorted_ints(ints),
+        Some(values) => Domain::from_sorted_values(values),
+    })
 }
 
 fn encode_u32s(vals: &[u32]) -> Vec<u8> {
@@ -727,7 +755,7 @@ mod tests {
         // The unindexed table survives with its values.
         assert_eq!(
             back.table("unindexed").unwrap().value("x", 2),
-            Some(&Value::Int(3))
+            Some(Value::Int(3))
         );
     }
 
@@ -826,6 +854,89 @@ mod tests {
                 "keep {keep}: {err:?}"
             );
         }
+    }
+
+    /// A one-table (`t`), one-column (`c`), unindexed image whose
+    /// domain page holds `values` in the order given — sorted or not.
+    fn image_with_domain_page(values: &[Value], ids: &[u32]) -> Vec<u8> {
+        let mut page = (values.len() as u32).to_le_bytes().to_vec();
+        values.iter().for_each(|v| push_value(&mut page, v));
+        let mut w = StoreWriter::new();
+        let mut m = MWriter::default();
+        m.u32(MANIFEST_VERSION);
+        m.u32(1);
+        m.str("t");
+        m.u64(ids.len() as u64);
+        m.u32(1);
+        m.str("c");
+        m.u32(w.page(PageKind::DomainValues, &page));
+        m.u32(w.page(PageKind::ColumnIds, &encode_u32s(ids)));
+        m.u32(0);
+        w.finish(&m.buf)
+    }
+
+    #[test]
+    fn domain_pages_decode_into_the_representation_their_tags_name() {
+        let open = |values: &[Value], ids: &[u32]| {
+            let db = Database::open_from_bytes(image_with_domain_page(values, ids), "page")
+                .expect("valid page");
+            db.table("t").unwrap().column("c").unwrap().clone()
+        };
+        // All `Int` tags: the typed array, equal to a domain built from
+        // rows — equality does not depend on how a domain came to be.
+        let ints = [Value::Int(i64::MIN), Value::Int(-1), Value::Int(7)];
+        let col = open(&ints, &[2, 0, 1, 2]);
+        assert!(col.domain().is_int());
+        assert_eq!(col.domain(), &Domain::from_values(ints.to_vec()));
+        assert_eq!(col.value(0), Value::Int(7));
+        assert_eq!(col.domain().encode(&Value::Int(-1)), Some(1));
+        assert!(open(&[], &[]).domain().is_int(), "an empty page is typed");
+        // `Int` tags then `Str` tags: generic, enum order intact.
+        let mixed = [Value::Int(-5), Value::Int(9), "".into(), "b".into()];
+        let col = open(&mixed, &[3, 1, 0, 2]);
+        assert!(!col.domain().is_int());
+        assert_eq!(col.domain(), &Domain::from_values(mixed.to_vec()));
+        assert_eq!(col.domain().decode_batch(&[0, 1, 2, 3]), mixed);
+        assert_eq!(col.domain().encode(&"b".into()), Some(3));
+        assert_eq!(col.domain().lower_bound_id(&Value::Int(i64::MAX)), 2);
+        assert_eq!(col.value(0), Value::from("b"));
+    }
+
+    #[test]
+    fn unordered_domain_pages_are_typed_corruption() {
+        let cases: [&[Value]; 5] = [
+            // An `Int` page that repeats, or steps down.
+            &[Value::Int(1), Value::Int(1)],
+            &[Value::Int(0), Value::Int(5), Value::Int(4)],
+            // A tag that flips back to `Int` after a `Str`.
+            &[Value::Int(0), "a".into(), Value::Int(1)],
+            &["a".into(), Value::Int(1)],
+            // Strings out of order.
+            &[Value::Int(0), "b".into(), "a".into()],
+        ];
+        for values in cases {
+            let ids = vec![0; values.len()];
+            let err = Database::open_from_bytes(image_with_domain_page(values, &ids), "page")
+                .expect_err("unordered domain");
+            assert!(
+                matches!(
+                    err,
+                    MmdbError::Storage {
+                        fault: StorageFault::Corrupt,
+                        ..
+                    }
+                ),
+                "{values:?}: {err:?}"
+            );
+            assert!(err.to_string().contains("strictly increasing"), "{err}");
+        }
+        // An ID past the decoded domain is still caught after it.
+        let err = Database::open_from_bytes(image_with_domain_page(&[Value::Int(3)], &[1]), "page")
+            .expect_err("id out of range");
+        assert!(
+            err.to_string().contains("outside its 1-value domain"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -637,12 +637,7 @@ impl CatalogState {
                     None => None,
                     Some(m) => {
                         let (m_side, m_col) = resolve_side(cat, outer, inner, m)?;
-                        let all_int = m_col
-                            .domain()
-                            .values()
-                            .iter()
-                            .all(|v| matches!(v, Value::Int(_)));
-                        if !all_int {
+                        if !m_col.domain().is_int() {
                             let table = match m_side {
                                 Side::Outer => outer.clone(),
                                 Side::Inner => join

@@ -400,7 +400,8 @@ pub fn indexed_nested_loop_join_rids_par(
 /// selection that precedes the join usually carries far fewer values than
 /// the outer domain has, so the stream first marks its IDs in a
 /// domain-sized flag table; the marked IDs come out ascending (no sort,
-/// no dedup), go through one batched dictionary search, and scatter into
+/// no dedup), go through one batched dictionary search
+/// (`i64` → `i64` when both domains are typed), and scatter into
 /// the translation (entries for IDs the stream never reads stay `None`).
 /// O(rows + domain), with at most one search per domain value.
 fn join_translation(outer: &Column, outer_rids: &[u32], inner: &Column) -> Vec<Option<u32>> {
@@ -409,15 +410,13 @@ fn join_translation(outer: &Column, outer_rids: &[u32], inner: &Column) -> Vec<O
     for &rid in outer_rids {
         carried[outer.id(rid) as usize] = true;
     }
-    let (ids, values): (Vec<usize>, Vec<&Value>) = domain
-        .values()
-        .iter()
-        .enumerate()
-        .filter(|&(id, _)| carried[id])
-        .unzip();
+    let ids: Vec<u32> = (0u32..)
+        .zip(&carried)
+        .filter_map(|(id, &carried)| carried.then_some(id))
+        .collect();
     let mut translation = vec![None; domain.len()];
-    for (id, inner_id) in ids.into_iter().zip(inner.domain().encode_batch(&values)) {
-        translation[id] = inner_id;
+    for (&id, inner_id) in ids.iter().zip(domain.translate(&ids, inner.domain())) {
+        translation[id as usize] = inner_id;
     }
     translation
 }
@@ -786,6 +785,20 @@ mod tests {
             (
                 (0..240).map(text).collect::<Vec<_>>(),
                 (0..18).map(inner_text).collect::<Vec<_>>(),
+            ),
+            // A typed outer domain against a mixed inner one, and back.
+            (
+                (0..240).map(int).collect::<Vec<_>>(),
+                (0..36)
+                    .map(inner_int)
+                    .chain((0..18).map(inner_text))
+                    .collect::<Vec<_>>(),
+            ),
+            (
+                (0..240)
+                    .map(|i| if i % 2 == 0 { int(i) } else { text(i) })
+                    .collect::<Vec<_>>(),
+                (0..36).map(inner_int).collect::<Vec<_>>(),
             ),
         ] {
             let outer = Column::from_values(&outer_vals);

@@ -10,35 +10,69 @@
 //! are deterministic), together with the parallel array of domain IDs in
 //! sorted order — the **sorted array `a`** every directory structure in
 //! this workspace sits on.
+//!
+//! # Built by counting, not comparing
+//!
+//! A column's IDs are dense integers in `0..domain.len()`, so
+//! [`RidList::for_column`] is a counting sort: a histogram of the IDs,
+//! its prefix sums (each ID's first sorted position), then one scatter of
+//! the rows into place. The scatter walks the rows in RID order and hands
+//! each ID's positions out left to right, so rows with equal keys land in
+//! ascending RID order — the sort is **stable** by construction, which is
+//! exactly the `(id, rid)` order a comparison sort would produce. The
+//! sorted key array needs no rows at all: it is the histogram's
+//! run-length expansion.
 
 use crate::column::Column;
 use ccindex_common::SortedArray;
+use std::sync::Arc;
 
 /// RIDs sorted by attribute value, with the sorted key (domain-ID) array.
+/// Cloning shares both arrays.
 #[derive(Debug, Clone)]
 pub struct RidList {
     keys: SortedArray<u32>,
-    rids: Vec<u32>,
+    rids: Arc<[u32]>,
 }
 
 impl RidList {
     /// Sort the column's rows by value (stable: equal keys keep RID
     /// order, which is what makes "leftmost match + scan right" return
-    /// RIDs in deterministic order).
+    /// RIDs in deterministic order) — a counting sort over the column's
+    /// dense IDs, see the [module docs](self).
     pub fn for_column(column: &Column) -> Self {
-        let mut order: Vec<u32> = (0..column.len() as u32).collect();
-        order.sort_by_key(|&rid| (column.id(rid), rid));
-        let keys: Vec<u32> = order.iter().map(|&rid| column.id(rid)).collect();
+        let ids = column.ids();
+        // Histogram, then in place: run-length expansion into the keys
+        // and prefix sums into each ID's next free sorted position.
+        let mut next = vec![0u32; column.domain().len()];
+        for &id in ids {
+            next[id as usize] += 1;
+        }
+        let mut keys: Vec<u32> = Vec::with_capacity(ids.len());
+        for (id, slot) in next.iter_mut().enumerate() {
+            let start = keys.len();
+            keys.resize(start + *slot as usize, id as u32);
+            *slot = start as u32;
+        }
+        let mut rids = vec![0u32; ids.len()];
+        for (&id, rid) in ids.iter().zip(0u32..) {
+            let at = &mut next[id as usize];
+            rids[*at as usize] = rid;
+            *at += 1;
+        }
         Self {
-            keys: SortedArray::from_slice(&keys),
-            rids: order,
+            keys: SortedArray::from_vec(keys),
+            rids: rids.into(),
         }
     }
 
     /// Reassemble from parts (used by the batch-update path).
     pub fn from_parts(keys: SortedArray<u32>, rids: Vec<u32>) -> Self {
         assert_eq!(keys.len(), rids.len(), "keys and rids must be parallel");
-        Self { keys, rids }
+        Self {
+            keys,
+            rids: rids.into(),
+        }
     }
 
     /// Number of entries.
@@ -98,7 +132,7 @@ mod tests {
     fn ordered_access_reconstructs_sorted_values(/* §2.2 */) {
         let col = column();
         let rl = RidList::for_column(&col);
-        let sorted: Vec<&Value> = rl.rids().iter().map(|&r| col.value(r)).collect();
+        let sorted: Vec<Value> = rl.rids().iter().map(|&r| col.value(r)).collect();
         assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
     }
 

@@ -117,7 +117,7 @@ impl Table {
     }
 
     /// Decoded value at `(column, rid)`.
-    pub fn value(&self, column: &str, rid: u32) -> Option<&Value> {
+    pub fn value(&self, column: &str, rid: u32) -> Option<Value> {
         self.column(column).map(|c| c.value(rid))
     }
 
@@ -151,8 +151,8 @@ mod tests {
         let t = sales();
         assert_eq!(t.name(), "sales");
         assert_eq!(t.rows(), 4);
-        assert_eq!(t.value("amount", 0), Some(&Value::Int(30)));
-        assert_eq!(t.value("region", 3), Some(&Value::Str("north".into())));
+        assert_eq!(t.value("amount", 0), Some(Value::Int(30)));
+        assert_eq!(t.value("region", 3), Some(Value::Str("north".into())));
         assert!(t.column("missing").is_none());
         assert_eq!(t.columns().count(), 2);
     }

@@ -33,7 +33,7 @@ use ccindex_wire::{self as wire, ShardRequest, ShardResponse};
 use mmdb::plan::{Plan, ProbeStep};
 use mmdb::{
     group_aggregate_pairs, AggFn, CatalogRead, CatalogState, Database, DatabaseHandle, GroupRow,
-    MmdbError, Result, TableBuilder, Value,
+    MmdbError, Result, TableBuilder,
 };
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -607,12 +607,7 @@ fn group_partial(
         None => None,
         Some(m) => {
             let col = column(m)?;
-            if !col
-                .domain()
-                .values()
-                .iter()
-                .all(|v| matches!(v, Value::Int(_)))
-            {
+            if !col.domain().is_int() {
                 return Err(MmdbError::NonIntegerMeasure {
                     table: table.to_owned(),
                     column: m.to_owned(),

@@ -300,12 +300,10 @@ impl ShardRead for CatalogState {
     fn column_values(&self, table: &str, column: &str, rids: Option<&[u32]>) -> Result<Vec<Value>> {
         let col = table_column(self, table, column)?;
         match rids {
-            None => Ok((0..col.len() as u32)
-                .map(|r| col.value(r).clone())
-                .collect()),
+            None => Ok(col.domain().decode_batch(col.ids())),
             Some(rids) => {
                 check_rids(self, table, rids)?;
-                Ok(rids.iter().map(|&r| col.value(r).clone()).collect())
+                Ok(rids.iter().map(|&r| col.value(r)).collect())
             }
         }
     }

@@ -152,9 +152,7 @@ mod tests {
         for (name, col) in sales2.columns() {
             renamed = renamed.column(
                 name,
-                (0..sales2.rows() as u32)
-                    .map(|r| col.value(r).clone())
-                    .collect(),
+                (0..sales2.rows() as u32).map(|r| col.value(r)).collect(),
             );
         }
         assert_eq!(

@@ -508,12 +508,7 @@ impl ShardBackend for RemoteShard {
     fn register(&mut self, table: Table) -> Result<()> {
         let columns = table
             .columns()
-            .map(|(name, col)| {
-                let values = (0..col.len() as u32)
-                    .map(|r| col.value(r).clone())
-                    .collect();
-                (name.to_owned(), values)
-            })
+            .map(|(name, col)| (name.to_owned(), col.domain().decode_batch(col.ids())))
             .collect();
         match self.call(&ShardRequest::Register {
             table: table.name().to_owned(),

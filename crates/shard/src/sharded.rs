@@ -688,8 +688,21 @@ impl ShardedDatabase {
     fn place_rows(&self, key_col: &Column) -> Result<(Vec<(u32, u32)>, Vec<Vec<u32>>)> {
         let mut placement = Vec::with_capacity(key_col.len());
         let mut locals: Vec<Vec<u32>> = vec![Vec::new(); self.shards.len()];
+        // One decode and one partitioner call per distinct key, made at
+        // the key's first row (so the first unplaceable row still names
+        // the error).
+        let domain = key_col.domain();
+        let mut owner: Vec<Option<usize>> = vec![None; domain.len()];
         for rid in 0..key_col.len() as u32 {
-            let shard = self.tip.partitioner.shard_of(key_col.value(rid))?;
+            let id = key_col.id(rid);
+            let shard = match owner[id as usize] {
+                Some(shard) => shard,
+                None => {
+                    let shard = self.tip.partitioner.shard_of(&domain.decode(id))?;
+                    owner[id as usize] = Some(shard);
+                    shard
+                }
+            };
             placement.push((shard as u32, locals[shard].len() as u32));
             locals[shard].push(rid);
         }
@@ -1169,7 +1182,7 @@ fn split_table(table: &Table, locals: &[Vec<u32>]) -> Vec<Table> {
         .map(|rows| {
             let mut b = mmdb::TableBuilder::new(table.name());
             for (name, col) in table.columns() {
-                let values: Vec<Value> = rows.iter().map(|&g| col.value(g).clone()).collect();
+                let values: Vec<Value> = rows.iter().map(|&g| col.value(g)).collect();
                 b = b.column(name, values);
             }
             b.build().expect("equal-length splits by construction")

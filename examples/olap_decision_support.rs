@@ -61,7 +61,7 @@ fn main() -> Result<(), MmdbError> {
     // Verify against a scan.
     let amount = db.table("orders")?.column("amount").expect("column");
     let scan = (0..db.table("orders")?.rows() as u32)
-        .filter(|&r| matches!(amount.value(r), Value::Int(v) if (9_000..=10_000).contains(v)))
+        .filter(|&r| matches!(amount.value(r), Value::Int(v) if (9_000..=10_000).contains(&v)))
         .count();
     assert_eq!(big.len(), scan, "index agrees with full scan");
 
@@ -139,7 +139,7 @@ fn main() -> Result<(), MmdbError> {
     let bumped: Vec<Value> = (0..db.table("orders")?.rows() as u32)
         .map(|r| match amount.value(r) {
             Value::Int(v) => Value::Int(v * 11 / 10),
-            other => other.clone(),
+            other => other,
         })
         .collect();
     let report = db.replace_column("orders", "amount", bumped)?;

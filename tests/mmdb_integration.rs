@@ -214,8 +214,8 @@ fn engine_conjunction_equals_brute_force_for_every_ordered_kind() {
     let amount = sales.column("amount").unwrap();
     let expected: Vec<u32> = (0..sales.rows() as u32)
         .filter(|&r| {
-            matches!(cust.value(r), Value::Int(c) if (10..=30).contains(c))
-                && matches!(amount.value(r), Value::Int(a) if (0..=45).contains(a))
+            matches!(cust.value(r), Value::Int(c) if (10..=30).contains(&c))
+                && matches!(amount.value(r), Value::Int(a) if (0..=45).contains(&a))
         })
         .collect();
     for kind in IndexKind::ORDERED {

@@ -6,7 +6,7 @@
 //! Reopening is also idempotent: serializing the reopened catalog
 //! reproduces the same container bytes.
 
-use ccindex::db::{ResultRows, StorageFault};
+use ccindex::db::{GroupRow, Predicate, ResultRows, StorageFault};
 use ccindex::prelude::*;
 
 const KEY_SPACE: i64 = 120;
@@ -130,6 +130,174 @@ fn file_roundtrip_answers_identically() {
     let reopened = Database::open_from(&path).unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
     assert_equivalent(&live, &reopened, "open_from");
+}
+
+/// The catalog behind [`GOLDEN_IMAGE`]: two tables, an `Int`, a `Str`
+/// and a mixed column, every index kind.
+fn golden_catalog() -> Database {
+    let mut db = Database::new();
+    db.register(
+        TableBuilder::new("sales")
+            .int_column("amount", [30, 10, 20, 10, 30, 40, 10])
+            .str_column("region", ["e", "w", "e", "n", "w", "e", "s"])
+            .column(
+                "tag",
+                vec![
+                    Value::Int(7),
+                    Value::from("x"),
+                    Value::Int(-3),
+                    Value::from("a"),
+                    Value::Int(7),
+                    Value::from("x"),
+                    Value::Int(i64::MAX),
+                ],
+            )
+            .build()
+            .unwrap(),
+    )
+    .unwrap();
+    db.register(
+        TableBuilder::new("dim")
+            .int_column("id", [3, 1, 2])
+            .build()
+            .unwrap(),
+    )
+    .unwrap();
+    for kind in IndexKind::ALL {
+        db.create_index("sales", "amount", kind).unwrap();
+    }
+    db.create_index("sales", "region", IndexKind::BPlusTree)
+        .unwrap();
+    db.create_index("sales", "tag", IndexKind::FullCss).unwrap();
+    db
+}
+
+/// `golden_catalog().save_to_bytes()` as written by the build *before*
+/// domains became typed arrays and columns were encoded by rank
+/// (manifest version 1). The format did not move, so this build must
+/// write the same bytes and read them back.
+const GOLDEN_IMAGE: &str = "\
+    4343535001000000030000000001000000000000000002000000000000000003\
+    000000000000000300000002000000000000000100000004000000000a000000\
+    00000000001400000000000000001e0000000000000000280000000000000007\
+    0000000200000000000000010000000000000002000000030000000000000004\
+    00000001010000006501010000006e0101000000730101000000770700000000\
+    0000000300000000000000010000000300000000000000020000000500000000\
+    fdffffffffffffff00070000000000000000ffffffffffffff7f010100000061\
+    0101000000780700000001000000040000000000000003000000010000000400\
+    0000020000000700000000000000000000000000000001000000020000000200\
+    0000030000000700000001000000030000000600000002000000000000000400\
+    0000050000000700000000000000000000000000000001000000020000000300\
+    0000030000000700000000000000020000000500000003000000060000000100\
+    0000040000000700000000000000010000000100000002000000030000000400\
+    0000040000000700000002000000000000000400000006000000030000000100\
+    0000050000000e0000000108000000000000001f0000000000000070a48fc702\
+    270000000000000010000000000000005d06f491013700000000000000280000\
+    00000000001423454b025f000000000000002000000000000000381f27a5017f\
+    000000000000001c0000000000000037f7e0ea029b0000000000000020000000\
+    00000000fa657e8a01bb000000000000002b00000000000000eca1260f02e600\
+    0000000000002000000000000000961a02550306010000000000002000000000\
+    000000a5e05cb304260100000000000020000000000000007355234803460100\
+    000000000020000000000000003be0f67f046601000000000000200000000000\
+    0000f3dd13d603860100000000000020000000000000006777cbbe04a6010000\
+    000000002000000000000000e31d6233ea000000010000000200000003000000\
+    64696d0300000000000000010000000200000069640000000001000000000000\
+    000500000073616c657307000000000000000300000006000000616d6f756e74\
+    020000000300000006000000726567696f6e0400000005000000030000007461\
+    6706000000070000000300000006000000616d6f756e74080000000900000008\
+    0000000000000000010000000002000000000300000000040000000005000000\
+    000600000000070000000006000000726567696f6e0a0000000b000000010000\
+    000400000000030000007461670c0000000d000000010000000500000000c601\
+    000000000000180200000000000019237d2143435346";
+
+fn golden_image() -> Vec<u8> {
+    (0..GOLDEN_IMAGE.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&GOLDEN_IMAGE[i..i + 2], 16).unwrap())
+        .collect()
+}
+
+#[test]
+fn golden_image_is_written_and_read_unchanged() {
+    assert_eq!(ccindex::db::persist::MANIFEST_VERSION, 1);
+    let golden = golden_image();
+    let live = golden_catalog();
+    assert_eq!(live.save_to_bytes(), golden, "the stored format moved");
+
+    let opened = Database::open_from_bytes(golden.clone(), "golden").unwrap();
+    assert_eq!(opened.save_to_bytes(), golden, "reserialization drifted");
+    let rids = |db: &Database, filter: Predicate, kind: Option<IndexKind>| {
+        let q = db.query("sales").filter(filter);
+        let q = match kind {
+            Some(kind) => q.using(kind),
+            None => q,
+        };
+        q.run().unwrap().rids().to_vec()
+    };
+    for db in [&live, &opened] {
+        for kind in IndexKind::ALL {
+            assert_eq!(rids(db, eq("amount", 10), Some(kind)), [1, 3, 6]);
+            if kind != IndexKind::Hash {
+                assert_eq!(rids(db, between("amount", 15, 30), Some(kind)), [0, 2, 4]);
+            }
+        }
+        assert_eq!(rids(db, eq("region", "e"), None), [0, 2, 5]);
+        // The mixed column keeps enum order: every `Int` before any `Str`.
+        assert_eq!(rids(db, eq("tag", 7), None), [0, 4]);
+        assert_eq!(rids(db, eq("tag", "x"), None), [1, 5]);
+        assert_eq!(
+            rids(db, between("tag", Value::Int(0), Value::from("a")), None),
+            [0, 3, 4, 6]
+        );
+        let tag = db.table("sales").unwrap().column("tag").unwrap();
+        assert!(!tag.domain().is_int());
+        assert_eq!(
+            tag.domain().decode_batch(&[0, 1, 2, 3, 4]),
+            [
+                Value::Int(-3),
+                Value::Int(7),
+                Value::Int(i64::MAX),
+                Value::from("a"),
+                Value::from("x")
+            ]
+        );
+        assert!(db
+            .table("dim")
+            .unwrap()
+            .column("id")
+            .unwrap()
+            .domain()
+            .is_int());
+        assert_eq!(db.table("dim").unwrap().value("id", 0), Some(Value::Int(3)));
+        let groups = db
+            .query("sales")
+            .group_by("region", sum("amount"))
+            .run()
+            .unwrap()
+            .rows()
+            .clone();
+        assert_eq!(
+            groups,
+            ResultRows::Groups(vec![
+                GroupRow {
+                    group: "e".into(),
+                    value: 90
+                },
+                GroupRow {
+                    group: "n".into(),
+                    value: 10
+                },
+                GroupRow {
+                    group: "s".into(),
+                    value: 10
+                },
+                GroupRow {
+                    group: "w".into(),
+                    value: 40
+                },
+            ])
+        );
+    }
 }
 
 #[test]
