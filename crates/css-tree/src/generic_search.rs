@@ -315,3 +315,9 @@ mod tests {
         assert_eq!(g.lower_bound(5), 0);
     }
 }
+
+// A child of this module so it can hash the private directory; see the
+// file's own doc.
+#[cfg(test)]
+#[path = "golden.rs"]
+mod golden;
