@@ -3,12 +3,11 @@
 //! "When our code was more 'generic' (including a binary search loop for
 //! each node), we found the performance to be 20% to 45% worse than the
 //! specialized code." — const-generic `FullCssTree<u32, 16>` vs the
-//! runtime-`m` `GenericFullCss` over the same data and probes.
+//! runtime-`m` `CssTree<u32, RuntimeFull>` over the same data and probes.
 
 use ccindex_common::{SearchIndex, SortedArray};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use css_tree::generic_search::GenericFullCss;
-use css_tree::FullCssTree;
+use css_tree::{CssTree, FullCssTree, RuntimeFull};
 use workload::{KeySetBuilder, LookupStream};
 
 fn bench_ablation(c: &mut Criterion) {
@@ -19,7 +18,7 @@ fn bench_ablation(c: &mut Criterion) {
     let probes = stream.probes();
 
     let specialised = FullCssTree::<u32, 16>::from_shared(arr.clone());
-    let generic = GenericFullCss::from_shared(arr, 16);
+    let generic = CssTree::new(RuntimeFull { m: 16 }, arr);
 
     let mut group = c.benchmark_group("ablation");
     group.sample_size(20);

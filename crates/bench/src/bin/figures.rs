@@ -1368,7 +1368,7 @@ fn ablations(opts: &Options) {
     let seq = css.lower_bound_batch_sequential(stream.probes());
     let t_seq = t0.elapsed().as_secs_f64();
     let t1 = Instant::now();
-    let inter = css.lower_bound_batch_interleaved::<8>(stream.probes());
+    let inter = css.lower_bound_batch_lanes(stream.probes(), 8);
     let t_inter = t1.elapsed().as_secs_f64();
     assert_eq!(seq, inter);
     println!(

@@ -1,270 +1,127 @@
-//! Runtime-dispatched CSS-trees over the standard node sizes.
+//! CSS-trees whose variant and node size are chosen at runtime.
 //!
-//! The benchmark harness sweeps node sizes (Figs. 12–13); [`DynCssTree`]
-//! wraps one monomorphised tree per standard size behind an enum so the
-//! sweep stays a runtime loop while each instantiation keeps its
-//! specialised search (§6.2).
+//! The benchmark harness sweeps node sizes (Figs. 12–13);
+//! [`DynCssTree::build`] picks the monomorphised tree for a standard size
+//! once and keeps it behind a trait object, so the sweep stays a runtime
+//! loop while each instantiation keeps its specialised search (§6.2).
 
-use crate::full::FullCssTree;
-use crate::generic_search::GenericFullCss;
-use crate::layout::CssLayout;
-use crate::level::LevelCssTree;
+use crate::layout::CssVariant;
+use crate::search::RuntimeFull;
+use crate::tree::{CssTree, FullCssTree, LevelCssTree};
 use ccindex_common::{
-    AccessTracer, IndexStats, Key, NoopTracer, OrderedIndex, SearchIndex, SortedArray, SpaceReport,
+    AccessTracer, IndexStats, Key, OrderedIndex, SearchIndex, SortedArray, SpaceReport,
 };
+use ccindex_parallel::WorkerPool;
 
-/// Which CSS-tree variant to build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CssVariant {
-    /// Full CSS-tree (§4.1): `m` keys per node, branching `m + 1`.
-    Full,
-    /// Level CSS-tree (§4.2): `m − 1` keys per node, branching `m`.
-    Level,
-}
+/// A CSS-tree whose node size and variant were chosen at runtime.
+pub struct DynCssTree<K: Key>(Box<dyn OrderedIndex<K>>);
 
-/// Node sizes (keys per node) with pre-monomorphised implementations.
-/// 8 and 16 are the paper's cache-line sizes (32 B / 64 B with 4-byte
-/// keys); the rest cover the Fig. 12–13 sweeps.
-pub const STANDARD_NODE_SIZES: &[usize] = &[2, 4, 8, 16, 32, 64, 128];
-
-macro_rules! dyn_css {
-    ($( $variant_full:ident / $variant_level:ident => $m:literal ),+ $(,)?) => {
-        /// A CSS-tree whose node size and variant were chosen at runtime
-        /// from [`STANDARD_NODE_SIZES`].
-        #[derive(Debug, Clone)]
-        pub enum DynCssTree<K: Key> {
-            $(
-                #[doc = concat!("Full CSS-tree, m = ", stringify!($m), ".")]
-                $variant_full(FullCssTree<K, $m>),
-                #[doc = concat!("Level CSS-tree, m = ", stringify!($m), ".")]
-                $variant_level(LevelCssTree<K, $m>),
-            )+
-            /// Fallback for non-standard node sizes: the unspecialised
-            /// implementation (also the §6.2 ablation target).
-            Generic(GenericFullCss<K>),
-        }
+/// The one table of pre-monomorphised node sizes: the constant that lists
+/// them and the constructor that dispatches on them.
+macro_rules! standard_node_sizes {
+    ($($m:literal),+) => {
+        /// Node sizes (keys per node) with pre-monomorphised
+        /// implementations. 8 and 16 are the paper's cache-line sizes (32 B
+        /// / 64 B with 4-byte keys); the rest cover the Fig. 12–13 sweeps.
+        pub const STANDARD_NODE_SIZES: &[usize] = &[$($m),+];
 
         impl<K: Key> DynCssTree<K> {
             /// Build a CSS-tree of the given variant and node size over a
             /// shared sorted array. Standard sizes get specialised code;
-            /// any other size falls back to [`GenericFullCss`] (full
-            /// variant only — level trees require power-of-two sizes,
-            /// which are all standard).
+            /// any other size is a [`RuntimeFull`] tree (full variant only
+            /// — level trees require power-of-two sizes, which are all
+            /// standard).
             pub fn build(variant: CssVariant, m: usize, array: SortedArray<K>) -> Self {
-                match (variant, m) {
+                Self(match (variant, m) {
                     $(
-                        (CssVariant::Full, $m) => Self::$variant_full(FullCssTree::from_shared(array)),
-                        (CssVariant::Level, $m) => Self::$variant_level(LevelCssTree::from_shared(array)),
+                        (CssVariant::Full, $m) => Box::new(FullCssTree::<K, $m>::from_shared(array)),
+                        (CssVariant::Level, $m) => Box::new(LevelCssTree::<K, $m>::from_shared(array)),
                     )+
-                    (CssVariant::Full, other) => Self::Generic(GenericFullCss::from_shared(array, other)),
-                    (CssVariant::Level, other) => {
-                        panic!("level CSS-trees require a power-of-two node size, got {other}")
+                    (CssVariant::Full, m) => Box::new(CssTree::new(RuntimeFull { m }, array)),
+                    (CssVariant::Level, m) => {
+                        panic!("level CSS-trees require a power-of-two node size, got {m}")
                     }
-                }
-            }
-
-            /// The tree's layout.
-            pub fn layout(&self) -> &CssLayout {
-                match self {
-                    $(
-                        Self::$variant_full(t) => t.layout(),
-                        Self::$variant_level(t) => t.layout(),
-                    )+
-                    Self::Generic(t) => t.layout(),
-                }
-            }
-
-            /// Leftmost matching position, generically traced.
-            pub fn search_with<T: AccessTracer>(&self, key: K, tracer: &mut T) -> Option<usize> {
-                match self {
-                    $(
-                        Self::$variant_full(t) => t.search_with(key, tracer),
-                        Self::$variant_level(t) => t.search_with(key, tracer),
-                    )+
-                    Self::Generic(t) => t.search_with(key, tracer),
-                }
-            }
-
-            /// Leftmost position with key `>= key`, generically traced.
-            pub fn lower_bound_with<T: AccessTracer>(&self, key: K, tracer: &mut T) -> usize {
-                match self {
-                    $(
-                        Self::$variant_full(t) => t.lower_bound_with(key, tracer),
-                        Self::$variant_level(t) => t.lower_bound_with(key, tracer),
-                    )+
-                    Self::Generic(t) => t.lower_bound_with(key, tracer),
-                }
-            }
-
-            /// Batched lower bounds with a runtime-tunable lane count —
-            /// the interleaved descent of [`crate::batch`] with `lanes`
-            /// probes in flight per round, on whichever monomorphised
-            /// tree this enum wraps.
-            pub fn lower_bound_batch_lanes(&self, probes: &[K], lanes: usize) -> Vec<usize> {
-                self.lower_bound_batch_lanes_with(probes, lanes, &mut NoopTracer)
-            }
-
-            /// As [`DynCssTree::lower_bound_batch_lanes`], with access
-            /// tracing for cache-simulator replay.
-            pub fn lower_bound_batch_lanes_with<T: AccessTracer>(
-                &self,
-                probes: &[K],
-                lanes: usize,
-                tracer: &mut T,
-            ) -> Vec<usize> {
-                match self {
-                    $(
-                        Self::$variant_full(t) => t.lower_bound_batch_lanes_with(probes, lanes, tracer),
-                        Self::$variant_level(t) => t.lower_bound_batch_lanes_with(probes, lanes, tracer),
-                    )+
-                    Self::Generic(t) => t.lower_bound_batch_lanes_with(probes, lanes, tracer),
-                }
-            }
-
-            /// Batched point lookups with a runtime-tunable lane count.
-            pub fn search_batch_lanes_with<T: AccessTracer>(
-                &self,
-                probes: &[K],
-                lanes: usize,
-                tracer: &mut T,
-            ) -> Vec<Option<usize>> {
-                match self {
-                    $(
-                        Self::$variant_full(t) => t.search_batch_lanes_with(probes, lanes, tracer),
-                        Self::$variant_level(t) => t.search_batch_lanes_with(probes, lanes, tracer),
-                    )+
-                    Self::Generic(t) => t.search_batch_lanes_with(probes, lanes, tracer),
-                }
-            }
-
-            /// Partitioned batched lower bounds on whichever
-            /// monomorphised tree this enum wraps: probes chunked across
-            /// `threads` workers (`0` = one per core), each chunk running
-            /// the interleaved descent at `lanes`; byte-identical to
-            /// [`DynCssTree::lower_bound_batch_lanes`].
-            pub fn lower_bound_batch_par(
-                &self,
-                probes: &[K],
-                lanes: usize,
-                threads: usize,
-            ) -> Vec<usize> {
-                match self {
-                    $(
-                        Self::$variant_full(t) => t.lower_bound_batch_par(probes, lanes, threads),
-                        Self::$variant_level(t) => t.lower_bound_batch_par(probes, lanes, threads),
-                    )+
-                    Self::Generic(t) => t.lower_bound_batch_par(probes, lanes, threads),
-                }
-            }
-
-            /// Partitioned batched point lookups; see
-            /// [`DynCssTree::lower_bound_batch_par`].
-            pub fn search_batch_par(
-                &self,
-                probes: &[K],
-                lanes: usize,
-                threads: usize,
-            ) -> Vec<Option<usize>> {
-                match self {
-                    $(
-                        Self::$variant_full(t) => t.search_batch_par(probes, lanes, threads),
-                        Self::$variant_level(t) => t.search_batch_par(probes, lanes, threads),
-                    )+
-                    Self::Generic(t) => t.search_batch_par(probes, lanes, threads),
-                }
-            }
-        }
-
-        impl<K: Key> SearchIndex<K> for DynCssTree<K> {
-            fn name(&self) -> &'static str {
-                match self {
-                    $(
-                        Self::$variant_full(t) => t.name(),
-                        Self::$variant_level(t) => t.name(),
-                    )+
-                    Self::Generic(t) => t.name(),
-                }
-            }
-            fn len(&self) -> usize {
-                match self {
-                    $(
-                        Self::$variant_full(t) => SearchIndex::len(t),
-                        Self::$variant_level(t) => SearchIndex::len(t),
-                    )+
-                    Self::Generic(t) => SearchIndex::len(t),
-                }
-            }
-            fn search(&self, key: K) -> Option<usize> {
-                self.search_with(key, &mut NoopTracer)
-            }
-            fn search_traced(&self, key: K, tracer: &mut dyn AccessTracer) -> Option<usize> {
-                self.search_with(key, &mut { tracer })
-            }
-            fn search_batch(&self, probes: &[K]) -> Vec<Option<usize>> {
-                self.search_batch_lanes_with(probes, ccindex_common::DEFAULT_BATCH_LANES, &mut NoopTracer)
-            }
-            fn search_batch_lanes(&self, probes: &[K], lanes: usize) -> Vec<Option<usize>> {
-                self.search_batch_lanes_with(probes, lanes, &mut NoopTracer)
-            }
-            fn search_batch_traced(
-                &self,
-                probes: &[K],
-                tracer: &mut dyn AccessTracer,
-            ) -> Vec<Option<usize>> {
-                self.search_batch_lanes_with(probes, ccindex_common::DEFAULT_BATCH_LANES, &mut { tracer })
-            }
-            fn space(&self) -> SpaceReport {
-                match self {
-                    $(
-                        Self::$variant_full(t) => t.space(),
-                        Self::$variant_level(t) => t.space(),
-                    )+
-                    Self::Generic(t) => t.space(),
-                }
-            }
-            fn stats(&self) -> IndexStats {
-                match self {
-                    $(
-                        Self::$variant_full(t) => t.stats(),
-                        Self::$variant_level(t) => t.stats(),
-                    )+
-                    Self::Generic(t) => t.stats(),
-                }
-            }
-        }
-
-        impl<K: Key> OrderedIndex<K> for DynCssTree<K> {
-            fn lower_bound(&self, key: K) -> usize {
-                self.lower_bound_with(key, &mut NoopTracer)
-            }
-            fn lower_bound_traced(&self, key: K, tracer: &mut dyn AccessTracer) -> usize {
-                self.lower_bound_with(key, &mut { tracer })
-            }
-            fn lower_bound_batch(&self, probes: &[K]) -> Vec<usize> {
-                self.lower_bound_batch_lanes(probes, ccindex_common::DEFAULT_BATCH_LANES)
-            }
-            fn lower_bound_batch_lanes(&self, probes: &[K], lanes: usize) -> Vec<usize> {
-                self.lower_bound_batch_lanes_with(probes, lanes, &mut NoopTracer)
-            }
-            fn lower_bound_batch_traced(
-                &self,
-                probes: &[K],
-                tracer: &mut dyn AccessTracer,
-            ) -> Vec<usize> {
-                self.lower_bound_batch_lanes_with(probes, ccindex_common::DEFAULT_BATCH_LANES, &mut { tracer })
+                })
             }
         }
     };
 }
 
-dyn_css! {
-    Full2 / Level2 => 2,
-    Full4 / Level4 => 4,
-    Full8 / Level8 => 8,
-    Full16 / Level16 => 16,
-    Full32 / Level32 => 32,
-    Full64 / Level64 => 64,
-    Full128 / Level128 => 128,
+standard_node_sizes!(2, 4, 8, 16, 32, 64, 128);
+
+impl<K: Key> DynCssTree<K> {
+    /// Partitioned batched lower bounds: probes chunked across `threads`
+    /// workers (`0` = one per core), each chunk running the interleaved
+    /// descent at `lanes`; byte-identical to
+    /// [`OrderedIndex::lower_bound_batch_lanes`].
+    pub fn lower_bound_batch_par(&self, probes: &[K], lanes: usize, threads: usize) -> Vec<usize> {
+        WorkerPool::new(threads)
+            .flat_map_chunks(probes, |chunk| self.0.lower_bound_batch_lanes(chunk, lanes))
+    }
+
+    /// Partitioned batched point lookups; see
+    /// [`DynCssTree::lower_bound_batch_par`].
+    pub fn search_batch_par(
+        &self,
+        probes: &[K],
+        lanes: usize,
+        threads: usize,
+    ) -> Vec<Option<usize>> {
+        WorkerPool::new(threads)
+            .flat_map_chunks(probes, |chunk| self.0.search_batch_lanes(chunk, lanes))
+    }
+}
+
+impl<K: Key> SearchIndex<K> for DynCssTree<K> {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+    fn search(&self, key: K) -> Option<usize> {
+        self.0.search(key)
+    }
+    fn search_traced(&self, key: K, tracer: &mut dyn AccessTracer) -> Option<usize> {
+        self.0.search_traced(key, tracer)
+    }
+    fn search_batch(&self, probes: &[K]) -> Vec<Option<usize>> {
+        self.0.search_batch(probes)
+    }
+    fn search_batch_lanes(&self, probes: &[K], lanes: usize) -> Vec<Option<usize>> {
+        self.0.search_batch_lanes(probes, lanes)
+    }
+    fn search_batch_traced(
+        &self,
+        probes: &[K],
+        tracer: &mut dyn AccessTracer,
+    ) -> Vec<Option<usize>> {
+        self.0.search_batch_traced(probes, tracer)
+    }
+    fn space(&self) -> SpaceReport {
+        self.0.space()
+    }
+    fn stats(&self) -> IndexStats {
+        self.0.stats()
+    }
+}
+
+impl<K: Key> OrderedIndex<K> for DynCssTree<K> {
+    fn lower_bound(&self, key: K) -> usize {
+        self.0.lower_bound(key)
+    }
+    fn lower_bound_traced(&self, key: K, tracer: &mut dyn AccessTracer) -> usize {
+        self.0.lower_bound_traced(key, tracer)
+    }
+    fn lower_bound_batch(&self, probes: &[K]) -> Vec<usize> {
+        self.0.lower_bound_batch(probes)
+    }
+    fn lower_bound_batch_lanes(&self, probes: &[K], lanes: usize) -> Vec<usize> {
+        self.0.lower_bound_batch_lanes(probes, lanes)
+    }
+    fn lower_bound_batch_traced(&self, probes: &[K], tracer: &mut dyn AccessTracer) -> Vec<usize> {
+        self.0.lower_bound_batch_traced(probes, tracer)
+    }
 }
 
 #[cfg(test)]
@@ -298,8 +155,8 @@ mod tests {
         let ks = keys(1000);
         let arr = SortedArray::from_slice(&ks);
         let t = DynCssTree::build(CssVariant::Full, 24, arr);
-        assert!(matches!(t, DynCssTree::Generic(_)));
-        assert_eq!(t.layout().m, 24);
+        assert_eq!(t.name(), "full CSS-tree (generic)");
+        assert_eq!((t.stats().branching, t.stats().node_bytes), (25, 24 * 4));
         for probe in (0..3_100u32).step_by(7) {
             assert_eq!(t.lower_bound(probe), ks.partition_point(|&k| k < probe));
         }
@@ -332,7 +189,7 @@ mod tests {
         for (variant, m) in [
             (CssVariant::Full, 16usize),
             (CssVariant::Level, 8),
-            (CssVariant::Full, 24), // generic fallback
+            (CssVariant::Full, 24), // no monomorph: the runtime-`m` tree
         ] {
             let t = DynCssTree::build(variant, m, arr.clone());
             // Lane count 0 is the documented sequential fallback, not a

@@ -22,12 +22,14 @@
 
 use ccindex_common::{ceil_div, ceil_log, pow_saturating};
 
-/// Which CSS variant a layout describes.
+/// Which CSS-tree variant a layout describes (and
+/// [`DynCssTree::build`](crate::DynCssTree::build) builds).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CssKind {
-    /// §4.1: `m` keys per node, branching `m + 1`.
+pub enum CssVariant {
+    /// Full CSS-tree (§4.1): `m` keys per node, branching `m + 1`.
     Full,
-    /// §4.2: `m − 1` keys per node (one auxiliary slot), branching `m`.
+    /// Level CSS-tree (§4.2): `m − 1` keys per node (one auxiliary
+    /// slot), branching `m`.
     Level,
 }
 
@@ -35,7 +37,7 @@ pub enum CssKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CssLayout {
     /// Variant.
-    pub kind: CssKind,
+    pub kind: CssVariant,
     /// Number of indexed elements.
     pub n: usize,
     /// Slots per node (`m`); each directory node occupies `m` key slots.
@@ -73,14 +75,11 @@ pub enum LeafSegment {
     BeyondEnd,
 }
 
-/// Alias retained for the level variant in public signatures.
-pub type LevelLayout = CssLayout;
-
 impl CssLayout {
     /// Geometry of a full CSS-tree (§4.1) with `m` keys per node.
     pub fn full(n: usize, m: usize) -> Self {
         assert!(m >= 1, "node size must be at least 1");
-        Self::compute(CssKind::Full, n, m, m + 1)
+        Self::compute(CssVariant::Full, n, m, m + 1)
     }
 
     /// Geometry of a level CSS-tree (§4.2); `m` must be a power of two
@@ -91,10 +90,10 @@ impl CssLayout {
             m >= 2 && m.is_power_of_two(),
             "level CSS-trees require a power-of-two node size >= 2"
         );
-        Self::compute(CssKind::Level, n, m, m)
+        Self::compute(CssVariant::Level, n, m, m)
     }
 
-    fn compute(kind: CssKind, n: usize, m: usize, f: usize) -> Self {
+    fn compute(kind: CssVariant, n: usize, m: usize, f: usize) -> Self {
         let leaves = ceil_div(n, m);
         if leaves <= 1 {
             // A single (possibly partial) leaf: no directory at all.
@@ -173,6 +172,22 @@ impl CssLayout {
                 start,
                 end: start + self.m,
             }
+        }
+    }
+
+    /// Array position of the largest key under `node`: the last key of
+    /// the virtual leaf reached by always taking the last branch
+    /// (Algorithm 4.1's "immediate left subtree" walk). A leaf dangling
+    /// past the data answers with "the last element in the first part",
+    /// the paper's padding; for the partial last leaf the segment is
+    /// already clamped to that element. The array must not be empty.
+    pub fn max_position(&self, mut node: usize) -> usize {
+        while self.is_internal(node) {
+            node = self.child(node, self.branching - 1);
+        }
+        match self.leaf_segment(node) {
+            LeafSegment::Range { end, .. } => end - 1,
+            LeafSegment::BeyondEnd => self.first_part_len - 1,
         }
     }
 

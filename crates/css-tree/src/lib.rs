@@ -7,41 +7,76 @@
 //! a key**. A lookup costs at most `log_{m+1} n` cache misses instead of
 //! binary search's `log_2 n`.
 //!
-//! Two variants, per the paper:
+//! That is one structure, and this crate has one type for it:
+//! [`CssTree<K, S>`](CssTree) — a shared sorted array, a directory, the
+//! directory's geometry ([`CssLayout`]: Lemma 4.1, and the remapping of
+//! leaf offsets around the `MARK` point that keeps the array contiguous in
+//! key order, Fig. 3) and a node-search strategy `S`. The paper's variants
+//! are the three [`NodeSearch`] strategies:
 //!
-//! * [`FullCssTree`] (§4.1) — nodes hold exactly `m` keys; the tree is a
-//!   complete `(m+1)`-ary tree except for a partially filled bottom leaf
-//!   level. Because the sorted array is kept contiguous in key order while
-//!   the natural tree order would split it, leaf offsets are remapped
-//!   around the `MARK` point (the "switching of regions I and II" of
-//!   Fig. 3, Lemma 4.1, Algorithms 4.1 and 4.2).
-//! * [`LevelCssTree`] (§4.2) — for `m = 2^t`, nodes sacrifice one slot and
-//!   hold `m − 1` keys with branching factor `m`, turning the per-node
-//!   search into a perfect binary tree: `log_2 n` total comparisons (fewer
-//!   than full CSS-trees) at the price of `log_m n ≥ log_{m+1} n` levels.
-//!   The spare slot caches the subtree maximum during construction, which
-//!   is why level trees also *build* faster (Fig. 9).
+//! * [`Full<M>`](Full) (§4.1, [`FullCssTree`]) — nodes hold exactly `M`
+//!   keys; the tree is a complete `(M+1)`-ary tree except for a partially
+//!   filled bottom leaf level.
+//! * [`Level<M>`](Level) (§4.2, [`LevelCssTree`]) — for `M = 2^t`, nodes
+//!   sacrifice one slot and hold `M − 1` keys with branching factor `M`,
+//!   turning the per-node search into a perfect binary tree: `log_2 n`
+//!   total comparisons (fewer than full CSS-trees) at the price of
+//!   `log_M n ≥ log_{M+1} n` levels.
+//! * [`RuntimeFull`] (§6.2's "more generic" code) — the full tree with `m`
+//!   a runtime value, kept as the ablation target and for node sizes
+//!   without a monomorph.
 //!
-//! Node size is a const generic `M` (keys per node), giving each size its
-//! own fully unrolled monomorphised search — the Rust equivalent of the
-//! paper's hand-specialised code which §6.2 measured to be worth 20–45 %.
-//! [`dynamic`] provides enum-dispatched wrappers over the standard sizes
-//! for parameter sweeps, and [`generic_search`] keeps the deliberately
-//! *unspecialised* variant as an ablation target.
+//! **What a strategy may vary** is the node: how many slots it has, how
+//! many of them the branch pick bisects, the geometry that follows, and
+//! the branch pick itself. `Full` and `Level` are zero-sized, with `M` a
+//! const generic, so each node size gets its own fully unrolled
+//! monomorphised search — the Rust equivalent of the paper's
+//! hand-specialised code, which §6.2 measured to be worth 20–45 %. **What
+//! it may not vary** is everything else — where a node lives, how a child
+//! is addressed, the descent, the leaf bisection, the interleaved batch
+//! descent ([`batch`]), validation, the `SearchIndex`/`OrderedIndex`
+//! impls — all written once in [`tree`] and [`batch`].
+//!
+//! **Why the two fills differ.** Every directory slot holds the largest key
+//! under its child. The full tree finds it by walking the child's rightmost
+//! branch down to a leaf (Algorithm 4.1). The level tree's spare `M`-th
+//! slot caches each node's overall maximum, so a parent reads its child's
+//! maximum from one slot instead of re-descending — which is why level
+//! trees *build* faster (Fig. 9). That one question ("what is the largest
+//! key under this child?") is the only part of the fill a strategy
+//! answers; [`CssTree::validate`] re-derives every slot by the rightmost
+//! walk regardless, so it checks both fills independently.
+//!
+//! [`DynCssTree`] picks a monomorph by `(variant, m)` at runtime for
+//! parameter sweeps, and [`RecordCssTree`] puts the same directory over an
+//! array of records wider than their key (§4).
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod batch;
 pub mod dynamic;
-pub mod full;
-pub mod generic_search;
 pub mod layout;
-pub mod level;
 pub mod records;
+pub mod search;
+pub mod tree;
 
-pub use dynamic::{CssVariant, DynCssTree, STANDARD_NODE_SIZES};
-pub use full::FullCssTree;
-pub use generic_search::GenericFullCss;
-pub use layout::{CssLayout, LevelLayout};
-pub use level::LevelCssTree;
+pub use dynamic::{DynCssTree, STANDARD_NODE_SIZES};
+pub use layout::{CssLayout, CssVariant};
 pub use records::{KeyedRecord, RecordCssTree};
+pub use search::{Full, Level, NodeSearch, RuntimeFull};
+pub use tree::{CssTree, FullCssTree, LevelCssTree};
+
+// The strategy-generic test suite and its instantiations. The latter are
+// mounted under the module paths of the per-variant files the strategies
+// replaced, so every test kept its name.
+#[cfg(test)]
+#[path = "suite/full.rs"]
+mod full;
+#[cfg(test)]
+#[path = "suite/generic_search.rs"]
+mod generic_search;
+#[cfg(test)]
+#[path = "suite/level.rs"]
+mod level;
+#[cfg(test)]
+mod suite;

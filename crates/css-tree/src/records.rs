@@ -12,7 +12,9 @@
 //! — the whole point of the structure), while leaf probes touch the wider
 //! records.
 
-use crate::layout::{CssLayout, LeafSegment};
+use crate::layout::CssLayout;
+use crate::search::Full;
+use crate::tree::{Directory, Leaves};
 use ccindex_common::{AccessTracer, AlignedBuf, Key, NoopTracer};
 
 /// A fixed-width record carrying an ordering key.
@@ -33,13 +35,25 @@ impl<K: Key, V: Copy + Default + Send + Sync + 'static> KeyedRecord for (K, V) {
     }
 }
 
+/// The key projection the shared fill, descent and leaf bisection read a
+/// record array through.
+impl<R: KeyedRecord> Leaves<R::Key> for AlignedBuf<R> {
+    type Elem = R;
+    fn elems(&self) -> &[R] {
+        self.as_slice()
+    }
+    #[inline(always)]
+    fn key(elem: &R) -> R::Key {
+        elem.key()
+    }
+}
+
 /// A full CSS-tree over a sorted array of records, `M` keys per directory
 /// node.
 #[derive(Debug, Clone)]
 pub struct RecordCssTree<R: KeyedRecord, const M: usize> {
     records: AlignedBuf<R>,
-    directory: AlignedBuf<R::Key>,
-    layout: CssLayout,
+    dir: Directory<R::Key, Full<M>>,
 }
 
 impl<R: KeyedRecord, const M: usize> RecordCssTree<R, M> {
@@ -49,36 +63,9 @@ impl<R: KeyedRecord, const M: usize> RecordCssTree<R, M> {
             records.windows(2).all(|w| w[0].key() <= w[1].key()),
             "records must be sorted by key"
         );
-        let layout = CssLayout::full(records.len(), M);
         let records = AlignedBuf::from_slice(records);
-        let mut directory: AlignedBuf<R::Key> = AlignedBuf::new_zeroed(layout.directory_slots());
-        Self::fill_directory(records.as_slice(), &layout, &mut directory);
-        Self {
-            records,
-            directory,
-            layout,
-        }
-    }
-
-    /// Algorithm 4.1, reading subtree maxima through the record keys.
-    fn fill_directory(records: &[R], layout: &CssLayout, directory: &mut AlignedBuf<R::Key>) {
-        let t = layout.internal_nodes;
-        if t == 0 {
-            return;
-        }
-        let pad = records[layout.first_part_len - 1].key();
-        for i in (0..t * M).rev() {
-            let d = i / M;
-            let e = i % M;
-            let mut c = layout.child(d, e);
-            while layout.is_internal(c) {
-                c = layout.child(c, M);
-            }
-            directory[i] = match layout.leaf_segment(c) {
-                LeafSegment::Range { end, .. } => records[end - 1].key(),
-                LeafSegment::BeyondEnd => pad,
-            };
-        }
+        let dir = Directory::build(Full, &records);
+        Self { records, dir }
     }
 
     /// Number of records.
@@ -98,67 +85,31 @@ impl<R: KeyedRecord, const M: usize> RecordCssTree<R, M> {
 
     /// The directory geometry.
     pub fn layout(&self) -> &CssLayout {
-        &self.layout
+        self.dir.layout()
     }
 
     /// Directory bytes — unchanged by the record width, which is the
     /// §4 point: wider records do not bloat the searched structure.
     pub fn directory_bytes(&self) -> usize {
-        self.directory.size_bytes()
+        self.dir.slots().size_bytes()
     }
 
     /// Leftmost position whose record key is `>= probe`, traced.
     pub fn lower_bound_with<T: AccessTracer>(&self, probe: R::Key, tracer: &mut T) -> usize {
-        let n = self.records.len();
-        if n == 0 {
-            return 0;
-        }
-        let mut d = 0usize;
-        while self.layout.is_internal(d) {
-            let base = d * M;
-            let node = &self.directory.as_slice()[base..base + M];
-            tracer.read(
-                self.directory.base_addr() + base * R::Key::WIDTH,
-                M * R::Key::WIDTH,
-            );
-            let mut lo = 0usize;
-            let mut hi = M;
-            while lo < hi {
-                let mid = (lo + hi) >> 1;
-                tracer.compare();
-                if node[mid] < probe {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            d = self.layout.child(d, lo);
-            tracer.descend();
-        }
-        let (start, end) = match self.layout.leaf_segment(d) {
-            LeafSegment::Range { start, end } => (start, end),
-            LeafSegment::BeyondEnd => return n,
-        };
-        let recs = self.records.as_slice();
-        let rec_size = core::mem::size_of::<R>();
-        let mut lo = start;
-        let mut hi = end;
-        while lo < hi {
-            let mid = lo + ((hi - lo) >> 1);
-            tracer.compare();
-            tracer.read(self.records.base_addr() + mid * rec_size, rec_size);
-            if recs[mid].key() < probe {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
+        self.dir.lower_bound(&self.records, probe, tracer)
     }
 
     /// Leftmost position with key `>= probe`.
     pub fn lower_bound(&self, probe: R::Key) -> usize {
         self.lower_bound_with(probe, &mut NoopTracer)
+    }
+
+    /// Lower bounds of a whole batch through the interleaved descent of
+    /// [`crate::batch`], `lanes` probes in flight per round; `out[i]` is
+    /// `lower_bound(probes[i])`.
+    pub fn lower_bound_batch_lanes(&self, probes: &[R::Key], lanes: usize) -> Vec<usize> {
+        self.dir
+            .interleaved_descent(&self.records, probes, lanes, &mut NoopTracer)
     }
 
     /// The leftmost record matching `probe`, if any.

@@ -9,8 +9,8 @@
 //! *structure* or its access pattern changed, not just its spelling —
 //! the tier-1 form of `ccbench`'s exact `css-tree.sim_misses_per_probe`.
 
-use super::*;
-use ccindex_common::{AccessTracer, CountingTracer, Key};
+use crate::{CssTree, FullCssTree, LevelCssTree, RuntimeFull};
+use ccindex_common::{AccessTracer, CountingTracer, Key, SortedArray};
 
 const N: u32 = 1_000_000;
 const PROBES: usize = 4_096;
@@ -132,10 +132,10 @@ fn pin(
 }
 
 fn runtime(m: usize) -> Pinned {
-    let t = GenericFullCss::build(&keys(), m);
+    let t = CssTree::new(RuntimeFull { m }, SortedArray::from_slice(&keys()));
     pin(
-        t.directory.as_slice(),
-        t.array.as_slice(),
+        t.directory(),
+        t.array().as_slice(),
         |p, tr| t.lower_bound_with(p, tr),
         |ps, tr| t.lower_bound_batch_lanes_with(ps, 8, tr),
     )
@@ -143,7 +143,7 @@ fn runtime(m: usize) -> Pinned {
 
 #[test]
 fn full_m16_is_pinned() {
-    let t = crate::FullCssTree::<u32, 16>::build(&keys());
+    let t = FullCssTree::<u32, 16>::build(&keys());
     let got = pin(
         t.directory(),
         t.array().as_slice(),
@@ -155,7 +155,7 @@ fn full_m16_is_pinned() {
 
 #[test]
 fn level_m16_is_pinned() {
-    let t = crate::LevelCssTree::<u32, 16>::build(&keys());
+    let t = LevelCssTree::<u32, 16>::build(&keys());
     let got = pin(
         t.directory(),
         t.array().as_slice(),

@@ -148,17 +148,12 @@ impl std::fmt::Debug for IndexHandle {
 }
 
 /// Build a point-lookup index of the chosen kind over a shared sorted
-/// key array.
+/// key array: the hash index, or any ordered kind seen through its
+/// `SearchIndex` supertrait.
 pub fn build_index(kind: IndexKind, keys: &SortedArray<u32>) -> Box<dyn SearchIndex<u32>> {
     match kind {
-        IndexKind::BinarySearch => Box::new(BinarySearch::from_shared(keys.clone())),
-        IndexKind::InterpolationSearch => Box::new(InterpolationSearch::from_shared(keys.clone())),
-        IndexKind::BinaryTree => Box::new(BinaryTreeIndex::build(keys.as_slice())),
-        IndexKind::TTree => Box::new(TTree::<u32, 8>::build(keys.as_slice())),
-        IndexKind::BPlusTree => Box::new(BPlusTree::<u32, 8>::from_shared(keys.clone())),
-        IndexKind::FullCss => Box::new(FullCssTree::<u32, 16>::from_shared(keys.clone())),
-        IndexKind::LevelCss => Box::new(LevelCssTree::<u32, 16>::from_shared(keys.clone())),
         IndexKind::Hash => Box::new(HashIndex::<u32, 7>::build(keys.as_slice())),
+        ordered => build_ordered_index(ordered, keys),
     }
 }
 

@@ -53,7 +53,7 @@ use crate::snapshot::CatalogState;
 use crate::table::Table;
 use ccindex_common::SortedArray;
 use ccindex_store::{PageKind, StoreError, StoreFault, StoreReader, StoreWriter};
-use css_tree::{FullCssTree, LevelCssTree};
+use css_tree::{CssTree, Full, Level, NodeSearch};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
@@ -129,34 +129,32 @@ pub fn catalog_to_bytes(state: &CatalogState) -> Vec<u8> {
                 // them back without rebuilding. Other kinds carry no
                 // pages and rebuild from the RID keys at open.
                 match kind {
-                    IndexKind::FullCss => {
-                        let t = FullCssTree::<u32, CSS_M>::from_shared(keys.clone());
-                        let levels = t.layout().directory_levels();
-                        m.u32(levels);
-                        for level in 0..levels {
-                            m.u32(w.page(
-                                PageKind::CssLevel,
-                                &encode_u32s_raw(t.directory_level(level)),
-                            ));
-                        }
-                    }
-                    IndexKind::LevelCss => {
-                        let t = LevelCssTree::<u32, CSS_M>::from_shared(keys.clone());
-                        let levels = t.layout().directory_levels();
-                        m.u32(levels);
-                        for level in 0..levels {
-                            m.u32(w.page(
-                                PageKind::CssLevel,
-                                &encode_u32s_raw(t.directory_level(level)),
-                            ));
-                        }
-                    }
+                    IndexKind::FullCss => write_css_levels::<Full<CSS_M>>(&mut w, &mut m, keys),
+                    IndexKind::LevelCss => write_css_levels::<Level<CSS_M>>(&mut w, &mut m, keys),
                     _ => m.u32(0),
                 }
             }
         }
     }
     w.finish(&m.buf)
+}
+
+/// Build the `S` tree over `keys` and write its directory as a level
+/// count plus one [`PageKind::CssLevel`] page per level, root first.
+fn write_css_levels<S: NodeSearch + Default>(
+    w: &mut StoreWriter,
+    m: &mut MWriter,
+    keys: &SortedArray<u32>,
+) {
+    let t = CssTree::<u32, S>::from_shared(keys.clone());
+    let levels = t.layout().directory_levels();
+    m.u32(levels);
+    for level in 0..levels {
+        m.u32(w.page(
+            PageKind::CssLevel,
+            &encode_u32s_raw(t.directory_level(level)),
+        ));
+    }
 }
 
 /// Deserialize a catalog image into a fresh [`Database`] (generation
@@ -386,8 +384,11 @@ fn validate_rid_list(
     Ok(RidList::from_parts(SortedArray::from_vec(keys), rids))
 }
 
-/// Reassemble a CSS tree from its concatenated level pages; a
-/// slot-count/geometry mismatch is a typed corruption error.
+/// Reassemble a CSS tree from its concatenated level pages. Like every
+/// other page kind the directory is proven before use: a slot count that
+/// does not match the geometry, or a slot that is not the largest key
+/// under its child, is a typed corruption error — a wrong slot behind a
+/// matching CRC would otherwise open into an index that answers wrongly.
 fn css_handle_from_levels(
     label: &str,
     table: &str,
@@ -397,19 +398,20 @@ fn css_handle_from_levels(
     slots: &[u32],
 ) -> Result<IndexHandle> {
     let wrap = |e: String| corrupt(label, format!("{kind:?} index on `{table}.{column}`: {e}"));
-    match kind {
-        IndexKind::FullCss => {
-            FullCssTree::<u32, CSS_M>::from_shared_with_directory(keys.clone(), slots)
-                .map(|t| IndexHandle::Ordered(Box::new(t)))
-                .map_err(wrap)
-        }
-        IndexKind::LevelCss => {
-            LevelCssTree::<u32, CSS_M>::from_shared_with_directory(keys.clone(), slots)
-                .map(|t| IndexHandle::Ordered(Box::new(t)))
-                .map_err(wrap)
-        }
-        other => Err(wrap(format!("{other:?} indexes carry no directory pages"))),
+    fn open<S: NodeSearch + Default>(
+        keys: &SortedArray<u32>,
+        slots: &[u32],
+    ) -> std::result::Result<IndexHandle, String> {
+        let t = CssTree::<u32, S>::from_shared_with_directory(keys.clone(), slots)?;
+        t.validate()?;
+        Ok(IndexHandle::Ordered(Box::new(t)))
     }
+    match kind {
+        IndexKind::FullCss => open::<Full<CSS_M>>(keys, slots),
+        IndexKind::LevelCss => open::<Level<CSS_M>>(keys, slots),
+        other => Err(format!("{other:?} indexes carry no directory pages")),
+    }
+    .map_err(wrap)
 }
 
 // ---------------------------------------------------------------------
@@ -937,6 +939,60 @@ mod tests {
             err.to_string().contains("outside its 1-value domain"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn rewritten_css_directory_slots_are_typed_corruption() {
+        for kind in [IndexKind::FullCss, IndexKind::LevelCss] {
+            let mut db = Database::new();
+            db.register(
+                TableBuilder::new("t")
+                    .int_column("k", (0..600).map(|i| i * 7))
+                    .build()
+                    .expect("one column"),
+            )
+            .expect("fresh name");
+            db.create_index("t", "k", kind).expect("index");
+            let mut src = StoreReader::open_bytes(db.save_to_bytes(), "src").expect("own image");
+            let css_pages: Vec<u32> = (0..src.page_count())
+                .filter(|&id| src.page_kind(id) == Some(PageKind::CssLevel))
+                .collect();
+            assert!(
+                css_pages.len() >= 2,
+                "{kind:?}: a directory of several levels"
+            );
+            // Copy the image page by page — the writer computes every
+            // CRC afresh — changing the first or the last slot of one
+            // directory level. The last slot of a level node is never
+            // compared against a probe, so only validation can see it.
+            for &victim in &css_pages {
+                for last in [false, true] {
+                    let mut w = StoreWriter::new();
+                    for id in 0..src.page_count() {
+                        let mut page = src.read_page(id).expect("own page");
+                        if id == victim {
+                            let at = if last { page.len() - 4 } else { 0 };
+                            page[at] ^= 1;
+                        }
+                        let kind = src.page_kind(id).expect("own page");
+                        assert_eq!(w.page(kind, &page), id);
+                    }
+                    let err = Database::open_from_bytes(w.finish(src.manifest()), "slot")
+                        .expect_err("a wrong directory slot");
+                    assert!(
+                        matches!(
+                            err,
+                            MmdbError::Storage {
+                                fault: StorageFault::Corrupt,
+                                ..
+                            }
+                        ),
+                        "{kind:?} page {victim}: {err:?}"
+                    );
+                    assert!(err.to_string().contains("index on `t.k`"), "{err}");
+                }
+            }
+        }
     }
 
     #[test]

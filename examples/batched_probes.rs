@@ -25,7 +25,7 @@ fn main() {
 
     // One tree, probed three ways: per-probe, via the trait batch entry
     // point (DEFAULT_BATCH_LANES interleaved descents), and with an
-    // explicit lane count through DynCssTree.
+    // explicit lane count.
     let css = DynCssTree::build(CssVariant::Full, 16, arr.clone());
 
     let t0 = Instant::now();

@@ -31,7 +31,7 @@
 //!
 //! | Re-export | Crate | Contents |
 //! |---|---|---|
-//! | [`css`] | `css-tree` | Full & level CSS-trees (the contribution) |
+//! | [`css`] | `css-tree` | `CssTree<K, S>`: full, level & runtime-`m` CSS-trees (the contribution) |
 //! | [`sorted`] | `sorted-search` | Binary & interpolation search |
 //! | [`bst`] | `bst-index` | Pointer-based balanced BST |
 //! | [`ttree`] | `ttree` | T-tree (improved LC86b variant) |
@@ -74,6 +74,8 @@ pub mod prelude {
         AccessTracer, AlignedBuf, IndexStats, Key, NoopTracer, OrderedIndex, SearchIndex,
         SortedArray, SpaceReport, CACHE_LINE_BYTES, DEFAULT_BATCH_LANES,
     };
+    // `FullCssTree<K, M>` / `LevelCssTree<K, M>` name `css::CssTree<K, S>`
+    // under its `Full<M>` / `Level<M>` node-search strategy.
     pub use crate::css::{CssVariant, DynCssTree, FullCssTree, LevelCssTree};
     pub use crate::db::{
         between, build_index, build_ordered_index, count, eq, indexed_nested_loop_join, max, min,

@@ -96,9 +96,9 @@ proptest! {
             let level = css_tree::DynCssTree::build(css_tree::CssVariant::Level, m, arr.clone());
             prop_assert_eq!(level.lower_bound(probe), expected, "level m={}", m);
         }
-        // Odd sizes via the generic fallback, including the m=24 bump.
+        // Odd sizes via the runtime-`m` tree, including the m=24 bump.
         for m in [3usize, 7, 24, 100] {
-            let g = css_tree::generic_search::GenericFullCss::from_shared(arr.clone(), m);
+            let g = css_tree::CssTree::new(css_tree::RuntimeFull { m }, arr.clone());
             prop_assert_eq!(g.lower_bound(probe), expected, "generic m={}", m);
         }
     }

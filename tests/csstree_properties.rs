@@ -2,8 +2,8 @@
 //! record trees, batched search, and construction validity over arbitrary
 //! inputs.
 
-use ccindex::common::{OrderedIndex, SearchIndex};
-use ccindex::css::{records::RecordCssTree, FullCssTree, GenericFullCss, LevelCssTree};
+use ccindex::common::{OrderedIndex, SearchIndex, SortedArray};
+use ccindex::css::{CssTree, FullCssTree, LevelCssTree, RecordCssTree, RuntimeFull};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -21,6 +21,14 @@ proptest! {
         FullCssTree::<u32, 16>::build(&keys).validate().map_err(|e| {
             TestCaseError::fail(format!("m=16: {e}"))
         })?;
+        // The level fill goes through the auxiliary slot, the check
+        // through a rightmost descent: two routes to the same slots.
+        LevelCssTree::<u32, 8>::build(&keys).validate().map_err(|e| {
+            TestCaseError::fail(format!("level m=8: {e}"))
+        })?;
+        CssTree::new(RuntimeFull { m: 9 }, SortedArray::from_slice(&keys))
+            .validate()
+            .map_err(|e| TestCaseError::fail(format!("runtime m=9: {e}")))?;
     }
 
     /// Full, level and generic trees all agree with the reference on
@@ -33,7 +41,7 @@ proptest! {
         keys.sort_unstable();
         let full = FullCssTree::<u32, 5>::build(&keys);
         let level = LevelCssTree::<u32, 8>::build(&keys);
-        let generic = GenericFullCss::build(&keys, 9);
+        let generic = CssTree::new(RuntimeFull { m: 9 }, SortedArray::from_slice(&keys));
         for probe in probes {
             let expected = keys.partition_point(|&k| k < probe);
             prop_assert_eq!(full.lower_bound(probe), expected);
@@ -52,8 +60,8 @@ proptest! {
         keys.sort_unstable();
         let t = FullCssTree::<u32, 8>::build(&keys);
         let seq = t.lower_bound_batch_sequential(&probes);
-        prop_assert_eq!(t.lower_bound_batch_interleaved::<3>(&probes), seq.clone());
-        prop_assert_eq!(t.lower_bound_batch_interleaved::<8>(&probes), seq.clone());
+        prop_assert_eq!(t.lower_bound_batch_lanes(&probes, 3), seq.clone());
+        prop_assert_eq!(t.lower_bound_batch_lanes(&probes, 8), seq.clone());
         prop_assert_eq!(t.lower_bound_batch(&probes), seq);
     }
 
@@ -68,6 +76,14 @@ proptest! {
             keys.iter().map(|&k| (k, (k as u64).wrapping_mul(0x9E3779B9))).collect();
         let kt = FullCssTree::<u32, 8>::build(&keys);
         let rt = RecordCssTree::<(u32, u64), 8>::build(&records);
+        // The record tree runs the key tree's own interleaved descent.
+        for lanes in [0usize, 1, 3, 8, 64] {
+            prop_assert_eq!(
+                rt.lower_bound_batch_lanes(&probes, lanes),
+                kt.lower_bound_batch_lanes(&probes, lanes),
+                "lanes={}", lanes
+            );
+        }
         for probe in probes {
             prop_assert_eq!(rt.lower_bound(probe), kt.lower_bound(probe));
             let found = rt.search(probe);

@@ -242,7 +242,7 @@ fn css_partitioned_batches_are_identical() {
     for (variant, m) in [
         (CssVariant::Full, 16usize),
         (CssVariant::Level, 16),
-        (CssVariant::Full, 24), // generic fallback
+        (CssVariant::Full, 24), // no monomorph: the runtime-`m` tree
     ] {
         let t = DynCssTree::build(variant, m, arr.clone());
         let seq_lb = t.lower_bound_batch(&probes);
