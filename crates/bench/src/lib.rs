@@ -2,11 +2,11 @@
 //! figures.
 //!
 //! The `figures` binary (in `src/bin`) prints each table/figure's rows or
-//! series; the Criterion benches under `benches/` provide statistically
-//! robust wall-clock versions of the timing experiments. Both share the
-//! setup code here: building every index method over a common key set,
-//! running the paper's 100 k-lookup protocol, measuring wall-clock and
-//! simulated time, and formatting the output.
+//! series — the paper's reproductions and nothing else; the layers built
+//! beyond the paper are measured by `ccbench`. The setup code lives
+//! here: building every index method over a common key set, running the
+//! paper's 100 k-lookup protocol on host wall-clock or a simulated
+//! machine, and formatting the output.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
@@ -14,12 +14,6 @@ pub mod methods;
 pub mod protocol;
 pub mod report;
 
-pub use methods::{all_methods, batched_comparison_methods, MethodInstance};
-pub use protocol::{
-    compare_sequential_vs_batched, run_lookup_protocol, run_lookup_protocol_with,
-    simulate_lookup_protocol, simulate_lookup_protocol_with, BatchComparison, Measurement,
-    ProbeMode,
-};
-pub use report::{
-    print_series, render_bench_json, validate_bench_json, write_bench_json, BenchRecord, Series,
-};
+pub use methods::{all_methods, MethodInstance};
+pub use protocol::{run_lookup_protocol, simulate_lookup_protocol, Measurement};
+pub use report::{print_series, Series};

@@ -61,36 +61,6 @@ pub fn build_hash(keys: &SortedArray<u32>, directory: usize) -> Box<dyn SearchIn
     ))
 }
 
-/// The methods of the sequential-vs-batched comparison: both CSS
-/// variants (which override the batch entry points with interleaved
-/// descents) against the B+-tree and array binary search (which answer
-/// batches with the sequential default) — the baseline quartet of the
-/// batching study.
-pub fn batched_comparison_methods(
-    keys: &SortedArray<u32>,
-    node_ints: usize,
-) -> Vec<MethodInstance> {
-    vec![
-        MethodInstance::new(
-            "array binary search",
-            Box::new(BinarySearch::from_shared(keys.clone())),
-        ),
-        MethodInstance::new("B+-tree", build_bplus(keys, node_ints)),
-        MethodInstance::new(
-            "full CSS-tree",
-            Box::new(DynCssTree::build(CssVariant::Full, node_ints, keys.clone())),
-        ),
-        MethodInstance::new(
-            "level CSS-tree",
-            Box::new(DynCssTree::build(
-                CssVariant::Level,
-                node_ints,
-                keys.clone(),
-            )),
-        ),
-    ]
-}
-
 /// All eight methods of Figs. 10–11 at one node size (keys per node for
 /// the tree methods; 8 or 16 integers in the paper).
 pub fn all_methods(keys: &SortedArray<u32>, node_ints: usize) -> Vec<MethodInstance> {

@@ -1,35 +1,13 @@
-//! The paper's measurement protocol (§6.1), in sequential and batched
-//! form.
+//! The paper's measurement protocol (§6.1).
 //!
 //! "We performed 100,000 searches on randomly chosen matching keys. We
 //! repeated each test five times and report the minimal time." —
 //! [`run_lookup_protocol`] for host wall-clock, and
 //! [`simulate_lookup_protocol`] for the cache-simulated 1998 machines.
-//!
-//! Beyond the paper, every protocol also runs in a *batched* mode
-//! ([`ProbeMode::Batched`]) that hands the index whole probe blocks via
-//! `search_batch`, so the sequential-vs-interleaved trade-off of the
-//! batch-aware structures is measurable for every method under the same
-//! probe stream — [`compare_sequential_vs_batched`] emits the paired
-//! measurements.
 
-use crate::methods::MethodInstance;
 use cachesim::{Machine, SimTracer};
 use ccindex_common::SearchIndex;
 use std::time::Instant;
-
-/// How the lookup protocol hands probes to the index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProbeMode {
-    /// One `search` call per probe — the paper's original protocol.
-    Sequential,
-    /// `search_batch` calls over blocks of the given size; batch-aware
-    /// indexes answer each block with an interleaved multi-lane descent.
-    Batched {
-        /// Probes per `search_batch` call.
-        block: usize,
-    },
-}
 
 /// One measured configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,21 +23,12 @@ pub struct Measurement {
     pub hits: usize,
 }
 
-/// Wall-clock, sequential: best of `repeats` runs over the probe stream.
+/// Wall-clock: one `search` call per probe, best of `repeats` runs over
+/// the probe stream.
 pub fn run_lookup_protocol(
     index: &dyn SearchIndex<u32>,
     probes: &[u32],
     repeats: usize,
-) -> Measurement {
-    run_lookup_protocol_with(index, probes, repeats, ProbeMode::Sequential)
-}
-
-/// Wall-clock with an explicit probe mode: best of `repeats` runs.
-pub fn run_lookup_protocol_with(
-    index: &dyn SearchIndex<u32>,
-    probes: &[u32],
-    repeats: usize,
-    mode: ProbeMode,
 ) -> Measurement {
     assert!(repeats >= 1);
     let mut best = f64::INFINITY;
@@ -67,19 +36,9 @@ pub fn run_lookup_protocol_with(
     for _ in 0..repeats {
         let start = Instant::now();
         let mut found = 0usize;
-        match mode {
-            ProbeMode::Sequential => {
-                for &p in probes {
-                    if index.search(p).is_some() {
-                        found += 1;
-                    }
-                }
-            }
-            ProbeMode::Batched { block } => {
-                assert!(block >= 1, "batch block must be non-empty");
-                for chunk in probes.chunks(block) {
-                    found += index.search_batch(chunk).iter().flatten().count();
-                }
+        for &p in probes {
+            if index.search(p).is_some() {
+                found += 1;
             }
         }
         let elapsed = start.elapsed().as_secs_f64();
@@ -96,7 +55,7 @@ pub fn run_lookup_protocol_with(
     }
 }
 
-/// Simulation, sequential: replay the probe stream's memory trace through
+/// Simulation: replay the probe stream's memory trace through
 /// `machine`'s cache hierarchy (cold start, then successive lookups warm
 /// the upper levels exactly as in the paper's runs) and evaluate its time
 /// model.
@@ -105,39 +64,13 @@ pub fn simulate_lookup_protocol(
     probes: &[u32],
     machine: &mut Machine,
 ) -> Measurement {
-    simulate_lookup_protocol_with(index, probes, machine, ProbeMode::Sequential)
-}
-
-/// Simulation with an explicit probe mode. In batched mode the trace the
-/// hierarchy replays is the *interleaved* access pattern the batch-aware
-/// structures emit, which is the whole point of measuring it separately.
-pub fn simulate_lookup_protocol_with(
-    index: &dyn SearchIndex<u32>,
-    probes: &[u32],
-    machine: &mut Machine,
-    mode: ProbeMode,
-) -> Measurement {
     machine.hierarchy.flush(true);
     let mut hits = 0usize;
     {
         let mut tracer = SimTracer::new(&mut machine.hierarchy);
-        match mode {
-            ProbeMode::Sequential => {
-                for &p in probes {
-                    if index.search_traced(p, &mut tracer).is_some() {
-                        hits += 1;
-                    }
-                }
-            }
-            ProbeMode::Batched { block } => {
-                assert!(block >= 1, "batch block must be non-empty");
-                for chunk in probes.chunks(block) {
-                    hits += index
-                        .search_batch_traced(chunk, &mut tracer)
-                        .iter()
-                        .flatten()
-                        .count();
-                }
+        for &p in probes {
+            if index.search_traced(p, &mut tracer).is_some() {
+                hits += 1;
             }
         }
     }
@@ -156,71 +89,6 @@ pub fn simulate_lookup_protocol_with(
     }
 }
 
-/// Paired sequential/batched measurements for one method.
-#[derive(Debug, Clone)]
-pub struct BatchComparison {
-    /// Method label (matches [`MethodInstance::label`]).
-    pub label: String,
-    /// The paper's per-probe protocol.
-    pub sequential: Measurement,
-    /// The batched protocol at the requested block size.
-    pub batched: Measurement,
-}
-
-/// Measure every method under both probe modes over the same stream.
-///
-/// With `machine` set the measurements are cache-simulated (the batched
-/// trace differs from the sequential one exactly for batch-aware
-/// methods); otherwise they are host wall-clock, best of `repeats`.
-pub fn compare_sequential_vs_batched(
-    methods: &[MethodInstance],
-    probes: &[u32],
-    repeats: usize,
-    block: usize,
-    mut machine: Option<&mut Machine>,
-) -> Vec<BatchComparison> {
-    methods
-        .iter()
-        .map(|m| {
-            let (sequential, batched) = match machine.as_deref_mut() {
-                Some(machine) => (
-                    simulate_lookup_protocol_with(
-                        m.index.as_ref(),
-                        probes,
-                        machine,
-                        ProbeMode::Sequential,
-                    ),
-                    simulate_lookup_protocol_with(
-                        m.index.as_ref(),
-                        probes,
-                        machine,
-                        ProbeMode::Batched { block },
-                    ),
-                ),
-                None => (
-                    run_lookup_protocol_with(
-                        m.index.as_ref(),
-                        probes,
-                        repeats,
-                        ProbeMode::Sequential,
-                    ),
-                    run_lookup_protocol_with(
-                        m.index.as_ref(),
-                        probes,
-                        repeats,
-                        ProbeMode::Batched { block },
-                    ),
-                ),
-            };
-            BatchComparison {
-                label: m.label.clone(),
-                sequential,
-                batched,
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,65 +104,6 @@ mod tests {
             let r = run_lookup_protocol(m.index.as_ref(), stream.probes(), 2);
             assert_eq!(r.hits, 1000, "{}", m.label);
             assert!(r.total_seconds >= 0.0);
-        }
-    }
-
-    #[test]
-    fn batched_protocol_counts_the_same_hits() {
-        let keys = SortedArray::from_slice(&(0..20_000u32).map(|i| i * 2).collect::<Vec<_>>());
-        let stream = LookupStream::successful(keys.as_slice(), 1000, 11);
-        for m in all_methods(&keys, 16) {
-            let seq = run_lookup_protocol_with(
-                m.index.as_ref(),
-                stream.probes(),
-                1,
-                ProbeMode::Sequential,
-            );
-            for block in [1usize, 7, 256, 5_000] {
-                let bat = run_lookup_protocol_with(
-                    m.index.as_ref(),
-                    stream.probes(),
-                    1,
-                    ProbeMode::Batched { block },
-                );
-                assert_eq!(bat.hits, seq.hits, "{} block={block}", m.label);
-            }
-        }
-    }
-
-    #[test]
-    fn compare_emits_paired_rows_for_the_baseline_quartet() {
-        let keys = SortedArray::from_slice(&(0..50_000u32).collect::<Vec<_>>());
-        let stream = LookupStream::successful(keys.as_slice(), 2_000, 5);
-        let methods = crate::methods::batched_comparison_methods(&keys, 16);
-
-        // Wall-clock pairing.
-        let rows = compare_sequential_vs_batched(&methods, stream.probes(), 1, 256, None);
-        let labels: Vec<&str> = rows.iter().map(|r| r.label.as_str()).collect();
-        assert_eq!(
-            labels,
-            [
-                "array binary search",
-                "B+-tree",
-                "full CSS-tree",
-                "level CSS-tree"
-            ]
-        );
-        for r in &rows {
-            assert_eq!(r.sequential.hits, 2_000, "{}", r.label);
-            assert_eq!(r.batched.hits, 2_000, "{}", r.label);
-        }
-
-        // Simulated pairing: identical work, so identical per-level miss
-        // *totals* for non-batch-aware methods; batch-aware methods may
-        // differ in pattern but must still answer everything.
-        let mut machine = Machine::ultrasparc2();
-        let rows =
-            compare_sequential_vs_batched(&methods, stream.probes(), 1, 256, Some(&mut machine));
-        for r in &rows {
-            assert_eq!(r.sequential.hits, r.batched.hits, "{}", r.label);
-            assert!(!r.sequential.misses_per_lookup.is_empty(), "{}", r.label);
-            assert!(!r.batched.misses_per_lookup.is_empty(), "{}", r.label);
         }
     }
 

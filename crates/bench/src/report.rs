@@ -63,300 +63,6 @@ pub fn print_series(title: &str, x_label: &str, y_label: &str, series: &[Series]
     }
 }
 
-/// One machine-readable benchmark measurement: what ran (`name` plus
-/// free-form `params`), and how fast (`ns_per_op` / `ops_per_sec`). The
-/// `figures` subcommands collect these alongside their human tables and
-/// flush them with [`write_bench_json`].
-#[derive(Debug, Clone, Default)]
-pub struct BenchRecord {
-    /// What was measured (e.g. `"served points"`, `"group-by pipeline"`).
-    pub name: String,
-    /// Configuration axes as ordered key/value pairs (client counts,
-    /// shard counts, writer modes, ...). Values are kept as strings so
-    /// one schema covers every figure.
-    pub params: Vec<(String, String)>,
-    /// Nanoseconds per operation (probe, request, query — the `name`
-    /// says which).
-    pub ns_per_op: f64,
-    /// Operations per second — `1e9 / ns_per_op`, recorded explicitly so
-    /// consumers need no arithmetic.
-    pub ops_per_sec: f64,
-}
-
-impl BenchRecord {
-    /// A record with no parameters or timings yet.
-    pub fn new(name: impl Into<String>) -> Self {
-        Self {
-            name: name.into(),
-            ..Self::default()
-        }
-    }
-
-    /// Append one configuration axis.
-    pub fn param(mut self, key: &str, value: impl std::fmt::Display) -> Self {
-        self.params.push((key.to_owned(), value.to_string()));
-        self
-    }
-
-    /// Fill both timing fields from `ops` operations taking `seconds`.
-    pub fn timed(mut self, ops: f64, seconds: f64) -> Self {
-        if ops > 0.0 && seconds > 0.0 {
-            self.ns_per_op = seconds * 1e9 / ops;
-            self.ops_per_sec = ops / seconds;
-        }
-        self
-    }
-}
-
-/// Write `records` as `BENCH_<figure>.json` in the working directory and
-/// return the path. The JSON is hand-rolled (the workspace takes no
-/// dependencies): an object with the figure name and one entry per
-/// record — `{"name", "params": {..}, "ns_per_op", "ops_per_sec"}`.
-/// Every write is validated against the shared schema first
-/// ([`validate_bench_json`]), so a malformed emitter fails its own run
-/// instead of shipping a file downstream tooling can't parse.
-pub fn write_bench_json(
-    figure: &str,
-    records: &[BenchRecord],
-) -> std::io::Result<std::path::PathBuf> {
-    let json = render_bench_json(figure, records);
-    validate_bench_json(&json)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-    let path = std::path::PathBuf::from(format!("BENCH_{figure}.json"));
-    std::fs::write(&path, json)?;
-    Ok(path)
-}
-
-/// Check `json` against the shared `BENCH_*.json` schema: a single
-/// object `{"figure": <string>, "records": [...]}` where every record
-/// is `{"name": <string>, "params": {<string>: <string>, ...},
-/// "ns_per_op": <number ≥ 0>, "ops_per_sec": <number ≥ 0>}` — the shape
-/// [`render_bench_json`] produces and CI asserts for every emitted
-/// figure file. Returns a one-line description of the first violation.
-pub fn validate_bench_json(json: &str) -> Result<(), String> {
-    let mut p = SchemaParser::new(json);
-    p.expect_char('{')?;
-    p.expect_key("figure")?;
-    p.parse_string()?;
-    p.expect_char(',')?;
-    p.expect_key("records")?;
-    p.expect_char('[')?;
-    if !p.try_char(']') {
-        loop {
-            p.parse_record()?;
-            if p.try_char(']') {
-                break;
-            }
-            p.expect_char(',')?;
-        }
-    }
-    p.expect_char('}')?;
-    p.skip_ws();
-    if p.pos < p.bytes.len() {
-        return Err(format!("trailing content at byte {}", p.pos));
-    }
-    Ok(())
-}
-
-/// The minimal recursive-descent reader behind [`validate_bench_json`]:
-/// just enough JSON to prove the fixed bench schema, not a general
-/// parser.
-struct SchemaParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> SchemaParser<'a> {
-    fn new(json: &'a str) -> Self {
-        Self {
-            bytes: json.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn expect_char(&mut self, c: char) -> Result<(), String> {
-        if self.try_char(c) {
-            Ok(())
-        } else {
-            Err(format!("expected '{c}' at byte {}", self.pos))
-        }
-    }
-
-    fn try_char(&mut self, c: char) -> bool {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&(c as u8)) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// `"key":` with the exact expected name.
-    fn expect_key(&mut self, key: &str) -> Result<(), String> {
-        let got = self.parse_string()?;
-        if got != key {
-            return Err(format!("expected key \"{key}\", found \"{got}\""));
-        }
-        self.expect_char(':')
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect_char('"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'u') => {
-                            // 4 hex digits; decoded value unused by the
-                            // schema, so just consume them.
-                            for _ in 0..4 {
-                                self.pos += 1;
-                                if !self.bytes.get(self.pos).is_some_and(u8::is_ascii_hexdigit) {
-                                    return Err(format!("bad \\u escape at byte {}", self.pos));
-                                }
-                            }
-                        }
-                        other => return Err(format!("bad escape {other:?} at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(&b) => {
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<f64, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("expected a number at byte {start}"))
-    }
-
-    /// One `records[]` entry, all four fields in render order.
-    fn parse_record(&mut self) -> Result<(), String> {
-        self.expect_char('{')?;
-        self.expect_key("name")?;
-        self.parse_string()?;
-        self.expect_char(',')?;
-        self.expect_key("params")?;
-        self.expect_char('{')?;
-        if !self.try_char('}') {
-            loop {
-                self.parse_string()?;
-                self.expect_char(':')?;
-                self.parse_string()?;
-                if self.try_char('}') {
-                    break;
-                }
-                self.expect_char(',')?;
-            }
-        }
-        self.expect_char(',')?;
-        self.expect_key("ns_per_op")?;
-        let ns = self.parse_number()?;
-        self.expect_char(',')?;
-        self.expect_key("ops_per_sec")?;
-        let ops = self.parse_number()?;
-        self.expect_char('}')?;
-        if !(ns.is_finite() && ns >= 0.0 && ops.is_finite() && ops >= 0.0) {
-            return Err(format!(
-                "timings must be finite and non-negative, got ns_per_op={ns} ops_per_sec={ops}"
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// The JSON text [`write_bench_json`] writes, for callers (and tests)
-/// that want the bytes without the file.
-pub fn render_bench_json(figure: &str, records: &[BenchRecord]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"figure\": {},\n", json_string(figure)));
-    out.push_str("  \"records\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str("    {");
-        out.push_str(&format!("\"name\": {}, ", json_string(&r.name)));
-        out.push_str("\"params\": {");
-        for (j, (k, v)) in r.params.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("{}: {}", json_string(k), json_string(v)));
-        }
-        out.push_str("}, ");
-        out.push_str(&format!(
-            "\"ns_per_op\": {}, \"ops_per_sec\": {}",
-            json_number(r.ns_per_op),
-            json_number(r.ops_per_sec)
-        ));
-        out.push_str(if i + 1 < records.len() { "},\n" } else { "}\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// JSON has no Infinity/NaN literals; clamp non-finite values to 0.
-fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
-    }
-}
-
 fn truncate(s: &str, n: usize) -> &str {
     if s.len() <= n {
         s
@@ -420,94 +126,6 @@ mod tests {
         s.push(1.0, 2.0);
         s.push(10.0, 3.0);
         assert_eq!(s.points.len(), 2);
-    }
-
-    #[test]
-    fn bench_records_render_as_valid_json() {
-        let records = [
-            BenchRecord::new("served points")
-                .param("clients", 4)
-                .param("writer", "continuous")
-                .timed(1_000.0, 0.5),
-            BenchRecord::new("a \"quoted\"\nname").timed(0.0, 0.0),
-        ];
-        let json = render_bench_json(concat!("test_", "figure"), &records);
-        assert!(json.contains("\"figure\": \"test_figure\""));
-        assert!(json.contains("\"name\": \"served points\""));
-        assert!(json.contains("\"clients\": \"4\", \"writer\": \"continuous\""));
-        assert!(json.contains("\"ns_per_op\": 500000"));
-        assert!(json.contains("\"ops_per_sec\": 2000"));
-        // Escapes keep the output parseable; untimed records stay 0.
-        assert!(json.contains("\\\"quoted\\\"\\nname"));
-        assert!(json.contains("\"ns_per_op\": 0, \"ops_per_sec\": 0"));
-        // Balanced braces/brackets (a cheap well-formedness proxy given
-        // the workspace has no JSON parser to round-trip through).
-        let count = |c: char| json.matches(c).count();
-        assert_eq!(count('{'), count('}'));
-        assert_eq!(count('['), count(']'));
-    }
-
-    #[test]
-    fn validator_accepts_everything_the_renderer_emits() {
-        let cases: Vec<Vec<BenchRecord>> = vec![
-            vec![],
-            vec![BenchRecord::new("plain").timed(1_000.0, 0.5)],
-            vec![
-                BenchRecord::new("a \"quoted\"\nname")
-                    .param("clients", 4)
-                    .param("writer", "continuous")
-                    .timed(1_000.0, 0.5),
-                BenchRecord::new("untimed"),
-            ],
-        ];
-        for records in &cases {
-            let json = render_bench_json("fig", records);
-            assert_eq!(validate_bench_json(&json), Ok(()), "{json}");
-        }
-    }
-
-    #[test]
-    fn validator_rejects_schema_violations() {
-        let reject = |json: &str, why: &str| {
-            assert!(validate_bench_json(json).is_err(), "{why}: {json}");
-        };
-        reject("", "empty input");
-        reject("{}", "missing keys");
-        reject("{\"figure\": \"f\", \"records\": []}trailing", "junk after");
-        reject(
-            "{\"figure\": \"f\", \"records\": [{\"name\": \"x\"}]}",
-            "record missing timing fields",
-        );
-        reject(
-            "{\"figure\": \"f\", \"records\": [{\"name\": \"x\", \"params\": {}, \
-             \"ns_per_op\": -1, \"ops_per_sec\": 0}]}",
-            "negative timing",
-        );
-        reject(
-            "{\"figure\": \"f\", \"records\": [{\"name\": \"x\", \"params\": \
-             {\"k\": 3}, \"ns_per_op\": 1, \"ops_per_sec\": 1}]}",
-            "non-string param value",
-        );
-        reject(
-            "{\"figure\": 7, \"records\": []}",
-            "figure must be a string",
-        );
-    }
-
-    #[test]
-    fn non_finite_timings_clamp_to_zero() {
-        let r = BenchRecord::new("x").timed(10.0, 0.0);
-        assert_eq!(r.ns_per_op, 0.0);
-        let json = render_bench_json(
-            "clamp",
-            &[BenchRecord {
-                name: "y".into(),
-                params: Vec::new(),
-                ns_per_op: f64::INFINITY,
-                ops_per_sec: f64::NAN,
-            }],
-        );
-        assert!(json.contains("\"ns_per_op\": 0, \"ops_per_sec\": 0"));
     }
 
     #[test]

@@ -24,6 +24,18 @@ pub enum AggFn {
     Max,
 }
 
+impl AggFn {
+    /// Fold one value into an accumulator, or merge two partial
+    /// aggregates (`Count` partials merge by addition like `Sum`).
+    pub fn combine(self, acc: i64, v: i64) -> i64 {
+        match self {
+            AggFn::Count | AggFn::Sum => acc + v,
+            AggFn::Min => acc.min(v),
+            AggFn::Max => acc.max(v),
+        }
+    }
+}
+
 /// One output group.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GroupRow {
@@ -171,21 +183,11 @@ fn merge_partials(
         for (id, v) in partial {
             merged
                 .entry(id)
-                .and_modify(|a| *a = combine(agg, *a, v))
+                .and_modify(|a| *a = agg.combine(*a, v))
                 .or_insert(v);
         }
     }
     merged
-}
-
-/// Fold one combined value into the accumulator (`Count` partials merge
-/// by addition like `Sum`).
-fn combine(agg: AggFn, a: i64, v: i64) -> i64 {
-    match agg {
-        AggFn::Count | AggFn::Sum => a + v,
-        AggFn::Min => a.min(v),
-        AggFn::Max => a.max(v),
-    }
 }
 
 /// The shared accumulation loop of the sequential and per-worker passes
@@ -204,7 +206,7 @@ fn accumulate_pairs(
             Some(measure) => {
                 let v = measure.at(measure_rid);
                 acc.entry(id)
-                    .and_modify(|a| *a = combine(agg, *a, v))
+                    .and_modify(|a| *a = agg.combine(*a, v))
                     .or_insert(v);
             }
         }
@@ -252,7 +254,7 @@ pub fn group_aggregate(
                 .rids_in(start, end)
                 .iter()
                 .map(|&rid| m.at(rid))
-                .reduce(|a, v| combine(agg, a, v))
+                .reduce(|a, v| agg.combine(a, v))
                 .expect("non-empty group"),
         };
         out.push(GroupRow {

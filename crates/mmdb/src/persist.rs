@@ -9,7 +9,8 @@
 //! and one page per CSS directory **level** — and the open path
 //! reassembles the catalog from validated parts instead of re-encoding
 //! rows, re-sorting RID lists, or rebuilding directories. That is the
-//! cold-start win the `figures coldstart` benchmark measures.
+//! cold-start win `ccbench`'s `refresh` workload measures (`setup_s`,
+//! `mmdb.catalog_decode_ms`).
 //!
 //! Layout inside the store container (see `ccindex_store` for the
 //! container format — header, checksummed pages, page table, manifest,

@@ -28,13 +28,13 @@
 //! the format and single registration); registration is get-or-create,
 //! and a [`Registry`] built with [`Registry::disabled`] hands out
 //! instruments whose recording paths are a single branch — the
-//! metrics-off control the `figures slo` overhead assertion compares
-//! against.
+//! metrics-off control `ccindex-serve`'s recording-overhead test
+//! compares against.
 //!
 //! # Export
 //!
-//! [`Registry::to_json`] emits a hand-rolled JSON snapshot (the
-//! `BENCH_*.json` conventions); [`Registry::to_prometheus`] emits a
+//! [`Registry::to_json`] emits a hand-rolled JSON snapshot (one object
+//! per metric, in name order); [`Registry::to_prometheus`] emits a
 //! Prometheus-style text dump with dots mapped to underscores.
 
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -439,8 +439,9 @@ impl Registry {
         self.map().keys().cloned().collect()
     }
 
-    /// One JSON snapshot of every metric, in name order — same
-    /// hand-rolled conventions as the `BENCH_*.json` reports:
+    /// One JSON snapshot of every metric, in name order: a `metrics`
+    /// array of objects tagged by `kind`, integer values, strings escaped
+    /// by hand (the workspace takes no dependencies):
     ///
     /// ```json
     /// {"metrics": [

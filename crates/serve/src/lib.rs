@@ -39,8 +39,9 @@
 //!
 //! Answers are **byte-identical** to executing every request alone, for
 //! any window bounds, client count, and either engine — the property
-//! `tests/serve_equivalence.rs` asserts and `figures serve` sweeps
-//! against the one-probe-at-a-time baseline (`batch_max == 1`).
+//! `tests/serve_equivalence.rs` asserts. `ccbench`'s `serve-small`
+//! workload times it against the unbatched baseline
+//! (`serve.unbatched_ns_per_req` beside `serve.session_ns_per_req`).
 //!
 //! ```
 //! use ccindex_serve::{BatchServer, Request, ServeOptions};

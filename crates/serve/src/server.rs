@@ -23,8 +23,7 @@ use std::time::Duration;
 /// request never waits on an empty window — the first arrival opens it.
 ///
 /// `batch_max == 1` disables coalescing entirely: every request is its
-/// own window, which is exactly the one-probe-at-a-time baseline the
-/// `figures serve` sweep compares against.
+/// own window, which is exactly the one-probe-at-a-time baseline.
 ///
 /// [`batch_max`]: ServeOptions::batch_max
 /// [`batch_wait`]: ServeOptions::batch_wait

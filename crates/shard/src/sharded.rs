@@ -43,8 +43,8 @@
 //!
 //! Results are **byte-identical** to the same queries on an unsharded
 //! [`Database`] for every shard count and both partitioners — the
-//! property `tests/sharded_equivalence.rs`,
-//! `tests/distributed_equivalence.rs` and `figures sharded` assert.
+//! property `tests/sharded_equivalence.rs` and
+//! `tests/distributed_equivalence.rs` assert.
 
 use crate::backend::{LocalShard, ShardBackend, ShardRead};
 use crate::partition::Partitioner;
@@ -1756,13 +1756,7 @@ fn group_decoded_pairs(
                     }
                 };
                 acc.entry(group)
-                    .and_modify(|a| {
-                        *a = match agg {
-                            AggFn::Count | AggFn::Sum => *a + v,
-                            AggFn::Min => (*a).min(v),
-                            AggFn::Max => (*a).max(v),
-                        }
-                    })
+                    .and_modify(|a| *a = agg.combine(*a, v))
                     .or_insert(v);
             }
         }
@@ -1785,13 +1779,7 @@ fn merge_group_partials(agg: AggFn, partials: Vec<Vec<GroupRow>>) -> Vec<GroupRo
         for row in partial {
             merged
                 .entry(row.group)
-                .and_modify(|a| {
-                    *a = match agg {
-                        AggFn::Count | AggFn::Sum => *a + row.value,
-                        AggFn::Min => (*a).min(row.value),
-                        AggFn::Max => (*a).max(row.value),
-                    }
-                })
+                .and_modify(|a| *a = agg.combine(*a, row.value))
                 .or_insert(row.value);
         }
     }
