@@ -5,10 +5,13 @@
 //! reproduce the 1998 machines' miss counts we let every index traversal
 //! report the memory regions it touches through an [`AccessTracer`].
 //!
-//! The hot wall-clock path uses [`NoopTracer`]; because the search routines
-//! are generic over the tracer and `NoopTracer`'s methods are empty
-//! `#[inline]` bodies, monomorphization erases the hook entirely, so the
-//! traced and timed code paths are the same code.
+//! The hot wall-clock path uses [`NoopTracer`]; the search routines are
+//! generic over the tracer, so monomorphization erases the hook entirely.
+//! One kernel computes every answer, traced or timed; tracers receive §4's
+//! bisection events derived from it. The CSS-tree counts the keys below a
+//! probe without branching and replays from that count the compares and
+//! reads a bisection would have made — what the cache simulator and the
+//! time model charge.
 
 /// Whether an access reads or writes memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -25,6 +28,11 @@ pub enum AccessKind {
 /// bytes. Implementations must tolerate `len == 0` (ignored) and accesses
 /// that straddle cache-line boundaries (they count as touching every line
 /// they overlap).
+///
+/// **A zero-sized tracer records nothing.** A search may skip deriving
+/// events for a tracer whose type has size zero (it has no state to put
+/// them in), so such an implementation never sees them; a tracer that
+/// counts or forwards must carry a field.
 pub trait AccessTracer {
     /// Record a read of `len` bytes starting at `addr`.
     fn read(&mut self, addr: usize, len: usize);
@@ -39,6 +47,7 @@ pub trait AccessTracer {
 }
 
 /// The do-nothing tracer used by the wall-clock (`search`) entry points.
+/// Zero-sized, so searches skip deriving events for it altogether.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NoopTracer;
 

@@ -4,31 +4,56 @@
 //! nested-loop join performs "a lot of searching through indexes on the
 //! inner relations". The batch entry points here exploit that:
 //! the crate-internal `interleaved_descent` advances up to `lanes`
-//! independent probes one
-//! directory level per round, so the node fetches of a round are all in
-//! flight together instead of serialised behind one another — the
+//! independent probes one directory level per round — the
 //! software-pipelining counterpart of the paper's cache-line sizing (a
 //! beyond-paper extension; the paper's own protocol is reproduced by the
 //! sequential path, which the batch is tested against).
 //!
+//! **What a round keeps in flight.** Right after a lane's step, the line
+//! that lane reads next — its child node, or the first line of its leaf
+//! segment once it leaves the directory — is prefetched. The other lanes'
+//! steps then run while that line travels, so a round has up to `lanes`
+//! misses outstanding and each lane finds its line arrived, or nearly, when
+//! the next round reaches it. This only pays because the node and leaf
+//! searches are branch-free (`count_less`): a mispredicted compare would
+//! flush the steps queued behind it, and with them the overlap.
+//!
 //! One descent serves every tree: the lane bookkeeping lives here, each
 //! lane's move is the same `Directory::step` the sequential descent
-//! takes, and the strategy is reached only through that step.
+//! takes, and the strategy is reached only through that step. Prefetches
+//! are hints, not accesses: the tracer sees exactly the reads the
+//! sequential descent reports, reordered.
 
+use crate::layout::LeafSegment;
 use crate::search::NodeSearch;
 use crate::tree::{CssTree, Directory, Leaves};
 use ccindex_common::{AccessTracer, Key, NoopTracer};
+
+/// Ask the cache for the line holding `ptr`, without waiting for it. A
+/// no-op off `x86_64`.
+#[inline(always)]
+fn prefetch<E>(ptr: *const E) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch is only a hint — it reads nothing the program can
+    // observe and cannot fault, whatever the address — and SSE, which
+    // provides it, is part of the x86_64 baseline.
+    unsafe {
+        core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(ptr.cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = ptr;
+}
 
 impl<K: Key, S: NodeSearch> Directory<K, S> {
     /// Level-synchronous interleaved descent: lower bounds of `probes`
     /// over `leaves`, in probe order.
     ///
     /// Probes are processed in chunks of `lanes`; within a chunk every
-    /// live lane advances one directory level per round, then each lane's
-    /// virtual leaf is resolved. The tracer sees the accesses in exactly
-    /// that order, so the cache simulator can replay the *batched* access
-    /// pattern, which is what distinguishes this path from a sequential
-    /// descent.
+    /// live lane advances one directory level per round and prefetches
+    /// what it reads next, then each lane's virtual leaf is resolved. The
+    /// tracer sees the accesses in exactly that order, so the cache
+    /// simulator can replay the *batched* access pattern, which is what
+    /// distinguishes this path from a sequential descent.
     ///
     /// Degenerate lane counts are legal configuration, not errors: `lanes
     /// == 0` falls back to the sequential descent (one lane), and `lanes >
@@ -43,6 +68,7 @@ impl<K: Key, S: NodeSearch> Directory<K, S> {
     ) -> Vec<usize> {
         let layout = self.layout();
         let elems = leaves.elems();
+        let slots = self.slots().as_slice();
         let lanes = lanes.clamp(1, probes.len().max(1));
         let mut out = vec![0usize; probes.len()];
         let mut nodes = vec![0usize; lanes];
@@ -58,7 +84,13 @@ impl<K: Key, S: NodeSearch> Directory<K, S> {
                 for (node, &probe) in nodes.iter_mut().zip(chunk) {
                     if layout.is_internal(*node) {
                         *node = self.step(*node, probe, tracer);
-                        any_internal |= layout.is_internal(*node);
+                        if layout.is_internal(*node) {
+                            any_internal = true;
+                            prefetch(slots.as_ptr().wrapping_add(layout.node_entry(*node)));
+                        } else if let LeafSegment::Range { start, .. } = layout.leaf_segment(*node)
+                        {
+                            prefetch(elems.as_ptr().wrapping_add(start));
+                        }
                     }
                 }
             }

@@ -27,15 +27,21 @@
 //!   without a monomorph.
 //!
 //! **What a strategy may vary** is the node: how many slots it has, how
-//! many of them the branch pick bisects, the geometry that follows, and
-//! the branch pick itself. `Full` and `Level` are zero-sized, with `M` a
-//! const generic, so each node size gets its own fully unrolled
-//! monomorphised search — the Rust equivalent of the paper's
-//! hand-specialised code, which §6.2 measured to be worth 20–45 %. **What
-//! it may not vary** is everything else — where a node lives, how a child
-//! is addressed, the descent, the leaf bisection, the interleaved batch
-//! descent ([`batch`]), validation, the `SearchIndex`/`OrderedIndex`
-//! impls — all written once in [`tree`] and [`batch`].
+//! many of them the branch pick searches, and the geometry that follows.
+//! `Full` and `Level` are zero-sized, with `M` a const generic, so each
+//! node size gets its own monomorph — the Rust equivalent of the paper's
+//! hand-specialised code, which §6.2 measured to be worth 20–45 % over a
+//! generic per-node binary-search loop. What the monomorph specialises
+//! is one branch-free kernel: the number of keys below the probe, summed
+//! over a fixed-length node, which the compiler unrolls and vectorises.
+//! The same kernel resolves the leaf segment. Tracers still see §4's
+//! bisection, replayed from the kernel's answer, so the simulated figures
+//! charge the paper's algorithm. **What a strategy may not vary** is
+//! everything else — where a node lives, how a child is addressed, the
+//! search kernel, the descent, the leaf search, the interleaved and
+//! prefetching batch descent ([`batch`]), validation, the
+//! `SearchIndex`/`OrderedIndex` impls — all written once in [`search`],
+//! [`tree`] and [`batch`].
 //!
 //! **Why the two fills differ.** Every directory slot holds the largest key
 //! under its child. The full tree finds it by walking the child's rightmost

@@ -35,7 +35,7 @@ impl<K: Key, V: Copy + Default + Send + Sync + 'static> KeyedRecord for (K, V) {
     }
 }
 
-/// The key projection the shared fill, descent and leaf bisection read a
+/// The key projection the shared fill, descent and leaf search read a
 /// record array through.
 impl<R: KeyedRecord> Leaves<R::Key> for AlignedBuf<R> {
     type Elem = R;

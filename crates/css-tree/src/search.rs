@@ -3,18 +3,66 @@
 //! §4 defines *one* structure — a directory of cache-line nodes over a
 //! sorted array, children found by offset arithmetic — and two ways of
 //! picking a branch inside a node. A [`NodeSearch`] is that choice and
-//! nothing else: how many slots a node has, how many of them the search
-//! bisects, which geometry that implies, and how the bottom-up fill learns
-//! a child's largest key. The node layout in memory, the descent, the leaf
-//! bisection, the batch surface and the index traits are written once, in
-//! [`crate::tree`] and [`crate::batch`], and cannot be varied from here.
+//! nothing else: how many slots a node has, how many of them the branch
+//! pick searches, which geometry that implies, and how the bottom-up fill
+//! learns a child's largest key. The node layout in memory, the descent,
+//! the leaf search, the batch surface and the index traits are written
+//! once, in [`crate::tree`] and [`crate::batch`], and cannot be varied
+//! from here.
 //!
 //! The provided methods *are* the full tree of §4.1; [`Level`] overrides
 //! them for §4.2; [`RuntimeFull`] changes only where `m` comes from.
+//!
+//! Both searches of a descent — the branch pick in a node and the lower
+//! bound in a leaf segment — are the one branch-free kernel here,
+//! `count_less`; a tracer is shown §4's bisection, replayed from the
+//! kernel's answer by `replay_bisection`.
 
 use crate::layout::CssLayout;
 use ccindex_common::{AccessTracer, Key};
 use core::fmt::Debug;
+
+/// The crate's one search kernel: how many of `elems`, read through `key`,
+/// are less than `probe`. On a sorted slice that is the leftmost position
+/// holding a key `>= probe` — a bisection's answer — computed with no
+/// data-dependent branch, so neither a mispredict nor a load waits on the
+/// previous compare.
+#[inline(always)]
+pub(crate) fn count_less<E, K: Key>(elems: &[E], key: impl Fn(&E) -> K, probe: K) -> usize {
+    elems.iter().map(|e| (key(e) < probe) as usize).sum()
+}
+
+/// Replays for `tracer` the bisection of a sorted `len`-element slice whose
+/// answer is `answer`, calling `visit` at each midpoint it compares, in
+/// order. On a sorted slice `elems[mid] < probe` exactly when `mid <
+/// answer`, so the path follows from [`count_less`]'s result and the tracer
+/// sees the events of §4's search without it being run.
+///
+/// A zero-sized tracer records nothing (see [`AccessTracer`]), so for one
+/// the replay is skipped by a compile-time constant. Inlining empty event
+/// bodies is not enough: the compiler keeps a loop it cannot prove
+/// finite, and the timed path would run the bisection's control flow.
+#[inline(always)]
+pub(crate) fn replay_bisection<T: AccessTracer>(
+    tracer: &mut T,
+    len: usize,
+    answer: usize,
+    mut visit: impl FnMut(&mut T, usize),
+) {
+    if core::mem::size_of::<T>() == 0 {
+        return;
+    }
+    let (mut lo, mut hi) = (0usize, len);
+    while lo < hi {
+        let mid = (lo + hi) >> 1;
+        visit(tracer, mid);
+        if mid < answer {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+}
 
 /// How a [`CssTree`](crate::CssTree) picks a branch within one node.
 pub trait NodeSearch: Copy + Debug + Send + Sync + 'static {
@@ -23,10 +71,10 @@ pub trait NodeSearch: Copy + Debug + Send + Sync + 'static {
 
     /// Key slots per directory node (`m`). A compile-time constant for
     /// [`Full`] and [`Level`], so every node size monomorphises into its
-    /// own unrolled comparison tree — §6.2's specialisation.
+    /// own unrolled node search — §6.2's specialisation.
     fn slots(&self) -> usize;
 
-    /// Leading slots of a node the branch pick bisects. §4.1: all `m`.
+    /// Leading slots of a node the branch pick searches. §4.1: all `m`.
     #[inline(always)]
     fn searched(&self) -> usize {
         self.slots()
@@ -42,22 +90,16 @@ pub trait NodeSearch: Copy + Debug + Send + Sync + 'static {
     /// is the largest key under child `e`, so this lands on the leftmost
     /// occurrence of a duplicated key (§4.1.2).
     ///
-    /// The one node bisection in the crate; a strategy with a better
-    /// kernel for its node shape overrides it.
+    /// Computed by the crate's one branch-free kernel, the count of
+    /// searched slots holding a key `< probe`; `tracer` sees the compares
+    /// of §4's bisection of those slots, which is what the simulated time
+    /// model charges.
     #[inline(always)]
     fn branch<K: Key, T: AccessTracer>(&self, node: &[K], probe: K, tracer: &mut T) -> usize {
-        let mut lo = 0usize;
-        let mut hi = self.searched();
-        while lo < hi {
-            let mid = (lo + hi) >> 1;
-            tracer.compare();
-            if node[mid] < probe {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
+        let searched = self.searched();
+        let branch = count_less(&node[..searched], |&k| k, probe);
+        replay_bisection(tracer, searched, branch, |tracer, _| tracer.compare());
+        branch
     }
 
     /// The largest key under node `child`, asked while the directory is
@@ -140,7 +182,7 @@ impl<const M: usize> NodeSearch for Level<M> {
 /// each node), we found the performance to be 20% to 45% worse than the
 /// specialized code." Same directory, same accesses as [`Full`]; the only
 /// difference is that `m` is not known to the compiler, so the node
-/// bisection stays a loop with data-dependent bounds. Also the tree behind
+/// search stays a loop with a runtime trip count. Also the tree behind
 /// [`DynCssTree`](crate::DynCssTree) for node sizes without a monomorph,
 /// such as the `m = 24` bump of Figs. 12–13.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

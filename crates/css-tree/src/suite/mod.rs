@@ -1,7 +1,9 @@
 //! One test suite for every node-search strategy.
 //!
 //! Each check is generic over [`NodeSearch`] and says nothing about which
-//! variant it runs on; [`check`] runs them all. The sibling files
+//! variant it runs on; [`check`] runs them all but the search-kernel
+//! check, which has its own test over every standard node size. The
+//! sibling files
 //! (`full.rs`, `level.rs`, `generic_search.rs`) instantiate them for every
 //! `(strategy, m)` the per-variant test files used to cover — mounted at
 //! the crate root under those files' old module paths, so every test kept
@@ -10,8 +12,12 @@
 
 mod golden;
 
+use crate::tree::{segment_lower_bound, Leaves};
 use crate::{CssTree, Full, Level, NodeSearch, RuntimeFull, STANDARD_NODE_SIZES};
-use ccindex_common::{CountingTracer, Key, OrderedIndex, SearchIndex, SortedArray};
+use ccindex_common::{
+    AccessTracer, AlignedBuf, CountingTracer, Key, NoopTracer, OrderedIndex, SearchIndex,
+    SortedArray,
+};
 
 pub(crate) fn tree<K: Key, S: NodeSearch>(search: S, keys: &[K]) -> CssTree<K, S> {
     CssTree::new(search, SortedArray::from_slice(keys))
@@ -290,6 +296,171 @@ pub(crate) fn traced_work_is_equal<S: NodeSearch>(search: S) {
     assert_eq!(batch_tr.bytes_read, seq_tr.bytes_read);
     assert_eq!(batch_tr.compares, seq_tr.compares);
     assert_eq!(batch_tr.descends, seq_tr.descends);
+}
+
+/// One event a probe reports to its tracer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Event {
+    Read(usize, usize),
+    Compare,
+    Descend,
+}
+
+/// Records every event in order, reads and compares interleaved.
+#[derive(Debug, Default)]
+struct EventTracer(Vec<Event>);
+
+impl AccessTracer for EventTracer {
+    fn read(&mut self, addr: usize, len: usize) {
+        self.0.push(Event::Read(addr, len));
+    }
+    fn write(&mut self, _addr: usize, _len: usize) {
+        panic!("a probe never writes");
+    }
+    fn compare(&mut self) {
+        self.0.push(Event::Compare);
+    }
+    fn descend(&mut self) {
+        self.0.push(Event::Descend);
+    }
+}
+
+/// §4's node bisection as the branch pick ran it before the kernel: the
+/// reference answer and event stream.
+fn reference_branch<K: Key>(
+    node: &[K],
+    searched: usize,
+    probe: K,
+    tracer: &mut EventTracer,
+) -> usize {
+    let (mut lo, mut hi) = (0usize, searched);
+    while lo < hi {
+        let mid = (lo + hi) >> 1;
+        tracer.compare();
+        if node[mid] < probe {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// §4's leaf bisection of `elems[start..end]` as it ran before the kernel.
+fn reference_leaf<K: Key, L: Leaves<K>>(
+    elems: &[L::Elem],
+    (mut lo, mut hi): (usize, usize),
+    probe: K,
+    tracer: &mut EventTracer,
+) -> usize {
+    let width = core::mem::size_of::<L::Elem>();
+    while lo < hi {
+        let mid = lo + ((hi - lo) >> 1);
+        tracer.compare();
+        tracer.read(elems.as_ptr() as usize + mid * width, width);
+        if L::key(&elems[mid]) < probe {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// The branch-free kernel answers exactly as the bisection did, and a
+/// tracer sees exactly the bisection's events — in a node (distinct keys,
+/// duplicate runs, a padded tail, all equal) and in a leaf segment of
+/// every length `0..=m`, over bare keys and through the record
+/// projection, for probes below, on, between and above the keys. The
+/// untraced (zero-sized tracer) path gives the same answers.
+fn kernel_is_the_bisection<S: NodeSearch>(search: S) {
+    let m = search.slots();
+    let nodes: [fn(usize, usize) -> u32; 4] = [
+        |i, _| 10 * (i as u32 + 1),
+        |i, _| 10 * (i as u32 / 3 + 1),
+        |i, m| 10 * (i.min(m / 2) as u32 + 1),
+        |_, _| 10,
+    ];
+    for (shape, slot) in nodes.iter().enumerate() {
+        let node: Vec<u32> = (0..m).map(|i| slot(i, m)).collect();
+        let wide: Vec<i64> = node.iter().map(|&k| i64::from(k) - 500).collect();
+        for probe in (0..=node[m - 1] + 15).step_by(5) {
+            let ctx = format!("{} m={m} node shape {shape} probe={probe}", search.name());
+            node_agrees(search, &node, probe, &ctx);
+            node_agrees(search, &wide, i64::from(probe) - 500, &ctx);
+        }
+    }
+
+    // Runs of two equal keys, so segments start inside and between runs.
+    let keys: Vec<u32> = (0..2 * m as u32 + 2).map(|i| 10 * (i / 2 + 1)).collect();
+    let array = SortedArray::from_slice(&keys);
+    let records: Vec<(u32, u64)> = keys.iter().map(|&k| (k, u64::from(k) << 8)).collect();
+    let records = AlignedBuf::from_slice(&records);
+    for len in 0..=m {
+        for start in [0, 1] {
+            let segment = (start, start + len);
+            for probe in (0..=keys[start + len] + 15).step_by(5) {
+                let ctx = format!("{} m={m} segment {segment:?} probe={probe}", search.name());
+                leaf_agrees(&array, segment, probe, &ctx);
+                leaf_agrees(&records, segment, probe, &ctx);
+            }
+        }
+    }
+}
+
+fn node_agrees<K: Key, S: NodeSearch>(search: S, node: &[K], probe: K, ctx: &str) {
+    let mut want = EventTracer::default();
+    let pos = reference_branch(node, search.searched(), probe, &mut want);
+    let mut got = EventTracer::default();
+    assert_eq!(search.branch(node, probe, &mut got), pos, "{ctx}");
+    assert_eq!(got.0, want.0, "{ctx}");
+    assert_eq!(search.branch(node, probe, &mut NoopTracer), pos, "{ctx}");
+}
+
+fn leaf_agrees<K: Key, L: Leaves<K>>(
+    leaves: &L,
+    (start, end): (usize, usize),
+    probe: K,
+    ctx: &str,
+) {
+    let elems = leaves.elems();
+    let mut want = EventTracer::default();
+    let pos = reference_leaf::<K, L>(elems, (start, end), probe, &mut want);
+    let segment = &elems[start..end];
+    let mut got = EventTracer::default();
+    assert_eq!(
+        start + segment_lower_bound::<K, L, _>(segment, probe, &mut got),
+        pos,
+        "{ctx}"
+    );
+    assert_eq!(got.0, want.0, "{ctx}");
+    assert_eq!(
+        start + segment_lower_bound::<K, L, _>(segment, probe, &mut NoopTracer),
+        pos,
+        "{ctx}"
+    );
+}
+
+#[test]
+fn node_and_leaf_kernel_is_the_bisection() {
+    assert_eq!(STANDARD_NODE_SIZES, [2, 4, 8, 16, 32, 64, 128]);
+    kernel_is_the_bisection(Full::<2>);
+    kernel_is_the_bisection(Full::<4>);
+    kernel_is_the_bisection(Full::<8>);
+    kernel_is_the_bisection(Full::<16>);
+    kernel_is_the_bisection(Full::<32>);
+    kernel_is_the_bisection(Full::<64>);
+    kernel_is_the_bisection(Full::<128>);
+    kernel_is_the_bisection(Level::<2>);
+    kernel_is_the_bisection(Level::<4>);
+    kernel_is_the_bisection(Level::<8>);
+    kernel_is_the_bisection(Level::<16>);
+    kernel_is_the_bisection(Level::<32>);
+    kernel_is_the_bisection(Level::<64>);
+    kernel_is_the_bisection(Level::<128>);
+    for m in [3, 7, 24, 100] {
+        kernel_is_the_bisection(RuntimeFull { m });
+    }
 }
 
 /// The tier-1 sweep stops at `n < 200` in a debug build; this one covers

@@ -10,10 +10,10 @@
 //! array. Everything here is written once for every [`NodeSearch`]
 //! strategy: the fill (Algorithm 4.1's loop; the strategy says how a
 //! child's maximum is found), the descent (Algorithm 4.2), the leaf
-//! bisection, validation and the index traits.
+//! search, validation and the index traits.
 
 use crate::layout::{CssLayout, LeafSegment};
-use crate::search::{Full, Level, NodeSearch};
+use crate::search::{count_less, replay_bisection, Full, Level, NodeSearch};
 use ccindex_common::{
     AccessTracer, AlignedBuf, IndexStats, Key, NoopTracer, OrderedIndex, SearchIndex, SortedArray,
     SpaceReport, DEFAULT_BATCH_LANES,
@@ -40,6 +40,25 @@ impl<K: Key> Leaves<K> for SortedArray<K> {
     fn key(elem: &K) -> K {
         *elem
     }
+}
+
+/// The leftmost position of a sorted leaf segment with key `>= probe`,
+/// by [`count_less`]; `tracer` sees §4's bisection of the segment, one
+/// compare and one element read per step.
+#[inline(always)]
+pub(crate) fn segment_lower_bound<K: Key, L: Leaves<K>, T: AccessTracer>(
+    segment: &[L::Elem],
+    probe: K,
+    tracer: &mut T,
+) -> usize {
+    let pos = count_less(segment, L::key, probe);
+    let width = core::mem::size_of::<L::Elem>();
+    let base = segment.as_ptr() as usize;
+    replay_bisection(tracer, segment.len(), pos, |tracer, mid| {
+        tracer.compare();
+        tracer.read(base + mid * width, width);
+    });
+    pos
 }
 
 /// The directory proper — key slots, geometry, strategy — apart from the
@@ -129,8 +148,9 @@ impl<K: Key, S: NodeSearch> Directory<K, S> {
         d
     }
 
-    /// Binary search of one virtual leaf's segment of the array `elems`:
-    /// the leftmost position in it with key `>= probe`.
+    /// The leftmost position of the array `elems` with key `>= probe`
+    /// within one virtual leaf's segment.
+    #[inline(always)]
     pub(crate) fn resolve_leaf<L: Leaves<K>, T: AccessTracer>(
         &self,
         elems: &[L::Elem],
@@ -138,23 +158,13 @@ impl<K: Key, S: NodeSearch> Directory<K, S> {
         probe: K,
         tracer: &mut T,
     ) -> usize {
-        let (mut lo, mut hi) = match self.layout.leaf_segment(leaf) {
-            LeafSegment::Range { start, end } => (start, end),
-            // The probe exceeds every key (or there are none).
-            LeafSegment::BeyondEnd => return elems.len(),
-        };
-        let width = core::mem::size_of::<L::Elem>();
-        while lo < hi {
-            let mid = lo + ((hi - lo) >> 1);
-            tracer.compare();
-            tracer.read(elems.as_ptr() as usize + mid * width, width);
-            if L::key(&elems[mid]) < probe {
-                lo = mid + 1;
-            } else {
-                hi = mid;
+        match self.layout.leaf_segment(leaf) {
+            LeafSegment::Range { start, end } => {
+                start + segment_lower_bound::<K, L, T>(&elems[start..end], probe, tracer)
             }
+            // The probe exceeds every key (or there are none).
+            LeafSegment::BeyondEnd => elems.len(),
         }
-        lo
     }
 
     /// Leftmost position of `leaves` with key `>= probe`.
