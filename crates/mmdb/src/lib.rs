@@ -62,8 +62,9 @@ pub use engine::{Database, RebuildReport};
 pub use error::{MmdbError, Result, StorageFault, TransportFault};
 pub use persist::{catalog_from_bytes, catalog_to_bytes};
 pub use plan::{
-    between, count, eq, max, min, on, parse_knob, sum, Agg, CatalogRead, ExecOptions, JoinOn, Plan,
-    PlanTimings, Predicate, PredicateOp, Query, QuerySpec, Request, ResultRows, ResultSet,
+    between, count, eq, max, min, on, parse_knob, sum, Agg, CatalogRead, DrivingRun, ExecOptions,
+    JoinOn, Plan, PlanTimings, Predicate, PredicateOp, Query, QuerySpec, Request, ResultRows,
+    ResultSet,
 };
 pub use snapshot::{CatalogState, DatabaseHandle, Pinned, Snapshot, SwapSlot};
 

@@ -3,11 +3,17 @@
 //! the executor that drives the batched physical operators.
 //!
 //! The shape mirrors the paper's three index consumers (§2.2):
-//! selections ([`eq`] / [`between`] filters, conjunctions combined by
-//! sorted RID-set intersection), indexed nested-loop joins
-//! ([`Query::join`]), and domain encoding (every probe starts with a
-//! batched `encode_batch`). Grouped aggregation ([`Query::group_by`])
-//! rides on top, as OLAP queries do.
+//! selections ([`eq`] / [`between`] filters), indexed nested-loop joins
+//! ([`Query::join`]), and domain encoding (every probe starts by encoding
+//! its constants into domain IDs). Grouped aggregation
+//! ([`Query::group_by`]) rides on top, as OLAP queries do.
+//!
+//! A conjunction runs on the in-place domain IDs (§2.1 keeps every
+//! domain sorted, so equality and inequality tests work on IDs directly):
+//! each filter is an inclusive ID interval and one run of its column's
+//! sorted RID list, found through that filter's index. Only the shortest
+//! run is materialised; each of its rows is kept when its ID on every
+//! other filter's column lies in that filter's interval.
 //!
 //! ```
 //! use mmdb::{between, eq, on, sum, Database, IndexKind, TableBuilder};
@@ -50,9 +56,10 @@ use crate::engine::Database;
 use crate::error::{MmdbError, Result};
 use crate::index_choice::{IndexHandle, IndexKind};
 use crate::query::{
-    indexed_nested_loop_join_rids_par, point_select_many_ordered_par, point_select_many_par,
-    range_select_many_par, JoinRow,
+    id_run, indexed_nested_loop_join_rids_par, point_select_many_ordered_par,
+    point_select_many_par, range_select_many_par, JoinRow,
 };
+use crate::rid::RidList;
 use crate::snapshot::{CatalogState, Pinned};
 use ccindex_common::DEFAULT_BATCH_LANES;
 
@@ -390,8 +397,9 @@ impl QuerySpec {
         }
     }
 
-    /// Add a conjunct; multiple filters AND together and are combined by
-    /// sorted RID-set intersection.
+    /// Add a conjunct; multiple filters AND together. The filter with the
+    /// shortest run of RIDs drives, and its rows are tested against the
+    /// others' domain-ID intervals.
     pub fn filter(mut self, predicate: Predicate) -> Self {
         self.filters.push(predicate);
         self
@@ -783,9 +791,9 @@ pub struct ProbeStep {
     /// The probe itself.
     pub probe: Probe,
     /// Worker threads this probe's select operator partitions across.
-    /// Always 1 today: the executor evaluates each filter with a single
-    /// probe constant, which cannot chunk (a future multi-value probe
-    /// step would inherit the plan's `exec.threads`).
+    /// Always 1 today: the executor locates each filter's run with a
+    /// single probe constant, which cannot chunk (a future multi-value
+    /// probe step would inherit the plan's `exec.threads`).
     pub threads: usize,
 }
 
@@ -849,15 +857,32 @@ pub struct GroupStep {
 /// with [`Plan::explain_timed`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PlanTimings {
-    /// One entry per [`ProbeStep`], in plan order. Each includes the
-    /// intersection of that probe's RID set with the running selection.
+    /// One entry per [`ProbeStep`], in plan order: resolving the probe's
+    /// index, encoding its literals into an ID interval and locating its
+    /// run. The driving probe's entry also holds materialising its run
+    /// and testing every other filter against it.
     pub probe_ns: Vec<u64>,
+    /// Which probe drove the selection; `None` without filters, or when
+    /// a filter's interval was empty and no run was read.
+    pub driving: Option<DrivingRun>,
     /// The join node, when the plan has one.
     pub join_ns: Option<u64>,
     /// The grouped-aggregation node, when the plan has one.
     pub group_ns: Option<u64>,
     /// End-to-end execution, including result assembly.
     pub total_ns: u64,
+}
+
+/// The probe whose run drove a selection — the shortest — and what its
+/// run fed the residual test of the other filters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DrivingRun {
+    /// Index into [`Plan::probes`].
+    pub probe: usize,
+    /// RIDs in the driving run.
+    pub fed: usize,
+    /// RIDs that passed every other filter.
+    pub kept: usize,
 }
 
 /// Nanoseconds since `since`, saturating at `u64::MAX`.
@@ -916,10 +941,14 @@ impl Plan {
         }
         for (i, p) in self.probes.iter().enumerate() {
             let timed = stamp(timings.and_then(|t| t.probe_ns.get(i).copied()));
+            let drove = match timings.and_then(|t| t.driving) {
+                Some(d) if d.probe == i => format!(" drove {} rows -> {}", d.fed, d.kept),
+                _ => String::new(),
+            };
             match &p.probe {
                 Probe::Point(v) => {
                     out.push_str(&format!(
-                        "\n  probe {} = {} via {:?}{}{timed}",
+                        "\n  probe {} = {} via {:?}{}{drove}{timed}",
                         p.column,
                         v,
                         p.kind,
@@ -928,7 +957,7 @@ impl Plan {
                 }
                 Probe::Range(lo, hi) => {
                     out.push_str(&format!(
-                        "\n  probe {} in [{}, {}] via {:?}{}{timed}",
+                        "\n  probe {} in [{}, {}] via {:?}{}{drove}{timed}",
                         p.column,
                         lo,
                         hi,
@@ -940,7 +969,7 @@ impl Plan {
         }
         if self.probes.len() > 1 {
             out.push_str(&format!(
-                "\n  intersect {} sorted RID sets",
+                "\n  and {} filters: the shortest run drives, the others test its rows' IDs",
                 self.probes.len()
             ));
         }
@@ -1005,20 +1034,14 @@ impl Plan {
         let started = std::time::Instant::now();
         let mut timings = PlanTimings::default();
 
-        // 1. Selection: evaluate each probe to a sorted RID set and
-        //    intersect. `None` means "all rows" (no filters), kept
+        // 1. Selection. `None` means "all rows" (no filters), kept
         //    symbolic so group-only queries iterate 0..n without an
         //    allocation; a join or a bare selection materialises it once.
-        let mut selected: Option<Vec<u32>> = None;
-        for step in &self.probes {
-            let probing = std::time::Instant::now();
-            let rids = self.eval_probe(cat, step)?;
-            selected = Some(match selected {
-                None => rids,
-                Some(prev) => intersect_sorted(&prev, &rids),
-            });
-            timings.probe_ns.push(node_ns(&probing));
-        }
+        let selected = if self.probes.is_empty() {
+            None
+        } else {
+            Some(self.select(cat, &mut timings)?)
+        };
 
         // 2. Join: stream the selected outer rows through the inner
         //    column's index in probe blocks.
@@ -1167,13 +1190,76 @@ impl Plan {
         })
     }
 
-    /// One probe -> sorted RID set, always through the partitioned
-    /// batched operators (`encode_batch` +
-    /// `search_batch_lanes`/`lower_bound_batch_lanes`). The step's
-    /// recorded `threads` is always 1 — one probe constant cannot chunk —
-    /// so the `_par` entry points run their inline sequential path while
-    /// still honouring the plan's `lanes`.
-    fn eval_probe(&self, cat: &CatalogState, step: &ProbeStep) -> Result<Vec<u32>> {
+    /// The selection: the ascending RIDs that pass every filter (the plan
+    /// has at least one).
+    ///
+    /// The domain is kept in value order (§2.1), so every filter is an
+    /// inclusive interval of domain IDs and — through the step's own
+    /// index — one run of its column's sorted RID list. The shortest run
+    /// drives: only its RIDs are materialised, and each is kept when its
+    /// in-place ID on every other filter's column lies in that filter's
+    /// interval. Every step resolves before any literal is read, so a
+    /// stale plan fails with the same typed error whatever its constants.
+    fn select(&self, cat: &CatalogState, timings: &mut PlanTimings) -> Result<Vec<u32>> {
+        let mut filters = Vec::with_capacity(self.probes.len());
+        for step in &self.probes {
+            let resolving = std::time::Instant::now();
+            filters.push(self.resolve_probe(cat, step)?);
+            timings.probe_ns.push(node_ns(&resolving));
+        }
+
+        // (column IDs, ID interval, run) per filter; one empty interval
+        // empties the conjunction.
+        let mut located = Vec::with_capacity(filters.len());
+        for ((step, &(col, rid_list, index)), ns) in
+            self.probes.iter().zip(&filters).zip(&mut timings.probe_ns)
+        {
+            let locating = std::time::Instant::now();
+            let interval = match &step.probe {
+                Probe::Point(v) => col.domain().encode(v).map(|id| (id, id)),
+                Probe::Range(lo, hi) => col.domain().id_range(lo, hi),
+            };
+            let Some((lo, hi)) = interval else {
+                return Ok(Vec::new());
+            };
+            let (start, end) = id_run(index, rid_list, lo, hi);
+            located.push((col.ids(), lo..=hi, rid_list.rids_in(start, end)));
+            *ns += node_ns(&locating);
+        }
+
+        let driving = std::time::Instant::now();
+        let shortest = (0..located.len())
+            .min_by_key(|&i| located[i].2.len())
+            .expect("a selection has at least one filter");
+        // What is left in `located` is the residual filters.
+        let (_, driving_ids, run) = located.swap_remove(shortest);
+        let mut rids = run.to_vec();
+        rids.retain(|&rid| {
+            located
+                .iter()
+                .all(|(col_ids, ids, _)| ids.contains(&col_ids[rid as usize]))
+        });
+        // A run spanning several IDs is ordered by (ID, RID).
+        if driving_ids.start() != driving_ids.end() {
+            rids.sort_unstable();
+        }
+        timings.probe_ns[shortest] += node_ns(&driving);
+        timings.driving = Some(DrivingRun {
+            probe: shortest,
+            fed: run.len(),
+            kept: rids.len(),
+        });
+        Ok(rids)
+    }
+
+    /// One filter's column, sorted RID list and index, with the typed
+    /// error a stale plan meets: the column, its index entry or the
+    /// step's kind is gone, or a range asks an unordered kind.
+    fn resolve_probe<'c>(
+        &self,
+        cat: &'c CatalogState,
+        step: &ProbeStep,
+    ) -> Result<(&'c Column, &'c RidList, &'c IndexHandle)> {
         let col = cat.column(&self.table, &step.column)?;
         let entry = cat.column_entry(&self.table, &step.column)?;
         let handle = entry
@@ -1184,49 +1270,13 @@ impl Plan {
                 column: step.column.clone(),
                 kind: step.kind,
             })?;
-        let lanes = self.exec.lanes;
-        let mut rids = match (&step.probe, &**handle) {
-            (Probe::Point(v), IndexHandle::Ordered(idx)) => point_select_many_ordered_par(
-                col,
-                &entry.rids,
-                idx.as_ref(),
-                std::slice::from_ref(v),
-                lanes,
-                step.threads,
-            )
-            .pop()
-            .expect("one probe in, one out"),
-            (Probe::Point(v), IndexHandle::Point(idx)) => point_select_many_par(
-                col,
-                &entry.rids,
-                idx.as_ref(),
-                std::slice::from_ref(v),
-                lanes,
-                step.threads,
-            )
-            .pop()
-            .expect("one probe in, one out"),
-            (Probe::Range(lo, hi), handle) => {
-                let idx = handle
-                    .as_ordered()
-                    .ok_or_else(|| MmdbError::NoOrderedIndex {
-                        table: self.table.clone(),
-                        column: step.column.clone(),
-                    })?;
-                range_select_many_par(
-                    col,
-                    &entry.rids,
-                    idx,
-                    &[(lo.clone(), hi.clone())],
-                    lanes,
-                    step.threads,
-                )
-                .pop()
-                .expect("one range in, one out")
-            }
-        };
-        rids.sort_unstable();
-        Ok(rids)
+        if matches!(step.probe, Probe::Range(..)) && handle.as_ordered().is_none() {
+            return Err(MmdbError::NoOrderedIndex {
+                table: self.table.clone(),
+                column: step.column.clone(),
+            });
+        }
+        Ok((col, &entry.rids, &**handle))
     }
 }
 
@@ -1335,7 +1385,9 @@ impl CatalogRead for CatalogState {
         let handle = entry.indexes.get(&kind).expect("kind was just resolved");
         let threads = resolve_threads(self.exec.threads, values.len());
         let lanes = self.exec.lanes;
-        let mut out = match &**handle {
+        // Each value's RIDs are one ID's run of the (ID, RID)-sorted list,
+        // so they come back ascending without a sort.
+        Ok(match &**handle {
             IndexHandle::Ordered(idx) => point_select_many_ordered_par(
                 col,
                 &entry.rids,
@@ -1347,11 +1399,7 @@ impl CatalogRead for CatalogState {
             IndexHandle::Point(idx) => {
                 point_select_many_par(col, &entry.rids, idx.as_ref(), values, lanes, threads)
             }
-        };
-        for rids in &mut out {
-            rids.sort_unstable();
-        }
-        Ok(out)
+        })
     }
 
     fn range_probe_batch(
@@ -1425,25 +1473,6 @@ fn side_column<'db>(
             cat.column(inner, column)
         }
     }
-}
-
-/// Intersection of two ascending RID sets — how the executor ANDs
-/// predicate conjuncts.
-fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -1674,18 +1703,105 @@ mod tests {
     }
 
     #[test]
-    fn conjunctions_intersect_sorted_rid_sets() {
+    fn conjunctions_drive_from_the_shortest_run() {
         let db = db();
         let r = db
             .query("sales")
-            .filter(eq("day", "mon"))
             .filter(between("amount", 20, 100))
+            .filter(eq("day", "mon"))
             .run()
             .unwrap();
         // mon rows {0,1,5} ∩ amount 20..=100 rows {1,2,3,5} = {1,5}.
         assert_eq!(r.rids(), &[1, 5]);
         let decoded = r.values("amount").unwrap();
         assert_eq!(decoded, vec![Value::Int(40), Value::Int(25)]);
+        // The three-row `day` run drove; the four-row `amount` run was
+        // located but never materialised.
+        let driving = r.timings().driving;
+        assert_eq!(
+            driving,
+            Some(DrivingRun {
+                probe: 1,
+                fed: 3,
+                kept: 2
+            })
+        );
+        // A driving range's run is (ID, RID)-ordered: the answer is sorted.
+        let r = db
+            .query("sales")
+            .filter(between("amount", 10, 40))
+            .filter(between("day", "mon", "tue"))
+            .run()
+            .unwrap();
+        // amount 10..=40 rows {0,1,2,4,5}; mon..=tue rows {0,1,2,4,5}.
+        assert_eq!(r.rids(), &[0, 1, 2, 4, 5]);
+        assert_eq!(
+            r.timings().driving.map(|d| d.probe),
+            Some(0),
+            "first on ties"
+        );
+        // One empty interval empties the conjunction before any run is read.
+        let r = db
+            .query("sales")
+            .filter(eq("day", "mon"))
+            .filter(between("amount", 41, 98))
+            .run()
+            .unwrap();
+        assert!(r.is_empty());
+        assert_eq!(r.timings().driving, None);
+        assert_eq!(r.timings().probe_ns.len(), 2);
+    }
+
+    /// `engine-mix`'s select: an equality on a many-valued column beside
+    /// a wide band. The equality's short run must drive, and the band
+    /// must cost two lower bounds, not a materialised RID set.
+    #[test]
+    fn a_narrow_equality_drives_a_wide_band() {
+        let rows = 20_000i64;
+        let mut db = Database::new();
+        db.register(
+            TableBuilder::new("orders")
+                .int_column("cust", (0..rows).map(|r| (r * 7919) % 1000))
+                .int_column("amount", (0..rows).map(|r| (r * 104_729) % 10_000))
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+        db.create_index("orders", "cust", IndexKind::FullCss)
+            .unwrap();
+        db.create_index("orders", "amount", IndexKind::FullCss)
+            .unwrap();
+        let plan = db
+            .query("orders")
+            .filter(between("amount", 2_000, 2_999))
+            .filter(eq("cust", 17))
+            .plan()
+            .unwrap();
+        let r = plan.execute(&db).unwrap();
+        let want: Vec<u32> = (0..rows as u32)
+            .filter(|&r| {
+                let r = i64::from(r);
+                (r * 7919) % 1000 == 17 && (2_000..=2_999).contains(&((r * 104_729) % 10_000))
+            })
+            .collect();
+        assert_eq!(r.rids(), want.as_slice());
+        let driving = r
+            .timings()
+            .driving
+            .expect("a filtered plan has a driving run");
+        assert_eq!(
+            (driving.probe, driving.fed, driving.kept),
+            (1, 20, want.len())
+        );
+        let timed = plan.explain_timed(r.timings());
+        let eq_line = timed
+            .lines()
+            .find(|l| l.contains("probe cust = 17"))
+            .expect("the eq probe is rendered");
+        assert!(
+            eq_line.contains(&format!("drove 20 rows -> {}", want.len())),
+            "{timed}"
+        );
     }
 
     #[test]
@@ -1793,7 +1909,10 @@ mod tests {
         assert_eq!(plan.probes[1].kind, IndexKind::FullCss);
         assert_eq!(plan.join.as_ref().unwrap().kind, IndexKind::LevelCss);
         let text = plan.explain();
-        assert!(text.contains("intersect 2"), "{text}");
+        assert!(
+            text.contains("and 2 filters: the shortest run drives"),
+            "{text}"
+        );
         assert!(text.contains("join customers"), "{text}");
         assert!(text.contains("group by region"), "{text}");
 
@@ -1849,20 +1968,41 @@ mod tests {
         assert!(timings.group_ns.is_some());
         assert!(timings.total_ns > 0);
 
+        // The `day = mon` and `amount in [20, 50]` runs hold 3 rows
+        // each: the first of equals drives.
+        assert_eq!(
+            timings.driving,
+            Some(DrivingRun {
+                probe: 0,
+                fed: 3,
+                kept: 2
+            })
+        );
+
         // The timed rendering carries one ` .. <duration>` suffix per
-        // executed node plus a trailing total; the untimed rendering is
-        // unchanged.
+        // executed node plus a trailing total, and names the driving run
+        // on its probe's line; the untimed rendering is unchanged.
         let timed = plan.explain_timed(timings);
         assert_eq!(timed.matches(" .. ").count(), 4, "{timed}");
         assert!(timed.contains("\n  total: "), "{timed}");
-        assert!(!plan.explain().contains(" .. "));
+        assert!(
+            timed.contains("probe day = mon via Hash drove 3 rows -> 2 .. "),
+            "{timed}"
+        );
+        assert_eq!(timed.matches("drove").count(), 1, "{timed}");
+        let text = plan.explain();
+        assert!(!text.contains(" .. ") && !text.contains("drove"), "{text}");
 
         // A selection-only query times its probes but no join/group.
         let plan = db.query("sales").filter(eq("day", "mon")).plan().unwrap();
         let timings = plan.execute(&db).unwrap().timings().clone();
         assert_eq!(timings.probe_ns.len(), 1);
+        assert_eq!(timings.driving.map(|d| (d.fed, d.kept)), Some((3, 3)));
         assert_eq!(timings.join_ns, None);
         assert_eq!(timings.group_ns, None);
+        // No filters, no driving run.
+        let timings = db.query("sales").run().unwrap().timings().clone();
+        assert_eq!(timings.driving, None);
     }
 
     #[test]
@@ -2120,6 +2260,36 @@ mod tests {
         );
     }
 
+    /// `point_probe_batch` does not sort: a value's RIDs are one ID's run
+    /// of the stable (ID, RID)-ordered list, and every kind returns the
+    /// run's leftmost position.
+    #[test]
+    fn point_probe_batches_are_ascending_for_every_kind() {
+        // 3,000 rows over 13 values, each value's rows scattered.
+        let vals: Vec<i64> = (0..3_000i64).map(|r| (r * 7) % 13).collect();
+        let values: Vec<Value> = (-1..15).map(Value::Int).collect();
+        for kind in IndexKind::ALL {
+            let mut db = Database::new();
+            db.register(
+                TableBuilder::new("t")
+                    .int_column("v", vals.iter().copied())
+                    .build()
+                    .unwrap(),
+            )
+            .unwrap();
+            db.create_index("t", "v", kind).unwrap();
+            let batch = db.point_probe_batch("t", "v", &values).unwrap();
+            for (v, rids) in values.iter().zip(&batch) {
+                let want: Vec<u32> = (0u32..)
+                    .zip(&vals)
+                    .filter(|&(_, &x)| Value::Int(x) == *v)
+                    .map(|(rid, _)| rid)
+                    .collect();
+                assert_eq!(rids, &want, "{kind:?} {v}");
+            }
+        }
+    }
+
     #[test]
     fn adaptive_plans_execute_and_explain() {
         let db = db();
@@ -2155,12 +2325,5 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(adaptive.rows(), sequential.rows());
-    }
-
-    #[test]
-    fn intersect_sorted_basics() {
-        assert_eq!(intersect_sorted(&[1, 3, 5, 7], &[2, 3, 7, 9]), vec![3, 7]);
-        assert!(intersect_sorted(&[], &[1]).is_empty());
-        assert_eq!(intersect_sorted(&[4], &[4]), vec![4]);
     }
 }

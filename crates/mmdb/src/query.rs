@@ -22,6 +22,7 @@
 
 use crate::column::Column;
 use crate::domain::Value;
+use crate::index_choice::IndexHandle;
 use crate::rid::RidList;
 use ccindex_common::{OrderedIndex, SearchIndex, DEFAULT_BATCH_LANES};
 
@@ -58,6 +59,24 @@ fn duplicate_run_end(keys: &[u32], first: usize, id: u32) -> usize {
         end += 1;
     }
     end
+}
+
+/// The half-open sorted-position run `[start, end)` of `rid_list` that
+/// holds the domain IDs `lo..=hi`, located through `index`: two lower
+/// bounds on an ordered kind ([`OrderedIndex::key_range`]), or on the hash
+/// kind — which only ever receives a point, `lo == hi` — one search plus
+/// the §3.6 rightward duplicate scan. The run is `(id, rid)`-ordered, so a
+/// single ID's run is ascending by RID.
+pub(crate) fn id_run(index: &IndexHandle, rid_list: &RidList, lo: u32, hi: u32) -> (usize, usize) {
+    match index {
+        IndexHandle::Ordered(idx) => idx.key_range(lo, hi),
+        IndexHandle::Point(idx) => {
+            debug_assert_eq!(lo, hi, "the hash kind answers points only");
+            let keys = rid_list.keys().as_slice();
+            idx.search(lo)
+                .map_or((0, 0), |first| (first, duplicate_run_end(keys, first, lo)))
+        }
+    }
 }
 
 /// All RIDs whose column value equals `value`, via one index search plus

@@ -1,0 +1,305 @@
+//! Conjunctions against a row-scan oracle.
+//!
+//! Random tables with `Int`, `Str` and mixed columns (duplicates the
+//! rule), one to three `eq`/`between` filters (absent values, inverted
+//! and empty ranges, two filters on one column, `Str` bounds on an `Int`
+//! column), every index kind forced through `using`, and the same
+//! selections feeding a join and a grouping. The executor drives each
+//! conjunction from its shortest run and tests the other filters on the
+//! column's domain IDs; the oracle compares decoded values row by row.
+
+use mmdb::{
+    between, eq, on, sum, CatalogRead, Database, GroupRow, IndexKind, JoinRow, MmdbError,
+    Predicate, QuerySpec, ResultRows, TableBuilder, Value,
+};
+use proptest::collection::vec;
+use proptest::prelude::*;
+use std::collections::BTreeMap;
+
+/// The outer table `t`'s columns: a small-range `Int`, a `Str`, a mixed
+/// column and a wider `Int`.
+const COLUMNS: [&str; 4] = ["i", "s", "m", "j"];
+const LETTERS: [&str; 6] = ["a", "b", "c", "d", "e", "f"];
+/// `Str` literals: present letters, absent ones, mixed-column strings,
+/// and strings that sort around them.
+const STR_LITERALS: [&str; 11] = ["", "a", "c", "f", "g", "m", "m6", "m9", "m11", "n", "zz"];
+const REGIONS: [&str; 3] = ["east", "west", "north"];
+
+type Row = [Value; 4];
+
+fn row((i, s, m, j): (i64, u8, i64, i64)) -> Row {
+    [
+        Value::Int(i),
+        Value::Str(LETTERS[s as usize].to_owned()),
+        if m < 6 {
+            Value::Int(m)
+        } else {
+            Value::Str(format!("m{m}"))
+        },
+        Value::Int(j),
+    ]
+}
+
+/// A literal for `column` from a seed: mostly one of the column's own
+/// values, else a `Str` that may be absent or of the other type, or an
+/// `Int` reaching past both ends of every column.
+fn literal(column: usize, (kind, x): (u8, i64)) -> Value {
+    match kind {
+        0 => Value::Str(STR_LITERALS[x as usize % STR_LITERALS.len()].to_owned()),
+        1 => Value::Int(x - 2),
+        _ => row((x % 6, (x % 6) as u8, x % 12, x % 24))[column].clone(),
+    }
+}
+
+/// One filter, as the engine sees it and as the oracle evaluates it.
+#[derive(Debug, Clone)]
+enum Filter {
+    Eq(usize, Value),
+    Between(usize, Value, Value),
+}
+
+impl Filter {
+    /// `op` 0 is an equality, 1 a range with its bounds in order, 2 a
+    /// range as drawn (inverted half the time).
+    fn from_seed((column, op, a, b): (usize, u8, (u8, i64), (u8, i64))) -> Self {
+        let (a, b) = (literal(column, a), literal(column, b));
+        match op {
+            0 => Filter::Eq(column, a),
+            1 if a > b => Filter::Between(column, b, a),
+            _ => Filter::Between(column, a, b),
+        }
+    }
+
+    fn predicate(&self) -> Predicate {
+        match self {
+            Filter::Eq(c, v) => eq(COLUMNS[*c], v.clone()),
+            Filter::Between(c, lo, hi) => between(COLUMNS[*c], lo.clone(), hi.clone()),
+        }
+    }
+
+    fn holds(&self, row: &Row) -> bool {
+        match self {
+            Filter::Eq(c, v) => row[*c] == *v,
+            Filter::Between(c, lo, hi) => *lo <= row[*c] && row[*c] <= *hi,
+        }
+    }
+}
+
+/// `t` from `rows` and `u(k, g)` from `inner`, with every index kind on
+/// every column a query probes.
+fn database(rows: &[Row], inner: &[(i64, u8)]) -> Database {
+    let mut outer = TableBuilder::new("t");
+    for (c, name) in COLUMNS.iter().enumerate() {
+        outer = outer.column(*name, rows.iter().map(|r| r[c].clone()).collect());
+    }
+    let mut db = Database::new();
+    db.register(outer.build().unwrap()).unwrap();
+    db.register(
+        TableBuilder::new("u")
+            .int_column("k", inner.iter().map(|&(k, _)| k))
+            .str_column("g", inner.iter().map(|&(_, g)| REGIONS[g as usize]))
+            .build()
+            .unwrap(),
+    )
+    .unwrap();
+    for kind in IndexKind::ALL {
+        for name in COLUMNS {
+            db.create_index("t", name, kind).unwrap();
+        }
+        db.create_index("u", "k", kind).unwrap();
+    }
+    db
+}
+
+/// The three shapes every selection runs in — alone, joined to `u`, and
+/// joined then grouped by `u.g` summing `t.j` — each with the oracle's
+/// answer.
+fn shapes(
+    select: QuerySpec,
+    rows: &[Row],
+    inner: &[(i64, u8)],
+    filters: &[Filter],
+) -> Vec<(QuerySpec, ResultRows)> {
+    let selected: Vec<u32> = (0u32..)
+        .zip(rows)
+        .filter(|(_, row)| filters.iter().all(|f| f.holds(row)))
+        .map(|(rid, _)| rid)
+        .collect();
+    let joined: Vec<JoinRow> = selected
+        .iter()
+        .flat_map(|&outer_rid| {
+            (0u32..)
+                .zip(inner)
+                .filter(move |(_, &(k, _))| rows[outer_rid as usize][0] == Value::Int(k))
+                .map(move |(inner_rid, _)| JoinRow {
+                    outer_rid,
+                    inner_rid,
+                })
+        })
+        .collect();
+    let mut sums: BTreeMap<Value, i64> = BTreeMap::new();
+    for j in &joined {
+        let Value::Int(measure) = rows[j.outer_rid as usize][3] else {
+            unreachable!("`j` is an Int column")
+        };
+        let region = Value::Str(REGIONS[inner[j.inner_rid as usize].1 as usize].to_owned());
+        *sums.entry(region).or_default() += measure;
+    }
+    let groups = sums
+        .into_iter()
+        .map(|(group, value)| GroupRow { group, value })
+        .collect();
+    let join = select.clone().join("u", on("i", "k"));
+    vec![
+        (select, ResultRows::Rids(selected)),
+        (join.clone(), ResultRows::Joined(joined)),
+        (join.group_by("g", sum("j")), ResultRows::Groups(groups)),
+    ]
+}
+
+/// What compiling `filters` under a forced `kind` must fail with: a
+/// range under the unordered hash kind, named by its first such filter.
+fn forced_error(filters: &[Filter], kind: Option<IndexKind>) -> Option<MmdbError> {
+    if kind != Some(IndexKind::Hash) {
+        return None;
+    }
+    filters.iter().find_map(|f| match f {
+        Filter::Between(c, ..) => Some(MmdbError::NoOrderedIndex {
+            table: "t".into(),
+            column: COLUMNS[*c].into(),
+        }),
+        Filter::Eq(..) => None,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn conjunctions_match_a_row_scan_under_every_kind(
+        seeds in vec((0i64..6, 0u8..6, 0i64..12, 0i64..24), 0..48),
+        inner in vec((-1i64..7, 0u8..3), 0..12),
+        filter_seeds in vec((0usize..4, 0u8..3, (0u8..6, 0i64..26), (0u8..6, 0i64..26)), 1..=3),
+    ) {
+        let rows: Vec<Row> = seeds.into_iter().map(row).collect();
+        let filters: Vec<Filter> = filter_seeds.into_iter().map(Filter::from_seed).collect();
+        let db = database(&rows, &inner);
+        let select = QuerySpec {
+            filters: filters.iter().map(Filter::predicate).collect(),
+            ..QuerySpec::table("t")
+        };
+        for kind in std::iter::once(None).chain(IndexKind::ALL.map(Some)) {
+            let forced = |spec: QuerySpec| match kind {
+                Some(k) => spec.using(k),
+                None => spec,
+            };
+            for (spec, want) in shapes(forced(select.clone()), &rows, &inner, &filters) {
+                let got = db.catalog().run_spec(&spec);
+                match forced_error(&filters, kind) {
+                    Some(err) => prop_assert_eq!(got, Err(err), "{:?}", spec),
+                    None => {
+                        let got = got.map_err(|e| TestCaseError::fail(format!("{spec:?}: {e}")))?;
+                        if let ResultRows::Rids(rids) = &got {
+                            prop_assert!(
+                                rids.windows(2).all(|w| w[0] < w[1]),
+                                "not ascending: {:?} for {:?}", rids, spec
+                            );
+                        }
+                        prop_assert_eq!(got, want, "{:?}", spec);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_stale_plan_fails_typed_even_when_its_first_filter_matches_nothing() {
+    let rows: Vec<Row> = (0..40).map(|r| row((r % 6, 0, r % 12, r % 24))).collect();
+    let mut db = database(&rows, &[(1, 0)]);
+    let plan = db
+        .query("t")
+        .filter(eq("i", 999))
+        .filter(between("j", 0, 5))
+        .plan()
+        .unwrap();
+    let kind = plan.probes[1].kind;
+    // Other kinds stay on `j`, so its entry survives without this one.
+    db.drop_index("t", "j", kind).unwrap();
+    assert_eq!(
+        plan.execute(&db).unwrap_err(),
+        MmdbError::IndexNotBuilt {
+            table: "t".into(),
+            column: "j".into(),
+            kind
+        }
+    );
+}
+
+/// `engine-mix`'s select at its own scale: an equality on a 100k-value
+/// column beside a band a tenth of a 10k-value column wide, plus driving
+/// ranges whose runs span many IDs.
+#[test]
+#[ignore = "2M rows; run with `cargo test --release -p mmdb -- --ignored`"]
+fn engine_mix_shaped_conjunctions_match_a_row_scan_at_two_million_rows() {
+    const ROWS: u32 = 2_000_000;
+    let cust = |r: u32| i64::from(r.wrapping_mul(2_654_435_761) % 100_000);
+    let amount = |r: u32| i64::from(r.wrapping_mul(40_503).rotate_left(7) % 10_000);
+    let mut db = Database::new();
+    db.register(
+        TableBuilder::new("orders")
+            .int_column("cust", (0..ROWS).map(cust))
+            .int_column("amount", (0..ROWS).map(amount))
+            .build()
+            .unwrap(),
+    )
+    .unwrap();
+    for (column, kind) in [
+        ("cust", IndexKind::FullCss),
+        ("cust", IndexKind::Hash),
+        ("amount", IndexKind::FullCss),
+    ] {
+        db.create_index("orders", column, kind).unwrap();
+    }
+    let mut matched = 0;
+    for q in 0..6i64 {
+        let (c, lo) = (q * 16_661 % 100_000, q * 1_409 % 9_000);
+        // Each filter set with the `cust` and `amount` intervals it keeps.
+        let cases = [
+            (
+                vec![eq("cust", c), between("amount", lo, lo + 999)],
+                c..=c,
+                lo..=lo + 999,
+            ),
+            (
+                vec![
+                    between("amount", lo, lo + 999),
+                    between("cust", c, c + 50 * q),
+                ],
+                c..=c + 50 * q,
+                lo..=lo + 999,
+            ),
+            (
+                vec![between("amount", lo, lo + 30 * q)],
+                i64::MIN..=i64::MAX,
+                lo..=lo + 30 * q,
+            ),
+        ];
+        for (filters, custs, amounts) in cases {
+            let want: Vec<u32> = (0..ROWS)
+                .filter(|&r| custs.contains(&cust(r)) && amounts.contains(&amount(r)))
+                .collect();
+            matched += want.len();
+            let spec = QuerySpec {
+                filters,
+                ..QuerySpec::table("orders")
+            };
+            for spec in [spec.clone(), spec.using(IndexKind::FullCss)] {
+                let got = db.catalog().run_spec(&spec).unwrap();
+                assert_eq!(got, ResultRows::Rids(want.clone()), "{spec:?}");
+            }
+        }
+    }
+    // The single bands alone hold about 456 / 10,000 of the rows.
+    assert!(matched > 50_000, "the bands select rows: {matched}");
+}

@@ -21,7 +21,8 @@ fn demo() -> Result<(), MmdbError> {
     db.create_index("sales", "day", IndexKind::Hash)?;
     db.create_index("customers", "id", IndexKind::FullCss)?;
 
-    // Point + range conjunction, intersected as sorted RID sets.
+    // Point + range conjunction: the shorter run drives, and its rows
+    // are tested against the other filter's domain-ID interval.
     let monday_mid = db
         .query("sales")
         .filter(eq("day", "mon"))
