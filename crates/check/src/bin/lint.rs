@@ -5,13 +5,21 @@
 //! in [`check::lint`], prints each violation as `file:line: [rule]
 //! message`, and exits non-zero when any rule is broken — which is what
 //! makes it enforceable as a required CI job.
+//!
+//! `lint --loc <paths..>` counts non-test code lines instead
+//! ([`check::lint::code_lines`]): one line per path (a crate's `src/`,
+//! a directory, or a file), then the total.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let root = std::env::args()
-        .nth(1)
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().is_some_and(|a| a == "--loc") {
+        return loc(&args[1..]);
+    }
+    let root = args
+        .first()
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")));
     let violations = match check::lint::lint_workspace(&root) {
@@ -30,4 +38,27 @@ fn main() -> ExitCode {
     }
     eprintln!("lint: {} violation(s)", violations.len());
     ExitCode::FAILURE
+}
+
+/// The `--loc` mode: non-test code lines per path, then the total.
+fn loc(paths: &[String]) -> ExitCode {
+    if paths.is_empty() {
+        eprintln!("lint: --loc needs at least one path");
+        return ExitCode::from(2);
+    }
+    let mut total = 0;
+    for path in paths {
+        match check::lint::code_lines_under(path.as_ref()) {
+            Ok(lines) => {
+                println!("{lines:>7}  {path}");
+                total += lines;
+            }
+            Err(e) => {
+                eprintln!("lint: failed to count {path}: {e}");
+                return ExitCode::from(2);
+            }
+        }
+    }
+    println!("{total:>7}  total");
+    ExitCode::SUCCESS
 }

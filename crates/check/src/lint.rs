@@ -473,6 +473,32 @@ fn contains_word(haystack: &str, word: &str) -> bool {
     false
 }
 
+/// The non-test code lines of one file: lines that still hold code once
+/// comments are stripped (blank and comment-only lines, doc comments
+/// included, do not count), up to the file's first `#[cfg(test)]`.
+pub fn code_lines(text: &str) -> usize {
+    strip(text)
+        .iter()
+        .take_while(|line| !line.trim_start().starts_with("#[cfg(test)]"))
+        .filter(|line| !line.trim().is_empty())
+        .count()
+}
+
+/// [`code_lines`] summed over `path`: one `.rs` file, or every `.rs`
+/// file under a directory.
+pub fn code_lines_under(path: &Path) -> std::io::Result<usize> {
+    let mut files = Vec::new();
+    if path.is_dir() {
+        collect_rs(path, &mut files)?;
+    } else {
+        files.push(path.to_owned());
+    }
+    files
+        .iter()
+        .map(|file| Ok(code_lines(&std::fs::read_to_string(file)?)))
+        .sum()
+}
+
 /// Blank out comments and string/char-literal contents, preserving the
 /// line structure, so pattern checks only see code.
 fn strip(text: &str) -> Vec<String> {
@@ -828,6 +854,32 @@ mod tests {
         assert_eq!(v.len(), 1);
         assert_eq!((v[0].rule, &v[0].file, v[0].line), ("M1", &b, 20));
         assert!(v[0].message.contains("a.rs:10"), "{}", v[0].message);
+    }
+
+    #[test]
+    fn code_lines_skip_blanks_comments_and_the_test_module() {
+        let fixture = concat!(
+            "//! Crate docs.\n",
+            "\n",
+            "/// A documented function.\n",
+            "pub fn f() -> &'static str {\n",
+            "    // A comment-only line.\n",
+            "    \"a // string, not a comment\" /* trailing */\n",
+            "}\n",
+            "/* a block\n",
+            "   comment */\n",
+            "pub fn g() {}\n",
+            "#[cfg(test)]\n",
+            "mod tests {\n",
+            "    #[test]\n",
+            "    fn t() {}\n",
+            "}\n",
+            "pub fn after_the_tests() {}\n",
+        );
+        // `pub fn f`, the string line, `}` and `pub fn g`; everything
+        // from the first `#[cfg(test)]` on is test code.
+        assert_eq!(code_lines(fixture), 4);
+        assert_eq!(code_lines(""), 0);
     }
 
     #[test]

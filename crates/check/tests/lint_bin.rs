@@ -66,6 +66,37 @@ fn seeded_violations_exit_nonzero_and_name_each_rule() {
 }
 
 #[test]
+fn loc_mode_counts_per_path_and_in_total() {
+    let root = scratch_workspace(
+        "loc",
+        "//! Docs.\n\n#![deny(unsafe_op_in_unsafe_fn)]\n\npub fn ok() {}\n#[cfg(test)]\nmod t {}\n",
+    );
+    let src = root.join("crates").join("loc").join("src");
+    let lib = src.join("lib.rs");
+    let out = Command::new(env!("CARGO_BIN_EXE_lint"))
+        .arg("--loc")
+        .arg(&src)
+        .arg(&lib)
+        .output()
+        .expect("run lint binary");
+    assert!(out.status.success());
+    let report = String::from_utf8_lossy(&out.stdout);
+    let counts: Vec<&str> = report
+        .lines()
+        .map(|l| l.split_whitespace().next().unwrap_or(""))
+        .collect();
+    assert_eq!(counts, ["2", "2", "4"], "{report}");
+    assert!(report.ends_with("total\n"), "{report}");
+    fs::remove_dir_all(&root).ok();
+
+    let none = Command::new(env!("CARGO_BIN_EXE_lint"))
+        .arg("--loc")
+        .output()
+        .expect("run lint binary");
+    assert_eq!(none.status.code(), Some(2));
+}
+
+#[test]
 fn this_workspace_is_clean() {
     let root = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
     let out = run_lint(&root);

@@ -11,8 +11,9 @@
 //! is built once and reused by every selection and join that touches the
 //! column, instead of being threaded by hand through each call.
 //!
-//! Queries start at [`Database::query`], which hands back the composable
-//! builder in [`plan`](crate::plan):
+//! A `Database` derefs to its tip, the [`CatalogState`] every read runs
+//! against, so queries start at [`CatalogState::query`] — `db.query(..)`
+//! — which hands back the composable builder in [`plan`](crate::plan):
 //!
 //! ```
 //! use mmdb::{eq, between, Database, IndexKind, TableBuilder};
@@ -55,12 +56,13 @@ use crate::column::Column;
 use crate::domain::Value;
 use crate::error::{MmdbError, Result};
 use crate::index_choice::{IndexHandle, IndexKind};
-use crate::plan::{ExecOptions, Query};
+use crate::plan::ExecOptions;
 use crate::rid::RidList;
-use crate::snapshot::{CatalogState, DatabaseHandle, Snapshot, SwapSlot};
+use crate::snapshot::{CatalogState, DatabaseHandle, Handle, Snapshot, SwapSlot};
 use crate::table::Table;
 use crate::update::apply_batch_kinds_par;
 use std::collections::BTreeMap;
+use std::ops::Deref;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -71,9 +73,10 @@ use std::time::Duration;
 /// The catalog data itself lives in an immutable-once-committed
 /// [`CatalogState`]; the `Database` is the single writer building the
 /// next generation in place and committing it on every successful
-/// mutation. All read methods answer from the tip (the writer always
-/// sees its own latest commit); concurrent readers answer from whatever
-/// generation they [`snapshot`](Database::snapshot)ted.
+/// mutation. It derefs to that tip, so every read method of
+/// [`CatalogState`] answers from it (the writer always sees its own
+/// latest commit); concurrent readers answer from whatever generation
+/// they [`snapshot`](Database::snapshot)ted.
 #[derive(Debug)]
 pub struct Database {
     /// The writer's private next generation, committed by
@@ -86,6 +89,14 @@ pub struct Database {
 impl Default for Database {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+impl Deref for Database {
+    type Target = CatalogState;
+
+    fn deref(&self) -> &CatalogState {
+        &self.tip
     }
 }
 
@@ -145,11 +156,6 @@ impl Database {
         self.publish();
     }
 
-    /// The catalog-wide [`ExecOptions`] new plans inherit.
-    pub fn exec_options(&self) -> ExecOptions {
-        self.tip.exec
-    }
-
     /// Register a table under its own name. Fails with
     /// [`MmdbError::DuplicateTable`] if the name is taken.
     pub fn register(&mut self, table: Table) -> Result<()> {
@@ -166,16 +172,6 @@ impl Database {
         );
         self.publish();
         Ok(())
-    }
-
-    /// Registered table names, in name order.
-    pub fn tables(&self) -> impl Iterator<Item = &str> {
-        self.tip.tables()
-    }
-
-    /// The table registered as `name`.
-    pub fn table(&self, name: &str) -> Result<&Table> {
-        self.tip.table(name)
     }
 
     /// Build (or rebuild) a `kind` index on `table.column`. The column's
@@ -232,22 +228,6 @@ impl Database {
         }
         self.publish();
         Ok(())
-    }
-
-    /// The sorted RID list the catalog owns for `table.column` (present
-    /// once any index exists on the column).
-    pub fn rid_list(&self, table: &str, column: &str) -> Result<&RidList> {
-        self.tip.rid_list(table, column)
-    }
-
-    /// The `kind` index on `table.column`.
-    pub fn index(&self, table: &str, column: &str, kind: IndexKind) -> Result<&IndexHandle> {
-        self.tip.index(table, column, kind)
-    }
-
-    /// Which kinds are built on `table.column`, in [`IndexKind`] order.
-    pub fn indexed_kinds(&self, table: &str, column: &str) -> Result<Vec<IndexKind>> {
-        self.tip.indexed_kinds(table, column)
     }
 
     /// Replace a column's values wholesale (the OLAP batch-update entry
@@ -366,15 +346,6 @@ impl Database {
         Ok(())
     }
 
-    /// Start a composable query over `table` (resolution happens at
-    /// [`Query::plan`]/[`Query::run`], so an unknown name fails there
-    /// with a typed error, not here). Answers from the writer's tip —
-    /// concurrent readers should [`snapshot`](Database::snapshot) and
-    /// query that instead.
-    pub fn query(&self, table: impl Into<String>) -> Query<'_> {
-        self.tip.query(table)
-    }
-
     // ---- the epoch/snapshot surface ----
 
     /// Pin the current committed generation: the returned [`Snapshot`]
@@ -388,20 +359,7 @@ impl Database {
     /// commit slot: other threads snapshot through it while this thread
     /// keeps `&mut` access for updates.
     pub fn handle(&self) -> DatabaseHandle {
-        DatabaseHandle {
-            slot: Arc::clone(&self.slot),
-        }
-    }
-
-    /// The writer's current (always committed-or-newer) catalog state —
-    /// what [`Database::query`] and the probe batches answer from.
-    pub fn catalog(&self) -> &CatalogState {
-        &self.tip
-    }
-
-    /// The generation number of the latest commit (0 = empty catalog).
-    pub fn generation(&self) -> u64 {
-        self.tip.generation
+        Handle::new(Arc::clone(&self.slot))
     }
 
     /// How many generations have been committed over this catalog's

@@ -180,6 +180,17 @@ pub enum TransportFault {
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, MmdbError>;
 
+impl MmdbError {
+    /// The typed error for a RID past the end of `table`'s `rows` rows —
+    /// what every reader answers a RID it was handed but does not hold
+    /// with.
+    pub fn rid_out_of_range(table: &str, rid: u32, rows: usize) -> Self {
+        MmdbError::Unsupported {
+            what: format!("rid {rid} is out of range for table `{table}` ({rows} rows)"),
+        }
+    }
+}
+
 impl std::fmt::Display for MmdbError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

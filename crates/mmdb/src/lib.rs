@@ -66,7 +66,7 @@ pub use plan::{
     JoinOn, Plan, PlanTimings, Predicate, PredicateOp, Query, QuerySpec, Request, ResultRows,
     ResultSet,
 };
-pub use snapshot::{CatalogState, DatabaseHandle, Pinned, Snapshot, SwapSlot};
+pub use snapshot::{CatalogState, DatabaseHandle, Handle, Pinned, Snapshot, SwapSlot};
 
 // The physical layer.
 pub use aggregate::{

@@ -173,7 +173,7 @@ pub fn catalog_from_bytes(bytes: &[u8], label: &str) -> Result<Database> {
 impl Database {
     /// Serialize the current committed catalog into a store image.
     pub fn save_to_bytes(&self) -> Vec<u8> {
-        catalog_to_bytes(self.catalog())
+        catalog_to_bytes(self)
     }
 
     /// Write the current committed catalog to `path` as a paged,

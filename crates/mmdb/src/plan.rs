@@ -1,6 +1,7 @@
-//! Composable queries over the [`Database`] engine: a declarative
-//! [`Query`] builder, the small physical [`Plan`] it compiles into, and
-//! the executor that drives the batched physical operators.
+//! Composable queries over the [`Database`](crate::Database) engine: a
+//! declarative [`Query`] builder, the small physical [`Plan`] it
+//! compiles into, and the executor that drives the batched physical
+//! operators.
 //!
 //! The shape mirrors the paper's three index consumers (§2.2):
 //! selections ([`eq`] / [`between`] filters), indexed nested-loop joins
@@ -14,6 +15,13 @@
 //! sorted RID list, found through that filter's index. Only the shortest
 //! run is materialised; each of its rows is kept when its ID on every
 //! other filter's column lies in that filter's interval.
+//!
+//! [`Query`] and [`ResultSet`] are generic over the generation they run
+//! on — any [`CatalogRead`]: a [`CatalogState`] by default (what a
+//! `Database` derefs to and a `Snapshot` pins), or the sharded catalog's
+//! composed state, whose plan type scatter-gathers across shards. So
+//! there is one builder, one result type and one `values()` rule for
+//! every deployment shape.
 //!
 //! ```
 //! use mmdb::{between, eq, on, sum, Database, IndexKind, TableBuilder};
@@ -52,7 +60,6 @@ use crate::aggregate::{
 };
 use crate::column::Column;
 use crate::domain::Value;
-use crate::engine::Database;
 use crate::error::{MmdbError, Result};
 use crate::index_choice::{IndexHandle, IndexKind};
 use crate::query::{
@@ -68,8 +75,8 @@ use ccindex_common::DEFAULT_BATCH_LANES;
 // ---------------------------------------------------------------------
 
 /// Execution knobs for the physical operators, set catalog-wide with
-/// [`Database::set_exec_options`] (or per query with [`Query::exec`]) and
-/// recorded on every compiled [`Plan`] so plans stay inspectable.
+/// [`Database::set_exec_options`] (or per query with [`Query::exec`])
+/// and recorded on every compiled [`Plan`] so plans stay inspectable.
 ///
 /// `threads == 1` (the default) is the sequential executor; `threads >
 /// 1` routes the equality/range/join/group stages through the
@@ -86,6 +93,9 @@ use ccindex_common::DEFAULT_BATCH_LANES;
 /// sharded catalog layer (`ccindex-shard`): how many shards a
 /// `ShardedDatabase` built "from the environment" partitions each table
 /// across (plain [`Database`]s ignore it).
+///
+/// [`Database`]: crate::Database
+/// [`Database::set_exec_options`]: crate::Database::set_exec_options
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecOptions {
     /// Worker threads for the partitioned operators (`1` sequential,
@@ -136,9 +146,10 @@ impl ExecOptions {
     }
 
     /// The infallible twin of [`ExecOptions::try_from_env`]: what
-    /// [`Database::new`] uses, so a whole test suite or service can be
-    /// switched to partitioned execution without a code change (CI runs
-    /// the tests with `CCINDEX_THREADS=8`, `CCINDEX_SHARDS=4` and
+    /// [`Database::new`](crate::Database::new) uses, so a whole test
+    /// suite or service can be switched to partitioned execution
+    /// without a code change (CI runs the tests with
+    /// `CCINDEX_THREADS=8`, `CCINDEX_SHARDS=4` and
     /// `CCINDEX_BATCH_MAX=16`). An unparsable variable no longer falls
     /// back *silently*: the typed error is logged to stderr, and only
     /// the offending knob takes its default — the other, correctly-set
@@ -371,7 +382,7 @@ impl Agg {
 /// what the serving layer queues, what the shard layer routes and what
 /// the wire protocol encodes. It borrows nothing, so it crosses threads
 /// and sockets freely and resolves against a catalog only when
-/// [`CatalogState::compile`] (or [`CatalogRead::run_spec`]) runs.
+/// [`CatalogRead::compile`] (or [`CatalogRead::run_spec`]) runs.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct QuerySpec {
     /// The driving (outer) table.
@@ -430,7 +441,8 @@ impl QuerySpec {
 
     /// Override the catalog's [`ExecOptions`] for this query alone —
     /// e.g. `.exec(ExecOptions::threads(8))` to partition its stages
-    /// across 8 workers regardless of [`Database::set_exec_options`].
+    /// across 8 workers regardless of
+    /// [`Database::set_exec_options`](crate::Database::set_exec_options).
     pub fn exec(mut self, options: ExecOptions) -> Self {
         self.exec = Some(options);
         self
@@ -439,7 +451,7 @@ impl QuerySpec {
     /// Whether `other` is this query with different literals: the same
     /// table, filter columns and comparison kinds (in call order), join,
     /// grouping, forced kind and exec override — everything
-    /// [`CatalogState::compile`] reads. Two specs of one shape compile
+    /// [`CatalogRead::compile`] reads. Two specs of one shape compile
     /// (against one generation) into plans that differ only in their
     /// probe constants, which [`Plan::bind_literals`] patches — what
     /// lets a coordinator compile a shape once and reuse the plan.
@@ -528,19 +540,23 @@ impl From<QuerySpec> for Request {
     }
 }
 
-/// A [`QuerySpec`] under construction against one catalog generation,
-/// started by [`Database::query`]: the builder methods are the spec's
+/// A [`QuerySpec`] under construction against one catalog generation —
+/// a [`CatalogState`] by default, or any other [`CatalogRead`] such as
+/// the sharded catalog's composed state — started by the generation's
+/// `query` ([`CatalogState::query`]): the builder methods are the spec's
 /// own. Nothing resolves until [`Query::plan`] or [`Query::run`], so
 /// builders can be assembled freely and fail with a typed error naming
 /// the offender.
 #[derive(Debug, Clone)]
-pub struct Query<'db> {
-    cat: &'db CatalogState,
+pub struct Query<'c, C: ?Sized = CatalogState> {
+    cat: &'c C,
     spec: QuerySpec,
 }
 
-impl<'db> Query<'db> {
-    pub(crate) fn new(cat: &'db CatalogState, table: String) -> Self {
+impl<'c, C: CatalogRead + ?Sized> Query<'c, C> {
+    /// A query over `table`, initially selecting every row, against
+    /// `cat`.
+    pub fn new(cat: &'c C, table: impl Into<String>) -> Self {
         Self {
             cat,
             spec: QuerySpec::table(table),
@@ -577,109 +593,14 @@ impl<'db> Query<'db> {
         self
     }
 
-    /// Compile into a physical [`Plan`] ([`CatalogState::compile`]).
-    pub fn plan(&self) -> Result<Plan> {
+    /// Compile into the catalog's plan type ([`CatalogRead::compile`]).
+    pub fn plan(&self) -> Result<C::Plan> {
         self.cat.compile(&self.spec)
     }
 
     /// Compile and execute.
-    pub fn run(&self) -> Result<ResultSet<'db>> {
-        self.plan()?.execute_on(self.cat)
-    }
-}
-
-impl CatalogState {
-    /// Compile `spec` into a physical [`Plan`] against this generation:
-    /// resolve every name, choose an access path per probe, and validate
-    /// aggregate typing.
-    pub fn compile(&self, spec: &QuerySpec) -> Result<Plan> {
-        let cat = self;
-        let outer = &spec.table;
-        cat.entry(outer)?;
-        let exec = spec.exec.unwrap_or(cat.exec);
-        // The planner's upper bound on the items a chunkable node can
-        // process (the driving table's row count): what an adaptive
-        // (`threads == 0`) node's worker count resolves against when the
-        // plan is *explained* rather than executed.
-        let outer_rows = cat.table(outer)?.rows();
-
-        let mut probes = Vec::with_capacity(spec.filters.len());
-        for p in &spec.filters {
-            let ordered_required = matches!(p.op, PredOp::Between(..));
-            let kind = resolve_kind(cat, outer, &p.column, ordered_required, spec.forced_kind)?;
-            probes.push(ProbeStep {
-                column: p.column.clone(),
-                kind,
-                probe: p.op.probe(),
-                // A filter stage probes one constant, which cannot be
-                // chunked — recording `exec.threads` here would claim a
-                // partitioning that can never happen.
-                threads: 1,
-            });
-        }
-
-        let join = match &spec.join {
-            None => None,
-            Some((inner_table, cond)) => {
-                cat.column(outer, &cond.outer)?;
-                cat.column(inner_table, &cond.inner)?;
-                let kind = resolve_kind(cat, inner_table, &cond.inner, false, spec.forced_kind)?;
-                Some(JoinStep {
-                    inner_table: inner_table.clone(),
-                    outer_column: cond.outer.clone(),
-                    inner_column: cond.inner.clone(),
-                    kind,
-                    threads: exec.threads,
-                    rows_hint: outer_rows,
-                })
-            }
-        };
-
-        let group = match &spec.group {
-            None => None,
-            Some((column, agg)) => {
-                let inner = join.as_ref().map(|j| j.inner_table.as_str());
-                let (side, _) = resolve_side(cat, outer, inner, column)?;
-                let (agg_fn, measure) = agg.fn_and_measure();
-                let measure = match measure {
-                    None => None,
-                    Some(m) => {
-                        let (m_side, m_col) = resolve_side(cat, outer, inner, m)?;
-                        if !m_col.domain().is_int() {
-                            let table = match m_side {
-                                Side::Outer => outer.clone(),
-                                Side::Inner => join
-                                    .as_ref()
-                                    .expect("inner side implies join")
-                                    .inner_table
-                                    .clone(),
-                            };
-                            return Err(MmdbError::NonIntegerMeasure {
-                                table,
-                                column: m.to_owned(),
-                            });
-                        }
-                        Some((m.to_owned(), m_side))
-                    }
-                };
-                Some(GroupStep {
-                    column: column.clone(),
-                    side,
-                    agg: agg_fn,
-                    measure,
-                    threads: exec.threads,
-                    rows_hint: outer_rows,
-                })
-            }
-        };
-
-        Ok(Plan {
-            table: outer.clone(),
-            probes,
-            join,
-            group,
-            exec,
-        })
+    pub fn run(&self) -> Result<ResultSet<'c, C>> {
+        self.cat.execute(&self.plan()?)
     }
 }
 
@@ -852,9 +773,9 @@ pub struct GroupStep {
 }
 
 /// Wall-clock nanoseconds per executed plan node, stamped by
-/// [`Plan::execute`] / [`Plan::execute_on`] and carried on the
-/// [`ResultSet`] ([`ResultSet::timings`]). Render next to the plan text
-/// with [`Plan::explain_timed`].
+/// [`Plan::execute`] and carried on the [`ResultSet`]
+/// ([`ResultSet::timings`]). Render next to the plan text with
+/// [`Plan::explain_timed`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PlanTimings {
     /// One entry per [`ProbeStep`], in plan order: resolving the probe's
@@ -1018,19 +939,14 @@ impl Plan {
         out
     }
 
-    /// Execute against `db` (normally the database the plan was compiled
-    /// from; names re-resolve, so a stale plan fails with a typed error
-    /// rather than undefined behaviour). Answers from the writer's
-    /// current tip — equivalent to `execute_on(db.catalog())`.
-    pub fn execute<'db>(&self, db: &'db Database) -> Result<ResultSet<'db>> {
-        self.execute_on(db.catalog())
-    }
-
-    /// Execute against one immutable catalog generation — the form a
-    /// pinned [`Snapshot`](crate::snapshot::Snapshot) (or any
-    /// [`CatalogState`]) serves without locks. Same re-resolution
-    /// semantics as [`Plan::execute`].
-    pub fn execute_on<'c>(&self, cat: &'c CatalogState) -> Result<ResultSet<'c>> {
+    /// Execute against one catalog generation, normally the one the plan
+    /// was compiled against: a [`Database`](crate::Database)'s tip or a
+    /// pinned [`Snapshot`](crate::snapshot::Snapshot), both of which
+    /// deref to a [`CatalogState`], so `plan.execute(&db)` and
+    /// `plan.execute(&snapshot)` both compile. Names re-resolve, so a
+    /// stale plan fails with a typed error rather than undefined
+    /// behaviour.
+    pub fn execute<'c>(&self, cat: &'c CatalogState) -> Result<ResultSet<'c>> {
         let started = std::time::Instant::now();
         let mut timings = PlanTimings::default();
 
@@ -1164,13 +1080,12 @@ impl Plan {
             };
             timings.group_ns = Some(node_ns(&grouping));
             timings.total_ns = node_ns(&started);
-            return Ok(ResultSet {
+            return Ok(ResultSet::new(
                 cat,
-                outer_table: self.table.clone(),
-                inner_table: self.join.as_ref().map(|j| j.inner_table.clone()),
-                rows: ResultRows::Groups(groups),
+                self,
+                ResultRows::Groups(groups),
                 timings,
-            });
+            ));
         }
 
         let rows = match joined {
@@ -1181,13 +1096,7 @@ impl Plan {
             }),
         };
         timings.total_ns = node_ns(&started);
-        Ok(ResultSet {
-            cat,
-            outer_table: self.table.clone(),
-            inner_table: self.join.as_ref().map(|j| j.inner_table.clone()),
-            rows,
-            timings,
-        })
+        Ok(ResultSet::new(cat, self, rows, timings))
     }
 
     /// The selection: the ascending RIDs that pass every filter (the plan
@@ -1284,7 +1193,8 @@ impl Plan {
 // The read surface: probe batches and owned-spec execution
 // ---------------------------------------------------------------------
 
-/// The read surface of a catalog generation — what a serving front-end
+/// The read surface of a catalog generation — what the one [`Query`]
+/// builder and [`ResultSet`] run on, and what a serving front-end
 /// (`ccindex-serve`'s `BatchServer`) needs from whatever it fronts.
 /// Implemented by the two generation types, [`CatalogState`] here and
 /// the sharded catalog's `ShardedState`; a [`Pinned`] guard of either
@@ -1293,6 +1203,11 @@ impl Plan {
 /// `Sync` because a window's coalesced jobs run on pool workers against
 /// one shared generation.
 pub trait CatalogRead: Sync {
+    /// What [`compile`](CatalogRead::compile) produces: [`Plan`] here,
+    /// the sharded catalog's `ShardedPlan` (a per-shard [`Plan`] plus its
+    /// routing) there.
+    type Plan;
+
     /// The [`ExecOptions`] in force when this generation committed;
     /// plans compiled against the generation inherit them.
     fn exec_options(&self) -> ExecOptions;
@@ -1335,12 +1250,29 @@ pub trait CatalogRead: Sync {
         ranges: &[(Value, Value)],
     ) -> Result<Vec<Vec<u32>>>;
 
+    /// Compile `spec` against this generation: resolve every name,
+    /// choose an access path per probe, and validate aggregate typing.
+    fn compile(&self, spec: &QuerySpec) -> Result<Self::Plan>;
+
+    /// Execute a plan against this generation (normally the one it was
+    /// compiled against; names re-resolve, so a stale plan fails typed).
+    fn execute(&self, plan: &Self::Plan) -> Result<ResultSet<'_, Self>>;
+
+    /// Decoded values of `table.column` at `rids`, in `rids` order — what
+    /// [`ResultSet::values`] reads each side of a result through. A RID
+    /// past the table's end is a typed error.
+    fn values_at(&self, table: &str, column: &str, rids: &[u32]) -> Result<Vec<Value>>;
+
     /// Compile and execute an owned [`QuerySpec`] against this
     /// generation.
-    fn run_spec(&self, spec: &QuerySpec) -> Result<ResultRows>;
+    fn run_spec(&self, spec: &QuerySpec) -> Result<ResultRows> {
+        Ok(self.execute(&self.compile(spec)?)?.rows)
+    }
 }
 
 impl<T: CatalogRead + Send> CatalogRead for Pinned<T> {
+    type Plan = T::Plan;
+
     fn exec_options(&self) -> ExecOptions {
         T::exec_options(self)
     }
@@ -1363,12 +1295,29 @@ impl<T: CatalogRead + Send> CatalogRead for Pinned<T> {
         T::range_probe_batch(self, table, column, ranges)
     }
 
-    fn run_spec(&self, spec: &QuerySpec) -> Result<ResultRows> {
-        T::run_spec(self, spec)
+    fn compile(&self, spec: &QuerySpec) -> Result<T::Plan> {
+        T::compile(self, spec)
+    }
+
+    fn execute(&self, plan: &T::Plan) -> Result<ResultSet<'_, Self>> {
+        let result = T::execute(self, plan)?;
+        Ok(ResultSet {
+            cat: self,
+            outer_table: result.outer_table,
+            inner_table: result.inner_table,
+            rows: result.rows,
+            timings: result.timings,
+        })
+    }
+
+    fn values_at(&self, table: &str, column: &str, rids: &[u32]) -> Result<Vec<Value>> {
+        T::values_at(self, table, column, rids)
     }
 }
 
 impl CatalogRead for CatalogState {
+    type Plan = Plan;
+
     fn exec_options(&self) -> ExecOptions {
         self.exec
     }
@@ -1427,32 +1376,112 @@ impl CatalogRead for CatalogState {
         Ok(out)
     }
 
-    fn run_spec(&self, spec: &QuerySpec) -> Result<ResultRows> {
-        Ok(self.compile(spec)?.execute_on(self)?.rows().clone())
-    }
-}
+    fn compile(&self, spec: &QuerySpec) -> Result<Plan> {
+        let cat = self;
+        let outer = &spec.table;
+        cat.entry(outer)?;
+        let exec = spec.exec.unwrap_or(cat.exec);
+        // The planner's upper bound on the items a chunkable node can
+        // process (the driving table's row count): what an adaptive
+        // (`threads == 0`) node's worker count resolves against when the
+        // plan is *explained* rather than executed.
+        let outer_rows = cat.table(outer)?.rows();
 
-impl Database {
-    /// [`CatalogRead::point_probe_batch`] against the writer's current
-    /// tip.
-    pub fn point_probe_batch(
-        &self,
-        table: &str,
-        column: &str,
-        values: &[Value],
-    ) -> Result<Vec<Vec<u32>>> {
-        self.catalog().point_probe_batch(table, column, values)
+        let mut probes = Vec::with_capacity(spec.filters.len());
+        for p in &spec.filters {
+            let ordered_required = matches!(p.op, PredOp::Between(..));
+            let kind = resolve_kind(cat, outer, &p.column, ordered_required, spec.forced_kind)?;
+            probes.push(ProbeStep {
+                column: p.column.clone(),
+                kind,
+                probe: p.op.probe(),
+                // A filter stage probes one constant, which cannot be
+                // chunked — recording `exec.threads` here would claim a
+                // partitioning that can never happen.
+                threads: 1,
+            });
+        }
+
+        let join = match &spec.join {
+            None => None,
+            Some((inner_table, cond)) => {
+                cat.column(outer, &cond.outer)?;
+                cat.column(inner_table, &cond.inner)?;
+                let kind = resolve_kind(cat, inner_table, &cond.inner, false, spec.forced_kind)?;
+                Some(JoinStep {
+                    inner_table: inner_table.clone(),
+                    outer_column: cond.outer.clone(),
+                    inner_column: cond.inner.clone(),
+                    kind,
+                    threads: exec.threads,
+                    rows_hint: outer_rows,
+                })
+            }
+        };
+
+        let group = match &spec.group {
+            None => None,
+            Some((column, agg)) => {
+                let inner = join.as_ref().map(|j| j.inner_table.as_str());
+                let (side, _) = resolve_side(cat, outer, inner, column)?;
+                let (agg_fn, measure) = agg.fn_and_measure();
+                let measure = match measure {
+                    None => None,
+                    Some(m) => {
+                        let (m_side, m_col) = resolve_side(cat, outer, inner, m)?;
+                        if !m_col.domain().is_int() {
+                            let table = match m_side {
+                                Side::Outer => outer.clone(),
+                                Side::Inner => join
+                                    .as_ref()
+                                    .expect("inner side implies join")
+                                    .inner_table
+                                    .clone(),
+                            };
+                            return Err(MmdbError::NonIntegerMeasure {
+                                table,
+                                column: m.to_owned(),
+                            });
+                        }
+                        Some((m.to_owned(), m_side))
+                    }
+                };
+                Some(GroupStep {
+                    column: column.clone(),
+                    side,
+                    agg: agg_fn,
+                    measure,
+                    threads: exec.threads,
+                    rows_hint: outer_rows,
+                })
+            }
+        };
+
+        Ok(Plan {
+            table: outer.clone(),
+            probes,
+            join,
+            group,
+            exec,
+        })
     }
 
-    /// [`CatalogRead::range_probe_batch`] against the writer's current
-    /// tip.
-    pub fn range_probe_batch(
-        &self,
-        table: &str,
-        column: &str,
-        ranges: &[(Value, Value)],
-    ) -> Result<Vec<Vec<u32>>> {
-        self.catalog().range_probe_batch(table, column, ranges)
+    fn execute(&self, plan: &Plan) -> Result<ResultSet<'_>> {
+        plan.execute(self)
+    }
+
+    fn values_at(&self, table: &str, column: &str, rids: &[u32]) -> Result<Vec<Value>> {
+        let col = self.column(table, column)?;
+        let ids = rids
+            .iter()
+            .map(|&rid| {
+                col.ids()
+                    .get(rid as usize)
+                    .copied()
+                    .ok_or_else(|| MmdbError::rid_out_of_range(table, rid, col.len()))
+            })
+            .collect::<Result<Vec<u32>>>()?;
+        Ok(col.domain().decode_batch(&ids))
     }
 }
 
@@ -1492,20 +1521,45 @@ pub enum ResultRows {
     Groups(Vec<GroupRow>),
 }
 
-/// A query result bound to the catalog generation it ran against, so
-/// row values can be decoded on demand (one batched
-/// [`decode_batch`](crate::domain::Domain::decode_batch) per column) —
-/// even if the live catalog has committed newer generations since.
+impl ResultRows {
+    /// The shape's name, for messages: `selection`, `join` or `grouped`.
+    pub fn shape(&self) -> &'static str {
+        match self {
+            ResultRows::Rids(_) => "selection",
+            ResultRows::Joined(_) => "join",
+            ResultRows::Groups(_) => "grouped",
+        }
+    }
+}
+
+/// A query result bound to the catalog generation it ran against — a
+/// [`CatalogState`] by default, or any other [`CatalogRead`] — so row
+/// values can be decoded on demand ([`CatalogRead::values_at`], one
+/// batched [`decode_batch`](crate::domain::Domain::decode_batch) per
+/// column in process), even if the live catalog has committed newer
+/// generations since.
 #[derive(Debug, Clone)]
-pub struct ResultSet<'db> {
-    cat: &'db CatalogState,
+pub struct ResultSet<'c, C: ?Sized = CatalogState> {
+    cat: &'c C,
     outer_table: String,
     inner_table: Option<String>,
     rows: ResultRows,
     timings: PlanTimings,
 }
 
-impl ResultSet<'_> {
+impl<'c, C: ?Sized> ResultSet<'c, C> {
+    /// The `rows` a plan shaped like `plan` (its outer table and join)
+    /// produced against `cat` — how an executor hands back its answer.
+    pub fn new(cat: &'c C, plan: &Plan, rows: ResultRows, timings: PlanTimings) -> Self {
+        Self {
+            cat,
+            outer_table: plan.table.clone(),
+            inner_table: plan.join.as_ref().map(|j| j.inner_table.clone()),
+            rows,
+            timings,
+        }
+    }
+
     /// The rows, whatever their shape.
     pub fn rows(&self) -> &ResultRows {
         &self.rows
@@ -1536,7 +1590,7 @@ impl ResultSet<'_> {
     pub fn rids(&self) -> &[u32] {
         match &self.rows {
             ResultRows::Rids(r) => r,
-            other => panic!("rids() on a {} result", shape_name(other)),
+            other => panic!("rids() on a {} result", other.shape()),
         }
     }
 
@@ -1545,7 +1599,7 @@ impl ResultSet<'_> {
     pub fn join_rows(&self) -> &[JoinRow] {
         match &self.rows {
             ResultRows::Joined(r) => r,
-            other => panic!("join_rows() on a {} result", shape_name(other)),
+            other => panic!("join_rows() on a {} result", other.shape()),
         }
     }
 
@@ -1553,38 +1607,42 @@ impl ResultSet<'_> {
     pub fn groups(&self) -> &[GroupRow] {
         match &self.rows {
             ResultRows::Groups(r) => r,
-            other => panic!("groups() on a {} result", shape_name(other)),
+            other => panic!("groups() on a {} result", other.shape()),
         }
     }
+}
 
-    /// Decoded values of `column` for every result row, via one batched
-    /// domain decode. For join results the column may come from either
-    /// side (outer binds first). Group results carry their decoded keys
-    /// already — asking for per-row values there is an error.
+impl<C: CatalogRead + ?Sized> ResultSet<'_, C> {
+    /// Decoded values of `column` for every result row. For join results
+    /// the column may come from either side: the outer table binds first,
+    /// and only an [`MmdbError::UnknownColumn`] there falls back to the
+    /// inner table (any other error — a transport fault — surfaces). A
+    /// column on neither side is `UnknownColumn` naming the outer table.
+    /// Group results carry their decoded keys already — asking for
+    /// per-row values there is an error.
     pub fn values(&self, column: &str) -> Result<Vec<Value>> {
         match &self.rows {
-            ResultRows::Rids(rids) => {
-                let col = self.cat.column(&self.outer_table, column)?;
-                let ids: Vec<u32> = rids.iter().map(|&r| col.id(r)).collect();
-                Ok(col.domain().decode_batch(&ids))
-            }
+            ResultRows::Rids(rids) => self.cat.values_at(&self.outer_table, column, rids),
             ResultRows::Joined(rows) => {
-                let (side, col) = resolve_side(
-                    self.cat,
-                    &self.outer_table,
-                    self.inner_table.as_deref(),
-                    column,
-                )?;
-                let ids: Vec<u32> = rows
-                    .iter()
-                    .map(|r| {
-                        col.id(match side {
-                            Side::Outer => r.outer_rid,
-                            Side::Inner => r.inner_rid,
-                        })
-                    })
-                    .collect();
-                Ok(col.domain().decode_batch(&ids))
+                let outer: Vec<u32> = rows.iter().map(|r| r.outer_rid).collect();
+                match (
+                    self.cat.values_at(&self.outer_table, column, &outer),
+                    &self.inner_table,
+                ) {
+                    (Err(MmdbError::UnknownColumn { .. }), Some(inner)) => {
+                        let inner_rids: Vec<u32> = rows.iter().map(|r| r.inner_rid).collect();
+                        self.cat
+                            .values_at(inner, column, &inner_rids)
+                            .map_err(|e| match e {
+                                MmdbError::UnknownColumn { .. } => MmdbError::UnknownColumn {
+                                    table: self.outer_table.clone(),
+                                    column: column.to_owned(),
+                                },
+                                other => other,
+                            })
+                    }
+                    (outer, _) => outer,
+                }
             }
             ResultRows::Groups(_) => Err(MmdbError::Unsupported {
                 what: "values() on a grouped result; group keys are already \
@@ -1595,17 +1653,10 @@ impl ResultSet<'_> {
     }
 }
 
-fn shape_name(rows: &ResultRows) -> &'static str {
-    match rows {
-        ResultRows::Rids(_) => "selection",
-        ResultRows::Joined(_) => "join",
-        ResultRows::Groups(_) => "grouped",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Database;
     use crate::table::TableBuilder;
 
     fn db() -> Database {
@@ -1673,9 +1724,9 @@ mod tests {
             .join("customers", on("cust", "id"))
             .group_by("region", sum("amount"));
         assert!(shape.same_shape(&other) && other.same_shape(&shape));
-        let mut rebound = db.catalog().compile(&shape).unwrap();
+        let mut rebound = db.compile(&shape).unwrap();
         rebound.bind_literals(&other);
-        let compiled = db.catalog().compile(&other).unwrap();
+        let compiled = db.compile(&other).unwrap();
         assert_eq!(format!("{rebound:?}"), format!("{compiled:?}"));
         assert_eq!(
             rebound.execute(&db).unwrap().rows(),

@@ -228,7 +228,7 @@ impl<T: fmt::Debug> fmt::Debug for Pinned<T> {
 /// the whole read surface of [`Database`](crate::engine::Database)
 /// ([`query`](CatalogState::query), name resolution, and the
 /// [`CatalogRead`](crate::plan::CatalogRead) probe batches) is defined
-/// on this type and merely delegated to by the mutable engine.
+/// on this type, and the mutable engine derefs to its tip.
 ///
 /// Cloning is cheap: table entries sit behind [`Arc`], so a generation
 /// clone is one `BTreeMap` of pointer bumps and untouched tables stay
@@ -301,10 +301,10 @@ impl CatalogState {
     }
 
     /// Start a composable query over `table` against this generation —
-    /// the same builder [`Database::query`](crate::engine::Database::query)
-    /// returns, so a pinned [`Snapshot`] serves the full query surface.
+    /// what a [`Database`](crate::engine::Database) (through `Deref`) and
+    /// a pinned [`Snapshot`] both answer `query` with.
     pub fn query(&self, table: impl Into<String>) -> Query<'_> {
-        Query::new(self, table.into())
+        Query::new(self, table)
     }
 
     // ---- crate-internal resolution used by the planner/executor ----
@@ -354,20 +354,35 @@ impl CatalogState {
 // The reader-side handle
 // ---------------------------------------------------------------------
 
-/// A cloneable, `Send + Sync` reader handle onto a live
-/// [`Database`](crate::engine::Database): readers on other threads call
-/// [`snapshot`](DatabaseHandle::snapshot) to pin the current generation
-/// while the owning thread keeps `&mut` access for commits. Obtained
-/// from [`Database::handle`](crate::engine::Database::handle).
-#[derive(Debug, Clone)]
-pub struct DatabaseHandle {
-    pub(crate) slot: Arc<SwapSlot<CatalogState>>,
+/// A cloneable, `Send + Sync` reader handle onto a live catalog's
+/// commit slot: readers on other threads call
+/// [`snapshot`](Handle::snapshot) to pin the current generation while
+/// the owning thread keeps `&mut` access for commits. Obtained from
+/// [`Database::handle`](crate::engine::Database::handle) (a
+/// [`DatabaseHandle`]) or the sharded catalog's `handle()`.
+#[derive(Debug)]
+pub struct Handle<T> {
+    slot: Arc<SwapSlot<T>>,
 }
 
-impl DatabaseHandle {
-    /// Pin the current generation (identical to
-    /// [`Database::snapshot`](crate::engine::Database::snapshot)).
-    pub fn snapshot(&self) -> Snapshot {
+/// The reader handle of a [`Database`](crate::engine::Database).
+pub type DatabaseHandle = Handle<CatalogState>;
+
+impl<T> Clone for Handle<T> {
+    fn clone(&self) -> Self {
+        Self::new(Arc::clone(&self.slot))
+    }
+}
+
+impl<T> Handle<T> {
+    /// A handle onto `slot` — what a writer hands its readers.
+    pub fn new(slot: Arc<SwapSlot<T>>) -> Self {
+        Self { slot }
+    }
+
+    /// Pin the current generation (identical to the writer's own
+    /// `snapshot()`).
+    pub fn snapshot(&self) -> Pinned<T> {
         self.slot.pin()
     }
 

@@ -194,7 +194,7 @@ proptest! {
                 None => spec,
             };
             for (spec, want) in shapes(forced(select.clone()), &rows, &inner, &filters) {
-                let got = db.catalog().run_spec(&spec);
+                let got = db.run_spec(&spec);
                 match forced_error(&filters, kind) {
                     Some(err) => prop_assert_eq!(got, Err(err), "{:?}", spec),
                     None => {
@@ -295,7 +295,7 @@ fn engine_mix_shaped_conjunctions_match_a_row_scan_at_two_million_rows() {
                 ..QuerySpec::table("orders")
             };
             for spec in [spec.clone(), spec.using(IndexKind::FullCss)] {
-                let got = db.catalog().run_spec(&spec).unwrap();
+                let got = db.run_spec(&spec).unwrap();
                 assert_eq!(got, ResultRows::Rids(want.clone()), "{spec:?}");
             }
         }

@@ -4,15 +4,15 @@
 //! read trait `mmdb` declares and the two generation types
 //! ([`CatalogState`](mmdb::CatalogState),
 //! [`ShardedState`](ccindex_shard::ShardedState)) implement, reached
-//! here through their pinned [`Snapshot`](mmdb::Snapshot) /
-//! [`ShardedSnapshot`] guards. [`ServeSource`] is how it gets those
-//! guards: a source hands out one pinned generation per batch-formation
-//! window ([`ServeSource::pin`]) and reports the commit-slot counters
+//! here through their [`Pinned`] guards ([`Snapshot`](mmdb::Snapshot),
+//! [`ShardedSnapshot`]). [`ServeSource`] is how it gets those guards: a
+//! source hands out one pinned generation per batch-formation window
+//! ([`ServeSource::pin`]) and reports the commit-slot counters
 //! ([`ServeSource::observe`]) that [`ServeStats`](crate::ServeStats)
 //! surfaces.
 
-use ccindex_shard::{ShardedDatabase, ShardedHandle, ShardedSnapshot};
-use mmdb::{CatalogRead, Database, DatabaseHandle};
+use ccindex_shard::{ShardedDatabase, ShardedSnapshot};
+use mmdb::{CatalogRead, Database, Handle, Pinned};
 
 /// The commit-slot counters of a [`ServeSource`], read at one instant:
 /// the observability [`ServeStats`](crate::ServeStats) carries out of a
@@ -35,10 +35,11 @@ pub struct SnapshotInfo {
 /// generation — zero locks on the probe path, and a writer committing
 /// mid-window never changes (or tears) the window's answers. Implemented
 /// for the live catalogs ([`Database`], [`ShardedDatabase`]) and for
-/// their `Send + Sync` reader handles ([`DatabaseHandle`],
-/// [`ShardedHandle`]) — the handle impls are what let a serving session
-/// run on one thread while the catalog's owner keeps `&mut` access for
-/// commits on another.
+/// their `Send + Sync` reader [`Handle`]s
+/// ([`DatabaseHandle`](mmdb::DatabaseHandle),
+/// [`ShardedHandle`](ccindex_shard::ShardedHandle)) — the handle impl is
+/// what lets a serving session run on one thread while the catalog's
+/// owner keeps `&mut` access for commits on another.
 pub trait ServeSource: Sync {
     /// The pinned generation type a window executes against.
     type Pinned: CatalogRead;
@@ -62,22 +63,6 @@ impl ServeSource for Database {
     }
 }
 
-impl ServeSource for DatabaseHandle {
-    type Pinned = mmdb::Snapshot;
-
-    fn pin(&self) -> mmdb::Snapshot {
-        self.snapshot()
-    }
-
-    fn observe(&self) -> SnapshotInfo {
-        SnapshotInfo {
-            generation: self.generation(),
-            swaps: self.swaps(),
-            pinned: self.pinned(),
-        }
-    }
-}
-
 impl ServeSource for ShardedDatabase {
     type Pinned = ShardedSnapshot;
 
@@ -90,10 +75,10 @@ impl ServeSource for ShardedDatabase {
     }
 }
 
-impl ServeSource for ShardedHandle {
-    type Pinned = ShardedSnapshot;
+impl<T: CatalogRead + Send> ServeSource for Handle<T> {
+    type Pinned = Pinned<T>;
 
-    fn pin(&self) -> ShardedSnapshot {
+    fn pin(&self) -> Pinned<T> {
         self.snapshot()
     }
 

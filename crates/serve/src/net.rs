@@ -622,10 +622,8 @@ fn group_partial(
         });
     }
     let rows = tbl.rows() as u32;
-    if let Some(bad) = rids.and_then(|rids| rids.iter().find(|&&r| r >= rows)) {
-        return Err(MmdbError::Unsupported {
-            what: format!("rid {bad} is out of range for table `{table}` ({rows} rows)"),
-        });
+    if let Some(&bad) = rids.and_then(|rids| rids.iter().find(|&&r| r >= rows)) {
+        return Err(MmdbError::rid_out_of_range(table, bad, tbl.rows()));
     }
     Ok(match rids {
         Some(rids) => {

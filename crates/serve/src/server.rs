@@ -343,9 +343,8 @@ impl ServeStats {
 /// Every window executes against **one pinned snapshot** of the source,
 /// taken when the window closes: the probe path holds no lock and takes
 /// no `&mut`, concurrent commits never tear a window's answers (all of
-/// a window sees one generation), and serving over a
-/// [`DatabaseHandle`](mmdb::DatabaseHandle)/
-/// [`ShardedHandle`](ccindex_shard::ShardedHandle) lets a writer thread
+/// a window sees one generation), and serving over a reader
+/// [`Handle`](mmdb::Handle) lets a writer thread
 /// keep committing batch-rebuild cycles at full speed while this server
 /// answers probes against the latest committed generation.
 pub struct BatchServer<'e, S: ServeSource + ?Sized> {

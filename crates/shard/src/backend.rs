@@ -225,16 +225,6 @@ fn table_column<'c>(cat: &'c CatalogState, table: &str, column: &str) -> Result<
         })
 }
 
-fn check_rids(cat: &CatalogState, table: &str, rids: &[u32]) -> Result<()> {
-    let rows = cat.table(table)?.rows() as u32;
-    match rids.iter().find(|&&r| r >= rows) {
-        None => Ok(()),
-        Some(bad) => Err(MmdbError::Unsupported {
-            what: format!("rid {bad} is out of range for table `{table}` ({rows} rows)"),
-        }),
-    }
-}
-
 impl ShardRead for CatalogState {
     fn run_spec(&self, spec: &QuerySpec) -> Result<ResultRows> {
         CatalogRead::run_spec(self, spec)
@@ -259,7 +249,7 @@ impl ShardRead for CatalogState {
     }
 
     fn select(&self, plan: &Plan) -> Result<Vec<u32>> {
-        Ok(plan.execute_on(self)?.rids().to_vec())
+        Ok(plan.execute(self)?.rids().to_vec())
     }
 
     /// Materialise the outer values as a synthetic probe column and run
@@ -298,18 +288,17 @@ impl ShardRead for CatalogState {
     }
 
     fn column_values(&self, table: &str, column: &str, rids: Option<&[u32]>) -> Result<Vec<Value>> {
-        let col = table_column(self, table, column)?;
         match rids {
-            None => Ok(col.domain().decode_batch(col.ids())),
-            Some(rids) => {
-                check_rids(self, table, rids)?;
-                Ok(rids.iter().map(|&r| col.value(r)).collect())
+            Some(rids) => self.values_at(table, column, rids),
+            None => {
+                let col = table_column(self, table, column)?;
+                Ok(col.domain().decode_batch(col.ids()))
             }
         }
     }
 
     fn compile(&self, spec: &QuerySpec) -> Result<Plan> {
-        CatalogState::compile(self, spec)
+        CatalogRead::compile(self, spec)
     }
 
     fn columns(&self, table: &str) -> Result<Vec<String>> {
@@ -367,11 +356,11 @@ impl LocalShard {
 
 impl ShardBackend for LocalShard {
     fn reader(&self) -> &dyn ShardRead {
-        self.db.catalog()
+        &*self.db
     }
 
     fn pin(&self) -> Arc<dyn ShardRead> {
-        Arc::new(self.db.catalog().clone())
+        Arc::new(CatalogState::clone(&self.db))
     }
 
     fn register(&mut self, table: Table) -> Result<()> {

@@ -14,10 +14,13 @@
 //!   range probes prune; out-of-range keys fail placement with a typed
 //!   [`MmdbError::ShardKeyOutOfRange`](mmdb::MmdbError));
 //! * [`ShardedDatabase`] — N per-shard `Database` catalogs behind the
-//!   same builder surface (`query(..).filter(..).join(..).group_by(..)`),
-//!   splitting updates by shard and executing queries scatter-gather:
-//!   a shard-local plan (no join, or a join co-located on both shard
-//!   keys) runs whole on each shard the partitioner says can match —
+//!   one `mmdb` query surface: it derefs to its composed generation
+//!   ([`ShardedState`], a `CatalogRead`), whose `query` hands back the
+//!   same [`mmdb::Query`] builder and answers the same
+//!   [`mmdb::ResultSet`]. It splits updates by shard and executes
+//!   queries scatter-gather: a shard-local plan (no join, or a join
+//!   co-located on both shard keys) runs whole on each shard the
+//!   partitioner says can match —
 //!   one request per shard — and the coordinator composes the local RID
 //!   sets, join pairs or partial aggregates; only a join that is not
 //!   co-located streams its outer keys through the coordinator, fanned
@@ -54,13 +57,14 @@ pub use partition::{HashPartitioner, Partitioner, RangePartitioner};
 pub use remote::{RemoteShard, SHARD_TIMEOUT_KNOB};
 pub use sharded::{
     JoinRouting, ShardRouting, ShardTargets, ShardedDatabase, ShardedHandle, ShardedPlan,
-    ShardedQuery, ShardedRebuildReport, ShardedResultSet, ShardedSnapshot, ShardedState,
-    TEMPLATE_CACHE_CAPACITY,
+    ShardedRebuildReport, ShardedSnapshot, ShardedState, TEMPLATE_CACHE_CAPACITY,
 };
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::{
+        HashPartitioner, JoinRouting, Partitioner, RangePartitioner, ShardTargets, ShardedDatabase,
+    };
     use mmdb::{
         between, count, eq, on, sum, CatalogRead, Database, IndexKind, MmdbError, TableBuilder,
         Value,
@@ -129,6 +133,27 @@ mod tests {
             assert!(s < 4);
             assert!((l as usize) < db.shard(s).table("sales").unwrap().rows());
         }
+    }
+
+    #[test]
+    fn placement_of_an_out_of_range_rid_is_a_typed_error() {
+        let db = sharded(4, HashPartitioner::new(2).unwrap());
+        assert_eq!(
+            db.placement_of("sales", 99).unwrap_err(),
+            MmdbError::Unsupported {
+                what: "rid 99 is out of range for table `sales` (4 rows)".into()
+            }
+        );
+        // A snapshot answers from the placement it pinned.
+        let snapshot = db.snapshot();
+        assert_eq!(
+            snapshot.placement_of("sales", 3).unwrap(),
+            db.placement_of("sales", 3).unwrap()
+        );
+        assert!(matches!(
+            snapshot.placement_of("nope", 0).unwrap_err(),
+            MmdbError::UnknownTable { .. }
+        ));
     }
 
     #[test]

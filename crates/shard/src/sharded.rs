@@ -1,6 +1,12 @@
 //! The sharded catalog: N per-shard [`Database`] engines behind one
 //! `Database`-shaped surface, with scatter-gather query execution.
 //!
+//! The surface is `mmdb`'s own: [`ShardedDatabase`] derefs to its
+//! composed generation, a [`ShardedState`], exactly as a [`Database`]
+//! derefs to its `CatalogState`; the state implements [`CatalogRead`]
+//! with [`ShardedPlan`] as its plan type, so its `query` is the one
+//! [`mmdb::Query`] builder and its answers the one [`mmdb::ResultSet`].
+//!
 //! [`ShardedDatabase::register`] splits every table's rows across shards
 //! by a declared **shard key** column (placement decided by the
 //! [`Partitioner`]); each shard is a complete [`Database`] catalog over
@@ -53,21 +59,23 @@ use ccindex_obs as obs;
 use ccindex_parallel::sync::Arc as MetricArc;
 use ccindex_parallel::WorkerPool;
 use mmdb::domain::Value;
-use mmdb::plan::{JoinStep, Plan, Probe, Side};
+use mmdb::plan::{JoinStep, Plan, PlanTimings, Probe, Side};
 use mmdb::{
-    between, eq, Agg, AggFn, CatalogRead, Column, Database, ExecOptions, GroupRow, IndexKind,
-    JoinOn, JoinRow, MmdbError, Pinned, Predicate, PredicateOp, QuerySpec, RebuildReport, Result,
-    ResultRows, SwapSlot, Table,
+    between, eq, AggFn, CatalogRead, Column, Database, ExecOptions, GroupRow, Handle, IndexKind,
+    JoinRow, MmdbError, Pinned, PredicateOp, Query, QuerySpec, RebuildReport, Result, ResultRows,
+    ResultSet, SwapSlot, Table,
 };
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Deref;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 // ---------------------------------------------------------------------
 // The sharded catalog
 // ---------------------------------------------------------------------
 
-/// N per-shard [`Database`] catalogs behind one engine surface.
+/// N per-shard [`Database`] catalogs behind one engine surface; every
+/// read goes through `Deref` to the latest composed [`ShardedState`].
 ///
 /// Follows the same epoch/snapshot discipline as [`Database`], and the
 /// same shape: a writer-private `tip`, a shared commit `slot`, and (the
@@ -106,6 +114,17 @@ struct ShardedTable {
     /// Indexes created through this catalog, so a re-partition can
     /// rebuild them: column -> kinds.
     indexes: BTreeMap<String, BTreeSet<IndexKind>>,
+}
+
+impl ShardedTable {
+    /// Where global row `rid` of this table (registered as `table`)
+    /// lives: `(shard, local RID)`, or the typed out-of-range error.
+    fn place(&self, table: &str, rid: u32) -> Result<(usize, u32)> {
+        self.placement
+            .get(rid as usize)
+            .map(|&(s, l)| (s as usize, l))
+            .ok_or_else(|| MmdbError::rid_out_of_range(table, rid, self.rows))
+    }
 }
 
 /// Pre-registered scatter-gather metric handles, resolved once at
@@ -216,37 +235,10 @@ pub struct ShardedState {
 /// guard is an `Arc` plus a pin counter, exactly like [`mmdb::Snapshot`].
 pub type ShardedSnapshot = Pinned<ShardedState>;
 
-/// A cloneable, `Send + Sync` reader handle onto a live
-/// [`ShardedDatabase`]: readers on other threads call
-/// [`snapshot`](ShardedHandle::snapshot) to pin the current composed
-/// generation while the owning thread keeps `&mut` access for commits.
-#[derive(Debug, Clone)]
-pub struct ShardedHandle {
-    slot: Arc<SwapSlot<ShardedState>>,
-}
-
-impl ShardedHandle {
-    /// Pin the current composed generation (identical to
-    /// [`ShardedDatabase::snapshot`]).
-    pub fn snapshot(&self) -> ShardedSnapshot {
-        self.slot.pin()
-    }
-
-    /// The generation number of the current committed state.
-    pub fn generation(&self) -> u64 {
-        self.slot.generation()
-    }
-
-    /// How many composed generations have been committed so far.
-    pub fn swaps(&self) -> u64 {
-        self.slot.swaps()
-    }
-
-    /// Live pinned snapshots, across all generations.
-    pub fn pinned(&self) -> usize {
-        self.slot.pinned()
-    }
-}
+/// The reader handle of a [`ShardedDatabase`]: readers on other
+/// threads pin composed generations through it while the owning thread
+/// keeps `&mut` access for commits.
+pub type ShardedHandle = Handle<ShardedState>;
 
 /// What one sharded [`ShardedDatabase::replace_column`] cycle did.
 #[derive(Debug)]
@@ -258,6 +250,14 @@ pub struct ShardedRebuildReport {
     pub repartitioned: bool,
     /// One rebuild report per shard, in shard order (non-key columns).
     pub per_shard: Vec<RebuildReport>,
+}
+
+impl Deref for ShardedDatabase {
+    type Target = ShardedState;
+
+    fn deref(&self) -> &ShardedState {
+        &self.tip
+    }
 }
 
 impl ShardedDatabase {
@@ -342,19 +342,6 @@ impl ShardedDatabase {
         Self::new(crate::partition::HashPartitioner::new(shards)?)
     }
 
-    /// The catalog's metric registry: `shard.route.pruned` /
-    /// `shard.route.fanned` batch routing counts, `shard.scatter.ns` /
-    /// `shard.gather.ns` per-batch timing histograms,
-    /// `shard.route.pushdown` (queries run as shard-local plans) and
-    /// `shard.template.hits` / `shard.template.misses` (the
-    /// generation's scatter-template cache), plus
-    /// `transport.retries` when any shard is remote. Shared with every
-    /// committed generation, so probes through pinned snapshots and
-    /// reader handles record into the same series.
-    pub fn registry(&self) -> &MetricArc<obs::Registry> {
-        self.tip.registry()
-    }
-
     /// Hash-partitioned catalog sized by the environment:
     /// `CCINDEX_SHARDS` (via [`ExecOptions::from_env`]), defaulting to a
     /// single shard — so a whole test suite or service can be switched
@@ -363,17 +350,10 @@ impl ShardedDatabase {
         Self::hash(ExecOptions::from_env().shards.max(1))
     }
 
-    /// Shard count.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The partitioner's one-line description (`hash x4`, `range x2: …`).
-    pub fn partitioner(&self) -> String {
-        self.tip.partitioner()
-    }
-
-    /// One shard's in-process engine, for inspection.
+    /// One shard's in-process engine, for inspection. This shadows
+    /// [`ShardedState::shard`], which the catalog otherwise reaches
+    /// through `Deref`: that one returns the shard's pinned read surface
+    /// (local or remote), this one the engine itself.
     ///
     /// # Panics
     ///
@@ -451,21 +431,7 @@ impl ShardedDatabase {
     /// A cloneable reader handle sharing this catalog's commit slot, for
     /// pinning snapshots from other threads.
     pub fn handle(&self) -> ShardedHandle {
-        ShardedHandle {
-            slot: Arc::clone(&self.slot),
-        }
-    }
-
-    /// The latest composed generation — what every read method of this
-    /// catalog answers from, and the [`CatalogRead`] surface for running
-    /// an owned [`QuerySpec`] without pinning.
-    pub fn catalog(&self) -> &ShardedState {
-        &self.tip
-    }
-
-    /// The commit counter of the composed catalog (0 = empty).
-    pub fn generation(&self) -> u64 {
-        self.tip.generation
+        Handle::new(Arc::clone(&self.slot))
     }
 
     /// How many composed generations have been committed.
@@ -476,11 +442,6 @@ impl ShardedDatabase {
     /// Live pinned snapshots, across all generations.
     pub fn pinned_snapshots(&self) -> usize {
         self.slot.pinned()
-    }
-
-    /// The catalog-wide [`ExecOptions`] new plans inherit.
-    pub fn exec_options(&self) -> ExecOptions {
-        self.tip.exec
     }
 
     /// Register a table, splitting its rows across shards by the values
@@ -516,28 +477,6 @@ impl ShardedDatabase {
         );
         self.publish();
         Ok(())
-    }
-
-    /// Registered table names, in name order.
-    pub fn tables(&self) -> impl Iterator<Item = &str> {
-        self.tip.tables()
-    }
-
-    /// Total (global) row count of `table`.
-    pub fn rows(&self, table: &str) -> Result<usize> {
-        self.tip.rows(table)
-    }
-
-    /// The declared shard-key column of `table`.
-    pub fn shard_key(&self, table: &str) -> Result<&str> {
-        self.tip.shard_key(table)
-    }
-
-    /// Where a global row lives: `(shard, local RID)`.
-    pub fn placement_of(&self, table: &str, global_rid: u32) -> Result<(usize, u32)> {
-        let meta = self.tip.meta(table)?;
-        let (s, l) = meta.placement[global_rid as usize];
-        Ok((s as usize, l))
     }
 
     /// Build (or rebuild) a `kind` index on `table.column` — on every
@@ -635,35 +574,6 @@ impl ShardedDatabase {
         }
         self.publish();
         Ok(reports)
-    }
-
-    /// [`CatalogRead::point_probe_batch`] on the latest composed
-    /// generation ([`ShardedDatabase::catalog`]).
-    pub fn point_probe_batch(
-        &self,
-        table: &str,
-        column: &str,
-        values: &[Value],
-    ) -> Result<Vec<Vec<u32>>> {
-        self.tip.point_probe_batch(table, column, values)
-    }
-
-    /// [`CatalogRead::range_probe_batch`] on the latest composed
-    /// generation.
-    pub fn range_probe_batch(
-        &self,
-        table: &str,
-        column: &str,
-        ranges: &[(Value, Value)],
-    ) -> Result<Vec<Vec<u32>>> {
-        self.tip.range_probe_batch(table, column, ranges)
-    }
-
-    /// Start a composable query over `table` — the same builder surface
-    /// as [`Database::query`], compiled into a [`ShardedPlan`] that
-    /// records its shard routing.
-    pub fn query(&self, table: impl Into<String>) -> ShardedQuery<'_> {
-        self.tip.query(table)
     }
 
     // ---- internals ----
@@ -787,9 +697,15 @@ impl ShardedState {
         self.shards.len()
     }
 
-    /// The metric registry shared with the owning catalog — probes
-    /// through a pinned snapshot record into the same `shard.*` series
-    /// as probes through the live [`ShardedDatabase`].
+    /// The catalog's metric registry: `shard.route.pruned` /
+    /// `shard.route.fanned` batch routing counts, `shard.scatter.ns` /
+    /// `shard.gather.ns` per-batch timing histograms,
+    /// `shard.route.pushdown` (queries run as shard-local plans) and
+    /// `shard.template.hits` / `shard.template.misses` (the
+    /// generation's scatter-template cache), plus `transport.retries`
+    /// when any shard is remote. Shared with every committed
+    /// generation, so probes through pinned snapshots record into the
+    /// same series as probes through the live [`ShardedDatabase`].
     pub fn registry(&self) -> &MetricArc<obs::Registry> {
         &self.metrics.registry
     }
@@ -821,13 +737,18 @@ impl ShardedState {
         Ok(self.meta(table)?.shard_key.as_str())
     }
 
+    /// Where global row `global_rid` of `table` lives: `(shard, local
+    /// RID)`. A RID past the table's end is a typed error.
+    pub fn placement_of(&self, table: &str, global_rid: u32) -> Result<(usize, u32)> {
+        self.meta(table)?.place(table, global_rid)
+    }
+
     /// Start a composable query over `table` against this generation —
-    /// the same builder [`ShardedDatabase::query`] returns.
-    pub fn query(&self, table: impl Into<String>) -> ShardedQuery<'_> {
-        ShardedQuery {
-            state: self,
-            spec: QuerySpec::table(table),
-        }
+    /// the one [`mmdb::Query`] builder, compiled into a [`ShardedPlan`]
+    /// that records its shard routing. Conjuncts on the shard-key column
+    /// prune the scatter set.
+    pub fn query(&self, table: impl Into<String>) -> Query<'_, ShardedState> {
+        Query::new(self, table)
     }
 
     /// How many query shapes this generation's scatter-template cache
@@ -908,64 +829,6 @@ impl ShardedState {
         };
         self.compile_template(&QuerySpec::table(table).filter(probe))
             .map(drop)
-    }
-
-    /// Compile `spec`: the per-shard template ([`Plan`]) from this
-    /// generation's cache or shard 0, then the shard routing from the
-    /// partitioner.
-    pub fn compile(&self, spec: &QuerySpec) -> Result<ShardedPlan> {
-        let meta = self.meta(&spec.table)?;
-        let template = self.template(spec)?;
-
-        // Routing: each shard-key conjunct prunes; everything else fans.
-        let nshards = self.shards.len();
-        let mut probe_targets = Vec::with_capacity(template.probes.len());
-        let mut selected: BTreeSet<usize> = (0..nshards).collect();
-        for step in &template.probes {
-            let target = if step.column == meta.shard_key {
-                let routed = match &step.probe {
-                    Probe::Point(v) => self.partitioner.probe_shards(v),
-                    Probe::Range(lo, hi) => self.partitioner.range_shards(lo, hi),
-                };
-                if routed.len() == nshards {
-                    ShardTargets::All
-                } else {
-                    ShardTargets::Pruned(routed)
-                }
-            } else {
-                ShardTargets::All
-            };
-            if let ShardTargets::Pruned(routed) = &target {
-                let routed: BTreeSet<usize> = routed.iter().copied().collect();
-                selected = selected.intersection(&routed).copied().collect();
-            }
-            probe_targets.push(target);
-        }
-
-        let join = spec.join.as_ref().map(|(inner_table, cond)| {
-            let bucketed = self
-                .meta(inner_table)
-                .map(|m| m.shard_key == cond.inner())
-                .unwrap_or(false);
-            if bucketed {
-                JoinRouting::Bucketed
-            } else {
-                JoinRouting::Fanned
-            }
-        });
-
-        Ok(ShardedPlan {
-            spec: spec.clone(),
-            template,
-            routing: ShardRouting {
-                shards: nshards,
-                partitioner: self.partitioner.describe(),
-                shard_key: meta.shard_key.clone(),
-                probe_targets,
-                selected: selected.into_iter().collect(),
-                join,
-            },
-        })
     }
 
     fn meta(&self, table: &str) -> Result<&ShardedTable> {
@@ -1079,6 +942,8 @@ impl ShardedState {
 }
 
 impl CatalogRead for ShardedState {
+    type Plan = ShardedPlan;
+
     fn exec_options(&self) -> ExecOptions {
         self.exec
     }
@@ -1150,8 +1015,93 @@ impl CatalogRead for ShardedState {
         }
     }
 
-    fn run_spec(&self, spec: &QuerySpec) -> Result<ResultRows> {
-        Ok(self.compile(spec)?.execute_on(self)?.rows().clone())
+    /// Compile `spec`: the per-shard template ([`Plan`]) from this
+    /// generation's cache or shard 0, then the shard routing from the
+    /// partitioner.
+    fn compile(&self, spec: &QuerySpec) -> Result<ShardedPlan> {
+        let meta = self.meta(&spec.table)?;
+        let template = self.template(spec)?;
+
+        // Routing: each shard-key conjunct prunes; everything else fans.
+        let nshards = self.shards.len();
+        let mut probe_targets = Vec::with_capacity(template.probes.len());
+        let mut selected: BTreeSet<usize> = (0..nshards).collect();
+        for step in &template.probes {
+            let target = if step.column == meta.shard_key {
+                let routed = match &step.probe {
+                    Probe::Point(v) => self.partitioner.probe_shards(v),
+                    Probe::Range(lo, hi) => self.partitioner.range_shards(lo, hi),
+                };
+                if routed.len() == nshards {
+                    ShardTargets::All
+                } else {
+                    ShardTargets::Pruned(routed)
+                }
+            } else {
+                ShardTargets::All
+            };
+            if let ShardTargets::Pruned(routed) = &target {
+                let routed: BTreeSet<usize> = routed.iter().copied().collect();
+                selected = selected.intersection(&routed).copied().collect();
+            }
+            probe_targets.push(target);
+        }
+
+        let join = spec.join.as_ref().map(|(inner_table, cond)| {
+            let bucketed = self
+                .meta(inner_table)
+                .map(|m| m.shard_key == cond.inner())
+                .unwrap_or(false);
+            if bucketed {
+                JoinRouting::Bucketed
+            } else {
+                JoinRouting::Fanned
+            }
+        });
+
+        Ok(ShardedPlan {
+            spec: spec.clone(),
+            template,
+            routing: ShardRouting {
+                shards: nshards,
+                partitioner: self.partitioner.describe(),
+                shard_key: meta.shard_key.clone(),
+                probe_targets,
+                selected: selected.into_iter().collect(),
+                join,
+            },
+        })
+    }
+
+    fn execute(&self, plan: &ShardedPlan) -> Result<ResultSet<'_, Self>> {
+        plan.execute(self)
+    }
+
+    /// Resolved through each row's owning shard: the RIDs bucket by
+    /// owning shard so each backend answers one batched fetch (a single
+    /// round trip for a remote shard), then the answers reassemble in
+    /// `rids` order. The column resolves on *every* shard — including
+    /// shards owning none of the rows — so a schema drift fails typed
+    /// exactly like the in-process resolver.
+    fn values_at(&self, table: &str, column: &str, rids: &[u32]) -> Result<Vec<Value>> {
+        let meta = self.meta(table)?;
+        let mut per_shard: Vec<Vec<u32>> = vec![Vec::new(); self.shards.len()];
+        let mut order: Vec<(usize, usize)> = Vec::with_capacity(rids.len());
+        for &rid in rids {
+            let (s, local) = meta.place(table, rid)?;
+            order.push((s, per_shard[s].len()));
+            per_shard[s].push(local);
+        }
+        let fetched: Vec<Vec<Value>> = self
+            .shards
+            .iter()
+            .zip(&per_shard)
+            .map(|(shard, locals)| shard.column_values(table, column, Some(locals)))
+            .collect::<Result<_>>()?;
+        Ok(order
+            .into_iter()
+            .map(|(s, i)| fetched[s][i].clone())
+            .collect())
     }
 }
 
@@ -1188,67 +1138,6 @@ fn split_table(table: &Table, locals: &[Vec<u32>]) -> Vec<Table> {
             b.build().expect("equal-length splits by construction")
         })
         .collect()
-}
-
-// ---------------------------------------------------------------------
-// The sharded query builder
-// ---------------------------------------------------------------------
-
-/// A [`QuerySpec`] under construction against a [`ShardedDatabase`] or
-/// a pinned [`ShardedSnapshot`] — the same surface as [`mmdb::Query`]
-/// (`filter`/`join`/`group_by`/`using`/`exec`), compiled by
-/// [`ShardedQuery::plan`] into a [`ShardedPlan`] whose routing is
-/// inspectable and whose executor scatter-gathers across the shards.
-#[derive(Debug, Clone)]
-pub struct ShardedQuery<'db> {
-    state: &'db ShardedState,
-    spec: QuerySpec,
-}
-
-impl<'db> ShardedQuery<'db> {
-    /// [`QuerySpec::filter`]. Conjuncts on the shard-key column
-    /// additionally prune the scatter set.
-    pub fn filter(mut self, predicate: Predicate) -> Self {
-        self.spec = self.spec.filter(predicate);
-        self
-    }
-
-    /// [`QuerySpec::join`]; `inner_table` must also be registered in
-    /// this sharded catalog.
-    pub fn join(mut self, inner_table: &str, condition: JoinOn) -> Self {
-        self.spec = self.spec.join(inner_table, condition);
-        self
-    }
-
-    /// [`QuerySpec::group_by`]; per-shard partials merge at the gather
-    /// barrier.
-    pub fn group_by(mut self, column: &str, agg: Agg) -> Self {
-        self.spec = self.spec.group_by(column, agg);
-        self
-    }
-
-    /// [`QuerySpec::using`]; the kind must be built via
-    /// [`ShardedDatabase::create_index`], i.e. on every shard.
-    pub fn using(mut self, kind: IndexKind) -> Self {
-        self.spec = self.spec.using(kind);
-        self
-    }
-
-    /// [`QuerySpec::exec`].
-    pub fn exec(mut self, options: ExecOptions) -> Self {
-        self.spec = self.spec.exec(options);
-        self
-    }
-
-    /// Compile ([`ShardedState::compile`]).
-    pub fn plan(&self) -> Result<ShardedPlan> {
-        self.state.compile(&self.spec)
-    }
-
-    /// Compile and execute.
-    pub fn run(&self) -> Result<ShardedResultSet<'db>> {
-        self.plan()?.execute_on(self.state)
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1403,18 +1292,16 @@ impl ShardedPlan {
         out
     }
 
-    /// Execute against `db` (normally the catalog the plan was compiled
-    /// from; names re-resolve, so a stale plan fails with a typed error).
-    pub fn execute<'db>(&self, db: &'db ShardedDatabase) -> Result<ShardedResultSet<'db>> {
-        self.execute_on(db.catalog())
-    }
-
-    /// Execute against one composed generation — what
-    /// [`ShardedPlan::execute`] runs on the live catalog's latest, and
-    /// a pinned snapshot serves lock-free; byte-identical output. The
+    /// Execute against one composed generation, normally the one the
+    /// plan was compiled against: a [`ShardedDatabase`]'s latest or a
+    /// pinned [`ShardedSnapshot`], both of which deref to a
+    /// [`ShardedState`]; byte-identical output. Names re-resolve and the
     /// shard count re-validates, so a plan compiled against a different
-    /// catalog shape fails typed, not out of bounds.
-    pub fn execute_on<'s>(&self, state: &'s ShardedState) -> Result<ShardedResultSet<'s>> {
+    /// catalog shape fails typed, not out of bounds. The result's
+    /// timings carry the total only: there is no per-node breakdown
+    /// across shards.
+    pub fn execute<'s>(&self, state: &'s ShardedState) -> Result<ResultSet<'s, ShardedState>> {
+        let started = std::time::Instant::now();
         // The recorded routing indexes shards of the compile-time
         // catalog; running against one with a different shard count
         // would index out of bounds, so it is a typed failure too.
@@ -1433,12 +1320,11 @@ impl ShardedPlan {
             None => self.run_shard_local(state, meta)?,
             Some(j) => self.run_join_jobs(state, meta, j)?,
         };
-        Ok(ShardedResultSet {
-            state,
-            outer_table: self.template.table.clone(),
-            inner_table: self.template.join.as_ref().map(|j| j.inner_table.clone()),
-            rows,
-        })
+        let timings = PlanTimings {
+            total_ns: elapsed_ns(&started),
+            ..PlanTimings::default()
+        };
+        Ok(ResultSet::new(state, &self.template, rows, timings))
     }
 
     /// The shard-local path: ship the whole spec to each routed shard —
@@ -1507,7 +1393,7 @@ impl ShardedPlan {
                         what: format!(
                             "shard {s} ({}) answered a {} result to a plan of another shape",
                             state.shards[s].describe(),
-                            shape_name(&other)
+                            other.shape()
                         ),
                     })
                 }
@@ -1789,136 +1675,6 @@ fn merge_group_partials(agg: AggFn, partials: Vec<Vec<GroupRow>>) -> Vec<GroupRo
         .collect()
 }
 
-// ---------------------------------------------------------------------
-// Results
-// ---------------------------------------------------------------------
-
-/// A sharded query result: the gathered global rows, bound to the
-/// catalog so row values can be decoded on demand — the same surface as
-/// [`mmdb::ResultSet`], producing byte-identical [`ResultRows`].
-#[derive(Debug, Clone)]
-pub struct ShardedResultSet<'db> {
-    state: &'db ShardedState,
-    outer_table: String,
-    inner_table: Option<String>,
-    rows: ResultRows,
-}
-
-impl ShardedResultSet<'_> {
-    /// The rows, whatever their shape.
-    pub fn rows(&self) -> &ResultRows {
-        &self.rows
-    }
-
-    /// Number of result rows.
-    pub fn len(&self) -> usize {
-        match &self.rows {
-            ResultRows::Rids(r) => r.len(),
-            ResultRows::Joined(r) => r.len(),
-            ResultRows::Groups(r) => r.len(),
-        }
-    }
-
-    /// Whether the result is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Selected global RIDs, ascending. Panics on join/group shapes.
-    pub fn rids(&self) -> &[u32] {
-        match &self.rows {
-            ResultRows::Rids(r) => r,
-            other => panic!("rids() on a {} result", shape_name(other)),
-        }
-    }
-
-    /// Join output pairs (global RIDs), in the sequential join's order.
-    pub fn join_rows(&self) -> &[JoinRow] {
-        match &self.rows {
-            ResultRows::Joined(r) => r,
-            other => panic!("join_rows() on a {} result", shape_name(other)),
-        }
-    }
-
-    /// Aggregated groups, in group-value order.
-    pub fn groups(&self) -> &[GroupRow] {
-        match &self.rows {
-            ResultRows::Groups(r) => r,
-            other => panic!("groups() on a {} result", shape_name(other)),
-        }
-    }
-
-    /// Decoded values of `column` for every result row, resolved through
-    /// each row's owning shard (outer table binds first for joins). The
-    /// result rows bucket by owning shard so each backend answers one
-    /// batched fetch (a single round trip for a remote shard), then the
-    /// answers reassemble in result order. The column resolves on
-    /// *every* shard — including shards owning no result row — so a
-    /// schema drift fails typed exactly like the in-process resolver.
-    pub fn values(&self, column: &str) -> Result<Vec<Value>> {
-        let decode_all = |table: &str, rids: &mut dyn Iterator<Item = u32>| -> Result<Vec<Value>> {
-            let meta = self.state.meta(table)?;
-            let mut per_shard: Vec<Vec<u32>> = vec![Vec::new(); self.state.shards.len()];
-            let mut order: Vec<(u32, u32)> = Vec::new();
-            for r in rids {
-                let (s, l) = meta.placement[r as usize];
-                order.push((s, per_shard[s as usize].len() as u32));
-                per_shard[s as usize].push(l);
-            }
-            let fetched: Vec<Vec<Value>> = self
-                .state
-                .shards
-                .iter()
-                .zip(&per_shard)
-                .map(|(shard, locals)| shard.column_values(table, column, Some(locals)))
-                .collect::<Result<_>>()?;
-            Ok(order
-                .into_iter()
-                .map(|(s, i)| fetched[s as usize][i as usize].clone())
-                .collect())
-        };
-        match &self.rows {
-            ResultRows::Rids(rids) => decode_all(&self.outer_table, &mut rids.iter().copied()),
-            ResultRows::Joined(rows) => {
-                // Outer binds first, like the unsharded resolver.
-                let outer_has = self.state.shards[0]
-                    .columns(&self.outer_table)?
-                    .iter()
-                    .any(|c| c == column);
-                let table = if outer_has {
-                    &self.outer_table
-                } else {
-                    self.inner_table
-                        .as_ref()
-                        .ok_or_else(|| MmdbError::UnknownColumn {
-                            table: self.outer_table.clone(),
-                            column: column.to_owned(),
-                        })?
-                };
-                decode_all(
-                    table,
-                    &mut rows
-                        .iter()
-                        .map(|r| if outer_has { r.outer_rid } else { r.inner_rid }),
-                )
-            }
-            ResultRows::Groups(_) => Err(MmdbError::Unsupported {
-                what: "values() on a grouped result; group keys are already \
-                       decoded in groups()"
-                    .into(),
-            }),
-        }
-    }
-}
-
-fn shape_name(rows: &ResultRows) -> &'static str {
-    match rows {
-        ResultRows::Rids(_) => "selection",
-        ResultRows::Joined(_) => "join",
-        ResultRows::Groups(_) => "grouped",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2043,7 +1799,7 @@ mod tests {
         for (table, column) in [("sales", "cust"), ("sales", "amount"), ("customers", "id")] {
             db.create_index(table, column, IndexKind::FullCss).unwrap();
         }
-        let mut state = db.catalog().clone();
+        let mut state = ShardedState::clone(&db);
         let fake = Arc::new(Fake {
             inner: state.shards[1].clone(),
             shift,

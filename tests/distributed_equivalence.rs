@@ -8,7 +8,7 @@
 //! repartition all cross the wire here. A killed shard surfaces as a
 //! typed `MmdbError::Transport` — never a panic or a hang.
 
-use ccindex::db::{MmdbError, ResultRows, Value};
+use ccindex::db::{MmdbError, Query, ResultRows, Value};
 use ccindex::prelude::*;
 use ccindex::shard::RemoteShard;
 
@@ -104,50 +104,47 @@ fn pipeline_battery(run: &dyn Fn(&str) -> ResultRows) -> Vec<(String, ResultRows
     .collect()
 }
 
-/// Both query builders expose the same combinator surface, so one macro
-/// drives the identical pipeline through either catalog.
-macro_rules! run_pipeline {
-    ($query:expr, $what:expr) => {{
-        let q = $query;
-        let q = match $what {
-            "all" => q,
-            "point_key" => q.filter(eq("cust", 42)),
-            "point_key_missing" => q.filter(eq("cust", 100_000)),
-            "point_nonkey" => q.filter(eq("day", "tue")),
-            "range_key" => q.filter(between("cust", 30, 110)),
-            "range_nonkey" => q.filter(between("amount", 200, 700)),
-            "conjunction" => q.filter(between("amount", 100, 900)).filter(eq("cust", 7)),
-            "join_plain" => q.join("customers", on("cust", "id")),
-            "join_filtered" => q
-                .filter(between("amount", 150, 850))
-                .join("customers", on("cust", "id")),
-            "group_only" => q.group_by("day", count()),
-            "group_filtered" => q
-                .filter(between("amount", 100, 800))
-                .group_by("day", sum("amount")),
-            "join_group_inner" => q
-                .filter(between("amount", 50, 950))
-                .join("customers", on("cust", "id"))
-                .group_by("region", sum("amount")),
-            "join_group_outer" => q
-                .join("customers", on("cust", "id"))
-                .group_by("day", max("amount")),
-            "forced_css_range" => q
-                .filter(between("amount", 333, 666))
-                .using(IndexKind::FullCss),
-            "forced_hash_point" => q.filter(eq("day", "mon")).using(IndexKind::Hash),
-            other => panic!("unknown pipeline {other}"),
-        };
-        q.run().expect("planned").rows().clone()
-    }};
+/// Every catalog answers `query` with the one [`Query`] builder, so one
+/// function drives the identical pipeline through any of them.
+fn run_pipeline<C: CatalogRead>(q: Query<'_, C>, what: &str) -> ResultRows {
+    let q = match what {
+        "all" => q,
+        "point_key" => q.filter(eq("cust", 42)),
+        "point_key_missing" => q.filter(eq("cust", 100_000)),
+        "point_nonkey" => q.filter(eq("day", "tue")),
+        "range_key" => q.filter(between("cust", 30, 110)),
+        "range_nonkey" => q.filter(between("amount", 200, 700)),
+        "conjunction" => q.filter(between("amount", 100, 900)).filter(eq("cust", 7)),
+        "join_plain" => q.join("customers", on("cust", "id")),
+        "join_filtered" => q
+            .filter(between("amount", 150, 850))
+            .join("customers", on("cust", "id")),
+        "group_only" => q.group_by("day", count()),
+        "group_filtered" => q
+            .filter(between("amount", 100, 800))
+            .group_by("day", sum("amount")),
+        "join_group_inner" => q
+            .filter(between("amount", 50, 950))
+            .join("customers", on("cust", "id"))
+            .group_by("region", sum("amount")),
+        "join_group_outer" => q
+            .join("customers", on("cust", "id"))
+            .group_by("day", max("amount")),
+        "forced_css_range" => q
+            .filter(between("amount", 333, 666))
+            .using(IndexKind::FullCss),
+        "forced_hash_point" => q.filter(eq("day", "mon")).using(IndexKind::Hash),
+        other => panic!("unknown pipeline {other}"),
+    };
+    q.run().expect("planned").rows().clone()
 }
 
 fn run_unsharded(db: &Database, what: &str) -> ResultRows {
-    run_pipeline!(db.query("orders"), what)
+    run_pipeline(db.query("orders"), what)
 }
 
 fn run_sharded(db: &ShardedDatabase, what: &str) -> ResultRows {
-    run_pipeline!(db.query("orders"), what)
+    run_pipeline(db.query("orders"), what)
 }
 
 #[test]
@@ -226,8 +223,27 @@ fn decoded_values_match_through_remote_shards() {
         .join("customers", on("cust", "id"))
         .run()
         .unwrap();
-    assert_eq!(s.values("region").unwrap(), u.values("region").unwrap());
-    assert_eq!(s.values("amount").unwrap(), u.values("amount").unwrap());
+    // Outer-only, inner-only and on neither side, over loopback and
+    // local shards alike: the outer table binds first, and a column on
+    // neither side is the unsharded error, naming the outer table.
+    let local = local_sharded(rows, HashPartitioner::new(2).unwrap());
+    let l = local
+        .query("orders")
+        .filter(eq("day", "wed"))
+        .join("customers", on("cust", "id"))
+        .run()
+        .unwrap();
+    for column in ["amount", "region", "nocol"] {
+        assert_eq!(s.values(column), u.values(column), "loopback: {column}");
+        assert_eq!(l.values(column), u.values(column), "local: {column}");
+    }
+    assert_eq!(
+        u.values("nocol").unwrap_err(),
+        MmdbError::UnknownColumn {
+            table: "orders".into(),
+            column: "nocol".into()
+        }
+    );
     // Typed errors cross the wire unchanged.
     assert_eq!(
         db.query("nope").run().unwrap_err(),
@@ -235,10 +251,6 @@ fn decoded_values_match_through_remote_shards() {
             table: "nope".into()
         }
     );
-    assert!(matches!(
-        s.values("nocol").unwrap_err(),
-        MmdbError::UnknownColumn { .. }
-    ));
     for server in servers {
         server.shutdown();
     }
@@ -346,6 +358,34 @@ fn wire_shutdown_stops_a_server_and_later_connects_fail_typed() {
     );
 }
 
+/// A selection, a join or a join+group over `orders`, on any catalog's
+/// one [`Query`] builder.
+fn shaped<'c, C: CatalogRead>(q: Query<'c, C>, shape: &str) -> Query<'c, C> {
+    let q = q.filter(between("amount", 100, 900));
+    match shape {
+        "selection" => q.filter(between("cust", 5, 110)),
+        "join" => q.join("customers", on("cust", "id")),
+        "join_group" => q
+            .join("customers", on("cust", "id"))
+            .group_by("region", sum("amount")),
+        other => panic!("unknown shape {other}"),
+    }
+}
+
+/// Everything a [`ResultSet`](ccindex::db::ResultSet) says about itself:
+/// rows, length, emptiness, and `values` — or the error — of an outer,
+/// an inner and a missing column.
+type Surface = (ResultRows, usize, bool, Vec<Result<Vec<Value>, MmdbError>>);
+
+fn surface<C: CatalogRead>(q: Query<'_, C>) -> Surface {
+    let r = q.run().expect("planned");
+    let values = ["day", "region", "nocol"]
+        .iter()
+        .map(|&c| r.values(c))
+        .collect();
+    (r.rows().clone(), r.len(), r.is_empty(), values)
+}
+
 #[test]
 fn one_query_spec_answers_identically_on_every_surface() {
     // One owned `QuerySpec` value — never rebuilt, converted or
@@ -360,7 +400,7 @@ fn one_query_spec_answers_identically_on_every_surface() {
         .exec(ExecOptions::threads(2));
 
     let db = unsharded(rows);
-    let want = db.catalog().run_spec(&spec).unwrap();
+    let want = db.run_spec(&spec).unwrap();
     assert!(matches!(&want, ResultRows::Groups(g) if g.len() == 4));
 
     assert_eq!(
@@ -370,11 +410,7 @@ fn one_query_spec_answers_identically_on_every_surface() {
     );
 
     let local = local_sharded(rows, HashPartitioner::new(2).unwrap());
-    assert_eq!(
-        local.catalog().run_spec(&spec).unwrap(),
-        want,
-        "2 local shards"
-    );
+    assert_eq!(local.run_spec(&spec).unwrap(), want, "2 local shards");
     assert_eq!(
         local.snapshot().run_spec(&spec).unwrap(),
         want,
@@ -400,6 +436,51 @@ fn one_query_spec_answers_identically_on_every_surface() {
         "remote BatchServer window"
     );
     server.shutdown();
+
+    // One `Query::run` and one `ResultSet` on every catalog: the plain
+    // engine, its snapshot, two local shards, their snapshot, and two
+    // loopback shards.
+    let (loopback, servers) = distributed(rows, HashPartitioner::new(2).unwrap());
+    for shape in ["selection", "join", "join_group"] {
+        let want = surface(shaped(db.query("orders"), shape));
+        assert!(!want.2, "{shape} matches rows");
+        let snapshot = db.snapshot();
+        let local_snapshot = local.snapshot();
+        for (name, got) in [
+            ("Snapshot", surface(shaped(snapshot.query("orders"), shape))),
+            (
+                "2 local shards",
+                surface(shaped(local.query("orders"), shape)),
+            ),
+            (
+                "ShardedSnapshot",
+                surface(shaped(local_snapshot.query("orders"), shape)),
+            ),
+            (
+                "2 loopback shards",
+                surface(shaped(loopback.query("orders"), shape)),
+            ),
+        ] {
+            assert_eq!(got, want, "{shape} on {name}");
+        }
+
+        // One `execute` per plan type: the writer and its snapshot.
+        let plan = shaped(db.query("orders"), shape).plan().unwrap();
+        assert_eq!(
+            plan.execute(&db).unwrap().rows(),
+            plan.execute(&db.snapshot()).unwrap().rows(),
+            "{shape}: Plan"
+        );
+        let plan = shaped(local.query("orders"), shape).plan().unwrap();
+        assert_eq!(
+            plan.execute(&local).unwrap().rows(),
+            plan.execute(&local.snapshot()).unwrap().rows(),
+            "{shape}: ShardedPlan"
+        );
+    }
+    for server in servers {
+        server.shutdown();
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -475,12 +556,12 @@ fn a_warm_shape_costs_one_request_per_routed_shard() {
     // queries above already cached: a hit, no compile, no slot of its own.
     let values: Vec<Value> = (0..64).map(|i| Value::Int(i % KEY_SPACE)).collect();
     let (cached, hits, misses) = (
-        db.catalog().cached_templates(),
+        db.cached_templates(),
         counter(&db, "shard.template.hits"),
         counter(&db, "shard.template.misses"),
     );
     let want = db.point_probe_batch("orders", "cust", &values).unwrap();
-    assert_eq!(db.catalog().cached_templates(), cached);
+    assert_eq!(db.cached_templates(), cached);
     assert_eq!(counter(&db, "shard.template.hits"), hits + 1);
     assert_eq!(counter(&db, "shard.template.misses"), misses);
     let before = server_requests(&servers);
@@ -587,7 +668,7 @@ fn joins_match_for_every_placement_of_the_join_columns() {
     matrix_indexes(&mut |t, c, k| un.create_index(t, c, k).unwrap());
     let reference: Vec<ResultRows> = MATRIX_QUERIES
         .iter()
-        .map(|&w| un.catalog().run_spec(&matrix_spec(w)).expect("planned"))
+        .map(|&w| un.run_spec(&matrix_spec(w)).expect("planned"))
         .collect();
     assert!(reference.iter().all(|r| match r {
         ResultRows::Joined(rows) => !rows.is_empty(),
@@ -630,7 +711,7 @@ fn joins_match_for_every_placement_of_the_join_columns() {
                 }
                 for (&what, want) in MATRIX_QUERIES.iter().zip(&reference) {
                     let spec = matrix_spec(what);
-                    let plan = db.catalog().compile(&spec).unwrap();
+                    let plan = db.compile(&spec).unwrap();
                     assert_eq!(plan.is_shard_local(), local, "{label}: `{what}`");
                     let mode = if local {
                         "run: shard-local"
@@ -641,7 +722,7 @@ fn joins_match_for_every_placement_of_the_join_columns() {
                     // Twice: a cold and a warm template.
                     for _ in 0..2 {
                         assert_eq!(
-                            &db.catalog().run_spec(&spec).expect("planned"),
+                            &db.run_spec(&spec).expect("planned"),
                             want,
                             "{label}: `{what}` diverged"
                         );
@@ -690,22 +771,18 @@ fn the_template_cache_dies_with_its_generation_and_stays_bounded() {
         let spec = build(QuerySpec::table("orders"));
         let same = |db: &ShardedDatabase, un: &Database, when: &str| {
             for _ in 0..2 {
-                assert_eq!(
-                    db.catalog().run_spec(&spec),
-                    un.catalog().run_spec(&spec),
-                    "{when}: {spec:?}"
-                );
+                assert_eq!(db.run_spec(&spec), un.run_spec(&spec), "{when}: {spec:?}");
             }
         };
         same(&db, &un, "before");
-        assert!(db.catalog().run_spec(&spec).is_ok());
-        assert!(db.catalog().cached_templates() >= 1);
+        assert!(db.run_spec(&spec).is_ok());
+        assert!(db.cached_templates() >= 1);
 
         un.drop_index(table, column, kind).unwrap();
         db.drop_index(table, column, kind).unwrap();
-        assert_eq!(db.catalog().cached_templates(), 0, "publish() resets");
+        assert_eq!(db.cached_templates(), 0, "publish() resets");
         same(&db, &un, "after drop_index");
-        let err = db.catalog().run_spec(&spec).unwrap_err();
+        let err = db.run_spec(&spec).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -713,12 +790,12 @@ fn the_template_cache_dies_with_its_generation_and_stays_bounded() {
             ),
             "{err:?}"
         );
-        assert_eq!(db.catalog().cached_templates(), 0, "errors are not cached");
+        assert_eq!(db.cached_templates(), 0, "errors are not cached");
 
         un.create_index(table, column, kind).unwrap();
         db.create_index(table, column, kind).unwrap();
         same(&db, &un, "after create_index");
-        assert!(db.catalog().run_spec(&spec).is_ok());
+        assert!(db.run_spec(&spec).is_ok());
     }
 
     // Typed planning errors are the unsharded catalog's, run after run.
@@ -729,12 +806,12 @@ fn the_template_cache_dies_with_its_generation_and_stays_bounded() {
         QuerySpec::table("orders").join("customers", on("cust", "nocol")),
     ] {
         let misses = counter(&db, "shard.template.misses");
-        let cached = db.catalog().cached_templates();
+        let cached = db.cached_templates();
         for _ in 0..2 {
-            let err = db.catalog().run_spec(&bad).unwrap_err();
-            assert_eq!(err, un.catalog().run_spec(&bad).unwrap_err());
+            let err = db.run_spec(&bad).unwrap_err();
+            assert_eq!(err, un.run_spec(&bad).unwrap_err());
         }
-        assert_eq!(db.catalog().cached_templates(), cached, "{bad:?}");
+        assert_eq!(db.cached_templates(), cached, "{bad:?}");
         // An unknown outer table fails in the coordinator's own metadata.
         let asked = if bad.table == "nope" { 0 } else { 2 };
         assert_eq!(counter(&db, "shard.template.misses"), misses + asked);
@@ -744,7 +821,7 @@ fn the_template_cache_dies_with_its_generation_and_stays_bounded() {
     // generation starts empty while the pin keeps its own.
     let pinned = db.snapshot();
     let warm = QuerySpec::table("orders").filter(eq("cust", 7));
-    db.catalog().run_spec(&warm).unwrap();
+    db.run_spec(&warm).unwrap();
     let cached = pinned.cached_templates();
     assert!(cached >= 1);
     let hits = counter(&db, "shard.template.hits");
@@ -752,28 +829,24 @@ fn the_template_cache_dies_with_its_generation_and_stays_bounded() {
     assert_eq!(counter(&db, "shard.template.hits"), hits + 1);
     db.create_index("orders", "day", IndexKind::FullCss)
         .unwrap();
-    assert_eq!(db.catalog().cached_templates(), 0);
+    assert_eq!(db.cached_templates(), 0);
     assert_eq!(pinned.cached_templates(), cached);
 
     // Ad-hoc shapes cannot grow the map past its capacity.
-    let want = un.catalog().run_spec(&warm).unwrap();
+    let want = un.run_spec(&warm).unwrap();
     for lanes in 1..=TEMPLATE_CACHE_CAPACITY + 6 {
         let spec = warm.clone().exec(ExecOptions {
             lanes,
             ..ExecOptions::default()
         });
-        assert_eq!(db.catalog().run_spec(&spec).unwrap(), want);
-        let cached = db.catalog().cached_templates();
+        assert_eq!(db.run_spec(&spec).unwrap(), want);
+        let cached = db.cached_templates();
         assert!(
             (1..=TEMPLATE_CACHE_CAPACITY).contains(&cached),
             "{cached} shapes cached after {lanes}"
         );
     }
-    assert_eq!(
-        db.catalog().cached_templates(),
-        6,
-        "cleared once, at capacity"
-    );
+    assert_eq!(db.cached_templates(), 6, "cleared once, at capacity");
     for server in servers {
         server.shutdown();
     }

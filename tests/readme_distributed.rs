@@ -12,7 +12,7 @@ fn demo() -> Result<(), MmdbError> {
     let addrs: Vec<String> = servers.iter().map(ShardServer::addr).collect();
 
     // The coordinator speaks the wire protocol; the surface is the
-    // same as the in-process ShardedDatabase.
+    // one Query/ResultSet every catalog answers with.
     let mut db = ShardedDatabase::connect(HashPartitioner::new(2)?, &addrs)?;
     db.register(
         TableBuilder::new("sales")

@@ -38,6 +38,16 @@ fn demo() -> Result<(), MmdbError> {
         .group_by("region", sum("amount"))
         .run()?;
     assert_eq!(revenue.groups().len(), 2); // east 25+99, west 40
+
+    // One plan, executed on the writer or on a pinned snapshot.
+    let plan = db
+        .query("sales")
+        .filter(between("amount", 20, 100))
+        .plan()?;
+    assert_eq!(
+        plan.execute(&db)?.rows(),
+        plan.execute(&db.snapshot())?.rows()
+    );
     Ok(())
 }
 

@@ -23,6 +23,7 @@ fn demo() -> Result<(), MmdbError> {
     assert!(plan.explain().contains("(pruned)"));
     assert!(plan.is_shard_local()); // the whole plan runs on that shard
     assert_eq!(plan.execute(&db)?.rids(), &[0, 2]); // global row ids
+    assert_eq!(plan.execute(&db.snapshot())?.rids(), &[0, 2]); // or a pinned one
 
     // Updates split by owning shard; the shard key re-partitions.
     db.replace_column(

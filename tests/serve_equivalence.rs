@@ -114,7 +114,7 @@ fn sequential_reference(db: &Database) -> Vec<Result<ResultRows, MmdbError>> {
                 .filter(between(&column, lo, hi))
                 .run()
                 .map(|r| r.rows().clone()),
-            Request::Query(spec) => db.catalog().run_spec(&spec),
+            Request::Query(spec) => db.run_spec(&spec),
         })
         .collect()
 }

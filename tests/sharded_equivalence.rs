@@ -7,7 +7,7 @@
 //! per-shard path and the re-partitioning shard-key path), and the
 //! `CCINDEX_SHARDS` environment default.
 
-use ccindex::db::Value;
+use ccindex::db::{Query, ResultRows, Value};
 use ccindex::prelude::*;
 use ccindex::shard::ShardedPlan;
 
@@ -64,9 +64,7 @@ fn sharded<P: Partitioner + 'static>(rows: usize, p: P) -> ShardedDatabase {
 }
 
 /// Every pipeline shape of the acceptance criteria, as (label, rows).
-fn pipeline_battery(
-    run: &dyn Fn(&str) -> ccindex::db::ResultRows,
-) -> Vec<(String, ccindex::db::ResultRows)> {
+fn pipeline_battery(run: &dyn Fn(&str) -> ResultRows) -> Vec<(String, ResultRows)> {
     [
         "all",
         "point_key",
@@ -89,50 +87,47 @@ fn pipeline_battery(
     .collect()
 }
 
-/// Both query builders expose the same combinator surface, so one macro
-/// drives the identical pipeline through either catalog.
-macro_rules! run_pipeline {
-    ($query:expr, $what:expr) => {{
-        let q = $query;
-        let q = match $what {
-            "all" => q,
-            "point_key" => q.filter(eq("cust", 42)),
-            "point_key_missing" => q.filter(eq("cust", 100_000)),
-            "point_nonkey" => q.filter(eq("day", "tue")),
-            "range_key" => q.filter(between("cust", 30, 110)),
-            "range_nonkey" => q.filter(between("amount", 200, 700)),
-            "conjunction" => q.filter(between("amount", 100, 900)).filter(eq("cust", 7)),
-            "join_plain" => q.join("customers", on("cust", "id")),
-            "join_filtered" => q
-                .filter(between("amount", 150, 850))
-                .join("customers", on("cust", "id")),
-            "group_only" => q.group_by("day", count()),
-            "group_filtered" => q
-                .filter(between("amount", 100, 800))
-                .group_by("day", sum("amount")),
-            "join_group_inner" => q
-                .filter(between("amount", 50, 950))
-                .join("customers", on("cust", "id"))
-                .group_by("region", sum("amount")),
-            "join_group_outer" => q
-                .join("customers", on("cust", "id"))
-                .group_by("day", max("amount")),
-            "forced_css_range" => q
-                .filter(between("amount", 333, 666))
-                .using(IndexKind::FullCss),
-            "forced_hash_point" => q.filter(eq("day", "mon")).using(IndexKind::Hash),
-            other => panic!("unknown pipeline {other}"),
-        };
-        q.run().expect("planned").rows().clone()
-    }};
+/// Every catalog answers `query` with the one [`Query`] builder, so one
+/// function drives the identical pipeline through any of them.
+fn run_pipeline<C: CatalogRead>(q: Query<'_, C>, what: &str) -> ResultRows {
+    let q = match what {
+        "all" => q,
+        "point_key" => q.filter(eq("cust", 42)),
+        "point_key_missing" => q.filter(eq("cust", 100_000)),
+        "point_nonkey" => q.filter(eq("day", "tue")),
+        "range_key" => q.filter(between("cust", 30, 110)),
+        "range_nonkey" => q.filter(between("amount", 200, 700)),
+        "conjunction" => q.filter(between("amount", 100, 900)).filter(eq("cust", 7)),
+        "join_plain" => q.join("customers", on("cust", "id")),
+        "join_filtered" => q
+            .filter(between("amount", 150, 850))
+            .join("customers", on("cust", "id")),
+        "group_only" => q.group_by("day", count()),
+        "group_filtered" => q
+            .filter(between("amount", 100, 800))
+            .group_by("day", sum("amount")),
+        "join_group_inner" => q
+            .filter(between("amount", 50, 950))
+            .join("customers", on("cust", "id"))
+            .group_by("region", sum("amount")),
+        "join_group_outer" => q
+            .join("customers", on("cust", "id"))
+            .group_by("day", max("amount")),
+        "forced_css_range" => q
+            .filter(between("amount", 333, 666))
+            .using(IndexKind::FullCss),
+        "forced_hash_point" => q.filter(eq("day", "mon")).using(IndexKind::Hash),
+        other => panic!("unknown pipeline {other}"),
+    };
+    q.run().expect("planned").rows().clone()
 }
 
-fn run_unsharded(db: &Database, what: &str) -> ccindex::db::ResultRows {
-    run_pipeline!(db.query("orders"), what)
+fn run_unsharded(db: &Database, what: &str) -> ResultRows {
+    run_pipeline(db.query("orders"), what)
 }
 
-fn run_sharded(db: &ShardedDatabase, what: &str) -> ccindex::db::ResultRows {
-    run_pipeline!(db.query("orders"), what)
+fn run_sharded(db: &ShardedDatabase, what: &str) -> ResultRows {
+    run_pipeline(db.query("orders"), what)
 }
 
 #[test]
@@ -187,8 +182,19 @@ fn decoded_values_match_through_owning_shards() {
             .join("customers", on("cust", "id"))
             .run()
             .unwrap();
-        assert_eq!(s.values("region").unwrap(), u.values("region").unwrap());
-        assert_eq!(s.values("amount").unwrap(), u.values("amount").unwrap());
+        // Outer-only, inner-only and on neither side: the outer table
+        // binds first, and a column on neither side is the unsharded
+        // error, naming the outer table.
+        for column in ["amount", "region", "nocol"] {
+            assert_eq!(s.values(column), u.values(column), "x{shards}: {column}");
+        }
+        assert_eq!(
+            s.values("nocol").unwrap_err(),
+            MmdbError::UnknownColumn {
+                table: "orders".into(),
+                column: "nocol".into()
+            }
+        );
     }
 }
 
