@@ -1,10 +1,12 @@
-//! Grouped aggregation over sorted RID lists.
+//! Grouped aggregation.
 //!
 //! OLAP queries (§1, §2.2) aggregate after selecting and joining. A RID
 //! list sorted on the group-by column already clusters each group into a
-//! contiguous run of equal domain IDs, so grouping is a single linear pass
-//! — no hash table, and the per-group ranges are exactly the
-//! `equal_range`s an ordered index reports.
+//! contiguous run of equal domain IDs, so [`group_aggregate`] over a whole
+//! column is a single linear pass — no hash table, and the per-group
+//! ranges are exactly the `equal_range`s an ordered index reports. Rows a
+//! plan has filtered or joined arrive in no group order; they go through
+//! the one partitioned operator, [`group_aggregate_pairs`].
 
 use crate::column::Column;
 use crate::domain::{DomainView, Value};
@@ -78,107 +80,54 @@ impl<'a> Measure<'a> {
     }
 }
 
-/// Grouped aggregation over arbitrary `(group_rid, measure_rid)` pairs —
-/// the operator a query plan runs when grouping *filtered* selections or
-/// join output, where rows no longer arrive clustered by group. Groups
-/// accumulate keyed by domain ID (an ordered map, so results still come
-/// out in group-value order, matching [`group_aggregate`]), and the group
-/// keys are decoded in one
+/// Grouped aggregation over `rows` `(group_rid, measure_rid)` pairs,
+/// `pair(i)` being the `i`-th — the operator a query plan runs when
+/// grouping *filtered* selections, join output or a whole table, where
+/// rows no longer arrive clustered by group. Reading each pair out of its
+/// row source (a RID list, join rows, or the position itself) means no
+/// intermediate pair vector is materialised.
+///
+/// The pairs are partitioned into one contiguous range per worker of
+/// `threads` (`1` runs inline, `0` is one per core). Each worker folds its
+/// range into a partial accumulator keyed by domain ID in an ordered map,
+/// and the partials merge at the join barrier. Every [`AggFn`] is
+/// commutative and associative, so the result — group order included,
+/// which is group-value order as in [`group_aggregate`] — is the same for
+/// every thread count. The group keys are decoded in one
 /// [`decode_batch`](crate::domain::Domain::decode_batch) at the end.
 ///
 /// The two RIDs of a pair may address different relations (group column
 /// from one join side, measure from the other); for plain selections pass
 /// each RID twice. `measure` may be `None` for `Count`. Callers must have
 /// checked that the measure column is integer-valued for Sum/Min/Max.
-pub fn group_aggregate_pairs(
+pub fn group_aggregate_pairs<F>(
     group_col: &Column,
     measure: Option<&Column>,
-    pairs: impl IntoIterator<Item = (u32, u32)>,
-    agg: AggFn,
-) -> Vec<GroupRow> {
-    let measure = Measure::resolve(measure, agg);
-    let mut acc = BTreeMap::new();
-    accumulate_pairs(&mut acc, group_col, measure, pairs, agg);
-    decode_accumulator(group_col, acc)
-}
-
-/// Parallel [`group_aggregate_pairs`]: the pairs are partitioned into one
-/// contiguous chunk per worker, each worker folds its chunk into a
-/// **partial** per-group accumulator, and the partials are merged at the
-/// join barrier (every [`AggFn`] is commutative and associative, and the
-/// ordered accumulator map keys groups by domain ID, so the merged result
-/// — including group order — is byte-identical to the sequential pass).
-/// `threads == 0` means one worker per core; `threads == 1` runs inline.
-pub fn group_aggregate_pairs_par(
-    group_col: &Column,
-    measure: Option<&Column>,
-    pairs: &[(u32, u32)],
-    agg: AggFn,
-    threads: usize,
-) -> Vec<GroupRow> {
-    group_aggregate_chunked_par(group_col, measure, pairs, |&p| p, agg, threads)
-}
-
-/// The general partitioned grouping: any sliceable row source plus a
-/// pair-extraction closure, so the executor can chunk join rows or
-/// selected RIDs **in place** instead of materialising an intermediate
-/// `(group_rid, measure_rid)` vector. [`group_aggregate_pairs_par`] is
-/// the `items = pairs` instance.
-pub fn group_aggregate_chunked_par<T, F>(
-    group_col: &Column,
-    measure: Option<&Column>,
-    items: &[T],
-    to_pair: F,
+    rows: usize,
+    pair: F,
     agg: AggFn,
     threads: usize,
 ) -> Vec<GroupRow>
 where
-    T: Sync,
-    F: Fn(&T) -> (u32, u32) + Sync,
+    F: Fn(usize) -> (u32, u32) + Sync,
 {
     let measure = Measure::resolve(measure, agg);
-    let partials = ccindex_parallel::WorkerPool::new(threads).map_chunks(items, |chunk| {
-        let mut acc = BTreeMap::new();
-        accumulate_pairs(
-            &mut acc,
-            group_col,
-            measure,
-            chunk.iter().map(&to_pair),
-            agg,
-        );
-        acc
-    });
-    decode_accumulator(group_col, merge_partials(agg, partials))
-}
-
-/// Partitioned grouping of whole-table row ranges (`(r, r)` pairs for
-/// every RID in `0..rows`) — no slice exists to chunk, so the RID space
-/// itself is partitioned.
-pub fn group_aggregate_rows_par(
-    group_col: &Column,
-    measure: Option<&Column>,
-    rows: u32,
-    agg: AggFn,
-    threads: usize,
-) -> Vec<GroupRow> {
-    let measure = Measure::resolve(measure, agg);
     let pool = ccindex_parallel::WorkerPool::new(threads);
-    let ranges = ccindex_parallel::partition(rows as usize, pool.threads());
+    let ranges = ccindex_parallel::partition(rows, pool.threads());
     let partials = pool.run(ranges.len(), |i| {
         let mut acc = BTreeMap::new();
-        let range = ranges[i].start as u32..ranges[i].end as u32;
-        accumulate_pairs(&mut acc, group_col, measure, range.map(|r| (r, r)), agg);
+        let pairs = ranges[i].clone().map(&pair);
+        accumulate_pairs(&mut acc, group_col, measure, pairs, agg);
         acc
     });
     decode_accumulator(group_col, merge_partials(agg, partials))
 }
 
-/// Merge per-worker partial accumulators at the join barrier.
-fn merge_partials(
-    agg: AggFn,
-    partials: impl IntoIterator<Item = BTreeMap<u32, i64>>,
-) -> BTreeMap<u32, i64> {
-    let mut merged: BTreeMap<u32, i64> = BTreeMap::new();
+/// Merge per-worker partial accumulators at the join barrier, starting
+/// from the first: a single worker's partial is the answer as it stands.
+fn merge_partials(agg: AggFn, partials: Vec<BTreeMap<u32, i64>>) -> BTreeMap<u32, i64> {
+    let mut partials = partials.into_iter();
+    let mut merged = partials.next().unwrap_or_default();
     for partial in partials {
         for (id, v) in partial {
             merged
@@ -190,8 +139,8 @@ fn merge_partials(
     merged
 }
 
-/// The shared accumulation loop of the sequential and per-worker passes
-/// (`measure` is `None` exactly for `Count`, see [`Measure::resolve`]).
+/// One worker's accumulation loop (`measure` is `None` exactly for
+/// `Count`, see [`Measure::resolve`]).
 fn accumulate_pairs(
     acc: &mut BTreeMap<u32, i64>,
     group_col: &Column,
@@ -281,6 +230,17 @@ mod tests {
         (t, rl)
     }
 
+    /// [`group_aggregate_pairs`] over a pair slice.
+    fn over(
+        group_col: &Column,
+        measure: Option<&Column>,
+        pairs: &[(u32, u32)],
+        agg: AggFn,
+        threads: usize,
+    ) -> Vec<GroupRow> {
+        group_aggregate_pairs(group_col, measure, pairs.len(), |i| pairs[i], agg, threads)
+    }
+
     #[test]
     fn count_per_group() {
         let (t, rl) = setup();
@@ -349,7 +309,7 @@ mod tests {
         for agg in [AggFn::Count, AggFn::Sum, AggFn::Min, AggFn::Max] {
             let measure = (agg != AggFn::Count).then_some(amount);
             assert_eq!(
-                group_aggregate_pairs(region, measure, all.iter().copied(), agg),
+                over(region, measure, &all, agg, 1),
                 group_aggregate(region, &rl, measure, agg),
                 "{agg:?}"
             );
@@ -363,7 +323,7 @@ mod tests {
         let amount = t.column("amount").unwrap();
         // Only rows 0, 2, 4: regions e, e, w with amounts 10, 30, 50.
         let pairs = [(0u32, 0u32), (2, 2), (4, 4)];
-        let sums = group_aggregate_pairs(region, Some(amount), pairs, AggFn::Sum);
+        let sums = over(region, Some(amount), &pairs, AggFn::Sum, 1);
         assert_eq!(
             sums,
             vec![
@@ -379,9 +339,9 @@ mod tests {
         );
         // Measure RID differing from group RID (the join shape): group by
         // row 0's region but measure row 5's amount.
-        let cross = group_aggregate_pairs(region, Some(amount), [(0u32, 5u32)], AggFn::Max);
+        let cross = over(region, Some(amount), &[(0, 5)], AggFn::Max, 1);
         assert_eq!(cross[0].value, 60);
-        assert!(group_aggregate_pairs(region, None, [], AggFn::Count).is_empty());
+        assert!(over(region, None, &[], AggFn::Count, 1).is_empty());
     }
 
     #[test]
@@ -401,35 +361,16 @@ mod tests {
         let pairs: Vec<(u32, u32)> = (0..n).map(|r| (r, (r + 7) % n)).collect();
         for agg in [AggFn::Count, AggFn::Sum, AggFn::Min, AggFn::Max] {
             let measure = (agg != AggFn::Count).then_some(amount);
-            let seq = group_aggregate_pairs(region, measure, pairs.iter().copied(), agg);
-            for threads in [0usize, 1, 2, 8] {
+            let seq = over(region, measure, &pairs, agg, 1);
+            for threads in [0usize, 2, 8] {
                 assert_eq!(
-                    group_aggregate_pairs_par(region, measure, &pairs, agg, threads),
+                    over(region, measure, &pairs, agg, threads),
                     seq,
                     "{agg:?} threads={threads}"
                 );
             }
         }
-        assert!(group_aggregate_pairs_par(region, None, &[], AggFn::Count, 8).is_empty());
-        // The in-place chunked and whole-table range variants agree too.
-        let all: Vec<(u32, u32)> = (0..n).map(|r| (r, r)).collect();
-        for agg in [AggFn::Count, AggFn::Sum, AggFn::Min, AggFn::Max] {
-            let measure = (agg != AggFn::Count).then_some(amount);
-            let seq = group_aggregate_pairs(region, measure, all.iter().copied(), agg);
-            for threads in [0usize, 1, 2, 8] {
-                assert_eq!(
-                    group_aggregate_chunked_par(region, measure, &all, |&p| p, agg, threads),
-                    seq,
-                    "{agg:?} threads={threads}"
-                );
-                assert_eq!(
-                    group_aggregate_rows_par(region, measure, n, agg, threads),
-                    seq,
-                    "{agg:?} threads={threads}"
-                );
-            }
-        }
-        assert!(group_aggregate_rows_par(region, None, 0, AggFn::Count, 8).is_empty());
+        assert!(over(region, None, &[], AggFn::Count, 8).is_empty());
     }
 
     #[test]

@@ -38,10 +38,10 @@
 //! ```
 //!
 //! Updates follow the paper's OLAP cycle (§2.3): mutate a column
-//! wholesale, then [`Database::rebuild_column`] reruns the batch-update
-//! cycle ([`apply_batch_kinds_par`]) for every index registered on it —
-//! the independent per-kind rebuilds fanning out across the worker pool
-//! sized by the catalog's [`ExecOptions`].
+//! wholesale, then [`Database::rebuild_column`] re-sorts it into a fresh
+//! RID list and rebuilds every index registered on it from scratch over
+//! that list's key array — the independent per-kind rebuilds fanning out
+//! across the worker pool sized by the catalog's [`ExecOptions`].
 //!
 //! **Concurrency** follows the epoch/snapshot discipline in
 //! [`snapshot`](crate::snapshot): the `Database` owns a private mutable
@@ -60,11 +60,11 @@ use crate::plan::ExecOptions;
 use crate::rid::RidList;
 use crate::snapshot::{CatalogState, DatabaseHandle, Handle, Snapshot, SwapSlot};
 use crate::table::Table;
-use crate::update::apply_batch_kinds_par;
+use ccindex_parallel::WorkerPool;
 use std::collections::BTreeMap;
 use std::ops::Deref;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The engine: tables plus their access paths, behind name resolution
 /// that fails with a typed, offender-naming [`MmdbError`] instead of a
@@ -277,8 +277,9 @@ impl Database {
     }
 
     /// Re-derive `table.column`'s RID list from the (possibly mutated)
-    /// column and rebuild every index registered on it from scratch via
-    /// the [`apply_batch_kinds_par`] cycle — §2.3: "it may be relatively
+    /// column and rebuild every index registered on it from scratch over
+    /// the list's key array, which the rebuilt indexes share exactly as
+    /// [`Database::create_index`] does — §2.3: "it may be relatively
     /// cheap to rebuild an index from scratch after a batch of updates."
     /// The per-kind rebuilds are independent, so they fan out across the
     /// worker pool sized by the catalog's [`ExecOptions::threads`]
@@ -313,16 +314,18 @@ impl Database {
                 table: table_name,
                 column: column.to_owned(),
             })?;
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         col_entry.rids = RidList::for_column(col);
         let sort_time = t0.elapsed();
-        // A wholesale replacement carries no key-level deltas, so the
-        // cycle runs with an empty batch: pure from-scratch rebuilds,
-        // one pool job per registered kind.
+        // One pool job per registered kind, each timed inside its job.
         let kinds: Vec<IndexKind> = col_entry.indexes.keys().copied().collect();
-        let cycle = apply_batch_kinds_par(col_entry.rids.keys(), &[], &[], &kinds, threads);
+        let keys = col_entry.rids.keys();
+        let built = WorkerPool::new(threads).run(kinds.len(), |i| {
+            let t0 = Instant::now();
+            (IndexHandle::build(kinds[i], keys), t0.elapsed())
+        });
         let mut rebuilds = Vec::with_capacity(kinds.len());
-        for (kind, handle, rebuild_time) in cycle.rebuilds {
+        for (kind, (handle, rebuild_time)) in kinds.into_iter().zip(built) {
             col_entry.indexes.insert(kind, Arc::new(handle));
             rebuilds.push((kind, rebuild_time));
         }
@@ -603,6 +606,25 @@ mod tests {
             }
         }
         assert_eq!(reference.unwrap(), vec![0, 2, 4]);
+    }
+
+    #[test]
+    fn a_rebuild_shares_the_rid_lists_keys() {
+        // The RID list holds the key array, and so does every kind built
+        // over it by sharing; a rebuild must leave the new list's array
+        // held exactly as `create_index` left the old one, not copied.
+        let mut db = sales_db();
+        for kind in [IndexKind::FullCss, IndexKind::BinarySearch, IndexKind::Hash] {
+            db.create_index("sales", "amount", kind).unwrap();
+        }
+        let holders = |db: &Database| db.rid_list("sales", "amount").unwrap().keys().holders();
+        let created = holders(&db);
+        assert!(created > 1, "the ordered kinds share the array");
+        db.replace_column("sales", "amount", (1..=5).map(Value::Int).collect())
+            .unwrap();
+        assert_eq!(holders(&db), created, "after replace_column");
+        db.rebuild_column("sales", "amount").unwrap();
+        assert_eq!(holders(&db), created, "after rebuild_column");
     }
 
     #[test]

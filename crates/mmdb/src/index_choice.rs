@@ -111,12 +111,13 @@ pub enum IndexHandle {
 }
 
 impl IndexHandle {
-    /// Build the handle for `kind` over a shared sorted key array.
+    /// Build the handle for `kind` over a shared sorted key array — the
+    /// one index constructor. Only the hash kind (§3.5) comes back as
+    /// [`IndexHandle::Point`].
     pub fn build(kind: IndexKind, keys: &SortedArray<u32>) -> Self {
-        if kind.is_ordered() {
-            IndexHandle::Ordered(build_ordered_index(kind, keys))
-        } else {
-            IndexHandle::Point(build_index(kind, keys))
+        match ordered_index(kind, keys) {
+            Some(index) => IndexHandle::Ordered(index),
+            None => IndexHandle::Point(Box::new(HashIndex::<u32, 7>::build(keys.as_slice()))),
         }
     }
 
@@ -148,19 +149,18 @@ impl std::fmt::Debug for IndexHandle {
 }
 
 /// Build a point-lookup index of the chosen kind over a shared sorted
-/// key array: the hash index, or any ordered kind seen through its
-/// `SearchIndex` supertrait.
+/// key array: [`IndexHandle::build`] seen through its `SearchIndex` view.
 pub fn build_index(kind: IndexKind, keys: &SortedArray<u32>) -> Box<dyn SearchIndex<u32>> {
-    match kind {
-        IndexKind::Hash => Box::new(HashIndex::<u32, 7>::build(keys.as_slice())),
-        ordered => build_ordered_index(ordered, keys),
+    match IndexHandle::build(kind, keys) {
+        IndexHandle::Point(index) => index,
+        IndexHandle::Ordered(index) => index,
     }
 }
 
-/// Build an ordered index (panics for [`IndexKind::Hash`], which cannot
-/// provide ordered access — §3.5).
-pub fn build_ordered_index(kind: IndexKind, keys: &SortedArray<u32>) -> Box<dyn OrderedIndex<u32>> {
-    match kind {
+/// The ordered arm of [`IndexHandle::build`]: `None` for
+/// [`IndexKind::Hash`], which cannot provide ordered access (§3.5).
+fn ordered_index(kind: IndexKind, keys: &SortedArray<u32>) -> Option<Box<dyn OrderedIndex<u32>>> {
+    Some(match kind {
         IndexKind::BinarySearch => Box::new(BinarySearch::from_shared(keys.clone())),
         IndexKind::InterpolationSearch => Box::new(InterpolationSearch::from_shared(keys.clone())),
         IndexKind::BinaryTree => Box::new(BinaryTreeIndex::build(keys.as_slice())),
@@ -168,8 +168,8 @@ pub fn build_ordered_index(kind: IndexKind, keys: &SortedArray<u32>) -> Box<dyn 
         IndexKind::BPlusTree => Box::new(BPlusTree::<u32, 8>::from_shared(keys.clone())),
         IndexKind::FullCss => Box::new(FullCssTree::<u32, 16>::from_shared(keys.clone())),
         IndexKind::LevelCss => Box::new(LevelCssTree::<u32, 16>::from_shared(keys.clone())),
-        IndexKind::Hash => panic!("hash indexes do not preserve order (§3.5)"),
-    }
+        IndexKind::Hash => return None,
+    })
 }
 
 #[cfg(test)]
@@ -202,7 +202,8 @@ mod tests {
         let ks = keys();
         let reference = ks.as_slice().to_vec();
         for kind in IndexKind::ORDERED {
-            let idx = build_ordered_index(kind, &ks);
+            let handle = IndexHandle::build(kind, &ks);
+            let idx = handle.as_ordered().expect("ordered kind");
             for probe in (0..1700u32).step_by(3) {
                 assert_eq!(
                     idx.lower_bound(probe),
@@ -218,12 +219,6 @@ mod tests {
         for kind in IndexKind::ALL {
             assert_eq!(kind.is_ordered(), kind != IndexKind::Hash);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "do not preserve order")]
-    fn hash_cannot_be_ordered() {
-        let _ = build_ordered_index(IndexKind::Hash, &keys());
     }
 
     #[test]

@@ -29,17 +29,20 @@
 //!   the domain is kept in value order,
 //! * [`mod@column`]/[`table`] — columnar tables of domain-encoded attributes,
 //! * [`rid`] — sorted RID lists (the arrays the indexes sit on),
-//! * [`index_choice`] — one constructor per paper method, all behind
+//! * [`index_choice`] — one constructor ([`IndexHandle::build`]) for
+//!   every paper method, all behind
 //!   `ccindex_common::OrderedIndex`/`SearchIndex`,
-//! * [`query`] — point select, range select, and indexed nested-loop join
-//!   (each with a `_par` partitioned variant chunking probes/RIDs across
-//!   workers),
-//! * [`aggregate`] — grouped aggregation over sorted RID lists and
-//!   arbitrary row sets (parallel variant: per-worker partial aggregates
-//!   merged at the barrier),
-//! * [`update`] — the OLAP batch-update cycle: apply inserts/deletes, then
-//!   rebuild affected indexes from scratch (§2.3: "it may be relatively
-//!   cheap to rebuild an index from scratch after a batch of updates").
+//! * [`query`] — point select, range select, and indexed nested-loop
+//!   join, one form each: batched at an explicit lane count and chunked
+//!   across an explicit number of workers (`1` runs inline),
+//! * [`aggregate`] — grouped aggregation over a sorted RID list, and over
+//!   arbitrary row pairs with per-worker partial aggregates merged at the
+//!   barrier,
+//! * [`update`] — the OLAP batch-update cycle over a bare key array:
+//!   merge inserts/deletes, then rebuild the index from scratch (§2.3:
+//!   "it may be relatively cheap to rebuild an index from scratch after a
+//!   batch of updates"); the catalog's own rebuild is
+//!   [`Database::rebuild_column`].
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
@@ -69,23 +72,13 @@ pub use plan::{
 pub use snapshot::{CatalogState, DatabaseHandle, Handle, Pinned, Snapshot, SwapSlot};
 
 // The physical layer.
-pub use aggregate::{
-    group_aggregate, group_aggregate_chunked_par, group_aggregate_pairs, group_aggregate_pairs_par,
-    group_aggregate_rows_par, AggFn, GroupRow,
-};
+pub use aggregate::{group_aggregate, group_aggregate_pairs, AggFn, GroupRow};
 pub use column::Column;
 pub use domain::{Domain, Value};
-pub use index_choice::{build_index, build_ordered_index, IndexHandle, IndexKind};
+pub use index_choice::{build_index, IndexHandle, IndexKind};
 pub use query::{
-    indexed_nested_loop_join, indexed_nested_loop_join_rids, indexed_nested_loop_join_rids_par,
-    point_select, point_select_many, point_select_many_lanes, point_select_many_ordered,
-    point_select_many_ordered_lanes, point_select_many_ordered_par, point_select_many_par,
-    point_select_ordered, range_select, range_select_many, range_select_many_lanes,
-    range_select_many_par, JoinRow, JOIN_PROBE_BLOCK,
+    indexed_nested_loop_join, point_select_many, range_select_many, JoinRow, JOIN_PROBE_BLOCK,
 };
 pub use rid::RidList;
 pub use table::{Table, TableBuilder};
-pub use update::{
-    apply_batch, apply_batch_handle, apply_batch_kinds_par, merge_batch, BatchResult,
-    HandleBatchResult, MultiBatchResult,
-};
+pub use update::{apply_batch, merge_batch, BatchResult};

@@ -55,16 +55,13 @@
 //! # }
 //! ```
 
-use crate::aggregate::{
-    group_aggregate_chunked_par, group_aggregate_pairs, group_aggregate_rows_par, AggFn, GroupRow,
-};
+use crate::aggregate::{group_aggregate_pairs, AggFn, GroupRow};
 use crate::column::Column;
 use crate::domain::Value;
 use crate::error::{MmdbError, Result};
 use crate::index_choice::{IndexHandle, IndexKind};
 use crate::query::{
-    id_run, indexed_nested_loop_join_rids_par, point_select_many_ordered_par,
-    point_select_many_par, range_select_many_par, JoinRow,
+    id_run, indexed_nested_loop_join, point_select_many, range_select_many, JoinRow,
 };
 use crate::rid::RidList;
 use crate::snapshot::{CatalogState, Pinned};
@@ -149,8 +146,8 @@ impl ExecOptions {
     /// [`Database::new`](crate::Database::new) uses, so a whole test
     /// suite or service can be switched to partitioned execution
     /// without a code change (CI runs the tests with
-    /// `CCINDEX_THREADS=8`, `CCINDEX_SHARDS=4` and
-    /// `CCINDEX_BATCH_MAX=16`). An unparsable variable no longer falls
+    /// `CCINDEX_THREADS=8`, `CCINDEX_SHARDS=4`, `CCINDEX_BATCH_MAX=16`
+    /// and `CCINDEX_LANES=3`). An unparsable variable no longer falls
     /// back *silently*: the typed error is logged to stderr, and only
     /// the offending knob takes its default — the other, correctly-set
     /// knobs keep their configured values.
@@ -985,7 +982,7 @@ impl Plan {
                         &all_rids
                     }
                 };
-                Some(indexed_nested_loop_join_rids_par(
+                Some(indexed_nested_loop_join(
                     outer_col,
                     outer_rids,
                     inner_col,
@@ -1013,70 +1010,40 @@ impl Plan {
                 Side::Outer => row.outer_rid,
                 Side::Inner => row.inner_rid,
             };
-            // One arm per row source; within each, the thread count is
-            // resolved against the source's actual row count (`0` =
-            // adaptive), the partitioned path chunks the source in place
-            // (no intermediate pair vector) and the sequential path
-            // streams it lazily.
-            let groups = match &joined {
-                Some(rows) => {
-                    let threads = resolve_threads(g.threads, rows.len());
+            // One call per row source, each read in place (no pair
+            // vector) with its thread count resolved against the source's
+            // own row count (`0` = adaptive).
+            let threads = |rows| resolve_threads(g.threads, rows);
+            let (measure, agg) = (measure_col, g.agg);
+            let groups = match (&joined, &selected) {
+                (Some(rows), _) => {
                     let measure_side = g.measure.as_ref().map_or(g.side, |(_, s)| *s);
-                    let to_pair = |r: &JoinRow| (pick(r, g.side), pick(r, measure_side));
-                    if threads != 1 {
-                        group_aggregate_chunked_par(
-                            group_col,
-                            measure_col,
-                            rows,
-                            to_pair,
-                            g.agg,
-                            threads,
-                        )
-                    } else {
-                        group_aggregate_pairs(
-                            group_col,
-                            measure_col,
-                            rows.iter().map(to_pair),
-                            g.agg,
-                        )
-                    }
+                    let pair = |i: usize| (pick(&rows[i], g.side), pick(&rows[i], measure_side));
+                    group_aggregate_pairs(
+                        group_col,
+                        measure,
+                        rows.len(),
+                        pair,
+                        agg,
+                        threads(rows.len()),
+                    )
                 }
-                None => match &selected {
-                    Some(rids) => {
-                        let threads = resolve_threads(g.threads, rids.len());
-                        if threads != 1 {
-                            group_aggregate_chunked_par(
-                                group_col,
-                                measure_col,
-                                rids,
-                                |&r| (r, r),
-                                g.agg,
-                                threads,
-                            )
-                        } else {
-                            group_aggregate_pairs(
-                                group_col,
-                                measure_col,
-                                rids.iter().map(|&r| (r, r)),
-                                g.agg,
-                            )
-                        }
-                    }
-                    None => {
-                        let rows = cat.table(&self.table)?.rows() as u32;
-                        let threads = resolve_threads(g.threads, rows as usize);
-                        if threads != 1 {
-                            group_aggregate_rows_par(group_col, measure_col, rows, g.agg, threads)
-                        } else {
-                            group_aggregate_pairs(
-                                group_col,
-                                measure_col,
-                                (0..rows).map(|r| (r, r)),
-                                g.agg,
-                            )
-                        }
-                    }
-                },
+                (None, Some(rids)) => {
+                    let pair = |i: usize| (rids[i], rids[i]);
+                    group_aggregate_pairs(
+                        group_col,
+                        measure,
+                        rids.len(),
+                        pair,
+                        agg,
+                        threads(rids.len()),
+                    )
+                }
+                (None, None) => {
+                    let rows = cat.table(&self.table)?.rows();
+                    let pair = |i: usize| (i as u32, i as u32);
+                    group_aggregate_pairs(group_col, measure, rows, pair, agg, threads(rows))
+                }
             };
             timings.group_ns = Some(node_ns(&grouping));
             timings.total_ns = node_ns(&started);
@@ -1215,11 +1182,11 @@ pub trait CatalogRead: Sync {
     /// Answer many equality probes on one `table.column` with a single
     /// probes-only sub-plan: one access-path resolution (the same
     /// preference order a [`Query::filter`]`(`[`eq`]`)` compiles to),
-    /// one batched domain encoding, and one
-    /// `search_batch`/`lower_bound_batch` index descent over all the
-    /// values, partitioned across workers when the catalog's
-    /// [`ExecOptions`] allow (`threads == 0` adapts to the probe
-    /// count). Returns one ascending RID set per value, in submission
+    /// one batched domain encoding, and one `search_batch` index
+    /// descent over all the values (plus the §3.6 rightward scan to the
+    /// end of each hit's run), partitioned across workers when the
+    /// catalog's [`ExecOptions`] allow (`threads == 0` adapts to the
+    /// probe count). Returns one ascending RID set per value, in submission
     /// order — element `i` is byte-identical to
     /// `query(table).filter(eq(column, values[i])).run()?.rids()`.
     ///
@@ -1333,22 +1300,14 @@ impl CatalogRead for CatalogState {
         let entry = self.column_entry(table, column)?;
         let handle = entry.indexes.get(&kind).expect("kind was just resolved");
         let threads = resolve_threads(self.exec.threads, values.len());
-        let lanes = self.exec.lanes;
-        // Each value's RIDs are one ID's run of the (ID, RID)-sorted list,
-        // so they come back ascending without a sort.
-        Ok(match &**handle {
-            IndexHandle::Ordered(idx) => point_select_many_ordered_par(
-                col,
-                &entry.rids,
-                idx.as_ref(),
-                values,
-                lanes,
-                threads,
-            ),
-            IndexHandle::Point(idx) => {
-                point_select_many_par(col, &entry.rids, idx.as_ref(), values, lanes, threads)
-            }
-        })
+        Ok(point_select_many(
+            col,
+            &entry.rids,
+            handle.as_search(),
+            values,
+            self.exec.lanes,
+            threads,
+        ))
     }
 
     fn range_probe_batch(
@@ -1368,12 +1327,14 @@ impl CatalogRead for CatalogState {
                 column: column.to_owned(),
             })?;
         let threads = resolve_threads(self.exec.threads, ranges.len());
-        let mut out =
-            range_select_many_par(col, &entry.rids, idx, ranges, self.exec.lanes, threads);
-        for rids in &mut out {
-            rids.sort_unstable();
-        }
-        Ok(out)
+        Ok(range_select_many(
+            col,
+            &entry.rids,
+            idx,
+            ranges,
+            self.exec.lanes,
+            threads,
+        ))
     }
 
     fn compile(&self, spec: &QuerySpec) -> Result<Plan> {

@@ -1,30 +1,39 @@
-//! Query operators: the paper's three index consumers (§2.2), batched.
+//! Query operators: the paper's three index consumers (§2.2), batched,
+//! one public form each.
 //!
 //! 1. "searching an index is still useful for answering single value
 //!    selection queries and range queries" — [`point_select_many`] and
-//!    [`range_select_many`] (with [`point_select`] / [`range_select`] as
-//!    the batch-of-one conveniences, and
-//!    [`point_select_ordered`] / [`point_select_many_ordered`] asking an
-//!    ordered index for whole duplicate runs via `equal_range` instead of
-//!    the §3.6 rightward scan, which only the hash path needs);
+//!    [`range_select_many`];
 //! 2. "cheaper random access makes indexed nested loop joins more
 //!    affordable ... This approach requires a lot of searching through
 //!    indexes on the inner relations" — [`indexed_nested_loop_join`];
 //! 3. "transforming domain values to domain IDs requires searching on the
-//!    domain" — every operator below starts with a batched domain
-//!    [`encode_batch`](crate::domain::Domain::encode_batch).
+//!    domain" — every operator below starts with a batched domain search
+//!    ([`encode_batch`](crate::domain::Domain::encode_batch),
+//!    [`id_range`](crate::domain::Domain::id_range), or the join's
+//!    outer→inner domain translation).
 //!
 //! In the decision-support setting probes arrive by the hundred-thousand,
-//! so every operator hands the index whole probe batches
-//! (`search_batch` / `lower_bound_batch`); batch-aware structures such as
-//! the CSS-trees answer them with interleaved multi-lane descents instead
-//! of one serialised lookup per probe.
+//! so every operator hands the index whole probe batches at an explicit
+//! interleave `lanes` count, and chunks its input across `threads`
+//! workers of a [`WorkerPool`] (`1` runs inline, `0` is one worker per
+//! core). Chunk outputs concatenate in input order, so the answer is the
+//! same for every `lanes` and `threads`.
+//!
+//! Two run primitives over the sorted RID list sit under the operators:
+//! * *point runs*, for every kind: one `search_batch_lanes` finds each
+//!   ID's leftmost match, and the §3.6 "sequentially scan towards right"
+//!   finds the end of its run. The run is copied out anyway, so the scan
+//!   never costs more than the output;
+//! * *interval runs*, for ordered kinds: one `lower_bound_batch_lanes`
+//!   over every `[lo, hi + 1]` pair.
 
 use crate::column::Column;
 use crate::domain::Value;
 use crate::index_choice::IndexHandle;
 use crate::rid::RidList;
-use ccindex_common::{OrderedIndex, SearchIndex, DEFAULT_BATCH_LANES};
+use ccindex_common::{OrderedIndex, SearchIndex};
+use ccindex_parallel::WorkerPool;
 
 /// One output row of an indexed nested-loop join.
 ///
@@ -46,13 +55,9 @@ pub struct JoinRow {
 /// cache-resident.
 pub const JOIN_PROBE_BLOCK: usize = 1024;
 
-/// The §3.6 duplicate primitive for indexes that only answer point
-/// lookups (the hash index): given the leftmost match `first`, scan
-/// rightward through the sorted key array for the end of the run of
-/// `id`. Ordered indexes do **not** come through here — they answer the
-/// same question with [`OrderedIndex::equal_range`] (or its batched
-/// `lower_bound_batch` form), so this is the single place the hand-rolled
-/// scan lives.
+/// The §3.6 duplicate primitive: given the leftmost match `first` of
+/// `id`, scan rightward through the sorted key array for the end of its
+/// run.
 fn duplicate_run_end(keys: &[u32], first: usize, id: u32) -> usize {
     let mut end = first;
     while end < keys.len() && keys[end] == id {
@@ -61,344 +66,135 @@ fn duplicate_run_end(keys: &[u32], first: usize, id: u32) -> usize {
     end
 }
 
-/// The half-open sorted-position run `[start, end)` of `rid_list` that
-/// holds the domain IDs `lo..=hi`, located through `index`: two lower
-/// bounds on an ordered kind ([`OrderedIndex::key_range`]), or on the hash
-/// kind — which only ever receives a point, `lo == hi` — one search plus
-/// the §3.6 rightward duplicate scan. The run is `(id, rid)`-ordered, so a
-/// single ID's run is ascending by RID.
-pub(crate) fn id_run(index: &IndexHandle, rid_list: &RidList, lo: u32, hi: u32) -> (usize, usize) {
-    match index {
-        IndexHandle::Ordered(idx) => idx.key_range(lo, hi),
-        IndexHandle::Point(idx) => {
-            debug_assert_eq!(lo, hi, "the hash kind answers points only");
-            let keys = rid_list.keys().as_slice();
-            idx.search(lo)
-                .map_or((0, 0), |first| (first, duplicate_run_end(keys, first, lo)))
-        }
-    }
-}
-
-/// All RIDs whose column value equals `value`, via one index search plus
-/// the §3.6 rightward duplicate scan. Single-probe fast path — batches of
-/// constants should go through [`point_select_many`] instead (it is
-/// equivalence-tested against this function for every index kind). With
-/// an ordered index in hand, prefer [`point_select_ordered`], which asks
-/// the index for the whole duplicate run directly.
-pub fn point_select(
-    column: &Column,
-    rid_list: &RidList,
+/// Point runs: the sorted-position run `[start, end)` of `rid_list` that
+/// holds each ID of `ids` (`(0, 0)` for an ID no row has), from one
+/// batched search plus the §3.6 rightward scan per hit.
+fn point_runs<'a>(
+    rid_list: &'a RidList,
     index: &dyn SearchIndex<u32>,
-    value: &Value,
-) -> Vec<u32> {
-    let Some(id) = column.domain().encode(value) else {
-        return Vec::new(); // value not in the domain: no rows
-    };
-    let Some(first) = index.search(id) else {
-        return Vec::new();
-    };
-    let end = duplicate_run_end(rid_list.keys().as_slice(), first, id);
-    rid_list.rids_in(first, end).to_vec()
-}
-
-/// All RIDs whose column value equals `value`, asking an ordered index
-/// for the duplicate run via [`OrderedIndex::equal_range`] — no manual
-/// scan over the key array (§3.6 "find the leftmost element ... and
-/// sequentially scan towards right" is the *hash-index* fallback; ordered
-/// directories locate both ends of the run by descent).
-pub fn point_select_ordered(
-    column: &Column,
-    rid_list: &RidList,
-    index: &dyn OrderedIndex<u32>,
-    value: &Value,
-) -> Vec<u32> {
-    let Some(id) = column.domain().encode(value) else {
-        return Vec::new();
-    };
-    let (start, end) = index.equal_range(id);
-    rid_list.rids_in(start, end).to_vec()
-}
-
-/// One RID set per probe value through an ordered index: a single batched
-/// domain encoding, then one `lower_bound_batch` holding **both** ends of
-/// every probe's duplicate run (the batched form of
-/// [`OrderedIndex::equal_range`]) — no per-hit rightward scan.
-pub fn point_select_many_ordered(
-    column: &Column,
-    rid_list: &RidList,
-    index: &dyn OrderedIndex<u32>,
-    values: &[Value],
-) -> Vec<Vec<u32>> {
-    point_select_many_ordered_lanes(column, rid_list, index, values, DEFAULT_BATCH_LANES)
-}
-
-/// [`point_select_many_ordered`] with an explicit interleave lane count,
-/// forwarded to the index through
-/// [`OrderedIndex::lower_bound_batch_lanes`] (ignored by structures that
-/// are not batch-aware).
-pub fn point_select_many_ordered_lanes(
-    column: &Column,
-    rid_list: &RidList,
-    index: &dyn OrderedIndex<u32>,
-    values: &[Value],
+    ids: &'a [u32],
     lanes: usize,
-) -> Vec<Vec<u32>> {
-    let mut out = vec![Vec::new(); values.len()];
-    let ids = column.domain().encode_batch(values);
-    // (slot, end-probe present?) per in-domain value; probes laid out
-    // flat as [id0, id0+1, id1, id1+1, ...] minus unrepresentable ends.
-    let mut pending: Vec<(usize, bool)> = Vec::new();
-    let mut probes: Vec<u32> = Vec::new();
-    for (slot, id) in ids.into_iter().enumerate() {
-        let Some(id) = id else { continue };
-        probes.push(id);
-        match id.checked_add(1) {
-            Some(next) => {
-                probes.push(next);
-                pending.push((slot, true));
-            }
-            None => pending.push((slot, false)),
-        }
-    }
-    let bounds = index.lower_bound_batch_lanes(&probes, lanes);
-    let mut at = 0usize;
-    for (slot, has_end) in pending {
-        let start = bounds[at];
-        at += 1;
-        let end = if has_end {
-            at += 1;
-            bounds[at - 1]
-        } else {
-            index.len()
-        };
-        out[slot] = rid_list.rids_in(start, end.max(start)).to_vec();
-    }
-    out
-}
-
-/// Partitioned [`point_select_many_ordered`]: the probe values are
-/// chunked across `threads` workers (`0` = one per core), each chunk
-/// running the batched ordered select at `lanes`; per-value RID sets come
-/// back in value order, byte-identical to the sequential operator.
-pub fn point_select_many_ordered_par(
-    column: &Column,
-    rid_list: &RidList,
-    index: &dyn OrderedIndex<u32>,
-    values: &[Value],
-    lanes: usize,
-    threads: usize,
-) -> Vec<Vec<u32>> {
-    ccindex_parallel::WorkerPool::new(threads).flat_map_chunks(values, |chunk| {
-        point_select_many_ordered_lanes(column, rid_list, index, chunk, lanes)
+) -> impl Iterator<Item = (usize, usize)> + 'a {
+    let keys = rid_list.keys().as_slice();
+    let hits = index.search_batch_lanes(ids, lanes);
+    ids.iter().zip(hits).map(move |(&id, hit)| {
+        hit.map_or((0, 0), |first| (first, duplicate_run_end(keys, first, id)))
     })
 }
 
-/// One RID set per probe value: a single batched domain encoding followed
-/// by a single batched index probe, plus the §3.6 rightward duplicate
-/// scan per hit.
+/// Interval runs: the sorted-position run `[start, end)` that holds the
+/// IDs `lo..=hi` of each interval, from one batched lower bound over
+/// every `[lo, hi + 1]` pair. `hi + 1` past `u32::MAX` lies past every
+/// key, so such a run ends at the index's length.
+fn interval_runs(
+    index: &dyn OrderedIndex<u32>,
+    intervals: &[(u32, u32)],
+    lanes: usize,
+) -> Vec<(usize, usize)> {
+    let probes: Vec<u32> = intervals
+        .iter()
+        .flat_map(|&(lo, hi)| [lo, hi.saturating_add(1)])
+        .collect();
+    let bounds = index.lower_bound_batch_lanes(&probes, lanes);
+    intervals
+        .iter()
+        .zip(bounds.chunks_exact(2))
+        .map(|(&(_, hi), b)| (b[0], if hi == u32::MAX { index.len() } else { b[1] }))
+        .collect()
+}
+
+/// The half-open sorted-position run `[start, end)` of `rid_list` that
+/// holds the domain IDs `lo..=hi`, for one filter of a conjunction. An
+/// ordered kind takes two key bounds ([`OrderedIndex::key_range`]): a
+/// filter that does not drive the conjunction is only *located*, so it
+/// must cost O(log n), not a scan of its run. The hash kind only ever
+/// receives a point, `lo == hi`, and answers with its point run. The run
+/// is `(id, rid)`-ordered, so a single ID's run is ascending by RID.
+pub(crate) fn id_run(index: &IndexHandle, rid_list: &RidList, lo: u32, hi: u32) -> (usize, usize) {
+    match index.as_ordered() {
+        Some(idx) => idx.key_range(lo, hi),
+        None => {
+            debug_assert_eq!(lo, hi, "the hash kind answers points only");
+            point_runs(rid_list, index.as_search(), &[lo], 1)
+                .next()
+                .expect("one run per ID")
+        }
+    }
+}
+
+/// One ascending RID set per probe value: a single batched domain
+/// encoding, then one point run per value in the domain (a value outside
+/// it matches no rows and is not probed). Any kind serves it.
 pub fn point_select_many(
     column: &Column,
     rid_list: &RidList,
     index: &dyn SearchIndex<u32>,
     values: &[Value],
-) -> Vec<Vec<u32>> {
-    point_select_many_lanes(column, rid_list, index, values, DEFAULT_BATCH_LANES)
-}
-
-/// [`point_select_many`] with an explicit interleave lane count (see
-/// [`SearchIndex::search_batch_lanes`]).
-pub fn point_select_many_lanes(
-    column: &Column,
-    rid_list: &RidList,
-    index: &dyn SearchIndex<u32>,
-    values: &[Value],
-    lanes: usize,
-) -> Vec<Vec<u32>> {
-    let mut out = vec![Vec::new(); values.len()];
-    // Consumer #3, batched: constants -> domain IDs. Values outside the
-    // domain match no rows and are not probed at all.
-    let ids = column.domain().encode_batch(values);
-    let mut probe_ids = Vec::with_capacity(values.len());
-    let mut probe_slots = Vec::with_capacity(values.len());
-    for (slot, id) in ids.into_iter().enumerate() {
-        if let Some(id) = id {
-            probe_ids.push(id);
-            probe_slots.push(slot);
-        }
-    }
-    let keys = rid_list.keys().as_slice();
-    for ((&slot, &id), hit) in probe_slots
-        .iter()
-        .zip(&probe_ids)
-        .zip(index.search_batch_lanes(&probe_ids, lanes))
-    {
-        if let Some(first) = hit {
-            let end = duplicate_run_end(keys, first, id);
-            out[slot] = rid_list.rids_in(first, end).to_vec();
-        }
-    }
-    out
-}
-
-/// Partitioned [`point_select_many`]; see
-/// [`point_select_many_ordered_par`] for the chunking contract.
-pub fn point_select_many_par(
-    column: &Column,
-    rid_list: &RidList,
-    index: &dyn SearchIndex<u32>,
-    values: &[Value],
     lanes: usize,
     threads: usize,
 ) -> Vec<Vec<u32>> {
-    ccindex_parallel::WorkerPool::new(threads).flat_map_chunks(values, |chunk| {
-        point_select_many_lanes(column, rid_list, index, chunk, lanes)
+    WorkerPool::new(threads).flat_map_chunks(values, |chunk| {
+        let ids = column.domain().encode_batch(chunk);
+        let found: Vec<u32> = ids.iter().flatten().copied().collect();
+        let mut runs = point_runs(rid_list, index, &found, lanes);
+        ids.iter()
+            .map(|id| {
+                let (start, end) = id.and_then(|_| runs.next()).unwrap_or((0, 0));
+                rid_list.rids_in(start, end).to_vec()
+            })
+            .collect()
     })
 }
 
-/// All RIDs whose column value lies in the inclusive range `[lo, hi]`.
-/// Requires an ordered index (hash indexes cannot serve range queries).
-///
-/// Single-range fast path using the trait's [`OrderedIndex::key_range`]
-/// (the source of truth for inclusive-range semantics); batches of
-/// ranges should go through [`range_select_many`], which is
-/// equivalence-tested against this function for every ordered kind.
-pub fn range_select(
-    column: &Column,
-    rid_list: &RidList,
-    index: &dyn OrderedIndex<u32>,
-    lo: &Value,
-    hi: &Value,
-) -> Vec<u32> {
-    let Some((lo_id, hi_id)) = column.domain().id_range(lo, hi) else {
-        return Vec::new();
-    };
-    let (start, end) = index.key_range(lo_id, hi_id);
-    rid_list.rids_in(start, end).to_vec()
-}
-
-/// One RID set per inclusive value range. Each range contributes its two
-/// positional bounds to a single `lower_bound_batch` over the index, so a
-/// batch-aware structure descends for all ranges' endpoints concurrently.
+/// One ascending RID set per inclusive value range; an inverted range,
+/// or one that holds no domain value, matches nothing. Each range's ID
+/// interval is one interval run of a single batched lower bound, so an
+/// ordered kind is required. A run spanning several IDs is ordered by
+/// `(id, rid)`, so it is sorted once copied out.
 pub fn range_select_many(
     column: &Column,
     rid_list: &RidList,
     index: &dyn OrderedIndex<u32>,
     ranges: &[(Value, Value)],
-) -> Vec<Vec<u32>> {
-    range_select_many_lanes(column, rid_list, index, ranges, DEFAULT_BATCH_LANES)
-}
-
-/// [`range_select_many`] with an explicit interleave lane count (see
-/// [`OrderedIndex::lower_bound_batch_lanes`]).
-pub fn range_select_many_lanes(
-    column: &Column,
-    rid_list: &RidList,
-    index: &dyn OrderedIndex<u32>,
-    ranges: &[(Value, Value)],
-    lanes: usize,
-) -> Vec<Vec<u32>> {
-    let mut out = vec![Vec::new(); ranges.len()];
-    // (slot, end-probe present?) per non-empty ID range; probes laid out
-    // flat as [lo0, end0, lo1, end1, ...] minus any absent end probes.
-    let mut pending: Vec<(usize, bool)> = Vec::new();
-    let mut probes: Vec<u32> = Vec::new();
-    for (slot, (lo, hi)) in ranges.iter().enumerate() {
-        let Some((lo_id, hi_id)) = column.domain().id_range(lo, hi) else {
-            continue;
-        };
-        probes.push(lo_id);
-        // `hi_id + 1` is the exclusive ID bound; if it is unrepresentable
-        // every key from `lo_id` on matches and the end is `len`.
-        match hi_id.checked_add(1) {
-            Some(next) => {
-                probes.push(next);
-                pending.push((slot, true));
-            }
-            None => pending.push((slot, false)),
-        }
-    }
-    let bounds = index.lower_bound_batch_lanes(&probes, lanes);
-    let mut at = 0usize;
-    for (slot, has_end) in pending {
-        let start = bounds[at];
-        at += 1;
-        let end = if has_end {
-            at += 1;
-            bounds[at - 1]
-        } else {
-            index.len()
-        };
-        out[slot] = rid_list.rids_in(start, end.max(start)).to_vec();
-    }
-    out
-}
-
-/// Partitioned [`range_select_many`]; see
-/// [`point_select_many_ordered_par`] for the chunking contract.
-pub fn range_select_many_par(
-    column: &Column,
-    rid_list: &RidList,
-    index: &dyn OrderedIndex<u32>,
-    ranges: &[(Value, Value)],
     lanes: usize,
     threads: usize,
 ) -> Vec<Vec<u32>> {
-    ccindex_parallel::WorkerPool::new(threads).flat_map_chunks(ranges, |chunk| {
-        range_select_many_lanes(column, rid_list, index, chunk, lanes)
+    WorkerPool::new(threads).flat_map_chunks(ranges, |chunk| {
+        let intervals: Vec<Option<(u32, u32)>> = chunk
+            .iter()
+            .map(|(lo, hi)| column.domain().id_range(lo, hi))
+            .collect();
+        let found: Vec<(u32, u32)> = intervals.iter().flatten().copied().collect();
+        let mut runs = interval_runs(index, &found, lanes).into_iter();
+        intervals
+            .iter()
+            .map(|interval| {
+                let Some((lo, hi)) = *interval else {
+                    return Vec::new();
+                };
+                let (start, end) = runs.next().expect("one run per interval");
+                let mut rids = rid_list.rids_in(start, end).to_vec();
+                if lo != hi {
+                    rids.sort_unstable();
+                }
+                rids
+            })
+            .collect()
     })
 }
 
-/// Indexed nested-loop join — "pipelinable, requiring minimal storage for
-/// intermediate results" (§2.2). Equal inner duplicates all match.
+/// Indexed nested-loop join of the outer RID stream `outer_rids` against
+/// `inner` — "pipelinable, requiring minimal storage for intermediate
+/// results" (§2.2): the RID set of a filter streams straight into the
+/// probe blocks. `outer_rids` need not be sorted; the output follows its
+/// order, and each outer row's inner matches come out ascending.
 ///
 /// Batch-shaped on both of the paper's search axes: the outer *domain*
-/// (the distinct values the RID stream carries, not its rows) is
-/// translated into inner-domain IDs with one batched dictionary search
-/// up front, and outer rows then
-/// stream through the inner index [`JOIN_PROBE_BLOCK`] probes at a time
-/// via `search_batch`, which batch-aware indexes answer with interleaved
-/// descents.
+/// (the distinct values the stream carries, not its rows) is translated
+/// into inner-domain IDs with one batched dictionary search up front, and
+/// outer rows then become point runs of the inner index
+/// [`JOIN_PROBE_BLOCK`] probes at a time.
 pub fn indexed_nested_loop_join(
-    outer: &Column,
-    inner: &Column,
-    inner_rids: &RidList,
-    inner_index: &dyn SearchIndex<u32>,
-) -> Vec<JoinRow> {
-    let all: Vec<u32> = (0..outer.len() as u32).collect();
-    indexed_nested_loop_join_rids(outer, &all, inner, inner_rids, inner_index)
-}
-
-/// [`indexed_nested_loop_join`] restricted to a subset of outer rows —
-/// the shape a query plan produces when selections precede the join
-/// ("pipelinable": the RID set from a filter streams straight into the
-/// probe blocks). `outer_rids` need not be sorted; output order follows
-/// it. Joining every outer row is exactly
-/// `indexed_nested_loop_join(..)`, which delegates here.
-pub fn indexed_nested_loop_join_rids(
-    outer: &Column,
-    outer_rids: &[u32],
-    inner: &Column,
-    inner_rids: &RidList,
-    inner_index: &dyn SearchIndex<u32>,
-) -> Vec<JoinRow> {
-    let translation = join_translation(outer, outer_rids, inner);
-    join_rids_translated(
-        outer,
-        outer_rids,
-        inner_rids,
-        inner_index,
-        &translation,
-        DEFAULT_BATCH_LANES,
-    )
-}
-
-/// Partitioned [`indexed_nested_loop_join_rids`]: the outer RID stream is
-/// chunked across `threads` workers (`0` = one per core) over one shared
-/// outer→inner domain translation, each chunk streaming through the
-/// inner index in [`JOIN_PROBE_BLOCK`]-probe blocks at `lanes` interleave
-/// lanes. Chunk outputs concatenate in outer-stream order, so the result
-/// is byte-identical to the sequential join.
-pub fn indexed_nested_loop_join_rids_par(
     outer: &Column,
     outer_rids: &[u32],
     inner: &Column,
@@ -408,8 +204,34 @@ pub fn indexed_nested_loop_join_rids_par(
     threads: usize,
 ) -> Vec<JoinRow> {
     let translation = join_translation(outer, outer_rids, inner);
-    ccindex_parallel::WorkerPool::new(threads).flat_map_chunks(outer_rids, |chunk| {
-        join_rids_translated(outer, chunk, inner_rids, inner_index, &translation, lanes)
+    WorkerPool::new(threads).flat_map_chunks(outer_rids, |chunk| {
+        let mut out = Vec::new();
+        let mut probe_ids: Vec<u32> = Vec::with_capacity(JOIN_PROBE_BLOCK);
+        let mut probe_rids: Vec<u32> = Vec::with_capacity(JOIN_PROBE_BLOCK);
+        for block in chunk.chunks(JOIN_PROBE_BLOCK) {
+            probe_ids.clear();
+            probe_rids.clear();
+            for &outer_rid in block {
+                // Outer values the inner domain does not contain join nothing.
+                if let Some(inner_id) = translation[outer.id(outer_rid) as usize] {
+                    probe_ids.push(inner_id);
+                    probe_rids.push(outer_rid);
+                }
+            }
+            let runs = point_runs(inner_rids, inner_index, &probe_ids, lanes);
+            for (&outer_rid, (start, end)) in probe_rids.iter().zip(runs) {
+                out.extend(
+                    inner_rids
+                        .rids_in(start, end)
+                        .iter()
+                        .map(|&inner_rid| JoinRow {
+                            outer_rid,
+                            inner_rid,
+                        }),
+                );
+            }
+        }
+        out
     })
 }
 
@@ -440,54 +262,10 @@ fn join_translation(outer: &Column, outer_rids: &[u32], inner: &Column) -> Vec<O
     translation
 }
 
-/// The blocked probe loop shared by the sequential and partitioned joins:
-/// stream `outer_rids` through `inner_index` with the outer→inner domain
-/// `translation` already in hand.
-fn join_rids_translated(
-    outer: &Column,
-    outer_rids: &[u32],
-    inner_rids: &RidList,
-    inner_index: &dyn SearchIndex<u32>,
-    translation: &[Option<u32>],
-    lanes: usize,
-) -> Vec<JoinRow> {
-    let mut out = Vec::new();
-    let inner_keys = inner_rids.keys().as_slice();
-    let mut probe_ids: Vec<u32> = Vec::with_capacity(JOIN_PROBE_BLOCK);
-    let mut probe_rids: Vec<u32> = Vec::with_capacity(JOIN_PROBE_BLOCK);
-    for block in outer_rids.chunks(JOIN_PROBE_BLOCK) {
-        probe_ids.clear();
-        probe_rids.clear();
-        for &outer_rid in block {
-            // Outer values the inner domain does not contain join nothing.
-            if let Some(inner_id) = translation[outer.id(outer_rid) as usize] {
-                probe_ids.push(inner_id);
-                probe_rids.push(outer_rid);
-            }
-        }
-        for ((&outer_rid, &inner_id), hit) in probe_rids
-            .iter()
-            .zip(&probe_ids)
-            .zip(inner_index.search_batch_lanes(&probe_ids, lanes))
-        {
-            if let Some(first) = hit {
-                let end = duplicate_run_end(inner_keys, first, inner_id);
-                for pos in first..end {
-                    out.push(JoinRow {
-                        outer_rid,
-                        inner_rid: inner_rids.rid(pos),
-                    });
-                }
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index_choice::{build_index, build_ordered_index, IndexKind};
+    use crate::index_choice::IndexKind;
     use crate::table::TableBuilder;
 
     fn setup() -> (crate::table::Table, RidList) {
@@ -499,16 +277,41 @@ mod tests {
         (t, rl)
     }
 
+    fn ints(values: &[i64]) -> Vec<Value> {
+        values.iter().map(|&v| Value::Int(v)).collect()
+    }
+
+    fn int_ranges(ranges: &[(i64, i64)]) -> Vec<(Value, Value)> {
+        ranges
+            .iter()
+            .map(|&(a, b)| (Value::Int(a), Value::Int(b)))
+            .collect()
+    }
+
+    /// Every row of `column`, in RID order: the whole-column outer stream.
+    fn every_rid(column: &Column) -> Vec<u32> {
+        (0..column.len() as u32).collect()
+    }
+
+    /// Join every outer row at the default lanes, inline.
+    fn join_all(
+        outer: &Column,
+        inner: &Column,
+        inner_rids: &RidList,
+        index: &IndexHandle,
+    ) -> Vec<JoinRow> {
+        let all = every_rid(outer);
+        indexed_nested_loop_join(outer, &all, inner, inner_rids, index.as_search(), 8, 1)
+    }
+
     #[test]
     fn point_select_returns_all_duplicates() {
         let (t, rl) = setup();
         let col = t.column("amount").unwrap();
         for kind in IndexKind::ALL {
-            let idx = build_index(kind, rl.keys());
-            let mut rids = point_select(col, &rl, idx.as_ref(), &Value::Int(10));
-            rids.sort_unstable();
-            assert_eq!(rids, vec![1, 3, 5], "{kind:?}");
-            assert!(point_select(col, &rl, idx.as_ref(), &Value::Int(99)).is_empty());
+            let idx = IndexHandle::build(kind, rl.keys());
+            let got = point_select_many(col, &rl, idx.as_search(), &ints(&[10, 99]), 8, 1);
+            assert_eq!(got, vec![vec![1, 3, 5], vec![]], "{kind:?}");
         }
     }
 
@@ -517,18 +320,15 @@ mod tests {
         let (t, rl) = setup();
         let col = t.column("amount").unwrap();
         for kind in IndexKind::ORDERED {
-            let idx = build_ordered_index(kind, rl.keys());
-            let mut rids = range_select(col, &rl, idx.as_ref(), &Value::Int(15), &Value::Int(30));
-            rids.sort_unstable();
-            assert_eq!(rids, vec![0, 2, 4], "{kind:?}");
-            // Band with no domain values.
-            assert!(
-                range_select(col, &rl, idx.as_ref(), &Value::Int(31), &Value::Int(39)).is_empty()
-            );
-            // Full range.
+            let handle = IndexHandle::build(kind, rl.keys());
+            let idx = handle.as_ordered().expect("ordered kind");
+            // A band, a band with no domain values, and the full range.
+            let ranges = int_ranges(&[(15, 30), (31, 39), (0, 100)]);
+            let got = range_select_many(col, &rl, idx, &ranges, 8, 1);
             assert_eq!(
-                range_select(col, &rl, idx.as_ref(), &Value::Int(0), &Value::Int(100)).len(),
-                7
+                got,
+                vec![vec![0, 2, 4], vec![], vec![0, 1, 2, 3, 4, 5, 6]],
+                "{kind:?}"
             );
         }
     }
@@ -537,50 +337,46 @@ mod tests {
     fn point_select_many_matches_single_selects() {
         let (t, rl) = setup();
         let col = t.column("amount").unwrap();
-        let probes: Vec<Value> = [10i64, 99, 30, 40, 10, -5]
-            .iter()
-            .map(|&v| Value::Int(v))
-            .collect();
+        let probes = ints(&[10, 99, 30, 40, 10, -5]);
         for kind in IndexKind::ALL {
-            let idx = build_index(kind, rl.keys());
-            let many = point_select_many(col, &rl, idx.as_ref(), &probes);
-            assert_eq!(many.len(), probes.len());
-            for (value, got) in probes.iter().zip(&many) {
-                assert_eq!(
-                    got,
-                    &point_select(col, &rl, idx.as_ref(), value),
-                    "{kind:?}"
-                );
+            let idx = IndexHandle::build(kind, rl.keys());
+            for lanes in [1, 3, 8] {
+                let many = point_select_many(col, &rl, idx.as_search(), &probes, lanes, 1);
+                assert_eq!(many.len(), probes.len());
+                for (value, got) in probes.iter().zip(&many) {
+                    let single = point_select_many(
+                        col,
+                        &rl,
+                        idx.as_search(),
+                        std::slice::from_ref(value),
+                        lanes,
+                        1,
+                    );
+                    assert_eq!(single, std::slice::from_ref(got), "{kind:?} lanes={lanes}");
+                }
             }
-            assert!(point_select_many(col, &rl, idx.as_ref(), &[]).is_empty());
+            assert!(point_select_many(col, &rl, idx.as_search(), &[], 8, 1).is_empty());
         }
     }
 
     #[test]
     fn ordered_point_selects_match_the_scan_path() {
+        // On ordered kinds the §3.6 scan must end each run exactly where
+        // the directory's own `equal_range` does.
         let (t, rl) = setup();
         let col = t.column("amount").unwrap();
-        let probes: Vec<Value> = [10i64, 99, 30, 40, 10, -5]
-            .iter()
-            .map(|&v| Value::Int(v))
-            .collect();
+        let probes = ints(&[10, 99, 30, 40, 10, -5]);
         for kind in IndexKind::ORDERED {
-            let ordered = build_ordered_index(kind, rl.keys());
-            let scan = build_index(kind, rl.keys());
-            for value in &probes {
-                assert_eq!(
-                    point_select_ordered(col, &rl, ordered.as_ref(), value),
-                    point_select(col, &rl, scan.as_ref(), value),
-                    "{kind:?} {value}"
-                );
+            let handle = IndexHandle::build(kind, rl.keys());
+            let ordered = handle.as_ordered().expect("ordered kind");
+            let many = point_select_many(col, &rl, handle.as_search(), &probes, 8, 1);
+            for (value, got) in probes.iter().zip(&many) {
+                let want = col.domain().encode(value).map_or(&[][..], |id| {
+                    let (start, end) = ordered.equal_range(id);
+                    rl.rids_in(start, end)
+                });
+                assert_eq!(got, want, "{kind:?} {value}");
             }
-            let many = point_select_many_ordered(col, &rl, ordered.as_ref(), &probes);
-            assert_eq!(
-                many,
-                point_select_many(col, &rl, scan.as_ref(), &probes),
-                "{kind:?}"
-            );
-            assert!(point_select_many_ordered(col, &rl, ordered.as_ref(), &[]).is_empty());
         }
     }
 
@@ -598,11 +394,12 @@ mod tests {
         let crids = RidList::for_column(ccol);
         let ocol = orders.column("cust").unwrap();
         for kind in IndexKind::ALL {
-            let idx = build_index(kind, crids.keys());
-            let full = indexed_nested_loop_join(ocol, ccol, &crids, idx.as_ref());
-            // The subset path with rids {0, 3} must equal the full join
-            // filtered to those outer rows.
-            let subset = indexed_nested_loop_join_rids(ocol, &[0, 3], ccol, &crids, idx.as_ref());
+            let idx = IndexHandle::build(kind, crids.keys());
+            let full = join_all(ocol, ccol, &crids, &idx);
+            // The subset stream {0, 3} must equal the full join filtered
+            // to those outer rows.
+            let subset =
+                indexed_nested_loop_join(ocol, &[0, 3], ccol, &crids, idx.as_search(), 8, 1);
             let expected: Vec<JoinRow> = full
                 .iter()
                 .filter(|j| j.outer_rid == 0 || j.outer_rid == 3)
@@ -610,7 +407,7 @@ mod tests {
                 .collect();
             assert_eq!(subset, expected, "{kind:?}");
             assert!(
-                indexed_nested_loop_join_rids(ocol, &[], ccol, &crids, idx.as_ref()).is_empty()
+                indexed_nested_loop_join(ocol, &[], ccol, &crids, idx.as_search(), 8, 1).is_empty()
             );
         }
     }
@@ -619,19 +416,21 @@ mod tests {
     fn range_select_many_matches_single_selects() {
         let (t, rl) = setup();
         let col = t.column("amount").unwrap();
-        let ranges: Vec<(Value, Value)> = [(15i64, 30i64), (0, 100), (31, 39), (40, 40)]
-            .iter()
-            .map(|&(a, b)| (Value::Int(a), Value::Int(b)))
-            .collect();
+        let ranges = int_ranges(&[(15, 30), (0, 100), (31, 39), (40, 40), (30, 15)]);
         for kind in IndexKind::ORDERED {
-            let idx = build_ordered_index(kind, rl.keys());
-            let many = range_select_many(col, &rl, idx.as_ref(), &ranges);
-            for ((lo, hi), got) in ranges.iter().zip(&many) {
-                assert_eq!(
-                    got,
-                    &range_select(col, &rl, idx.as_ref(), lo, hi),
-                    "{kind:?} [{lo}, {hi}]"
-                );
+            let handle = IndexHandle::build(kind, rl.keys());
+            let idx = handle.as_ordered().expect("ordered kind");
+            for lanes in [1, 3, 8] {
+                let many = range_select_many(col, &rl, idx, &ranges, lanes, 1);
+                for (range, got) in ranges.iter().zip(&many) {
+                    let single =
+                        range_select_many(col, &rl, idx, std::slice::from_ref(range), lanes, 1);
+                    assert_eq!(
+                        single,
+                        std::slice::from_ref(got),
+                        "{kind:?} {range:?} lanes={lanes}"
+                    );
+                }
             }
         }
     }
@@ -655,49 +454,29 @@ mod tests {
             .expect("one column");
         let icol = inner.column("amount").unwrap();
         let irl = RidList::for_column(icol);
-        let all_outer: Vec<u32> = (0..col.len() as u32).collect();
+        let all_outer = every_rid(col);
         for kind in IndexKind::ALL {
-            let idx = build_index(kind, rl.keys());
-            let seq_points = point_select_many(col, &rl, idx.as_ref(), &values);
-            let inner_idx = build_index(kind, irl.keys());
-            let seq_join =
-                indexed_nested_loop_join_rids(col, &all_outer, icol, &irl, inner_idx.as_ref());
+            let idx = IndexHandle::build(kind, rl.keys());
+            let inner_idx = IndexHandle::build(kind, irl.keys());
+            let points = |lanes, threads| {
+                point_select_many(col, &rl, idx.as_search(), &values, lanes, threads)
+            };
+            let join = |lanes, threads| {
+                let search = inner_idx.as_search();
+                indexed_nested_loop_join(col, &all_outer, icol, &irl, search, lanes, threads)
+            };
+            let bands = |lanes, threads| {
+                idx.as_ordered()
+                    .map(|o| range_select_many(col, &rl, o, &ranges, lanes, threads))
+            };
+            let (seq_points, seq_join, seq_bands) = (points(8, 1), join(8, 1), bands(8, 1));
             for threads in [0usize, 1, 2, 8] {
-                assert_eq!(
-                    point_select_many_par(col, &rl, idx.as_ref(), &values, 8, threads),
-                    seq_points,
-                    "{kind:?} threads={threads}"
-                );
-                assert_eq!(
-                    indexed_nested_loop_join_rids_par(
-                        col,
-                        &all_outer,
-                        icol,
-                        &irl,
-                        inner_idx.as_ref(),
-                        8,
-                        threads
-                    ),
-                    seq_join,
-                    "{kind:?} threads={threads}"
-                );
-            }
-        }
-        for kind in IndexKind::ORDERED {
-            let idx = build_ordered_index(kind, rl.keys());
-            let seq_points = point_select_many_ordered(col, &rl, idx.as_ref(), &values);
-            let seq_ranges = range_select_many(col, &rl, idx.as_ref(), &ranges);
-            for threads in [0usize, 1, 2, 8] {
-                assert_eq!(
-                    point_select_many_ordered_par(col, &rl, idx.as_ref(), &values, 8, threads),
-                    seq_points,
-                    "{kind:?} threads={threads}"
-                );
-                assert_eq!(
-                    range_select_many_par(col, &rl, idx.as_ref(), &ranges, 8, threads),
-                    seq_ranges,
-                    "{kind:?} threads={threads}"
-                );
+                for lanes in [1usize, 3, 8] {
+                    let at = format!("{kind:?} threads={threads} lanes={lanes}");
+                    assert_eq!(points(lanes, threads), seq_points, "{at}");
+                    assert_eq!(join(lanes, threads), seq_join, "{at}");
+                    assert_eq!(bands(lanes, threads), seq_bands, "{at}");
+                }
             }
         }
     }
@@ -719,8 +498,8 @@ mod tests {
             .expect("one column");
         let icol = it.column("k").unwrap();
         let irids = RidList::for_column(icol);
-        let idx = build_index(IndexKind::FullCss, irids.keys());
-        let joined = indexed_nested_loop_join(ot.column("k").unwrap(), icol, &irids, idx.as_ref());
+        let idx = IndexHandle::build(IndexKind::FullCss, irids.keys());
+        let joined = join_all(ot.column("k").unwrap(), icol, &irids, &idx);
         // Outer values 0..40 match exactly one inner row each; 40..50 none.
         let expected = outer_vals.iter().filter(|&&v| v < 40).count();
         assert_eq!(joined.len(), expected);
@@ -747,24 +526,13 @@ mod tests {
         let ocol = orders.column("cust").unwrap();
 
         for kind in IndexKind::ALL {
-            let idx = build_index(kind, crids.keys());
-            let mut joined = indexed_nested_loop_join(ocol, ccol, &crids, idx.as_ref());
-            joined.sort_by_key(|j| (j.outer_rid, j.inner_rid));
-
-            // Brute force reference.
-            let mut expected = Vec::new();
-            for o in 0..ocol.len() as u32 {
-                for i in 0..ccol.len() as u32 {
-                    if ocol.value(o) == ccol.value(i) {
-                        expected.push(JoinRow {
-                            outer_rid: o,
-                            inner_rid: i,
-                        });
-                    }
-                }
-            }
-            expected.sort_by_key(|j| (j.outer_rid, j.inner_rid));
-            assert_eq!(joined, expected, "{kind:?}");
+            let idx = IndexHandle::build(kind, crids.keys());
+            let joined = join_all(ocol, ccol, &crids, &idx);
+            assert_eq!(
+                joined,
+                brute_force_join(ocol, &every_rid(ocol), ccol),
+                "{kind:?}"
+            );
         }
     }
 
@@ -834,26 +602,15 @@ mod tests {
                 let outer_rids = stream(len);
                 let want = brute_force_join(&outer, &outer_rids, &inner);
                 for kind in IndexKind::ALL {
-                    let idx = build_index(kind, inner_rids.keys());
-                    assert_eq!(
-                        indexed_nested_loop_join_rids(
-                            &outer,
-                            &outer_rids,
-                            &inner,
-                            &inner_rids,
-                            idx.as_ref()
-                        ),
-                        want,
-                        "{kind:?} len={len}"
-                    );
+                    let idx = IndexHandle::build(kind, inner_rids.keys());
                     for threads in [0usize, 1, 3] {
                         assert_eq!(
-                            indexed_nested_loop_join_rids_par(
+                            indexed_nested_loop_join(
                                 &outer,
                                 &outer_rids,
                                 &inner,
                                 &inner_rids,
-                                idx.as_ref(),
+                                idx.as_search(),
                                 4,
                                 threads
                             ),
@@ -878,9 +635,8 @@ mod tests {
             .expect("one column");
         let rcol = right.column("k").unwrap();
         let rrids = RidList::for_column(rcol);
-        let idx = build_index(IndexKind::FullCss, rrids.keys());
-        let joined =
-            indexed_nested_loop_join(left.column("k").unwrap(), rcol, &rrids, idx.as_ref());
+        let idx = IndexHandle::build(IndexKind::FullCss, rrids.keys());
+        let joined = join_all(left.column("k").unwrap(), rcol, &rrids, &idx);
         // "b" matches rids 1,2; "a" matches rid 0; "z" matches nothing.
         assert_eq!(joined.len(), 3);
         assert!(joined.contains(&JoinRow {

@@ -2,12 +2,17 @@
 //!
 //! "We assume an OLAP environment, so we don't care too much about
 //! updates. ... when batch updates arrive, we can afford to rebuild the
-//! CSS-tree." [`apply_batch`] is that cycle: merge the sorted key array
-//! with a batch of inserts/deletes, then rebuild the index of the chosen
-//! kind from scratch, reporting how long each phase took (the quantity
-//! Fig. 9 plots for CSS-trees).
+//! CSS-tree." [`apply_batch`] is that cycle over a bare sorted key array:
+//! merge it with a batch of inserts/deletes ([`merge_batch`]), then
+//! rebuild the index of the chosen kind from scratch, reporting how long
+//! each phase took (the quantity Fig. 9 plots for CSS-trees).
+//!
+//! The catalog's cycle needs no merge: a column is replaced wholesale,
+//! so [`Database::rebuild_column`](crate::engine::Database::rebuild_column)
+//! re-sorts it into a fresh RID list and rebuilds every registered kind
+//! over that list's own key array, which the new indexes then share.
 
-use crate::index_choice::{build_index, IndexHandle, IndexKind};
+use crate::index_choice::{build_index, IndexKind};
 use ccindex_common::{SearchIndex, SortedArray};
 use std::time::{Duration, Instant};
 
@@ -23,23 +28,9 @@ pub struct BatchResult {
     pub rebuild_time: Duration,
 }
 
-/// Outcome of one batch-update + rebuild cycle at the catalog level,
-/// where the rebuilt index keeps its ordered view (see [`IndexHandle`]).
-pub struct HandleBatchResult {
-    /// The merged sorted key array.
-    pub keys: SortedArray<u32>,
-    /// The freshly rebuilt index handle.
-    pub handle: IndexHandle,
-    /// Time spent merging the batch into the sorted array.
-    pub merge_time: Duration,
-    /// Time spent rebuilding the index.
-    pub rebuild_time: Duration,
-}
-
 /// The merge phase alone: `inserts`/`deletes` folded into `keys` (all
 /// sorted; duplicates in `keys` allowed — one delete removes one
-/// occurrence), with the time it took. Both rebuild cycles below share
-/// this.
+/// occurrence), with the time it took.
 ///
 /// Delete semantics: deletes target occurrences of the **pre-batch**
 /// array only. A delete key absent from the base array is a no-op (it is
@@ -110,72 +101,6 @@ pub fn apply_batch(
     }
 }
 
-/// Outcome of one batch-update cycle rebuilding **several** index kinds
-/// over the same merged key array (the shape of
-/// [`Database::rebuild_column`](crate::engine::Database::rebuild_column),
-/// where every kind registered on a column rebuilds at once).
-pub struct MultiBatchResult {
-    /// The merged sorted key array all kinds were rebuilt over.
-    pub keys: SortedArray<u32>,
-    /// Time spent merging the batch into the sorted array (once, shared
-    /// by every kind).
-    pub merge_time: Duration,
-    /// Per-kind rebuilt handles with their from-scratch rebuild times,
-    /// in input-kind order.
-    pub rebuilds: Vec<(IndexKind, IndexHandle, Duration)>,
-}
-
-/// As [`apply_batch_handle`] for several kinds at once: merge the batch
-/// once, then rebuild each kind's index over the merged array — the
-/// rebuilds are independent, so they fan out across a
-/// [`ccindex_parallel::WorkerPool`] of `threads` workers (`1` =
-/// sequential, `0` = one per core). Results come back in input-kind
-/// order regardless of the thread count, and each per-kind rebuild time
-/// is measured inside its own job.
-pub fn apply_batch_kinds_par(
-    keys: &SortedArray<u32>,
-    inserts: &[u32],
-    deletes: &[u32],
-    kinds: &[IndexKind],
-    threads: usize,
-) -> MultiBatchResult {
-    let (new_keys, merge_time) = merge_batch(keys, inserts, deletes);
-    let rebuilds = ccindex_parallel::WorkerPool::new(threads).run(kinds.len(), |i| {
-        let kind = kinds[i];
-        let t0 = Instant::now();
-        let handle = IndexHandle::build(kind, &new_keys);
-        (kind, handle, t0.elapsed())
-    });
-    MultiBatchResult {
-        keys: new_keys,
-        merge_time,
-        rebuilds,
-    }
-}
-
-/// As [`apply_batch`], producing an [`IndexHandle`] so ordered kinds keep
-/// their ordered view — the cycle the catalog runs when a column's
-/// indexes are rebuilt (§2.3: "it may be relatively cheap to rebuild an
-/// index from scratch after a batch of updates").
-pub fn apply_batch_handle(
-    keys: &SortedArray<u32>,
-    inserts: &[u32],
-    deletes: &[u32],
-    kind: IndexKind,
-) -> HandleBatchResult {
-    let (new_keys, merge_time) = merge_batch(keys, inserts, deletes);
-    let t1 = Instant::now();
-    let handle = IndexHandle::build(kind, &new_keys);
-    let rebuild_time = t1.elapsed();
-
-    HandleBatchResult {
-        keys: new_keys,
-        handle,
-        merge_time,
-        rebuild_time,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,55 +162,6 @@ mod tests {
             assert_eq!(r.index.search(2_500), None, "{kind:?}");
             assert_eq!(r.index.len(), 5000, "{kind:?}");
         }
-    }
-
-    #[test]
-    fn handle_cycle_matches_plain_cycle() {
-        let keys = SortedArray::from_slice(&(0..2000u32).map(|i| i * 3).collect::<Vec<_>>());
-        for kind in IndexKind::ALL {
-            let plain = apply_batch(&keys, &[1, 4], &[3], kind);
-            let handled = apply_batch_handle(&keys, &[1, 4], &[3], kind);
-            assert_eq!(plain.keys.as_slice(), handled.keys.as_slice(), "{kind:?}");
-            for probe in [0u32, 1, 4, 3, 5999] {
-                assert_eq!(
-                    plain.index.search(probe),
-                    handled.handle.as_search().search(probe),
-                    "{kind:?} probe {probe}"
-                );
-            }
-            assert_eq!(
-                handled.handle.as_ordered().is_some(),
-                kind.is_ordered(),
-                "{kind:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn multi_kind_parallel_cycle_matches_per_kind_cycles() {
-        let keys = SortedArray::from_slice(&(0..3000u32).map(|i| i * 2).collect::<Vec<_>>());
-        let inserts = [1u32, 7, 9_999];
-        let deletes = [0u32, 10];
-        for threads in [0usize, 1, 2, 8] {
-            let multi = apply_batch_kinds_par(&keys, &inserts, &deletes, &IndexKind::ALL, threads);
-            assert_eq!(multi.rebuilds.len(), IndexKind::ALL.len(), "t={threads}");
-            for (i, (kind, handle, _)) in multi.rebuilds.iter().enumerate() {
-                assert_eq!(*kind, IndexKind::ALL[i], "order is input order");
-                let single = apply_batch_handle(&keys, &inserts, &deletes, *kind);
-                assert_eq!(multi.keys.as_slice(), single.keys.as_slice());
-                for probe in [0u32, 1, 7, 10, 9_999, 123_456] {
-                    assert_eq!(
-                        handle.as_search().search(probe),
-                        single.handle.as_search().search(probe),
-                        "{kind:?} t={threads} probe {probe}"
-                    );
-                }
-            }
-        }
-        // No kinds at all: still merges, reports nothing to rebuild.
-        let none = apply_batch_kinds_par(&keys, &inserts, &deletes, &[], 4);
-        assert!(none.rebuilds.is_empty());
-        assert_eq!(none.keys.len(), keys.len() + 1);
     }
 
     #[test]

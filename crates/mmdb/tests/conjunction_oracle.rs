@@ -1,4 +1,5 @@
-//! Conjunctions against a row-scan oracle.
+//! Conjunctions, and the physical operators under them, against a
+//! row-scan oracle.
 //!
 //! Random tables with `Int`, `Str` and mixed columns (duplicates the
 //! rule), one to three `eq`/`between` filters (absent values, inverted
@@ -7,10 +8,16 @@
 //! selections feeding a join and a grouping. The executor drives each
 //! conjunction from its shortest run and tests the other filters on the
 //! column's domain IDs; the oracle compares decoded values row by row.
+//!
+//! The same generator feeds `point_select_many`, `range_select_many` and
+//! `indexed_nested_loop_join` directly, under every kind, thread count
+//! and lane count, over columns whose runs are short, have length 1, or
+//! span the whole column.
 
 use mmdb::{
-    between, eq, on, sum, CatalogRead, Database, GroupRow, IndexKind, JoinRow, MmdbError,
-    Predicate, QuerySpec, ResultRows, TableBuilder, Value,
+    between, eq, indexed_nested_loop_join, on, point_select_many, range_select_many, sum,
+    CatalogRead, Column, Database, GroupRow, IndexHandle, IndexKind, JoinRow, MmdbError, Predicate,
+    QuerySpec, ResultRows, RidList, TableBuilder, Value,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -172,6 +179,43 @@ fn forced_error(filters: &[Filter], kind: Option<IndexKind>) -> Option<MmdbError
     })
 }
 
+/// The operators' columns over the rows of `t`: the four generated
+/// columns, one whose runs all have length 1, and one whose single run
+/// spans the whole column.
+fn operator_columns(rows: &[Row]) -> Vec<Vec<Value>> {
+    let mut columns: Vec<Vec<Value>> = (0..COLUMNS.len())
+        .map(|c| rows.iter().map(|r| r[c].clone()).collect())
+        .collect();
+    columns.push((0..rows.len() as i64).map(Value::Int).collect());
+    columns.push(vec![Value::Int(3); rows.len()]);
+    columns
+}
+
+/// The ascending RIDs of the rows whose value passes `keep`.
+fn scan(values: &[Value], keep: impl Fn(&Value) -> bool) -> Vec<u32> {
+    (0u32..)
+        .zip(values)
+        .filter(|(_, v)| keep(v))
+        .map(|(rid, _)| rid)
+        .collect()
+}
+
+/// The join of the `outer` rows in `stream` order with the equal `inner`
+/// rows, ascending.
+fn join_scan(outer: &[Value], stream: &[u32], inner: &[Value]) -> Vec<JoinRow> {
+    stream
+        .iter()
+        .flat_map(|&outer_rid| {
+            scan(inner, |v| *v == outer[outer_rid as usize])
+                .into_iter()
+                .map(move |inner_rid| JoinRow {
+                    outer_rid,
+                    inner_rid,
+                })
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -206,6 +250,105 @@ proptest! {
                             );
                         }
                         prop_assert_eq!(got, want, "{:?}", spec);
+                    }
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn operators_match_a_row_scan_under_every_kind_thread_and_lane_count(
+        seeds in vec((0i64..6, 0u8..6, 0i64..12, 0i64..24), 0..48),
+        inner in vec((-1i64..7, 0u8..3), 0..12),
+        literal_seeds in vec((0u8..6, 0i64..26), 0..8),
+        stream_seeds in vec(0usize..1_000, 0..40),
+    ) {
+        let rows: Vec<Row> = seeds.into_iter().map(row).collect();
+        let columns = operator_columns(&rows);
+        // Unsorted, with repeats; also always the empty stream.
+        let stream: Vec<u32> = match rows.len() {
+            0 => Vec::new(),
+            n => stream_seeds.iter().map(|s| (s % n) as u32).collect(),
+        };
+        // Inner sides: `u.k`, then runs of length 1 and one whole-column run.
+        let inner_sides: Vec<(Column, RidList, Vec<Value>)> = [
+            inner.iter().map(|&(k, _)| Value::Int(k)).collect(),
+            columns[4].clone(),
+            columns[5].clone(),
+        ]
+        .into_iter()
+        .map(|values: Vec<Value>| {
+            let column = Column::from_values(&values);
+            let rids = RidList::for_column(&column);
+            (column, rids, values)
+        })
+        .collect();
+        for (c, values) in columns.iter().enumerate() {
+            let column = Column::from_values(values);
+            let rids = RidList::for_column(&column);
+            // Drawn literals (absent ones among them), then the values at
+            // both ends of the domain.
+            let mut probes: Vec<Value> = literal_seeds
+                .iter()
+                .map(|&seed| literal(c % COLUMNS.len(), seed))
+                .collect();
+            let domain = column.domain();
+            let ends = (!domain.is_empty())
+                .then(|| (domain.decode(0), domain.decode(domain.len() as u32 - 1)));
+            probes.extend(ends.iter().flat_map(|(lo, hi)| [lo.clone(), hi.clone()]));
+            // Neighbouring probes as drawn (inverted about half the time;
+            // the last pair is the whole domain), every probe alone, and
+            // the whole domain inverted.
+            let mut ranges: Vec<(Value, Value)> = probes
+                .windows(2)
+                .map(|w| (w[0].clone(), w[1].clone()))
+                .collect();
+            ranges.extend(probes.iter().map(|v| (v.clone(), v.clone())));
+            ranges.extend(ends.map(|(lo, hi)| (hi, lo)));
+            let want_points: Vec<Vec<u32>> =
+                probes.iter().map(|p| scan(values, |v| v == p)).collect();
+            let want_ranges: Vec<Vec<u32>> = ranges
+                .iter()
+                .map(|(lo, hi)| scan(values, |v| lo <= v && v <= hi))
+                .collect();
+            for kind in IndexKind::ALL {
+                let handle = IndexHandle::build(kind, rids.keys());
+                let inner_handles: Vec<IndexHandle> = inner_sides
+                    .iter()
+                    .map(|(_, inner_rids, _)| IndexHandle::build(kind, inner_rids.keys()))
+                    .collect();
+                for threads in [1, 2, 0] {
+                    for lanes in [1, 3, 8] {
+                        let at = format!("column {c} {kind:?} threads={threads} lanes={lanes}");
+                        let search = handle.as_search();
+                        let got = point_select_many(&column, &rids, search, &probes, lanes, threads);
+                        prop_assert_eq!(&got, &want_points, "points, {}", at);
+                        if let Some(ordered) = handle.as_ordered() {
+                            let got =
+                                range_select_many(&column, &rids, ordered, &ranges, lanes, threads);
+                            prop_assert_eq!(&got, &want_ranges, "ranges, {}", at);
+                        }
+                        for ((inner_col, inner_rids, inner_values), inner_handle) in
+                            inner_sides.iter().zip(&inner_handles)
+                        {
+                            for stream in [&stream[..], &[]] {
+                                let got = indexed_nested_loop_join(
+                                    &column,
+                                    stream,
+                                    inner_col,
+                                    inner_rids,
+                                    inner_handle.as_search(),
+                                    lanes,
+                                    threads,
+                                );
+                                let want = join_scan(values, stream, inner_values);
+                                prop_assert_eq!(got, want, "join, {}", at);
+                            }
+                        }
                     }
                 }
             }

@@ -627,9 +627,13 @@ fn group_partial(
     }
     Ok(match rids {
         Some(rids) => {
-            group_aggregate_pairs(group_col, measure_col, rids.iter().map(|&r| (r, r)), agg)
+            let pair = |i: usize| (rids[i], rids[i]);
+            group_aggregate_pairs(group_col, measure_col, rids.len(), pair, agg, 1)
         }
-        None => group_aggregate_pairs(group_col, measure_col, (0..rows).map(|r| (r, r)), agg),
+        None => {
+            let pair = |i: usize| (i as u32, i as u32);
+            group_aggregate_pairs(group_col, measure_col, rows as usize, pair, agg, 1)
+        }
     })
 }
 

@@ -32,8 +32,8 @@
 
 use mmdb::plan::Plan;
 use mmdb::{
-    indexed_nested_loop_join_rids_par, CatalogRead, CatalogState, Column, Database, ExecOptions,
-    IndexKind, MmdbError, QuerySpec, RebuildReport, Result, ResultRows, Table, Value,
+    indexed_nested_loop_join, CatalogRead, CatalogState, Column, Database, ExecOptions, IndexKind,
+    MmdbError, QuerySpec, RebuildReport, Result, ResultRows, Table, Value,
 };
 use std::sync::Arc;
 
@@ -271,7 +271,7 @@ impl ShardRead for CatalogState {
         let handle = self.index(table, column, kind)?;
         let probe_col = Column::from_values(values);
         let probe_rids: Vec<u32> = (0..values.len() as u32).collect();
-        let rows = indexed_nested_loop_join_rids_par(
+        let rows = indexed_nested_loop_join(
             &probe_col,
             &probe_rids,
             inner_col,

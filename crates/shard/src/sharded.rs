@@ -27,7 +27,7 @@
 //!   (selections), both sides of every pair translate and the pairs sort
 //!   into the sequential join's `(outer, inner)` order (joins), per-shard
 //!   partial aggregates merge by group value (group-bys) — the same
-//!   commutative merge `group_aggregate_pairs_par` uses across workers.
+//!   commutative merge `group_aggregate_pairs` uses across workers.
 //!   A query with no filter, join or group asks no shard at all: the
 //!   placement metadata already knows every row. The shards run side by
 //!   side, so an explicit `exec.threads` is split between them (each
@@ -1655,7 +1655,7 @@ fn group_decoded_pairs(
 
 /// Merge per-shard partial aggregates by (decoded) group value — the
 /// cross-shard form of the worker-partial merge inside
-/// `group_aggregate_pairs_par`: every aggregate is commutative and
+/// `group_aggregate_pairs`: every aggregate is commutative and
 /// associative, and the ordered map keys groups by value, so the merged
 /// rows come out in group-value order, byte-identical to the unsharded
 /// aggregation (per-shard domains differ, but decoded values agree).

@@ -1,6 +1,8 @@
 //! The batch-probe API, end to end: interleaved CSS lookups, the
 //! runtime-tunable lane count, batched selections, and the
-//! batched indexed nested-loop join.
+//! batched indexed nested-loop join. Every `mmdb` operator takes its lane
+//! count and worker count explicitly; they run inline here (`threads = 1`)
+//! and check themselves against their partitioned runs.
 //!
 //! ```sh
 //! cargo run --release --example batched_probes
@@ -8,8 +10,8 @@
 
 use ccindex::db::domain::Value;
 use ccindex::db::{
-    build_index, indexed_nested_loop_join, point_select_many, range_select_many, RidList,
-    TableBuilder,
+    build_index, indexed_nested_loop_join, point_select_many, range_select_many, IndexHandle,
+    RidList, TableBuilder,
 };
 use ccindex::prelude::*;
 use std::time::Instant;
@@ -64,7 +66,11 @@ fn main() {
     let index = build_index(IndexKind::FullCss, rids.keys());
 
     let wanted: Vec<Value> = (0..200).map(|v| Value::Int(v * 5)).collect();
-    let hits = point_select_many(col, &rids, index.as_ref(), &wanted);
+    let hits = point_select_many(col, &rids, index.as_ref(), &wanted, DEFAULT_BATCH_LANES, 1);
+    assert_eq!(
+        point_select_many(col, &rids, index.as_ref(), &wanted, 3, 2),
+        hits
+    );
     println!(
         "point_select_many: {} probe values, {} matching rows",
         wanted.len(),
@@ -74,8 +80,10 @@ fn main() {
     let ranges: Vec<(Value, Value)> = (0..50)
         .map(|i| (Value::Int(i * 20), Value::Int(i * 20 + 9)))
         .collect();
-    let index = ccindex::db::build_ordered_index(IndexKind::FullCss, rids.keys());
-    let banded = range_select_many(col, &rids, index.as_ref(), &ranges);
+    let handle = IndexHandle::build(IndexKind::FullCss, rids.keys());
+    let index = handle.as_ordered().expect("a CSS-tree is ordered");
+    let banded = range_select_many(col, &rids, index, &ranges, DEFAULT_BATCH_LANES, 1);
+    assert_eq!(range_select_many(col, &rids, index, &ranges, 3, 2), banded);
     println!(
         "range_select_many: {} ranges, {} matching rows",
         ranges.len(),
@@ -95,12 +103,21 @@ fn main() {
     let icol = inner.column("k").expect("column");
     let irids = RidList::for_column(icol);
     let iindex = build_index(IndexKind::FullCss, irids.keys());
-    let joined = indexed_nested_loop_join(
-        outer.column("k").expect("column"),
-        icol,
-        &irids,
-        iindex.as_ref(),
-    );
+    let ocol = outer.column("k").expect("column");
+    let every_row: Vec<u32> = (0..ocol.len() as u32).collect();
+    let join = |lanes, threads| {
+        indexed_nested_loop_join(
+            ocol,
+            &every_row,
+            icol,
+            &irids,
+            iindex.as_ref(),
+            lanes,
+            threads,
+        )
+    };
+    let joined = join(DEFAULT_BATCH_LANES, 1);
+    assert_eq!(join(3, 2), joined);
     println!(
         "batched indexed nested-loop join: {} result rows",
         joined.len()

@@ -78,10 +78,10 @@ pub mod prelude {
     // under its `Full<M>` / `Level<M>` node-search strategy.
     pub use crate::css::{CssVariant, DynCssTree, FullCssTree, LevelCssTree};
     pub use crate::db::{
-        between, build_index, build_ordered_index, count, eq, indexed_nested_loop_join, max, min,
-        on, point_select, point_select_many, range_select, range_select_many, sum, Agg,
-        CatalogRead, Database, DatabaseHandle, Domain, ExecOptions, IndexKind, MmdbError,
-        ResultRows, RidList, Snapshot, StorageFault, Table, TableBuilder, Value,
+        between, build_index, count, eq, indexed_nested_loop_join, max, min, on, point_select_many,
+        range_select_many, sum, Agg, CatalogRead, Database, DatabaseHandle, Domain, ExecOptions,
+        IndexKind, MmdbError, ResultRows, RidList, Snapshot, StorageFault, Table, TableBuilder,
+        Value,
     };
     pub use crate::gen::{KeyDistribution, KeySetBuilder, LookupStream};
     pub use crate::hash::HashIndex;

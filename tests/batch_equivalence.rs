@@ -6,7 +6,7 @@
 
 use ccindex::common::{CountingTracer, OrderedIndex, SearchIndex, SortedArray};
 use ccindex::css::{CssVariant, DynCssTree, STANDARD_NODE_SIZES};
-use ccindex::db::{build_index, build_ordered_index, IndexKind};
+use ccindex::db::{build_index, IndexHandle, IndexKind};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -77,7 +77,8 @@ proptest! {
             prop_assert_eq!(idx.search_batch(&probes), expected, "{:?}", kind);
         }
         for kind in IndexKind::ORDERED {
-            let idx = build_ordered_index(kind, &arr);
+            let handle = IndexHandle::build(kind, &arr);
+            let idx = handle.as_ordered().expect("ordered kind");
             let expected: Vec<usize> =
                 probes.iter().map(|&p| idx.lower_bound(p)).collect();
             prop_assert_eq!(idx.lower_bound_batch(&probes), expected, "{:?}", kind);
@@ -96,7 +97,8 @@ proptest! {
         keys.sort_unstable();
         let arr = SortedArray::from_slice(&keys);
         for kind in IndexKind::ORDERED {
-            let idx = build_ordered_index(kind, &arr);
+            let handle = IndexHandle::build(kind, &arr);
+            let idx = handle.as_ordered().expect("ordered kind");
             let mut seq = CountingTracer::new();
             let expected: Vec<usize> = probes
                 .iter()

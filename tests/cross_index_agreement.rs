@@ -3,7 +3,7 @@
 //! arbitrary key multisets — the §3.6 duplicate contract, across every
 //! implementation at once.
 
-use ccindex::db::{build_index, build_ordered_index, IndexKind};
+use ccindex::db::{build_index, IndexHandle, IndexKind};
 use ccindex::prelude::*;
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -49,13 +49,13 @@ proptest! {
         let arr = SortedArray::from_slice(&keys);
         let indexes: Vec<_> = IndexKind::ORDERED
             .iter()
-            .map(|&k| (k, build_ordered_index(k, &arr)))
+            .map(|&k| (k, IndexHandle::build(k, &arr)))
             .collect();
         for probe in probes {
             let expected = keys.partition_point(|&k| k < probe);
-            for (kind, idx) in &indexes {
+            for (kind, handle) in &indexes {
                 prop_assert_eq!(
-                    idx.lower_bound(probe),
+                    handle.as_ordered().expect("ordered kind").lower_bound(probe),
                     expected,
                     "{:?} disagrees on probe {}",
                     kind, probe
@@ -71,7 +71,8 @@ proptest! {
         keys.sort_unstable();
         let arr = SortedArray::from_slice(&keys);
         for kind in IndexKind::ORDERED {
-            let idx = build_ordered_index(kind, &arr);
+            let handle = IndexHandle::build(kind, &arr);
+            let idx = handle.as_ordered().expect("ordered kind");
             let mut prev = 0usize;
             for probe in (0..10_050u32).step_by(97) {
                 let lb = idx.lower_bound(probe);

@@ -108,7 +108,8 @@ proptest! {
         );
         let arr = ccindex::common::SortedArray::from_slice(&keys);
         for kind in ccindex::db::IndexKind::ORDERED {
-            let idx = ccindex::db::build_ordered_index(kind, &arr);
+            let handle = ccindex::db::IndexHandle::build(kind, &arr);
+            let idx = handle.as_ordered().expect("ordered kind");
             prop_assert_eq!(idx.equal_range(probe), expected, "{:?}", kind);
             prop_assert_eq!(idx.count_key(probe), expected.1 - expected.0, "{:?}", kind);
         }

@@ -4,14 +4,39 @@
 //! [`Database`] and through the free functions must return identical RID
 //! sets / join pairs / group rows for every [`IndexKind`].
 
+use ccindex::common::SearchIndex;
 use ccindex::db::domain::Value;
 use ccindex::db::{
-    apply_batch, between, build_index, build_ordered_index, count, eq, group_aggregate,
-    indexed_nested_loop_join, on, point_select, range_select, sum, AggFn, Database, IndexKind,
-    RidList, Table, TableBuilder,
+    apply_batch, between, build_index, count, eq, group_aggregate, group_aggregate_pairs,
+    indexed_nested_loop_join, on, point_select_many, range_select_many, sum, AggFn, Column,
+    Database, IndexHandle, IndexKind, JoinRow, RidList, Table, TableBuilder,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
+
+/// One value through the batched point selection, inline.
+fn select_one(col: &Column, rids: &RidList, idx: &dyn SearchIndex<u32>, value: i64) -> Vec<u32> {
+    point_select_many(col, rids, idx, &[Value::Int(value)], 8, 1).remove(0)
+}
+
+/// One inclusive range through the batched range selection on a fresh
+/// `kind` index, inline.
+fn range_one(col: &Column, rids: &RidList, kind: IndexKind, lo: Value, hi: Value) -> Vec<u32> {
+    let handle = IndexHandle::build(kind, rids.keys());
+    let idx = handle.as_ordered().expect("ordered kind");
+    range_select_many(col, rids, idx, &[(lo, hi)], 8, 1).remove(0)
+}
+
+/// Every outer row joined through `idx`, inline.
+fn join_every_row(
+    outer: &Column,
+    inner: &Column,
+    inner_rids: &RidList,
+    idx: &dyn SearchIndex<u32>,
+) -> Vec<JoinRow> {
+    let all: Vec<u32> = (0..outer.len() as u32).collect();
+    indexed_nested_loop_join(outer, &all, inner, inner_rids, idx, 8, 1)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -29,8 +54,7 @@ proptest! {
             .collect();
         for kind in IndexKind::ALL {
             let idx = build_index(kind, rids.keys());
-            let mut got = point_select(col, &rids, idx.as_ref(), &Value::Int(probe));
-            got.sort_unstable();
+            let got = select_one(col, &rids, idx.as_ref(), probe);
             prop_assert_eq!(&got, &expected, "{:?}", kind);
         }
     }
@@ -45,14 +69,11 @@ proptest! {
         let t = TableBuilder::new("t").int_column("v", values.clone()).build().unwrap();
         let col = t.column("v").unwrap();
         let rids = RidList::for_column(col);
-        let mut expected: Vec<u32> = (0..values.len() as u32)
+        let expected: Vec<u32> = (0..values.len() as u32)
             .filter(|&r| (lo..=hi).contains(&values[r as usize]))
             .collect();
-        expected.sort_unstable();
         for kind in IndexKind::ORDERED {
-            let idx = build_ordered_index(kind, rids.keys());
-            let mut got = range_select(col, &rids, idx.as_ref(), &Value::Int(lo), &Value::Int(hi));
-            got.sort_unstable();
+            let got = range_one(col, &rids, kind, Value::Int(lo), Value::Int(hi));
             prop_assert_eq!(&got, &expected, "{:?} range [{},{}]", kind, lo, hi);
         }
     }
@@ -81,7 +102,7 @@ proptest! {
         for kind in [IndexKind::FullCss, IndexKind::Hash, IndexKind::TTree] {
             let idx = build_index(kind, irids.keys());
             let mut got: Vec<(u32, u32)> =
-                indexed_nested_loop_join(ocol, icol, &irids, idx.as_ref())
+                join_every_row(ocol, icol, &irids, idx.as_ref())
                     .into_iter()
                     .map(|j| (j.outer_rid, j.inner_rid))
                     .collect();
@@ -166,8 +187,7 @@ fn engine_point_select_equals_raw_for_every_kind() {
         let db = engine_with(kind);
         let idx = build_index(kind, rids.keys());
         for probe in [0i64, 13, 26, 89, 91, -1] {
-            let mut raw = point_select(amount, &rids, idx.as_ref(), &Value::Int(probe));
-            raw.sort_unstable();
+            let raw = select_one(amount, &rids, idx.as_ref(), probe);
             let engine = db
                 .query("sales")
                 .filter(eq("amount", probe))
@@ -186,16 +206,8 @@ fn engine_range_select_equals_raw_for_every_ordered_kind() {
     let rids = RidList::for_column(amount);
     for kind in IndexKind::ORDERED {
         let db = engine_with(kind);
-        let idx = build_ordered_index(kind, rids.keys());
         for (lo, hi) in [(0i64, 20i64), (15, 15), (85, 200), (90, 95)] {
-            let mut raw = range_select(
-                amount,
-                &rids,
-                idx.as_ref(),
-                &Value::Int(lo),
-                &Value::Int(hi),
-            );
-            raw.sort_unstable();
+            let raw = range_one(amount, &rids, kind, Value::Int(lo), Value::Int(hi));
             let engine = db
                 .query("sales")
                 .filter(between("amount", lo, hi))
@@ -241,7 +253,7 @@ fn engine_join_equals_raw_for_every_kind() {
     for kind in IndexKind::ALL {
         let db = engine_with(kind);
         let idx = build_index(kind, id_rids.keys());
-        let mut raw: Vec<(u32, u32)> = indexed_nested_loop_join(cust, id, &id_rids, idx.as_ref())
+        let mut raw: Vec<(u32, u32)> = join_every_row(cust, id, &id_rids, idx.as_ref())
             .into_iter()
             .map(|j| (j.outer_rid, j.inner_rid))
             .collect();
@@ -307,28 +319,17 @@ fn engine_pipeline_equals_raw_composition() {
             .unwrap();
 
         // Raw composition of the same query.
-        let idx = build_ordered_index(kind, amount_rids.keys());
-        let mut selected = range_select(
-            amount,
-            &amount_rids,
-            idx.as_ref(),
-            &Value::Int(30),
-            &Value::Int(80),
-        );
-        selected.sort_unstable();
+        let selected = range_one(amount, &amount_rids, kind, Value::Int(30), Value::Int(80));
         let inner_idx = build_index(kind, id_rids.keys());
-        let joined = ccindex::db::indexed_nested_loop_join_rids(
-            cust,
-            &selected,
-            id,
-            &id_rids,
-            inner_idx.as_ref(),
-        );
-        let raw = ccindex::db::group_aggregate_pairs(
+        let joined =
+            indexed_nested_loop_join(cust, &selected, id, &id_rids, inner_idx.as_ref(), 8, 1);
+        let raw = group_aggregate_pairs(
             region,
             Some(amount),
-            joined.iter().map(|j| (j.inner_rid, j.outer_rid)),
+            joined.len(),
+            |i| (joined[i].inner_rid, joined[i].outer_rid),
             AggFn::Sum,
+            1,
         );
         assert_eq!(engine.groups(), raw.as_slice(), "{kind:?}");
     }
@@ -345,10 +346,15 @@ fn string_range_queries_via_domain_ids() {
         .expect("one column");
     let col = t.column("city").unwrap();
     let rids = RidList::for_column(col);
-    let idx = build_ordered_index(IndexKind::FullCss, rids.keys());
 
     // Range [boston, denver] covers boston, chicago, denver = 300 rows.
-    let got = range_select(col, &rids, idx.as_ref(), &"boston".into(), &"denver".into());
+    let got = range_one(
+        col,
+        &rids,
+        IndexKind::FullCss,
+        "boston".into(),
+        "denver".into(),
+    );
     assert_eq!(got.len(), 300);
     for rid in got {
         let v = col.value(rid).to_string();

@@ -1,17 +1,16 @@
-//! Parallel/sequential equivalence: every partitioned operator and every
-//! engine stage routed through the worker pool must return byte-identical
-//! results to its sequential counterpart — across all 8 `IndexKind`s and
-//! thread counts {1, 2, 8} (plus 0 = all cores), at both layer levels:
-//! the raw physical operators and whole queries through `Database` with
-//! `ExecOptions`.
+//! Parallel/sequential equivalence: every operator and every engine stage
+//! routed through the worker pool must return byte-identical results to
+//! its one-thread run — across all 8 `IndexKind`s and thread counts
+//! {1, 2, 8} (plus 0 = all cores), at both layer levels: the raw
+//! physical operators (one form each, at every lane count too) and whole
+//! queries through `Database` with `ExecOptions`.
 
 use ccindex::css::{CssVariant, DynCssTree};
 use ccindex::db::domain::Value;
 use ccindex::db::{
-    between, eq, group_aggregate_pairs, group_aggregate_pairs_par, indexed_nested_loop_join_rids,
-    indexed_nested_loop_join_rids_par, on, point_select_many, point_select_many_ordered,
-    point_select_many_ordered_par, point_select_many_par, range_select_many, range_select_many_par,
-    sum, AggFn, Database, ExecOptions, IndexKind, ResultRows, RidList, TableBuilder,
+    between, eq, group_aggregate_pairs, indexed_nested_loop_join, on, point_select_many,
+    range_select_many, sum, AggFn, Database, ExecOptions, IndexKind, ResultRows, RidList,
+    TableBuilder,
 };
 use ccindex::parallel::WorkerPool;
 use ccindex::prelude::*;
@@ -158,8 +157,8 @@ fn adaptive_explain_reports_resolved_worker_counts() {
     );
 }
 
-/// The raw partitioned operators against their sequential counterparts,
-/// per kind and thread count.
+/// The raw operators, each at every thread count and lane count, against
+/// the same operator run inline at the default lanes, per kind.
 #[test]
 fn physical_operators_are_identical_across_kinds_and_threads() {
     let db = workload_db();
@@ -178,51 +177,37 @@ fn physical_operators_are_identical_across_kinds_and_threads() {
     for kind in IndexKind::ALL {
         let idx = db.index("orders", "amount", kind).expect("built");
         let inner_idx = db.index("customers", "id", kind).expect("built");
-        let seq_points = point_select_many(amount, &rl, idx.as_search(), &values);
-        let seq_join =
-            indexed_nested_loop_join_rids(cust, &all_outer, id, &irl, inner_idx.as_search());
+        let points = |lanes, threads| {
+            point_select_many(amount, &rl, idx.as_search(), &values, lanes, threads)
+        };
+        let join = |lanes, threads| {
+            let search = inner_idx.as_search();
+            indexed_nested_loop_join(cust, &all_outer, id, &irl, search, lanes, threads)
+        };
+        let bands = |lanes, threads| {
+            idx.as_ordered()
+                .map(|o| range_select_many(amount, &rl, o, &ranges, lanes, threads))
+        };
+        let (seq_points, seq_join, seq_bands) = (points(8, 1), join(8, 1), bands(8, 1));
         for threads in THREADS {
-            assert_eq!(
-                point_select_many_par(amount, &rl, idx.as_search(), &values, 8, threads),
-                seq_points,
-                "{kind:?} threads={threads}"
-            );
-            assert_eq!(
-                indexed_nested_loop_join_rids_par(
-                    cust,
-                    &all_outer,
-                    id,
-                    &irl,
-                    inner_idx.as_search(),
-                    8,
-                    threads
-                ),
-                seq_join,
-                "{kind:?} threads={threads}"
-            );
-            if let Some(ordered) = idx.as_ordered() {
-                assert_eq!(
-                    point_select_many_ordered_par(amount, &rl, ordered, &values, 8, threads),
-                    point_select_many_ordered(amount, &rl, ordered, &values),
-                    "{kind:?} threads={threads}"
-                );
-                assert_eq!(
-                    range_select_many_par(amount, &rl, ordered, &ranges, 8, threads),
-                    range_select_many(amount, &rl, ordered, &ranges),
-                    "{kind:?} threads={threads}"
-                );
+            for lanes in [1, 3, 8] {
+                let at = format!("{kind:?} threads={threads} lanes={lanes}");
+                assert_eq!(points(lanes, threads), seq_points, "{at}");
+                assert_eq!(join(lanes, threads), seq_join, "{at}");
+                assert_eq!(bands(lanes, threads), seq_bands, "{at}");
             }
         }
     }
-    // Parallel grouped aggregation with per-worker partials.
+    // Grouped aggregation with per-worker partials.
     let region = customers.column("region").expect("present");
-    let pairs: Vec<(u32, u32)> = (0..id.len() as u32).map(|r| (r, r)).collect();
+    let rows = id.len();
+    let pair = |r: usize| (r as u32, r as u32);
     for agg in [AggFn::Count, AggFn::Sum, AggFn::Min, AggFn::Max] {
         let measure = (agg != AggFn::Count).then_some(id);
-        let seq = group_aggregate_pairs(region, measure, pairs.iter().copied(), agg);
+        let seq = group_aggregate_pairs(region, measure, rows, pair, agg, 1);
         for threads in THREADS {
             assert_eq!(
-                group_aggregate_pairs_par(region, measure, &pairs, agg, threads),
+                group_aggregate_pairs(region, measure, rows, pair, agg, threads),
                 seq,
                 "{agg:?} threads={threads}"
             );

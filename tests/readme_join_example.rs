@@ -17,11 +17,17 @@ fn readme_batched_join_example() {
     let cust_rids = RidList::for_column(cust_id);
     let css = build_index(IndexKind::FullCss, cust_rids.keys());
 
+    // The outer side is a RID stream (here every order row, in RID order);
+    // the last two arguments are the interleave lanes and worker threads.
+    let every_order: Vec<u32> = (0..orders.rows() as u32).collect();
     let joined = indexed_nested_loop_join(
         orders.column("cust").unwrap(),
+        &every_order,
         cust_id,
         &cust_rids,
         css.as_ref(),
+        DEFAULT_BATCH_LANES,
+        1,
     );
     assert_eq!(joined.len(), 6); // each 5 matches two customer rows; 1 and 2 one each; 9 none
 }
