@@ -36,7 +36,7 @@ use bench::report::{format_num, print_series, Series};
 use cachesim::Machine;
 use ccindex_common::{SearchIndex, SortedArray};
 use css_tree::{CssVariant, DynCssTree, FullCssTree, LevelCssTree};
-use workload::{KeyDistribution, KeySetBuilder, LookupStream, DEFAULT_SEED};
+use workload::{KeyDistribution, KeySetBuilder, LookupStream, DEFAULT_SEED, PAPER_LOOKUPS};
 
 use std::time::Instant;
 
@@ -98,7 +98,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<(Options, Vec<St
     let mut opts = Options {
         simulate: None,
         paper_scale: false,
-        lookups: 100_000,
+        lookups: PAPER_LOOKUPS,
     };
     let mut what: Vec<String> = Vec::new();
     while let Some(arg) = args.next() {

@@ -115,11 +115,6 @@ impl MachineSpec {
             access_cycles: self.access_cycles,
         }
     }
-
-    /// Line size of the given cache level in bytes.
-    pub fn line_bytes(&self, level: usize) -> usize {
-        self.caches[level].1
-    }
 }
 
 impl Machine {

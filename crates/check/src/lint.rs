@@ -11,6 +11,7 @@
 //! | H1   | every `lib.rs` opens with `//!` docs and declares `#![deny(unsafe_op_in_unsafe_fn)]` |
 //! | W1   | no `.unwrap()` / `.expect(` on socket- or file-I/O lines — transport and storage faults must map to typed errors |
 //! | M1   | metric names at registration sites (`.counter("…")` / `.gauge("…")` / `.histogram("…")`) are `dot.separated` lowercase, and each name is registered at exactly one source site workspace-wide |
+//! | U1   | every `pub` item of a library crate is named somewhere outside its defining file's `#[cfg(test)]` code (the whole workspace, `ccbench/` included, counts; `use` lines do not), unless the facade prelude re-exports it or [`U1_ALLOWED`] lists it with a reason |
 //!
 //! O1 exists because of exactly the bug class PR 7 is about: a
 //! lifetime-guarding counter (a pin count, a refcount) downgraded to
@@ -43,6 +44,14 @@
 //! code path — a `Mutex::lock` poison recovery, a thread join — don't
 //! false-positive.
 //!
+//! U1 exists because rustc's `dead_code` lint never fires on a `pub`
+//! item: an operator, a tree variant or a generator can outlive its last
+//! caller by many releases while its own unit tests keep it green. The
+//! rule matches names, not paths, so it errs towards silence — a method
+//! called `len` is "used" if anything calls a `len` — and what it does
+//! flag has no caller under any spelling. A re-export is not a use, so
+//! `use` statements are not counted.
+//!
 //! The scanner is deliberately line-based and dependency-free: string
 //! literals and comments are blanked by a small state machine before
 //! pattern checks, `#[cfg(test)]` items are skipped by brace counting.
@@ -60,7 +69,7 @@ pub struct Violation {
     pub file: PathBuf,
     /// 1-based line number.
     pub line: usize,
-    /// Rule id (`S1`, `O1`, `F1`, `H1`, `W1`, `M1`).
+    /// Rule id (`S1`, `O1`, `F1`, `H1`, `W1`, `M1`, `U1`).
     pub rule: &'static str,
     /// What to fix.
     pub message: String,
@@ -106,7 +115,238 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
         }
     }
     violations.extend(metric_uniqueness(&registrations));
+    violations.extend(unused_pub_items(root)?);
     Ok(violations)
+}
+
+/// Rule U1's allowlist: `pub` items nothing outside their own file's
+/// tests names, kept on purpose — `(defining file, item, reason)`.
+pub const U1_ALLOWED: &[(&str, &str, &str)] = &[
+    (
+        "crates/analysis/src/time_model.rs",
+        "estimate_time",
+        "§5's time model: cycles and seconds from a cost breakdown, the paper's own formula",
+    ),
+    (
+        "crates/cachesim/src/stats.rs",
+        "miss_ratio",
+        "the simulator's per-level miss ratio, a reporting helper beside `accesses`",
+    ),
+    (
+        "crates/common/src/layout.rs",
+        "ilog_floor",
+        "the floor counterpart of `ceil_log` in the layout arithmetic, tested against its definition",
+    ),
+];
+
+/// Rule U1 over the workspace at `root`: the library items
+/// [`unreferenced_pub_items`] finds, less the prelude and
+/// [`U1_ALLOWED`]; an allowlist entry whose file exists but whose item is
+/// no longer found is reported too, so the list only shrinks.
+fn unused_pub_items(root: &Path) -> std::io::Result<Vec<Violation>> {
+    let mut paths = Vec::new();
+    collect_rs(root, &mut paths)?;
+    paths.sort();
+    let mut sources = Vec::with_capacity(paths.len());
+    for path in paths {
+        let text = std::fs::read_to_string(&path)?;
+        sources.push((path, text));
+    }
+    let relative = |path: &Path| {
+        let rel = path.strip_prefix(root).unwrap_or(path);
+        rel.components()
+            .map(|c| c.as_os_str().to_string_lossy().into_owned())
+            .collect::<Vec<_>>()
+    };
+    let is_library = |path: &Path| {
+        let parts = relative(path);
+        let in_src = match parts.first().map(String::as_str) {
+            Some("crates") => parts.get(2).is_some_and(|p| p == "src"),
+            Some("src") => true,
+            _ => false,
+        };
+        in_src && !parts.iter().any(|p| p == "bin")
+    };
+    let prelude = sources
+        .iter()
+        .find(|(path, _)| relative(path) == ["src", "lib.rs"])
+        .map_or_else(Default::default, |(_, text)| prelude_names(text));
+    let mut matched = vec![false; U1_ALLOWED.len()];
+    let mut out = Vec::new();
+    for (file, line, name) in unreferenced_pub_items(&sources, is_library) {
+        if prelude.contains(&name) {
+            continue;
+        }
+        let rel = relative(&file).join("/");
+        match U1_ALLOWED
+            .iter()
+            .position(|&(f, n, _)| f == rel && n == name)
+        {
+            Some(i) => matched[i] = true,
+            None => out.push(Violation {
+                file,
+                line,
+                rule: "U1",
+                message: format!(
+                    "pub `{name}` is named nowhere outside this file's tests; delete it, or \
+                     list it in `check::lint::U1_ALLOWED` with a reason"
+                ),
+            }),
+        }
+    }
+    for (&(file, name, _), _) in U1_ALLOWED.iter().zip(matched).filter(|(_, m)| !m) {
+        if root.join(file).is_file() {
+            out.push(Violation {
+                file: root.join(file),
+                line: 1,
+                rule: "U1",
+                message: format!(
+                    "`U1_ALLOWED` lists `{name}`, which is used or gone; delete the entry"
+                ),
+            });
+        }
+    }
+    Ok(out)
+}
+
+/// Rule U1's scan: `(file, line, name)` for every `pub` item defined
+/// outside test code in a file `is_library` accepts whose name appears
+/// in no code of `sources` — every source file of the workspace — except
+/// its own definition line, `use` statements, and its defining file's
+/// `#[cfg(test)]` code. Comments and string literals are not code.
+pub fn unreferenced_pub_items(
+    sources: &[(PathBuf, String)],
+    is_library: impl Fn(&Path) -> bool,
+) -> Vec<(PathBuf, usize, String)> {
+    use std::collections::HashMap;
+    struct Scan {
+        code: Vec<String>,
+        in_test: Vec<bool>,
+        in_use: Vec<bool>,
+    }
+    let scans: Vec<Scan> = sources
+        .iter()
+        .map(|(_, text)| {
+            let code = strip(text);
+            let in_test = test_regions(&code);
+            let in_use = use_regions(&code);
+            Scan {
+                code,
+                in_test,
+                in_use,
+            }
+        })
+        .collect();
+    // Uses per name across the workspace, and per file inside its tests.
+    let mut uses: HashMap<&str, usize> = HashMap::new();
+    let mut test_uses: HashMap<(usize, &str), usize> = HashMap::new();
+    for (f, scan) in scans.iter().enumerate() {
+        for (i, line) in scan.code.iter().enumerate() {
+            if scan.in_use[i] {
+                continue;
+            }
+            for word in words(line) {
+                *uses.entry(word).or_default() += 1;
+                if scan.in_test[i] {
+                    *test_uses.entry((f, word)).or_default() += 1;
+                }
+            }
+        }
+    }
+    let mut out = Vec::new();
+    for (f, ((file, _), scan)) in sources.iter().zip(&scans).enumerate() {
+        if !is_library(file) {
+            continue;
+        }
+        for (i, line) in scan.code.iter().enumerate() {
+            if scan.in_test[i] || scan.in_use[i] {
+                continue;
+            }
+            let Some(name) = pub_item_name(line) else {
+                continue;
+            };
+            let on_line = words(line).filter(|w| *w == name).count();
+            let own_tests = test_uses.get(&(f, name)).copied().unwrap_or(0);
+            if uses[name] == on_line + own_tests {
+                out.push((file.clone(), i + 1, name.to_owned()));
+            }
+        }
+    }
+    out
+}
+
+/// The identifier-like words of a stripped line.
+fn words(line: &str) -> impl Iterator<Item = &str> {
+    line.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .filter(|w| !w.is_empty())
+}
+
+/// The name a stripped line defines, if it opens a `pub` (not
+/// `pub(crate)`) function, type, trait, constant or static.
+fn pub_item_name(line: &str) -> Option<&str> {
+    let rest = line.trim_start().strip_prefix("pub ")?;
+    let mut words = words(rest).peekable();
+    while let Some(word) = words.next() {
+        match word {
+            "unsafe" | "async" | "extern" => {}
+            "const" if matches!(words.peek(), Some(&("fn" | "unsafe" | "async" | "extern"))) => {}
+            "fn" | "struct" | "enum" | "trait" | "type" | "union" | "static" | "const" => {
+                return words.next();
+            }
+            _ => return None,
+        }
+    }
+    None
+}
+
+/// Which stripped lines belong to a `use` statement (from its first line
+/// to the one holding its `;`).
+fn use_regions(code: &[String]) -> Vec<bool> {
+    let mut in_use = vec![false; code.len()];
+    let mut open = false;
+    for (i, line) in code.iter().enumerate() {
+        let t = line.trim_start();
+        let t = t
+            .strip_prefix("pub(crate) ")
+            .or_else(|| t.strip_prefix("pub "))
+            .unwrap_or(t);
+        open |= t.starts_with("use ");
+        in_use[i] = open;
+        if open && line.contains(';') {
+            open = false;
+        }
+    }
+    in_use
+}
+
+/// The names the facade's `pub mod prelude { .. }` re-exports: every word
+/// of its `use` statements that is not a path segment (followed by `::`).
+pub fn prelude_names(facade_lib: &str) -> std::collections::BTreeSet<String> {
+    let code = strip(facade_lib);
+    let mut names = std::collections::BTreeSet::new();
+    let Some(start) = code.iter().position(|l| l.contains("pub mod prelude")) else {
+        return names;
+    };
+    let mut depth = 0i64;
+    for line in &code[start..] {
+        let mut rest = line.as_str();
+        while let Some(pos) = rest.find(|c: char| c.is_alphanumeric() || c == '_') {
+            rest = &rest[pos..];
+            let end = rest
+                .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .unwrap_or(rest.len());
+            let (word, after) = rest.split_at(end);
+            if !after.starts_with("::") && !["pub", "use", "mod", "prelude", "as"].contains(&word) {
+                names.insert(word.to_owned());
+            }
+            rest = after;
+        }
+        depth += line.matches('{').count() as i64 - line.matches('}').count() as i64;
+        if depth <= 0 && line.contains('}') {
+            break;
+        }
+    }
+    names
 }
 
 /// The workspace half of rule M1: every metric name is minted at
@@ -138,11 +378,16 @@ pub fn metric_uniqueness(registrations: &[(PathBuf, usize, String)]) -> Vec<Viol
     out
 }
 
+/// Every `.rs` file under `dir`, skipping build output (`target`) and
+/// hidden directories.
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     for entry in std::fs::read_dir(dir)? {
         let path = entry?.path();
         if path.is_dir() {
-            collect_rs(&path, out)?;
+            let name = path.file_name().unwrap_or_default().to_string_lossy();
+            if name != "target" && !name.starts_with('.') {
+                collect_rs(&path, out)?;
+            }
         } else if path.extension().is_some_and(|e| e == "rs") {
             out.push(path);
         }
@@ -880,6 +1125,68 @@ mod tests {
         // from the first `#[cfg(test)]` on is test code.
         assert_eq!(code_lines(fixture), 4);
         assert_eq!(code_lines(""), 0);
+    }
+
+    #[test]
+    fn unreferenced_pub_items_are_found_by_name_across_the_workspace() {
+        let file = |path: &str, text: &str| (PathBuf::from(path), text.to_owned());
+        let sources = [
+            file(
+                "crates/a/src/lib.rs",
+                concat!(
+                    "//! Docs naming `only_tested` and `orphan` do not count.\n",
+                    "pub fn used_elsewhere() {}\n",
+                    "pub fn only_tested() -> &'static str { \"orphan\" }\n",
+                    "pub fn used_here() {}\n",
+                    "fn private() { used_here() }\n",
+                    "pub const fn orphan() {}\n",
+                    "pub const LIMIT: usize = 3;\n",
+                    "pub struct Reexported;\n",
+                    "pub(crate) fn internal() {}\n",
+                    "pub use self::b::Other;\n",
+                    "#[cfg(test)]\n",
+                    "mod tests {\n",
+                    "    fn t() { super::only_tested(); super::orphan(); }\n",
+                    "}\n",
+                ),
+            ),
+            file(
+                "crates/b/src/lib.rs",
+                "use a::{\n    orphan,\n    Reexported,\n};\npub fn calls() { a::used_elsewhere() }\n",
+            ),
+            file("ccbench/src/main.rs", "fn main() { b::calls(); }\n"),
+            file("crates/b/tests/t.rs", "#[test]\nfn t() { assert_eq!(a::LIMIT, 3); }\n"),
+        ];
+        let found = unreferenced_pub_items(&sources, |p| p.starts_with("crates/a/src"));
+        let names: Vec<(usize, &str)> = found.iter().map(|(_, l, n)| (*l, n.as_str())).collect();
+        // `use` lines, comments, strings and the defining file's own tests
+        // are not uses; another crate's tests and `ccbench/` are.
+        assert_eq!(
+            names,
+            [(3, "only_tested"), (6, "orphan"), (8, "Reexported")]
+        );
+        assert!(found
+            .iter()
+            .all(|(f, ..)| f == Path::new("crates/a/src/lib.rs")));
+        let facade = "pub mod prelude {\n    pub use crate::a::{Reexported, X};\n    pub use b::calls;\n}\npub fn after() {}\n";
+        let prelude = prelude_names(facade);
+        assert_eq!(
+            prelude.into_iter().collect::<Vec<_>>(),
+            ["Reexported", "X", "calls"]
+        );
+    }
+
+    #[test]
+    fn u1_allowlist_entries_name_real_items_and_carry_reasons() {
+        let root = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+        for (file, name, reason) in U1_ALLOWED {
+            let text = std::fs::read_to_string(root.join(file)).expect("allowlisted file exists");
+            assert!(
+                strip(&text).iter().any(|l| pub_item_name(l) == Some(name)),
+                "{file} defines no pub `{name}`"
+            );
+            assert!(reason.len() > 20, "{name}: give a reason");
+        }
     }
 
     #[test]

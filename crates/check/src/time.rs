@@ -24,16 +24,6 @@ impl Instant {
     pub fn elapsed(&self) -> Duration {
         Instant::now() - *self
     }
-
-    /// Mirror of the std `checked_duration_since`.
-    pub fn checked_duration_since(&self, earlier: Instant) -> Option<Duration> {
-        self.0.checked_sub(earlier.0).map(Duration::from_nanos)
-    }
-
-    /// Mirror of the std `saturating_duration_since`.
-    pub fn saturating_duration_since(&self, earlier: Instant) -> Duration {
-        Duration::from_nanos(self.0.saturating_sub(earlier.0))
-    }
 }
 
 impl std::ops::Add<Duration> for Instant {

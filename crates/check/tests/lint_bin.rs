@@ -1,6 +1,7 @@
 //! End-to-end tests for the `lint` binary: exit code 0 on a clean tree
 //! (including this workspace itself), non-zero when a seeded violation
-//! is planted — the contract the CI `check-lint` job relies on.
+//! — an unused pub item among them — is planted: the contract the CI
+//! `check-lint` job relies on.
 
 use std::fs;
 use std::path::PathBuf;
@@ -28,7 +29,7 @@ fn run_lint(root: &PathBuf) -> std::process::Output {
 fn clean_seeded_workspace_exits_zero() {
     let root = scratch_workspace(
         "clean",
-        "//! A clean crate.\n\n#![deny(unsafe_op_in_unsafe_fn)]\n\npub fn ok() {}\n",
+        "//! A clean crate.\n\n#![deny(unsafe_op_in_unsafe_fn)]\n\npub fn ok() {}\n\nfn caller() {\n    ok()\n}\n",
     );
     let out = run_lint(&root);
     assert!(
@@ -44,7 +45,8 @@ fn seeded_violations_exit_nonzero_and_name_each_rule() {
     let root = scratch_workspace(
         "seeded",
         concat!(
-            "//! A crate with one of everything the lint rejects.\n\n",
+            "//! A crate with one of everything the lint rejects (no caller of\n",
+            "//! its pub functions is U1).\n\n",
             "#![deny(unsafe_op_in_unsafe_fn)]\n\n",
             "use std::sync::atomic::{AtomicU64, Ordering};\n\n",
             "static mut GLOBAL: u64 = 0;\n\n",
@@ -59,9 +61,47 @@ fn seeded_violations_exit_nonzero_and_name_each_rule() {
     let out = run_lint(&root);
     assert!(!out.status.success(), "seeded violations not flagged");
     let report = String::from_utf8_lossy(&out.stdout);
-    for rule in ["[S1]", "[O1]", "[F1]"] {
+    for rule in ["[S1]", "[O1]", "[F1]", "[U1]"] {
         assert!(report.contains(rule), "missing {rule} in:\n{report}");
     }
+    fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn a_pub_item_named_only_by_its_own_tests_is_u1() {
+    let root = scratch_workspace(
+        "unused",
+        concat!(
+            "//! One pub function nothing calls.\n\n",
+            "#![deny(unsafe_op_in_unsafe_fn)]\n\n",
+            "pub fn orphan() {}\n\n",
+            "#[cfg(test)]\n",
+            "mod tests {\n",
+            "    #[test]\n",
+            "    fn t() {\n",
+            "        super::orphan();\n",
+            "    }\n",
+            "}\n",
+        ),
+    );
+    let out = run_lint(&root);
+    assert!(!out.status.success(), "unused pub item not flagged");
+    let report = String::from_utf8_lossy(&out.stdout);
+    assert!(report.contains("[U1] pub `orphan`"), "{report}");
+    // A caller anywhere else in the workspace, `ccbench/` included, clears it.
+    let bench = root.join("ccbench").join("src");
+    fs::create_dir_all(&bench).expect("create ccbench dir");
+    fs::write(
+        bench.join("main.rs"),
+        "fn main() {\n    unused::orphan();\n}\n",
+    )
+    .expect("write caller");
+    let out = run_lint(&root);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
     fs::remove_dir_all(&root).ok();
 }
 

@@ -111,12 +111,6 @@ impl<T> AlignedBuf<T> {
         self.ptr.as_ptr() as usize
     }
 
-    /// Alignment in bytes of the base address.
-    #[inline]
-    pub fn alignment(&self) -> usize {
-        self.align
-    }
-
     /// Size of the buffer's allocation in bytes (the quantity charged by the
     /// paper's space model).
     #[inline]
@@ -231,7 +225,6 @@ mod tests {
     fn custom_alignment_honoured() {
         let buf = AlignedBuf::<u32>::with_align(10, 4096);
         assert_eq!(buf.base_addr() % 4096, 0);
-        assert_eq!(buf.alignment(), 4096);
     }
 
     #[test]

@@ -85,11 +85,6 @@ impl CountingTracer {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Reset all counters to zero.
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
 }
 
 impl AccessTracer for CountingTracer {
@@ -201,9 +196,6 @@ mod tests {
         assert_eq!(t.bytes_written, 8);
         assert_eq!(t.compares, 2);
         assert_eq!(t.descends, 1);
-        t.reset();
-        assert_eq!(t.reads, 0);
-        assert_eq!(t.bytes_read, 0);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 
 use crate::layout::LeafSegment;
 use crate::search::NodeSearch;
-use crate::tree::{CssTree, Directory, Leaves};
+use crate::tree::{CssTree, Directory};
 use ccindex_common::{AccessTracer, Key, NoopTracer};
 
 /// Ask the cache for the line holding `ptr`, without waiting for it. A
@@ -46,7 +46,7 @@ fn prefetch<E>(ptr: *const E) {
 
 impl<K: Key, S: NodeSearch> Directory<K, S> {
     /// Level-synchronous interleaved descent: lower bounds of `probes`
-    /// over `leaves`, in probe order.
+    /// over the sorted `keys`, in probe order.
     ///
     /// Probes are processed in chunks of `lanes`; within a chunk every
     /// live lane advances one directory level per round and prefetches
@@ -59,15 +59,14 @@ impl<K: Key, S: NodeSearch> Directory<K, S> {
     /// == 0` falls back to the sequential descent (one lane), and `lanes >
     /// probes.len()` is clamped to the probe count so no lane bookkeeping
     /// is allocated or scanned for lanes that could never carry a probe.
-    pub(crate) fn interleaved_descent<L: Leaves<K>, T: AccessTracer>(
+    pub(crate) fn interleaved_descent<T: AccessTracer>(
         &self,
-        leaves: &L,
+        keys: &[K],
         probes: &[K],
         lanes: usize,
         tracer: &mut T,
     ) -> Vec<usize> {
         let layout = self.layout();
-        let elems = leaves.elems();
         let slots = self.slots().as_slice();
         let lanes = lanes.clamp(1, probes.len().max(1));
         let mut out = vec![0usize; probes.len()];
@@ -89,13 +88,13 @@ impl<K: Key, S: NodeSearch> Directory<K, S> {
                             prefetch(slots.as_ptr().wrapping_add(layout.node_entry(*node)));
                         } else if let LeafSegment::Range { start, .. } = layout.leaf_segment(*node)
                         {
-                            prefetch(elems.as_ptr().wrapping_add(start));
+                            prefetch(keys.as_ptr().wrapping_add(start));
                         }
                     }
                 }
             }
             for ((pos, &leaf), &probe) in out.iter_mut().zip(nodes.iter()).zip(chunk) {
-                *pos = self.resolve_leaf::<L, T>(elems, leaf, probe, tracer);
+                *pos = self.resolve_leaf(keys, leaf, probe, tracer);
             }
         }
         out
@@ -130,7 +129,7 @@ impl<K: Key, S: NodeSearch> CssTree<K, S> {
         tracer: &mut T,
     ) -> Vec<usize> {
         self.dir()
-            .interleaved_descent(self.array(), probes, lanes, tracer)
+            .interleaved_descent(self.array().as_slice(), probes, lanes, tracer)
     }
 
     /// Batched point lookup: interleaved lower bounds plus the per-probe

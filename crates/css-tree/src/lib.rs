@@ -54,21 +54,18 @@
 //! walk regardless, so it checks both fills independently.
 //!
 //! [`DynCssTree`] picks a monomorph by `(variant, m)` at runtime for
-//! parameter sweeps, and [`RecordCssTree`] puts the same directory over an
-//! array of records wider than their key (§4).
+//! parameter sweeps.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod batch;
 pub mod dynamic;
 pub mod layout;
-pub mod records;
 pub mod search;
 pub mod tree;
 
 pub use dynamic::{DynCssTree, STANDARD_NODE_SIZES};
 pub use layout::{CssLayout, CssVariant};
-pub use records::{KeyedRecord, RecordCssTree};
 pub use search::{Full, Level, NodeSearch, RuntimeFull};
 pub use tree::{CssTree, FullCssTree, LevelCssTree};
 

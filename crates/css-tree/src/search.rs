@@ -22,19 +22,19 @@ use crate::layout::CssLayout;
 use ccindex_common::{AccessTracer, Key};
 use core::fmt::Debug;
 
-/// The crate's one search kernel: how many of `elems`, read through `key`,
-/// are less than `probe`. On a sorted slice that is the leftmost position
-/// holding a key `>= probe` — a bisection's answer — computed with no
-/// data-dependent branch, so neither a mispredict nor a load waits on the
-/// previous compare.
+/// The crate's one search kernel: how many of `keys` are less than
+/// `probe`. On a sorted slice that is the leftmost position holding a key
+/// `>= probe` — a bisection's answer — computed with no data-dependent
+/// branch, so neither a mispredict nor a load waits on the previous
+/// compare.
 #[inline(always)]
-pub(crate) fn count_less<E, K: Key>(elems: &[E], key: impl Fn(&E) -> K, probe: K) -> usize {
-    elems.iter().map(|e| (key(e) < probe) as usize).sum()
+pub(crate) fn count_less<K: Key>(keys: &[K], probe: K) -> usize {
+    keys.iter().map(|&k| (k < probe) as usize).sum()
 }
 
 /// Replays for `tracer` the bisection of a sorted `len`-element slice whose
 /// answer is `answer`, calling `visit` at each midpoint it compares, in
-/// order. On a sorted slice `elems[mid] < probe` exactly when `mid <
+/// order. On a sorted slice `keys[mid] < probe` exactly when `mid <
 /// answer`, so the path follows from [`count_less`]'s result and the tracer
 /// sees the events of §4's search without it being run.
 ///
@@ -97,7 +97,7 @@ pub trait NodeSearch: Copy + Debug + Send + Sync + 'static {
     #[inline(always)]
     fn branch<K: Key, T: AccessTracer>(&self, node: &[K], probe: K, tracer: &mut T) -> usize {
         let searched = self.searched();
-        let branch = count_less(&node[..searched], |&k| k, probe);
+        let branch = count_less(&node[..searched], probe);
         replay_bisection(tracer, searched, branch, |tracer, _| tracer.compare());
         branch
     }

@@ -12,11 +12,10 @@
 
 mod golden;
 
-use crate::tree::{segment_lower_bound, Leaves};
+use crate::tree::segment_lower_bound;
 use crate::{CssTree, Full, Level, NodeSearch, RuntimeFull, STANDARD_NODE_SIZES};
 use ccindex_common::{
-    AccessTracer, AlignedBuf, CountingTracer, Key, NoopTracer, OrderedIndex, SearchIndex,
-    SortedArray,
+    AccessTracer, CountingTracer, Key, NoopTracer, OrderedIndex, SearchIndex, SortedArray,
 };
 
 pub(crate) fn tree<K: Key, S: NodeSearch>(search: S, keys: &[K]) -> CssTree<K, S> {
@@ -346,19 +345,19 @@ fn reference_branch<K: Key>(
     lo
 }
 
-/// §4's leaf bisection of `elems[start..end]` as it ran before the kernel.
-fn reference_leaf<K: Key, L: Leaves<K>>(
-    elems: &[L::Elem],
+/// §4's leaf bisection of `keys[start..end]` as it ran before the kernel.
+fn reference_leaf<K: Key>(
+    keys: &[K],
     (mut lo, mut hi): (usize, usize),
     probe: K,
     tracer: &mut EventTracer,
 ) -> usize {
-    let width = core::mem::size_of::<L::Elem>();
+    let width = core::mem::size_of::<K>();
     while lo < hi {
         let mid = lo + ((hi - lo) >> 1);
         tracer.compare();
-        tracer.read(elems.as_ptr() as usize + mid * width, width);
-        if L::key(&elems[mid]) < probe {
+        tracer.read(keys.as_ptr() as usize + mid * width, width);
+        if keys[mid] < probe {
             lo = mid + 1;
         } else {
             hi = mid;
@@ -370,8 +369,8 @@ fn reference_leaf<K: Key, L: Leaves<K>>(
 /// The branch-free kernel answers exactly as the bisection did, and a
 /// tracer sees exactly the bisection's events — in a node (distinct keys,
 /// duplicate runs, a padded tail, all equal) and in a leaf segment of
-/// every length `0..=m`, over bare keys and through the record
-/// projection, for probes below, on, between and above the keys. The
+/// every length `0..=m`, for probes below, on, between and above the
+/// keys. The
 /// untraced (zero-sized tracer) path gives the same answers.
 fn kernel_is_the_bisection<S: NodeSearch>(search: S) {
     let m = search.slots();
@@ -394,15 +393,12 @@ fn kernel_is_the_bisection<S: NodeSearch>(search: S) {
     // Runs of two equal keys, so segments start inside and between runs.
     let keys: Vec<u32> = (0..2 * m as u32 + 2).map(|i| 10 * (i / 2 + 1)).collect();
     let array = SortedArray::from_slice(&keys);
-    let records: Vec<(u32, u64)> = keys.iter().map(|&k| (k, u64::from(k) << 8)).collect();
-    let records = AlignedBuf::from_slice(&records);
     for len in 0..=m {
         for start in [0, 1] {
             let segment = (start, start + len);
             for probe in (0..=keys[start + len] + 15).step_by(5) {
                 let ctx = format!("{} m={m} segment {segment:?} probe={probe}", search.name());
-                leaf_agrees(&array, segment, probe, &ctx);
-                leaf_agrees(&records, segment, probe, &ctx);
+                leaf_agrees(array.as_slice(), segment, probe, &ctx);
             }
         }
     }
@@ -417,25 +413,19 @@ fn node_agrees<K: Key, S: NodeSearch>(search: S, node: &[K], probe: K, ctx: &str
     assert_eq!(search.branch(node, probe, &mut NoopTracer), pos, "{ctx}");
 }
 
-fn leaf_agrees<K: Key, L: Leaves<K>>(
-    leaves: &L,
-    (start, end): (usize, usize),
-    probe: K,
-    ctx: &str,
-) {
-    let elems = leaves.elems();
+fn leaf_agrees<K: Key>(keys: &[K], (start, end): (usize, usize), probe: K, ctx: &str) {
     let mut want = EventTracer::default();
-    let pos = reference_leaf::<K, L>(elems, (start, end), probe, &mut want);
-    let segment = &elems[start..end];
+    let pos = reference_leaf(keys, (start, end), probe, &mut want);
+    let segment = &keys[start..end];
     let mut got = EventTracer::default();
     assert_eq!(
-        start + segment_lower_bound::<K, L, _>(segment, probe, &mut got),
+        start + segment_lower_bound(segment, probe, &mut got),
         pos,
         "{ctx}"
     );
     assert_eq!(got.0, want.0, "{ctx}");
     assert_eq!(
-        start + segment_lower_bound::<K, L, _>(segment, probe, &mut NoopTracer),
+        start + segment_lower_bound(segment, probe, &mut NoopTracer),
         pos,
         "{ctx}"
     );

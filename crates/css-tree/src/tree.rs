@@ -19,50 +19,26 @@ use ccindex_common::{
     SpaceReport, DEFAULT_BATCH_LANES,
 };
 
-/// The sorted array `a` of §4 seen through its keys: bare keys, or wider
-/// records ordered by an embedded key ("offsets into the leaf array are
-/// independent of the record size within the array").
-pub(crate) trait Leaves<K: Key> {
-    /// What the array holds.
-    type Elem;
-    /// The array.
-    fn elems(&self) -> &[Self::Elem];
-    /// The ordering key of one element.
-    fn key(elem: &Self::Elem) -> K;
-}
-
-impl<K: Key> Leaves<K> for SortedArray<K> {
-    type Elem = K;
-    fn elems(&self) -> &[K] {
-        self.as_slice()
-    }
-    #[inline(always)]
-    fn key(elem: &K) -> K {
-        *elem
-    }
-}
-
 /// The leftmost position of a sorted leaf segment with key `>= probe`,
 /// by [`count_less`]; `tracer` sees §4's bisection of the segment, one
 /// compare and one element read per step.
 #[inline(always)]
-pub(crate) fn segment_lower_bound<K: Key, L: Leaves<K>, T: AccessTracer>(
-    segment: &[L::Elem],
+pub(crate) fn segment_lower_bound<K: Key, T: AccessTracer>(
+    segment: &[K],
     probe: K,
     tracer: &mut T,
 ) -> usize {
-    let pos = count_less(segment, L::key, probe);
-    let width = core::mem::size_of::<L::Elem>();
+    let pos = count_less(segment, probe);
     let base = segment.as_ptr() as usize;
     replay_bisection(tracer, segment.len(), pos, |tracer, mid| {
         tracer.compare();
-        tracer.read(base + mid * width, width);
+        tracer.read(base + mid * K::WIDTH, K::WIDTH);
     });
     pos
 }
 
 /// The directory proper — key slots, geometry, strategy — apart from the
-/// leaf array it indexes, so key trees and record trees share it.
+/// sorted array it indexes.
 #[derive(Debug, Clone)]
 pub(crate) struct Directory<K: Key, S: NodeSearch> {
     /// `internal_nodes · m` key slots, cache-line aligned, root first.
@@ -72,15 +48,14 @@ pub(crate) struct Directory<K: Key, S: NodeSearch> {
 }
 
 impl<K: Key, S: NodeSearch> Directory<K, S> {
-    /// Build over `leaves`: every slot gets the largest key under its
-    /// child, nodes filled from the last to the first so a strategy may
-    /// read what lower levels already hold.
-    pub(crate) fn build<L: Leaves<K>>(search: S, leaves: &L) -> Self {
-        let elems = leaves.elems();
-        let layout = search.layout(elems.len());
+    /// Build over the sorted `keys`: every slot gets the largest key under
+    /// its child, nodes filled from the last to the first so a strategy
+    /// may read what lower levels already hold.
+    pub(crate) fn build(search: S, keys: &[K]) -> Self {
+        let layout = search.layout(keys.len());
         let m = search.slots();
         let mut slots: AlignedBuf<K> = AlignedBuf::new_zeroed(layout.directory_slots());
-        let key_at = |i: usize| L::key(&elems[i]);
+        let key_at = |i: usize| keys[i];
         for d in (0..layout.internal_nodes).rev() {
             for e in 0..m {
                 let child = layout.child(d, e);
@@ -148,46 +123,45 @@ impl<K: Key, S: NodeSearch> Directory<K, S> {
         d
     }
 
-    /// The leftmost position of the array `elems` with key `>= probe`
+    /// The leftmost position of the array `keys` with key `>= probe`
     /// within one virtual leaf's segment.
     #[inline(always)]
-    pub(crate) fn resolve_leaf<L: Leaves<K>, T: AccessTracer>(
+    pub(crate) fn resolve_leaf<T: AccessTracer>(
         &self,
-        elems: &[L::Elem],
+        keys: &[K],
         leaf: usize,
         probe: K,
         tracer: &mut T,
     ) -> usize {
         match self.layout.leaf_segment(leaf) {
             LeafSegment::Range { start, end } => {
-                start + segment_lower_bound::<K, L, T>(&elems[start..end], probe, tracer)
+                start + segment_lower_bound(&keys[start..end], probe, tracer)
             }
             // The probe exceeds every key (or there are none).
-            LeafSegment::BeyondEnd => elems.len(),
+            LeafSegment::BeyondEnd => keys.len(),
         }
     }
 
-    /// Leftmost position of `leaves` with key `>= probe`.
+    /// Leftmost position of `keys` with key `>= probe`.
     #[inline]
-    pub(crate) fn lower_bound<L: Leaves<K>, T: AccessTracer>(
+    pub(crate) fn lower_bound<T: AccessTracer>(
         &self,
-        leaves: &L,
+        keys: &[K],
         probe: K,
         tracer: &mut T,
     ) -> usize {
         let leaf = self.descend(probe, tracer);
-        self.resolve_leaf::<L, T>(leaves.elems(), leaf, probe, tracer)
+        self.resolve_leaf(keys, leaf, probe, tracer)
     }
 
     /// Every slot must equal the largest key under its child, recomputed
     /// from the geometry alone by rightmost descent — whichever route the
     /// strategy's fill took. Returns the first violation.
-    pub(crate) fn validate<L: Leaves<K>>(&self, leaves: &L) -> Result<(), String> {
-        let elems = leaves.elems();
+    pub(crate) fn validate(&self, keys: &[K]) -> Result<(), String> {
         let m = self.layout.m;
         for (i, &stored) in self.slots.iter().enumerate() {
             let (d, e) = (i / m, i % m);
-            let expect = L::key(&elems[self.layout.max_position(self.layout.child(d, e))]);
+            let expect = keys[self.layout.max_position(self.layout.child(d, e))];
             if stored != expect {
                 return Err(format!(
                     "node {d} entry {e}: stored {stored:?}, expected {expect:?}"
@@ -219,7 +193,7 @@ impl<K: Key, S: NodeSearch> CssTree<K, S> {
     /// Build the directory for `search` over a shared array, without
     /// copying the array.
     pub fn new(search: S, array: SortedArray<K>) -> Self {
-        let dir = Directory::build(search, &array);
+        let dir = Directory::build(search, array.as_slice());
         Self { array, dir }
     }
 
@@ -260,7 +234,7 @@ impl<K: Key, S: NodeSearch> CssTree<K, S> {
 
     /// Leftmost position with key `>= probe`, traced.
     pub fn lower_bound_with<T: AccessTracer>(&self, probe: K, tracer: &mut T) -> usize {
-        self.dir.lower_bound(&self.array, probe, tracer)
+        self.dir.lower_bound(self.array.as_slice(), probe, tracer)
     }
 
     /// Leftmost matching position, traced.
@@ -291,7 +265,7 @@ impl<K: Key, S: NodeSearch> CssTree<K, S> {
     /// of its child's subtree, recomputed independently of how the
     /// strategy filled it. Returns a description of the first violation.
     pub fn validate(&self) -> Result<(), String> {
-        self.dir.validate(&self.array)
+        self.dir.validate(self.array.as_slice())
     }
 
     pub(crate) fn dir(&self) -> &Directory<K, S> {

@@ -63,25 +63,6 @@ impl<K: Key, const E: usize> Bucket<K, E> {
     }
 }
 
-/// Geometry description used by the space model and tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BucketLayout {
-    /// Bytes per bucket.
-    pub bucket_bytes: usize,
-    /// Entry slots per bucket.
-    pub entries: usize,
-}
-
-impl BucketLayout {
-    /// Layout for key width `K::WIDTH` with 4-byte RIDs in 64-byte lines.
-    pub fn for_key<K: Key, const E: usize>() -> Self {
-        Self {
-            bucket_bytes: core::mem::size_of::<Bucket<K, E>>(),
-            entries: E,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,12 +98,5 @@ mod tests {
             None,
             "default key in unoccupied slot is not a match"
         );
-    }
-
-    #[test]
-    fn layout_report() {
-        let l = BucketLayout::for_key::<u32, 7>();
-        assert_eq!(l.bucket_bytes, 64);
-        assert_eq!(l.entries, 7);
     }
 }

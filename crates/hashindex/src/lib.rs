@@ -18,6 +18,6 @@ pub mod bucket;
 pub mod hashfn;
 pub mod table;
 
-pub use bucket::{Bucket, BucketLayout};
+pub use bucket::Bucket;
 pub use hashfn::HashFn;
 pub use table::HashIndex;

@@ -29,7 +29,6 @@ pub struct HashIndex<K: Key, const E: usize> {
     overflow: AlignedBuf<Bucket<K, E>>,
     hash_fn: HashFn,
     len: usize,
-    entries: usize,
     max_chain: usize,
 }
 
@@ -54,7 +53,6 @@ impl<K: Key, const E: usize> HashIndex<K, E> {
         );
         // Pass 1: leftmost occurrences and their chain loads.
         let mut loads = vec![0u32; directory_size];
-        let mut entries = 0usize;
         let mut prev: Option<K> = None;
         for &k in keys {
             if prev == Some(k) {
@@ -62,7 +60,6 @@ impl<K: Key, const E: usize> HashIndex<K, E> {
             }
             prev = Some(k);
             loads[hash_fn.bucket(k.hash_bits(), directory_size)] += 1;
-            entries += 1;
         }
         // Overflow buckets needed per chain: ceil(load/E) - 1.
         let mut overflow_total = 0usize;
@@ -126,7 +123,6 @@ impl<K: Key, const E: usize> HashIndex<K, E> {
             overflow,
             hash_fn,
             len: keys.len(),
-            entries,
             max_chain,
         }
     }
@@ -146,19 +142,9 @@ impl<K: Key, const E: usize> HashIndex<K, E> {
         self.directory.len()
     }
 
-    /// Overflow buckets allocated.
-    pub fn overflow_buckets(&self) -> usize {
-        self.overflow.len()
-    }
-
     /// Longest chain (buckets) — the skew indicator of §3.5.
     pub fn max_chain(&self) -> usize {
         self.max_chain
-    }
-
-    /// Distinct keys stored.
-    pub fn distinct_keys(&self) -> usize {
-        self.entries
     }
 
     #[inline]
@@ -263,14 +249,12 @@ mod tests {
         let h = H::build(&keys);
         assert_eq!(h.search(7), Some(1));
         assert_eq!(h.search(9), Some(4));
-        assert_eq!(h.distinct_keys(), 3);
     }
 
     #[test]
     fn tiny_directory_forces_overflow_chains() {
         let keys: Vec<u32> = (0..1000).collect();
         let h = H::build_with_directory(&keys, 8);
-        assert!(h.overflow_buckets() > 0);
         assert!(h.max_chain() > 10);
         for (i, &k) in keys.iter().enumerate().step_by(13) {
             assert_eq!(h.search(k), Some(i));

@@ -1,17 +1,23 @@
-//! Grouped aggregation.
+//! Grouped aggregation: one operator.
 //!
-//! OLAP queries (§1, §2.2) aggregate after selecting and joining. A RID
-//! list sorted on the group-by column already clusters each group into a
-//! contiguous run of equal domain IDs, so [`group_aggregate`] over a whole
-//! column is a single linear pass — no hash table, and the per-group
-//! ranges are exactly the `equal_range`s an ordered index reports. Rows a
-//! plan has filtered or joined arrive in no group order; they go through
-//! the one partitioned operator, [`group_aggregate_pairs`].
+//! OLAP queries (§1, §2.2) aggregate after selecting and joining. A group
+//! key is a domain ID, and domain IDs are dense ranks `0..d` in value
+//! order (§2.1), so the accumulator is an array indexed by ID, not a map:
+//! [`group_aggregate_pairs`] folds `(group RID, value)` pairs into a
+//! `d`-slot array with [`AggFn::combine`], and the groups present, read in
+//! ascending ID order, are already in group-value order.
+//!
+//! It is the only grouping there is: a plan's group stage over a
+//! selection, join output or a whole table; a shard answering a grouped
+//! request; and a coordinator merging shard partials, whose decoded group
+//! values it dictionary-encodes first so that they are dense IDs too. A
+//! measure column is resolved once per aggregation by
+//! [`Measure::resolve`], the one place a non-integer measure becomes a
+//! typed error.
 
 use crate::column::Column;
 use crate::domain::{DomainView, Value};
-use crate::rid::RidList;
-use std::collections::BTreeMap;
+use crate::error::{MmdbError, Result};
 
 /// Supported aggregate functions over an `Int` measure column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,190 +53,175 @@ pub struct GroupRow {
     pub value: i64,
 }
 
-/// A measure column resolved once per aggregation into its in-place IDs
-/// and its domain's typed array, so the per-row read is two slice loads
-/// and cannot meet a non-integer value.
-#[derive(Clone, Copy)]
-struct Measure<'a> {
-    ids: &'a [u32],
-    ints: &'a [i64],
+/// What an aggregation folds per row: `1` for `Count`, otherwise the
+/// row's value in an integer measure column, resolved once into the
+/// column's in-place IDs and its domain's typed array so that the per-row
+/// read is two slice loads.
+#[derive(Debug, Clone, Copy)]
+pub struct Measure<'a> {
+    column: Option<(&'a [u32], &'a [i64])>,
 }
 
 impl<'a> Measure<'a> {
-    /// `None` for `Count` (which reads no measure); otherwise the measure
-    /// column, which callers have checked is integer-valued
-    /// ([`Domain::is_int`](crate::domain::Domain::is_int) — the planner's
-    /// `NonIntegerMeasure` check).
-    fn resolve(measure: Option<&'a Column>, agg: AggFn) -> Option<Self> {
-        if agg == AggFn::Count {
-            return None;
-        }
-        let column = measure.expect("aggregate other than Count needs a measure column");
-        let DomainView::Int(ints) = column.domain().view() else {
-            panic!("aggregate other than Count needs an integer-valued measure column");
+    /// Resolve `agg` over an optional measure, given as `(table, column
+    /// name, column)`. A named measure must be integer-valued
+    /// ([`MmdbError::NonIntegerMeasure`], naming it), and every aggregate
+    /// but `Count` needs one ([`MmdbError::Unsupported`]). The planner,
+    /// the executor and a shard's grouped answer all check here, so a
+    /// stale plan fails exactly as a fresh compile does.
+    pub fn resolve(agg: AggFn, measure: Option<(&str, &str, &'a Column)>) -> Result<Self> {
+        let column = match measure {
+            None => None,
+            Some((table, name, column)) => match column.domain().view() {
+                DomainView::Int(ints) => Some((column.ids(), ints)),
+                DomainView::Generic(_) => {
+                    return Err(MmdbError::NonIntegerMeasure {
+                        table: table.to_owned(),
+                        column: name.to_owned(),
+                    })
+                }
+            },
         };
-        Some(Self {
-            ids: column.ids(),
-            ints,
-        })
+        match (agg, column) {
+            (AggFn::Count, _) => Ok(Self { column: None }),
+            (_, Some(_)) => Ok(Self { column }),
+            (_, None) => Err(MmdbError::Unsupported {
+                what: format!("aggregate {agg:?} needs a measure column"),
+            }),
+        }
     }
 
-    fn at(self, rid: u32) -> i64 {
-        self.ints[self.ids[rid as usize] as usize]
+    /// The value row `rid` contributes.
+    #[inline]
+    pub fn at(self, rid: u32) -> i64 {
+        match self.column {
+            None => 1,
+            Some((ids, ints)) => ints[ids[rid as usize] as usize],
+        }
     }
 }
 
-/// Grouped aggregation over `rows` `(group_rid, measure_rid)` pairs,
-/// `pair(i)` being the `i`-th — the operator a query plan runs when
-/// grouping *filtered* selections, join output or a whole table, where
-/// rows no longer arrive clustered by group. Reading each pair out of its
-/// row source (a RID list, join rows, or the position itself) means no
-/// intermediate pair vector is materialised.
+/// One worker's accumulator: a slot per domain ID, and a bit per ID
+/// saying whether its slot holds a value yet. Both come from zeroed
+/// allocations, which the allocator maps lazily, so a grouping touches
+/// only the pages its IDs land on.
+struct Slots {
+    acc: Vec<i64>,
+    seen: Vec<u64>,
+}
+
+impl Slots {
+    fn new(d: usize) -> Self {
+        Self {
+            acc: vec![0; d],
+            seen: vec![0; d.div_ceil(64)],
+        }
+    }
+
+    /// Fold `v` into group `id`. A group's first value seeds its slot, so
+    /// the zero the slot starts from never reaches `Min` or `Max`.
+    #[inline]
+    fn fold(&mut self, agg: AggFn, id: usize, v: i64) {
+        let (word, bit) = (id / 64, 1u64 << (id % 64));
+        self.acc[id] = if self.seen[word] & bit == 0 {
+            v
+        } else {
+            agg.combine(self.acc[id], v)
+        };
+        self.seen[word] |= bit;
+    }
+
+    /// The IDs holding a value, ascending.
+    fn ids(&self) -> impl Iterator<Item = usize> + '_ {
+        self.seen.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let id = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    id
+                })
+            })
+        })
+    }
+}
+
+/// Grouped aggregation over `rows` `(group_rid, value)` pairs, `pair(i)`
+/// being the `i`-th: the group is `group_col`'s domain ID at `group_rid`,
+/// and `value` is what `agg` folds — `1` per row for `Count`, a measure
+/// read through [`Measure::at`], or a partial aggregate being merged
+/// (merging is the same fold). Reading each pair out of its row source (a
+/// RID list, join rows, or the position itself) means no intermediate
+/// pair vector is materialised; the group RID and the measure may come
+/// from different relations (the join shape).
 ///
 /// The pairs are partitioned into one contiguous range per worker of
 /// `threads` (`1` runs inline, `0` is one per core). Each worker folds its
-/// range into a partial accumulator keyed by domain ID in an ordered map,
-/// and the partials merge at the join barrier. Every [`AggFn`] is
-/// commutative and associative, so the result — group order included,
-/// which is group-value order as in [`group_aggregate`] — is the same for
-/// every thread count. The group keys are decoded in one
-/// [`decode_batch`](crate::domain::Domain::decode_batch) at the end.
-///
-/// The two RIDs of a pair may address different relations (group column
-/// from one join side, measure from the other); for plain selections pass
-/// each RID twice. `measure` may be `None` for `Count`. Callers must have
-/// checked that the measure column is integer-valued for Sum/Min/Max.
+/// range into its own `d`-slot array (see the [module docs](self)), and
+/// the partials merge slot by slot over the groups each one saw. Every
+/// [`AggFn`] is commutative and associative, so the result is the same for
+/// every thread count: the groups present in ascending ID order, which is
+/// group-value order, decoded in one
+/// [`decode_batch`](crate::domain::Domain::decode_batch).
 pub fn group_aggregate_pairs<F>(
     group_col: &Column,
-    measure: Option<&Column>,
     rows: usize,
     pair: F,
     agg: AggFn,
     threads: usize,
 ) -> Vec<GroupRow>
 where
-    F: Fn(usize) -> (u32, u32) + Sync,
+    F: Fn(usize) -> (u32, i64) + Sync,
 {
-    let measure = Measure::resolve(measure, agg);
+    let d = group_col.domain().len();
     let pool = ccindex_parallel::WorkerPool::new(threads);
     let ranges = ccindex_parallel::partition(rows, pool.threads());
     let partials = pool.run(ranges.len(), |i| {
-        let mut acc = BTreeMap::new();
-        let pairs = ranges[i].clone().map(&pair);
-        accumulate_pairs(&mut acc, group_col, measure, pairs, agg);
-        acc
+        let mut slots = Slots::new(d);
+        for (group_rid, v) in ranges[i].clone().map(&pair) {
+            slots.fold(agg, group_col.id(group_rid) as usize, v);
+        }
+        slots
     });
-    decode_accumulator(group_col, merge_partials(agg, partials))
-}
-
-/// Merge per-worker partial accumulators at the join barrier, starting
-/// from the first: a single worker's partial is the answer as it stands.
-fn merge_partials(agg: AggFn, partials: Vec<BTreeMap<u32, i64>>) -> BTreeMap<u32, i64> {
     let mut partials = partials.into_iter();
-    let mut merged = partials.next().unwrap_or_default();
+    let Some(mut merged) = partials.next() else {
+        return Vec::new();
+    };
     for partial in partials {
-        for (id, v) in partial {
-            merged
-                .entry(id)
-                .and_modify(|a| *a = agg.combine(*a, v))
-                .or_insert(v);
+        for id in partial.ids() {
+            merged.fold(agg, id, partial.acc[id]);
         }
     }
-    merged
-}
-
-/// One worker's accumulation loop (`measure` is `None` exactly for
-/// `Count`, see [`Measure::resolve`]).
-fn accumulate_pairs(
-    acc: &mut BTreeMap<u32, i64>,
-    group_col: &Column,
-    measure: Option<Measure<'_>>,
-    pairs: impl IntoIterator<Item = (u32, u32)>,
-    agg: AggFn,
-) {
-    for (group_rid, measure_rid) in pairs {
-        let id = group_col.id(group_rid);
-        match measure {
-            None => *acc.entry(id).or_insert(0) += 1,
-            Some(measure) => {
-                let v = measure.at(measure_rid);
-                acc.entry(id)
-                    .and_modify(|a| *a = agg.combine(*a, v))
-                    .or_insert(v);
-            }
-        }
-    }
-}
-
-/// Decode the accumulator's domain IDs in one batch and emit the rows in
-/// group-value order (the map's iteration order).
-fn decode_accumulator(group_col: &Column, acc: BTreeMap<u32, i64>) -> Vec<GroupRow> {
-    let ids: Vec<u32> = acc.keys().copied().collect();
+    let ids: Vec<u32> = merged.ids().map(|id| id as u32).collect();
     let groups = group_col.domain().decode_batch(&ids);
     groups
         .into_iter()
-        .zip(acc.into_values())
-        .map(|(group, value)| GroupRow { group, value })
+        .zip(&ids)
+        .map(|(group, &id)| GroupRow {
+            group,
+            value: merged.acc[id as usize],
+        })
         .collect()
-}
-
-/// `SELECT group, agg(measure) FROM t GROUP BY group` where `rids` is the
-/// RID list sorted on the group column. `measure` may be `None` for
-/// `Count`. Results come out in group-value order (the "interesting
-/// order" §2.2 mentions comes for free from the sorted RID list).
-pub fn group_aggregate(
-    group_col: &Column,
-    rids: &RidList,
-    measure: Option<&Column>,
-    agg: AggFn,
-) -> Vec<GroupRow> {
-    let measure = Measure::resolve(measure, agg);
-    if let Some(m) = measure {
-        assert_eq!(m.ids.len(), group_col.len(), "measure length mismatch");
-    }
-    let keys = rids.keys().as_slice();
-    let mut out = Vec::new();
-    let mut start = 0usize;
-    while start < keys.len() {
-        let id = keys[start];
-        let mut end = start + 1;
-        while end < keys.len() && keys[end] == id {
-            end += 1;
-        }
-        let value = match measure {
-            None => (end - start) as i64,
-            Some(m) => rids
-                .rids_in(start, end)
-                .iter()
-                .map(|&rid| m.at(rid))
-                .reduce(|a, v| agg.combine(a, v))
-                .expect("non-empty group"),
-        };
-        out.push(GroupRow {
-            group: group_col.domain().decode(id),
-            value,
-        });
-        start = end;
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::TableBuilder;
+    use crate::rid::RidList;
+    use crate::table::{Table, TableBuilder};
 
-    fn setup() -> (crate::table::Table, RidList) {
-        let t = TableBuilder::new("sales")
+    const AGGS: [AggFn; 4] = [AggFn::Count, AggFn::Sum, AggFn::Min, AggFn::Max];
+
+    fn setup() -> Table {
+        TableBuilder::new("sales")
             .str_column("region", ["e", "w", "e", "n", "w", "e"])
             .int_column("amount", [10, 20, 30, 40, 50, 60])
             .build()
-            .expect("equal-length columns");
-        let rl = RidList::for_column(t.column("region").unwrap());
-        (t, rl)
+            .expect("equal-length columns")
     }
 
-    /// [`group_aggregate_pairs`] over a pair slice.
+    /// [`group_aggregate_pairs`] over `(group_rid, measure_rid)` pairs,
+    /// the measure being `sales.amount` unless `agg` is `Count`.
     fn over(
         group_col: &Column,
         measure: Option<&Column>,
@@ -238,79 +229,95 @@ mod tests {
         agg: AggFn,
         threads: usize,
     ) -> Vec<GroupRow> {
-        group_aggregate_pairs(group_col, measure, pairs.len(), |i| pairs[i], agg, threads)
+        let measure = measure.filter(|_| agg != AggFn::Count);
+        let m = Measure::resolve(agg, measure.map(|c| ("sales", "amount", c))).unwrap();
+        let pair = |i: usize| (pairs[i].0, m.at(pairs[i].1));
+        group_aggregate_pairs(group_col, pairs.len(), pair, agg, threads)
+    }
+
+    /// Every row of `t`, each paired with itself.
+    fn all_rows(t: &Table) -> Vec<(u32, u32)> {
+        (0..t.rows() as u32).map(|r| (r, r)).collect()
+    }
+
+    fn row(group: &str, value: i64) -> GroupRow {
+        GroupRow {
+            group: group.into(),
+            value,
+        }
     }
 
     #[test]
     fn count_per_group() {
-        let (t, rl) = setup();
-        let rows = group_aggregate(t.column("region").unwrap(), &rl, None, AggFn::Count);
-        assert_eq!(
-            rows,
-            vec![
-                GroupRow {
-                    group: "e".into(),
-                    value: 3
-                },
-                GroupRow {
-                    group: "n".into(),
-                    value: 1
-                },
-                GroupRow {
-                    group: "w".into(),
-                    value: 2
-                },
-            ]
+        let t = setup();
+        let rows = over(
+            t.column("region").unwrap(),
+            None,
+            &all_rows(&t),
+            AggFn::Count,
+            1,
         );
+        assert_eq!(rows, vec![row("e", 3), row("n", 1), row("w", 2)]);
     }
 
     #[test]
     fn sum_min_max_per_group() {
-        let (t, rl) = setup();
+        let t = setup();
         let region = t.column("region").unwrap();
         let amount = t.column("amount").unwrap();
-        let sums = group_aggregate(region, &rl, Some(amount), AggFn::Sum);
-        assert_eq!(
-            sums[0],
-            GroupRow {
-                group: "e".into(),
-                value: 100
-            }
-        ); // 10+30+60
-        assert_eq!(
-            sums[2],
-            GroupRow {
-                group: "w".into(),
-                value: 70
-            }
-        ); // 20+50
-        let mins = group_aggregate(region, &rl, Some(amount), AggFn::Min);
+        let all = all_rows(&t);
+        let sums = over(region, Some(amount), &all, AggFn::Sum, 1);
+        assert_eq!(sums[0], row("e", 100)); // 10+30+60
+        assert_eq!(sums[2], row("w", 70)); // 20+50
+        let mins = over(region, Some(amount), &all, AggFn::Min, 1);
         assert_eq!(mins[0].value, 10);
-        let maxs = group_aggregate(region, &rl, Some(amount), AggFn::Max);
+        let maxs = over(region, Some(amount), &all, AggFn::Max, 1);
         assert_eq!(maxs[0].value, 60);
     }
 
     #[test]
     fn groups_come_out_in_value_order() {
-        let (t, rl) = setup();
-        let rows = group_aggregate(t.column("region").unwrap(), &rl, None, AggFn::Count);
+        let t = setup();
+        let rows = over(
+            t.column("region").unwrap(),
+            None,
+            &all_rows(&t),
+            AggFn::Count,
+            1,
+        );
         let order: Vec<String> = rows.iter().map(|r| r.group.to_string()).collect();
         let mut sorted = order.clone();
         sorted.sort();
         assert_eq!(order, sorted);
     }
 
+    /// The operator over a whole table against a fold of the RID list
+    /// sorted on the group column, one run of equal IDs per group.
     #[test]
     fn pairs_match_sorted_rid_list_on_whole_tables() {
-        let (t, rl) = setup();
+        let t = setup();
         let region = t.column("region").unwrap();
         let amount = t.column("amount").unwrap();
-        let all: Vec<(u32, u32)> = (0..region.len() as u32).map(|r| (r, r)).collect();
-        for agg in [AggFn::Count, AggFn::Sum, AggFn::Min, AggFn::Max] {
-            let measure = (agg != AggFn::Count).then_some(amount);
+        let rids = RidList::for_column(region);
+        let rids = rids.rids();
+        for agg in AGGS {
+            let m = Measure::resolve(agg, Some(("sales", "amount", amount))).unwrap();
+            let mut want: Vec<GroupRow> = Vec::new();
+            let mut last_id = None;
+            for &rid in rids {
+                let (id, v) = (region.id(rid), m.at(rid));
+                match want.last_mut() {
+                    Some(g) if last_id == Some(id) => g.value = agg.combine(g.value, v),
+                    _ => want.push(GroupRow {
+                        group: region.value(rid),
+                        value: v,
+                    }),
+                }
+                last_id = Some(id);
+            }
             assert_eq!(
-                over(region, measure, &all, agg, 1),
-                group_aggregate(region, &rl, measure, agg),
+                over(region, Some(amount), &all_rows(&t), agg, 1),
+                want,
                 "{agg:?}"
             );
         }
@@ -318,25 +325,13 @@ mod tests {
 
     #[test]
     fn pairs_handle_filtered_subsets_and_cross_relation_measures() {
-        let (t, _) = setup();
+        let t = setup();
         let region = t.column("region").unwrap();
         let amount = t.column("amount").unwrap();
         // Only rows 0, 2, 4: regions e, e, w with amounts 10, 30, 50.
         let pairs = [(0u32, 0u32), (2, 2), (4, 4)];
         let sums = over(region, Some(amount), &pairs, AggFn::Sum, 1);
-        assert_eq!(
-            sums,
-            vec![
-                GroupRow {
-                    group: "e".into(),
-                    value: 40
-                },
-                GroupRow {
-                    group: "w".into(),
-                    value: 50
-                },
-            ]
-        );
+        assert_eq!(sums, vec![row("e", 40), row("w", 50)]);
         // Measure RID differing from group RID (the join shape): group by
         // row 0's region but measure row 5's amount.
         let cross = over(region, Some(amount), &[(0, 5)], AggFn::Max, 1);
@@ -359,12 +354,11 @@ mod tests {
         let region = t.column("region").unwrap();
         let amount = t.column("amount").unwrap();
         let pairs: Vec<(u32, u32)> = (0..n).map(|r| (r, (r + 7) % n)).collect();
-        for agg in [AggFn::Count, AggFn::Sum, AggFn::Min, AggFn::Max] {
-            let measure = (agg != AggFn::Count).then_some(amount);
-            let seq = over(region, measure, &pairs, agg, 1);
+        for agg in AGGS {
+            let seq = over(region, Some(amount), &pairs, agg, 1);
             for threads in [0usize, 2, 8] {
                 assert_eq!(
-                    over(region, measure, &pairs, agg, threads),
+                    over(region, Some(amount), &pairs, agg, threads),
                     seq,
                     "{agg:?} threads={threads}"
                 );
@@ -373,20 +367,64 @@ mod tests {
         assert!(over(region, None, &[], AggFn::Count, 8).is_empty());
     }
 
+    /// All-negative groups under `Max` and all-positive ones under `Min`:
+    /// the zero an unseen slot holds must not win, in a worker's fold or
+    /// in the merge of the workers' partials (groups 2 and 3 live only in
+    /// the second half of the rows, so at two threads only the second
+    /// worker sees them).
+    #[test]
+    fn min_and_max_never_see_an_empty_slot() {
+        let t = TableBuilder::new("sales")
+            .int_column("g", (0..64).map(|i| if i < 32 { i % 2 } else { i % 4 }))
+            .int_column(
+                "amount",
+                (0..64).map(|i| if i % 2 == 0 { -5 - i } else { 3 + i }),
+            )
+            .build()
+            .expect("equal-length columns");
+        let g = t.column("g").unwrap();
+        let amount = t.column("amount").unwrap();
+        let all = all_rows(&t);
+        for threads in [1, 2, 8] {
+            let max = over(g, Some(amount), &all, AggFn::Max, threads);
+            let min = over(g, Some(amount), &all, AggFn::Min, threads);
+            assert_eq!(max[0].value, -5, "threads={threads}");
+            assert_eq!(max[2].value, -39, "threads={threads}");
+            assert_eq!(min[1].value, 4, "threads={threads}");
+            assert_eq!(min[3].value, 38, "threads={threads}");
+        }
+    }
+
     #[test]
     fn empty_table_yields_no_groups() {
         let t = TableBuilder::new("empty")
             .int_column("g", [])
             .build()
             .expect("one column");
-        let rl = RidList::for_column(t.column("g").unwrap());
-        assert!(group_aggregate(t.column("g").unwrap(), &rl, None, AggFn::Count).is_empty());
+        let g = t.column("g").unwrap();
+        assert!(group_aggregate_pairs(g, 0, |_| (0, 1), AggFn::Count, 1).is_empty());
     }
 
     #[test]
-    #[should_panic(expected = "needs a measure column")]
     fn sum_requires_measure() {
-        let (t, rl) = setup();
-        let _ = group_aggregate(t.column("region").unwrap(), &rl, None, AggFn::Sum);
+        let t = setup();
+        assert_eq!(
+            Measure::resolve(AggFn::Sum, None).unwrap_err(),
+            MmdbError::Unsupported {
+                what: "aggregate Sum needs a measure column".into()
+            }
+        );
+        let region = t.column("region").unwrap();
+        for agg in AGGS {
+            assert_eq!(
+                Measure::resolve(agg, Some(("sales", "region", region))).unwrap_err(),
+                MmdbError::NonIntegerMeasure {
+                    table: "sales".into(),
+                    column: "region".into()
+                },
+                "{agg:?}"
+            );
+        }
+        assert_eq!(Measure::resolve(AggFn::Count, None).unwrap().at(3), 1);
     }
 }

@@ -81,7 +81,8 @@ impl Column {
         Self::from_proven_parts(domain, ids)
     }
 
-    /// Construct from pre-encoded parts (used by batch updates).
+    /// Construct from pre-encoded parts, checking every ID against the
+    /// domain.
     pub fn from_parts(domain: Domain, ids: Vec<u32>) -> Self {
         assert!(
             ids.iter().all(|&id| (id as usize) < domain.len()),
@@ -129,12 +130,6 @@ impl Column {
     pub fn ids(&self) -> &[u32] {
         &self.ids
     }
-
-    /// In-place bytes (4 per row) — what §2.1's encoding saves versus raw
-    /// values is visible by comparing with `domain().size_bytes()`.
-    pub fn inplace_bytes(&self) -> usize {
-        self.ids.len() * 4
-    }
 }
 
 #[cfg(test)]
@@ -165,7 +160,6 @@ mod tests {
         let vals: Vec<Value> = (0..1000).map(|i| Value::Int(i % 10)).collect();
         let col = Column::from_values(&vals);
         assert_eq!(col.domain().len(), 10);
-        assert_eq!(col.inplace_bytes(), 4000);
     }
 
     #[test]

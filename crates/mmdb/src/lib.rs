@@ -35,14 +35,14 @@
 //! * [`query`] — point select, range select, and indexed nested-loop
 //!   join, one form each: batched at an explicit lane count and chunked
 //!   across an explicit number of workers (`1` runs inline),
-//! * [`aggregate`] — grouped aggregation over a sorted RID list, and over
-//!   arbitrary row pairs with per-worker partial aggregates merged at the
-//!   barrier,
-//! * [`update`] — the OLAP batch-update cycle over a bare key array:
-//!   merge inserts/deletes, then rebuild the index from scratch (§2.3:
-//!   "it may be relatively cheap to rebuild an index from scratch after a
-//!   batch of updates"); the catalog's own rebuild is
-//!   [`Database::rebuild_column`].
+//! * [`aggregate`] — grouped aggregation, one operator: `(group, value)`
+//!   pairs folded into an array indexed by the group's dense domain ID,
+//!   per-worker partials merged at the barrier.
+//!
+//! A batch of updates rebuilds rather than patches (§2.3: "it may be
+//! relatively cheap to rebuild an index from scratch after a batch of
+//! updates"): see [`Database::replace_column`] and
+//! [`Database::rebuild_column`].
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
@@ -58,12 +58,11 @@ pub mod query;
 pub mod rid;
 pub mod snapshot;
 pub mod table;
-pub mod update;
 
 // The engine surface.
 pub use engine::{Database, RebuildReport};
 pub use error::{MmdbError, Result, StorageFault, TransportFault};
-pub use persist::{catalog_from_bytes, catalog_to_bytes};
+pub use persist::catalog_to_bytes;
 pub use plan::{
     between, count, eq, max, min, on, parse_knob, sum, Agg, CatalogRead, DrivingRun, ExecOptions,
     JoinOn, Plan, PlanTimings, Predicate, PredicateOp, Query, QuerySpec, Request, ResultRows,
@@ -72,7 +71,7 @@ pub use plan::{
 pub use snapshot::{CatalogState, DatabaseHandle, Handle, Pinned, Snapshot, SwapSlot};
 
 // The physical layer.
-pub use aggregate::{group_aggregate, group_aggregate_pairs, AggFn, GroupRow};
+pub use aggregate::{group_aggregate_pairs, AggFn, GroupRow, Measure};
 pub use column::Column;
 pub use domain::{Domain, Value};
 pub use index_choice::{build_index, IndexHandle, IndexKind};
@@ -81,4 +80,3 @@ pub use query::{
 };
 pub use rid::RidList;
 pub use table::{Table, TableBuilder};
-pub use update::{apply_batch, merge_batch, BatchResult};

@@ -158,14 +158,6 @@ fn write_css_levels<S: NodeSearch + Default>(
     }
 }
 
-/// Deserialize a catalog image into a fresh [`Database`] (generation
-/// 1, env-derived [`ExecOptions`](crate::plan::ExecOptions)) — the
-/// receive side of a shard snapshot transfer. `label` names the byte
-/// source in any error (a path, an endpoint, ...).
-pub fn catalog_from_bytes(bytes: &[u8], label: &str) -> Result<Database> {
-    Database::open_from_bytes(bytes.to_vec(), label)
-}
-
 // ---------------------------------------------------------------------
 // Open
 // ---------------------------------------------------------------------

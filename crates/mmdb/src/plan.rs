@@ -55,7 +55,7 @@
 //! # }
 //! ```
 
-use crate::aggregate::{group_aggregate_pairs, AggFn, GroupRow};
+use crate::aggregate::{group_aggregate_pairs, AggFn, GroupRow, Measure};
 use crate::column::Column;
 use crate::domain::Value;
 use crate::error::{MmdbError, Result};
@@ -769,6 +769,29 @@ pub struct GroupStep {
     pub rows_hint: usize,
 }
 
+impl GroupStep {
+    /// This step's measure on `cat`, through [`Measure::resolve`]: the
+    /// column is looked up on the side the planner bound it to.
+    fn measure_on<'db>(
+        &self,
+        cat: &'db CatalogState,
+        outer: &str,
+        inner: Option<&str>,
+    ) -> Result<Measure<'db>> {
+        let column = match &self.measure {
+            None => None,
+            Some((m, side)) => {
+                let table = match side {
+                    Side::Outer => outer,
+                    Side::Inner => inner.unwrap_or(outer),
+                };
+                Some((table, m.as_str(), side_column(cat, outer, inner, m, *side)?))
+            }
+        };
+        Measure::resolve(self.agg, column)
+    }
+}
+
 /// Wall-clock nanoseconds per executed plan node, stamped by
 /// [`Plan::execute`] and carried on the [`ResultSet`]
 /// ([`ResultSet::timings`]). Render next to the plan text with
@@ -1002,10 +1025,7 @@ impl Plan {
         if let Some(g) = &self.group {
             let inner = self.join.as_ref().map(|j| j.inner_table.as_str());
             let group_col = side_column(cat, &self.table, inner, &g.column, g.side)?;
-            let measure_col = match &g.measure {
-                None => None,
-                Some((m, side)) => Some(side_column(cat, &self.table, inner, m, *side)?),
-            };
+            let measure = g.measure_on(cat, &self.table, inner)?;
             let pick = |row: &JoinRow, side: Side| match side {
                 Side::Outer => row.outer_rid,
                 Side::Inner => row.inner_rid,
@@ -1014,35 +1034,24 @@ impl Plan {
             // vector) with its thread count resolved against the source's
             // own row count (`0` = adaptive).
             let threads = |rows| resolve_threads(g.threads, rows);
-            let (measure, agg) = (measure_col, g.agg);
+            let agg = g.agg;
             let groups = match (&joined, &selected) {
                 (Some(rows), _) => {
                     let measure_side = g.measure.as_ref().map_or(g.side, |(_, s)| *s);
-                    let pair = |i: usize| (pick(&rows[i], g.side), pick(&rows[i], measure_side));
-                    group_aggregate_pairs(
-                        group_col,
-                        measure,
-                        rows.len(),
-                        pair,
-                        agg,
-                        threads(rows.len()),
-                    )
+                    let pair = |i: usize| {
+                        let row = &rows[i];
+                        (pick(row, g.side), measure.at(pick(row, measure_side)))
+                    };
+                    group_aggregate_pairs(group_col, rows.len(), pair, agg, threads(rows.len()))
                 }
                 (None, Some(rids)) => {
-                    let pair = |i: usize| (rids[i], rids[i]);
-                    group_aggregate_pairs(
-                        group_col,
-                        measure,
-                        rids.len(),
-                        pair,
-                        agg,
-                        threads(rids.len()),
-                    )
+                    let pair = |i: usize| (rids[i], measure.at(rids[i]));
+                    group_aggregate_pairs(group_col, rids.len(), pair, agg, threads(rids.len()))
                 }
                 (None, None) => {
                     let rows = cat.table(&self.table)?.rows();
-                    let pair = |i: usize| (i as u32, i as u32);
-                    group_aggregate_pairs(group_col, measure, rows, pair, agg, threads(rows))
+                    let pair = |i: usize| (i as u32, measure.at(i as u32));
+                    group_aggregate_pairs(group_col, rows, pair, agg, threads(rows))
                 }
             };
             timings.group_ns = Some(node_ns(&grouping));
@@ -1385,36 +1394,23 @@ impl CatalogRead for CatalogState {
             Some((column, agg)) => {
                 let inner = join.as_ref().map(|j| j.inner_table.as_str());
                 let (side, _) = resolve_side(cat, outer, inner, column)?;
-                let (agg_fn, measure) = agg.fn_and_measure();
+                let (agg, measure) = agg.fn_and_measure();
                 let measure = match measure {
                     None => None,
-                    Some(m) => {
-                        let (m_side, m_col) = resolve_side(cat, outer, inner, m)?;
-                        if !m_col.domain().is_int() {
-                            let table = match m_side {
-                                Side::Outer => outer.clone(),
-                                Side::Inner => join
-                                    .as_ref()
-                                    .expect("inner side implies join")
-                                    .inner_table
-                                    .clone(),
-                            };
-                            return Err(MmdbError::NonIntegerMeasure {
-                                table,
-                                column: m.to_owned(),
-                            });
-                        }
-                        Some((m.to_owned(), m_side))
-                    }
+                    Some(m) => Some((m.to_owned(), resolve_side(cat, outer, inner, m)?.0)),
                 };
-                Some(GroupStep {
+                let step = GroupStep {
                     column: column.clone(),
                     side,
-                    agg: agg_fn,
+                    agg,
                     measure,
                     threads: exec.threads,
                     rows_hint: outer_rows,
-                })
+                };
+                // The executor's own measure check, run once here too so a
+                // bad measure fails at compile time.
+                step.measure_on(cat, outer, inner)?;
+                Some(step)
             }
         };
 
@@ -2144,6 +2140,24 @@ mod tests {
             r.values("day").unwrap_err(),
             MmdbError::Unsupported { .. }
         ));
+    }
+
+    /// A grouped plan compiled while its measure held integers, executed
+    /// after the column was replaced by strings, fails with the typed
+    /// error a fresh compile gives (it used to panic in the executor).
+    #[test]
+    fn a_stale_grouped_plan_fails_typed_like_a_fresh_compile() {
+        let mut db = db();
+        let spec = QuerySpec::table("sales").group_by("cust", sum("amount"));
+        let plan = db.compile(&spec).unwrap();
+        let days: Vec<Value> = ["a", "b", "c", "d", "e", "f"].map(Value::from).into();
+        db.replace_column("sales", "amount", days).unwrap();
+        let want = MmdbError::NonIntegerMeasure {
+            table: "sales".into(),
+            column: "amount".into(),
+        };
+        assert_eq!(plan.execute(&db).unwrap_err(), want);
+        assert_eq!(db.compile(&spec).unwrap_err(), want);
     }
 
     #[test]

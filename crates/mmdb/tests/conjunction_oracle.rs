@@ -13,10 +13,16 @@
 //! `indexed_nested_loop_join` directly, under every kind, thread count
 //! and lane count, over columns whose runs are short, have length 1, or
 //! span the whole column.
+//!
+//! Grouping is checked the same way: every aggregate over a measure of
+//! both signs, grouped alone, after a selection and across a join, at
+//! every thread count, plus groupings of a few rows over a domain far
+//! wider than the rows selected.
 
 use mmdb::{
-    between, eq, indexed_nested_loop_join, on, point_select_many, range_select_many, sum,
-    CatalogRead, Column, Database, GroupRow, IndexHandle, IndexKind, JoinRow, MmdbError, Predicate,
+    between, count, eq, group_aggregate_pairs, indexed_nested_loop_join, max, min, on,
+    point_select_many, range_select_many, sum, Agg, AggFn, CatalogRead, Column, Database,
+    ExecOptions, GroupRow, IndexHandle, IndexKind, JoinRow, Measure, MmdbError, Predicate,
     QuerySpec, ResultRows, RidList, TableBuilder, Value,
 };
 use proptest::collection::vec;
@@ -33,6 +39,15 @@ const STR_LITERALS: [&str; 11] = ["", "a", "c", "f", "g", "m", "m6", "m9", "m11"
 const REGIONS: [&str; 3] = ["east", "west", "north"];
 
 type Row = [Value; 4];
+
+/// `t.n`, the grouping measure: both signs, and not a function of any
+/// one column.
+fn measure(row: &Row) -> i64 {
+    match (&row[0], &row[3]) {
+        (Value::Int(i), Value::Int(j)) => 7 * i - j,
+        _ => unreachable!("`i` and `j` are Int columns"),
+    }
+}
 
 fn row((i, s, m, j): (i64, u8, i64, i64)) -> Row {
     [
@@ -99,6 +114,7 @@ fn database(rows: &[Row], inner: &[(i64, u8)]) -> Database {
     for (c, name) in COLUMNS.iter().enumerate() {
         outer = outer.column(*name, rows.iter().map(|r| r[c].clone()).collect());
     }
+    outer = outer.int_column("n", rows.iter().map(measure));
     let mut db = Database::new();
     db.register(outer.build().unwrap()).unwrap();
     db.register(
@@ -144,18 +160,16 @@ fn shapes(
                 })
         })
         .collect();
-    let mut sums: BTreeMap<Value, i64> = BTreeMap::new();
-    for j in &joined {
-        let Value::Int(measure) = rows[j.outer_rid as usize][3] else {
-            unreachable!("`j` is an Int column")
-        };
-        let region = Value::Str(REGIONS[inner[j.inner_rid as usize].1 as usize].to_owned());
-        *sums.entry(region).or_default() += measure;
-    }
-    let groups = sums
-        .into_iter()
-        .map(|(group, value)| GroupRow { group, value })
-        .collect();
+    let groups = fold_scan(
+        AggFn::Sum,
+        joined.iter().map(|j| {
+            let Value::Int(measure) = rows[j.outer_rid as usize][3] else {
+                unreachable!("`j` is an Int column")
+            };
+            let region = Value::Str(REGIONS[inner[j.inner_rid as usize].1 as usize].to_owned());
+            (region, measure)
+        }),
+    );
     let join = select.clone().join("u", on("i", "k"));
     vec![
         (select, ResultRows::Rids(selected)),
@@ -351,6 +365,161 @@ proptest! {
                         }
                     }
                 }
+            }
+        }
+    }
+}
+
+const AGGS: [AggFn; 4] = [AggFn::Count, AggFn::Sum, AggFn::Min, AggFn::Max];
+
+/// `agg` over `column` as the query builder spells it.
+fn agg_of(agg: AggFn, column: &str) -> Agg {
+    match agg {
+        AggFn::Count => count(),
+        AggFn::Sum => sum(column),
+        AggFn::Min => min(column),
+        AggFn::Max => max(column),
+    }
+}
+
+/// The row-scan grouping: each `(group, value)` folded by value order of
+/// the group, written out per aggregate rather than through
+/// `AggFn::combine`.
+fn fold_scan(agg: AggFn, rows: impl IntoIterator<Item = (Value, i64)>) -> Vec<GroupRow> {
+    let mut groups: BTreeMap<Value, i64> = BTreeMap::new();
+    for (group, v) in rows {
+        let slot = groups.entry(group);
+        match agg {
+            AggFn::Count => *slot.or_insert(0) += 1,
+            AggFn::Sum => *slot.or_insert(0) += v,
+            AggFn::Min => {
+                let a = slot.or_insert(v);
+                *a = (*a).min(v);
+            }
+            AggFn::Max => {
+                let a = slot.or_insert(v);
+                *a = (*a).max(v);
+            }
+        }
+    }
+    groups
+        .into_iter()
+        .map(|(group, value)| GroupRow { group, value })
+        .collect()
+}
+
+fn with_threads(spec: QuerySpec, threads: usize) -> QuerySpec {
+    spec.exec(ExecOptions {
+        threads,
+        ..ExecOptions::default()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every aggregate over `t.n` (both signs), grouped by each of `t`'s
+    /// columns alone (no filter) or after a selection, and across the
+    /// join to `u` — grouped by `u.g` over `t.n`, and by `t.s` over the
+    /// inner `u.k` — at threads 1, 2 and adaptive.
+    #[test]
+    fn groupings_match_a_row_scan_for_every_aggregate_and_thread_count(
+        seeds in vec((0i64..6, 0u8..6, 0i64..12, 0i64..24), 0..48),
+        inner in vec((-1i64..7, 0u8..3), 0..12),
+        filter_seeds in vec((0usize..4, 0u8..3, (0u8..6, 0i64..26), (0u8..6, 0i64..26)), 0..=2),
+    ) {
+        let rows: Vec<Row> = seeds.into_iter().map(row).collect();
+        let filters: Vec<Filter> = filter_seeds.into_iter().map(Filter::from_seed).collect();
+        let db = database(&rows, &inner);
+        let select = QuerySpec {
+            filters: filters.iter().map(Filter::predicate).collect(),
+            ..QuerySpec::table("t")
+        };
+        let selected: Vec<&Row> = rows.iter().filter(|r| filters.iter().all(|f| f.holds(r))).collect();
+        let joined: Vec<(&Row, &(i64, u8))> = selected
+            .iter()
+            .flat_map(|&r| inner.iter().filter(move |&&(k, _)| r[0] == Value::Int(k)).map(move |u| (r, u)))
+            .collect();
+        for agg in AGGS {
+            let mut cases: Vec<(QuerySpec, Vec<GroupRow>)> = COLUMNS
+                .iter()
+                .enumerate()
+                .map(|(c, name)| {
+                    let spec = select.clone().group_by(name, agg_of(agg, "n"));
+                    let want = fold_scan(agg, selected.iter().map(|r| (r[c].clone(), measure(r))));
+                    (spec, want)
+                })
+                .collect();
+            let join = select.clone().join("u", on("i", "k"));
+            let region = |g: u8| Value::Str(REGIONS[g as usize].to_owned());
+            cases.push((
+                join.clone().group_by("g", agg_of(agg, "n")),
+                fold_scan(agg, joined.iter().map(|(r, &(_, g))| (region(g), measure(r)))),
+            ));
+            cases.push((
+                join.group_by("s", agg_of(agg, "k")),
+                fold_scan(agg, joined.iter().map(|(r, &(k, _))| (r[1].clone(), k))),
+            ));
+            for (spec, want) in cases {
+                for threads in [1, 2, 0] {
+                    let spec = with_threads(spec.clone(), threads);
+                    let got = db.run_spec(&spec);
+                    prop_assert_eq!(got, Ok(ResultRows::Groups(want.clone())), "{:?}", spec);
+                }
+            }
+        }
+    }
+}
+
+/// A group column whose domain is far wider than the rows a selection
+/// keeps: bands of at most 100 rows of a 120k-row table, grouped by a
+/// 40k-value column (three consecutive rows per group, scattered over the
+/// domain), for every aggregate at every thread count — through the
+/// engine and through the operator over the same rows.
+#[test]
+fn sparse_groupings_over_a_wide_domain_match_a_row_scan() {
+    const ROWS: i64 = 120_000;
+    let g = |r: i64| (r / 3) * 7_919 % (ROWS / 3);
+    let n = |r: i64| (r * 37) % 23 - 11;
+    let mut db = Database::new();
+    db.register(
+        TableBuilder::new("t")
+            .int_column("k", 0..ROWS)
+            .int_column("g", (0..ROWS).map(g))
+            .int_column("n", (0..ROWS).map(n))
+            .build()
+            .unwrap(),
+    )
+    .unwrap();
+    db.create_index("t", "k", IndexKind::FullCss).unwrap();
+    let t = db.table("t").unwrap();
+    let (g_col, n_col) = (t.column("g").unwrap(), t.column("n").unwrap());
+    assert_eq!(g_col.domain().len(), (ROWS / 3) as usize);
+    for (lo, width) in [
+        (0, 99),
+        (61_234, 99),
+        (ROWS - 40, 99),
+        (5_000, 0),
+        (77_777, 31),
+    ] {
+        let band: Vec<i64> = (lo..=(lo + width).min(ROWS - 1)).collect();
+        let rids: Vec<u32> = band.iter().map(|&r| r as u32).collect();
+        for agg in AGGS {
+            let want = fold_scan(agg, band.iter().map(|&r| (Value::Int(g(r)), n(r))));
+            let m = Measure::resolve(agg, Some(("t", "n", n_col))).unwrap();
+            for threads in [1, 2, 0] {
+                let spec = QuerySpec::table("t")
+                    .filter(between("k", lo, lo + width))
+                    .group_by("g", agg_of(agg, "n"));
+                let spec = with_threads(spec, threads);
+                let got = db.run_spec(&spec).unwrap();
+                assert_eq!(got, ResultRows::Groups(want.clone()), "{spec:?}");
+                let pair = |i: usize| (rids[i], m.at(rids[i]));
+                let got = group_aggregate_pairs(g_col, rids.len(), pair, agg, threads);
+                assert_eq!(
+                    got, want,
+                    "operator {agg:?} threads={threads} band {lo}+{width}"
+                );
             }
         }
     }

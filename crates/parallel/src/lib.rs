@@ -313,11 +313,6 @@ impl<T> BlockingQueue<T> {
         self.available.notify_all();
     }
 
-    /// Whether [`BlockingQueue::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().expect("queue lock poisoned").closed
-    }
-
     /// Items currently queued (racy by nature; for tests and stats).
     pub fn len(&self) -> usize {
         self.state.lock().expect("queue lock poisoned").items.len()
@@ -439,7 +434,6 @@ mod tests {
         });
         // Closed and drained: further pops return None, pushes bounce.
         assert!(q.pop().is_none());
-        assert!(q.is_closed());
         assert_eq!(q.push(7), Err(7));
     }
 

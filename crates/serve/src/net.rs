@@ -33,7 +33,7 @@ use ccindex_wire::{self as wire, ShardRequest, ShardResponse};
 use mmdb::plan::{Plan, ProbeStep};
 use mmdb::{
     group_aggregate_pairs, AggFn, CatalogRead, CatalogState, Database, DatabaseHandle, GroupRow,
-    MmdbError, Result, TableBuilder,
+    Measure, MmdbError, Result, TableBuilder,
 };
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -101,7 +101,7 @@ impl Shared {
         drop(TcpStream::connect(self.addr));
     }
 
-    /// Sever every tracked connection so blocked `read_request` calls
+    /// Sever every tracked connection so blocked `read_request_traced` calls
     /// return errors and their threads exit.
     fn sever(&self) {
         let conns = self.conns.lock().unwrap_or_else(PoisonError::into_inner);
@@ -583,10 +583,10 @@ fn respond(shared: &Arc<Shared>, request: ShardRequest) -> ShardResponse {
 /// one table's rows (`rids = None`) or a selected subset, in group-value
 /// order. No coordinator sends this frame any more — grouped plans
 /// arrive whole as `RunSpec` — so the answer lives here, beside the
-/// dispatch, until the next protocol bump removes the frame. Validates
-/// the rid range and the measure's integer domain (mirroring the
-/// planner's check), so a malformed request is a typed error, not a
-/// server-side panic.
+/// dispatch, until the next protocol bump removes the frame. The measure
+/// goes through the planner's own check ([`Measure::resolve`]) and the
+/// rid range is validated, so a malformed request is a typed error, not
+/// a server-side panic.
 fn group_partial(
     cat: &CatalogState,
     table: &str,
@@ -603,36 +603,23 @@ fn group_partial(
         })
     };
     let group_col = column(group_column)?;
-    let measure_col = match measure {
+    let measure = match measure {
         None => None,
-        Some(m) => {
-            let col = column(m)?;
-            if !col.domain().is_int() {
-                return Err(MmdbError::NonIntegerMeasure {
-                    table: table.to_owned(),
-                    column: m.to_owned(),
-                });
-            }
-            Some(col)
-        }
+        Some(m) => Some((table, m, column(m)?)),
     };
-    if agg != AggFn::Count && measure_col.is_none() {
-        return Err(MmdbError::Unsupported {
-            what: format!("aggregate {agg:?} needs a measure column"),
-        });
-    }
+    let measure = Measure::resolve(agg, measure)?;
     let rows = tbl.rows() as u32;
     if let Some(&bad) = rids.and_then(|rids| rids.iter().find(|&&r| r >= rows)) {
         return Err(MmdbError::rid_out_of_range(table, bad, tbl.rows()));
     }
     Ok(match rids {
         Some(rids) => {
-            let pair = |i: usize| (rids[i], rids[i]);
-            group_aggregate_pairs(group_col, measure_col, rids.len(), pair, agg, 1)
+            let pair = |i: usize| (rids[i], measure.at(rids[i]));
+            group_aggregate_pairs(group_col, rids.len(), pair, agg, 1)
         }
         None => {
-            let pair = |i: usize| (i as u32, i as u32);
-            group_aggregate_pairs(group_col, measure_col, rows as usize, pair, agg, 1)
+            let pair = |i: usize| (i as u32, measure.at(i as u32));
+            group_aggregate_pairs(group_col, rows as usize, pair, agg, 1)
         }
     })
 }

@@ -25,9 +25,10 @@
 //!   a range partitioner) as **one** [`ShardRead::run_spec`] per shard,
 //!   and composes: local RID sets translate to global rows and sort
 //!   (selections), both sides of every pair translate and the pairs sort
-//!   into the sequential join's `(outer, inner)` order (joins), per-shard
-//!   partial aggregates merge by group value (group-bys) — the same
-//!   commutative merge `group_aggregate_pairs` uses across workers.
+//!   into the sequential join's `(outer, inner)` order (joins), and
+//!   per-shard partial aggregates merge by group value (group-bys): their
+//!   decoded groups are dictionary-encoded and folded by the one grouping
+//!   operator, `group_aggregate_pairs`, as a worker's partials are.
 //!   A query with no filter, join or group asks no shard at all: the
 //!   placement metadata already knows every row. The shards run side by
 //!   side, so an explicit `exec.threads` is split between them (each
@@ -61,9 +62,9 @@ use ccindex_parallel::WorkerPool;
 use mmdb::domain::Value;
 use mmdb::plan::{JoinStep, Plan, PlanTimings, Probe, Side};
 use mmdb::{
-    between, eq, AggFn, CatalogRead, Column, Database, ExecOptions, GroupRow, Handle, IndexKind,
-    JoinRow, MmdbError, Pinned, PredicateOp, Query, QuerySpec, RebuildReport, Result, ResultRows,
-    ResultSet, SwapSlot, Table,
+    between, eq, group_aggregate_pairs, AggFn, CatalogRead, Column, Database, ExecOptions,
+    GroupRow, Handle, IndexKind, JoinRow, Measure, MmdbError, Pinned, PredicateOp, Query,
+    QuerySpec, RebuildReport, Result, ResultRows, ResultSet, SwapSlot, Table,
 };
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
@@ -1400,7 +1401,10 @@ impl ShardedPlan {
             }
         }
         Ok(match (&t.group, inner_meta) {
-            (Some(g), _) => ResultRows::Groups(merge_group_partials(g.agg, partials)),
+            (Some(g), _) => ResultRows::Groups(group_by_value(
+                partials.into_iter().flatten().map(|r| (r.group, r.value)),
+                g.agg,
+            )),
             (None, Some(_)) => {
                 joined.sort_unstable();
                 ResultRows::Joined(joined)
@@ -1532,13 +1536,12 @@ impl ShardedPlan {
             return Ok(ResultRows::Joined(all));
         };
 
-        // Grouped join: aggregate inside each scatter job, merge
-        // partials by group value at the gather barrier. The group and
-        // measure columns can live on *different* backends (outer vs
-        // inner side), so the job fetches each side's decoded values
-        // through its owning backend and folds the pairs
-        // coordinator-side — by decoded value, the same ordered-map
-        // discipline `group_aggregate_pairs` applies to domain IDs.
+        // Grouped join: aggregate inside each scatter job, merge partials
+        // by group value at the gather barrier. The group and measure
+        // columns can live on *different* backends (outer vs inner side),
+        // so the job fetches each side's decoded values through its owning
+        // backend, dictionary-encodes the groups and folds the pairs
+        // coordinator-side with the one grouping operator.
         let partials = pool.run(jobs.len(), |i| -> Result<Vec<GroupRow>> {
             let job = &jobs[i];
             let rows = join_job(state, j, job, exec.lanes, job_threads)?;
@@ -1557,18 +1560,31 @@ impl ShardedPlan {
                 let values = state.shards[shard].column_values(table, column, Some(&rids))?;
                 Ok::<_, MmdbError>((table, values))
             };
-            let (_, group_vals) = side_values(&g.column, g.side)?;
-            let measure_vals = match &g.measure {
-                None => None,
+            let (_, groups) = side_values(&g.column, g.side)?;
+            let measures: Vec<i64> = match &g.measure {
+                None => {
+                    Measure::resolve(g.agg, None)?;
+                    vec![1; rows.len()]
+                }
                 Some((m, side)) => {
                     let (table, values) = side_values(m, *side)?;
-                    Some((table, m.as_str(), values))
+                    let int = |v| match v {
+                        Value::Int(v) => Ok(v),
+                        Value::Str(_) => Err(MmdbError::NonIntegerMeasure {
+                            table: table.to_owned(),
+                            column: m.clone(),
+                        }),
+                    };
+                    values.into_iter().map(int).collect::<Result<_>>()?
                 }
             };
-            group_decoded_pairs(group_vals, measure_vals, g.agg)
+            Ok(group_by_value(groups.into_iter().zip(measures), g.agg))
         });
         let partials = partials.into_iter().collect::<Result<Vec<_>>>()?;
-        Ok(ResultRows::Groups(merge_group_partials(g.agg, partials)))
+        Ok(ResultRows::Groups(group_by_value(
+            partials.into_iter().flatten().map(|r| (r.group, r.value)),
+            g.agg,
+        )))
     }
 }
 
@@ -1606,73 +1622,18 @@ fn join_job(
     Ok(rows)
 }
 
-/// Fold decoded `(group, measure)` pairs into per-group aggregates, in
-/// group-value order — the coordinator-side form of
-/// `group_aggregate_pairs` for grouped joins, whose group and measure
-/// columns may live on different backends. Keying the ordered map by
-/// decoded [`Value`] instead of a shard-local domain ID produces the
-/// same rows in the same order (domains sort by value).
-fn group_decoded_pairs(
-    groups: Vec<Value>,
-    // `(table, column, values)` — the names make the typed error.
-    measures: Option<(&str, &str, Vec<Value>)>,
-    agg: AggFn,
-) -> Result<Vec<GroupRow>> {
-    let mut acc: BTreeMap<Value, i64> = BTreeMap::new();
-    match (agg, measures) {
-        (AggFn::Count, _) => {
-            for group in groups {
-                *acc.entry(group).or_insert(0) += 1;
-            }
-        }
-        (_, None) => {
-            return Err(MmdbError::Unsupported {
-                what: format!("aggregate {agg:?} needs a measure column"),
-            })
-        }
-        (_, Some((table, column, values))) => {
-            for (group, measure) in groups.into_iter().zip(values) {
-                let v = match measure {
-                    Value::Int(v) => v,
-                    Value::Str(_) => {
-                        return Err(MmdbError::NonIntegerMeasure {
-                            table: table.to_owned(),
-                            column: column.to_owned(),
-                        })
-                    }
-                };
-                acc.entry(group)
-                    .and_modify(|a| *a = agg.combine(*a, v))
-                    .or_insert(v);
-            }
-        }
-    }
-    Ok(acc
-        .into_iter()
-        .map(|(group, value)| GroupRow { group, value })
-        .collect())
-}
-
-/// Merge per-shard partial aggregates by (decoded) group value — the
-/// cross-shard form of the worker-partial merge inside
-/// `group_aggregate_pairs`: every aggregate is commutative and
-/// associative, and the ordered map keys groups by value, so the merged
-/// rows come out in group-value order, byte-identical to the unsharded
-/// aggregation (per-shard domains differ, but decoded values agree).
-fn merge_group_partials(agg: AggFn, partials: Vec<Vec<GroupRow>>) -> Vec<GroupRow> {
-    let mut merged: BTreeMap<Value, i64> = BTreeMap::new();
-    for partial in partials {
-        for row in partial {
-            merged
-                .entry(row.group)
-                .and_modify(|a| *a = agg.combine(*a, row.value))
-                .or_insert(row.value);
-        }
-    }
-    merged
-        .into_iter()
-        .map(|(group, value)| GroupRow { group, value })
-        .collect()
+/// Group decoded `(group, value)` rows with the one grouping operator,
+/// [`group_aggregate_pairs`]: the group values are dictionary-encoded
+/// first ([`Column::from_values`], as [`ShardRead::join_probe_batch`]
+/// encodes its probe column), so their dense IDs rank them in value
+/// order. A value is a measure, a `1` to count, or a partial aggregate
+/// being merged — the same fold — so per-shard partials merge here into
+/// the rows, in the order, the unsharded aggregation gives (per-shard
+/// domains differ, but decoded values agree).
+fn group_by_value(rows: impl IntoIterator<Item = (Value, i64)>, agg: AggFn) -> Vec<GroupRow> {
+    let (groups, values): (Vec<Value>, Vec<i64>) = rows.into_iter().unzip();
+    let column = Column::from_values(&groups);
+    group_aggregate_pairs(&column, groups.len(), |i| (i as u32, values[i]), agg, 1)
 }
 
 #[cfg(test)]

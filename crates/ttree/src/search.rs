@@ -43,11 +43,6 @@ impl<K: Key, const CAP: usize> TTree<K, CAP> {
         CAP
     }
 
-    /// Number of nodes in the arena.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     #[inline]
     fn node_addr(&self, id: u32) -> usize {
         self.nodes.base_addr() + id as usize * core::mem::size_of::<TTreeNode<K, CAP>>()

@@ -46,6 +46,6 @@ pub use frame::{
     VERSION,
 };
 pub use message::{
-    read_request, read_request_traced, read_response, read_response_traced, write_request,
-    write_request_traced, write_response, write_response_traced, ShardRequest, ShardResponse,
+    read_request_traced, read_response, read_response_traced, write_request, write_request_traced,
+    write_response, write_response_traced, ShardRequest, ShardResponse,
 };

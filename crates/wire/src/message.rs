@@ -859,12 +859,6 @@ pub fn write_request(w: &mut impl Write, endpoint: &str, req: &ShardRequest) -> 
     write_frame(w, endpoint, &req.encode())
 }
 
-/// Receive and decode one request.
-pub fn read_request(r: &mut impl Read, endpoint: &str) -> Result<ShardRequest> {
-    let payload = read_frame(r, endpoint)?;
-    ShardRequest::decode(&payload, endpoint)
-}
-
 /// Frame and send one response.
 pub fn write_response(w: &mut impl Write, endpoint: &str, resp: &ShardResponse) -> Result<()> {
     write_frame(w, endpoint, &resp.encode())

@@ -12,20 +12,16 @@
 //!   even worse on non-uniform data"),
 //! * [`lookups`] — pre-generated probe streams: all-hit, hit/miss mixes,
 //!   and Zipf-skewed hot-key streams (warm-cache behaviour, §5.1),
-//! * [`updates`] — batch insert/delete streams for the OLAP rebuild cycle
-//!   (§2.3, §4.1.1),
 //! * [`zipf`] — a small exact Zipf sampler (kept dependency-free).
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod keys;
 pub mod lookups;
-pub mod updates;
 pub mod zipf;
 
 pub use keys::{KeyDistribution, KeySetBuilder};
 pub use lookups::{LookupStream, MissMode};
-pub use updates::{BatchUpdate, UpdateGenerator};
 pub use zipf::Zipf;
 
 /// Default experiment seed; all generators are deterministic given a seed.

@@ -49,15 +49,6 @@ impl Zipf {
         let u: f64 = rng.gen_range(0.0..1.0);
         self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
     }
-
-    /// Probability mass of rank `i` (for tests).
-    pub fn pmf(&self, i: usize) -> f64 {
-        if i == 0 {
-            self.cdf[0]
-        } else {
-            self.cdf[i] - self.cdf[i - 1]
-        }
-    }
 }
 
 #[cfg(test)]
@@ -65,6 +56,18 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl Zipf {
+        /// Probability mass of rank `i`, read off the CDF the sampler
+        /// bisects.
+        fn pmf(&self, i: usize) -> f64 {
+            if i == 0 {
+                self.cdf[0]
+            } else {
+                self.cdf[i] - self.cdf[i - 1]
+            }
+        }
+    }
 
     #[test]
     fn pmf_sums_to_one() {

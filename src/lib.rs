@@ -45,7 +45,7 @@
 //! | [`serve`] | `ccindex-serve` | Batch-formation serving front-end + TCP shard server |
 //! | [`wire`] | `ccindex-wire` | Versioned, checksummed shard wire protocol |
 //! | [`obs`] | `ccindex-obs` | Metrics registry, latency histograms, query tracing |
-//! | [`gen`] | `workload` | Key/lookup/update generators |
+//! | [`gen`] | `workload` | Key/lookup generators |
 //! | [`parallel`] | `ccindex-parallel` | Scoped worker pool for partitioned execution |
 //! | [`common`] | `ccindex-common` | Shared traits |
 

@@ -1,9 +1,8 @@
 //! Property tests focused on the CSS-tree itself: layout invariants,
-//! record trees, batched search, and construction validity over arbitrary
-//! inputs.
+//! batched search, and construction validity over arbitrary inputs.
 
-use ccindex::common::{OrderedIndex, SearchIndex, SortedArray};
-use ccindex::css::{CssTree, FullCssTree, LevelCssTree, RecordCssTree, RuntimeFull};
+use ccindex::common::{OrderedIndex, SortedArray};
+use ccindex::css::{CssTree, FullCssTree, LevelCssTree, RuntimeFull};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -63,35 +62,6 @@ proptest! {
         prop_assert_eq!(t.lower_bound_batch_lanes(&probes, 3), seq.clone());
         prop_assert_eq!(t.lower_bound_batch_lanes(&probes, 8), seq.clone());
         prop_assert_eq!(t.lower_bound_batch(&probes), seq);
-    }
-
-    /// Record trees behave like key trees regardless of payload width.
-    #[test]
-    fn record_tree_matches_key_tree(
-        mut keys in vec(0u32..3_000, 0..400),
-        probes in vec(0u32..3_100, 30),
-    ) {
-        keys.sort_unstable();
-        let records: Vec<(u32, u64)> =
-            keys.iter().map(|&k| (k, (k as u64).wrapping_mul(0x9E3779B9))).collect();
-        let kt = FullCssTree::<u32, 8>::build(&keys);
-        let rt = RecordCssTree::<(u32, u64), 8>::build(&records);
-        // The record tree runs the key tree's own interleaved descent.
-        for lanes in [0usize, 1, 3, 8, 64] {
-            prop_assert_eq!(
-                rt.lower_bound_batch_lanes(&probes, lanes),
-                kt.lower_bound_batch_lanes(&probes, lanes),
-                "lanes={}", lanes
-            );
-        }
-        for probe in probes {
-            prop_assert_eq!(rt.lower_bound(probe), kt.lower_bound(probe));
-            let found = rt.search(probe);
-            prop_assert_eq!(found.map(|r| r.0), kt.search(probe).map(|_| probe));
-            if let Some(r) = found {
-                prop_assert_eq!(r.1, (probe as u64).wrapping_mul(0x9E3779B9));
-            }
-        }
     }
 
     /// `equal_range` over every ordered method equals the reference run

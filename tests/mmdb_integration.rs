@@ -7,9 +7,9 @@
 use ccindex::common::SearchIndex;
 use ccindex::db::domain::Value;
 use ccindex::db::{
-    apply_batch, between, build_index, count, eq, group_aggregate, group_aggregate_pairs,
-    indexed_nested_loop_join, on, point_select_many, range_select_many, sum, AggFn, Column,
-    Database, IndexHandle, IndexKind, JoinRow, RidList, Table, TableBuilder,
+    between, build_index, count, eq, group_aggregate_pairs, indexed_nested_loop_join, on,
+    point_select_many, range_select_many, sum, AggFn, Column, Database, IndexHandle, IndexKind,
+    JoinRow, Measure, RidList, Table, TableBuilder,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -108,39 +108,6 @@ proptest! {
                     .collect();
             got.sort_unstable();
             prop_assert_eq!(&got, &expected, "{:?}", kind);
-        }
-    }
-
-    #[test]
-    fn batch_update_preserves_search_correctness(
-        base in vec(0u32..10_000, 1..200),
-        ins in vec(10_000u32..20_000, 0..50),
-        del_fraction in 0usize..100,
-    ) {
-        let mut keys = base.clone();
-        keys.sort_unstable();
-        let mut inserts: Vec<u32> = ins.clone();
-        inserts.sort_unstable();
-        inserts.dedup();
-        let n_del = keys.len() * del_fraction / 100 / 2;
-        let deletes: Vec<u32> = keys.iter().copied().step_by(2).take(n_del).collect();
-
-        let arr = ccindex::common::SortedArray::from_slice(&keys);
-        let result = apply_batch(&arr, &inserts, &deletes, IndexKind::LevelCss);
-
-        // Reference merge.
-        let mut expected = keys.clone();
-        for d in &deletes {
-            let pos = expected.iter().position(|k| k == d).expect("delete exists");
-            expected.remove(pos);
-        }
-        expected.extend(inserts.iter().copied());
-        expected.sort_unstable();
-        prop_assert_eq!(result.keys.as_slice(), expected.as_slice());
-
-        // Index over the merged set answers correctly.
-        for probe in expected.iter().step_by(7) {
-            prop_assert!(result.index.search(*probe).is_some());
         }
     }
 }
@@ -280,9 +247,13 @@ fn engine_group_by_equals_raw_for_every_kind() {
     let cust = sales.column("cust").unwrap();
     let amount = sales.column("amount").unwrap();
     let cust_rids = RidList::for_column(cust);
-    // Raw path: grouped aggregation over the RID list sorted on `cust`.
-    let raw_counts = group_aggregate(cust, &cust_rids, None, AggFn::Count);
-    let raw_sums = group_aggregate(cust, &cust_rids, Some(amount), AggFn::Sum);
+    // Raw path: the grouping operator over the RID list sorted on `cust`.
+    let raw = |agg: AggFn| {
+        let measure = Measure::resolve(agg, Some(("sales", "amount", amount))).unwrap();
+        let rids = cust_rids.rids();
+        group_aggregate_pairs(cust, rids.len(), |i| (rids[i], measure.at(rids[i])), agg, 1)
+    };
+    let (raw_counts, raw_sums) = (raw(AggFn::Count), raw(AggFn::Sum));
     for kind in IndexKind::ALL {
         let db = engine_with(kind);
         let engine_counts = db.query("sales").group_by("cust", count()).run().unwrap();
@@ -323,11 +294,11 @@ fn engine_pipeline_equals_raw_composition() {
         let inner_idx = build_index(kind, id_rids.keys());
         let joined =
             indexed_nested_loop_join(cust, &selected, id, &id_rids, inner_idx.as_ref(), 8, 1);
+        let measure = Measure::resolve(AggFn::Sum, Some(("sales", "amount", amount))).unwrap();
         let raw = group_aggregate_pairs(
             region,
-            Some(amount),
             joined.len(),
-            |i| (joined[i].inner_rid, joined[i].outer_rid),
+            |i| (joined[i].inner_rid, measure.at(joined[i].outer_rid)),
             AggFn::Sum,
             1,
         );

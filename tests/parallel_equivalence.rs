@@ -9,7 +9,7 @@ use ccindex::css::{CssVariant, DynCssTree};
 use ccindex::db::domain::Value;
 use ccindex::db::{
     between, eq, group_aggregate_pairs, indexed_nested_loop_join, on, point_select_many,
-    range_select_many, sum, AggFn, Database, ExecOptions, IndexKind, ResultRows, RidList,
+    range_select_many, sum, AggFn, Database, ExecOptions, IndexKind, Measure, ResultRows, RidList,
     TableBuilder,
 };
 use ccindex::parallel::WorkerPool;
@@ -201,13 +201,13 @@ fn physical_operators_are_identical_across_kinds_and_threads() {
     // Grouped aggregation with per-worker partials.
     let region = customers.column("region").expect("present");
     let rows = id.len();
-    let pair = |r: usize| (r as u32, r as u32);
     for agg in [AggFn::Count, AggFn::Sum, AggFn::Min, AggFn::Max] {
-        let measure = (agg != AggFn::Count).then_some(id);
-        let seq = group_aggregate_pairs(region, measure, rows, pair, agg, 1);
+        let measure = Measure::resolve(agg, Some(("customers", "id", id))).expect("Int measure");
+        let pair = |r: usize| (r as u32, measure.at(r as u32));
+        let seq = group_aggregate_pairs(region, rows, pair, agg, 1);
         for threads in THREADS {
             assert_eq!(
-                group_aggregate_pairs(region, measure, rows, pair, agg, threads),
+                group_aggregate_pairs(region, rows, pair, agg, threads),
                 seq,
                 "{agg:?} threads={threads}"
             );
