@@ -201,7 +201,7 @@ mod tests {
         assert_eq!(col.domain(), &Domain::from_values(values.to_vec()));
         assert_eq!(col.ids(), ids);
         assert_eq!(rl.rids(), rids);
-        assert_eq!(rl.keys().as_slice(), keys);
+        assert_eq!(rl.expanded_ids(), keys);
     }
 
     fn ints(values: impl IntoIterator<Item = i64>) -> Vec<Value> {

@@ -36,12 +36,14 @@
 //! the domain" — that search is [`Domain::encode`] for one constant and
 //! [`Domain::encode_batch`] for the batches the operators hand over, and
 //! on a typed domain both are `search`/`search_batch_lanes` calls on the
-//! CSS-tree: the same kernel the column indexes run, so the engine's
-//! dictionary lookups descend the structure the paper proposes instead of
-//! the binary search it beats. "We can process both equality and
-//! inequality tests on domain IDs directly" — [`Domain::lower_bound_id`]
-//! and [`Domain::id_range`] turn a value bound into an ID bound with the
-//! tree's `lower_bound`. Enum order (`Int` before `Str`) is kept on both
+//! CSS-tree, so the engine's dictionary lookups descend the structure the
+//! paper proposes instead of the binary search it beats. It is the only
+//! search a probe makes: an ID addresses its rows in the column's
+//! [`RidList`](crate::rid::RidList) directly. "We can process both
+//! equality and inequality tests on domain IDs directly" —
+//! [`Domain::lower_bound_id`] and [`Domain::id_range`] turn a value bound
+//! into an ID bound with the tree's `lower_bound`, and a batch of ranges
+//! resolves all of its endpoints in one batched descent. Enum order (`Int` before `Str`) is kept on both
 //! representations: a `Str` probe sorts after every value of a typed
 //! domain, so it encodes to `None` and lower-bounds to `len`.
 
@@ -127,11 +129,14 @@ impl PartialEq for Domain {
 
 impl Eq for Domain {}
 
-/// One batched descent of a typed domain's directory —
-/// [`DEFAULT_BATCH_LANES`] interleaved probes, the kernel the column
-/// indexes use — as domain IDs.
-fn search_ints(tree: &IntDirectory, probes: &[i64]) -> impl Iterator<Item = Option<u32>> {
-    tree.search_batch_lanes(probes, DEFAULT_BATCH_LANES)
+/// One batched descent of a typed domain's directory — `lanes`
+/// interleaved probes — as domain IDs.
+fn search_ints(
+    tree: &IntDirectory,
+    probes: &[i64],
+    lanes: usize,
+) -> impl Iterator<Item = Option<u32>> {
+    tree.search_batch_lanes(probes, lanes)
         .into_iter()
         .map(|hit| hit.map(|pos| pos as u32))
 }
@@ -234,6 +239,16 @@ impl Domain {
     /// (`&[Value]` or `&[&Value]`), so a caller whose probes already live
     /// in another dictionary clones nothing.
     pub fn encode_batch<V: Borrow<Value>>(&self, values: &[V]) -> Vec<Option<u32>> {
+        self.encode_batch_lanes(values, DEFAULT_BATCH_LANES)
+    }
+
+    /// [`Domain::encode_batch`] at an explicit interleave lane count —
+    /// what the operators call with their `ExecOptions::lanes`.
+    pub(crate) fn encode_batch_lanes<V: Borrow<Value>>(
+        &self,
+        values: &[V],
+        lanes: usize,
+    ) -> Vec<Option<u32>> {
         match &self.repr {
             Repr::Int(tree) => {
                 // `Str` probes sort after every `Int`: absent, unprobed.
@@ -244,7 +259,7 @@ impl Domain {
                         Value::Str(_) => None,
                     })
                     .collect();
-                let mut hits = search_ints(tree, &ints);
+                let mut hits = search_ints(tree, &ints, lanes);
                 values
                     .iter()
                     .map(|v| match v.borrow() {
@@ -261,16 +276,16 @@ impl Domain {
     /// `other` lacks the value) — the join's outer→inner translation.
     /// Between two typed domains the probes are a gather of `i64`s; a
     /// generic source lends its values by reference.
-    pub(crate) fn translate(&self, ids: &[u32], other: &Domain) -> Vec<Option<u32>> {
+    pub(crate) fn translate(&self, ids: &[u32], other: &Domain, lanes: usize) -> Vec<Option<u32>> {
         match (self.view(), &other.repr) {
             (DomainView::Int(ints), Repr::Int(tree)) => {
                 let probes: Vec<i64> = ids.iter().map(|&id| ints[id as usize]).collect();
-                search_ints(tree, &probes).collect()
+                search_ints(tree, &probes, lanes).collect()
             }
             (DomainView::Int(_), Repr::Generic(_)) => other.encode_batch(&self.decode_batch(ids)),
             (DomainView::Generic(values), _) => {
                 let probes: Vec<&Value> = ids.iter().map(|&id| &values[id as usize]).collect();
-                other.encode_batch(&probes)
+                other.encode_batch_lanes(&probes, lanes)
             }
         }
     }
@@ -286,31 +301,60 @@ impl Domain {
         }) as u32
     }
 
-    /// ID of the first domain value `> value`.
-    fn upper_bound_id(&self, value: &Value) -> u32 {
-        (match (&self.repr, value) {
-            (Repr::Int(tree), Value::Int(v)) => match v.checked_add(1) {
-                Some(next) => tree.lower_bound(next),
-                None => tree.len(),
-            },
-            (Repr::Int(tree), Value::Str(_)) => tree.len(),
-            (Repr::Generic(values), _) => values.partition_point(|v| v <= value),
-        }) as u32
-    }
-
     /// Inclusive ID range corresponding to the inclusive value range
     /// `[lo, hi]`; `None` when no domain value falls inside. An inverted
     /// range (`lo > hi`) contains no value, so it is `None` too — not a
     /// panic: range predicates arrive from untrusted query (and, through
     /// the serving layer, client) input, and the physical layer stays
-    /// panic-free by construction.
+    /// panic-free by construction. The one-range case of the batch the
+    /// range operators resolve (`id_ranges`).
     pub fn id_range(&self, lo: &Value, hi: &Value) -> Option<(u32, u32)> {
-        if lo > hi {
-            return None;
-        }
-        let start = self.lower_bound_id(lo);
-        let end = self.upper_bound_id(hi);
-        (start < end).then(|| (start, end - 1))
+        self.id_ranges(&[(lo, hi)], DEFAULT_BATCH_LANES)[0]
+    }
+
+    /// [`Domain::id_range`] for a whole batch of ranges, from one batched
+    /// lower bound over every range's two endpoints: the first ID
+    /// `>= lo` and the first ID `> hi`, which on a typed domain is the
+    /// lower bound of `hi + 1`. A `Str` endpoint sorts after every `Int`,
+    /// and `i64::MAX` has no successor, so such an endpoint resolves to
+    /// `len` unprobed.
+    pub(crate) fn id_ranges(
+        &self,
+        ranges: &[(&Value, &Value)],
+        lanes: usize,
+    ) -> Vec<Option<(u32, u32)>> {
+        let bounds: Vec<usize> = match &self.repr {
+            Repr::Int(tree) => {
+                let probe = |v: &Value, past: i64| match v {
+                    Value::Int(i) => i.checked_add(past),
+                    Value::Str(_) => None,
+                };
+                let endpoints: Vec<Option<i64>> = ranges
+                    .iter()
+                    .flat_map(|&(lo, hi)| [probe(lo, 0), probe(hi, 1)])
+                    .collect();
+                let probes: Vec<i64> = endpoints.iter().flatten().copied().collect();
+                let mut found = tree.lower_bound_batch_lanes(&probes, lanes).into_iter();
+                endpoints
+                    .iter()
+                    .map(|e| e.and_then(|_| found.next()).unwrap_or(tree.len()))
+                    .collect()
+            }
+            Repr::Generic(values) => ranges
+                .iter()
+                .flat_map(|&(lo, hi)| {
+                    [
+                        values.partition_point(|v| v < lo),
+                        values.partition_point(|v| v <= hi),
+                    ]
+                })
+                .collect(),
+        };
+        ranges
+            .iter()
+            .zip(bounds.chunks_exact(2))
+            .map(|(&(lo, hi), b)| (lo <= hi && b[0] < b[1]).then(|| (b[0] as u32, b[1] as u32 - 1)))
+            .collect()
     }
 
     /// The value for `id` (owned: an `Int` is a copy, and a typed domain
@@ -578,17 +622,24 @@ mod tests {
             let values = sorted_values(&d);
             // Every 7th probe as a bound keeps the square small.
             let bounds: Vec<&Value> = probes.iter().step_by(7).collect();
-            for lo in &bounds {
-                for hi in &bounds {
+            let mut square = Vec::new();
+            for &lo in &bounds {
+                for &hi in &bounds {
                     let inside: Vec<u32> = (0u32..)
                         .zip(&values)
-                        .filter_map(|(id, v)| (*lo <= v && v <= *hi).then_some(id))
+                        .filter_map(|(id, v)| (lo <= v && v <= hi).then_some(id))
                         .collect();
                     let want = inside
                         .first()
                         .map(|&first| (first, inside[inside.len() - 1]));
                     assert_eq!(d.id_range(lo, hi), want, "[{lo:?}, {hi:?}]");
+                    square.push(((lo, hi), want));
                 }
+            }
+            // The whole square as one batch of endpoints, at every lane count.
+            let (ranges, want): (Vec<_>, Vec<_>) = square.into_iter().unzip();
+            for lanes in [1, 3, 8] {
+                assert_eq!(d.id_ranges(&ranges, lanes), want, "lanes={lanes}");
             }
         }
         let [int, string, _] = representations().map(|(d, _)| d);
@@ -637,9 +688,11 @@ mod tests {
                     .iter()
                     .map(|&id| target.encode(&source.decode(id)))
                     .collect();
-                assert_eq!(source.translate(&ids, target), want);
+                for lanes in [1, 3, 8] {
+                    assert_eq!(source.translate(&ids, target, lanes), want);
+                }
             }
-            assert!(source.translate(&[], &targets[0]).is_empty());
+            assert!(source.translate(&[], &targets[0], 8).is_empty());
         }
     }
 

@@ -1,15 +1,15 @@
 //! The [`Database`] engine: a system catalog owning tables, RID lists and
-//! indexes.
+//! declared access paths.
 //!
 //! §2 of the paper situates CSS-trees inside a main-memory
 //! decision-support *system* — relations, per-column sorted RID lists,
 //! and "an index" chosen per access path. The free functions in
 //! [`query`](crate::query) are that system's physical operators; this
 //! module is the system itself. A [`Database`] registers [`Table`]s,
-//! builds and owns one [`RidList`] per indexed column, and keys any
-//! number of [`IndexHandle`]s per column by [`IndexKind`] — so an index
-//! is built once and reused by every selection and join that touches the
-//! column, instead of being threaded by hand through each call.
+//! builds and owns one [`RidList`] per indexed column, and records which
+//! [`IndexKind`]s were created on it. The RID list is addressed by domain
+//! ID, so it answers every kind: a kind is an access path the planner
+//! chooses and a query may force, not a second structure over the rows.
 //!
 //! A `Database` derefs to its tip, the [`CatalogState`] every read runs
 //! against, so queries start at [`CatalogState::query`] — `db.query(..)`
@@ -39,9 +39,8 @@
 //!
 //! Updates follow the paper's OLAP cycle (§2.3): mutate a column
 //! wholesale, then [`Database::rebuild_column`] re-sorts it into a fresh
-//! RID list and rebuilds every index registered on it from scratch over
-//! that list's key array — the independent per-kind rebuilds fanning out
-//! across the worker pool sized by the catalog's [`ExecOptions`].
+//! RID list — one counting sort, which is the whole rebuild: no kind has
+//! a structure of its own to rebuild.
 //!
 //! **Concurrency** follows the epoch/snapshot discipline in
 //! [`snapshot`](crate::snapshot): the `Database` owns a private mutable
@@ -55,13 +54,12 @@
 use crate::column::Column;
 use crate::domain::Value;
 use crate::error::{MmdbError, Result};
-use crate::index_choice::{IndexHandle, IndexKind};
+use crate::index_choice::IndexKind;
 use crate::plan::ExecOptions;
 use crate::rid::RidList;
 use crate::snapshot::{CatalogState, DatabaseHandle, Handle, Snapshot, SwapSlot};
 use crate::table::Table;
-use ccindex_parallel::WorkerPool;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Deref;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -108,15 +106,14 @@ pub(crate) struct TableEntry {
     pub(crate) columns: BTreeMap<String, ColumnEntry>,
 }
 
-/// A column's access paths: the sorted RID list every index of the
-/// column shares, and the indexes keyed by kind. Handles sit behind
-/// [`Arc`] so an untouched index is *shared* between generations when a
-/// commit copy-on-writes its table entry, instead of being rebuilt or
-/// deep-copied.
+/// A column's access paths: the sorted RID list that answers every
+/// kind, and the kinds created on the column. The list's arrays sit
+/// behind [`Arc`], so an untouched column's list is *shared* between
+/// generations when a commit copy-on-writes its table entry.
 #[derive(Debug, Clone)]
 pub(crate) struct ColumnEntry {
     pub(crate) rids: RidList,
-    pub(crate) indexes: BTreeMap<IndexKind, Arc<IndexHandle>>,
+    pub(crate) kinds: BTreeSet<IndexKind>,
 }
 
 /// What one [`Database::rebuild_column`] cycle did, per §2.3's
@@ -127,7 +124,9 @@ pub struct RebuildReport {
     /// the cycle; a wholesale column replacement re-sorts rather than
     /// merging deltas).
     pub sort_time: Duration,
-    /// Per-kind from-scratch rebuild times (Fig. 9's measurement).
+    /// Per-kind rebuild times. Always empty: a kind declares an access
+    /// path over the RID list and has no structure of its own to rebuild.
+    /// Kept because the serving wire's rebuild frame carries it.
     pub rebuilds: Vec<(IndexKind, Duration)>,
 }
 
@@ -174,9 +173,9 @@ impl Database {
         Ok(())
     }
 
-    /// Build (or rebuild) a `kind` index on `table.column`. The column's
-    /// sorted [`RidList`] is computed on its first index and shared by
-    /// all of them.
+    /// Create a `kind` index on `table.column`; creating it again commits
+    /// an unchanged generation. The column's sorted [`RidList`] is
+    /// computed on its first index and answers all of them.
     pub fn create_index(&mut self, table: &str, column: &str, kind: IndexKind) -> Result<()> {
         let entry = self.entry_mut(table)?;
         if entry.table.column(column).is_none() {
@@ -189,11 +188,10 @@ impl Database {
             let col = entry.table.column(column).expect("checked above");
             ColumnEntry {
                 rids: RidList::for_column(col),
-                indexes: BTreeMap::new(),
+                kinds: BTreeSet::new(),
             }
         });
-        let handle = IndexHandle::build(kind, col_entry.rids.keys());
-        col_entry.indexes.insert(kind, Arc::new(handle));
+        col_entry.kinds.insert(kind);
         self.publish();
         Ok(())
     }
@@ -216,14 +214,14 @@ impl Database {
                 table: table_name.clone(),
                 column: column.to_owned(),
             })?;
-        if col_entry.indexes.remove(&kind).is_none() {
+        if !col_entry.kinds.remove(&kind) {
             return Err(MmdbError::IndexNotBuilt {
                 table: table_name,
                 column: column.to_owned(),
                 kind,
             });
         }
-        if col_entry.indexes.is_empty() {
+        if col_entry.kinds.is_empty() {
             entry.columns.remove(column);
         }
         self.publish();
@@ -231,14 +229,14 @@ impl Database {
     }
 
     /// Replace a column's values wholesale (the OLAP batch-update entry
-    /// point), then run the rebuild cycle over its indexes — an empty
-    /// report if the column has none. The new values must keep the
-    /// table's row count; every error path leaves the table untouched.
+    /// point), then re-derive its RID list if it is indexed. The new
+    /// values must keep the table's row count; every error path leaves
+    /// the table untouched.
     ///
     /// The whole cycle commits **one** generation, at the end: a
-    /// concurrent snapshot sees either the old column with the old
-    /// indexes or the new column with the new indexes, never the torn
-    /// state in between.
+    /// concurrent snapshot sees either the old column with the old RID
+    /// list or the new column with the new one, never the torn state in
+    /// between.
     pub fn replace_column(
         &mut self,
         table: &str,
@@ -277,16 +275,10 @@ impl Database {
     }
 
     /// Re-derive `table.column`'s RID list from the (possibly mutated)
-    /// column and rebuild every index registered on it from scratch over
-    /// the list's key array, which the rebuilt indexes share exactly as
-    /// [`Database::create_index`] does — §2.3: "it may be relatively
-    /// cheap to rebuild an index from scratch after a batch of updates."
-    /// The per-kind rebuilds are independent, so they fan out across the
-    /// worker pool sized by the catalog's [`ExecOptions::threads`]
-    /// (`1` rebuilds sequentially; `0` spawns one worker per kind up to
-    /// the core count — each job here is a whole index build, so the
-    /// kind count, not a probe estimate, is the right partition unit).
-    /// On success the rebuilt generation commits atomically.
+    /// column — §2.3: "it may be relatively cheap to rebuild an index from
+    /// scratch after a batch of updates." The list is the only structure:
+    /// every created kind addresses it, so the report's `rebuilds` is
+    /// empty. On success the rebuilt generation commits atomically.
     pub fn rebuild_column(&mut self, table: &str, column: &str) -> Result<RebuildReport> {
         let report = self.rebuild_column_in_tip(table, column)?;
         self.publish();
@@ -297,7 +289,6 @@ impl Database {
     /// [`Database::replace_column`] can mutate and rebuild under a
     /// single commit instead of exposing a column/index mismatch.
     fn rebuild_column_in_tip(&mut self, table: &str, column: &str) -> Result<RebuildReport> {
-        let threads = self.tip.exec.threads;
         let table_name = table.to_owned();
         let entry = self.entry_mut(table)?;
         let col = entry
@@ -316,22 +307,9 @@ impl Database {
             })?;
         let t0 = Instant::now();
         col_entry.rids = RidList::for_column(col);
-        let sort_time = t0.elapsed();
-        // One pool job per registered kind, each timed inside its job.
-        let kinds: Vec<IndexKind> = col_entry.indexes.keys().copied().collect();
-        let keys = col_entry.rids.keys();
-        let built = WorkerPool::new(threads).run(kinds.len(), |i| {
-            let t0 = Instant::now();
-            (IndexHandle::build(kinds[i], keys), t0.elapsed())
-        });
-        let mut rebuilds = Vec::with_capacity(kinds.len());
-        for (kind, (handle, rebuild_time)) in kinds.into_iter().zip(built) {
-            col_entry.indexes.insert(kind, Arc::new(handle));
-            rebuilds.push((kind, rebuild_time));
-        }
         Ok(RebuildReport {
-            sort_time,
-            rebuilds,
+            sort_time: t0.elapsed(),
+            rebuilds: Vec::new(),
         })
     }
 
@@ -542,8 +520,8 @@ mod tests {
                 vec![1i64, 2, 3, 4, 5].into_iter().map(Value::Int).collect(),
             )
             .unwrap();
-        assert_eq!(report.rebuilds.len(), 2);
-        // The fresh indexes answer over the new values.
+        assert!(report.rebuilds.is_empty(), "no kind has its own structure");
+        // The fresh RID list answers over the new values.
         let hits = db
             .query("sales")
             .filter(crate::plan::eq("amount", 4))
@@ -569,7 +547,7 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_fans_kinds_across_the_pool_with_identical_results() {
+    fn rebuild_answers_identically_at_every_thread_count() {
         // The same replace-then-query cycle must answer identically
         // whatever the catalog's thread count — including 0 (auto).
         let mut reference: Option<Vec<u32>> = None;
@@ -586,13 +564,7 @@ mod tests {
                     vec![7i64, 3, 7, 1, 7].into_iter().map(Value::Int).collect(),
                 )
                 .unwrap();
-            assert_eq!(report.rebuilds.len(), 3, "threads={threads}");
-            // Kind order in the report stays deterministic (map order).
-            let kinds: Vec<IndexKind> = report.rebuilds.iter().map(|&(k, _)| k).collect();
-            assert_eq!(
-                kinds,
-                vec![IndexKind::TTree, IndexKind::FullCss, IndexKind::Hash]
-            );
+            assert!(report.rebuilds.is_empty(), "threads={threads}");
             let hits = db
                 .query("sales")
                 .filter(crate::plan::eq("amount", 7))
@@ -609,22 +581,29 @@ mod tests {
     }
 
     #[test]
-    fn a_rebuild_shares_the_rid_lists_keys() {
-        // The RID list holds the key array, and so does every kind built
-        // over it by sharing; a rebuild must leave the new list's array
-        // held exactly as `create_index` left the old one, not copied.
+    fn a_rebuild_rederives_only_the_rid_list() {
+        // Every created kind is an access path over the one RID list: a
+        // rebuild re-sorts the column into a fresh list, keeps the kinds,
+        // and every kind answers from the fresh list.
         let mut db = sales_db();
-        for kind in [IndexKind::FullCss, IndexKind::BinarySearch, IndexKind::Hash] {
+        let kinds = [IndexKind::BinarySearch, IndexKind::FullCss, IndexKind::Hash];
+        for kind in kinds {
             db.create_index("sales", "amount", kind).unwrap();
         }
-        let holders = |db: &Database| db.rid_list("sales", "amount").unwrap().keys().holders();
-        let created = holders(&db);
-        assert!(created > 1, "the ordered kinds share the array");
-        db.replace_column("sales", "amount", (1..=5).map(Value::Int).collect())
+        let values = [50i64, 40, 30, 20, 10];
+        db.replace_column("sales", "amount", values.map(Value::Int).to_vec())
             .unwrap();
-        assert_eq!(holders(&db), created, "after replace_column");
-        db.rebuild_column("sales", "amount").unwrap();
-        assert_eq!(holders(&db), created, "after rebuild_column");
+        let fresh = RidList::for_column(db.table("sales").unwrap().column("amount").unwrap());
+        let report = db.rebuild_column("sales", "amount").unwrap();
+        assert!(report.rebuilds.is_empty());
+        assert_eq!(db.indexed_kinds("sales", "amount").unwrap(), kinds);
+        assert_eq!(db.rid_list("sales", "amount").unwrap().rids(), fresh.rids());
+        for kind in kinds {
+            let path = db.index("sales", "amount", kind).unwrap();
+            // ID 1 is the value 20, on row 3 at sorted position 1.
+            assert_eq!(path.as_search().search(1), Some(1), "{kind:?}");
+            assert_eq!(path.as_ordered().is_some(), kind.is_ordered());
+        }
     }
 
     #[test]

@@ -1,10 +1,18 @@
-//! One constructor per paper method, behind the shared traits.
+//! One constructor per paper method, behind the shared traits, and the
+//! catalog's declared access paths.
 //!
-//! The database layer treats the index choice as a tuning knob: every
-//! method implements `SearchIndex<u32>` (point lookups on domain IDs) and
-//! all but the hash index implement `OrderedIndex<u32>` (range queries).
-//! Node sizes default to one 64-byte cache line (16 four-byte slots), the
-//! §5.1/§6.3 optimum.
+//! Every method implements `SearchIndex<u32>` (point lookups on domain
+//! IDs) and all but the hash index implement `OrderedIndex<u32>` (range
+//! queries). Node sizes default to one 64-byte cache line (16 four-byte
+//! slots), the §5.1/§6.3 optimum. [`IndexHandle::build`] builds them over
+//! a sorted key array: the paper's baselines, as `figures` and the
+//! agreement suites measure them.
+//!
+//! The catalog builds none of them. A column's domain IDs are dense ranks,
+//! so its sorted [`RidList`] answers every probe by addressing the run an
+//! ID names; an [`IndexKind`] created on a column is a declared access
+//! path — what the planner chooses between and a query may force — and
+//! [`AccessPath`] is its view: the RID list behind the index traits.
 
 use bplus::BPlusTree;
 use bst_index::BinaryTreeIndex;
@@ -13,6 +21,8 @@ use css_tree::{FullCssTree, LevelCssTree};
 use hashindex::HashIndex;
 use sorted_search::{BinarySearch, InterpolationSearch};
 use ttree::TTree;
+
+use crate::rid::RidList;
 
 /// The index methods available to the database layer.
 ///
@@ -99,10 +109,9 @@ impl IndexKind {
     ];
 }
 
-/// A built index that remembers whether it can serve ordered access —
-/// what a catalog stores per `(column, kind)` so point probes can reach
-/// `search_batch` on any kind while range probes are confined, at the
-/// type level, to ordered kinds.
+/// A built index that remembers whether it can serve ordered access, so
+/// point probes reach `search_batch` on any kind while range probes are
+/// confined, at the type level, to ordered kinds.
 pub enum IndexHandle {
     /// Point lookups only (the hash index, §3.5).
     Point(Box<dyn SearchIndex<u32>>),
@@ -145,6 +154,34 @@ impl std::fmt::Debug for IndexHandle {
             IndexHandle::Ordered(i) => ("Ordered", i.name()),
         };
         write!(f, "IndexHandle::{shape}({name})")
+    }
+}
+
+/// A declared access path on one catalog column, as
+/// [`CatalogState::index`](crate::snapshot::CatalogState::index) hands it
+/// out: the column's [`RidList`] seen through the index traits, ordered
+/// unless the kind is [`IndexKind::Hash`].
+#[derive(Debug, Clone, Copy)]
+pub struct AccessPath<'c> {
+    kind: IndexKind,
+    rids: &'c RidList,
+}
+
+impl<'c> AccessPath<'c> {
+    pub(crate) fn new(kind: IndexKind, rids: &'c RidList) -> Self {
+        Self { kind, rids }
+    }
+
+    /// The point-lookup view every kind supports.
+    pub fn as_search(self) -> &'c dyn SearchIndex<u32> {
+        self.rids
+    }
+
+    /// The ordered view; `None` for the hash kind, which declares no
+    /// ordered access.
+    pub fn as_ordered(self) -> Option<&'c dyn OrderedIndex<u32>> {
+        let ordered: &'c dyn OrderedIndex<u32> = self.rids;
+        self.kind.is_ordered().then_some(ordered)
     }
 }
 

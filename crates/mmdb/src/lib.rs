@@ -12,8 +12,9 @@
 //! This crate builds that system in two layers.
 //!
 //! **The engine** (the primary surface): a [`Database`] whose catalog
-//! registers tables and builds/owns per-column RID lists and indexes
-//! (keyed by [`IndexKind`]), and a composable [`Query`] builder —
+//! registers tables and builds/owns per-column RID lists with the access
+//! paths declared on them (keyed by [`IndexKind`]), and a composable
+//! [`Query`] builder —
 //! `db.query("sales").filter(eq(..)).join(.., on(..)).group_by(..)` —
 //! compiled by [`mod@plan`] into a small physical plan whose executor
 //! drives the batched operators below — sequentially by default, or
@@ -28,10 +29,12 @@
 //!   equality *and* inequality predicates evaluate on IDs directly because
 //!   the domain is kept in value order,
 //! * [`mod@column`]/[`table`] — columnar tables of domain-encoded attributes,
-//! * [`rid`] — sorted RID lists (the arrays the indexes sit on),
+//! * [`rid`] — sorted RID lists, addressed by domain ID: the one search
+//!   a probe makes is the domain's,
 //! * [`index_choice`] — one constructor ([`IndexHandle::build`]) for
 //!   every paper method, all behind
-//!   `ccindex_common::OrderedIndex`/`SearchIndex`,
+//!   `ccindex_common::OrderedIndex`/`SearchIndex` (the baselines), and the
+//!   catalog's declared access paths,
 //! * [`query`] — point select, range select, and indexed nested-loop
 //!   join, one form each: batched at an explicit lane count and chunked
 //!   across an explicit number of workers (`1` runs inline),
@@ -74,9 +77,7 @@ pub use snapshot::{CatalogState, DatabaseHandle, Handle, Pinned, Snapshot, SwapS
 pub use aggregate::{group_aggregate_pairs, AggFn, GroupRow, Measure};
 pub use column::Column;
 pub use domain::{Domain, Value};
-pub use index_choice::{build_index, IndexHandle, IndexKind};
-pub use query::{
-    indexed_nested_loop_join, point_select_many, range_select_many, JoinRow, JOIN_PROBE_BLOCK,
-};
+pub use index_choice::{build_index, AccessPath, IndexHandle, IndexKind};
+pub use query::{indexed_nested_loop_join, point_select_many, range_select_many, JoinRow};
 pub use rid::RidList;
 pub use table::{Table, TableBuilder};

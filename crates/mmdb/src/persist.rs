@@ -3,13 +3,11 @@
 //! row-rebuild path.
 //!
 //! The paper's structures are all *bulk-built* (§2.3), which makes them
-//! naturally serializable: a CSS-tree is its sorted array plus a
-//! deterministic directory, so the on-disk format stores exactly the
-//! arrays — domain dictionaries, in-place ID columns, sorted RID lists,
-//! and one page per CSS directory **level** — and the open path
-//! reassembles the catalog from validated parts instead of re-encoding
-//! rows, re-sorting RID lists, or rebuilding directories. That is the
-//! cold-start win `ccbench`'s `refresh` workload measures (`setup_s`,
+//! naturally serializable: the on-disk format stores the arrays — domain
+//! dictionaries, in-place ID columns, sorted RID lists — and the open
+//! path reassembles the catalog from validated parts instead of
+//! re-encoding rows or re-sorting RID lists. That is the cold-start win
+//! `ccbench`'s `refresh` workload measures (`setup_s`,
 //! `mmdb.catalog_decode_ms`).
 //!
 //! Layout inside the store container (see `ccindex_store` for the
@@ -19,23 +17,26 @@
 //! * per column: one [`PageKind::DomainValues`] page (the sorted
 //!   dictionary) and one [`PageKind::ColumnIds`] page (4 bytes/row);
 //! * per indexed column: one [`PageKind::RidKeys`] and one
-//!   [`PageKind::RidValues`] page (the sorted RID list);
-//! * per CSS index: one [`PageKind::CssLevel`] page per directory
-//!   level, written root-first — a reopen reads exactly the levels a
-//!   descent touches (all of them, but each is one contiguous page);
-//!   non-CSS kinds store no pages and are rebuilt from the loaded RID
-//!   keys at open;
+//!   [`PageKind::RidValues`] page (the sorted RID list). The list keeps
+//!   only each domain ID's first position; save expands those offsets
+//!   into the sorted key array the page has always held, and open folds
+//!   the page back into offsets;
+//! * per CSS kind: one [`PageKind::CssLevel`] page per level of the
+//!   directory over that key array, written root-first. No kind has a
+//!   structure in memory (the RID list answers every kind), so open
+//!   validates these pages and drops them; other kinds store no pages;
 //! * the manifest maps table/column/index names to page IDs.
 //!
 //! Everything read back is **validated before construction**: domain
 //! sortedness, ID ranges, RID permutations, the RID-keys/column-IDs
-//! correspondence, and CSS directory geometry. A bit-flipped,
-//! truncated, or hostile file surfaces as a typed
-//! [`MmdbError::Storage`]; what the validation proved is then handed to
-//! the physical layer's crate-private proven-input constructors, so
-//! nothing is checked, sorted or searched a second time. A domain page
-//! decodes straight into its representation — `Int` tags into the typed
-//! `i64` array, whose CSS directory is rebuilt (it is not stored).
+//! correspondence (every key inside the domain before it indexes the
+//! offsets), and CSS directory geometry. A bit-flipped, truncated, or
+//! hostile file surfaces as a typed [`MmdbError::Storage`]; what the
+//! validation proved is then handed to the physical layer's proven-input
+//! constructors, so nothing is sorted or searched a second time. A
+//! domain page decodes straight into its representation — `Int` tags
+//! into the typed `i64` array, whose CSS directory is rebuilt (it is not
+//! stored).
 //!
 //! Restoring into a live [`Database`] goes through the same
 //! [`SwapSlot`](crate::snapshot::SwapSlot) commit cycle as every other
@@ -48,14 +49,14 @@ use crate::column::Column;
 use crate::domain::{Domain, DomainView, Value};
 use crate::engine::{ColumnEntry, Database, TableEntry};
 use crate::error::{MmdbError, Result, StorageFault};
-use crate::index_choice::{IndexHandle, IndexKind};
+use crate::index_choice::IndexKind;
 use crate::rid::RidList;
 use crate::snapshot::CatalogState;
 use crate::table::Table;
 use ccindex_common::SortedArray;
 use ccindex_store::{PageKind, StoreError, StoreFault, StoreReader, StoreWriter};
 use css_tree::{CssTree, Full, Level, NodeSearch};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -118,20 +119,21 @@ pub fn catalog_to_bytes(state: &CatalogState) -> Vec<u8> {
         m.u32(entry.columns.len() as u32);
         for (col_name, col_entry) in &entry.columns {
             m.str(col_name);
-            let keys = col_entry.rids.keys();
+            // The sorted key array the list addresses instead of storing,
+            // expanded from its offsets for the `RidKeys` page.
+            let keys = SortedArray::from_vec(col_entry.rids.expanded_ids());
             m.u32(w.page(PageKind::RidKeys, &encode_u32s(keys.as_slice())));
             m.u32(w.page(PageKind::RidValues, &encode_u32s(col_entry.rids.rids())));
-            m.u32(col_entry.indexes.len() as u32);
-            for kind in col_entry.indexes.keys() {
+            m.u32(col_entry.kinds.len() as u32);
+            for kind in &col_entry.kinds {
                 m.u8(kind_code(*kind));
-                // CSS directories are deterministic functions of the
-                // sorted keys, so the save path builds a fresh tree and
-                // writes its levels root-first; the open path loads
-                // them back without rebuilding. Other kinds carry no
-                // pages and rebuild from the RID keys at open.
+                // A CSS kind's directory over the expanded keys is a
+                // deterministic function of them, written root-first as
+                // the format has always carried it; the open path
+                // validates it and drops it. Other kinds carry no pages.
                 match kind {
-                    IndexKind::FullCss => write_css_levels::<Full<CSS_M>>(&mut w, &mut m, keys),
-                    IndexKind::LevelCss => write_css_levels::<Level<CSS_M>>(&mut w, &mut m, keys),
+                    IndexKind::FullCss => write_css_levels::<Full<CSS_M>>(&mut w, &mut m, &keys),
+                    IndexKind::LevelCss => write_css_levels::<Level<CSS_M>>(&mut w, &mut m, &keys),
                     _ => m.u32(0),
                 }
             }
@@ -179,7 +181,7 @@ impl Database {
     /// Cold-start a database from a store file written by
     /// [`Database::save_to`]: pages are read and validated, the
     /// catalog is reassembled from parts — no row re-encoding, no RID
-    /// re-sort, no CSS directory rebuild.
+    /// re-sort, no index build.
     pub fn open_from(path: impl AsRef<Path>) -> Result<Self> {
         let mut reader = StoreReader::open_file(path.as_ref())?;
         let tables = decode_tables(&mut reader)?;
@@ -266,7 +268,15 @@ fn decode_tables(r: &mut StoreReader) -> Result<BTreeMap<String, Arc<TableEntry>
             }
             columns.push((col_name, Column::from_proven_parts(domain, ids)));
         }
-        let table = Table::from_parts(name.clone(), columns, rows);
+        // Every column was proven `rows` long; only a table without
+        // columns can disagree with its recorded row count.
+        let table = Table::from_parts(name.clone(), columns)?;
+        if table.rows() != rows {
+            return Err(corrupt(
+                &label,
+                format!("table `{name}`: {rows} rows, no column"),
+            ));
+        }
 
         let indexed_count = m.u32()?;
         let mut col_entries: BTreeMap<String, ColumnEntry> = BTreeMap::new();
@@ -282,11 +292,13 @@ fn decode_tables(r: &mut StoreReader) -> Result<BTreeMap<String, Arc<TableEntry>
             let rids_page = m.u32()?;
             let keys = decode_u32s(r, keys_page, PageKind::RidKeys, &label)?;
             let rids = decode_u32s(r, rids_page, PageKind::RidValues, &label)?;
-            let rid_list = validate_rid_list(&label, &name, &col_name, col, keys, rids)?;
-            let shared_keys = rid_list.keys().clone();
+            let rid_list = fold_rid_list(&label, &name, &col_name, col, &keys, rids)?;
+            // Proven non-decreasing by the fold; only a CSS kind's level
+            // pages need the expanded array, to be validated against.
+            let mut sorted_keys: Option<SortedArray<u32>> = None;
 
             let index_count = m.u32()?;
-            let mut indexes: BTreeMap<IndexKind, Arc<IndexHandle>> = BTreeMap::new();
+            let mut kinds = BTreeSet::new();
             for _ in 0..index_count {
                 let code = m.u8()?;
                 let kind = kind_from_code(code).ok_or_else(|| {
@@ -296,25 +308,22 @@ fn decode_tables(r: &mut StoreReader) -> Result<BTreeMap<String, Arc<TableEntry>
                     )
                 })?;
                 let level_count = m.u32()?;
-                let handle = if level_count == 0 {
-                    // Non-CSS kinds carry no pages; rebuild over the
-                    // validated shared keys.
-                    IndexHandle::build(kind, &shared_keys)
-                } else {
+                if level_count > 0 {
                     let mut slots: Vec<u32> = Vec::new();
                     for _ in 0..level_count {
                         let page = m.u32()?;
                         slots.extend(decode_u32s_raw(r, page, &label)?);
                     }
-                    css_handle_from_levels(&label, &name, &col_name, kind, &shared_keys, &slots)?
-                };
-                indexes.insert(kind, Arc::new(handle));
+                    let keys = sorted_keys.get_or_insert_with(|| SortedArray::from_slice(&keys));
+                    validate_css_levels(&label, &name, &col_name, kind, keys, &slots)?;
+                }
+                kinds.insert(kind);
             }
             col_entries.insert(
                 col_name,
                 ColumnEntry {
                     rids: rid_list,
-                    indexes,
+                    kinds,
                 },
             );
         }
@@ -333,16 +342,18 @@ fn decode_tables(r: &mut StoreReader) -> Result<BTreeMap<String, Arc<TableEntry>
     Ok(tables)
 }
 
-/// Prove `keys`/`rids` are exactly `RidList::for_column(col)` — value
-/// order with RID-stable ties over a permutation of the rows — before
-/// handing them to the asserting constructors. Anything less is
-/// corruption, reported, never a panic.
-fn validate_rid_list(
+/// Fold a `RidKeys` page into the list's offsets in one validating
+/// pass, proving `keys`/`rids` are exactly `RidList::for_column(col)` —
+/// value order with RID-stable ties over a permutation of the rows, so
+/// each ID's run is as long as the column's count of that ID. A key is
+/// checked against the domain before it indexes the offsets. Anything
+/// less is corruption, reported, never a panic.
+fn fold_rid_list(
     label: &str,
     table: &str,
     column: &str,
     col: &Column,
-    keys: Vec<u32>,
+    keys: &[u32],
     rids: Vec<u32>,
 ) -> Result<RidList> {
     let at = |detail: String| corrupt(label, format!("RID list for `{table}.{column}`: {detail}"));
@@ -354,8 +365,15 @@ fn validate_rid_list(
             rids.len()
         )));
     }
+    let domain = col.domain().len();
+    let mut offsets = vec![0u32; domain + 1];
     let mut seen = vec![false; rows];
     for (pos, (&key, &rid)) in keys.iter().zip(&rids).enumerate() {
+        if key as usize >= domain {
+            return Err(at(format!(
+                "key {key} at position {pos} outside the {domain}-value domain"
+            )));
+        }
         if rid as usize >= rows {
             return Err(at(format!("RID {rid} out of range at position {pos}")));
         }
@@ -363,41 +381,44 @@ fn validate_rid_list(
             return Err(at(format!("RID {rid} appears twice")));
         }
         seen[rid as usize] = true;
+        if pos > 0 && (key, rid) < (keys[pos - 1], rids[pos - 1]) {
+            return Err(at(format!("unsorted at position {pos}")));
+        }
+        // With every row placed once, this makes each run's length the
+        // column's count of its ID.
         if col.id(rid) != key {
             return Err(at(format!(
                 "key {key} at position {pos} disagrees with the column's ID for row {rid}"
             )));
         }
-        if pos > 0 && (key, rid) < (keys[pos - 1], rids[pos - 1]) {
-            return Err(at(format!("unsorted at position {pos}")));
-        }
+        offsets[key as usize + 1] += 1;
     }
-    // Sorted (checked above), parallel (length-checked): neither
-    // asserting constructor can fire.
-    Ok(RidList::from_parts(SortedArray::from_vec(keys), rids))
+    for id in 1..offsets.len() {
+        offsets[id] += offsets[id - 1];
+    }
+    // The counts sum to the row count: the asserting constructor holds.
+    Ok(RidList::from_parts(offsets, rids))
 }
 
-/// Reassemble a CSS tree from its concatenated level pages. Like every
-/// other page kind the directory is proven before use: a slot count that
-/// does not match the geometry, or a slot that is not the largest key
-/// under its child, is a typed corruption error — a wrong slot behind a
-/// matching CRC would otherwise open into an index that answers wrongly.
-fn css_handle_from_levels(
+/// Prove a CSS kind's concatenated level pages are the directory its
+/// geometry builds over `keys`: a slot count that does not match the
+/// geometry, or a slot that is not the largest key under its child, is a
+/// typed corruption error. The directory is then dropped — the RID list
+/// answers the kind — but a stored page is never accepted unproven.
+fn validate_css_levels(
     label: &str,
     table: &str,
     column: &str,
     kind: IndexKind,
     keys: &SortedArray<u32>,
     slots: &[u32],
-) -> Result<IndexHandle> {
+) -> Result<()> {
     let wrap = |e: String| corrupt(label, format!("{kind:?} index on `{table}.{column}`: {e}"));
     fn open<S: NodeSearch + Default>(
         keys: &SortedArray<u32>,
         slots: &[u32],
-    ) -> std::result::Result<IndexHandle, String> {
-        let t = CssTree::<u32, S>::from_shared_with_directory(keys.clone(), slots)?;
-        t.validate()?;
-        Ok(IndexHandle::Ordered(Box::new(t)))
+    ) -> std::result::Result<(), String> {
+        CssTree::<u32, S>::from_shared_with_directory(keys.clone(), slots)?.validate()
     }
     match kind {
         IndexKind::FullCss => open::<Full<CSS_M>>(keys, slots),
@@ -932,6 +953,67 @@ mod tests {
             err.to_string().contains("outside its 1-value domain"),
             "{err}"
         );
+    }
+
+    /// A one-table (`t`), one-column (`c`) image over the rows
+    /// `10, 20, 10, 30` (IDs `0, 1, 0, 2`), indexed as `BinarySearch`
+    /// with the given `RidKeys` and `RidValues` pages.
+    fn image_with_rid_pages(keys: &[u32], rids: &[u32]) -> Vec<u8> {
+        let domain = Domain::from_values([10, 20, 30].map(Value::Int).to_vec());
+        let mut w = StoreWriter::new();
+        let mut m = MWriter::default();
+        m.u32(MANIFEST_VERSION);
+        m.u32(1);
+        m.str("t");
+        m.u64(4);
+        m.u32(1);
+        m.str("c");
+        m.u32(w.page(PageKind::DomainValues, &encode_domain(&domain)));
+        m.u32(w.page(PageKind::ColumnIds, &encode_u32s(&[0, 1, 0, 2])));
+        m.u32(1);
+        m.str("c");
+        m.u32(w.page(PageKind::RidKeys, &encode_u32s(keys)));
+        m.u32(w.page(PageKind::RidValues, &encode_u32s(rids)));
+        m.u32(1);
+        m.u8(kind_code(IndexKind::BinarySearch));
+        m.u32(0);
+        w.finish(&m.buf)
+    }
+
+    #[test]
+    fn hostile_rid_key_pages_are_typed_corruption_before_the_fold() {
+        let good =
+            Database::open_from_bytes(image_with_rid_pages(&[0, 0, 1, 2], &[0, 2, 1, 3]), "ok")
+                .expect("the list `for_column` builds");
+        let rids = good.query("t").filter(eq("c", 10)).run().expect("query");
+        assert_eq!(rids.rids(), &[0, 2]);
+        for (keys, rids, says) in [
+            // A key past the 3-value domain: it must never index the
+            // offsets.
+            (&[0, 0, 1, 3], &[0, 2, 1, 3], "outside the 3-value domain"),
+            // A key run that steps down, over rows that carry those IDs.
+            (&[0, 1, 0, 2], &[0, 1, 2, 3], "unsorted at position 2"),
+            // Runs of lengths 1, 2, 1 where the column holds 2, 1, 1.
+            (
+                &[0, 1, 1, 2],
+                &[0, 2, 1, 3],
+                "disagrees with the column's ID",
+            ),
+        ] {
+            let err = Database::open_from_bytes(image_with_rid_pages(keys, rids), "rid")
+                .expect_err("a hostile RID list");
+            assert!(
+                matches!(
+                    err,
+                    MmdbError::Storage {
+                        fault: StorageFault::Corrupt,
+                        ..
+                    }
+                ),
+                "{keys:?}: {err:?}"
+            );
+            assert!(err.to_string().contains(says), "{err}");
+        }
     }
 
     #[test]

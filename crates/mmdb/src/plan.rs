@@ -12,7 +12,7 @@
 //! A conjunction runs on the in-place domain IDs (§2.1 keeps every
 //! domain sorted, so equality and inequality tests work on IDs directly):
 //! each filter is an inclusive ID interval and one run of its column's
-//! sorted RID list, found through that filter's index. Only the shortest
+//! sorted RID list, addressed by that interval. Only the shortest
 //! run is materialised; each of its rows is kept when its ID on every
 //! other filter's column lies in that filter's interval.
 //!
@@ -59,10 +59,8 @@ use crate::aggregate::{group_aggregate_pairs, AggFn, GroupRow, Measure};
 use crate::column::Column;
 use crate::domain::Value;
 use crate::error::{MmdbError, Result};
-use crate::index_choice::{IndexHandle, IndexKind};
-use crate::query::{
-    id_run, indexed_nested_loop_join, point_select_many, range_select_many, JoinRow,
-};
+use crate::index_choice::IndexKind;
+use crate::query::{indexed_nested_loop_join, point_select_many, range_select_many, JoinRow};
 use crate::rid::RidList;
 use crate::snapshot::{CatalogState, Pinned};
 use ccindex_common::DEFAULT_BATCH_LANES;
@@ -83,10 +81,9 @@ use ccindex_common::DEFAULT_BATCH_LANES;
 /// actually processes ([`ccindex_parallel::adaptive_threads`]), so tiny
 /// inputs run inline and never pay the spawn overhead while large stages
 /// still spread across every core. `lanes` is the interleave lane count
-/// handed to batch-aware indexes
-/// (`lower_bound_batch_lanes`/`search_batch_lanes`); structures that are
-/// not batch-aware ignore it, and degenerate values (0, or more lanes
-/// than probes) fall back to sequential descent. `shards` is read by the
+/// of the typed domain's batched descents — the operators' encodings,
+/// range endpoints and join translations; degenerate values (0, or more
+/// lanes than probes) fall back to sequential descent. `shards` is read by the
 /// sharded catalog layer (`ccindex-shard`): how many shards a
 /// `ShardedDatabase` built "from the environment" partitions each table
 /// across (plain [`Database`]s ignore it).
@@ -98,7 +95,7 @@ pub struct ExecOptions {
     /// Worker threads for the partitioned operators (`1` sequential,
     /// `0` adaptive per node).
     pub threads: usize,
-    /// Interleave lanes per batched index descent.
+    /// Interleave lanes per batched domain descent.
     pub lanes: usize,
     /// Shard count for environment-constructed sharded catalogs
     /// (minimum 1; plain catalogs ignore it).
@@ -475,8 +472,8 @@ impl QuerySpec {
 ///
 /// Point and range probes are the coalescible shapes: requests for the
 /// same `table.column` arriving in one batch-formation window merge into
-/// a *single* batched index descent
-/// (`search_batch`/`lower_bound_batch`). Full [`QuerySpec`]s execute as
+/// a *single* batched domain search
+/// ([`CatalogRead::point_probe_batch`]/[`CatalogRead::range_probe_batch`]). Full [`QuerySpec`]s execute as
 /// independent jobs over the shared worker pool.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
@@ -619,7 +616,7 @@ fn resolve_kind(
                 column: column.to_owned(),
             });
         }
-        if !entry.indexes.contains_key(&kind) {
+        if !entry.kinds.contains(&kind) {
             return Err(MmdbError::IndexNotBuilt {
                 table: table.to_owned(),
                 column: column.to_owned(),
@@ -636,7 +633,7 @@ fn resolve_kind(
     preference
         .iter()
         .copied()
-        .find(|k| entry.indexes.contains_key(k))
+        .find(|k| entry.kinds.contains(k))
         .ok_or_else(|| {
             // Something is registered (column_entry succeeded), so the
             // only way to miss is needing order with only hash built.
@@ -980,23 +977,15 @@ impl Plan {
         };
 
         // 2. Join: stream the selected outer rows through the inner
-        //    column's index in probe blocks.
+        //    column's RID list, addressed by translated domain ID.
         let joining = std::time::Instant::now();
         let joined: Option<Vec<JoinRow>> = match &self.join {
             None => None,
             Some(j) => {
                 let outer_col = cat.column(&self.table, &j.outer_column)?;
                 let inner_col = cat.column(&j.inner_table, &j.inner_column)?;
-                let entry = cat.column_entry(&j.inner_table, &j.inner_column)?;
-                let handle =
-                    entry
-                        .indexes
-                        .get(&j.kind)
-                        .ok_or_else(|| MmdbError::IndexNotBuilt {
-                            table: j.inner_table.clone(),
-                            column: j.inner_column.clone(),
-                            kind: j.kind,
-                        })?;
+                let inner_rids = cat.rid_list(&j.inner_table, &j.inner_column)?;
+                cat.index(&j.inner_table, &j.inner_column, j.kind)?;
                 let all_rids: Vec<u32>;
                 let outer_rids: &[u32] = match &selected {
                     Some(rids) => rids,
@@ -1009,8 +998,7 @@ impl Plan {
                     outer_col,
                     outer_rids,
                     inner_col,
-                    &entry.rids,
-                    handle.as_search(),
+                    inner_rids,
                     self.exec.lanes,
                     resolve_threads(j.threads, outer_rids.len()),
                 ))
@@ -1079,8 +1067,8 @@ impl Plan {
     /// has at least one).
     ///
     /// The domain is kept in value order (§2.1), so every filter is an
-    /// inclusive interval of domain IDs and — through the step's own
-    /// index — one run of its column's sorted RID list. The shortest run
+    /// inclusive interval of domain IDs and — addressed, not searched —
+    /// one run of its column's sorted RID list. The shortest run
     /// drives: only its RIDs are materialised, and each is kept when its
     /// in-place ID on every other filter's column lies in that filter's
     /// interval. Every step resolves before any literal is read, so a
@@ -1096,7 +1084,7 @@ impl Plan {
         // (column IDs, ID interval, run) per filter; one empty interval
         // empties the conjunction.
         let mut located = Vec::with_capacity(filters.len());
-        for ((step, &(col, rid_list, index)), ns) in
+        for ((step, &(col, rid_list)), ns) in
             self.probes.iter().zip(&filters).zip(&mut timings.probe_ns)
         {
             let locating = std::time::Instant::now();
@@ -1107,8 +1095,7 @@ impl Plan {
             let Some((lo, hi)) = interval else {
                 return Ok(Vec::new());
             };
-            let (start, end) = id_run(index, rid_list, lo, hi);
-            located.push((col.ids(), lo..=hi, rid_list.rids_in(start, end)));
+            located.push((col.ids(), lo..=hi, rid_list.run(lo, hi)));
             *ns += node_ns(&locating);
         }
 
@@ -1137,31 +1124,23 @@ impl Plan {
         Ok(rids)
     }
 
-    /// One filter's column, sorted RID list and index, with the typed
-    /// error a stale plan meets: the column, its index entry or the
-    /// step's kind is gone, or a range asks an unordered kind.
+    /// One filter's column and sorted RID list, with the typed error a
+    /// stale plan meets: the column, its index entry or the step's kind
+    /// is gone, or a range asks an unordered kind.
     fn resolve_probe<'c>(
         &self,
         cat: &'c CatalogState,
         step: &ProbeStep,
-    ) -> Result<(&'c Column, &'c RidList, &'c IndexHandle)> {
+    ) -> Result<(&'c Column, &'c RidList)> {
         let col = cat.column(&self.table, &step.column)?;
-        let entry = cat.column_entry(&self.table, &step.column)?;
-        let handle = entry
-            .indexes
-            .get(&step.kind)
-            .ok_or_else(|| MmdbError::IndexNotBuilt {
-                table: self.table.clone(),
-                column: step.column.clone(),
-                kind: step.kind,
-            })?;
-        if matches!(step.probe, Probe::Range(..)) && handle.as_ordered().is_none() {
+        let path = cat.index(&self.table, &step.column, step.kind)?;
+        if matches!(step.probe, Probe::Range(..)) && path.as_ordered().is_none() {
             return Err(MmdbError::NoOrderedIndex {
                 table: self.table.clone(),
                 column: step.column.clone(),
             });
         }
-        Ok((col, &entry.rids, &**handle))
+        Ok((col, cat.rid_list(&self.table, &step.column)?))
     }
 }
 
@@ -1191,11 +1170,10 @@ pub trait CatalogRead: Sync {
     /// Answer many equality probes on one `table.column` with a single
     /// probes-only sub-plan: one access-path resolution (the same
     /// preference order a [`Query::filter`]`(`[`eq`]`)` compiles to),
-    /// one batched domain encoding, and one `search_batch` index
-    /// descent over all the values (plus the §3.6 rightward scan to the
-    /// end of each hit's run), partitioned across workers when the
-    /// catalog's [`ExecOptions`] allow (`threads == 0` adapts to the
-    /// probe count). Returns one ascending RID set per value, in submission
+    /// one batched domain encoding over all the values, and each
+    /// encoded ID's run of the column's RID list, addressed by the ID,
+    /// partitioned across workers when the catalog's [`ExecOptions`]
+    /// allow (`threads == 0` adapts to the probe count). Returns one ascending RID set per value, in submission
     /// order — element `i` is byte-identical to
     /// `query(table).filter(eq(column, values[i])).run()?.rids()`.
     ///
@@ -1214,8 +1192,9 @@ pub trait CatalogRead: Sync {
     /// Answer many inclusive range probes on one `table.column` with a
     /// single probes-only sub-plan over an ordered index (typed
     /// [`MmdbError::NoOrderedIndex`] when only hash is built): every
-    /// range contributes its two positional bounds to one
-    /// `lower_bound_batch` descent. Returns one ascending RID set per
+    /// range contributes its two value endpoints to one batched domain
+    /// `lower_bound`, and each resulting ID interval is one addressed
+    /// run of the column's RID list. Returns one ascending RID set per
     /// range, in submission order — element `i` is byte-identical to
     /// `query(table).filter(between(column, lo, hi)).run()?.rids()`
     /// (an inverted range matches nothing, exactly like [`between`]).
@@ -1304,15 +1283,12 @@ impl CatalogRead for CatalogState {
         column: &str,
         values: &[Value],
     ) -> Result<Vec<Vec<u32>>> {
-        let kind = resolve_kind(self, table, column, false, None)?;
+        resolve_kind(self, table, column, false, None)?;
         let col = self.column(table, column)?;
-        let entry = self.column_entry(table, column)?;
-        let handle = entry.indexes.get(&kind).expect("kind was just resolved");
         let threads = resolve_threads(self.exec.threads, values.len());
         Ok(point_select_many(
             col,
-            &entry.rids,
-            handle.as_search(),
+            self.rid_list(table, column)?,
             values,
             self.exec.lanes,
             threads,
@@ -1325,21 +1301,12 @@ impl CatalogRead for CatalogState {
         column: &str,
         ranges: &[(Value, Value)],
     ) -> Result<Vec<Vec<u32>>> {
-        let kind = resolve_kind(self, table, column, true, None)?;
+        resolve_kind(self, table, column, true, None)?;
         let col = self.column(table, column)?;
-        let entry = self.column_entry(table, column)?;
-        let handle = entry.indexes.get(&kind).expect("kind was just resolved");
-        let idx = (**handle)
-            .as_ordered()
-            .ok_or_else(|| MmdbError::NoOrderedIndex {
-                table: table.to_owned(),
-                column: column.to_owned(),
-            })?;
         let threads = resolve_threads(self.exec.threads, ranges.len());
         Ok(range_select_many(
             col,
-            &entry.rids,
-            idx,
+            self.rid_list(table, column)?,
             ranges,
             self.exec.lanes,
             threads,

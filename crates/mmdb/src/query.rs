@@ -9,30 +9,26 @@
 //!    indexes on the inner relations" — [`indexed_nested_loop_join`];
 //! 3. "transforming domain values to domain IDs requires searching on the
 //!    domain" — every operator below starts with a batched domain search
-//!    ([`encode_batch`](crate::domain::Domain::encode_batch),
-//!    [`id_range`](crate::domain::Domain::id_range), or the join's
-//!    outer→inner domain translation).
+//!    (an encoding, the range endpoints, or the join's outer→inner domain
+//!    translation).
+//!
+//! That domain search is the only one. A domain ID is a dense rank, so
+//! the rows it names are addressed in the column's sorted
+//! [`RidList`] — [`RidList::run`] — not searched for a second time: the
+//! index the paper's consumers "search" is the CSS-tree over the domain,
+//! and the RID list behind it is an array indexed by what that search
+//! returns.
 //!
 //! In the decision-support setting probes arrive by the hundred-thousand,
-//! so every operator hands the index whole probe batches at an explicit
+//! so every operator hands the domain whole probe batches at an explicit
 //! interleave `lanes` count, and chunks its input across `threads`
 //! workers of a [`WorkerPool`] (`1` runs inline, `0` is one worker per
 //! core). Chunk outputs concatenate in input order, so the answer is the
 //! same for every `lanes` and `threads`.
-//!
-//! Two run primitives over the sorted RID list sit under the operators:
-//! * *point runs*, for every kind: one `search_batch_lanes` finds each
-//!   ID's leftmost match, and the §3.6 "sequentially scan towards right"
-//!   finds the end of its run. The run is copied out anyway, so the scan
-//!   never costs more than the output;
-//! * *interval runs*, for ordered kinds: one `lower_bound_batch_lanes`
-//!   over every `[lo, hi + 1]` pair.
 
 use crate::column::Column;
 use crate::domain::Value;
-use crate::index_choice::IndexHandle;
 use crate::rid::RidList;
-use ccindex_common::{OrderedIndex, SearchIndex};
 use ccindex_parallel::WorkerPool;
 
 /// One output row of an indexed nested-loop join.
@@ -49,131 +45,49 @@ pub struct JoinRow {
     pub inner_rid: u32,
 }
 
-/// How many outer rows an [`indexed_nested_loop_join`] hands to the inner
-/// index per `search_batch` call. Large enough to fill every interleave
-/// lane many times over, small enough that the probe scratch stays
-/// cache-resident.
-pub const JOIN_PROBE_BLOCK: usize = 1024;
-
-/// The §3.6 duplicate primitive: given the leftmost match `first` of
-/// `id`, scan rightward through the sorted key array for the end of its
-/// run.
-fn duplicate_run_end(keys: &[u32], first: usize, id: u32) -> usize {
-    let mut end = first;
-    while end < keys.len() && keys[end] == id {
-        end += 1;
-    }
-    end
-}
-
-/// Point runs: the sorted-position run `[start, end)` of `rid_list` that
-/// holds each ID of `ids` (`(0, 0)` for an ID no row has), from one
-/// batched search plus the §3.6 rightward scan per hit.
-fn point_runs<'a>(
-    rid_list: &'a RidList,
-    index: &dyn SearchIndex<u32>,
-    ids: &'a [u32],
-    lanes: usize,
-) -> impl Iterator<Item = (usize, usize)> + 'a {
-    let keys = rid_list.keys().as_slice();
-    let hits = index.search_batch_lanes(ids, lanes);
-    ids.iter().zip(hits).map(move |(&id, hit)| {
-        hit.map_or((0, 0), |first| (first, duplicate_run_end(keys, first, id)))
-    })
-}
-
-/// Interval runs: the sorted-position run `[start, end)` that holds the
-/// IDs `lo..=hi` of each interval, from one batched lower bound over
-/// every `[lo, hi + 1]` pair. `hi + 1` past `u32::MAX` lies past every
-/// key, so such a run ends at the index's length.
-fn interval_runs(
-    index: &dyn OrderedIndex<u32>,
-    intervals: &[(u32, u32)],
-    lanes: usize,
-) -> Vec<(usize, usize)> {
-    let probes: Vec<u32> = intervals
-        .iter()
-        .flat_map(|&(lo, hi)| [lo, hi.saturating_add(1)])
-        .collect();
-    let bounds = index.lower_bound_batch_lanes(&probes, lanes);
-    intervals
-        .iter()
-        .zip(bounds.chunks_exact(2))
-        .map(|(&(_, hi), b)| (b[0], if hi == u32::MAX { index.len() } else { b[1] }))
-        .collect()
-}
-
-/// The half-open sorted-position run `[start, end)` of `rid_list` that
-/// holds the domain IDs `lo..=hi`, for one filter of a conjunction. An
-/// ordered kind takes two key bounds ([`OrderedIndex::key_range`]): a
-/// filter that does not drive the conjunction is only *located*, so it
-/// must cost O(log n), not a scan of its run. The hash kind only ever
-/// receives a point, `lo == hi`, and answers with its point run. The run
-/// is `(id, rid)`-ordered, so a single ID's run is ascending by RID.
-pub(crate) fn id_run(index: &IndexHandle, rid_list: &RidList, lo: u32, hi: u32) -> (usize, usize) {
-    match index.as_ordered() {
-        Some(idx) => idx.key_range(lo, hi),
-        None => {
-            debug_assert_eq!(lo, hi, "the hash kind answers points only");
-            point_runs(rid_list, index.as_search(), &[lo], 1)
-                .next()
-                .expect("one run per ID")
-        }
-    }
-}
-
 /// One ascending RID set per probe value: a single batched domain
-/// encoding, then one point run per value in the domain (a value outside
-/// it matches no rows and is not probed). Any kind serves it.
+/// encoding, then each encoded value's run of `rid_list` (a value outside
+/// the domain matches no rows).
 pub fn point_select_many(
     column: &Column,
     rid_list: &RidList,
-    index: &dyn SearchIndex<u32>,
     values: &[Value],
     lanes: usize,
     threads: usize,
 ) -> Vec<Vec<u32>> {
     WorkerPool::new(threads).flat_map_chunks(values, |chunk| {
-        let ids = column.domain().encode_batch(chunk);
-        let found: Vec<u32> = ids.iter().flatten().copied().collect();
-        let mut runs = point_runs(rid_list, index, &found, lanes);
-        ids.iter()
-            .map(|id| {
-                let (start, end) = id.and_then(|_| runs.next()).unwrap_or((0, 0));
-                rid_list.rids_in(start, end).to_vec()
-            })
+        column
+            .domain()
+            .encode_batch_lanes(chunk, lanes)
+            .into_iter()
+            .map(|id| id.map_or_else(Vec::new, |id| rid_list.run(id, id).to_vec()))
             .collect()
     })
 }
 
 /// One ascending RID set per inclusive value range; an inverted range,
-/// or one that holds no domain value, matches nothing. Each range's ID
-/// interval is one interval run of a single batched lower bound, so an
-/// ordered kind is required. A run spanning several IDs is ordered by
-/// `(id, rid)`, so it is sorted once copied out.
+/// or one that holds no domain value, matches nothing. The chunk's
+/// endpoints resolve to ID intervals in one batched domain search, and
+/// each interval is one run of `rid_list`. A run spanning several IDs is
+/// ordered by `(id, rid)`, so it is sorted once copied out.
 pub fn range_select_many(
     column: &Column,
     rid_list: &RidList,
-    index: &dyn OrderedIndex<u32>,
     ranges: &[(Value, Value)],
     lanes: usize,
     threads: usize,
 ) -> Vec<Vec<u32>> {
     WorkerPool::new(threads).flat_map_chunks(ranges, |chunk| {
-        let intervals: Vec<Option<(u32, u32)>> = chunk
-            .iter()
-            .map(|(lo, hi)| column.domain().id_range(lo, hi))
-            .collect();
-        let found: Vec<(u32, u32)> = intervals.iter().flatten().copied().collect();
-        let mut runs = interval_runs(index, &found, lanes).into_iter();
-        intervals
-            .iter()
+        let bounds: Vec<(&Value, &Value)> = chunk.iter().map(|(lo, hi)| (lo, hi)).collect();
+        column
+            .domain()
+            .id_ranges(&bounds, lanes)
+            .into_iter()
             .map(|interval| {
-                let Some((lo, hi)) = *interval else {
+                let Some((lo, hi)) = interval else {
                     return Vec::new();
                 };
-                let (start, end) = runs.next().expect("one run per interval");
-                let mut rids = rid_list.rids_in(start, end).to_vec();
+                let mut rids = rid_list.run(lo, hi).to_vec();
                 if lo != hi {
                     rids.sort_unstable();
                 }
@@ -186,43 +100,30 @@ pub fn range_select_many(
 /// Indexed nested-loop join of the outer RID stream `outer_rids` against
 /// `inner` — "pipelinable, requiring minimal storage for intermediate
 /// results" (§2.2): the RID set of a filter streams straight into the
-/// probe blocks. `outer_rids` need not be sorted; the output follows its
+/// inner side. `outer_rids` need not be sorted; the output follows its
 /// order, and each outer row's inner matches come out ascending.
 ///
-/// Batch-shaped on both of the paper's search axes: the outer *domain*
-/// (the distinct values the stream carries, not its rows) is translated
-/// into inner-domain IDs with one batched dictionary search up front, and
-/// outer rows then become point runs of the inner index
-/// [`JOIN_PROBE_BLOCK`] probes at a time.
+/// The outer *domain* (the distinct values the stream carries, not its
+/// rows) is translated into inner-domain IDs with one batched dictionary
+/// search up front; each outer row is then one run of the inner RID list
+/// at its translated ID.
 pub fn indexed_nested_loop_join(
     outer: &Column,
     outer_rids: &[u32],
     inner: &Column,
     inner_rids: &RidList,
-    inner_index: &dyn SearchIndex<u32>,
     lanes: usize,
     threads: usize,
 ) -> Vec<JoinRow> {
-    let translation = join_translation(outer, outer_rids, inner);
+    let translation = join_translation(outer, outer_rids, inner, lanes);
     WorkerPool::new(threads).flat_map_chunks(outer_rids, |chunk| {
         let mut out = Vec::new();
-        let mut probe_ids: Vec<u32> = Vec::with_capacity(JOIN_PROBE_BLOCK);
-        let mut probe_rids: Vec<u32> = Vec::with_capacity(JOIN_PROBE_BLOCK);
-        for block in chunk.chunks(JOIN_PROBE_BLOCK) {
-            probe_ids.clear();
-            probe_rids.clear();
-            for &outer_rid in block {
-                // Outer values the inner domain does not contain join nothing.
-                if let Some(inner_id) = translation[outer.id(outer_rid) as usize] {
-                    probe_ids.push(inner_id);
-                    probe_rids.push(outer_rid);
-                }
-            }
-            let runs = point_runs(inner_rids, inner_index, &probe_ids, lanes);
-            for (&outer_rid, (start, end)) in probe_rids.iter().zip(runs) {
+        for &outer_rid in chunk {
+            // Outer values the inner domain does not contain join nothing.
+            if let Some(inner_id) = translation[outer.id(outer_rid) as usize] {
                 out.extend(
                     inner_rids
-                        .rids_in(start, end)
+                        .run(inner_id, inner_id)
                         .iter()
                         .map(|&inner_rid| JoinRow {
                             outer_rid,
@@ -245,7 +146,12 @@ pub fn indexed_nested_loop_join(
 /// (`i64` → `i64` when both domains are typed), and scatter into
 /// the translation (entries for IDs the stream never reads stay `None`).
 /// O(rows + domain), with at most one search per domain value.
-fn join_translation(outer: &Column, outer_rids: &[u32], inner: &Column) -> Vec<Option<u32>> {
+fn join_translation(
+    outer: &Column,
+    outer_rids: &[u32],
+    inner: &Column,
+    lanes: usize,
+) -> Vec<Option<u32>> {
     let domain = outer.domain();
     let mut carried = vec![false; domain.len()];
     for &rid in outer_rids {
@@ -256,7 +162,10 @@ fn join_translation(outer: &Column, outer_rids: &[u32], inner: &Column) -> Vec<O
         .filter_map(|(id, &carried)| carried.then_some(id))
         .collect();
     let mut translation = vec![None; domain.len()];
-    for (&id, inner_id) in ids.iter().zip(domain.translate(&ids, inner.domain())) {
+    for (&id, inner_id) in ids
+        .iter()
+        .zip(domain.translate(&ids, inner.domain(), lanes))
+    {
         translation[id as usize] = inner_id;
     }
     translation
@@ -265,8 +174,10 @@ fn join_translation(outer: &Column, outer_rids: &[u32], inner: &Column) -> Vec<O
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index_choice::IndexKind;
+    use crate::domain::Domain;
+    use crate::index_choice::{IndexHandle, IndexKind};
     use crate::table::TableBuilder;
+    use ccindex_common::SortedArray;
 
     fn setup() -> (crate::table::Table, RidList) {
         let t = TableBuilder::new("sales")
@@ -294,43 +205,26 @@ mod tests {
     }
 
     /// Join every outer row at the default lanes, inline.
-    fn join_all(
-        outer: &Column,
-        inner: &Column,
-        inner_rids: &RidList,
-        index: &IndexHandle,
-    ) -> Vec<JoinRow> {
-        let all = every_rid(outer);
-        indexed_nested_loop_join(outer, &all, inner, inner_rids, index.as_search(), 8, 1)
+    fn join_all(outer: &Column, inner: &Column, inner_rids: &RidList) -> Vec<JoinRow> {
+        indexed_nested_loop_join(outer, &every_rid(outer), inner, inner_rids, 8, 1)
     }
 
     #[test]
     fn point_select_returns_all_duplicates() {
         let (t, rl) = setup();
         let col = t.column("amount").unwrap();
-        for kind in IndexKind::ALL {
-            let idx = IndexHandle::build(kind, rl.keys());
-            let got = point_select_many(col, &rl, idx.as_search(), &ints(&[10, 99]), 8, 1);
-            assert_eq!(got, vec![vec![1, 3, 5], vec![]], "{kind:?}");
-        }
+        let got = point_select_many(col, &rl, &ints(&[10, 99]), 8, 1);
+        assert_eq!(got, vec![vec![1, 3, 5], vec![]]);
     }
 
     #[test]
     fn range_select_inclusive_bounds() {
         let (t, rl) = setup();
         let col = t.column("amount").unwrap();
-        for kind in IndexKind::ORDERED {
-            let handle = IndexHandle::build(kind, rl.keys());
-            let idx = handle.as_ordered().expect("ordered kind");
-            // A band, a band with no domain values, and the full range.
-            let ranges = int_ranges(&[(15, 30), (31, 39), (0, 100)]);
-            let got = range_select_many(col, &rl, idx, &ranges, 8, 1);
-            assert_eq!(
-                got,
-                vec![vec![0, 2, 4], vec![], vec![0, 1, 2, 3, 4, 5, 6]],
-                "{kind:?}"
-            );
-        }
+        // A band, a band with no domain values, and the full range.
+        let ranges = int_ranges(&[(15, 30), (31, 39), (0, 100)]);
+        let got = range_select_many(col, &rl, &ranges, 8, 1);
+        assert_eq!(got, vec![vec![0, 2, 4], vec![], vec![0, 1, 2, 3, 4, 5, 6]]);
     }
 
     #[test]
@@ -338,42 +232,34 @@ mod tests {
         let (t, rl) = setup();
         let col = t.column("amount").unwrap();
         let probes = ints(&[10, 99, 30, 40, 10, -5]);
-        for kind in IndexKind::ALL {
-            let idx = IndexHandle::build(kind, rl.keys());
-            for lanes in [1, 3, 8] {
-                let many = point_select_many(col, &rl, idx.as_search(), &probes, lanes, 1);
-                assert_eq!(many.len(), probes.len());
-                for (value, got) in probes.iter().zip(&many) {
-                    let single = point_select_many(
-                        col,
-                        &rl,
-                        idx.as_search(),
-                        std::slice::from_ref(value),
-                        lanes,
-                        1,
-                    );
-                    assert_eq!(single, std::slice::from_ref(got), "{kind:?} lanes={lanes}");
-                }
+        for lanes in [1, 3, 8] {
+            let many = point_select_many(col, &rl, &probes, lanes, 1);
+            assert_eq!(many.len(), probes.len());
+            for (value, got) in probes.iter().zip(&many) {
+                let single = point_select_many(col, &rl, std::slice::from_ref(value), lanes, 1);
+                assert_eq!(single, std::slice::from_ref(got), "lanes={lanes}");
             }
-            assert!(point_select_many(col, &rl, idx.as_search(), &[], 8, 1).is_empty());
         }
+        assert!(point_select_many(col, &rl, &[], 8, 1).is_empty());
     }
 
     #[test]
     fn ordered_point_selects_match_the_scan_path() {
-        // On ordered kinds the §3.6 scan must end each run exactly where
-        // the directory's own `equal_range` does.
+        // The run directory must end each run exactly where every
+        // ordered baseline over the expanded key array does, by its
+        // `equal_range` (§3.6's leftmost match plus rightward scan).
         let (t, rl) = setup();
         let col = t.column("amount").unwrap();
+        let keys = SortedArray::from_vec(rl.expanded_ids());
         let probes = ints(&[10, 99, 30, 40, 10, -5]);
+        let many = point_select_many(col, &rl, &probes, 8, 1);
         for kind in IndexKind::ORDERED {
-            let handle = IndexHandle::build(kind, rl.keys());
+            let handle = IndexHandle::build(kind, &keys);
             let ordered = handle.as_ordered().expect("ordered kind");
-            let many = point_select_many(col, &rl, handle.as_search(), &probes, 8, 1);
             for (value, got) in probes.iter().zip(&many) {
                 let want = col.domain().encode(value).map_or(&[][..], |id| {
                     let (start, end) = ordered.equal_range(id);
-                    rl.rids_in(start, end)
+                    &rl.rids()[start..end]
                 });
                 assert_eq!(got, want, "{kind:?} {value}");
             }
@@ -393,23 +279,17 @@ mod tests {
         let ccol = customers.column("id").unwrap();
         let crids = RidList::for_column(ccol);
         let ocol = orders.column("cust").unwrap();
-        for kind in IndexKind::ALL {
-            let idx = IndexHandle::build(kind, crids.keys());
-            let full = join_all(ocol, ccol, &crids, &idx);
-            // The subset stream {0, 3} must equal the full join filtered
-            // to those outer rows.
-            let subset =
-                indexed_nested_loop_join(ocol, &[0, 3], ccol, &crids, idx.as_search(), 8, 1);
-            let expected: Vec<JoinRow> = full
-                .iter()
-                .filter(|j| j.outer_rid == 0 || j.outer_rid == 3)
-                .copied()
-                .collect();
-            assert_eq!(subset, expected, "{kind:?}");
-            assert!(
-                indexed_nested_loop_join(ocol, &[], ccol, &crids, idx.as_search(), 8, 1).is_empty()
-            );
-        }
+        let full = join_all(ocol, ccol, &crids);
+        // The subset stream {0, 3} must equal the full join filtered to
+        // those outer rows.
+        let subset = indexed_nested_loop_join(ocol, &[0, 3], ccol, &crids, 8, 1);
+        let expected: Vec<JoinRow> = full
+            .iter()
+            .filter(|j| j.outer_rid == 0 || j.outer_rid == 3)
+            .copied()
+            .collect();
+        assert_eq!(subset, expected);
+        assert!(indexed_nested_loop_join(ocol, &[], ccol, &crids, 8, 1).is_empty());
     }
 
     #[test]
@@ -417,20 +297,11 @@ mod tests {
         let (t, rl) = setup();
         let col = t.column("amount").unwrap();
         let ranges = int_ranges(&[(15, 30), (0, 100), (31, 39), (40, 40), (30, 15)]);
-        for kind in IndexKind::ORDERED {
-            let handle = IndexHandle::build(kind, rl.keys());
-            let idx = handle.as_ordered().expect("ordered kind");
-            for lanes in [1, 3, 8] {
-                let many = range_select_many(col, &rl, idx, &ranges, lanes, 1);
-                for (range, got) in ranges.iter().zip(&many) {
-                    let single =
-                        range_select_many(col, &rl, idx, std::slice::from_ref(range), lanes, 1);
-                    assert_eq!(
-                        single,
-                        std::slice::from_ref(got),
-                        "{kind:?} {range:?} lanes={lanes}"
-                    );
-                }
+        for lanes in [1, 3, 8] {
+            let many = range_select_many(col, &rl, &ranges, lanes, 1);
+            for (range, got) in ranges.iter().zip(&many) {
+                let single = range_select_many(col, &rl, std::slice::from_ref(range), lanes, 1);
+                assert_eq!(single, std::slice::from_ref(got), "{range:?} lanes={lanes}");
             }
         }
     }
@@ -455,37 +326,24 @@ mod tests {
         let icol = inner.column("amount").unwrap();
         let irl = RidList::for_column(icol);
         let all_outer = every_rid(col);
-        for kind in IndexKind::ALL {
-            let idx = IndexHandle::build(kind, rl.keys());
-            let inner_idx = IndexHandle::build(kind, irl.keys());
-            let points = |lanes, threads| {
-                point_select_many(col, &rl, idx.as_search(), &values, lanes, threads)
-            };
-            let join = |lanes, threads| {
-                let search = inner_idx.as_search();
-                indexed_nested_loop_join(col, &all_outer, icol, &irl, search, lanes, threads)
-            };
-            let bands = |lanes, threads| {
-                idx.as_ordered()
-                    .map(|o| range_select_many(col, &rl, o, &ranges, lanes, threads))
-            };
-            let (seq_points, seq_join, seq_bands) = (points(8, 1), join(8, 1), bands(8, 1));
-            for threads in [0usize, 1, 2, 8] {
-                for lanes in [1usize, 3, 8] {
-                    let at = format!("{kind:?} threads={threads} lanes={lanes}");
-                    assert_eq!(points(lanes, threads), seq_points, "{at}");
-                    assert_eq!(join(lanes, threads), seq_join, "{at}");
-                    assert_eq!(bands(lanes, threads), seq_bands, "{at}");
-                }
+        let points = |lanes, threads| point_select_many(col, &rl, &values, lanes, threads);
+        let join =
+            |lanes, threads| indexed_nested_loop_join(col, &all_outer, icol, &irl, lanes, threads);
+        let bands = |lanes, threads| range_select_many(col, &rl, &ranges, lanes, threads);
+        let (seq_points, seq_join, seq_bands) = (points(8, 1), join(8, 1), bands(8, 1));
+        for threads in [0usize, 1, 2, 8] {
+            for lanes in [1usize, 3, 8] {
+                let at = format!("threads={threads} lanes={lanes}");
+                assert_eq!(points(lanes, threads), seq_points, "{at}");
+                assert_eq!(join(lanes, threads), seq_join, "{at}");
+                assert_eq!(bands(lanes, threads), seq_bands, "{at}");
             }
         }
     }
 
     #[test]
-    fn join_blocks_larger_than_probe_block() {
-        // More outer rows than JOIN_PROBE_BLOCK so the blocked streaming
-        // path takes more than one batch.
-        let n = JOIN_PROBE_BLOCK * 2 + 37;
+    fn join_over_thousands_of_outer_rows_matches_values() {
+        let n = 2_085;
         let outer_vals: Vec<i64> = (0..n as i64).map(|i| i % 50).collect();
         let inner_vals: Vec<i64> = (0..40i64).collect(); // values 0..40
         let ot = TableBuilder::new("o")
@@ -498,8 +356,7 @@ mod tests {
             .expect("one column");
         let icol = it.column("k").unwrap();
         let irids = RidList::for_column(icol);
-        let idx = IndexHandle::build(IndexKind::FullCss, irids.keys());
-        let joined = join_all(ot.column("k").unwrap(), icol, &irids, &idx);
+        let joined = join_all(ot.column("k").unwrap(), icol, &irids);
         // Outer values 0..40 match exactly one inner row each; 40..50 none.
         let expected = outer_vals.iter().filter(|&&v| v < 40).count();
         assert_eq!(joined.len(), expected);
@@ -524,16 +381,10 @@ mod tests {
         let ccol = customers.column("id").unwrap();
         let crids = RidList::for_column(ccol);
         let ocol = orders.column("cust").unwrap();
-
-        for kind in IndexKind::ALL {
-            let idx = IndexHandle::build(kind, crids.keys());
-            let joined = join_all(ocol, ccol, &crids, &idx);
-            assert_eq!(
-                joined,
-                brute_force_join(ocol, &every_rid(ocol), ccol),
-                "{kind:?}"
-            );
-        }
+        assert_eq!(
+            join_all(ocol, ccol, &crids),
+            brute_force_join(ocol, &every_rid(ocol), ccol)
+        );
     }
 
     /// Brute-force join of the `outer_rids` stream, in stream order with
@@ -601,21 +452,19 @@ mod tests {
             for len in [0, 1, 5, domain - 1, domain, domain + 1, 240] {
                 let outer_rids = stream(len);
                 let want = brute_force_join(&outer, &outer_rids, &inner);
-                for kind in IndexKind::ALL {
-                    let idx = IndexHandle::build(kind, inner_rids.keys());
-                    for threads in [0usize, 1, 3] {
+                for threads in [0usize, 1, 3] {
+                    for lanes in [1, 4] {
                         assert_eq!(
                             indexed_nested_loop_join(
                                 &outer,
                                 &outer_rids,
                                 &inner,
                                 &inner_rids,
-                                idx.as_search(),
-                                4,
+                                lanes,
                                 threads
                             ),
                             want,
-                            "{kind:?} len={len} threads={threads}"
+                            "len={len} threads={threads} lanes={lanes}"
                         );
                     }
                 }
@@ -635,8 +484,7 @@ mod tests {
             .expect("one column");
         let rcol = right.column("k").unwrap();
         let rrids = RidList::for_column(rcol);
-        let idx = IndexHandle::build(IndexKind::FullCss, rrids.keys());
-        let joined = join_all(left.column("k").unwrap(), rcol, &rrids, &idx);
+        let joined = join_all(left.column("k").unwrap(), rcol, &rrids);
         // "b" matches rids 1,2; "a" matches rid 0; "z" matches nothing.
         assert_eq!(joined.len(), 3);
         assert!(joined.contains(&JoinRow {
@@ -651,5 +499,23 @@ mod tests {
             outer_rid: 0,
             inner_rid: 2
         }));
+    }
+
+    #[test]
+    fn domain_ids_no_row_carries_have_empty_runs() {
+        // Domain 0..10 in steps of 10 where only 10, 40 and 90 occur.
+        let domain = Domain::from_values((0..10).map(|i| Value::Int(i * 10)).collect());
+        let col = Column::from_parts(domain, vec![4, 1, 9, 4, 1]);
+        let rl = RidList::for_column(&col);
+        assert_eq!(rl.domain_len(), 10);
+        let got = point_select_many(&col, &rl, &ints(&[0, 10, 20, 40, 90, 95]), 3, 1);
+        assert_eq!(
+            got,
+            vec![vec![], vec![1, 4], vec![], vec![0, 3], vec![2], vec![]]
+        );
+        let ranges = int_ranges(&[(0, 5), (0, 10), (15, 35), (20, 90), (i64::MIN, i64::MAX)]);
+        let got = range_select_many(&col, &rl, &ranges, 3, 1);
+        let every = vec![0, 1, 2, 3, 4];
+        assert_eq!(got, vec![vec![], vec![1, 4], vec![], vec![0, 2, 3], every]);
     }
 }

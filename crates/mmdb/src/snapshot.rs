@@ -41,7 +41,7 @@
 use crate::column::Column;
 use crate::engine::TableEntry;
 use crate::error::{MmdbError, Result};
-use crate::index_choice::{IndexHandle, IndexKind};
+use crate::index_choice::{AccessPath, IndexKind};
 use crate::plan::{ExecOptions, Query};
 use crate::rid::RidList;
 use crate::table::Table;
@@ -277,25 +277,26 @@ impl CatalogState {
         Ok(&self.column_entry(table, column)?.rids)
     }
 
-    /// The `kind` index on `table.column`.
-    pub fn index(&self, table: &str, column: &str, kind: IndexKind) -> Result<&IndexHandle> {
-        self.column_entry(table, column)?
-            .indexes
-            .get(&kind)
-            .map(|h| &**h)
-            .ok_or_else(|| MmdbError::IndexNotBuilt {
+    /// The `kind` access path on `table.column`: the column's RID list
+    /// behind the index traits, once `kind` was created there.
+    pub fn index(&self, table: &str, column: &str, kind: IndexKind) -> Result<AccessPath<'_>> {
+        let entry = self.column_entry(table, column)?;
+        if !entry.kinds.contains(&kind) {
+            return Err(MmdbError::IndexNotBuilt {
                 table: table.to_owned(),
                 column: column.to_owned(),
                 kind,
-            })
+            });
+        }
+        Ok(AccessPath::new(kind, &entry.rids))
     }
 
     /// Which kinds are built on `table.column`, in [`IndexKind`] order.
     pub fn indexed_kinds(&self, table: &str, column: &str) -> Result<Vec<IndexKind>> {
         Ok(self
             .column_entry(table, column)?
-            .indexes
-            .keys()
+            .kinds
+            .iter()
             .copied()
             .collect())
     }

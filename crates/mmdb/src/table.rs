@@ -59,41 +59,37 @@ impl TableBuilder {
     /// [`MmdbError::RaggedColumn`] — naming the table and the first
     /// offending column — when column lengths disagree.
     pub fn build(self) -> Result<Table> {
-        let rows = self.columns.first().map_or(0, |(_, v)| v.len());
-        for (name, v) in &self.columns {
-            if v.len() != rows {
-                return Err(MmdbError::RaggedColumn {
-                    table: self.name,
-                    column: name.clone(),
-                    expected: rows,
-                    got: v.len(),
-                });
-            }
-        }
-        Ok(Table {
-            name: self.name,
-            columns: self
-                .columns
-                .into_iter()
-                .map(|(name, vals)| (name, Column::from_values(&vals)))
-                .collect(),
-            rows,
-        })
+        let columns = self
+            .columns
+            .into_iter()
+            .map(|(name, vals)| (name, Column::from_values(&vals)))
+            .collect();
+        Table::from_parts(self.name, columns)
     }
 }
 
 impl Table {
-    /// Reassemble a table from already-encoded columns (the storage
-    /// open path). The caller — [`persist`](crate::persist) — has
-    /// already validated that every column holds exactly `rows` rows;
-    /// this constructor only restates that invariant.
-    pub(crate) fn from_parts(name: String, columns: Vec<(String, Column)>, rows: usize) -> Self {
-        debug_assert!(columns.iter().all(|(_, c)| c.len() == rows));
-        Self {
+    /// Assemble a table from already-encoded columns: the storage open
+    /// path, or a column built by [`Column::from_parts`] over a domain
+    /// wider than its rows. Fails with [`MmdbError::RaggedColumn`] —
+    /// naming the table and the first offending column — when column
+    /// lengths disagree.
+    pub fn from_parts(name: impl Into<String>, columns: Vec<(String, Column)>) -> Result<Table> {
+        let name = name.into();
+        let rows = columns.first().map_or(0, |(_, c)| c.len());
+        if let Some((column, c)) = columns.iter().find(|(_, c)| c.len() != rows) {
+            return Err(MmdbError::RaggedColumn {
+                table: name,
+                column: column.clone(),
+                expected: rows,
+                got: c.len(),
+            });
+        }
+        Ok(Self {
             name,
             columns,
             rows,
-        }
+        })
     }
 
     /// Table name.

@@ -10,9 +10,16 @@
 //! column's domain IDs; the oracle compares decoded values row by row.
 //!
 //! The same generator feeds `point_select_many`, `range_select_many` and
-//! `indexed_nested_loop_join` directly, under every kind, thread count
-//! and lane count, over columns whose runs are short, have length 1, or
-//! span the whole column.
+//! `indexed_nested_loop_join` directly, under every thread count and
+//! lane count, over columns whose runs are short, have length 1, or span
+//! the whole column.
+//!
+//! Every run is addressed by domain ID, so the domains that matter most
+//! are the ones wider than their rows: columns built with
+//! `Column::from_parts` over domains holding values no row carries, whose
+//! IDs have empty runs, checked through conjunctions, joins on both
+//! sides and the operators, plus one batch of range endpoints at both
+//! ends of `i64` and past them.
 //!
 //! Grouping is checked the same way: every aggregate over a measure of
 //! both signs, grouped alone, after a selection and across a join, at
@@ -21,13 +28,14 @@
 
 use mmdb::{
     between, count, eq, group_aggregate_pairs, indexed_nested_loop_join, max, min, on,
-    point_select_many, range_select_many, sum, Agg, AggFn, CatalogRead, Column, Database,
-    ExecOptions, GroupRow, IndexHandle, IndexKind, JoinRow, Measure, MmdbError, Predicate,
-    QuerySpec, ResultRows, RidList, TableBuilder, Value,
+    point_select_many, range_select_many, sum, Agg, AggFn, CatalogRead, Column, Database, Domain,
+    ExecOptions, GroupRow, IndexKind, JoinRow, Measure, MmdbError, Predicate, QuerySpec,
+    ResultRows, RidList, Table, TableBuilder, Value,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// The outer table `t`'s columns: a small-range `Int`, a `Str`, a mixed
 /// column and a wider `Int`.
@@ -82,8 +90,12 @@ enum Filter {
 
 impl Filter {
     /// `op` 0 is an equality, 1 a range with its bounds in order, 2 a
-    /// range as drawn (inverted half the time).
-    fn from_seed((column, op, a, b): (usize, u8, (u8, i64), (u8, i64))) -> Self {
+    /// range as drawn (inverted half the time); `literal` draws the
+    /// bounds.
+    fn from_seed(
+        (column, op, a, b): (usize, u8, (u8, i64), (u8, i64)),
+        literal: fn(usize, (u8, i64)) -> Value,
+    ) -> Self {
         let (a, b) = (literal(column, a), literal(column, b));
         match op {
             0 => Filter::Eq(column, a),
@@ -92,14 +104,15 @@ impl Filter {
         }
     }
 
-    fn predicate(&self) -> Predicate {
+    /// The predicate on the column `names[column]`.
+    fn predicate(&self, names: &[&str]) -> Predicate {
         match self {
-            Filter::Eq(c, v) => eq(COLUMNS[*c], v.clone()),
-            Filter::Between(c, lo, hi) => between(COLUMNS[*c], lo.clone(), hi.clone()),
+            Filter::Eq(c, v) => eq(names[*c], v.clone()),
+            Filter::Between(c, lo, hi) => between(names[*c], lo.clone(), hi.clone()),
         }
     }
 
-    fn holds(&self, row: &Row) -> bool {
+    fn holds(&self, row: &[Value]) -> bool {
         match self {
             Filter::Eq(c, v) => row[*c] == *v,
             Filter::Between(c, lo, hi) => *lo <= row[*c] && row[*c] <= *hi,
@@ -145,7 +158,7 @@ fn shapes(
 ) -> Vec<(QuerySpec, ResultRows)> {
     let selected: Vec<u32> = (0u32..)
         .zip(rows)
-        .filter(|(_, row)| filters.iter().all(|f| f.holds(row)))
+        .filter(|(_, row)| filters.iter().all(|f| f.holds(&row[..])))
         .map(|(rid, _)| rid)
         .collect();
     let joined: Vec<JoinRow> = selected
@@ -240,10 +253,13 @@ proptest! {
         filter_seeds in vec((0usize..4, 0u8..3, (0u8..6, 0i64..26), (0u8..6, 0i64..26)), 1..=3),
     ) {
         let rows: Vec<Row> = seeds.into_iter().map(row).collect();
-        let filters: Vec<Filter> = filter_seeds.into_iter().map(Filter::from_seed).collect();
+        let filters: Vec<Filter> = filter_seeds
+            .into_iter()
+            .map(|seed| Filter::from_seed(seed, literal))
+            .collect();
         let db = database(&rows, &inner);
         let select = QuerySpec {
-            filters: filters.iter().map(Filter::predicate).collect(),
+            filters: filters.iter().map(|f| f.predicate(&COLUMNS)).collect(),
             ..QuerySpec::table("t")
         };
         for kind in std::iter::once(None).chain(IndexKind::ALL.map(Some)) {
@@ -275,7 +291,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn operators_match_a_row_scan_under_every_kind_thread_and_lane_count(
+    fn operators_match_a_row_scan_under_every_thread_and_lane_count(
         seeds in vec((0i64..6, 0u8..6, 0i64..12, 0i64..24), 0..48),
         inner in vec((-1i64..7, 0u8..3), 0..12),
         literal_seeds in vec((0u8..6, 0i64..26), 0..8),
@@ -329,44 +345,218 @@ proptest! {
                 .iter()
                 .map(|(lo, hi)| scan(values, |v| lo <= v && v <= hi))
                 .collect();
-            for kind in IndexKind::ALL {
-                let handle = IndexHandle::build(kind, rids.keys());
-                let inner_handles: Vec<IndexHandle> = inner_sides
-                    .iter()
-                    .map(|(_, inner_rids, _)| IndexHandle::build(kind, inner_rids.keys()))
-                    .collect();
-                for threads in [1, 2, 0] {
-                    for lanes in [1, 3, 8] {
-                        let at = format!("column {c} {kind:?} threads={threads} lanes={lanes}");
-                        let search = handle.as_search();
-                        let got = point_select_many(&column, &rids, search, &probes, lanes, threads);
-                        prop_assert_eq!(&got, &want_points, "points, {}", at);
-                        if let Some(ordered) = handle.as_ordered() {
-                            let got =
-                                range_select_many(&column, &rids, ordered, &ranges, lanes, threads);
-                            prop_assert_eq!(&got, &want_ranges, "ranges, {}", at);
-                        }
-                        for ((inner_col, inner_rids, inner_values), inner_handle) in
-                            inner_sides.iter().zip(&inner_handles)
-                        {
-                            for stream in [&stream[..], &[]] {
-                                let got = indexed_nested_loop_join(
-                                    &column,
-                                    stream,
-                                    inner_col,
-                                    inner_rids,
-                                    inner_handle.as_search(),
-                                    lanes,
-                                    threads,
-                                );
-                                let want = join_scan(values, stream, inner_values);
-                                prop_assert_eq!(got, want, "join, {}", at);
-                            }
+            for threads in [1, 2, 0] {
+                for lanes in [1, 3, 8] {
+                    let at = format!("column {c} threads={threads} lanes={lanes}");
+                    let got = point_select_many(&column, &rids, &probes, lanes, threads);
+                    prop_assert_eq!(&got, &want_points, "points, {}", at);
+                    let got = range_select_many(&column, &rids, &ranges, lanes, threads);
+                    prop_assert_eq!(&got, &want_ranges, "ranges, {}", at);
+                    for (inner_col, inner_rids, inner_values) in &inner_sides {
+                        for stream in [&stream[..], &[]] {
+                            let got = indexed_nested_loop_join(
+                                &column,
+                                stream,
+                                inner_col,
+                                inner_rids,
+                                lanes,
+                                threads,
+                            );
+                            let want = join_scan(values, stream, inner_values);
+                            prop_assert_eq!(got, want, "join, {}", at);
                         }
                     }
                 }
             }
         }
+    }
+}
+
+/// The gapped table `g`'s columns: `a` over the `Int`s `GAPPED_INTS`, of
+/// which rows carry only even values below 12, and `s` over the letters
+/// `GAPPED_LETTERS`, of which rows carry only the first six.
+const GAPPED: [&str; 2] = ["a", "s"];
+const GAPPED_INTS: Range<i64> = -2..24;
+const GAPPED_LETTERS: [&str; 12] = ["a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l"];
+
+/// Column `column` of `g` (or `u.k`, over `a`'s domain) holding
+/// `values`: its domain is the whole of the column's, whatever the rows
+/// carry, so the IDs no row carries have empty runs.
+fn gapped_column(column: usize, values: &[Value]) -> Column {
+    let domain: Vec<Value> = match column {
+        0 => GAPPED_INTS.map(Value::Int).collect(),
+        _ => GAPPED_LETTERS.map(Value::from).to_vec(),
+    };
+    let ids = values
+        .iter()
+        .map(|v| domain.binary_search(v).expect("a domain value") as u32)
+        .collect();
+    Column::from_parts(Domain::from_values(domain), ids)
+}
+
+/// A literal for column `column` of `g`: `i64::MIN` or `i64::MAX`, an
+/// `Int` around `a`'s domain, or a `Str` around `s`'s.
+fn gapped_literal(column: usize, (kind, x): (u8, i64)) -> Value {
+    match (kind, column) {
+        (0, _) => Value::Int(if x % 2 == 0 { i64::MIN } else { i64::MAX }),
+        (1, 0) | (2, 1) => Value::Int(x - 4),
+        _ => Value::Str(["", "a", "c", "f", "g", "k", "l", "zz"][x as usize % 8].to_owned()),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Domains wider than their rows: 1–3-filter conjunctions and joins
+    /// through the engine, and the operators with the gapped column on
+    /// either side of a join, at every thread and lane count.
+    #[test]
+    fn empty_runs_match_a_row_scan_at_every_thread_and_lane_count(
+        seeds in vec((0i64..6, 0usize..6), 0..40),
+        inner in vec(0i64..9, 0..12),
+        filter_seeds in vec((0usize..2, 0u8..3, (0u8..3, 0i64..30), (0u8..3, 0i64..30)), 1..=3),
+        stream_seeds in vec(0usize..1_000, 0..30),
+    ) {
+        let rows: Vec<[Value; 2]> = seeds
+            .iter()
+            .map(|&(x, y)| [Value::Int(2 * x), Value::from(GAPPED_LETTERS[y])])
+            .collect();
+        let values: Vec<Vec<Value>> = (0..2)
+            .map(|c| rows.iter().map(|r| r[c].clone()).collect())
+            .collect();
+        let columns: Vec<Column> = (0..2).map(|c| gapped_column(c, &values[c])).collect();
+        // `u.k` carries -2, 1, .., 22 of `a`'s domain.
+        let k_values: Vec<Value> = inner.iter().map(|&z| Value::Int(3 * z - 2)).collect();
+        let k = gapped_column(0, &k_values);
+        let mut db = Database::new();
+        let named = GAPPED.map(String::from).into_iter().zip(columns.iter().cloned()).collect();
+        db.register(Table::from_parts("g", named).unwrap()).unwrap();
+        db.register(Table::from_parts("u", vec![("k".into(), k.clone())]).unwrap()).unwrap();
+        for kind in IndexKind::ALL {
+            for (table, column) in [("g", "a"), ("g", "s"), ("u", "k")] {
+                db.create_index(table, column, kind).unwrap();
+            }
+        }
+        let filters: Vec<Filter> = filter_seeds
+            .into_iter()
+            .map(|seed| Filter::from_seed(seed, gapped_literal))
+            .collect();
+        let selected: Vec<u32> = (0u32..)
+            .zip(&rows)
+            .filter(|(_, row)| filters.iter().all(|f| f.holds(&row[..])))
+            .map(|(rid, _)| rid)
+            .collect();
+        let select = QuerySpec {
+            filters: filters.iter().map(|f| f.predicate(&GAPPED)).collect(),
+            ..QuerySpec::table("g")
+        };
+        let join = select.clone().join("u", on("a", "k"));
+        let want_join = join_scan(&values[0], &selected, &k_values);
+        // Per column: every literal the generator draws, alone and as
+        // neighbouring ranges, with the row scan's answers.
+        let cases: Vec<_> = (0..2)
+            .map(|c| {
+                let probes: Vec<Value> = (0u8..3)
+                    .flat_map(|kind| (0..30).map(move |x| gapped_literal(c, (kind, x))))
+                    .collect();
+                let ranges: Vec<(Value, Value)> = probes
+                    .windows(2)
+                    .map(|w| (w[0].clone(), w[1].clone()))
+                    .collect();
+                let points: Vec<Vec<u32>> =
+                    probes.iter().map(|p| scan(&values[c], |v| v == p)).collect();
+                let bands: Vec<Vec<u32>> = ranges
+                    .iter()
+                    .map(|(lo, hi)| scan(&values[c], |v| lo <= v && v <= hi))
+                    .collect();
+                (RidList::for_column(&columns[c]), probes, points, ranges, bands)
+            })
+            .collect();
+        let stream: Vec<u32> = match rows.len() {
+            0 => Vec::new(),
+            n => stream_seeds.iter().map(|s| (s % n) as u32).collect(),
+        };
+        let k_stream: Vec<u32> = (0..k_values.len() as u32).rev().collect();
+        let k_rids = RidList::for_column(&k);
+        let want_a_k = join_scan(&values[0], &stream, &k_values);
+        let want_k_a = join_scan(&k_values, &k_stream, &values[0]);
+        for threads in [1, 2, 0] {
+            for lanes in [1, 3, 8] {
+                let at = format!("threads={threads} lanes={lanes}");
+                let exec = ExecOptions { threads, lanes, ..ExecOptions::default() };
+                let got = db.run_spec(&select.clone().exec(exec));
+                prop_assert_eq!(got, Ok(ResultRows::Rids(selected.clone())), "{} {:?}", at, select);
+                let got = db.run_spec(&join.clone().exec(exec));
+                prop_assert_eq!(got, Ok(ResultRows::Joined(want_join.clone())), "{} {:?}", at, join);
+                for (c, (rids, probes, points, ranges, bands)) in cases.iter().enumerate() {
+                    let got = point_select_many(&columns[c], rids, probes, lanes, threads);
+                    prop_assert_eq!(&got, points, "points on {}, {}", GAPPED[c], at);
+                    let got = range_select_many(&columns[c], rids, ranges, lanes, threads);
+                    prop_assert_eq!(&got, bands, "ranges on {}, {}", GAPPED[c], at);
+                }
+                let got = indexed_nested_loop_join(&columns[0], &stream, &k, &k_rids, lanes, threads);
+                prop_assert_eq!(&got, &want_a_k, "g.a joins u.k, {}", at);
+                let got = indexed_nested_loop_join(&k, &k_stream, &columns[0], &cases[0].0, lanes, threads);
+                prop_assert_eq!(&got, &want_k_a, "u.k joins g.a, {}", at);
+            }
+        }
+    }
+}
+
+/// One batch of range endpoints on a typed domain holding both ends of
+/// `i64`, where no row carries `-7` or `5`: `i64::MIN`/`i64::MAX` bounds,
+/// `Str` bounds (after every `Int`), mixed and inverted pairs — through
+/// the operator at every thread and lane count, the engine's range batch,
+/// and `between`.
+#[test]
+fn range_endpoint_batches_resolve_both_ends_of_i64_and_str_bounds() {
+    let domain: Vec<Value> = [i64::MIN, -7, 0, 5, 9, i64::MAX].map(Value::Int).to_vec();
+    let values: Vec<Value> = [i64::MAX, 0, i64::MIN, 0, 9, 9].map(Value::Int).to_vec();
+    let ids = values
+        .iter()
+        .map(|v| domain.binary_search(v).expect("a domain value") as u32)
+        .collect();
+    let column = Column::from_parts(Domain::from_values(domain), ids);
+    let bounds: Vec<Value> = [
+        i64::MIN,
+        i64::MIN + 1,
+        -8,
+        -7,
+        0,
+        4,
+        5,
+        9,
+        i64::MAX - 1,
+        i64::MAX,
+    ]
+    .map(Value::Int)
+    .into_iter()
+    .chain(["", "a"].map(Value::from))
+    .collect();
+    let ranges: Vec<(Value, Value)> = bounds
+        .iter()
+        .flat_map(|lo| bounds.iter().map(move |hi| (lo.clone(), hi.clone())))
+        .collect();
+    let want: Vec<Vec<u32>> = ranges
+        .iter()
+        .map(|(lo, hi)| scan(&values, |v| lo <= v && v <= hi))
+        .collect();
+    let rids = RidList::for_column(&column);
+    for threads in [1, 2, 0] {
+        for lanes in [1, 3, 8] {
+            let got = range_select_many(&column, &rids, &ranges, lanes, threads);
+            assert_eq!(got, want, "threads={threads} lanes={lanes}");
+        }
+    }
+    let mut db = Database::new();
+    db.register(Table::from_parts("e", vec![("v".into(), column)]).unwrap())
+        .unwrap();
+    db.create_index("e", "v", IndexKind::FullCss).unwrap();
+    assert_eq!(db.range_probe_batch("e", "v", &ranges).unwrap(), want);
+    for ((lo, hi), want) in ranges.iter().zip(&want) {
+        let spec = QuerySpec::table("e").filter(between("v", lo.clone(), hi.clone()));
+        let got = db.run_spec(&spec).unwrap();
+        assert_eq!(got, ResultRows::Rids(want.clone()), "[{lo:?}, {hi:?}]");
     }
 }
 
@@ -429,13 +619,16 @@ proptest! {
         filter_seeds in vec((0usize..4, 0u8..3, (0u8..6, 0i64..26), (0u8..6, 0i64..26)), 0..=2),
     ) {
         let rows: Vec<Row> = seeds.into_iter().map(row).collect();
-        let filters: Vec<Filter> = filter_seeds.into_iter().map(Filter::from_seed).collect();
+        let filters: Vec<Filter> = filter_seeds
+            .into_iter()
+            .map(|seed| Filter::from_seed(seed, literal))
+            .collect();
         let db = database(&rows, &inner);
         let select = QuerySpec {
-            filters: filters.iter().map(Filter::predicate).collect(),
+            filters: filters.iter().map(|f| f.predicate(&COLUMNS)).collect(),
             ..QuerySpec::table("t")
         };
-        let selected: Vec<&Row> = rows.iter().filter(|r| filters.iter().all(|f| f.holds(r))).collect();
+        let selected: Vec<&Row> = rows.iter().filter(|r| filters.iter().all(|f| f.holds(&r[..]))).collect();
         let joined: Vec<(&Row, &(i64, u8))> = selected
             .iter()
             .flat_map(|&r| inner.iter().filter(move |&&(k, _)| r[0] == Value::Int(k)).map(move |u| (r, u)))

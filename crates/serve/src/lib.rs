@@ -23,8 +23,8 @@
 //! * [`BatchServer`] — accumulates submissions in a **batch-formation
 //!   window** (size-bound + time-bound, [`ServeOptions`] with
 //!   `CCINDEX_BATCH_MAX`/`CCINDEX_BATCH_WAIT_US` env defaults),
-//!   coalesces same-`table.column` probes into single
-//!   `search_batch`/`lower_bound_batch` engine calls, executes the
+//!   coalesces same-`table.column` probes into single batched engine
+//!   calls (one batched domain search each), executes the
 //!   window's jobs over the shared
 //!   [`WorkerPool`](ccindex_parallel::WorkerPool), and demultiplexes
 //!   per-client answers in submission order;
@@ -56,7 +56,7 @@
 //! db.create_index("sales", "amount", IndexKind::FullCss)?;
 //!
 //! // 4 concurrent clients, each one point probe; compatible probes
-//! // coalesce into a single batched index descent.
+//! // coalesce into a single batched domain search.
 //! let server = BatchServer::with_options(&db, ServeOptions::batch_max(16));
 //! let (answers, stats) = server.serve_concurrent(4, |i, client| {
 //!     client.call(Request::point("sales", "amount", [10i64, 40, 25, 7][i]))

@@ -332,7 +332,7 @@ impl ServeStats {
 ///
 /// Same-`table.column` point probes in one window merge into a single
 /// [`point_probe_batch`](CatalogRead::point_probe_batch) call (one
-/// batched `search_batch`/`lower_bound_batch` descent), range probes
+/// batched domain search), range probes
 /// likewise; full [`QuerySpec`] requests run as independent jobs. The
 /// coalesced jobs execute over a shared
 /// [`WorkerPool`](ccindex_parallel::WorkerPool) sized by the engine's

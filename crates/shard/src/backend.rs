@@ -267,8 +267,10 @@ impl ShardRead for CatalogState {
         threads: usize,
     ) -> Result<Vec<Vec<u32>>> {
         let inner_col = table_column(self, table, column)?;
+        // The kind must be declared on the inner column; the runs are
+        // addressed in the column's RID list whatever the kind.
+        self.index(table, column, kind)?;
         let inner_rids = self.rid_list(table, column)?;
-        let handle = self.index(table, column, kind)?;
         let probe_col = Column::from_values(values);
         let probe_rids: Vec<u32> = (0..values.len() as u32).collect();
         let rows = indexed_nested_loop_join(
@@ -276,7 +278,6 @@ impl ShardRead for CatalogState {
             &probe_rids,
             inner_col,
             inner_rids,
-            handle.as_search(),
             lanes,
             threads,
         );

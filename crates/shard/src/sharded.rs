@@ -566,7 +566,7 @@ impl ShardedDatabase {
     }
 
     /// Re-run the rebuild cycle for `table.column` on every shard (each
-    /// shard's per-kind rebuilds ride its own worker pool).
+    /// shard re-sorts its own RID list).
     pub fn rebuild_column(&mut self, table: &str, column: &str) -> Result<Vec<RebuildReport>> {
         self.tip.meta(table)?;
         let mut reports = Vec::with_capacity(self.shards.len());

@@ -10,8 +10,7 @@
 
 use ccindex::db::domain::Value;
 use ccindex::db::{
-    build_index, indexed_nested_loop_join, point_select_many, range_select_many, IndexHandle,
-    RidList, TableBuilder,
+    indexed_nested_loop_join, point_select_many, range_select_many, RidList, TableBuilder,
 };
 use ccindex::prelude::*;
 use std::time::Instant;
@@ -55,7 +54,8 @@ fn main() {
     }
 
     // Batched selections on the database substrate: one domain encoding
-    // and one index batch for many query constants.
+    // for many query constants, each ID then addressing its run of the
+    // sorted RID list.
     let amounts: Vec<i64> = (0..50_000).map(|i| (i * 37) % 1_000).collect();
     let table = TableBuilder::new("orders")
         .int_column("amount", amounts)
@@ -63,14 +63,10 @@ fn main() {
         .expect("one column");
     let col = table.column("amount").expect("column");
     let rids = RidList::for_column(col);
-    let index = build_index(IndexKind::FullCss, rids.keys());
 
     let wanted: Vec<Value> = (0..200).map(|v| Value::Int(v * 5)).collect();
-    let hits = point_select_many(col, &rids, index.as_ref(), &wanted, DEFAULT_BATCH_LANES, 1);
-    assert_eq!(
-        point_select_many(col, &rids, index.as_ref(), &wanted, 3, 2),
-        hits
-    );
+    let hits = point_select_many(col, &rids, &wanted, DEFAULT_BATCH_LANES, 1);
+    assert_eq!(point_select_many(col, &rids, &wanted, 3, 2), hits);
     println!(
         "point_select_many: {} probe values, {} matching rows",
         wanted.len(),
@@ -80,18 +76,16 @@ fn main() {
     let ranges: Vec<(Value, Value)> = (0..50)
         .map(|i| (Value::Int(i * 20), Value::Int(i * 20 + 9)))
         .collect();
-    let handle = IndexHandle::build(IndexKind::FullCss, rids.keys());
-    let index = handle.as_ordered().expect("a CSS-tree is ordered");
-    let banded = range_select_many(col, &rids, index, &ranges, DEFAULT_BATCH_LANES, 1);
-    assert_eq!(range_select_many(col, &rids, index, &ranges, 3, 2), banded);
+    let banded = range_select_many(col, &rids, &ranges, DEFAULT_BATCH_LANES, 1);
+    assert_eq!(range_select_many(col, &rids, &ranges, 3, 2), banded);
     println!(
         "range_select_many: {} ranges, {} matching rows",
         ranges.len(),
         banded.iter().map(Vec::len).sum::<usize>()
     );
 
-    // The join streams outer rows through the inner index in probe
-    // blocks; the CSS-tree answers each block with interleaved descents.
+    // The join translates the outer domain into inner IDs with one
+    // batched dictionary search, then addresses each row's inner run.
     let outer = TableBuilder::new("outer")
         .int_column("k", (0..30_000).map(|i| i % 500))
         .build()
@@ -102,20 +96,10 @@ fn main() {
         .expect("one column");
     let icol = inner.column("k").expect("column");
     let irids = RidList::for_column(icol);
-    let iindex = build_index(IndexKind::FullCss, irids.keys());
     let ocol = outer.column("k").expect("column");
     let every_row: Vec<u32> = (0..ocol.len() as u32).collect();
-    let join = |lanes, threads| {
-        indexed_nested_loop_join(
-            ocol,
-            &every_row,
-            icol,
-            &irids,
-            iindex.as_ref(),
-            lanes,
-            threads,
-        )
-    };
+    let join =
+        |lanes, threads| indexed_nested_loop_join(ocol, &every_row, icol, &irids, lanes, threads);
     let joined = join(DEFAULT_BATCH_LANES, 1);
     assert_eq!(join(3, 2), joined);
     println!(

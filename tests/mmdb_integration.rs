@@ -1,41 +1,32 @@
 //! End-to-end database-substrate tests: query operators against brute
-//! force on randomized tables, for every index kind — plus the
-//! engine-vs-raw-operator equivalence suite: the same query through
-//! [`Database`] and through the free functions must return identical RID
-//! sets / join pairs / group rows for every [`IndexKind`].
+//! force on randomized tables — plus the engine-vs-raw-operator
+//! equivalence suite: the same query through [`Database`], under every
+//! [`IndexKind`], and through the free functions must return identical
+//! RID sets / join pairs / group rows.
 
-use ccindex::common::SearchIndex;
 use ccindex::db::domain::Value;
 use ccindex::db::{
-    between, build_index, count, eq, group_aggregate_pairs, indexed_nested_loop_join, on,
-    point_select_many, range_select_many, sum, AggFn, Column, Database, IndexHandle, IndexKind,
-    JoinRow, Measure, RidList, Table, TableBuilder,
+    between, count, eq, group_aggregate_pairs, indexed_nested_loop_join, on, point_select_many,
+    range_select_many, sum, AggFn, Column, Database, IndexKind, JoinRow, Measure, RidList, Table,
+    TableBuilder,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
 
 /// One value through the batched point selection, inline.
-fn select_one(col: &Column, rids: &RidList, idx: &dyn SearchIndex<u32>, value: i64) -> Vec<u32> {
-    point_select_many(col, rids, idx, &[Value::Int(value)], 8, 1).remove(0)
+fn select_one(col: &Column, rids: &RidList, value: i64) -> Vec<u32> {
+    point_select_many(col, rids, &[Value::Int(value)], 8, 1).remove(0)
 }
 
-/// One inclusive range through the batched range selection on a fresh
-/// `kind` index, inline.
-fn range_one(col: &Column, rids: &RidList, kind: IndexKind, lo: Value, hi: Value) -> Vec<u32> {
-    let handle = IndexHandle::build(kind, rids.keys());
-    let idx = handle.as_ordered().expect("ordered kind");
-    range_select_many(col, rids, idx, &[(lo, hi)], 8, 1).remove(0)
+/// One inclusive range through the batched range selection, inline.
+fn range_one(col: &Column, rids: &RidList, lo: Value, hi: Value) -> Vec<u32> {
+    range_select_many(col, rids, &[(lo, hi)], 8, 1).remove(0)
 }
 
-/// Every outer row joined through `idx`, inline.
-fn join_every_row(
-    outer: &Column,
-    inner: &Column,
-    inner_rids: &RidList,
-    idx: &dyn SearchIndex<u32>,
-) -> Vec<JoinRow> {
+/// Every outer row joined against `inner`, inline.
+fn join_every_row(outer: &Column, inner: &Column, inner_rids: &RidList) -> Vec<JoinRow> {
     let all: Vec<u32> = (0..outer.len() as u32).collect();
-    indexed_nested_loop_join(outer, &all, inner, inner_rids, idx, 8, 1)
+    indexed_nested_loop_join(outer, &all, inner, inner_rids, 8, 1)
 }
 
 proptest! {
@@ -52,11 +43,7 @@ proptest! {
         let expected: Vec<u32> = (0..values.len() as u32)
             .filter(|&r| values[r as usize] == probe)
             .collect();
-        for kind in IndexKind::ALL {
-            let idx = build_index(kind, rids.keys());
-            let got = select_one(col, &rids, idx.as_ref(), probe);
-            prop_assert_eq!(&got, &expected, "{:?}", kind);
-        }
+        prop_assert_eq!(select_one(col, &rids, probe), expected);
     }
 
     #[test]
@@ -72,10 +59,8 @@ proptest! {
         let expected: Vec<u32> = (0..values.len() as u32)
             .filter(|&r| (lo..=hi).contains(&values[r as usize]))
             .collect();
-        for kind in IndexKind::ORDERED {
-            let got = range_one(col, &rids, kind, Value::Int(lo), Value::Int(hi));
-            prop_assert_eq!(&got, &expected, "{:?} range [{},{}]", kind, lo, hi);
-        }
+        let got = range_one(col, &rids, Value::Int(lo), Value::Int(hi));
+        prop_assert_eq!(got, expected, "range [{},{}]", lo, hi);
     }
 
     #[test]
@@ -99,16 +84,12 @@ proptest! {
         }
         expected.sort_unstable();
 
-        for kind in [IndexKind::FullCss, IndexKind::Hash, IndexKind::TTree] {
-            let idx = build_index(kind, irids.keys());
-            let mut got: Vec<(u32, u32)> =
-                join_every_row(ocol, icol, &irids, idx.as_ref())
-                    .into_iter()
-                    .map(|j| (j.outer_rid, j.inner_rid))
-                    .collect();
-            got.sort_unstable();
-            prop_assert_eq!(&got, &expected, "{:?}", kind);
-        }
+        let mut got: Vec<(u32, u32)> = join_every_row(ocol, icol, &irids)
+            .into_iter()
+            .map(|j| (j.outer_rid, j.inner_rid))
+            .collect();
+        got.sort_unstable();
+        prop_assert_eq!(got, expected);
     }
 }
 
@@ -152,9 +133,8 @@ fn engine_point_select_equals_raw_for_every_kind() {
     let rids = RidList::for_column(amount);
     for kind in IndexKind::ALL {
         let db = engine_with(kind);
-        let idx = build_index(kind, rids.keys());
         for probe in [0i64, 13, 26, 89, 91, -1] {
-            let raw = select_one(amount, &rids, idx.as_ref(), probe);
+            let raw = select_one(amount, &rids, probe);
             let engine = db
                 .query("sales")
                 .filter(eq("amount", probe))
@@ -174,7 +154,7 @@ fn engine_range_select_equals_raw_for_every_ordered_kind() {
     for kind in IndexKind::ORDERED {
         let db = engine_with(kind);
         for (lo, hi) in [(0i64, 20i64), (15, 15), (85, 200), (90, 95)] {
-            let raw = range_one(amount, &rids, kind, Value::Int(lo), Value::Int(hi));
+            let raw = range_one(amount, &rids, Value::Int(lo), Value::Int(hi));
             let engine = db
                 .query("sales")
                 .filter(between("amount", lo, hi))
@@ -217,14 +197,13 @@ fn engine_join_equals_raw_for_every_kind() {
     let cust = sales.column("cust").unwrap();
     let id = customers.column("id").unwrap();
     let id_rids = RidList::for_column(id);
+    let mut raw: Vec<(u32, u32)> = join_every_row(cust, id, &id_rids)
+        .into_iter()
+        .map(|j| (j.outer_rid, j.inner_rid))
+        .collect();
+    raw.sort_unstable();
     for kind in IndexKind::ALL {
         let db = engine_with(kind);
-        let idx = build_index(kind, id_rids.keys());
-        let mut raw: Vec<(u32, u32)> = join_every_row(cust, id, &id_rids, idx.as_ref())
-            .into_iter()
-            .map(|j| (j.outer_rid, j.inner_rid))
-            .collect();
-        raw.sort_unstable();
         let engine = db
             .query("sales")
             .join("customers", on("cust", "id"))
@@ -278,6 +257,18 @@ fn engine_pipeline_equals_raw_composition() {
     let id = customers.column("id").unwrap();
     let amount_rids = RidList::for_column(amount);
     let id_rids = RidList::for_column(id);
+
+    // Raw composition of the query.
+    let selected = range_one(amount, &amount_rids, Value::Int(30), Value::Int(80));
+    let joined = indexed_nested_loop_join(cust, &selected, id, &id_rids, 8, 1);
+    let measure = Measure::resolve(AggFn::Sum, Some(("sales", "amount", amount))).unwrap();
+    let raw = group_aggregate_pairs(
+        region,
+        joined.len(),
+        |i| (joined[i].inner_rid, measure.at(joined[i].outer_rid)),
+        AggFn::Sum,
+        1,
+    );
     for kind in IndexKind::ORDERED {
         let db = engine_with(kind);
         let engine = db
@@ -288,20 +279,6 @@ fn engine_pipeline_equals_raw_composition() {
             .using(kind)
             .run()
             .unwrap();
-
-        // Raw composition of the same query.
-        let selected = range_one(amount, &amount_rids, kind, Value::Int(30), Value::Int(80));
-        let inner_idx = build_index(kind, id_rids.keys());
-        let joined =
-            indexed_nested_loop_join(cust, &selected, id, &id_rids, inner_idx.as_ref(), 8, 1);
-        let measure = Measure::resolve(AggFn::Sum, Some(("sales", "amount", amount))).unwrap();
-        let raw = group_aggregate_pairs(
-            region,
-            joined.len(),
-            |i| (joined[i].inner_rid, measure.at(joined[i].outer_rid)),
-            AggFn::Sum,
-            1,
-        );
         assert_eq!(engine.groups(), raw.as_slice(), "{kind:?}");
     }
 }
@@ -319,13 +296,7 @@ fn string_range_queries_via_domain_ids() {
     let rids = RidList::for_column(col);
 
     // Range [boston, denver] covers boston, chicago, denver = 300 rows.
-    let got = range_one(
-        col,
-        &rids,
-        IndexKind::FullCss,
-        "boston".into(),
-        "denver".into(),
-    );
+    let got = range_one(col, &rids, "boston".into(), "denver".into());
     assert_eq!(got.len(), 300);
     for rid in got {
         let v = col.value(rid).to_string();

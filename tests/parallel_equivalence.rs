@@ -158,7 +158,7 @@ fn adaptive_explain_reports_resolved_worker_counts() {
 }
 
 /// The raw operators, each at every thread count and lane count, against
-/// the same operator run inline at the default lanes, per kind.
+/// the same operator run inline at the default lanes.
 #[test]
 fn physical_operators_are_identical_across_kinds_and_threads() {
     let db = workload_db();
@@ -174,28 +174,26 @@ fn physical_operators_are_identical_across_kinds_and_threads() {
         .map(|v| (Value::Int(v * 4 - 50), Value::Int(v * 4 + 90)))
         .collect();
     let all_outer: Vec<u32> = (0..cust.len() as u32).collect();
-    for kind in IndexKind::ALL {
-        let idx = db.index("orders", "amount", kind).expect("built");
-        let inner_idx = db.index("customers", "id", kind).expect("built");
-        let points = |lanes, threads| {
-            point_select_many(amount, &rl, idx.as_search(), &values, lanes, threads)
-        };
-        let join = |lanes, threads| {
-            let search = inner_idx.as_search();
-            indexed_nested_loop_join(cust, &all_outer, id, &irl, search, lanes, threads)
-        };
-        let bands = |lanes, threads| {
-            idx.as_ordered()
-                .map(|o| range_select_many(amount, &rl, o, &ranges, lanes, threads))
-        };
-        let (seq_points, seq_join, seq_bands) = (points(8, 1), join(8, 1), bands(8, 1));
-        for threads in THREADS {
-            for lanes in [1, 3, 8] {
-                let at = format!("{kind:?} threads={threads} lanes={lanes}");
-                assert_eq!(points(lanes, threads), seq_points, "{at}");
-                assert_eq!(join(lanes, threads), seq_join, "{at}");
-                assert_eq!(bands(lanes, threads), seq_bands, "{at}");
-            }
+    // Every kind's access path answers from the catalog's one RID list.
+    assert_eq!(
+        db.rid_list("orders", "amount").expect("indexed").rids(),
+        rl.rids()
+    );
+    assert_eq!(
+        db.rid_list("customers", "id").expect("indexed").rids(),
+        irl.rids()
+    );
+    let points = |lanes, threads| point_select_many(amount, &rl, &values, lanes, threads);
+    let join =
+        |lanes, threads| indexed_nested_loop_join(cust, &all_outer, id, &irl, lanes, threads);
+    let bands = |lanes, threads| range_select_many(amount, &rl, &ranges, lanes, threads);
+    let (seq_points, seq_join, seq_bands) = (points(8, 1), join(8, 1), bands(8, 1));
+    for threads in THREADS {
+        for lanes in [1, 3, 8] {
+            let at = format!("threads={threads} lanes={lanes}");
+            assert_eq!(points(lanes, threads), seq_points, "{at}");
+            assert_eq!(join(lanes, threads), seq_join, "{at}");
+            assert_eq!(bands(lanes, threads), seq_bands, "{at}");
         }
     }
     // Grouped aggregation with per-worker partials.

@@ -15,7 +15,6 @@ fn readme_batched_join_example() {
 
     let cust_id = customers.column("id").unwrap();
     let cust_rids = RidList::for_column(cust_id);
-    let css = build_index(IndexKind::FullCss, cust_rids.keys());
 
     // The outer side is a RID stream (here every order row, in RID order);
     // the last two arguments are the interleave lanes and worker threads.
@@ -25,7 +24,6 @@ fn readme_batched_join_example() {
         &every_order,
         cust_id,
         &cust_rids,
-        css.as_ref(),
         DEFAULT_BATCH_LANES,
         1,
     );
