@@ -13,7 +13,9 @@
 //!   arrays (§6.2 of the paper aligns all structures to cache lines),
 //! * [`SearchIndex`] / [`OrderedIndex`] — the common interface the paper's
 //!   seven competing methods implement, including the space accounting used
-//!   for the space/time trade-off study (Figs. 2, 7, 8, 14).
+//!   for the space/time trade-off study (Figs. 2, 7, 8, 14),
+//! * [`prefetch`] — the one cache-line prefetch hint every batched reader
+//!   (the interleaved descent, the query operators' gathers) issues.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
@@ -22,6 +24,7 @@ pub mod array;
 pub mod index;
 pub mod key;
 pub mod layout;
+mod prefetch;
 pub mod tracer;
 
 pub use align::{AlignedBuf, CACHE_LINE_BYTES};
@@ -29,4 +32,5 @@ pub use array::SortedArray;
 pub use index::{IndexStats, OrderedIndex, SearchIndex, SpaceReport, DEFAULT_BATCH_LANES};
 pub use key::Key;
 pub use layout::{ceil_div, ceil_log, ilog_floor, pow_saturating};
+pub use prefetch::prefetch;
 pub use tracer::{AccessKind, AccessTracer, CountingTracer, NoopTracer, RecordingTracer};

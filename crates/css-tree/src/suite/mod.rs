@@ -16,6 +16,7 @@ use crate::tree::segment_lower_bound;
 use crate::{CssTree, Full, Level, NodeSearch, RuntimeFull, STANDARD_NODE_SIZES};
 use ccindex_common::{
     AccessTracer, CountingTracer, Key, NoopTracer, OrderedIndex, SearchIndex, SortedArray,
+    CACHE_LINE_BYTES,
 };
 
 pub(crate) fn tree<K: Key, S: NodeSearch>(search: S, keys: &[K]) -> CssTree<K, S> {
@@ -31,6 +32,7 @@ pub(crate) fn check<S: NodeSearch>(search: S) {
     reassembly(search);
     validation(search);
     batches(search);
+    ascending(search);
 }
 
 /// Every `n` in `sizes`, every probe from below the smallest key to beyond
@@ -66,6 +68,13 @@ pub(crate) fn exhaustive<S: NodeSearch>(
                 t.lower_bound_batch_lanes(&probes, l),
                 expected,
                 "{} m={m} n={n} lanes={l}",
+                search.name()
+            );
+            // The probes ascend, two to three per key: the forward walk.
+            assert_eq!(
+                t.lower_bound_ascending(&probes, l),
+                expected,
+                "{} m={m} n={n} ascending lanes={l}",
                 search.name()
             );
         }
@@ -297,6 +306,90 @@ pub(crate) fn traced_work_is_equal<S: NodeSearch>(search: S) {
     assert_eq!(batch_tr.descends, seq_tr.descends);
 }
 
+/// The ascending walk, lower bound and point lookup alike, against the
+/// interleaved descent and `partition_point`, on batches built to take
+/// each of its paths: every key (a linear merge), duplicates, a run inside
+/// one line, gaps of exactly one line (still beside) and of two lines and
+/// wider (descents), probes between keys, repeated probes and probes above
+/// the maximum; and on empty and one-key trees. Lanes 1, 3, 8 and 33, so
+/// strips are long, ragged and single-probe.
+pub(crate) fn ascending<S: NodeSearch>(search: S) {
+    fn agrees<K: Key, S: NodeSearch>(t: &CssTree<K, S>, probes: &[K], ctx: &str) {
+        let keys = t.array().as_slice();
+        let want: Vec<usize> = probes
+            .iter()
+            .map(|&p| keys.partition_point(|&k| k < p))
+            .collect();
+        let point = t.search_batch_lanes(probes, 8);
+        for lanes in [1usize, 3, 8, 33] {
+            assert_eq!(t.lower_bound_batch_lanes(probes, lanes), want, "{ctx}");
+            assert_eq!(
+                t.lower_bound_ascending(probes, lanes),
+                want,
+                "{ctx} lanes={lanes}"
+            );
+            assert_eq!(
+                t.search_ascending(probes, lanes),
+                point,
+                "{ctx} lanes={lanes}"
+            );
+        }
+    }
+    /// The keys at every `step`-th position from `first`: answers exactly
+    /// `step` positions apart.
+    fn every<K: Key>(keys: &[K], first: usize, step: usize) -> Vec<K> {
+        keys.iter().skip(first).step_by(step).copied().collect()
+    }
+    fn batches<K: Key, S: NodeSearch>(search: S, keys: &[K], label: &str) {
+        let t = tree(search, keys);
+        let name = format!("{} m={} {label}", search.name(), search.slots());
+        let line = CACHE_LINE_BYTES / K::WIDTH;
+        let above = |k: K| K::from_rank(k.to_rank() + 1);
+        let max = keys[keys.len() - 1];
+        let mut between: Vec<K> = every(keys, 3, line + 5).into_iter().map(above).collect();
+        between.dedup();
+        let mut past_max = every(keys, keys.len() - 2 * line, 3);
+        past_max.extend([above(max), above(above(max)), K::MAX_KEY, K::MAX_KEY]);
+        let repeated = [keys[line + 1]; 20];
+        let cases = [
+            ("every key", keys.to_vec()),
+            ("one line", keys[line + 2..2 * line - 1].to_vec()),
+            ("one-line gaps", every(keys, 1, line)),
+            ("two-line gaps", every(keys, 0, 2 * line)),
+            ("wider gaps", every(keys, 5, 2 * line + 1)),
+            ("far gaps", every(keys, 2, 9 * line + 3)),
+            ("between keys", between),
+            ("past the maximum", past_max),
+            ("repeated", repeated.to_vec()),
+        ];
+        for (case, probes) in cases {
+            agrees(&t, &probes, &format!("{name} {case}"));
+        }
+    }
+    let distinct: Vec<u32> = (0..3_000).map(|i| i * 3 + 1).collect();
+    batches(search, &distinct, "distinct");
+    let duplicated: Vec<u32> = (0..3_000).map(|i| (i / 5) * 2).collect();
+    batches(search, &duplicated, "runs of 5");
+    let wide: Vec<i64> = (0..2_000).map(|i| i * 7 - 3_000).collect();
+    batches(search, &wide, "i64");
+
+    let empty = tree::<u32, S>(search, &[]);
+    assert_eq!(empty.lower_bound_ascending(&[0, 1, 1, 9], 3), [0, 0, 0, 0]);
+    assert_eq!(empty.search_ascending(&[1, 2], 8), [None, None]);
+    assert!(empty.lower_bound_ascending(&[], 8).is_empty());
+    let one = tree(search, &[5u32]);
+    for lanes in [0, 1, 3, 8, 33] {
+        assert_eq!(
+            one.lower_bound_ascending(&[0, 5, 5, 6, 100], lanes),
+            [0, 0, 0, 1, 1]
+        );
+        assert_eq!(
+            one.search_ascending(&[4, 5, 5, 6], lanes),
+            [None, Some(0), Some(0), None]
+        );
+    }
+}
+
 /// One event a probe reports to its tracer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
@@ -455,7 +548,7 @@ fn node_and_leaf_kernel_is_the_bisection() {
 
 /// The tier-1 sweep stops at `n < 200` in a debug build; this one covers
 /// every monomorph and the runtime sizes to `n = 2000` at three lane
-/// counts, and needs a release build:
+/// counts, interleaved and ascending, and needs a release build:
 /// `cargo test --release -q -p css-tree -- --ignored`.
 #[test]
 #[ignore = "release-scale sweep, run with --release"]
@@ -463,6 +556,7 @@ fn release_scale_sweep() {
     assert_eq!(STANDARD_NODE_SIZES, [2, 4, 8, 16, 32, 64, 128]);
     fn sweep<S: NodeSearch>(search: S) {
         exhaustive(search, 0..=2_000, &[1, 8, 33]);
+        ascending(search);
     }
     sweep(Full::<2>);
     sweep(Full::<4>);

@@ -18,6 +18,7 @@
 use crate::column::Column;
 use crate::domain::{DomainView, Value};
 use crate::error::{MmdbError, Result};
+use ccindex_common::prefetch;
 
 /// Supported aggregate functions over an `Int` measure column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,41 +100,66 @@ impl<'a> Measure<'a> {
             Some((ids, ints)) => ints[ids[rid as usize] as usize],
         }
     }
+
+    /// Ask for the line holding row `rid`'s measure ID, some rows before
+    /// [`Measure::at`] reads it (nothing to fetch for `Count`).
+    #[inline]
+    pub(crate) fn prefetch(self, rid: u32) {
+        if let Some((ids, _)) = self.column {
+            prefetch(ids.as_ptr().wrapping_add(rid as usize));
+        }
+    }
 }
 
-/// One worker's accumulator: a slot per domain ID, and a bit per ID
-/// saying whether its slot holds a value yet. Both come from zeroed
-/// allocations, which the allocator maps lazily, so a grouping touches
-/// only the pages its IDs land on.
-struct Slots {
-    acc: Vec<i64>,
-    seen: Vec<u64>,
+/// A set of domain IDs `0..d`, one bit each, read back ascending: the
+/// grouping's seen-set, and the outer IDs a join's RID stream carries.
+pub(crate) struct IdSet {
+    words: Vec<u64>,
 }
 
-impl Slots {
-    fn new(d: usize) -> Self {
+impl IdSet {
+    /// The empty set over `0..d`.
+    pub(crate) fn new(d: usize) -> Self {
         Self {
-            acc: vec![0; d],
-            seen: vec![0; d.div_ceil(64)],
+            words: vec![0; d.div_ceil(64)],
         }
     }
 
-    /// Fold `v` into group `id`. A group's first value seeds its slot, so
-    /// the zero the slot starts from never reaches `Min` or `Max`.
+    /// Add `id`; whether it was absent.
     #[inline]
-    fn fold(&mut self, agg: AggFn, id: usize, v: i64) {
-        let (word, bit) = (id / 64, 1u64 << (id % 64));
-        self.acc[id] = if self.seen[word] & bit == 0 {
-            v
-        } else {
-            agg.combine(self.acc[id], v)
-        };
-        self.seen[word] |= bit;
+    pub(crate) fn insert(&mut self, id: usize) -> bool {
+        let (word, bit) = (&mut self.words[id / 64], 1u64 << (id % 64));
+        let absent = *word & bit == 0;
+        *word |= bit;
+        absent
     }
 
-    /// The IDs holding a value, ascending.
-    fn ids(&self) -> impl Iterator<Item = usize> + '_ {
-        self.seen.iter().enumerate().flat_map(|(w, &word)| {
+    /// Each word's count of members before it, which makes
+    /// [`IdSet::rank`] O(1).
+    pub(crate) fn ranks(&self) -> Vec<u32> {
+        let mut before = 0;
+        self.words
+            .iter()
+            .map(|word| {
+                let at = before;
+                before += word.count_ones();
+                at
+            })
+            .collect()
+    }
+
+    /// How many members lie below `id`, given this set's
+    /// [`IdSet::ranks`]: a member's position in [`IdSet::iter`]'s order.
+    #[inline]
+    pub(crate) fn rank(&self, ranks: &[u32], id: usize) -> usize {
+        let below = self.words[id / 64] & ((1u64 << (id % 64)) - 1);
+        ranks[id / 64] as usize + below.count_ones() as usize
+    }
+
+    /// The IDs in the set, ascending: each word's set bits by
+    /// `trailing_zeros`, so a word with no IDs costs one test.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
             let mut bits = word;
             std::iter::from_fn(move || {
                 (bits != 0).then(|| {
@@ -143,6 +169,35 @@ impl Slots {
                 })
             })
         })
+    }
+}
+
+/// One worker's accumulator: a slot per domain ID, and the set of IDs
+/// whose slot holds a value yet. Both come from zeroed allocations, which
+/// the allocator maps lazily, so a grouping touches only the pages its
+/// IDs land on.
+struct Slots {
+    acc: Vec<i64>,
+    seen: IdSet,
+}
+
+impl Slots {
+    fn new(d: usize) -> Self {
+        Self {
+            acc: vec![0; d],
+            seen: IdSet::new(d),
+        }
+    }
+
+    /// Fold `v` into group `id`. A group's first value seeds its slot, so
+    /// the zero the slot starts from never reaches `Min` or `Max`.
+    #[inline]
+    fn fold(&mut self, agg: AggFn, id: usize, v: i64) {
+        self.acc[id] = if self.seen.insert(id) {
+            v
+        } else {
+            agg.combine(self.acc[id], v)
+        };
     }
 }
 
@@ -188,11 +243,11 @@ where
         return Vec::new();
     };
     for partial in partials {
-        for id in partial.ids() {
+        for id in partial.seen.iter() {
             merged.fold(agg, id, partial.acc[id]);
         }
     }
-    let ids: Vec<u32> = merged.ids().map(|id| id as u32).collect();
+    let ids: Vec<u32> = merged.seen.iter().map(|id| id as u32).collect();
     let groups = group_col.domain().decode_batch(&ids);
     groups
         .into_iter()
@@ -393,6 +448,25 @@ mod tests {
             assert_eq!(min[1].value, 4, "threads={threads}");
             assert_eq!(min[3].value, 38, "threads={threads}");
         }
+    }
+
+    /// Members come back ascending across word boundaries, and a
+    /// member's rank is its position among them.
+    #[test]
+    fn id_sets_iterate_ascending_and_rank_their_members() {
+        let members = [0usize, 1, 63, 64, 65, 127, 128, 500, 1_023, 1_024, 1_999];
+        let mut set = IdSet::new(2_000);
+        for &id in members.iter().rev() {
+            assert!(set.insert(id), "{id} is new");
+        }
+        assert!(!set.insert(64), "64 is already a member");
+        assert_eq!(set.iter().collect::<Vec<_>>(), members);
+        let ranks = set.ranks();
+        for (position, &id) in members.iter().enumerate() {
+            assert_eq!(set.rank(&ranks, id), position, "{id}");
+        }
+        assert_eq!(set.rank(&ranks, 129), 7, "a non-member counts those below");
+        assert_eq!(IdSet::new(0).iter().count(), 0);
     }
 
     #[test]

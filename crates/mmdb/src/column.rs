@@ -20,6 +20,7 @@
 //! references and clones each distinct value once.
 
 use crate::domain::{Domain, Value};
+use ccindex_common::prefetch;
 use std::sync::Arc;
 
 /// One domain-encoded column. Cloning shares the domain and the ID array
@@ -119,6 +120,13 @@ impl Column {
     /// Domain ID of row `rid`.
     pub fn id(&self, rid: u32) -> u32 {
         self.ids[rid as usize]
+    }
+
+    /// Ask for the line holding row `rid`'s domain ID, some rows before
+    /// [`Column::id`] reads it — the gathers' lookahead.
+    #[inline]
+    pub(crate) fn prefetch_id(&self, rid: u32) {
+        prefetch(self.ids.as_ptr().wrapping_add(rid as usize));
     }
 
     /// Decoded value of row `rid`.

@@ -272,15 +272,21 @@ impl Domain {
         }
     }
 
-    /// The IDs in `other` of this domain's values at `ids` (`None` where
-    /// `other` lacks the value) — the join's outer→inner translation.
-    /// Between two typed domains the probes are a gather of `i64`s; a
-    /// generic source lends its values by reference.
+    /// The IDs in `other` of this domain's values at the ascending `ids`
+    /// (`None` where `other` lacks the value) — the join's outer→inner
+    /// translation. Between two typed domains the probes are a gather of
+    /// `i64`s, ascending because the IDs are, so they take the CSS-tree's
+    /// ascending walk (`search_ascending`) instead of one root descent
+    /// each; a generic source lends its values by reference.
     pub(crate) fn translate(&self, ids: &[u32], other: &Domain, lanes: usize) -> Vec<Option<u32>> {
+        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must ascend");
         match (self.view(), &other.repr) {
             (DomainView::Int(ints), Repr::Int(tree)) => {
                 let probes: Vec<i64> = ids.iter().map(|&id| ints[id as usize]).collect();
-                search_ints(tree, &probes, lanes).collect()
+                tree.search_ascending(&probes, lanes)
+                    .into_iter()
+                    .map(|hit| hit.map(|pos| pos as u32))
+                    .collect()
             }
             (DomainView::Int(_), Repr::Generic(_)) => other.encode_batch(&self.decode_batch(ids)),
             (DomainView::Generic(values), _) => {
@@ -693,6 +699,40 @@ mod tests {
                 }
             }
             assert!(source.translate(&[], &targets[0], 8).is_empty());
+        }
+    }
+
+    /// Between typed domains the translation takes the CSS-tree's
+    /// ascending walk; these ID sets push it through each of its regimes:
+    /// every ID (a merge), one in a hundred (a descent each), and runs of
+    /// consecutive IDs broken by gaps that alternate between short (still
+    /// beside the last answer) and long (a descent).
+    #[test]
+    fn translate_walks_dense_sparse_and_gapped_id_sets() {
+        let source = Domain::from_values((0..5_000).map(|i| Value::Int(i * 2)).collect());
+        let target = Domain::from_values((0..4_000).map(|i| Value::Int(i * 3 - 600)).collect());
+        let n = source.len() as u32;
+        let dense: Vec<u32> = (0..n).collect();
+        let sparse: Vec<u32> = (0..n).filter(|id| id % 100 == 37).collect();
+        let gapped: Vec<u32> = (0..n)
+            .filter(|id| {
+                let (block, at) = (id / 40, id % 40);
+                at < 10 || (block % 2 == 0 && (at == 14 || at == 31))
+            })
+            .collect();
+        for ids in [dense, sparse, gapped] {
+            let want: Vec<Option<u32>> = ids
+                .iter()
+                .map(|&id| target.encode(&source.decode(id)))
+                .collect();
+            assert!(want.iter().any(Option::is_some) && want.iter().any(Option::is_none));
+            for lanes in [1, 3, 8] {
+                assert_eq!(
+                    source.translate(&ids, &target, lanes),
+                    want,
+                    "lanes={lanes}"
+                );
+            }
         }
     }
 

@@ -82,11 +82,13 @@ use ccindex_common::DEFAULT_BATCH_LANES;
 /// inputs run inline and never pay the spawn overhead while large stages
 /// still spread across every core. `lanes` is the interleave lane count
 /// of the typed domain's batched descents — the operators' encodings,
-/// range endpoints and join translations; degenerate values (0, or more
-/// lanes than probes) fall back to sequential descent. `shards` is read by the
-/// sharded catalog layer (`ccindex-shard`): how many shards a
-/// `ShardedDatabase` built "from the environment" partitions each table
-/// across (plain [`Database`]s ignore it).
+/// range endpoints and join translations — and, after the descent, how
+/// many rows ahead the operators prefetch: RID runs, the join's outer
+/// IDs, and the group and measure IDs a grouping folds. Degenerate values
+/// (0, or more lanes than probes) fall back to sequential descent.
+/// `shards` is read by the sharded catalog layer (`ccindex-shard`): how
+/// many shards a `ShardedDatabase` built "from the environment"
+/// partitions each table across (plain [`Database`]s ignore it).
 ///
 /// [`Database`]: crate::Database
 /// [`Database::set_exec_options`]: crate::Database::set_exec_options
@@ -95,7 +97,8 @@ pub struct ExecOptions {
     /// Worker threads for the partitioned operators (`1` sequential,
     /// `0` adaptive per node).
     pub threads: usize,
-    /// Interleave lanes per batched domain descent.
+    /// Interleave lanes per batched domain descent, and the operators'
+    /// gather lookahead in rows: both keep `lanes` misses in flight.
     pub lanes: usize,
     /// Shard count for environment-constructed sharded catalogs
     /// (minimum 1; plain catalogs ignore it).
@@ -1020,20 +1023,32 @@ impl Plan {
             };
             // One call per row source, each read in place (no pair
             // vector) with its thread count resolved against the source's
-            // own row count (`0` = adaptive).
+            // own row count (`0` = adaptive). A joined or selected row's
+            // group and measure IDs sit at scattered RIDs, so each source
+            // asks for the lines `lanes` rows ahead of the one it reads.
             let threads = |rows| resolve_threads(g.threads, rows);
-            let agg = g.agg;
+            let (agg, lanes) = (g.agg, self.exec.lanes);
             let groups = match (&joined, &selected) {
                 (Some(rows), _) => {
                     let measure_side = g.measure.as_ref().map_or(g.side, |(_, s)| *s);
                     let pair = |i: usize| {
+                        if let Some(ahead) = rows.get(i + lanes) {
+                            group_col.prefetch_id(pick(ahead, g.side));
+                            measure.prefetch(pick(ahead, measure_side));
+                        }
                         let row = &rows[i];
                         (pick(row, g.side), measure.at(pick(row, measure_side)))
                     };
                     group_aggregate_pairs(group_col, rows.len(), pair, agg, threads(rows.len()))
                 }
                 (None, Some(rids)) => {
-                    let pair = |i: usize| (rids[i], measure.at(rids[i]));
+                    let pair = |i: usize| {
+                        if let Some(&ahead) = rids.get(i + lanes) {
+                            group_col.prefetch_id(ahead);
+                            measure.prefetch(ahead);
+                        }
+                        (rids[i], measure.at(rids[i]))
+                    };
                     group_aggregate_pairs(group_col, rids.len(), pair, agg, threads(rids.len()))
                 }
                 (None, None) => {

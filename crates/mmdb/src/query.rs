@@ -25,7 +25,17 @@
 //! workers of a [`WorkerPool`] (`1` runs inline, `0` is one worker per
 //! core). Chunk outputs concatenate in input order, so the answer is the
 //! same for every `lanes` and `threads`.
+//!
+//! `lanes` is also how far ahead the reads *after* the descent look. The
+//! domain search is only the first of several dependent misses a probe
+//! makes: then come `offsets[id]` and the run in `rids`, and for a join
+//! the outer row's ID before any of them. Each of those reads is
+//! addressed, so its address is known `lanes` items early, and the
+//! operators prefetch that far ahead ([`RidList`]'s run resolution, the
+//! join's mark pass) — keeping the same `lanes` misses in flight as the
+//! descent does, with no second knob.
 
+use crate::aggregate::IdSet;
 use crate::column::Column;
 use crate::domain::Value;
 use crate::rid::RidList;
@@ -56,12 +66,13 @@ pub fn point_select_many(
     threads: usize,
 ) -> Vec<Vec<u32>> {
     WorkerPool::new(threads).flat_map_chunks(values, |chunk| {
-        column
+        let ids: Vec<Option<(u32, u32)>> = column
             .domain()
             .encode_batch_lanes(chunk, lanes)
             .into_iter()
-            .map(|id| id.map_or_else(Vec::new, |id| rid_list.run(id, id).to_vec()))
-            .collect()
+            .map(|id| id.map(|id| (id, id)))
+            .collect();
+        rid_list.runs(&ids, lanes).map(<[u32]>::to_vec).collect()
     })
 }
 
@@ -79,16 +90,13 @@ pub fn range_select_many(
 ) -> Vec<Vec<u32>> {
     WorkerPool::new(threads).flat_map_chunks(ranges, |chunk| {
         let bounds: Vec<(&Value, &Value)> = chunk.iter().map(|(lo, hi)| (lo, hi)).collect();
-        column
-            .domain()
-            .id_ranges(&bounds, lanes)
-            .into_iter()
-            .map(|interval| {
-                let Some((lo, hi)) = interval else {
-                    return Vec::new();
-                };
-                let mut rids = rid_list.run(lo, hi).to_vec();
-                if lo != hi {
+        let intervals = column.domain().id_ranges(&bounds, lanes);
+        rid_list
+            .runs(&intervals, lanes)
+            .zip(&intervals)
+            .map(|(run, interval)| {
+                let mut rids = run.to_vec();
+                if matches!(interval, Some((lo, hi)) if lo != hi) {
                     rids.sort_unstable();
                 }
                 rids
@@ -115,60 +123,83 @@ pub fn indexed_nested_loop_join(
     lanes: usize,
     threads: usize,
 ) -> Vec<JoinRow> {
-    let translation = join_translation(outer, outer_rids, inner, lanes);
-    WorkerPool::new(threads).flat_map_chunks(outer_rids, |chunk| {
+    let (rows, translation) = join_translation(outer, outer_rids, inner, lanes);
+    WorkerPool::new(threads).flat_map_chunks(&rows, |chunk| {
+        // Outer values the inner domain does not contain join nothing.
+        let inner_ids: Vec<Option<(u32, u32)>> = chunk
+            .iter()
+            .map(|&(_, id)| translation.get(id).map(|inner_id| (inner_id, inner_id)))
+            .collect();
         let mut out = Vec::new();
-        for &outer_rid in chunk {
-            // Outer values the inner domain does not contain join nothing.
-            if let Some(inner_id) = translation[outer.id(outer_rid) as usize] {
-                out.extend(
-                    inner_rids
-                        .run(inner_id, inner_id)
-                        .iter()
-                        .map(|&inner_rid| JoinRow {
-                            outer_rid,
-                            inner_rid,
-                        }),
-                );
-            }
+        for (&(outer_rid, _), run) in chunk.iter().zip(inner_rids.runs(&inner_ids, lanes)) {
+            out.extend(run.iter().map(|&inner_rid| JoinRow {
+                outer_rid,
+                inner_rid,
+            }));
         }
         out
     })
 }
 
-/// Consumer #3, batched and hoisted: the outer→inner domain translation,
-/// indexed by outer domain ID — one inner-domain lookup per *distinct*
-/// outer value the RID stream carries instead of one per outer row. A
-/// selection that precedes the join usually carries far fewer values than
-/// the outer domain has, so the stream first marks its IDs in a
-/// domain-sized flag table; the marked IDs come out ascending (no sort,
-/// no dedup), go through one batched dictionary search
-/// (`i64` → `i64` when both domains are typed), and scatter into
-/// the translation (entries for IDs the stream never reads stay `None`).
-/// O(rows + domain), with at most one search per domain value.
+/// The inner-domain IDs of the outer IDs a RID stream carries, looked up
+/// by an outer ID's rank among them: a bit per outer domain ID and a
+/// count per 64 of them, not a slot per outer domain ID.
+struct Translation {
+    carried: IdSet,
+    ranks: Vec<u32>,
+    /// One per carried outer ID, ascending.
+    inner_ids: Vec<Option<u32>>,
+}
+
+impl Translation {
+    /// The inner-domain ID of carried outer ID `outer_id`, if the inner
+    /// domain holds its value.
+    #[inline]
+    fn get(&self, outer_id: u32) -> Option<u32> {
+        self.inner_ids[self.carried.rank(&self.ranks, outer_id as usize)]
+    }
+}
+
+/// Consumer #3, batched and hoisted: the outer→inner domain translation —
+/// one inner-domain lookup per *distinct* outer value the RID stream
+/// carries instead of one per outer row.
+///
+/// The mark pass gathers each outer row's domain ID, prefetching the ID
+/// `lanes` rows ahead, and marks it in a domain-sized bitset; the stream's
+/// `(outer RID, outer ID)` rows come back with the translation for the
+/// probe loop. A selection that precedes the join usually carries far
+/// fewer values than the outer domain has; the bitset's set bits, read
+/// back by `trailing_zeros`, are the carried IDs in ascending order (no
+/// sort, no dedup), and so are their values. They go through one batched
+/// dictionary search — the CSS-tree's ascending walk when both domains
+/// are typed — whose answers a row finds by its outer ID's rank in the
+/// bitset. O(rows + domain / 64), with at most one search per domain
+/// value.
 fn join_translation(
     outer: &Column,
     outer_rids: &[u32],
     inner: &Column,
     lanes: usize,
-) -> Vec<Option<u32>> {
+) -> (Vec<(u32, u32)>, Translation) {
     let domain = outer.domain();
-    let mut carried = vec![false; domain.len()];
-    for &rid in outer_rids {
-        carried[outer.id(rid) as usize] = true;
-    }
-    let ids: Vec<u32> = (0u32..)
-        .zip(&carried)
-        .filter_map(|(id, &carried)| carried.then_some(id))
+    let mut carried = IdSet::new(domain.len());
+    let rows: Vec<(u32, u32)> = (0..outer_rids.len())
+        .map(|i| {
+            if let Some(&ahead) = outer_rids.get(i + lanes) {
+                outer.prefetch_id(ahead);
+            }
+            let id = outer.id(outer_rids[i]);
+            carried.insert(id as usize);
+            (outer_rids[i], id)
+        })
         .collect();
-    let mut translation = vec![None; domain.len()];
-    for (&id, inner_id) in ids
-        .iter()
-        .zip(domain.translate(&ids, inner.domain(), lanes))
-    {
-        translation[id as usize] = inner_id;
-    }
-    translation
+    let ids: Vec<u32> = carried.iter().map(|id| id as u32).collect();
+    let translation = Translation {
+        ranks: carried.ranks(),
+        inner_ids: domain.translate(&ids, inner.domain(), lanes),
+        carried,
+    };
+    (rows, translation)
 }
 
 #[cfg(test)]
@@ -290,6 +321,47 @@ mod tests {
             .collect();
         assert_eq!(subset, expected);
         assert!(indexed_nested_loop_join(ocol, &[], ccol, &crids, 8, 1).is_empty());
+    }
+
+    /// The operators' lookahead at its edges: batches shorter than the
+    /// lane count, a lane count past the batch, a point batch where every
+    /// probe misses, and range batches whose last interval ends at the
+    /// domain's last ID (`d - 1`, whose run ends the RID list).
+    #[test]
+    fn lookahead_edges_answer_like_single_probes() {
+        let (t, rl) = setup();
+        let col = t.column("amount").unwrap();
+        let single_points = |values: &[Value]| -> Vec<Vec<u32>> {
+            values
+                .iter()
+                .map(|v| point_select_many(col, &rl, std::slice::from_ref(v), 1, 1).remove(0))
+                .collect()
+        };
+        let single_ranges = |ranges: &[(Value, Value)]| -> Vec<Vec<u32>> {
+            ranges
+                .iter()
+                .map(|r| range_select_many(col, &rl, std::slice::from_ref(r), 1, 1).remove(0))
+                .collect()
+        };
+        let short = ints(&[40, 10]);
+        let misses = ints(&[-3, 11, 25, 41, 99, 15, 35, 0, 1_000, 12, 13, 14]);
+        let to_last = int_ranges(&[(10, 10), (35, 45), (20, 40), (-5, 40), (40, 40)]);
+        let one = int_ranges(&[(15, 40)]);
+        assert!(single_points(&misses).iter().all(Vec::is_empty));
+        assert_eq!(single_ranges(&to_last)[4], vec![6]);
+        for lanes in [1usize, 3, 8, 33] {
+            for threads in [1usize, 2] {
+                let at = format!("lanes={lanes} threads={threads}");
+                for values in [&short[..], &misses, &short[..1]] {
+                    let got = point_select_many(col, &rl, values, lanes, threads);
+                    assert_eq!(got, single_points(values), "{at}");
+                }
+                for ranges in [&to_last[..], &one] {
+                    let got = range_select_many(col, &rl, ranges, lanes, threads);
+                    assert_eq!(got, single_ranges(ranges), "{at}");
+                }
+            }
+        }
     }
 
     #[test]

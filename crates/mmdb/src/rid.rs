@@ -34,7 +34,7 @@
 //! same positions a built directory over the expanded keys would return.
 
 use crate::column::Column;
-use ccindex_common::{AccessTracer, IndexStats, OrderedIndex, SearchIndex, SpaceReport};
+use ccindex_common::{prefetch, AccessTracer, IndexStats, OrderedIndex, SearchIndex, SpaceReport};
 use std::sync::Arc;
 
 /// RIDs sorted by attribute value, with each domain ID's first position.
@@ -105,6 +105,38 @@ impl RidList {
         let start = self.offsets[lo as usize] as usize;
         let end = self.offsets[hi as usize + 1] as usize;
         &self.rids[start..end]
+    }
+
+    /// The run of each inclusive ID interval of a batch, in batch order
+    /// (an empty run for `None`), resolved with `lanes` runs in flight.
+    ///
+    /// Resolving run `i` reads `offsets` at its interval and then `rids`
+    /// at the offset found — two dependent misses per run on a list larger
+    /// than cache. So while run `i` resolves, the `rids` line of run
+    /// `i + lanes` (whose `offsets` line was asked for `lanes` runs ago)
+    /// and the `offsets` line of run `i + 2·lanes` are prefetched: the same
+    /// `lanes` the domain's descent keeps in flight, as a lookahead. The
+    /// lookahead reads only through checked `get`s, so it stops at the
+    /// batch's end and at the lists' ends whatever the batch holds.
+    pub(crate) fn runs<'a>(
+        &'a self,
+        intervals: &'a [Option<(u32, u32)>],
+        lanes: usize,
+    ) -> impl Iterator<Item = &'a [u32]> + 'a {
+        let lanes = lanes.max(1);
+        let first_id = move |i: usize| match intervals.get(i) {
+            Some(&Some((lo, _))) => Some(lo as usize),
+            _ => None,
+        };
+        intervals.iter().enumerate().map(move |(i, interval)| {
+            if let Some(offset) = first_id(i + 2 * lanes).and_then(|id| self.offsets.get(id)) {
+                prefetch(offset);
+            }
+            if let Some(&start) = first_id(i + lanes).and_then(|id| self.offsets.get(id)) {
+                prefetch(self.rids.as_ptr().wrapping_add(start as usize));
+            }
+            interval.map_or(&[][..], |(lo, hi)| self.run(lo, hi))
+        })
     }
 
     /// The sorted ID array the list addresses instead of storing: ID
@@ -201,6 +233,51 @@ mod tests {
         assert_eq!(rl.run(0, 0), &[1, 3, 5]);
         assert_eq!(rl.run(1, 1), &[2]);
         assert_eq!(rl.run(0, 2)[5], 4);
+    }
+
+    /// [`RidList::runs`] reads ahead of the run it resolves; whatever the
+    /// batch and the lane count, the answer is the plain runs, and the
+    /// lookahead stays inside the batch and the lists: batches shorter
+    /// than the lookahead, all misses, and intervals at the domain's last
+    /// IDs, which no row carries (their offsets equal the RID count).
+    #[test]
+    fn runs_match_plain_runs_whatever_the_lookahead_reaches() {
+        let domain = crate::domain::Domain::from_values((0..6).map(Value::Int).collect());
+        let rl = RidList::for_column(&Column::from_parts(domain, vec![1, 0, 3, 1, 0]));
+        assert_eq!(rl.run(4, 5), &[] as &[u32]);
+        let batches: [&[Option<(u32, u32)>]; 6] = [
+            &[],
+            &[Some((1, 1))],
+            &[None, None, None, None, None],
+            &[Some((5, 5)), Some((4, 5)), Some((0, 5)), Some((3, 5))],
+            &[
+                Some((0, 0)),
+                None,
+                Some((3, 3)),
+                None,
+                Some((1, 4)),
+                Some((5, 5)),
+            ],
+            &[
+                None,
+                Some((2, 2)),
+                Some((0, 1)),
+                Some((4, 4)),
+                Some((1, 1)),
+                None,
+                Some((0, 5)),
+            ],
+        ];
+        for batch in batches {
+            let want: Vec<&[u32]> = batch
+                .iter()
+                .map(|interval| interval.map_or(&[][..], |(lo, hi)| rl.run(lo, hi)))
+                .collect();
+            for lanes in [0, 1, 2, 3, 8, 64] {
+                let got: Vec<&[u32]> = rl.runs(batch, lanes).collect();
+                assert_eq!(got, want, "{batch:?} lanes={lanes}");
+            }
+        }
     }
 
     #[test]

@@ -25,6 +25,13 @@
 //! both signs, grouped alone, after a selection and across a join, at
 //! every thread count, plus groupings of a few rows over a domain far
 //! wider than the rows selected.
+//!
+//! The join's translation walks the inner domain forward from each
+//! answer and descends only past the next line, so joins and grouped
+//! joins run over selections carrying from a thousandth to all of the
+//! outer domain, at every lane and thread count; the release-only cases
+//! repeat the selection and the join-group at `engine-mix`'s 2M × 100k
+//! scale.
 
 use mmdb::{
     between, count, eq, group_aggregate_pairs, indexed_nested_loop_join, max, min, on,
@@ -741,6 +748,102 @@ fn a_stale_plan_fails_typed_even_when_its_first_filter_matches_nothing() {
     );
 }
 
+/// The join's translation over selections carrying from 0.1 % to all of
+/// the outer domain: its ascending walk runs as descents when the
+/// carried values are sparse and as a merge when they are dense. Each
+/// selection joins to `u` and, grouped by `u.g` summing `t.m`, at lanes
+/// 1, 3 and 8 and threads 1, 2 and adaptive, against a scan.
+#[test]
+fn joins_carrying_a_thousandth_to_all_of_the_outer_domain_match_a_row_scan() {
+    const DOMAIN: i64 = 4_000;
+    const ROWS: i64 = 2 * DOMAIN;
+    // Each outer value on two rows far apart, so a band of rows carries
+    // scattered values; the inner side holds every third value (some
+    // twice) and values the outer side never has.
+    let c = |r: i64| (r * 1_237) % DOMAIN;
+    let m = |r: i64| (r * 31) % 17 - 8;
+    let inner: Vec<(i64, &str)> = (-10..DOMAIN / 3 + 10)
+        .flat_map(|i| {
+            let k = i * 3;
+            let copies = if i % 7 == 0 { 2 } else { 1 };
+            std::iter::repeat_n((k, REGIONS[(i.rem_euclid(3)) as usize]), copies)
+        })
+        .collect();
+    let mut db = Database::new();
+    db.register(
+        TableBuilder::new("t")
+            .int_column("a", 0..ROWS)
+            .int_column("c", (0..ROWS).map(c))
+            .int_column("m", (0..ROWS).map(m))
+            .build()
+            .unwrap(),
+    )
+    .unwrap();
+    db.register(
+        TableBuilder::new("u")
+            .int_column("k", inner.iter().map(|&(k, _)| k))
+            .str_column("g", inner.iter().map(|&(_, g)| g))
+            .build()
+            .unwrap(),
+    )
+    .unwrap();
+    db.create_index("t", "a", IndexKind::FullCss).unwrap();
+    db.create_index("u", "k", IndexKind::FullCss).unwrap();
+    let mut matches: BTreeMap<i64, Vec<u32>> = BTreeMap::new();
+    for (rid, &(k, _)) in (0u32..).zip(&inner) {
+        matches.entry(k).or_default().push(rid);
+    }
+    // Bands of rows carrying 4, 40, 400 and 2,000 of the 4,000 values,
+    // and every row.
+    for (lo, rows) in [
+        (17, 4),
+        (3_001, 40),
+        (1_234, 400),
+        (5_000, 2_000),
+        (0, ROWS),
+    ] {
+        let band = lo..lo + rows;
+        let carried: std::collections::BTreeSet<i64> = band.clone().map(c).collect();
+        assert_eq!(carried.len() as i64, rows.min(DOMAIN), "{band:?}");
+        let joined: Vec<JoinRow> = band
+            .clone()
+            .flat_map(|r| {
+                let inner_rids = matches.get(&c(r)).map_or(&[][..], Vec::as_slice);
+                inner_rids.iter().map(move |&inner_rid| JoinRow {
+                    outer_rid: r as u32,
+                    inner_rid,
+                })
+            })
+            .collect();
+        let groups = fold_scan(
+            AggFn::Sum,
+            joined.iter().map(|j| {
+                let region = inner[j.inner_rid as usize].1;
+                (Value::from(region), m(i64::from(j.outer_rid)))
+            }),
+        );
+        let join = QuerySpec::table("t")
+            .filter(between("a", band.start, band.end - 1))
+            .join("u", on("c", "k"));
+        let cases = [
+            (join.clone(), ResultRows::Joined(joined)),
+            (join.group_by("g", sum("m")), ResultRows::Groups(groups)),
+        ];
+        for (spec, want) in cases {
+            for lanes in [1, 3, 8] {
+                for threads in [1, 2, 0] {
+                    let spec = spec.clone().exec(ExecOptions {
+                        threads,
+                        lanes,
+                        ..ExecOptions::default()
+                    });
+                    assert_eq!(db.run_spec(&spec).unwrap(), want, "{spec:?}");
+                }
+            }
+        }
+    }
+}
+
 /// `engine-mix`'s select at its own scale: an equality on a 100k-value
 /// column beside a band a tenth of a 10k-value column wide, plus driving
 /// ranges whose runs span many IDs.
@@ -807,4 +910,73 @@ fn engine_mix_shaped_conjunctions_match_a_row_scan_at_two_million_rows() {
     }
     // The single bands alone hold about 456 / 10,000 of the rows.
     assert!(matched > 50_000, "the bands select rows: {matched}");
+}
+
+/// `engine-mix`'s join-group at its own scale: 2M `orders` joined on
+/// `cust` to 100k `customers` and grouped by their region summing
+/// `amount`, after bands of `amount` 50 values wide (about 10k rows
+/// carrying about a tenth of the customers) and wider ones, at lanes 1,
+/// 3 and 8 — against a scan of every row. The joined rows are checked
+/// too, by count and by one pass over them.
+#[test]
+#[ignore = "2M rows; run with `cargo test --release -p mmdb -- --ignored`"]
+fn engine_mix_shaped_join_groups_match_a_row_scan_at_two_million_rows() {
+    const ROWS: u32 = 2_000_000;
+    const CUSTOMERS: i64 = 100_000;
+    let cust = |r: u32| i64::from(r.wrapping_mul(2_654_435_761) % 100_000);
+    let amount = |r: u32| i64::from(r.wrapping_mul(40_503).rotate_left(7) % 10_000);
+    let region = |c: i64| REGIONS[(c % 3) as usize];
+    let mut db = Database::new();
+    db.register(
+        TableBuilder::new("orders")
+            .int_column("cust", (0..ROWS).map(cust))
+            .int_column("amount", (0..ROWS).map(amount))
+            .build()
+            .unwrap(),
+    )
+    .unwrap();
+    db.register(
+        TableBuilder::new("customers")
+            .int_column("id", 0..CUSTOMERS)
+            .str_column("region", (0..CUSTOMERS).map(region))
+            .build()
+            .unwrap(),
+    )
+    .unwrap();
+    db.create_index("orders", "amount", IndexKind::FullCss)
+        .unwrap();
+    db.create_index("customers", "id", IndexKind::FullCss)
+        .unwrap();
+    for (lo, width) in [(0, 50), (4_321, 50), (9_949, 50), (2_000, 2_500)] {
+        let band = lo..=lo + width;
+        let selected: Vec<u32> = (0..ROWS).filter(|&r| band.contains(&amount(r))).collect();
+        let want = fold_scan(
+            AggFn::Sum,
+            selected
+                .iter()
+                .map(|&r| (Value::from(region(cust(r))), amount(r))),
+        );
+        let join = QuerySpec::table("orders")
+            .filter(between("amount", lo, lo + width))
+            .join("customers", on("cust", "id"));
+        for lanes in [1, 3, 8] {
+            let exec = ExecOptions {
+                lanes,
+                ..ExecOptions::default()
+            };
+            let grouped = join.clone().group_by("region", sum("amount")).exec(exec);
+            assert_eq!(
+                db.run_spec(&grouped).unwrap(),
+                ResultRows::Groups(want.clone()),
+                "{grouped:?}"
+            );
+            let ResultRows::Joined(rows) = db.run_spec(&join.clone().exec(exec)).unwrap() else {
+                panic!("a join answers joined rows");
+            };
+            assert_eq!(rows.len(), selected.len(), "{band:?} lanes={lanes}");
+            assert!(rows.iter().zip(&selected).all(|(row, &rid)| {
+                row.outer_rid == rid && i64::from(row.inner_rid) == cust(rid)
+            }));
+        }
+    }
 }

@@ -17,7 +17,8 @@ fn readme_batched_join_example() {
     let cust_rids = RidList::for_column(cust_id);
 
     // The outer side is a RID stream (here every order row, in RID order);
-    // the last two arguments are the interleave lanes and worker threads.
+    // the last two arguments are the interleave lanes (also how many rows
+    // ahead the operator prefetches) and worker threads.
     let every_order: Vec<u32> = (0..orders.rows() as u32).collect();
     let joined = indexed_nested_loop_join(
         orders.column("cust").unwrap(),
