@@ -27,7 +27,8 @@
 //! `std::sync` normally and this crate's shims under
 //! `RUSTFLAGS="--cfg ccindex_check"`. The model suites in
 //! `crates/check/tests/` then exercise the *real* `SwapSlot`,
-//! `BlockingQueue`, and `WorkerPool` under exhaustive scheduling.
+//! `BlockingQueue`, `OneShot`, and `WorkerPool` under exhaustive
+//! scheduling.
 //!
 //! # Example
 //!

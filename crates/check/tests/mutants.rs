@@ -260,6 +260,162 @@ fn close_with_notify_is_clean() {
 }
 
 // ---------------------------------------------------------------------
+// Mutant 4: a consumer that takes its item but does not pass the wake on.
+// ---------------------------------------------------------------------
+
+/// `BlockingQueue`'s wake protocol, modeled faithfully: consumers count
+/// themselves asleep under the mutex, a push notifies only when it
+/// makes the queue non-empty while a consumer sleeps, and a consumer
+/// that leaves items behind for another sleeper passes the wake on.
+struct CountedQueue {
+    /// (items, sleepers)
+    state: Mutex<(Vec<u64>, usize)>,
+    available: Condvar,
+    pass_on: bool,
+}
+
+impl CountedQueue {
+    fn new(pass_on: bool) -> Self {
+        Self {
+            state: Mutex::new((Vec::new(), 0)),
+            available: Condvar::new(),
+            pass_on,
+        }
+    }
+
+    fn push(&self, v: u64) {
+        let mut st = self.state.lock().unwrap();
+        let wake = st.0.is_empty() && st.1 > 0;
+        st.0.insert(0, v);
+        drop(st);
+        if wake {
+            self.available.notify_one();
+        }
+    }
+
+    fn pop(&self) -> u64 {
+        let mut st = self.state.lock().unwrap();
+        loop {
+            if let Some(v) = st.0.pop() {
+                let pass_on = !st.0.is_empty() && st.1 > 0;
+                drop(st);
+                if pass_on && self.pass_on {
+                    self.available.notify_one();
+                }
+                return v;
+            }
+            st.1 += 1;
+            st = self.available.wait(st).unwrap();
+            st.1 -= 1;
+        }
+    }
+}
+
+/// Two consumers asleep, two pushes: the second push finds the queue
+/// non-empty and wakes nobody, so only a pass-on reaches the second
+/// consumer.
+fn two_sleepers_two_pushes(pass_on: bool) {
+    let q = Arc::new(CountedQueue::new(pass_on));
+    let (q1, q2) = (Arc::clone(&q), Arc::clone(&q));
+    let c1 = check::thread::spawn(move || q1.pop());
+    let c2 = check::thread::spawn(move || q2.pop());
+    q.push(1);
+    q.push(2);
+    assert_eq!(c1.join().unwrap() + c2.join().unwrap(), 3);
+}
+
+/// MUTANT: the woken consumer takes its item and returns without
+/// passing the wake on — the second consumer sleeps beside a queued
+/// item forever.
+#[test]
+fn queue_without_wake_pass_on_is_reported_as_deadlock() {
+    let finding = quick()
+        .check_result(|| two_sleepers_two_pushes(false))
+        .expect_err("a dropped pass-on must deadlock some schedule");
+    assert_eq!(finding.kind, FindingKind::Deadlock);
+}
+
+/// The corrected twin: the pass-on reaches the second sleeper on every
+/// schedule.
+#[test]
+fn queue_with_wake_pass_on_is_clean() {
+    let stats = quick().check(|| two_sleepers_two_pushes(true));
+    assert!(stats.complete);
+    assert!(stats.iterations >= 2);
+}
+
+// ---------------------------------------------------------------------
+// Mutant 5: a one-shot whose wait sleeps without marking itself asleep.
+// ---------------------------------------------------------------------
+
+/// `OneShot`'s store-then-wake protocol, modeled faithfully: `store`
+/// reports whether the owner is asleep, and the producer wakes only
+/// then.
+struct MiniOneShot {
+    /// (value, asleep)
+    state: Mutex<(Option<u64>, bool)>,
+    ready: Condvar,
+    mark_asleep: bool,
+}
+
+impl MiniOneShot {
+    fn new(mark_asleep: bool) -> Self {
+        Self {
+            state: Mutex::new((None, false)),
+            ready: Condvar::new(),
+            mark_asleep,
+        }
+    }
+
+    fn store(&self, v: u64) -> bool {
+        let mut st = self.state.lock().unwrap();
+        st.0 = Some(v);
+        st.1
+    }
+
+    fn wait(&self) -> u64 {
+        let mut st = self.state.lock().unwrap();
+        loop {
+            if let Some(v) = st.0.take() {
+                return v;
+            }
+            st.1 = self.mark_asleep;
+            st = self.ready.wait(st).unwrap();
+            st.1 = false;
+        }
+    }
+}
+
+fn store_then_wake_sleeper(mark_asleep: bool) {
+    let cell = Arc::new(MiniOneShot::new(mark_asleep));
+    let owner = Arc::clone(&cell);
+    let t = check::thread::spawn(move || owner.wait());
+    if cell.store(7) {
+        cell.ready.notify_one();
+    }
+    assert_eq!(t.join().unwrap(), 7);
+}
+
+/// MUTANT: `wait` blocks without marking itself asleep, so a store that
+/// lands while it sleeps sees nobody to wake — the owner sleeps beside
+/// its answer forever.
+#[test]
+fn one_shot_wait_without_asleep_mark_is_reported_as_deadlock() {
+    let finding = quick()
+        .check_result(|| store_then_wake_sleeper(false))
+        .expect_err("an unmarked sleeper must deadlock some schedule");
+    assert_eq!(finding.kind, FindingKind::Deadlock);
+}
+
+/// The corrected twin: a marked sleeper is always woken.
+#[test]
+fn one_shot_wait_with_asleep_mark_is_clean() {
+    let stats = quick().check(|| store_then_wake_sleeper(true));
+    assert!(stats.complete);
+    assert!(stats.iterations >= 2);
+}
+
+// ---------------------------------------------------------------------
 // Sanity: atomic RMWs really interleave.
 // ---------------------------------------------------------------------
 

@@ -197,18 +197,23 @@ impl Default for WorkerPool {
 /// A blocking FIFO hand-off between producers and a consumer — the
 /// accumulator side of a batch-formation window: producers [`push`]
 /// items from any thread, the consumer [`pop`]s the first item of a
-/// window (blocking until one arrives) and then drains follow-ups with
-/// [`pop_deadline`] until the window's size or time bound is hit.
+/// window (blocking until one arrives) and then moves the rest of the
+/// window in with one [`pop_up_to`] call, which holds the lock once
+/// and waits only while the window has room and the queue is empty.
 ///
 /// Built on one `Mutex<VecDeque>` plus a `Condvar` — the same
-/// no-dependencies, no-unsafe diet as [`WorkerPool`]. Closing the queue
+/// no-dependencies, no-unsafe diet as [`WorkerPool`]. Consumers count
+/// themselves asleep under the mutex, so a push notifies only when it
+/// makes the queue non-empty while a consumer sleeps (a notify with no
+/// waiter is still a syscall), and a consumer that leaves items behind
+/// for another sleeper passes the wake on. Closing the queue
 /// ([`close`]) wakes every blocked consumer; pops then drain whatever
 /// remains and return `None`, so a consumer loop terminates cleanly
 /// without a separate shutdown protocol.
 ///
 /// [`push`]: BlockingQueue::push
 /// [`pop`]: BlockingQueue::pop
-/// [`pop_deadline`]: BlockingQueue::pop_deadline
+/// [`pop_up_to`]: BlockingQueue::pop_up_to
 /// [`close`]: BlockingQueue::close
 #[derive(Debug)]
 pub struct BlockingQueue<T> {
@@ -220,6 +225,17 @@ pub struct BlockingQueue<T> {
 struct QueueState<T> {
     items: VecDeque<T>,
     closed: bool,
+    /// Consumers inside a wait on `available`, counted from before the
+    /// wait until they hold the lock again.
+    sleepers: usize,
+}
+
+impl<T> QueueState<T> {
+    /// Whether a consumer that just took items must wake another: it
+    /// left some behind and somebody sleeps who could take them.
+    fn pass_on(&self) -> bool {
+        !self.items.is_empty() && self.sleepers > 0
+    }
 }
 
 impl<T> Default for BlockingQueue<T> {
@@ -235,22 +251,29 @@ impl<T> BlockingQueue<T> {
             state: Mutex::new(QueueState {
                 items: VecDeque::new(),
                 closed: false,
+                sleepers: 0,
             }),
             available: Condvar::new(),
         }
     }
 
-    /// Append `item` and wake one blocked consumer. A closed queue
-    /// accepts nothing: the item comes straight back as `Err` so the
-    /// producer can fail its caller instead of losing work silently.
+    /// Append `item`, waking one blocked consumer if the queue was
+    /// empty and one sleeps (a non-empty queue already has a consumer
+    /// on its way: the one woken when it filled passes the wake on). A
+    /// closed queue accepts nothing: the item comes straight back as
+    /// `Err` so the producer can fail its caller instead of losing work
+    /// silently.
     pub fn push(&self, item: T) -> std::result::Result<(), T> {
         let mut state = self.state.lock().expect("queue lock poisoned");
         if state.closed {
             return Err(item);
         }
+        let wake = state.items.is_empty() && state.sleepers > 0;
         state.items.push_back(item);
         drop(state);
-        self.available.notify_one();
+        if wake {
+            self.available.notify_one();
+        }
         Ok(())
     }
 
@@ -261,47 +284,63 @@ impl<T> BlockingQueue<T> {
         let mut state = self.state.lock().expect("queue lock poisoned");
         loop {
             if let Some(item) = state.items.pop_front() {
+                let pass_on = state.pass_on();
+                drop(state);
+                if pass_on {
+                    self.available.notify_one();
+                }
                 return Some(item);
             }
             if state.closed {
                 return None;
             }
+            state.sleepers += 1;
             state = self.available.wait(state).expect("queue lock poisoned");
+            state.sleepers -= 1;
         }
     }
 
-    /// As [`BlockingQueue::pop`], but give up at `deadline`: `None`
-    /// means the deadline passed (or the queue closed) with nothing
-    /// available — how a batch window's *time* bound is enforced while
-    /// its *size* bound still has room.
+    /// Move queued items onto the end of `out` until it holds `max`,
+    /// under one lock acquisition, and return how many items were left
+    /// queued. While `out` has room and the queue is empty it waits for
+    /// a push until `deadline` — how a batch window's *time* bound is
+    /// enforced while its *size* bound still has room. It returns
+    /// early, with room left, only once the queue is closed.
     ///
     /// Spurious-wakeup hardened: every wake — notified, timed out, or
-    /// spurious — re-runs the full predicate (item? closed? time
+    /// spurious — re-runs the full predicate (room? item? closed? time
     /// remaining?) and re-waits with the *remaining* window, never the
     /// original one. The `timed_out()` flag is deliberately ignored: a
     /// wait can time out just as an item lands (the item must still be
     /// taken), and a spurious wake near the deadline must not be
     /// mistaken for expiry. Explored under injected spurious wakeups by
     /// crates/check/tests/model_queue.rs.
-    pub fn pop_deadline(&self, deadline: Instant) -> Option<T> {
+    pub fn pop_up_to(&self, out: &mut Vec<T>, max: usize, deadline: Instant) -> usize {
         let mut state = self.state.lock().expect("queue lock poisoned");
         loop {
-            if let Some(item) = state.items.pop_front() {
-                return Some(item);
-            }
-            if state.closed {
-                return None;
+            let take = max.saturating_sub(out.len()).min(state.items.len());
+            out.extend(state.items.drain(..take));
+            if out.len() >= max || state.closed {
+                break;
             }
             let now = Instant::now();
             if now >= deadline {
-                return None;
+                break;
             }
+            state.sleepers += 1;
             let (s, _) = self
                 .available
                 .wait_timeout(state, deadline - now)
                 .expect("queue lock poisoned");
             state = s;
+            state.sleepers -= 1;
         }
+        let (left, pass_on) = (state.items.len(), state.pass_on());
+        drop(state);
+        if pass_on {
+            self.available.notify_one();
+        }
+        left
     }
 
     /// Close the queue: reject further pushes and wake every blocked
@@ -321,6 +360,85 @@ impl<T> BlockingQueue<T> {
     /// Whether the queue is currently empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+// ---------------------------------------------------------------------
+// One-shot answer cell
+// ---------------------------------------------------------------------
+
+/// A one-shot cell: one thread [`store`]s a value, the cell's one owner
+/// [`wait`]s for it. Storing and waking are separate steps so a
+/// producer answering many cells can store all of them first and only
+/// then wake their owners: a woken owner on the producer's CPU then
+/// preempts a finished batch, not one half stored.
+///
+/// [`wait`] marks itself asleep under the lock before it blocks, and
+/// [`store`] reports whether it found the owner asleep; only then is a
+/// [`wake`] (one `notify_one`, since the cell has one owner) needed.
+/// An owner that arrives after the store takes the value without
+/// blocking and costs the producer nothing.
+///
+/// [`store`]: OneShot::store
+/// [`wait`]: OneShot::wait
+/// [`wake`]: OneShot::wake
+#[derive(Debug)]
+pub struct OneShot<T> {
+    state: Mutex<OneShotState<T>>,
+    ready: Condvar,
+}
+
+#[derive(Debug)]
+struct OneShotState<T> {
+    value: Option<T>,
+    /// The owner is inside a wait on `ready`.
+    asleep: bool,
+}
+
+impl<T> Default for OneShot<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T> OneShot<T> {
+    /// An empty cell.
+    pub fn new() -> Self {
+        Self {
+            state: Mutex::new(OneShotState {
+                value: None,
+                asleep: false,
+            }),
+            ready: Condvar::new(),
+        }
+    }
+
+    /// Put `value` in the cell without waking anyone; `true` means the
+    /// owner is asleep in [`OneShot::wait`] and must be woken with
+    /// [`OneShot::wake`].
+    #[must_use = "a sleeping owner is woken only by wake()"]
+    pub fn store(&self, value: T) -> bool {
+        let mut state = self.state.lock().expect("one-shot lock poisoned");
+        state.value = Some(value);
+        state.asleep
+    }
+
+    /// Wake the owner a [`OneShot::store`] found asleep.
+    pub fn wake(&self) {
+        self.ready.notify_one();
+    }
+
+    /// Block until a value is stored and take it.
+    pub fn wait(&self) -> T {
+        let mut state = self.state.lock().expect("one-shot lock poisoned");
+        loop {
+            if let Some(value) = state.value.take() {
+                return value;
+            }
+            state.asleep = true;
+            state = self.ready.wait(state).expect("one-shot lock poisoned");
+            state.asleep = false;
+        }
     }
 }
 
@@ -452,15 +570,43 @@ mod tests {
     #[test]
     fn blocking_queue_deadline_pop_times_out_empty_handed() {
         let q: BlockingQueue<u32> = BlockingQueue::new();
+        let mut window = Vec::new();
         let t0 = Instant::now();
         let deadline = t0 + std::time::Duration::from_millis(20);
-        assert_eq!(q.pop_deadline(deadline), None);
+        assert_eq!(q.pop_up_to(&mut window, 4, deadline), 0);
+        assert!(window.is_empty());
         assert!(t0.elapsed() >= std::time::Duration::from_millis(20));
-        // An already-queued item comes back instantly, even with a
-        // deadline in the past (size bound beats time bound).
-        q.push(5).expect("open");
-        assert_eq!(q.pop_deadline(Instant::now()), Some(5));
+        // Already-queued items come back instantly, even with a
+        // deadline in the past (size bound beats time bound), and a full
+        // window leaves the rest queued.
+        for i in 0..5 {
+            q.push(i).expect("open");
+        }
+        assert_eq!(q.pop_up_to(&mut window, 3, Instant::now()), 2);
+        assert_eq!(window, [0, 1, 2]);
+        // A window that is already full takes nothing and never waits.
+        let far = Instant::now() + std::time::Duration::from_secs(60);
+        assert_eq!(q.pop_up_to(&mut window, 3, far), 2);
+        assert_eq!(q.pop_up_to(&mut window, 5, Instant::now()), 0);
+        assert_eq!(window, [0, 1, 2, 3, 4]);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn one_shot_hands_over_across_threads() {
+        let cell = OneShot::new();
+        // Stored before anyone waits: nobody to wake, no blocking.
+        assert!(!cell.store(1u32));
+        assert_eq!(cell.wait(), 1);
+        std::thread::scope(|s| {
+            let owner = s.spawn(|| cell.wait());
+            // Give the owner a moment to fall asleep, then answer.
+            std::thread::sleep(std::time::Duration::from_millis(10));
+            if cell.store(2) {
+                cell.wake();
+            }
+            assert_eq!(owner.join().expect("no panic"), 2);
+        });
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! zero behavior change. Under `RUSTFLAGS="--cfg ccindex_check"` the
 //! same names resolve to the `check` crate's instrumented shims, so the
 //! model-check suites in `crates/check/tests/` explore every bounded
-//! interleaving of the *real* `SwapSlot`, `BlockingQueue`, and
-//! `WorkerPool` code — not of a re-implementation that could drift.
+//! interleaving of the *real* `SwapSlot`, `BlockingQueue`, `OneShot`,
+//! and `WorkerPool` code — not of a re-implementation that could drift.
 //!
 //! Code that wants to be model-checkable imports from here instead of
 //! `std::sync`/`std::time`/`std::thread`:

@@ -6,8 +6,8 @@
 use crate::engine::{ServeSource, SnapshotInfo};
 use ccindex_obs as obs;
 use ccindex_parallel::sync::atomic::{AtomicUsize, Ordering};
-use ccindex_parallel::sync::{thread, Arc, Condvar, Instant, Mutex};
-use ccindex_parallel::{BlockingQueue, WorkerPool};
+use ccindex_parallel::sync::{thread, Arc, Instant};
+use ccindex_parallel::{BlockingQueue, OneShot, WorkerPool};
 use mmdb::{parse_knob, CatalogRead, MmdbError, QuerySpec, Request, Result, ResultRows};
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -190,40 +190,16 @@ fn elapsed_ns(since: &Instant) -> u64 {
 // Client handles
 // ---------------------------------------------------------------------
 
+/// The cell a request's answer lands in.
+type Slot = OneShot<Result<ResultRows>>;
+
 /// One queued request plus the slot its answer lands in.
 struct Submission {
     request: Request,
     slot: Arc<Slot>,
     /// When the client enqueued it — the start of the end-to-end
-    /// latency the server records when the answer is filled.
+    /// latency the server records when the answer is stored.
     submitted: Instant,
-}
-
-/// A one-shot response cell: the server fills it once, the client's
-/// [`Pending::wait`] blocks until it does.
-#[derive(Debug, Default)]
-struct Slot {
-    result: Mutex<Option<Result<ResultRows>>>,
-    ready: Condvar,
-}
-
-impl Slot {
-    fn fill(&self, result: Result<ResultRows>) {
-        let mut guard = self.result.lock().expect("slot lock poisoned");
-        *guard = Some(result);
-        drop(guard);
-        self.ready.notify_all();
-    }
-
-    fn wait(&self) -> Result<ResultRows> {
-        let mut guard = self.result.lock().expect("slot lock poisoned");
-        loop {
-            if let Some(result) = guard.take() {
-                return result;
-            }
-            guard = self.ready.wait(guard).expect("slot lock poisoned");
-        }
-    }
 }
 
 /// A submitted request's ticket; [`Pending::wait`] blocks until the
@@ -261,8 +237,9 @@ impl Client<'_> {
         };
         if self.queue.push(submission).is_err() {
             // The session is shutting down; fail the ticket rather than
-            // leaving its owner blocked forever.
-            pending.slot.fill(Err(MmdbError::Unsupported {
+            // leaving its owner blocked forever. Nobody can be asleep on
+            // a ticket not yet handed out, so there is no one to wake.
+            let _ = pending.slot.store(Err(MmdbError::Unsupported {
                 what: "batch server session is shut down".into(),
             }));
         }
@@ -413,8 +390,13 @@ impl<'e, S: ServeSource + ?Sized> BatchServer<'e, S> {
     /// The hand-off is the blocking
     /// [`BlockingQueue`](ccindex_parallel::BlockingQueue): clients push
     /// submissions from their threads; the serving thread pops the first
-    /// request of a window, then drains follow-ups until the size or
-    /// time bound closes it.
+    /// request of a window, then moves the rest in under one lock
+    /// ([`pop_up_to`](ccindex_parallel::BlockingQueue::pop_up_to)),
+    /// waiting only until the size or time bound closes the window.
+    /// Answers come back through one-shot cells
+    /// ([`OneShot`](ccindex_parallel::OneShot)): the serving thread
+    /// stores a whole window's answers before it wakes any client, and
+    /// wakes only the clients asleep on one.
     pub fn serve_concurrent<R, F>(&self, clients: usize, f: F) -> (Vec<R>, ServeStats)
     where
         R: Send,
@@ -472,24 +454,25 @@ impl<'e, S: ServeSource + ?Sized> BatchServer<'e, S> {
     /// through their windows, never dropped.
     fn serve_loop(&self, queue: &BlockingQueue<Submission>) -> ServeStats {
         let mut stats = ServeStats::default();
+        // Both buffers live for the session, so a window allocates
+        // neither.
+        let mut batch: Vec<Submission> = Vec::with_capacity(self.options.batch_max);
+        let mut sleepers: Vec<Arc<Slot>> = Vec::with_capacity(self.options.batch_max);
         // The first request opens a window; the window then stays open
         // until the size bound fills it or the time bound expires.
         while let Some(first) = queue.pop() {
             let opened = Instant::now();
-            let deadline = opened + self.options.batch_wait;
-            let mut batch = vec![first];
-            while batch.len() < self.options.batch_max {
-                match queue.pop_deadline(deadline) {
-                    Some(next) => batch.push(next),
-                    None => break,
-                }
-            }
-            self.metrics.window_wait_ns.record(elapsed_ns(&opened));
-            // The backlog gauge reads at window close: everything queued
-            // here waited a full window without being admitted. The
+            batch.push(first);
+            // The backlog gauge reads at window close: everything still
+            // queued waited a full window without being admitted. The
             // registry gauge is the one source; `ServeStats` reads it
             // back below.
-            let depth = queue.len();
+            let depth = queue.pop_up_to(
+                &mut batch,
+                self.options.batch_max,
+                opened + self.options.batch_wait,
+            );
+            self.metrics.window_wait_ns.record(elapsed_ns(&opened));
             self.metrics.queue_depth.set(depth as u64);
             // One pinned generation per window: the whole window answers
             // from it, lock-free, whatever a writer commits meanwhile.
@@ -506,11 +489,20 @@ impl<'e, S: ServeSource + ?Sized> BatchServer<'e, S> {
             stats.largest_window = stats.largest_window.max(batch.len());
             stats.queue_depth = depth;
             stats.queue_depth_high_water = stats.queue_depth_high_water.max(depth);
-            for (submission, result) in batch.into_iter().zip(results) {
+            // Store every answer before waking anyone: a client woken
+            // mid-window would preempt this thread on a shared CPU and
+            // find the rest of its answers not yet stored. Clients that
+            // are not asleep collect their answers without a wake.
+            for (submission, result) in batch.drain(..).zip(results) {
                 self.metrics
                     .latency_ns
                     .record(elapsed_ns(&submission.submitted));
-                submission.slot.fill(result);
+                if submission.slot.store(result) {
+                    sleepers.push(submission.slot);
+                }
+            }
+            for slot in sleepers.drain(..) {
+                slot.wake();
             }
         }
         // The queue-depth fields migrated onto the registry gauge; read

@@ -4,7 +4,9 @@
 //! `ShardedDatabase` under both partitioners), all three request shapes
 //! (point, range, full query spec), and with column updates interleaved
 //! between serving windows (including a shard-key replacement that
-//! re-partitions the sharded catalog mid-test).
+//! re-partitions the sharded catalog mid-test), and with pipelining
+//! clients that keep more than a window outstanding and collect their
+//! answers newest first.
 
 use ccindex::db::domain::Value;
 use ccindex::db::{
@@ -168,6 +170,77 @@ fn batch_formed_answers_match_sequential_execution() {
         &sharded(RangePartitioner::int_spans(0, 39, 4).unwrap()),
         &reference,
         "range x4",
+    );
+}
+
+/// Laps of the request mix a pipelining client keeps outstanding at
+/// once: 40 requests, more than the largest `batch_max` served here.
+const PIPELINE_LAPS: usize = 4;
+
+/// Serve the mix from `clients` pipelining clients under a zero-wait
+/// window: each client submits [`PIPELINE_LAPS`] laps before it waits,
+/// then waits on them **newest first**, for a few rounds. Its older
+/// answers are stored in earlier windows while it is still submitting
+/// or asleep on a newer ticket, so no wake is sent for them and it
+/// collects them later without blocking. Every client must still
+/// terminate with answers byte-identical to the reference.
+fn assert_pipelined_newest_first_serves_identically<S: ServeSource>(
+    engine: &S,
+    reference: &[Result<ResultRows, MmdbError>],
+    label: &str,
+) {
+    const ROUNDS: usize = 3;
+    let expect: Vec<_> = reference
+        .iter()
+        .cycle()
+        .take(reference.len() * PIPELINE_LAPS)
+        .cloned()
+        .collect();
+    for clients in CLIENT_COUNTS {
+        for batch_max in [1usize, 16] {
+            let server = BatchServer::with_options(
+                engine,
+                ServeOptions {
+                    batch_max,
+                    batch_wait: Duration::ZERO,
+                },
+            );
+            let (answers, stats) = server.serve_concurrent(clients, |_, client| {
+                (0..ROUNDS)
+                    .map(|_| {
+                        let pending: Vec<Pending> = (0..PIPELINE_LAPS)
+                            .flat_map(|_| request_mix())
+                            .map(|r| client.submit(r))
+                            .collect();
+                        let mut got: Vec<_> =
+                            pending.into_iter().rev().map(Pending::wait).collect();
+                        got.reverse();
+                        got
+                    })
+                    .collect::<Vec<_>>()
+            });
+            assert_eq!(stats.requests, clients * ROUNDS * expect.len());
+            for (c, rounds) in answers.iter().enumerate() {
+                for (round, got) in rounds.iter().enumerate() {
+                    assert_eq!(
+                        got, &expect,
+                        "{label} clients={clients} batch_max={batch_max} client={c} round={round}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn pipelined_newest_first_waits_match_sequential_execution() {
+    let un = unsharded();
+    let reference = sequential_reference(&un);
+    assert_pipelined_newest_first_serves_identically(&un, &reference, "unsharded");
+    assert_pipelined_newest_first_serves_identically(
+        &sharded(HashPartitioner::new(4).unwrap()),
+        &reference,
+        "hash x4",
     );
 }
 
