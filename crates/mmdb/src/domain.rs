@@ -13,7 +13,7 @@
 //! on the 4-byte IDs and lets every index in this workspace index IDs
 //! instead of (possibly variable-length) values.
 //!
-//! # Two representations, one canonical choice
+//! # Three representations, one canonical choice
 //!
 //! * **Typed** — every value is an [`Value::Int`] (the empty domain
 //!   included): a flat, cache-line-aligned sorted `i64` array, 8 bytes per
@@ -22,13 +22,26 @@
 //!   directory is built where the domain is built and never stored: it is
 //!   a deterministic function of the array, rebuilt in a millisecond or
 //!   two when a saved catalog is opened.
+//! * **Ranked** — a typed domain dense enough that one presence bit per
+//!   integer of `[min, max]` costs no more than the directory would: the
+//!   sorted `i64` values, under 64-byte lines that each hold the count
+//!   of domain values below the line (and three counts within it) and 448
+//!   presence bits. A value's ID is its rank — the counts plus the
+//!   popcount of at most two words — so a search reads one line instead
+//!   of descending. The rule is
+//!   `⌈span / 448⌉ · 64 ≤` the directory's bytes (`span = max − min + 1`):
+//!   the lines are never larger than the directory they replace. The
+//!   directory costs about a byte a value and a line a seventh of a byte
+//!   an integer, so that holds at a density of about 1/7 and above.
 //! * **Generic** — anything holding a [`Value::Str`] (strings, mixed): a
 //!   sorted `[Value]`, searched by bisection over enum compares.
 //!
-//! The choice is made from the values, never by the caller, and an
-//! all-`Int` domain is *never* held generically — so two domains are
-//! equal exactly when they hold the same values, however each was built
-//! (from rows, from a sort's key run, from a stored page).
+//! The choice is made from the values, never by the caller (every integer
+//! domain passes through one constructor, so a stored domain is ranked
+//! again when it is opened), and an all-`Int` domain is *never* held
+//! generically — so two domains are equal exactly when they hold the same
+//! values, however each was built (from rows, from a sort's key run, from
+//! a stored page).
 //!
 //! # The §2.2 searches
 //!
@@ -37,18 +50,20 @@
 //! [`Domain::encode_batch`] for the batches the operators hand over, and
 //! on a typed domain both are `search`/`search_batch_lanes` calls on the
 //! CSS-tree, so the engine's dictionary lookups descend the structure the
-//! paper proposes instead of the binary search it beats. It is the only
-//! search a probe makes: an ID addresses its rows in the column's
+//! paper proposes instead of the binary search it beats; on a ranked
+//! domain each is one line's rank. It is the only search a probe makes:
+//! an ID addresses its rows in the column's
 //! [`RidList`](crate::rid::RidList) directly. "We can process both
 //! equality and inequality tests on domain IDs directly" —
 //! [`Domain::lower_bound_id`] and [`Domain::id_range`] turn a value bound
 //! into an ID bound with the tree's `lower_bound`, and a batch of ranges
-//! resolves all of its endpoints in one batched descent. Enum order (`Int` before `Str`) is kept on both
-//! representations: a `Str` probe sorts after every value of a typed
+//! resolves all of its endpoints in one batched descent (or one rank
+//! each). Enum order (`Int` before `Str`) is kept on every
+//! representation: a `Str` probe sorts after every value of a typed
 //! domain, so it encodes to `None` and lower-bounds to `len`.
 
-use ccindex_common::{OrderedIndex, SearchIndex, SortedArray, DEFAULT_BATCH_LANES};
-use css_tree::FullCssTree;
+use ccindex_common::{prefetch, OrderedIndex, SearchIndex, SortedArray, DEFAULT_BATCH_LANES};
+use css_tree::{CssLayout, FullCssTree};
 use std::borrow::Borrow;
 use std::sync::Arc;
 
@@ -87,11 +102,159 @@ impl std::fmt::Display for Value {
 /// 64-byte cache line (§5.1's node-size optimum at this key width).
 type IntDirectory = FullCssTree<i64, 8>;
 
+/// Integers one rank line covers: the bits of a 64-byte line after its
+/// header.
+const LINE_INTS: u64 = 448;
+
+/// Where a rank line's header keeps the count of the set bits in the
+/// line's first `2k` words, for `k` in `0..4`: `(shift, mask)`.
+const PAIR_COUNTS: [(u32, u64); 4] = [(0, 0), (32, 0xff), (40, 0x1ff), (49, 0x1ff)];
+
+/// One 64-byte line of a ranked domain: a header, then one presence bit
+/// per integer it covers. The header's low 32 bits count the domain
+/// values below the line (IDs are 32 bits); above them, [`PAIR_COUNTS`]
+/// holds the counts in its first 2, 4 and 6 words. So a rank popcounts
+/// at most two words, not seven: without `popcnt`, which the baseline
+/// x86_64 target lacks, each word costs a dozen instructions.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, align(64))]
+struct RankLine {
+    header: u64,
+    bits: [u64; 7],
+}
+
+/// A typed domain whose IDs are ranks: the sorted values (what `decode`
+/// and the storage writer read), and the lines covering
+/// `[min, min + span)`.
+#[derive(Debug)]
+struct Ranked {
+    ints: Box<[i64]>,
+    min: i64,
+    span: u64,
+    lines: Vec<RankLine>,
+}
+
+impl Ranked {
+    /// The ranked form of the strictly increasing `ints`, if its lines
+    /// fit in the bytes of the directory they replace.
+    fn fitting(ints: Vec<i64>) -> Result<Self, Vec<i64>> {
+        let (Some(&min), Some(&max)) = (ints.first(), ints.last()) else {
+            return Err(ints);
+        };
+        // `max - min` fits a `u64` whatever the two are; the line count
+        // and its bytes then stay far below `u64::MAX`.
+        let span_less_one = (max as u64).wrapping_sub(min as u64);
+        let lines = span_less_one / LINE_INTS + 1;
+        let directory = CssLayout::full(ints.len(), 8).space_bytes(8) as u64;
+        if lines * 64 > directory {
+            return Err(ints);
+        }
+        let empty = RankLine {
+            header: 0,
+            bits: [0; 7],
+        };
+        let mut ranked = Self {
+            min,
+            span: span_less_one + 1,
+            lines: vec![empty; lines as usize],
+            ints: ints.into_boxed_slice(),
+        };
+        for &v in &ranked.ints {
+            let off = (v as u64).wrapping_sub(min as u64);
+            let bit = off % LINE_INTS;
+            ranked.lines[(off / LINE_INTS) as usize].bits[(bit / 64) as usize] |= 1 << (bit % 64);
+        }
+        let mut below = 0;
+        for line in &mut ranked.lines {
+            let (mut header, mut count) = (below, 0);
+            for (&(shift, _), pair) in PAIR_COUNTS.iter().zip(line.bits.chunks(2)) {
+                header |= count << shift;
+                count += pair.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
+            }
+            line.header = header;
+            below += count;
+        }
+        Ok(ranked)
+    }
+
+    /// `v - min` if `v` lies in `[min, min + span)`. Below `min` the
+    /// wrapped difference is `2^64 - (min - v) > max - min`, so one
+    /// unsigned compare rejects both sides.
+    #[inline]
+    fn offset(&self, v: i64) -> Option<u64> {
+        let off = (v as u64).wrapping_sub(self.min as u64);
+        (off < self.span).then_some(off)
+    }
+
+    /// The number of domain values below `min + off`, and whether
+    /// `min + off` is one: the line's count, plus its count up to the
+    /// pair of words holding the bit, plus the popcounts of the bits
+    /// before it in that pair.
+    #[inline]
+    fn rank(&self, off: u64) -> (u32, bool) {
+        let line = &self.lines[(off / LINE_INTS) as usize];
+        let bit = off % LINE_INTS;
+        let (word, at) = ((bit / 64) as usize, bit % 64);
+        let (shift, mask) = PAIR_COUNTS[word / 2];
+        // All ones when the bit's word is the second of its pair.
+        let second = ((word & 1) as u64).wrapping_neg();
+        let last = line.bits[word];
+        let below = line.header as u32
+            + (line.header >> shift & mask) as u32
+            + (line.bits[word & !1] & second).count_ones()
+            + (last & ((1 << at) - 1)).count_ones();
+        (below, last >> at & 1 == 1)
+    }
+
+    #[inline]
+    fn encode(&self, v: i64) -> Option<u32> {
+        let (id, present) = self.rank(self.offset(v)?);
+        present.then_some(id)
+    }
+
+    #[inline]
+    fn lower_bound(&self, v: i64) -> u32 {
+        match self.offset(v) {
+            Some(off) => self.rank(off).0,
+            None if v < self.min => 0,
+            None => self.ints.len() as u32,
+        }
+    }
+
+    /// Ask for the line `v` would be ranked on (a hint: out-of-range
+    /// probes point anywhere).
+    #[inline]
+    fn prefetch(&self, v: i64) {
+        let line = (v as u64).wrapping_sub(self.min as u64) / LINE_INTS;
+        prefetch(self.lines.as_ptr().wrapping_add(line as usize));
+    }
+
+    /// `f` of each probe's integer (`None` for a probe without one), the
+    /// line of the probe `lanes` ahead prefetched — the operators'
+    /// lookahead, on the one line a rank reads.
+    fn each<P, T>(
+        &self,
+        probes: &[P],
+        lanes: usize,
+        int: impl Fn(&P) -> Option<i64>,
+        f: impl Fn(Option<i64>) -> T,
+    ) -> Vec<T> {
+        (0..probes.len())
+            .map(|i| {
+                if let Some(ahead) = probes.get(i + lanes).and_then(&int) {
+                    self.prefetch(ahead);
+                }
+                f(int(&probes[i]))
+            })
+            .collect()
+    }
+}
+
 /// A sorted dictionary of the distinct values of one column.
 ///
 /// Domain IDs are dense `0..len` integers in value order. Cloning shares
-/// the dictionary (and its directory); see the [module docs](self) for
-/// the two representations.
+/// the dictionary (and its directory or rank lines); see the [module
+/// docs](self) for the three representations.
 #[derive(Debug, Clone)]
 pub struct Domain {
     repr: Repr,
@@ -101,6 +264,9 @@ pub struct Domain {
 enum Repr {
     /// All `Int` (or empty): the tree owns the flat sorted array.
     Int(Arc<IntDirectory>),
+    /// All `Int`, dense enough that its rank lines fit in the directory's
+    /// bytes.
+    Ranked(Arc<Ranked>),
     /// Sorted, deduplicated, with at least one `Str`.
     Generic(Arc<[Value]>),
 }
@@ -141,15 +307,24 @@ fn search_ints(
         .map(|hit| hit.map(|pos| pos as u32))
 }
 
+/// A typed domain under its CSS directory.
+fn directory(ints: Vec<i64>) -> Repr {
+    Repr::Int(Arc::new(IntDirectory::from_shared(SortedArray::from_vec(
+        ints,
+    ))))
+}
+
+/// The `i64` of an `Int`.
+fn int(value: &Value) -> Option<i64> {
+    match value {
+        Value::Int(i) => Some(*i),
+        Value::Str(_) => None,
+    }
+}
+
 /// The `i64`s of `values` if every one is an `Int`.
 fn all_ints(values: &[Value]) -> Option<Vec<i64>> {
-    values
-        .iter()
-        .map(|v| match v {
-            Value::Int(i) => Some(*i),
-            Value::Str(_) => None,
-        })
-        .collect()
+    values.iter().map(int).collect()
 }
 
 impl Domain {
@@ -171,12 +346,12 @@ impl Domain {
 
     /// A typed domain over `ints`, which the caller has proven strictly
     /// increasing (a sort's deduplicated key run, a validated page).
+    /// Ranked when its lines fit in the directory's bytes, else under a
+    /// CSS directory.
     pub(crate) fn from_sorted_ints(ints: Vec<i64>) -> Self {
         debug_assert!(ints.windows(2).all(|w| w[0] < w[1]));
-        let directory = IntDirectory::from_shared(SortedArray::from_vec(ints));
-        Self {
-            repr: Repr::Int(Arc::new(directory)),
-        }
+        let repr = Ranked::fitting(ints).map_or_else(directory, |r| Repr::Ranked(Arc::new(r)));
+        Self { repr }
     }
 
     /// A generic domain over `values`, which the caller has proven
@@ -194,6 +369,7 @@ impl Domain {
     pub(crate) fn view(&self) -> DomainView<'_> {
         match &self.repr {
             Repr::Int(tree) => DomainView::Int(tree.array().as_slice()),
+            Repr::Ranked(ranked) => DomainView::Int(&ranked.ints),
             Repr::Generic(values) => DomainView::Generic(values),
         }
     }
@@ -201,7 +377,7 @@ impl Domain {
     /// Whether every value is an `Int` (true of the empty domain) — a
     /// property of the representation, so O(1).
     pub fn is_int(&self) -> bool {
-        matches!(self.repr, Repr::Int(_))
+        matches!(self.repr, Repr::Int(_) | Repr::Ranked(_))
     }
 
     /// Number of distinct values.
@@ -218,12 +394,13 @@ impl Domain {
     }
 
     /// Domain ID of `value`, if present — §2.2's "searching on the
-    /// domain": a CSS-tree descent on a typed domain, a binary search on
-    /// a generic one.
+    /// domain": a CSS-tree descent on a typed domain, one line's rank on
+    /// a ranked one, a binary search on a generic one.
     pub fn encode(&self, value: &Value) -> Option<u32> {
         match (&self.repr, value) {
             (Repr::Int(tree), Value::Int(v)) => tree.search(*v).map(|pos| pos as u32),
-            (Repr::Int(_), Value::Str(_)) => None,
+            (Repr::Ranked(ranked), Value::Int(v)) => ranked.encode(*v),
+            (Repr::Int(_) | Repr::Ranked(_), Value::Str(_)) => None,
             (Repr::Generic(values), _) => values.binary_search(value).ok().map(|i| i as u32),
         }
     }
@@ -234,7 +411,8 @@ impl Domain {
     /// "Transforming domain values to domain IDs requires searching on
     /// the domain" (§2.2), and the query operators transform constants by
     /// the batch. A typed domain answers with one `search_batch_lanes`
-    /// over its directory; a generic domain runs as many interleaved
+    /// over its directory; a ranked domain ranks each probe, `lanes`
+    /// lines prefetched ahead; a generic domain runs as many interleaved
     /// bisections. Probes may be owned or borrowed
     /// (`&[Value]` or `&[&Value]`), so a caller whose probes already live
     /// in another dictionary clones nothing.
@@ -268,6 +446,12 @@ impl Domain {
                     })
                     .collect()
             }
+            Repr::Ranked(ranked) => ranked.each(
+                values,
+                lanes,
+                |v| int(v.borrow()),
+                |v| v.and_then(|v| ranked.encode(v)),
+            ),
             Repr::Generic(dictionary) => bisect_batch(dictionary, values),
         }
     }
@@ -277,7 +461,8 @@ impl Domain {
     /// translation. Between two typed domains the probes are a gather of
     /// `i64`s, ascending because the IDs are, so they take the CSS-tree's
     /// ascending walk (`search_ascending`) instead of one root descent
-    /// each; a generic source lends its values by reference.
+    /// each, and into a ranked domain they are ranked, `lanes` lines
+    /// prefetched ahead; a generic source lends its values by reference.
     pub(crate) fn translate(&self, ids: &[u32], other: &Domain, lanes: usize) -> Vec<Option<u32>> {
         debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must ascend");
         match (self.view(), &other.repr) {
@@ -288,6 +473,12 @@ impl Domain {
                     .map(|hit| hit.map(|pos| pos as u32))
                     .collect()
             }
+            (DomainView::Int(ints), Repr::Ranked(ranked)) => ranked.each(
+                ids,
+                lanes,
+                |&id| Some(ints[id as usize]),
+                |v| v.and_then(|v| ranked.encode(v)),
+            ),
             (DomainView::Int(_), Repr::Generic(_)) => other.encode_batch(&self.decode_batch(ids)),
             (DomainView::Generic(values), _) => {
                 let probes: Vec<&Value> = ids.iter().map(|&id| &values[id as usize]).collect();
@@ -302,7 +493,8 @@ impl Domain {
     pub fn lower_bound_id(&self, value: &Value) -> u32 {
         (match (&self.repr, value) {
             (Repr::Int(tree), Value::Int(v)) => tree.lower_bound(*v),
-            (Repr::Int(tree), Value::Str(_)) => tree.len(),
+            (Repr::Ranked(ranked), Value::Int(v)) => ranked.lower_bound(*v) as usize,
+            (Repr::Int(_) | Repr::Ranked(_), Value::Str(_)) => self.len(),
             (Repr::Generic(values), _) => values.partition_point(|v| v < value),
         }) as u32
     }
@@ -320,25 +512,25 @@ impl Domain {
 
     /// [`Domain::id_range`] for a whole batch of ranges, from one batched
     /// lower bound over every range's two endpoints: the first ID
-    /// `>= lo` and the first ID `> hi`, which on a typed domain is the
-    /// lower bound of `hi + 1`. A `Str` endpoint sorts after every `Int`,
-    /// and `i64::MAX` has no successor, so such an endpoint resolves to
-    /// `len` unprobed.
+    /// `>= lo` and the first ID `> hi`, which on a typed or ranked domain
+    /// is the lower bound of `hi + 1`. A `Str` endpoint sorts after every
+    /// `Int`, and `i64::MAX` has no successor, so such an endpoint
+    /// resolves to `len` unprobed.
     pub(crate) fn id_ranges(
         &self,
         ranges: &[(&Value, &Value)],
         lanes: usize,
     ) -> Vec<Option<(u32, u32)>> {
+        let endpoints = || -> Vec<Option<i64>> {
+            let past = |v: &Value| int(v).and_then(|i| i.checked_add(1));
+            ranges
+                .iter()
+                .flat_map(|&(lo, hi)| [int(lo), past(hi)])
+                .collect()
+        };
         let bounds: Vec<usize> = match &self.repr {
             Repr::Int(tree) => {
-                let probe = |v: &Value, past: i64| match v {
-                    Value::Int(i) => i.checked_add(past),
-                    Value::Str(_) => None,
-                };
-                let endpoints: Vec<Option<i64>> = ranges
-                    .iter()
-                    .flat_map(|&(lo, hi)| [probe(lo, 0), probe(hi, 1)])
-                    .collect();
+                let endpoints = endpoints();
                 let probes: Vec<i64> = endpoints.iter().flatten().copied().collect();
                 let mut found = tree.lower_bound_batch_lanes(&probes, lanes).into_iter();
                 endpoints
@@ -346,6 +538,12 @@ impl Domain {
                     .map(|e| e.and_then(|_| found.next()).unwrap_or(tree.len()))
                     .collect()
             }
+            Repr::Ranked(ranked) => ranked.each(
+                &endpoints(),
+                lanes,
+                |&e| e,
+                |e| e.map_or(self.len(), |v| ranked.lower_bound(v) as usize),
+            ),
             Repr::Generic(values) => ranges
                 .iter()
                 .flat_map(|&(lo, hi)| {
@@ -391,11 +589,15 @@ impl Domain {
     }
 
     /// Heap footprint of the dictionary in bytes: 8 per value plus the
-    /// directory for a typed domain; the enum slots plus the string bytes
-    /// for a generic one.
+    /// directory for a typed domain, or plus its rank lines (never more)
+    /// for a ranked one; the enum slots plus the string bytes for a
+    /// generic one.
     pub fn size_bytes(&self) -> usize {
         match &self.repr {
             Repr::Int(tree) => tree.array().size_bytes() + tree.space().indirect_bytes,
+            Repr::Ranked(ranked) => {
+                ranked.ints.len() * 8 + ranked.lines.len() * core::mem::size_of::<RankLine>()
+            }
             Repr::Generic(values) => values
                 .iter()
                 .map(|v| match v {
@@ -443,6 +645,22 @@ fn bisect_batch<V: Borrow<Value>>(dictionary: &[Value], probes: &[V]) -> Vec<Opt
         }
     }
     out
+}
+
+#[cfg(test)]
+impl Domain {
+    /// The CSS arm over any strictly increasing `ints`, however dense —
+    /// what the ranked arm is checked against.
+    pub(crate) fn css(ints: Vec<i64>) -> Self {
+        Self {
+            repr: directory(ints),
+        }
+    }
+
+    /// Whether this domain took the ranked arm.
+    pub(crate) fn is_ranked(&self) -> bool {
+        matches!(self.repr, Repr::Ranked(_))
+    }
 }
 
 #[cfg(test)]
@@ -552,17 +770,26 @@ mod tests {
         assert_eq!(d.encode(&Value::Str("a".into())), Some(1));
     }
 
-    /// A typed, a string and a mixed domain, each with probes that hit,
-    /// miss between values, and fall off both ends — in both variants.
-    fn representations() -> [(Domain, Vec<Value>); 3] {
+    /// A typed domain on each integer arm (ranked, and the same values
+    /// under the CSS directory), a string and a mixed domain, each with
+    /// probes that hit, miss between values, and fall off both ends — in
+    /// both variants.
+    fn representations() -> [(Domain, Vec<Value>); 4] {
         let text = |i: i64| Value::Str(format!("k{i:03}"));
         let mut probes: Vec<Value> = (-3..140).map(Value::Int).collect();
         probes.extend((-3..140).map(text));
         probes.extend([Value::Int(i64::MIN), Value::Int(i64::MAX), "".into()]);
-        let int: Vec<Value> = (0..67).map(|i| Value::Int(i * 2)).collect();
+        let ints: Vec<i64> = (0..67).map(|i| i * 2).collect();
+        let int: Vec<Value> = ints.iter().copied().map(Value::Int).collect();
         let string: Vec<Value> = (0..67).map(|i| text(i * 2)).collect();
         let mixed: Vec<Value> = int.iter().chain(&string).cloned().collect();
-        [int, string, mixed].map(|values| (Domain::from_values(values), probes.clone()))
+        [
+            Domain::from_values(int),
+            Domain::css(ints),
+            Domain::from_values(string),
+            Domain::from_values(mixed),
+        ]
+        .map(|d| (d, probes.clone()))
     }
 
     /// What every search must agree with: the sorted values themselves.
@@ -572,9 +799,12 @@ mod tests {
 
     #[test]
     fn representation_follows_the_values() {
-        let [int, string, mixed] = representations().map(|(d, _)| d);
-        assert!(int.is_int() && !string.is_int() && !mixed.is_int());
+        let [int, css, string, mixed] = representations().map(|(d, _)| d);
+        assert!(int.is_int() && css.is_int() && !string.is_int() && !mixed.is_int());
+        assert!(int.is_ranked() && !css.is_ranked());
         assert!(Domain::from_values(vec![]).is_int(), "empty is typed");
+        // The arm is how the values are searched, not what they are.
+        assert_eq!(int, css);
         // Equality is about values, however the domain was built.
         assert_eq!(
             int,
@@ -648,13 +878,15 @@ mod tests {
                 assert_eq!(d.id_ranges(&ranges, lanes), want, "lanes={lanes}");
             }
         }
-        let [int, string, _] = representations().map(|(d, _)| d);
+        let [ranked, css, string, _] = representations().map(|(d, _)| d);
         // A `Str` sorts after every `Int`, on either side of the probe.
-        assert_eq!(int.encode(&"k000".into()), None);
-        assert_eq!(int.lower_bound_id(&"".into()), 67);
-        assert_eq!(int.id_range(&Value::Int(100), &"z".into()), Some((50, 66)));
-        assert_eq!(int.id_range(&"a".into(), &"z".into()), None);
-        assert_eq!(int.id_range(&"a".into(), &Value::Int(5)), None, "inverted");
+        for int in [ranked, css] {
+            assert_eq!(int.encode(&"k000".into()), None);
+            assert_eq!(int.lower_bound_id(&"".into()), 67);
+            assert_eq!(int.id_range(&Value::Int(100), &"z".into()), Some((50, 66)));
+            assert_eq!(int.id_range(&"a".into(), &"z".into()), None);
+            assert_eq!(int.id_range(&"a".into(), &Value::Int(5)), None, "inverted");
+        }
         assert_eq!(string.encode(&Value::Int(0)), None);
         assert_eq!(string.lower_bound_id(&Value::Int(i64::MAX)), 0);
         assert_eq!(
@@ -672,9 +904,11 @@ mod tests {
     #[test]
     fn translate_matches_per_value_encode_for_every_pairing() {
         let domains = representations().map(|(d, _)| d);
-        // Targets that hold some of the source's values and some others.
+        // Targets that hold some of the source's values and some others,
+        // on every arm.
         let targets = [
             Domain::from_values((0..200).map(|i| Value::Int(i * 3)).collect()),
+            Domain::css((0..200).map(|i| i * 3).collect()),
             Domain::from_values(
                 (0..200)
                     .map(|i| Value::Str(format!("k{:03}", i * 3)))
@@ -702,45 +936,53 @@ mod tests {
         }
     }
 
-    /// Between typed domains the translation takes the CSS-tree's
-    /// ascending walk; these ID sets push it through each of its regimes:
-    /// every ID (a merge), one in a hundred (a descent each), and runs of
-    /// consecutive IDs broken by gaps that alternate between short (still
-    /// beside the last answer) and long (a descent).
+    /// Into a typed domain under a directory the translation takes the
+    /// CSS-tree's ascending walk; these ID sets push it through each of
+    /// its regimes: every ID (a merge), one in a hundred (a descent each),
+    /// and runs of consecutive IDs broken by gaps that alternate between
+    /// short (still beside the last answer) and long (a descent). A third
+    /// full, the target is ranked instead; a thirteenth full, it keeps
+    /// the directory.
     #[test]
     fn translate_walks_dense_sparse_and_gapped_id_sets() {
         let source = Domain::from_values((0..5_000).map(|i| Value::Int(i * 2)).collect());
-        let target = Domain::from_values((0..4_000).map(|i| Value::Int(i * 3 - 600)).collect());
+        let ranked = Domain::from_values((0..4_000).map(|i| Value::Int(i * 3 - 600)).collect());
+        let sparse = Domain::from_values((0..4_000).map(|i| Value::Int(i * 13 - 600)).collect());
+        assert!(ranked.is_ranked() && !sparse.is_ranked());
         let n = source.len() as u32;
         let dense: Vec<u32> = (0..n).collect();
-        let sparse: Vec<u32> = (0..n).filter(|id| id % 100 == 37).collect();
+        let sparse_ids: Vec<u32> = (0..n).filter(|id| id % 100 == 37).collect();
         let gapped: Vec<u32> = (0..n)
             .filter(|id| {
                 let (block, at) = (id / 40, id % 40);
                 at < 10 || (block % 2 == 0 && (at == 14 || at == 31))
             })
             .collect();
-        for ids in [dense, sparse, gapped] {
-            let want: Vec<Option<u32>> = ids
-                .iter()
-                .map(|&id| target.encode(&source.decode(id)))
-                .collect();
-            assert!(want.iter().any(Option::is_some) && want.iter().any(Option::is_none));
-            for lanes in [1, 3, 8] {
-                assert_eq!(
-                    source.translate(&ids, &target, lanes),
-                    want,
-                    "lanes={lanes}"
-                );
+        for target in [&ranked, &sparse] {
+            for ids in [&dense, &sparse_ids, &gapped] {
+                let want: Vec<Option<u32>> = ids
+                    .iter()
+                    .map(|&id| target.encode(&source.decode(id)))
+                    .collect();
+                assert!(want.iter().any(Option::is_some) && want.iter().any(Option::is_none));
+                for lanes in [1, 3, 8] {
+                    assert_eq!(source.translate(ids, target, lanes), want, "lanes={lanes}");
+                }
             }
         }
     }
 
     #[test]
     fn size_bytes_counts_the_typed_array_and_its_directory() {
-        let typed = Domain::from_values((0..10_000).map(Value::Int).collect());
-        let bytes = typed.size_bytes();
-        // 8 bytes a value, plus a directory of about an eighth of that.
+        // Every integer of its range: 8 bytes a value, plus a line per 448.
+        let dense = Domain::from_values((0..10_000).map(Value::Int).collect());
+        assert!(dense.is_ranked());
+        assert_eq!(dense.size_bytes(), 80_000 + 10_000usize.div_ceil(448) * 64);
+        // A tenth full: 8 bytes a value, plus a directory of about an
+        // eighth of that.
+        let sparse = Domain::from_values((0..10_000).map(|i| Value::Int(i * 10)).collect());
+        assert!(!sparse.is_ranked());
+        let bytes = sparse.size_bytes();
         assert!((80_000..80_000 * 5 / 4).contains(&bytes), "{bytes}");
         let strings = Domain::from_values(vec!["ab".into(), "c".into()]);
         assert_eq!(strings.size_bytes(), 2 * core::mem::size_of::<Value>() + 3);
@@ -752,5 +994,249 @@ mod tests {
         // (ranges arrive from untrusted query/client input).
         let d = domain();
         assert_eq!(d.id_range(&Value::Int(5), &Value::Int(1)), None);
+    }
+
+    /// A domain's ranked and CSS arms over the same `ints`, the ranked one
+    /// checked to be what `from_sorted_ints` chose.
+    fn both_arms(ints: &[i64]) -> [Domain; 2] {
+        let ranked = Domain::from_sorted_ints(ints.to_vec());
+        assert!(
+            ranked.is_ranked(),
+            "{} values in [{}, {}]",
+            ints.len(),
+            ints[0],
+            ints[ints.len() - 1]
+        );
+        [ranked, Domain::css(ints.to_vec())]
+    }
+
+    /// Value sets for the ranked arm: every integer, a negative `min`,
+    /// irregular gaps, and against each end of `i64`.
+    fn ranked_sets() -> Vec<Vec<i64>> {
+        vec![
+            (0..1_000).collect(),
+            (0..2_000).map(|i| i * 3 - 1_000).collect(),
+            (-500..3_000)
+                .filter(|v| v % 5 != 3 && !(1_000..1_450).contains(v))
+                .collect(),
+            (0..1_500).map(|i| i64::MIN + i * 2).collect(),
+            (0..1_500).rev().map(|i| i64::MAX - i * 2).collect(),
+        ]
+    }
+
+    /// Probes at and around a line's edges (447/448/449 past `min`), at
+    /// `span - 1` and `span`, past both ends, at both ends of `i64`, every
+    /// seventh integer of the range, and `Str`s.
+    fn arm_probes(ints: &[i64]) -> Vec<Value> {
+        let (min, max) = (ints[0], ints[ints.len() - 1]);
+        let span = max.abs_diff(min) + 1;
+        let mut probes: Vec<i64> = [0, 1, 446, 447, 448, 449, 895, 896, 897]
+            .into_iter()
+            .chain([span - 2, span - 1, span, span + 1])
+            .filter_map(|off| min.checked_add_unsigned(off))
+            .collect();
+        probes.extend([1, 2, 448].iter().filter_map(|&d| min.checked_sub(d)));
+        probes.extend([i64::MIN, i64::MIN + 1, i64::MAX - 1, i64::MAX]);
+        probes.extend(
+            (0..span)
+                .step_by(7)
+                .filter_map(|off| min.checked_add_unsigned(off)),
+        );
+        let mut probes: Vec<Value> = probes.into_iter().map(Value::Int).collect();
+        probes.extend(["", "a"].map(Value::from));
+        probes
+    }
+
+    #[test]
+    fn ranked_and_css_arms_agree_on_every_search() {
+        for ints in ranked_sets() {
+            let [ranked, css] = both_arms(&ints);
+            let probes = arm_probes(&ints);
+            // One at a time, every integer of the range too.
+            let min = ints[0];
+            let every = (0..=ints[ints.len() - 1].abs_diff(min))
+                .filter_map(|off| min.checked_add_unsigned(off))
+                .map(Value::Int);
+            for probe in probes.iter().cloned().chain(every) {
+                assert_eq!(
+                    ranked.encode(&probe),
+                    css.encode(&probe),
+                    "encode {probe:?}"
+                );
+                assert_eq!(
+                    ranked.lower_bound_id(&probe),
+                    css.lower_bound_id(&probe),
+                    "lower_bound_id {probe:?}"
+                );
+            }
+            let want = css.encode_batch(&probes);
+            assert!(want.iter().any(Option::is_some) && want.iter().any(Option::is_none));
+            // Every fourth probe against every probe, and up to `i64::MAX`.
+            let ends: Vec<&Value> = probes.iter().collect();
+            let mut ranges: Vec<(&Value, &Value)> = ends
+                .iter()
+                .step_by(4)
+                .flat_map(|&lo| ends.iter().map(move |&hi| (lo, hi)))
+                .collect();
+            let top = Value::Int(i64::MAX);
+            ranges.extend(ends.iter().map(|&lo| (lo, &top)));
+            let want_ranges = css.id_ranges(&ranges, 8);
+            for lanes in [1, 3, 8] {
+                assert_eq!(
+                    ranked.encode_batch_lanes(&probes, lanes),
+                    want,
+                    "lanes={lanes}"
+                );
+                assert_eq!(
+                    css.encode_batch_lanes(&probes, lanes),
+                    want,
+                    "lanes={lanes}"
+                );
+                assert_eq!(
+                    ranked.id_ranges(&ranges, lanes),
+                    want_ranges,
+                    "lanes={lanes}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_wrapped_offset_never_lands_in_the_bitmap() {
+        // Against `i64::MAX`, `i64::MIN - min` wraps to exactly the span;
+        // against `i64::MIN`, every probe above the domain lies past it.
+        let sets = ranked_sets();
+        let [low, high] = [&sets[3], &sets[4]];
+        for d in both_arms(high) {
+            for v in [i64::MIN, i64::MIN + 1, i64::MIN + 2_999] {
+                assert_eq!(d.encode(&Value::Int(v)), None);
+                assert_eq!(d.lower_bound_id(&Value::Int(v)), 0);
+            }
+            assert_eq!(d.encode(&Value::Int(i64::MAX)), Some(1_499));
+        }
+        for d in both_arms(low) {
+            for v in [i64::MAX, 0, i64::MIN + 2_999, i64::MIN + 3_000] {
+                assert_eq!(d.encode(&Value::Int(v)), None);
+                assert_eq!(d.lower_bound_id(&Value::Int(v)), 1_500);
+            }
+            assert_eq!(d.encode(&Value::Int(i64::MIN)), Some(0));
+        }
+    }
+
+    #[test]
+    fn translate_agrees_between_every_pair_of_arms() {
+        // Each set on the ranked, CSS and generic arm (the same integers
+        // beside a `Str`), translated into each other set on each arm.
+        let arms = |ints: &[i64]| {
+            let mut values: Vec<Value> = ints.iter().copied().map(Value::Int).collect();
+            values.push("z".into());
+            let [ranked, css] = both_arms(ints);
+            [ranked, css, Domain::from_values(values)]
+        };
+        let sets = ranked_sets();
+        let domains: Vec<[Domain; 3]> = sets[..3].iter().map(|ints| arms(ints)).collect();
+        for sources in &domains {
+            for source in sources {
+                let ids: Vec<u32> = (0..source.len() as u32).filter(|id| id % 3 != 1).collect();
+                for target in domains.iter().flatten() {
+                    let want: Vec<Option<u32>> = ids
+                        .iter()
+                        .map(|&id| target.encode(&source.decode(id)))
+                        .collect();
+                    for lanes in [1, 3, 8] {
+                        assert_eq!(source.translate(&ids, target, lanes), want);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_ranked_arm_is_chosen_exactly_when_its_lines_fit_the_directory() {
+        let n = 1_000;
+        let directory = CssLayout::full(n, 8).space_bytes(8);
+        // `n` values spread over `[0, span)`, both ends present.
+        let spread = |span: usize| -> Vec<i64> {
+            (0..n).map(|i| (i * (span - 1) / (n - 1)) as i64).collect()
+        };
+        let at = spread(directory / 64 * 448);
+        assert!(Domain::from_sorted_ints(at.clone()).is_ranked());
+        let over = spread(directory / 64 * 448 + 1);
+        assert!(!Domain::from_sorted_ints(over).is_ranked());
+        // That directory is the one the CSS arm builds and reports.
+        assert_eq!(Domain::css(at).size_bytes(), n * 8 + directory);
+        // Eight values or fewer have no directory to replace.
+        assert!(!Domain::from_sorted_ints((0..8).collect()).is_ranked());
+        assert!(Domain::from_sorted_ints((0..9).collect()).is_ranked());
+        // `conjunction_oracle`'s cross-arm domains: 64 integers at stride
+        // 1, 4 and 20.
+        let strided =
+            |stride: i64| Domain::from_sorted_ints((0..64).map(|x| x * stride - 40).collect());
+        assert!(strided(1).is_ranked() && strided(4).is_ranked() && !strided(20).is_ranked());
+    }
+
+    /// A deterministic stream of `u64`s.
+    fn xorshift(mut x: u64) -> impl FnMut() -> u64 {
+        move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        }
+    }
+
+    #[test]
+    fn engine_mix_dimensions_are_ranked_and_serve_small_keys_are_not() {
+        // `orders.cust`, `customers.id` and `orders.amount` hold every
+        // integer of their range.
+        for len in [100_000, 10_000] {
+            assert!(Domain::from_sorted_ints((0..len).collect()).is_ranked());
+        }
+        // 64k uniform `u32` keys spread over 2^32 integers.
+        let mut next = xorshift(0x5eed);
+        let keys: Vec<Value> = (0..65_536)
+            .map(|_| Value::Int(next() as u32 as i64))
+            .collect();
+        let keys = Domain::from_values(keys);
+        assert!(keys.is_int() && !keys.is_ranked());
+    }
+
+    #[test]
+    #[ignore = "2M rows; run with `cargo test --release -p mmdb -- --ignored`"]
+    fn engine_mix_columns_are_ranked_at_two_million_rows() {
+        const ROWS: u64 = 2_000_000;
+        let mut next = xorshift(0xe9);
+        let mut column = |range: u64| {
+            let values: Vec<Value> = (0..ROWS)
+                .map(|_| Value::Int((next() % range) as i64))
+                .collect();
+            crate::column::Column::from_values(&values).domain().clone()
+        };
+        // `key` is uniform in `[0, 2n)`: about 39 % of its integers.
+        let key = column(2 * ROWS);
+        assert!((1_500_000..1_650_000).contains(&key.len()), "{}", key.len());
+        for d in [key, column(100_000), column(10_000)] {
+            assert!(d.is_ranked(), "{} values", d.len());
+        }
+    }
+
+    proptest::proptest! {
+        /// Whatever the density, the arm taken is never larger than the
+        /// CSS arm over the same values.
+        #[test]
+        fn size_bytes_never_exceeds_the_css_arm(
+            start in -1_000i64..1_000,
+            gaps in proptest::collection::vec(1i64..16, 1..3_000),
+        ) {
+            let ints: Vec<i64> = gaps
+                .iter()
+                .scan(start, |v, gap| {
+                    *v += gap;
+                    Some(*v)
+                })
+                .collect();
+            let chosen = Domain::from_sorted_ints(ints.clone());
+            proptest::prop_assert!(chosen.size_bytes() <= Domain::css(ints).size_bytes());
+        }
     }
 }

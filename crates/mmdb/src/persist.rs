@@ -798,6 +798,61 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Open re-detects each integer arm from the stored values: a column
+    /// holding every integer of its range comes back ranked, one a
+    /// twentieth full under its CSS directory — through save → open and
+    /// through a snapshot transfer — answering every point and range
+    /// probe as the source does and saving the same bytes again.
+    #[test]
+    fn save_open_and_transfer_keep_each_integer_arm() {
+        use crate::plan::CatalogRead;
+        let mut db = Database::new();
+        db.register(
+            TableBuilder::new("t")
+                .int_column("dense", (0..3_000).map(|r| r * 7 % 2_000))
+                .int_column("sparse", (0..3_000).map(|r| r * 7 % 2_000 * 20 - 9_000))
+                .build()
+                .expect("equal columns"),
+        )
+        .expect("fresh name");
+        for column in ["dense", "sparse"] {
+            db.create_index("t", column, IndexKind::FullCss)
+                .expect("index");
+        }
+        let image = db.save_to_bytes();
+        let opened = Database::open_from_bytes(image.clone(), "ranked").expect("open");
+        let mut transferred = Database::new();
+        transferred
+            .restore_from_bytes(&image, "transfer")
+            .expect("restore");
+        let probes: Vec<Value> = (-9_100..31_100).step_by(3).map(Value::Int).collect();
+        let ranges: Vec<(Value, Value)> = probes
+            .iter()
+            .step_by(5)
+            .zip(probes.iter().skip(40).step_by(5))
+            .map(|(lo, hi)| (lo.clone(), hi.clone()))
+            .collect();
+        let ranked = |db: &Database, column: &str| {
+            let domain = db.table("t").unwrap().column(column).unwrap().domain();
+            domain.is_ranked()
+        };
+        for back in [&opened, &transferred] {
+            assert_eq!(back.save_to_bytes(), image);
+            for (column, is_ranked) in [("dense", true), ("sparse", false)] {
+                assert_eq!(ranked(&db, column), is_ranked, "{column}");
+                assert_eq!(ranked(back, column), is_ranked, "{column}");
+                assert_eq!(
+                    back.point_probe_batch("t", column, &probes).unwrap(),
+                    db.point_probe_batch("t", column, &probes).unwrap()
+                );
+                assert_eq!(
+                    back.range_probe_batch("t", column, &ranges).unwrap(),
+                    db.range_probe_batch("t", column, &ranges).unwrap()
+                );
+            }
+        }
+    }
+
     #[test]
     fn restore_commits_a_generation_and_keeps_pinned_readers() {
         let db = seeded_db();

@@ -82,9 +82,10 @@ use ccindex_common::DEFAULT_BATCH_LANES;
 /// inputs run inline and never pay the spawn overhead while large stages
 /// still spread across every core. `lanes` is the interleave lane count
 /// of the typed domain's batched descents — the operators' encodings,
-/// range endpoints and join translations — and, after the descent, how
-/// many rows ahead the operators prefetch: RID runs, the join's outer
-/// IDs, and the group and measure IDs a grouping folds. Degenerate values
+/// range endpoints and join translations — and how many lines ahead a
+/// ranked domain prefetches them; and, after the search, how many rows
+/// ahead the operators prefetch: RID runs, the join's outer IDs, and the
+/// group and measure IDs a grouping folds. Degenerate values
 /// (0, or more lanes than probes) fall back to sequential descent.
 /// `shards` is read by the sharded catalog layer (`ccindex-shard`): how
 /// many shards a `ShardedDatabase` built "from the environment"

@@ -26,6 +26,11 @@
 //! every thread count, plus groupings of a few rows over a domain far
 //! wider than the rows selected.
 //!
+//! An integer domain is ranked when its rank lines fit in the bytes of
+//! the CSS directory they replace, so columns over domains at density 1,
+//! 1/4 and 1/20, and a generic one, select and join between every pair
+//! of those arms.
+//!
 //! The join's translation walks the inner domain forward from each
 //! answer and descends only past the next line, so joins and grouped
 //! joins run over selections carrying from a thousandth to all of the
@@ -505,6 +510,102 @@ proptest! {
                 prop_assert_eq!(&got, &want_a_k, "g.a joins u.k, {}", at);
                 let got = indexed_nested_loop_join(&k, &k_stream, &columns[0], &cases[0].0, lanes, threads);
                 prop_assert_eq!(&got, &want_k_a, "u.k joins g.a, {}", at);
+            }
+        }
+    }
+}
+
+/// The cross-arm tables' columns: one domain on each arm.
+const ARMS: [&str; 4] = ["d1", "d4", "d20", "gen"];
+const ARM_STRIDES: [i64; 3] = [1, 4, 20];
+
+/// Column `arm`'s domain: 64 integers from -40 at stride 1, 4 or 20 —
+/// every integer of their range, a quarter and a twentieth of it, so
+/// ranked, ranked and under a CSS directory (`domain.rs` pins which arm
+/// each takes) — or the stride-1 integers beside two `Str`s, generic.
+fn arm_domain(arm: usize) -> Vec<Value> {
+    let stride = ARM_STRIDES.get(arm).copied().unwrap_or(1);
+    let ints = (0..64).map(|x| Value::Int(x * stride - 40));
+    match arm {
+        3 => ints.chain(["m", "z"].map(Value::from)).collect(),
+        _ => ints.collect(),
+    }
+}
+
+/// Column `arm` over the whole of its domain, each row at its pick of it,
+/// with the rows' values.
+fn arm_column(arm: usize, picks: &[usize]) -> (Column, Vec<Value>) {
+    let domain = arm_domain(arm);
+    let ids: Vec<u32> = picks.iter().map(|&p| (p % domain.len()) as u32).collect();
+    let values = ids.iter().map(|&id| domain[id as usize].clone()).collect();
+    (Column::from_parts(Domain::from_values(domain), ids), values)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Domains at density 1, 1/4 and 1/20 and a generic one: points and
+    /// ranges on each, and joins between every pair of them — ranked to
+    /// CSS, ranked to generic and back — through the operators at every
+    /// lane count and through the engine after a band on the outer side.
+    #[test]
+    fn every_pair_of_domain_arms_selects_and_joins_like_a_row_scan(
+        outer in vec(0usize..66, 0..60),
+        inner in vec(0usize..66, 0..60),
+        literals in vec(-100i64..1_300, 0..12),
+    ) {
+        let side = |picks: &[usize]| -> Vec<(Column, Vec<Value>)> {
+            (0..ARMS.len()).map(|arm| arm_column(arm, picks)).collect()
+        };
+        let (outer_side, inner_side) = (side(&outer), side(&inner));
+        let mut probes: Vec<Value> = literals.into_iter().map(Value::Int).collect();
+        probes.extend([-41, -40, 23, 1_220, i64::MIN, i64::MAX].map(Value::Int));
+        probes.extend(["m", "zz"].map(Value::from));
+        let mut ranges: Vec<(Value, Value)> = probes
+            .windows(2)
+            .map(|w| (w[0].clone(), w[1].clone()))
+            .collect();
+        ranges.extend(probes.iter().map(|v| (v.clone(), Value::Int(i64::MAX))));
+        let stream: Vec<u32> = (0..outer.len() as u32).rev().collect();
+        for (arm, (column, values)) in outer_side.iter().enumerate() {
+            let rids = RidList::for_column(column);
+            let points: Vec<Vec<u32>> = probes.iter().map(|p| scan(values, |v| v == p)).collect();
+            let bands: Vec<Vec<u32>> = ranges
+                .iter()
+                .map(|(lo, hi)| scan(values, |v| lo <= v && v <= hi))
+                .collect();
+            for lanes in [1, 3, 8] {
+                let got = point_select_many(column, &rids, &probes, lanes, 1);
+                prop_assert_eq!(&got, &points, "points on {} lanes={}", ARMS[arm], lanes);
+                let got = range_select_many(column, &rids, &ranges, lanes, 1);
+                prop_assert_eq!(&got, &bands, "ranges on {} lanes={}", ARMS[arm], lanes);
+                for (to, (inner_col, inner_values)) in inner_side.iter().enumerate() {
+                    let inner_rids = RidList::for_column(inner_col);
+                    let got = indexed_nested_loop_join(column, &stream, inner_col, &inner_rids, lanes, 1);
+                    let want = join_scan(values, &stream, inner_values);
+                    prop_assert_eq!(got, want, "{} joins {} lanes={}", ARMS[arm], ARMS[to], lanes);
+                }
+            }
+        }
+        let table = |name: &str, side: &[(Column, Vec<Value>)]| {
+            let named = ARMS.iter().map(|a| a.to_string()).zip(side.iter().map(|(c, _)| c.clone()));
+            Table::from_parts(name, named.collect()).unwrap()
+        };
+        let mut db = Database::new();
+        db.register(table("x", &outer_side)).unwrap();
+        db.register(table("y", &inner_side)).unwrap();
+        for (name, column) in ["x", "y"].into_iter().flat_map(|t| ARMS.map(|a| (t, a))) {
+            db.create_index(name, column, IndexKind::FullCss).unwrap();
+        }
+        for (arm, (_, values)) in outer_side.iter().enumerate() {
+            let band = |v: &Value| Value::Int(-40) <= *v && *v <= Value::Int(200);
+            let selected = scan(values, band);
+            for (to, (_, inner_values)) in inner_side.iter().enumerate() {
+                let spec = QuerySpec::table("x")
+                    .filter(between(ARMS[arm], -40, 200))
+                    .join("y", on(ARMS[arm], ARMS[to]));
+                let want = join_scan(values, &selected, inner_values);
+                prop_assert_eq!(db.run_spec(&spec), Ok(ResultRows::Joined(want)), "{:?}", spec);
             }
         }
     }
