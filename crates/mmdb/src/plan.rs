@@ -19,9 +19,10 @@
 //! [`Query`] and [`ResultSet`] are generic over the generation they run
 //! on — any [`CatalogRead`]: a [`CatalogState`] by default (what a
 //! `Database` derefs to and a `Snapshot` pins), or the sharded catalog's
-//! composed state, whose plan type scatter-gathers across shards. So
-//! there is one builder, one result type and one `values()` rule for
-//! every deployment shape.
+//! composed state, whose compile records a [`Routing`] on the plan and
+//! whose execute scatter-gathers across shards. So there is one builder,
+//! one plan type, one result type and one `values()` rule for every
+//! deployment shape.
 //!
 //! ```
 //! use mmdb::{between, eq, on, sum, Database, IndexKind, TableBuilder};
@@ -591,8 +592,8 @@ impl<'c, C: CatalogRead + ?Sized> Query<'c, C> {
         self
     }
 
-    /// Compile into the catalog's plan type ([`CatalogRead::compile`]).
-    pub fn plan(&self) -> Result<C::Plan> {
+    /// Compile into a [`Plan`] ([`CatalogRead::compile`]).
+    pub fn plan(&self) -> Result<Plan> {
         self.cat.compile(&self.spec)
     }
 
@@ -683,9 +684,20 @@ fn resolve_side<'db>(
 // The physical plan
 // ---------------------------------------------------------------------
 
-/// A compiled physical plan: fully resolved probes, join, and grouping.
-/// Inspect with [`Plan::explain`], execute with [`Plan::execute`].
-#[derive(Debug, Clone)]
+/// A compiled physical plan: fully resolved probes, join, and grouping,
+/// plus where they run. Inspect with [`Plan::explain`], execute with
+/// [`Plan::execute`].
+///
+/// Both catalogs compile to this one type. A [`CatalogState`] leaves
+/// [`Plan::routing`] at [`Routing::default`] and runs the body in place.
+/// The sharded catalog fills the routing in: the body is then what each
+/// routed shard runs, and the routing is an exchange at the plan's root.
+/// Only two distributed shapes exist — the exchange at the root, or an
+/// outer exchange feeding a coordinator join whose inner side is a
+/// second exchange — so the routing is a field, not a plan node, and
+/// how the replies merge (RID sets, join rows or groups) follows from
+/// the body's shape.
+#[derive(Debug, Clone, Default)]
 pub struct Plan {
     /// The outer (driving) table.
     pub table: String,
@@ -698,6 +710,74 @@ pub struct Plan {
     /// The execution options the plan was compiled under; every node
     /// below records the thread count it was assigned from these.
     pub exec: ExecOptions,
+    /// Where the body runs: nowhere but here for a `Database` plan, the
+    /// routed shards for a sharded one.
+    pub routing: Routing,
+}
+
+/// The exchange at a sharded plan's root: which shards each stage
+/// scatters to, recorded at compile time and shown by [`Plan::explain`].
+/// The default — zero shards — is an unsharded plan, and allocates
+/// nothing.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Routing {
+    /// Shard count of the catalog the plan was compiled against (`0`:
+    /// not sharded).
+    pub shards: usize,
+    /// The partitioner's description (`hash x4`, `range x2: …`).
+    pub partitioner: String,
+    /// The outer table's shard-key column.
+    pub shard_key: String,
+    /// Per probe step: pruned or fanned.
+    pub probe_targets: Vec<ShardTargets>,
+    /// The final scatter set (intersection of every pruning), ascending.
+    pub selected: Vec<usize>,
+    /// Join scatter mode, when the plan joins.
+    pub join: Option<JoinRouting>,
+}
+
+impl Routing {
+    /// Whether a plan routed like this may run on a catalog that routes
+    /// its body `here` — only the same routing may. Otherwise the plan
+    /// was compiled for another catalog shape (another shard count,
+    /// partitioner or shard key, or sharded against unsharded), and the
+    /// answer is the typed refusal that says to recompile, never rows
+    /// routed to the wrong shards.
+    pub fn check(&self, here: &Routing) -> Result<()> {
+        match self == here {
+            true => Ok(()),
+            false => Err(MmdbError::Unsupported {
+                what: format!(
+                    "plan was compiled for another catalog shape: routed {self:?}, but this \
+                     catalog routes its body {here:?}; recompile the query"
+                ),
+            }),
+        }
+    }
+}
+
+/// Which shards one probe step can touch.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ShardTargets {
+    /// No pruning possible: the probe fans to every shard.
+    All,
+    /// Pruned to the listed shards (possibly empty: no shard can match).
+    Pruned(Vec<usize>),
+}
+
+/// How a join scatters across the inner table's shards.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JoinRouting {
+    /// The join column is the inner table's shard key, so each outer row
+    /// has one inner shard that can hold its matches. When the outer
+    /// join column is the outer table's shard key too, that shard is the
+    /// row's own (the join is co-located and runs inside each shard);
+    /// otherwise the coordinator buckets each outer shard's probe batch
+    /// by owning inner shard (original probe order restored on merge).
+    Bucketed,
+    /// The join column is not the inner shard key: every outer shard's
+    /// probe batch fans to every inner shard.
+    Fanned,
 }
 
 /// One resolved filter probe.
@@ -844,13 +924,40 @@ impl Plan {
         }
     }
 
+    /// Whether the plan runs whole wherever it is routed — in place for
+    /// a `Database` plan, one request per routed shard for a sharded one
+    /// — as every plan does except a sharded join that is not
+    /// co-located.
+    pub fn is_shard_local(&self) -> bool {
+        self.coordinator_join().is_none()
+    }
+
+    /// The join a sharded plan streams through the coordinator, if any:
+    /// one that is **not** co-located. A join is co-located when it is
+    /// routed [`JoinRouting::Bucketed`] (the inner join column is the
+    /// inner table's shard key) *and* the outer join column is the outer
+    /// table's shard key — one partitioner places every table, so equal
+    /// keys share a shard and each shard can join its own rows.
+    pub fn coordinator_join(&self) -> Option<&JoinStep> {
+        let r = &self.routing;
+        let streamed = |j: &&JoinStep| match r.join {
+            Some(JoinRouting::Bucketed) => j.outer_column != r.shard_key,
+            Some(JoinRouting::Fanned) => true,
+            None => false,
+        };
+        self.join.as_ref().filter(streamed)
+    }
+
     /// A human-readable rendering of the plan, one step per line
     /// (parallel stages carry a `[xN threads]` suffix so the chosen
     /// parallelism is inspectable). An adaptive node (`threads == 0`)
     /// reports the worker count it *resolves* to for the node's
     /// planner-estimated item count — `[x4 threads (adaptive)]`, never a
     /// raw `x0` — via [`ccindex_parallel::adaptive_threads`], the same
-    /// function the executor applies to the actual counts.
+    /// function the executor applies to the actual counts. A sharded
+    /// plan renders its routing first (scatter set per stage, pruned vs
+    /// fanned join, execution and merge mode), then the per-shard plan
+    /// indented beneath it.
     pub fn explain(&self) -> String {
         self.render(None)
     }
@@ -859,12 +966,76 @@ impl Plan {
     /// appended (`.. 12.3µs`), from the [`PlanTimings`] a
     /// [`ResultSet`] carries, plus a trailing `total:` line. Nodes the
     /// timings don't cover (e.g. a stale `PlanTimings::default()`)
-    /// render untimed, exactly as in `explain()`.
+    /// render untimed, exactly as in `explain()`; a sharded plan's
+    /// timings cover the exchange as a whole, so its per-shard plan
+    /// renders untimed above the `total:` line.
     pub fn explain_timed(&self, timings: &PlanTimings) -> String {
         self.render(Some(timings))
     }
 
     fn render(&self, timings: Option<&PlanTimings>) -> String {
+        if self.routing.shards == 0 {
+            return self.render_body(timings);
+        }
+        let mut out = self.render_routing();
+        out.push_str("\nper-shard plan:\n  ");
+        out.push_str(&self.render_body(None).replace('\n', "\n  "));
+        if let Some(t) = timings {
+            out.push_str(&format!("\ntotal: {}", ccindex_obs::format_ns(t.total_ns)));
+        }
+        out
+    }
+
+    fn render_routing(&self) -> String {
+        let r = &self.routing;
+        let set = |s: &[usize]| {
+            let items: Vec<String> = s.iter().map(usize::to_string).collect();
+            format!("{{{}}}", items.join(", "))
+        };
+        let mut out = format!(
+            "scatter {} across {} shard(s) ({} on {})",
+            self.table, r.shards, r.partitioner, r.shard_key
+        );
+        for (step, target) in self.probes.iter().zip(&r.probe_targets) {
+            let to = match target {
+                ShardTargets::All => "all shards (fanned)".to_owned(),
+                ShardTargets::Pruned(s) => format!("shards {} (pruned)", set(s)),
+            };
+            out += &format!("\n  probe {} -> {to}", step.column);
+        }
+        out += &match r.selected.len() == r.shards {
+            true => "\n  scatter set: all shards".to_owned(),
+            false => format!("\n  scatter set: {} ", set(&r.selected)),
+        };
+        if let (Some(j), Some(mode)) = (&self.join, r.join) {
+            out += &match mode {
+                JoinRouting::Bucketed => format!(
+                    "\n  join {}: outer probe batches bucketed by inner shard key {}",
+                    j.inner_table, j.inner_column
+                ),
+                JoinRouting::Fanned => format!(
+                    "\n  join {}: outer RID chunks fanned to all {} inner shard(s)",
+                    j.inner_table, r.shards
+                ),
+            };
+            if self.is_shard_local() {
+                let key = &r.shard_key;
+                out += &format!(" — co-located on outer shard key {key}, joined inside each shard");
+            }
+        }
+        let run = match self.is_shard_local() {
+            true => "shard-local — the whole plan on each routed shard, one request per shard",
+            false => "join streamed through the coordinator (not co-located)",
+        };
+        let gather = match (&self.group, &self.join) {
+            (Some(_), _) => "per-shard partial aggregates by group value",
+            (None, Some(_)) => "join rows in (outer, inner) global order",
+            (None, None) => "RID sets in global row order",
+        };
+        out + &format!("\n  run: {run}\n  gather: merge {gather}")
+    }
+
+    fn render_body(&self, timings: Option<&PlanTimings>) -> String {
         let stamp = |ns: Option<u64>| match ns {
             Some(n) => format!(" .. {}", ccindex_obs::format_ns(n)),
             None => String::new(),
@@ -961,13 +1132,23 @@ impl Plan {
     }
 
     /// Execute against one catalog generation, normally the one the plan
-    /// was compiled against: a [`Database`](crate::Database)'s tip or a
-    /// pinned [`Snapshot`](crate::snapshot::Snapshot), both of which
-    /// deref to a [`CatalogState`], so `plan.execute(&db)` and
-    /// `plan.execute(&snapshot)` both compile. Names re-resolve, so a
-    /// stale plan fails with a typed error rather than undefined
-    /// behaviour.
-    pub fn execute<'c>(&self, cat: &'c CatalogState) -> Result<ResultSet<'c>> {
+    /// was compiled against: anything that derefs to a [`CatalogRead`] —
+    /// a [`Database`](crate::Database)'s tip or a pinned
+    /// [`Snapshot`](crate::snapshot::Snapshot) (a [`CatalogState`]), or
+    /// the sharded catalog and its snapshots — so `plan.execute(&db)`
+    /// and `plan.execute(&snapshot)` both compile. Names re-resolve, and
+    /// a plan routed for another catalog shape is refused, so a stale
+    /// plan fails with a typed error rather than undefined behaviour.
+    pub fn execute<'c, C: CatalogRead + ?Sized>(
+        &self,
+        cat: &'c impl std::ops::Deref<Target = C>,
+    ) -> Result<ResultSet<'c, C>> {
+        C::execute(cat, self)
+    }
+
+    /// The in-place executor behind [`CatalogState`]'s
+    /// [`CatalogRead::execute`].
+    fn run<'c>(&self, cat: &'c CatalogState) -> Result<ResultSet<'c>> {
         let started = std::time::Instant::now();
         let mut timings = PlanTimings::default();
 
@@ -1174,11 +1355,6 @@ impl Plan {
 /// `Sync` because a window's coalesced jobs run on pool workers against
 /// one shared generation.
 pub trait CatalogRead: Sync {
-    /// What [`compile`](CatalogRead::compile) produces: [`Plan`] here,
-    /// the sharded catalog's `ShardedPlan` (a per-shard [`Plan`] plus its
-    /// routing) there.
-    type Plan;
-
     /// The [`ExecOptions`] in force when this generation committed;
     /// plans compiled against the generation inherit them.
     fn exec_options(&self) -> ExecOptions;
@@ -1222,12 +1398,15 @@ pub trait CatalogRead: Sync {
     ) -> Result<Vec<Vec<u32>>>;
 
     /// Compile `spec` against this generation: resolve every name,
-    /// choose an access path per probe, and validate aggregate typing.
-    fn compile(&self, spec: &QuerySpec) -> Result<Self::Plan>;
+    /// choose an access path per probe, validate aggregate typing, and
+    /// record the plan's [`Routing`].
+    fn compile(&self, spec: &QuerySpec) -> Result<Plan>;
 
     /// Execute a plan against this generation (normally the one it was
-    /// compiled against; names re-resolve, so a stale plan fails typed).
-    fn execute(&self, plan: &Self::Plan) -> Result<ResultSet<'_, Self>>;
+    /// compiled against; names re-resolve, so a stale plan fails typed,
+    /// and so does one whose [`Routing`] this generation would not
+    /// give it — a plan compiled for another catalog shape).
+    fn execute(&self, plan: &Plan) -> Result<ResultSet<'_, Self>>;
 
     /// Decoded values of `table.column` at `rids`, in `rids` order — what
     /// [`ResultSet::values`] reads each side of a result through. A RID
@@ -1242,8 +1421,6 @@ pub trait CatalogRead: Sync {
 }
 
 impl<T: CatalogRead + Send> CatalogRead for Pinned<T> {
-    type Plan = T::Plan;
-
     fn exec_options(&self) -> ExecOptions {
         T::exec_options(self)
     }
@@ -1266,11 +1443,11 @@ impl<T: CatalogRead + Send> CatalogRead for Pinned<T> {
         T::range_probe_batch(self, table, column, ranges)
     }
 
-    fn compile(&self, spec: &QuerySpec) -> Result<T::Plan> {
+    fn compile(&self, spec: &QuerySpec) -> Result<Plan> {
         T::compile(self, spec)
     }
 
-    fn execute(&self, plan: &T::Plan) -> Result<ResultSet<'_, Self>> {
+    fn execute(&self, plan: &Plan) -> Result<ResultSet<'_, Self>> {
         let result = T::execute(self, plan)?;
         Ok(ResultSet {
             cat: self,
@@ -1287,8 +1464,6 @@ impl<T: CatalogRead + Send> CatalogRead for Pinned<T> {
 }
 
 impl CatalogRead for CatalogState {
-    type Plan = Plan;
-
     fn exec_options(&self) -> ExecOptions {
         self.exec
     }
@@ -1403,11 +1578,14 @@ impl CatalogRead for CatalogState {
             join,
             group,
             exec,
+            routing: Routing::default(),
         })
     }
 
+    /// Runs the plan in place; a sharded plan is refused, typed.
     fn execute(&self, plan: &Plan) -> Result<ResultSet<'_>> {
-        plan.execute(self)
+        plan.routing.check(&Routing::default())?;
+        plan.run(self)
     }
 
     fn values_at(&self, table: &str, column: &str, rids: &[u32]) -> Result<Vec<Value>> {

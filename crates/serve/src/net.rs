@@ -455,9 +455,8 @@ fn respond(shared: &Arc<Shared>, request: ShardRequest) -> ShardResponse {
                         threads: exec.threads,
                     })
                     .collect(),
-                join: None,
-                group: None,
                 exec,
+                ..Plan::default()
             };
             reply(shared.handle.snapshot().select(&plan), A::Rids)
         }
@@ -509,7 +508,10 @@ fn respond(shared: &Arc<Shared>, request: ShardRequest) -> ShardResponse {
         ShardRequest::Rows { table } => reply(shared.handle.snapshot().rows(&table), |rows| {
             A::Count(rows as u64)
         }),
-        ShardRequest::Compile { spec } => reply(shared.handle.snapshot().compile(&spec), A::Plan),
+        ShardRequest::Compile { spec } => {
+            let plan = shared.handle.snapshot().compile(&spec).map(Box::new);
+            reply(plan, A::Plan)
+        }
         ShardRequest::RunSpec { spec } => reply(shared.handle.snapshot().run_spec(&spec), A::Rows),
         ShardRequest::ExecuteBatch { requests } => {
             let server = BatchServer::with_metrics(

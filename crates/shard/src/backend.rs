@@ -1,15 +1,19 @@
 //! Transport-generic shard execution: [`ShardRead`] and [`ShardBackend`].
 //!
-//! Every per-shard operation the scatter-gather executor performs goes
-//! through these two traits instead of calling [`Database`] methods
-//! directly:
+//! Every per-shard operation of the sharded catalog goes through these
+//! two traits instead of calling [`Database`] methods directly:
 //!
-//! * [`ShardRead`] is one shard's **read surface** — whole-query
-//!   execution ([`run_spec`](ShardRead::run_spec), what a shard-local
-//!   plan costs per routed shard), batched probes, and the pieces a
-//!   non-co-located join streams through the coordinator (probes-only
-//!   selections, column decodes, join-probe fan-out), plus plan
-//!   compilation and snapshot export. It has two implementations:
+//! * [`ShardRead`] is one shard's **read surface** — what the
+//!   coordinator's exchange sends a routed shard: a plan's whole body
+//!   ([`run_spec`](ShardRead::run_spec), the one request a shard-local
+//!   plan costs per routed shard), a probe batch's routed subset, and
+//!   the pieces a join that is not co-located streams through the
+//!   coordinator (the outer exchange's probes-only selections and
+//!   column decodes, the inner exchange's join-probe batches) — plus
+//!   the per-shard plan body's compilation and snapshot export. Every
+//!   reply carries **local** RIDs; the coordinator's one merge makes
+//!   them global through the placement map, and a RID the shard does
+//!   not hold is a typed error there. It has two implementations:
 //!   [`CatalogState`] (one immutable generation of an in-process engine
 //!   — what a local shard pins, and what the serving layer's
 //!   `ShardServer` answers wire requests from) and `RemoteShard` (see
@@ -249,7 +253,7 @@ impl ShardRead for CatalogState {
     }
 
     fn select(&self, plan: &Plan) -> Result<Vec<u32>> {
-        Ok(plan.execute(self)?.rids().to_vec())
+        Ok(CatalogRead::execute(self, plan)?.rids().to_vec())
     }
 
     /// Materialise the outer values as a synthetic probe column and run

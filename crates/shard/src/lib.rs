@@ -16,12 +16,13 @@
 //! * [`ShardedDatabase`] — N per-shard `Database` catalogs behind the
 //!   one `mmdb` query surface: it derefs to its composed generation
 //!   ([`ShardedState`], a `CatalogRead`), whose `query` hands back the
-//!   same [`mmdb::Query`] builder and answers the same
+//!   same [`mmdb::Query`] builder, compiles to the same [`mmdb::Plan`]
+//!   (its `routing` filled in) and answers the same
 //!   [`mmdb::ResultSet`]. It splits updates by shard and executes
-//!   queries scatter-gather: a shard-local plan (no join, or a join
-//!   co-located on both shard keys) runs whole on each shard the
-//!   partitioner says can match —
-//!   one request per shard — and the coordinator composes the local RID
+//!   queries scatter-gather through one exchange and one merge: a
+//!   shard-local plan (no join, or a join co-located on both shard
+//!   keys) runs whole on each shard the partitioner says can match —
+//!   one request per shard — and the coordinator merges the local RID
 //!   sets, join pairs or partial aggregates; only a join that is not
 //!   co-located streams its outer keys through the coordinator, fanned
 //!   (or bucketed) across inner shards over the shared worker pool.
@@ -56,15 +57,14 @@ pub use backend::{LocalShard, ShardBackend, ShardInfo, ShardRead};
 pub use partition::{HashPartitioner, Partitioner, RangePartitioner};
 pub use remote::{RemoteShard, SHARD_TIMEOUT_KNOB};
 pub use sharded::{
-    JoinRouting, ShardRouting, ShardTargets, ShardedDatabase, ShardedHandle, ShardedPlan,
-    ShardedRebuildReport, ShardedSnapshot, ShardedState, TEMPLATE_CACHE_CAPACITY,
+    ShardedDatabase, ShardedHandle, ShardedRebuildReport, ShardedSnapshot, ShardedState,
+    TEMPLATE_CACHE_CAPACITY,
 };
 
 #[cfg(test)]
 mod tests {
-    use super::{
-        HashPartitioner, JoinRouting, Partitioner, RangePartitioner, ShardTargets, ShardedDatabase,
-    };
+    use super::{HashPartitioner, Partitioner, RangePartitioner, ShardedDatabase, ShardedState};
+    use mmdb::plan::{JoinRouting, ShardTargets};
     use mmdb::{
         between, count, eq, on, sum, CatalogRead, Database, IndexKind, MmdbError, TableBuilder,
         Value,
@@ -628,14 +628,69 @@ mod tests {
 
     #[test]
     fn stale_plans_fail_with_a_typed_error() {
+        let rows = 60;
+        let refused = |err: MmdbError| {
+            assert!(matches!(err, MmdbError::Unsupported { .. }), "{err:?}");
+            assert!(err.to_string().contains("recompile"), "{err}");
+        };
         // A plan compiled for one shard count indexes that catalog's
         // shards; executing it elsewhere must fail typed, not panic.
-        let db4 = sharded(60, HashPartitioner::new(4).unwrap());
-        let db2 = sharded(60, HashPartitioner::new(2).unwrap());
+        let db4 = sharded(rows, HashPartitioner::new(4).unwrap());
+        let db2 = sharded(rows, HashPartitioner::new(2).unwrap());
         let plan = db4.query("sales").filter(eq("cust", 1)).plan().unwrap();
-        let err = plan.execute(&db2).unwrap_err();
-        assert!(matches!(err, MmdbError::Unsupported { .. }), "{err:?}");
-        assert!(err.to_string().contains("recompile"), "{err}");
+        refused(plan.execute(&db2).unwrap_err());
+
+        // So must a plan for another catalog shape with the same shard
+        // count. Each of these used to run and drop rows: its routing
+        // named the shards of the catalog it was compiled for.
+        let un = unsharded(rows);
+        let want = |cust: i64| un.query("sales").filter(eq("cust", cust)).run().unwrap();
+        fn on_key(db: &ShardedDatabase, cust: i64) -> mmdb::Query<'_, ShardedState> {
+            db.query("sales").filter(eq("cust", cust))
+        }
+
+        // The same rows under another partitioner: the hash plan routes
+        // key 4 to the shard that holds keys 20..=39 on the range catalog.
+        let hash2 = sharded(rows, HashPartitioner::new(2).unwrap());
+        let range2 = sharded(rows, RangePartitioner::int_spans(0, 39, 2).unwrap());
+        assert_eq!(want(4).len(), 2);
+        refused(
+            on_key(&hash2, 4)
+                .plan()
+                .unwrap()
+                .execute(&range2)
+                .unwrap_err(),
+        );
+        assert_eq!(on_key(&range2, 4).run().unwrap().rows(), want(4).rows());
+
+        // The same partitioner, sharded on another column: key 7's rows
+        // are spread by amount, not on the one shard the plan names.
+        let by_amount = {
+            let (sales, customers) = seed_tables(rows);
+            let mut db = ShardedDatabase::hash(3).unwrap();
+            db.register(sales, "amount").unwrap();
+            db.register(customers, "id").unwrap();
+            db.create_index("sales", "cust", IndexKind::Hash).unwrap();
+            db
+        };
+        let by_cust = sharded(rows, HashPartitioner::new(3).unwrap());
+        assert_eq!(want(7).len(), 2);
+        refused(
+            on_key(&by_cust, 7)
+                .plan()
+                .unwrap()
+                .execute(&by_amount)
+                .unwrap_err(),
+        );
+        assert_eq!(on_key(&by_amount, 7).run().unwrap().rows(), want(7).rows());
+
+        // A `Database` plan on a sharded catalog, and the reverse.
+        let plan = un.query("sales").filter(eq("cust", 7)).plan().unwrap();
+        refused(plan.execute(&hash2).unwrap_err());
+        refused(plan.execute(&hash2.snapshot()).unwrap_err());
+        let plan = on_key(&hash2, 7).plan().unwrap();
+        refused(plan.execute(&un).unwrap_err());
+        refused(plan.execute(&un.snapshot()).unwrap_err());
     }
 
     #[test]

@@ -401,7 +401,7 @@ impl ShardRead for RemoteShard {
 
     fn compile(&self, spec: &QuerySpec) -> Result<Plan> {
         match self.call(&ShardRequest::Compile { spec: spec.clone() })? {
-            ShardResponse::Plan(plan) => Ok(plan),
+            ShardResponse::Plan(plan) => Ok(*plan),
             other => Err(self.bad_reply(&other)),
         }
     }

@@ -3,50 +3,57 @@
 //!
 //! The surface is `mmdb`'s own: [`ShardedDatabase`] derefs to its
 //! composed generation, a [`ShardedState`], exactly as a [`Database`]
-//! derefs to its `CatalogState`; the state implements [`CatalogRead`]
-//! with [`ShardedPlan`] as its plan type, so its `query` is the one
-//! [`mmdb::Query`] builder and its answers the one [`mmdb::ResultSet`].
+//! derefs to its `CatalogState`; the state implements [`CatalogRead`],
+//! so its `query` is the one [`mmdb::Query`] builder, it compiles to the
+//! one [`Plan`] and its answers are the one [`mmdb::ResultSet`].
 //!
 //! [`ShardedDatabase::register`] splits every table's rows across shards
 //! by a declared **shard key** column (placement decided by the
 //! [`Partitioner`]); each shard is a complete [`Database`] catalog over
 //! its row subset, so every existing operator — batched probes,
 //! partitioned joins, grouped aggregation — runs unchanged *inside* a
-//! shard. The coordinator's work is routing, and composing the answers:
+//! shard. The coordinator's work is routing, one exchange and one merge:
 //!
-//! * **Shard-local plans run whole on each routed shard.** A plan is
-//!   shard-local when it has no join, or when its join is co-located:
-//!   the outer join column is the outer table's shard key and the inner
-//!   join column the inner table's, so — every table being placed by the
-//!   one catalog-wide partitioner — an outer row on shard *s* can only
-//!   match inner rows on *s*. The coordinator sends the [`QuerySpec`] to
-//!   each shard the partitioner says can match (equality on the shard
-//!   key prunes to one shard, ranges prune to the overlapping shards of
-//!   a range partitioner) as **one** [`ShardRead::run_spec`] per shard,
-//!   and composes: local RID sets translate to global rows and sort
-//!   (selections), both sides of every pair translate and the pairs sort
-//!   into the sequential join's `(outer, inner)` order (joins), and
-//!   per-shard partial aggregates merge by group value (group-bys): their
+//! * **Routing.** Compiling a query takes its per-shard body from shard
+//!   0 and records a [`Routing`] on the plan. One routing function,
+//!   `ShardedState::targets`, decides where a probe goes — equality on
+//!   the shard key prunes to one shard, a range to the overlapping
+//!   shards of a range partitioner, anything else fans to every shard —
+//!   and serves compile and both probe batches alike. Execute routes
+//!   the plan's body again and refuses, typed, a plan whose routing
+//!   differs: one compiled for another shard count, partitioner or shard
+//!   key, or for an unsharded catalog.
+//! * **The exchange** runs one fat job per target shard on the shared
+//!   [`ccindex_parallel::WorkerPool`]. A plan is *shard-local* when it
+//!   has no join, or when its join is co-located: the outer join column
+//!   is the outer table's shard key and the inner join column the inner
+//!   table's, so — every table being placed by the one catalog-wide
+//!   partitioner — an outer row on shard *s* can only match inner rows
+//!   on *s*. Such a plan is an exchange at the root: its body goes to
+//!   each routed shard as **one** [`ShardRead::run_spec`]. A join that is
+//!   not co-located is the only other shape: an outer exchange has each
+//!   routed shard select its rows and hand over their join-key values,
+//!   the coordinator buckets them by owning inner shard (when the join
+//!   column *is* the inner table's shard key) or fans them to every
+//!   inner shard, and an inner exchange probes the inner shards' indexes.
+//!   A probe batch is an exchange of its routed probe subsets. A query
+//!   with no filter, join or group asks no shard at all: the placement
+//!   metadata already knows every row. The shards run side by side, so
+//!   an explicit `exec.threads` is split between them rather than
+//!   multiplied by them.
+//! * **The merge** follows from the body's shape. Local RIDs become
+//!   global through the checked placement lookup (a RID a shard does not
+//!   hold is a typed error naming the shard), then RID sets sort into
+//!   global row order, join rows into the sequential join's `(outer,
+//!   inner)` order, and partial aggregates merge by group value: their
 //!   decoded groups are dictionary-encoded and folded by the one grouping
 //!   operator, `group_aggregate_pairs`, as a worker's partials are.
-//!   A query with no filter, join or group asks no shard at all: the
-//!   placement metadata already knows every row. The shards run side by
-//!   side, so an explicit `exec.threads` is split between them (each
-//!   spec goes out with its share) rather than multiplied by them.
-//! * **Only joins that are not co-located stream through the
-//!   coordinator.** Each routed outer shard selects its rows and hands
-//!   over their join-key values once; the coordinator buckets them by
-//!   owning inner shard when the join column *is* the inner table's
-//!   shard key (fans them to every inner shard otherwise), probes the
-//!   inner shards' indexes over the shared
-//!   [`ccindex_parallel::WorkerPool`], and merges the partial outputs —
-//!   or the per-job partial aggregates — exactly as above.
-//! * **Compilation is off the per-query path.** The per-shard [`Plan`]
-//!   template depends on a query's *shape*, never its literals, so each
-//!   composed generation keeps a small bounded map from shape to the
-//!   template shard 0 compiled; a repeated shape costs no request, and
-//!   because every mutation through this catalog publishes a new
-//!   generation with an empty map, nothing is ever invalidated.
+//! * **Compilation is off the per-query path.** The per-shard body
+//!   depends on a query's *shape*, never its literals, so each composed
+//!   generation keeps a small bounded map from shape to the template
+//!   shard 0 compiled; a repeated shape costs no request, and because
+//!   every mutation through this catalog publishes a new generation with
+//!   an empty map, nothing is ever invalidated.
 //!
 //! Results are **byte-identical** to the same queries on an unsharded
 //! [`Database`] for every shard count and both partitioners — the
@@ -60,9 +67,11 @@ use ccindex_obs as obs;
 use ccindex_parallel::sync::Arc as MetricArc;
 use ccindex_parallel::WorkerPool;
 use mmdb::domain::Value;
-use mmdb::plan::{JoinStep, Plan, PlanTimings, Probe, Side};
+use mmdb::plan::{
+    GroupStep, JoinRouting, JoinStep, Plan, PlanTimings, Probe, Routing, ShardTargets, Side,
+};
 use mmdb::{
-    between, eq, group_aggregate_pairs, AggFn, CatalogRead, Column, Database, ExecOptions,
+    between, eq, group_aggregate_pairs, on, Agg, AggFn, CatalogRead, Column, Database, ExecOptions,
     GroupRow, Handle, IndexKind, JoinRow, Measure, MmdbError, Pinned, PredicateOp, Query,
     QuerySpec, RebuildReport, Result, ResultRows, ResultSet, SwapSlot, Table,
 };
@@ -86,6 +95,20 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// mutation — so a pinned [`ShardedSnapshot`] always sees every shard
 /// at one consistent commit (never a half-re-partitioned table or a
 /// column/index mix across shards).
+///
+/// # Failed mutations
+///
+/// A mutation first validates what it can on the coordinator (the
+/// typed errors each method lists); such a failure touches nothing.
+/// After that it mutates the shards in shard order and publishes once.
+/// A backend fault on shard *k* — a [`MmdbError::Transport`] from a
+/// remote shard, say — returns `Err` with shards `0..k` already mutated
+/// and nothing published. What holds then is that the in-process
+/// composed generation is unchanged: reads through the catalog, its
+/// [`ShardedHandle`]s and its snapshots answer exactly as before, from
+/// the per-shard pins of the last commit. The backends themselves are
+/// not rolled back; committing a multi-shard mutation atomically is
+/// ROADMAP item 4.
 #[derive(Debug)]
 pub struct ShardedDatabase {
     /// The latest composed generation; every read method of this type
@@ -446,10 +469,12 @@ impl ShardedDatabase {
     }
 
     /// Register a table, splitting its rows across shards by the values
-    /// of `shard_key`. Fails — leaving the catalog untouched — with a
+    /// of `shard_key`. Fails — before any shard is touched — with a
     /// typed error when the name is taken, the key column is missing, or
     /// a key falls outside the partitioner's declared ranges
-    /// ([`MmdbError::ShardKeyOutOfRange`]).
+    /// ([`MmdbError::ShardKeyOutOfRange`]); a backend fault afterwards
+    /// leaves the composed generation, not the backends, unchanged (see
+    /// [failed mutations](ShardedDatabase#failed-mutations)).
     pub fn register(&mut self, table: Table, shard_key: &str) -> Result<()> {
         let name = table.name().to_owned();
         if self.tip.tables.contains_key(&name) {
@@ -481,7 +506,10 @@ impl ShardedDatabase {
     }
 
     /// Build (or rebuild) a `kind` index on `table.column` — on every
-    /// shard, so scattered probes always find their access path.
+    /// shard, so scattered probes always find their access path. An
+    /// unknown table fails before any shard is touched; a failure on
+    /// shard *k* leaves the composed generation, not the backends,
+    /// unchanged (see [failed mutations](ShardedDatabase#failed-mutations)).
     pub fn create_index(&mut self, table: &str, column: &str, kind: IndexKind) -> Result<()> {
         self.tip.meta(table)?;
         for shard in &mut self.shards {
@@ -496,7 +524,10 @@ impl ShardedDatabase {
         Ok(())
     }
 
-    /// Drop the `kind` index on `table.column` from every shard.
+    /// Drop the `kind` index on `table.column` from every shard. An
+    /// unknown table fails before any shard is touched; a failure on
+    /// shard *k* leaves the composed generation, not the backends,
+    /// unchanged (see [failed mutations](ShardedDatabase#failed-mutations)).
     pub fn drop_index(&mut self, table: &str, column: &str, kind: IndexKind) -> Result<()> {
         self.tip.meta(table)?;
         for shard in &mut self.shards {
@@ -519,8 +550,11 @@ impl ShardedDatabase {
     /// and runs the per-shard rebuild cycles in shard order. Replacing
     /// the **shard key** re-partitions: rows are re-placed under the new
     /// keys, every shard's table is rebuilt, and all registered indexes
-    /// are re-created. Every error path (length mismatch, key outside
-    /// the declared ranges) leaves the catalog untouched.
+    /// are re-created. The validation errors (unknown table or column,
+    /// length mismatch, a new key outside the declared ranges) fail
+    /// before any shard is touched; a backend fault afterwards leaves the
+    /// composed generation, not the backends, unchanged (see
+    /// [failed mutations](ShardedDatabase#failed-mutations)).
     pub fn replace_column(
         &mut self,
         table: &str,
@@ -566,7 +600,10 @@ impl ShardedDatabase {
     }
 
     /// Re-run the rebuild cycle for `table.column` on every shard (each
-    /// shard re-sorts its own RID list).
+    /// shard re-sorts its own RID list). An unknown table fails before
+    /// any shard is touched; a failure on shard *k* leaves the composed
+    /// generation, not the backends, unchanged (see
+    /// [failed mutations](ShardedDatabase#failed-mutations)).
     pub fn rebuild_column(&mut self, table: &str, column: &str) -> Result<Vec<RebuildReport>> {
         self.tip.meta(table)?;
         let mut reports = Vec::with_capacity(self.shards.len());
@@ -745,9 +782,9 @@ impl ShardedState {
     }
 
     /// Start a composable query over `table` against this generation —
-    /// the one [`mmdb::Query`] builder, compiled into a [`ShardedPlan`]
-    /// that records its shard routing. Conjuncts on the shard-key column
-    /// prune the scatter set.
+    /// the one [`mmdb::Query`] builder, compiled into the one [`Plan`]
+    /// with its shard [`Routing`] recorded. Conjuncts on the shard-key
+    /// column prune the scatter set.
     pub fn query(&self, table: impl Into<String>) -> Query<'_, ShardedState> {
         Query::new(self, table)
     }
@@ -800,35 +837,14 @@ impl ShardedState {
 
     /// Resolve the access path of a probe batch on `table.column` —
     /// point, or range when `ranged` — which is the compile of the
-    /// one-filter query the batch stands for. A generation that has
-    /// compiled that shape (for an earlier batch, or for such a query)
-    /// answers from the cache, building no spec and cloning no plan;
-    /// only a miss spells the query out for shard 0.
+    /// one-filter query the batch stands for, so a generation that has
+    /// compiled that shape answers from the cache.
     fn resolve_probe(&self, table: &str, column: &str, ranged: bool) -> Result<()> {
-        let stands_for = |shape: &QuerySpec| {
-            shape.table == table
-                && shape.join.is_none()
-                && shape.group.is_none()
-                && shape.forced_kind.is_none()
-                && shape.exec.is_none()
-                && matches!(shape.filters.as_slice(), [only] if only.column() == column
-                    && matches!(only.op(), PredicateOp::Between(..)) == ranged)
+        let probe = match ranged {
+            true => between(column, 0, 0),
+            false => eq(column, 0),
         };
-        let cached = self
-            .templates
-            .entries()
-            .iter()
-            .any(|(shape, _)| stands_for(shape));
-        if cached {
-            self.metrics.template_hits.inc();
-            return Ok(());
-        }
-        let probe = if ranged {
-            between(column, 0, 0)
-        } else {
-            eq(column, 0)
-        };
-        self.compile_template(&QuerySpec::table(table).filter(probe))
+        self.template(&QuerySpec::table(table).filter(probe))
             .map(drop)
     }
 
@@ -839,6 +855,66 @@ impl ShardedState {
             .ok_or_else(|| MmdbError::UnknownTable {
                 table: table.to_owned(),
             })
+    }
+
+    /// The routing function, and the one caller of the partitioner's
+    /// probe routing: the shards a probe on `column` of `meta`'s table
+    /// can match. Only a probe on the table's shard key prunes — an
+    /// equality to the key's owner, a range to the shards it overlaps
+    /// (an unowned key or an inverted range to none); any other column
+    /// fans to every shard.
+    fn targets(&self, meta: &ShardedTable, column: &str, op: PredicateOp<'_>) -> ShardTargets {
+        if column != meta.shard_key {
+            return ShardTargets::All;
+        }
+        let routed = match op {
+            PredicateOp::Eq(v) => self.partitioner.probe_shards(v),
+            PredicateOp::Between(lo, hi) => self.partitioner.range_shards(lo, hi),
+        };
+        if routed.len() == self.shards.len() {
+            ShardTargets::All
+        } else {
+            ShardTargets::Pruned(routed)
+        }
+    }
+
+    /// The [`Routing`] this generation gives `plan`'s body: each probe
+    /// step through [`ShardedState::targets`], the scatter set as the
+    /// intersection of every pruning, and the join bucketed when its
+    /// inner column is the inner table's shard key. Compile records it;
+    /// execute recomputes it, so a plan compiled against another catalog
+    /// shape is refused instead of silently dropping rows.
+    fn route(&self, plan: &Plan) -> Result<Routing> {
+        let meta = self.meta(&plan.table)?;
+        let probe_targets: Vec<ShardTargets> = plan
+            .probes
+            .iter()
+            .map(|step| {
+                let op = match &step.probe {
+                    Probe::Point(v) => PredicateOp::Eq(v),
+                    Probe::Range(lo, hi) => PredicateOp::Between(lo, hi),
+                };
+                self.targets(meta, &step.column, op)
+            })
+            .collect();
+        let mut selected: Vec<usize> = (0..self.shards.len()).collect();
+        for target in &probe_targets {
+            if let ShardTargets::Pruned(routed) = target {
+                selected.retain(|s| routed.contains(s));
+            }
+        }
+        let join = plan.join.as_ref().map(|j| match self.meta(&j.inner_table) {
+            Ok(inner) if inner.shard_key == j.inner_column => JoinRouting::Bucketed,
+            _ => JoinRouting::Fanned,
+        });
+        Ok(Routing {
+            shards: self.shards.len(),
+            partitioner: self.partitioner.describe(),
+            shard_key: meta.shard_key.clone(),
+            probe_targets,
+            selected,
+            join,
+        })
     }
 
     /// Shard `s`'s local RID `local` of `meta`'s table as a global RID.
@@ -853,21 +929,6 @@ impl ShardedState {
         }
     }
 
-    /// Append shard `s`'s `local` RIDs to `out` as global RIDs.
-    fn extend_global(
-        &self,
-        meta: &ShardedTable,
-        s: usize,
-        local: &[u32],
-        out: &mut Vec<u32>,
-    ) -> Result<()> {
-        out.reserve(local.len());
-        for &l in local {
-            out.push(self.global_rid(meta, s, l)?);
-        }
-        Ok(())
-    }
-
     #[cold]
     fn rid_out_of_placement(&self, meta: &ShardedTable, s: usize, local: u32) -> MmdbError {
         MmdbError::Unsupported {
@@ -879,72 +940,251 @@ impl ShardedState {
         }
     }
 
-    /// Run the routed per-shard probe subsets over the worker pool (one
-    /// fat job per shard with work), translate local RIDs to global
-    /// through the placement map, and demultiplex each answer back to
-    /// its probe's submission slot. `slots` is the original probe count:
-    /// a probe that routed to no shard (an unowned key) still owns an
-    /// output slot and answers with the empty set.
-    fn gather_pruned<P: Sync>(
+    /// One probe batch on `meta`'s table `column`: each probe routes
+    /// through [`ShardedState::targets`], every shard with probes to
+    /// answer gets one `answer` call over the exchange (the whole batch,
+    /// borrowed, when it answers every probe; its own subset otherwise),
+    /// and the merge translates the local RID sets back into each probe's
+    /// submission slot. A probe that routed to no shard (an unowned key)
+    /// still owns its slot and answers with the empty set.
+    fn probe_batch<P: Clone + Sync>(
         &self,
         meta: &ShardedTable,
-        slots: usize,
-        routed: Vec<(Vec<P>, Vec<usize>)>,
+        column: &str,
+        probes: &[P],
+        op: fn(&P) -> PredicateOp<'_>,
         answer: impl Fn(&dyn ShardRead, &[P]) -> Result<Vec<Vec<u32>>> + Sync,
     ) -> Result<Vec<Vec<u32>>> {
-        let jobs: Vec<usize> = (0..self.shards.len())
-            .filter(|&s| !routed[s].0.is_empty())
+        match column == meta.shard_key {
+            true => self.metrics.route_pruned.inc(),
+            false => self.metrics.route_fanned.inc(),
+        }
+        let mut slots: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
+        for (slot, probe) in probes.iter().enumerate() {
+            match self.targets(meta, column, op(probe)) {
+                ShardTargets::All => slots.iter_mut().for_each(|own| own.push(slot)),
+                ShardTargets::Pruned(routed) => {
+                    routed.into_iter().for_each(|s| slots[s].push(slot))
+                }
+            }
+        }
+        let jobs: Vec<(usize, Cow<'_, [P]>)> = (0..slots.len())
+            .filter(|&s| !slots[s].is_empty())
+            .map(|s| match slots[s].len() == probes.len() {
+                true => (s, Cow::Borrowed(probes)),
+                false => (s, slots[s].iter().map(|&i| probes[i].clone()).collect()),
+            })
             .collect();
         let scattering = std::time::Instant::now();
-        let results = WorkerPool::new(self.exec.threads).run(jobs.len(), |i| {
-            answer(&*self.shards[jobs[i]], &routed[jobs[i]].0)
+        let replies = exchange(self.exec.threads, &jobs, |(s, batch)| {
+            answer(&*self.shards[*s], batch)
         });
         self.metrics.scatter_ns.record(elapsed_ns(&scattering));
         let gathering = std::time::Instant::now();
-        let mut out: Vec<Vec<u32>> = (0..slots).map(|_| Vec::new()).collect();
-        for (&s, per_probe) in jobs.iter().zip(results) {
-            for (&slot, local_rids) in routed[s].1.iter().zip(per_probe?) {
-                self.extend_global(meta, s, &local_rids, &mut out[slot])?;
+        let merge = |_| Merge {
+            state: self,
+            outer: meta,
+            shape: Shape::Rids(Vec::new()),
+        };
+        let mut merged: Vec<Merge<'_>> = probes.iter().map(merge).collect();
+        for ((s, _), sets) in jobs.iter().zip(replies) {
+            for (&slot, local) in slots[*s].iter().zip(sets?) {
+                merged[slot].add(*s, *s, ResultRows::Rids(local))?;
             }
         }
-        for rids in &mut out {
-            rids.sort_unstable();
-        }
+        let out = merged
+            .into_iter()
+            .map(|merge| match merge.finish() {
+                ResultRows::Rids(rids) => rids,
+                _ => unreachable!("a probe's merge holds RIDs"),
+            })
+            .collect();
         self.metrics.gather_ns.record(elapsed_ns(&gathering));
         Ok(out)
     }
 
-    /// The fanned gather: every shard answers the *same* full probe
-    /// batch (no per-shard subsets, so nothing is cloned), and shard
-    /// `s`'s answer for probe `i` merges straight into output slot `i`.
-    fn gather_fanned(
-        &self,
-        meta: &ShardedTable,
-        slots: usize,
-        answer: impl Fn(&dyn ShardRead) -> Result<Vec<Vec<u32>>> + Sync,
-    ) -> Result<Vec<Vec<u32>>> {
-        let scattering = std::time::Instant::now();
-        let results =
-            WorkerPool::new(self.exec.threads).run(self.shards.len(), |s| answer(&*self.shards[s]));
-        self.metrics.scatter_ns.record(elapsed_ns(&scattering));
-        let gathering = std::time::Instant::now();
-        let mut out: Vec<Vec<u32>> = (0..slots).map(|_| Vec::new()).collect();
-        for (s, per_probe) in results.into_iter().enumerate() {
-            for (slot, local_rids) in per_probe?.into_iter().enumerate() {
-                self.extend_global(meta, s, &local_rids, &mut out[slot])?;
+    /// The shard-local shape's exchange: the plan's body, as a
+    /// [`QuerySpec`], to every routed shard holding rows of the outer
+    /// table — one [`ShardRead::run_spec`] each.
+    fn local_exchange(&self, plan: &Plan, meta: &ShardedTable) -> Vec<Reply> {
+        self.metrics.route_pushdown.inc();
+        // A shard holding none of the outer table's rows answers every
+        // plan with nothing, so it is not asked. A whole per-shard plan
+        // is a fat job, so `0` threads here means one worker per shard
+        // (capped at the core count by the pool), not the probe-count
+        // adaptive.
+        let routed: Vec<usize> = (plan.routing.selected.iter().copied())
+            .filter(|&s| !meta.locals[s].is_empty())
+            .collect();
+        // An explicit thread count is the query's whole budget, not each
+        // shard's: the shards run side by side, so each gets its share
+        // (as the jobs of a coordinator join do) as its exec override.
+        // Otherwise the plan's exec goes out only when it differs from
+        // the catalog's, which every shard already runs with.
+        let share = (plan.exec.threads / routed.len().max(1)).max(1);
+        let exec = match plan.exec.threads > share {
+            true => Some(ExecOptions {
+                threads: share,
+                ..plan.exec
+            }),
+            false => (plan.exec != self.exec).then_some(plan.exec),
+        };
+        let spec = shipped_spec(plan, exec);
+        let replies = exchange(plan.exec.threads, &routed, |&s| {
+            self.shards[s].run_spec(&spec)
+        });
+        routed.into_iter().map(|s| (s, s)).zip(replies).collect()
+    }
+
+    /// The streamed shape's two exchanges, for a join that is not
+    /// co-located: matches for an outer row can live on another shard,
+    /// so the outer stream comes to the coordinator. The outer exchange
+    /// has each routed shard select its rows and hand over their
+    /// join-key values — once; the coordinator cuts them into jobs,
+    /// bucketed by the owning inner shard when the join column is the
+    /// inner shard key and fanned to every inner shard otherwise (bucket
+    /// order follows the outer stream, so no probe order is lost); the
+    /// inner exchange probes the inner shards' indexes, and folds each
+    /// job's partial aggregates for a grouped join.
+    fn join_exchange(&self, plan: &Plan, meta: &ShardedTable, j: &JoinStep) -> Result<Vec<Reply>> {
+        let exec = plan.exec;
+        let inner = self.meta(&j.inner_table)?;
+        let probes_plan = (!plan.probes.is_empty()).then(|| Plan {
+            table: plan.table.clone(),
+            probes: plan.probes.clone(),
+            exec,
+            ..Plan::default()
+        });
+        let scatter = &plan.routing.selected;
+        let streams = exchange(
+            exec.threads,
+            scatter,
+            |&s| -> Result<(Vec<u32>, Vec<Value>)> {
+                let rids: Vec<u32> = match &probes_plan {
+                    Some(plan) => self.shards[s].select(plan)?,
+                    None => (0..meta.locals[s].len() as u32).collect(),
+                };
+                if rids.is_empty() {
+                    return Ok((rids, Vec::new()));
+                }
+                // No filter means every row: ask for the whole column
+                // instead of shipping the RIDs back.
+                let wanted = probes_plan.as_ref().map(|_| rids.as_slice());
+                let keys = self.shards[s].column_values(&plan.table, &j.outer_column, wanted)?;
+                Ok((rids, keys))
+            },
+        );
+        let streams = streams.into_iter().collect::<Result<Vec<_>>>()?;
+
+        let nshards = self.shards.len();
+        let mut jobs: Vec<JoinJob<'_>> = Vec::new();
+        for (&s, (rids, keys)) in scatter.iter().zip(&streams) {
+            if plan.routing.join == Some(JoinRouting::Bucketed) {
+                let mut buckets: Vec<(Vec<u32>, Vec<Value>)> = vec![Default::default(); nshards];
+                for (&rid, key) in rids.iter().zip(keys) {
+                    // Placement is the bucketing function: inner rows
+                    // were placed by `shard_of`, so an outer key it
+                    // cannot place matches no inner row (no per-row Vec
+                    // like `probe_shards` makes).
+                    if let Ok(t) = self.partitioner.shard_of(key) {
+                        buckets[t].0.push(rid);
+                        buckets[t].1.push(key.clone());
+                    }
+                }
+                for (t, (rids, keys)) in buckets.into_iter().enumerate() {
+                    jobs.push(JoinJob {
+                        s,
+                        t,
+                        rids: Cow::Owned(rids),
+                        keys: Cow::Owned(keys),
+                    });
+                }
+            } else {
+                for t in 0..nshards {
+                    jobs.push(JoinJob {
+                        s,
+                        t,
+                        rids: Cow::Borrowed(rids),
+                        keys: Cow::Borrowed(keys),
+                    });
+                }
             }
         }
-        for rids in &mut out {
-            rids.sort_unstable();
+        jobs.retain(|job| !job.rids.is_empty() && !inner.locals[job.t].is_empty());
+
+        let total: usize = jobs.iter().map(|job| job.rids.len()).sum();
+        let pool_threads = match exec.threads {
+            0 => ccindex_parallel::adaptive_threads(total),
+            n => n,
+        };
+        // When there are fewer jobs than workers (one shard, or a
+        // hard-pruned scatter), hand each job the leftover parallelism
+        // so a big join still spreads its outer RID chunks like the
+        // unsharded engine would.
+        let job_threads = (pool_threads / jobs.len().max(1)).max(1);
+        let replies = exchange(pool_threads, &jobs, |job| {
+            let rows = join_job(self, j, job, exec.lanes, job_threads)?;
+            match &plan.group {
+                None => Ok(ResultRows::Joined(rows)),
+                Some(g) => self
+                    .job_groups(plan, j, g, job, rows)
+                    .map(ResultRows::Groups),
+            }
+        });
+        Ok(jobs.iter().map(|job| (job.s, job.t)).zip(replies).collect())
+    }
+
+    /// One streamed job's partial aggregates. The group and measure
+    /// columns can live on *different* backends (outer vs inner side),
+    /// so the job fetches each side's decoded values through its owning
+    /// backend, dictionary-encodes the groups and folds the pairs
+    /// coordinator-side with the one grouping operator.
+    fn job_groups(
+        &self,
+        plan: &Plan,
+        j: &JoinStep,
+        g: &GroupStep,
+        job: &JoinJob<'_>,
+        rows: Vec<JoinRow>,
+    ) -> Result<Vec<GroupRow>> {
+        if rows.is_empty() {
+            return Ok(Vec::new());
         }
-        self.metrics.gather_ns.record(elapsed_ns(&gathering));
-        Ok(out)
+        let owner = |side| match side {
+            Side::Outer => (job.s, &plan.table),
+            Side::Inner => (job.t, &j.inner_table),
+        };
+        let fetch = |column: &str, side: Side| {
+            let rids: Vec<u32> = (rows.iter())
+                .map(|r| match side {
+                    Side::Outer => r.outer_rid,
+                    Side::Inner => r.inner_rid,
+                })
+                .collect();
+            let (shard, table) = owner(side);
+            self.shards[shard].column_values(table, column, Some(&rids))
+        };
+        let groups = fetch(&g.column, g.side)?;
+        let measures: Vec<i64> = match &g.measure {
+            None => {
+                Measure::resolve(g.agg, None)?;
+                vec![1; rows.len()]
+            }
+            Some((m, side)) => (fetch(m, *side)?.into_iter())
+                .map(|v| match v {
+                    Value::Int(v) => Ok(v),
+                    Value::Str(_) => Err(MmdbError::NonIntegerMeasure {
+                        table: owner(*side).1.clone(),
+                        column: m.clone(),
+                    }),
+                })
+                .collect::<Result<_>>()?,
+        };
+        Ok(group_by_value(groups.into_iter().zip(measures), g.agg))
     }
 }
 
 impl CatalogRead for ShardedState {
-    type Plan = ShardedPlan;
-
     fn exec_options(&self) -> ExecOptions {
         self.exec
     }
@@ -969,20 +1209,13 @@ impl CatalogRead for ShardedState {
         // answers must match it byte for byte. After the generation's
         // first batch the template cache answers it without a request.
         self.resolve_probe(table, column, false)?;
-        if column == meta.shard_key {
-            self.metrics.route_pruned.inc();
-            let routed = scatter_pruned(self.shards.len(), values, |v| {
-                self.partitioner.probe_shards(v)
-            });
-            self.gather_pruned(meta, values.len(), routed, |shard, vals| {
-                shard.point_probe_batch(table, column, vals)
-            })
-        } else {
-            self.metrics.route_fanned.inc();
-            self.gather_fanned(meta, values.len(), |shard| {
-                shard.point_probe_batch(table, column, values)
-            })
-        }
+        self.probe_batch(
+            meta,
+            column,
+            values,
+            |v| PredicateOp::Eq(v),
+            |shard, vals| shard.point_probe_batch(table, column, vals),
+        )
     }
 
     /// The range twin of the point scatter: each inclusive `[lo, hi]`
@@ -1000,82 +1233,55 @@ impl CatalogRead for ShardedState {
         // column must fail `NoOrderedIndex` even if every range routes
         // nowhere.
         self.resolve_probe(table, column, true)?;
-        if column == meta.shard_key {
-            self.metrics.route_pruned.inc();
-            let routed = scatter_pruned(self.shards.len(), ranges, |(lo, hi)| {
-                self.partitioner.range_shards(lo, hi)
-            });
-            self.gather_pruned(meta, ranges.len(), routed, |shard, rs| {
-                shard.range_probe_batch(table, column, rs)
-            })
-        } else {
-            self.metrics.route_fanned.inc();
-            self.gather_fanned(meta, ranges.len(), |shard| {
-                shard.range_probe_batch(table, column, ranges)
-            })
-        }
-    }
-
-    /// Compile `spec`: the per-shard template ([`Plan`]) from this
-    /// generation's cache or shard 0, then the shard routing from the
-    /// partitioner.
-    fn compile(&self, spec: &QuerySpec) -> Result<ShardedPlan> {
-        let meta = self.meta(&spec.table)?;
-        let template = self.template(spec)?;
-
-        // Routing: each shard-key conjunct prunes; everything else fans.
-        let nshards = self.shards.len();
-        let mut probe_targets = Vec::with_capacity(template.probes.len());
-        let mut selected: BTreeSet<usize> = (0..nshards).collect();
-        for step in &template.probes {
-            let target = if step.column == meta.shard_key {
-                let routed = match &step.probe {
-                    Probe::Point(v) => self.partitioner.probe_shards(v),
-                    Probe::Range(lo, hi) => self.partitioner.range_shards(lo, hi),
-                };
-                if routed.len() == nshards {
-                    ShardTargets::All
-                } else {
-                    ShardTargets::Pruned(routed)
-                }
-            } else {
-                ShardTargets::All
-            };
-            if let ShardTargets::Pruned(routed) = &target {
-                let routed: BTreeSet<usize> = routed.iter().copied().collect();
-                selected = selected.intersection(&routed).copied().collect();
-            }
-            probe_targets.push(target);
-        }
-
-        let join = spec.join.as_ref().map(|(inner_table, cond)| {
-            let bucketed = self
-                .meta(inner_table)
-                .map(|m| m.shard_key == cond.inner())
-                .unwrap_or(false);
-            if bucketed {
-                JoinRouting::Bucketed
-            } else {
-                JoinRouting::Fanned
-            }
-        });
-
-        Ok(ShardedPlan {
-            spec: spec.clone(),
-            template,
-            routing: ShardRouting {
-                shards: nshards,
-                partitioner: self.partitioner.describe(),
-                shard_key: meta.shard_key.clone(),
-                probe_targets,
-                selected: selected.into_iter().collect(),
-                join,
-            },
+        let op: fn(&(Value, Value)) -> PredicateOp<'_> = |(lo, hi)| PredicateOp::Between(lo, hi);
+        self.probe_batch(meta, column, ranges, op, |shard, rs| {
+            shard.range_probe_batch(table, column, rs)
         })
     }
 
-    fn execute(&self, plan: &ShardedPlan) -> Result<ResultSet<'_, Self>> {
-        plan.execute(self)
+    /// Compile `spec`: the per-shard body from this generation's
+    /// template cache (or shard 0), then its [`Routing`].
+    fn compile(&self, spec: &QuerySpec) -> Result<Plan> {
+        self.meta(&spec.table)?;
+        let mut plan = self.template(spec)?;
+        plan.routing = self.route(&plan)?;
+        Ok(plan)
+    }
+
+    /// Execute against one composed generation, normally the one the
+    /// plan was compiled against: a [`ShardedDatabase`]'s latest or a
+    /// pinned [`ShardedSnapshot`]; byte-identical output. Names
+    /// re-resolve, and the plan's routing must be the one this
+    /// generation gives its body — same shard count, partitioner and
+    /// shard keys — so a plan compiled against a different catalog shape
+    /// (or an unsharded one) fails typed, never drops rows. The exchange
+    /// runs the body on the routed shards and the one merge composes the
+    /// replies; the result's timings carry the total only, as there is no
+    /// per-node breakdown across shards.
+    fn execute(&self, plan: &Plan) -> Result<ResultSet<'_, Self>> {
+        let started = std::time::Instant::now();
+        plan.routing.check(&self.route(plan)?)?;
+        let meta = self.meta(&plan.table)?;
+        let rows = if plan.probes.is_empty() && plan.join.is_none() && plan.group.is_none() {
+            // Every row qualifies, and the placement metadata already
+            // knows every row: no shard is asked.
+            ResultRows::Rids((0..meta.rows as u32).collect())
+        } else {
+            let replies = match plan.coordinator_join() {
+                Some(j) => self.join_exchange(plan, meta, j)?,
+                None => self.local_exchange(plan, meta),
+            };
+            let mut merge = Merge::for_plan(self, plan, meta)?;
+            for ((s, t), reply) in replies {
+                merge.add(s, t, reply?)?;
+            }
+            merge.finish()
+        };
+        let timings = PlanTimings {
+            total_ns: elapsed_ns(&started),
+            ..PlanTimings::default()
+        };
+        Ok(ResultSet::new(self, plan, rows, timings))
     }
 
     /// Resolved through each row's owning shard: the RIDs bucket by
@@ -1106,22 +1312,142 @@ impl CatalogRead for ShardedState {
     }
 }
 
-/// Route each probe of a shard-key batch to its pruned target shards:
-/// per shard, the probe subset it must answer plus each probe's original
-/// submission slot (a probe routing to no shard appears in no subset).
-fn scatter_pruned<P: Clone>(
-    shards: usize,
-    probes: &[P],
-    route: impl Fn(&P) -> Vec<usize>,
-) -> Vec<(Vec<P>, Vec<usize>)> {
-    let mut routed: Vec<(Vec<P>, Vec<usize>)> = (0..shards).map(|_| Default::default()).collect();
-    for (slot, probe) in probes.iter().enumerate() {
-        for target in route(probe) {
-            routed[target].0.push(probe.clone());
-            routed[target].1.push(slot);
+/// One exchange reply: the outer and inner shard whose local RIDs it
+/// holds (the same shard for a shard-local plan), and its answer.
+type Reply = ((usize, usize), Result<ResultRows>);
+
+/// The exchange: `job` once per target, one fat job each on a worker
+/// pool of `threads`, answers in target order.
+fn exchange<K: Sync, T: Send>(
+    threads: usize,
+    targets: &[K],
+    job: impl Fn(&K) -> Result<T> + Sync,
+) -> Vec<Result<T>> {
+    WorkerPool::new(threads).run(targets.len(), |i| job(&targets[i]))
+}
+
+/// The one merge: shards' local answers composed into global rows of
+/// the shape the plan's body gives — RID sets translated through the
+/// checked [`ShardedState::global_rid`] and sorted into global row
+/// order, join rows translated on both sides and sorted into the
+/// sequential join's `(outer, inner)` order, partial aggregates folded
+/// by group value. A probe batch merges one RID set per probe.
+struct Merge<'a> {
+    state: &'a ShardedState,
+    outer: &'a ShardedTable,
+    shape: Shape<'a>,
+}
+
+/// What a merge accumulates, with what its shape needs to finish.
+enum Shape<'a> {
+    Rids(Vec<u32>),
+    /// Join rows, and the inner table their inner RIDs index.
+    Joined(Vec<JoinRow>, &'a ShardedTable),
+    /// Partial aggregates, and the function that folds them.
+    Groups(Vec<GroupRow>, AggFn),
+}
+
+impl<'a> Merge<'a> {
+    /// The merge of `plan`'s answers, shaped by its body.
+    fn for_plan(state: &'a ShardedState, plan: &Plan, outer: &'a ShardedTable) -> Result<Self> {
+        let shape = match (&plan.group, &plan.join) {
+            (Some(g), _) => Shape::Groups(Vec::new(), g.agg),
+            (None, Some(j)) => Shape::Joined(Vec::new(), state.meta(&j.inner_table)?),
+            (None, None) => Shape::Rids(Vec::new()),
+        };
+        Ok(Self {
+            state,
+            outer,
+            shape,
+        })
+    }
+
+    /// Fold `reply` — local RIDs of outer shard `s` and inner shard `t`
+    /// — into the merge. A reply of another shape than the plan's is a
+    /// typed error naming the shard.
+    fn add(&mut self, s: usize, t: usize, reply: ResultRows) -> Result<()> {
+        let (state, outer) = (self.state, self.outer);
+        match (&mut self.shape, reply) {
+            (Shape::Rids(out), ResultRows::Rids(local)) => {
+                out.reserve(local.len());
+                for l in local {
+                    out.push(state.global_rid(outer, s, l)?);
+                }
+            }
+            (Shape::Joined(out, inner), ResultRows::Joined(rows)) => {
+                out.reserve(rows.len());
+                for r in rows {
+                    out.push(JoinRow {
+                        outer_rid: state.global_rid(outer, s, r.outer_rid)?,
+                        inner_rid: state.global_rid(inner, t, r.inner_rid)?,
+                    });
+                }
+            }
+            (Shape::Groups(out, _), ResultRows::Groups(rows)) => out.extend(rows),
+            (_, other) => {
+                return Err(MmdbError::Unsupported {
+                    what: format!(
+                        "shard {s} ({}) answered a {} result to a plan of another shape",
+                        state.shards[s].describe(),
+                        other.shape()
+                    ),
+                })
+            }
+        }
+        Ok(())
+    }
+
+    /// The merged rows.
+    fn finish(self) -> ResultRows {
+        match self.shape {
+            Shape::Rids(mut rids) => {
+                rids.sort_unstable();
+                ResultRows::Rids(rids)
+            }
+            Shape::Joined(mut rows, _) => {
+                rows.sort_unstable();
+                ResultRows::Joined(rows)
+            }
+            Shape::Groups(partials, agg) => ResultRows::Groups(group_by_value(
+                partials.into_iter().map(|r| (r.group, r.value)),
+                agg,
+            )),
         }
     }
-    routed
+}
+
+/// The query a routed shard runs for a shard-local `plan`: its body as
+/// a [`QuerySpec`], with `exec` as the override. Each shard resolves its
+/// own access paths, exactly as shard 0 did for the body; every shard
+/// holds the same indexes, so the answer cannot depend on which kind
+/// each picks.
+fn shipped_spec(plan: &Plan, exec: Option<ExecOptions>) -> QuerySpec {
+    let mut spec = QuerySpec::table(plan.table.clone());
+    for step in &plan.probes {
+        spec = spec.filter(match &step.probe {
+            Probe::Point(v) => eq(&step.column, v.clone()),
+            Probe::Range(lo, hi) => between(&step.column, lo.clone(), hi.clone()),
+        });
+    }
+    if let Some(j) = &plan.join {
+        spec = spec.join(&j.inner_table, on(&j.outer_column, &j.inner_column));
+    }
+    if let Some(g) = &plan.group {
+        let measure = g
+            .measure
+            .as_ref()
+            .map(|(m, _)| m.clone())
+            .unwrap_or_default();
+        let agg = match g.agg {
+            AggFn::Count => Agg::Count,
+            AggFn::Sum => Agg::Sum(measure),
+            AggFn::Min => Agg::Min(measure),
+            AggFn::Max => Agg::Max(measure),
+        };
+        spec = spec.group_by(&g.column, agg);
+    }
+    spec.exec = exec;
+    spec
 }
 
 /// Split `table` into one per-shard table following `locals` (shard ->
@@ -1141,451 +1467,15 @@ fn split_table(table: &Table, locals: &[Vec<u32>]) -> Vec<Table> {
         .collect()
 }
 
-// ---------------------------------------------------------------------
-// The sharded plan
-// ---------------------------------------------------------------------
-
-/// Which shards one probe step can touch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ShardTargets {
-    /// No pruning possible: the probe fans to every shard.
-    All,
-    /// Pruned to the listed shards (possibly empty: no shard can match).
-    Pruned(Vec<usize>),
-}
-
-/// How a join scatters across the inner table's shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinRouting {
-    /// The join column is the inner table's shard key, so each outer row
-    /// has one inner shard that can hold its matches. When the outer
-    /// join column is the outer table's shard key too, that shard is the
-    /// row's own (the join is co-located and runs inside each shard);
-    /// otherwise the coordinator buckets each outer shard's probe batch
-    /// by owning inner shard (original probe order restored on merge).
-    Bucketed,
-    /// The join column is not the inner shard key: every outer shard's
-    /// probe batch fans to every inner shard.
-    Fanned,
-}
-
-/// The routing a compiled [`ShardedPlan`] recorded: which shards each
-/// stage scatters to, shown by [`ShardedPlan::explain`].
-#[derive(Debug, Clone)]
-pub struct ShardRouting {
-    /// Shard count of the catalog the plan was compiled against.
-    pub shards: usize,
-    /// The partitioner's description (`hash x4`, `range x2: …`).
-    pub partitioner: String,
-    /// The outer table's shard-key column.
-    pub shard_key: String,
-    /// Per probe step: pruned or fanned.
-    pub probe_targets: Vec<ShardTargets>,
-    /// The final scatter set (intersection of every pruning), ascending.
-    pub selected: Vec<usize>,
-    /// Join scatter mode, when the plan joins.
-    pub join: Option<JoinRouting>,
-}
-
-/// A compiled sharded plan: the per-shard physical [`Plan`] template
-/// plus the recorded [`ShardRouting`].
-#[derive(Debug, Clone)]
-pub struct ShardedPlan {
-    /// The query description the plan was compiled from — what a
-    /// shard-local plan ships to each routed shard.
-    spec: QuerySpec,
-    /// The physical plan each routed shard runs (compiled against shard
-    /// 0; every shard shares the schema, so it is valid everywhere).
-    pub template: Plan,
-    /// Which shards each stage scatters to.
-    pub routing: ShardRouting,
-}
-
-/// One scatter job of a join that is not co-located: outer shard `s`'s
-/// rows whose matches can live on inner shard `t`, with their join-key
-/// values. A fanned join borrows the outer shard's whole stream for
-/// every `t`; a bucketed one owns its subset.
+/// One job of the inner exchange of a join that is not co-located:
+/// outer shard `s`'s rows whose matches can live on inner shard `t`,
+/// with their join-key values. A fanned join borrows the outer shard's
+/// whole stream for every `t`; a bucketed one owns its subset.
 struct JoinJob<'a> {
     s: usize,
     t: usize,
     rids: Cow<'a, [u32]>,
     keys: Cow<'a, [Value]>,
-}
-
-impl ShardedPlan {
-    /// The join this plan has to stream through the coordinator, if any:
-    /// one that is **not** co-located. A join is co-located when it is
-    /// routed [`JoinRouting::Bucketed`] (the inner join column is the
-    /// inner table's shard key) *and* the outer join column is the outer
-    /// table's shard key — one partitioner places every table, so equal
-    /// keys share a shard and each shard can join its own rows.
-    fn coordinator_join(&self) -> Option<&JoinStep> {
-        self.template.join.as_ref().filter(|j| {
-            self.routing.join != Some(JoinRouting::Bucketed)
-                || j.outer_column != self.routing.shard_key
-        })
-    }
-
-    /// Whether the plan runs whole on each routed shard — one request
-    /// per shard, composed by the coordinator — as every plan does
-    /// except a join that is not co-located.
-    pub fn is_shard_local(&self) -> bool {
-        self.coordinator_join().is_none()
-    }
-
-    /// Human-readable rendering: the shard routing (scatter set per
-    /// stage, pruned vs fanned join, execution and gather mode), then
-    /// the per-shard plan indented beneath it.
-    pub fn explain(&self) -> String {
-        let r = &self.routing;
-        let fmt_set = |s: &[usize]| {
-            let items: Vec<String> = s.iter().map(|i| i.to_string()).collect();
-            format!("{{{}}}", items.join(", "))
-        };
-        let mut out = format!(
-            "scatter {} across {} shard(s) ({} on {})",
-            self.template.table, r.shards, r.partitioner, r.shard_key
-        );
-        for (step, target) in self.template.probes.iter().zip(&r.probe_targets) {
-            let where_to = match target {
-                ShardTargets::All => "all shards (fanned)".to_owned(),
-                ShardTargets::Pruned(s) => format!("shards {} (pruned)", fmt_set(s)),
-            };
-            out.push_str(&format!("\n  probe {} -> {}", step.column, where_to));
-        }
-        if r.selected.len() == r.shards {
-            out.push_str("\n  scatter set: all shards");
-        } else {
-            out.push_str(&format!("\n  scatter set: {} ", fmt_set(&r.selected)));
-        }
-        if let (Some(j), Some(mode)) = (&self.template.join, &r.join) {
-            match mode {
-                JoinRouting::Bucketed => out.push_str(&format!(
-                    "\n  join {}: outer probe batches bucketed by inner shard key {}",
-                    j.inner_table, j.inner_column
-                )),
-                JoinRouting::Fanned => out.push_str(&format!(
-                    "\n  join {}: outer RID chunks fanned to all {} inner shard(s)",
-                    j.inner_table, r.shards
-                )),
-            }
-            if self.is_shard_local() {
-                out.push_str(&format!(
-                    " — co-located on outer shard key {}, joined inside each shard",
-                    r.shard_key
-                ));
-            }
-        }
-        out.push_str(if self.is_shard_local() {
-            "\n  run: shard-local — the whole plan on each routed shard, one request per shard"
-        } else {
-            "\n  run: join streamed through the coordinator (not co-located)"
-        });
-        out.push_str(if self.template.group.is_some() {
-            "\n  gather: merge per-shard partial aggregates by group value"
-        } else if self.template.join.is_some() {
-            "\n  gather: merge join rows in (outer, inner) global order"
-        } else {
-            "\n  gather: merge RID sets in global row order"
-        });
-        out.push_str("\nper-shard plan:\n  ");
-        out.push_str(&self.template.explain().replace('\n', "\n  "));
-        out
-    }
-
-    /// Execute against one composed generation, normally the one the
-    /// plan was compiled against: a [`ShardedDatabase`]'s latest or a
-    /// pinned [`ShardedSnapshot`], both of which deref to a
-    /// [`ShardedState`]; byte-identical output. Names re-resolve and the
-    /// shard count re-validates, so a plan compiled against a different
-    /// catalog shape fails typed, not out of bounds. The result's
-    /// timings carry the total only: there is no per-node breakdown
-    /// across shards.
-    pub fn execute<'s>(&self, state: &'s ShardedState) -> Result<ResultSet<'s, ShardedState>> {
-        let started = std::time::Instant::now();
-        // The recorded routing indexes shards of the compile-time
-        // catalog; running against one with a different shard count
-        // would index out of bounds, so it is a typed failure too.
-        if self.routing.shards != state.shards.len() {
-            return Err(MmdbError::Unsupported {
-                what: format!(
-                    "plan was compiled for a {}-shard catalog but executed \
-                     against {} shard(s); recompile the query",
-                    self.routing.shards,
-                    state.shards.len()
-                ),
-            });
-        }
-        let meta = state.meta(&self.template.table)?;
-        let rows = match self.coordinator_join() {
-            None => self.run_shard_local(state, meta)?,
-            Some(j) => self.run_join_jobs(state, meta, j)?,
-        };
-        let timings = PlanTimings {
-            total_ns: elapsed_ns(&started),
-            ..PlanTimings::default()
-        };
-        Ok(ResultSet::new(state, &self.template, rows, timings))
-    }
-
-    /// The shard-local path: ship the whole spec to each routed shard —
-    /// one [`ShardRead::run_spec`] per shard over the worker pool — and
-    /// compose the per-shard answers into global rows.
-    fn run_shard_local(&self, state: &ShardedState, meta: &ShardedTable) -> Result<ResultRows> {
-        let t = &self.template;
-        if t.probes.is_empty() && t.join.is_none() && t.group.is_none() {
-            // Every row qualifies, and the placement metadata already
-            // knows every row: no shard is asked.
-            return Ok(ResultRows::Rids((0..meta.rows as u32).collect()));
-        }
-        let inner_meta = match &t.join {
-            Some(j) => Some(state.meta(&j.inner_table)?),
-            None => None,
-        };
-        state.metrics.route_pushdown.inc();
-        // A shard holding none of the outer table's rows answers every
-        // plan with nothing, so it is not asked. One job per remaining
-        // shard; a whole per-shard plan is a fat job, so `0` here means
-        // one worker per shard (capped at the core count by the pool),
-        // not the probe-count adaptive.
-        let routed: Vec<usize> = self
-            .routing
-            .selected
-            .iter()
-            .copied()
-            .filter(|&s| !meta.locals[s].is_empty())
-            .collect();
-        // An explicit thread count is the query's whole budget, not each
-        // shard's: the shards run side by side, so each gets its share
-        // (as the jobs of a coordinator-side join do), and the spec goes
-        // out with that share as its exec override.
-        let share = (t.exec.threads / routed.len().max(1)).max(1);
-        let spec = if t.exec.threads > share {
-            Cow::Owned(self.spec.clone().exec(ExecOptions {
-                threads: share,
-                ..t.exec
-            }))
-        } else {
-            Cow::Borrowed(&self.spec)
-        };
-        let answers = WorkerPool::new(t.exec.threads)
-            .run(routed.len(), |i| state.shards[routed[i]].run_spec(&spec));
-
-        let mut rids: Vec<u32> = Vec::new();
-        let mut joined: Vec<JoinRow> = Vec::new();
-        let mut partials: Vec<Vec<GroupRow>> = Vec::new();
-        for (&s, answer) in routed.iter().zip(answers) {
-            match (answer?, inner_meta, &t.group) {
-                (ResultRows::Groups(rows), _, Some(_)) => partials.push(rows),
-                (ResultRows::Joined(rows), Some(inner_meta), None) => {
-                    joined.reserve(rows.len());
-                    for r in rows {
-                        joined.push(JoinRow {
-                            outer_rid: state.global_rid(meta, s, r.outer_rid)?,
-                            inner_rid: state.global_rid(inner_meta, s, r.inner_rid)?,
-                        });
-                    }
-                }
-                (ResultRows::Rids(local), None, None) => {
-                    state.extend_global(meta, s, &local, &mut rids)?
-                }
-                (other, ..) => {
-                    return Err(MmdbError::Unsupported {
-                        what: format!(
-                            "shard {s} ({}) answered a {} result to a plan of another shape",
-                            state.shards[s].describe(),
-                            other.shape()
-                        ),
-                    })
-                }
-            }
-        }
-        Ok(match (&t.group, inner_meta) {
-            (Some(g), _) => ResultRows::Groups(group_by_value(
-                partials.into_iter().flatten().map(|r| (r.group, r.value)),
-                g.agg,
-            )),
-            (None, Some(_)) => {
-                joined.sort_unstable();
-                ResultRows::Joined(joined)
-            }
-            (None, None) => {
-                rids.sort_unstable();
-                ResultRows::Rids(rids)
-            }
-        })
-    }
-
-    /// The path of a join that is not co-located: matches for an outer
-    /// row can live on another shard, so the outer stream comes to the
-    /// coordinator. Each routed outer shard selects its rows and hands
-    /// over their join-key values — once; every job below gets its slice
-    /// of them. Jobs are bucketed by the owning inner shard when the join
-    /// column is the inner shard key, fanned to every inner shard
-    /// otherwise; bucket order follows the outer stream, so no probe
-    /// order is lost.
-    fn run_join_jobs(
-        &self,
-        state: &ShardedState,
-        meta: &ShardedTable,
-        j: &JoinStep,
-    ) -> Result<ResultRows> {
-        let t = &self.template;
-        let exec = t.exec;
-        let inner_meta = state.meta(&j.inner_table)?;
-        let nshards = state.shards.len();
-
-        // ---- scatter: the outer stream, one fat job per routed shard ----
-        let probes_plan = (!t.probes.is_empty()).then(|| Plan {
-            table: t.table.clone(),
-            probes: t.probes.clone(),
-            join: None,
-            group: None,
-            exec,
-        });
-        let scatter = &self.routing.selected;
-        let streams = WorkerPool::new(exec.threads).run(
-            scatter.len(),
-            |i| -> Result<(Vec<u32>, Vec<Value>)> {
-                let s = scatter[i];
-                let rids: Vec<u32> = match &probes_plan {
-                    Some(plan) => state.shards[s].select(plan)?,
-                    None => (0..meta.locals[s].len() as u32).collect(),
-                };
-                if rids.is_empty() {
-                    return Ok((rids, Vec::new()));
-                }
-                // No filter means every row: ask for the whole column
-                // instead of shipping the RIDs back.
-                let wanted = probes_plan.as_ref().map(|_| rids.as_slice());
-                let keys = state.shards[s].column_values(&t.table, &j.outer_column, wanted)?;
-                Ok((rids, keys))
-            },
-        );
-        let streams = streams.into_iter().collect::<Result<Vec<_>>>()?;
-
-        let mut jobs: Vec<JoinJob<'_>> = Vec::new();
-        for (&s, (rids, keys)) in scatter.iter().zip(&streams) {
-            if rids.is_empty() {
-                continue;
-            }
-            if self.routing.join == Some(JoinRouting::Bucketed) {
-                let mut buckets: Vec<(Vec<u32>, Vec<Value>)> = vec![Default::default(); nshards];
-                for (&rid, key) in rids.iter().zip(keys) {
-                    // Placement is the bucketing function: inner rows
-                    // were placed by `shard_of`, so an outer key it
-                    // cannot place matches no inner row (no per-row Vec
-                    // like `probe_shards` makes).
-                    if let Ok(t) = state.partitioner.shard_of(key) {
-                        buckets[t].0.push(rid);
-                        buckets[t].1.push(key.clone());
-                    }
-                }
-                for (t, (rids, keys)) in buckets.into_iter().enumerate() {
-                    if !rids.is_empty() && !inner_meta.locals[t].is_empty() {
-                        jobs.push(JoinJob {
-                            s,
-                            t,
-                            rids: Cow::Owned(rids),
-                            keys: Cow::Owned(keys),
-                        });
-                    }
-                }
-            } else {
-                for t in (0..nshards).filter(|&t| !inner_meta.locals[t].is_empty()) {
-                    jobs.push(JoinJob {
-                        s,
-                        t,
-                        rids: Cow::Borrowed(rids),
-                        keys: Cow::Borrowed(keys),
-                    });
-                }
-            }
-        }
-        let total: usize = jobs.iter().map(|job| job.rids.len()).sum();
-        let pool_threads = if exec.threads == 0 {
-            ccindex_parallel::adaptive_threads(total)
-        } else {
-            exec.threads
-        };
-        let pool = WorkerPool::new(pool_threads);
-        // When there are fewer jobs than workers (one shard, or a
-        // hard-pruned scatter), hand each job the leftover parallelism
-        // so a big join still spreads its outer RID chunks like the
-        // unsharded engine would.
-        let job_threads = (pool_threads / jobs.len().max(1)).max(1);
-
-        let Some(g) = &t.group else {
-            // Plain join: map each job's local pairs to global RIDs and
-            // merge back into the sequential join's (outer, inner) order.
-            let results = pool.run(jobs.len(), |i| {
-                join_job(state, j, &jobs[i], exec.lanes, job_threads)
-            });
-            let mut all: Vec<JoinRow> = Vec::new();
-            for (job, rows) in jobs.iter().zip(results) {
-                let rows = rows?;
-                all.reserve(rows.len());
-                for r in rows {
-                    all.push(JoinRow {
-                        outer_rid: state.global_rid(meta, job.s, r.outer_rid)?,
-                        inner_rid: state.global_rid(inner_meta, job.t, r.inner_rid)?,
-                    });
-                }
-            }
-            all.sort_unstable();
-            return Ok(ResultRows::Joined(all));
-        };
-
-        // Grouped join: aggregate inside each scatter job, merge partials
-        // by group value at the gather barrier. The group and measure
-        // columns can live on *different* backends (outer vs inner side),
-        // so the job fetches each side's decoded values through its owning
-        // backend, dictionary-encodes the groups and folds the pairs
-        // coordinator-side with the one grouping operator.
-        let partials = pool.run(jobs.len(), |i| -> Result<Vec<GroupRow>> {
-            let job = &jobs[i];
-            let rows = join_job(state, j, job, exec.lanes, job_threads)?;
-            if rows.is_empty() {
-                return Ok(Vec::new());
-            }
-            let side_values = |column: &str, side: Side| {
-                let (shard, table, rids): (usize, &str, Vec<u32>) = match side {
-                    Side::Outer => (job.s, &t.table, rows.iter().map(|r| r.outer_rid).collect()),
-                    Side::Inner => (
-                        job.t,
-                        &j.inner_table,
-                        rows.iter().map(|r| r.inner_rid).collect(),
-                    ),
-                };
-                let values = state.shards[shard].column_values(table, column, Some(&rids))?;
-                Ok::<_, MmdbError>((table, values))
-            };
-            let (_, groups) = side_values(&g.column, g.side)?;
-            let measures: Vec<i64> = match &g.measure {
-                None => {
-                    Measure::resolve(g.agg, None)?;
-                    vec![1; rows.len()]
-                }
-                Some((m, side)) => {
-                    let (table, values) = side_values(m, *side)?;
-                    let int = |v| match v {
-                        Value::Int(v) => Ok(v),
-                        Value::Str(_) => Err(MmdbError::NonIntegerMeasure {
-                            table: table.to_owned(),
-                            column: m.clone(),
-                        }),
-                    };
-                    values.into_iter().map(int).collect::<Result<_>>()?
-                }
-            };
-            Ok(group_by_value(groups.into_iter().zip(measures), g.agg))
-        });
-        let partials = partials.into_iter().collect::<Result<Vec<_>>>()?;
-        Ok(ResultRows::Groups(group_by_value(
-            partials.into_iter().flatten().map(|r| (r.group, r.value)),
-            g.agg,
-        )))
-    }
 }
 
 /// One scatter job of the coordinator-side join: probe inner shard
@@ -1640,26 +1530,41 @@ fn group_by_value(rows: impl IntoIterator<Item = (Value, i64)>, agg: AggFn) -> V
 mod tests {
     use super::*;
     use crate::backend::ShardInfo;
-    use mmdb::{on, TableBuilder};
+    use crate::partition::{HashPartitioner, RangePartitioner};
+    use mmdb::{count, TableBuilder, TransportFault};
+
+    /// What a [`Fake`] shard gets wrong.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Fault {
+        /// Nothing: a faithful shard.
+        None,
+        /// Every RID it answers is past its rows — what a wrong or stale
+        /// reply across the wire looks like to the merge.
+        Shift,
+        /// A whole query answers with a result of another shape.
+        Reshape,
+    }
 
     /// Past any row count in these tests.
     const SHIFT: u32 = 1_000_000;
 
     /// A shard that records the exec override of every spec it is sent
-    /// and adds `shift` to every RID it answers — `SHIFT` is what a wrong
-    /// or stale reply across the wire looks like to the gather, `0` is a
-    /// faithful shard.
+    /// and answers with its `fault`.
     #[derive(Debug)]
     struct Fake {
         inner: Arc<dyn ShardRead>,
-        shift: u32,
+        fault: Fault,
         sent: Mutex<Vec<Option<ExecOptions>>>,
     }
 
     impl Fake {
+        fn shift(&self, rid: u32) -> u32 {
+            rid + if self.fault == Fault::Shift { SHIFT } else { 0 }
+        }
+
         fn shift_sets(&self, sets: Vec<Vec<u32>>) -> Vec<Vec<u32>> {
             sets.into_iter()
-                .map(|set| set.into_iter().map(|r| r + self.shift).collect())
+                .map(|set| set.into_iter().map(|r| self.shift(r)).collect())
                 .collect()
         }
     }
@@ -1667,17 +1572,21 @@ mod tests {
     impl ShardRead for Fake {
         fn run_spec(&self, spec: &QuerySpec) -> Result<ResultRows> {
             self.sent.lock().unwrap().push(spec.exec);
-            Ok(match self.inner.run_spec(spec)? {
-                ResultRows::Rids(rids) => ResultRows::Rids(self.shift_sets(vec![rids]).remove(0)),
-                ResultRows::Joined(rows) => ResultRows::Joined(
+            Ok(match (self.inner.run_spec(spec)?, self.fault) {
+                (ResultRows::Rids(_), Fault::Reshape) => ResultRows::Groups(Vec::new()),
+                (_, Fault::Reshape) => ResultRows::Rids(Vec::new()),
+                (ResultRows::Rids(rids), _) => {
+                    ResultRows::Rids(rids.into_iter().map(|r| self.shift(r)).collect())
+                }
+                (ResultRows::Joined(rows), _) => ResultRows::Joined(
                     rows.into_iter()
                         .map(|r| JoinRow {
-                            inner_rid: r.inner_rid + self.shift,
+                            inner_rid: self.shift(r.inner_rid),
                             ..r
                         })
                         .collect(),
                 ),
-                groups => groups,
+                (groups, _) => groups,
             })
         }
         fn point_probe_batch(&self, t: &str, c: &str, v: &[Value]) -> Result<Vec<Vec<u32>>> {
@@ -1731,16 +1640,16 @@ mod tests {
         }
     }
 
-    /// `sales` ⋈ `customers` over `shards` hash shards at `threads`
-    /// workers, `sales` sharded on `sales_key`, with shard 1 replaced by
-    /// a [`Fake`] shifting by `shift`.
-    fn with_a_fake_shard(
-        shards: usize,
+    /// `sales` ⋈ `customers` over `partitioner` at `threads` workers,
+    /// `sales` sharded on `sales_key` and `customers` on `id`: the
+    /// catalog, built through `backends`.
+    fn catalog<P: Partitioner + 'static>(
+        partitioner: P,
+        backends: Vec<Box<dyn ShardBackend>>,
         threads: usize,
         sales_key: &str,
-        shift: u32,
-    ) -> (ShardedState, Arc<Fake>) {
-        let mut db = ShardedDatabase::hash(shards).unwrap();
+    ) -> ShardedDatabase {
+        let mut db = ShardedDatabase::with_backends(partitioner, backends).unwrap();
         db.set_exec_options(ExecOptions {
             threads,
             ..ExecOptions::default()
@@ -1753,6 +1662,7 @@ mod tests {
             .unwrap();
         let customers = TableBuilder::new("customers")
             .int_column("id", 0..40)
+            .str_column("region", (0..40).map(|i| ["e", "w", "n", "s"][i % 4]))
             .build()
             .unwrap();
         db.register(sales, sales_key).unwrap();
@@ -1760,20 +1670,43 @@ mod tests {
         for (table, column) in [("sales", "cust"), ("sales", "amount"), ("customers", "id")] {
             db.create_index(table, column, IndexKind::FullCss).unwrap();
         }
+        db
+    }
+
+    fn local_backends(shards: usize) -> Vec<Box<dyn ShardBackend>> {
+        (0..shards)
+            .map(|_| Box::new(LocalShard::new(Database::new())) as Box<dyn ShardBackend>)
+            .collect()
+    }
+
+    /// [`catalog`] over in-process shards, with shard 1 replaced by a
+    /// [`Fake`] making `fault`.
+    fn with_a_fake_shard<P: Partitioner + 'static>(
+        partitioner: P,
+        threads: usize,
+        sales_key: &str,
+        fault: Fault,
+    ) -> (ShardedState, Arc<Fake>) {
+        let shards = partitioner.shards();
+        let db = catalog(partitioner, local_backends(shards), threads, sales_key);
         let mut state = ShardedState::clone(&db);
         let fake = Arc::new(Fake {
             inner: state.shards[1].clone(),
-            shift,
+            fault,
             sent: Mutex::default(),
         });
         state.shards[1] = fake.clone();
         (state, fake)
     }
 
-    fn assert_names_the_shard<T: std::fmt::Debug>(what: &str, answer: Result<T>) {
+    fn hash(shards: usize) -> HashPartitioner {
+        HashPartitioner::new(shards).unwrap()
+    }
+
+    fn assert_names_the_shard<T: std::fmt::Debug>(what: &str, answer: Result<T>, says: &str) {
         match answer {
             Err(MmdbError::Unsupported { what: text }) => assert!(
-                text.contains("shard 1 (fake") && text.contains("local rid"),
+                text.contains("shard 1 (fake") && text.contains(says),
                 "{what}: {text}"
             ),
             other => panic!("{what}: expected a typed error, got {other:?}"),
@@ -1782,47 +1715,165 @@ mod tests {
 
     #[test]
     fn out_of_range_rids_in_a_shard_reply_are_a_typed_error() {
+        let rid = "local rid";
         // Shard-local plans: a fanned selection, a co-located join.
-        let (state, _) = with_a_fake_shard(2, 1, "cust", SHIFT);
+        let (state, _) = with_a_fake_shard(hash(2), 1, "cust", Fault::Shift);
         let all = between("amount", 0, 499);
         let select = state.query("sales").filter(all.clone());
         assert!(select.plan().unwrap().is_shard_local());
-        assert_names_the_shard("selection", select.run().map(|r| r.rows().clone()));
+        assert_names_the_shard("selection", select.run().map(|r| r.rows().clone()), rid);
         let join = select.join("customers", on("cust", "id"));
         assert!(join.plan().unwrap().is_shard_local());
-        assert_names_the_shard("co-located join", join.run().map(|r| r.rows().clone()));
+        let joined = join.run().map(|r| r.rows().clone());
+        assert_names_the_shard("co-located join", joined, rid);
 
         // Probe batches, fanned (non-key column) and pruned (shard key).
         let amounts: Vec<Value> = (0..500).map(Value::Int).collect();
-        assert_names_the_shard(
-            "fanned points",
-            state.point_probe_batch("sales", "amount", &amounts),
-        );
+        let fanned = state.point_probe_batch("sales", "amount", &amounts);
+        assert_names_the_shard("fanned points", fanned, rid);
         let keys: Vec<Value> = (0..40).map(Value::Int).collect();
-        assert_names_the_shard(
-            "pruned points",
-            state.point_probe_batch("sales", "cust", &keys),
-        );
-        assert_names_the_shard(
-            "fanned ranges",
-            state.range_probe_batch("sales", "amount", &[(Value::Int(0), Value::Int(499))]),
-        );
+        let pruned = state.point_probe_batch("sales", "cust", &keys);
+        assert_names_the_shard("pruned points", pruned, rid);
+        let ranges = [(Value::Int(0), Value::Int(499))];
+        let fanned = state.range_probe_batch("sales", "amount", &ranges);
+        assert_names_the_shard("fanned ranges", fanned, rid);
 
-        // A join streamed through the coordinator (bucketed, but the
-        // outer table is sharded on another column).
-        let (state, _) = with_a_fake_shard(2, 1, "amount", SHIFT);
+        // Ranges on the shard key of a range catalog prune to the
+        // shards they overlap: here the fake alone.
+        let spans = RangePartitioner::int_spans(0, 39, 2).unwrap();
+        let (ranged, _) = with_a_fake_shard(spans, 1, "cust", Fault::Shift);
+        let upper = ranged.query("sales").filter(between("cust", 20, 39));
+        assert_eq!(upper.plan().unwrap().routing.selected, [1]);
+        let ranges = [(Value::Int(20), Value::Int(39))];
+        let pruned = ranged.range_probe_batch("sales", "cust", &ranges);
+        assert_names_the_shard("pruned ranges", pruned, rid);
+
+        // Joins streamed through the coordinator (bucketed, but the
+        // outer table is sharded on another column): a plain one fails
+        // in the merge, a grouped one as soon as its job reads the
+        // group column at the fake's RIDs.
+        let (state, _) = with_a_fake_shard(hash(2), 1, "amount", Fault::Shift);
         let join = state
             .query("sales")
             .filter(all)
             .join("customers", on("cust", "id"));
         assert!(!join.plan().unwrap().is_shard_local());
-        assert_names_the_shard("streamed join", join.run().map(|r| r.rows().clone()));
+        let joined = join.run().map(|r| r.rows().clone());
+        assert_names_the_shard("streamed join", joined, rid);
+        let grouped = join.group_by("region", count());
+        assert!(!grouped.plan().unwrap().is_shard_local());
+        match grouped.run().map(|r| r.rows().clone()) {
+            Err(MmdbError::Unsupported { what }) => assert!(
+                what.contains("out of range for table `customers`"),
+                "{what}"
+            ),
+            other => panic!("streamed grouped join: expected a typed error, got {other:?}"),
+        }
+
+        // A reply of another shape than the plan's, to each shape.
+        let (state, _) = with_a_fake_shard(hash(2), 1, "cust", Fault::Reshape);
+        let select = state.query("sales").filter(between("amount", 0, 499));
+        let join = select.clone().join("customers", on("cust", "id"));
+        let grouped = join.clone().group_by("region", count());
+        let other_shape = "result to a plan of another shape";
+        for (what, query) in [("selection", select), ("join", join), ("grouped", grouped)] {
+            assert!(query.plan().unwrap().is_shard_local(), "{what}");
+            let answer = query.run().map(|r| r.rows().clone());
+            assert_names_the_shard(what, answer, other_shape);
+        }
+    }
+
+    /// A local shard whose column replacement fails the way a remote
+    /// shard's does when its connection drops.
+    #[derive(Debug)]
+    struct FailsReplace(LocalShard);
+
+    impl ShardBackend for FailsReplace {
+        fn reader(&self) -> &dyn ShardRead {
+            self.0.reader()
+        }
+        fn pin(&self) -> Arc<dyn ShardRead> {
+            self.0.pin()
+        }
+        fn register(&mut self, table: Table) -> Result<()> {
+            self.0.register(table)
+        }
+        fn drop_table(&mut self, table: &str) -> Result<()> {
+            self.0.drop_table(table)
+        }
+        fn create_index(&mut self, table: &str, column: &str, kind: IndexKind) -> Result<()> {
+            self.0.create_index(table, column, kind)
+        }
+        fn drop_index(&mut self, table: &str, column: &str, kind: IndexKind) -> Result<()> {
+            self.0.drop_index(table, column, kind)
+        }
+        fn replace_column(&mut self, _: &str, _: &str, _: Vec<Value>) -> Result<RebuildReport> {
+            Err(MmdbError::Transport {
+                endpoint: "shard 1".into(),
+                fault: TransportFault::Io,
+                detail: "connection reset".into(),
+                attempts: 0,
+                elapsed_ms: 0,
+            })
+        }
+        fn rebuild_column(&mut self, table: &str, column: &str) -> Result<RebuildReport> {
+            self.0.rebuild_column(table, column)
+        }
+        fn set_exec_options(&mut self, exec: ExecOptions) -> Result<()> {
+            self.0.set_exec_options(exec)
+        }
+        fn install_snapshot(&mut self, bytes: &[u8]) -> Result<()> {
+            self.0.install_snapshot(bytes)
+        }
+    }
+
+    #[test]
+    fn a_backend_fault_mid_mutation_leaves_the_composed_generation_unchanged() {
+        let mut backends = local_backends(1);
+        backends.push(Box::new(FailsReplace(LocalShard::new(Database::new()))));
+        let mut db = catalog(hash(2), backends, 1, "cust");
+        let battery = |state: &ShardedState| -> Vec<ResultRows> {
+            let q = || state.query("sales").filter(between("amount", 100, 400));
+            let answers = [
+                q().run(),
+                q().join("customers", on("cust", "id")).run(),
+                q().join("customers", on("cust", "id"))
+                    .group_by("region", count())
+                    .run(),
+            ];
+            let mut rows: Vec<ResultRows> = answers.map(|r| r.unwrap().rows().clone()).into();
+            let amounts: Vec<Value> = (0..500).map(Value::Int).collect();
+            let sets = state
+                .point_probe_batch("sales", "amount", &amounts)
+                .unwrap();
+            rows.extend(sets.into_iter().map(ResultRows::Rids));
+            rows
+        };
+        let (generation, before) = (db.generation(), battery(&db));
+        let (handle, pinned) = (db.handle(), db.snapshot());
+
+        // Shard 0 takes the new values; shard 1 fails.
+        let doubled: Vec<Value> = (0..80).map(|i| Value::Int((i * 17) % 500 * 2)).collect();
+        let err = db.replace_column("sales", "amount", doubled).unwrap_err();
+        assert!(matches!(err, MmdbError::Transport { .. }), "{err:?}");
+        let doubled_on_0 = db
+            .shard(0)
+            .query("sales")
+            .filter(between("amount", 500, 998));
+        assert!(!doubled_on_0.run().unwrap().is_empty());
+
+        // Nothing was published: every read surface answers as before.
+        assert_eq!(db.generation(), generation);
+        assert_eq!(handle.generation(), generation);
+        assert_eq!(battery(&db), before);
+        assert_eq!(battery(&handle.snapshot()), before);
+        assert_eq!(battery(&pinned), before);
     }
 
     #[test]
     fn an_explicit_thread_count_is_split_across_the_routed_shards() {
         let sent = |fake: &Fake| std::mem::take(&mut *fake.sent.lock().unwrap());
-        let (state, fake) = with_a_fake_shard(4, 8, "cust", 0);
+        let (state, fake) = with_a_fake_shard(hash(4), 8, "cust", Fault::None);
         let fanned = state.query("sales").filter(between("amount", 0, 499));
         let join = fanned.clone().join("customers", on("cust", "id"));
 
@@ -1857,7 +1908,7 @@ mod tests {
         }
         let points = sent(&fake);
         assert!(!points.is_empty() && points.iter().all(Option::is_none));
-        let (auto, fake) = with_a_fake_shard(4, 0, "cust", 0);
+        let (auto, fake) = with_a_fake_shard(hash(4), 0, "cust", Fault::None);
         auto.query("sales")
             .filter(between("amount", 0, 499))
             .run()

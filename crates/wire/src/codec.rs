@@ -9,7 +9,7 @@
 //! one-byte tags.
 
 use ccindex_obs::SpanNode;
-use mmdb::plan::{GroupStep, JoinStep, Plan, Probe, ProbeStep, Side};
+use mmdb::plan::{GroupStep, JoinStep, Plan, Probe, ProbeStep, Routing, Side};
 use mmdb::{
     between, eq, on, Agg, AggFn, ExecOptions, GroupRow, IndexKind, JoinRow, MmdbError, Predicate,
     PredicateOp, Result, ResultRows, StorageFault, TransportFault, Value,
@@ -689,7 +689,9 @@ fn get_span_node_at(r: &mut Reader<'_>, depth: u32) -> Result<SpanNode> {
 
 /// Encode a compiled [`Plan`] (all plan-node fields are public, so the
 /// coordinator can reconstruct an identical template from a remote
-/// shard's compile).
+/// shard's compile). The body only: a shard compiles and runs plans in
+/// place, so the [`Routing`] is never on the wire and decodes as the
+/// default.
 pub fn put_plan(w: &mut Writer, plan: &Plan) {
     w.str(&plan.table);
     w.seq(&plan.probes, |w, p| {
@@ -758,5 +760,6 @@ pub fn get_plan(r: &mut Reader<'_>) -> Result<Plan> {
         join,
         group,
         exec,
+        routing: Routing::default(),
     })
 }

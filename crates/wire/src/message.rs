@@ -232,8 +232,9 @@ pub enum ShardResponse {
     /// One result per request of an [`ShardRequest::ExecuteBatch`]
     /// window, in submission order.
     Batch(Vec<std::result::Result<ResultRows, MmdbError>>),
-    /// A compiled physical plan.
-    Plan(Plan),
+    /// A compiled physical plan (boxed: a plan carries its routing, and
+    /// no other reply should pay for its size).
+    Plan(Box<Plan>),
     /// Column names.
     Names(Vec<String>),
     /// A scalar count.
@@ -820,7 +821,7 @@ impl ShardResponse {
                     other => return Err(r.fail(format!("bad result tag {other}"))),
                 })
             })?),
-            6 => ShardResponse::Plan(get_plan(&mut r)?),
+            6 => ShardResponse::Plan(Box::new(get_plan(&mut r)?)),
             7 => ShardResponse::Names(r.seq(|r| r.str())?),
             8 => ShardResponse::Count(r.u64()?),
             9 => ShardResponse::Rebuilt {

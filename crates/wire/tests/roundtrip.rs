@@ -8,7 +8,7 @@ use ccindex_wire::{
     read_frame, read_request_traced, read_response_traced, write_frame, write_request_traced,
     write_response_traced, ShardRequest, ShardResponse, VERSION,
 };
-use mmdb::plan::{GroupStep, JoinStep, Plan, Probe, ProbeStep, Side};
+use mmdb::plan::{GroupStep, JoinStep, Plan, Probe, ProbeStep, Routing, Side};
 use mmdb::{
     between, count, eq, max, on, sum, Agg, AggFn, ExecOptions, GroupRow, IndexKind, JoinRow,
     MmdbError, QuerySpec, Request, ResultRows, StorageFault, TransportFault, Value,
@@ -304,6 +304,7 @@ impl Gen {
                 None
             },
             exec: self.exec(),
+            routing: Routing::default(),
         }
     }
 
@@ -450,7 +451,7 @@ impl Gen {
                     })
                     .collect(),
             ),
-            ShardResponse::Plan(self.plan()),
+            ShardResponse::Plan(Box::new(self.plan())),
             ShardResponse::Names((0..self.below(5)).map(|_| self.string()).collect()),
             ShardResponse::Count(self.next()),
             ShardResponse::Rebuilt {

@@ -464,7 +464,8 @@ fn one_query_spec_answers_identically_on_every_surface() {
             assert_eq!(got, want, "{shape} on {name}");
         }
 
-        // One `execute` per plan type: the writer and its snapshot.
+        // The one `Plan::execute` on each catalog: the writer and its
+        // snapshot.
         let plan = shaped(db.query("orders"), shape).plan().unwrap();
         assert_eq!(
             plan.execute(&db).unwrap().rows(),
@@ -475,7 +476,7 @@ fn one_query_spec_answers_identically_on_every_surface() {
         assert_eq!(
             plan.execute(&local).unwrap().rows(),
             plan.execute(&local.snapshot()).unwrap().rows(),
-            "{shape}: ShardedPlan"
+            "{shape}: sharded Plan"
         );
     }
     for server in servers {

@@ -24,9 +24,11 @@ fn demo() -> Result<(), MmdbError> {
     db.create_index("sales", "cust", IndexKind::Hash)?;
     db.create_index("sales", "amount", IndexKind::FullCss)?;
 
-    // Scatter-gather over TCP: same routing, same global row ids —
-    // and a shard-local plan is one request to each routed shard.
+    // Scatter-gather over TCP: the same `Plan`, the same routing, the
+    // same global row ids — and a shard-local plan is one request to
+    // each routed shard.
     let plan = db.query("sales").filter(eq("cust", 1)).plan()?;
+    assert!(plan.is_shard_local() && plan.routing.selected.len() == 1);
     assert!(plan.explain().contains("(pruned)"));
     assert!(plan.explain().contains("one request per shard"));
     assert_eq!(plan.execute(&db)?.rids(), &[0, 2]);

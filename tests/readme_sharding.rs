@@ -17,9 +17,10 @@ fn demo() -> Result<(), MmdbError> {
     db.create_index("sales", "cust", IndexKind::Hash)?;
     db.create_index("sales", "amount", IndexKind::FullCss)?;
 
-    // Equality on the shard key routes to exactly one shard; the plan
-    // records the routing.
+    // Equality on the shard key routes to exactly one shard; the plan —
+    // the same `Plan` a `Database` compiles — records it in `routing`.
     let plan = db.query("sales").filter(eq("cust", 1)).plan()?;
+    assert_eq!(plan.routing.shards, 4);
     assert!(plan.explain().contains("(pruned)"));
     assert!(plan.is_shard_local()); // the whole plan runs on that shard
     assert_eq!(plan.execute(&db)?.rids(), &[0, 2]); // global row ids

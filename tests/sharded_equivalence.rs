@@ -7,9 +7,8 @@
 //! per-shard path and the re-partitioning shard-key path), and the
 //! `CCINDEX_SHARDS` environment default.
 
-use ccindex::db::{Query, ResultRows, Value};
+use ccindex::db::{Plan, Query, ResultRows, Value};
 use ccindex::prelude::*;
-use ccindex::shard::ShardedPlan;
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 8];
 const KEY_SPACE: i64 = 200; // 'cust' values fall in 0..KEY_SPACE
@@ -234,7 +233,7 @@ fn plans_record_routing_and_exec_overrides_flow_through() {
         rows,
         RangePartitioner::int_spans(0, KEY_SPACE - 1, 4).unwrap(),
     );
-    let plan: ShardedPlan = db
+    let plan: Plan = db
         .query("orders")
         .filter(eq("cust", 5))
         .join("customers", on("cust", "id"))
@@ -245,7 +244,7 @@ fn plans_record_routing_and_exec_overrides_flow_through() {
     let text = plan.explain();
     assert!(text.contains("(pruned)"), "{text}");
     assert!(text.contains("per-shard plan:"), "{text}");
-    // Per-query ExecOptions override reaches the compiled template.
+    // Per-query ExecOptions override reaches the compiled per-shard body.
     let plan = db
         .query("orders")
         .filter(between("amount", 1, 999))
@@ -253,7 +252,7 @@ fn plans_record_routing_and_exec_overrides_flow_through() {
         .exec(ExecOptions::threads(8))
         .plan()
         .unwrap();
-    assert_eq!(plan.template.exec.threads, 8);
+    assert_eq!(plan.exec.threads, 8);
     // ... and partitioned execution stays byte-identical.
     let un = unsharded(rows);
     let mut db = db;

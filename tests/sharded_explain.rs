@@ -1,8 +1,9 @@
 //! The sharded `explain()` text, pinned byte for byte: one compiled plan
 //! per scatter shape (pruned point, fanned range, two filters, no
 //! filter, co-located join, bucketed and fanned streamed joins, grouped
-//! join) on a hash x4 and a range x2 catalog. The text is how an
-//! operator reads a plan's routing, so a change to it must show up here.
+//! join) on a hash x4 and a range x2 catalog, and `explain_timed` on a
+//! sharded result. The text is how an operator reads a plan's routing,
+//! so a change to it must show up here.
 
 use ccindex::db::Query;
 use ccindex::prelude::*;
@@ -96,6 +97,26 @@ fn hash_x4_explain_text_is_pinned() {
 fn range_x2_explain_text_is_pinned() {
     let db = catalog(RangePartitioner::int_spans(0, 39, 2).unwrap());
     assert_explains(&db, &RANGE_X2);
+}
+
+#[test]
+fn a_sharded_result_explains_its_routing_and_total() {
+    let db = catalog(HashPartitioner::new(4).unwrap());
+    for (name, query) in shapes(&db) {
+        let plan = query.plan().unwrap();
+        let result = plan.execute(&db).unwrap();
+        let text = plan.explain_timed(result.timings());
+        // The routing and the per-shard plan, as `explain()` has them;
+        // the exchange is timed as a whole, on one `total:` line.
+        let total = text.strip_prefix(&plan.explain()).expect(name);
+        let ns = total.strip_prefix("\ntotal: ").expect(name);
+        assert!(!ns.is_empty() && !ns.contains('\n'), "{name}: {text}");
+        assert!(
+            text.starts_with("scatter sales across 4 shard(s)"),
+            "{text}"
+        );
+        assert!(text.contains("\nper-shard plan:\n  scan sales"), "{text}");
+    }
 }
 
 const HASH_X4: [&str; 8] = [
