@@ -19,8 +19,8 @@
 //! 3. **A workspace lint** ([`lint`], `cargo run -p check --bin lint`)
 //!    for rules the compiler can't enforce: `// SAFETY:` on every
 //!    `unsafe`, `// ORDERING:` on every explicit non-`SeqCst` atomic
-//!    ordering choice, no `static mut` / `transmute`, and crate-level
-//!    lint hygiene.
+//!    ordering choice, no `static mut` / `transmute`, crate-level
+//!    lint hygiene, no unused `pub` item, and README examples that run.
 //!
 //! Production code doesn't depend on this crate directly: it imports
 //! sync types from `ccindex_parallel::sync`, a facade that re-exports
@@ -33,13 +33,35 @@
 //! # Example
 //!
 //! ```
-//! use check::{Checker, sync::Arc, sync::atomic::Ordering};
 //! use check::cell::RaceCell;
+//! use check::sync::atomic::Ordering;
+//! use check::sync::{Arc, AtomicU64};
+//! use check::{Checker, FindingKind};
 //!
-//! // Release-publish / Acquire-consume: explored exhaustively, clean.
-//! Checker::default().check(|| {
+//! // A racy publish: the data write is ordered only by luck, and the
+//! // checker reports it on the schedule where luck runs out.
+//! let finding = Checker::new()
+//!     .check_result(|| {
+//!         let data = Arc::new(RaceCell::new(0u64));
+//!         let flag = Arc::new(AtomicU64::new(0));
+//!         let (d2, f2) = (Arc::clone(&data), Arc::clone(&flag));
+//!         let t = check::thread::spawn(move || {
+//!             d2.set(42);
+//!             f2.store(1, Ordering::Relaxed); // should be Release
+//!         });
+//!         if flag.load(Ordering::Acquire) == 1 {
+//!             let _ = data.get();
+//!         }
+//!         t.join().unwrap();
+//!     })
+//!     .expect_err("the Relaxed publish races");
+//! assert_eq!(finding.kind, FindingKind::DataRace);
+//!
+//! // The corrected protocol explores every schedule and comes back
+//! // clean — `complete` certifies the space was exhausted, not capped.
+//! let stats = Checker::new().check(|| {
 //!     let data = Arc::new(RaceCell::new(0u64));
-//!     let flag = Arc::new(check::sync::AtomicU64::new(0));
+//!     let flag = Arc::new(AtomicU64::new(0));
 //!     let (d2, f2) = (Arc::clone(&data), Arc::clone(&flag));
 //!     let t = check::thread::spawn(move || {
 //!         d2.set(42);
@@ -50,11 +72,12 @@
 //!     }
 //!     t.join().unwrap();
 //! });
+//! assert!(stats.complete);
 //! ```
 //!
-//! Downgrade that `Release`/`Acquire` pair to `Relaxed` and
-//! [`Checker::check_result`] returns a [`FindingKind::DataRace`] — the
-//! mutation suite in `tests/mutants.rs` pins exactly that.
+//! [`Checker::check_result`] returns the finding with the schedule and
+//! per-thread trace that produced it; `tests/mutants.rs` seeds a bug of
+//! this kind into each shipped protocol and asserts it is reported.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 

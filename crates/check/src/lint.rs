@@ -11,7 +11,8 @@
 //! | H1   | every `lib.rs` opens with `//!` docs and declares `#![deny(unsafe_op_in_unsafe_fn)]` |
 //! | W1   | no `.unwrap()` / `.expect(` on socket- or file-I/O lines — transport and storage faults must map to typed errors |
 //! | M1   | metric names at registration sites (`.counter("…")` / `.gauge("…")` / `.histogram("…")`) are `dot.separated` lowercase, and each name is registered at exactly one source site workspace-wide |
-//! | U1   | every `pub` item of a library crate is named somewhere outside its defining file's `#[cfg(test)]` code (the whole workspace, `ccbench/` included, counts; `use` lines do not), unless the facade prelude re-exports it or [`U1_ALLOWED`] lists it with a reason |
+//! | U1   | every `pub` item of a library crate is named somewhere outside its defining file's `#[cfg(test)]` code (the whole workspace, `ccbench/` included, counts, and so do `README.md`'s Rust fences; `use` lines do not), unless the facade prelude re-exports it or [`U1_ALLOWED`] lists it with a reason |
+//! | D1   | `README.md`'s Rust fences, which run as doctests of the facade crate, execute: no `ignore`, `no_run` only under a `// Not run: <reason>` first line, and a block whose only items are `fn`s other than `main` calls one of them |
 //!
 //! O1 exists because of exactly the bug class PR 7 is about: a
 //! lifetime-guarding counter (a pin count, a refcount) downgraded to
@@ -52,6 +53,10 @@
 //! flag has no caller under any spelling. A re-export is not a use, so
 //! `use` statements are not counted.
 //!
+//! D1 exists because rustdoc wraps a block in `fn main` only when it has
+//! none: a README block that defines `fn demo()` and never calls it
+//! compiles, passes, and runs none of its assertions.
+//!
 //! The scanner is deliberately line-based and dependency-free: string
 //! literals and comments are blanked by a small state machine before
 //! pattern checks, `#[cfg(test)]` items are skipped by brace counting.
@@ -69,7 +74,7 @@ pub struct Violation {
     pub file: PathBuf,
     /// 1-based line number.
     pub line: usize,
-    /// Rule id (`S1`, `O1`, `F1`, `H1`, `W1`, `M1`, `U1`).
+    /// Rule id (`S1`, `O1`, `F1`, `H1`, `W1`, `M1`, `U1`, `D1`).
     pub rule: &'static str,
     /// What to fix.
     pub message: String,
@@ -116,6 +121,10 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
     }
     violations.extend(metric_uniqueness(&registrations));
     violations.extend(unused_pub_items(root)?);
+    let readme = root.join("README.md");
+    if readme.is_file() {
+        violations.extend(lint_doctests(&readme, &std::fs::read_to_string(&readme)?));
+    }
     Ok(violations)
 }
 
@@ -147,10 +156,16 @@ fn unused_pub_items(root: &Path) -> std::io::Result<Vec<Violation>> {
     let mut paths = Vec::new();
     collect_rs(root, &mut paths)?;
     paths.sort();
-    let mut sources = Vec::with_capacity(paths.len());
+    let mut sources = Vec::with_capacity(paths.len() + 1);
     for path in paths {
         let text = std::fs::read_to_string(&path)?;
         sources.push((path, text));
+    }
+    // README.md's Rust fences run as doctests, so a name there is a use.
+    let readme = root.join("README.md");
+    if readme.is_file() {
+        let code = fence_code(&std::fs::read_to_string(&readme)?);
+        sources.push((readme, code));
     }
     let relative = |path: &Path| {
         let rel = path.strip_prefix(root).unwrap_or(path);
@@ -317,6 +332,147 @@ fn use_regions(code: &[String]) -> Vec<bool> {
         }
     }
     in_use
+}
+
+/// A Rust code fence of a Markdown file: what rustdoc runs as a doctest.
+struct Fence {
+    /// 1-based line of the opening fence.
+    line: usize,
+    /// The info string's words (`rust`, `no_run`, …).
+    attrs: Vec<String>,
+    /// The code lines, rustdoc's hidden-line `# ` marker removed.
+    code: Vec<String>,
+}
+
+/// The info-string words rustdoc reads as attributes of a Rust block
+/// (besides `edition*` and `ignore-*`); a fence with any other word
+/// (`sh`, `text`) is another language.
+const RUSTDOC_ATTRS: [&str; 6] = [
+    "rust",
+    "ignore",
+    "no_run",
+    "should_panic",
+    "compile_fail",
+    "test_harness",
+];
+
+/// The fences of `markdown` that rustdoc tests as Rust: those whose info
+/// string is empty or holds only words rustdoc reads as attributes.
+fn rust_fences(markdown: &str) -> Vec<Fence> {
+    let mut out = Vec::new();
+    let mut open: Option<Fence> = None;
+    let mut in_other = false;
+    for (i, line) in markdown.lines().enumerate() {
+        let fence = line.trim_start().strip_prefix("```");
+        if let Some(f) = open.as_mut() {
+            match fence {
+                Some(_) => out.extend(open.take()),
+                None => f.code.push(unhide(line)),
+            }
+        } else if in_other {
+            in_other = fence.is_none();
+        } else if let Some(info) = fence {
+            let attrs: Vec<String> = info
+                .split(|c: char| c == ',' || c.is_whitespace())
+                .filter(|w| !w.is_empty())
+                .map(str::to_owned)
+                .collect();
+            if attrs.iter().all(|a| {
+                RUSTDOC_ATTRS.contains(&a.as_str())
+                    || a.starts_with("edition")
+                    || a.starts_with("ignore-")
+            }) {
+                open = Some(Fence {
+                    line: i + 1,
+                    attrs,
+                    code: Vec::new(),
+                });
+            } else {
+                in_other = true;
+            }
+        }
+    }
+    out
+}
+
+/// A doctest line as rustdoc compiles it: `# code` and a lone `#` are
+/// hidden lines, whose marker goes.
+fn unhide(line: &str) -> String {
+    let t = line.trim_start();
+    match t.strip_prefix("# ") {
+        Some(rest) => rest.to_owned(),
+        None if t == "#" => String::new(),
+        None => line.to_owned(),
+    }
+}
+
+/// `markdown` with every line outside a Rust fence blanked, so that the
+/// fences' code keeps its line numbers.
+fn fence_code(markdown: &str) -> String {
+    let mut lines = vec![String::new(); markdown.lines().count()];
+    for fence in rust_fences(markdown) {
+        for (k, code) in fence.code.into_iter().enumerate() {
+            lines[fence.line + k] = code;
+        }
+    }
+    lines.join("\n")
+}
+
+/// Rule D1 over one Markdown file's Rust fences.
+pub fn lint_doctests(file: &Path, markdown: &str) -> Vec<Violation> {
+    let mut out = Vec::new();
+    for fence in rust_fences(markdown) {
+        let mut flag = |message: String| {
+            out.push(Violation {
+                file: file.to_owned(),
+                line: fence.line,
+                rule: "D1",
+                message,
+            })
+        };
+        if fence.attrs.iter().any(|a| a.starts_with("ignore")) {
+            flag("an `ignore` block is never compiled; make it run".to_owned());
+        }
+        let reason = fence.code.first().map(|l| l.trim_start());
+        if fence.attrs.iter().any(|a| a == "no_run")
+            && !reason.is_some_and(|l| l.starts_with("// Not run: "))
+        {
+            flag("a `no_run` block opens with a `// Not run: <reason>` line".to_owned());
+        }
+        if let Some(name) = uncalled_fn(&fence.code) {
+            flag(format!(
+                "the block's only items are functions and nothing calls `{name}`, so its body \
+                 never runs; name it `main` or call it from a (hidden) line"
+            ));
+        }
+    }
+    out
+}
+
+/// The first top-level function of a doctest whose only items are
+/// functions other than `main`, when no top-level statement calls one.
+fn uncalled_fn(code: &[String]) -> Option<String> {
+    let stripped = strip(&code.join("\n"));
+    let mut fns = Vec::new();
+    let mut statements = Vec::new();
+    for line in stripped
+        .iter()
+        .filter(|l| l.starts_with(|c: char| !c.is_whitespace()))
+    {
+        match words(line).next().unwrap_or_default() {
+            "fn" => fns.extend(words(line).nth(1)),
+            "use" => {}
+            "pub" | "async" | "unsafe" | "extern" | "const" | "static" | "struct" | "enum"
+            | "impl" | "trait" | "mod" | "type" => return None,
+            _ if line.starts_with(['#', '}', ')', ']']) => {}
+            _ => statements.push(line),
+        }
+    }
+    let called = |name: &&str| statements.iter().any(|l| l.contains(&format!("{name}(")));
+    if fns.contains(&"main") || fns.iter().any(called) {
+        return None;
+    }
+    fns.first().map(|name| (*name).to_owned())
 }
 
 /// The names the facade's `pub mod prelude { .. }` re-exports: every word
@@ -1187,6 +1343,85 @@ mod tests {
             );
             assert!(reason.len() > 20, "{name}: give a reason");
         }
+    }
+
+    #[test]
+    fn rust_fences_are_read_as_rustdoc_reads_them() {
+        let md = concat!(
+            "# Title\n",
+            "```sh\n",
+            "cargo test\n",
+            "```\n",
+            "```rust,no_run\n",
+            "// Not run: binds a port.\n",
+            "# hidden();\n",
+            "    #[derive(Debug)]\n",
+            "```\n",
+            "```\n",
+            "untagged();\n",
+            "```\n",
+            "```text\n",
+            "prose();\n",
+            "```\n",
+        );
+        let fences = rust_fences(md);
+        assert_eq!(fences.len(), 2);
+        assert_eq!(
+            (fences[0].line, fences[0].attrs.as_slice()),
+            (5, &["rust".to_owned(), "no_run".to_owned()][..])
+        );
+        assert_eq!(
+            fences[0].code,
+            [
+                "// Not run: binds a port.",
+                "hidden();",
+                "    #[derive(Debug)]"
+            ]
+        );
+        assert_eq!(
+            (fences[1].line, fences[1].code.as_slice()),
+            (10, &["untagged();".to_owned()][..])
+        );
+        let code = fence_code(md);
+        assert_eq!(code.lines().nth(6), Some("hidden();"));
+        assert_eq!(code.lines().filter(|l| !l.is_empty()).count(), 4);
+    }
+
+    #[test]
+    fn d1_flags_every_block_that_would_not_run() {
+        let d1 = |md: &str| -> Vec<usize> {
+            lint_doctests(Path::new("README.md"), md)
+                .iter()
+                .map(|v| {
+                    assert_eq!(v.rule, "D1");
+                    v.line
+                })
+                .collect()
+        };
+        let runs = [
+            "```rust\nlet x = 1;\nassert_eq!(x, 1);\n```\n",
+            "```rust\nfn main() {\n    assert!(true);\n}\n```\n",
+            "```rust\nuse a::b;\nfn demo() -> Result<(), E> {\n    Ok(())\n}\n# demo().unwrap();\n```\n",
+            "```rust\nstruct S;\nfn helper() {}\n```\n",
+            "```rust,no_run\n// Not run: it binds port 80.\nfn main() {}\n```\n",
+            "```sh\nfn demo() {}\n```\n",
+        ];
+        for md in runs {
+            assert!(d1(md).is_empty(), "{md}");
+        }
+        let never = [
+            "```rust\nuse a::b;\n\nfn demo() {\n    assert!(false);\n}\n```\n",
+            "```rust\nfn demo() {}\nfn other() {}\nlet x = demo;\n```\n",
+            "```rust,ignore\nlet x = 1;\n```\n",
+            "```rust,no_run\nfn main() {}\n```\n",
+        ];
+        for md in never {
+            assert_eq!(d1(md), [1], "{md}");
+        }
+        // Names in a fence are uses of rule U1; prose is not.
+        let code = fence_code("`orphan` in prose\n```rust\nlet x = a::orphan();\n```\n");
+        assert!(!code.lines().next().unwrap_or_default().contains("orphan"));
+        assert!(code.contains("a::orphan()"));
     }
 
     #[test]

@@ -106,6 +106,35 @@ fn a_pub_item_named_only_by_its_own_tests_is_u1() {
 }
 
 #[test]
+fn readme_rust_fences_are_uses_and_must_run() {
+    let root = scratch_workspace(
+        "readme",
+        "//! Docs.\n\n#![deny(unsafe_op_in_unsafe_fn)]\n\npub fn shown() {}\n",
+    );
+    let readme = |text: &str| fs::write(root.join("README.md"), text).expect("write README");
+    // A name only prose or a `text` block mentions has no caller.
+    readme("Call `shown()`.\n\n```text\nreadme::shown();\n```\n");
+    let out = run_lint(&root);
+    let report = String::from_utf8_lossy(&out.stdout);
+    assert!(report.contains("[U1] pub `shown`"), "{report}");
+    // A Rust block is a doctest: its names are uses.
+    readme("```rust\nreadme::shown();\n```\n");
+    let out = run_lint(&root);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    // A block that only defines `demo` compiles and runs nothing.
+    readme("Intro.\n\n```rust\nfn demo() {\n    readme::shown();\n}\n```\n");
+    let out = run_lint(&root);
+    let report = String::from_utf8_lossy(&out.stdout);
+    assert!(!out.status.success(), "{report}");
+    assert!(report.contains("README.md:3: [D1]"), "{report}");
+    fs::remove_dir_all(&root).ok();
+}
+
+#[test]
 fn loc_mode_counts_per_path_and_in_total() {
     let root = scratch_workspace(
         "loc",

@@ -44,6 +44,48 @@
 //! catalog becomes the next one atomically. The byte image is also the
 //! shard snapshot-transfer format — [`catalog_to_bytes`] is what a
 //! shard server streams to a bootstrapping peer.
+//!
+//! `examples/cold_start.rs` is the file-backed version, with timings.
+//!
+//! ```
+//! use mmdb::{between, Database, IndexKind, MmdbError, StorageFault, TableBuilder};
+//!
+//! // Build a catalog the expensive way: encode columns, sort RID lists.
+//! let mut db = Database::new();
+//! db.register(
+//!     TableBuilder::new("sales")
+//!         .int_column("amount", [10, 40, 25, 40])
+//!         .str_column("region", ["e", "w", "e", "n"])
+//!         .build()?,
+//! )?;
+//! db.create_index("sales", "amount", IndexKind::FullCss)?;
+//!
+//! // One paged, checksummed container. (`save_to`/`open_from` are the
+//! // file-backed twins of these byte-level calls.)
+//! let bytes = db.save_to_bytes();
+//!
+//! // Cold start: pages decode straight into serving structures.
+//! let reopened = Database::open_from_bytes(bytes.clone(), "example")?;
+//! let live = db.query("sales").filter(between("amount", 20, 40)).run()?;
+//! let cold = reopened
+//!     .query("sales")
+//!     .filter(between("amount", 20, 40))
+//!     .run()?;
+//! assert_eq!(live.rows(), cold.rows()); // byte-identical
+//! assert_eq!(reopened.save_to_bytes(), bytes); // idempotent
+//!
+//! // Corruption never panics: flip a byte, get a typed error.
+//! let mut evil = bytes;
+//! let mid = evil.len() / 2;
+//! evil[mid] ^= 0x10;
+//! match Database::open_from_bytes(evil, "example") {
+//!     Err(MmdbError::Storage { fault, .. }) => {
+//!         assert_ne!(fault, StorageFault::Open); // decode-side fault
+//!     }
+//!     other => panic!("expected a typed storage error, got {other:?}"),
+//! }
+//! # Ok::<(), MmdbError>(())
+//! ```
 
 use crate::column::Column;
 use crate::domain::{Domain, DomainView, Value};
@@ -235,7 +277,10 @@ fn decode_tables(r: &mut StoreReader) -> Result<BTreeMap<String, Arc<TableEntry>
         let rows = usize::try_from(m.u64()?)
             .map_err(|_| corrupt(&label, format!("table `{name}`: impossible row count")))?;
         let column_count = m.u32()?;
-        let mut columns: Vec<(String, Column)> = Vec::with_capacity(column_count as usize);
+        // A column record is at least 12 bytes (name length and two page
+        // numbers), so the manifest bounds the allocation.
+        let capacity = (column_count as usize).min(manifest.len() / 12);
+        let mut columns: Vec<(String, Column)> = Vec::with_capacity(capacity);
         for _ in 0..column_count {
             let col_name = m.str()?;
             if columns.iter().any(|(n, _)| *n == col_name) {
@@ -1069,6 +1114,35 @@ mod tests {
             );
             assert!(err.to_string().contains(says), "{err}");
         }
+    }
+
+    #[test]
+    fn a_hostile_manifest_column_count_is_typed_corruption() {
+        // A valid header, page directory and CRCs around a manifest that
+        // claims `u32::MAX` columns for one table and then ends.
+        let mut m = MWriter::default();
+        m.u32(MANIFEST_VERSION);
+        m.u32(1);
+        m.str("t");
+        m.u64(4);
+        m.u32(u32::MAX);
+        let image = StoreWriter::new().finish(&m.buf);
+        let err = Database::open_from_bytes(image.clone(), "manifest").expect_err("hostile");
+        assert!(
+            matches!(
+                err,
+                MmdbError::Storage {
+                    fault: StorageFault::Corrupt,
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("truncated"), "{err}");
+        let mut db = Database::new();
+        let before = db.generation();
+        assert!(db.restore_from_bytes(&image, "manifest").is_err());
+        assert_eq!(db.generation(), before, "nothing is replaced");
     }
 
     #[test]

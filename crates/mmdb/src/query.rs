@@ -115,6 +115,38 @@ pub fn range_select_many(
 /// rows) is translated into inner-domain IDs with one batched dictionary
 /// search up front; each outer row is then one run of the inner RID list
 /// at its translated ID.
+///
+/// ```
+/// use ccindex_common::DEFAULT_BATCH_LANES;
+/// use mmdb::{indexed_nested_loop_join, RidList, TableBuilder};
+///
+/// // Two domain-encoded tables (§2.1) joined on a key column.
+/// let orders = TableBuilder::new("orders")
+///     .int_column("cust", [5i64, 1, 2, 5, 9])
+///     .build()?;
+/// let customers = TableBuilder::new("customers")
+///     .int_column("id", [1i64, 2, 3, 5, 5])
+///     .build()?;
+///
+/// // The inner relation's RID list, sorted by value (§2.2).
+/// let cust_id = customers.column("id").expect("a column");
+/// let cust_rids = RidList::for_column(cust_id);
+///
+/// // The outer side is a RID stream (here every order row, in RID
+/// // order); the last two arguments are the interleave lanes (also how
+/// // many rows ahead the operator prefetches) and worker threads.
+/// let every_order: Vec<u32> = (0..orders.rows() as u32).collect();
+/// let joined = indexed_nested_loop_join(
+///     orders.column("cust").expect("a column"),
+///     &every_order,
+///     cust_id,
+///     &cust_rids,
+///     DEFAULT_BATCH_LANES,
+///     1,
+/// );
+/// assert_eq!(joined.len(), 6); // each 5 matches two customer rows; 1 and 2 one each; 9 none
+/// # Ok::<(), mmdb::MmdbError>(())
+/// ```
 pub fn indexed_nested_loop_join(
     outer: &Column,
     outer_rids: &[u32],

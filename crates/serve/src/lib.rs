@@ -44,26 +44,44 @@
 //! (`serve.unbatched_ns_per_req` beside `serve.session_ns_per_req`).
 //!
 //! ```
-//! use ccindex_serve::{BatchServer, Request, ServeOptions};
-//! use mmdb::{Database, IndexKind, ResultRows, TableBuilder};
+//! use ccindex_serve::{BatchServer, QuerySpec, Request, ServeOptions};
+//! use mmdb::{sum, Database, IndexKind, ResultRows, TableBuilder};
 //!
 //! let mut db = Database::new();
 //! db.register(
 //!     TableBuilder::new("sales")
+//!         .int_column("cust", [1, 2, 1, 3])
 //!         .int_column("amount", [10, 40, 25, 99])
 //!         .build()?,
 //! )?;
+//! db.create_index("sales", "cust", IndexKind::Hash)?;
 //! db.create_index("sales", "amount", IndexKind::FullCss)?;
 //!
-//! // 4 concurrent clients, each one point probe; compatible probes
-//! // coalesce into a single batched domain search.
+//! // 4 concurrent clients; compatible probes coalesce into one
+//! // batched domain search per window, answers demux per client.
 //! let server = BatchServer::with_options(&db, ServeOptions::batch_max(16));
 //! let (answers, stats) = server.serve_concurrent(4, |i, client| {
-//!     client.call(Request::point("sales", "amount", [10i64, 40, 25, 7][i]))
+//!     client.call(Request::point("sales", "cust", [1i64, 2, 3, 9][i]))
 //! });
-//! assert_eq!(answers[1], Ok(ResultRows::Rids(vec![1]))); // amount = 40
-//! assert_eq!(answers[3], Ok(ResultRows::Rids(vec![]))); // no row
+//! assert_eq!(answers[0], Ok(ResultRows::Rids(vec![0, 2])));
+//! assert_eq!(answers[3], Ok(ResultRows::Rids(vec![]))); // miss
 //! assert_eq!(stats.requests, 4);
+//!
+//! // Pipelining: many requests in flight per client deepen windows
+//! // beyond the client count; ranges and full plans ride along.
+//! let (answers, _) = server.serve_concurrent(2, |_, client| {
+//!     let a = client.submit(Request::range("sales", "amount", 20, 50));
+//!     let b = client.submit(Request::query(
+//!         QuerySpec::table("sales").group_by("cust", sum("amount")),
+//!     ));
+//!     (a.wait(), b.wait())
+//! });
+//! let (ranged, grouped) = &answers[0];
+//! assert_eq!(*ranged, Ok(ResultRows::Rids(vec![1, 2])));
+//! match grouped {
+//!     Ok(ResultRows::Groups(g)) => assert_eq!(g.len(), 3),
+//!     other => panic!("expected groups, got {other:?}"),
+//! }
 //! # Ok::<(), mmdb::MmdbError>(())
 //! ```
 

@@ -364,9 +364,9 @@ impl<'e, S: ServeSource + ?Sized> BatchServer<'e, S> {
         self.options
     }
 
-    /// The metric registry this server records onto
-    /// (`serve.*`/`catalog.*` names; see the README's Observability
-    /// section).
+    /// The metric registry this server records onto: the `serve.*`
+    /// window, latency and queue instruments and the `catalog.*`
+    /// commit-slot gauges, each documented on `ServeMetrics`' fields.
     pub fn registry(&self) -> &Arc<obs::Registry> {
         &self.metrics.registry
     }

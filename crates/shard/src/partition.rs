@@ -154,8 +154,10 @@ impl RangePartitioner {
         Ok(Self { ranges })
     }
 
-    /// Convenience: `shards` equal-width integer ranges covering
-    /// `[lo, hi]` inclusive (the last shard absorbs the remainder).
+    /// Convenience: `shards` near-equal integer ranges covering
+    /// `[lo, hi]` inclusive; the first `(hi - lo + 1) % shards` shards
+    /// take one key more than the rest. The span may reach both ends of
+    /// `i64`; it needs at least one key per shard.
     pub fn int_spans(lo: i64, hi: i64, shards: usize) -> Result<Self> {
         if shards == 0 {
             return Err(MmdbError::InvalidPartitioner {
@@ -167,24 +169,24 @@ impl RangePartitioner {
                 reason: format!("inverted key span [{lo}, {hi}]"),
             });
         }
-        // Near-equal widths: the first `extra` shards take one more key,
-        // so any span with at least one key per shard is accepted.
-        let span = hi - lo + 1;
-        let base = span / shards as i64;
-        let extra = span % shards as i64;
+        // The key count of a full `i64` span is 2^64, so count in i128.
+        let span = i128::from(hi) - i128::from(lo) + 1;
+        let (base, extra) = (span / shards as i128, span % shards as i128);
         if base == 0 {
             return Err(MmdbError::InvalidPartitioner {
                 reason: format!("span [{lo}, {hi}] is too narrow for {shards} non-empty shards"),
             });
         }
+        // Every bound lies in `[lo, hi]`, so it converts back exactly.
+        let key = |k: i128| Value::Int(i64::try_from(k).expect("a bound within [lo, hi]"));
         let mut ranges = Vec::with_capacity(shards);
-        let mut start = lo;
-        for s in 0..shards as i64 {
-            let width = base + i64::from(s < extra);
-            ranges.push((Value::Int(start), Value::Int(start + width - 1)));
+        let mut start = i128::from(lo);
+        for s in 0..shards as i128 {
+            let width = base + i128::from(s < extra);
+            ranges.push((key(start), key(start + width - 1)));
             start += width;
         }
-        debug_assert_eq!(start, hi + 1);
+        debug_assert_eq!(start, i128::from(hi) + 1);
         Self::new(ranges)
     }
 
@@ -404,9 +406,9 @@ mod tests {
             assert!(p.shard_of(&Value::Int(k)).is_ok(), "key {k}");
         }
         assert!(p.shard_of(&Value::Int(100)).is_err());
-        // Uneven width: the last shard absorbs the remainder.
+        // Uneven width: the first `11 % 4` shards take one key more.
         let p = RangePartitioner::int_spans(0, 10, 4).unwrap();
-        assert_eq!(p.shards(), 4);
+        assert_eq!(p.ranges(), spans(&[(0, 2), (3, 5), (6, 8), (9, 10)]));
         for k in 0..=10i64 {
             assert!(p.shard_of(&Value::Int(k)).is_ok(), "key {k}");
         }
@@ -424,5 +426,55 @@ mod tests {
         assert!(RangePartitioner::int_spans(0, 1, 8).is_err(), "too narrow");
         assert!(RangePartitioner::int_spans(5, 1, 2).is_err(), "inverted");
         assert!(RangePartitioner::int_spans(0, 9, 0).is_err(), "zero shards");
+    }
+
+    fn spans(bounds: &[(i64, i64)]) -> Vec<(Value, Value)> {
+        bounds
+            .iter()
+            .map(|&(lo, hi)| (Value::Int(lo), Value::Int(hi)))
+            .collect()
+    }
+
+    #[test]
+    fn int_spans_reach_both_ends_of_i64() {
+        const MIN: i64 = i64::MIN;
+        const MAX: i64 = i64::MAX;
+        for (lo, hi, shards, want) in [
+            (MIN, MAX, 1, spans(&[(MIN, MAX)])),
+            (MIN, MAX, 2, spans(&[(MIN, -1), (0, MAX)])),
+            (0, MAX, 1, spans(&[(0, MAX)])),
+            (0, MAX, 2, spans(&[(0, MAX / 2), (MAX / 2 + 1, MAX)])),
+            (MIN, -1, 2, spans(&[(MIN, MIN / 2 - 1), (MIN / 2, -1)])),
+            (MIN, MIN, 1, spans(&[(MIN, MIN)])),
+            (
+                MAX - 2,
+                MAX,
+                3,
+                spans(&[(MAX - 2, MAX - 2), (MAX - 1, MAX - 1), (MAX, MAX)]),
+            ),
+            // 2^63 + 1 keys: the first shard takes the one extra.
+            (
+                -1,
+                MAX,
+                4,
+                spans(&[
+                    (-1, (1 << 61) - 1),
+                    (1 << 61, (1 << 62) - 1),
+                    (1 << 62, (3 << 61) - 1),
+                    (3 << 61, MAX),
+                ]),
+            ),
+        ] {
+            let p = RangePartitioner::int_spans(lo, hi, shards)
+                .unwrap_or_else(|e| panic!("[{lo}, {hi}] x{shards}: {e}"));
+            assert_eq!(p.ranges(), want, "[{lo}, {hi}] x{shards}");
+            for key in [lo, hi] {
+                assert!(p.shard_of(&Value::Int(key)).is_ok(), "key {key}");
+            }
+        }
+        assert!(
+            RangePartitioner::int_spans(MAX, MAX, 2).is_err(),
+            "one key, two shards"
+        );
     }
 }

@@ -212,12 +212,13 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Length-prefixed sequence, each element via `f`. Capacity is
-    /// clamped by the bytes actually remaining, so a corrupted length
-    /// cannot force a wild allocation.
+    /// Length-prefixed sequence, each element via `f`. The reservation
+    /// is clamped to the bytes actually remaining — `remaining / size_of::<T>()`
+    /// elements — so a corrupted length cannot force a wild allocation.
     pub fn seq<T>(&mut self, mut f: impl FnMut(&mut Self) -> Result<T>) -> Result<Vec<T>> {
         let len = self.u32()? as usize;
-        let mut out = Vec::with_capacity(len.min(self.remaining()));
+        let fit = self.remaining() / std::mem::size_of::<T>().max(1);
+        let mut out = Vec::with_capacity(len.min(fit));
         for _ in 0..len {
             out.push(f(self)?);
         }

@@ -1,0 +1,67 @@
+//! A hostile length prefix reserves memory in proportion to the frame
+//! that carries it, never to the count it claims. A counting global
+//! allocator records the largest single request made while decoding.
+
+use ccindex_wire::ShardRequest;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+struct Counting;
+
+static LARGEST: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// wrapper only records the size asked for.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LARGEST.fetch_max(layout.size(), Ordering::SeqCst);
+        // SAFETY: the caller's contract for `alloc` is passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// Decode `frame`, which must fail, and return the largest single
+/// allocation the decode made.
+fn largest_reservation(frame: &[u8]) -> usize {
+    LARGEST.store(0, Ordering::SeqCst);
+    let decoded = ShardRequest::decode(frame, "hostile");
+    let largest = LARGEST.load(Ordering::SeqCst);
+    assert!(decoded.is_err(), "a hostile frame decoded");
+    largest
+}
+
+// One test, so no other test thread allocates while a decode is measured.
+#[test]
+fn hostile_counts_reserve_at_most_their_frame() {
+    const BODY: usize = 1 << 20;
+    // `ExecuteBatch` (tag 11) claiming `u32::MAX` requests, then 1 MiB
+    // of bytes that are no request at all.
+    let mut batch = vec![11u8];
+    batch.extend_from_slice(&u32::MAX.to_le_bytes());
+    // `Register` (tag 12) of table `t` with one column `c` whose value
+    // count is `u32::MAX`: a count nested inside another sequence.
+    let mut register = vec![12u8];
+    register.extend_from_slice(&1u32.to_le_bytes());
+    register.push(b't');
+    register.extend_from_slice(&1u32.to_le_bytes());
+    register.extend_from_slice(&1u32.to_le_bytes());
+    register.push(b'c');
+    register.extend_from_slice(&u32::MAX.to_le_bytes());
+    for mut frame in [batch, register] {
+        frame.resize(frame.len() + BODY, 0xFF);
+        let largest = largest_reservation(&frame);
+        assert!(
+            largest <= frame.len(),
+            "decoding a {}-byte frame reserved {largest} bytes at once",
+            frame.len()
+        );
+    }
+}

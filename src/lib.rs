@@ -51,6 +51,11 @@
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
+// The README's Rust blocks run as this crate's doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
+
 pub use analysis as model;
 pub use bst_index as bst;
 pub use cachesim as sim;
