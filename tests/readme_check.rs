@@ -1,7 +1,7 @@
-//! Keeps the README's "Correctness tooling" example compiling and
-//! behaving as printed: the seeded `Relaxed` publish is reported as a
-//! data race, the `Release`/`Acquire` twin explores clean to
-//! completion.
+//! End-to-end check of the correctness tooling: a seeded `Relaxed`
+//! publish is reported as a data race, and its `Release`/`Acquire` twin
+//! explores clean to completion. The `check` crate's doc example runs
+//! the same scenario; this is an ordinary test, not a copy to keep in step.
 
 use check::cell::RaceCell;
 use check::sync::atomic::Ordering;

@@ -1,5 +1,6 @@
-//! Mirror of README.md's "Distributed shards" example — kept as a real
-//! test so the README cannot silently rot. Update both together.
+//! End-to-end run of a coordinator over two `ShardServer`s on the wire
+//! protocol. README.md's "Distributed shards" block runs the same flow
+//! as a doctest; this is an ordinary test, not a copy to keep in step.
 
 use ccindex::db::Value;
 use ccindex::prelude::*;
@@ -55,5 +56,5 @@ fn demo() -> Result<(), MmdbError> {
 
 #[test]
 fn readme_distributed_example_runs() {
-    demo().expect("the README example must keep working");
+    demo().expect("the example must keep working");
 }

@@ -1,5 +1,6 @@
-//! Mirror of README.md's "Observability" example — kept as a real test
-//! so the README cannot silently rot. Update both together.
+//! End-to-end run of the observability surface: timed explains and the
+//! metrics registry. README.md's "Observability" block runs the same
+//! flow as a doctest; this is an ordinary test, not a copy to keep in step.
 
 use ccindex::prelude::*;
 use std::sync::Arc;
@@ -70,5 +71,5 @@ fn demo() -> Result<(), MmdbError> {
 
 #[test]
 fn readme_observability_example_runs() {
-    demo().expect("the README example must keep working");
+    demo().expect("the example must keep working");
 }

@@ -1,4 +1,7 @@
-//! The README's "Query engine" example, kept compiling and correct.
+//! End-to-end run of the query engine: a point + range conjunction, a
+//! select-join-group, and one plan on the writer and on a snapshot.
+//! README.md's "The query engine" block runs the same flow as a doctest;
+//! this is an ordinary test, not a copy to keep in step.
 
 use ccindex::prelude::*;
 
@@ -53,5 +56,5 @@ fn demo() -> Result<(), MmdbError> {
 
 #[test]
 fn readme_query_engine_example() {
-    demo().expect("the README example must run clean");
+    demo().expect("the example must run clean");
 }

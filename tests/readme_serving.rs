@@ -1,5 +1,7 @@
-//! Mirror of README.md's "Serving" example — kept as a real test so the
-//! README cannot silently rot. Update both together.
+//! End-to-end run of the batching server: concurrent clients whose
+//! compatible probes coalesce into batched descents. The `ccindex_serve`
+//! crate's doc example runs the same flow; this is an ordinary test, not
+//! a copy to keep in step.
 
 use ccindex::prelude::*;
 
@@ -44,5 +46,5 @@ fn demo() -> Result<(), MmdbError> {
 
 #[test]
 fn readme_serving_example_runs() {
-    demo().expect("the README example must keep working");
+    demo().expect("the example must keep working");
 }

@@ -1,5 +1,6 @@
-//! Mirror of README.md's "Sharded execution" example — kept as a real
-//! test so the README cannot silently rot. Update both together.
+//! End-to-end run of in-process sharded execution on four hash shards.
+//! The `ccindex_shard` crate's doc example runs the same flow; this is an
+//! ordinary test, not a copy to keep in step.
 
 use ccindex::db::Value;
 use ccindex::prelude::*;
@@ -54,5 +55,5 @@ fn demo() -> Result<(), MmdbError> {
 
 #[test]
 fn readme_sharding_example_runs() {
-    demo().expect("the README example must keep working");
+    demo().expect("the example must keep working");
 }
