@@ -131,14 +131,13 @@ pub struct RebuildReport {
 }
 
 impl Database {
-    /// An empty catalog. Execution options start from
-    /// [`ExecOptions::from_env`], so `CCINDEX_THREADS=8` switches every
-    /// query of a process to partitioned execution without code changes
-    /// (the compiled-in default is sequential).
+    /// An empty catalog at [`ExecOptions::default`] (sequential); a
+    /// caller that wants partitioned execution sets it with
+    /// [`Database::set_exec_options`].
     pub fn new() -> Self {
         let tip = CatalogState {
             tables: BTreeMap::new(),
-            exec: ExecOptions::from_env(),
+            exec: ExecOptions::default(),
             generation: 0,
         };
         let slot = SwapSlot::new(tip.clone(), 0);
@@ -147,11 +146,12 @@ impl Database {
 
     /// Set the catalog-wide [`ExecOptions`]: worker threads for the
     /// partitioned equality/range/join/group operators and interleave
-    /// lanes for batch-aware indexes. Plans compiled afterwards record
+    /// lanes for batch-aware indexes, bounded by
+    /// [`ExecOptions::normalized`]. Plans compiled afterwards record
     /// these; running plans are unaffected. Commits a generation, so
     /// snapshots pinned afterwards inherit the new knobs.
     pub fn set_exec_options(&mut self, options: ExecOptions) {
-        self.tip.exec = options;
+        self.tip.exec = options.normalized();
         self.publish();
     }
 

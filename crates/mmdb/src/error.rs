@@ -87,8 +87,8 @@ pub enum MmdbError {
         /// What was wrong with the specification.
         reason: String,
     },
-    /// An execution knob read from the environment did not parse — a
-    /// misconfiguration (`CCINDEX_THREADS=abc`) that must fail loudly
+    /// A deployment knob read from the environment did not parse — a
+    /// misconfiguration (`CCINDEX_SHARD_TIMEOUT_MS=abc`) that must fail loudly
     /// instead of silently running with the compiled-in default.
     InvalidExecOption {
         /// The environment variable that failed to parse.
@@ -342,12 +342,12 @@ mod tests {
         assert!(e.to_string().contains("ranges overlap"));
 
         let e = MmdbError::InvalidExecOption {
-            name: "CCINDEX_THREADS".into(),
+            name: "CCINDEX_SHARD_TIMEOUT_MS".into(),
             value: "abc".into(),
         };
         let msg = e.to_string();
         assert!(
-            msg.contains("CCINDEX_THREADS") && msg.contains("abc"),
+            msg.contains("CCINDEX_SHARD_TIMEOUT_MS") && msg.contains("abc"),
             "{msg}"
         );
 

@@ -70,6 +70,13 @@ use ccindex_common::DEFAULT_BATCH_LANES;
 // Execution options
 // ---------------------------------------------------------------------
 
+/// Most worker threads a plan runs with ([`ExecOptions::normalized`]).
+const MAX_THREADS: usize = 64;
+
+/// Most interleave lanes, and rows of lookahead, a plan runs with
+/// ([`ExecOptions::normalized`]).
+const MAX_LANES: usize = 64;
+
 /// Execution knobs for the physical operators, set catalog-wide with
 /// [`Database::set_exec_options`] (or per query with [`Query::exec`])
 /// and recorded on every compiled [`Plan`] so plans stay inspectable.
@@ -88,9 +95,12 @@ use ccindex_common::DEFAULT_BATCH_LANES;
 /// ahead the operators prefetch: RID runs, the join's outer IDs, and the
 /// group and measure IDs a grouping folds. Degenerate values
 /// (0, or more lanes than probes) fall back to sequential descent.
-/// `shards` is read by the sharded catalog layer (`ccindex-shard`): how
-/// many shards a `ShardedDatabase` built "from the environment"
-/// partitions each table across (plain [`Database`]s ignore it).
+/// `shards` is carried on the wire but read by no catalog: a sharded
+/// catalog's shard count is its partitioner's.
+///
+/// Nothing is read from the environment: a [`Database`] starts at
+/// [`ExecOptions::default`], and a caller that wants anything else sets
+/// it. Every entry bounds what it is given ([`ExecOptions::normalized`]).
 ///
 /// Every thread count answers byte-identically: chunks concatenate in
 /// input order, aggregate merges are commutative, and domain-ID order is
@@ -154,8 +164,7 @@ pub struct ExecOptions {
     /// Interleave lanes per batched domain descent, and the operators'
     /// gather lookahead in rows: both keep `lanes` misses in flight.
     pub lanes: usize,
-    /// Shard count for environment-constructed sharded catalogs
-    /// (minimum 1; plain catalogs ignore it).
+    /// Unread by every catalog (minimum 1); the wire still carries it.
     pub shards: usize,
 }
 
@@ -180,51 +189,21 @@ impl ExecOptions {
         }
     }
 
-    /// Read the knobs from the environment, failing loudly: an **unset**
-    /// variable falls back to the [`ExecOptions::default`] value, but a
-    /// set-yet-unparsable one (`CCINDEX_THREADS=abc`) is a typed
-    /// [`MmdbError::InvalidExecOption`] naming the variable and its
-    /// value — a misconfigured CI run should fail, not silently execute
-    /// with defaults. Parsed values are normalised by
-    /// [`ExecOptions::normalized`].
-    pub fn try_from_env() -> Result<Self> {
-        Ok(Self {
-            threads: env_knob("CCINDEX_THREADS")?.unwrap_or(Self::default().threads),
-            lanes: env_knob("CCINDEX_LANES")?.unwrap_or(Self::default().lanes),
-            shards: env_knob("CCINDEX_SHARDS")?.unwrap_or(Self::default().shards),
-        }
-        .normalized())
-    }
-
-    /// The infallible twin of [`ExecOptions::try_from_env`]: what
-    /// [`Database::new`](crate::Database::new) uses, so a whole test
-    /// suite or service can be switched to partitioned execution
-    /// without a code change (CI runs the tests with
-    /// `CCINDEX_THREADS=8`, `CCINDEX_SHARDS=4`, `CCINDEX_BATCH_MAX=16`
-    /// and `CCINDEX_LANES=3`). An unparsable variable no longer falls
-    /// back *silently*: the typed error is logged to stderr, and only
-    /// the offending knob takes its default — the other, correctly-set
-    /// knobs keep their configured values.
-    pub fn from_env() -> Self {
-        let default = Self::default();
-        Self {
-            threads: env_knob_lenient("CCINDEX_THREADS").unwrap_or(default.threads),
-            lanes: env_knob_lenient("CCINDEX_LANES").unwrap_or(default.lanes),
-            shards: env_knob_lenient("CCINDEX_SHARDS").unwrap_or(default.shards),
-        }
-        .normalized()
-    }
-
-    /// Apply the knobs' floors consistently: `lanes` and `shards` are
+    /// Apply the knobs' bounds consistently. `lanes` and `shards` are
     /// raised to at least 1 (`lanes == 0` and `lanes == 1` both mean a
-    /// sequential descent, and a catalog needs at least one shard, so
-    /// the floor is a pure normalisation). `threads` is deliberately
-    /// exempt — `0` is the documented *adaptive* sentinel, not a
-    /// degenerate value.
+    /// sequential descent, and a catalog needs at least one shard);
+    /// `threads` keeps `0`, the documented *adaptive* sentinel. `threads`
+    /// and `lanes` are capped at 64 each, so the worst a request can ask
+    /// for is 64 OS threads and 64 domain-sized group partials, with 64
+    /// rows of lookahead. Every entry applies it:
+    /// [`Database::set_exec_options`](crate::Database::set_exec_options)
+    /// and the sharded catalog's, a per-query override at compile, and
+    /// the wire decoder. It changes no answer, since every thread and
+    /// lane count answers byte-identically.
     pub fn normalized(self) -> Self {
         Self {
-            threads: self.threads,
-            lanes: self.lanes.max(1),
+            threads: self.threads.min(MAX_THREADS),
+            lanes: self.lanes.clamp(1, MAX_LANES),
             shards: self.shards.max(1),
         }
     }
@@ -235,28 +214,10 @@ impl ExecOptions {
     }
 }
 
-/// One environment knob: `Ok(None)` when unset, `Ok(Some(v))` when it
-/// parses, and a typed [`MmdbError::InvalidExecOption`] otherwise. The
-/// env read and the parse are split so the parse rule is unit-testable
-/// without mutating process-wide environment state.
-fn env_knob(name: &'static str) -> Result<Option<usize>> {
-    parse_knob(name, std::env::var(name).ok())
-}
-
-/// [`env_knob`] for the infallible `from_env` paths: an unparsable knob
-/// logs its typed error to stderr and reads as unset, so only the
-/// offending variable falls back to its default.
-pub(crate) fn env_knob_lenient(name: &'static str) -> Option<usize> {
-    env_knob(name).unwrap_or_else(|e| {
-        eprintln!("ccindex: {e}; using the default for {name}");
-        None
-    })
-}
-
-/// Parse rule shared by every `CCINDEX_*` integer knob (including the
-/// serving layer's `CCINDEX_BATCH_*` pair): absent stays absent,
-/// surrounding whitespace is tolerated, anything else must be a base-10
-/// unsigned integer.
+/// Parse rule for an integer deployment knob (the remote shards'
+/// `CCINDEX_SHARD_TIMEOUT_MS`): absent stays absent, surrounding
+/// whitespace is tolerated, anything else must be a base-10 unsigned
+/// integer.
 pub fn parse_knob(name: &str, raw: Option<String>) -> Result<Option<usize>> {
     match raw {
         None => Ok(None),
@@ -841,11 +802,6 @@ pub struct ProbeStep {
     pub kind: IndexKind,
     /// The probe itself.
     pub probe: Probe,
-    /// Worker threads this probe's select operator partitions across.
-    /// Always 1 today: the executor locates each filter's run with a
-    /// single probe constant, which cannot chunk (a future multi-value
-    /// probe step would inherit the plan's `exec.threads`).
-    pub threads: usize,
 }
 
 /// What a [`ProbeStep`] asks its index.
@@ -868,15 +824,12 @@ pub struct JoinStep {
     pub inner_column: String,
     /// Access path on the inner column.
     pub kind: IndexKind,
-    /// Worker threads the outer RID stream partitions across
-    /// (1 = sequential, 0 = adaptive: resolved from the outer RID count
-    /// at execution time).
-    pub threads: usize,
     /// The planner's upper bound on the outer stream length (the driving
-    /// table's row count). Execution resolves an adaptive node against
-    /// the *actual* RID count; [`Plan::explain`] resolves against this
-    /// hint so the rendered text reports a concrete worker count instead
-    /// of the raw `0` knob.
+    /// table's row count). The outer RID stream partitions across the
+    /// plan's `exec.threads`; an adaptive plan (`0`) resolves against the
+    /// *actual* RID count at execution, and [`Plan::explain`] against
+    /// this hint, so the rendered text reports a concrete worker count
+    /// instead of the raw `0` knob.
     pub rows_hint: usize,
 }
 
@@ -891,10 +844,6 @@ pub struct GroupStep {
     pub agg: AggFn,
     /// Measure column and its side (`None` for `Count`).
     pub measure: Option<(String, Side)>,
-    /// Worker threads accumulating partial aggregates (1 = sequential,
-    /// 0 = adaptive: resolved from the grouped row count at execution
-    /// time; partials merge at the join barrier).
-    pub threads: usize,
     /// The planner's upper bound on the grouped row count (the driving
     /// table's row count; a join can multiply it, but the hint only
     /// feeds [`Plan::explain`]'s adaptive rendering — execution resolves
@@ -1092,7 +1041,7 @@ impl Plan {
             Some(n) => format!(" .. {}", ccindex_obs::format_ns(n)),
             None => String::new(),
         };
-        let par = |threads: usize, rows_hint: usize| match threads {
+        let par = |rows_hint: usize| match self.exec.threads {
             1 => String::new(),
             0 => format!(
                 " [x{} threads (adaptive)]",
@@ -1113,21 +1062,14 @@ impl Plan {
             match &p.probe {
                 Probe::Point(v) => {
                     out.push_str(&format!(
-                        "\n  probe {} = {} via {:?}{}{drove}{timed}",
-                        p.column,
-                        v,
-                        p.kind,
-                        par(p.threads, 1)
+                        "\n  probe {} = {} via {:?}{drove}{timed}",
+                        p.column, v, p.kind
                     ));
                 }
                 Probe::Range(lo, hi) => {
                     out.push_str(&format!(
-                        "\n  probe {} in [{}, {}] via {:?}{}{drove}{timed}",
-                        p.column,
-                        lo,
-                        hi,
-                        p.kind,
-                        par(p.threads, 1)
+                        "\n  probe {} in [{}, {}] via {:?}{drove}{timed}",
+                        p.column, lo, hi, p.kind
                     ));
                 }
             }
@@ -1145,7 +1087,7 @@ impl Plan {
                 j.outer_column,
                 j.inner_column,
                 j.kind,
-                par(j.threads, j.rows_hint),
+                par(j.rows_hint),
                 stamp(timings.and_then(|t| t.join_ns))
             ));
         }
@@ -1159,7 +1101,7 @@ impl Plan {
                 g.column,
                 g.agg,
                 measure,
-                par(g.threads, g.rows_hint),
+                par(g.rows_hint),
                 stamp(timings.and_then(|t| t.group_ns))
             ));
         }
@@ -1237,7 +1179,7 @@ impl Plan {
                     inner_col,
                     inner_rids,
                     self.exec.lanes,
-                    resolve_threads(j.threads, outer_rids.len()),
+                    resolve_threads(self.exec.threads, outer_rids.len()),
                 ))
             }
         };
@@ -1260,7 +1202,7 @@ impl Plan {
             // own row count (`0` = adaptive). A joined or selected row's
             // group and measure IDs sit at scattered RIDs, so each source
             // asks for the lines `lanes` rows ahead of the one it reads.
-            let threads = |rows| resolve_threads(g.threads, rows);
+            let threads = |rows| resolve_threads(self.exec.threads, rows);
             let (agg, lanes) = (g.agg, self.exec.lanes);
             let groups = match (&joined, &selected) {
                 (Some(rows), _) => {
@@ -1560,7 +1502,7 @@ impl CatalogRead for CatalogState {
         let cat = self;
         let outer = &spec.table;
         cat.entry(outer)?;
-        let exec = spec.exec.unwrap_or(cat.exec);
+        let exec = spec.exec.map_or(cat.exec, ExecOptions::normalized);
         // The planner's upper bound on the items a chunkable node can
         // process (the driving table's row count): what an adaptive
         // (`threads == 0`) node's worker count resolves against when the
@@ -1575,10 +1517,6 @@ impl CatalogRead for CatalogState {
                 column: p.column.clone(),
                 kind,
                 probe: p.op.probe(),
-                // A filter stage probes one constant, which cannot be
-                // chunked — recording `exec.threads` here would claim a
-                // partitioning that can never happen.
-                threads: 1,
             });
         }
 
@@ -1593,7 +1531,6 @@ impl CatalogRead for CatalogState {
                     outer_column: cond.outer.clone(),
                     inner_column: cond.inner.clone(),
                     kind,
-                    threads: exec.threads,
                     rows_hint: outer_rows,
                 })
             }
@@ -1614,7 +1551,6 @@ impl CatalogRead for CatalogState {
                     side,
                     agg,
                     measure,
-                    threads: exec.threads,
                     rows_hint: outer_rows,
                 };
                 // The executor's own measure check, run once here too so a
@@ -2272,10 +2208,6 @@ mod tests {
             .plan()
             .unwrap();
         assert_eq!(plan.exec.threads, 8);
-        // Filter stages probe one constant and cannot chunk, so they
-        // honestly record 1; the chunkable group stage records 8.
-        assert_eq!(plan.probes[0].threads, 1);
-        assert_eq!(plan.group.as_ref().unwrap().threads, 8);
         let text = plan.explain();
         assert!(text.contains("[x8 threads]"), "{text}");
         assert!(
@@ -2384,12 +2316,10 @@ mod tests {
         let opts = ExecOptions::default();
         assert_eq!((opts.threads, opts.shards), (1, 1));
         assert!(!opts.is_parallel());
-        // from_env clamps lanes and shards to at least 1 even when the
-        // variables are unset (falling back to the defaults), and the
-        // fallible twin agrees under the same environment.
-        let env = ExecOptions::from_env();
-        assert!(env.shards >= 1 && env.lanes >= 1);
-        assert_eq!(ExecOptions::try_from_env().expect("parsable env"), env);
+        // A fresh catalog starts at the default, whatever the process
+        // environment holds.
+        assert_eq!(crate::Database::new().exec_options(), opts);
+        assert_eq!(opts.normalized(), opts, "the default is in bounds");
         // Adaptive resolution: explicit counts pass through, 0 adapts.
         assert_eq!(resolve_threads(4, 10), 4);
         assert_eq!(resolve_threads(0, 10), 1, "tiny inputs run inline");
@@ -2398,24 +2328,23 @@ mod tests {
 
     #[test]
     fn knob_parsing_is_strict_and_floors_are_consistent() {
-        // The parse rule behind try_from_env, tested without touching
-        // process environment state: unset falls back, whitespace is
-        // tolerated, garbage is a typed error naming the offender.
-        assert_eq!(parse_knob("CCINDEX_THREADS", None).unwrap(), None);
+        // The parse rule behind the remote shards' deadline knob, tested
+        // without touching process environment state: unset falls back,
+        // whitespace is tolerated, garbage is a typed error naming the
+        // offender.
+        let knob = "CCINDEX_SHARD_TIMEOUT_MS";
+        assert_eq!(parse_knob(knob, None).unwrap(), None);
+        assert_eq!(parse_knob(knob, Some(" 8 ".into())).unwrap(), Some(8));
         assert_eq!(
-            parse_knob("CCINDEX_THREADS", Some(" 8 ".into())).unwrap(),
-            Some(8)
-        );
-        assert_eq!(
-            parse_knob("CCINDEX_THREADS", Some("abc".into())).unwrap_err(),
+            parse_knob(knob, Some("abc".into())).unwrap_err(),
             MmdbError::InvalidExecOption {
-                name: "CCINDEX_THREADS".into(),
+                name: knob.into(),
                 value: "abc".into()
             }
         );
-        assert!(parse_knob("CCINDEX_LANES", Some("-3".into())).is_err());
-        assert!(parse_knob("CCINDEX_SHARDS", Some("1.5".into())).is_err());
-        assert!(parse_knob("CCINDEX_SHARDS", Some(String::new())).is_err());
+        assert!(parse_knob(knob, Some("-3".into())).is_err());
+        assert!(parse_knob(knob, Some("1.5".into())).is_err());
+        assert!(parse_knob(knob, Some(String::new())).is_err());
         // The floor treatment is uniform: lanes and shards raise 0 to 1
         // (both 0-forms are degenerate aliases of 1), while threads
         // keeps 0 — the adaptive sentinel is meaningful, not degenerate.
@@ -2432,6 +2361,25 @@ mod tests {
             shards: 2,
         };
         assert_eq!(kept.normalized(), kept, "non-degenerate knobs pass through");
+        // Threads and lanes are capped, so no request can ask for more
+        // OS threads or group partials than the caps.
+        let capped = ExecOptions {
+            threads: 100_000,
+            lanes: usize::MAX,
+            shards: usize::MAX,
+        }
+        .normalized();
+        assert_eq!((capped.threads, capped.lanes), (MAX_THREADS, MAX_LANES));
+        assert_eq!(capped.shards, usize::MAX, "shards has no reader to bound");
+        // Every catalog entry applies the rule.
+        let mut db = crate::Database::new();
+        db.set_exec_options(ExecOptions {
+            threads: usize::MAX,
+            lanes: 0,
+            shards: 0,
+        });
+        let applied = db.exec_options();
+        assert_eq!((applied.threads, applied.lanes, applied.shards), (64, 1, 1));
     }
 
     #[test]
@@ -2539,7 +2487,7 @@ mod tests {
             .exec(ExecOptions::threads(0))
             .plan()
             .unwrap();
-        assert_eq!(plan.group.as_ref().unwrap().threads, 0);
+        assert_eq!(plan.exec.threads, 0);
         // The rendered text reports the worker count the adaptive node
         // resolves to for the planner's row estimate — never a raw `x0`.
         let g = plan.group.as_ref().unwrap();

@@ -1,5 +1,7 @@
 //! Conjunctions, and the physical operators under them, against a
-//! row-scan oracle.
+//! row-scan oracle. Every case that runs at the catalog's options runs
+//! under each of `CATALOG_EXECS`; the others sweep threads and lanes
+//! themselves.
 //!
 //! Random tables with `Int`, `Str` and mixed columns (duplicates the
 //! rule), one to three `eq`/`between` filters (absent values, inverted
@@ -57,6 +59,20 @@ const LETTERS: [&str; 6] = ["a", "b", "c", "d", "e", "f"];
 /// and strings that sort around them.
 const STR_LITERALS: [&str; 11] = ["", "a", "c", "f", "g", "m", "m6", "m9", "m11", "n", "zz"];
 const REGIONS: [&str; 3] = ["east", "west", "north"];
+/// The catalog `(threads, lanes)` every case that runs through the engine
+/// at the catalog's options is checked under: sequential at the default
+/// lanes, and 8 workers at 3 lanes, which leave ragged final rounds and
+/// lookahead tails in every batched descent and gather.
+const CATALOG_EXECS: [(usize, usize); 2] = [(1, 8), (8, 3)];
+
+/// `(threads, lanes)` as catalog options.
+fn exec_at((threads, lanes): (usize, usize)) -> ExecOptions {
+    ExecOptions {
+        threads,
+        lanes,
+        ..ExecOptions::default()
+    }
+}
 
 type Row = [Value; 4];
 
@@ -269,29 +285,32 @@ proptest! {
             .into_iter()
             .map(|seed| Filter::from_seed(seed, literal))
             .collect();
-        let db = database(&rows, &inner);
+        let mut db = database(&rows, &inner);
         let select = QuerySpec {
             filters: filters.iter().map(|f| f.predicate(&COLUMNS)).collect(),
             ..QuerySpec::table("t")
         };
-        for kind in std::iter::once(None).chain(IndexKind::ALL.map(Some)) {
-            let forced = |spec: QuerySpec| match kind {
-                Some(k) => spec.using(k),
-                None => spec,
-            };
-            for (spec, want) in shapes(forced(select.clone()), &rows, &inner, &filters) {
-                let got = db.run_spec(&spec);
-                match forced_error(&filters, kind) {
-                    Some(err) => prop_assert_eq!(got, Err(err), "{:?}", spec),
-                    None => {
-                        let got = got.map_err(|e| TestCaseError::fail(format!("{spec:?}: {e}")))?;
-                        if let ResultRows::Rids(rids) = &got {
-                            prop_assert!(
-                                rids.windows(2).all(|w| w[0] < w[1]),
-                                "not ascending: {:?} for {:?}", rids, spec
-                            );
+        for exec in CATALOG_EXECS {
+            db.set_exec_options(exec_at(exec));
+            for kind in std::iter::once(None).chain(IndexKind::ALL.map(Some)) {
+                let forced = |spec: QuerySpec| match kind {
+                    Some(k) => spec.using(k),
+                    None => spec,
+                };
+                for (spec, want) in shapes(forced(select.clone()), &rows, &inner, &filters) {
+                    let got = db.run_spec(&spec);
+                    match forced_error(&filters, kind) {
+                        Some(err) => prop_assert_eq!(got, Err(err), "{:?} {:?}", exec, spec),
+                        None => {
+                            let got = got.map_err(|e| TestCaseError::fail(format!("{exec:?} {spec:?}: {e}")))?;
+                            if let ResultRows::Rids(rids) = &got {
+                                prop_assert!(
+                                    rids.windows(2).all(|w| w[0] < w[1]),
+                                    "not ascending: {:?} for {:?} {:?}", rids, exec, spec
+                                );
+                            }
+                            prop_assert_eq!(got, want, "{:?} {:?}", exec, spec);
                         }
-                        prop_assert_eq!(got, want, "{:?}", spec);
                     }
                 }
             }
@@ -597,15 +616,18 @@ proptest! {
         for (name, column) in ["x", "y"].into_iter().flat_map(|t| ARMS.map(|a| (t, a))) {
             db.create_index(name, column, IndexKind::FullCss).unwrap();
         }
-        for (arm, (_, values)) in outer_side.iter().enumerate() {
-            let band = |v: &Value| Value::Int(-40) <= *v && *v <= Value::Int(200);
-            let selected = scan(values, band);
-            for (to, (_, inner_values)) in inner_side.iter().enumerate() {
-                let spec = QuerySpec::table("x")
-                    .filter(between(ARMS[arm], -40, 200))
-                    .join("y", on(ARMS[arm], ARMS[to]));
-                let want = join_scan(values, &selected, inner_values);
-                prop_assert_eq!(db.run_spec(&spec), Ok(ResultRows::Joined(want)), "{:?}", spec);
+        for exec in CATALOG_EXECS {
+            db.set_exec_options(exec_at(exec));
+            for (arm, (_, values)) in outer_side.iter().enumerate() {
+                let band = |v: &Value| Value::Int(-40) <= *v && *v <= Value::Int(200);
+                let selected = scan(values, band);
+                for (to, (_, inner_values)) in inner_side.iter().enumerate() {
+                    let spec = QuerySpec::table("x")
+                        .filter(between(ARMS[arm], -40, 200))
+                        .join("y", on(ARMS[arm], ARMS[to]));
+                    let want = join_scan(values, &selected, inner_values);
+                    prop_assert_eq!(db.run_spec(&spec), Ok(ResultRows::Joined(want)), "{:?} {:?}", exec, spec);
+                }
             }
         }
     }
@@ -660,11 +682,22 @@ fn range_endpoint_batches_resolve_both_ends_of_i64_and_str_bounds() {
     db.register(Table::from_parts("e", vec![("v".into(), column)]).unwrap())
         .unwrap();
     db.create_index("e", "v", IndexKind::FullCss).unwrap();
-    assert_eq!(db.range_probe_batch("e", "v", &ranges).unwrap(), want);
-    for ((lo, hi), want) in ranges.iter().zip(&want) {
-        let spec = QuerySpec::table("e").filter(between("v", lo.clone(), hi.clone()));
-        let got = db.run_spec(&spec).unwrap();
-        assert_eq!(got, ResultRows::Rids(want.clone()), "[{lo:?}, {hi:?}]");
+    for exec in CATALOG_EXECS {
+        db.set_exec_options(exec_at(exec));
+        assert_eq!(
+            db.range_probe_batch("e", "v", &ranges).unwrap(),
+            want,
+            "{exec:?}"
+        );
+        for ((lo, hi), want) in ranges.iter().zip(&want) {
+            let spec = QuerySpec::table("e").filter(between("v", lo.clone(), hi.clone()));
+            let got = db.run_spec(&spec).unwrap();
+            assert_eq!(
+                got,
+                ResultRows::Rids(want.clone()),
+                "{exec:?} [{lo:?}, {hi:?}]"
+            );
+        }
     }
 }
 
@@ -829,24 +862,28 @@ fn sparse_groupings_over_a_wide_domain_match_a_row_scan() {
 #[test]
 fn a_stale_plan_fails_typed_even_when_its_first_filter_matches_nothing() {
     let rows: Vec<Row> = (0..40).map(|r| row((r % 6, 0, r % 12, r % 24))).collect();
-    let mut db = database(&rows, &[(1, 0)]);
-    let plan = db
-        .query("t")
-        .filter(eq("i", 999))
-        .filter(between("j", 0, 5))
-        .plan()
-        .unwrap();
-    let kind = plan.probes[1].kind;
-    // Other kinds stay on `j`, so its entry survives without this one.
-    db.drop_index("t", "j", kind).unwrap();
-    assert_eq!(
-        plan.execute(&db).unwrap_err(),
-        MmdbError::IndexNotBuilt {
-            table: "t".into(),
-            column: "j".into(),
-            kind
-        }
-    );
+    for exec in CATALOG_EXECS {
+        let mut db = database(&rows, &[(1, 0)]);
+        db.set_exec_options(exec_at(exec));
+        let plan = db
+            .query("t")
+            .filter(eq("i", 999))
+            .filter(between("j", 0, 5))
+            .plan()
+            .unwrap();
+        let kind = plan.probes[1].kind;
+        // Other kinds stay on `j`, so its entry survives without this one.
+        db.drop_index("t", "j", kind).unwrap();
+        assert_eq!(
+            plan.execute(&db).unwrap_err(),
+            MmdbError::IndexNotBuilt {
+                table: "t".into(),
+                column: "j".into(),
+                kind
+            },
+            "{exec:?}"
+        );
+    }
 }
 
 /// The join's translation over selections carrying from 0.1 % to all of

@@ -21,8 +21,8 @@
 //!   of either — anything whose pinned generation is a
 //!   [`CatalogRead`](mmdb::CatalogRead);
 //! * [`BatchServer`] — accumulates submissions in a **batch-formation
-//!   window** (size-bound + time-bound, [`ServeOptions`] with
-//!   `CCINDEX_BATCH_MAX`/`CCINDEX_BATCH_WAIT_US` env defaults),
+//!   window** (size-bound + time-bound, [`ServeOptions`]: the default
+//!   unless the caller passes its own to [`BatchServer::with_options`]),
 //!   coalesces same-`table.column` probes into single batched engine
 //!   calls (one batched domain search each), executes the
 //!   window's jobs over the shared
@@ -306,13 +306,39 @@ mod tests {
         assert_eq!(got[0], Ok(want.rows().clone()));
     }
 
+    /// Execution knobs that no constructor reads. They are set on a
+    /// child — this test binary re-run on `bind_under_a_bad_window_knob`
+    /// — because the environment is process-wide and the other tests
+    /// share it.
+    const RETIRED_KNOBS: [(&str, &str); 4] = [
+        ("CCINDEX_THREADS", "8"),
+        ("CCINDEX_LANES", "3"),
+        ("CCINDEX_SHARDS", "4"),
+        ("CCINDEX_BATCH_MAX", "lots"),
+    ];
+
+    /// Run the child under `RETIRED_KNOBS` and return its stdout.
+    fn child_under_retired_knobs() -> String {
+        let child = std::process::Command::new(std::env::current_exe().expect("test binary"))
+            .args([
+                "--exact",
+                "tests::bind_under_a_bad_window_knob",
+                "--nocapture",
+            ])
+            .envs(RETIRED_KNOBS)
+            .output()
+            .expect("re-run the test binary");
+        let stdout = String::from_utf8_lossy(&child.stdout).into_owned();
+        assert!(child.status.success(), "{stdout}");
+        stdout
+    }
+
     #[test]
     fn serve_options_env_knobs_parse_strictly() {
-        // Under a clean environment both constructors agree and floors
-        // hold (the parse rule itself is unit-tested in mmdb).
-        let opts = ServeOptions::from_env();
-        assert!(opts.batch_max >= 1);
-        assert_eq!(ServeOptions::try_from_env().expect("parsable env"), opts);
+        // No constructor reads the environment: under every retired knob
+        // the engines and the window start at their defaults.
+        let stdout = child_under_retired_knobs();
+        assert!(stdout.contains("defaults held"), "{stdout}");
         let floored = ServeOptions {
             batch_max: 0,
             batch_wait: Duration::ZERO,
@@ -326,41 +352,43 @@ mod tests {
         );
     }
 
-    /// `ShardServer::bind` resolves the window knobs once, strictly. The
-    /// environment is process-wide and the other tests read it, so the
-    /// bad value is set on a child: this test binary re-run on the one
-    /// test below.
+    /// `ShardServer::bind` reads no window knob, so an unparsable one
+    /// cannot refuse it: the server binds and serves a batch.
     #[test]
     fn shard_server_rejects_an_unparsable_window_knob_at_bind() {
-        let child = std::process::Command::new(std::env::current_exe().expect("test binary"))
-            .args([
-                "--exact",
-                "tests::bind_under_a_bad_window_knob",
-                "--nocapture",
-            ])
-            .env("CCINDEX_BATCH_MAX", "lots")
-            .output()
-            .expect("re-run the test binary");
-        let stdout = String::from_utf8_lossy(&child.stdout);
-        assert!(child.status.success(), "{stdout}");
-        assert!(
-            stdout.contains("bind refused: CCINDEX_BATCH_MAX"),
-            "{stdout}"
-        );
+        let stdout = child_under_retired_knobs();
+        assert!(stdout.contains("bind served"), "{stdout}");
     }
 
     #[test]
     fn bind_under_a_bad_window_knob() {
         if std::env::var("CCINDEX_BATCH_MAX").as_deref() != Ok("lots") {
-            return; // Only meaningful as the child of the test above.
+            return; // Only meaningful as the child of the tests above.
         }
-        match ShardServer::spawn(Database::new()) {
-            Err(MmdbError::InvalidExecOption { name, value }) => {
-                assert_eq!(value, "lots");
-                println!("bind refused: {name}");
-            }
-            other => panic!("expected InvalidExecOption, got {other:?}"),
-        }
+        use ccindex_wire::{read_response, write_request, ShardRequest, ShardResponse};
+        use mmdb::CatalogRead;
+        assert_eq!(Database::new().exec_options(), mmdb::ExecOptions::default());
+        let sharded = ShardedDatabase::hash(2).unwrap();
+        assert_eq!(sharded.exec_options(), mmdb::ExecOptions::default());
+        let db = catalog();
+        assert_eq!(BatchServer::new(&db).options(), ServeOptions::default());
+        println!("defaults held");
+        let requests = vec![
+            Request::point("sales", "cust", 3),
+            Request::range("sales", "amount", 10, 40),
+        ];
+        let want = BatchServer::new(&db).run_batch(&requests);
+        let server = ShardServer::spawn(db).expect("bind ignores the environment");
+        let addr = server.addr();
+        let mut stream = std::net::TcpStream::connect(&addr).unwrap();
+        write_request(&mut stream, &addr, &ShardRequest::ExecuteBatch { requests }).unwrap();
+        assert_eq!(
+            read_response(&mut stream, &addr).unwrap(),
+            ShardResponse::Batch(want)
+        );
+        drop(stream);
+        server.shutdown();
+        println!("bind served");
     }
 
     /// No coordinator sends the v3 `GroupPartial` frame any more (grouped

@@ -48,9 +48,6 @@ struct Shared {
     db: Mutex<Database>,
     /// The read side: lock-free pinned snapshots of the committed tip.
     handle: DatabaseHandle,
-    /// Window bounds for [`ShardRequest::ExecuteBatch`], read from the
-    /// environment once, at bind time.
-    serve_options: ServeOptions,
     /// Set once; the accept loop and shutdown paths observe it.
     stop: AtomicBool,
     /// The bound address, for the shutdown self-connect.
@@ -157,13 +154,10 @@ impl ShardServer {
         Self::bind(db, "127.0.0.1:0")
     }
 
-    /// Serve `db` on an explicit address. The `CCINDEX_BATCH_*` window
-    /// bounds for remote `ExecuteBatch` windows are resolved here, so a
-    /// set-yet-unparsable one fails start-up with a typed
-    /// [`MmdbError::InvalidExecOption`] instead of being re-read (and
-    /// re-logged) per request.
+    /// Serve `db` on an explicit address. A remote `ExecuteBatch`
+    /// arrives already formed and runs windowless
+    /// ([`BatchServer::run_batch`]), so the server holds no window knobs.
     pub fn bind(db: Database, bind_addr: &str) -> Result<Self> {
-        let serve_options = ServeOptions::try_from_env()?;
         let listener = TcpListener::bind(bind_addr).map_err(|e| MmdbError::Transport {
             endpoint: bind_addr.to_owned(),
             fault: mmdb::TransportFault::Connect,
@@ -182,7 +176,6 @@ impl ShardServer {
         let shared = Arc::new(Shared {
             handle: db.handle(),
             db: Mutex::new(db),
-            serve_options,
             stop: AtomicBool::new(false),
             addr,
             conns: Mutex::new(Vec::new()),
@@ -441,9 +434,6 @@ fn respond(shared: &Arc<Shared>, request: ShardRequest) -> ShardResponse {
             exec,
         } => {
             // Rebuild the probes-only plan the coordinator compiled.
-            // `ProbeStep::threads` is not carried on the wire; it never
-            // changes results, only partitioning, so the shard re-derives
-            // it from the plan-wide exec options.
             let plan = Plan {
                 table,
                 probes: probes
@@ -452,7 +442,6 @@ fn respond(shared: &Arc<Shared>, request: ShardRequest) -> ShardResponse {
                         column,
                         kind,
                         probe,
-                        threads: exec.threads,
                     })
                     .collect(),
                 exec,
@@ -516,7 +505,7 @@ fn respond(shared: &Arc<Shared>, request: ShardRequest) -> ShardResponse {
         ShardRequest::ExecuteBatch { requests } => {
             let server = BatchServer::with_metrics(
                 &shared.handle,
-                shared.serve_options,
+                ServeOptions::default(),
                 MetricArc::clone(&shared.registry),
             );
             A::Batch(server.run_batch(&requests))

@@ -8,7 +8,7 @@ use ccindex_obs as obs;
 use ccindex_parallel::sync::atomic::{AtomicUsize, Ordering};
 use ccindex_parallel::sync::{thread, Arc, Instant};
 use ccindex_parallel::{BlockingQueue, OneShot, WorkerPool};
-use mmdb::{parse_knob, CatalogRead, MmdbError, QuerySpec, Request, Result, ResultRows};
+use mmdb::{CatalogRead, MmdbError, QuerySpec, Request, Result, ResultRows};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -56,43 +56,6 @@ impl ServeOptions {
         }
     }
 
-    /// Read the window bounds from the environment — `CCINDEX_BATCH_MAX`
-    /// (requests) and `CCINDEX_BATCH_WAIT_US` (microseconds) — failing
-    /// with a typed [`MmdbError::InvalidExecOption`] on a set-yet-
-    /// unparsable value, exactly like
-    /// [`ExecOptions::try_from_env`](mmdb::ExecOptions::try_from_env).
-    /// Unset variables fall back to [`ServeOptions::default`]; parsed
-    /// values are normalised ([`ServeOptions::normalized`]).
-    pub fn try_from_env() -> Result<Self> {
-        let default = Self::default();
-        let batch_max = env_knob("CCINDEX_BATCH_MAX")?.unwrap_or(default.batch_max);
-        let batch_wait = env_knob("CCINDEX_BATCH_WAIT_US")?
-            .map(|us| Duration::from_micros(us as u64))
-            .unwrap_or(default.batch_wait);
-        Ok(Self {
-            batch_max,
-            batch_wait,
-        }
-        .normalized())
-    }
-
-    /// The infallible twin of [`ServeOptions::try_from_env`]: what
-    /// [`BatchServer::new`] uses, so `CCINDEX_BATCH_MAX=16` switches a
-    /// whole process's serving windows without a code change (CI runs
-    /// the test suite once that way). An unparsable variable logs the
-    /// typed error to stderr and only that knob takes its default — the
-    /// other, correctly-set knob keeps its configured value.
-    pub fn from_env() -> Self {
-        let default = Self::default();
-        Self {
-            batch_max: env_knob_lenient("CCINDEX_BATCH_MAX").unwrap_or(default.batch_max),
-            batch_wait: env_knob_lenient("CCINDEX_BATCH_WAIT_US")
-                .map(|us| Duration::from_micros(us as u64))
-                .unwrap_or(default.batch_wait),
-        }
-        .normalized()
-    }
-
     /// Apply the knobs' floors: a window must hold at least one request
     /// (`batch_max.max(1)` — the same treatment the engine knobs get). A
     /// zero wait is meaningful (close the window as soon as the queue
@@ -103,20 +66,6 @@ impl ServeOptions {
             batch_wait: self.batch_wait,
         }
     }
-}
-
-fn env_knob(name: &'static str) -> Result<Option<usize>> {
-    parse_knob(name, std::env::var(name).ok())
-}
-
-/// [`env_knob`] for the infallible path: an unparsable knob logs its
-/// typed error to stderr and reads as unset, so only the offending
-/// variable falls back to its default.
-fn env_knob_lenient(name: &'static str) -> Option<usize> {
-    env_knob(name).unwrap_or_else(|e| {
-        eprintln!("ccindex: {e}; using the default for {name}");
-        None
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -331,10 +280,10 @@ pub struct BatchServer<'e, S: ServeSource + ?Sized> {
 }
 
 impl<'e, S: ServeSource + ?Sized> BatchServer<'e, S> {
-    /// A server over `source` with window bounds from the environment
-    /// ([`ServeOptions::from_env`]) and its own fresh metric registry.
+    /// A server over `source` with the default window bounds
+    /// ([`ServeOptions::default`]) and its own fresh metric registry.
     pub fn new(source: &'e S) -> Self {
-        Self::with_options(source, ServeOptions::from_env())
+        Self::with_options(source, ServeOptions::default())
     }
 
     /// A server over `source` with explicit window bounds and its own

@@ -287,8 +287,8 @@ impl Deref for ShardedDatabase {
 impl ShardedDatabase {
     /// A sharded catalog partitioned by `partitioner` (one shard per
     /// `partitioner.shards()`, each starting as an empty [`Database`]).
-    /// Execution options start from [`ExecOptions::from_env`], exactly
-    /// like [`Database::new`].
+    /// Execution options start at [`ExecOptions::default`], exactly like
+    /// [`Database::new`].
     pub fn new<P: Partitioner + 'static>(partitioner: P) -> Result<Self> {
         let shards = (0..partitioner.shards())
             .map(|_| Box::new(LocalShard::new(Database::new())) as Box<dyn ShardBackend>)
@@ -300,10 +300,10 @@ impl ShardedDatabase {
     /// transport-generic constructor behind [`ShardedDatabase::new`]
     /// (all in-process) and [`ShardedDatabase::connect`] (all remote);
     /// mixes are equally valid. One backend per partitioner shard, in
-    /// shard order. The catalog's [`ExecOptions`] (from the
-    /// environment) are installed on every backend up front, so a shard
-    /// that is already unreachable fails construction with a typed
-    /// error instead of failing the first query.
+    /// shard order. The catalog's [`ExecOptions`] (the default) are
+    /// installed on every backend up front, so a shard that is already
+    /// unreachable fails construction with a typed error instead of
+    /// failing the first query.
     pub fn with_backends<P: Partitioner + 'static>(
         partitioner: P,
         backends: Vec<Box<dyn ShardBackend>>,
@@ -322,7 +322,7 @@ impl ShardedDatabase {
                 ),
             });
         }
-        let exec = ExecOptions::from_env();
+        let exec = ExecOptions::default();
         let metrics = ShardMetrics::install(MetricArc::new(obs::Registry::new()));
         let mut shards = backends;
         for shard in &mut shards {
@@ -366,14 +366,6 @@ impl ShardedDatabase {
         Self::new(crate::partition::HashPartitioner::new(shards)?)
     }
 
-    /// Hash-partitioned catalog sized by the environment:
-    /// `CCINDEX_SHARDS` (via [`ExecOptions::from_env`]), defaulting to a
-    /// single shard — so a whole test suite or service can be switched
-    /// to sharded execution without a code change.
-    pub fn from_env() -> Result<Self> {
-        Self::hash(ExecOptions::from_env().shards.max(1))
-    }
-
     /// One shard's in-process engine, for inspection. This shadows
     /// [`ShardedState::shard`], which the catalog otherwise reaches
     /// through `Deref`: that one returns the shard's pinned read surface
@@ -401,6 +393,7 @@ impl ShardedDatabase {
     /// typed — without committing — when a remote shard cannot be
     /// reached (local shards are infallible here).
     pub fn set_exec_options(&mut self, options: ExecOptions) -> Result<()> {
+        let options = options.normalized();
         for shard in &mut self.shards {
             shard.set_exec_options(options)?;
         }

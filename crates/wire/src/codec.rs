@@ -409,13 +409,16 @@ pub fn put_exec(w: &mut Writer, exec: ExecOptions) {
     w.usize(exec.shards);
 }
 
-/// Decode [`ExecOptions`].
+/// Decode [`ExecOptions`], bounded by [`ExecOptions::normalized`]: a
+/// peer cannot ask a server for more threads or lanes than a local
+/// caller can.
 pub fn get_exec(r: &mut Reader<'_>) -> Result<ExecOptions> {
     Ok(ExecOptions {
         threads: r.usize()?,
         lanes: r.usize()?,
         shards: r.usize()?,
-    })
+    }
+    .normalized())
 }
 
 /// Encode a [`GroupRow`].
@@ -692,21 +695,24 @@ fn get_span_node_at(r: &mut Reader<'_>, depth: u32) -> Result<SpanNode> {
 /// coordinator can reconstruct an identical template from a remote
 /// shard's compile). The body only: a shard compiles and runs plans in
 /// place, so the [`Routing`] is never on the wire and decodes as the
-/// default.
+/// default. Each step keeps v3's reserved thread-count slot, written as
+/// what the plan runs with (1 for a probe, `exec.threads` for the join
+/// and the group) and dropped on decode: a plan records its parallelism
+/// once, in `exec`.
 pub fn put_plan(w: &mut Writer, plan: &Plan) {
     w.str(&plan.table);
     w.seq(&plan.probes, |w, p| {
         w.str(&p.column);
         put_kind(w, p.kind);
         put_probe(w, &p.probe);
-        w.usize(p.threads);
+        w.usize(1);
     });
     w.option(plan.join.as_ref(), |w, j| {
         w.str(&j.inner_table);
         w.str(&j.outer_column);
         w.str(&j.inner_column);
         put_kind(w, j.kind);
-        w.usize(j.threads);
+        w.usize(plan.exec.threads);
         w.usize(j.rows_hint);
     });
     w.option(plan.group.as_ref(), |w, g| {
@@ -717,7 +723,7 @@ pub fn put_plan(w: &mut Writer, plan: &Plan) {
             w.str(m);
             put_side(w, *side);
         });
-        w.usize(g.threads);
+        w.usize(plan.exec.threads);
         w.usize(g.rows_hint);
     });
     put_exec(w, plan.exec);
@@ -726,13 +732,15 @@ pub fn put_plan(w: &mut Writer, plan: &Plan) {
 /// Decode a compiled [`Plan`].
 pub fn get_plan(r: &mut Reader<'_>) -> Result<Plan> {
     let table = r.str()?;
+    // Each step's reserved thread-count slot is read and dropped.
     let probes = r.seq(|r| {
-        Ok(ProbeStep {
+        let step = ProbeStep {
             column: r.str()?,
             kind: get_kind(r)?,
             probe: get_probe(r)?,
-            threads: r.usize()?,
-        })
+        };
+        r.usize()?;
+        Ok(step)
     })?;
     let join = r.option(|r| {
         Ok(JoinStep {
@@ -740,8 +748,7 @@ pub fn get_plan(r: &mut Reader<'_>) -> Result<Plan> {
             outer_column: r.str()?,
             inner_column: r.str()?,
             kind: get_kind(r)?,
-            threads: r.usize()?,
-            rows_hint: r.usize()?,
+            rows_hint: r.usize().and_then(|_| r.usize())?,
         })
     })?;
     let group = r.option(|r| {
@@ -750,8 +757,7 @@ pub fn get_plan(r: &mut Reader<'_>) -> Result<Plan> {
             side: get_side(r)?,
             agg: get_agg_fn(r)?,
             measure: r.option(|r| Ok((r.str()?, get_side(r)?)))?,
-            threads: r.usize()?,
-            rows_hint: r.usize()?,
+            rows_hint: r.usize().and_then(|_| r.usize())?,
         })
     })?;
     let exec = get_exec(r)?;

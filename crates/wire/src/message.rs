@@ -634,14 +634,25 @@ impl ShardRequest {
                 probes: r.seq(|r| Ok((r.str()?, get_kind(r)?, get_probe(r)?)))?,
                 exec: get_exec(&mut r)?,
             },
-            4 => ShardRequest::JoinProbeBatch {
-                table: r.str()?,
-                column: r.str()?,
-                kind: get_kind(&mut r)?,
-                values: r.seq(get_value)?,
-                lanes: r.usize()?,
-                threads: r.usize()?,
-            },
+            4 => {
+                let (table, column) = (r.str()?, r.str()?);
+                let (kind, values) = (get_kind(&mut r)?, r.seq(get_value)?);
+                // Bounded by the rule every decoded `ExecOptions` obeys.
+                let exec = ExecOptions {
+                    lanes: r.usize()?,
+                    threads: r.usize()?,
+                    shards: 1,
+                }
+                .normalized();
+                ShardRequest::JoinProbeBatch {
+                    table,
+                    column,
+                    kind,
+                    values,
+                    lanes: exec.lanes,
+                    threads: exec.threads,
+                }
+            }
             5 => ShardRequest::GroupPartial {
                 table: r.str()?,
                 group_column: r.str()?,

@@ -272,7 +272,6 @@ impl Gen {
                     column: self.string(),
                     kind: self.kind(),
                     probe: self.probe(),
-                    threads: 1 + self.below(8) as usize,
                 })
                 .collect(),
             join: if self.below(2) == 0 {
@@ -281,7 +280,6 @@ impl Gen {
                     outer_column: self.string(),
                     inner_column: self.string(),
                     kind: self.kind(),
-                    threads: 1 + self.below(8) as usize,
                     rows_hint: self.below(1 << 20) as usize,
                 })
             } else {
@@ -297,7 +295,6 @@ impl Gen {
                     } else {
                         None
                     },
-                    threads: 1 + self.below(8) as usize,
                     rows_hint: self.below(1 << 20) as usize,
                 })
             } else {
@@ -677,4 +674,43 @@ fn golden_frames_pin_protocol_v3_bytes() {
     for req in [compile, run, batch] {
         assert_eq!(ShardRequest::decode(&req.encode(), "peer").ok(), Some(req));
     }
+}
+
+/// A peer's thread and lane counts decode bounded by
+/// `ExecOptions::normalized`, in every frame that carries them, so no
+/// frame can ask a server for more than a local caller could.
+#[test]
+fn decoded_thread_and_lane_counts_are_bounded() {
+    let hostile = ExecOptions {
+        threads: usize::MAX,
+        lanes: usize::MAX,
+        shards: 0,
+    };
+    let bounded = hostile.normalized();
+    assert_eq!(
+        (bounded.threads, bounded.lanes, bounded.shards),
+        (64, 64, 1)
+    );
+    let decode = |req: ShardRequest| ShardRequest::decode(&req.encode(), "peer").unwrap();
+    assert_eq!(
+        decode(ShardRequest::SetExecOptions { exec: hostile }),
+        ShardRequest::SetExecOptions { exec: bounded }
+    );
+    let spec = QuerySpec::table("t").exec(hostile);
+    assert_eq!(
+        decode(ShardRequest::RunSpec { spec }),
+        ShardRequest::RunSpec {
+            spec: QuerySpec::table("t").exec(bounded)
+        }
+    );
+    let join = |lanes, threads| ShardRequest::JoinProbeBatch {
+        table: "t".into(),
+        column: "k".into(),
+        kind: IndexKind::FullCss,
+        values: vec![Value::Int(1)],
+        lanes,
+        threads,
+    };
+    assert_eq!(decode(join(usize::MAX, usize::MAX)), join(64, 64));
+    assert_eq!(decode(join(0, 0)), join(1, 0), "0 threads stays adaptive");
 }

@@ -9,11 +9,14 @@
 //! The writer's op schedule is deterministic and each op commits exactly
 //! one generation, so a reader can map the generation number of its
 //! pinned snapshot to the exact value sets that generation must serve.
-//! CI re-runs this suite with `CCINDEX_WRITER_COMMITS` raised (and
-//! `CCINDEX_THREADS=8`) to lengthen the race window.
+//! Every race runs with sequential and with 8-worker execution. CI
+//! re-runs this suite with `CCINDEX_WRITER_COMMITS` raised to lengthen
+//! the race window.
 
 use ccindex::db::domain::Value;
-use ccindex::db::{between, eq, on, sum, Database, IndexKind, ResultRows, TableBuilder};
+use ccindex::db::{
+    between, eq, on, sum, Database, ExecOptions, IndexKind, ResultRows, TableBuilder,
+};
 use ccindex::shard::{HashPartitioner, Partitioner, RangePartitioner, ShardedDatabase};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -21,6 +24,8 @@ use std::time::Duration;
 const ROWS: usize = 240;
 const CUSTOMERS: usize = 40;
 const READERS: usize = 4;
+/// Worker threads each race runs with: sequential, and partitioned.
+const THREADS: [usize; 2] = [1, 8];
 
 /// One committed generation's worth of work. `Amount` and `Cust` replace
 /// a column wholesale (non-key and shard-key respectively — the latter
@@ -284,29 +289,38 @@ macro_rules! race_readers_against_writer {
 
 #[test]
 fn unsharded_readers_race_the_writer() {
-    let mut db = Database::new();
-    db.register(sales_at(0, 0)).unwrap();
-    db.register(customers()).unwrap();
-    index_catalog(&mut db);
-    race_readers_against_writer!(db, "unsharded");
+    for threads in THREADS {
+        let mut db = Database::new();
+        db.register(sales_at(0, 0)).unwrap();
+        db.register(customers()).unwrap();
+        index_catalog(&mut db);
+        db.set_exec_options(ExecOptions::threads(threads));
+        race_readers_against_writer!(db, format!("unsharded, {threads} thread(s)"));
+    }
 }
 
-fn seed_sharded<P: Partitioner + 'static>(p: P) -> ShardedDatabase {
+fn seed_sharded<P: Partitioner + 'static>(p: P, threads: usize) -> ShardedDatabase {
     let mut db = ShardedDatabase::new(p).unwrap();
     db.register(sales_at(0, 0), "cust").unwrap();
     db.register(customers(), "id").unwrap();
     index_catalog!(db);
+    db.set_exec_options(ExecOptions::threads(threads)).unwrap();
     db
 }
 
 #[test]
 fn hash_sharded_readers_race_the_writer() {
-    let mut db = seed_sharded(HashPartitioner::new(4).unwrap());
-    race_readers_against_writer!(db, "hash x4");
+    for threads in THREADS {
+        let mut db = seed_sharded(HashPartitioner::new(4).unwrap(), threads);
+        race_readers_against_writer!(db, format!("hash x4, {threads} thread(s)"));
+    }
 }
 
 #[test]
 fn range_sharded_readers_race_the_writer() {
-    let mut db = seed_sharded(RangePartitioner::int_spans(0, CUSTOMERS as i64 - 1, 4).unwrap());
-    race_readers_against_writer!(db, "range x4");
+    for threads in THREADS {
+        let p = RangePartitioner::int_spans(0, CUSTOMERS as i64 - 1, 4).unwrap();
+        let mut db = seed_sharded(p, threads);
+        race_readers_against_writer!(db, format!("range x4, {threads} thread(s)"));
+    }
 }

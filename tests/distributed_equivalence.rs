@@ -3,16 +3,21 @@
 //! `ShardServer` behind loopback TCP) must answer **byte-identically**
 //! to the in-process `ShardedDatabase` and to the unsharded `Database`
 //! — the tentpole property of the transport-generic refactor. Both
-//! partitioners, shard counts {1, 2, 4}, the full pipeline matrix,
-//! decoded values, and update-then-query including a shard-key
-//! repartition all cross the wire here. A killed shard surfaces as a
-//! typed `MmdbError::Transport` — never a panic or a hang.
+//! partitioners, shard counts {1, 2, 4}, sequential and 8-worker
+//! execution, the full pipeline matrix, decoded values, and
+//! update-then-query including a shard-key repartition all cross the
+//! wire here. A killed shard surfaces as a
+//! typed `MmdbError::Transport` — never a panic or a hang — and a
+//! client's thread or lane count cannot take a server down.
 
 use ccindex::db::{MmdbError, Query, ResultRows, Value};
 use ccindex::prelude::*;
-use ccindex::shard::RemoteShard;
+use ccindex::shard::{RemoteShard, ShardBackend};
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
+/// Worker threads the coordinator and its shards run with: sequential,
+/// and a pool the exchange splits between the routed shards.
+const THREADS: [usize; 2] = [1, 8];
 const KEY_SPACE: i64 = 120; // 'cust' values fall in 0..KEY_SPACE
 
 fn orders(rows: usize) -> Table {
@@ -166,28 +171,34 @@ fn every_pipeline_matches_over_tcp_across_shard_counts_and_partitioners() {
                 ),
             ),
         ] {
-            let (db, servers) = partitioned;
-            // Byte-identical to the unsharded engine ...
-            let got = pipeline_battery(&|w| run_sharded(&db, w));
-            for ((name, expect), (_, actual)) in reference.iter().zip(&got) {
-                assert_eq!(
-                    actual, expect,
-                    "{label} x{shards} over TCP: pipeline `{name}` diverged"
-                );
-            }
-            // ... and to the in-process sharded coordinator, same layout.
-            let local = match label {
+            let (mut db, servers) = partitioned;
+            let mut local = match label {
                 "hash" => local_sharded(rows, HashPartitioner::new(shards).unwrap()),
                 _ => local_sharded(
                     rows,
                     RangePartitioner::int_spans(0, KEY_SPACE - 1, shards).unwrap(),
                 ),
             };
-            let in_process = pipeline_battery(&|w| run_sharded(&local, w));
-            assert_eq!(
-                got, in_process,
-                "{label} x{shards}: transport changed bytes"
-            );
+            for threads in THREADS {
+                db.set_exec_options(ExecOptions::threads(threads)).unwrap();
+                local
+                    .set_exec_options(ExecOptions::threads(threads))
+                    .unwrap();
+                // Byte-identical to the unsharded engine ...
+                let got = pipeline_battery(&|w| run_sharded(&db, w));
+                for ((name, expect), (_, actual)) in reference.iter().zip(&got) {
+                    assert_eq!(
+                        actual, expect,
+                        "{label} x{shards}, {threads} thread(s), over TCP: pipeline `{name}` diverged"
+                    );
+                }
+                // ... and to the in-process sharded coordinator, same layout.
+                let in_process = pipeline_battery(&|w| run_sharded(&local, w));
+                assert_eq!(
+                    got, in_process,
+                    "{label} x{shards}, {threads} thread(s): transport changed bytes"
+                );
+            }
             for server in servers {
                 server.shutdown();
             }
@@ -710,23 +721,26 @@ fn joins_match_for_every_placement_of_the_join_columns() {
                 if range && shards > 1 && outer_key == "cust" {
                     assert_eq!(db.backend(1).reader().rows("orders").unwrap(), 0, "{label}");
                 }
-                for (&what, want) in MATRIX_QUERIES.iter().zip(&reference) {
-                    let spec = matrix_spec(what);
-                    let plan = db.compile(&spec).unwrap();
-                    assert_eq!(plan.is_shard_local(), local, "{label}: `{what}`");
-                    let mode = if local {
-                        "run: shard-local"
-                    } else {
-                        "run: join streamed through the coordinator"
-                    };
-                    assert!(plan.explain().contains(mode), "{}", plan.explain());
-                    // Twice: a cold and a warm template.
-                    for _ in 0..2 {
-                        assert_eq!(
-                            &db.run_spec(&spec).expect("planned"),
-                            want,
-                            "{label}: `{what}` diverged"
-                        );
+                for threads in THREADS {
+                    db.set_exec_options(ExecOptions::threads(threads)).unwrap();
+                    for (&what, want) in MATRIX_QUERIES.iter().zip(&reference) {
+                        let spec = matrix_spec(what);
+                        let plan = db.compile(&spec).unwrap();
+                        assert_eq!(plan.is_shard_local(), local, "{label}: `{what}`");
+                        let mode = if local {
+                            "run: shard-local"
+                        } else {
+                            "run: join streamed through the coordinator"
+                        };
+                        assert!(plan.explain().contains(mode), "{}", plan.explain());
+                        // Twice: a cold and a warm template.
+                        for _ in 0..2 {
+                            assert_eq!(
+                                &db.run_spec(&spec).expect("planned"),
+                                want,
+                                "{label}, {threads} thread(s): `{what}` diverged"
+                            );
+                        }
                     }
                 }
                 for server in servers {
@@ -895,4 +909,49 @@ fn a_shard_killed_between_shard_local_queries_is_a_typed_transport_error() {
     for server in servers {
         server.shutdown();
     }
+}
+
+/// A grouped selection over a 300k-row shard, sent to a `ShardServer`
+/// under `hostile` execution options twice: as the spec's own override
+/// (`RunSpec`), and as the shard's catalog options (`SetExecOptions`)
+/// followed by a plain query. The server bounds what a peer asks for,
+/// so both answer the rows of the default options, a later request
+/// still answers, and the server shuts down.
+fn hostile_exec_answers_like_the_default(hostile: ExecOptions) {
+    let rows = 300_000i64;
+    let mut db = Database::new();
+    db.register(
+        TableBuilder::new("t")
+            .int_column("g", (0..rows).map(|i| i % 7))
+            .int_column("v", (0..rows).map(|i| (i * 13) % 1_000))
+            .build()
+            .expect("equal columns"),
+    )
+    .unwrap();
+    db.create_index("t", "v", IndexKind::FullCss).unwrap();
+    let spec = QuerySpec::table("t")
+        .filter(between("v", 0, 899))
+        .group_by("g", sum("v"));
+    let want = db.run_spec(&spec).unwrap();
+    let server = ShardServer::spawn(db).unwrap();
+    let mut shard = RemoteShard::connect(server.addr()).unwrap();
+    assert_eq!(shard.run_spec(&spec.clone().exec(hostile)).unwrap(), want);
+    shard.set_exec_options(hostile).unwrap();
+    assert_eq!(shard.run_spec(&spec).unwrap(), want);
+    assert_eq!(shard.reader().rows("t").unwrap(), rows as usize);
+    drop(shard);
+    server.shutdown();
+}
+
+#[test]
+fn a_client_thread_count_cannot_exhaust_a_shard_server() {
+    hostile_exec_answers_like_the_default(ExecOptions::threads(100_000));
+}
+
+#[test]
+fn a_client_lane_count_cannot_overflow_a_shard_server() {
+    hostile_exec_answers_like_the_default(ExecOptions {
+        lanes: usize::MAX,
+        ..ExecOptions::default()
+    });
 }

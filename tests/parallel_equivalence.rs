@@ -3,7 +3,8 @@
 //! its one-thread run — across all 8 `IndexKind`s and thread counts
 //! {1, 2, 8} (plus 0 = all cores), at both layer levels: the raw
 //! physical operators (one form each, at every lane count too) and whole
-//! queries through `Database` with `ExecOptions`.
+//! queries through `Database` with `ExecOptions`, at the default lanes
+//! and at 3.
 
 use ccindex::css::{CssVariant, DynCssTree};
 use ccindex::db::domain::Value;
@@ -16,6 +17,9 @@ use ccindex::parallel::WorkerPool;
 use ccindex::prelude::*;
 
 const THREADS: [usize; 4] = [1, 2, 8, 0];
+/// The default interleave, and 3 lanes: ragged final rounds and
+/// lookahead tails in every batched descent and gather.
+const LANES: [usize; 2] = [DEFAULT_BATCH_LANES, 3];
 
 fn workload_db() -> Database {
     let n = 6_000usize;
@@ -106,9 +110,19 @@ fn engine_queries_are_identical_across_kinds_and_threads() {
         };
         db.set_exec_options(ExecOptions::default());
         let sequential = queries(&db);
-        for threads in THREADS {
-            db.set_exec_options(ExecOptions::threads(threads));
-            assert_eq!(queries(&db), sequential, "{kind:?} threads={threads}");
+        for lanes in LANES {
+            for threads in THREADS {
+                db.set_exec_options(ExecOptions {
+                    threads,
+                    lanes,
+                    ..ExecOptions::default()
+                });
+                assert_eq!(
+                    queries(&db),
+                    sequential,
+                    "{kind:?} threads={threads} lanes={lanes}"
+                );
+            }
         }
     }
 }
@@ -127,11 +141,12 @@ fn adaptive_explain_reports_resolved_worker_counts() {
         .exec(ExecOptions::threads(0))
         .plan()
         .expect("planned");
-    // The chunkable nodes keep the adaptive sentinel for execution but
-    // carry the driving table's row count as their explain hint.
+    // The plan keeps the adaptive sentinel for execution, and its
+    // chunkable nodes carry the driving table's row count as their
+    // explain hint.
     let join = plan.join.as_ref().expect("join step");
     let group = plan.group.as_ref().expect("group step");
-    assert_eq!((join.threads, group.threads), (0, 0));
+    assert_eq!(plan.exec.threads, 0);
     let rows = db.table("orders").expect("registered").rows();
     assert_eq!((join.rows_hint, group.rows_hint), (rows, rows));
     let resolved = ccindex::parallel::adaptive_threads(rows);

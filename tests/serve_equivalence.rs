@@ -1,7 +1,8 @@
 //! Serving-layer equivalence: batch-formed answers must be
 //! **byte-identical** to per-request sequential execution — across
-//! client counts {1, 4, 32}, both engines (`Database` and a 4-shard
-//! `ShardedDatabase` under both partitioners), all three request shapes
+//! client counts {1, 4, 32}, window sizes {1, 16, 64}, both engines
+//! (`Database` and a 4-shard `ShardedDatabase` under both
+//! partitioners), all three request shapes
 //! (point, range, full query spec), and with column updates interleaved
 //! between serving windows (including a shard-key replacement that
 //! re-partitions the sharded catalog mid-test), and with pipelining
@@ -18,6 +19,8 @@ use std::time::Duration;
 
 const ROWS: usize = 300;
 const CLIENT_COUNTS: [usize; 3] = [1, 4, 32];
+/// Window sizes: no coalescing, a mid-size window, and the default.
+const BATCH_MAXES: [usize; 3] = [1, 16, 64];
 
 fn seed_tables(amount_mul: i64) -> (ccindex::db::Table, ccindex::db::Table) {
     let sales = TableBuilder::new("sales")
@@ -129,7 +132,7 @@ fn assert_serves_identically<S: ServeSource>(
     label: &str,
 ) {
     for clients in CLIENT_COUNTS {
-        for batch_max in [1usize, 16] {
+        for batch_max in BATCH_MAXES {
             let server = BatchServer::with_options(
                 engine,
                 ServeOptions {
@@ -197,7 +200,7 @@ fn assert_pipelined_newest_first_serves_identically<S: ServeSource>(
         .cloned()
         .collect();
     for clients in CLIENT_COUNTS {
-        for batch_max in [1usize, 16] {
+        for batch_max in BATCH_MAXES {
             let server = BatchServer::with_options(
                 engine,
                 ServeOptions {
@@ -293,21 +296,26 @@ fn interleaved_updates_between_windows_stay_equivalent() {
 
 #[test]
 fn env_default_windows_serve_end_to_end() {
-    // BatchServer::new reads CCINDEX_BATCH_MAX/CCINDEX_BATCH_WAIT_US —
-    // the configuration CI exercises by running this suite under
-    // CCINDEX_BATCH_MAX=16. Whatever the environment says, answers must
-    // match the sequential reference.
+    // `BatchServer::new` starts at the default window, whatever the
+    // process environment holds; explicit windows of 1, 16 and 64
+    // requests serve the same answers as the sequential reference.
     let un = unsharded();
     let reference = sequential_reference(&un);
-    let server = BatchServer::new(&un);
-    assert!(server.options().batch_max >= 1);
-    let (answers, _) = server.serve_concurrent(8, |_, client| {
-        request_mix()
-            .into_iter()
-            .map(|r| client.call(r))
-            .collect::<Vec<_>>()
-    });
-    for got in &answers {
-        assert_eq!(got.as_slice(), reference.as_slice());
+    assert_eq!(BatchServer::new(&un).options(), ServeOptions::default());
+    for batch_max in BATCH_MAXES {
+        let server = BatchServer::with_options(&un, ServeOptions::batch_max(batch_max));
+        let (answers, _) = server.serve_concurrent(8, |_, client| {
+            request_mix()
+                .into_iter()
+                .map(|r| client.call(r))
+                .collect::<Vec<_>>()
+        });
+        for got in &answers {
+            assert_eq!(
+                got.as_slice(),
+                reference.as_slice(),
+                "batch_max={batch_max}"
+            );
+        }
     }
 }

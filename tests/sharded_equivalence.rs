@@ -5,7 +5,7 @@
 //! the sharded subsystem. Also covered: forced access paths, decoded
 //! values through owning shards, update-then-query (both the split
 //! per-shard path and the re-partitioning shard-key path), and the
-//! `CCINDEX_SHARDS` environment default.
+//! `ShardedDatabase::hash(n)` constructor at n ∈ {1, 2, 4}.
 
 use ccindex::db::{Plan, Query, ResultRows, Value};
 use ccindex::prelude::*;
@@ -270,20 +270,22 @@ fn plans_record_routing_and_exec_overrides_flow_through() {
 
 #[test]
 fn env_sized_catalog_answers_identically() {
-    // `ShardedDatabase::from_env()` picks its shard count from
-    // CCINDEX_SHARDS (1 when unset) — CI runs the suite once with
-    // CCINDEX_SHARDS=4, so this test exercises a real multi-shard
-    // catalog there and the single-shard identity locally.
+    // A sharded catalog is sized by its caller, never by the process
+    // environment: `hash(n)` has exactly `n` shards at the default
+    // `ExecOptions`, and answers like the unsharded engine.
     let rows = 800;
-    let mut db = ShardedDatabase::from_env().unwrap();
-    assert_eq!(db.shards(), ExecOptions::from_env().shards.max(1));
-    db.register(orders(rows), "cust").unwrap();
-    db.register(customers(), "id").unwrap();
-    index_all(&mut |t, c, k| db.create_index(t, c, k).unwrap());
     let un = unsharded(rows);
     let reference = pipeline_battery(&|w| run_unsharded(&un, w));
-    let got = pipeline_battery(&|w| run_sharded(&db, w));
-    for ((name, expect), (_, actual)) in reference.iter().zip(&got) {
-        assert_eq!(actual, expect, "env-sized catalog: `{name}` diverged");
+    for shards in [1usize, 2, 4] {
+        let mut db = ShardedDatabase::hash(shards).unwrap();
+        assert_eq!(db.shards(), shards);
+        assert_eq!(db.exec_options(), ExecOptions::default());
+        db.register(orders(rows), "cust").unwrap();
+        db.register(customers(), "id").unwrap();
+        index_all(&mut |t, c, k| db.create_index(t, c, k).unwrap());
+        let got = pipeline_battery(&|w| run_sharded(&db, w));
+        for ((name, expect), (_, actual)) in reference.iter().zip(&got) {
+            assert_eq!(actual, expect, "hash x{shards}: `{name}` diverged");
+        }
     }
 }
