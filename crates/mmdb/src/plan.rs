@@ -88,7 +88,8 @@ const MAX_LANES: usize = 64;
 /// own worker count at execution time from the number of probes/RIDs it
 /// actually processes ([`ccindex_parallel::adaptive_threads`]), so tiny
 /// inputs run inline and never pay the spawn overhead while large stages
-/// still spread across every core. `lanes` is the interleave lane count
+/// still spread across every core, up to [`ExecOptions::normalized`]'s
+/// cap. `lanes` is the interleave lane count
 /// of the typed domain's batched descents — the operators' encodings,
 /// range endpoints and join translations — and how many lines ahead a
 /// ranked domain prefetches them; and, after the search, how many rows
@@ -193,9 +194,11 @@ impl ExecOptions {
     /// raised to at least 1 (`lanes == 0` and `lanes == 1` both mean a
     /// sequential descent, and a catalog needs at least one shard);
     /// `threads` keeps `0`, the documented *adaptive* sentinel. `threads`
-    /// and `lanes` are capped at 64 each, so the worst a request can ask
-    /// for is 64 OS threads and 64 domain-sized group partials, with 64
-    /// rows of lookahead. Every entry applies it:
+    /// and `lanes` are capped at 64 each, and a plan resolves adaptive
+    /// under the same cap, so the worst a request can ask for is 64 OS
+    /// threads and 64 domain-sized group partials, with 64 rows of
+    /// lookahead. (A serving window's pool reads `0` as one worker per
+    /// core.) Every entry applies it:
     /// [`Database::set_exec_options`](crate::Database::set_exec_options)
     /// and the sharded catalog's, a per-query override at compile, and
     /// the wire decoder. It changes no answer, since every thread and
@@ -232,12 +235,13 @@ pub fn parse_knob(name: &str, raw: Option<String>) -> Result<Option<usize>> {
     }
 }
 
-/// Resolve a plan node's recorded thread count against the work it is
-/// about to do: `0` ("auto") adapts to the item count so small inputs
-/// run inline, anything else is used as given.
+/// Resolve a plan's recorded thread count against the work it is about
+/// to do: `0` ("auto") adapts to the item count so small inputs run
+/// inline, at most [`ExecOptions::normalized`]'s cap; anything else is
+/// used as given.
 fn resolve_threads(threads: usize, items: usize) -> usize {
     if threads == 0 {
-        ccindex_parallel::adaptive_threads(items)
+        ccindex_parallel::adaptive_threads(items).min(MAX_THREADS)
     } else {
         threads
     }
@@ -954,8 +958,9 @@ impl Plan {
     /// parallelism is inspectable). An adaptive node (`threads == 0`)
     /// reports the worker count it *resolves* to for the node's
     /// planner-estimated item count — `[x4 threads (adaptive)]`, never a
-    /// raw `x0` — via [`ccindex_parallel::adaptive_threads`], the same
-    /// function the executor applies to the actual counts. A sharded
+    /// raw `x0` — through the same capped
+    /// [`ccindex_parallel::adaptive_threads`] the executor applies to the
+    /// actual counts. A sharded
     /// plan renders its routing first (scatter set per stage, pruned vs
     /// fanned join, execution and merge mode), then the per-shard plan
     /// indented beneath it.
@@ -1043,10 +1048,7 @@ impl Plan {
         };
         let par = |rows_hint: usize| match self.exec.threads {
             1 => String::new(),
-            0 => format!(
-                " [x{} threads (adaptive)]",
-                ccindex_parallel::adaptive_threads(rows_hint)
-            ),
+            0 => format!(" [x{} threads (adaptive)]", resolve_threads(0, rows_hint)),
             n => format!(" [x{n} threads]"),
         };
         let mut out = format!("scan {}", self.table);
@@ -2492,7 +2494,7 @@ mod tests {
         // resolves to for the planner's row estimate — never a raw `x0`.
         let g = plan.group.as_ref().unwrap();
         assert_eq!(g.rows_hint, 6, "driving table rows");
-        let resolved = ccindex_parallel::adaptive_threads(g.rows_hint);
+        let resolved = resolve_threads(0, g.rows_hint);
         let text = plan.explain();
         assert!(
             text.contains(&format!("[x{resolved} threads (adaptive)]")),

@@ -306,39 +306,8 @@ mod tests {
         assert_eq!(got[0], Ok(want.rows().clone()));
     }
 
-    /// Execution knobs that no constructor reads. They are set on a
-    /// child — this test binary re-run on `bind_under_a_bad_window_knob`
-    /// — because the environment is process-wide and the other tests
-    /// share it.
-    const RETIRED_KNOBS: [(&str, &str); 4] = [
-        ("CCINDEX_THREADS", "8"),
-        ("CCINDEX_LANES", "3"),
-        ("CCINDEX_SHARDS", "4"),
-        ("CCINDEX_BATCH_MAX", "lots"),
-    ];
-
-    /// Run the child under `RETIRED_KNOBS` and return its stdout.
-    fn child_under_retired_knobs() -> String {
-        let child = std::process::Command::new(std::env::current_exe().expect("test binary"))
-            .args([
-                "--exact",
-                "tests::bind_under_a_bad_window_knob",
-                "--nocapture",
-            ])
-            .envs(RETIRED_KNOBS)
-            .output()
-            .expect("re-run the test binary");
-        let stdout = String::from_utf8_lossy(&child.stdout).into_owned();
-        assert!(child.status.success(), "{stdout}");
-        stdout
-    }
-
     #[test]
     fn serve_options_env_knobs_parse_strictly() {
-        // No constructor reads the environment: under every retired knob
-        // the engines and the window start at their defaults.
-        let stdout = child_under_retired_knobs();
-        assert!(stdout.contains("defaults held"), "{stdout}");
         let floored = ServeOptions {
             batch_max: 0,
             batch_wait: Duration::ZERO,
@@ -352,18 +321,38 @@ mod tests {
         );
     }
 
-    /// `ShardServer::bind` reads no window knob, so an unparsable one
-    /// cannot refuse it: the server binds and serves a batch.
+    /// No constructor reads an execution knob, so an unparsable one
+    /// cannot refuse `ShardServer::bind`. The knobs are set on a child —
+    /// this test binary re-run on `bind_under_a_bad_window_knob` —
+    /// because the environment is process-wide and the other tests share
+    /// it; the child checks that the engines and the window start at
+    /// their defaults, and that the server binds and serves a batch.
     #[test]
     fn shard_server_rejects_an_unparsable_window_knob_at_bind() {
-        let stdout = child_under_retired_knobs();
+        let child = std::process::Command::new(std::env::current_exe().expect("test binary"))
+            .args([
+                "--exact",
+                "tests::bind_under_a_bad_window_knob",
+                "--nocapture",
+            ])
+            .envs([
+                ("CCINDEX_THREADS", "8"),
+                ("CCINDEX_LANES", "3"),
+                ("CCINDEX_SHARDS", "4"),
+                ("CCINDEX_BATCH_MAX", "lots"),
+            ])
+            .output()
+            .expect("re-run the test binary");
+        let stdout = String::from_utf8_lossy(&child.stdout);
+        assert!(child.status.success(), "{stdout}");
+        assert!(stdout.contains("defaults held"), "{stdout}");
         assert!(stdout.contains("bind served"), "{stdout}");
     }
 
     #[test]
     fn bind_under_a_bad_window_knob() {
         if std::env::var("CCINDEX_BATCH_MAX").as_deref() != Ok("lots") {
-            return; // Only meaningful as the child of the tests above.
+            return; // Only meaningful as the child of the test above.
         }
         use ccindex_wire::{read_response, write_request, ShardRequest, ShardResponse};
         use mmdb::CatalogRead;

@@ -3,8 +3,8 @@
 //! `ShardServer` behind loopback TCP) must answer **byte-identically**
 //! to the in-process `ShardedDatabase` and to the unsharded `Database`
 //! — the tentpole property of the transport-generic refactor. Both
-//! partitioners, shard counts {1, 2, 4}, sequential and 8-worker
-//! execution, the full pipeline matrix, decoded values, and
+//! partitioners, shard counts {1, 2, 4}, sequential execution at the
+//! default lanes and 8 workers at 3 lanes, the full pipeline matrix, decoded values, and
 //! update-then-query including a shard-key repartition all cross the
 //! wire here. A killed shard surfaces as a
 //! typed `MmdbError::Transport` — never a panic or a hang — and a
@@ -15,9 +15,20 @@ use ccindex::prelude::*;
 use ccindex::shard::{RemoteShard, ShardBackend};
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
-/// Worker threads the coordinator and its shards run with: sequential,
-/// and a pool the exchange splits between the routed shards.
-const THREADS: [usize; 2] = [1, 8];
+/// `(threads, lanes)` the coordinator and its shards run with:
+/// sequential at the default lanes, and a pool the exchange splits
+/// between the routed shards at 3 lanes, which leave ragged rounds and
+/// lookahead tails in the streamed join's `JoinProbeBatch` probes.
+const EXECS: [(usize, usize); 2] = [(1, 8), (8, 3)];
+
+/// `(threads, lanes)` as catalog options.
+fn exec_at((threads, lanes): (usize, usize)) -> ExecOptions {
+    ExecOptions {
+        threads,
+        lanes,
+        ..ExecOptions::default()
+    }
+}
 const KEY_SPACE: i64 = 120; // 'cust' values fall in 0..KEY_SPACE
 
 fn orders(rows: usize) -> Table {
@@ -179,24 +190,22 @@ fn every_pipeline_matches_over_tcp_across_shard_counts_and_partitioners() {
                     RangePartitioner::int_spans(0, KEY_SPACE - 1, shards).unwrap(),
                 ),
             };
-            for threads in THREADS {
-                db.set_exec_options(ExecOptions::threads(threads)).unwrap();
-                local
-                    .set_exec_options(ExecOptions::threads(threads))
-                    .unwrap();
+            for (threads, lanes) in EXECS {
+                db.set_exec_options(exec_at((threads, lanes))).unwrap();
+                local.set_exec_options(exec_at((threads, lanes))).unwrap();
                 // Byte-identical to the unsharded engine ...
                 let got = pipeline_battery(&|w| run_sharded(&db, w));
                 for ((name, expect), (_, actual)) in reference.iter().zip(&got) {
                     assert_eq!(
                         actual, expect,
-                        "{label} x{shards}, {threads} thread(s), over TCP: pipeline `{name}` diverged"
+                        "{label} x{shards}, {threads} thread(s) x {lanes} lanes, over TCP: pipeline `{name}` diverged"
                     );
                 }
                 // ... and to the in-process sharded coordinator, same layout.
                 let in_process = pipeline_battery(&|w| run_sharded(&local, w));
                 assert_eq!(
                     got, in_process,
-                    "{label} x{shards}, {threads} thread(s): transport changed bytes"
+                    "{label} x{shards}, {threads} thread(s) x {lanes} lanes: transport changed bytes"
                 );
             }
             for server in servers {
@@ -721,8 +730,8 @@ fn joins_match_for_every_placement_of_the_join_columns() {
                 if range && shards > 1 && outer_key == "cust" {
                     assert_eq!(db.backend(1).reader().rows("orders").unwrap(), 0, "{label}");
                 }
-                for threads in THREADS {
-                    db.set_exec_options(ExecOptions::threads(threads)).unwrap();
+                for (threads, lanes) in EXECS {
+                    db.set_exec_options(exec_at((threads, lanes))).unwrap();
                     for (&what, want) in MATRIX_QUERIES.iter().zip(&reference) {
                         let spec = matrix_spec(what);
                         let plan = db.compile(&spec).unwrap();
@@ -738,7 +747,7 @@ fn joins_match_for_every_placement_of_the_join_columns() {
                             assert_eq!(
                                 &db.run_spec(&spec).expect("planned"),
                                 want,
-                                "{label}, {threads} thread(s): `{what}` diverged"
+                                "{label}, {threads} thread(s) x {lanes} lanes: `{what}` diverged"
                             );
                         }
                     }

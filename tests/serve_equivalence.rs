@@ -1,6 +1,7 @@
 //! Serving-layer equivalence: batch-formed answers must be
 //! **byte-identical** to per-request sequential execution — across
-//! client counts {1, 4, 32}, window sizes {1, 16, 64}, both engines
+//! client counts {1, 4, 32}, window sizes {1, 16, 64}, window pools of
+//! 1 and 8 workers, both engines
 //! (`Database` and a 4-shard `ShardedDatabase` under both
 //! partitioners), all three request shapes
 //! (point, range, full query spec), and with column updates interleaved
@@ -11,7 +12,8 @@
 
 use ccindex::db::domain::Value;
 use ccindex::db::{
-    between, eq, on, sum, CatalogRead, Database, IndexKind, MmdbError, ResultRows, TableBuilder,
+    between, eq, on, sum, CatalogRead, Database, ExecOptions, IndexKind, MmdbError, ResultRows,
+    TableBuilder,
 };
 use ccindex::serve::{BatchServer, Pending, QuerySpec, Request, ServeOptions, ServeSource};
 use ccindex::shard::{HashPartitioner, Partitioner, RangePartitioner, ShardedDatabase};
@@ -21,6 +23,36 @@ const ROWS: usize = 300;
 const CLIENT_COUNTS: [usize; 3] = [1, 4, 32];
 /// Window sizes: no coalescing, a mid-size window, and the default.
 const BATCH_MAXES: [usize; 3] = [1, 16, 64];
+/// Engine worker threads, which also size each window's job pool:
+/// sequential windows, and jobs that run in parallel.
+const THREADS: [usize; 2] = [1, 8];
+
+/// Whether a `(threads, clients, batch_max)` point is served. The
+/// parallel pass skips one-request windows, whose single job runs
+/// inline, and 32 clients: 4 clients already put several jobs in every
+/// larger window, and the queue contention 32 add is the same at any
+/// pool size, so the sequential pass covers it.
+fn swept(threads: usize, clients: usize, batch_max: usize) -> bool {
+    threads == 1 || (batch_max > 1 && clients <= 4)
+}
+
+/// Both engines' thread setter, so one sweep drives either.
+trait SetThreads {
+    fn set_threads(&mut self, threads: usize);
+}
+
+impl SetThreads for Database {
+    fn set_threads(&mut self, threads: usize) {
+        self.set_exec_options(ExecOptions::threads(threads));
+    }
+}
+
+impl SetThreads for ShardedDatabase {
+    fn set_threads(&mut self, threads: usize) {
+        self.set_exec_options(ExecOptions::threads(threads))
+            .expect("in-process shards accept any options");
+    }
+}
 
 fn seed_tables(amount_mul: i64) -> (ccindex::db::Table, ccindex::db::Table) {
     let sales = TableBuilder::new("sales")
@@ -124,53 +156,61 @@ fn sequential_reference(db: &Database) -> Vec<Result<ResultRows, MmdbError>> {
         .collect()
 }
 
-/// Serve the mix from `clients` concurrent clients and assert every
-/// client's answers equal the sequential reference.
-fn assert_serves_identically<S: ServeSource>(
-    engine: &S,
+/// Serve the mix from `clients` concurrent clients at every engine
+/// thread count and assert every client's answers equal the sequential
+/// reference. The engine is left sequential.
+fn assert_serves_identically<S: ServeSource + SetThreads>(
+    engine: &mut S,
     reference: &[Result<ResultRows, MmdbError>],
     label: &str,
 ) {
-    for clients in CLIENT_COUNTS {
-        for batch_max in BATCH_MAXES {
-            let server = BatchServer::with_options(
-                engine,
-                ServeOptions {
-                    batch_max,
-                    batch_wait: Duration::from_millis(1),
-                },
-            );
-            let (answers, stats) = server.serve_concurrent(clients, |_, client| {
-                let pending: Vec<Pending> = request_mix()
-                    .into_iter()
-                    .map(|r| client.submit(r))
-                    .collect();
-                pending.into_iter().map(Pending::wait).collect::<Vec<_>>()
-            });
-            assert_eq!(stats.requests, clients * reference.len());
-            for (c, got) in answers.iter().enumerate() {
-                assert_eq!(
-                    got.as_slice(),
-                    reference,
-                    "{label} clients={clients} batch_max={batch_max} client={c}"
+    for threads in THREADS {
+        engine.set_threads(threads);
+        for clients in CLIENT_COUNTS {
+            for batch_max in BATCH_MAXES {
+                if !swept(threads, clients, batch_max) {
+                    continue;
+                }
+                let server = BatchServer::with_options(
+                    &*engine,
+                    ServeOptions {
+                        batch_max,
+                        batch_wait: Duration::from_millis(1),
+                    },
                 );
+                let (answers, stats) = server.serve_concurrent(clients, |_, client| {
+                    let pending: Vec<Pending> = request_mix()
+                        .into_iter()
+                        .map(|r| client.submit(r))
+                        .collect();
+                    pending.into_iter().map(Pending::wait).collect::<Vec<_>>()
+                });
+                assert_eq!(stats.requests, clients * reference.len());
+                for (c, got) in answers.iter().enumerate() {
+                    assert_eq!(
+                        got.as_slice(),
+                        reference,
+                        "{label} threads={threads} clients={clients} batch_max={batch_max} client={c}"
+                    );
+                }
             }
         }
     }
+    engine.set_threads(1);
 }
 
 #[test]
 fn batch_formed_answers_match_sequential_execution() {
-    let un = unsharded();
+    let mut un = unsharded();
     let reference = sequential_reference(&un);
-    assert_serves_identically(&un, &reference, "unsharded");
+    assert_serves_identically(&mut un, &reference, "unsharded");
     assert_serves_identically(
-        &sharded(HashPartitioner::new(4).unwrap()),
+        &mut sharded(HashPartitioner::new(4).unwrap()),
         &reference,
         "hash x4",
     );
     assert_serves_identically(
-        &sharded(RangePartitioner::int_spans(0, 39, 4).unwrap()),
+        &mut sharded(RangePartitioner::int_spans(0, 39, 4).unwrap()),
         &reference,
         "range x4",
     );
@@ -186,9 +226,10 @@ const PIPELINE_LAPS: usize = 4;
 /// answers are stored in earlier windows while it is still submitting
 /// or asleep on a newer ticket, so no wake is sent for them and it
 /// collects them later without blocking. Every client must still
-/// terminate with answers byte-identical to the reference.
-fn assert_pipelined_newest_first_serves_identically<S: ServeSource>(
-    engine: &S,
+/// terminate with answers byte-identical to the reference, at every
+/// engine thread count.
+fn assert_pipelined_newest_first_serves_identically<S: ServeSource + SetThreads>(
+    engine: &mut S,
     reference: &[Result<ResultRows, MmdbError>],
     label: &str,
 ) {
@@ -199,49 +240,56 @@ fn assert_pipelined_newest_first_serves_identically<S: ServeSource>(
         .take(reference.len() * PIPELINE_LAPS)
         .cloned()
         .collect();
-    for clients in CLIENT_COUNTS {
-        for batch_max in BATCH_MAXES {
-            let server = BatchServer::with_options(
-                engine,
-                ServeOptions {
-                    batch_max,
-                    batch_wait: Duration::ZERO,
-                },
-            );
-            let (answers, stats) = server.serve_concurrent(clients, |_, client| {
-                (0..ROUNDS)
-                    .map(|_| {
-                        let pending: Vec<Pending> = (0..PIPELINE_LAPS)
-                            .flat_map(|_| request_mix())
-                            .map(|r| client.submit(r))
-                            .collect();
-                        let mut got: Vec<_> =
-                            pending.into_iter().rev().map(Pending::wait).collect();
-                        got.reverse();
-                        got
-                    })
-                    .collect::<Vec<_>>()
-            });
-            assert_eq!(stats.requests, clients * ROUNDS * expect.len());
-            for (c, rounds) in answers.iter().enumerate() {
-                for (round, got) in rounds.iter().enumerate() {
-                    assert_eq!(
-                        got, &expect,
-                        "{label} clients={clients} batch_max={batch_max} client={c} round={round}"
-                    );
+    for threads in THREADS {
+        engine.set_threads(threads);
+        for clients in CLIENT_COUNTS {
+            for batch_max in BATCH_MAXES {
+                if !swept(threads, clients, batch_max) {
+                    continue;
+                }
+                let server = BatchServer::with_options(
+                    &*engine,
+                    ServeOptions {
+                        batch_max,
+                        batch_wait: Duration::ZERO,
+                    },
+                );
+                let (answers, stats) = server.serve_concurrent(clients, |_, client| {
+                    (0..ROUNDS)
+                        .map(|_| {
+                            let pending: Vec<Pending> = (0..PIPELINE_LAPS)
+                                .flat_map(|_| request_mix())
+                                .map(|r| client.submit(r))
+                                .collect();
+                            let mut got: Vec<_> =
+                                pending.into_iter().rev().map(Pending::wait).collect();
+                            got.reverse();
+                            got
+                        })
+                        .collect::<Vec<_>>()
+                });
+                assert_eq!(stats.requests, clients * ROUNDS * expect.len());
+                for (c, rounds) in answers.iter().enumerate() {
+                    for (round, got) in rounds.iter().enumerate() {
+                        assert_eq!(
+                            got, &expect,
+                            "{label} threads={threads} clients={clients} batch_max={batch_max} client={c} round={round}"
+                        );
+                    }
                 }
             }
         }
     }
+    engine.set_threads(1);
 }
 
 #[test]
 fn pipelined_newest_first_waits_match_sequential_execution() {
-    let un = unsharded();
+    let mut un = unsharded();
     let reference = sequential_reference(&un);
-    assert_pipelined_newest_first_serves_identically(&un, &reference, "unsharded");
+    assert_pipelined_newest_first_serves_identically(&mut un, &reference, "unsharded");
     assert_pipelined_newest_first_serves_identically(
-        &sharded(HashPartitioner::new(4).unwrap()),
+        &mut sharded(HashPartitioner::new(4).unwrap()),
         &reference,
         "hash x4",
     );
@@ -255,9 +303,9 @@ fn interleaved_updates_between_windows_stay_equivalent() {
 
     // Window phase 1: the seed catalog.
     let reference = sequential_reference(&un);
-    assert_serves_identically(&un, &reference, "unsharded/seed");
-    assert_serves_identically(&hash_db, &reference, "hash/seed");
-    assert_serves_identically(&range_db, &reference, "range/seed");
+    assert_serves_identically(&mut un, &reference, "unsharded/seed");
+    assert_serves_identically(&mut hash_db, &reference, "hash/seed");
+    assert_serves_identically(&mut range_db, &reference, "range/seed");
 
     // Update between windows: replace a non-key column everywhere (the
     // sharded engines split the update by owning shard) and serve again.
@@ -273,9 +321,9 @@ fn interleaved_updates_between_windows_stay_equivalent() {
         .replace_column("sales", "amount", new_amounts)
         .unwrap();
     let reference = sequential_reference(&un);
-    assert_serves_identically(&un, &reference, "unsharded/updated");
-    assert_serves_identically(&hash_db, &reference, "hash/updated");
-    assert_serves_identically(&range_db, &reference, "range/updated");
+    assert_serves_identically(&mut un, &reference, "unsharded/updated");
+    assert_serves_identically(&mut hash_db, &reference, "hash/updated");
+    assert_serves_identically(&mut range_db, &reference, "range/updated");
 
     // Replace the shard key: the sharded catalogs re-partition (rows
     // migrate between shards) and must still serve identically.
@@ -289,9 +337,9 @@ fn interleaved_updates_between_windows_stay_equivalent() {
         .unwrap();
     range_db.replace_column("sales", "cust", new_keys).unwrap();
     let reference = sequential_reference(&un);
-    assert_serves_identically(&un, &reference, "unsharded/rekeyed");
-    assert_serves_identically(&hash_db, &reference, "hash/rekeyed");
-    assert_serves_identically(&range_db, &reference, "range/rekeyed");
+    assert_serves_identically(&mut un, &reference, "unsharded/rekeyed");
+    assert_serves_identically(&mut hash_db, &reference, "hash/rekeyed");
+    assert_serves_identically(&mut range_db, &reference, "range/rekeyed");
 }
 
 #[test]
