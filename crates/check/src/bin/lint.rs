@@ -30,7 +30,7 @@ fn main() -> ExitCode {
         }
     };
     if violations.is_empty() {
-        println!("lint: workspace clean under rules S1/O1/F1/H1/W1/M1/U1/D1");
+        println!("lint: workspace clean under rules S1/O1/F1/H1/W1/B1/M1/U1/D1");
         return ExitCode::SUCCESS;
     }
     for v in &violations {

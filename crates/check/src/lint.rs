@@ -12,6 +12,7 @@
 //! | W1   | no `.unwrap()` / `.expect(` on socket- or file-I/O lines — transport and storage faults must map to typed errors |
 //! | M1   | metric names at registration sites (`.counter("…")` / `.gauge("…")` / `.histogram("…")`) are `dot.separated` lowercase, and each name is registered at exactly one source site workspace-wide |
 //! | U1   | every `pub` item of a library crate is named somewhere outside its defining file's `#[cfg(test)]` code (the whole workspace, `ccbench/` included, counts, and so do `README.md`'s Rust fences; `use` lines do not), unless the facade prelude re-exports it or [`U1_ALLOWED`] lists it with a reason |
+//! | B1   | no `from_le_bytes` and no `CRC_TABLE` outside the byte codec, `crates/store/src/bytes.rs` (`#[cfg(test)]` code exempt) — every byte the wire, the store and the manifest read goes through the one bounds-checked reader and the one CRC-32 |
 //! | D1   | `README.md`'s Rust fences, which run as doctests of the facade crate, execute: no `ignore`, `no_run` only under a `// Not run: <reason>` first line, and a block whose only items are `fn`s other than `main` calls one of them |
 //!
 //! O1 exists because of exactly the bug class PR 7 is about: a
@@ -53,6 +54,15 @@
 //! flag has no caller under any spelling. A re-export is not a use, so
 //! `use` statements are not counted.
 //!
+//! B1 exists because the workspace once had three bounds-checked
+//! little-endian readers, two CRC-32 tables and two `Value` encodings —
+//! the wire's, the catalog manifest's and the store footer's — and a
+//! hostile-count bug had to be fixed in each separately. A decoder
+//! that slices bytes and calls `from_le_bytes` itself, or builds its own
+//! checksum table, is a fourth reader with its own bounds checks and its
+//! own allocation rule; the rule sends it to `ccindex_store::bytes`
+//! instead, where a short read is already the caller's typed error.
+//!
 //! D1 exists because rustdoc wraps a block in `fn main` only when it has
 //! none: a README block that defines `fn demo()` and never calls it
 //! compiles, passes, and runs none of its assertions.
@@ -74,7 +84,7 @@ pub struct Violation {
     pub file: PathBuf,
     /// 1-based line number.
     pub line: usize,
-    /// Rule id (`S1`, `O1`, `F1`, `H1`, `W1`, `M1`, `U1`, `D1`).
+    /// Rule id (`S1`, `O1`, `F1`, `H1`, `W1`, `B1`, `M1`, `U1`, `D1`).
     pub rule: &'static str,
     /// What to fix.
     pub message: String,
@@ -551,12 +561,17 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
+/// The workspace's one byte codec: the only library file rule B1 lets
+/// decode little-endian integers or hold a CRC-32 table.
+const CODEC_MODULE: &str = "crates/store/src/bytes.rs";
+
 /// Lint one file's source text (the unit-testable core).
 pub fn lint_source(file: &Path, text: &str) -> Vec<Violation> {
     let raw: Vec<&str> = text.lines().collect();
     let code = strip(text);
     debug_assert_eq!(code.len(), raw.len());
     let in_test = test_regions(&code);
+    let codec_module = file.ends_with(CODEC_MODULE);
     let mut out = Vec::new();
 
     for (i, code_line) in code.iter().enumerate() {
@@ -627,6 +642,20 @@ pub fn lint_source(file: &Path, text: &str) -> Vec<Violation> {
                 message: "`.unwrap()`/`.expect()` on a socket- or file-I/O line; map the \
                           failure to a typed transport/storage error instead"
                     .to_owned(),
+            });
+        }
+
+        // B1: bytes are decoded and checksummed by the one codec.
+        if !codec_module && (code_line.contains("from_le_bytes") || code_line.contains("CRC_TABLE"))
+        {
+            out.push(Violation {
+                file: file.to_owned(),
+                line: lineno,
+                rule: "B1",
+                message: format!(
+                    "`from_le_bytes`/`CRC_TABLE` outside the byte codec; read through \
+                     `ccindex_store::bytes` (`{CODEC_MODULE}`) instead"
+                ),
             });
         }
     }
@@ -1177,6 +1206,31 @@ mod tests {
     fn socket_unwrap_in_tests_exempt() {
         let src = "#[cfg(test)]\nmod tests {\n    fn t() { let s = TcpStream::connect(\"a:1\").unwrap(); }\n}\n";
         assert!(lint(src).is_empty());
+    }
+
+    #[test]
+    fn byte_decoding_outside_the_codec_is_b1() {
+        let v = lint("fn f(b: [u8; 4]) -> u32 { u32::from_le_bytes(b) }\n");
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].rule, "B1");
+        let v = lint("const CRC_TABLE: [u32; 256] = [0; 256];\n");
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].rule, "B1");
+        // Encoding, comments, strings and tests are not decoding.
+        assert!(lint("fn f(v: u32) -> [u8; 4] { v.to_le_bytes() }\n").is_empty());
+        assert!(
+            lint("// u32::from_le_bytes\nfn f() -> &'static str { \"CRC_TABLE\" }\n").is_empty()
+        );
+        let test =
+            "#[cfg(test)]\nmod tests {\n    fn t(b: [u8; 8]) -> u64 { u64::from_le_bytes(b) }\n}\n";
+        assert!(lint(test).is_empty());
+        // The codec module itself is the one exemption.
+        let codec = Path::new("ws").join(CODEC_MODULE);
+        assert!(lint_source(
+            &codec,
+            "fn f(b: [u8; 2]) -> u16 { u16::from_le_bytes(b) }\n"
+        )
+        .is_empty());
     }
 
     #[test]

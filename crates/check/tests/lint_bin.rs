@@ -55,13 +55,16 @@ fn seeded_violations_exit_nonzero_and_name_each_rule() {
             "}\n\n",
             "pub fn unexplained_ordering(a: &AtomicU64) -> u64 {\n",
             "    a.load(Ordering::Relaxed)\n",
+            "}\n\n",
+            "pub fn fourth_reader(b: &[u8]) -> u32 {\n",
+            "    u32::from_le_bytes([b[0], b[1], b[2], b[3]])\n",
             "}\n",
         ),
     );
     let out = run_lint(&root);
     assert!(!out.status.success(), "seeded violations not flagged");
     let report = String::from_utf8_lossy(&out.stdout);
-    for rule in ["[S1]", "[O1]", "[F1]", "[U1]"] {
+    for rule in ["[S1]", "[O1]", "[F1]", "[U1]", "[B1]"] {
         assert!(report.contains(rule), "missing {rule} in:\n{report}");
     }
     fs::remove_dir_all(&root).ok();

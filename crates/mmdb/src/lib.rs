@@ -65,7 +65,7 @@ pub mod table;
 // The engine surface.
 pub use engine::{Database, RebuildReport};
 pub use error::{MmdbError, Result, StorageFault, TransportFault};
-pub use persist::catalog_to_bytes;
+pub use persist::{catalog_to_bytes, get_value, put_value};
 pub use plan::{
     between, count, eq, max, min, on, parse_knob, sum, Agg, CatalogRead, DrivingRun, ExecOptions,
     JoinOn, Plan, PlanTimings, Predicate, PredicateOp, Query, QuerySpec, Request, ResultRows,

@@ -27,6 +27,13 @@
 //!   validates these pages and drops them; other kinds store no pages;
 //! * the manifest maps table/column/index names to page IDs.
 //!
+//! The manifest and every page are written and read through
+//! `ccindex_store::bytes`, the byte codec the wire protocol uses too, and
+//! a domain page's values through [`put_value`]/[`get_value`], the one
+//! encoding a [`Value`] has. A short read, a bad tag, invalid UTF-8 or a
+//! trailing byte is the codec's error, built here as a typed
+//! [`StorageFault::Corrupt`] naming the file.
+//!
 //! Everything read back is **validated before construction**: domain
 //! sortedness, ID ranges, RID permutations, the RID-keys/column-IDs
 //! correspondence (every key inside the domain before it indexes the
@@ -96,6 +103,7 @@ use crate::rid::RidList;
 use crate::snapshot::CatalogState;
 use crate::table::Table;
 use ccindex_common::SortedArray;
+use ccindex_store::bytes::{ByteReader, ByteWriter};
 use ccindex_store::{PageKind, StoreError, StoreFault, StoreReader, StoreWriter};
 use css_tree::{CssTree, Full, Level, NodeSearch};
 use std::collections::{BTreeMap, BTreeSet};
@@ -129,11 +137,13 @@ impl From<StoreError> for MmdbError {
     }
 }
 
-fn corrupt(label: &str, detail: impl Into<String>) -> MmdbError {
+/// The error of every manifest and page decode: a typed corruption
+/// naming the file (or buffer label).
+fn corrupt(label: &str, detail: String) -> MmdbError {
     MmdbError::Storage {
         path: label.to_owned(),
         fault: StorageFault::Corrupt,
-        detail: detail.into(),
+        detail,
     }
 }
 
@@ -146,7 +156,7 @@ fn corrupt(label: &str, detail: impl Into<String>) -> MmdbError {
 /// server streams to a bootstrapping peer.
 pub fn catalog_to_bytes(state: &CatalogState) -> Vec<u8> {
     let mut w = StoreWriter::new();
-    let mut m = MWriter::default();
+    let mut m = ByteWriter::new();
     m.u32(MANIFEST_VERSION);
     m.u32(state.tables.len() as u32);
     for (name, entry) in &state.tables {
@@ -156,7 +166,7 @@ pub fn catalog_to_bytes(state: &CatalogState) -> Vec<u8> {
         for (col_name, col) in entry.table.columns() {
             m.str(col_name);
             m.u32(w.page(PageKind::DomainValues, &encode_domain(col.domain())));
-            m.u32(w.page(PageKind::ColumnIds, &encode_u32s(col.ids())));
+            m.u32(u32_page(&mut w, PageKind::ColumnIds, col.ids()));
         }
         m.u32(entry.columns.len() as u32);
         for (col_name, col_entry) in &entry.columns {
@@ -164,8 +174,8 @@ pub fn catalog_to_bytes(state: &CatalogState) -> Vec<u8> {
             // The sorted key array the list addresses instead of storing,
             // expanded from its offsets for the `RidKeys` page.
             let keys = SortedArray::from_vec(col_entry.rids.expanded_ids());
-            m.u32(w.page(PageKind::RidKeys, &encode_u32s(keys.as_slice())));
-            m.u32(w.page(PageKind::RidValues, &encode_u32s(col_entry.rids.rids())));
+            m.u32(u32_page(&mut w, PageKind::RidKeys, keys.as_slice()));
+            m.u32(u32_page(&mut w, PageKind::RidValues, col_entry.rids.rids()));
             m.u32(col_entry.kinds.len() as u32);
             for kind in &col_entry.kinds {
                 m.u8(kind_code(*kind));
@@ -181,24 +191,21 @@ pub fn catalog_to_bytes(state: &CatalogState) -> Vec<u8> {
             }
         }
     }
-    w.finish(&m.buf)
+    w.finish(&m.into_bytes())
 }
 
 /// Build the `S` tree over `keys` and write its directory as a level
 /// count plus one [`PageKind::CssLevel`] page per level, root first.
 fn write_css_levels<S: NodeSearch + Default>(
     w: &mut StoreWriter,
-    m: &mut MWriter,
+    m: &mut ByteWriter,
     keys: &SortedArray<u32>,
 ) {
     let t = CssTree::<u32, S>::from_shared(keys.clone());
     let levels = t.layout().directory_levels();
     m.u32(levels);
     for level in 0..levels {
-        m.u32(w.page(
-            PageKind::CssLevel,
-            &encode_u32s_raw(t.directory_level(level)),
-        ));
+        m.u32(u32_page(w, PageKind::CssLevel, t.directory_level(level)));
     }
 }
 
@@ -259,7 +266,7 @@ impl Database {
 fn decode_tables(r: &mut StoreReader) -> Result<BTreeMap<String, Arc<TableEntry>>> {
     let label = r.path().to_owned();
     let manifest = r.manifest().to_vec();
-    let mut m = MReader::new(&manifest, &label);
+    let mut m = ByteReader::new(&manifest, &label, corrupt);
     let version = m.u32()?;
     if version != MANIFEST_VERSION {
         return Err(MmdbError::Storage {
@@ -277,10 +284,8 @@ fn decode_tables(r: &mut StoreReader) -> Result<BTreeMap<String, Arc<TableEntry>
         let rows = usize::try_from(m.u64()?)
             .map_err(|_| corrupt(&label, format!("table `{name}`: impossible row count")))?;
         let column_count = m.u32()?;
-        // A column record is at least 12 bytes (name length and two page
-        // numbers), so the manifest bounds the allocation.
-        let capacity = (column_count as usize).min(manifest.len() / 12);
-        let mut columns: Vec<(String, Column)> = Vec::with_capacity(capacity);
+        let mut columns: Vec<(String, Column)> =
+            Vec::with_capacity(m.capacity::<(String, Column)>(column_count as usize));
         for _ in 0..column_count {
             let col_name = m.str()?;
             if columns.iter().any(|(n, _)| *n == col_name) {
@@ -357,7 +362,7 @@ fn decode_tables(r: &mut StoreReader) -> Result<BTreeMap<String, Arc<TableEntry>
                     let mut slots: Vec<u32> = Vec::new();
                     for _ in 0..level_count {
                         let page = m.u32()?;
-                        slots.extend(decode_u32s_raw(r, page, &label)?);
+                        slots.extend(decode_u32s(r, page, PageKind::CssLevel, &label)?);
                     }
                     let keys = sorted_keys.get_or_insert_with(|| SortedArray::from_slice(&keys));
                     validate_css_levels(&label, &name, &col_name, kind, keys, &slots)?;
@@ -477,37 +482,42 @@ fn validate_css_levels(
 // Page payload codecs
 // ---------------------------------------------------------------------
 
-/// Value tags of a [`PageKind::DomainValues`] page.
-const TAG_INT: u8 = 0;
-const TAG_STR: u8 = 1;
-
-fn push_int(out: &mut Vec<u8>, i: i64) {
-    out.push(TAG_INT);
-    out.extend_from_slice(&i.to_le_bytes());
+/// Append `value` in the one encoding it has, on the wire and in a
+/// stored domain page alike: tag 0 then a little-endian `i64`, or tag 1
+/// then a `u32`-length-prefixed UTF-8 string.
+#[inline]
+pub fn put_value(w: &mut ByteWriter, value: &Value) {
+    match value {
+        Value::Int(i) => {
+            w.u8(0);
+            w.i64(*i);
+        }
+        Value::Str(s) => {
+            w.u8(1);
+            w.str(s);
+        }
+    }
 }
 
-fn push_value(out: &mut Vec<u8>, value: &Value) {
-    match value {
-        Value::Int(i) => push_int(out, *i),
-        Value::Str(s) => {
-            out.push(TAG_STR);
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        }
+/// Decode one [`put_value`] encoding; a short buffer, an unknown tag or
+/// a string that is not UTF-8 is `r`'s error.
+#[inline]
+pub fn get_value(r: &mut ByteReader<'_, MmdbError>) -> Result<Value> {
+    match r.u8()? {
+        0 => Ok(Value::Int(r.i64()?)),
+        1 => Ok(Value::Str(r.str()?)),
+        other => Err(r.fail(format!("bad Value tag {other}"))),
     }
 }
 
 fn encode_domain(domain: &Domain) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&(domain.len() as u32).to_le_bytes());
+    let mut w = ByteWriter::with_capacity(4 + domain.len() * 9);
+    w.u32(domain.len() as u32);
     match domain.view() {
-        DomainView::Int(ints) => {
-            out.reserve(ints.len() * 9);
-            ints.iter().for_each(|&i| push_int(&mut out, i));
-        }
-        DomainView::Generic(values) => values.iter().for_each(|v| push_value(&mut out, v)),
+        DomainView::Int(ints) => ints.iter().for_each(|&i| put_value(&mut w, &Value::Int(i))),
+        DomainView::Generic(values) => values.iter().for_each(|v| put_value(&mut w, v)),
     }
-    out
+    w.into_bytes()
 }
 
 /// Decode a domain page straight into its representation: `Int` tags
@@ -522,28 +532,17 @@ fn decode_domain(
     table: &str,
     column: &str,
 ) -> Result<Domain> {
-    let at = |detail: &str| corrupt(label, format!("domain of `{table}.{column}`: {detail}"));
-    let unordered = || at("values not strictly increasing");
+    let unordered = || {
+        let detail = format!("domain of `{table}.{column}`: values not strictly increasing");
+        corrupt(label, detail)
+    };
     let bytes = r.read_page_expect(page, PageKind::DomainValues)?;
-    let mut c = MReader::new(&bytes, label);
+    let mut c = ByteReader::new(&bytes, label, corrupt);
     let count = c.u32()? as usize;
-    // A value is at least 5 bytes, so the page bounds the allocation.
-    let capacity = count.min(bytes.len() / 5);
-    let mut ints: Vec<i64> = Vec::with_capacity(capacity);
+    let mut ints: Vec<i64> = Vec::with_capacity(c.capacity::<i64>(count));
     let mut generic: Option<Vec<Value>> = None;
     for _ in 0..count {
-        let value = match c.u8()? {
-            TAG_INT => Value::Int(i64::from_le_bytes(
-                c.bytes(8)?.try_into().expect("8 bytes requested"),
-            )),
-            TAG_STR => {
-                let len = c.u32()? as usize;
-                let raw = c.bytes(len)?.to_vec();
-                Value::Str(String::from_utf8(raw).map_err(|_| at("invalid UTF-8"))?)
-            }
-            tag => return Err(at(&format!("unknown value tag {tag}"))),
-        };
-        match (&mut generic, value) {
+        match (&mut generic, get_value(&mut c)?) {
             (None, Value::Int(i)) => {
                 if ints.last().is_some_and(|&prev| prev >= i) {
                     return Err(unordered());
@@ -552,7 +551,7 @@ fn decode_domain(
             }
             (None, first_str) => {
                 // Every `Int` read so far sorts before any `Str`.
-                let mut values = Vec::with_capacity(capacity);
+                let mut values = Vec::with_capacity(c.capacity::<Value>(count));
                 values.extend(ints.drain(..).map(Value::Int));
                 values.push(first_str);
                 generic = Some(values);
@@ -572,57 +571,34 @@ fn decode_domain(
     })
 }
 
-fn encode_u32s(vals: &[u32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + vals.len() * 4);
-    out.extend_from_slice(&(vals.len() as u32).to_le_bytes());
-    out.extend_from_slice(&encode_u32s_raw(vals));
-    out
-}
-
-fn encode_u32s_raw(vals: &[u32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(vals.len() * 4);
-    for v in vals {
-        out.extend_from_slice(&v.to_le_bytes());
+/// Append a page of little-endian `u32`s and return its id. Every such
+/// page leads with its entry count except a CSS level, whose length the
+/// directory's geometry fixes.
+fn u32_page(w: &mut StoreWriter, kind: PageKind, vals: &[u32]) -> u32 {
+    let mut page = ByteWriter::with_capacity(4 + vals.len() * 4);
+    if kind != PageKind::CssLevel {
+        page.u32(vals.len() as u32);
     }
-    out
+    page.u32s(vals);
+    w.page(kind, &page.into_bytes())
 }
 
+/// Read back a [`u32_page`] of `kind`; a count that disagrees with the
+/// page's length is a typed corruption error.
 fn decode_u32s(r: &mut StoreReader, page: u32, kind: PageKind, label: &str) -> Result<Vec<u32>> {
     let bytes = r.read_page_expect(page, kind)?;
-    let mut c = MReader::new(&bytes, label);
-    let count = c.u32()? as usize;
-    if bytes.len() != 4 + count * 4 {
-        return Err(corrupt(
-            label,
-            format!(
-                "page {page}: {count}-entry array in a {}-byte page",
-                bytes.len()
-            ),
-        ));
-    }
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        out.push(c.u32()?);
-    }
-    Ok(out)
-}
-
-fn decode_u32s_raw(r: &mut StoreReader, page: u32, label: &str) -> Result<Vec<u32>> {
-    let bytes = r.read_page_expect(page, PageKind::CssLevel)?;
-    if bytes.len() % 4 != 0 {
-        return Err(corrupt(
-            label,
-            format!("page {page}: CSS level page of {} bytes", bytes.len()),
-        ));
-    }
-    Ok(bytes
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunks")))
-        .collect())
+    let mut c = ByteReader::new(&bytes, label, corrupt);
+    let count = match kind {
+        PageKind::CssLevel => c.remaining() / 4,
+        _ => c.u32()? as usize,
+    };
+    let vals = c.u32s(count)?;
+    c.expect_end()?;
+    Ok(vals)
 }
 
 // ---------------------------------------------------------------------
-// Manifest codec + index-kind codes
+// Index-kind codes
 // ---------------------------------------------------------------------
 
 /// Stable on-disk code per [`IndexKind`] (declaration order — do not
@@ -642,97 +618,6 @@ fn kind_code(kind: IndexKind) -> u8 {
 
 fn kind_from_code(code: u8) -> Option<IndexKind> {
     IndexKind::ALL.into_iter().find(|&k| kind_code(k) == code)
-}
-
-/// Little-endian manifest writer.
-#[derive(Default)]
-struct MWriter {
-    buf: Vec<u8>,
-}
-
-impl MWriter {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-}
-
-/// Bounds-checked little-endian reader over manifest or page bytes;
-/// every short read is a typed corruption error naming `label`.
-struct MReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    label: &'a str,
-}
-
-impl<'a> MReader<'a> {
-    fn new(buf: &'a [u8], label: &'a str) -> Self {
-        Self { buf, pos: 0, label }
-    }
-
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
-        match end {
-            Some(end) => {
-                let out = &self.buf[self.pos..end];
-                self.pos = end;
-                Ok(out)
-            }
-            None => Err(corrupt(
-                self.label,
-                format!(
-                    "truncated: {n} bytes wanted at offset {}, {} remain",
-                    self.pos,
-                    self.buf.len() - self.pos
-                ),
-            )),
-        }
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(
-            self.bytes(4)?.try_into().expect("4 bytes requested"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(
-            self.bytes(8)?.try_into().expect("8 bytes requested"),
-        ))
-    }
-
-    fn str(&mut self) -> Result<String> {
-        let len = self.u32()? as usize;
-        let raw = self.bytes(len)?.to_vec();
-        String::from_utf8(raw).map_err(|_| corrupt(self.label, "manifest string is invalid UTF-8"))
-    }
-
-    fn expect_end(&self) -> Result<()> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(corrupt(
-                self.label,
-                format!(
-                    "{} trailing bytes after the manifest",
-                    self.buf.len() - self.pos
-                ),
-            ))
-        }
-    }
 }
 
 #[cfg(test)]
@@ -928,9 +813,9 @@ mod tests {
     #[test]
     fn corrupt_manifest_version_is_a_typed_version_error() {
         let db = seeded_db();
-        let mut m = MWriter::default();
+        let mut m = ByteWriter::new();
         m.u32(MANIFEST_VERSION + 9);
-        let image = StoreWriter::new().finish(&m.buf);
+        let image = StoreWriter::new().finish(&m.into_bytes());
         let err = Database::open_from_bytes(image, "mem").expect_err("future manifest");
         assert!(matches!(
             err,
@@ -975,20 +860,20 @@ mod tests {
     /// A one-table (`t`), one-column (`c`), unindexed image whose
     /// domain page holds `values` in the order given — sorted or not.
     fn image_with_domain_page(values: &[Value], ids: &[u32]) -> Vec<u8> {
-        let mut page = (values.len() as u32).to_le_bytes().to_vec();
-        values.iter().for_each(|v| push_value(&mut page, v));
+        let mut page = ByteWriter::new();
+        page.seq(values, put_value);
         let mut w = StoreWriter::new();
-        let mut m = MWriter::default();
+        let mut m = ByteWriter::new();
         m.u32(MANIFEST_VERSION);
         m.u32(1);
         m.str("t");
         m.u64(ids.len() as u64);
         m.u32(1);
         m.str("c");
-        m.u32(w.page(PageKind::DomainValues, &page));
-        m.u32(w.page(PageKind::ColumnIds, &encode_u32s(ids)));
+        m.u32(w.page(PageKind::DomainValues, &page.into_bytes()));
+        m.u32(u32_page(&mut w, PageKind::ColumnIds, ids));
         m.u32(0);
-        w.finish(&m.buf)
+        w.finish(&m.into_bytes())
     }
 
     #[test]
@@ -1061,7 +946,7 @@ mod tests {
     fn image_with_rid_pages(keys: &[u32], rids: &[u32]) -> Vec<u8> {
         let domain = Domain::from_values([10, 20, 30].map(Value::Int).to_vec());
         let mut w = StoreWriter::new();
-        let mut m = MWriter::default();
+        let mut m = ByteWriter::new();
         m.u32(MANIFEST_VERSION);
         m.u32(1);
         m.str("t");
@@ -1069,15 +954,15 @@ mod tests {
         m.u32(1);
         m.str("c");
         m.u32(w.page(PageKind::DomainValues, &encode_domain(&domain)));
-        m.u32(w.page(PageKind::ColumnIds, &encode_u32s(&[0, 1, 0, 2])));
+        m.u32(u32_page(&mut w, PageKind::ColumnIds, &[0, 1, 0, 2]));
         m.u32(1);
         m.str("c");
-        m.u32(w.page(PageKind::RidKeys, &encode_u32s(keys)));
-        m.u32(w.page(PageKind::RidValues, &encode_u32s(rids)));
+        m.u32(u32_page(&mut w, PageKind::RidKeys, keys));
+        m.u32(u32_page(&mut w, PageKind::RidValues, rids));
         m.u32(1);
         m.u8(kind_code(IndexKind::BinarySearch));
         m.u32(0);
-        w.finish(&m.buf)
+        w.finish(&m.into_bytes())
     }
 
     #[test]
@@ -1120,13 +1005,13 @@ mod tests {
     fn a_hostile_manifest_column_count_is_typed_corruption() {
         // A valid header, page directory and CRCs around a manifest that
         // claims `u32::MAX` columns for one table and then ends.
-        let mut m = MWriter::default();
+        let mut m = ByteWriter::new();
         m.u32(MANIFEST_VERSION);
         m.u32(1);
         m.str("t");
         m.u64(4);
         m.u32(u32::MAX);
-        let image = StoreWriter::new().finish(&m.buf);
+        let image = StoreWriter::new().finish(&m.into_bytes());
         let err = Database::open_from_bytes(image.clone(), "manifest").expect_err("hostile");
         assert!(
             matches!(

@@ -347,12 +347,10 @@ fn serve_conn(stream: &TcpStream, shared: &Arc<Shared>) {
             }
             Err(_) => return,
         };
-        let span_id = match trace.len() {
-            0 => 0,
-            8 => u64::from_le_bytes(trace[..8].try_into().unwrap_or_default()),
-            // A malformed trace is a protocol error; hang up like any
-            // other unreadable request.
-            _ => return,
+        // A malformed trace is a protocol error; hang up like any other
+        // unreadable request.
+        let Ok(span_id) = wire::decode_span_id(&trace, &endpoint) else {
+            return;
         };
         shared.requests.inc();
         let mut span = (span_id != 0).then(|| obs::Span::with_id("server", span_id));

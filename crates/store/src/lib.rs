@@ -35,14 +35,26 @@
 //! magic, future format versions — surfaces as a typed [`StoreError`]
 //! naming the path and fault; nothing in this crate panics on
 //! corrupted input.
+//!
+//! ## The byte codec
+//!
+//! [`bytes`] is the workspace's one little-endian codec and its one
+//! CRC-32: the header, page table and trailer here, `mmdb`'s manifest
+//! and pages, and the wire protocol's frames and messages are all read
+//! and written through [`bytes::ByteReader`] and [`bytes::ByteWriter`].
+//! The reader checks every length against the bytes that remain, and a
+//! decoder reserves at most what those bytes could hold
+//! ([`bytes::ByteReader::capacity`]), whatever count the input claims.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![forbid(unsafe_code)]
 
+pub mod bytes;
 mod error;
 mod reader;
 mod writer;
 
+pub use bytes::crc32;
 pub use error::{StoreError, StoreFault};
 pub use reader::StoreReader;
 pub use writer::{write_file, StoreWriter};
@@ -127,39 +139,6 @@ pub(crate) struct PageEntry {
     pub(crate) offset: u64,
     pub(crate) len: u64,
     pub(crate) crc: u32,
-}
-
-/// IEEE CRC-32 lookup table, built at compile time.
-const CRC_TABLE: [u32; 256] = build_crc_table();
-
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
-
-/// IEEE CRC-32 of `bytes` (the polynomial gzip and zlib use) — the
-/// per-page and footer checksum.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
 }
 
 #[cfg(test)]

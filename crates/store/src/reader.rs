@@ -7,6 +7,7 @@ use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 
+use crate::bytes::ByteReader;
 use crate::error::{StoreError, StoreFault};
 use crate::{
     crc32, PageEntry, PageKind, FOOT_MAGIC, FORMAT_VERSION, HEADER_LEN, MAGIC, MAX_PAGES,
@@ -62,18 +63,22 @@ impl StoreReader {
                 format!("{len} bytes is shorter than an empty store"),
             ));
         }
+        let corrupt =
+            |path: &str, detail: String| StoreError::new(path, StoreFault::Corrupt, detail);
         // Header: magic + version.
         let header = read_at(&mut source, &path, 0, HEADER_LEN as u64)?;
-        if header[..4] != MAGIC {
+        let mut h = ByteReader::new(&header, &path, corrupt);
+        let magic = h.bytes(4)?;
+        if magic != MAGIC {
             return Err(fail(
                 StoreFault::Format,
                 format!(
                     "bad magic {:02x}{:02x}{:02x}{:02x} (not a ccindex store)",
-                    header[0], header[1], header[2], header[3]
+                    magic[0], magic[1], magic[2], magic[3]
                 ),
             ));
         }
-        let version = u16::from_le_bytes([header[4], header[5]]);
+        let version = h.u16()?;
         if version != FORMAT_VERSION {
             return Err(fail(
                 StoreFault::Version,
@@ -87,15 +92,14 @@ impl StoreReader {
             len - TRAILER_LEN as u64,
             TRAILER_LEN as u64,
         )?;
-        if trailer[20..24] != FOOT_MAGIC {
+        let mut t = ByteReader::new(&trailer, &path, corrupt);
+        let (footer_off, footer_len, footer_crc) = (t.u64()?, t.u64()?, t.u32()?);
+        if t.bytes(4)? != FOOT_MAGIC {
             return Err(fail(
                 StoreFault::Format,
                 "bad footer magic (truncated or overwritten tail)".to_owned(),
             ));
         }
-        let footer_off = u64_at(&trailer, 0);
-        let footer_len = u64_at(&trailer, 8);
-        let footer_crc = u32_at(&trailer, 16);
         let footer_end = footer_off.checked_add(footer_len);
         if footer_off < HEADER_LEN as u64 || footer_end != Some(len - TRAILER_LEN as u64) {
             return Err(fail(
@@ -112,30 +116,24 @@ impl StoreReader {
             ));
         }
         // Page table + manifest.
-        let mut cursor = Cursor {
-            buf: &footer,
-            pos: 0,
-            path: &path,
-        };
-        let count = cursor.u32("page count")?;
+        let mut f = ByteReader::new(&footer, &path, corrupt);
+        let count = f.u32()?;
         if count > MAX_PAGES {
             return Err(fail(
                 StoreFault::Corrupt,
                 format!("page count {count} exceeds the {MAX_PAGES} cap"),
             ));
         }
-        let mut pages = Vec::with_capacity(count as usize);
+        let mut pages = Vec::with_capacity(f.capacity::<PageEntry>(count as usize));
         for id in 0..count {
-            let code = cursor.u8("page kind")?;
+            let code = f.u8()?;
             let kind = PageKind::from_code(code).ok_or_else(|| {
                 fail(
                     StoreFault::Corrupt,
                     format!("page {id} has unknown kind tag {code}"),
                 )
             })?;
-            let offset = cursor.u64("page offset")?;
-            let page_len = cursor.u64("page length")?;
-            let crc = cursor.u32("page crc")?;
+            let (offset, page_len, crc) = (f.u64()?, f.u64()?, f.u32()?);
             let end = offset.checked_add(page_len);
             if offset < HEADER_LEN as u64 || end.is_none() || end.unwrap_or(u64::MAX) > footer_off {
                 return Err(fail(
@@ -150,9 +148,8 @@ impl StoreReader {
                 crc,
             });
         }
-        let manifest_len = cursor.u32("manifest length")? as usize;
-        let manifest = cursor.bytes(manifest_len, "manifest")?.to_vec();
-        cursor.expect_end()?;
+        let manifest = f.blob()?;
+        f.expect_end()?;
         Ok(Self {
             path,
             source,
@@ -262,71 +259,6 @@ fn read_at(source: &mut Source, path: &str, offset: u64, len: u64) -> Result<Vec
                 )
             })?;
             Ok(buf)
-        }
-    }
-}
-
-fn u64_at(buf: &[u8], at: usize) -> u64 {
-    let mut b = [0u8; 8];
-    b.copy_from_slice(&buf[at..at + 8]);
-    u64::from_le_bytes(b)
-}
-
-fn u32_at(buf: &[u8], at: usize) -> u32 {
-    let mut b = [0u8; 4];
-    b.copy_from_slice(&buf[at..at + 4]);
-    u32::from_le_bytes(b)
-}
-
-/// Bounds-checked footer cursor: a short footer is a typed
-/// [`StoreFault::Corrupt`], never a slice panic.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    path: &'a str,
-}
-
-impl<'a> Cursor<'a> {
-    fn bytes(&mut self, n: usize, what: &str) -> Result<&'a [u8], StoreError> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
-        match end {
-            Some(end) => {
-                let out = &self.buf[self.pos..end];
-                self.pos = end;
-                Ok(out)
-            }
-            None => Err(StoreError::new(
-                self.path,
-                StoreFault::Corrupt,
-                format!("footer truncated reading {what}"),
-            )),
-        }
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, StoreError> {
-        Ok(self.bytes(1, what)?[0])
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, StoreError> {
-        Ok(u32_at(self.bytes(4, what)?, 0))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, StoreError> {
-        Ok(u64_at(self.bytes(8, what)?, 0))
-    }
-
-    fn expect_end(&self) -> Result<(), StoreError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(StoreError::new(
-                self.path,
-                StoreFault::Corrupt,
-                format!(
-                    "{} trailing bytes after the manifest",
-                    self.buf.len() - self.pos
-                ),
-            ))
         }
     }
 }

@@ -4,8 +4,12 @@
 
 use std::path::Path;
 
+use crate::bytes::ByteWriter;
 use crate::error::{StoreError, StoreFault};
-use crate::{crc32, PageEntry, PageKind, FOOT_MAGIC, FORMAT_VERSION, HEADER_LEN, MAGIC, MAX_PAGES};
+use crate::{
+    crc32, PageEntry, PageKind, FOOT_MAGIC, FORMAT_VERSION, HEADER_LEN, MAGIC, MAX_PAGES,
+    TRAILER_LEN,
+};
 
 /// Builds a store image in memory: header, then pages in append
 /// order, then [`finish`](StoreWriter::finish) seals the footer and
@@ -26,12 +30,12 @@ impl Default for StoreWriter {
 impl StoreWriter {
     /// Start a new image (writes the header).
     pub fn new() -> Self {
-        let mut buf = Vec::with_capacity(HEADER_LEN);
-        buf.extend_from_slice(&MAGIC);
-        buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        buf.extend_from_slice(&0u16.to_le_bytes()); // reserved
+        let mut header = ByteWriter::with_capacity(HEADER_LEN);
+        header.bytes(&MAGIC);
+        header.u16(FORMAT_VERSION);
+        header.u16(0); // reserved
         Self {
-            buf,
+            buf: header.into_bytes(),
             pages: Vec::new(),
         }
     }
@@ -64,23 +68,23 @@ impl StoreWriter {
     /// blob, and the trailer. Returns the complete store bytes.
     pub fn finish(mut self, manifest: &[u8]) -> Vec<u8> {
         let footer_off = self.buf.len() as u64;
-        let mut footer = Vec::new();
-        footer.extend_from_slice(&(self.pages.len() as u32).to_le_bytes());
+        let mut footer = ByteWriter::new();
+        footer.u32(self.pages.len() as u32);
         for page in &self.pages {
-            footer.push(page.kind.code());
-            footer.extend_from_slice(&page.offset.to_le_bytes());
-            footer.extend_from_slice(&page.len.to_le_bytes());
-            footer.extend_from_slice(&page.crc.to_le_bytes());
+            footer.u8(page.kind.code());
+            footer.u64(page.offset);
+            footer.u64(page.len);
+            footer.u32(page.crc);
         }
-        footer.extend_from_slice(&(manifest.len() as u32).to_le_bytes());
-        footer.extend_from_slice(manifest);
-        let footer_crc = crc32(&footer);
+        footer.blob(manifest);
+        let footer = footer.into_bytes();
+        let mut trailer = ByteWriter::with_capacity(TRAILER_LEN);
+        trailer.u64(footer_off);
+        trailer.u64(footer.len() as u64);
+        trailer.u32(crc32(&footer));
+        trailer.bytes(&FOOT_MAGIC);
         self.buf.extend_from_slice(&footer);
-        self.buf.extend_from_slice(&footer_off.to_le_bytes());
-        self.buf
-            .extend_from_slice(&(footer.len() as u64).to_le_bytes());
-        self.buf.extend_from_slice(&footer_crc.to_le_bytes());
-        self.buf.extend_from_slice(&FOOT_MAGIC);
+        self.buf.extend_from_slice(&trailer.into_bytes());
         self.buf
     }
 }

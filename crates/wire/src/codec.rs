@@ -1,260 +1,46 @@
-//! Byte-level codecs: primitives plus every `mmdb` type that crosses
-//! the wire.
+//! Codecs for every `mmdb` type that crosses the wire.
 //!
-//! Hand-rolled little-endian encoding in the same spirit as
-//! `bench/report.rs`'s hand-rolled JSON — no third-party serializer,
-//! every decode failure a typed [`MmdbError::Transport`] with
-//! [`TransportFault::Decode`], never a panic. Strings are
-//! length-prefixed UTF-8; sequences are length-prefixed; enums are
-//! one-byte tags.
+//! The bytes are `ccindex_store::bytes`' — the codec the store and the
+//! catalog manifest use too, with [`mmdb::put_value`]/[`mmdb::get_value`]
+//! as the one `Value` encoding — so this module only fixes each type's
+//! field order and enum tags. Every decode failure is a typed
+//! [`MmdbError::Transport`] with [`TransportFault::Decode`] naming the
+//! peer, never a panic.
 
 use ccindex_obs::SpanNode;
+use ccindex_store::bytes::{ByteReader, ByteWriter};
 use mmdb::plan::{GroupStep, JoinStep, Plan, Probe, ProbeStep, Routing, Side};
 use mmdb::{
-    between, eq, on, Agg, AggFn, ExecOptions, GroupRow, IndexKind, JoinRow, MmdbError, Predicate,
-    PredicateOp, Result, ResultRows, StorageFault, TransportFault, Value,
+    between, eq, get_value, on, put_value, Agg, AggFn, ExecOptions, GroupRow, IndexKind, JoinRow,
+    MmdbError, Predicate, PredicateOp, Result, ResultRows, StorageFault, TransportFault,
 };
 
-/// Append-only encode buffer.
-#[derive(Debug, Default)]
-pub struct Writer {
-    buf: Vec<u8>,
-}
+/// A reader over bytes received from a peer.
+pub type Reader<'a> = ByteReader<'a, MmdbError>;
 
-impl Writer {
-    /// Fresh empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The encoded bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// One raw byte (also the enum-tag encoder).
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Little-endian u32.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Little-endian u64.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Little-endian i64.
-    pub fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// `usize` travels as u64.
-    pub fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    /// `false` = 0, `true` = 1.
-    pub fn bool(&mut self, v: bool) {
-        self.u8(v as u8);
-    }
-
-    /// Length-prefixed UTF-8.
-    pub fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// Length-prefixed raw bytes (snapshot-page payloads).
-    pub fn blob(&mut self, bytes: &[u8]) {
-        self.u32(bytes.len() as u32);
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Option tag (0 = None, 1 = Some) followed by the value via `f`.
-    pub fn option<T>(&mut self, v: Option<&T>, f: impl FnOnce(&mut Self, &T)) {
-        match v {
-            None => self.u8(0),
-            Some(inner) => {
-                self.u8(1);
-                f(self, inner);
-            }
-        }
-    }
-
-    /// Length-prefixed sequence, each element via `f`.
-    pub fn seq<T>(&mut self, items: &[T], mut f: impl FnMut(&mut Self, &T)) {
-        self.u32(items.len() as u32);
-        for item in items {
-            f(self, item);
-        }
+/// The error of every wire decode, from a short payload to a frame past
+/// its cap: a typed [`TransportFault::Decode`] naming `endpoint`.
+pub(crate) fn decode_error(endpoint: &str, detail: String) -> MmdbError {
+    MmdbError::Transport {
+        endpoint: endpoint.to_owned(),
+        fault: TransportFault::Decode,
+        detail,
+        attempts: 0,
+        elapsed_ms: 0,
     }
 }
 
-/// Cursor over a received payload. Every read checks bounds and
-/// returns a typed decode error naming the peer on failure.
-#[derive(Debug)]
-pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    endpoint: &'a str,
-}
-
-impl<'a> Reader<'a> {
-    /// Start decoding `buf` received from `endpoint`.
-    pub fn new(buf: &'a [u8], endpoint: &'a str) -> Self {
-        Self {
-            buf,
-            pos: 0,
-            endpoint,
-        }
-    }
-
-    /// A typed decode error naming the peer; public so message-level
-    /// decoders can reject bad tags with the same shape.
-    pub fn fail(&self, detail: impl Into<String>) -> MmdbError {
-        MmdbError::Transport {
-            endpoint: self.endpoint.to_owned(),
-            fault: TransportFault::Decode,
-            detail: detail.into(),
-            attempts: 0,
-            elapsed_ms: 0,
-        }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Error unless the payload was consumed exactly.
-    pub fn expect_end(&self) -> Result<()> {
-        if self.remaining() != 0 {
-            return Err(self.fail(format!("{} trailing bytes after message", self.remaining())));
-        }
-        Ok(())
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.remaining() < n {
-            return Err(self.fail(format!(
-                "payload truncated: wanted {n} bytes, {} left",
-                self.remaining()
-            )));
-        }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    /// One raw byte (also the enum-tag decoder).
-    pub fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Little-endian u32.
-    pub fn u32(&mut self) -> Result<u32> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    /// Little-endian u64.
-    pub fn u64(&mut self) -> Result<u64> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    /// Little-endian i64.
-    pub fn i64(&mut self) -> Result<i64> {
-        Ok(self.u64()? as i64)
-    }
-
-    /// `usize` travels as u64.
-    pub fn usize(&mut self) -> Result<usize> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| self.fail(format!("length {v} overflows usize")))
-    }
-
-    /// Strict 0/1 boolean.
-    pub fn bool(&mut self) -> Result<bool> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(self.fail(format!("bad bool byte {other}"))),
-        }
-    }
-
-    /// Length-prefixed UTF-8.
-    pub fn str(&mut self) -> Result<String> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|e| self.fail(format!("string is not UTF-8: {e}")))
-    }
-
-    /// Length-prefixed raw bytes (snapshot-page payloads).
-    pub fn blob(&mut self) -> Result<Vec<u8>> {
-        let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
-    }
-
-    /// Option tag (0 = None, 1 = Some) followed by the value via `f`.
-    pub fn option<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<Option<T>> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(f(self)?)),
-            other => Err(self.fail(format!("bad option tag {other}"))),
-        }
-    }
-
-    /// Length-prefixed sequence, each element via `f`. The reservation
-    /// is clamped to the bytes actually remaining — `remaining / size_of::<T>()`
-    /// elements — so a corrupted length cannot force a wild allocation.
-    pub fn seq<T>(&mut self, mut f: impl FnMut(&mut Self) -> Result<T>) -> Result<Vec<T>> {
-        let len = self.u32()? as usize;
-        let fit = self.remaining() / std::mem::size_of::<T>().max(1);
-        let mut out = Vec::with_capacity(len.min(fit));
-        for _ in 0..len {
-            out.push(f(self)?);
-        }
-        Ok(out)
-    }
+/// Start decoding `bytes` received from `endpoint`.
+pub(crate) fn reader<'a>(bytes: &'a [u8], endpoint: &'a str) -> Reader<'a> {
+    ByteReader::new(bytes, endpoint, decode_error)
 }
 
 // ---------------------------------------------------------------------
 // mmdb type codecs
 // ---------------------------------------------------------------------
 
-/// Encode a [`Value`].
-pub fn put_value(w: &mut Writer, v: &Value) {
-    match v {
-        Value::Int(i) => {
-            w.u8(0);
-            w.i64(*i);
-        }
-        Value::Str(s) => {
-            w.u8(1);
-            w.str(s);
-        }
-    }
-}
-
-/// Decode a [`Value`].
-pub fn get_value(r: &mut Reader<'_>) -> Result<Value> {
-    match r.u8()? {
-        0 => Ok(Value::Int(r.i64()?)),
-        1 => Ok(Value::Str(r.str()?)),
-        other => Err(r.fail(format!("bad Value tag {other}"))),
-    }
-}
-
 /// Encode an [`IndexKind`] as its position in [`IndexKind::ALL`].
-pub fn put_kind(w: &mut Writer, kind: IndexKind) {
+pub fn put_kind(w: &mut ByteWriter, kind: IndexKind) {
     let tag = IndexKind::ALL
         .iter()
         .position(|k| *k == kind)
@@ -272,7 +58,7 @@ pub fn get_kind(r: &mut Reader<'_>) -> Result<IndexKind> {
 }
 
 /// Encode an [`AggFn`].
-pub fn put_agg_fn(w: &mut Writer, agg: AggFn) {
+pub fn put_agg_fn(w: &mut ByteWriter, agg: AggFn) {
     w.u8(match agg {
         AggFn::Count => 0,
         AggFn::Sum => 1,
@@ -293,7 +79,7 @@ pub fn get_agg_fn(r: &mut Reader<'_>) -> Result<AggFn> {
 }
 
 /// Encode an [`Agg`] (aggregate plus its measure column, if any).
-pub fn put_agg(w: &mut Writer, agg: &Agg) {
+pub fn put_agg(w: &mut ByteWriter, agg: &Agg) {
     match agg {
         Agg::Count => w.u8(0),
         Agg::Sum(m) => {
@@ -323,7 +109,7 @@ pub fn get_agg(r: &mut Reader<'_>) -> Result<Agg> {
 }
 
 /// Encode a [`Side`].
-pub fn put_side(w: &mut Writer, side: Side) {
+pub fn put_side(w: &mut ByteWriter, side: Side) {
     w.u8(match side {
         Side::Outer => 0,
         Side::Inner => 1,
@@ -340,7 +126,7 @@ pub fn get_side(r: &mut Reader<'_>) -> Result<Side> {
 }
 
 /// Encode a [`Probe`].
-pub fn put_probe(w: &mut Writer, probe: &Probe) {
+pub fn put_probe(w: &mut ByteWriter, probe: &Probe) {
     match probe {
         Probe::Point(v) => {
             w.u8(0);
@@ -364,7 +150,7 @@ pub fn get_probe(r: &mut Reader<'_>) -> Result<Probe> {
 }
 
 /// Encode a [`Predicate`] through its public view.
-pub fn put_predicate(w: &mut Writer, pred: &Predicate) {
+pub fn put_predicate(w: &mut ByteWriter, pred: &Predicate) {
     w.str(pred.column());
     match pred.op() {
         PredicateOp::Eq(v) => {
@@ -390,7 +176,7 @@ pub fn get_predicate(r: &mut Reader<'_>) -> Result<Predicate> {
 }
 
 /// Encode a [`JoinOn`](mmdb::JoinOn) condition.
-pub fn put_join_on(w: &mut Writer, j: &mmdb::JoinOn) {
+pub fn put_join_on(w: &mut ByteWriter, j: &mmdb::JoinOn) {
     w.str(j.outer());
     w.str(j.inner());
 }
@@ -403,7 +189,7 @@ pub fn get_join_on(r: &mut Reader<'_>) -> Result<mmdb::JoinOn> {
 }
 
 /// Encode [`ExecOptions`].
-pub fn put_exec(w: &mut Writer, exec: ExecOptions) {
+pub fn put_exec(w: &mut ByteWriter, exec: ExecOptions) {
     w.usize(exec.threads);
     w.usize(exec.lanes);
     w.usize(exec.shards);
@@ -422,7 +208,7 @@ pub fn get_exec(r: &mut Reader<'_>) -> Result<ExecOptions> {
 }
 
 /// Encode a [`GroupRow`].
-pub fn put_group_row(w: &mut Writer, g: &GroupRow) {
+pub fn put_group_row(w: &mut ByteWriter, g: &GroupRow) {
     put_value(w, &g.group);
     w.i64(g.value);
 }
@@ -436,7 +222,7 @@ pub fn get_group_row(r: &mut Reader<'_>) -> Result<GroupRow> {
 }
 
 /// Encode [`ResultRows`].
-pub fn put_result_rows(w: &mut Writer, rows: &ResultRows) {
+pub fn put_result_rows(w: &mut ByteWriter, rows: &ResultRows) {
     match rows {
         ResultRows::Rids(rids) => {
             w.u8(0);
@@ -474,7 +260,7 @@ pub fn get_result_rows(r: &mut Reader<'_>) -> Result<ResultRows> {
 /// Encode an [`MmdbError`] so a shard server can answer failures in
 /// kind — the coordinator re-raises the same typed error it would have
 /// seen in-process.
-pub fn put_error(w: &mut Writer, e: &MmdbError) {
+pub fn put_error(w: &mut ByteWriter, e: &MmdbError) {
     match e {
         MmdbError::UnknownTable { table } => {
             w.u8(0);
@@ -665,7 +451,7 @@ const MAX_SPAN_DEPTH: u32 = 64;
 
 /// Encode a [`SpanNode`] timing tree (the response half of a
 /// propagated trace).
-pub fn put_span_node(w: &mut Writer, node: &SpanNode) {
+pub fn put_span_node(w: &mut ByteWriter, node: &SpanNode) {
     w.str(&node.name);
     w.u64(node.elapsed_ns);
     w.seq(&node.children, put_span_node);
@@ -699,7 +485,7 @@ fn get_span_node_at(r: &mut Reader<'_>, depth: u32) -> Result<SpanNode> {
 /// what the plan runs with (1 for a probe, `exec.threads` for the join
 /// and the group) and dropped on decode: a plan records its parallelism
 /// once, in `exec`.
-pub fn put_plan(w: &mut Writer, plan: &Plan) {
+pub fn put_plan(w: &mut ByteWriter, plan: &Plan) {
     w.str(&plan.table);
     w.seq(&plan.probes, |w, p| {
         w.str(&p.column);

@@ -24,7 +24,10 @@
 
 use std::io::{Read, Write};
 
+use ccindex_store::bytes::{crc32, crc32_update, ByteWriter};
 use mmdb::{MmdbError, Result, TransportFault};
+
+use crate::codec::{decode_error, reader};
 
 /// Frame magic — identifies a ccindex wire peer.
 pub const MAGIC: [u8; 4] = *b"CCWX";
@@ -36,42 +39,12 @@ pub const MAGIC: [u8; 4] = *b"CCWX";
 pub const VERSION: u16 = 3;
 
 /// Upper bound on one frame's trace + payload bytes (guards allocation
-/// against a corrupted or hostile length field).
+/// against a corrupted or hostile length field). The writer refuses a
+/// frame past it too, so every length a frame header carries fits its
+/// `u32` field and a reader would accept it.
 pub const MAX_FRAME_LEN: usize = 1 << 28; // 256 MiB
 
 const HEADER_LEN: usize = 18;
-
-/// IEEE CRC-32 lookup table, built at compile time.
-const CRC_TABLE: [u32; 256] = build_crc_table();
-
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
-
-/// IEEE CRC-32 of `bytes` (the polynomial gzip and zlib use).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
-}
 
 fn io_err(endpoint: &str, what: &str, e: &std::io::Error) -> MmdbError {
     MmdbError::Transport {
@@ -83,6 +56,18 @@ fn io_err(endpoint: &str, what: &str, e: &std::io::Error) -> MmdbError {
     }
 }
 
+/// A typed decode error unless `trace_len + len` is within
+/// [`MAX_FRAME_LEN`]: the one cap both directions enforce.
+fn check_frame_len(endpoint: &str, trace_len: usize, len: usize) -> Result<()> {
+    if trace_len.saturating_add(len) > MAX_FRAME_LEN {
+        return Err(decode_error(
+            endpoint,
+            format!("frame length {trace_len}+{len} exceeds the {MAX_FRAME_LEN}-byte cap"),
+        ));
+    }
+    Ok(())
+}
+
 /// Write one untraced frame (header + empty trace + payload) and
 /// flush it.
 pub fn write_frame(w: &mut impl Write, endpoint: &str, payload: &[u8]) -> Result<()> {
@@ -91,24 +76,22 @@ pub fn write_frame(w: &mut impl Write, endpoint: &str, payload: &[u8]) -> Result
 
 /// Write one frame carrying an out-of-band `trace` blob ahead of the
 /// payload, and flush it. An empty `trace` is byte-identical to
-/// [`write_frame`].
+/// [`write_frame`]. A frame past [`MAX_FRAME_LEN`] is refused before
+/// anything is written, with the decode error its reader would raise.
 pub fn write_frame_traced(
     w: &mut impl Write,
     endpoint: &str,
     trace: &[u8],
     payload: &[u8],
 ) -> Result<()> {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in trace.iter().chain(payload) {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    let mut header = [0u8; HEADER_LEN];
-    header[..4].copy_from_slice(&MAGIC);
-    header[4..6].copy_from_slice(&VERSION.to_le_bytes());
-    header[6..10].copy_from_slice(&(trace.len() as u32).to_le_bytes());
-    header[10..14].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    header[14..18].copy_from_slice(&(!crc).to_le_bytes());
-    w.write_all(&header)
+    check_frame_len(endpoint, trace.len(), payload.len())?;
+    let mut header = ByteWriter::with_capacity(HEADER_LEN);
+    header.bytes(&MAGIC);
+    header.u16(VERSION);
+    header.u32(trace.len() as u32);
+    header.u32(payload.len() as u32);
+    header.u32(crc32_update(crc32(trace), payload));
+    w.write_all(&header.into_bytes())
         .map_err(|e| io_err(endpoint, "writing frame header", &e))?;
     w.write_all(trace)
         .map_err(|e| io_err(endpoint, "writing frame trace", &e))?;
@@ -131,19 +114,21 @@ pub fn read_frame_traced(r: &mut impl Read, endpoint: &str) -> Result<(Vec<u8>, 
     let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header)
         .map_err(|e| io_err(endpoint, "reading frame header", &e))?;
-    if header[..4] != MAGIC {
+    let mut h = reader(&header, endpoint);
+    let magic = h.bytes(4)?;
+    if magic != MAGIC {
         return Err(MmdbError::Transport {
             endpoint: endpoint.to_owned(),
             fault: TransportFault::Version,
             detail: format!(
                 "bad magic {:02x}{:02x}{:02x}{:02x} (peer is not a ccindex shard server)",
-                header[0], header[1], header[2], header[3]
+                magic[0], magic[1], magic[2], magic[3]
             ),
             attempts: 0,
             elapsed_ms: 0,
         });
     }
-    let version = u16::from_le_bytes([header[4], header[5]]);
+    let version = h.u16()?;
     if version != VERSION {
         return Err(MmdbError::Transport {
             endpoint: endpoint.to_owned(),
@@ -153,29 +138,16 @@ pub fn read_frame_traced(r: &mut impl Read, endpoint: &str) -> Result<(Vec<u8>, 
             elapsed_ms: 0,
         });
     }
-    let trace_len = u32::from_le_bytes([header[6], header[7], header[8], header[9]]) as usize;
-    let len = u32::from_le_bytes([header[10], header[11], header[12], header[13]]) as usize;
-    if trace_len.saturating_add(len) > MAX_FRAME_LEN {
-        return Err(MmdbError::Transport {
-            endpoint: endpoint.to_owned(),
-            fault: TransportFault::Decode,
-            detail: format!("frame length {trace_len}+{len} exceeds the {MAX_FRAME_LEN}-byte cap"),
-            attempts: 0,
-            elapsed_ms: 0,
-        });
-    }
-    let expected_crc = u32::from_le_bytes([header[14], header[15], header[16], header[17]]);
+    let (trace_len, len) = (h.u32()? as usize, h.u32()? as usize);
+    check_frame_len(endpoint, trace_len, len)?;
+    let expected_crc = h.u32()?;
     let mut trace = vec![0u8; trace_len];
     r.read_exact(&mut trace)
         .map_err(|e| io_err(endpoint, "reading frame trace", &e))?;
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)
         .map_err(|e| io_err(endpoint, "reading frame payload", &e))?;
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in trace.iter().chain(&payload) {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    let got_crc = !crc;
+    let got_crc = crc32_update(crc32(&trace), &payload);
     if got_crc != expected_crc {
         return Err(MmdbError::Transport {
             endpoint: endpoint.to_owned(),
@@ -310,6 +282,34 @@ mod tests {
             ),
             other => panic!("wrong error: {other:?}"),
         }
+    }
+
+    #[test]
+    fn an_oversized_frame_is_refused_before_a_byte_is_written() {
+        // Zeroed lazily and never read: the cap is checked before the CRC.
+        let payload = vec![0u8; MAX_FRAME_LEN + 1];
+        let mut sink = Vec::new();
+        match write_frame(&mut sink, "test", &payload).expect_err("past the cap") {
+            MmdbError::Transport {
+                fault: TransportFault::Decode,
+                detail,
+                ..
+            } => assert!(detail.contains(&MAX_FRAME_LEN.to_string()), "{detail}"),
+            other => panic!("wrong error: {other:?}"),
+        }
+        assert!(sink.is_empty(), "{} bytes written", sink.len());
+        // The cap counts the trace too.
+        let trace = vec![0u8; 1];
+        let err = write_frame_traced(&mut sink, "test", &trace, &payload[1..])
+            .expect_err("trace + payload past the cap");
+        assert!(matches!(
+            err,
+            MmdbError::Transport {
+                fault: TransportFault::Decode,
+                ..
+            }
+        ));
+        assert!(sink.is_empty());
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //!   for cross-wire query tracing); corrupt,
 //!   truncated, or foreign-protocol bytes surface as typed
 //!   [`MmdbError::Transport`](mmdb::MmdbError) errors, never panics;
-//! * [`codec`] — hand-rolled little-endian codecs for the `mmdb` types
-//!   on the wire (in the same no-serializer spirit as `bench/report.rs`'s
-//!   hand-rolled JSON);
+//! * [`codec`] — each `mmdb` type's field order and enum tags, written
+//!   and read through `ccindex_store::bytes`, the one byte codec the store
+//!   and the catalog manifest share (no third-party serializer);
 //! * [`message`] — [`ShardRequest`]/[`ShardResponse`], the complete
 //!   `ShardRead`/`ShardBackend` conversation.
 //!
@@ -41,11 +41,11 @@ pub mod codec;
 pub mod frame;
 pub mod message;
 
+pub use ccindex_store::crc32;
 pub use frame::{
-    crc32, read_frame, read_frame_traced, write_frame, write_frame_traced, MAGIC, MAX_FRAME_LEN,
-    VERSION,
+    read_frame, read_frame_traced, write_frame, write_frame_traced, MAGIC, MAX_FRAME_LEN, VERSION,
 };
 pub use message::{
-    read_request_traced, read_response, read_response_traced, write_request, write_request_traced,
-    write_response, write_response_traced, ShardRequest, ShardResponse,
+    decode_span_id, read_request_traced, read_response, read_response_traced, write_request,
+    write_request_traced, write_response, write_response_traced, ShardRequest, ShardResponse,
 };

@@ -17,17 +17,18 @@
 use std::io::{Read, Write};
 
 use ccindex_obs::SpanNode;
+use ccindex_store::bytes::ByteWriter;
 use mmdb::plan::{Plan, Probe};
 use mmdb::{
-    AggFn, ExecOptions, GroupRow, IndexKind, MmdbError, QuerySpec, Request, Result, ResultRows,
-    Value,
+    get_value, put_value, AggFn, ExecOptions, GroupRow, IndexKind, MmdbError, QuerySpec, Request,
+    Result, ResultRows, Value,
 };
 
 use crate::codec::{
-    get_agg, get_agg_fn, get_error, get_exec, get_group_row, get_join_on, get_kind, get_plan,
-    get_predicate, get_probe, get_result_rows, get_span_node, get_value, put_agg, put_agg_fn,
+    decode_error, get_agg, get_agg_fn, get_error, get_exec, get_group_row, get_join_on, get_kind,
+    get_plan, get_predicate, get_probe, get_result_rows, get_span_node, put_agg, put_agg_fn,
     put_error, put_exec, put_group_row, put_join_on, put_kind, put_plan, put_predicate, put_probe,
-    put_result_rows, put_span_node, put_value, Reader, Writer,
+    put_result_rows, put_span_node, reader, Reader,
 };
 use crate::frame::{read_frame, read_frame_traced, write_frame, write_frame_traced};
 
@@ -351,7 +352,7 @@ impl PartialEq for ShardResponse {
 // QuerySpec / Request codecs
 // ---------------------------------------------------------------------
 
-fn put_spec(w: &mut Writer, spec: &QuerySpec) {
+fn put_spec(w: &mut ByteWriter, spec: &QuerySpec) {
     w.str(&spec.table);
     w.seq(&spec.filters, put_predicate);
     w.option(spec.join.as_ref(), |w, (inner, cond)| {
@@ -377,7 +378,7 @@ fn get_spec(r: &mut Reader<'_>) -> Result<QuerySpec> {
     })
 }
 
-fn put_one_request(w: &mut Writer, req: &Request) {
+fn put_one_request(w: &mut ByteWriter, req: &Request) {
     match req {
         Request::Point {
             table,
@@ -426,7 +427,7 @@ fn get_one_request(r: &mut Reader<'_>) -> Result<Request> {
     })
 }
 
-fn put_opt_rids(w: &mut Writer, rids: Option<&Vec<u32>>) {
+fn put_opt_rids(w: &mut ByteWriter, rids: Option<&Vec<u32>>) {
     w.option(rids, |w, rids| w.seq(rids, |w, r| w.u32(*r)));
 }
 
@@ -441,7 +442,7 @@ fn get_opt_rids(r: &mut Reader<'_>) -> Result<Option<Vec<u32>>> {
 impl ShardRequest {
     /// Encode to a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut w = ByteWriter::new();
         match self {
             ShardRequest::Hello => w.u8(0),
             ShardRequest::PointProbeBatch {
@@ -616,7 +617,7 @@ impl ShardRequest {
 
     /// Decode a frame payload received from `endpoint`.
     pub fn decode(bytes: &[u8], endpoint: &str) -> Result<Self> {
-        let mut r = Reader::new(bytes, endpoint);
+        let mut r = reader(bytes, endpoint);
         let req = match r.u8()? {
             0 => ShardRequest::Hello,
             1 => ShardRequest::PointProbeBatch {
@@ -722,7 +723,7 @@ impl ShardRequest {
 impl ShardResponse {
     /// Encode to a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut w = ByteWriter::new();
         match self {
             ShardResponse::RidSets(sets) => {
                 w.u8(0);
@@ -818,7 +819,7 @@ impl ShardResponse {
 
     /// Decode a frame payload received from `endpoint`.
     pub fn decode(bytes: &[u8], endpoint: &str) -> Result<Self> {
-        let mut r = Reader::new(bytes, endpoint);
+        let mut r = reader(bytes, endpoint);
         let resp = match r.u8()? {
             0 => ShardResponse::RidSets(r.seq(|r| r.seq(|r| r.u32()))?),
             1 => ShardResponse::Rids(r.seq(|r| r.u32())?),
@@ -905,20 +906,22 @@ pub fn write_request_traced(
 /// the request carried no trace).
 pub fn read_request_traced(r: &mut impl Read, endpoint: &str) -> Result<(ShardRequest, u64)> {
     let (trace, payload) = read_frame_traced(r, endpoint)?;
-    let span_id = match trace.len() {
-        0 => 0,
-        8 => u64::from_le_bytes(trace[..8].try_into().expect("length checked")),
-        n => {
-            return Err(MmdbError::Transport {
-                endpoint: endpoint.to_owned(),
-                fault: mmdb::TransportFault::Decode,
-                detail: format!("request trace is {n} bytes, expected 0 or 8 (a span id)"),
-                attempts: 0,
-                elapsed_ms: 0,
-            })
-        }
-    };
+    let span_id = decode_span_id(&trace, endpoint)?;
     Ok((ShardRequest::decode(&payload, endpoint)?, span_id))
+}
+
+/// The client's span id from a request's trace field: 0 when the trace
+/// is empty (no trace requested), a typed decode error unless it is
+/// empty or exactly one `u64`.
+pub fn decode_span_id(trace: &[u8], endpoint: &str) -> Result<u64> {
+    match trace.len() {
+        0 => Ok(0),
+        8 => reader(trace, endpoint).u64(),
+        n => Err(decode_error(
+            endpoint,
+            format!("request trace is {n} bytes, expected 0 or 8 (a span id)"),
+        )),
+    }
 }
 
 /// Frame and send one response, attaching the server-side timing
@@ -932,7 +935,7 @@ pub fn write_response_traced(
     match trace {
         None => write_response(w, endpoint, resp),
         Some(node) => {
-            let mut tw = Writer::new();
+            let mut tw = ByteWriter::new();
             put_span_node(&mut tw, node);
             write_frame_traced(w, endpoint, &tw.into_bytes(), &resp.encode())
         }
@@ -949,7 +952,7 @@ pub fn read_response_traced(
     let node = if trace.is_empty() {
         None
     } else {
-        let mut tr = Reader::new(&trace, endpoint);
+        let mut tr = reader(&trace, endpoint);
         let node = get_span_node(&mut tr)?;
         tr.expect_end()?;
         Some(node)
