@@ -674,6 +674,78 @@ fn golden_frames_pin_protocol_v3_bytes() {
     for req in [compile, run, batch] {
         assert_eq!(ShardRequest::decode(&req.encode(), "peer").ok(), Some(req));
     }
+
+    // The six catalog-edit frames and their two replies.
+    let (sales, cust, amount) = ("sales".to_owned(), "cust".to_owned(), "amount".to_owned());
+    let edits = [
+        (
+            ShardRequest::Register {
+                table: sales.clone(),
+                columns: vec![
+                    (cust.clone(), vec![Value::Int(7), Value::Int(-1)]),
+                    ("region".into(), vec![Value::from("east"), Value::from("w")]),
+                ],
+            },
+            "0c0500000073616c65730200000004000000637573740200000000070000000000000000\
+             ffffffffffffffff06000000726567696f6e02000000010400000065617374010100000077",
+        ),
+        (
+            ShardRequest::DropTable {
+                table: sales.clone(),
+            },
+            "0d0500000073616c6573",
+        ),
+        (
+            ShardRequest::CreateIndex {
+                table: sales.clone(),
+                column: cust.clone(),
+                kind: IndexKind::FullCss,
+            },
+            "0e0500000073616c6573040000006375737405",
+        ),
+        (
+            ShardRequest::DropIndex {
+                table: sales.clone(),
+                column: cust,
+                kind: IndexKind::Hash,
+            },
+            "0f0500000073616c6573040000006375737407",
+        ),
+        (
+            ShardRequest::ReplaceColumn {
+                table: sales.clone(),
+                column: amount.clone(),
+                values: vec![Value::Int(250), Value::from("z")],
+            },
+            "100500000073616c657306000000616d6f756e740200000000fa0000000000000001010000007a",
+        ),
+        (
+            ShardRequest::RebuildColumn {
+                table: sales,
+                column: amount,
+            },
+            "110500000073616c657306000000616d6f756e74",
+        ),
+    ];
+    for (req, want) in edits {
+        assert_eq!(req.encode(), unhex(want), "{req:?}");
+        assert_eq!(ShardRequest::decode(&req.encode(), "peer").ok(), Some(req));
+    }
+    let rebuilt = ShardResponse::Rebuilt {
+        sort_ns: 1_234_567,
+        rebuilds: vec![(IndexKind::TTree, 89)],
+    };
+    let replies = [
+        (ShardResponse::Unit, "0b"),
+        (rebuilt, "0987d612000000000001000000035900000000000000"),
+    ];
+    for (resp, want) in replies {
+        assert_eq!(resp.encode(), unhex(want), "{resp:?}");
+        assert_eq!(
+            ShardResponse::decode(&resp.encode(), "peer").ok(),
+            Some(resp)
+        );
+    }
 }
 
 /// A peer's thread and lane counts decode bounded by
