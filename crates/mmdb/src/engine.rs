@@ -42,10 +42,17 @@
 //! RID list — one counting sort, which is the whole rebuild: no kind has
 //! a structure of its own to rebuild.
 //!
+//! Every catalog edit is a [`Mutation`], and there is one way to apply
+//! them: [`Database::apply`] runs a batch and commits it as **one**
+//! generation. The named mutators (`register`, `create_index`,
+//! `drop_index`, `replace_column`, `rebuild_column`) are one-mutation
+//! batches; dropping a table is only a [`Mutation::DropTable`].
+//!
 //! **Concurrency** follows the epoch/snapshot discipline in
 //! [`snapshot`](crate::snapshot): the `Database` owns a private mutable
-//! *tip* ([`CatalogState`]), and every successful mutator commits the
-//! tip as the next immutable generation of a shared [`SwapSlot`].
+//! *tip* ([`CatalogState`]), and every successful, non-empty `apply`
+//! batch commits the tip as the next immutable generation of a shared
+//! [`SwapSlot`].
 //! Readers on other threads pin generations through
 //! [`Database::snapshot`]/[`Database::handle`] and keep probing them,
 //! lock-free, while the writer builds the next one off to the side —
@@ -70,15 +77,15 @@ use std::time::{Duration, Instant};
 ///
 /// The catalog data itself lives in an immutable-once-committed
 /// [`CatalogState`]; the `Database` is the single writer building the
-/// next generation in place and committing it on every successful
-/// mutation. It derefs to that tip, so every read method of
-/// [`CatalogState`] answers from it (the writer always sees its own
-/// latest commit); concurrent readers answer from whatever generation
-/// they [`snapshot`](Database::snapshot)ted.
+/// next generation off to the side and committing it once per
+/// successful [`apply`](Database::apply) batch. It derefs to that tip,
+/// so every read method of [`CatalogState`] answers from it (the writer
+/// always sees its own latest commit); concurrent readers answer from
+/// whatever generation they [`snapshot`](Database::snapshot)ted.
 #[derive(Debug)]
 pub struct Database {
-    /// The writer's private next generation, committed by
-    /// [`Database::publish`] at the end of every successful mutator.
+    /// The writer's latest generation, committed by [`Database::publish`]
+    /// at the end of every successful batch.
     tip: CatalogState,
     /// The commit point shared with every reader handle and snapshot.
     slot: Arc<SwapSlot<CatalogState>>,
@@ -118,7 +125,7 @@ pub(crate) struct ColumnEntry {
 
 /// What one [`Database::rebuild_column`] cycle did, per §2.3's
 /// "rebuild an index from scratch after a batch of updates".
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct RebuildReport {
     /// Time to re-sort the column into its RID list (the merge phase of
     /// the cycle; a wholesale column replacement re-sorts rather than
@@ -128,6 +135,31 @@ pub struct RebuildReport {
     /// path over the RID list and has no structure of its own to rebuild.
     /// Kept because the serving wire's rebuild frame carries it.
     pub rebuilds: Vec<(IndexKind, Duration)>,
+}
+
+/// One catalog edit: the unit of a [`Database::apply`] batch, and what
+/// a shard backend applies and the wire carries. Names are owned, so a
+/// batch can be built once and moved to wherever it is applied.
+#[derive(Debug, Clone)]
+pub enum Mutation {
+    /// Register a table under its own name; [`MmdbError::DuplicateTable`]
+    /// if the name is taken.
+    Register(Table),
+    /// `(table)`: remove a table and every access path built on it.
+    DropTable(String),
+    /// `(table, column, kind)`: declare a `kind` index on `table.column`.
+    /// The column's sorted [`RidList`] is computed on its first index
+    /// and answers all of them; creating a kind again changes nothing.
+    CreateIndex(String, String, IndexKind),
+    /// `(table, column, kind)`: drop the `kind` index on `table.column`.
+    DropIndex(String, String, IndexKind),
+    /// `(table, column, values)`: replace a column's values wholesale,
+    /// then re-derive its RID list if it is indexed. The values must keep
+    /// the table's row count.
+    ReplaceColumn(String, String, Vec<Value>),
+    /// `(table, column)`: re-derive an indexed column's RID list from its
+    /// current values.
+    RebuildColumn(String, String),
 }
 
 impl Database {
@@ -155,176 +187,69 @@ impl Database {
         self.publish();
     }
 
-    /// Register a table under its own name. Fails with
-    /// [`MmdbError::DuplicateTable`] if the name is taken.
-    pub fn register(&mut self, table: Table) -> Result<()> {
-        let name = table.name().to_owned();
-        if self.tip.tables.contains_key(&name) {
-            return Err(MmdbError::DuplicateTable { table: name });
-        }
-        self.tip.tables.insert(
-            name,
-            Arc::new(TableEntry {
-                table,
-                columns: BTreeMap::new(),
-            }),
-        );
-        self.publish();
-        Ok(())
-    }
-
-    /// Create a `kind` index on `table.column`; creating it again commits
-    /// an unchanged generation. The column's sorted [`RidList`] is
-    /// computed on its first index and answers all of them.
-    pub fn create_index(&mut self, table: &str, column: &str, kind: IndexKind) -> Result<()> {
-        let entry = self.entry_mut(table)?;
-        if entry.table.column(column).is_none() {
-            return Err(MmdbError::UnknownColumn {
-                table: table.to_owned(),
-                column: column.to_owned(),
-            });
-        }
-        let col_entry = entry.columns.entry(column.to_owned()).or_insert_with(|| {
-            let col = entry.table.column(column).expect("checked above");
-            ColumnEntry {
-                rids: RidList::for_column(col),
-                kinds: BTreeSet::new(),
-            }
-        });
-        col_entry.kinds.insert(kind);
-        self.publish();
-        Ok(())
-    }
-
-    /// Drop the `kind` index on `table.column` (the RID list stays while
-    /// any other kind remains).
-    pub fn drop_index(&mut self, table: &str, column: &str, kind: IndexKind) -> Result<()> {
-        let table_name = table.to_owned();
-        let entry = self.entry_mut(table)?;
-        if entry.table.column(column).is_none() {
-            return Err(MmdbError::UnknownColumn {
-                table: table_name,
-                column: column.to_owned(),
-            });
-        }
-        let col_entry = entry
-            .columns
-            .get_mut(column)
-            .ok_or_else(|| MmdbError::NoIndex {
-                table: table_name.clone(),
-                column: column.to_owned(),
-            })?;
-        if !col_entry.kinds.remove(&kind) {
-            return Err(MmdbError::IndexNotBuilt {
-                table: table_name,
-                column: column.to_owned(),
-                kind,
-            });
-        }
-        if col_entry.kinds.is_empty() {
-            entry.columns.remove(column);
-        }
-        self.publish();
-        Ok(())
-    }
-
-    /// Replace a column's values wholesale (the OLAP batch-update entry
-    /// point), then re-derive its RID list if it is indexed. The new
-    /// values must keep the table's row count; every error path leaves
-    /// the table untouched.
+    /// Apply a batch of catalog edits as **one** commit: the batch runs
+    /// in order against a private copy of the tip's table map (a map of
+    /// `Arc`'d entries, so the copy is pointer bumps and an entry is
+    /// cloned only when an edit touches it), and the result is published
+    /// once. A concurrent snapshot therefore sees the whole batch or none
+    /// of it. On any error nothing is published: the tip, `generation()`
+    /// and `swap_count()` are unchanged. An empty batch commits nothing.
     ///
-    /// The whole cycle commits **one** generation, at the end: a
-    /// concurrent snapshot sees either the old column with the old RID
-    /// list or the new column with the new one, never the torn state in
-    /// between.
+    /// The batch is taken by value, so a registered [`Table`] and a
+    /// replaced column's values move in without a copy. Returns one
+    /// [`RebuildReport`] per [`Mutation::ReplaceColumn`] and
+    /// [`Mutation::RebuildColumn`], in batch order.
+    pub fn apply(&mut self, batch: Vec<Mutation>) -> Result<Vec<RebuildReport>> {
+        if batch.is_empty() {
+            return Ok(Vec::new());
+        }
+        let mut tables = self.tip.tables.clone();
+        let mut reports = Vec::new();
+        for mutation in batch {
+            reports.extend(apply_one(&mut tables, mutation)?);
+        }
+        self.tip.tables = tables;
+        self.publish();
+        Ok(reports)
+    }
+
+    /// Register a table under its own name ([`Mutation::Register`]).
+    /// Fails with [`MmdbError::DuplicateTable`] if the name is taken.
+    pub fn register(&mut self, table: Table) -> Result<()> {
+        self.apply(vec![Mutation::Register(table)]).map(drop)
+    }
+
+    /// Create a `kind` index on `table.column` ([`Mutation::CreateIndex`]).
+    pub fn create_index(&mut self, table: &str, column: &str, kind: IndexKind) -> Result<()> {
+        let batch = vec![Mutation::CreateIndex(table.into(), column.into(), kind)];
+        self.apply(batch).map(drop)
+    }
+
+    /// Drop the `kind` index on `table.column` ([`Mutation::DropIndex`]).
+    pub fn drop_index(&mut self, table: &str, column: &str, kind: IndexKind) -> Result<()> {
+        let batch = vec![Mutation::DropIndex(table.into(), column.into(), kind)];
+        self.apply(batch).map(drop)
+    }
+
+    /// Replace a column's values wholesale and re-derive its RID list if
+    /// it is indexed ([`Mutation::ReplaceColumn`]) — the OLAP
+    /// batch-update entry point, one generation for the whole cycle.
     pub fn replace_column(
         &mut self,
         table: &str,
         column: &str,
         values: Vec<Value>,
     ) -> Result<RebuildReport> {
-        let entry = self.entry_mut(table)?;
-        if entry.table.column(column).is_none() {
-            return Err(MmdbError::UnknownColumn {
-                table: table.to_owned(),
-                column: column.to_owned(),
-            });
-        }
-        if values.len() != entry.table.rows() {
-            return Err(MmdbError::RaggedColumn {
-                table: table.to_owned(),
-                column: column.to_owned(),
-                expected: entry.table.rows(),
-                got: values.len(),
-            });
-        }
-        let indexed = entry.columns.contains_key(column);
-        entry
-            .table
-            .replace_column(column, Column::from_values(&values));
-        let report = if indexed {
-            self.rebuild_column_in_tip(table, column)?
-        } else {
-            RebuildReport {
-                sort_time: Duration::ZERO,
-                rebuilds: Vec::new(),
-            }
-        };
-        self.publish();
-        Ok(report)
+        let batch = vec![Mutation::ReplaceColumn(table.into(), column.into(), values)];
+        Ok(self.apply(batch)?.pop().unwrap_or_default())
     }
 
     /// Re-derive `table.column`'s RID list from the (possibly mutated)
-    /// column — §2.3: "it may be relatively cheap to rebuild an index from
-    /// scratch after a batch of updates." The list is the only structure:
-    /// every created kind addresses it, so the report's `rebuilds` is
-    /// empty. On success the rebuilt generation commits atomically.
+    /// column ([`Mutation::RebuildColumn`]) — §2.3: "it may be relatively
+    /// cheap to rebuild an index from scratch after a batch of updates."
     pub fn rebuild_column(&mut self, table: &str, column: &str) -> Result<RebuildReport> {
-        let report = self.rebuild_column_in_tip(table, column)?;
-        self.publish();
-        Ok(report)
-    }
-
-    /// The rebuild cycle itself, run against the uncommitted tip — so
-    /// [`Database::replace_column`] can mutate and rebuild under a
-    /// single commit instead of exposing a column/index mismatch.
-    fn rebuild_column_in_tip(&mut self, table: &str, column: &str) -> Result<RebuildReport> {
-        let table_name = table.to_owned();
-        let entry = self.entry_mut(table)?;
-        let col = entry
-            .table
-            .column(column)
-            .ok_or_else(|| MmdbError::UnknownColumn {
-                table: table_name.clone(),
-                column: column.to_owned(),
-            })?;
-        let col_entry = entry
-            .columns
-            .get_mut(column)
-            .ok_or_else(|| MmdbError::NoIndex {
-                table: table_name,
-                column: column.to_owned(),
-            })?;
-        let t0 = Instant::now();
-        col_entry.rids = RidList::for_column(col);
-        Ok(RebuildReport {
-            sort_time: t0.elapsed(),
-            rebuilds: Vec::new(),
-        })
-    }
-
-    /// Remove a table and every access path built on it. Fails with
-    /// [`MmdbError::UnknownTable`] when the name is not registered —
-    /// the entry point a sharded catalog uses when re-partitioning a
-    /// table whose shard-key column was replaced.
-    pub fn drop_table(&mut self, table: &str) -> Result<()> {
-        if self.tip.tables.remove(table).is_none() {
-            return Err(MmdbError::UnknownTable {
-                table: table.to_owned(),
-            });
-        }
-        self.publish();
-        Ok(())
+        let batch = vec![Mutation::RebuildColumn(table.into(), column.into())];
+        Ok(self.apply(batch)?.pop().unwrap_or_default())
     }
 
     // ---- the epoch/snapshot surface ----
@@ -357,33 +282,139 @@ impl Database {
 
     /// Replace the whole table map and commit — the storage restore
     /// path ([`persist`](crate::persist)): the decoded tables land as
-    /// one new generation through the same commit cycle every other
-    /// mutator uses, so pinned readers keep their old generation and
-    /// the row-rebuild path is never involved.
-    pub(crate) fn replace_tables(&mut self, tables: BTreeMap<String, Arc<TableEntry>>) {
+    /// one new generation through the same commit cycle a batch uses, so
+    /// pinned readers keep their old generation and the row-rebuild path
+    /// is never involved.
+    pub(crate) fn replace_tables(&mut self, tables: Tables) {
         self.tip.tables = tables;
         self.publish();
     }
 
-    /// Commit the tip as the next generation. Every mutator calls this
-    /// exactly once, after *all* of its mutations succeeded — the
+    /// Commit the tip as the next generation. [`Database::apply`] calls
+    /// this exactly once, after *all* of its mutations succeeded — the
     /// invariant that makes each generation internally consistent.
     fn publish(&mut self) {
         self.tip.generation += 1;
         self.slot.install(self.tip.clone(), self.tip.generation);
     }
+}
 
-    /// Copy-on-write access to a table entry in the tip: if the entry is
-    /// shared with a committed generation it is cloned first, so pinned
-    /// readers never observe the mutation.
-    fn entry_mut(&mut self, table: &str) -> Result<&mut TableEntry> {
-        self.tip
-            .tables
-            .get_mut(table)
-            .map(Arc::make_mut)
-            .ok_or_else(|| MmdbError::UnknownTable {
-                table: table.to_owned(),
-            })
+/// The table map of one generation.
+type Tables = BTreeMap<String, Arc<TableEntry>>;
+
+/// Apply one mutation to `tables`, the private copy a batch edits. A
+/// column replacement or rebuild reports its re-sort.
+fn apply_one(tables: &mut Tables, mutation: Mutation) -> Result<Option<RebuildReport>> {
+    match mutation {
+        Mutation::Register(table) => {
+            let name = table.name().to_owned();
+            if tables.contains_key(&name) {
+                return Err(MmdbError::DuplicateTable { table: name });
+            }
+            let columns = BTreeMap::new();
+            tables.insert(name, Arc::new(TableEntry { table, columns }));
+        }
+        Mutation::DropTable(table) => {
+            if tables.remove(&table).is_none() {
+                return Err(MmdbError::UnknownTable { table });
+            }
+        }
+        Mutation::CreateIndex(table, column, kind) => {
+            // The column's RID list is computed on its first index and
+            // answers all of them; creating a kind again changes nothing.
+            let entry = entry_mut(tables, &table)?;
+            let col = entry.table.try_column(&column)?;
+            let paths = entry.columns.entry(column).or_insert_with(|| ColumnEntry {
+                rids: RidList::for_column(col),
+                kinds: BTreeSet::new(),
+            });
+            paths.kinds.insert(kind);
+        }
+        Mutation::DropIndex(table, column, kind) => {
+            // The RID list stays while any other kind remains.
+            let entry = entry_mut(tables, &table)?;
+            let (_, paths) = indexed(entry, &column)?;
+            if !paths.kinds.remove(&kind) {
+                return Err(MmdbError::IndexNotBuilt {
+                    table,
+                    column,
+                    kind,
+                });
+            }
+            if paths.kinds.is_empty() {
+                entry.columns.remove(&column);
+            }
+        }
+        Mutation::ReplaceColumn(table, column, values) => {
+            // Every error path leaves the table untouched; an indexed
+            // column is re-sorted in the same commit, so no generation
+            // pairs the new column with the old RID list.
+            let entry = entry_mut(tables, &table)?;
+            let expected = entry.table.try_column(&column)?.len();
+            if values.len() != expected {
+                let got = values.len();
+                return Err(MmdbError::RaggedColumn {
+                    table,
+                    column,
+                    expected,
+                    got,
+                });
+            }
+            entry
+                .table
+                .replace_column(&column, Column::from_values(&values));
+            return Ok(Some(match entry.columns.get_mut(&column) {
+                Some(paths) => rebuild(entry.table.try_column(&column)?, paths),
+                None => RebuildReport::default(),
+            }));
+        }
+        Mutation::RebuildColumn(table, column) => {
+            let (col, paths) = indexed(entry_mut(tables, &table)?, &column)?;
+            return Ok(Some(rebuild(col, paths)));
+        }
+    }
+    Ok(None)
+}
+
+/// Copy-on-write access to a table entry: if the entry is shared with a
+/// committed generation it is cloned first, so pinned readers never
+/// observe the mutation.
+fn entry_mut<'t>(tables: &'t mut Tables, table: &str) -> Result<&'t mut TableEntry> {
+    tables
+        .get_mut(table)
+        .map(Arc::make_mut)
+        .ok_or_else(|| MmdbError::UnknownTable {
+            table: table.to_owned(),
+        })
+}
+
+/// `column` of `entry` and its access paths: [`MmdbError::UnknownColumn`]
+/// when the table has no such column, [`MmdbError::NoIndex`] when the
+/// column has no index.
+fn indexed<'e>(
+    entry: &'e mut TableEntry,
+    column: &str,
+) -> Result<(&'e Column, &'e mut ColumnEntry)> {
+    let col = entry.table.try_column(column)?;
+    let paths = entry
+        .columns
+        .get_mut(column)
+        .ok_or_else(|| MmdbError::NoIndex {
+            table: entry.table.name().to_owned(),
+            column: column.to_owned(),
+        })?;
+    Ok((col, paths))
+}
+
+/// The rebuild cycle: re-sort the column into a fresh RID list. The list
+/// is the only structure — every created kind addresses it — so the
+/// report's `rebuilds` is empty.
+fn rebuild(column: &Column, paths: &mut ColumnEntry) -> RebuildReport {
+    let t0 = Instant::now();
+    paths.rids = RidList::for_column(column);
+    RebuildReport {
+        sort_time: t0.elapsed(),
+        rebuilds: Vec::new(),
     }
 }
 
@@ -610,14 +641,17 @@ mod tests {
     fn drop_table_removes_the_entry() {
         let mut db = sales_db();
         db.create_index("sales", "amount", IndexKind::Hash).unwrap();
-        db.drop_table("sales").unwrap();
+        let drop_table = |db: &mut Database, table: &str| {
+            db.apply(vec![Mutation::DropTable(table.into())]).map(drop)
+        };
+        drop_table(&mut db, "sales").unwrap();
         assert_eq!(db.tables().count(), 0);
         assert!(matches!(
             db.table("sales").unwrap_err(),
             MmdbError::UnknownTable { .. }
         ));
         assert_eq!(
-            db.drop_table("sales").unwrap_err(),
+            drop_table(&mut db, "sales").unwrap_err(),
             MmdbError::UnknownTable {
                 table: "sales".into()
             }
@@ -770,6 +804,73 @@ mod tests {
         assert!(handle.swaps() >= 1);
     }
 
+    /// `amount = 30`'s rows and the `region` of row 0: what the batch
+    /// tests below read to tell one generation from another.
+    fn answers(cat: &CatalogState) -> (Vec<u32>, Option<Value>) {
+        let hits = cat.query("sales").filter(eq("amount", 30)).run().unwrap();
+        let region = cat.table("sales").unwrap().value("region", 0);
+        (hits.rids().to_vec(), region)
+    }
+
+    #[test]
+    fn a_batch_commits_exactly_one_generation() {
+        let mut db = sales_db();
+        let (g, swaps) = (db.generation(), db.swap_count());
+        let before = db.snapshot();
+        let regions = ["x", "y", "z", "x", "y"].map(Value::from).to_vec();
+        let reports = db
+            .apply(vec![
+                Mutation::CreateIndex("sales".into(), "amount".into(), IndexKind::FullCss),
+                Mutation::ReplaceColumn("sales".into(), "amount".into(), vec![Value::Int(30); 5]),
+                Mutation::ReplaceColumn("sales".into(), "region".into(), regions),
+                Mutation::RebuildColumn("sales".into(), "amount".into()),
+            ])
+            .unwrap();
+        // One report per replacement and rebuild, in batch order; the
+        // unindexed `region` reports no re-sort.
+        assert_eq!(reports.len(), 3);
+        assert_eq!(reports[1].sort_time, Duration::ZERO);
+        assert_eq!((db.generation(), db.swap_count()), (g + 1, swaps + 1));
+        assert_eq!(answers(&db), (vec![0, 1, 2, 3, 4], Some(Value::from("x"))));
+        // The generation before the batch still answers as it did.
+        let region = before.table("sales").unwrap().value("region", 0);
+        assert_eq!(region, Some(Value::from("e")));
+        assert!(before.rid_list("sales", "amount").is_err());
+    }
+
+    #[test]
+    fn an_empty_batch_commits_nothing() {
+        let mut db = sales_db();
+        let (g, swaps) = (db.generation(), db.swap_count());
+        assert!(db.apply(Vec::new()).unwrap().is_empty());
+        assert_eq!((db.generation(), db.swap_count()), (g, swaps));
+    }
+
+    #[test]
+    fn a_batch_whose_second_mutation_fails_changes_nothing() {
+        let mut db = sales_db();
+        db.create_index("sales", "amount", IndexKind::FullCss)
+            .unwrap();
+        let (g, swaps, before) = (db.generation(), db.swap_count(), answers(&db));
+        let doubled = [60, 20, 40, 20, 60].map(Value::Int).to_vec();
+        let replace = || Mutation::ReplaceColumn("sales".into(), "amount".into(), doubled.clone());
+        let failing = [
+            Mutation::ReplaceColumn("sales".into(), "amount".into(), vec![Value::Int(1)]),
+            Mutation::DropTable("nope".into()),
+            Mutation::DropIndex("sales".into(), "amount".into(), IndexKind::Hash),
+            Mutation::Register(TableBuilder::new("sales").build().unwrap()),
+        ];
+        for second in failing {
+            let err = db.apply(vec![replace(), second]).unwrap_err();
+            assert_eq!((db.generation(), db.swap_count()), (g, swaps), "{err:?}");
+            assert_eq!(answers(&db), before, "{err:?}");
+            assert_eq!(answers(&db.snapshot()), before, "{err:?}");
+        }
+        // The same first mutation alone goes through.
+        db.apply(vec![replace()]).unwrap();
+        assert_eq!(answers(&db).0, Vec::<u32>::new());
+    }
+
     #[test]
     fn unpublished_error_paths_leave_readers_on_the_old_generation() {
         let mut db = sales_db();
@@ -784,7 +885,8 @@ mod tests {
             .unwrap_err();
         db.drop_index("sales", "amount", IndexKind::TTree)
             .unwrap_err();
-        db.drop_table("nope").unwrap_err();
+        db.apply(vec![Mutation::DropTable("nope".into())])
+            .unwrap_err();
         assert_eq!(db.generation(), g);
         assert_eq!(db.swap_count(), swaps);
         assert_eq!(db.snapshot().generation(), g);

@@ -22,6 +22,13 @@ pub enum MmdbError {
         /// The already-taken name.
         table: String,
     },
+    /// A table was built with two columns of the same name.
+    DuplicateColumn {
+        /// The table being built.
+        table: String,
+        /// The name declared twice.
+        column: String,
+    },
     /// A column name was not found in a table.
     UnknownColumn {
         /// Table searched.
@@ -199,6 +206,9 @@ impl std::fmt::Display for MmdbError {
             }
             MmdbError::DuplicateTable { table } => {
                 write!(f, "table `{table}` is already registered")
+            }
+            MmdbError::DuplicateColumn { table, column } => {
+                write!(f, "table `{table}` declares column `{column}` twice")
             }
             MmdbError::UnknownColumn { table, column } => {
                 write!(f, "table `{table}` has no column `{column}`")

@@ -63,7 +63,7 @@ pub mod snapshot;
 pub mod table;
 
 // The engine surface.
-pub use engine::{Database, RebuildReport};
+pub use engine::{Database, Mutation, RebuildReport};
 pub use error::{MmdbError, Result, StorageFault, TransportFault};
 pub use persist::{catalog_to_bytes, get_value, put_value};
 pub use plan::{

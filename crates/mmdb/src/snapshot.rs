@@ -321,13 +321,7 @@ impl CatalogState {
 
     /// The column itself (no index required).
     pub(crate) fn column(&self, table: &str, column: &str) -> Result<&Column> {
-        self.entry(table)?
-            .table
-            .column(column)
-            .ok_or_else(|| MmdbError::UnknownColumn {
-                table: table.to_owned(),
-                column: column.to_owned(),
-            })
+        self.entry(table)?.table.try_column(column)
     }
 
     /// The column's access paths; [`MmdbError::NoIndex`] when the column
@@ -338,12 +332,7 @@ impl CatalogState {
         column: &str,
     ) -> Result<&crate::engine::ColumnEntry> {
         let entry = self.entry(table)?;
-        if entry.table.column(column).is_none() {
-            return Err(MmdbError::UnknownColumn {
-                table: table.to_owned(),
-                column: column.to_owned(),
-            });
-        }
+        entry.table.try_column(column)?;
         entry.columns.get(column).ok_or_else(|| MmdbError::NoIndex {
             table: table.to_owned(),
             column: column.to_owned(),

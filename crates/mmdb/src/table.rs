@@ -71,11 +71,19 @@ impl TableBuilder {
 impl Table {
     /// Assemble a table from already-encoded columns: the storage open
     /// path, or a column built by [`Column::from_parts`] over a domain
-    /// wider than its rows. Fails with [`MmdbError::RaggedColumn`] —
-    /// naming the table and the first offending column — when column
-    /// lengths disagree.
+    /// wider than its rows. Fails with [`MmdbError::DuplicateColumn`]
+    /// when two columns share a name, and with
+    /// [`MmdbError::RaggedColumn`] — naming the table and the first
+    /// offending column — when column lengths disagree.
     pub fn from_parts(name: impl Into<String>, columns: Vec<(String, Column)>) -> Result<Table> {
         let name = name.into();
+        let mut seen = std::collections::BTreeSet::new();
+        if let Some((column, _)) = columns.iter().find(|(n, _)| !seen.insert(n)) {
+            return Err(MmdbError::DuplicateColumn {
+                table: name,
+                column: column.clone(),
+            });
+        }
         let rows = columns.first().map_or(0, |(_, c)| c.len());
         if let Some((column, c)) = columns.iter().find(|(_, c)| c.len() != rows) {
             return Err(MmdbError::RaggedColumn {
@@ -105,6 +113,15 @@ impl Table {
     /// Column by name.
     pub fn column(&self, name: &str) -> Option<&Column> {
         self.columns.iter().find(|(n, _)| n == name).map(|(_, c)| c)
+    }
+
+    /// Column by name, or [`MmdbError::UnknownColumn`] naming this table
+    /// and the column.
+    pub(crate) fn try_column(&self, name: &str) -> Result<&Column> {
+        self.column(name).ok_or_else(|| MmdbError::UnknownColumn {
+            table: self.name.clone(),
+            column: name.to_owned(),
+        })
     }
 
     /// All `(name, column)` pairs.
@@ -178,6 +195,25 @@ mod tests {
         );
         assert!(err.to_string().contains("bad"));
         assert!(err.to_string().contains('b'));
+    }
+
+    #[test]
+    fn rejects_duplicate_column_names_with_named_error() {
+        let dup = || TableBuilder::new("t").int_column("a", [1, 2, 3]);
+        let err = dup().int_column("a", [7, 8, 9]).build().unwrap_err();
+        let want = MmdbError::DuplicateColumn {
+            table: "t".into(),
+            column: "a".into(),
+        };
+        assert_eq!(err, want);
+        assert!(err.to_string().contains("`a`"), "{err}");
+        // The name check comes first, whatever else is wrong, and holds
+        // for already-encoded columns too.
+        let ragged = dup().int_column("b", [1]).int_column("a", [1]).build();
+        assert_eq!(ragged.unwrap_err(), want);
+        let col = Column::from_values(&[Value::Int(1)]);
+        let parts = vec![("a".to_owned(), col.clone()), ("a".to_owned(), col)];
+        assert_eq!(Table::from_parts("t", parts).unwrap_err(), want);
     }
 
     #[test]

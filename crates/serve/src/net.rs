@@ -12,9 +12,13 @@
 //!   [`Snapshot`](mmdb::Snapshot) from a lock-free
 //!   [`DatabaseHandle`](mmdb::DatabaseHandle) — every request answers
 //!   from one committed generation and never waits on a writer;
-//! * **mutations** (register/drop, index admin, column replacement)
-//!   serialize through a `Mutex<Database>` and publish a new generation
-//!   through the same commit slot the handle reads.
+//! * **catalog edits** (the six frames that each carry one
+//!   [`Mutation`](mmdb::Mutation): register/drop, index admin, column
+//!   replacement and rebuild) are one dispatch arm: the frame becomes
+//!   its mutation (`ShardRequest::into_mutation`), which serializes
+//!   through a `Mutex<Database>` as a one-mutation
+//!   [`apply`](Database::apply) and publishes a new generation through
+//!   the same commit slot the handle reads.
 //!
 //! Reads dispatch through the *same* `impl ShardRead for CatalogState`
 //! an in-process shard pins (see `ccindex_shard`), which is what makes
@@ -33,7 +37,7 @@ use ccindex_wire::{self as wire, ShardRequest, ShardResponse};
 use mmdb::plan::{Plan, ProbeStep};
 use mmdb::{
     group_aggregate_pairs, AggFn, CatalogRead, CatalogState, Database, DatabaseHandle, GroupRow,
-    Measure, MmdbError, Result, TableBuilder,
+    Measure, MmdbError, Result,
 };
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -508,46 +512,6 @@ fn respond(shared: &Arc<Shared>, request: ShardRequest) -> ShardResponse {
             );
             A::Batch(server.run_batch(&requests))
         }
-        ShardRequest::Register { table, columns } => {
-            let mut builder = TableBuilder::new(&table);
-            for (name, values) in columns {
-                builder = builder.column(&name, values);
-            }
-            reply(
-                builder.build().and_then(|t| lock_db(shared).register(t)),
-                |()| A::Unit,
-            )
-        }
-        ShardRequest::DropTable { table } => {
-            reply(lock_db(shared).drop_table(&table), |()| A::Unit)
-        }
-        ShardRequest::CreateIndex {
-            table,
-            column,
-            kind,
-        } => reply(lock_db(shared).create_index(&table, &column, kind), |()| {
-            A::Unit
-        }),
-        ShardRequest::DropIndex {
-            table,
-            column,
-            kind,
-        } => reply(lock_db(shared).drop_index(&table, &column, kind), |()| {
-            A::Unit
-        }),
-        ShardRequest::ReplaceColumn {
-            table,
-            column,
-            values,
-        } => reply(
-            lock_db(shared).replace_column(&table, &column, values),
-            |r| rebuilt(&r),
-        ),
-        ShardRequest::RebuildColumn { table, column } => {
-            reply(lock_db(shared).rebuild_column(&table, &column), |r| {
-                rebuilt(&r)
-            })
-        }
         ShardRequest::SetExecOptions { exec } => {
             lock_db(shared).set_exec_options(exec);
             A::Unit
@@ -565,6 +529,17 @@ fn respond(shared: &Arc<Shared>, request: ShardRequest) -> ShardResponse {
         // The connection loop raises the stop flag after this response
         // is on the wire.
         ShardRequest::Shutdown => A::Unit,
+        // The six catalog-edit frames: each is one mutation, applied as
+        // a one-mutation batch. A replacement or rebuild reports.
+        edit => {
+            let applied = edit
+                .into_mutation()
+                .and_then(|mutation| lock_db(shared).apply(vec![mutation]));
+            reply(applied, |mut reports| match reports.pop() {
+                Some(report) => rebuilt(&report),
+                None => A::Unit,
+            })
+        }
     }
 }
 

@@ -20,11 +20,14 @@
 //!   [`crate::remote`]), a socket client speaking the `ccindex-wire`
 //!   protocol to such a server.
 //! * [`ShardBackend`] is the **mutating half**, held only by the
-//!   `ShardedDatabase` writer: table/index admin, column replacement,
-//!   snapshot install, plus [`reader`](ShardBackend::reader) /
+//!   `ShardedDatabase` writer: one [`apply`](ShardBackend::apply) of a
+//!   batch of [`Mutation`]s for every catalog edit (table and index
+//!   admin, column replacement and rebuild), exec options and snapshot
+//!   install, plus [`reader`](ShardBackend::reader) /
 //!   [`pin`](ShardBackend::pin) to reach the read surface of its
-//!   current or frozen tip. [`LocalShard`] wraps a [`Database`];
-//!   `RemoteShard` implements it over the wire.
+//!   current or frozen tip. [`LocalShard`] wraps a [`Database`] and
+//!   forwards a batch to [`Database::apply`]; `RemoteShard` implements
+//!   it over the wire, one frame per mutation.
 //!
 //! A pinned `ShardedState` holds `Arc<dyn ShardRead>` per shard, so
 //! mutating through a snapshot is not a runtime error but a method that
@@ -37,7 +40,7 @@
 use mmdb::plan::Plan;
 use mmdb::{
     indexed_nested_loop_join, CatalogRead, CatalogState, Column, Database, ExecOptions, IndexKind,
-    MmdbError, QuerySpec, RebuildReport, Result, ResultRows, Table, Value,
+    MmdbError, Mutation, QuerySpec, RebuildReport, Result, ResultRows, Value,
 };
 use std::sync::Arc;
 
@@ -64,12 +67,13 @@ pub struct ShardInfo {
 ///
 /// ```compile_fail
 /// use ccindex_shard::ShardedDatabase;
-/// use mmdb::TableBuilder;
+/// use mmdb::{Mutation, TableBuilder};
 ///
 /// let db = ShardedDatabase::hash(2)?;
 /// let state = db.snapshot();
-/// // `register` lives on `ShardBackend`, which pins do not implement.
-/// state.shard(0).register(TableBuilder::new("t").build()?)?;
+/// // `apply` lives on `ShardBackend`, which pins do not implement.
+/// let table = TableBuilder::new("t").build()?;
+/// state.shard(0).apply(vec![Mutation::Register(table)])?;
 /// # Ok::<(), mmdb::MmdbError>(())
 /// ```
 pub trait ShardRead: std::fmt::Debug + Send + Sync {
@@ -150,8 +154,12 @@ pub trait ShardRead: std::fmt::Debug + Send + Sync {
 
 /// The mutating half of a shard, plus the way to its read surface.
 ///
-/// Mutations take `&mut self` and are driven one shard at a time by
-/// `ShardedDatabase`'s commit discipline; every read the executor
+/// Three methods take `&mut self`: [`apply`](ShardBackend::apply), the
+/// one path for catalog edits, and the two that are not catalog edits,
+/// [`set_exec_options`](ShardBackend::set_exec_options) and
+/// [`install_snapshot`](ShardBackend::install_snapshot). They are
+/// driven one shard at a time, in shard order, by `ShardedDatabase`'s
+/// commit discipline; every read the executor
 /// performs goes through the [`ShardRead`] a backend hands out, and only
 /// through a consistent [`pin`](ShardBackend::pin) set, so a query never
 /// mixes generations across local shards.
@@ -166,29 +174,15 @@ pub trait ShardBackend: std::fmt::Debug + Send + Sync {
     /// across the wire).
     fn pin(&self) -> Arc<dyn ShardRead>;
 
-    /// Register this shard's split of a table.
-    fn register(&mut self, table: Table) -> Result<()>;
-
-    /// Drop a table and everything built on it.
-    fn drop_table(&mut self, table: &str) -> Result<()>;
-
-    /// Build an index on this shard's rows.
-    fn create_index(&mut self, table: &str, column: &str, kind: IndexKind) -> Result<()>;
-
-    /// Drop an index.
-    fn drop_index(&mut self, table: &str, column: &str, kind: IndexKind) -> Result<()>;
-
-    /// Replace a column's local values wholesale and rebuild its
-    /// indexes.
-    fn replace_column(
-        &mut self,
-        table: &str,
-        column: &str,
-        values: Vec<Value>,
-    ) -> Result<RebuildReport>;
-
-    /// Rebuild a column's RID list and indexes from current values.
-    fn rebuild_column(&mut self, table: &str, column: &str) -> Result<RebuildReport>;
+    /// Apply a batch of catalog edits to this shard, in order — the one
+    /// mutating entry point. Returns one [`RebuildReport`] per
+    /// [`Mutation::ReplaceColumn`] and [`Mutation::RebuildColumn`], in
+    /// batch order. A local shard commits the whole batch as one
+    /// generation of its [`Database`] ([`Database::apply`]); a remote
+    /// shard sends one frame per mutation, so its server commits one
+    /// generation each, and a fault partway leaves the earlier frames
+    /// applied.
+    fn apply(&mut self, batch: Vec<Mutation>) -> Result<Vec<RebuildReport>>;
 
     /// Install new execution options on this shard.
     fn set_exec_options(&mut self, exec: ExecOptions) -> Result<()>;
@@ -368,33 +362,8 @@ impl ShardBackend for LocalShard {
         Arc::new(CatalogState::clone(&self.db))
     }
 
-    fn register(&mut self, table: Table) -> Result<()> {
-        self.db.register(table)
-    }
-
-    fn drop_table(&mut self, table: &str) -> Result<()> {
-        self.db.drop_table(table)
-    }
-
-    fn create_index(&mut self, table: &str, column: &str, kind: IndexKind) -> Result<()> {
-        self.db.create_index(table, column, kind)
-    }
-
-    fn drop_index(&mut self, table: &str, column: &str, kind: IndexKind) -> Result<()> {
-        self.db.drop_index(table, column, kind)
-    }
-
-    fn replace_column(
-        &mut self,
-        table: &str,
-        column: &str,
-        values: Vec<Value>,
-    ) -> Result<RebuildReport> {
-        self.db.replace_column(table, column, values)
-    }
-
-    fn rebuild_column(&mut self, table: &str, column: &str) -> Result<RebuildReport> {
-        self.db.rebuild_column(table, column)
+    fn apply(&mut self, batch: Vec<Mutation>) -> Result<Vec<RebuildReport>> {
+        self.db.apply(batch)
     }
 
     fn set_exec_options(&mut self, exec: ExecOptions) -> Result<()> {

@@ -35,8 +35,8 @@ use ccindex_parallel::sync::Arc as ObsArc;
 use ccindex_wire::{self as wire, ShardRequest, ShardResponse};
 use mmdb::plan::{parse_knob, Plan};
 use mmdb::{
-    ExecOptions, IndexKind, MmdbError, QuerySpec, RebuildReport, Request, Result, ResultRows,
-    Table, TransportFault, Value,
+    ExecOptions, IndexKind, MmdbError, Mutation, QuerySpec, RebuildReport, Request, Result,
+    ResultRows, TransportFault, Value,
 };
 
 use crate::backend::{ShardBackend, ShardInfo, ShardRead};
@@ -505,75 +505,25 @@ impl ShardBackend for RemoteShard {
         Arc::new(self.clone())
     }
 
-    fn register(&mut self, table: Table) -> Result<()> {
-        let columns = table
-            .columns()
-            .map(|(name, col)| (name.to_owned(), col.domain().decode_batch(col.ids())))
-            .collect();
-        match self.call(&ShardRequest::Register {
-            table: table.name().to_owned(),
-            columns,
-        })? {
-            ShardResponse::Unit => Ok(()),
-            other => Err(self.bad_reply(&other)),
+    /// One frame per mutation, in order (the frame mapping is
+    /// `ccindex_wire`'s); the server commits each as its own generation.
+    /// An edit with a report is answered `Rebuilt`, any other `Unit`.
+    fn apply(&mut self, batch: Vec<Mutation>) -> Result<Vec<RebuildReport>> {
+        let mut reports = Vec::new();
+        for mutation in batch {
+            let reported = matches!(
+                mutation,
+                Mutation::ReplaceColumn(..) | Mutation::RebuildColumn(..)
+            );
+            match (self.call(&ShardRequest::from(mutation))?, reported) {
+                (ShardResponse::Unit, false) => {}
+                (ShardResponse::Rebuilt { sort_ns, rebuilds }, true) => {
+                    reports.push(rebuild_report(sort_ns, rebuilds))
+                }
+                (other, _) => return Err(self.bad_reply(&other)),
+            }
         }
-    }
-
-    fn drop_table(&mut self, table: &str) -> Result<()> {
-        match self.call(&ShardRequest::DropTable {
-            table: table.to_owned(),
-        })? {
-            ShardResponse::Unit => Ok(()),
-            other => Err(self.bad_reply(&other)),
-        }
-    }
-
-    fn create_index(&mut self, table: &str, column: &str, kind: IndexKind) -> Result<()> {
-        match self.call(&ShardRequest::CreateIndex {
-            table: table.to_owned(),
-            column: column.to_owned(),
-            kind,
-        })? {
-            ShardResponse::Unit => Ok(()),
-            other => Err(self.bad_reply(&other)),
-        }
-    }
-
-    fn drop_index(&mut self, table: &str, column: &str, kind: IndexKind) -> Result<()> {
-        match self.call(&ShardRequest::DropIndex {
-            table: table.to_owned(),
-            column: column.to_owned(),
-            kind,
-        })? {
-            ShardResponse::Unit => Ok(()),
-            other => Err(self.bad_reply(&other)),
-        }
-    }
-
-    fn replace_column(
-        &mut self,
-        table: &str,
-        column: &str,
-        values: Vec<Value>,
-    ) -> Result<RebuildReport> {
-        match self.call(&ShardRequest::ReplaceColumn {
-            table: table.to_owned(),
-            column: column.to_owned(),
-            values,
-        })? {
-            ShardResponse::Rebuilt { sort_ns, rebuilds } => Ok(rebuild_report(sort_ns, rebuilds)),
-            other => Err(self.bad_reply(&other)),
-        }
-    }
-
-    fn rebuild_column(&mut self, table: &str, column: &str) -> Result<RebuildReport> {
-        match self.call(&ShardRequest::RebuildColumn {
-            table: table.to_owned(),
-            column: column.to_owned(),
-        })? {
-            ShardResponse::Rebuilt { sort_ns, rebuilds } => Ok(rebuild_report(sort_ns, rebuilds)),
-            other => Err(self.bad_reply(&other)),
-        }
+        Ok(reports)
     }
 
     fn set_exec_options(&mut self, exec: ExecOptions) -> Result<()> {

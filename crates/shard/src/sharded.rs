@@ -72,7 +72,7 @@ use mmdb::plan::{
 };
 use mmdb::{
     between, eq, group_aggregate_pairs, on, Agg, AggFn, CatalogRead, Column, Database, ExecOptions,
-    GroupRow, Handle, IndexKind, JoinRow, Measure, MmdbError, Pinned, PredicateOp, Query,
+    GroupRow, Handle, IndexKind, JoinRow, Measure, MmdbError, Mutation, Pinned, PredicateOp, Query,
     QuerySpec, RebuildReport, Result, ResultRows, ResultSet, SwapSlot, Table,
 };
 use std::borrow::Cow;
@@ -90,25 +90,29 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// Follows the same epoch/snapshot discipline as [`Database`], and the
 /// same shape: a writer-private `tip`, a shared commit `slot`, and (the
 /// sharded extra) the mutable [`ShardBackend`] per shard. Every
-/// successful mutation commits the tip as a composed [`ShardedState`] —
-/// built from per-shard catalog generations updated under the *same*
-/// mutation — so a pinned [`ShardedSnapshot`] always sees every shard
-/// at one consistent commit (never a half-re-partitioned table or a
-/// column/index mix across shards).
+/// successful mutation commits the tip once, as a composed
+/// [`ShardedState`] — built from per-shard catalog generations updated
+/// under the *same* mutation — so a pinned [`ShardedSnapshot`] always
+/// sees every shard at one consistent commit (never a
+/// half-re-partitioned table or a column/index mix across shards).
 ///
 /// # Failed mutations
 ///
 /// A mutation first validates what it can on the coordinator (the
 /// typed errors each method lists); such a failure touches nothing.
-/// After that it mutates the shards in shard order and publishes once.
-/// A backend fault on shard *k* — a [`MmdbError::Transport`] from a
-/// remote shard, say — returns `Err` with shards `0..k` already mutated
-/// and nothing published. What holds then is that the in-process
-/// composed generation is unchanged: reads through the catalog, its
-/// [`ShardedHandle`]s and its snapshots answer exactly as before, from
-/// the per-shard pins of the last commit. The backends themselves are
-/// not rolled back; committing a multi-shard mutation atomically is
-/// ROADMAP item 4.
+/// After that it hands each shard its part as one batch of
+/// [`Mutation`]s ([`ShardBackend::apply`]), in shard order, and
+/// publishes once. An in-process shard commits its batch as one
+/// generation, or nothing if the batch fails; a remote shard commits
+/// one generation per mutation. A backend fault on shard *k* — a
+/// [`MmdbError::Transport`] from a remote shard, say — returns `Err`
+/// with shards `0..k` already mutated and nothing published. What holds
+/// then is that the in-process composed generation is unchanged: reads
+/// through the catalog, its [`ShardedHandle`]s and its snapshots answer
+/// exactly as before, from the per-shard pins of the last commit. The
+/// backends themselves are not rolled back: committing a multi-shard
+/// mutation atomically (stage on every shard, then commit) is still to
+/// come.
 #[derive(Debug)]
 pub struct ShardedDatabase {
     /// The latest composed generation; every read method of this type
@@ -481,9 +485,7 @@ impl ShardedDatabase {
             })?;
         let (placement, locals) = self.place_rows(key_col)?;
         let split = split_table(&table, &locals);
-        for (shard, t) in split.into_iter().enumerate() {
-            self.shards[shard].register(t)?;
-        }
+        self.apply_per_shard(split.into_iter().map(|t| vec![Mutation::Register(t)]))?;
         self.tip.tables.insert(
             name,
             Arc::new(ShardedTable {
@@ -505,9 +507,7 @@ impl ShardedDatabase {
     /// unchanged (see [failed mutations](ShardedDatabase#failed-mutations)).
     pub fn create_index(&mut self, table: &str, column: &str, kind: IndexKind) -> Result<()> {
         self.tip.meta(table)?;
-        for shard in &mut self.shards {
-            shard.create_index(table, column, kind)?;
-        }
+        self.apply_everywhere(Mutation::CreateIndex(table.into(), column.into(), kind))?;
         Arc::make_mut(self.tip.tables.get_mut(table).expect("checked above"))
             .indexes
             .entry(column.to_owned())
@@ -523,9 +523,7 @@ impl ShardedDatabase {
     /// unchanged (see [failed mutations](ShardedDatabase#failed-mutations)).
     pub fn drop_index(&mut self, table: &str, column: &str, kind: IndexKind) -> Result<()> {
         self.tip.meta(table)?;
-        for shard in &mut self.shards {
-            shard.drop_index(table, column, kind)?;
-        }
+        self.apply_everywhere(Mutation::DropIndex(table.into(), column.into(), kind))?;
         let meta = Arc::make_mut(self.tip.tables.get_mut(table).expect("checked above"));
         if let Some(kinds) = meta.indexes.get_mut(column) {
             kinds.remove(&kind);
@@ -542,11 +540,13 @@ impl ShardedDatabase {
     /// column routes each row's new value to the shard owning the row
     /// and runs the per-shard rebuild cycles in shard order. Replacing
     /// the **shard key** re-partitions: rows are re-placed under the new
-    /// keys, every shard's table is rebuilt, and all registered indexes
-    /// are re-created. The validation errors (unknown table or column,
-    /// length mismatch, a new key outside the declared ranges) fail
-    /// before any shard is touched; a backend fault afterwards leaves the
-    /// composed generation, not the backends, unchanged (see
+    /// keys, and each shard gets one batch that drops its table,
+    /// registers the re-split one and re-creates every registered index
+    /// — one generation on an in-process shard. The validation errors
+    /// (unknown table or column, length mismatch, a new key outside the
+    /// declared ranges) fail before any shard is touched; a backend
+    /// fault afterwards leaves the composed generation, not the
+    /// backends, unchanged (see
     /// [failed mutations](ShardedDatabase#failed-mutations)).
     pub fn replace_column(
         &mut self,
@@ -574,21 +574,17 @@ impl ShardedDatabase {
             return self.repartition(table, column, values);
         }
         // Route each row's new value to the shard that owns the row.
-        let locals = &meta.locals;
-        let per_shard: Vec<Vec<Value>> = locals
-            .iter()
+        let batches: Vec<Vec<Mutation>> = (meta.locals.iter())
             .map(|l| l.iter().map(|&g| values[g as usize].clone()).collect())
+            .map(|vals| vec![Mutation::ReplaceColumn(table.into(), column.into(), vals)])
             .collect();
-        let mut reports = Vec::with_capacity(self.shards.len());
-        for (shard, vals) in self.shards.iter_mut().zip(per_shard) {
-            reports.push(shard.replace_column(table, column, vals)?);
-        }
+        let per_shard = self.apply_per_shard(batches)?;
         // One composed commit after every shard finished its cycle:
         // snapshots see either no shard updated or all of them.
         self.publish();
         Ok(ShardedRebuildReport {
             repartitioned: false,
-            per_shard: reports,
+            per_shard,
         })
     }
 
@@ -599,15 +595,34 @@ impl ShardedDatabase {
     /// [failed mutations](ShardedDatabase#failed-mutations)).
     pub fn rebuild_column(&mut self, table: &str, column: &str) -> Result<Vec<RebuildReport>> {
         self.tip.meta(table)?;
-        let mut reports = Vec::with_capacity(self.shards.len());
-        for shard in &mut self.shards {
-            reports.push(shard.rebuild_column(table, column)?);
-        }
+        let reports =
+            self.apply_everywhere(Mutation::RebuildColumn(table.into(), column.into()))?;
         self.publish();
         Ok(reports)
     }
 
     // ---- internals ----
+
+    /// Apply one batch per shard, in shard order, stopping at the first
+    /// failure (see [failed mutations](ShardedDatabase#failed-mutations)):
+    /// the shards' reports, concatenated in shard order. The one place a
+    /// catalog edit reaches the backends; the caller publishes.
+    fn apply_per_shard(
+        &mut self,
+        batches: impl IntoIterator<Item = Vec<Mutation>>,
+    ) -> Result<Vec<RebuildReport>> {
+        let mut reports = Vec::new();
+        for (shard, batch) in self.shards.iter_mut().zip(batches) {
+            reports.extend(shard.apply(batch)?);
+        }
+        Ok(reports)
+    }
+
+    /// [`ShardedDatabase::apply_per_shard`] with the same one-mutation
+    /// batch on every shard.
+    fn apply_everywhere(&mut self, mutation: Mutation) -> Result<Vec<RebuildReport>> {
+        self.apply_per_shard(vec![vec![mutation]; self.shards.len()])
+    }
 
     /// Commit the composed catalog: re-pin every shard's current tip
     /// into the placement metadata the mutation just updated, and
@@ -652,7 +667,7 @@ impl ShardedDatabase {
 
     /// The shard-key path of [`ShardedDatabase::replace_column`]: rows
     /// move shards, so reassemble every column globally, re-place, and
-    /// rebuild tables and indexes on every shard.
+    /// send every shard one `[DropTable, Register, CreateIndex…]` batch.
     fn repartition(
         &mut self,
         table: &str,
@@ -690,22 +705,17 @@ impl ShardedDatabase {
         }
         let global = global.build()?;
 
-        // Swap in the re-split tables and re-create the indexes.
-        let split = split_table(&global, &locals);
-        for (shard, t) in split.into_iter().enumerate() {
-            self.shards[shard].drop_table(table)?;
-            self.shards[shard].register(t)?;
-        }
-        let index_spec: Vec<(String, IndexKind)> = meta
-            .indexes
-            .iter()
-            .flat_map(|(c, ks)| ks.iter().map(move |&k| (c.clone(), k)))
+        // One batch per shard swaps in its re-split table and re-creates
+        // the indexes, so a local shard commits it as one generation.
+        let indexes: Vec<Mutation> = (meta.indexes.iter())
+            .flat_map(|(c, ks)| ks.iter().map(move |&k| (c, k)))
+            .map(|(c, k)| Mutation::CreateIndex(table.into(), c.clone(), k))
             .collect();
-        for (column, kind) in &index_spec {
-            for shard in &mut self.shards {
-                shard.create_index(table, column, *kind)?;
-            }
-        }
+        let batches = split_table(&global, &locals).into_iter().map(|t| {
+            let swap = [Mutation::DropTable(table.into()), Mutation::Register(t)];
+            swap.into_iter().chain(indexes.iter().cloned()).collect()
+        });
+        self.apply_per_shard(batches)?;
         let meta = Arc::make_mut(self.tip.tables.get_mut(table).expect("present"));
         meta.placement = placement;
         meta.locals = locals;
@@ -1788,19 +1798,13 @@ mod tests {
         fn pin(&self) -> Arc<dyn ShardRead> {
             self.0.pin()
         }
-        fn register(&mut self, table: Table) -> Result<()> {
-            self.0.register(table)
-        }
-        fn drop_table(&mut self, table: &str) -> Result<()> {
-            self.0.drop_table(table)
-        }
-        fn create_index(&mut self, table: &str, column: &str, kind: IndexKind) -> Result<()> {
-            self.0.create_index(table, column, kind)
-        }
-        fn drop_index(&mut self, table: &str, column: &str, kind: IndexKind) -> Result<()> {
-            self.0.drop_index(table, column, kind)
-        }
-        fn replace_column(&mut self, _: &str, _: &str, _: Vec<Value>) -> Result<RebuildReport> {
+        fn apply(&mut self, batch: Vec<Mutation>) -> Result<Vec<RebuildReport>> {
+            if !batch
+                .iter()
+                .any(|m| matches!(m, Mutation::ReplaceColumn(..)))
+            {
+                return self.0.apply(batch);
+            }
             Err(MmdbError::Transport {
                 endpoint: "shard 1".into(),
                 fault: TransportFault::Io,
@@ -1808,9 +1812,6 @@ mod tests {
                 attempts: 0,
                 elapsed_ms: 0,
             })
-        }
-        fn rebuild_column(&mut self, table: &str, column: &str) -> Result<RebuildReport> {
-            self.0.rebuild_column(table, column)
         }
         fn set_exec_options(&mut self, exec: ExecOptions) -> Result<()> {
             self.0.set_exec_options(exec)
@@ -1861,6 +1862,28 @@ mod tests {
         assert_eq!(battery(&db), before);
         assert_eq!(battery(&handle.snapshot()), before);
         assert_eq!(battery(&pinned), before);
+    }
+
+    #[test]
+    fn a_column_replacement_commits_one_generation_on_every_local_shard() {
+        let mut db = catalog(hash(2), local_backends(2), 1, "cust");
+        db.create_index("sales", "cust", IndexKind::Hash).unwrap();
+        let swaps = |db: &ShardedDatabase| [0, 1].map(|s| db.shard(s).swap_count());
+        // A plain column, and the shard key: the repartition drops,
+        // re-registers and re-indexes `sales` on each shard in one batch.
+        let amounts: Vec<Value> = (0..80).map(|i| Value::Int(i * 3)).collect();
+        let keys: Vec<Value> = (0..80).map(|i| Value::Int((i * 7) % 40)).collect();
+        for (column, values, repartitioned) in [("amount", amounts, false), ("cust", keys, true)] {
+            let (before, generation) = (swaps(&db), db.generation());
+            let report = db.replace_column("sales", column, values).unwrap();
+            assert_eq!(report.repartitioned, repartitioned, "{column}");
+            assert_eq!(swaps(&db), before.map(|n| n + 1), "{column}");
+            assert_eq!(db.generation(), generation + 1, "{column}");
+        }
+        let zero = db.query("sales").filter(eq("cust", 0)).run().unwrap();
+        assert_eq!(zero.rids(), [0, 40]);
+        let kinds = db.shard(1).indexed_kinds("sales", "cust").unwrap();
+        assert_eq!(kinds, [IndexKind::FullCss, IndexKind::Hash]);
     }
 
     #[test]

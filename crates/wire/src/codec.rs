@@ -368,6 +368,11 @@ pub fn put_error(w: &mut ByteWriter, e: &MmdbError) {
             });
             w.str(detail);
         }
+        MmdbError::DuplicateColumn { table, column } => {
+            w.u8(14);
+            w.str(table);
+            w.str(column);
+        }
     }
 }
 
@@ -440,6 +445,10 @@ pub fn get_error(r: &mut Reader<'_>) -> Result<MmdbError> {
                 other => return Err(r.fail(format!("bad StorageFault tag {other}"))),
             },
             detail: r.str()?,
+        },
+        14 => MmdbError::DuplicateColumn {
+            table: r.str()?,
+            column: r.str()?,
         },
         other => return Err(r.fail(format!("bad MmdbError tag {other}"))),
     })

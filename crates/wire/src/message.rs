@@ -4,7 +4,9 @@
 //!
 //! [`ShardRequest`] covers the full `ShardRead` + `ShardBackend`
 //! surface — whole query specs, probe batches, probes-only selections,
-//! join-probe fan-out, value fetches, plan compilation, table admin —
+//! join-probe fan-out, value fetches, plan compilation, and the six
+//! catalog-edit frames, each carrying one [`Mutation`] (the mapping is
+//! here, once: `From<Mutation>` and [`ShardRequest::into_mutation`]) —
 //! plus [`ShardRequest::ExecuteBatch`], which fronts the remote
 //! `BatchServer` directly with a whole window of requests, and one v3
 //! leftover no client sends any more ([`ShardRequest::GroupPartial`]:
@@ -20,8 +22,8 @@ use ccindex_obs::SpanNode;
 use ccindex_store::bytes::ByteWriter;
 use mmdb::plan::{Plan, Probe};
 use mmdb::{
-    get_value, put_value, AggFn, ExecOptions, GroupRow, IndexKind, MmdbError, QuerySpec, Request,
-    Result, ResultRows, Value,
+    get_value, put_value, AggFn, ExecOptions, GroupRow, IndexKind, MmdbError, Mutation, QuerySpec,
+    Request, Result, ResultRows, TableBuilder, Value,
 };
 
 use crate::codec::{
@@ -717,6 +719,84 @@ impl ShardRequest {
         };
         r.expect_end()?;
         Ok(req)
+    }
+}
+
+// ---------------------------------------------------------------------
+// Catalog edits: one frame per `Mutation`
+// ---------------------------------------------------------------------
+
+/// The frame that carries `mutation` — the one mapping from a catalog
+/// edit to its request. A registered table travels as its decoded
+/// columns, in declaration order.
+impl From<Mutation> for ShardRequest {
+    fn from(mutation: Mutation) -> Self {
+        match mutation {
+            Mutation::Register(t) => ShardRequest::Register {
+                table: t.name().to_owned(),
+                columns: (t.columns())
+                    .map(|(name, col)| (name.to_owned(), col.domain().decode_batch(col.ids())))
+                    .collect(),
+            },
+            Mutation::DropTable(table) => ShardRequest::DropTable { table },
+            Mutation::CreateIndex(table, column, kind) => ShardRequest::CreateIndex {
+                table,
+                column,
+                kind,
+            },
+            Mutation::DropIndex(table, column, kind) => ShardRequest::DropIndex {
+                table,
+                column,
+                kind,
+            },
+            Mutation::ReplaceColumn(table, column, values) => ShardRequest::ReplaceColumn {
+                table,
+                column,
+                values,
+            },
+            Mutation::RebuildColumn(table, column) => ShardRequest::RebuildColumn { table, column },
+        }
+    }
+}
+
+impl ShardRequest {
+    /// The catalog edit this frame carries — the inverse of
+    /// `From<Mutation>`. A `Register` frame builds its table here, so a
+    /// ragged or duplicate-named column is the typed error the table
+    /// constructor raises; a request that is not a catalog edit is
+    /// [`MmdbError::Unsupported`].
+    pub fn into_mutation(self) -> Result<Mutation> {
+        Ok(match self {
+            ShardRequest::Register { table, columns } => Mutation::Register(
+                (columns.into_iter())
+                    .fold(TableBuilder::new(table), |t, (name, values)| {
+                        t.column(name, values)
+                    })
+                    .build()?,
+            ),
+            ShardRequest::DropTable { table } => Mutation::DropTable(table),
+            ShardRequest::CreateIndex {
+                table,
+                column,
+                kind,
+            } => Mutation::CreateIndex(table, column, kind),
+            ShardRequest::DropIndex {
+                table,
+                column,
+                kind,
+            } => Mutation::DropIndex(table, column, kind),
+            ShardRequest::ReplaceColumn {
+                table,
+                column,
+                values,
+            } => Mutation::ReplaceColumn(table, column, values),
+            ShardRequest::RebuildColumn { table, column } => Mutation::RebuildColumn(table, column),
+            _ => {
+                return Err(MmdbError::Unsupported {
+                    what: "the request is not a catalog edit".to_owned(),
+                })
+            }
+        })
     }
 }
 

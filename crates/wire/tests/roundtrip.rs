@@ -165,7 +165,7 @@ impl Gen {
     }
 
     fn error(&mut self) -> MmdbError {
-        match self.below(14) {
+        match self.below(15) {
             0 => MmdbError::UnknownTable {
                 table: self.string(),
             },
@@ -226,6 +226,10 @@ impl Gen {
                 detail: self.string(),
                 attempts: self.next() as u32,
                 elapsed_ms: self.next(),
+            },
+            13 => MmdbError::DuplicateColumn {
+                table: self.string(),
+                column: self.string(),
             },
             _ => MmdbError::Storage {
                 path: self.string(),

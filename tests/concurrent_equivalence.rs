@@ -1,21 +1,24 @@
 //! Snapshot-catalog equivalence under concurrency: reader threads race
 //! a writer committing generations through `replace_column` (including
-//! shard-key replacements that re-partition the sharded catalogs) and
-//! the `rebuild_column` batch-update cycle. Every answer a reader gets
-//! must be **byte-identical** to the answers of the committed generation
-//! it pinned — never a torn mix of two generations — across the
-//! unsharded `Database` and 4-shard catalogs under both partitioners.
+//! shard-key replacements that re-partition the sharded catalogs), the
+//! `rebuild_column` batch-update cycle and — on the unsharded
+//! `Database` — two-mutation `apply` batches that replace both columns
+//! at once. Every answer a reader gets must be **byte-identical** to the
+//! answers of the committed generation it pinned — never a torn mix of
+//! two generations, nor half of a batch — across the unsharded
+//! `Database` and 4-shard catalogs under both partitioners.
 //!
 //! The writer's op schedule is deterministic and each op commits exactly
-//! one generation, so a reader can map the generation number of its
-//! pinned snapshot to the exact value sets that generation must serve.
+//! one generation (a batch included), so a reader can map the generation
+//! number of its pinned snapshot to the exact value sets that generation
+//! must serve.
 //! Every race runs with sequential and with 8-worker execution. CI
 //! re-runs this suite with `CCINDEX_WRITER_COMMITS` raised to lengthen
-//! the race window.
+//! the race window; the batches scale with it (one per three commits).
 
 use ccindex::db::domain::Value;
 use ccindex::db::{
-    between, eq, on, sum, Database, ExecOptions, IndexKind, ResultRows, TableBuilder,
+    between, eq, on, sum, Database, ExecOptions, IndexKind, Mutation, ResultRows, TableBuilder,
 };
 use ccindex::shard::{HashPartitioner, Partitioner, RangePartitioner, ShardedDatabase};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -31,12 +34,15 @@ const THREADS: [usize; 2] = [1, 8];
 /// a column wholesale (non-key and shard-key respectively — the latter
 /// re-partitions the sharded catalogs); `Rebuild` runs the batch-update
 /// rebuild cycle with unchanged values, committing a generation whose
-/// answers equal its predecessor's.
+/// answers equal its predecessor's; `Both` replaces both columns in one
+/// two-mutation `apply` batch (unsharded only: it is the batch's
+/// all-or-nothing the readers check).
 #[derive(Clone, Copy)]
 enum Op {
     Amount(usize),
     Cust(usize),
     Rebuild,
+    Both(usize),
 }
 
 /// How many `Amount` commits the writer makes — `CCINDEX_WRITER_COMMITS`
@@ -49,9 +55,14 @@ fn writer_commits() -> usize {
         .unwrap_or(6)
 }
 
-fn schedule(commits: usize) -> Vec<Op> {
+/// The writer's ops; `batches` adds a `Both(k)` ahead of every
+/// `k ≡ 2 (mod 3)`'s `Amount(k)`, so both columns move at once.
+fn schedule(commits: usize, batches: bool) -> Vec<Op> {
     let mut ops = Vec::new();
     for k in 1..=commits {
+        if batches && k % 3 == 2 {
+            ops.push(Op::Both(k));
+        }
         ops.push(Op::Amount(k));
         ops.push(Op::Rebuild);
         if k % 3 == 0 {
@@ -72,6 +83,7 @@ fn states_after(ops: &[Op]) -> Vec<(usize, usize)> {
             Op::Amount(k) => a = k,
             Op::Cust(k) => c = k,
             Op::Rebuild => {}
+            Op::Both(k) => (a, c) = (k, k),
         }
         states.push((a, c));
     }
@@ -186,11 +198,25 @@ fn index_catalog(db: &mut Database) {
     index_catalog!(db);
 }
 
+/// Replace `amount` and `cust` with value set `k` in one `apply`: one
+/// generation, so no reader may see one column moved without the other.
+fn apply_both(db: &mut Database, k: usize) {
+    let column = |c: &str, values| Mutation::ReplaceColumn("sales".into(), c.into(), values);
+    let batch = vec![
+        column("amount", amount_values(k)),
+        column("cust", cust_values(k)),
+    ];
+    assert_eq!(db.apply(batch).expect("same shape").len(), 2);
+}
+
 /// Race `READERS` snapshot-pinning readers against one committing writer
 /// and assert every pinned generation serves exactly its own answers.
+/// `$batch` is the writer's `Op::Both` step, `None` for a catalog that
+/// has no batch `apply` (its schedule then has no `Both`).
 macro_rules! race_readers_against_writer {
-    ($db:expr, $label:expr) => {{
-        let ops = schedule(writer_commits());
+    ($db:expr, $label:expr, $batch:expr) => {{
+        let batch = $batch;
+        let ops = schedule(writer_commits(), batch.is_some());
         let expected: Vec<Vec<ResultRows>> = states_after(&ops)
             .into_iter()
             .map(|(a, c)| reference_answers(a, c))
@@ -251,6 +277,7 @@ macro_rules! race_readers_against_writer {
                         Op::Rebuild => {
                             db.rebuild_column("sales", "amount").expect("indexed");
                         }
+                        Op::Both(k) => batch.expect("scheduled with a batch step")(db, k),
                     }
                     // A breath between commits so reader pins interleave
                     // with many different generations, not just the last.
@@ -295,7 +322,11 @@ fn unsharded_readers_race_the_writer() {
         db.register(customers()).unwrap();
         index_catalog(&mut db);
         db.set_exec_options(ExecOptions::threads(threads));
-        race_readers_against_writer!(db, format!("unsharded, {threads} thread(s)"));
+        race_readers_against_writer!(
+            db,
+            format!("unsharded, {threads} thread(s)"),
+            Some(apply_both)
+        );
     }
 }
 
@@ -312,7 +343,11 @@ fn seed_sharded<P: Partitioner + 'static>(p: P, threads: usize) -> ShardedDataba
 fn hash_sharded_readers_race_the_writer() {
     for threads in THREADS {
         let mut db = seed_sharded(HashPartitioner::new(4).unwrap(), threads);
-        race_readers_against_writer!(db, format!("hash x4, {threads} thread(s)"));
+        race_readers_against_writer!(
+            db,
+            format!("hash x4, {threads} thread(s)"),
+            None::<fn(&mut ShardedDatabase, usize)>
+        );
     }
 }
 
@@ -321,6 +356,10 @@ fn range_sharded_readers_race_the_writer() {
     for threads in THREADS {
         let p = RangePartitioner::int_spans(0, CUSTOMERS as i64 - 1, 4).unwrap();
         let mut db = seed_sharded(p, threads);
-        race_readers_against_writer!(db, format!("range x4, {threads} thread(s)"));
+        race_readers_against_writer!(
+            db,
+            format!("range x4, {threads} thread(s)"),
+            None::<fn(&mut ShardedDatabase, usize)>
+        );
     }
 }

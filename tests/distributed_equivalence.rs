@@ -378,6 +378,34 @@ fn wire_shutdown_stops_a_server_and_later_connects_fail_typed() {
     );
 }
 
+#[test]
+fn a_register_frame_with_a_duplicate_column_is_refused_typed() {
+    use ccindex::wire::{read_response, write_request, ShardRequest, ShardResponse};
+    let server = ShardServer::spawn(Database::new()).unwrap();
+    // A peer can send what no local `Table` can hold: two columns `a`.
+    let column = |values: [i64; 3]| ("a".to_owned(), values.map(Value::Int).to_vec());
+    let register = ShardRequest::Register {
+        table: "t".into(),
+        columns: vec![column([1, 2, 3]), column([7, 8, 9])],
+    };
+    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    write_request(&mut stream, "test", &register).unwrap();
+    let duplicate = MmdbError::DuplicateColumn {
+        table: "t".into(),
+        column: "a".into(),
+    };
+    let reply = read_response(&mut stream, "test").unwrap();
+    assert_eq!(reply, ShardResponse::Err(duplicate));
+    // Nothing was committed, and the connection still serves.
+    write_request(&mut stream, "test", &ShardRequest::Hello).unwrap();
+    let hello = read_response(&mut stream, "test").unwrap();
+    assert!(
+        matches!(hello, ShardResponse::Info { generation: 0, .. }),
+        "{hello:?}"
+    );
+    server.shutdown();
+}
+
 /// A selection, a join or a join+group over `orders`, on any catalog's
 /// one [`Query`] builder.
 fn shaped<'c, C: CatalogRead>(q: Query<'c, C>, shape: &str) -> Query<'c, C> {
