@@ -413,7 +413,7 @@ fn fig10_11(opts: &Options) {
             let arr = SortedArray::from_slice(&keys);
             let stream = LookupStream::successful(&keys, opts.lookups, DEFAULT_SEED ^ *n as u64);
             for m in all_methods(&arr, node_ints) {
-                let meas = opts.measure(m.index.as_ref(), stream.probes());
+                let meas = opts.measure(m.as_search(), stream.probes());
                 if let Some(s) = series.iter_mut().find(|s| s.name == m.label) {
                     s.push(*n as f64, meas.total_seconds);
                 } else {
@@ -452,12 +452,12 @@ fn fig12_13(opts: &Options) {
             let t = build_ttree(&arr, m);
             ttree.push(
                 m as f64,
-                opts.measure(t.as_ref(), stream.probes()).total_seconds,
+                opts.measure(t.as_search(), stream.probes()).total_seconds,
             );
             let b = build_bplus(&arr, m);
             bplus.push(
                 m as f64,
-                opts.measure(b.as_ref(), stream.probes()).total_seconds,
+                opts.measure(b.as_search(), stream.probes()).total_seconds,
             );
             let f = DynCssTree::build(CssVariant::Full, m, arr.clone());
             full.push(m as f64, opts.measure(&f, stream.probes()).total_seconds);
@@ -473,7 +473,7 @@ fn fig12_13(opts: &Options) {
             let h = build_hash(&arr, dir);
             hash.push(
                 dir as f64,
-                opts.measure(h.as_ref(), stream.probes()).total_seconds,
+                opts.measure(h.as_search(), stream.probes()).total_seconds,
             );
             dir /= 2;
         }
@@ -519,11 +519,11 @@ fn fig14(opts: &Options) {
     // Zero-space methods.
     for m in all_methods(&arr, 16) {
         if m.label == "array binary search" || m.label == "interpolation search" {
-            let meas = opts.measure(m.index.as_ref(), stream.probes());
+            let meas = opts.measure(m.as_search(), stream.probes());
             rows.push((
                 m.label.clone(),
                 meas.total_seconds,
-                m.index.space().direct_bytes,
+                m.as_search().space().direct_bytes,
             ));
         }
     }
@@ -532,14 +532,14 @@ fn fig14(opts: &Options) {
         let t = build_ttree(&arr, m);
         rows.push((
             format!("T-tree m={m}"),
-            opts.measure(t.as_ref(), stream.probes()).total_seconds,
-            t.space().direct_bytes,
+            opts.measure(t.as_search(), stream.probes()).total_seconds,
+            t.as_search().space().direct_bytes,
         ));
         let b = build_bplus(&arr, m);
         rows.push((
             format!("B+-tree m={m}"),
-            opts.measure(b.as_ref(), stream.probes()).total_seconds,
-            b.space().direct_bytes,
+            opts.measure(b.as_search(), stream.probes()).total_seconds,
+            b.as_search().space().direct_bytes,
         ));
         let f = DynCssTree::build(CssVariant::Full, m, arr.clone());
         rows.push((
@@ -560,8 +560,8 @@ fn fig14(opts: &Options) {
         let h = build_hash(&arr, dir);
         rows.push((
             format!("hash dir={dir}"),
-            opts.measure(h.as_ref(), stream.probes()).total_seconds,
-            h.space().direct_bytes,
+            opts.measure(h.as_search(), stream.probes()).total_seconds,
+            h.as_search().space().direct_bytes,
         ));
         dir /= 4;
     }
@@ -591,8 +591,8 @@ fn warmcache(opts: &Options) {
     let uniform = LookupStream::successful(&keys, opts.lookups, 1);
     let zipf = LookupStream::zipf(&keys, opts.lookups, 1.0, 1);
     for m in all_methods(&arr, 16) {
-        let u = simulate_lookup_protocol(m.index.as_ref(), uniform.probes(), &mut machine);
-        let z = simulate_lookup_protocol(m.index.as_ref(), zipf.probes(), &mut machine);
+        let u = simulate_lookup_protocol(m.as_search(), uniform.probes(), &mut machine);
+        let z = simulate_lookup_protocol(m.as_search(), zipf.probes(), &mut machine);
         let lvl = u.misses_per_lookup.len() - 1;
         println!(
             "{:>22} {:>16} {:>16}",
@@ -636,8 +636,8 @@ fn interp(opts: &Options) {
             .iter()
             .find(|m| m.label == "array binary search")
             .expect("present");
-        let ti = run_lookup_protocol(interp.index.as_ref(), stream.probes(), 3);
-        let tb = run_lookup_protocol(binary.index.as_ref(), stream.probes(), 3);
+        let ti = run_lookup_protocol(interp.as_search(), stream.probes(), 3);
+        let tb = run_lookup_protocol(binary.as_search(), stream.probes(), 3);
         println!(
             "{:>14} {:>18} {:>18}",
             name,

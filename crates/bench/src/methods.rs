@@ -1,37 +1,68 @@
-//! Building the paper's competing methods over one key set.
+//! Building the paper's competing methods over one key set: the one
+//! constructor of the eight methods, for `figures` and every test and
+//! example that measures or cross-checks them.
+//!
+//! Every method answers point lookups (`SearchIndex<u32>`); all but the
+//! hash index also answer ordered access (`OrderedIndex<u32>`, §3.5).
+//! [`MethodInstance`] keeps that distinction, so range probes reach
+//! only the ordered methods.
 
 use bplus::BPlusTree;
 use bst_index::BinaryTreeIndex;
-use ccindex_common::{SearchIndex, SortedArray};
+use ccindex_common::{OrderedIndex, SearchIndex, SortedArray};
 use css_tree::{CssVariant, DynCssTree};
 use hashindex::HashIndex;
 use sorted_search::{BinarySearch, InterpolationSearch};
 use ttree::TTree;
 
-/// One built method, ready for the lookup protocol.
+/// One built method, ready for the lookup protocol: the point view
+/// every method has, and the ordered view every method but hash has.
 pub struct MethodInstance {
     /// Label used in figure output (matches the paper's legends).
     pub label: String,
-    /// The built index.
-    pub index: Box<dyn SearchIndex<u32>>,
+    index: Built,
+}
+
+/// A built index, remembering whether it preserves key order.
+enum Built {
+    /// Point lookups only (the hash index).
+    Point(Box<dyn SearchIndex<u32>>),
+    /// Full ordered access (every other method).
+    Ordered(Box<dyn OrderedIndex<u32>>),
 }
 
 impl MethodInstance {
-    fn new(label: impl Into<String>, index: Box<dyn SearchIndex<u32>>) -> Self {
+    fn ordered(label: &str, index: impl OrderedIndex<u32> + 'static) -> Self {
         Self {
-            label: label.into(),
-            index,
+            label: label.to_owned(),
+            index: Built::Ordered(Box::new(index)),
+        }
+    }
+
+    /// The point-lookup view every method supports.
+    pub fn as_search(&self) -> &dyn SearchIndex<u32> {
+        match &self.index {
+            Built::Point(index) => index.as_ref(),
+            Built::Ordered(index) => index.as_ref(),
+        }
+    }
+
+    /// The ordered view; `None` only for the hash index.
+    pub fn as_ordered(&self) -> Option<&dyn OrderedIndex<u32>> {
+        match &self.index {
+            Built::Point(_) => None,
+            Built::Ordered(index) => Some(index.as_ref()),
         }
     }
 }
 
 /// Build a T-tree whose *entry count* is the given sweep value (entries
 /// per node in the Fig. 12/13 sense).
-pub fn build_ttree(keys: &SortedArray<u32>, entries: usize) -> Box<dyn SearchIndex<u32>> {
+pub fn build_ttree(keys: &SortedArray<u32>, entries: usize) -> MethodInstance {
     macro_rules! sizes {
         ($($cap:literal),+) => {
             match entries {
-                $( $cap => Box::new(TTree::<u32, $cap>::build(keys.as_slice())) as Box<dyn SearchIndex<u32>>, )+
+                $( $cap => MethodInstance::ordered("T-tree", TTree::<u32, $cap>::build(keys.as_slice())), )+
                 other => panic!("unsupported T-tree entry count {other}"),
             }
         };
@@ -41,11 +72,11 @@ pub fn build_ttree(keys: &SortedArray<u32>, entries: usize) -> Box<dyn SearchInd
 
 /// Build a B+-tree whose *slot count* is the given sweep value (slots =
 /// 2 × branching).
-pub fn build_bplus(keys: &SortedArray<u32>, slots: usize) -> Box<dyn SearchIndex<u32>> {
+pub fn build_bplus(keys: &SortedArray<u32>, slots: usize) -> MethodInstance {
     macro_rules! sizes {
         ($($slots:literal => $br:literal),+ $(,)?) => {
             match slots {
-                $( $slots => Box::new(BPlusTree::<u32, $br>::from_shared(keys.clone())) as Box<dyn SearchIndex<u32>>, )+
+                $( $slots => MethodInstance::ordered("B+-tree", BPlusTree::<u32, $br>::from_shared(keys.clone())), )+
                 other => panic!("unsupported B+-tree slot count {other}"),
             }
         };
@@ -54,40 +85,39 @@ pub fn build_bplus(keys: &SortedArray<u32>, slots: usize) -> Box<dyn SearchIndex
 }
 
 /// Build a hash index with an explicit directory size.
-pub fn build_hash(keys: &SortedArray<u32>, directory: usize) -> Box<dyn SearchIndex<u32>> {
-    Box::new(HashIndex::<u32, 7>::build_with_directory(
-        keys.as_slice(),
-        directory,
-    ))
+pub fn build_hash(keys: &SortedArray<u32>, directory: usize) -> MethodInstance {
+    hash(HashIndex::build_with_directory(keys.as_slice(), directory))
+}
+
+fn hash(index: HashIndex<u32, 7>) -> MethodInstance {
+    MethodInstance {
+        label: "hash".to_owned(),
+        index: Built::Point(Box::new(index)),
+    }
 }
 
 /// All eight methods of Figs. 10–11 at one node size (keys per node for
 /// the tree methods; 8 or 16 integers in the paper).
 pub fn all_methods(keys: &SortedArray<u32>, node_ints: usize) -> Vec<MethodInstance> {
-    let css = |variant| {
-        Box::new(DynCssTree::build(variant, node_ints, keys.clone())) as Box<dyn SearchIndex<u32>>
-    };
+    let css = |variant| DynCssTree::build(variant, node_ints, keys.clone());
     vec![
-        MethodInstance::new(
+        MethodInstance::ordered(
             "array binary search",
-            Box::new(BinarySearch::from_shared(keys.clone())),
+            BinarySearch::from_shared(keys.clone()),
         ),
-        MethodInstance::new(
+        MethodInstance::ordered(
             "tree binary search",
-            Box::new(BinaryTreeIndex::build(keys.as_slice())),
+            BinaryTreeIndex::build(keys.as_slice()),
         ),
-        MethodInstance::new(
+        MethodInstance::ordered(
             "interpolation search",
-            Box::new(InterpolationSearch::from_shared(keys.clone())),
+            InterpolationSearch::from_shared(keys.clone()),
         ),
-        MethodInstance::new("T-tree", build_ttree(keys, node_ints)),
-        MethodInstance::new("B+-tree", build_bplus(keys, node_ints)),
-        MethodInstance::new("full CSS-tree", css(CssVariant::Full)),
-        MethodInstance::new("level CSS-tree", css(CssVariant::Level)),
-        MethodInstance::new(
-            "hash",
-            Box::new(HashIndex::<u32, 7>::build(keys.as_slice())),
-        ),
+        build_ttree(keys, node_ints),
+        build_bplus(keys, node_ints),
+        MethodInstance::ordered("full CSS-tree", css(CssVariant::Full)),
+        MethodInstance::ordered("level CSS-tree", css(CssVariant::Level)),
+        hash(HashIndex::build(keys.as_slice())),
     ]
 }
 
@@ -102,8 +132,10 @@ mod tests {
             let methods = all_methods(&keys, node_ints);
             assert_eq!(methods.len(), 8);
             for m in &methods {
-                assert_eq!(m.index.search(5000 * 2), Some(5000), "{}", m.label);
-                assert_eq!(m.index.search(5000 * 2 + 1), None, "{}", m.label);
+                let index = m.as_search();
+                assert_eq!(index.search(5000 * 2), Some(5000), "{}", m.label);
+                assert_eq!(index.search(5000 * 2 + 1), None, "{}", m.label);
+                assert_eq!(m.as_ordered().is_none(), m.label == "hash", "{}", m.label);
             }
         }
     }
@@ -113,13 +145,13 @@ mod tests {
         let keys = SortedArray::from_slice(&(0..5_000u32).collect::<Vec<_>>());
         for entries in [4usize, 8, 12, 16, 24, 32, 48, 64, 96, 128] {
             let t = build_ttree(&keys, entries);
-            assert_eq!(t.search(100), Some(100), "ttree {entries}");
+            assert_eq!(t.as_search().search(100), Some(100), "ttree {entries}");
         }
         for slots in [4usize, 8, 16, 24, 32, 48, 64, 128] {
             let b = build_bplus(&keys, slots);
-            assert_eq!(b.search(100), Some(100), "b+ {slots}");
+            assert_eq!(b.as_search().search(100), Some(100), "b+ {slots}");
         }
         let h = build_hash(&keys, 1 << 10);
-        assert_eq!(h.search(100), Some(100));
+        assert_eq!(h.as_search().search(100), Some(100));
     }
 }

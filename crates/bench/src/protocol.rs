@@ -101,7 +101,7 @@ mod tests {
         let keys = SortedArray::from_slice(&(0..10_000u32).collect::<Vec<_>>());
         let stream = LookupStream::successful(keys.as_slice(), 1000, 7);
         for m in all_methods(&keys, 16) {
-            let r = run_lookup_protocol(m.index.as_ref(), stream.probes(), 2);
+            let r = run_lookup_protocol(m.as_search(), stream.probes(), 2);
             assert_eq!(r.hits, 1000, "{}", m.label);
             assert!(r.total_seconds >= 0.0);
         }
@@ -118,8 +118,8 @@ mod tests {
             .iter()
             .find(|m| m.label == "array binary search")
             .unwrap();
-        let r_css = simulate_lookup_protocol(css.index.as_ref(), stream.probes(), &mut machine);
-        let r_bin = simulate_lookup_protocol(bin.index.as_ref(), stream.probes(), &mut machine);
+        let r_css = simulate_lookup_protocol(css.as_search(), stream.probes(), &mut machine);
+        let r_bin = simulate_lookup_protocol(bin.as_search(), stream.probes(), &mut machine);
         assert_eq!(r_css.misses_per_lookup.len(), 2);
         // The paper's core claim, on simulated 1998 hardware: CSS-trees
         // take far fewer L2 misses per lookup than binary search.

@@ -196,6 +196,18 @@ impl MmdbError {
             what: format!("rid {rid} is out of range for table `{table}` ({rows} rows)"),
         }
     }
+
+    /// A [`MmdbError::Transport`] fault that was not retried: no
+    /// attempts, no elapsed time.
+    pub fn transport(endpoint: &str, fault: TransportFault, detail: impl Into<String>) -> Self {
+        MmdbError::Transport {
+            endpoint: endpoint.to_owned(),
+            fault,
+            detail: detail.into(),
+            attempts: 0,
+            elapsed_ms: 0,
+        }
+    }
 }
 
 impl std::fmt::Display for MmdbError {

@@ -1,26 +1,15 @@
-//! One constructor per paper method, behind the shared traits, and the
-//! catalog's declared access paths.
+//! The catalog's declared access paths: the paper method an index on a
+//! column names, and the view a query probes it through.
 //!
-//! Every method implements `SearchIndex<u32>` (point lookups on domain
-//! IDs) and all but the hash index implement `OrderedIndex<u32>` (range
-//! queries). Node sizes default to one 64-byte cache line (16 four-byte
-//! slots), the §5.1/§6.3 optimum. [`IndexHandle::build`] builds them over
-//! a sorted key array: the paper's baselines, as `figures` and the
-//! agreement suites measure them.
-//!
-//! The catalog builds none of them. A column's domain IDs are dense ranks,
-//! so its sorted [`RidList`] answers every probe by addressing the run an
-//! ID names; an [`IndexKind`] created on a column is a declared access
-//! path — what the planner chooses between and a query may force — and
-//! [`AccessPath`] is its view: the RID list behind the index traits.
+//! The catalog builds none of the paper's methods; `bench::methods` is
+//! their one constructor, for `figures` and the agreement suites. A
+//! column's domain IDs are dense ranks, so its sorted [`RidList`] answers
+//! every probe by addressing the run an ID names; an [`IndexKind`]
+//! created on a column is a declared access path — what the planner
+//! chooses between and a query may force — and [`AccessPath`] is its
+//! view: the RID list behind the index traits.
 
-use bplus::BPlusTree;
-use bst_index::BinaryTreeIndex;
-use ccindex_common::{OrderedIndex, SearchIndex, SortedArray};
-use css_tree::{FullCssTree, LevelCssTree};
-use hashindex::HashIndex;
-use sorted_search::{BinarySearch, InterpolationSearch};
-use ttree::TTree;
+use ccindex_common::{OrderedIndex, SearchIndex};
 
 use crate::rid::RidList;
 
@@ -38,13 +27,13 @@ pub enum IndexKind {
     InterpolationSearch,
     /// Pointer-based balanced BST.
     BinaryTree,
-    /// T-tree (8 entries/node: 76-byte nodes, closest to one line).
+    /// T-tree.
     TTree,
-    /// B+-tree (64-byte nodes: branching 8).
+    /// B+-tree.
     BPlusTree,
-    /// Full CSS-tree (64-byte nodes: m = 16) — the paper's recommendation.
+    /// Full CSS-tree — the paper's recommendation.
     FullCss,
-    /// Level CSS-tree (64-byte nodes: m = 16).
+    /// Level CSS-tree.
     LevelCss,
     /// Chained bucket hash — fastest point lookups, no ordered access.
     Hash,
@@ -109,54 +98,6 @@ impl IndexKind {
     ];
 }
 
-/// A built index that remembers whether it can serve ordered access, so
-/// point probes reach `search_batch` on any kind while range probes are
-/// confined, at the type level, to ordered kinds.
-pub enum IndexHandle {
-    /// Point lookups only (the hash index, §3.5).
-    Point(Box<dyn SearchIndex<u32>>),
-    /// Full ordered access (every other kind).
-    Ordered(Box<dyn OrderedIndex<u32>>),
-}
-
-impl IndexHandle {
-    /// Build the handle for `kind` over a shared sorted key array — the
-    /// one index constructor. Only the hash kind (§3.5) comes back as
-    /// [`IndexHandle::Point`].
-    pub fn build(kind: IndexKind, keys: &SortedArray<u32>) -> Self {
-        match ordered_index(kind, keys) {
-            Some(index) => IndexHandle::Ordered(index),
-            None => IndexHandle::Point(Box::new(HashIndex::<u32, 7>::build(keys.as_slice()))),
-        }
-    }
-
-    /// The point-lookup view every kind supports.
-    pub fn as_search(&self) -> &dyn SearchIndex<u32> {
-        match self {
-            IndexHandle::Point(i) => i.as_ref(),
-            IndexHandle::Ordered(i) => i.as_ref(),
-        }
-    }
-
-    /// The ordered view, when the kind preserves key order.
-    pub fn as_ordered(&self) -> Option<&dyn OrderedIndex<u32>> {
-        match self {
-            IndexHandle::Point(_) => None,
-            IndexHandle::Ordered(i) => Some(i.as_ref()),
-        }
-    }
-}
-
-impl std::fmt::Debug for IndexHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (shape, name) = match self {
-            IndexHandle::Point(i) => ("Point", i.name()),
-            IndexHandle::Ordered(i) => ("Ordered", i.name()),
-        };
-        write!(f, "IndexHandle::{shape}({name})")
-    }
-}
-
 /// A declared access path on one catalog column, as
 /// [`CatalogState::index`](crate::snapshot::CatalogState::index) hands it
 /// out: the column's [`RidList`] seen through the index traits, ordered
@@ -185,44 +126,39 @@ impl<'c> AccessPath<'c> {
     }
 }
 
-/// Build a point-lookup index of the chosen kind over a shared sorted
-/// key array: [`IndexHandle::build`] seen through its `SearchIndex` view.
-pub fn build_index(kind: IndexKind, keys: &SortedArray<u32>) -> Box<dyn SearchIndex<u32>> {
-    match IndexHandle::build(kind, keys) {
-        IndexHandle::Point(index) => index,
-        IndexHandle::Ordered(index) => index,
-    }
-}
-
-/// The ordered arm of [`IndexHandle::build`]: `None` for
-/// [`IndexKind::Hash`], which cannot provide ordered access (§3.5).
-fn ordered_index(kind: IndexKind, keys: &SortedArray<u32>) -> Option<Box<dyn OrderedIndex<u32>>> {
-    Some(match kind {
-        IndexKind::BinarySearch => Box::new(BinarySearch::from_shared(keys.clone())),
-        IndexKind::InterpolationSearch => Box::new(InterpolationSearch::from_shared(keys.clone())),
-        IndexKind::BinaryTree => Box::new(BinaryTreeIndex::build(keys.as_slice())),
-        IndexKind::TTree => Box::new(TTree::<u32, 8>::build(keys.as_slice())),
-        IndexKind::BPlusTree => Box::new(BPlusTree::<u32, 8>::from_shared(keys.clone())),
-        IndexKind::FullCss => Box::new(FullCssTree::<u32, 16>::from_shared(keys.clone())),
-        IndexKind::LevelCss => Box::new(LevelCssTree::<u32, 16>::from_shared(keys.clone())),
-        IndexKind::Hash => return None,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bench::methods::{all_methods, build_ttree, MethodInstance};
+    use ccindex_common::SortedArray;
 
     fn keys() -> SortedArray<u32> {
         SortedArray::from_slice(&(0..5000u32).map(|i| i / 3).collect::<Vec<_>>())
+    }
+
+    /// Every kind beside the method it names, as `bench` builds the
+    /// eight at 16 integers per node.
+    fn methods(keys: &SortedArray<u32>) -> impl Iterator<Item = (IndexKind, MethodInstance)> {
+        use IndexKind::*;
+        let kinds = [
+            BinarySearch,
+            BinaryTree,
+            InterpolationSearch,
+            TTree,
+            BPlusTree,
+            FullCss,
+            LevelCss,
+            Hash,
+        ];
+        kinds.into_iter().zip(all_methods(keys, 16))
     }
 
     #[test]
     fn every_kind_agrees_on_search() {
         let ks = keys();
         let reference = ks.as_slice().to_vec();
-        for kind in IndexKind::ALL {
-            let idx = build_index(kind, &ks);
+        for (kind, method) in methods(&ks) {
+            let idx = method.as_search();
             for probe in (0..1700u32).step_by(7) {
                 let expected = reference
                     .binary_search(&probe)
@@ -238,9 +174,8 @@ mod tests {
     fn ordered_kinds_agree_on_lower_bound() {
         let ks = keys();
         let reference = ks.as_slice().to_vec();
-        for kind in IndexKind::ORDERED {
-            let handle = IndexHandle::build(kind, &ks);
-            let idx = handle.as_ordered().expect("ordered kind");
+        for (kind, method) in methods(&ks).filter(|(kind, _)| kind.is_ordered()) {
+            let idx = method.as_ordered().expect("ordered kind");
             for probe in (0..1700u32).step_by(3) {
                 assert_eq!(
                     idx.lower_bound(probe),
@@ -253,20 +188,17 @@ mod tests {
 
     #[test]
     fn is_ordered_matches_build_support() {
-        for kind in IndexKind::ALL {
+        for (kind, method) in methods(&keys()) {
             assert_eq!(kind.is_ordered(), kind != IndexKind::Hash);
+            assert_eq!(kind.is_ordered(), method.as_ordered().is_some(), "{kind:?}");
         }
     }
 
     #[test]
     fn handle_preserves_orderedness() {
-        let ks = keys();
-        for kind in IndexKind::ALL {
-            let h = IndexHandle::build(kind, &ks);
-            assert_eq!(h.as_ordered().is_some(), kind.is_ordered(), "{kind:?}");
-            assert_eq!(h.as_search().search(7), Some(21), "{kind:?}");
-            assert!(format!("{h:?}").starts_with("IndexHandle::"));
-            if let Some(o) = h.as_ordered() {
+        for (kind, method) in methods(&keys()) {
+            assert_eq!(method.as_search().search(7), Some(21), "{kind:?}");
+            if let Some(o) = method.as_ordered() {
                 assert_eq!(o.equal_range(7), (21, 24), "{kind:?}");
             }
         }
@@ -291,12 +223,17 @@ mod tests {
     #[test]
     fn css_space_is_smallest_directory(/* §1's headline, at the DB layer */) {
         let ks = SortedArray::from_slice(&(0..200_000u32).collect::<Vec<_>>());
-        let css = build_index(IndexKind::FullCss, &ks).space().indirect_bytes;
-        let bplus = build_index(IndexKind::BPlusTree, &ks)
-            .space()
-            .indirect_bytes;
-        let ttree = build_index(IndexKind::TTree, &ks).space().indirect_bytes;
-        let hash = build_index(IndexKind::Hash, &ks).space().indirect_bytes;
+        let space: Vec<_> = methods(&ks)
+            .map(|(kind, method)| (kind, method.as_search().space().indirect_bytes))
+            .collect();
+        let of = |kind| space.iter().find(|&&(k, _)| k == kind).expect("built").1;
+        let (css, bplus, hash) = (
+            of(IndexKind::FullCss),
+            of(IndexKind::BPlusTree),
+            of(IndexKind::Hash),
+        );
+        // 8 entries: 76-byte T-tree nodes, the nearest to one line.
+        let ttree = build_ttree(&ks, 8).as_search().space().indirect_bytes;
         assert!(css > 0 && css < bplus && bplus < ttree && css < hash);
     }
 }

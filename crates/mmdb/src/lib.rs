@@ -31,10 +31,10 @@
 //! * [`mod@column`]/[`table`] — columnar tables of domain-encoded attributes,
 //! * [`rid`] — sorted RID lists, addressed by domain ID: the one search
 //!   a probe makes is the domain's,
-//! * [`index_choice`] — one constructor ([`IndexHandle::build`]) for
-//!   every paper method, all behind
-//!   `ccindex_common::OrderedIndex`/`SearchIndex` (the baselines), and the
-//!   catalog's declared access paths,
+//! * [`index_choice`] — the catalog's declared access paths: the
+//!   [`IndexKind`] a column's index names and the [`AccessPath`] view
+//!   that answers it (the paper's methods themselves, the baselines, are
+//!   built by `bench::methods`, outside the engine),
 //! * [`query`] — point select, range select, and indexed nested-loop
 //!   join, one form each: batched at an explicit lane count and chunked
 //!   across an explicit number of workers (`1` runs inline),
@@ -77,7 +77,7 @@ pub use snapshot::{CatalogState, DatabaseHandle, Handle, Pinned, Snapshot, SwapS
 pub use aggregate::{group_aggregate_pairs, AggFn, GroupRow, Measure};
 pub use column::Column;
 pub use domain::{Domain, Value};
-pub use index_choice::{build_index, AccessPath, IndexHandle, IndexKind};
+pub use index_choice::{AccessPath, IndexKind};
 pub use query::{indexed_nested_loop_join, point_select_many, range_select_many, JoinRow};
 pub use rid::RidList;
 pub use table::{Table, TableBuilder};

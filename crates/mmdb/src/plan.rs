@@ -65,6 +65,7 @@ use crate::query::{indexed_nested_loop_join, point_select_many, range_select_man
 use crate::rid::RidList;
 use crate::snapshot::{CatalogState, Pinned};
 use ccindex_common::DEFAULT_BATCH_LANES;
+use ccindex_obs::elapsed_ns;
 
 // ---------------------------------------------------------------------
 // Execution options
@@ -912,11 +913,6 @@ pub struct DrivingRun {
     pub kept: usize,
 }
 
-/// Nanoseconds since `since`, saturating at `u64::MAX`.
-fn node_ns(since: &std::time::Instant) -> u64 {
-    u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
 impl Plan {
     /// Re-point this plan's probe constants at `spec`'s literals. The
     /// plan must have been compiled from a spec of the same shape
@@ -1186,7 +1182,7 @@ impl Plan {
             }
         };
         if joined.is_some() {
-            timings.join_ns = Some(node_ns(&joining));
+            timings.join_ns = Some(elapsed_ns(&joining));
         }
 
         // 3. Grouped aggregation over whichever rows survived.
@@ -1235,8 +1231,8 @@ impl Plan {
                     group_aggregate_pairs(group_col, rows, pair, agg, threads(rows))
                 }
             };
-            timings.group_ns = Some(node_ns(&grouping));
-            timings.total_ns = node_ns(&started);
+            timings.group_ns = Some(elapsed_ns(&grouping));
+            timings.total_ns = elapsed_ns(&started);
             return Ok(ResultSet::new(
                 cat,
                 self,
@@ -1252,7 +1248,7 @@ impl Plan {
                 None => (0..cat.table(&self.table)?.rows() as u32).collect(),
             }),
         };
-        timings.total_ns = node_ns(&started);
+        timings.total_ns = elapsed_ns(&started);
         Ok(ResultSet::new(cat, self, rows, timings))
     }
 
@@ -1271,7 +1267,7 @@ impl Plan {
         for step in &self.probes {
             let resolving = std::time::Instant::now();
             filters.push(self.resolve_probe(cat, step)?);
-            timings.probe_ns.push(node_ns(&resolving));
+            timings.probe_ns.push(elapsed_ns(&resolving));
         }
 
         // (column IDs, ID interval, run) per filter; one empty interval
@@ -1289,7 +1285,7 @@ impl Plan {
                 return Ok(Vec::new());
             };
             located.push((col.ids(), lo..=hi, rid_list.run(lo, hi)));
-            *ns += node_ns(&locating);
+            *ns += elapsed_ns(&locating);
         }
 
         let driving = std::time::Instant::now();
@@ -1308,7 +1304,7 @@ impl Plan {
         if driving_ids.start() != driving_ids.end() {
             rids.sort_unstable();
         }
-        timings.probe_ns[shortest] += node_ns(&driving);
+        timings.probe_ns[shortest] += elapsed_ns(&driving);
         timings.driving = Some(DrivingRun {
             probe: shortest,
             fed: run.len(),

@@ -239,7 +239,6 @@ fn join_translation(
 mod tests {
     use super::*;
     use crate::domain::Domain;
-    use crate::index_choice::{IndexHandle, IndexKind};
     use crate::table::TableBuilder;
     use ccindex_common::SortedArray;
 
@@ -317,15 +316,16 @@ mod tests {
         let keys = SortedArray::from_vec(rl.expanded_ids());
         let probes = ints(&[10, 99, 30, 40, 10, -5]);
         let many = point_select_many(col, &rl, &probes, 8, 1);
-        for kind in IndexKind::ORDERED {
-            let handle = IndexHandle::build(kind, &keys);
-            let ordered = handle.as_ordered().expect("ordered kind");
+        for method in bench::methods::all_methods(&keys, 16) {
+            let Some(ordered) = method.as_ordered() else {
+                continue;
+            };
             for (value, got) in probes.iter().zip(&many) {
                 let want = col.domain().encode(value).map_or(&[][..], |id| {
                     let (start, end) = ordered.equal_range(id);
                     &rl.rids()[start..end]
                 });
-                assert_eq!(got, want, "{kind:?} {value}");
+                assert_eq!(got, want, "{} {value}", method.label);
             }
         }
     }

@@ -117,7 +117,7 @@ impl Table {
 
     /// Column by name, or [`MmdbError::UnknownColumn`] naming this table
     /// and the column.
-    pub(crate) fn try_column(&self, name: &str) -> Result<&Column> {
+    pub fn try_column(&self, name: &str) -> Result<&Column> {
         self.column(name).ok_or_else(|| MmdbError::UnknownColumn {
             table: self.name.clone(),
             column: name.to_owned(),

@@ -3,13 +3,15 @@
 //! A column's `RidList` keeps one offset per domain ID and answers
 //! `search`/`lower_bound`/`equal_range`/`key_range` over the sorted ID
 //! array it never stores. Each answer must equal what every one of the
-//! eight kinds returns when built over that array expanded. Covered:
+//! paper's eight methods (`bench::methods`) returns when built over that
+//! array expanded. Covered:
 //! duplicates, empty and one-row columns, domain IDs no row carries
 //! (`Column::from_parts` over a wider domain), and probes past the
 //! domain, up to `u32::MAX`.
 
+use bench::methods::all_methods;
 use ccindex_common::{OrderedIndex, SearchIndex, SortedArray};
-use mmdb::{Column, Domain, IndexHandle, IndexKind, RidList, Value};
+use mmdb::{Column, Domain, RidList, Value};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -21,42 +23,42 @@ fn column(d: u32, ids: Vec<u32>) -> Column {
 }
 
 /// `probes`, each alone and each neighbouring pair as an inclusive key
-/// range, through `rids` and through every kind built over its expanded
-/// IDs.
-fn assert_agrees_with_every_kind(rids: &RidList, probes: &[u32]) {
+/// range, through `rids` and through every method built over its
+/// expanded IDs.
+fn assert_agrees_with_every_method(rids: &RidList, probes: &[u32]) {
     let keys = SortedArray::from_vec(rids.expanded_ids());
     assert_eq!(keys.len(), rids.len());
     let pairs: Vec<(u32, u32)> = probes
         .windows(2)
         .map(|w| (w[0].min(w[1]), w[0].max(w[1])))
         .collect();
-    for kind in IndexKind::ALL {
-        let handle = IndexHandle::build(kind, &keys);
+    for method in all_methods(&keys, 16) {
+        let label = &method.label;
         assert_eq!(
             rids.search_batch(probes),
-            handle.as_search().search_batch(probes),
-            "{kind:?} search"
+            method.as_search().search_batch(probes),
+            "{label} search"
         );
-        let Some(ordered) = handle.as_ordered() else {
+        let Some(ordered) = method.as_ordered() else {
             continue;
         };
         assert_eq!(
             rids.lower_bound_batch(probes),
             ordered.lower_bound_batch(probes),
-            "{kind:?} lower_bound"
+            "{label} lower_bound"
         );
         for &id in probes {
             assert_eq!(
                 rids.equal_range(id),
                 ordered.equal_range(id),
-                "{kind:?} equal_range({id})"
+                "{label} equal_range({id})"
             );
         }
         for &(lo, hi) in &pairs {
             assert_eq!(
                 rids.key_range(lo, hi),
                 ordered.key_range(lo, hi),
-                "{kind:?} key_range({lo}, {hi})"
+                "{label} key_range({lo}, {hi})"
             );
         }
     }
@@ -78,7 +80,7 @@ proptest! {
         prop_assert_eq!(rids.len(), seeds.len());
         let mut probes = probes;
         probes.push(u32::MAX);
-        assert_agrees_with_every_kind(&rids, &probes);
+        assert_agrees_with_every_method(&rids, &probes);
     }
 }
 
@@ -95,7 +97,7 @@ fn empty_one_row_and_gapped_columns_agree_with_every_kind() {
         let rids = RidList::for_column(&column(d, ids.clone()));
         // Every ID, the two past the domain's end, and `u32::MAX`.
         let probes: Vec<u32> = (0..d + 2).chain([u32::MAX]).collect();
-        assert_agrees_with_every_kind(&rids, &probes);
+        assert_agrees_with_every_method(&rids, &probes);
         // Every ID's run holds exactly the rows that carry it.
         for id in 0..d {
             let want: Vec<u32> = (0u32..)
@@ -128,5 +130,5 @@ fn the_run_directory_agrees_with_every_kind_at_two_million_rows() {
         .map(|_| (next() % u64::from(D + 10)) as u32)
         .collect();
     probes.extend([0, D - 1, D, u32::MAX]);
-    assert_agrees_with_every_kind(&rids, &probes);
+    assert_agrees_with_every_method(&rids, &probes);
 }

@@ -41,7 +41,7 @@
 
 mod span;
 
-pub use span::{format_ns, next_span_id, Span, SpanNode};
+pub use span::{elapsed_ns, format_ns, next_span_id, Span, SpanNode};
 
 use std::collections::BTreeMap;
 

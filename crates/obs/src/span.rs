@@ -131,8 +131,7 @@ impl Span {
     pub fn time<T>(&mut self, name: impl Into<String>, f: impl FnOnce() -> T) -> T {
         let start = Instant::now();
         let out = f();
-        self.children
-            .push(SpanNode::leaf(name, duration_ns(&start)));
+        self.children.push(SpanNode::leaf(name, elapsed_ns(&start)));
         out
     }
 
@@ -146,14 +145,17 @@ impl Span {
     pub fn finish(self) -> SpanNode {
         SpanNode {
             name: self.name,
-            elapsed_ns: duration_ns(&self.start),
+            elapsed_ns: elapsed_ns(&self.start),
             children: self.children,
         }
     }
 }
 
-fn duration_ns(start: &Instant) -> u64 {
-    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+/// Nanoseconds since `since`, saturating at `u64::MAX`: the one
+/// elapsed-time reading every timed layer records.
+#[inline]
+pub fn elapsed_ns(since: &Instant) -> u64 {
+    u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Humanise a nanosecond duration (`850ns`, `10.4µs`, `1.23ms`,

@@ -37,7 +37,7 @@ use ccindex_wire::{self as wire, ShardRequest, ShardResponse};
 use mmdb::plan::{Plan, ProbeStep};
 use mmdb::{
     group_aggregate_pairs, AggFn, CatalogRead, CatalogState, Database, DatabaseHandle, GroupRow,
-    Measure, MmdbError, Result,
+    Measure, MmdbError, Result, TransportFault,
 };
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -69,19 +69,25 @@ struct Shared {
     requests: MetricArc<obs::Counter>,
     /// `server.execute.ns` — per-request engine execution time.
     execute_ns: MetricArc<obs::Histogram>,
-    /// The committed tip serialized once per generation for snapshot
-    /// transfer: `(generation, store bytes)`. Chunked `FetchSnapshot`
-    /// requests stream off this cache, so a multi-chunk transfer stays
-    /// internally consistent even when mutations commit mid-stream, and
-    /// queries never contend with it (reads pin through the lock-free
-    /// handle, not this mutex).
-    snapshot_cache: Mutex<Option<(u64, Arc<Vec<u8>>)>>,
-    /// Reassembly state of an inbound `InstallSnapshotChunk` sequence.
-    install_buf: Mutex<Option<InstallBuf>>,
+}
+
+/// One connection's snapshot transfers. A transfer is one connection's
+/// chunk sequence, so its state lives with the connection: another
+/// client's chunk 0 can neither re-point this one's outbound stream at a
+/// newer generation nor cancel its inbound reassembly.
+#[derive(Default)]
+struct Transfers {
+    /// The committed tip as store bytes, serialized at an outbound
+    /// `FetchSnapshot` sequence's chunk 0 and released after its last
+    /// chunk, so mutations committing mid-stream never splice two
+    /// generations into one image.
+    outbound: Option<Vec<u8>>,
+    /// Reassembly of an inbound `InstallSnapshotChunk` sequence.
+    inbound: Option<InstallBuf>,
 }
 
 /// An in-progress inbound snapshot transfer: chunks must arrive in
-/// order on one connection; the final chunk installs the catalog.
+/// order; the final chunk installs the catalog.
 struct InstallBuf {
     total_chunks: u32,
     next: u32,
@@ -162,20 +168,13 @@ impl ShardServer {
     /// arrives already formed and runs windowless
     /// ([`BatchServer::run_batch`]), so the server holds no window knobs.
     pub fn bind(db: Database, bind_addr: &str) -> Result<Self> {
-        let listener = TcpListener::bind(bind_addr).map_err(|e| MmdbError::Transport {
-            endpoint: bind_addr.to_owned(),
-            fault: mmdb::TransportFault::Connect,
-            detail: format!("bind: {e}"),
-            attempts: 0,
-            elapsed_ms: 0,
-        })?;
-        let addr = listener.local_addr().map_err(|e| MmdbError::Transport {
-            endpoint: bind_addr.to_owned(),
-            fault: mmdb::TransportFault::Connect,
-            detail: format!("local_addr: {e}"),
-            attempts: 0,
-            elapsed_ms: 0,
-        })?;
+        let connect_error = |what: &str, e: std::io::Error| {
+            MmdbError::transport(bind_addr, TransportFault::Connect, format!("{what}: {e}"))
+        };
+        let listener = TcpListener::bind(bind_addr).map_err(|e| connect_error("bind", e))?;
+        let addr = listener
+            .local_addr()
+            .map_err(|e| connect_error("local_addr", e))?;
         let registry = MetricArc::new(obs::Registry::new());
         let shared = Arc::new(Shared {
             handle: db.handle(),
@@ -187,8 +186,6 @@ impl ShardServer {
             requests: registry.counter("server.requests"),
             execute_ns: registry.histogram("server.execute.ns"),
             registry,
-            snapshot_cache: Mutex::new(None),
-            install_buf: Mutex::new(None),
         });
         let accept = std::thread::spawn({
             let shared = Arc::clone(&shared);
@@ -327,12 +324,13 @@ fn serve_conn(stream: &TcpStream, shared: &Arc<Shared>) {
         Ok(peer) => peer.to_string(),
         Err(_) => "peer".to_owned(),
     };
+    let mut transfers = Transfers::default();
     loop {
         let (trace, payload) = match wire::read_frame_traced(&mut &*stream, &endpoint) {
             Ok(frame) => frame,
             Err(
                 e @ MmdbError::Transport {
-                    fault: mmdb::TransportFault::Version,
+                    fault: TransportFault::Version,
                     ..
                 },
             ) => {
@@ -369,12 +367,10 @@ fn serve_conn(stream: &TcpStream, shared: &Arc<Shared>) {
         let stopping = matches!(request, ShardRequest::Shutdown);
         let executing = std::time::Instant::now();
         let response = match &mut span {
-            Some(span) => span.time("execute", || respond(shared, request)),
-            None => respond(shared, request),
+            Some(span) => span.time("execute", || respond(shared, &mut transfers, request)),
+            None => respond(shared, &mut transfers, request),
         };
-        shared
-            .execute_ns
-            .record(u64::try_from(executing.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        shared.execute_ns.record(obs::elapsed_ns(&executing));
         let node = span.map(obs::Span::finish);
         if wire::write_response_traced(&mut &*stream, &endpoint, &response, node.as_ref()).is_err()
         {
@@ -398,8 +394,12 @@ fn reply<T>(result: Result<T>, f: impl FnOnce(T) -> ShardResponse) -> ShardRespo
 /// Execute one request against the shard. Reads pin a snapshot from the
 /// lock-free handle and answer through its [`ShardRead`] /
 /// [`CatalogRead`] impls; mutations serialize through the database
-/// mutex.
-fn respond(shared: &Arc<Shared>, request: ShardRequest) -> ShardResponse {
+/// mutex; snapshot chunks advance this connection's `transfers`.
+fn respond(
+    shared: &Arc<Shared>,
+    transfers: &mut Transfers,
+    request: ShardRequest,
+) -> ShardResponse {
     use ShardResponse as A;
     match request {
         ShardRequest::Hello => A::Info {
@@ -519,13 +519,22 @@ fn respond(shared: &Arc<Shared>, request: ShardRequest) -> ShardResponse {
         ShardRequest::Stats => A::Stats {
             json: shared.registry.to_json(),
         },
-        ShardRequest::FetchSnapshot { chunk } => fetch_snapshot_chunk(shared, chunk),
+        ShardRequest::FetchSnapshot { chunk } => {
+            fetch_snapshot_chunk(shared, &mut transfers.outbound, chunk)
+        }
         ShardRequest::InstallSnapshotChunk {
             chunk,
             total_chunks,
             crc,
             bytes,
-        } => install_snapshot_chunk(shared, chunk, total_chunks, crc, &bytes),
+        } => install_snapshot_chunk(
+            shared,
+            &mut transfers.inbound,
+            chunk,
+            total_chunks,
+            crc,
+            &bytes,
+        ),
         // The connection loop raises the stop flag after this response
         // is on the wire.
         ShardRequest::Shutdown => A::Unit,
@@ -560,16 +569,10 @@ fn group_partial(
     rids: Option<&[u32]>,
 ) -> Result<Vec<GroupRow>> {
     let tbl = cat.table(table)?;
-    let column = |name: &str| {
-        tbl.column(name).ok_or_else(|| MmdbError::UnknownColumn {
-            table: table.to_owned(),
-            column: name.to_owned(),
-        })
-    };
-    let group_col = column(group_column)?;
+    let group_col = tbl.try_column(group_column)?;
     let measure = match measure {
         None => None,
-        Some(m) => Some((table, m, column(m)?)),
+        Some(m) => Some((table, m, tbl.try_column(m)?)),
     };
     let measure = Measure::resolve(agg, measure)?;
     let rows = tbl.rows() as u32;
@@ -592,143 +595,110 @@ fn lock_db(shared: &Shared) -> std::sync::MutexGuard<'_, Database> {
     shared.db.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Snapshot transfer chunk size; matches the client side
-/// (`ccindex_shard::SNAPSHOT_CHUNK`).
-const SNAPSHOT_CHUNK: usize = 4 << 20;
-
 /// A snapshot-transfer protocol violation, typed.
-fn transfer_error(fault: mmdb::TransportFault, detail: String) -> ShardResponse {
-    ShardResponse::Err(MmdbError::Transport {
-        endpoint: "snapshot transfer".to_owned(),
-        fault,
-        detail,
-        attempts: 0,
-        elapsed_ms: 0,
-    })
+fn transfer_error(fault: TransportFault, detail: String) -> ShardResponse {
+    ShardResponse::Err(MmdbError::transport("snapshot transfer", fault, detail))
 }
 
-/// The committed tip as store bytes, serialized at most once per
-/// generation. Chunk 0 refreshes the cache against the current tip;
-/// later chunks keep streaming the cached generation so one transfer
-/// never splices two generations together.
-fn snapshot_payload(shared: &Shared, chunk: u32) -> Arc<Vec<u8>> {
-    let mut cache = shared
-        .snapshot_cache
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    let refresh = match &*cache {
-        None => true,
-        Some((generation, _)) => chunk == 0 && *generation != shared.handle.generation(),
+/// Answer one `FetchSnapshot` chunk. Chunk 0 serializes the committed
+/// tip into the connection's `outbound` bytes; later chunks stream those
+/// same bytes whatever commits meanwhile, and the last chunk releases
+/// them.
+fn fetch_snapshot_chunk(
+    shared: &Shared,
+    outbound: &mut Option<Vec<u8>>,
+    chunk: u32,
+) -> ShardResponse {
+    if chunk == 0 {
+        *outbound = Some(mmdb::catalog_to_bytes(&shared.handle.snapshot()));
+    }
+    let Some(bytes) = outbound.as_deref() else {
+        return transfer_error(
+            TransportFault::Protocol,
+            format!("snapshot chunk {chunk} requested with no transfer open"),
+        );
     };
-    if refresh {
-        let snapshot = shared.handle.snapshot();
-        *cache = Some((
-            snapshot.generation(),
-            Arc::new(mmdb::catalog_to_bytes(&snapshot)),
-        ));
-    }
-    match &*cache {
-        Some((_, bytes)) => Arc::clone(bytes),
-        // `refresh` above guarantees the cache is populated.
-        None => Arc::new(Vec::new()),
-    }
-}
-
-/// Answer one `FetchSnapshot` chunk off the serialized committed tip.
-fn fetch_snapshot_chunk(shared: &Shared, chunk: u32) -> ShardResponse {
-    let bytes = snapshot_payload(shared, chunk);
-    let total_chunks = bytes.len().div_ceil(SNAPSHOT_CHUNK).max(1) as u32;
+    let total_chunks = bytes.len().div_ceil(wire::SNAPSHOT_CHUNK).max(1) as u32;
     if chunk >= total_chunks {
         return transfer_error(
-            mmdb::TransportFault::Protocol,
+            TransportFault::Protocol,
             format!("snapshot chunk {chunk} requested; snapshot has {total_chunks} chunk(s)"),
         );
     }
-    let start = chunk as usize * SNAPSHOT_CHUNK;
-    let end = (start + SNAPSHOT_CHUNK).min(bytes.len());
-    let part = bytes[start..end].to_vec();
+    let start = chunk as usize * wire::SNAPSHOT_CHUNK;
+    let part = bytes[start..bytes.len().min(start + wire::SNAPSHOT_CHUNK)].to_vec();
+    let total_len = bytes.len() as u64;
+    if chunk + 1 == total_chunks {
+        *outbound = None;
+    }
     ShardResponse::SnapshotChunk {
         chunk,
         total_chunks,
-        total_len: bytes.len() as u64,
+        total_len,
         crc: wire::crc32(&part),
         bytes: part,
     }
 }
 
 /// Accept one `InstallSnapshotChunk`: validate its checksum and
-/// sequence position, reassemble, and on the final chunk install the
-/// catalog through the engine's ordinary commit cycle. Any violation
-/// discards the partial transfer and answers typed.
+/// sequence position, reassemble into the connection's `inbound`
+/// transfer, and on the final chunk install the catalog through the
+/// engine's ordinary commit cycle. Any violation discards the partial
+/// transfer and answers typed.
 fn install_snapshot_chunk(
     shared: &Shared,
+    inbound: &mut Option<InstallBuf>,
     chunk: u32,
     total_chunks: u32,
     crc: u32,
     bytes: &[u8],
 ) -> ShardResponse {
-    use ShardResponse as A;
+    let open = inbound.take();
     if total_chunks == 0 || chunk >= total_chunks {
         return transfer_error(
-            mmdb::TransportFault::Protocol,
+            TransportFault::Protocol,
             format!("install chunk {chunk}/{total_chunks} is out of range"),
         );
     }
     if wire::crc32(bytes) != crc {
         return transfer_error(
-            mmdb::TransportFault::Checksum,
+            TransportFault::Checksum,
             format!("install chunk {chunk} failed its payload checksum"),
         );
     }
-    let mut buf = shared
-        .install_buf
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    if chunk == 0 {
+    let mut state = match open {
         // Chunk 0 begins a transfer, superseding any abandoned one.
-        *buf = Some(InstallBuf {
+        _ if chunk == 0 => InstallBuf {
             total_chunks,
             next: 0,
             bytes: Vec::new(),
-        });
-    }
-    let in_sequence = matches!(
-        &*buf,
-        Some(state) if state.next == chunk && state.total_chunks == total_chunks
-    );
-    if !in_sequence {
-        let detail = match buf.take() {
-            Some(state) => format!(
-                "install chunk {chunk}/{total_chunks} arrived while expecting chunk {}/{}",
-                state.next, state.total_chunks
-            ),
-            None => format!("install chunk {chunk}/{total_chunks} arrived with no transfer open"),
-        };
-        return transfer_error(mmdb::TransportFault::Protocol, detail);
-    }
-    let finished = {
-        // `in_sequence` proved the buffer holds an open transfer.
-        let Some(state) = buf.as_mut() else {
+        },
+        Some(state) if state.next == chunk && state.total_chunks == total_chunks => state,
+        Some(state) => {
             return transfer_error(
-                mmdb::TransportFault::Protocol,
-                "install buffer vanished mid-transfer".to_owned(),
-            );
-        };
-        state.bytes.extend_from_slice(bytes);
-        state.next += 1;
-        state.next == state.total_chunks
+                TransportFault::Protocol,
+                format!(
+                    "install chunk {chunk}/{total_chunks} arrived while expecting chunk {}/{}",
+                    state.next, state.total_chunks
+                ),
+            )
+        }
+        None => {
+            return transfer_error(
+                TransportFault::Protocol,
+                format!("install chunk {chunk}/{total_chunks} arrived with no transfer open"),
+            )
+        }
     };
-    if !finished {
-        return A::Unit;
+    state.bytes.extend_from_slice(bytes);
+    state.next += 1;
+    if state.next < state.total_chunks {
+        *inbound = Some(state);
+        return ShardResponse::Unit;
     }
-    let assembled = match buf.take() {
-        Some(state) => state.bytes,
-        None => Vec::new(),
-    };
-    drop(buf);
     reply(
-        lock_db(shared).restore_from_bytes(&assembled, "snapshot transfer"),
-        |()| A::Unit,
+        lock_db(shared).restore_from_bytes(&state.bytes, "snapshot transfer"),
+        |()| ShardResponse::Unit,
     )
 }
 

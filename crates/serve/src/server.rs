@@ -131,10 +131,6 @@ impl ServeMetrics {
     }
 }
 
-fn elapsed_ns(since: &Instant) -> u64 {
-    u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
 // ---------------------------------------------------------------------
 // Client handles
 // ---------------------------------------------------------------------
@@ -421,7 +417,7 @@ impl<'e, S: ServeSource + ?Sized> BatchServer<'e, S> {
                 self.options.batch_max,
                 opened + self.options.batch_wait,
             );
-            self.metrics.window_wait_ns.record(elapsed_ns(&opened));
+            self.metrics.window_wait_ns.record(obs::elapsed_ns(&opened));
             self.metrics.queue_depth.set(depth as u64);
             // One pinned generation per window: the whole window answers
             // from it, lock-free, whatever a writer commits meanwhile.
@@ -429,7 +425,9 @@ impl<'e, S: ServeSource + ?Sized> BatchServer<'e, S> {
             let refs: Vec<&Request> = batch.iter().map(|s| &s.request).collect();
             let executing = Instant::now();
             let results = self.execute(&snapshot, &refs);
-            self.metrics.window_exec_ns.record(elapsed_ns(&executing));
+            self.metrics
+                .window_exec_ns
+                .record(obs::elapsed_ns(&executing));
             self.metrics.window_size.record(batch.len() as u64);
             self.metrics.windows.inc();
             self.metrics.requests.add(batch.len() as u64);
@@ -445,7 +443,7 @@ impl<'e, S: ServeSource + ?Sized> BatchServer<'e, S> {
             for (submission, result) in batch.drain(..).zip(results) {
                 self.metrics
                     .latency_ns
-                    .record(elapsed_ns(&submission.submitted));
+                    .record(obs::elapsed_ns(&submission.submitted));
                 if submission.slot.store(result) {
                     sleepers.push(submission.slot);
                 }

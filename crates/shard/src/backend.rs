@@ -40,7 +40,7 @@
 use mmdb::plan::Plan;
 use mmdb::{
     indexed_nested_loop_join, CatalogRead, CatalogState, Column, Database, ExecOptions, IndexKind,
-    MmdbError, Mutation, QuerySpec, RebuildReport, Result, ResultRows, Value,
+    Mutation, QuerySpec, RebuildReport, Result, ResultRows, Value,
 };
 use std::sync::Arc;
 
@@ -213,16 +213,6 @@ pub trait ShardBackend: std::fmt::Debug + Send + Sync {
 // The in-process read implementation
 // ---------------------------------------------------------------------
 
-/// Resolve `table.column` in `cat` with typed errors.
-fn table_column<'c>(cat: &'c CatalogState, table: &str, column: &str) -> Result<&'c Column> {
-    cat.table(table)?
-        .column(column)
-        .ok_or_else(|| MmdbError::UnknownColumn {
-            table: table.to_owned(),
-            column: column.to_owned(),
-        })
-}
-
 impl ShardRead for CatalogState {
     fn run_spec(&self, spec: &QuerySpec) -> Result<ResultRows> {
         CatalogRead::run_spec(self, spec)
@@ -264,7 +254,7 @@ impl ShardRead for CatalogState {
         lanes: usize,
         threads: usize,
     ) -> Result<Vec<Vec<u32>>> {
-        let inner_col = table_column(self, table, column)?;
+        let inner_col = self.table(table)?.try_column(column)?;
         // The kind must be declared on the inner column; the runs are
         // addressed in the column's RID list whatever the kind.
         self.index(table, column, kind)?;
@@ -290,7 +280,7 @@ impl ShardRead for CatalogState {
         match rids {
             Some(rids) => self.values_at(table, column, rids),
             None => {
-                let col = table_column(self, table, column)?;
+                let col = self.table(table)?.try_column(column)?;
                 Ok(col.domain().decode_batch(col.ids()))
             }
         }

@@ -53,21 +53,6 @@ const CONNECT_ATTEMPTS: u32 = 5;
 /// Backoff before the second connect attempt; doubles per retry.
 const INITIAL_BACKOFF: Duration = Duration::from_millis(10);
 
-/// Snapshot transfer chunk size. Each chunk rides its own frame (with
-/// its own payload CRC) *and* carries a per-chunk CRC over the snapshot
-/// bytes, so a reassembly bug on either side is caught before install.
-pub const SNAPSHOT_CHUNK: usize = 4 << 20;
-
-fn transport(endpoint: &str, fault: TransportFault, detail: String) -> MmdbError {
-    MmdbError::Transport {
-        endpoint: endpoint.to_owned(),
-        fault,
-        detail,
-        attempts: 0,
-        elapsed_ms: 0,
-    }
-}
-
 /// A shard that lives behind a socket: the remote implementation of
 /// [`ShardRead`] and [`ShardBackend`]. Cloning yields an independent
 /// client to the same server (with its own connection), which is how a
@@ -153,7 +138,7 @@ impl RemoteShard {
                             fault: TransportFault::Connect,
                             detail: format!("configuring deadline: {e}"),
                             attempts: attempt,
-                            elapsed_ms: elapsed_ms(&started),
+                            elapsed_ms: obs::elapsed_ns(&started) / 1_000_000,
                         })?;
                     return Ok(stream);
                 }
@@ -172,7 +157,7 @@ impl RemoteShard {
             fault: TransportFault::Connect,
             detail: format!("after {CONNECT_ATTEMPTS} attempts: {last}"),
             attempts: CONNECT_ATTEMPTS,
-            elapsed_ms: elapsed_ms(&started),
+            elapsed_ms: obs::elapsed_ns(&started) / 1_000_000,
         })
     }
 
@@ -200,7 +185,7 @@ impl RemoteShard {
         let stream = match guard.as_mut() {
             Some(s) => s,
             None => {
-                return Err(transport(
+                return Err(MmdbError::transport(
                     &self.addr,
                     TransportFault::Connect,
                     "connection vanished before use".to_owned(),
@@ -226,7 +211,7 @@ impl RemoteShard {
     }
 
     fn bad_reply(&self, got: &ShardResponse) -> MmdbError {
-        transport(
+        MmdbError::transport(
             &self.addr,
             TransportFault::Protocol,
             format!("unexpected reply variant `{}`", variant_name(got)),
@@ -437,7 +422,7 @@ impl ShardRead for RemoteShard {
                     bytes: part,
                 } => {
                     if chunk != next || total_chunks == 0 || chunk >= total_chunks {
-                        return Err(transport(
+                        return Err(MmdbError::transport(
                             &self.addr,
                             TransportFault::Protocol,
                             format!(
@@ -447,7 +432,7 @@ impl ShardRead for RemoteShard {
                         ));
                     }
                     if wire::crc32(&part) != crc {
-                        return Err(transport(
+                        return Err(MmdbError::transport(
                             &self.addr,
                             TransportFault::Checksum,
                             format!("snapshot chunk {chunk} failed its payload checksum"),
@@ -457,7 +442,7 @@ impl ShardRead for RemoteShard {
                     next += 1;
                     if next == total_chunks {
                         if bytes.len() as u64 != total_len {
-                            return Err(transport(
+                            return Err(MmdbError::transport(
                                 &self.addr,
                                 TransportFault::Protocol,
                                 format!(
@@ -536,9 +521,9 @@ impl ShardBackend for RemoteShard {
     fn install_snapshot(&mut self, bytes: &[u8]) -> Result<()> {
         // At least one chunk, even for an empty catalog, so the server
         // always sees a final chunk and installs.
-        let total_chunks =
-            u32::try_from(bytes.len().div_ceil(SNAPSHOT_CHUNK).max(1)).map_err(|_| {
-                transport(
+        let total_chunks = u32::try_from(bytes.len().div_ceil(wire::SNAPSHOT_CHUNK).max(1))
+            .map_err(|_| {
+                MmdbError::transport(
                     &self.addr,
                     TransportFault::Protocol,
                     format!(
@@ -550,7 +535,7 @@ impl ShardBackend for RemoteShard {
         let parts: Vec<&[u8]> = if bytes.is_empty() {
             vec![bytes]
         } else {
-            bytes.chunks(SNAPSHOT_CHUNK).collect()
+            bytes.chunks(wire::SNAPSHOT_CHUNK).collect()
         };
         for (chunk, part) in parts.into_iter().enumerate() {
             let req = ShardRequest::InstallSnapshotChunk {
@@ -570,10 +555,6 @@ impl ShardBackend for RemoteShard {
     fn install_metrics(&mut self, registry: &obs::Registry) {
         self.retries = Some(registry.counter("transport.retries"));
     }
-}
-
-fn elapsed_ms(started: &std::time::Instant) -> u64 {
-    u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX)
 }
 
 fn rebuild_report(sort_ns: u64, rebuilds: Vec<(IndexKind, u64)>) -> RebuildReport {

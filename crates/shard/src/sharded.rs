@@ -200,11 +200,6 @@ impl ShardMetrics {
     }
 }
 
-/// Nanoseconds since `since`, saturating at `u64::MAX`.
-fn elapsed_ns(since: &std::time::Instant) -> u64 {
-    u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
 /// How many query shapes one generation's scatter-template cache holds.
 /// Fixed, so a stream of ad-hoc specs cannot grow coordinator memory: a
 /// new shape arriving at a full cache clears it.
@@ -477,12 +472,7 @@ impl ShardedDatabase {
         if self.tip.tables.contains_key(&name) {
             return Err(MmdbError::DuplicateTable { table: name });
         }
-        let key_col = table
-            .column(shard_key)
-            .ok_or_else(|| MmdbError::UnknownColumn {
-                table: name.clone(),
-                column: shard_key.to_owned(),
-            })?;
+        let key_col = table.try_column(shard_key)?;
         let (placement, locals) = self.place_rows(key_col)?;
         let split = split_table(&table, &locals);
         self.apply_per_shard(split.into_iter().map(|t| vec![Mutation::Register(t)]))?;
@@ -982,7 +972,7 @@ impl ShardedState {
         let replies = exchange(self.exec.threads, &jobs, |(s, batch)| {
             answer(&*self.shards[*s], batch)
         });
-        self.metrics.scatter_ns.record(elapsed_ns(&scattering));
+        self.metrics.scatter_ns.record(obs::elapsed_ns(&scattering));
         let gathering = std::time::Instant::now();
         let merge = |_| Merge {
             state: self,
@@ -1002,7 +992,7 @@ impl ShardedState {
                 _ => unreachable!("a probe's merge holds RIDs"),
             })
             .collect();
-        self.metrics.gather_ns.record(elapsed_ns(&gathering));
+        self.metrics.gather_ns.record(obs::elapsed_ns(&gathering));
         Ok(out)
     }
 
@@ -1281,7 +1271,7 @@ impl CatalogRead for ShardedState {
             merge.finish()
         };
         let timings = PlanTimings {
-            total_ns: elapsed_ns(&started),
+            total_ns: obs::elapsed_ns(&started),
             ..PlanTimings::default()
         };
         Ok(ResultSet::new(self, plan, rows, timings))
@@ -1805,13 +1795,11 @@ mod tests {
             {
                 return self.0.apply(batch);
             }
-            Err(MmdbError::Transport {
-                endpoint: "shard 1".into(),
-                fault: TransportFault::Io,
-                detail: "connection reset".into(),
-                attempts: 0,
-                elapsed_ms: 0,
-            })
+            Err(MmdbError::transport(
+                "shard 1",
+                TransportFault::Io,
+                "connection reset",
+            ))
         }
         fn set_exec_options(&mut self, exec: ExecOptions) -> Result<()> {
             self.0.set_exec_options(exec)

@@ -21,13 +21,7 @@ pub type Reader<'a> = ByteReader<'a, MmdbError>;
 /// The error of every wire decode, from a short payload to a frame past
 /// its cap: a typed [`TransportFault::Decode`] naming `endpoint`.
 pub(crate) fn decode_error(endpoint: &str, detail: String) -> MmdbError {
-    MmdbError::Transport {
-        endpoint: endpoint.to_owned(),
-        fault: TransportFault::Decode,
-        detail,
-        attempts: 0,
-        elapsed_ms: 0,
-    }
+    MmdbError::transport(endpoint, TransportFault::Decode, detail)
 }
 
 /// Start decoding `bytes` received from `endpoint`.

@@ -44,16 +44,16 @@ pub const VERSION: u16 = 3;
 /// `u32` field and a reader would accept it.
 pub const MAX_FRAME_LEN: usize = 1 << 28; // 256 MiB
 
+/// Snapshot-transfer chunk size, at both ends. Each chunk rides its own
+/// frame (with its own payload CRC) *and* carries a per-chunk CRC over
+/// the snapshot bytes, so a reassembly bug on either side is caught
+/// before install.
+pub const SNAPSHOT_CHUNK: usize = 4 << 20;
+
 const HEADER_LEN: usize = 18;
 
 fn io_err(endpoint: &str, what: &str, e: &std::io::Error) -> MmdbError {
-    MmdbError::Transport {
-        endpoint: endpoint.to_owned(),
-        fault: TransportFault::Io,
-        detail: format!("{what}: {e}"),
-        attempts: 0,
-        elapsed_ms: 0,
-    }
+    MmdbError::transport(endpoint, TransportFault::Io, format!("{what}: {e}"))
 }
 
 /// A typed decode error unless `trace_len + len` is within
@@ -117,26 +117,22 @@ pub fn read_frame_traced(r: &mut impl Read, endpoint: &str) -> Result<(Vec<u8>, 
     let mut h = reader(&header, endpoint);
     let magic = h.bytes(4)?;
     if magic != MAGIC {
-        return Err(MmdbError::Transport {
-            endpoint: endpoint.to_owned(),
-            fault: TransportFault::Version,
-            detail: format!(
+        return Err(MmdbError::transport(
+            endpoint,
+            TransportFault::Version,
+            format!(
                 "bad magic {:02x}{:02x}{:02x}{:02x} (peer is not a ccindex shard server)",
                 magic[0], magic[1], magic[2], magic[3]
             ),
-            attempts: 0,
-            elapsed_ms: 0,
-        });
+        ));
     }
     let version = h.u16()?;
     if version != VERSION {
-        return Err(MmdbError::Transport {
-            endpoint: endpoint.to_owned(),
-            fault: TransportFault::Version,
-            detail: format!("peer speaks protocol v{version}, this build speaks v{VERSION}"),
-            attempts: 0,
-            elapsed_ms: 0,
-        });
+        return Err(MmdbError::transport(
+            endpoint,
+            TransportFault::Version,
+            format!("peer speaks protocol v{version}, this build speaks v{VERSION}"),
+        ));
     }
     let (trace_len, len) = (h.u32()? as usize, h.u32()? as usize);
     check_frame_len(endpoint, trace_len, len)?;
@@ -149,13 +145,11 @@ pub fn read_frame_traced(r: &mut impl Read, endpoint: &str) -> Result<(Vec<u8>, 
         .map_err(|e| io_err(endpoint, "reading frame payload", &e))?;
     let got_crc = crc32_update(crc32(&trace), &payload);
     if got_crc != expected_crc {
-        return Err(MmdbError::Transport {
-            endpoint: endpoint.to_owned(),
-            fault: TransportFault::Checksum,
-            detail: format!("frame crc {got_crc:08x}, header says {expected_crc:08x}"),
-            attempts: 0,
-            elapsed_ms: 0,
-        });
+        return Err(MmdbError::transport(
+            endpoint,
+            TransportFault::Checksum,
+            format!("frame crc {got_crc:08x}, header says {expected_crc:08x}"),
+        ));
     }
     Ok((trace, payload))
 }

@@ -43,7 +43,8 @@ pub mod message;
 
 pub use ccindex_store::crc32;
 pub use frame::{
-    read_frame, read_frame_traced, write_frame, write_frame_traced, MAGIC, MAX_FRAME_LEN, VERSION,
+    read_frame, read_frame_traced, write_frame, write_frame_traced, MAGIC, MAX_FRAME_LEN,
+    SNAPSHOT_CHUNK, VERSION,
 };
 pub use message::{
     decode_span_id, read_request_traced, read_response, read_response_traced, write_request,

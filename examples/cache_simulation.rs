@@ -10,7 +10,7 @@
 //! cargo run --release --example cache_simulation
 //! ```
 
-use ccindex::db::{build_index, IndexKind};
+use bench::methods::all_methods;
 use ccindex::gen::{KeySetBuilder, LookupStream};
 use ccindex::prelude::*;
 
@@ -31,16 +31,13 @@ fn main() {
             "{:>22} {:>12} {:>12} {:>14}",
             "method", "L1 miss/op", "LLC miss/op", "sim time (s)"
         );
-        for kind in [
-            IndexKind::BinarySearch,
-            IndexKind::BinaryTree,
-            IndexKind::TTree,
-            IndexKind::BPlusTree,
-            IndexKind::FullCss,
-            IndexKind::LevelCss,
-            IndexKind::Hash,
-        ] {
-            let index = build_index(kind, &arr);
+        // Interpolation search is the one method left out: its probes
+        // depend on the key distribution, not on the cache.
+        for method in all_methods(&arr, 16) {
+            if method.label == "interpolation search" {
+                continue;
+            }
+            let index = method.as_search();
             machine.hierarchy.flush(true);
             {
                 let mut tracer = SimTracer::new(&mut machine.hierarchy);

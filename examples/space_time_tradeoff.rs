@@ -5,7 +5,7 @@
 //! cargo run --release --example space_time_tradeoff
 //! ```
 
-use ccindex::db::{build_index, IndexKind};
+use bench::methods::all_methods;
 use ccindex::gen::{KeySetBuilder, LookupStream};
 
 fn main() {
@@ -19,8 +19,8 @@ fn main() {
         "method", "time (ms)", "space (bytes)", "ordered"
     );
     let mut rows = Vec::new();
-    for kind in IndexKind::ALL {
-        let index = build_index(kind, &arr);
+    for method in all_methods(&arr, 16) {
+        let index = method.as_search();
         let start = std::time::Instant::now();
         let mut found = 0usize;
         for &p in stream.probes() {
@@ -34,7 +34,7 @@ fn main() {
             index.name().to_string(),
             elapsed,
             index.space().direct_bytes,
-            kind.is_ordered(),
+            method.as_ordered().is_some(),
         ));
     }
     rows.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"));

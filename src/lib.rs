@@ -83,7 +83,7 @@ pub mod prelude {
     // under its `Full<M>` / `Level<M>` node-search strategy.
     pub use crate::css::{CssVariant, DynCssTree, FullCssTree, LevelCssTree};
     pub use crate::db::{
-        between, build_index, count, eq, indexed_nested_loop_join, max, min, on, point_select_many,
+        between, count, eq, indexed_nested_loop_join, max, min, on, point_select_many,
         range_select_many, sum, Agg, CatalogRead, Database, DatabaseHandle, Domain, ExecOptions,
         IndexKind, MmdbError, ResultRows, RidList, Snapshot, StorageFault, Table, TableBuilder,
         Value,

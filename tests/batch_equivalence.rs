@@ -4,9 +4,9 @@
 //! size, both CSS variants, and the degenerate shapes (empty trees, empty
 //! batches, single keys, ragged tails).
 
+use bench::methods::all_methods;
 use ccindex::common::{CountingTracer, OrderedIndex, SearchIndex, SortedArray};
 use ccindex::css::{CssVariant, DynCssTree, STANDARD_NODE_SIZES};
-use ccindex::db::{build_index, IndexHandle, IndexKind};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -60,9 +60,10 @@ proptest! {
         }
     }
 
-    /// Every index kind's `search_batch` (default or interleaved
-    /// override) equals the per-probe `search`, and the ordered kinds'
-    /// `lower_bound_batch` equals per-probe `lower_bound`.
+    /// Every paper method's `search_batch` (default or interleaved
+    /// override) equals the per-probe `search`, and the ordered methods'
+    /// `lower_bound_batch` equals per-probe `lower_bound`, at 8 and 16
+    /// integers per node.
     #[test]
     fn every_index_kind_batches_like_it_searches(
         mut keys in vec(0u32..3_000, 0..500),
@@ -70,18 +71,17 @@ proptest! {
     ) {
         keys.sort_unstable();
         let arr = SortedArray::from_slice(&keys);
-        for kind in IndexKind::ALL {
-            let idx = build_index(kind, &arr);
+        for method in [8, 16].into_iter().flat_map(|m| all_methods(&arr, m)) {
+            let idx = method.as_search();
             let expected: Vec<Option<usize>> =
                 probes.iter().map(|&p| idx.search(p)).collect();
-            prop_assert_eq!(idx.search_batch(&probes), expected, "{:?}", kind);
-        }
-        for kind in IndexKind::ORDERED {
-            let handle = IndexHandle::build(kind, &arr);
-            let idx = handle.as_ordered().expect("ordered kind");
+            prop_assert_eq!(idx.search_batch(&probes), expected, "{}", method.label);
+            let Some(idx) = method.as_ordered() else {
+                continue;
+            };
             let expected: Vec<usize> =
                 probes.iter().map(|&p| idx.lower_bound(p)).collect();
-            prop_assert_eq!(idx.lower_bound_batch(&probes), expected, "{:?}", kind);
+            prop_assert_eq!(idx.lower_bound_batch(&probes), expected, "{}", method.label);
         }
     }
 
@@ -96,9 +96,11 @@ proptest! {
     ) {
         keys.sort_unstable();
         let arr = SortedArray::from_slice(&keys);
-        for kind in IndexKind::ORDERED {
-            let handle = IndexHandle::build(kind, &arr);
-            let idx = handle.as_ordered().expect("ordered kind");
+        for method in [8, 16].into_iter().flat_map(|m| all_methods(&arr, m)) {
+            let Some(idx) = method.as_ordered() else {
+                continue;
+            };
+            let kind = &method.label;
             let mut seq = CountingTracer::new();
             let expected: Vec<usize> = probes
                 .iter()
@@ -108,13 +110,13 @@ proptest! {
             prop_assert_eq!(
                 idx.lower_bound_batch_traced(&probes, &mut bat),
                 expected,
-                "{:?}",
+                "{}",
                 kind
             );
-            prop_assert_eq!(bat.reads, seq.reads, "{:?} reads", kind);
-            prop_assert_eq!(bat.bytes_read, seq.bytes_read, "{:?} bytes", kind);
-            prop_assert_eq!(bat.compares, seq.compares, "{:?} compares", kind);
-            prop_assert_eq!(bat.descends, seq.descends, "{:?} descends", kind);
+            prop_assert_eq!(bat.reads, seq.reads, "{} reads", kind);
+            prop_assert_eq!(bat.bytes_read, seq.bytes_read, "{} bytes", kind);
+            prop_assert_eq!(bat.compares, seq.compares, "{} compares", kind);
+            prop_assert_eq!(bat.descends, seq.descends, "{} descends", kind);
         }
     }
 }

@@ -3,10 +3,14 @@
 //! arbitrary key multisets — the §3.6 duplicate contract, across every
 //! implementation at once.
 
-use ccindex::db::{build_index, IndexHandle, IndexKind};
+use bench::methods::all_methods;
 use ccindex::prelude::*;
 use proptest::collection::vec;
 use proptest::prelude::*;
+
+/// The node sizes every method is built at: the paper's 8 and 16
+/// integers per node (Figs. 10–11).
+const NODE_INTS: [usize; 2] = [8, 16];
 
 fn reference_search(keys: &[u32], probe: u32) -> Option<usize> {
     let pos = keys.partition_point(|&k| k < probe);
@@ -23,18 +27,15 @@ proptest! {
     ) {
         keys.sort_unstable();
         let arr = SortedArray::from_slice(&keys);
-        let indexes: Vec<_> = IndexKind::ALL
-            .iter()
-            .map(|&k| (k, build_index(k, &arr)))
-            .collect();
+        let methods: Vec<_> = NODE_INTS.iter().flat_map(|&m| all_methods(&arr, m)).collect();
         for probe in probes {
             let expected = reference_search(&keys, probe);
-            for (kind, idx) in &indexes {
+            for method in &methods {
                 prop_assert_eq!(
-                    idx.search(probe),
+                    method.as_search().search(probe),
                     expected,
-                    "{:?} disagrees on probe {} over {} keys",
-                    kind, probe, keys.len()
+                    "{} disagrees on probe {} over {} keys",
+                    method.label, probe, keys.len()
                 );
             }
         }
@@ -47,18 +48,18 @@ proptest! {
     ) {
         keys.sort_unstable();
         let arr = SortedArray::from_slice(&keys);
-        let indexes: Vec<_> = IndexKind::ORDERED
-            .iter()
-            .map(|&k| (k, IndexHandle::build(k, &arr)))
-            .collect();
+        let methods: Vec<_> = NODE_INTS.iter().flat_map(|&m| all_methods(&arr, m)).collect();
         for probe in probes {
             let expected = keys.partition_point(|&k| k < probe);
-            for (kind, handle) in &indexes {
+            for method in &methods {
+                let Some(idx) = method.as_ordered() else {
+                    continue;
+                };
                 prop_assert_eq!(
-                    handle.as_ordered().expect("ordered kind").lower_bound(probe),
+                    idx.lower_bound(probe),
                     expected,
-                    "{:?} disagrees on probe {}",
-                    kind, probe
+                    "{} disagrees on probe {}",
+                    method.label, probe
                 );
             }
         }
@@ -70,13 +71,14 @@ proptest! {
     ) {
         keys.sort_unstable();
         let arr = SortedArray::from_slice(&keys);
-        for kind in IndexKind::ORDERED {
-            let handle = IndexHandle::build(kind, &arr);
-            let idx = handle.as_ordered().expect("ordered kind");
+        for method in NODE_INTS.iter().flat_map(|&m| all_methods(&arr, m)) {
+            let Some(idx) = method.as_ordered() else {
+                continue;
+            };
             let mut prev = 0usize;
             for probe in (0..10_050u32).step_by(97) {
                 let lb = idx.lower_bound(probe);
-                prop_assert!(lb >= prev, "{kind:?}: lower_bound not monotone");
+                prop_assert!(lb >= prev, "{}: lower_bound not monotone", method.label);
                 prop_assert!(lb <= keys.len());
                 prev = lb;
             }
@@ -111,13 +113,13 @@ proptest! {
     ) {
         keys.sort_unstable();
         let arr = SortedArray::from_slice(&keys);
-        for kind in IndexKind::ALL {
-            let idx = build_index(kind, &arr);
+        for method in NODE_INTS.iter().flat_map(|&m| all_methods(&arr, m)) {
+            let idx = method.as_search();
             let mut tracer = ccindex::common::CountingTracer::new();
             prop_assert_eq!(
                 idx.search_traced(probe, &mut tracer),
                 idx.search(probe),
-                "{:?}", kind
+                "{}", method.label
             );
         }
     }

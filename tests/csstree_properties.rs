@@ -77,11 +77,12 @@ proptest! {
             keys.partition_point(|&k| k <= probe),
         );
         let arr = ccindex::common::SortedArray::from_slice(&keys);
-        for kind in ccindex::db::IndexKind::ORDERED {
-            let handle = ccindex::db::IndexHandle::build(kind, &arr);
-            let idx = handle.as_ordered().expect("ordered kind");
-            prop_assert_eq!(idx.equal_range(probe), expected, "{:?}", kind);
-            prop_assert_eq!(idx.count_key(probe), expected.1 - expected.0, "{:?}", kind);
+        for method in bench::methods::all_methods(&arr, 16) {
+            let Some(idx) = method.as_ordered() else {
+                continue;
+            };
+            prop_assert_eq!(idx.equal_range(probe), expected, "{}", method.label);
+            prop_assert_eq!(idx.count_key(probe), expected.1 - expected.0, "{}", method.label);
         }
     }
 }

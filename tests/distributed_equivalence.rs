@@ -406,6 +406,105 @@ fn a_register_frame_with_a_duplicate_column_is_refused_typed() {
     server.shutdown();
 }
 
+/// Two clients fetch snapshots from one server while a commit lands
+/// between their chunk 0s: client A's chunk 0, a `ReplaceColumn`
+/// commit, client B's chunk 0, then A's remaining chunks, then B's. A
+/// transfer is its own connection's chunk sequence, so A's image is the
+/// generation before the commit and B's the one after — neither is a
+/// splice of two generations.
+#[test]
+fn interleaved_snapshot_transfers_each_stream_one_generation() {
+    use ccindex::wire::{read_response, write_request, ShardRequest, ShardResponse};
+    use std::net::TcpStream;
+    // Distinct values spread over 2^32 (the multiplier is odd), so the
+    // domain is stored value by value and the image spans chunks.
+    let rows = 400_000i64;
+    let spread = |i: i64| (i * 2_654_435_761) % (1 << 32);
+    let mut db = Database::new();
+    db.register(
+        TableBuilder::new("t")
+            .int_column("v", (0..rows).map(spread))
+            .build()
+            .expect("one column"),
+    )
+    .unwrap();
+    db.create_index("t", "v", IndexKind::FullCss).unwrap();
+    assert!(
+        ccindex::db::catalog_to_bytes(&db.snapshot()).len() > ccindex::wire::SNAPSHOT_CHUNK,
+        "the image must span at least two chunks"
+    );
+    let spec = QuerySpec::table("t").filter(eq("v", spread(7)));
+    let before = db.run_spec(&spec).unwrap();
+    let server = ShardServer::spawn(db).unwrap();
+
+    let call = |stream: &mut TcpStream, request: &ShardRequest| {
+        write_request(stream, "test", request).unwrap();
+        read_response(stream, "test").unwrap()
+    };
+    // One chunk of a transfer: appended to `image`; the chunk count.
+    let fetch = |stream: &mut TcpStream, chunk: u32, image: &mut Vec<u8>| match call(
+        stream,
+        &ShardRequest::FetchSnapshot { chunk },
+    ) {
+        ShardResponse::SnapshotChunk {
+            chunk: echoed,
+            total_chunks,
+            bytes,
+            ..
+        } => {
+            assert_eq!(echoed, chunk);
+            image.extend_from_slice(&bytes);
+            total_chunks
+        }
+        other => panic!("chunk {chunk}: {other:?}"),
+    };
+    let mut a = TcpStream::connect(server.addr()).unwrap();
+    let mut b = TcpStream::connect(server.addr()).unwrap();
+    let mut writer = TcpStream::connect(server.addr()).unwrap();
+    let (mut image_a, mut image_b) = (Vec::new(), Vec::new());
+
+    let chunks_a = fetch(&mut a, 0, &mut image_a);
+    assert!(chunks_a >= 2, "{chunks_a} chunk(s)");
+    let replace = ShardRequest::ReplaceColumn {
+        table: "t".into(),
+        column: "v".into(),
+        values: (0..rows).map(|i| Value::Int(spread(i) + 1)).collect(),
+    };
+    assert!(matches!(
+        call(&mut writer, &replace),
+        ShardResponse::Rebuilt { .. }
+    ));
+    let chunks_b = fetch(&mut b, 0, &mut image_b);
+    for chunk in 1..chunks_a {
+        fetch(&mut a, chunk, &mut image_a);
+    }
+    for chunk in 1..chunks_b {
+        fetch(&mut b, chunk, &mut image_b);
+    }
+
+    let opened = |image: Vec<u8>, label: &str| {
+        Database::open_from_bytes(image, label)
+            .unwrap_or_else(|e| panic!("{label}'s image does not open: {e}"))
+            .run_spec(&spec)
+            .unwrap()
+    };
+    assert_eq!(
+        opened(image_a, "A"),
+        before,
+        "A streams the older generation"
+    );
+    let after = opened(image_b, "B");
+    assert_ne!(after, before, "B streams the committed generation");
+    assert_eq!(
+        after,
+        RemoteShard::connect(server.addr())
+            .unwrap()
+            .run_spec(&spec)
+            .unwrap()
+    );
+    server.shutdown();
+}
+
 /// A selection, a join or a join+group over `orders`, on any catalog's
 /// one [`Query`] builder.
 fn shaped<'c, C: CatalogRead>(q: Query<'c, C>, shape: &str) -> Query<'c, C> {

@@ -4,13 +4,26 @@
 use analysis::space_model::{space_indirect, Method};
 use analysis::time_model::cost_breakdown;
 use analysis::Params;
-use ccindex::db::{build_index, IndexKind};
 use ccindex::prelude::*;
 use ccindex::sim::SimTracer;
 use workload::{KeySetBuilder, LookupStream};
 
 fn keys(n: usize) -> Vec<u32> {
     KeySetBuilder::new(n).build()
+}
+
+/// `method` at the geometry the §5 models and Fig. 14 assume: 64-byte
+/// nodes (m = 16, a B+-tree of branching 8), and the T-tree at 8
+/// entries, whose 76-byte nodes are the nearest to one line.
+fn build(method: Method, arr: &SortedArray<u32>) -> Box<dyn SearchIndex<u32>> {
+    match method {
+        Method::BinarySearch => Box::new(BinarySearch::from_shared(arr.clone())),
+        Method::TTree => Box::new(TTree::<u32, 8>::build(arr.as_slice())),
+        Method::BPlusTree => Box::new(BPlusTree::<u32, 8>::from_shared(arr.clone())),
+        Method::FullCss => Box::new(FullCssTree::<u32, 16>::from_shared(arr.clone())),
+        Method::LevelCss => Box::new(LevelCssTree::<u32, 16>::from_shared(arr.clone())),
+        other => unreachable!("{other:?} is not validated here"),
+    }
 }
 
 /// Measured `space_bytes` of each built index must track the Fig. 7
@@ -22,23 +35,22 @@ fn measured_space_matches_formulas() {
     let arr = SortedArray::from_slice(&ks);
     let p = Params::default().with_n(n);
 
-    let cases = [
-        (IndexKind::BinarySearch, Method::BinarySearch),
-        (IndexKind::BPlusTree, Method::BPlusTree),
-        (IndexKind::FullCss, Method::FullCss),
-        (IndexKind::LevelCss, Method::LevelCss),
-    ];
-    for (kind, method) in cases {
-        let built = build_index(kind, &arr);
+    for method in [
+        Method::BinarySearch,
+        Method::BPlusTree,
+        Method::FullCss,
+        Method::LevelCss,
+    ] {
+        let built = build(method, &arr);
         let measured = built.space().indirect_bytes as f64;
         let formula = space_indirect(method, &p);
         if formula == 0.0 {
-            assert_eq!(measured, 0.0, "{kind:?}");
+            assert_eq!(measured, 0.0, "{method:?}");
         } else {
             let ratio = measured / formula;
             assert!(
                 (0.8..1.25).contains(&ratio),
-                "{kind:?}: measured {measured}, formula {formula}, ratio {ratio}"
+                "{method:?}: measured {measured}, formula {formula}, ratio {ratio}"
             );
         }
     }
@@ -46,7 +58,7 @@ fn measured_space_matches_formulas() {
     // T-tree: 8 entries/node (12-byte header + 8*(4+4) = 76-byte nodes).
     // The Fig. 7 formula assumes header-free nodes of sc bytes, so we
     // compare against the exact arena expectation instead.
-    let ttree = build_index(IndexKind::TTree, &arr);
+    let ttree = build(Method::TTree, &arr);
     let expected = (n / 8) * 76;
     let got = ttree.space().direct_bytes;
     assert!(
@@ -74,13 +86,13 @@ fn simulated_misses_match_cost_model() {
     // match the model's c = 64, single level to avoid inclusive effects.
     let probe_stream = LookupStream::successful(&ks, 400, 5);
 
-    for (kind, method) in [
-        (IndexKind::BinarySearch, Method::BinarySearch),
-        (IndexKind::BPlusTree, Method::BPlusTree),
-        (IndexKind::FullCss, Method::FullCss),
-        (IndexKind::LevelCss, Method::LevelCss),
+    for method in [
+        Method::BinarySearch,
+        Method::BPlusTree,
+        Method::FullCss,
+        Method::LevelCss,
     ] {
-        let idx = build_index(kind, &arr);
+        let idx = build(method, &arr);
         let mut hierarchy =
             ccindex::sim::CacheHierarchy::new(vec![ccindex::sim::Cache::new(32 * 1024, 64, 8)]);
         let mut cold_misses = 0.0f64;
@@ -96,7 +108,7 @@ fn simulated_misses_match_cost_model() {
         let ratio = measured / model;
         assert!(
             (0.55..1.45).contains(&ratio),
-            "{kind:?}: measured {measured:.2} misses/lookup vs model {model:.2} (ratio {ratio:.2})"
+            "{method:?}: measured {measured:.2} misses/lookup vs model {model:.2} (ratio {ratio:.2})"
         );
     }
 }
@@ -109,23 +121,19 @@ fn structural_stats_match_model() {
     let arr = SortedArray::from_slice(&ks);
     let p = Params::default().with_n(n);
 
-    for (kind, method) in [
-        (IndexKind::BPlusTree, Method::BPlusTree),
-        (IndexKind::FullCss, Method::FullCss),
-        (IndexKind::LevelCss, Method::LevelCss),
-    ] {
-        let idx = build_index(kind, &arr);
+    for method in [Method::BPlusTree, Method::FullCss, Method::LevelCss] {
+        let idx = build(method, &arr);
         let stats = idx.stats();
         let model = cost_breakdown(method, &p).expect("modelled");
         assert_eq!(
             stats.branching as f64, model.branching,
-            "{kind:?} branching"
+            "{method:?} branching"
         );
         // Levels: the model is real-valued; the tree rounds up.
         let model_levels = model.levels.ceil() as u32;
         assert!(
             (stats.levels as i64 - model_levels as i64).abs() <= 1,
-            "{kind:?}: tree {} vs model {}",
+            "{method:?}: tree {} vs model {}",
             stats.levels,
             model_levels
         );
@@ -142,16 +150,16 @@ fn css_dominates_bplus_and_ttree() {
     let stream = LookupStream::successful(&ks, 20_000, 9);
     let mut machine = Machine::ultrasparc2();
 
-    let mut run = |kind: IndexKind| {
-        let idx = build_index(kind, &arr);
+    let mut run = |method: Method| {
+        let idx = build(method, &arr);
         let m =
             bench::protocol::simulate_lookup_protocol(idx.as_ref(), stream.probes(), &mut machine);
         (m.total_seconds, idx.space().direct_bytes)
     };
-    let (css_t, css_s) = run(IndexKind::FullCss);
-    let (bp_t, bp_s) = run(IndexKind::BPlusTree);
-    let (tt_t, tt_s) = run(IndexKind::TTree);
-    let (bin_t, bin_s) = run(IndexKind::BinarySearch);
+    let (css_t, css_s) = run(Method::FullCss);
+    let (bp_t, bp_s) = run(Method::BPlusTree);
+    let (tt_t, tt_s) = run(Method::TTree);
+    let (bin_t, bin_s) = run(Method::BinarySearch);
 
     assert!(css_t < bp_t && css_s < bp_s, "CSS must dominate B+");
     assert!(css_t < tt_t && css_s < tt_s, "CSS must dominate T-tree");

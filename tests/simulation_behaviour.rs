@@ -21,7 +21,7 @@ fn cache_resident_data_converges() {
     let stream = LookupStream::successful(&keys, 20_000, 3);
     let mut machine = Machine::ultrasparc2();
     for m in all_methods(&arr, 16) {
-        let r = simulate_lookup_protocol(m.index.as_ref(), stream.probes(), &mut machine);
+        let r = simulate_lookup_protocol(m.as_search(), stream.probes(), &mut machine);
         assert!(
             r.misses_per_lookup[1] < 0.1,
             "{}: L2 misses/lookup = {}",
@@ -40,7 +40,7 @@ fn ranking_reproduces_on_both_machines() {
     for mut machine in [Machine::ultrasparc2(), Machine::pentium2()] {
         let mut time = std::collections::HashMap::new();
         for m in all_methods(&arr, 16) {
-            let r = simulate_lookup_protocol(m.index.as_ref(), stream.probes(), &mut machine);
+            let r = simulate_lookup_protocol(m.as_search(), stream.probes(), &mut machine);
             time.insert(m.label.clone(), r.total_seconds);
         }
         let name = machine.spec.name;
