@@ -35,7 +35,7 @@ use bench::protocol::{run_lookup_protocol, simulate_lookup_protocol, Measurement
 use bench::report::{format_num, print_series, Series};
 use cachesim::Machine;
 use ccindex_common::{SearchIndex, SortedArray};
-use css_tree::{CssVariant, DynCssTree, FullCssTree, LevelCssTree};
+use css_tree::{build_dyn, CssVariant, FullCssTree, LevelCssTree};
 use workload::{KeyDistribution, KeySetBuilder, LookupStream, DEFAULT_SEED, PAPER_LOOKUPS};
 
 use std::time::Instant;
@@ -459,11 +459,11 @@ fn fig12_13(opts: &Options) {
                 m as f64,
                 opts.measure(b.as_search(), stream.probes()).total_seconds,
             );
-            let f = DynCssTree::build(CssVariant::Full, m, arr.clone());
-            full.push(m as f64, opts.measure(&f, stream.probes()).total_seconds);
+            let f = build_dyn(CssVariant::Full, m, arr.clone());
+            full.push(m as f64, opts.measure(&*f, stream.probes()).total_seconds);
             if m.is_power_of_two() {
-                let l = DynCssTree::build(CssVariant::Level, m, arr.clone());
-                level.push(m as f64, opts.measure(&l, stream.probes()).total_seconds);
+                let l = build_dyn(CssVariant::Level, m, arr.clone());
+                level.push(m as f64, opts.measure(&*l, stream.probes()).total_seconds);
             }
         }
         // Hash directory sweep (the hash points of Fig. 12).
@@ -541,16 +541,16 @@ fn fig14(opts: &Options) {
             opts.measure(b.as_search(), stream.probes()).total_seconds,
             b.as_search().space().direct_bytes,
         ));
-        let f = DynCssTree::build(CssVariant::Full, m, arr.clone());
+        let f = build_dyn(CssVariant::Full, m, arr.clone());
         rows.push((
             format!("full CSS m={m}"),
-            opts.measure(&f, stream.probes()).total_seconds,
+            opts.measure(&*f, stream.probes()).total_seconds,
             f.space().direct_bytes,
         ));
-        let l = DynCssTree::build(CssVariant::Level, m, arr.clone());
+        let l = build_dyn(CssVariant::Level, m, arr.clone());
         rows.push((
             format!("level CSS m={m}"),
-            opts.measure(&l, stream.probes()).total_seconds,
+            opts.measure(&*l, stream.probes()).total_seconds,
             l.space().direct_bytes,
         ));
     }

@@ -10,7 +10,7 @@
 use bplus::BPlusTree;
 use bst_index::BinaryTreeIndex;
 use ccindex_common::{OrderedIndex, SearchIndex, SortedArray};
-use css_tree::{CssVariant, DynCssTree};
+use css_tree::{build_dyn, CssVariant};
 use hashindex::HashIndex;
 use sorted_search::{BinarySearch, InterpolationSearch};
 use ttree::TTree;
@@ -99,7 +99,10 @@ fn hash(index: HashIndex<u32, 7>) -> MethodInstance {
 /// All eight methods of Figs. 10–11 at one node size (keys per node for
 /// the tree methods; 8 or 16 integers in the paper).
 pub fn all_methods(keys: &SortedArray<u32>, node_ints: usize) -> Vec<MethodInstance> {
-    let css = |variant| DynCssTree::build(variant, node_ints, keys.clone());
+    let css = |label: &str, variant| MethodInstance {
+        label: label.to_owned(),
+        index: Built::Ordered(build_dyn(variant, node_ints, keys.clone())),
+    };
     vec![
         MethodInstance::ordered(
             "array binary search",
@@ -115,8 +118,8 @@ pub fn all_methods(keys: &SortedArray<u32>, node_ints: usize) -> Vec<MethodInsta
         ),
         build_ttree(keys, node_ints),
         build_bplus(keys, node_ints),
-        MethodInstance::ordered("full CSS-tree", css(CssVariant::Full)),
-        MethodInstance::ordered("level CSS-tree", css(CssVariant::Level)),
+        css("full CSS-tree", CssVariant::Full),
+        css("level CSS-tree", CssVariant::Level),
         hash(HashIndex::build(keys.as_slice())),
     ]
 }

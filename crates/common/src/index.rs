@@ -14,10 +14,12 @@ use crate::key::Key;
 use crate::tracer::AccessTracer;
 
 /// Default number of interleaved probe lanes used by batch-aware indexes
-/// when a caller reaches them through the trait-object batch methods
-/// (which cannot carry a lane count). Eight in-flight probes is enough to
-/// cover a random-access miss on current memory subsystems without
-/// spilling the per-lane state out of registers.
+/// when a caller names no lane count: the batch methods without one
+/// (`search_batch`, `lower_bound_batch` and their traced forms) run at
+/// it, while `search_batch_lanes` and `lower_bound_batch_lanes`, trait
+/// methods too, take the count as an argument. Eight in-flight probes is enough to cover a random-access
+/// miss on current memory subsystems without spilling the per-lane state
+/// out of registers.
 pub const DEFAULT_BATCH_LANES: usize = 8;
 
 /// Space occupied by an index structure, following Fig. 7's two columns.

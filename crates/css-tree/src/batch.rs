@@ -28,60 +28,11 @@
 //! takes, and the strategy is reached only through that step. Prefetches
 //! are hints, not accesses: the tracer sees exactly the reads the
 //! sequential descent reports, reordered.
-//!
-//! **Ascending batches walk forward.** When the caller knows its probes
-//! ascend (the join's translation: the outer IDs it marks come out in
-//! order, and so do their values), a probe's answer is at or after its
-//! predecessor's. `ascending_descent` first looks for it in the line
-//! holding the predecessor's answer and the line after it — lines a
-//! forward walk has just read or reads next, and that the hardware's
-//! adjacent-line and stream prefetchers bring in — and descends from the
-//! root, interleaved as above, only when the answer lies past them. The
-//! two lines are the rule, not a tuned distance: a dense batch becomes a
-//! linear merge, a sparse one today's descents.
 
 use crate::layout::LeafSegment;
-use crate::search::{count_less, NodeSearch};
+use crate::search::NodeSearch;
 use crate::tree::{CssTree, Directory};
-use ccindex_common::{prefetch, AccessTracer, Key, NoopTracer, CACHE_LINE_BYTES};
-
-/// The walk's step: the lower bound of `probe` in `keys` if it lies in the
-/// line starting at position `*line` or in the line after it, where
-/// `*line` holds the lower bound of a probe no larger than `probe` (so
-/// every key before it is below `probe` too); `None` if the answer lies
-/// past that pair. On an answer, `*line` moves to the line holding it.
-///
-/// Which of the two lines holds the answer is one compare against the
-/// first line's last key, so consecutive steps chain through that load
-/// and compare only; the count over the chosen line is off the chain.
-/// Near the array's end the pair is cut short and every answer, up to
-/// `keys.len()`, lies in it.
-#[inline(always)]
-fn beside<K: Key>(keys: &[K], line: &mut usize, probe: K) -> Option<usize> {
-    let per_line = (CACHE_LINE_BYTES / K::WIDTH).max(1);
-    let Some(pair) = keys.get(*line..*line + 2 * per_line) else {
-        return Some(*line + count_less(&keys[*line..], probe));
-    };
-    if pair[2 * per_line - 1] < probe {
-        return None;
-    }
-    let second = usize::from(pair[per_line - 1] < probe) * per_line;
-    *line += second;
-    Some(*line + count_less(&pair[second..second + per_line], probe))
-}
-
-/// One lane of [`Directory::ascending_descent`]: a contiguous strip of
-/// the batch, walked in order.
-struct Strip {
-    /// The probe the lane is answering.
-    next: usize,
-    end: usize,
-    /// The line (its first position) holding the lane's last answer;
-    /// `None` before its first, which therefore descends.
-    line: Option<usize>,
-    /// The node the lane's descent reads next; `None` between descents.
-    node: Option<usize>,
-}
+use ccindex_common::{prefetch, AccessTracer, Key, NoopTracer};
 
 impl<K: Key, S: NodeSearch> Directory<K, S> {
     /// Level-synchronous interleaved descent: lower bounds of `probes`
@@ -138,76 +89,6 @@ impl<K: Key, S: NodeSearch> Directory<K, S> {
         }
         out
     }
-
-    /// Lower bounds of the ascending `probes` over the sorted `keys`, in
-    /// probe order (see the [module docs](self)).
-    ///
-    /// The batch is cut into `lanes` contiguous strips, one per lane. In
-    /// every round a lane between descents first answers each next probe
-    /// that lies beside its predecessor's answer, then takes one step of
-    /// the descent for the first probe that does not: from the root, one
-    /// level per round, prefetching what it reads next, its leaf resolved
-    /// the round after reaching it. A strip's first probe always
-    /// descends. The walk's lines were just read or sit next to them, so
-    /// a lane's misses are its descent's, and those overlap across lanes
-    /// as in the interleaved descent.
-    pub(crate) fn ascending_descent(&self, keys: &[K], probes: &[K], lanes: usize) -> Vec<usize> {
-        debug_assert!(
-            probes.windows(2).all(|w| w[0] <= w[1]),
-            "an ascending batch must ascend"
-        );
-        let layout = self.layout();
-        let slots = self.slots().as_slice();
-        let mut out = vec![0usize; probes.len()];
-        let per_line = (CACHE_LINE_BYTES / K::WIDTH).max(1);
-        let mut strips: Vec<Strip> = ccindex_parallel::partition(probes.len(), lanes)
-            .into_iter()
-            .map(|strip| Strip {
-                next: strip.start,
-                end: strip.end,
-                line: None,
-                node: None,
-            })
-            .collect();
-        let mut live = true;
-        while live {
-            live = false;
-            for strip in &mut strips {
-                if let (None, Some(line)) = (strip.node, &mut strip.line) {
-                    while strip.next < strip.end {
-                        let Some(pos) = beside(keys, line, probes[strip.next]) else {
-                            break;
-                        };
-                        out[strip.next] = pos;
-                        strip.next += 1;
-                    }
-                }
-                if strip.next == strip.end {
-                    continue;
-                }
-                live = true;
-                let probe = probes[strip.next];
-                let node = strip.node.unwrap_or(0);
-                if layout.is_internal(node) {
-                    let child = self.step(node, probe, &mut NoopTracer);
-                    // What the interleaved descent prefetches after a step.
-                    if layout.is_internal(child) {
-                        prefetch(slots.as_ptr().wrapping_add(layout.node_entry(child)));
-                    } else if let LeafSegment::Range { start, .. } = layout.leaf_segment(child) {
-                        prefetch(keys.as_ptr().wrapping_add(start));
-                    }
-                    strip.node = Some(child);
-                } else {
-                    let pos = self.resolve_leaf(keys, node, probe, &mut NoopTracer);
-                    out[strip.next] = pos;
-                    strip.next += 1;
-                    strip.line = Some(pos - pos % per_line);
-                    strip.node = None;
-                }
-            }
-        }
-        out
-    }
 }
 
 impl<K: Key, S: NodeSearch> CssTree<K, S> {
@@ -257,28 +138,6 @@ impl<K: Key, S: NodeSearch> CssTree<K, S> {
             .collect()
     }
 
-    /// Lower bounds of an ascending batch (`probes[i] <= probes[i + 1]`),
-    /// walking forward from each answer with `lanes` strips of the batch in
-    /// flight; see the [module docs](crate::batch). Produces exactly the
-    /// positions of [`Self::lower_bound_batch_lanes`]. The order is the
-    /// caller's promise, checked only by a `debug_assert!`; an unordered
-    /// batch belongs on [`Self::lower_bound_batch_lanes`].
-    pub fn lower_bound_ascending(&self, probes: &[K], lanes: usize) -> Vec<usize> {
-        self.dir()
-            .ascending_descent(self.array().as_slice(), probes, lanes)
-    }
-
-    /// Point lookups of an ascending batch:
-    /// [`Self::lower_bound_ascending`] plus the per-probe equality check,
-    /// answering exactly as [`Self::search_batch_lanes_with`].
-    pub fn search_ascending(&self, probes: &[K], lanes: usize) -> Vec<Option<usize>> {
-        self.lower_bound_ascending(probes, lanes)
-            .into_iter()
-            .zip(probes)
-            .map(|(pos, &probe)| self.confirm(pos, probe, &mut NoopTracer))
-            .collect()
-    }
-
     /// Partitioned batched lower bounds: `probes` is split into one
     /// contiguous chunk per worker and every chunk runs the interleaved
     /// descent at `lanes` concurrently ([`ccindex_parallel::WorkerPool`];
@@ -289,20 +148,6 @@ impl<K: Key, S: NodeSearch> CssTree<K, S> {
     pub fn lower_bound_batch_par(&self, probes: &[K], lanes: usize, threads: usize) -> Vec<usize> {
         ccindex_parallel::WorkerPool::new(threads)
             .flat_map_chunks(probes, |chunk| self.lower_bound_batch_lanes(chunk, lanes))
-    }
-
-    /// Partitioned batched point lookups — the
-    /// [`Self::lower_bound_batch_par`] strategy applied to
-    /// [`Self::search_batch_lanes_with`]'s descent + equality check.
-    pub fn search_batch_par(
-        &self,
-        probes: &[K],
-        lanes: usize,
-        threads: usize,
-    ) -> Vec<Option<usize>> {
-        ccindex_parallel::WorkerPool::new(threads).flat_map_chunks(probes, |chunk| {
-            self.search_batch_lanes_with(chunk, lanes, &mut NoopTracer)
-        })
     }
 }
 
@@ -349,14 +194,6 @@ mod tests {
     #[test]
     fn traced_batch_reports_directory_reads() {
         traced_work_is_equal(Full::<8>);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "an ascending batch must ascend")]
-    fn an_unordered_ascending_batch_is_caught_in_debug_builds() {
-        let keys: Vec<u32> = (0..100).collect();
-        tree(Full::<8>, &keys).lower_bound_ascending(&[5, 4], 8);
     }
 
     #[test]

@@ -1,20 +1,14 @@
 //! CSS-trees whose variant and node size are chosen at runtime.
 //!
-//! The benchmark harness sweeps node sizes (Figs. 12–13);
-//! [`DynCssTree::build`] picks the monomorphised tree for a standard size
-//! once and keeps it behind a trait object, so the sweep stays a runtime
-//! loop while each instantiation keeps its specialised search (§6.2).
+//! The benchmark harness sweeps node sizes (Figs. 12–13); [`build_dyn`]
+//! picks the monomorphised tree for a standard size once and returns it
+//! as a trait object, so the sweep stays a runtime loop while each
+//! instantiation keeps its specialised search (§6.2).
 
 use crate::layout::CssVariant;
 use crate::search::RuntimeFull;
 use crate::tree::{CssTree, FullCssTree, LevelCssTree};
-use ccindex_common::{
-    AccessTracer, IndexStats, Key, OrderedIndex, SearchIndex, SortedArray, SpaceReport,
-};
-use ccindex_parallel::WorkerPool;
-
-/// A CSS-tree whose node size and variant were chosen at runtime.
-pub struct DynCssTree<K: Key>(Box<dyn OrderedIndex<K>>);
+use ccindex_common::{Key, OrderedIndex, SortedArray};
 
 /// The one table of pre-monomorphised node sizes: the constant that lists
 /// them and the constructor that dispatches on them.
@@ -25,104 +19,30 @@ macro_rules! standard_node_sizes {
         /// / 64 B with 4-byte keys); the rest cover the Fig. 12–13 sweeps.
         pub const STANDARD_NODE_SIZES: &[usize] = &[$($m),+];
 
-        impl<K: Key> DynCssTree<K> {
-            /// Build a CSS-tree of the given variant and node size over a
-            /// shared sorted array. Standard sizes get specialised code;
-            /// any other size is a [`RuntimeFull`] tree (full variant only
-            /// — level trees require power-of-two sizes, which are all
-            /// standard).
-            pub fn build(variant: CssVariant, m: usize, array: SortedArray<K>) -> Self {
-                Self(match (variant, m) {
-                    $(
-                        (CssVariant::Full, $m) => Box::new(FullCssTree::<K, $m>::from_shared(array)),
-                        (CssVariant::Level, $m) => Box::new(LevelCssTree::<K, $m>::from_shared(array)),
-                    )+
-                    (CssVariant::Full, m) => Box::new(CssTree::new(RuntimeFull { m }, array)),
-                    (CssVariant::Level, m) => {
-                        panic!("level CSS-trees require a power-of-two node size, got {m}")
-                    }
-                })
+        /// Build a CSS-tree of the given variant and node size over a
+        /// shared sorted array. Standard sizes get specialised code; any
+        /// other size is a [`RuntimeFull`] tree (full variant only — level
+        /// trees require power-of-two sizes, which are all standard).
+        pub fn build_dyn<K: Key>(
+            variant: CssVariant,
+            m: usize,
+            array: SortedArray<K>,
+        ) -> Box<dyn OrderedIndex<K>> {
+            match (variant, m) {
+                $(
+                    (CssVariant::Full, $m) => Box::new(FullCssTree::<K, $m>::from_shared(array)),
+                    (CssVariant::Level, $m) => Box::new(LevelCssTree::<K, $m>::from_shared(array)),
+                )+
+                (CssVariant::Full, m) => Box::new(CssTree::new(RuntimeFull { m }, array)),
+                (CssVariant::Level, m) => {
+                    panic!("level CSS-trees require a power-of-two node size, got {m}")
+                }
             }
         }
     };
 }
 
 standard_node_sizes!(2, 4, 8, 16, 32, 64, 128);
-
-impl<K: Key> DynCssTree<K> {
-    /// Partitioned batched lower bounds: probes chunked across `threads`
-    /// workers (`0` = one per core), each chunk running the interleaved
-    /// descent at `lanes`; byte-identical to
-    /// [`OrderedIndex::lower_bound_batch_lanes`].
-    pub fn lower_bound_batch_par(&self, probes: &[K], lanes: usize, threads: usize) -> Vec<usize> {
-        WorkerPool::new(threads)
-            .flat_map_chunks(probes, |chunk| self.0.lower_bound_batch_lanes(chunk, lanes))
-    }
-
-    /// Partitioned batched point lookups; see
-    /// [`DynCssTree::lower_bound_batch_par`].
-    pub fn search_batch_par(
-        &self,
-        probes: &[K],
-        lanes: usize,
-        threads: usize,
-    ) -> Vec<Option<usize>> {
-        WorkerPool::new(threads)
-            .flat_map_chunks(probes, |chunk| self.0.search_batch_lanes(chunk, lanes))
-    }
-}
-
-impl<K: Key> SearchIndex<K> for DynCssTree<K> {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    fn search(&self, key: K) -> Option<usize> {
-        self.0.search(key)
-    }
-    fn search_traced(&self, key: K, tracer: &mut dyn AccessTracer) -> Option<usize> {
-        self.0.search_traced(key, tracer)
-    }
-    fn search_batch(&self, probes: &[K]) -> Vec<Option<usize>> {
-        self.0.search_batch(probes)
-    }
-    fn search_batch_lanes(&self, probes: &[K], lanes: usize) -> Vec<Option<usize>> {
-        self.0.search_batch_lanes(probes, lanes)
-    }
-    fn search_batch_traced(
-        &self,
-        probes: &[K],
-        tracer: &mut dyn AccessTracer,
-    ) -> Vec<Option<usize>> {
-        self.0.search_batch_traced(probes, tracer)
-    }
-    fn space(&self) -> SpaceReport {
-        self.0.space()
-    }
-    fn stats(&self) -> IndexStats {
-        self.0.stats()
-    }
-}
-
-impl<K: Key> OrderedIndex<K> for DynCssTree<K> {
-    fn lower_bound(&self, key: K) -> usize {
-        self.0.lower_bound(key)
-    }
-    fn lower_bound_traced(&self, key: K, tracer: &mut dyn AccessTracer) -> usize {
-        self.0.lower_bound_traced(key, tracer)
-    }
-    fn lower_bound_batch(&self, probes: &[K]) -> Vec<usize> {
-        self.0.lower_bound_batch(probes)
-    }
-    fn lower_bound_batch_lanes(&self, probes: &[K], lanes: usize) -> Vec<usize> {
-        self.0.lower_bound_batch_lanes(probes, lanes)
-    }
-    fn lower_bound_batch_traced(&self, probes: &[K], tracer: &mut dyn AccessTracer) -> Vec<usize> {
-        self.0.lower_bound_batch_traced(probes, tracer)
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -138,7 +58,7 @@ mod tests {
         let arr = SortedArray::from_slice(&ks);
         for &m in STANDARD_NODE_SIZES {
             for variant in [CssVariant::Full, CssVariant::Level] {
-                let t = DynCssTree::build(variant, m, arr.clone());
+                let t = build_dyn(variant, m, arr.clone());
                 for probe in (0..15_100u32).step_by(13) {
                     assert_eq!(
                         t.lower_bound(probe),
@@ -154,7 +74,7 @@ mod tests {
     fn nonstandard_size_falls_back_to_generic() {
         let ks = keys(1000);
         let arr = SortedArray::from_slice(&ks);
-        let t = DynCssTree::build(CssVariant::Full, 24, arr);
+        let t = build_dyn(CssVariant::Full, 24, arr);
         assert_eq!(t.name(), "full CSS-tree (generic)");
         assert_eq!((t.stats().branching, t.stats().node_bytes), (25, 24 * 4));
         for probe in (0..3_100u32).step_by(7) {
@@ -166,14 +86,14 @@ mod tests {
     #[should_panic(expected = "power-of-two")]
     fn nonstandard_level_size_panics() {
         let arr = SortedArray::from_slice(&keys(100));
-        let _ = DynCssTree::build(CssVariant::Level, 24, arr);
+        let _ = build_dyn(CssVariant::Level, 24, arr);
     }
 
     #[test]
     fn shares_rather_than_copies_the_array() {
         let arr = SortedArray::from_slice(&keys(1000));
-        let _a = DynCssTree::build(CssVariant::Full, 16, arr.clone());
-        let _b = DynCssTree::build(CssVariant::Level, 16, arr.clone());
+        let _a = build_dyn(CssVariant::Full, 16, arr.clone());
+        let _b = build_dyn(CssVariant::Level, 16, arr.clone());
         assert_eq!(arr.holders(), 3);
     }
 
@@ -191,7 +111,8 @@ mod tests {
             (CssVariant::Level, 8),
             (CssVariant::Full, 24), // no monomorph: the runtime-`m` tree
         ] {
-            let t = DynCssTree::build(variant, m, arr.clone());
+            let t = build_dyn(variant, m, arr.clone());
+            let point: Vec<Option<usize>> = probes.iter().map(|&p| t.search(p)).collect();
             // Lane count 0 is the documented sequential fallback, not a
             // panic; oversized lane counts clamp to the probe count.
             for lanes in [0usize, 1, 4, 8, 33, 10_000] {
@@ -200,24 +121,15 @@ mod tests {
                     expected,
                     "{variant:?} m={m} lanes={lanes}"
                 );
-            }
-            for threads in [0usize, 1, 2, 8] {
                 assert_eq!(
-                    t.lower_bound_batch_par(&probes, 8, threads),
-                    expected,
-                    "{variant:?} m={m} threads={threads}"
-                );
-                let point: Vec<Option<usize>> = probes.iter().map(|&p| t.search(p)).collect();
-                assert_eq!(
-                    t.search_batch_par(&probes, 8, threads),
+                    t.search_batch_lanes(&probes, lanes),
                     point,
-                    "{variant:?} m={m} threads={threads}"
+                    "{variant:?} m={m} lanes={lanes}"
                 );
             }
             // The trait-level batch entry points route through the
             // interleaved descent and must agree too.
             assert_eq!(t.lower_bound_batch(&probes), expected, "{variant:?} m={m}");
-            let point: Vec<Option<usize>> = probes.iter().map(|&p| t.search(p)).collect();
             assert_eq!(t.search_batch(&probes), point, "{variant:?} m={m}");
         }
     }
@@ -225,8 +137,8 @@ mod tests {
     #[test]
     fn names_distinguish_variants() {
         let arr = SortedArray::from_slice(&keys(100));
-        let f = DynCssTree::build(CssVariant::Full, 16, arr.clone());
-        let l = DynCssTree::build(CssVariant::Level, 16, arr);
+        let f = build_dyn(CssVariant::Full, 16, arr.clone());
+        let l = build_dyn(CssVariant::Level, 16, arr);
         assert_eq!(f.name(), "full CSS-tree");
         assert_eq!(l.name(), "level CSS-tree");
     }

@@ -23,7 +23,7 @@
 use ccindex_common::{ceil_div, ceil_log, pow_saturating};
 
 /// Which CSS-tree variant a layout describes (and
-/// [`DynCssTree::build`](crate::DynCssTree::build) builds).
+/// [`build_dyn`](crate::build_dyn) builds).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CssVariant {
     /// Full CSS-tree (§4.1): `m` keys per node, branching `m + 1`.

@@ -53,8 +53,8 @@
 //! answers; [`CssTree::validate`] re-derives every slot by the rightmost
 //! walk regardless, so it checks both fills independently.
 //!
-//! [`DynCssTree`] picks a monomorph by `(variant, m)` at runtime for
-//! parameter sweeps.
+//! [`build_dyn`] picks a monomorph by `(variant, m)` at runtime for
+//! parameter sweeps and returns it as an `OrderedIndex` trait object.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
@@ -64,7 +64,7 @@ pub mod layout;
 pub mod search;
 pub mod tree;
 
-pub use dynamic::{DynCssTree, STANDARD_NODE_SIZES};
+pub use dynamic::{build_dyn, STANDARD_NODE_SIZES};
 pub use layout::{CssLayout, CssVariant};
 pub use search::{Full, Level, NodeSearch, RuntimeFull};
 pub use tree::{CssTree, FullCssTree, LevelCssTree};

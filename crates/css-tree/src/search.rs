@@ -183,7 +183,7 @@ impl<const M: usize> NodeSearch for Level<M> {
 /// specialized code." Same directory, same accesses as [`Full`]; the only
 /// difference is that `m` is not known to the compiler, so the node
 /// search stays a loop with a runtime trip count. Also the tree behind
-/// [`DynCssTree`](crate::DynCssTree) for node sizes without a monomorph,
+/// [`build_dyn`](crate::build_dyn) for node sizes without a monomorph,
 /// such as the `m = 24` bump of Figs. 12–13.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeFull {

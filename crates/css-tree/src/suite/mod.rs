@@ -70,13 +70,6 @@ pub(crate) fn exhaustive<S: NodeSearch>(
                 "{} m={m} n={n} lanes={l}",
                 search.name()
             );
-            // The probes ascend, two to three per key: the forward walk.
-            assert_eq!(
-                t.lower_bound_ascending(&probes, l),
-                expected,
-                "{} m={m} n={n} ascending lanes={l}",
-                search.name()
-            );
         }
     }
 }
@@ -259,21 +252,15 @@ pub(crate) fn degenerate_batches<S: NodeSearch>(search: S) {
 /// every worker count.
 pub(crate) fn parallel_agrees<S: NodeSearch>(search: S) {
     let (t, probes, expected) = batch_fixture(search);
-    let point: Vec<Option<usize>> = probes.iter().map(|&p| t.search(p)).collect();
     for threads in [0usize, 1, 2, 8] {
         assert_eq!(
             t.lower_bound_batch_par(&probes, 8, threads),
             expected,
             "threads={threads}"
         );
-        assert_eq!(
-            t.search_batch_par(&probes, 8, threads),
-            point,
-            "threads={threads}"
-        );
     }
     assert!(t.lower_bound_batch_par(&[], 8, 8).is_empty());
-    assert_eq!(t.search_batch_par(&probes[..1], 0, 8), point[..1]);
+    assert_eq!(t.lower_bound_batch_par(&probes[..1], 0, 8), expected[..1]);
 }
 
 /// Trait-object batch calls route through the interleaved descent and
@@ -306,13 +293,12 @@ pub(crate) fn traced_work_is_equal<S: NodeSearch>(search: S) {
     assert_eq!(batch_tr.descends, seq_tr.descends);
 }
 
-/// The ascending walk, lower bound and point lookup alike, against the
-/// interleaved descent and `partition_point`, on batches built to take
-/// each of its paths: every key (a linear merge), duplicates, a run inside
-/// one line, gaps of exactly one line (still beside) and of two lines and
-/// wider (descents), probes between keys, repeated probes and probes above
-/// the maximum; and on empty and one-key trees. Lanes 1, 3, 8 and 33, so
-/// strips are long, ragged and single-probe.
+/// Ascending batches, lower bound and point lookup alike, through the
+/// interleaved descent against `partition_point` and per-probe `search`:
+/// every key, duplicates, a run inside one line, gaps of exactly one line,
+/// of two lines and wider, probes between keys, repeated probes and probes
+/// above the maximum; and on empty and one-key trees. Lanes 1, 3, 8 and
+/// 33, so chunks are long, ragged and single-probe.
 pub(crate) fn ascending<S: NodeSearch>(search: S) {
     fn agrees<K: Key, S: NodeSearch>(t: &CssTree<K, S>, probes: &[K], ctx: &str) {
         let keys = t.array().as_slice();
@@ -320,16 +306,15 @@ pub(crate) fn ascending<S: NodeSearch>(search: S) {
             .iter()
             .map(|&p| keys.partition_point(|&k| k < p))
             .collect();
-        let point = t.search_batch_lanes(probes, 8);
+        let point: Vec<Option<usize>> = probes.iter().map(|&p| t.search(p)).collect();
         for lanes in [1usize, 3, 8, 33] {
-            assert_eq!(t.lower_bound_batch_lanes(probes, lanes), want, "{ctx}");
             assert_eq!(
-                t.lower_bound_ascending(probes, lanes),
+                t.lower_bound_batch_lanes(probes, lanes),
                 want,
                 "{ctx} lanes={lanes}"
             );
             assert_eq!(
-                t.search_ascending(probes, lanes),
+                t.search_batch_lanes(probes, lanes),
                 point,
                 "{ctx} lanes={lanes}"
             );
@@ -374,17 +359,20 @@ pub(crate) fn ascending<S: NodeSearch>(search: S) {
     batches(search, &wide, "i64");
 
     let empty = tree::<u32, S>(search, &[]);
-    assert_eq!(empty.lower_bound_ascending(&[0, 1, 1, 9], 3), [0, 0, 0, 0]);
-    assert_eq!(empty.search_ascending(&[1, 2], 8), [None, None]);
-    assert!(empty.lower_bound_ascending(&[], 8).is_empty());
+    assert_eq!(
+        empty.lower_bound_batch_lanes(&[0, 1, 1, 9], 3),
+        [0, 0, 0, 0]
+    );
+    assert_eq!(empty.search_batch_lanes(&[1, 2], 8), [None, None]);
+    assert!(empty.lower_bound_batch_lanes(&[], 8).is_empty());
     let one = tree(search, &[5u32]);
     for lanes in [0, 1, 3, 8, 33] {
         assert_eq!(
-            one.lower_bound_ascending(&[0, 5, 5, 6, 100], lanes),
+            one.lower_bound_batch_lanes(&[0, 5, 5, 6, 100], lanes),
             [0, 0, 0, 1, 1]
         );
         assert_eq!(
-            one.search_ascending(&[4, 5, 5, 6], lanes),
+            one.search_batch_lanes(&[4, 5, 5, 6], lanes),
             [None, Some(0), Some(0), None]
         );
     }
@@ -548,7 +536,8 @@ fn node_and_leaf_kernel_is_the_bisection() {
 
 /// The tier-1 sweep stops at `n < 200` in a debug build; this one covers
 /// every monomorph and the runtime sizes to `n = 2000` at three lane
-/// counts, interleaved and ascending, and needs a release build:
+/// counts, and the ascending batches, through the one interleaved
+/// descent; it needs a release build:
 /// `cargo test --release -q -p css-tree -- --ignored`.
 #[test]
 #[ignore = "release-scale sweep, run with --release"]

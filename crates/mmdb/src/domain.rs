@@ -456,22 +456,18 @@ impl Domain {
         }
     }
 
-    /// The IDs in `other` of this domain's values at the ascending `ids`
-    /// (`None` where `other` lacks the value) — the join's outer→inner
-    /// translation. Between two typed domains the probes are a gather of
-    /// `i64`s, ascending because the IDs are, so they take the CSS-tree's
-    /// ascending walk (`search_ascending`) instead of one root descent
-    /// each, and into a ranked domain they are ranked, `lanes` lines
-    /// prefetched ahead; a generic source lends its values by reference.
+    /// The IDs in `other` of this domain's values at `ids` (`None` where
+    /// `other` lacks the value) — the join's outer→inner translation.
+    /// Between two typed domains the probes are a gather of `i64`s, which
+    /// take the CSS-tree's interleaved batch descent (`search_ints`) like
+    /// every other probe batch, and into a ranked domain they are ranked,
+    /// `lanes` lines prefetched ahead; a generic source lends its values
+    /// by reference.
     pub(crate) fn translate(&self, ids: &[u32], other: &Domain, lanes: usize) -> Vec<Option<u32>> {
-        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must ascend");
         match (self.view(), &other.repr) {
             (DomainView::Int(ints), Repr::Int(tree)) => {
                 let probes: Vec<i64> = ids.iter().map(|&id| ints[id as usize]).collect();
-                tree.search_ascending(&probes, lanes)
-                    .into_iter()
-                    .map(|hit| hit.map(|pos| pos as u32))
-                    .collect()
+                search_ints(tree, &probes, lanes).collect()
             }
             (DomainView::Int(ints), Repr::Ranked(ranked)) => ranked.each(
                 ids,
@@ -936,13 +932,12 @@ mod tests {
         }
     }
 
-    /// Into a typed domain under a directory the translation takes the
-    /// CSS-tree's ascending walk; these ID sets push it through each of
-    /// its regimes: every ID (a merge), one in a hundred (a descent each),
-    /// and runs of consecutive IDs broken by gaps that alternate between
-    /// short (still beside the last answer) and long (a descent). A third
-    /// full, the target is ranked instead; a thirteenth full, it keeps
-    /// the directory.
+    /// Translation into a typed domain under a directory (a thirteenth
+    /// full: the CSS arm, one interleaved batch descent) and into a
+    /// ranked one (a third full), from ID sets of every density: every
+    /// ID, one in a hundred, and runs of consecutive IDs broken by gaps
+    /// that alternate between short (within a cache line of the last
+    /// answer) and long.
     #[test]
     fn translate_walks_dense_sparse_and_gapped_id_sets() {
         let source = Domain::from_values((0..5_000).map(|i| Value::Int(i * 2)).collect());

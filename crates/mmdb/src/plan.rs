@@ -715,7 +715,7 @@ fn resolve_side<'db>(
 /// second exchange — so the routing is a field, not a plan node, and
 /// how the replies merge (RID sets, join rows or groups) follows from
 /// the body's shape.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Plan {
     /// The outer (driving) table.
     pub table: String,
@@ -799,7 +799,7 @@ pub enum JoinRouting {
 }
 
 /// One resolved filter probe.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProbeStep {
     /// Probed column of the outer table.
     pub column: String,
@@ -819,7 +819,7 @@ pub enum Probe {
 }
 
 /// A resolved indexed nested-loop join.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JoinStep {
     /// The inner (indexed) relation.
     pub inner_table: String,
@@ -839,7 +839,7 @@ pub struct JoinStep {
 }
 
 /// A resolved grouped aggregation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroupStep {
     /// Group-by column.
     pub column: String,
@@ -1831,7 +1831,7 @@ mod tests {
         let mut rebound = db.compile(&shape).unwrap();
         rebound.bind_literals(&other);
         let compiled = db.compile(&other).unwrap();
-        assert_eq!(format!("{rebound:?}"), format!("{compiled:?}"));
+        assert_eq!(rebound, compiled);
         assert_eq!(
             rebound.execute(&db).unwrap().rows(),
             compiled.execute(&db).unwrap().rows()

@@ -204,10 +204,9 @@ impl Translation {
 /// back by `trailing_zeros`, are the carried IDs in ascending order (no
 /// sort, no dedup), and so are their values. They go through one batched
 /// dictionary search — a rank each into a ranked inner domain, the
-/// CSS-tree's ascending walk into another typed one — whose answers a
-/// row finds by its outer ID's rank in the
-/// bitset. O(rows + domain / 64), with at most one search per domain
-/// value.
+/// CSS-tree's interleaved batch descent into another typed one — whose
+/// answers a row finds by its outer ID's rank in the bitset.
+/// O(rows + domain / 64), with at most one search per domain value.
 fn join_translation(
     outer: &Column,
     outer_rids: &[u32],

@@ -33,10 +33,10 @@
 //! 1/4 and 1/20, and a generic one, select and join between every pair
 //! of those arms.
 //!
-//! The join's translation walks the inner domain forward from each
-//! answer and descends only past the next line, so joins and grouped
-//! joins run over selections carrying from a thousandth to all of the
-//! outer domain, at every lane and thread count; the release-only cases
+//! The join's translation searches the inner domain once per distinct
+//! carried value, in one batch, so joins and grouped joins run over
+//! selections carrying from a thousandth to all of the outer domain, at
+//! every lane and thread count; the release-only cases
 //! repeat the selection and the join-group at `engine-mix`'s 2M × 100k
 //! scale.
 
@@ -887,10 +887,10 @@ fn a_stale_plan_fails_typed_even_when_its_first_filter_matches_nothing() {
 }
 
 /// The join's translation over selections carrying from 0.1 % to all of
-/// the outer domain: its ascending walk runs as descents when the
-/// carried values are sparse and as a merge when they are dense. Each
-/// selection joins to `u` and, grouped by `u.g` summing `t.m`, at lanes
-/// 1, 3 and 8 and threads 1, 2 and adaptive, against a scan.
+/// the outer domain: one batch of a few scattered values up to one of
+/// every value. Each selection joins to `u` and, grouped by `u.g` summing
+/// `t.m`, at lanes 1, 3 and 8 and threads 1, 2 and adaptive, against a
+/// scan.
 #[test]
 fn joins_carrying_a_thousandth_to_all_of_the_outer_domain_match_a_row_scan() {
     const DOMAIN: i64 = 4_000;

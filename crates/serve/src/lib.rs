@@ -489,6 +489,48 @@ mod tests {
     }
 
     #[test]
+    fn extreme_window_options_still_serve() {
+        // A time-only window (`batch_max: usize::MAX`) and a size-only one
+        // (`batch_wait: Duration::MAX`): one client pipelines the request
+        // set and retires, which closes the queue and so the size-only
+        // window too. Each session runs on its own thread behind a
+        // deadline, so a serving thread that dies fails this test
+        // instead of hanging it.
+        let session = |options: ServeOptions| {
+            let (done, answers) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let db = catalog();
+                let server = BatchServer::with_options(&db, options);
+                let (pending, _) = server.serve_concurrent(1, |_, client| {
+                    requests()
+                        .into_iter()
+                        .map(|r| client.submit(r))
+                        .collect::<Vec<_>>()
+                });
+                let got: Vec<_> = pending.into_iter().flatten().map(Pending::wait).collect();
+                let _ = done.send(got);
+            });
+            answers
+                .recv_timeout(Duration::from_secs(60))
+                .unwrap_or_else(|e| panic!("{options:?}: the session did not finish: {e}"))
+        };
+        let default = session(ServeOptions::default());
+        assert_eq!(default, reference(&catalog()));
+        for options in [
+            ServeOptions {
+                batch_max: usize::MAX,
+                ..ServeOptions::default()
+            },
+            ServeOptions {
+                batch_wait: Duration::MAX,
+                ..ServeOptions::default()
+            },
+        ] {
+            assert_eq!(session(options), default, "{options:?}");
+        }
+    }
+
+    #[test]
     fn shutdown_flushes_every_queued_request() {
         // Clients pipeline a burst of submissions and retire immediately
         // — the queue closes while (almost) all of them are still

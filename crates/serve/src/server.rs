@@ -29,11 +29,18 @@ use std::time::Duration;
 /// [`batch_wait`]: ServeOptions::batch_wait
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeOptions {
-    /// Most requests one window may hold (minimum 1).
+    /// Most requests one window may hold (minimum 1; `usize::MAX` is a
+    /// time-only window).
     pub batch_max: usize,
-    /// Longest a window stays open after its first request.
+    /// Longest a window stays open after its first request
+    /// (`Duration::MAX` is a size-only window).
     pub batch_wait: Duration,
 }
+
+/// Where a window's deadline saturates: a `batch_wait` beyond a century
+/// (`Duration::MAX`, a size-only window) closes on size or shutdown alone,
+/// and the deadline `opened + wait` cannot overflow `Instant`.
+const LONGEST_WAIT: Duration = Duration::from_secs(100 * 365 * 24 * 60 * 60);
 
 impl Default for ServeOptions {
     /// A 64-request window held open at most 200 µs — small enough to
@@ -48,7 +55,7 @@ impl Default for ServeOptions {
 }
 
 impl ServeOptions {
-    /// A size-only window: up to `batch_max` requests, default wait.
+    /// A window of up to `batch_max` requests at the default wait.
     pub fn batch_max(batch_max: usize) -> Self {
         Self {
             batch_max,
@@ -399,10 +406,12 @@ impl<'e, S: ServeSource + ?Sized> BatchServer<'e, S> {
     /// through their windows, never dropped.
     fn serve_loop(&self, queue: &BlockingQueue<Submission>) -> ServeStats {
         let mut stats = ServeStats::default();
-        // Both buffers live for the session, so a window allocates
-        // neither.
-        let mut batch: Vec<Submission> = Vec::with_capacity(self.options.batch_max);
-        let mut sleepers: Vec<Arc<Slot>> = Vec::with_capacity(self.options.batch_max);
+        // Both buffers live for the session and keep what the largest
+        // window grew them to, so once windows reach their usual size a
+        // window allocates neither. Nothing is reserved before requests
+        // arrive: `batch_max` may be `usize::MAX` (a time-only window).
+        let mut batch: Vec<Submission> = Vec::new();
+        let mut sleepers: Vec<Arc<Slot>> = Vec::new();
         // The first request opens a window; the window then stays open
         // until the size bound fills it or the time bound expires.
         while let Some(first) = queue.pop() {
@@ -415,7 +424,7 @@ impl<'e, S: ServeSource + ?Sized> BatchServer<'e, S> {
             let depth = queue.pop_up_to(
                 &mut batch,
                 self.options.batch_max,
-                opened + self.options.batch_wait,
+                opened + self.options.batch_wait.min(LONGEST_WAIT),
             );
             self.metrics.window_wait_ns.record(obs::elapsed_ns(&opened));
             self.metrics.queue_depth.set(depth as u64);

@@ -220,7 +220,7 @@ pub enum ShardRequest {
 }
 
 /// Everything a shard server can answer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ShardResponse {
     /// One ascending RID set per probe, in submission order.
     RidSets(Vec<Vec<u32>>),
@@ -285,69 +285,6 @@ pub enum ShardResponse {
         /// The chunk payload.
         bytes: Vec<u8>,
     },
-}
-
-impl PartialEq for ShardResponse {
-    fn eq(&self, other: &Self) -> bool {
-        use ShardResponse::*;
-        match (self, other) {
-            (RidSets(a), RidSets(b)) => a == b,
-            (Rids(a), Rids(b)) => a == b,
-            (Values(a), Values(b)) => a == b,
-            (Groups(a), Groups(b)) => a == b,
-            (Rows(a), Rows(b)) => a == b,
-            (Batch(a), Batch(b)) => a == b,
-            // `Plan` does not implement `PartialEq`; its debug form is
-            // total over every field, so this is exact.
-            (Plan(a), Plan(b)) => format!("{a:?}") == format!("{b:?}"),
-            (Names(a), Names(b)) => a == b,
-            (Count(a), Count(b)) => a == b,
-            (
-                Rebuilt {
-                    sort_ns: a,
-                    rebuilds: ar,
-                },
-                Rebuilt {
-                    sort_ns: b,
-                    rebuilds: br,
-                },
-            ) => a == b && ar == br,
-            (
-                Info {
-                    generation: g1,
-                    swaps: s1,
-                    pinned: p1,
-                    exec: e1,
-                },
-                Info {
-                    generation: g2,
-                    swaps: s2,
-                    pinned: p2,
-                    exec: e2,
-                },
-            ) => g1 == g2 && s1 == s2 && p1 == p2 && e1 == e2,
-            (Unit, Unit) => true,
-            (Stats { json: a }, Stats { json: b }) => a == b,
-            (Err(a), Err(b)) => a == b,
-            (
-                SnapshotChunk {
-                    chunk: c1,
-                    total_chunks: t1,
-                    total_len: l1,
-                    crc: x1,
-                    bytes: b1,
-                },
-                SnapshotChunk {
-                    chunk: c2,
-                    total_chunks: t2,
-                    total_len: l2,
-                    crc: x2,
-                    bytes: b2,
-                },
-            ) => c1 == c2 && t1 == t2 && l1 == l2 && x1 == x2 && b1 == b2,
-            _ => false,
-        }
-    }
 }
 
 // ---------------------------------------------------------------------

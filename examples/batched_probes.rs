@@ -27,7 +27,7 @@ fn main() {
     // One tree, probed three ways: per-probe, via the trait batch entry
     // point (DEFAULT_BATCH_LANES interleaved descents), and with an
     // explicit lane count.
-    let css = DynCssTree::build(CssVariant::Full, 16, arr.clone());
+    let css = FullCssTree::<u32, 16>::from_shared(arr);
 
     let t0 = Instant::now();
     let sequential: Vec<usize> = probes.iter().map(|&p| css.lower_bound(p)).collect();

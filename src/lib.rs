@@ -81,7 +81,7 @@ pub mod prelude {
     };
     // `FullCssTree<K, M>` / `LevelCssTree<K, M>` name `css::CssTree<K, S>`
     // under its `Full<M>` / `Level<M>` node-search strategy.
-    pub use crate::css::{CssVariant, DynCssTree, FullCssTree, LevelCssTree};
+    pub use crate::css::{CssVariant, FullCssTree, LevelCssTree};
     pub use crate::db::{
         between, count, eq, indexed_nested_loop_join, max, min, on, point_select_many,
         range_select_many, sum, Agg, CatalogRead, Database, DatabaseHandle, Domain, ExecOptions,

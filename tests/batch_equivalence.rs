@@ -5,8 +5,8 @@
 //! batches, single keys, ragged tails).
 
 use bench::methods::all_methods;
-use ccindex::common::{CountingTracer, OrderedIndex, SearchIndex, SortedArray};
-use ccindex::css::{CssVariant, DynCssTree, STANDARD_NODE_SIZES};
+use ccindex::common::{CountingTracer, SortedArray};
+use ccindex::css::{build_dyn, CssVariant, STANDARD_NODE_SIZES};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -29,7 +29,7 @@ proptest! {
             .collect();
         for &m in STANDARD_NODE_SIZES {
             for variant in [CssVariant::Full, CssVariant::Level] {
-                let t = DynCssTree::build(variant, m, arr.clone());
+                let t = build_dyn(variant, m, arr.clone());
                 for lanes in [1usize, 2, 3, 8, 13, 1000] {
                     prop_assert_eq!(
                         t.lower_bound_batch_lanes(&probes, lanes),
@@ -48,7 +48,7 @@ proptest! {
         }
         // Generic fallback sizes, including the m = 24 bump.
         for m in [3usize, 7, 24] {
-            let t = DynCssTree::build(CssVariant::Full, m, arr.clone());
+            let t = build_dyn(CssVariant::Full, m, arr.clone());
             for lanes in [1usize, 5, 64] {
                 prop_assert_eq!(
                     t.lower_bound_batch_lanes(&probes, lanes),
@@ -128,19 +128,19 @@ proptest! {
 fn degenerate_batches() {
     for &m in STANDARD_NODE_SIZES {
         for variant in [CssVariant::Full, CssVariant::Level] {
-            let empty = DynCssTree::build(variant, m, SortedArray::from_slice(&[]));
+            let empty = build_dyn(variant, m, SortedArray::from_slice(&[]));
             assert!(empty.lower_bound_batch_lanes(&[], 8).is_empty());
             assert_eq!(empty.lower_bound_batch_lanes(&[7], 8), vec![0]);
             assert_eq!(empty.search_batch(&[7]), vec![None]);
 
-            let one = DynCssTree::build(variant, m, SortedArray::from_slice(&[5u32]));
+            let one = build_dyn(variant, m, SortedArray::from_slice(&[5u32]));
             assert_eq!(one.lower_bound_batch_lanes(&[4, 5, 6], 2), vec![0, 0, 1]);
             assert_eq!(one.search_batch(&[4, 5, 6]), vec![None, Some(0), None]);
         }
     }
     // Batch lengths straddling the lane chunking.
     let keys: Vec<u32> = (0..1_000u32).map(|i| i * 2).collect();
-    let t = DynCssTree::build(CssVariant::Full, 16, SortedArray::from_slice(&keys));
+    let t = build_dyn(CssVariant::Full, 16, SortedArray::from_slice(&keys));
     for len in [1usize, 7, 8, 9, 15, 16, 17, 63, 64, 65] {
         let probes: Vec<u32> = (0..len as u32).map(|i| i * 31 % 2_100).collect();
         let expected: Vec<usize> = probes

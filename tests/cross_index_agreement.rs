@@ -94,9 +94,9 @@ proptest! {
         let arr = SortedArray::from_slice(&keys);
         let expected = keys.partition_point(|&k| k < probe);
         for &m in css_tree::STANDARD_NODE_SIZES {
-            let full = css_tree::DynCssTree::build(css_tree::CssVariant::Full, m, arr.clone());
+            let full = css_tree::build_dyn(css_tree::CssVariant::Full, m, arr.clone());
             prop_assert_eq!(full.lower_bound(probe), expected, "full m={}", m);
-            let level = css_tree::DynCssTree::build(css_tree::CssVariant::Level, m, arr.clone());
+            let level = css_tree::build_dyn(css_tree::CssVariant::Level, m, arr.clone());
             prop_assert_eq!(level.lower_bound(probe), expected, "level m={}", m);
         }
         // Odd sizes via the runtime-`m` tree, including the m=24 bump.

@@ -105,12 +105,11 @@ fn layout_boundary_regression_corpus() {
         (4096, 16),
     ] {
         let keys: Vec<u32> = (0..n as u32).map(|i| i * 2 + 1).collect();
-        let t = ccindex::css::DynCssTree::build(
+        let t = ccindex::css::build_dyn(
             ccindex::css::CssVariant::Full,
             m,
             ccindex::common::SortedArray::from_slice(&keys),
         );
-        use ccindex::common::OrderedIndex;
         for probe in 0..(n as u32 * 2 + 3) {
             assert_eq!(
                 t.lower_bound(probe),

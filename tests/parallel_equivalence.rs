@@ -6,7 +6,7 @@
 //! queries through `Database` with `ExecOptions`, at the default lanes
 //! and at 3.
 
-use ccindex::css::{CssVariant, DynCssTree};
+use ccindex::css::{CssTree, Full, Level, NodeSearch, RuntimeFull};
 use ccindex::db::domain::Value;
 use ccindex::db::{
     between, eq, group_aggregate_pairs, indexed_nested_loop_join, on, point_select_many,
@@ -228,38 +228,32 @@ fn physical_operators_are_identical_across_kinds_and_threads() {
     }
 }
 
-/// The CSS trees' partitioned batch descents, over every standard node
-/// size and both variants, including degenerate lane counts.
+/// The CSS trees' partitioned batch descent on the full, level and
+/// runtime-`m` trees, including degenerate lane counts.
 #[test]
 fn css_partitioned_batches_are_identical() {
+    fn agrees<S: NodeSearch>(t: &CssTree<u32, S>, probes: &[u32]) {
+        let want: Vec<usize> = probes.iter().map(|&p| t.lower_bound(p)).collect();
+        for threads in THREADS {
+            for lanes in [0usize, 1, 8, 64] {
+                assert_eq!(
+                    t.lower_bound_batch_par(probes, lanes, threads),
+                    want,
+                    "{} threads={threads} lanes={lanes}",
+                    t.name()
+                );
+            }
+        }
+    }
     let keys: Vec<u32> = (0..30_000u32).map(|i| i * 3 % 50_021).collect();
     let mut sorted = keys.clone();
     sorted.sort_unstable();
     let arr = SortedArray::from_slice(&sorted);
     let probes: Vec<u32> = (0..5_000u32).map(|i| i * 37 % 90_100).collect();
-    for (variant, m) in [
-        (CssVariant::Full, 16usize),
-        (CssVariant::Level, 16),
-        (CssVariant::Full, 24), // no monomorph: the runtime-`m` tree
-    ] {
-        let t = DynCssTree::build(variant, m, arr.clone());
-        let seq_lb = t.lower_bound_batch(&probes);
-        let seq_pt: Vec<Option<usize>> = probes.iter().map(|&p| t.search(p)).collect();
-        for threads in THREADS {
-            for lanes in [0usize, 1, 8, 64] {
-                assert_eq!(
-                    t.lower_bound_batch_par(&probes, lanes, threads),
-                    seq_lb,
-                    "{variant:?} m={m} threads={threads} lanes={lanes}"
-                );
-                assert_eq!(
-                    t.search_batch_par(&probes, lanes, threads),
-                    seq_pt,
-                    "{variant:?} m={m} threads={threads} lanes={lanes}"
-                );
-            }
-        }
-    }
+    agrees(&CssTree::new(Full::<16>, arr.clone()), &probes);
+    agrees(&CssTree::new(Level::<16>, arr.clone()), &probes);
+    // No monomorph: the runtime-`m` tree.
+    agrees(&CssTree::new(RuntimeFull { m: 24 }, arr), &probes);
     // The worker pool itself honours ordering for uneven partitions.
     let pool = WorkerPool::new(8);
     let doubled = pool.flat_map_chunks(&probes, |c| c.iter().map(|&p| u64::from(p) * 2).collect());

@@ -78,8 +78,8 @@ fn css_node_size_optimum_is_cache_line() {
     // A machine with 64-byte lines at both levels keeps the story clean.
     let mut machine = Machine::modern();
     let mut at = |m: usize| {
-        let t = css_tree::DynCssTree::build(css_tree::CssVariant::Full, m, arr.clone());
-        simulate_lookup_protocol(&t, stream.probes(), &mut machine).misses_per_lookup[2]
+        let t = css_tree::build_dyn(css_tree::CssVariant::Full, m, arr.clone());
+        simulate_lookup_protocol(&*t, stream.probes(), &mut machine).misses_per_lookup[2]
     };
     let m16 = at(16);
     let m128 = at(128);
