@@ -208,22 +208,13 @@ impl CssLayout {
     }
 
     /// Internal node numbers of directory level `level` (0 = the
-    /// root). Breadth-first numbering makes each level contiguous —
-    /// level `L` starts at `(f^L − 1)/(f − 1)` — which is what lets a
-    /// serialized tree be written and reopened one level page at a
-    /// time (geomedea's `node_ranges_by_level`, transposed to CSS).
+    /// root). Breadth-first numbering makes each level contiguous:
+    /// level `L` starts at `(f^L − 1)/(f − 1)`.
     pub fn level_nodes(&self, level: u32) -> std::ops::Range<usize> {
         let f = self.branching;
         let start = (pow_saturating(f, level) - 1) / (f - 1);
         let end = (pow_saturating(f, level + 1) - 1) / (f - 1);
         start.min(self.internal_nodes)..end.min(self.internal_nodes)
-    }
-
-    /// Directory key-slot range of level `level` — the page a
-    /// serialized tree stores (and a cold start reads) per level.
-    pub fn level_slots(&self, level: u32) -> std::ops::Range<usize> {
-        let nodes = self.level_nodes(level);
-        nodes.start * self.m..nodes.end * self.m
     }
 
     /// Directory size in bytes for `key_width`-byte keys — the CSS-tree's
@@ -441,9 +432,9 @@ mod tests {
 
     #[test]
     fn level_ranges_tile_the_directory() {
-        // Concatenating every level's node (and slot) range must
-        // reproduce 0..T (and 0..T·m) exactly, in order — the
-        // invariant the per-level page serialization rests on.
+        // Concatenating every level's node range must reproduce 0..T
+        // exactly, in order: breadth-first numbering keeps each level
+        // contiguous.
         for &(n, m) in &[
             (260usize, 4usize),
             (97, 4),
@@ -461,18 +452,13 @@ mod tests {
             };
             for l in layouts {
                 let mut next_node = 0usize;
-                let mut next_slot = 0usize;
                 for level in 0..l.directory_levels() {
                     let nodes = l.level_nodes(level);
-                    let slots = l.level_slots(level);
                     assert_eq!(nodes.start, next_node, "n={n} m={m} level={level}");
                     assert!(!nodes.is_empty(), "n={n} m={m} level={level}");
-                    assert_eq!(slots, nodes.start * l.m..nodes.end * l.m);
                     next_node = nodes.end;
-                    next_slot = slots.end;
                 }
                 assert_eq!(next_node, l.internal_nodes, "n={n} m={m}");
-                assert_eq!(next_slot, l.directory_slots(), "n={n} m={m}");
                 // One level past the directory is empty, not a panic.
                 assert!(l.level_nodes(l.directory_levels()).is_empty() || l.internal_nodes == 0);
             }
@@ -487,7 +473,6 @@ mod tests {
         assert_eq!(l.level_nodes(0), 0..1);
         assert_eq!(l.level_nodes(1), 1..6);
         assert_eq!(l.level_nodes(2), 6..16); // clamped from 6..31
-        assert_eq!(l.level_slots(2), 24..64);
     }
 
     #[test]

@@ -56,13 +56,7 @@ mod tests {
 
     #[test]
     fn wrong_slot_count_is_an_error_not_a_panic() {
-        let keys: Vec<u32> = (0..100).collect();
-        let built = FullCssTree::<u32, 4>::build(&keys);
-        let mut slots = built.directory().to_vec();
-        slots.pop();
-        let err = FullCssTree::<u32, 4>::from_shared_with_directory(built.array().clone(), &slots)
-            .expect_err("short directory must fail");
-        assert!(err.contains("slots"), "{err}");
+        corrupt_last_slot(Full::<4>, 100);
     }
 
     #[test]

@@ -49,13 +49,7 @@ mod tests {
 
     #[test]
     fn wrong_slot_count_is_an_error_not_a_panic() {
-        let keys: Vec<u32> = (0..300).collect();
-        let built = LevelCssTree::<u32, 8>::build(&keys);
-        let mut slots = built.directory().to_vec();
-        slots.extend_from_slice(&[0, 0]);
-        let err = LevelCssTree::<u32, 8>::from_shared_with_directory(built.array().clone(), &slots)
-            .expect_err("oversized directory must fail");
-        assert!(err.contains("slots"), "{err}");
+        corrupt_last_slot(Level::<8>, 300);
     }
 
     #[test]

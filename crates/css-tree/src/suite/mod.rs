@@ -126,39 +126,42 @@ pub(crate) fn hits_and_misses<K: Key, S: NodeSearch>(search: S, keys: &[K]) {
     assert_eq!(t.lower_bound(K::MAX_KEY), keys.len());
 }
 
-/// Serialize level by level, reopen from the concatenated pages; a wrong
-/// slot count is an error, not a panic.
+/// What a cold start does instead of reading stored directory pages: a
+/// tree rebuilt over the same shared array (not a copy of it) has a
+/// byte-identical directory, validates, and answers every probe alike.
 pub(crate) fn reassembly<S: NodeSearch>(search: S) {
     for n in [0usize, 3, 97, 260, 4_097] {
         let keys: Vec<u32> = (0..n as u32).map(|i| i * 3).collect();
         let built = tree(search, &keys);
-        let mut slots = Vec::new();
-        for level in 0..built.layout().directory_levels() {
-            slots.extend_from_slice(built.directory_level(level));
-        }
-        assert_eq!(&slots[..], built.directory(), "n={n}");
-        let reopened =
-            CssTree::with_directory(search, built.array().clone(), &slots).expect("geometry");
-        reopened.validate().expect("reopened tree validates");
+        let rebuilt = CssTree::new(search, built.array().clone());
+        assert!(std::ptr::eq(
+            rebuilt.array().as_slice(),
+            built.array().as_slice()
+        ));
+        assert_eq!(rebuilt.directory(), built.directory(), "n={n}");
+        rebuilt.validate().expect("rebuilt tree validates");
         for probe in (0..n as u32 * 3 + 4).step_by(7) {
             assert_eq!(
-                reopened.lower_bound(probe),
+                rebuilt.lower_bound(probe),
                 built.lower_bound(probe),
                 "n={n} probe={probe}"
             );
+            assert_eq!(rebuilt.search(probe), built.search(probe), "n={n}");
         }
     }
-    let keys: Vec<u32> = (0..1_000).collect();
-    let built = tree(search, &keys);
-    let mut short = built.directory().to_vec();
-    short.pop();
-    let mut long = built.directory().to_vec();
-    long.extend_from_slice(&[0, 0]);
-    for slots in [short, long] {
-        let err = CssTree::with_directory(search, built.array().clone(), &slots)
-            .expect_err("wrong slot count must fail");
-        assert!(err.contains("slots"), "{err}");
-    }
+}
+
+/// A tree whose last directory slot was overwritten is an `Err` from
+/// [`CssTree::validate`] naming the slot, never a panic.
+pub(crate) fn corrupt_last_slot<S: NodeSearch>(search: S, n: u32) {
+    let keys: Vec<u32> = (0..n).collect();
+    let mut t = tree(search, &keys);
+    let last = t.directory().len() - 1;
+    t.corrupt_entry_for_test(last);
+    let m = search.slots();
+    let err = t.validate().expect_err("a corrupted slot must fail");
+    let at = format!("node {} entry {}:", last / m, last % m);
+    assert!(err.contains(&at), "{err}");
 }
 
 /// `validate` accepts what `build` produced and catches one changed slot

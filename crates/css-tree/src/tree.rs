@@ -70,27 +70,6 @@ impl<K: Key, S: NodeSearch> Directory<K, S> {
         }
     }
 
-    /// Adopt pre-built slots (a serialized tree's level pages, root level
-    /// first) for an array of `n` elements. Only the slot count is checked
-    /// here; [`validate`](Self::validate) proves the contents.
-    pub(crate) fn with_slots(search: S, n: usize, slots: &[K]) -> Result<Self, String> {
-        let layout = search.layout(n);
-        if slots.len() != layout.directory_slots() {
-            return Err(format!(
-                "{} directory has {} slots, geometry for n={n} m={} needs {}",
-                search.name(),
-                slots.len(),
-                layout.m,
-                layout.directory_slots()
-            ));
-        }
-        Ok(Self {
-            slots: AlignedBuf::from_slice(slots),
-            layout,
-            search,
-        })
-    }
-
     pub(crate) fn layout(&self) -> &CssLayout {
         &self.layout
     }
@@ -197,34 +176,14 @@ impl<K: Key, S: NodeSearch> CssTree<K, S> {
         Self { array, dir }
     }
 
-    /// Reassemble a tree from its shared array plus pre-built directory
-    /// slots (a serialized tree's level pages, concatenated root level
-    /// first, auxiliary slots included) without re-running the fill. The
-    /// slot count must match the geometry recomputed from `(n, m)`; a
-    /// mismatch is an `Err`, never a panic. The slot *contents* are taken
-    /// as given — call [`validate`](Self::validate) on input that was not
-    /// produced by this process.
-    pub fn with_directory(search: S, array: SortedArray<K>, slots: &[K]) -> Result<Self, String> {
-        let dir = Directory::with_slots(search, array.len(), slots)?;
-        Ok(Self { array, dir })
-    }
-
     /// The directory geometry.
     pub fn layout(&self) -> &CssLayout {
         self.dir.layout()
     }
 
-    /// The whole directory, root level first; the per-level pages of
-    /// [`directory_level`](Self::directory_level) concatenate to exactly
-    /// this slice.
+    /// The whole directory, root level first.
     pub fn directory(&self) -> &[K] {
         self.dir.slots().as_slice()
-    }
-
-    /// One directory level's key slots (level 0 = the root) — the page a
-    /// level-addressable serialization writes per level.
-    pub fn directory_level(&self, level: u32) -> &[K] {
-        &self.directory()[self.layout().level_slots(level)]
     }
 
     /// The underlying shared array.
@@ -290,11 +249,6 @@ impl<K: Key, S: NodeSearch + Default> CssTree<K, S> {
     /// As [`CssTree::new`].
     pub fn from_shared(array: SortedArray<K>) -> Self {
         Self::new(S::default(), array)
-    }
-
-    /// As [`CssTree::with_directory`].
-    pub fn from_shared_with_directory(array: SortedArray<K>, slots: &[K]) -> Result<Self, String> {
-        Self::with_directory(S::default(), array, slots)
     }
 }
 

@@ -2,13 +2,16 @@
 //! `ccindex-store` image, reopen it cold without touching the
 //! row-rebuild path.
 //!
-//! The paper's structures are all *bulk-built* (§2.3), which makes them
-//! naturally serializable: the on-disk format stores the arrays — domain
-//! dictionaries, in-place ID columns, sorted RID lists — and the open
-//! path reassembles the catalog from validated parts instead of
-//! re-encoding rows or re-sorting RID lists. That is the cold-start win
-//! `ccbench`'s `refresh` workload measures (`setup_s`,
-//! `mmdb.catalog_decode_ms`).
+//! The paper's structures are all *bulk-built*: §2.3 would "rebuild an
+//! index from scratch after a batch of updates" rather than patch it. So
+//! the image stores only what open cannot derive — each column's domain
+//! dictionary and in-place ID array — and open rebuilds the rest. A
+//! column's sorted RID list is [`RidList::for_column`], a counting sort
+//! of the stored IDs, never a comparison sort; proving a stored copy of
+//! it would cost as much as building it. No index kind holds a structure
+//! of its own (the RID list answers every kind), so a kind is stored as
+//! its code. No row is re-encoded. That is the cold start `ccbench`'s
+//! `refresh` workload measures (`setup_s`, `mmdb.catalog_decode_ms`).
 //!
 //! Layout inside the store container (see `ccindex_store` for the
 //! container format — header, checksummed pages, page table, manifest,
@@ -16,34 +19,31 @@
 //!
 //! * per column: one [`PageKind::DomainValues`] page (the sorted
 //!   dictionary) and one [`PageKind::ColumnIds`] page (4 bytes/row);
-//! * per indexed column: one [`PageKind::RidKeys`] and one
-//!   [`PageKind::RidValues`] page (the sorted RID list). The list keeps
-//!   only each domain ID's first position; save expands those offsets
-//!   into the sorted key array the page has always held, and open folds
-//!   the page back into offsets;
-//! * per CSS kind: one [`PageKind::CssLevel`] page per level of the
-//!   directory over that key array, written root-first. No kind has a
-//!   structure in memory (the RID list answers every kind), so open
-//!   validates these pages and drops them; other kinds store no pages;
-//! * the manifest maps table/column/index names to page IDs.
+//! * the manifest: each table's name and row count, each column's name
+//!   and two page IDs, then each indexed column's name and the codes of
+//!   the kinds created on it.
 //!
 //! The manifest and every page are written and read through
 //! `ccindex_store::bytes`, the byte codec the wire protocol uses too, and
 //! a domain page's values through [`put_value`]/[`get_value`], the one
 //! encoding a [`Value`] has. A short read, a bad tag, invalid UTF-8 or a
 //! trailing byte is the codec's error, built here as a typed
-//! [`StorageFault::Corrupt`] naming the file.
+//! [`StorageFault::Corrupt`] naming the file. An image of another
+//! [`MANIFEST_VERSION`] is a typed [`StorageFault::Version`]; there is
+//! no upgrade path, so an older image is re-saved by the build that
+//! wrote it.
 //!
 //! Everything read back is **validated before construction**: domain
-//! sortedness, ID ranges, RID permutations, the RID-keys/column-IDs
-//! correspondence (every key inside the domain before it indexes the
-//! offsets), and CSS directory geometry. A bit-flipped, truncated, or
+//! sortedness, ID ranges (every stored ID inside its domain before the
+//! column, and so the counting sort's offsets, is built), and every
+//! index record (a column of its table, listed once, with at least one
+//! kind, each kind known and listed once). A bit-flipped, truncated, or
 //! hostile file surfaces as a typed [`MmdbError::Storage`]; what the
 //! validation proved is then handed to the physical layer's proven-input
-//! constructors, so nothing is sorted or searched a second time. A
-//! domain page decodes straight into its representation — `Int` tags
-//! into the typed `i64` array, whose CSS directory is rebuilt (it is not
-//! stored).
+//! constructors, so nothing is sorted by comparison or searched a second
+//! time. A domain page decodes straight into its representation — `Int`
+//! tags into the typed `i64` array, whose CSS directory is rebuilt (it
+//! is not stored).
 //!
 //! Restoring into a live [`Database`] goes through the same
 //! [`SwapSlot`](crate::snapshot::SwapSlot) commit cycle as every other
@@ -102,22 +102,16 @@ use crate::index_choice::IndexKind;
 use crate::rid::RidList;
 use crate::snapshot::CatalogState;
 use crate::table::Table;
-use ccindex_common::SortedArray;
 use ccindex_store::bytes::{ByteReader, ByteWriter};
 use ccindex_store::{PageKind, StoreError, StoreFault, StoreReader, StoreWriter};
-use css_tree::{CssTree, Full, Level, NodeSearch};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::sync::Arc;
 
 /// Version of the *manifest* layout (the container has its own format
-/// version underneath). Bumped when the page/manifest schema changes.
-pub const MANIFEST_VERSION: u32 = 1;
-
-/// CSS node width the catalog builds with (`index_choice` uses 16
-/// four-byte slots = one 64-byte cache line, the §5.1/§6.3 optimum);
-/// the on-disk levels are only valid for the same width.
-const CSS_M: usize = 16;
+/// version underneath). Bumped when the page/manifest schema changes:
+/// version 2 stores no RID list and no CSS directory.
+pub const MANIFEST_VERSION: u32 = 2;
 
 impl From<StoreError> for MmdbError {
     fn from(e: StoreError) -> Self {
@@ -166,47 +160,20 @@ pub fn catalog_to_bytes(state: &CatalogState) -> Vec<u8> {
         for (col_name, col) in entry.table.columns() {
             m.str(col_name);
             m.u32(w.page(PageKind::DomainValues, &encode_domain(col.domain())));
-            m.u32(u32_page(&mut w, PageKind::ColumnIds, col.ids()));
+            m.u32(ids_page(&mut w, col.ids()));
         }
+        // An indexed column's RID list is the counting sort of its
+        // stored IDs, so its record is its name and its kinds' codes.
         m.u32(entry.columns.len() as u32);
         for (col_name, col_entry) in &entry.columns {
             m.str(col_name);
-            // The sorted key array the list addresses instead of storing,
-            // expanded from its offsets for the `RidKeys` page.
-            let keys = SortedArray::from_vec(col_entry.rids.expanded_ids());
-            m.u32(u32_page(&mut w, PageKind::RidKeys, keys.as_slice()));
-            m.u32(u32_page(&mut w, PageKind::RidValues, col_entry.rids.rids()));
             m.u32(col_entry.kinds.len() as u32);
-            for kind in &col_entry.kinds {
-                m.u8(kind_code(*kind));
-                // A CSS kind's directory over the expanded keys is a
-                // deterministic function of them, written root-first as
-                // the format has always carried it; the open path
-                // validates it and drops it. Other kinds carry no pages.
-                match kind {
-                    IndexKind::FullCss => write_css_levels::<Full<CSS_M>>(&mut w, &mut m, &keys),
-                    IndexKind::LevelCss => write_css_levels::<Level<CSS_M>>(&mut w, &mut m, &keys),
-                    _ => m.u32(0),
-                }
+            for &kind in &col_entry.kinds {
+                m.u8(kind_code(kind));
             }
         }
     }
     w.finish(&m.into_bytes())
-}
-
-/// Build the `S` tree over `keys` and write its directory as a level
-/// count plus one [`PageKind::CssLevel`] page per level, root first.
-fn write_css_levels<S: NodeSearch + Default>(
-    w: &mut StoreWriter,
-    m: &mut ByteWriter,
-    keys: &SortedArray<u32>,
-) {
-    let t = CssTree::<u32, S>::from_shared(keys.clone());
-    let levels = t.layout().directory_levels();
-    m.u32(levels);
-    for level in 0..levels {
-        m.u32(u32_page(w, PageKind::CssLevel, t.directory_level(level)));
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -229,8 +196,9 @@ impl Database {
 
     /// Cold-start a database from a store file written by
     /// [`Database::save_to`]: pages are read and validated, the
-    /// catalog is reassembled from parts — no row re-encoding, no RID
-    /// re-sort, no index build.
+    /// catalog is reassembled from parts — no row re-encoding and no
+    /// comparison sort; each indexed column's RID list is the counting
+    /// sort of its stored IDs.
     pub fn open_from(path: impl AsRef<Path>) -> Result<Self> {
         let mut reader = StoreReader::open_file(path.as_ref())?;
         let tables = decode_tables(&mut reader)?;
@@ -295,9 +263,9 @@ fn decode_tables(r: &mut StoreReader) -> Result<BTreeMap<String, Arc<TableEntry>
                 ));
             }
             let values_page = m.u32()?;
-            let ids_page = m.u32()?;
+            let id_page = m.u32()?;
             let domain = decode_domain(r, values_page, &label, &name, &col_name)?;
-            let ids = decode_u32s(r, ids_page, PageKind::ColumnIds, &label)?;
+            let ids = decode_ids(r, id_page, &label)?;
             if ids.len() != rows {
                 return Err(corrupt(
                     &label,
@@ -332,50 +300,33 @@ fn decode_tables(r: &mut StoreReader) -> Result<BTreeMap<String, Arc<TableEntry>
         let mut col_entries: BTreeMap<String, ColumnEntry> = BTreeMap::new();
         for _ in 0..indexed_count {
             let col_name = m.str()?;
-            let col = table.column(&col_name).ok_or_else(|| {
+            let at = |detail: &str| {
                 corrupt(
                     &label,
-                    format!("RID list for `{name}.{col_name}`, which is not a column"),
+                    format!("index record for `{name}.{col_name}`: {detail}"),
                 )
-            })?;
-            let keys_page = m.u32()?;
-            let rids_page = m.u32()?;
-            let keys = decode_u32s(r, keys_page, PageKind::RidKeys, &label)?;
-            let rids = decode_u32s(r, rids_page, PageKind::RidValues, &label)?;
-            let rid_list = fold_rid_list(&label, &name, &col_name, col, &keys, rids)?;
-            // Proven non-decreasing by the fold; only a CSS kind's level
-            // pages need the expanded array, to be validated against.
-            let mut sorted_keys: Option<SortedArray<u32>> = None;
-
+            };
+            let col = table.column(&col_name).ok_or_else(|| at("not a column"))?;
+            if col_entries.contains_key(&col_name) {
+                return Err(at("the column is listed twice"));
+            }
             let index_count = m.u32()?;
+            if index_count == 0 {
+                return Err(at("no index kind"));
+            }
             let mut kinds = BTreeSet::new();
             for _ in 0..index_count {
                 let code = m.u8()?;
-                let kind = kind_from_code(code).ok_or_else(|| {
-                    corrupt(
-                        &label,
-                        format!("`{name}.{col_name}`: unknown index kind code {code}"),
-                    )
-                })?;
-                let level_count = m.u32()?;
-                if level_count > 0 {
-                    let mut slots: Vec<u32> = Vec::new();
-                    for _ in 0..level_count {
-                        let page = m.u32()?;
-                        slots.extend(decode_u32s(r, page, PageKind::CssLevel, &label)?);
-                    }
-                    let keys = sorted_keys.get_or_insert_with(|| SortedArray::from_slice(&keys));
-                    validate_css_levels(&label, &name, &col_name, kind, keys, &slots)?;
+                let kind = kind_from_code(code)
+                    .ok_or_else(|| at(&format!("unknown index kind code {code}")))?;
+                if !kinds.insert(kind) {
+                    return Err(at(&format!("{kind:?} is listed twice")));
                 }
-                kinds.insert(kind);
             }
-            col_entries.insert(
-                col_name,
-                ColumnEntry {
-                    rids: rid_list,
-                    kinds,
-                },
-            );
+            // Every ID was proven inside its domain before `col` was
+            // built, so the counting sort's offsets index safely.
+            let rids = RidList::for_column(col);
+            col_entries.insert(col_name, ColumnEntry { rids, kinds });
         }
         if tables.contains_key(&name) {
             return Err(corrupt(&label, format!("duplicate table `{name}`")));
@@ -390,92 +341,6 @@ fn decode_tables(r: &mut StoreReader) -> Result<BTreeMap<String, Arc<TableEntry>
     }
     m.expect_end()?;
     Ok(tables)
-}
-
-/// Fold a `RidKeys` page into the list's offsets in one validating
-/// pass, proving `keys`/`rids` are exactly `RidList::for_column(col)` —
-/// value order with RID-stable ties over a permutation of the rows, so
-/// each ID's run is as long as the column's count of that ID. A key is
-/// checked against the domain before it indexes the offsets. Anything
-/// less is corruption, reported, never a panic.
-fn fold_rid_list(
-    label: &str,
-    table: &str,
-    column: &str,
-    col: &Column,
-    keys: &[u32],
-    rids: Vec<u32>,
-) -> Result<RidList> {
-    let at = |detail: String| corrupt(label, format!("RID list for `{table}.{column}`: {detail}"));
-    let rows = col.len();
-    if keys.len() != rows || rids.len() != rows {
-        return Err(at(format!(
-            "{} keys / {} RIDs for {rows} rows",
-            keys.len(),
-            rids.len()
-        )));
-    }
-    let domain = col.domain().len();
-    let mut offsets = vec![0u32; domain + 1];
-    let mut seen = vec![false; rows];
-    for (pos, (&key, &rid)) in keys.iter().zip(&rids).enumerate() {
-        if key as usize >= domain {
-            return Err(at(format!(
-                "key {key} at position {pos} outside the {domain}-value domain"
-            )));
-        }
-        if rid as usize >= rows {
-            return Err(at(format!("RID {rid} out of range at position {pos}")));
-        }
-        if seen[rid as usize] {
-            return Err(at(format!("RID {rid} appears twice")));
-        }
-        seen[rid as usize] = true;
-        if pos > 0 && (key, rid) < (keys[pos - 1], rids[pos - 1]) {
-            return Err(at(format!("unsorted at position {pos}")));
-        }
-        // With every row placed once, this makes each run's length the
-        // column's count of its ID.
-        if col.id(rid) != key {
-            return Err(at(format!(
-                "key {key} at position {pos} disagrees with the column's ID for row {rid}"
-            )));
-        }
-        offsets[key as usize + 1] += 1;
-    }
-    for id in 1..offsets.len() {
-        offsets[id] += offsets[id - 1];
-    }
-    // The counts sum to the row count: the asserting constructor holds.
-    Ok(RidList::from_parts(offsets, rids))
-}
-
-/// Prove a CSS kind's concatenated level pages are the directory its
-/// geometry builds over `keys`: a slot count that does not match the
-/// geometry, or a slot that is not the largest key under its child, is a
-/// typed corruption error. The directory is then dropped — the RID list
-/// answers the kind — but a stored page is never accepted unproven.
-fn validate_css_levels(
-    label: &str,
-    table: &str,
-    column: &str,
-    kind: IndexKind,
-    keys: &SortedArray<u32>,
-    slots: &[u32],
-) -> Result<()> {
-    let wrap = |e: String| corrupt(label, format!("{kind:?} index on `{table}.{column}`: {e}"));
-    fn open<S: NodeSearch + Default>(
-        keys: &SortedArray<u32>,
-        slots: &[u32],
-    ) -> std::result::Result<(), String> {
-        CssTree::<u32, S>::from_shared_with_directory(keys.clone(), slots)?.validate()
-    }
-    match kind {
-        IndexKind::FullCss => open::<Full<CSS_M>>(keys, slots),
-        IndexKind::LevelCss => open::<Level<CSS_M>>(keys, slots),
-        other => Err(format!("{other:?} indexes carry no directory pages")),
-    }
-    .map_err(wrap)
 }
 
 // ---------------------------------------------------------------------
@@ -571,27 +436,21 @@ fn decode_domain(
     })
 }
 
-/// Append a page of little-endian `u32`s and return its id. Every such
-/// page leads with its entry count except a CSS level, whose length the
-/// directory's geometry fixes.
-fn u32_page(w: &mut StoreWriter, kind: PageKind, vals: &[u32]) -> u32 {
-    let mut page = ByteWriter::with_capacity(4 + vals.len() * 4);
-    if kind != PageKind::CssLevel {
-        page.u32(vals.len() as u32);
-    }
-    page.u32s(vals);
-    w.page(kind, &page.into_bytes())
+/// Append a column's in-place IDs as a [`PageKind::ColumnIds`] page of
+/// little-endian `u32`s led by their count, and return its id.
+fn ids_page(w: &mut StoreWriter, ids: &[u32]) -> u32 {
+    let mut page = ByteWriter::with_capacity(4 + ids.len() * 4);
+    page.u32(ids.len() as u32);
+    page.u32s(ids);
+    w.page(PageKind::ColumnIds, &page.into_bytes())
 }
 
-/// Read back a [`u32_page`] of `kind`; a count that disagrees with the
-/// page's length is a typed corruption error.
-fn decode_u32s(r: &mut StoreReader, page: u32, kind: PageKind, label: &str) -> Result<Vec<u32>> {
-    let bytes = r.read_page_expect(page, kind)?;
+/// Read back an [`ids_page`]; a count that disagrees with the page's
+/// length is a typed corruption error.
+fn decode_ids(r: &mut StoreReader, page: u32, label: &str) -> Result<Vec<u32>> {
+    let bytes = r.read_page_expect(page, PageKind::ColumnIds)?;
     let mut c = ByteReader::new(&bytes, label, corrupt);
-    let count = match kind {
-        PageKind::CssLevel => c.remaining() / 4,
-        _ => c.u32()? as usize,
-    };
+    let count = c.u32()? as usize;
     let vals = c.u32s(count)?;
     c.expect_end()?;
     Ok(vals)
@@ -871,7 +730,7 @@ mod tests {
         m.u32(1);
         m.str("c");
         m.u32(w.page(PageKind::DomainValues, &page.into_bytes()));
-        m.u32(u32_page(&mut w, PageKind::ColumnIds, ids));
+        m.u32(ids_page(&mut w, ids));
         m.u32(0);
         w.finish(&m.into_bytes())
     }
@@ -940,64 +799,81 @@ mod tests {
         );
     }
 
-    /// A one-table (`t`), one-column (`c`) image over the rows
-    /// `10, 20, 10, 30` (IDs `0, 1, 0, 2`), indexed as `BinarySearch`
-    /// with the given `RidKeys` and `RidValues` pages.
-    fn image_with_rid_pages(keys: &[u32], rids: &[u32]) -> Vec<u8> {
+    /// A one-table (`t`), one-column (`c`) image over the domain
+    /// `10, 20, 30` with the in-place IDs `ids`, and one index record per
+    /// entry of `records`: the column it names and its kind codes.
+    fn indexed_image(ids: &[u32], records: &[(&str, &[u8])]) -> Vec<u8> {
         let domain = Domain::from_values([10, 20, 30].map(Value::Int).to_vec());
         let mut w = StoreWriter::new();
         let mut m = ByteWriter::new();
         m.u32(MANIFEST_VERSION);
         m.u32(1);
         m.str("t");
-        m.u64(4);
+        m.u64(ids.len() as u64);
         m.u32(1);
         m.str("c");
         m.u32(w.page(PageKind::DomainValues, &encode_domain(&domain)));
-        m.u32(u32_page(&mut w, PageKind::ColumnIds, &[0, 1, 0, 2]));
-        m.u32(1);
-        m.str("c");
-        m.u32(u32_page(&mut w, PageKind::RidKeys, keys));
-        m.u32(u32_page(&mut w, PageKind::RidValues, rids));
-        m.u32(1);
-        m.u8(kind_code(IndexKind::BinarySearch));
-        m.u32(0);
+        m.u32(ids_page(&mut w, ids));
+        m.seq(records, |m, (column, codes)| {
+            m.str(column);
+            m.seq(codes, |m, &code| m.u8(code));
+        });
         w.finish(&m.into_bytes())
     }
 
+    fn assert_corrupt(image: Vec<u8>, says: &str) {
+        let err = Database::open_from_bytes(image, "hostile").expect_err(says);
+        assert!(
+            matches!(
+                err,
+                MmdbError::Storage {
+                    fault: StorageFault::Corrupt,
+                    ..
+                }
+            ),
+            "{says}: {err:?}"
+        );
+        assert!(err.to_string().contains(says), "{err}");
+    }
+
+    /// The RID list is the counting sort of the stored IDs, which indexes
+    /// `offsets` by ID: an out-of-domain ID on an indexed column is typed
+    /// corruption before any list is built, never a panic.
     #[test]
     fn hostile_rid_key_pages_are_typed_corruption_before_the_fold() {
+        let binary = kind_code(IndexKind::BinarySearch);
         let good =
-            Database::open_from_bytes(image_with_rid_pages(&[0, 0, 1, 2], &[0, 2, 1, 3]), "ok")
-                .expect("the list `for_column` builds");
+            Database::open_from_bytes(indexed_image(&[0, 1, 0, 2], &[("c", &[binary])]), "ok")
+                .expect("a valid indexed column");
         let rids = good.query("t").filter(eq("c", 10)).run().expect("query");
         assert_eq!(rids.rids(), &[0, 2]);
-        for (keys, rids, says) in [
-            // A key past the 3-value domain: it must never index the
-            // offsets.
-            (&[0, 0, 1, 3], &[0, 2, 1, 3], "outside the 3-value domain"),
-            // A key run that steps down, over rows that carry those IDs.
-            (&[0, 1, 0, 2], &[0, 1, 2, 3], "unsorted at position 2"),
-            // Runs of lengths 1, 2, 1 where the column holds 2, 1, 1.
+        for ids in [[0, 1, 0, 3], [u32::MAX, 1, 0, 2]] {
+            let image = indexed_image(&ids, &[("c", &[binary])]);
+            assert_corrupt(image, "outside its 3-value domain");
+        }
+    }
+
+    /// Each index record names a column of its table once, with at least
+    /// one kind and no kind twice: anything else is typed corruption
+    /// naming the table and column, not a silent overwrite, a column
+    /// entry no mutation could leave, or a deduplicated kind.
+    #[test]
+    fn index_records_are_validated_before_the_catalog_is_built() {
+        let (full, hash) = (kind_code(IndexKind::FullCss), kind_code(IndexKind::Hash));
+        let ids = [0, 1, 0, 2];
+        for (records, says) in [
             (
-                &[0, 1, 1, 2],
-                &[0, 2, 1, 3],
-                "disagrees with the column's ID",
+                &[("c", &[full][..]), ("c", &[hash][..])][..],
+                "`t.c`: the column is listed twice",
             ),
+            (&[("c", &[][..])][..], "`t.c`: no index kind"),
+            (
+                &[("c", &[full, full][..])][..],
+                "`t.c`: FullCss is listed twice",
+            ),
+            (&[("d", &[full][..])][..], "`t.d`: not a column"),
         ] {
-            let err = Database::open_from_bytes(image_with_rid_pages(keys, rids), "rid")
-                .expect_err("a hostile RID list");
-            assert!(
-                matches!(
-                    err,
-                    MmdbError::Storage {
-                        fault: StorageFault::Corrupt,
-                        ..
-                    }
-                ),
-                "{keys:?}: {err:?}"
-            );
-            assert!(err.to_string().contains(says), "{err}");
+            assert_corrupt(indexed_image(&ids, records), says);
         }
     }
 
@@ -1030,58 +906,136 @@ mod tests {
         assert_eq!(db.generation(), before, "nothing is replaced");
     }
 
+    /// No kind stores a structure: a column indexed `FullCss`,
+    /// `LevelCss` or both saves to images whose pages are identical and
+    /// whose manifests differ only in the kind codes, and each reopens to
+    /// the answers of the catalog that saved it, through every kind.
     #[test]
     fn rewritten_css_directory_slots_are_typed_corruption() {
-        for kind in [IndexKind::FullCss, IndexKind::LevelCss] {
+        let (full, level) = (IndexKind::FullCss, IndexKind::LevelCss);
+        let saved = |kinds: &[IndexKind]| {
             let mut db = Database::new();
             db.register(
                 TableBuilder::new("t")
-                    .int_column("k", (0..600).map(|i| i * 7))
+                    .int_column("k", (0..600).map(|i| i * 7 % 1_000))
                     .build()
                     .expect("one column"),
             )
             .expect("fresh name");
-            db.create_index("t", "k", kind).expect("index");
-            let mut src = StoreReader::open_bytes(db.save_to_bytes(), "src").expect("own image");
-            let css_pages: Vec<u32> = (0..src.page_count())
-                .filter(|&id| src.page_kind(id) == Some(PageKind::CssLevel))
+            for &kind in kinds {
+                db.create_index("t", "k", kind).expect("index");
+            }
+            let image = db.save_to_bytes();
+            let mut r = StoreReader::open_bytes(image.clone(), "image").expect("own image");
+            let pages: Vec<_> = (0..r.page_count())
+                .map(|id| (r.page_kind(id), r.read_page(id).expect("own page")))
                 .collect();
-            assert!(
-                css_pages.len() >= 2,
-                "{kind:?}: a directory of several levels"
-            );
-            // Copy the image page by page — the writer computes every
-            // CRC afresh — changing the first or the last slot of one
-            // directory level. The last slot of a level node is never
-            // compared against a probe, so only validation can see it.
-            for &victim in &css_pages {
-                for last in [false, true] {
-                    let mut w = StoreWriter::new();
-                    for id in 0..src.page_count() {
-                        let mut page = src.read_page(id).expect("own page");
-                        if id == victim {
-                            let at = if last { page.len() - 4 } else { 0 };
-                            page[at] ^= 1;
-                        }
-                        let kind = src.page_kind(id).expect("own page");
-                        assert_eq!(w.page(kind, &page), id);
-                    }
-                    let err = Database::open_from_bytes(w.finish(src.manifest()), "slot")
-                        .expect_err("a wrong directory slot");
-                    assert!(
-                        matches!(
-                            err,
-                            MmdbError::Storage {
-                                fault: StorageFault::Corrupt,
-                                ..
-                            }
-                        ),
-                        "{kind:?} page {victim}: {err:?}"
-                    );
-                    assert!(err.to_string().contains("index on `t.k`"), "{err}");
+            (kinds.to_vec(), db, image, pages, r.manifest().to_vec())
+        };
+        let cases = [saved(&[full]), saved(&[level]), saved(&[full, level])];
+        let (_, _, _, base_pages, base_manifest) = &cases[0];
+        // The manifest ends with the one record: `k`, a kind count, codes.
+        let head = base_manifest.len() - 4 - 1;
+        for (kinds, db, image, pages, manifest) in &cases {
+            assert_eq!(pages, base_pages);
+            assert_eq!(manifest[..head], base_manifest[..head]);
+            let mut tail = ByteWriter::new();
+            tail.seq(kinds, |m, &kind| m.u8(kind_code(kind)));
+            assert_eq!(manifest[head..], tail.into_bytes());
+
+            let back = Database::open_from_bytes(image.clone(), "reopen").expect("reopen");
+            assert_eq!(back.save_to_bytes(), *image);
+            for &kind in kinds {
+                for filter in [eq("k", 707), eq("k", 3), between("k", 100, 350)] {
+                    let run = |db: &Database| {
+                        let q = db.query("t").filter(filter.clone()).using(kind);
+                        q.run().expect("query").rids().to_vec()
+                    };
+                    assert_eq!(run(&back), run(db), "{kind:?} {filter:?}");
                 }
             }
         }
+    }
+
+    /// `refresh`'s shape at paper scale: 2M rows uniform in `[0, 4M)`,
+    /// indexed `FullCss` + `Hash`. Open rebuilds the live RID list, the
+    /// probes answer alike, and the image is exactly what the schema
+    /// predicts: the header, one domain page, one ID page, the page
+    /// table, the manifest and the trailer.
+    #[test]
+    #[ignore = "2M rows; run with `cargo test --release -p mmdb -- --ignored`"]
+    fn refresh_shaped_image_reopens_to_the_live_lists_at_two_million_rows() {
+        use crate::plan::CatalogRead;
+        const ROWS: u64 = 2_000_000;
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % (2 * ROWS)) as i64
+        };
+        let keys: Vec<i64> = (0..ROWS).map(|_| next()).collect();
+        let mut db = Database::new();
+        db.register(
+            TableBuilder::new("orders")
+                .int_column("key", keys)
+                .build()
+                .expect("one column"),
+        )
+        .expect("fresh name");
+        for kind in [IndexKind::FullCss, IndexKind::Hash] {
+            db.create_index("orders", "key", kind).expect("index");
+        }
+        let image = db.save_to_bytes();
+        let back = Database::open_from_bytes(image.clone(), "paper").expect("open");
+
+        let list = |db: &Database| db.tables["orders"].columns["key"].rids.clone();
+        let (live, reopened) = (list(&db), list(&back));
+        assert_eq!(reopened.rids(), live.rids());
+        assert_eq!(reopened.expanded_ids(), live.expanded_ids());
+
+        let starts: Vec<i64> = (0..8_192).map(|_| next()).collect();
+        let probes: Vec<Value> = starts.iter().map(|&k| Value::Int(k)).collect();
+        let ranges: Vec<(Value, Value)> = starts
+            .iter()
+            .map(|&k| (Value::Int(k), Value::Int(k + 50)))
+            .collect();
+        assert_eq!(
+            back.point_probe_batch("orders", "key", &probes).unwrap(),
+            db.point_probe_batch("orders", "key", &probes).unwrap()
+        );
+        assert_eq!(
+            back.range_probe_batch("orders", "key", &ranges).unwrap(),
+            db.range_probe_batch("orders", "key", &ranges).unwrap()
+        );
+        for kind in [IndexKind::FullCss, IndexKind::Hash] {
+            for &k in &starts[..64] {
+                let rids = |db: &Database| {
+                    let q = db.query("orders").filter(eq("key", k)).using(kind);
+                    q.run().expect("query").rids().to_vec()
+                };
+                assert_eq!(rids(&back), rids(&db), "{kind:?} {k}");
+            }
+        }
+
+        let distinct = back
+            .table("orders")
+            .unwrap()
+            .column("key")
+            .unwrap()
+            .domain()
+            .len();
+        let manifest = 4 + 4 // version, table count
+            + (4 + 6) + 8 + 4 // `orders`, its rows, its column count
+            + (4 + 3) + 4 + 4 // `key`, its domain and ID page IDs
+            + 4 + (4 + 3) + 4 + 2; // one index record: `key`, two kinds
+        let predicted = 8 // header
+            + (4 + 9 * distinct) // domain page: count, then tag + i64 per value
+            + (4 + 4 * ROWS as usize) // ID page: count, then a u32 per row
+            + (4 + 2 * 21) // page table: count, then (kind, offset, len, crc)
+            + (4 + manifest) // the manifest blob
+            + 24; // trailer
+        assert_eq!(image.len(), predicted);
     }
 
     #[test]

@@ -70,8 +70,7 @@ impl RidList {
         Self::from_parts(offsets, rids)
     }
 
-    /// Reassemble from a column's prefix sums and sorted RIDs (the
-    /// storage reader, after proving them).
+    /// Assemble from a column's prefix sums and sorted RIDs.
     pub(crate) fn from_parts(offsets: Vec<u32>, rids: Vec<u32>) -> Self {
         assert_eq!(
             offsets.last().map(|&end| end as usize),
@@ -140,9 +139,8 @@ impl RidList {
     }
 
     /// The sorted ID array the list addresses instead of storing: ID
-    /// `id` repeated once per row that carries it (what the storage
-    /// format's `RidKeys` page holds, and what a baseline index is built
-    /// over).
+    /// `id` repeated once per row that carries it (what a baseline index
+    /// is built over).
     pub fn expanded_ids(&self) -> Vec<u32> {
         let mut keys = Vec::with_capacity(self.len());
         for (id, run) in (0u32..).zip(self.offsets.windows(2)) {

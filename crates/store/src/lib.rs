@@ -5,11 +5,12 @@
 //! sorted data — cheap to build and, by the same token, naturally
 //! page-serializable. This crate is the container half of that story:
 //! a dumb, dependency-free **paged store** in the spirit of geomedea's
-//! packed R-tree files (streaming per-level writes, a footer locating
-//! every section, reads of only the touched slice). The schema half —
-//! what the pages *mean* — lives in `mmdb`'s persist module, which
-//! writes one page per CSS-tree directory level, per column value
-//! vector, per RID list, and a manifest tying them together.
+//! packed R-tree files (streaming writes, a footer locating every
+//! section, reads of only the touched slice). The schema half — what
+//! the pages *mean* — lives in `mmdb`'s persist module, which writes
+//! two pages per column (its domain's values and its in-place IDs) and
+//! a manifest tying them together; everything else a catalog holds is
+//! rebuilt from those at open.
 //!
 //! ## File layout
 //!
@@ -24,8 +25,7 @@
 //! * **pages** — raw payload bytes, back to back. Each page's kind,
 //!   offset, length, and CRC-32 live in the footer's page table, so a
 //!   reader seeks straight to the pages it needs and validates each
-//!   one independently — a cold start reads exactly the levels a
-//!   probe descent touches, not the whole file.
+//!   one independently.
 //! * **footer** — page count, one `(kind, offset, len, crc)` entry per
 //!   page, then the caller's manifest blob.
 //! * **trailer** — footer offset + length + CRC and magic `CCSF`,
@@ -85,17 +85,22 @@ pub const MAX_PAGES: u32 = 1 << 20;
 /// before decoding it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PageKind {
-    /// A sorted `u32` key array (LE), shared by a column's indexes.
+    /// A sorted `u32` key array (LE). No catalog writes it; the code
+    /// stays reserved.
     SortedKeys,
     /// A column's domain dictionary: its distinct values, sorted.
     DomainValues,
     /// A column's dense domain-ID vector (`u32` LE per row).
     ColumnIds,
-    /// The sorted key half of a RID list (`u32` LE).
+    /// The sorted key half of a RID list (`u32` LE), which manifest
+    /// version 1 stored. A catalog now rebuilds the list from its
+    /// column's IDs; the code stays reserved.
     RidKeys,
-    /// The RID half of a RID list, parallel to its keys (`u32` LE).
+    /// The RID half of a RID list, parallel to its keys (`u32` LE), which
+    /// manifest version 1 stored; the code stays reserved.
     RidValues,
-    /// One CSS-tree directory level's node slots (`u32` LE).
+    /// One CSS-tree directory level's node slots (`u32` LE), which
+    /// manifest version 1 stored and validated; the code stays reserved.
     CssLevel,
     /// Uninterpreted bytes (the escape hatch for layered formats).
     Raw,

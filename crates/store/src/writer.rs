@@ -1,6 +1,5 @@
 //! Streaming store writer: pages are appended as they are produced
-//! (a CSS-tree writes one page per directory level, geomedea-style),
-//! the footer and trailer land last.
+//! (geomedea-style), the footer and trailer land last.
 
 use std::path::Path;
 

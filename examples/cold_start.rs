@@ -1,12 +1,14 @@
 //! Persistence and cold start: save a catalog to the paged on-disk
 //! container, reopen it, and get byte-identical answers — without
-//! re-sorting a single RID list or rebuilding a single index.
+//! re-encoding a single row or comparison-sorting anything.
 //!
-//! The container stores each column's sorted RID list and each
-//! CSS-tree's directory levels as validated, CRC-checksummed pages, so
-//! `Database::open_from` is a decode, not a rebuild. A corrupted or
-//! truncated file surfaces as a typed `MmdbError::Storage` — never a
-//! panic.
+//! The container stores only what open cannot derive: each column's
+//! domain values and in-place IDs, as validated, CRC-checksummed pages.
+//! `Database::open_from` decodes those and rebuilds each indexed
+//! column's RID list by a counting sort of its IDs, the same build
+//! `create_index` runs; no index kind holds a structure of its own. A
+//! corrupted or truncated file surfaces as a typed `MmdbError::Storage`
+//! — never a panic.
 //!
 //! ```sh
 //! cargo run --release --example cold_start
@@ -19,8 +21,8 @@ use std::time::Instant;
 fn main() -> Result<(), MmdbError> {
     let n = 1_000_000usize;
 
-    // Build a catalog the expensive way: register rows, sort RID lists,
-    // build indexes.
+    // Build a catalog the expensive way: encode the rows into domains
+    // and IDs, then sort each indexed column's RID list.
     let t0 = Instant::now();
     let mut db = Database::new();
     db.register(
@@ -37,8 +39,8 @@ fn main() -> Result<(), MmdbError> {
     db.create_index("orders", "day", IndexKind::Hash)?;
     let built = t0.elapsed();
 
-    // Save the whole catalog — tables, columns, RID lists, CSS
-    // directory levels — as one paged, checksummed container.
+    // Save the whole catalog — tables, each column's domain and IDs,
+    // each indexed column's kinds — as one paged, checksummed container.
     let dir = std::env::temp_dir().join(format!("ccindex-cold-start-{}", std::process::id()));
     std::fs::create_dir_all(&dir).map_err(|e| MmdbError::Storage {
         path: dir.display().to_string(),
@@ -48,8 +50,9 @@ fn main() -> Result<(), MmdbError> {
     let path = dir.join("orders.ccsp");
     db.save_to(&path)?;
 
-    // Cold start: reopen from disk. No sorting, no index builds — the
-    // pages decode straight into the serving structures.
+    // Cold start: reopen from disk. No row is encoded again: the pages
+    // decode straight into the domains and ID arrays, and each RID list
+    // is a counting sort of its column's IDs.
     let t0 = Instant::now();
     let reopened = Database::open_from(&path)?;
     let opened = t0.elapsed();

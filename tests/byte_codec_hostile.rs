@@ -142,18 +142,14 @@ const IMAGE: &str = "hostile-image.ccs";
 
 /// A store image whose page 0 is `PAD` unreferenced bytes, then
 /// `domain` as page 1 and the two-row array `[0, 1]` as the column's
-/// IDs (page 2), its RID list's keys (page 3) and its RIDs (page 4),
-/// sealed with `manifest`.
+/// IDs (page 2), sealed with `manifest`.
 fn catalog_image(domain: &[u8], manifest: ByteWriter) -> Vec<u8> {
     let mut w = StoreWriter::new();
     w.page(PageKind::Raw, &[0; PAD]);
     w.page(PageKind::DomainValues, domain);
-    let mut pair = ByteWriter::new();
-    pair.seq(&[0u32, 1], |w, id| w.u32(*id));
-    let pair = pair.into_bytes();
-    for kind in [PageKind::ColumnIds, PageKind::RidKeys, PageKind::RidValues] {
-        w.page(kind, &pair);
-    }
+    let mut ids = ByteWriter::new();
+    ids.seq(&[0u32, 1], |w, id| w.u32(*id));
+    w.page(PageKind::ColumnIds, &ids.into_bytes());
     w.finish(&manifest.into_bytes())
 }
 
@@ -170,7 +166,7 @@ fn manifest_head(table: &[u8]) -> ByteWriter {
 }
 
 /// A manifest of table `t` (named by the raw bytes `table`) with one
-/// column `c` (domain page 1, ID page 2), its RID-list records still to
+/// column `c` (domain page 1, ID page 2), its index records still to
 /// come.
 fn one_column_manifest(table: &[u8]) -> ByteWriter {
     let mut m = manifest_head(table);
@@ -227,8 +223,6 @@ fn image_failures() {
     let mut bad_tag = one_column_manifest(b"t");
     bad_tag.u32(1);
     bad_tag.str("c");
-    bad_tag.u32(3);
-    bad_tag.u32(4);
     bad_tag.u32(1);
     bad_tag.u8(200);
     let image = catalog_image(&domain(), bad_tag);

@@ -172,11 +172,36 @@ fn golden_catalog() -> Database {
     db
 }
 
-/// `golden_catalog().save_to_bytes()` as written by the build *before*
-/// domains became typed arrays and columns were encoded by rank
-/// (manifest version 1). The format did not move, so this build must
-/// write the same bytes and read them back.
+/// `golden_catalog().save_to_bytes()` in manifest version 2: per column
+/// a domain page and an ID page, per indexed column its name and kind
+/// codes. This build must write the same bytes and read them back.
 const GOLDEN_IMAGE: &str = "\
+    4343535001000000030000000001000000000000000002000000000000000003\
+    000000000000000300000002000000000000000100000004000000000a000000\
+    00000000001400000000000000001e0000000000000000280000000000000007\
+    0000000200000000000000010000000000000002000000030000000000000004\
+    00000001010000006501010000006e0101000000730101000000770700000000\
+    0000000300000000000000010000000300000000000000020000000500000000\
+    fdffffffffffffff00070000000000000000ffffffffffffff7f010100000061\
+    0101000000780700000001000000040000000000000003000000010000000400\
+    000002000000080000000108000000000000001f0000000000000070a48fc702\
+    270000000000000010000000000000005d06f491013700000000000000280000\
+    00000000001423454b025f000000000000002000000000000000381f27a5017f\
+    000000000000001c0000000000000037f7e0ea029b0000000000000020000000\
+    00000000fa657e8a01bb000000000000002b00000000000000eca1260f02e600\
+    0000000000002000000000000000961a0255aa00000002000000020000000300\
+    000064696d030000000000000001000000020000006964000000000100000000\
+    0000000500000073616c657307000000000000000300000006000000616d6f75\
+    6e74020000000300000006000000726567696f6e040000000500000003000000\
+    74616706000000070000000300000006000000616d6f756e7408000000000102\
+    030405060706000000726567696f6e0100000004030000007461670100000005\
+    06010000000000005a010000000000001547472443435346";
+
+/// `golden_catalog().save_to_bytes()` in manifest version 1, which also
+/// stored each indexed column's RID list as a key page and a RID page,
+/// and each CSS kind's directory as one page per level. This build reads
+/// only version 2: it must refuse the image as a typed version error.
+const GOLDEN_IMAGE_V1: &str = "\
     4343535001000000030000000001000000000000000002000000000000000003\
     000000000000000300000002000000000000000100000004000000000a000000\
     00000000001400000000000000001e0000000000000000280000000000000007\
@@ -210,17 +235,35 @@ const GOLDEN_IMAGE: &str = "\
     000400000000030000007461670c0000000d000000010000000500000000c601\
     000000000000180200000000000019237d2143435346";
 
-fn golden_image() -> Vec<u8> {
-    (0..GOLDEN_IMAGE.len())
+fn unhex(hex: &str) -> Vec<u8> {
+    (0..hex.len())
         .step_by(2)
-        .map(|i| u8::from_str_radix(&GOLDEN_IMAGE[i..i + 2], 16).unwrap())
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
         .collect()
 }
 
 #[test]
+fn a_version_1_image_is_a_typed_version_error() {
+    match Database::open_from_bytes(unhex(GOLDEN_IMAGE_V1), "golden-v1") {
+        Err(MmdbError::Storage {
+            path,
+            fault: StorageFault::Version,
+            detail,
+        }) => {
+            assert_eq!(path, "golden-v1");
+            assert!(
+                detail.contains("version 1") && detail.contains("reads 2"),
+                "{detail}"
+            );
+        }
+        other => panic!("expected a typed version error, got {other:?}"),
+    }
+}
+
+#[test]
 fn golden_image_is_written_and_read_unchanged() {
-    assert_eq!(ccindex::db::persist::MANIFEST_VERSION, 1);
-    let golden = golden_image();
+    assert_eq!(ccindex::db::persist::MANIFEST_VERSION, 2);
+    let golden = unhex(GOLDEN_IMAGE);
     let live = golden_catalog();
     assert_eq!(live.save_to_bytes(), golden, "the stored format moved");
 
