@@ -7,8 +7,9 @@
 //! makes it enforceable as a required CI job.
 //!
 //! `lint --loc <paths..>` counts non-test code lines instead
-//! ([`check::lint::code_lines`]): one line per path (a crate's `src/`,
-//! a directory, or a file), then the total.
+//! ([`check::lint::code_lines_under`]): one line per path (a crate's
+//! `src/`, a directory, or a file), then the total. A file mounted
+//! behind a `#[cfg(test)]` module declaration counts nothing.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -11,7 +11,7 @@
 //! | H1   | every `lib.rs` opens with `//!` docs and declares `#![deny(unsafe_op_in_unsafe_fn)]` |
 //! | W1   | no `.unwrap()` / `.expect(` on socket- or file-I/O lines — transport and storage faults must map to typed errors |
 //! | M1   | metric names at registration sites (`.counter("…")` / `.gauge("…")` / `.histogram("…")`) are `dot.separated` lowercase, and each name is registered at exactly one source site workspace-wide |
-//! | U1   | every `pub` item of a library crate is named somewhere outside its defining file's `#[cfg(test)]` code (the whole workspace, `ccbench/` included, counts, and so do `README.md`'s Rust fences; `use` lines do not), unless the facade prelude re-exports it or [`U1_ALLOWED`] lists it with a reason |
+//! | U1   | every `pub` item of a library crate is named somewhere outside its defining file's `#[cfg(test)]` code and the files its crate mounts behind a `#[cfg(test)]` (the whole workspace, `ccbench/` included, counts, and so do `README.md`'s Rust fences; `use` lines do not), unless the facade prelude re-exports it or [`U1_ALLOWED`] lists it with a reason |
 //! | B1   | no `from_le_bytes` and no `CRC_TABLE` outside the byte codec, `crates/store/src/bytes.rs` (`#[cfg(test)]` code exempt) — every byte the wire, the store and the manifest read goes through the one bounds-checked reader and the one CRC-32 |
 //! | D1   | `README.md`'s Rust fences, which run as doctests of the facade crate, execute: no `ignore`, `no_run` only under a `// Not run: <reason>` first line, and a block whose only items are `fn`s other than `main` calls one of them |
 //!
@@ -73,6 +73,7 @@
 //! It is a lint, not a parser — it prefers a rare false positive (fix:
 //! write the comment) over a dependency on a Rust parser crate.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -213,8 +214,9 @@ fn unused_pub_items(root: &Path) -> std::io::Result<Vec<Violation>> {
                 line,
                 rule: "U1",
                 message: format!(
-                    "pub `{name}` is named nowhere outside this file's tests; delete it, or \
-                     list it in `check::lint::U1_ALLOWED` with a reason"
+                    "pub `{name}` is named nowhere outside this file's tests and its crate's \
+                     test-only files; delete it, or list it in `check::lint::U1_ALLOWED` with \
+                     a reason"
                 ),
             }),
         }
@@ -237,8 +239,10 @@ fn unused_pub_items(root: &Path) -> std::io::Result<Vec<Violation>> {
 /// Rule U1's scan: `(file, line, name)` for every `pub` item defined
 /// outside test code in a file `is_library` accepts whose name appears
 /// in no code of `sources` — every source file of the workspace — except
-/// its own definition line, `use` statements, and its defining file's
-/// `#[cfg(test)]` code. Comments and string literals are not code.
+/// its own definition line, `use` statements, its defining file's
+/// `#[cfg(test)]` code, and the files its crate mounts behind a
+/// `#[cfg(test)]` (see `test_mounted_files`). Comments and string
+/// literals are not code.
 pub fn unreferenced_pub_items(
     sources: &[(PathBuf, String)],
     is_library: impl Fn(&Path) -> bool,
@@ -262,10 +266,15 @@ pub fn unreferenced_pub_items(
             }
         })
         .collect();
-    // Uses per name across the workspace, and per file inside its tests.
+    let mounted = test_mounted_files(sources);
+    let scopes: BTreeSet<&PathBuf> = mounted.values().collect();
+    // Uses per name across the workspace, per file inside its tests, and
+    // per crate inside the files it mounts behind a `#[cfg(test)]`.
     let mut uses: HashMap<&str, usize> = HashMap::new();
     let mut test_uses: HashMap<(usize, &str), usize> = HashMap::new();
+    let mut mounted_uses: HashMap<(&Path, &str), usize> = HashMap::new();
     for (f, scan) in scans.iter().enumerate() {
+        let scope = mounted.get(&sources[f].0);
         for (i, line) in scan.code.iter().enumerate() {
             if scan.in_use[i] {
                 continue;
@@ -274,6 +283,9 @@ pub fn unreferenced_pub_items(
                 *uses.entry(word).or_default() += 1;
                 if scan.in_test[i] {
                     *test_uses.entry((f, word)).or_default() += 1;
+                }
+                if let Some(scope) = scope {
+                    *mounted_uses.entry((scope, word)).or_default() += 1;
                 }
             }
         }
@@ -291,7 +303,14 @@ pub fn unreferenced_pub_items(
                 continue;
             };
             let on_line = words(line).filter(|w| *w == name).count();
-            let own_tests = test_uses.get(&(f, name)).copied().unwrap_or(0);
+            let mut own_tests = test_uses.get(&(f, name)).copied().unwrap_or(0);
+            if !mounted.contains_key(file) {
+                own_tests += scopes
+                    .iter()
+                    .filter(|scope| file.starts_with(scope))
+                    .filter_map(|scope| mounted_uses.get(&(scope.as_path(), name)))
+                    .sum::<usize>();
+            }
             if uses[name] == on_line + own_tests {
                 out.push((file.clone(), i + 1, name.to_owned()));
             }
@@ -915,18 +934,109 @@ pub fn code_lines(text: &str) -> usize {
 }
 
 /// [`code_lines`] summed over `path`: one `.rs` file, or every `.rs`
-/// file under a directory.
+/// file under a directory. A file mounted behind a `#[cfg(test)]`
+/// anywhere in the module tree `path` sits in (its nearest `src`
+/// ancestor, or `path` itself) is test code and counts nothing.
 pub fn code_lines_under(path: &Path) -> std::io::Result<usize> {
+    let tree = path
+        .ancestors()
+        .find(|p| p.file_name().is_some_and(|n| n == "src"))
+        .unwrap_or(path);
     let mut files = Vec::new();
-    if path.is_dir() {
-        collect_rs(path, &mut files)?;
+    if tree.is_dir() {
+        collect_rs(tree, &mut files)?;
     } else {
-        files.push(path.to_owned());
+        files.push(tree.to_owned());
     }
-    files
+    let mut sources = Vec::with_capacity(files.len());
+    for file in files {
+        let text = std::fs::read_to_string(&file)?;
+        sources.push((file, text));
+    }
+    let mounted = test_mounted_files(&sources);
+    Ok(sources
         .iter()
-        .map(|file| Ok(code_lines(&std::fs::read_to_string(file)?)))
-        .sum()
+        .filter(|(file, _)| file.starts_with(path) && !mounted.contains_key(file))
+        .map(|(_, text)| code_lines(text))
+        .sum())
+}
+
+/// The files that `#[cfg(test)]` module declarations mount
+/// (`#[cfg(test)] mod suite;`, a `#[path = "…"]` honoured), and every
+/// file those mount in turn, each mapped to the directory of the file
+/// whose declaration sits behind the `#[cfg(test)]`. They are test code
+/// throughout, though no line of theirs is under a `#[cfg(test)]` of its
+/// own. Only the rules that count code (`--loc`, U1's uses) read this;
+/// the rules that exempt test code keep checking these files.
+fn test_mounted_files(sources: &[(PathBuf, String)]) -> BTreeMap<PathBuf, PathBuf> {
+    // `(declaring file, declared file, behind #[cfg(test)])` per `mod x;`.
+    let mut edges = Vec::new();
+    for (file, text) in sources {
+        let code = strip(text);
+        let raw: Vec<&str> = text.lines().collect();
+        let in_test = test_regions(&code);
+        for (i, line) in code.iter().enumerate() {
+            let t = line.trim();
+            let t = t
+                .strip_prefix("pub(crate) ")
+                .or_else(|| t.strip_prefix("pub "))
+                .unwrap_or(t);
+            let Some(name) = t.strip_prefix("mod ").and_then(|r| r.strip_suffix(';')) else {
+                continue;
+            };
+            let path_attr = (0..i)
+                .rev()
+                .take_while(|&j| code[j].trim_start().starts_with("#["))
+                .find_map(|j| {
+                    raw[j]
+                        .trim()
+                        .strip_prefix("#[path = \"")?
+                        .strip_suffix("\"]")
+                });
+            let dir = file.parent().unwrap_or(Path::new(""));
+            let candidates = match path_attr {
+                Some(path) => vec![dir.join(path)],
+                None => {
+                    let base = match file.file_name().and_then(|n| n.to_str()) {
+                        Some("lib.rs" | "main.rs" | "mod.rs") => dir.to_owned(),
+                        _ => dir.join(file.file_stem().unwrap_or_default()),
+                    };
+                    let name = name.trim();
+                    vec![
+                        base.join(format!("{name}.rs")),
+                        base.join(name).join("mod.rs"),
+                    ]
+                }
+            };
+            if let Some(target) = candidates
+                .into_iter()
+                .find(|c| sources.iter().any(|(f, _)| f == c))
+            {
+                edges.push((file, target, in_test[i]));
+            }
+        }
+    }
+    let mut mounted: BTreeMap<PathBuf, PathBuf> = edges
+        .iter()
+        .filter(|&&(_, _, gated)| gated)
+        .map(|(from, to, _)| {
+            (
+                to.clone(),
+                from.parent().unwrap_or(Path::new("")).to_owned(),
+            )
+        })
+        .collect();
+    loop {
+        let next: Vec<(PathBuf, PathBuf)> = edges
+            .iter()
+            .filter(|(_, to, _)| !mounted.contains_key(to))
+            .filter_map(|(from, to, _)| Some((to.clone(), mounted.get(*from)?.clone())))
+            .collect();
+        if next.is_empty() {
+            return mounted;
+        }
+        mounted.extend(next);
+    }
 }
 
 /// Blank out comments and string/char-literal contents, preserving the
@@ -1384,6 +1494,85 @@ mod tests {
             prelude.into_iter().collect::<Vec<_>>(),
             ["Reexported", "X", "calls"]
         );
+    }
+
+    #[test]
+    fn files_mounted_behind_cfg_test_are_test_code_for_u1() {
+        let file = |path: &str, text: &str| (PathBuf::from(path), text.to_owned());
+        let sources = [
+            file(
+                "crates/a/src/lib.rs",
+                concat!(
+                    "pub mod tree;\n",
+                    "pub use tree::{kept, only_suite};\n",
+                    "#[cfg(test)]\n",
+                    "#[path = \"suite/full.rs\"]\n",
+                    "mod full;\n",
+                    "#[cfg(test)]\n",
+                    "mod suite;\n",
+                ),
+            ),
+            file(
+                "crates/a/src/tree.rs",
+                "pub fn kept() {}\npub fn only_suite() {}\n",
+            ),
+            file(
+                "crates/a/src/suite/full.rs",
+                "fn t() { tree::only_suite(); tree::kept(); b::for_a_suite(); }\n",
+            ),
+            file(
+                "crates/a/src/suite/mod.rs",
+                "mod golden;\npub fn helper() {}\n",
+            ),
+            file(
+                "crates/a/src/suite/golden.rs",
+                "fn g() { super::helper(); }\n",
+            ),
+            file(
+                "crates/b/src/lib.rs",
+                "pub fn for_a_suite() {}\npub fn calls() { a::kept() }\n",
+            ),
+            file("ccbench/src/main.rs", "fn main() { b::calls(); }\n"),
+        ];
+        let scope = PathBuf::from("crates/a/src");
+        let mounted = test_mounted_files(&sources);
+        assert_eq!(
+            mounted.into_iter().collect::<Vec<_>>(),
+            [
+                (PathBuf::from("crates/a/src/suite/full.rs"), scope.clone()),
+                (PathBuf::from("crates/a/src/suite/golden.rs"), scope.clone()),
+                (PathBuf::from("crates/a/src/suite/mod.rs"), scope),
+            ]
+        );
+        // The suite's mention keeps nothing of its own crate alive; it
+        // still counts for another crate's item, and for the suite's own
+        // helpers, which U1 keeps checking.
+        let found = unreferenced_pub_items(&sources, |p| p.starts_with("crates"));
+        let names: Vec<(&Path, usize, &str)> = found
+            .iter()
+            .map(|(f, l, n)| (f.as_path(), *l, n.as_str()))
+            .collect();
+        assert_eq!(
+            names,
+            [(Path::new("crates/a/src/tree.rs"), 2, "only_suite")]
+        );
+    }
+
+    #[test]
+    fn loc_counts_no_line_of_a_file_mounted_behind_cfg_test() {
+        let src = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../css-tree/src"));
+        let count = |path: &Path| code_lines_under(path).expect("css-tree's sources");
+        assert_eq!(count(&src.join("suite")), 0);
+        assert_eq!(count(&src.join("suite/golden.rs")), 0);
+        let mut files = Vec::new();
+        collect_rs(src, &mut files).expect("css-tree's sources");
+        let own: usize = files
+            .iter()
+            .filter(|f| !f.starts_with(src.join("suite")))
+            .map(|f| count(f))
+            .sum();
+        assert!(own > 0);
+        assert_eq!(count(src), own);
     }
 
     #[test]

@@ -370,9 +370,15 @@ mod tests {
         let server = ShardServer::spawn(db).expect("bind ignores the environment");
         let addr = server.addr();
         let mut stream = std::net::TcpStream::connect(&addr).unwrap();
-        write_request(&mut stream, &addr, &ShardRequest::ExecuteBatch { requests }).unwrap();
+        write_request(
+            &mut stream,
+            &addr,
+            &ShardRequest::ExecuteBatch { requests },
+            0,
+        )
+        .unwrap();
         assert_eq!(
-            read_response(&mut stream, &addr).unwrap(),
+            read_response(&mut stream, &addr).unwrap().0,
             ShardResponse::Batch(want)
         );
         drop(stream);
@@ -422,8 +428,8 @@ mod tests {
                 agg,
                 rids,
             };
-            write_request(&mut stream, &addr, &request).unwrap();
-            read_response(&mut stream, &addr).unwrap()
+            write_request(&mut stream, &addr, &request, 0).unwrap();
+            read_response(&mut stream, &addr).unwrap().0
         };
         assert_eq!(
             ask(Some("amount"), AggFn::Sum, Some(selected)),

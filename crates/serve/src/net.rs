@@ -56,7 +56,7 @@ struct Shared {
     stop: AtomicBool,
     /// The bound address, for the shutdown self-connect.
     addr: SocketAddr,
-    /// One tracked clone per live connection, so shutdown/kill can
+    /// One tracked clone per live connection, so shutdown can
     /// sever blocked readers.
     conns: Mutex<Vec<TcpStream>>,
     /// Connection threads, joined on shutdown.
@@ -108,8 +108,8 @@ impl Shared {
         drop(TcpStream::connect(self.addr));
     }
 
-    /// Sever every tracked connection so blocked `read_request_traced` calls
-    /// return errors and their threads exit.
+    /// Sever every tracked connection so blocked `wire::read_frame`
+    /// calls return errors and their threads exit.
     fn sever(&self) {
         let conns = self.conns.lock().unwrap_or_else(PoisonError::into_inner);
         for conn in conns.iter() {
@@ -203,11 +203,6 @@ impl ShardServer {
         self.shared.addr.to_string()
     }
 
-    /// The served socket address.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.shared.addr
-    }
-
     /// The server's metric registry (`server.*` names, plus the
     /// `serve.*` window metrics of remote `ExecuteBatch` windows) —
     /// what a [`ShardRequest::Stats`] scrape renders to JSON.
@@ -220,15 +215,6 @@ impl ShardServer {
     /// their response write or their client sees a typed transport
     /// error — never a hang.
     pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    /// Abruptly sever the server mid-flight — the failure-injection
-    /// twin of [`ShardServer::shutdown`], for exercising the
-    /// coordinator's typed [`MmdbError::Transport`] path. (Over
-    /// loopback both paths sever the same way; the distinct name keeps
-    /// call sites honest about intent.)
-    pub fn kill(mut self) {
         self.stop_and_join();
     }
 
@@ -326,7 +312,7 @@ fn serve_conn(stream: &TcpStream, shared: &Arc<Shared>) {
     };
     let mut transfers = Transfers::default();
     loop {
-        let (trace, payload) = match wire::read_frame_traced(&mut &*stream, &endpoint) {
+        let (trace, payload) = match wire::read_frame(&mut &*stream, &endpoint) {
             Ok(frame) => frame,
             Err(
                 e @ MmdbError::Transport {
@@ -339,7 +325,7 @@ fn serve_conn(stream: &TcpStream, shared: &Arc<Shared>) {
                 // before hanging up. A peer too old to parse this frame
                 // still raises its own Version error from our frame
                 // header, so the skew is named on both sides.
-                drop(wire::write_response_traced(
+                drop(wire::write_response(
                     &mut &*stream,
                     &endpoint,
                     &ShardResponse::Err(e),
@@ -356,30 +342,36 @@ fn serve_conn(stream: &TcpStream, shared: &Arc<Shared>) {
         };
         shared.requests.inc();
         let mut span = (span_id != 0).then(|| obs::Span::with_id("server", span_id));
-        let decoded = match &mut span {
-            Some(span) => span.time("decode", || ShardRequest::decode(&payload, &endpoint)),
-            None => ShardRequest::decode(&payload, &endpoint),
-        };
+        let decoded = timed(&mut span, "decode", || {
+            ShardRequest::decode(&payload, &endpoint)
+        });
         let request = match decoded {
             Ok(request) => request,
             Err(_) => return,
         };
         let stopping = matches!(request, ShardRequest::Shutdown);
         let executing = std::time::Instant::now();
-        let response = match &mut span {
-            Some(span) => span.time("execute", || respond(shared, &mut transfers, request)),
-            None => respond(shared, &mut transfers, request),
-        };
+        let response = timed(&mut span, "execute", || {
+            respond(shared, &mut transfers, request)
+        });
         shared.execute_ns.record(obs::elapsed_ns(&executing));
         let node = span.map(obs::Span::finish);
-        if wire::write_response_traced(&mut &*stream, &endpoint, &response, node.as_ref()).is_err()
-        {
+        if wire::write_response(&mut &*stream, &endpoint, &response, node.as_ref()).is_err() {
             return;
         }
         if stopping {
             shared.begin_stop();
             return;
         }
+    }
+}
+
+/// `f()`, timed as a child of `span` named `name` when the request is
+/// traced.
+fn timed<T>(span: &mut Option<obs::Span>, name: &str, f: impl FnOnce() -> T) -> T {
+    match span {
+        Some(span) => span.time(name, f),
+        None => f(),
     }
 }
 

@@ -98,9 +98,9 @@ impl RemoteShard {
             retries: None,
         };
         // Validate liveness and protocol version up front: a skewed
-        // server answers with a different frame version, which
-        // `read_frame` rejects as a typed Transport error here rather
-        // than mid-query.
+        // server answers with a different frame version, which the one
+        // frame reader (`wire::read_frame`, under `wire::read_response`)
+        // rejects as a typed Transport error here rather than mid-query.
         shard.observe()?;
         Ok(shard)
     }
@@ -161,61 +161,74 @@ impl RemoteShard {
         })
     }
 
-    fn call(&self, req: &ShardRequest) -> Result<ShardResponse> {
-        self.call_traced(req, 0).map(|(resp, _)| resp)
+    /// The one request/response exchange. With a `span`, the request
+    /// carries its id and the server's timing breakdown, which comes
+    /// back in the response frame, is grafted under an `rpc:<addr>`
+    /// child of `span` — one cross-process latency tree, no clock
+    /// synchronisation needed. A typed server-side error is `Err`.
+    fn exchange(&self, req: &ShardRequest, span: Option<&mut obs::Span>) -> Result<ShardResponse> {
+        let rpc = span
+            .as_ref()
+            .map(|span| span.child(format!("rpc:{}", self.addr)));
+        let (resp, node) = {
+            let mut guard = match self.conn.lock() {
+                Ok(g) => g,
+                // A poisoned lock means a panic elsewhere; the connection
+                // state itself is still just an Option we are about to
+                // validate, so keep serving.
+                Err(poisoned) => poisoned.into_inner(),
+            };
+            let stream = match &mut *guard {
+                Some(stream) => stream,
+                idle => idle.insert(self.dial()?),
+            };
+            let span_id = rpc.as_ref().map_or(0, obs::Span::id);
+            let outcome = wire::write_request(stream, &self.addr, req, span_id)
+                .and_then(|()| wire::read_response(stream, &self.addr));
+            match outcome {
+                // A typed server-side error is a *successful* exchange —
+                // keep the connection.
+                Ok((ShardResponse::Err(e), _)) => return Err(e),
+                Ok(reply) => reply,
+                Err(e) => {
+                    // The stream may hold a half-written request or a
+                    // half-read reply; drop it so the next call redials
+                    // instead of desynchronising. The failed request is
+                    // not replayed (it may not be idempotent).
+                    *guard = None;
+                    return Err(e);
+                }
+            }
+        };
+        if let (Some(span), Some(mut rpc)) = (span, rpc) {
+            if let Some(node) = node {
+                rpc.adopt(node);
+            }
+            span.adopt(rpc.finish());
+        }
+        Ok(resp)
     }
 
-    /// One request/response exchange; `span_id` ≠ 0 stamps the trace
-    /// field so the server answers with its timing breakdown.
-    fn call_traced(
+    /// [`RemoteShard::exchange`], then the one check of the reply's
+    /// variant: `want` takes the reply apart, and a reply it refuses is
+    /// the typed [`TransportFault::Protocol`] error naming the variant
+    /// that came. Generic over the reply alone, so the exchange itself
+    /// is compiled once.
+    fn call<T>(
         &self,
         req: &ShardRequest,
-        span_id: u64,
-    ) -> Result<(ShardResponse, Option<obs::SpanNode>)> {
-        let mut guard = match self.conn.lock() {
-            Ok(g) => g,
-            // A poisoned lock means a panic elsewhere; the connection
-            // state itself is still just an Option we are about to
-            // validate, so keep serving.
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if guard.is_none() {
-            *guard = Some(self.dial()?);
-        }
-        let stream = match guard.as_mut() {
-            Some(s) => s,
-            None => {
-                return Err(MmdbError::transport(
-                    &self.addr,
-                    TransportFault::Connect,
-                    "connection vanished before use".to_owned(),
-                ))
-            }
-        };
-        let outcome = wire::write_request_traced(stream, &self.addr, req, span_id)
-            .and_then(|()| wire::read_response_traced(stream, &self.addr));
-        match outcome {
-            // A typed server-side error is a *successful* exchange —
-            // keep the connection.
-            Ok((ShardResponse::Err(e), _)) => Err(e),
-            Ok((resp, node)) => Ok((resp, node)),
-            Err(e) => {
-                // The stream may hold a half-written request or a
-                // half-read reply; drop it so the next call redials
-                // instead of desynchronising. The failed request is not
-                // replayed (it may not be idempotent).
-                *guard = None;
-                Err(e)
-            }
-        }
-    }
-
-    fn bad_reply(&self, got: &ShardResponse) -> MmdbError {
-        MmdbError::transport(
-            &self.addr,
-            TransportFault::Protocol,
-            format!("unexpected reply variant `{}`", variant_name(got)),
-        )
+        span: Option<&mut obs::Span>,
+        want: impl FnOnce(ShardResponse) -> Option<T>,
+    ) -> Result<T> {
+        let resp = self.exchange(req, span)?;
+        let got = variant_name(&resp);
+        want(resp).ok_or_else(|| {
+            MmdbError::transport(
+                &self.addr,
+                TransportFault::Protocol,
+                format!("unexpected reply variant `{got}`"),
+            )
+        })
     }
 
     /// Compile and execute a query description on the server, returning
@@ -223,37 +236,24 @@ impl RemoteShard {
     /// so a caller fronting one whole remote engine needs no trait in
     /// scope.
     pub fn run_spec(&self, spec: &QuerySpec) -> Result<ResultRows> {
-        match self.call(&ShardRequest::RunSpec { spec: spec.clone() })? {
-            ShardResponse::Rows(rows) => Ok(rows),
-            other => Err(self.bad_reply(&other)),
-        }
+        let req = ShardRequest::RunSpec { spec: spec.clone() };
+        self.call(&req, None, result_rows)
     }
 
-    /// [`RemoteShard::run_spec`] under a trace: the request carries
-    /// `span`'s id, and the server's timing breakdown comes back in the
-    /// response frame and is grafted under `span` — one cross-process
-    /// latency tree, no clock synchronisation needed.
+    /// [`RemoteShard::run_spec`] under a trace: the server's timing
+    /// breakdown is grafted under `span`.
     pub fn run_spec_traced(&self, spec: &QuerySpec, span: &mut obs::Span) -> Result<ResultRows> {
         let req = ShardRequest::RunSpec { spec: spec.clone() };
-        let mut rpc = span.child(format!("rpc:{}", self.addr));
-        let (resp, node) = self.call_traced(&req, span.id())?;
-        if let Some(node) = node {
-            rpc.adopt(node);
-        }
-        span.adopt(rpc.finish());
-        match resp {
-            ShardResponse::Rows(rows) => Ok(rows),
-            other => Err(self.bad_reply(&other)),
-        }
+        self.call(&req, Some(span), result_rows)
     }
 
     /// Scrape the server's metric registry: the JSON dump
     /// `Registry::to_json` produces on the server side.
     pub fn stats(&self) -> Result<String> {
-        match self.call(&ShardRequest::Stats)? {
-            ShardResponse::Stats { json } => Ok(json),
-            other => Err(self.bad_reply(&other)),
-        }
+        self.call(&ShardRequest::Stats, None, |resp| match resp {
+            ShardResponse::Stats { json } => Some(json),
+            _ => None,
+        })
     }
 
     /// Run a whole window of serving requests through the server's
@@ -262,19 +262,35 @@ impl RemoteShard {
         &self,
         requests: Vec<Request>,
     ) -> Result<Vec<std::result::Result<ResultRows, MmdbError>>> {
-        match self.call(&ShardRequest::ExecuteBatch { requests })? {
-            ShardResponse::Batch(results) => Ok(results),
-            other => Err(self.bad_reply(&other)),
-        }
+        let req = ShardRequest::ExecuteBatch { requests };
+        self.call(&req, None, |resp| match resp {
+            ShardResponse::Batch(results) => Some(results),
+            _ => None,
+        })
     }
 
     /// Ask the server to finish in-flight connections and exit its
     /// accept loop.
     pub fn shutdown(&self) -> Result<()> {
-        match self.call(&ShardRequest::Shutdown)? {
-            ShardResponse::Unit => Ok(()),
-            other => Err(self.bad_reply(&other)),
-        }
+        self.call(&ShardRequest::Shutdown, None, unit)
+    }
+}
+
+fn result_rows(resp: ShardResponse) -> Option<ResultRows> {
+    match resp {
+        ShardResponse::Rows(rows) => Some(rows),
+        _ => None,
+    }
+}
+
+fn unit(resp: ShardResponse) -> Option<()> {
+    matches!(resp, ShardResponse::Unit).then_some(())
+}
+
+fn rid_sets(resp: ShardResponse) -> Option<Vec<Vec<u32>>> {
+    match resp {
+        ShardResponse::RidSets(sets) => Some(sets),
+        _ => None,
     }
 }
 
@@ -309,14 +325,12 @@ impl ShardRead for RemoteShard {
         column: &str,
         values: &[Value],
     ) -> Result<Vec<Vec<u32>>> {
-        match self.call(&ShardRequest::PointProbeBatch {
+        let req = ShardRequest::PointProbeBatch {
             table: table.to_owned(),
             column: column.to_owned(),
             values: values.to_vec(),
-        })? {
-            ShardResponse::RidSets(sets) => Ok(sets),
-            other => Err(self.bad_reply(&other)),
-        }
+        };
+        self.call(&req, None, rid_sets)
     }
 
     fn range_probe_batch(
@@ -325,14 +339,12 @@ impl ShardRead for RemoteShard {
         column: &str,
         ranges: &[(Value, Value)],
     ) -> Result<Vec<Vec<u32>>> {
-        match self.call(&ShardRequest::RangeProbeBatch {
+        let req = ShardRequest::RangeProbeBatch {
             table: table.to_owned(),
             column: column.to_owned(),
             ranges: ranges.to_vec(),
-        })? {
-            ShardResponse::RidSets(sets) => Ok(sets),
-            other => Err(self.bad_reply(&other)),
-        }
+        };
+        self.call(&req, None, rid_sets)
     }
 
     fn select(&self, plan: &Plan) -> Result<Vec<u32>> {
@@ -341,14 +353,15 @@ impl ShardRead for RemoteShard {
             .iter()
             .map(|step| (step.column.clone(), step.kind, step.probe.clone()))
             .collect();
-        match self.call(&ShardRequest::Select {
+        let req = ShardRequest::Select {
             table: plan.table.clone(),
             probes,
             exec: plan.exec,
-        })? {
-            ShardResponse::Rids(rids) => Ok(rids),
-            other => Err(self.bad_reply(&other)),
-        }
+        };
+        self.call(&req, None, |resp| match resp {
+            ShardResponse::Rids(rids) => Some(rids),
+            _ => None,
+        })
     }
 
     fn join_probe_batch(
@@ -360,120 +373,119 @@ impl ShardRead for RemoteShard {
         lanes: usize,
         threads: usize,
     ) -> Result<Vec<Vec<u32>>> {
-        match self.call(&ShardRequest::JoinProbeBatch {
+        let req = ShardRequest::JoinProbeBatch {
             table: table.to_owned(),
             column: column.to_owned(),
             kind,
             values: values.to_vec(),
             lanes,
             threads,
-        })? {
-            ShardResponse::RidSets(sets) => Ok(sets),
-            other => Err(self.bad_reply(&other)),
-        }
+        };
+        self.call(&req, None, rid_sets)
     }
 
     fn column_values(&self, table: &str, column: &str, rids: Option<&[u32]>) -> Result<Vec<Value>> {
-        match self.call(&ShardRequest::ColumnValues {
+        let req = ShardRequest::ColumnValues {
             table: table.to_owned(),
             column: column.to_owned(),
             rids: rids.map(<[u32]>::to_vec),
-        })? {
-            ShardResponse::Values(values) => Ok(values),
-            other => Err(self.bad_reply(&other)),
-        }
+        };
+        self.call(&req, None, |resp| match resp {
+            ShardResponse::Values(values) => Some(values),
+            _ => None,
+        })
     }
 
     fn compile(&self, spec: &QuerySpec) -> Result<Plan> {
-        match self.call(&ShardRequest::Compile { spec: spec.clone() })? {
-            ShardResponse::Plan(plan) => Ok(*plan),
-            other => Err(self.bad_reply(&other)),
-        }
+        let req = ShardRequest::Compile { spec: spec.clone() };
+        self.call(&req, None, |resp| match resp {
+            ShardResponse::Plan(plan) => Some(*plan),
+            _ => None,
+        })
     }
 
     fn columns(&self, table: &str) -> Result<Vec<String>> {
-        match self.call(&ShardRequest::Columns {
-            table: table.to_owned(),
-        })? {
-            ShardResponse::Names(names) => Ok(names),
-            other => Err(self.bad_reply(&other)),
-        }
+        let table = table.to_owned();
+        self.call(&ShardRequest::Columns { table }, None, |resp| match resp {
+            ShardResponse::Names(names) => Some(names),
+            _ => None,
+        })
     }
 
     fn rows(&self, table: &str) -> Result<usize> {
-        match self.call(&ShardRequest::Rows {
-            table: table.to_owned(),
-        })? {
-            ShardResponse::Count(n) => Ok(n as usize),
-            other => Err(self.bad_reply(&other)),
-        }
+        let table = table.to_owned();
+        self.call(&ShardRequest::Rows { table }, None, |resp| match resp {
+            ShardResponse::Count(n) => Some(n as usize),
+            _ => None,
+        })
     }
 
     fn fetch_snapshot(&self) -> Result<Vec<u8>> {
         let mut bytes: Vec<u8> = Vec::new();
         let mut next = 0u32;
         loop {
-            match self.call(&ShardRequest::FetchSnapshot { chunk: next })? {
-                ShardResponse::SnapshotChunk {
-                    chunk,
-                    total_chunks,
-                    total_len,
-                    crc,
-                    bytes: part,
-                } => {
-                    if chunk != next || total_chunks == 0 || chunk >= total_chunks {
-                        return Err(MmdbError::transport(
-                            &self.addr,
-                            TransportFault::Protocol,
-                            format!(
-                                "snapshot chunk {chunk}/{total_chunks} arrived while \
-                                 expecting chunk {next}"
-                            ),
-                        ));
-                    }
-                    if wire::crc32(&part) != crc {
-                        return Err(MmdbError::transport(
-                            &self.addr,
-                            TransportFault::Checksum,
-                            format!("snapshot chunk {chunk} failed its payload checksum"),
-                        ));
-                    }
-                    bytes.extend_from_slice(&part);
-                    next += 1;
-                    if next == total_chunks {
-                        if bytes.len() as u64 != total_len {
-                            return Err(MmdbError::transport(
-                                &self.addr,
-                                TransportFault::Protocol,
-                                format!(
-                                    "snapshot reassembled to {} bytes, server declared {total_len}",
-                                    bytes.len()
-                                ),
-                            ));
-                        }
-                        return Ok(bytes);
-                    }
+            let req = ShardRequest::FetchSnapshot { chunk: next };
+            let (chunk, total_chunks, total_len, crc, part) =
+                self.call(&req, None, |resp| match resp {
+                    ShardResponse::SnapshotChunk {
+                        chunk,
+                        total_chunks,
+                        total_len,
+                        crc,
+                        bytes,
+                    } => Some((chunk, total_chunks, total_len, crc, bytes)),
+                    _ => None,
+                })?;
+            if chunk != next || total_chunks == 0 || chunk >= total_chunks {
+                return Err(MmdbError::transport(
+                    &self.addr,
+                    TransportFault::Protocol,
+                    format!(
+                        "snapshot chunk {chunk}/{total_chunks} arrived while \
+                         expecting chunk {next}"
+                    ),
+                ));
+            }
+            if wire::crc32(&part) != crc {
+                return Err(MmdbError::transport(
+                    &self.addr,
+                    TransportFault::Checksum,
+                    format!("snapshot chunk {chunk} failed its payload checksum"),
+                ));
+            }
+            bytes.extend_from_slice(&part);
+            next += 1;
+            if next == total_chunks {
+                if bytes.len() as u64 != total_len {
+                    return Err(MmdbError::transport(
+                        &self.addr,
+                        TransportFault::Protocol,
+                        format!(
+                            "snapshot reassembled to {} bytes, server declared {total_len}",
+                            bytes.len()
+                        ),
+                    ));
                 }
-                other => return Err(self.bad_reply(&other)),
+                return Ok(bytes);
             }
         }
     }
 
     fn observe(&self) -> Result<ShardInfo> {
-        match self.call(&ShardRequest::Hello)? {
+        self.call(&ShardRequest::Hello, None, |resp| match resp {
             ShardResponse::Info {
                 generation,
                 swaps,
                 pinned,
                 exec,
-            } => Ok(ShardInfo {
+            } => Some(ShardInfo {
                 generation,
                 swaps,
                 pinned,
                 exec,
             }),
-            other => Err(self.bad_reply(&other)),
-        }
+            _ => None,
+        })
     }
 
     fn describe(&self) -> String {
@@ -500,22 +512,22 @@ impl ShardBackend for RemoteShard {
                 mutation,
                 Mutation::ReplaceColumn(..) | Mutation::RebuildColumn(..)
             );
-            match (self.call(&ShardRequest::from(mutation))?, reported) {
-                (ShardResponse::Unit, false) => {}
-                (ShardResponse::Rebuilt { sort_ns, rebuilds }, true) => {
-                    reports.push(rebuild_report(sort_ns, rebuilds))
+            let report = self.call(&ShardRequest::from(mutation), None, |resp| {
+                match (resp, reported) {
+                    (ShardResponse::Unit, false) => Some(None),
+                    (ShardResponse::Rebuilt { sort_ns, rebuilds }, true) => {
+                        Some(Some(rebuild_report(sort_ns, rebuilds)))
+                    }
+                    _ => None,
                 }
-                (other, _) => return Err(self.bad_reply(&other)),
-            }
+            })?;
+            reports.extend(report);
         }
         Ok(reports)
     }
 
     fn set_exec_options(&mut self, exec: ExecOptions) -> Result<()> {
-        match self.call(&ShardRequest::SetExecOptions { exec })? {
-            ShardResponse::Unit => Ok(()),
-            other => Err(self.bad_reply(&other)),
-        }
+        self.call(&ShardRequest::SetExecOptions { exec }, None, unit)
     }
 
     fn install_snapshot(&mut self, bytes: &[u8]) -> Result<()> {
@@ -544,10 +556,7 @@ impl ShardBackend for RemoteShard {
                 crc: wire::crc32(part),
                 bytes: part.to_vec(),
             };
-            match self.call(&req)? {
-                ShardResponse::Unit => {}
-                other => return Err(self.bad_reply(&other)),
-            }
+            self.call(&req, None, unit)?;
         }
         Ok(())
     }

@@ -1,0 +1,185 @@
+//! `RemoteShard` against a scripted peer: the whole frames it puts on
+//! the wire, and what it does with a reply it did not ask for.
+//!
+//! The peer speaks raw bytes, not `ccindex_wire`, so the frames below
+//! pin the frame header (magic, version, trace length, length, CRC) as
+//! well as the trace and the payload, and they pin both directions:
+//! what the client writes is compared byte for byte, what it reads is
+//! these bytes exactly. `golden_frames_pin_protocol_v3_bytes` in the
+//! wire crate pins payloads alone.
+
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
+use std::thread::{self, JoinHandle};
+
+use ccindex_obs::{Span, SpanNode};
+use ccindex_shard::{RemoteShard, ShardRead};
+use mmdb::{eq, MmdbError, QuerySpec, ResultRows, TransportFault};
+
+/// `Hello`, untraced: the first frame `RemoteShard::connect` sends.
+const HELLO: &str = concat!(
+    "43435758", // magic "CCWX"
+    "0300",     // version 3
+    "00000000", // trace length: no trace
+    "01000000", // payload length
+    "8def02d2", // CRC-32 over trace and payload
+    "00",       // payload: `Hello`
+);
+
+/// `Info` (generation 1, default exec options), untraced: the answer
+/// to `HELLO`.
+const INFO: &str = concat!(
+    "43435758",
+    "0300",
+    "00000000",
+    "31000000",
+    "a6239e35",
+    "0a",               // `Info`
+    "0100000000000000", // generation
+    "0000000000000000", // swaps
+    "0000000000000000", // pinned
+    "0100000000000000", // exec: threads
+    "0800000000000000", // lanes
+    "0100000000000000", // shards
+);
+
+/// `RunSpec` of `sales` where `cust = 7`, traced under span id
+/// `0x0102030405060708`.
+const RUN_SPEC_TRACED: &str = concat!(
+    "43435758",
+    "0300",
+    "08000000", // trace length: one span id
+    "24000000",
+    "06ffd1e2",
+    "0807060504030201", // trace: the span id
+    "0a0500000073616c65730100000004000000637573740000070000000000000000000000",
+);
+
+/// `Rows` holding RIDs 0 and 2, traced: the server's timing tree
+/// `server` 5 µs { `decode` 1 µs, `execute` 3 µs } rides in the trace.
+const ROWS_TRACED: &str = concat!(
+    "43435758",
+    "0300",
+    "43000000", // trace length
+    "0e000000",
+    "17ecf5c3",
+    "06000000736572766572", // trace: "server"
+    "8813000000000000",     // 5000 ns
+    "02000000",             // two children
+    "060000006465636f6465e80300000000000000000000",
+    "0700000065786563757465b80b00000000000000000000",
+    "0400020000000000000002000000", // payload: `Rows(Rids([0, 2]))`
+);
+
+/// `Rows { table: "sales" }`, untraced.
+const ROW_COUNT: &str = "434357580300000000000a00000094ea6917080500000073616c6573";
+
+/// `Unit`, untraced.
+const UNIT: &str = "43435758030000000000010000000536d0450b";
+
+/// `Count(3)`, untraced.
+const COUNT_3: &str = "434357580300000000000900000055b15ed3080300000000000000";
+
+fn unhex(hex: &str) -> Vec<u8> {
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex digit pair"))
+        .collect()
+}
+
+/// One whole frame off `stream`: the 18-byte header, then as many
+/// trace and payload bytes as it declares.
+fn read_whole_frame(stream: &mut TcpStream) -> Vec<u8> {
+    let mut frame = vec![0u8; 18];
+    stream.read_exact(&mut frame).expect("a frame header");
+    let field = |at: usize| {
+        let bytes: [u8; 4] = frame[at..at + 4].try_into().expect("four bytes");
+        u32::from_le_bytes(bytes) as usize
+    };
+    let mut body = vec![0u8; field(6) + field(10)];
+    stream
+        .read_exact(&mut body)
+        .expect("the frame's trace and payload");
+    frame.extend(body);
+    frame
+}
+
+/// A peer on a loopback port that accepts one connection, answers each
+/// frame read there with the next of `replies`, then waits for the
+/// client to hang up. It returns the frames it read, whole. A client
+/// that redialled would find no one answering on the new connection.
+fn scripted_peer(replies: &[&str]) -> (String, JoinHandle<Vec<Vec<u8>>>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("a loopback port");
+    let addr = listener
+        .local_addr()
+        .expect("the bound address")
+        .to_string();
+    let replies: Vec<Vec<u8>> = replies.iter().map(|hex| unhex(hex)).collect();
+    let peer = thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("one client");
+        let mut frames = Vec::new();
+        for reply in replies {
+            frames.push(read_whole_frame(&mut stream));
+            stream.write_all(&reply).expect("the scripted reply");
+        }
+        let mut rest = Vec::new();
+        stream.read_to_end(&mut rest).expect("the client hangs up");
+        assert!(rest.is_empty(), "{} unscripted bytes", rest.len());
+        frames
+    });
+    (addr, peer)
+}
+
+/// The frame header's bytes, not only the payloads', are the protocol:
+/// an untraced request, a traced request and a traced response, whole.
+#[test]
+fn whole_frames_pin_protocol_v3_bytes() {
+    let (addr, peer) = scripted_peer(&[INFO, ROWS_TRACED]);
+    let shard = RemoteShard::connect(addr.as_str()).expect("the scripted handshake");
+    let mut span = Span::with_id("query", 0x0102_0304_0506_0708);
+    let spec = QuerySpec::table("sales").filter(eq("cust", 7));
+    let rows = shard
+        .run_spec_traced(&spec, &mut span)
+        .expect("the scripted rows");
+    assert_eq!(rows, ResultRows::Rids(vec![0, 2]));
+    let tree = span.finish();
+    let rpc = tree.find(&format!("rpc:{addr}")).expect("the rpc span");
+    let server = SpanNode {
+        name: "server".into(),
+        elapsed_ns: 5_000,
+        children: vec![
+            SpanNode::leaf("decode", 1_000),
+            SpanNode::leaf("execute", 3_000),
+        ],
+    };
+    assert_eq!(rpc.children, [server]);
+    drop(shard);
+    let frames = peer.join().expect("the peer saw the frames it expected");
+    assert_eq!(frames, [unhex(HELLO), unhex(RUN_SPEC_TRACED)]);
+}
+
+/// A well-formed reply of the wrong variant is a typed `Protocol` fault
+/// naming what came, and the connection stays in use: the exchange
+/// itself succeeded, so the stream is still in step.
+#[test]
+fn a_wrong_reply_variant_is_a_protocol_error_and_the_connection_serves_on() {
+    let (addr, peer) = scripted_peer(&[INFO, UNIT, COUNT_3]);
+    let shard = RemoteShard::connect(addr.as_str()).expect("the scripted handshake");
+    match shard.rows("sales") {
+        Err(MmdbError::Transport {
+            fault: TransportFault::Protocol,
+            detail,
+            ..
+        }) => assert!(detail.contains("`Unit`"), "{detail}"),
+        other => panic!("expected a Protocol fault naming `Unit`, got {other:?}"),
+    }
+    assert_eq!(
+        shard
+            .rows("sales")
+            .expect("the next call on one connection"),
+        3
+    );
+    drop(shard);
+    let frames = peer.join().expect("the peer saw the frames it expected");
+    assert_eq!(frames, [unhex(HELLO), unhex(ROW_COUNT), unhex(ROW_COUNT)]);
+}

@@ -15,7 +15,9 @@
 //! the client's span id, a response carries the server's encoded
 //! timing breakdown (see `message.rs`). It is empty on untraced
 //! conversations, costing four header bytes. The checksum covers
-//! trace and payload together.
+//! trace and payload together. [`write_frame`] and [`read_frame`] are
+//! the one writer and the one reader: an untraced frame is a frame
+//! with an empty trace.
 //!
 //! The reader validates magic, version, length caps, and the checksum
 //! before handing bytes to the codec — so a corrupted, truncated, or
@@ -68,22 +70,11 @@ fn check_frame_len(endpoint: &str, trace_len: usize, len: usize) -> Result<()> {
     Ok(())
 }
 
-/// Write one untraced frame (header + empty trace + payload) and
-/// flush it.
-pub fn write_frame(w: &mut impl Write, endpoint: &str, payload: &[u8]) -> Result<()> {
-    write_frame_traced(w, endpoint, &[], payload)
-}
-
-/// Write one frame carrying an out-of-band `trace` blob ahead of the
-/// payload, and flush it. An empty `trace` is byte-identical to
-/// [`write_frame`]. A frame past [`MAX_FRAME_LEN`] is refused before
-/// anything is written, with the decode error its reader would raise.
-pub fn write_frame_traced(
-    w: &mut impl Write,
-    endpoint: &str,
-    trace: &[u8],
-    payload: &[u8],
-) -> Result<()> {
+/// Write one frame carrying the out-of-band `trace` blob ahead of the
+/// payload, and flush it. An untraced frame is an empty `trace`. A frame
+/// past [`MAX_FRAME_LEN`] is refused before anything is written, with
+/// the decode error its reader would raise.
+pub fn write_frame(w: &mut impl Write, endpoint: &str, trace: &[u8], payload: &[u8]) -> Result<()> {
     check_frame_len(endpoint, trace.len(), payload.len())?;
     let mut header = ByteWriter::with_capacity(HEADER_LEN);
     header.bytes(&MAGIC);
@@ -101,16 +92,11 @@ pub fn write_frame_traced(
         .map_err(|e| io_err(endpoint, "flushing frame", &e))
 }
 
-/// Read one frame, validating magic, version, lengths, and checksum;
-/// discards any trace blob. Returns the payload bytes; every failure
-/// is a typed [`MmdbError::Transport`] naming `endpoint`.
-pub fn read_frame(r: &mut impl Read, endpoint: &str) -> Result<Vec<u8>> {
-    read_frame_traced(r, endpoint).map(|(_, payload)| payload)
-}
-
-/// Read one frame, returning `(trace, payload)` — the trace is empty
-/// on untraced conversations.
-pub fn read_frame_traced(r: &mut impl Read, endpoint: &str) -> Result<(Vec<u8>, Vec<u8>)> {
+/// Read one frame, validating magic, version, lengths, and checksum.
+/// Returns `(trace, payload)` — the trace is empty on untraced
+/// conversations; every failure is a typed [`MmdbError::Transport`]
+/// naming `endpoint`.
+pub fn read_frame(r: &mut impl Read, endpoint: &str) -> Result<(Vec<u8>, Vec<u8>)> {
     let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header)
         .map_err(|e| io_err(endpoint, "reading frame header", &e))?;
@@ -172,30 +158,28 @@ mod tests {
     #[test]
     fn frame_roundtrip() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, "test", b"hello shard").expect("vec write");
+        write_frame(&mut buf, "test", &[], b"hello shard").expect("vec write");
         let mut cursor = &buf[..];
-        let payload = read_frame(&mut cursor, "test").expect("roundtrip");
+        let (trace, payload) = read_frame(&mut cursor, "test").expect("roundtrip");
+        assert!(trace.is_empty());
         assert_eq!(payload, b"hello shard");
     }
 
     #[test]
     fn traced_frame_roundtrip() {
         let mut buf = Vec::new();
-        write_frame_traced(&mut buf, "test", b"span", b"hello shard").expect("vec write");
-        let (trace, payload) = read_frame_traced(&mut &buf[..], "test").expect("roundtrip");
+        write_frame(&mut buf, "test", b"span", b"hello shard").expect("vec write");
+        let (trace, payload) = read_frame(&mut &buf[..], "test").expect("roundtrip");
         assert_eq!(trace, b"span");
-        assert_eq!(payload, b"hello shard");
-        // The untraced reader accepts the frame and discards the trace.
-        let payload = read_frame(&mut &buf[..], "test").expect("untraced read");
         assert_eq!(payload, b"hello shard");
     }
 
     #[test]
     fn corrupted_trace_is_a_checksum_error() {
         let mut buf = Vec::new();
-        write_frame_traced(&mut buf, "test", b"span", b"hello shard").expect("vec write");
+        write_frame(&mut buf, "test", b"span", b"hello shard").expect("vec write");
         buf[HEADER_LEN] ^= 0xFF; // first trace byte
-        let err = read_frame_traced(&mut &buf[..], "test").expect_err("corruption must fail");
+        let err = read_frame(&mut &buf[..], "test").expect_err("corruption must fail");
         assert!(matches!(
             err,
             MmdbError::Transport {
@@ -208,7 +192,7 @@ mod tests {
     #[test]
     fn corrupted_payload_is_a_checksum_error() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, "test", b"hello shard").expect("vec write");
+        write_frame(&mut buf, "test", &[], b"hello shard").expect("vec write");
         let last = buf.len() - 1;
         buf[last] ^= 0xFF;
         let err = read_frame(&mut &buf[..], "test").expect_err("corruption must fail");
@@ -224,7 +208,7 @@ mod tests {
     #[test]
     fn wrong_version_is_a_version_error() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, "test", b"x").expect("vec write");
+        write_frame(&mut buf, "test", &[], b"x").expect("vec write");
         buf[4] = 99;
         let err = read_frame(&mut &buf[..], "test").expect_err("version must fail");
         match err {
@@ -242,7 +226,7 @@ mod tests {
         // An old (v2) peer talking to this build: rewrite the version
         // field to 2, exactly the bytes a v2 build emits.
         let mut buf = Vec::new();
-        write_frame(&mut buf, "test", b"hello").expect("vec write");
+        write_frame(&mut buf, "test", &[], b"hello").expect("vec write");
         buf[4..6].copy_from_slice(&2u16.to_le_bytes());
         // The CRC does not cover the header, so the failure must be the
         // *version* check, reached before any payload validation.
@@ -262,7 +246,7 @@ mod tests {
         // refusal is symmetric — modelled here by a future version
         // arriving at this build.
         let mut buf = Vec::new();
-        write_frame(&mut buf, "test", b"hello").expect("vec write");
+        write_frame(&mut buf, "test", &[], b"hello").expect("vec write");
         buf[4..6].copy_from_slice(&(VERSION + 1).to_le_bytes());
         match read_frame(&mut &buf[..], "test").expect_err("skew must fail") {
             MmdbError::Transport {
@@ -283,7 +267,7 @@ mod tests {
         // Zeroed lazily and never read: the cap is checked before the CRC.
         let payload = vec![0u8; MAX_FRAME_LEN + 1];
         let mut sink = Vec::new();
-        match write_frame(&mut sink, "test", &payload).expect_err("past the cap") {
+        match write_frame(&mut sink, "test", &[], &payload).expect_err("past the cap") {
             MmdbError::Transport {
                 fault: TransportFault::Decode,
                 detail,
@@ -294,7 +278,7 @@ mod tests {
         assert!(sink.is_empty(), "{} bytes written", sink.len());
         // The cap counts the trace too.
         let trace = vec![0u8; 1];
-        let err = write_frame_traced(&mut sink, "test", &trace, &payload[1..])
+        let err = write_frame(&mut sink, "test", &trace, &payload[1..])
             .expect_err("trace + payload past the cap");
         assert!(matches!(
             err,
@@ -309,7 +293,7 @@ mod tests {
     #[test]
     fn truncated_stream_is_an_io_error() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, "test", b"hello shard").expect("vec write");
+        write_frame(&mut buf, "test", &[], b"hello shard").expect("vec write");
         buf.truncate(buf.len() - 4);
         let err = read_frame(&mut &buf[..], "test").expect_err("truncation must fail");
         assert!(matches!(

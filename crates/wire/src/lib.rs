@@ -21,6 +21,13 @@
 //! * [`message`] — [`ShardRequest`]/[`ShardResponse`], the complete
 //!   `ShardRead`/`ShardBackend` conversation.
 //!
+//! Every frame carries the trace field, and the I/O has one function
+//! per role: [`write_frame`]/[`read_frame`] for raw frames,
+//! [`write_request`] (span id `0` is untraced), [`write_response`] and
+//! [`read_response`] (the timing tree is an `Option`). A server reads a
+//! request as [`read_frame`], [`decode_span_id`], then
+//! [`ShardRequest::decode`], so that it can time the decode.
+//!
 //! ```
 //! use ccindex_wire::{ShardRequest, ShardResponse};
 //! use mmdb::Value;
@@ -42,11 +49,7 @@ pub mod frame;
 pub mod message;
 
 pub use ccindex_store::crc32;
-pub use frame::{
-    read_frame, read_frame_traced, write_frame, write_frame_traced, MAGIC, MAX_FRAME_LEN,
-    SNAPSHOT_CHUNK, VERSION,
-};
+pub use frame::{read_frame, write_frame, MAGIC, MAX_FRAME_LEN, SNAPSHOT_CHUNK, VERSION};
 pub use message::{
-    decode_span_id, read_request_traced, read_response, read_response_traced, write_request,
-    write_request_traced, write_response, write_response_traced, ShardRequest, ShardResponse,
+    decode_span_id, read_response, write_request, write_response, ShardRequest, ShardResponse,
 };

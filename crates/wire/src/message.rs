@@ -32,7 +32,7 @@ use crate::codec::{
     put_error, put_exec, put_group_row, put_join_on, put_kind, put_plan, put_predicate, put_probe,
     put_result_rows, put_span_node, reader, Reader,
 };
-use crate::frame::{read_frame, read_frame_traced, write_frame, write_frame_traced};
+use crate::frame::{read_frame, write_frame};
 
 /// Everything a coordinator can ask a shard server.
 #[derive(Debug, Clone, PartialEq)]
@@ -881,55 +881,28 @@ impl ShardResponse {
 }
 
 // ---------------------------------------------------------------------
-// Framed stream helpers
-// ---------------------------------------------------------------------
-
-/// Frame and send one request.
-pub fn write_request(w: &mut impl Write, endpoint: &str, req: &ShardRequest) -> Result<()> {
-    write_frame(w, endpoint, &req.encode())
-}
-
-/// Frame and send one response.
-pub fn write_response(w: &mut impl Write, endpoint: &str, resp: &ShardResponse) -> Result<()> {
-    write_frame(w, endpoint, &resp.encode())
-}
-
-/// Receive and decode one response.
-pub fn read_response(r: &mut impl Read, endpoint: &str) -> Result<ShardResponse> {
-    let payload = read_frame(r, endpoint)?;
-    ShardResponse::decode(&payload, endpoint)
-}
-
-// ---------------------------------------------------------------------
-// Traced stream helpers (protocol v2 trace field)
+// Framed stream helpers: one per role, the trace field always carried
 // ---------------------------------------------------------------------
 
 /// Frame and send one request, stamping the client's `span_id` into
 /// the trace field. `span_id` 0 means "no trace requested" and sends
-/// an empty trace — byte-identical to [`write_request`].
-pub fn write_request_traced(
+/// an empty trace.
+pub fn write_request(
     w: &mut impl Write,
     endpoint: &str,
     req: &ShardRequest,
     span_id: u64,
 ) -> Result<()> {
-    if span_id == 0 {
-        return write_request(w, endpoint, req);
-    }
-    write_frame_traced(w, endpoint, &span_id.to_le_bytes(), &req.encode())
-}
-
-/// Receive and decode one request plus the client's span id (0 when
-/// the request carried no trace).
-pub fn read_request_traced(r: &mut impl Read, endpoint: &str) -> Result<(ShardRequest, u64)> {
-    let (trace, payload) = read_frame_traced(r, endpoint)?;
-    let span_id = decode_span_id(&trace, endpoint)?;
-    Ok((ShardRequest::decode(&payload, endpoint)?, span_id))
+    let id = span_id.to_le_bytes();
+    let trace: &[u8] = if span_id == 0 { &[] } else { &id };
+    write_frame(w, endpoint, trace, &req.encode())
 }
 
 /// The client's span id from a request's trace field: 0 when the trace
 /// is empty (no trace requested), a typed decode error unless it is
-/// empty or exactly one `u64`.
+/// empty or exactly one `u64`. The server reads a request as
+/// [`read_frame`], this, then [`ShardRequest::decode`], so that it can
+/// time the decode.
 pub fn decode_span_id(trace: &[u8], endpoint: &str) -> Result<u64> {
     match trace.len() {
         0 => Ok(0),
@@ -942,30 +915,28 @@ pub fn decode_span_id(trace: &[u8], endpoint: &str) -> Result<u64> {
 }
 
 /// Frame and send one response, attaching the server-side timing
-/// breakdown when the request carried a trace.
-pub fn write_response_traced(
+/// breakdown when the request carried a trace (`None` sends an empty
+/// trace).
+pub fn write_response(
     w: &mut impl Write,
     endpoint: &str,
     resp: &ShardResponse,
     trace: Option<&SpanNode>,
 ) -> Result<()> {
-    match trace {
-        None => write_response(w, endpoint, resp),
-        Some(node) => {
-            let mut tw = ByteWriter::new();
-            put_span_node(&mut tw, node);
-            write_frame_traced(w, endpoint, &tw.into_bytes(), &resp.encode())
-        }
+    let mut tw = ByteWriter::new();
+    if let Some(node) = trace {
+        put_span_node(&mut tw, node);
     }
+    write_frame(w, endpoint, &tw.into_bytes(), &resp.encode())
 }
 
 /// Receive and decode one response plus the server's timing breakdown
 /// (`None` when the response carried no trace).
-pub fn read_response_traced(
+pub fn read_response(
     r: &mut impl Read,
     endpoint: &str,
 ) -> Result<(ShardResponse, Option<SpanNode>)> {
-    let (trace, payload) = read_frame_traced(r, endpoint)?;
+    let (trace, payload) = read_frame(r, endpoint)?;
     let node = if trace.is_empty() {
         None
     } else {

@@ -5,8 +5,8 @@
 
 use ccindex_obs::SpanNode;
 use ccindex_wire::{
-    read_frame, read_request_traced, read_response_traced, write_frame, write_request_traced,
-    write_response_traced, ShardRequest, ShardResponse, VERSION,
+    decode_span_id, read_frame, read_response, write_frame, write_request, write_response,
+    ShardRequest, ShardResponse, VERSION,
 };
 use mmdb::plan::{GroupStep, JoinStep, Plan, Probe, ProbeStep, Routing, Side};
 use mmdb::{
@@ -512,8 +512,8 @@ proptest! {
         let mut g = Gen(seed);
         for req in g.all_requests() {
             let mut buf = Vec::new();
-            write_frame(&mut buf, "peer", &req.encode()).expect("vec write");
-            let payload = read_frame(&mut &buf[..], "peer").expect("frame intact");
+            write_frame(&mut buf, "peer", &[], &req.encode()).expect("vec write");
+            let (_, payload) = read_frame(&mut &buf[..], "peer").expect("frame intact");
             prop_assert_eq!(ShardRequest::decode(&payload, "peer").ok(), Some(req));
         }
     }
@@ -526,11 +526,11 @@ proptest! {
         let reqs = g.all_requests();
         let req = &reqs[g.below(reqs.len() as u64) as usize];
         let mut buf = Vec::new();
-        write_frame(&mut buf, "peer", &req.encode()).expect("vec write");
+        write_frame(&mut buf, "peer", &[], &req.encode()).expect("vec write");
         let pos = g.below(buf.len() as u64) as usize;
         buf[pos] ^= 1 + g.below(255) as u8;
         let decoded = read_frame(&mut &buf[..], "peer")
-            .and_then(|payload| ShardRequest::decode(&payload, "peer"));
+            .and_then(|(_, payload)| ShardRequest::decode(&payload, "peer"));
         match decoded {
             Err(MmdbError::Transport { .. }) => {}
             Err(other) => prop_assert!(false, "non-transport error: {other:?}"),
@@ -545,7 +545,7 @@ proptest! {
         let reqs = g.all_requests();
         let req = &reqs[g.below(reqs.len() as u64) as usize];
         let mut buf = Vec::new();
-        write_frame(&mut buf, "peer", &req.encode()).expect("vec write");
+        write_frame(&mut buf, "peer", &[], &req.encode()).expect("vec write");
         buf.truncate(g.below(buf.len() as u64) as usize);
         let err = read_frame(&mut &buf[..], "peer").expect_err("truncated frame must error");
         prop_assert!(matches!(err, MmdbError::Transport { .. }), "{err:?}");
@@ -557,7 +557,7 @@ proptest! {
     fn wrong_version_errors(seed in 0u64..u64::MAX) {
         let mut g = Gen(seed);
         let mut buf = Vec::new();
-        write_frame(&mut buf, "peer", b"payload").expect("vec write");
+        write_frame(&mut buf, "peer", &[], b"payload").expect("vec write");
         let mut bogus = 1 + g.below(u16::MAX as u64 - 1) as u16;
         if bogus == VERSION {
             bogus += 1;
@@ -577,8 +577,8 @@ proptest! {
     }
 
     /// A traced request carries its span id across the wire, a traced
-    /// response carries its timing tree — and untraced calls stay
-    /// byte-identical to the v2 untraced helpers.
+    /// response carries its timing tree — and span id 0 or no tree
+    /// reads back as untraced.
     #[test]
     fn traced_messages_roundtrip(seed in 0u64..u64::MAX) {
         let mut g = Gen(seed);
@@ -586,29 +586,30 @@ proptest! {
         let reqs = g.all_requests();
         let req = &reqs[g.below(reqs.len() as u64) as usize];
         let mut buf = Vec::new();
-        write_request_traced(&mut buf, "peer", req, span_id).expect("vec write");
-        let (back, id) = read_request_traced(&mut &buf[..], "peer").expect("traced request");
-        prop_assert_eq!(&back, req);
-        prop_assert_eq!(id, span_id);
+        write_request(&mut buf, "peer", req, span_id).expect("vec write");
+        // The server's own path: the frame, the span id, then the decode.
+        let (trace, payload) = read_frame(&mut &buf[..], "peer").expect("traced request");
+        prop_assert_eq!(decode_span_id(&trace, "peer").ok(), Some(span_id));
+        prop_assert_eq!(ShardRequest::decode(&payload, "peer").ok(), Some(req.clone()));
 
         // Span id 0 means untraced and reads back as 0.
         let mut buf = Vec::new();
-        write_request_traced(&mut buf, "peer", req, 0).expect("vec write");
-        let (_, id) = read_request_traced(&mut &buf[..], "peer").expect("untraced request");
-        prop_assert_eq!(id, 0);
+        write_request(&mut buf, "peer", req, 0).expect("vec write");
+        let (trace, _) = read_frame(&mut &buf[..], "peer").expect("untraced request");
+        prop_assert_eq!(decode_span_id(&trace, "peer").ok(), Some(0));
 
         let tree = g.span_node(3);
         let resps = g.all_responses();
         let resp = &resps[g.below(resps.len() as u64) as usize];
         let mut buf = Vec::new();
-        write_response_traced(&mut buf, "peer", resp, Some(&tree)).expect("vec write");
-        let (back, node) = read_response_traced(&mut &buf[..], "peer").expect("traced response");
+        write_response(&mut buf, "peer", resp, Some(&tree)).expect("vec write");
+        let (back, node) = read_response(&mut &buf[..], "peer").expect("traced response");
         prop_assert_eq!(&back, resp);
         prop_assert_eq!(node.as_ref(), Some(&tree));
 
         let mut buf = Vec::new();
-        write_response_traced(&mut buf, "peer", resp, None).expect("vec write");
-        let (_, node) = read_response_traced(&mut &buf[..], "peer").expect("untraced response");
+        write_response(&mut buf, "peer", resp, None).expect("vec write");
+        let (_, node) = read_response(&mut &buf[..], "peer").expect("untraced response");
         prop_assert_eq!(node, None);
     }
 

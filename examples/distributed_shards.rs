@@ -139,7 +139,7 @@ fn main() -> Result<(), MmdbError> {
     // Fault injection: kill one shard mid-flight. The coordinator
     // surfaces a typed transport error at the gather barrier.
     let mut servers = servers;
-    servers.remove(2).kill();
+    servers.remove(2).shutdown();
     match remote
         .query("orders")
         .filter(between("amount", 0, 9_999))

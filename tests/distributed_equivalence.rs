@@ -329,7 +329,7 @@ fn killed_shard_surfaces_a_typed_transport_error() {
     // Kill shard 1 mid-session. The next fanned query must fail with a
     // typed transport error — no panic, no hang (the remote client's
     // bounded reconnect gives up after its backoff schedule).
-    servers.remove(1).kill();
+    servers.remove(1).shutdown();
     let err = db
         .query("orders")
         .filter(between("amount", 100, 500))
@@ -389,16 +389,16 @@ fn a_register_frame_with_a_duplicate_column_is_refused_typed() {
         columns: vec![column([1, 2, 3]), column([7, 8, 9])],
     };
     let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
-    write_request(&mut stream, "test", &register).unwrap();
+    write_request(&mut stream, "test", &register, 0).unwrap();
     let duplicate = MmdbError::DuplicateColumn {
         table: "t".into(),
         column: "a".into(),
     };
-    let reply = read_response(&mut stream, "test").unwrap();
+    let (reply, _) = read_response(&mut stream, "test").unwrap();
     assert_eq!(reply, ShardResponse::Err(duplicate));
     // Nothing was committed, and the connection still serves.
-    write_request(&mut stream, "test", &ShardRequest::Hello).unwrap();
-    let hello = read_response(&mut stream, "test").unwrap();
+    write_request(&mut stream, "test", &ShardRequest::Hello, 0).unwrap();
+    let (hello, _) = read_response(&mut stream, "test").unwrap();
     assert!(
         matches!(hello, ShardResponse::Info { generation: 0, .. }),
         "{hello:?}"
@@ -438,8 +438,8 @@ fn interleaved_snapshot_transfers_each_stream_one_generation() {
     let server = ShardServer::spawn(db).unwrap();
 
     let call = |stream: &mut TcpStream, request: &ShardRequest| {
-        write_request(stream, "test", request).unwrap();
-        read_response(stream, "test").unwrap()
+        write_request(stream, "test", request, 0).unwrap();
+        read_response(stream, "test").unwrap().0
     };
     // One chunk of a transfer: appended to `image`; the chunk count.
     let fetch = |stream: &mut TcpStream, chunk: u32, image: &mut Vec<u8>| match call(
@@ -1016,7 +1016,7 @@ fn a_shard_killed_between_shard_local_queries_is_a_typed_transport_error() {
     assert!(grouped().plan().unwrap().is_shard_local());
     assert_eq!(grouped().run().unwrap().groups().len(), 4);
     let pushed = counter(&db, "shard.route.pushdown");
-    servers.remove(1).kill();
+    servers.remove(1).shutdown();
     // The template is cached, so shard 0 is not even asked to compile:
     // the error comes from the gather barrier, whole — never the
     // surviving shard's partial groups.
