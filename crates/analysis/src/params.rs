@@ -60,12 +60,6 @@ impl Params {
         self.n = n;
         self
     }
-
-    /// Same parameters with a node of `m` slots (adjusts `s`).
-    pub fn with_m(mut self, m: usize) -> Self {
-        self.s = (m * self.k) as f64 / self.c as f64;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -84,11 +78,18 @@ mod tests {
 
     #[test]
     fn with_m_round_trips() {
-        let p = Params::default().with_m(8);
+        // `m = s·c / K`: half a 64-byte line holds 8 slots.
+        let p = Params {
+            s: 0.5,
+            ..Params::default()
+        };
         assert_eq!(p.m(), 8);
         assert!((p.node_bytes() - 32.0).abs() < 1e-9);
-        let p = Params::default().with_m(24); // the Fig. 12 bump point
+        let p = Params {
+            s: 1.5,
+            ..Params::default()
+        }; // the Fig. 12 bump point
         assert_eq!(p.m(), 24);
-        assert!((p.s - 1.5).abs() < 1e-9);
+        assert!((p.node_bytes() - 96.0).abs() < 1e-9);
     }
 }

@@ -160,7 +160,11 @@ mod tests {
         // §1: "CSS-trees also use less space than B+-trees of the same
         // node size" — across node sizes.
         for m in [8usize, 16, 32, 64] {
-            let p = Params::default().with_m(m);
+            // `m` 4-byte slots per node: `s = m·K / c` lines.
+            let p = Params {
+                s: m as f64 / 16.0,
+                ..Params::default()
+            };
             assert!(
                 space_indirect(Method::FullCss, &p) < space_indirect(Method::BPlusTree, &p),
                 "m={m}"

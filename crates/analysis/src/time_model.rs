@@ -223,7 +223,11 @@ mod tests {
         // §5.1: "the number of cache misses is minimized when the node
         // size is the same as cache line size."
         let at = |m: usize| {
-            let p = Params::default().with_m(m);
+            // `m` 4-byte slots per node: `s = m·K / c` lines.
+            let p = Params {
+                s: m as f64 / 16.0,
+                ..Params::default()
+            };
             cost_breakdown(Method::FullCss, &p).unwrap().cache_misses
         };
         let best = at(16);
@@ -237,7 +241,11 @@ mod tests {
         // §5.1: "as m gets larger, the number of cache misses for all the
         // methods approaches log2 n".
         let at = |m: usize| {
-            let p = Params::default().with_m(m);
+            // `m` 4-byte slots per node: `s = m·K / c` lines.
+            let p = Params {
+                s: m as f64 / 16.0,
+                ..Params::default()
+            };
             cost_breakdown(Method::FullCss, &p).unwrap().cache_misses
         };
         // Monotonically worse past the cache-line optimum...

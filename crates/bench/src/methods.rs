@@ -11,7 +11,7 @@ use bplus::BPlusTree;
 use bst_index::BinaryTreeIndex;
 use ccindex_common::{OrderedIndex, SearchIndex, SortedArray};
 use css_tree::{build_dyn, CssVariant};
-use hashindex::HashIndex;
+use hashindex::{bucket::U32_BUCKET_ENTRIES, HashIndex};
 use sorted_search::{BinarySearch, InterpolationSearch};
 use ttree::TTree;
 
@@ -89,7 +89,7 @@ pub fn build_hash(keys: &SortedArray<u32>, directory: usize) -> MethodInstance {
     hash(HashIndex::build_with_directory(keys.as_slice(), directory))
 }
 
-fn hash(index: HashIndex<u32, 7>) -> MethodInstance {
+fn hash(index: HashIndex<u32, U32_BUCKET_ENTRIES>) -> MethodInstance {
     MethodInstance {
         label: "hash".to_owned(),
         index: Built::Point(Box::new(index)),

@@ -11,7 +11,7 @@
 //! | H1   | every `lib.rs` opens with `//!` docs and declares `#![deny(unsafe_op_in_unsafe_fn)]` |
 //! | W1   | no `.unwrap()` / `.expect(` on socket- or file-I/O lines — transport and storage faults must map to typed errors |
 //! | M1   | metric names at registration sites (`.counter("…")` / `.gauge("…")` / `.histogram("…")`) are `dot.separated` lowercase, and each name is registered at exactly one source site workspace-wide |
-//! | U1   | every `pub` item of a library crate is named somewhere outside its defining file's `#[cfg(test)]` code and the files its crate mounts behind a `#[cfg(test)]` (the whole workspace, `ccbench/` included, counts, and so do `README.md`'s Rust fences; `use` lines do not), unless the facade prelude re-exports it or [`U1_ALLOWED`] lists it with a reason |
+//! | U1   | every `pub` item of a library crate is named somewhere outside its crate's test code — the `#[cfg(test)]` code of every file under the crate's `src`, and the files the crate mounts behind a `#[cfg(test)]` (the whole workspace, `ccbench/` included, counts, and so do `README.md`'s Rust fences; `use` lines do not), unless the facade prelude re-exports it or [`U1_ALLOWED`] lists it with a reason |
 //! | B1   | no `from_le_bytes` and no `CRC_TABLE` outside the byte codec, `crates/store/src/bytes.rs` (`#[cfg(test)]` code exempt) — every byte the wire, the store and the manifest read goes through the one bounds-checked reader and the one CRC-32 |
 //! | D1   | `README.md`'s Rust fences, which run as doctests of the facade crate, execute: no `ignore`, `no_run` only under a `// Not run: <reason>` first line, and a block whose only items are `fn`s other than `main` calls one of them |
 //!
@@ -73,7 +73,7 @@
 //! It is a lint, not a parser — it prefers a rare false positive (fix:
 //! write the comment) over a dependency on a Rust parser crate.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -139,7 +139,7 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
     Ok(violations)
 }
 
-/// Rule U1's allowlist: `pub` items nothing outside their own file's
+/// Rule U1's allowlist: `pub` items nothing outside their own crate's
 /// tests names, kept on purpose — `(defining file, item, reason)`.
 pub const U1_ALLOWED: &[(&str, &str, &str)] = &[
     (
@@ -214,9 +214,8 @@ fn unused_pub_items(root: &Path) -> std::io::Result<Vec<Violation>> {
                 line,
                 rule: "U1",
                 message: format!(
-                    "pub `{name}` is named nowhere outside this file's tests and its crate's \
-                     test-only files; delete it, or list it in `check::lint::U1_ALLOWED` with \
-                     a reason"
+                    "pub `{name}` is named nowhere outside its crate's tests and test-only \
+                     files; delete it, or list it in `check::lint::U1_ALLOWED` with a reason"
                 ),
             }),
         }
@@ -239,10 +238,12 @@ fn unused_pub_items(root: &Path) -> std::io::Result<Vec<Violation>> {
 /// Rule U1's scan: `(file, line, name)` for every `pub` item defined
 /// outside test code in a file `is_library` accepts whose name appears
 /// in no code of `sources` — every source file of the workspace — except
-/// its own definition line, `use` statements, its defining file's
-/// `#[cfg(test)]` code, and the files its crate mounts behind a
-/// `#[cfg(test)]` (see `test_mounted_files`). Comments and string
-/// literals are not code.
+/// its own definition line, `use` statements, and its crate's test code:
+/// the `#[cfg(test)]` code of every file under the crate's `src`
+/// directory, and the files the crate mounts behind a `#[cfg(test)]`
+/// (see `test_mounted_files`). An item defined in such a mounted file
+/// is a test helper, so only its own file's tests are discounted.
+/// Comments and string literals are not code.
 pub fn unreferenced_pub_items(
     sources: &[(PathBuf, String)],
     is_library: impl Fn(&Path) -> bool,
@@ -267,14 +268,15 @@ pub fn unreferenced_pub_items(
         })
         .collect();
     let mounted = test_mounted_files(sources);
-    let scopes: BTreeSet<&PathBuf> = mounted.values().collect();
     // Uses per name across the workspace, per file inside its tests, and
-    // per crate inside the files it mounts behind a `#[cfg(test)]`.
+    // per crate inside its test code.
     let mut uses: HashMap<&str, usize> = HashMap::new();
     let mut test_uses: HashMap<(usize, &str), usize> = HashMap::new();
-    let mut mounted_uses: HashMap<(&Path, &str), usize> = HashMap::new();
+    let mut crate_test_uses: HashMap<(&Path, &str), usize> = HashMap::new();
     for (f, scan) in scans.iter().enumerate() {
-        let scope = mounted.get(&sources[f].0);
+        let file = &sources[f].0;
+        let is_mounted = mounted.contains_key(file);
+        let krate = crate_src(file);
         for (i, line) in scan.code.iter().enumerate() {
             if scan.in_use[i] {
                 continue;
@@ -284,8 +286,8 @@ pub fn unreferenced_pub_items(
                 if scan.in_test[i] {
                     *test_uses.entry((f, word)).or_default() += 1;
                 }
-                if let Some(scope) = scope {
-                    *mounted_uses.entry((scope, word)).or_default() += 1;
+                if let Some(krate) = krate.filter(|_| is_mounted || scan.in_test[i]) {
+                    *crate_test_uses.entry((krate, word)).or_default() += 1;
                 }
             }
         }
@@ -303,20 +305,25 @@ pub fn unreferenced_pub_items(
                 continue;
             };
             let on_line = words(line).filter(|w| *w == name).count();
-            let mut own_tests = test_uses.get(&(f, name)).copied().unwrap_or(0);
-            if !mounted.contains_key(file) {
-                own_tests += scopes
-                    .iter()
-                    .filter(|scope| file.starts_with(scope))
-                    .filter_map(|scope| mounted_uses.get(&(scope.as_path(), name)))
-                    .sum::<usize>();
-            }
-            if uses[name] == on_line + own_tests {
+            let own_tests = match crate_src(file) {
+                Some(krate) if !mounted.contains_key(file) => crate_test_uses.get(&(krate, name)),
+                _ => test_uses.get(&(f, name)),
+            };
+            if uses[name] == on_line + own_tests.copied().unwrap_or(0) {
                 out.push((file.clone(), i + 1, name.to_owned()));
             }
         }
     }
     out
+}
+
+/// The `src` directory of the crate a source file belongs to: its
+/// nearest ancestor named `src` (`None` for a file outside one, such as
+/// an integration test).
+fn crate_src(file: &Path) -> Option<&Path> {
+    file.ancestors()
+        .skip(1)
+        .find(|dir| dir.file_name().is_some_and(|name| name == "src"))
 }
 
 /// The identifier-like words of a stripped line.
@@ -1555,6 +1562,53 @@ mod tests {
         assert_eq!(
             names,
             [(Path::new("crates/a/src/tree.rs"), 2, "only_suite")]
+        );
+    }
+
+    #[test]
+    fn a_sibling_files_unit_tests_are_test_code_for_u1() {
+        let file = |path: &str, text: &str| (PathBuf::from(path), text.to_owned());
+        let sources = [
+            file(
+                "crates/a/src/lib.rs",
+                "pub mod tree;\npub mod walk;\npub use tree::{kept, only_sibling_tests};\n",
+            ),
+            file(
+                "crates/a/src/tree.rs",
+                "pub fn kept() {}\npub fn only_sibling_tests() {}\npub fn for_b_tests() {}\n",
+            ),
+            file(
+                "crates/a/src/walk.rs",
+                concat!(
+                    "pub fn walk() { crate::tree::kept() }\n",
+                    "#[cfg(test)]\n",
+                    "mod tests {\n",
+                    "    fn t() { crate::tree::only_sibling_tests(); }\n",
+                    "}\n",
+                ),
+            ),
+            file(
+                "crates/b/src/lib.rs",
+                concat!(
+                    "pub fn calls() { a::walk::walk() }\n",
+                    "#[cfg(test)]\n",
+                    "mod tests {\n",
+                    "    fn t() { a::tree::for_b_tests(); }\n",
+                    "}\n",
+                ),
+            ),
+            file("ccbench/src/main.rs", "fn main() { b::calls(); }\n"),
+        ];
+        // A sibling file's unit tests are the crate's own tests; another
+        // crate's unit tests still count as a use.
+        let found = unreferenced_pub_items(&sources, |p| p.starts_with("crates"));
+        let names: Vec<(&Path, usize, &str)> = found
+            .iter()
+            .map(|(f, l, n)| (f.as_path(), *l, n.as_str()))
+            .collect();
+        assert_eq!(
+            names,
+            [(Path::new("crates/a/src/tree.rs"), 2, "only_sibling_tests")]
         );
     }
 

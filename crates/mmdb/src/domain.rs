@@ -55,14 +55,14 @@
 //! an ID addresses its rows in the column's
 //! [`RidList`](crate::rid::RidList) directly. "We can process both
 //! equality and inequality tests on domain IDs directly" —
-//! [`Domain::lower_bound_id`] and [`Domain::id_range`] turn a value bound
-//! into an ID bound with the tree's `lower_bound`, and a batch of ranges
+//! [`Domain::id_range`] turns value bounds into ID bounds with the
+//! tree's `lower_bound`, and a batch of ranges
 //! resolves all of its endpoints in one batched descent (or one rank
 //! each). Enum order (`Int` before `Str`) is kept on every
 //! representation: a `Str` probe sorts after every value of a typed
 //! domain, so it encodes to `None` and lower-bounds to `len`.
 
-use ccindex_common::{prefetch, OrderedIndex, SearchIndex, SortedArray, DEFAULT_BATCH_LANES};
+use ccindex_common::{prefetch, SearchIndex, SortedArray, DEFAULT_BATCH_LANES};
 use css_tree::{CssLayout, FullCssTree};
 use std::borrow::Borrow;
 use std::sync::Arc;
@@ -483,18 +483,6 @@ impl Domain {
         }
     }
 
-    /// ID of the first domain value `>= value` (equals `len` when every
-    /// value is smaller). This is how inequality predicates on raw values
-    /// become inequality predicates on IDs.
-    pub fn lower_bound_id(&self, value: &Value) -> u32 {
-        (match (&self.repr, value) {
-            (Repr::Int(tree), Value::Int(v)) => tree.lower_bound(*v),
-            (Repr::Ranked(ranked), Value::Int(v)) => ranked.lower_bound(*v) as usize,
-            (Repr::Int(_) | Repr::Ranked(_), Value::Str(_)) => self.len(),
-            (Repr::Generic(values), _) => values.partition_point(|v| v < value),
-        }) as u32
-    }
-
     /// Inclusive ID range corresponding to the inclusive value range
     /// `[lo, hi]`; `None` when no domain value falls inside. An inverted
     /// range (`lo > hi`) contains no value, so it is `None` too — not a
@@ -697,14 +685,22 @@ mod tests {
         }
     }
 
+    /// ID of the first domain value `>= value` (`len` when every value
+    /// is smaller), through the range path: the start of the range from
+    /// `value` up to a string above every value these tests use.
+    fn lower_bound_id(d: &Domain, value: &Value) -> u32 {
+        let top = Value::Str("\u{10FFFF}".into());
+        d.id_range(value, &top).map_or(d.len() as u32, |(lo, _)| lo)
+    }
+
     #[test]
     fn inequality_predicates_on_ids() {
         let d = Domain::from_values((0..50).map(|i| Value::Int(i * 10)).collect());
         // value < 95  <=>  id < lower_bound_id(95) = 10.
-        assert_eq!(d.lower_bound_id(&Value::Int(95)), 10);
-        assert_eq!(d.lower_bound_id(&Value::Int(90)), 9);
-        assert_eq!(d.lower_bound_id(&Value::Int(-5)), 0);
-        assert_eq!(d.lower_bound_id(&Value::Int(10_000)), 50);
+        assert_eq!(lower_bound_id(&d, &Value::Int(95)), 10);
+        assert_eq!(lower_bound_id(&d, &Value::Int(90)), 9);
+        assert_eq!(lower_bound_id(&d, &Value::Int(-5)), 0);
+        assert_eq!(lower_bound_id(&d, &Value::Int(10_000)), 50);
     }
 
     #[test]
@@ -823,7 +819,7 @@ mod tests {
                     "encode {probe:?}"
                 );
                 assert_eq!(
-                    d.lower_bound_id(probe) as usize,
+                    lower_bound_id(&d, probe) as usize,
                     values.partition_point(|v| v < probe),
                     "lower_bound_id {probe:?}"
                 );
@@ -878,13 +874,13 @@ mod tests {
         // A `Str` sorts after every `Int`, on either side of the probe.
         for int in [ranked, css] {
             assert_eq!(int.encode(&"k000".into()), None);
-            assert_eq!(int.lower_bound_id(&"".into()), 67);
+            assert_eq!(lower_bound_id(&int, &"".into()), 67);
             assert_eq!(int.id_range(&Value::Int(100), &"z".into()), Some((50, 66)));
             assert_eq!(int.id_range(&"a".into(), &"z".into()), None);
             assert_eq!(int.id_range(&"a".into(), &Value::Int(5)), None, "inverted");
         }
         assert_eq!(string.encode(&Value::Int(0)), None);
-        assert_eq!(string.lower_bound_id(&Value::Int(i64::MAX)), 0);
+        assert_eq!(lower_bound_id(&string, &Value::Int(i64::MAX)), 0);
         assert_eq!(
             string.id_range(&Value::Int(0), &"k003".into()),
             Some((0, 1))
@@ -1059,8 +1055,8 @@ mod tests {
                     "encode {probe:?}"
                 );
                 assert_eq!(
-                    ranked.lower_bound_id(&probe),
-                    css.lower_bound_id(&probe),
+                    lower_bound_id(&ranked, &probe),
+                    lower_bound_id(&css, &probe),
                     "lower_bound_id {probe:?}"
                 );
             }
@@ -1105,14 +1101,14 @@ mod tests {
         for d in both_arms(high) {
             for v in [i64::MIN, i64::MIN + 1, i64::MIN + 2_999] {
                 assert_eq!(d.encode(&Value::Int(v)), None);
-                assert_eq!(d.lower_bound_id(&Value::Int(v)), 0);
+                assert_eq!(lower_bound_id(&d, &Value::Int(v)), 0);
             }
             assert_eq!(d.encode(&Value::Int(i64::MAX)), Some(1_499));
         }
         for d in both_arms(low) {
             for v in [i64::MAX, 0, i64::MIN + 2_999, i64::MIN + 3_000] {
                 assert_eq!(d.encode(&Value::Int(v)), None);
-                assert_eq!(d.lower_bound_id(&Value::Int(v)), 1_500);
+                assert_eq!(lower_bound_id(&d, &Value::Int(v)), 1_500);
             }
             assert_eq!(d.encode(&Value::Int(i64::MIN)), Some(0));
         }

@@ -8,8 +8,10 @@
 //! module is the system itself. A [`Database`] registers [`Table`]s,
 //! builds and owns one [`RidList`] per indexed column, and records which
 //! [`IndexKind`]s were created on it. The RID list is addressed by domain
-//! ID, so it answers every kind: a kind is an access path the planner
-//! chooses and a query may force, not a second structure over the rows.
+//! ID, so it answers every kind: a kind is a declaration the planner
+//! checks (the column is indexed; a range needs an ordered kind) and a
+//! query may require, not a choice and not a second structure over the
+//! rows.
 //!
 //! A `Database` derefs to its tip, the [`CatalogState`] every read runs
 //! against, so queries start at [`CatalogState::query`] — `db.query(..)`

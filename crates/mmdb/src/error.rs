@@ -8,6 +8,7 @@
 //! a stack trace.
 
 use crate::index_choice::IndexKind;
+pub use ccindex_store::StorageFault;
 
 /// Everything the engine and builders can fail with.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -141,27 +142,6 @@ pub enum MmdbError {
     },
 }
 
-/// Which stage of a storage conversation a [`MmdbError::Storage`]
-/// failure happened in. Mirrors `ccindex-store`'s `StoreFault` 1:1 so
-/// the engine can surface store-crate errors without flattening them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StorageFault {
-    /// The file could not be opened or created.
-    Open,
-    /// A read syscall failed or came up short.
-    Read,
-    /// A write syscall failed.
-    Write,
-    /// The bytes are not a ccindex store (bad magic, impossible
-    /// offsets, truncated structure).
-    Format,
-    /// The structure parsed but a checksum or catalog invariant
-    /// failed — the file was damaged after it was written.
-    Corrupt,
-    /// The file speaks a storage format version this build does not.
-    Version,
-}
-
 /// Which stage of a wire conversation a [`MmdbError::Transport`] failure
 /// happened in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -283,17 +263,7 @@ impl std::fmt::Display for MmdbError {
                 path,
                 fault,
                 detail,
-            } => {
-                let stage = match fault {
-                    StorageFault::Open => "opening",
-                    StorageFault::Read => "reading",
-                    StorageFault::Write => "writing",
-                    StorageFault::Format => "not a ccindex store",
-                    StorageFault::Corrupt => "corrupted store",
-                    StorageFault::Version => "store format version mismatch",
-                };
-                write!(f, "storage fault on `{path}` ({stage}): {detail}")
-            }
+            } => write!(f, "storage fault on `{path}` ({}): {detail}", fault.stage()),
             MmdbError::Transport {
                 endpoint,
                 fault,

@@ -4,21 +4,25 @@
 //! The catalog builds none of the paper's methods; `bench::methods` is
 //! their one constructor, for `figures` and the agreement suites. A
 //! column's domain IDs are dense ranks, so its sorted [`RidList`] answers
-//! every probe by addressing the run an ID names; an [`IndexKind`]
-//! created on a column is a declared access path — what the planner
-//! chooses between and a query may force — and [`AccessPath`] is its
-//! view: the RID list behind the index traits.
+//! every probe by addressing the run an ID names. An [`IndexKind`]
+//! created on a column is a declaration: it makes the column indexed,
+//! and says whether ranges may probe it (any kind but hash). The planner
+//! checks declarations and chooses nothing, since every kind answers
+//! through the same RID list; [`AccessPath`] is that list behind the
+//! index traits.
 
 use ccindex_common::{OrderedIndex, SearchIndex};
 
 use crate::rid::RidList;
 
-/// The index methods available to the database layer.
+/// The paper's index methods, as a column's index declares them.
 ///
-/// `Ord` follows declaration order and exists so catalogs can key maps by
-/// kind deterministically; it is **not** a quality ranking — access-path
-/// choice uses [`IndexKind::POINT_PREFERENCE`] /
-/// [`IndexKind::ORDERED_PREFERENCE`].
+/// A declared kind is not a structure the catalog builds or a path the
+/// planner picks: every kind on a column answers through its one RID
+/// list. It decides only whether the column is indexed and whether a
+/// range may probe it ([`IndexKind::is_ordered`]). `Ord` follows
+/// declaration order and exists so catalogs can key maps by kind
+/// deterministically; it is not a quality ranking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum IndexKind {
     /// Binary search on the sorted RID list — zero extra space.
@@ -67,35 +71,6 @@ impl IndexKind {
     pub fn is_ordered(&self) -> bool {
         !matches!(self, IndexKind::Hash)
     }
-
-    /// Access-path preference for equality probes, best first: the hash
-    /// index wins point lookups when present (§3.5 "fastest point
-    /// lookups"), then the paper's recommendation (full CSS-tree) and the
-    /// remaining directories by decreasing branching, with the zero-space
-    /// array methods last.
-    pub const POINT_PREFERENCE: [IndexKind; 8] = [
-        IndexKind::Hash,
-        IndexKind::FullCss,
-        IndexKind::LevelCss,
-        IndexKind::BPlusTree,
-        IndexKind::TTree,
-        IndexKind::BinaryTree,
-        IndexKind::InterpolationSearch,
-        IndexKind::BinarySearch,
-    ];
-
-    /// Access-path preference for range / ordered probes, best first —
-    /// [`IndexKind::POINT_PREFERENCE`] minus the hash index, which cannot
-    /// serve ordered access.
-    pub const ORDERED_PREFERENCE: [IndexKind; 7] = [
-        IndexKind::FullCss,
-        IndexKind::LevelCss,
-        IndexKind::BPlusTree,
-        IndexKind::TTree,
-        IndexKind::BinaryTree,
-        IndexKind::InterpolationSearch,
-        IndexKind::BinarySearch,
-    ];
 }
 
 /// A declared access path on one catalog column, as
@@ -206,18 +181,17 @@ mod tests {
 
     #[test]
     fn preference_orders_cover_the_kinds() {
-        // Every kind appears exactly once in the point preference; the
-        // ordered preference is the same list minus Hash.
-        let mut point = IndexKind::POINT_PREFERENCE.to_vec();
-        point.sort();
-        let mut all = IndexKind::ALL.to_vec();
-        all.sort();
-        assert_eq!(point, all);
-        assert!(IndexKind::ORDERED_PREFERENCE.iter().all(|k| k.is_ordered()));
-        assert_eq!(
-            IndexKind::ORDERED_PREFERENCE.len(),
-            IndexKind::ALL.len() - 1
-        );
+        // `ORDERED` is `ALL` without Hash, in declaration order.
+        let unordered: Vec<IndexKind> = IndexKind::ALL
+            .into_iter()
+            .filter(|k| !k.is_ordered())
+            .collect();
+        assert_eq!(unordered, [IndexKind::Hash]);
+        let ordered: Vec<IndexKind> = IndexKind::ALL
+            .into_iter()
+            .filter(IndexKind::is_ordered)
+            .collect();
+        assert_eq!(ordered, IndexKind::ORDERED);
     }
 
     #[test]

@@ -32,9 +32,11 @@
 //! * [`rid`] — sorted RID lists, addressed by domain ID: the one search
 //!   a probe makes is the domain's,
 //! * [`index_choice`] — the catalog's declared access paths: the
-//!   [`IndexKind`] a column's index names and the [`AccessPath`] view
-//!   that answers it (the paper's methods themselves, the baselines, are
-//!   built by `bench::methods`, outside the engine),
+//!   [`IndexKind`] a column's index declares (a check the planner makes,
+//!   not a choice: every kind answers through the column's RID list) and
+//!   the [`AccessPath`] view of that list (the paper's methods
+//!   themselves, the baselines, are built by `bench::methods`, outside
+//!   the engine),
 //! * [`query`] — point select, range select, and indexed nested-loop
 //!   join, one form each: batched at an explicit lane count and chunked
 //!   across an explicit number of workers (`1` runs inline),

@@ -103,7 +103,7 @@ use crate::rid::RidList;
 use crate::snapshot::CatalogState;
 use crate::table::Table;
 use ccindex_store::bytes::{ByteReader, ByteWriter};
-use ccindex_store::{PageKind, StoreError, StoreFault, StoreReader, StoreWriter};
+use ccindex_store::{PageKind, StoreError, StoreReader, StoreWriter};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::sync::Arc;
@@ -115,17 +115,9 @@ pub const MANIFEST_VERSION: u32 = 2;
 
 impl From<StoreError> for MmdbError {
     fn from(e: StoreError) -> Self {
-        let fault = match e.fault {
-            StoreFault::Open => StorageFault::Open,
-            StoreFault::Read => StorageFault::Read,
-            StoreFault::Write => StorageFault::Write,
-            StoreFault::Format => StorageFault::Format,
-            StoreFault::Corrupt => StorageFault::Corrupt,
-            StoreFault::Version => StorageFault::Version,
-        };
         MmdbError::Storage {
             path: e.path,
-            fault,
+            fault: e.fault,
             detail: e.detail,
         }
     }
@@ -758,7 +750,8 @@ mod tests {
         assert_eq!(col.domain(), &Domain::from_values(mixed.to_vec()));
         assert_eq!(col.domain().decode_batch(&[0, 1, 2, 3]), mixed);
         assert_eq!(col.domain().encode(&"b".into()), Some(3));
-        assert_eq!(col.domain().lower_bound_id(&Value::Int(i64::MAX)), 2);
+        let top = (Value::Int(i64::MAX), "b".into());
+        assert_eq!(col.domain().id_range(&top.0, &top.1), Some((2, 3)));
         assert_eq!(col.value(0), Value::from("b"));
     }
 

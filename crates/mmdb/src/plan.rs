@@ -410,7 +410,8 @@ pub struct QuerySpec {
     pub join: Option<(String, JoinOn)>,
     /// Optional grouped aggregation: group column and aggregate.
     pub group: Option<(String, Agg)>,
-    /// Optional forced index kind (`using`).
+    /// Optional required index kind (`using`): checked at compile time,
+    /// not recorded in the plan.
     pub forced_kind: Option<IndexKind>,
     /// Optional per-query override of the catalog's [`ExecOptions`].
     pub exec: Option<ExecOptions>,
@@ -448,9 +449,13 @@ impl QuerySpec {
         self
     }
 
-    /// Force every probe in this query through one [`IndexKind`] instead
-    /// of the catalog's preference order. The kind must be built on each
-    /// probed column, and range filters reject the (unordered) hash kind.
+    /// Require `kind` to be declared on every probed column: a check
+    /// [`CatalogRead::compile`] makes, not a choice. Every kind answers
+    /// through the column's one RID list, so the plan is the one the
+    /// query compiles to without it, and it records no kind. An
+    /// undeclared kind is [`MmdbError::IndexNotBuilt`], and a range
+    /// filter under the (unordered) hash kind is
+    /// [`MmdbError::NoOrderedIndex`].
     pub fn using(mut self, kind: IndexKind) -> Self {
         self.forced_kind = Some(kind);
         self
@@ -467,7 +472,7 @@ impl QuerySpec {
 
     /// Whether `other` is this query with different literals: the same
     /// table, filter columns and comparison kinds (in call order), join,
-    /// grouping, forced kind and exec override — everything
+    /// grouping, required kind and exec override — everything
     /// [`CatalogRead::compile`] reads. Two specs of one shape compile
     /// (against one generation) into plans that differ only in their
     /// probe constants, which [`Plan::bind_literals`] patches — what
@@ -598,7 +603,9 @@ impl<'c, C: CatalogRead + ?Sized> Query<'c, C> {
         self
     }
 
-    /// [`QuerySpec::using`].
+    /// [`QuerySpec::using`]: require `kind` on every probed column, a
+    /// check made when the query compiles that chooses nothing and is
+    /// not recorded in the plan.
     pub fn using(mut self, kind: IndexKind) -> Self {
         self.spec = self.spec.using(kind);
         self
@@ -621,50 +628,34 @@ impl<'c, C: CatalogRead + ?Sized> Query<'c, C> {
     }
 }
 
-/// Pick an access path for a probe on `table.column`: the forced kind if
-/// any (validated), else the first registered kind in the applicable
-/// preference order.
-fn resolve_kind(
+/// Check that `table.column` can answer a probe: the column is indexed
+/// ([`MmdbError::NoIndex`]), a range has an ordered kind declared there
+/// ([`MmdbError::NoOrderedIndex`]), and a `forced` kind is declared there
+/// ([`MmdbError::IndexNotBuilt`]; `NoOrderedIndex` when a range forces
+/// the unordered hash kind). Every declared kind answers through the
+/// column's one RID list, so the check chooses nothing.
+fn check_index(
     cat: &CatalogState,
     table: &str,
     column: &str,
-    ordered_required: bool,
+    ranged: bool,
     forced: Option<IndexKind>,
-) -> Result<IndexKind> {
-    let entry = cat.column_entry(table, column)?;
-    if let Some(kind) = forced {
-        if ordered_required && !kind.is_ordered() {
-            return Err(MmdbError::NoOrderedIndex {
-                table: table.to_owned(),
-                column: column.to_owned(),
-            });
-        }
-        if !entry.kinds.contains(&kind) {
-            return Err(MmdbError::IndexNotBuilt {
-                table: table.to_owned(),
-                column: column.to_owned(),
-                kind,
-            });
-        }
-        return Ok(kind);
-    }
-    let preference: &[IndexKind] = if ordered_required {
-        &IndexKind::ORDERED_PREFERENCE
-    } else {
-        &IndexKind::POINT_PREFERENCE
+) -> Result<()> {
+    let kinds = &cat.column_entry(table, column)?.kinds;
+    let unordered = || MmdbError::NoOrderedIndex {
+        table: table.to_owned(),
+        column: column.to_owned(),
     };
-    preference
-        .iter()
-        .copied()
-        .find(|k| entry.kinds.contains(k))
-        .ok_or_else(|| {
-            // Something is registered (column_entry succeeded), so the
-            // only way to miss is needing order with only hash built.
-            MmdbError::NoOrderedIndex {
-                table: table.to_owned(),
-                column: column.to_owned(),
-            }
-        })
+    match forced {
+        Some(kind) if ranged && !kind.is_ordered() => Err(unordered()),
+        Some(kind) if !kinds.contains(&kind) => Err(MmdbError::IndexNotBuilt {
+            table: table.to_owned(),
+            column: column.to_owned(),
+            kind,
+        }),
+        None if ranged && !kinds.iter().any(IndexKind::is_ordered) => Err(unordered()),
+        _ => Ok(()),
+    }
 }
 
 /// Which relation of a (possibly joined) query a column belongs to:
@@ -803,8 +794,6 @@ pub enum JoinRouting {
 pub struct ProbeStep {
     /// Probed column of the outer table.
     pub column: String,
-    /// Chosen access path.
-    pub kind: IndexKind,
     /// The probe itself.
     pub probe: Probe,
 }
@@ -814,7 +803,8 @@ pub struct ProbeStep {
 pub enum Probe {
     /// Equality probe.
     Point(Value),
-    /// Inclusive range probe (requires an ordered kind).
+    /// Inclusive range probe (requires an ordered kind declared on the
+    /// column).
     Range(Value, Value),
 }
 
@@ -827,8 +817,6 @@ pub struct JoinStep {
     pub outer_column: String,
     /// Join column on the inner table (must be indexed).
     pub inner_column: String,
-    /// Access path on the inner column.
-    pub kind: IndexKind,
     /// The planner's upper bound on the outer stream length (the driving
     /// table's row count). The outer RID stream partitions across the
     /// plan's `exec.threads`; an adaptive plan (`0`) resolves against the
@@ -1007,7 +995,7 @@ impl Plan {
         }
         out += &match r.selected.len() == r.shards {
             true => "\n  scatter set: all shards".to_owned(),
-            false => format!("\n  scatter set: {} ", set(&r.selected)),
+            false => format!("\n  scatter set: {}", set(&r.selected)),
         };
         if let (Some(j), Some(mode)) = (&self.join, r.join) {
             out += &match mode {
@@ -1059,15 +1047,12 @@ impl Plan {
             };
             match &p.probe {
                 Probe::Point(v) => {
-                    out.push_str(&format!(
-                        "\n  probe {} = {} via {:?}{drove}{timed}",
-                        p.column, v, p.kind
-                    ));
+                    out.push_str(&format!("\n  probe {} = {}{drove}{timed}", p.column, v));
                 }
                 Probe::Range(lo, hi) => {
                     out.push_str(&format!(
-                        "\n  probe {} in [{}, {}] via {:?}{drove}{timed}",
-                        p.column, lo, hi, p.kind
+                        "\n  probe {} in [{}, {}]{drove}{timed}",
+                        p.column, lo, hi
                     ));
                 }
             }
@@ -1080,11 +1065,10 @@ impl Plan {
         }
         if let Some(j) = &self.join {
             out.push_str(&format!(
-                "\n  join {} on {} = {} via {:?}{}{}",
+                "\n  join {} on {} = {}{}{}",
                 j.inner_table,
                 j.outer_column,
                 j.inner_column,
-                j.kind,
                 par(j.rows_hint),
                 stamp(timings.and_then(|t| t.join_ns))
             ));
@@ -1162,7 +1146,6 @@ impl Plan {
                 let outer_col = cat.column(&self.table, &j.outer_column)?;
                 let inner_col = cat.column(&j.inner_table, &j.inner_column)?;
                 let inner_rids = cat.rid_list(&j.inner_table, &j.inner_column)?;
-                cat.index(&j.inner_table, &j.inner_column, j.kind)?;
                 let all_rids: Vec<u32>;
                 let outer_rids: &[u32] = match &selected {
                     Some(rids) => rids,
@@ -1314,21 +1297,16 @@ impl Plan {
     }
 
     /// One filter's column and sorted RID list, with the typed error a
-    /// stale plan meets: the column, its index entry or the step's kind
-    /// is gone, or a range asks an unordered kind.
+    /// stale plan meets: the column or its index is gone, or a range's
+    /// column has no ordered kind left.
     fn resolve_probe<'c>(
         &self,
         cat: &'c CatalogState,
         step: &ProbeStep,
     ) -> Result<(&'c Column, &'c RidList)> {
         let col = cat.column(&self.table, &step.column)?;
-        let path = cat.index(&self.table, &step.column, step.kind)?;
-        if matches!(step.probe, Probe::Range(..)) && path.as_ordered().is_none() {
-            return Err(MmdbError::NoOrderedIndex {
-                table: self.table.clone(),
-                column: step.column.clone(),
-            });
-        }
+        let ranged = matches!(step.probe, Probe::Range(..));
+        check_index(cat, &self.table, &step.column, ranged, None)?;
         Ok((col, cat.rid_list(&self.table, &step.column)?))
     }
 }
@@ -1352,9 +1330,9 @@ pub trait CatalogRead: Sync {
     fn exec_options(&self) -> ExecOptions;
 
     /// Answer many equality probes on one `table.column` with a single
-    /// probes-only sub-plan: one access-path resolution (the same
-    /// preference order a [`Query::filter`]`(`[`eq`]`)` compiles to),
-    /// one batched domain encoding over all the values, and each
+    /// probes-only sub-plan: one index check (the one a
+    /// [`Query::filter`]`(`[`eq`]`)` compiles through), one batched
+    /// domain encoding over all the values, and each
     /// encoded ID's run of the column's RID list, addressed by the ID,
     /// partitioned across workers when the catalog's [`ExecOptions`]
     /// allow (`threads == 0` adapts to the probe count). Returns one ascending RID set per value, in submission
@@ -1374,8 +1352,10 @@ pub trait CatalogRead: Sync {
     ) -> Result<Vec<Vec<u32>>>;
 
     /// Answer many inclusive range probes on one `table.column` with a
-    /// single probes-only sub-plan over an ordered index (typed
-    /// [`MmdbError::NoOrderedIndex`] when only hash is built): every
+    /// single probes-only sub-plan, once the column declares an ordered
+    /// kind (typed [`MmdbError::NoOrderedIndex`] when only hash is
+    /// declared; the runs come from the column's one RID list whatever
+    /// its kinds): every
     /// range contributes its two value endpoints to one batched domain
     /// `lower_bound`, and each resulting ID interval is one addressed
     /// run of the column's RID list. Returns one ascending RID set per
@@ -1389,9 +1369,9 @@ pub trait CatalogRead: Sync {
         ranges: &[(Value, Value)],
     ) -> Result<Vec<Vec<u32>>>;
 
-    /// Compile `spec` against this generation: resolve every name,
-    /// choose an access path per probe, validate aggregate typing, and
-    /// record the plan's [`Routing`].
+    /// Compile `spec` against this generation: resolve every name, check
+    /// each probed column's index, validate aggregate typing, and record
+    /// the plan's [`Routing`].
     fn compile(&self, spec: &QuerySpec) -> Result<Plan>;
 
     /// Execute a plan against this generation (normally the one it was
@@ -1466,7 +1446,7 @@ impl CatalogRead for CatalogState {
         column: &str,
         values: &[Value],
     ) -> Result<Vec<Vec<u32>>> {
-        resolve_kind(self, table, column, false, None)?;
+        check_index(self, table, column, false, None)?;
         let col = self.column(table, column)?;
         let threads = resolve_threads(self.exec.threads, values.len());
         Ok(point_select_many(
@@ -1484,7 +1464,7 @@ impl CatalogRead for CatalogState {
         column: &str,
         ranges: &[(Value, Value)],
     ) -> Result<Vec<Vec<u32>>> {
-        resolve_kind(self, table, column, true, None)?;
+        check_index(self, table, column, true, None)?;
         let col = self.column(table, column)?;
         let threads = resolve_threads(self.exec.threads, ranges.len());
         Ok(range_select_many(
@@ -1509,11 +1489,10 @@ impl CatalogRead for CatalogState {
 
         let mut probes = Vec::with_capacity(spec.filters.len());
         for p in &spec.filters {
-            let ordered_required = matches!(p.op, PredOp::Between(..));
-            let kind = resolve_kind(cat, outer, &p.column, ordered_required, spec.forced_kind)?;
+            let ranged = matches!(p.op, PredOp::Between(..));
+            check_index(cat, outer, &p.column, ranged, spec.forced_kind)?;
             probes.push(ProbeStep {
                 column: p.column.clone(),
-                kind,
                 probe: p.op.probe(),
             });
         }
@@ -1523,12 +1502,11 @@ impl CatalogRead for CatalogState {
             Some((inner_table, cond)) => {
                 cat.column(outer, &cond.outer)?;
                 cat.column(inner_table, &cond.inner)?;
-                let kind = resolve_kind(cat, inner_table, &cond.inner, false, spec.forced_kind)?;
+                check_index(cat, inner_table, &cond.inner, false, spec.forced_kind)?;
                 Some(JoinStep {
                     inner_table: inner_table.clone(),
                     outer_column: cond.outer.clone(),
                     inner_column: cond.inner.clone(),
-                    kind,
                     rows_hint: outer_rows,
                 })
             }
@@ -2058,11 +2036,6 @@ mod tests {
             .group_by("region", count())
             .plan()
             .unwrap();
-        // Hash preferred for the point probe, CSS for the range, the
-        // inner column's only kind for the join.
-        assert_eq!(plan.probes[0].kind, IndexKind::Hash);
-        assert_eq!(plan.probes[1].kind, IndexKind::FullCss);
-        assert_eq!(plan.join.as_ref().unwrap().kind, IndexKind::LevelCss);
         let text = plan.explain();
         assert!(
             text.contains("and 2 filters: the shortest run drives"),
@@ -2071,15 +2044,11 @@ mod tests {
         assert!(text.contains("join customers"), "{text}");
         assert!(text.contains("group by region"), "{text}");
 
-        // Forcing picks the named kind...
-        let plan = db
-            .query("sales")
-            .filter(eq("day", "mon"))
-            .using(IndexKind::BPlusTree)
-            .plan()
-            .unwrap();
-        assert_eq!(plan.probes[0].kind, IndexKind::BPlusTree);
-        // ... and rejects unbuilt or unordered choices with typed errors.
+        // A declared kind compiles to the plan the query has without it...
+        let day = || db.query("sales").filter(eq("day", "mon"));
+        let forced = day().using(IndexKind::BPlusTree).plan().unwrap();
+        assert_eq!(forced, day().plan().unwrap());
+        // ... and an undeclared or unordered one is a typed error.
         assert_eq!(
             db.query("sales")
                 .filter(eq("day", "mon"))
@@ -2141,7 +2110,7 @@ mod tests {
         assert_eq!(timed.matches(" .. ").count(), 4, "{timed}");
         assert!(timed.contains("\n  total: "), "{timed}");
         assert!(
-            timed.contains("probe day = mon via Hash drove 3 rows -> 2 .. "),
+            timed.contains("probe day = mon drove 3 rows -> 2 .. "),
             "{timed}"
         );
         assert_eq!(timed.matches("drove").count(), 1, "{timed}");

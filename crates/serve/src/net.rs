@@ -432,11 +432,7 @@ fn respond(
                 table,
                 probes: probes
                     .into_iter()
-                    .map(|(column, kind, probe)| ProbeStep {
-                        column,
-                        kind,
-                        probe,
-                    })
+                    .map(|(column, probe)| ProbeStep { column, probe })
                     .collect(),
                 exec,
                 ..Plan::default()
@@ -446,7 +442,6 @@ fn respond(
         ShardRequest::JoinProbeBatch {
             table,
             column,
-            kind,
             values,
             lanes,
             threads,
@@ -454,7 +449,7 @@ fn respond(
             shared
                 .handle
                 .snapshot()
-                .join_probe_batch(&table, &column, kind, &values, lanes, threads),
+                .join_probe_batch(&table, &column, &values, lanes, threads),
             A::RidSets,
         ),
         ShardRequest::GroupPartial {

@@ -39,8 +39,8 @@
 
 use mmdb::plan::Plan;
 use mmdb::{
-    indexed_nested_loop_join, CatalogRead, CatalogState, Column, Database, ExecOptions, IndexKind,
-    Mutation, QuerySpec, RebuildReport, Result, ResultRows, Value,
+    indexed_nested_loop_join, CatalogRead, CatalogState, Column, Database, ExecOptions, Mutation,
+    QuerySpec, RebuildReport, Result, ResultRows, Value,
 };
 use std::sync::Arc;
 
@@ -106,15 +106,15 @@ pub trait ShardRead: std::fmt::Debug + Send + Sync {
     /// — the outer half of a join that is not co-located.
     fn select(&self, plan: &Plan) -> Result<Vec<u32>>;
 
-    /// Probe the `kind` index on `table.column` once per outer value —
-    /// the inner half of a distributed indexed nested-loop join. Returns
-    /// one local RID set per value, in submission order, each in index
-    /// match order.
+    /// Probe the index on `table.column` (its RID list, whichever kinds
+    /// it declares) once per outer value — the inner half of a
+    /// distributed indexed nested-loop join. Returns one local RID set
+    /// per value, in submission order, each in index match order; an
+    /// unindexed column is [`mmdb::MmdbError::NoIndex`].
     fn join_probe_batch(
         &self,
         table: &str,
         column: &str,
-        kind: IndexKind,
         values: &[Value],
         lanes: usize,
         threads: usize,
@@ -249,15 +249,11 @@ impl ShardRead for CatalogState {
         &self,
         table: &str,
         column: &str,
-        kind: IndexKind,
         values: &[Value],
         lanes: usize,
         threads: usize,
     ) -> Result<Vec<Vec<u32>>> {
         let inner_col = self.table(table)?.try_column(column)?;
-        // The kind must be declared on the inner column; the runs are
-        // addressed in the column's RID list whatever the kind.
-        self.index(table, column, kind)?;
         let inner_rids = self.rid_list(table, column)?;
         let probe_col = Column::from_values(values);
         let probe_rids: Vec<u32> = (0..values.len() as u32).collect();

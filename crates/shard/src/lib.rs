@@ -152,15 +152,19 @@ mod tests {
         assert_eq!(db.shard_key("sales").unwrap(), "cust");
         assert_eq!(db.tables().collect::<Vec<_>>(), ["customers", "sales"]);
         // Every global row is placed exactly once and the per-shard row
-        // counts add up.
+        // counts add up: each global RID reads back its registered row.
         let total: usize = (0..4)
             .map(|s| db.shard(s).table("sales").unwrap().rows())
             .sum();
         assert_eq!(total, 200);
-        for g in 0..200u32 {
-            let (s, l) = db.placement_of("sales", g).unwrap();
-            assert!(s < 4);
-            assert!((l as usize) < db.shard(s).table("sales").unwrap().rows());
+        let (sales, _) = seed_tables(200);
+        let all: Vec<u32> = (0..200).collect();
+        for column in ["cust", "amount", "day"] {
+            let want: Vec<Value> = all
+                .iter()
+                .map(|&r| sales.value(column, r).unwrap())
+                .collect();
+            assert_eq!(db.values_at("sales", column, &all).unwrap(), want);
         }
     }
 
@@ -168,7 +172,7 @@ mod tests {
     fn placement_of_an_out_of_range_rid_is_a_typed_error() {
         let db = sharded(4, HashPartitioner::new(2).unwrap());
         assert_eq!(
-            db.placement_of("sales", 99).unwrap_err(),
+            db.values_at("sales", "cust", &[99]).unwrap_err(),
             MmdbError::Unsupported {
                 what: "rid 99 is out of range for table `sales` (4 rows)".into()
             }
@@ -176,11 +180,11 @@ mod tests {
         // A snapshot answers from the placement it pinned.
         let snapshot = db.snapshot();
         assert_eq!(
-            snapshot.placement_of("sales", 3).unwrap(),
-            db.placement_of("sales", 3).unwrap()
+            snapshot.values_at("sales", "cust", &[3]).unwrap(),
+            db.values_at("sales", "cust", &[3]).unwrap()
         );
         assert!(matches!(
-            snapshot.placement_of("nope", 0).unwrap_err(),
+            snapshot.values_at("nope", "cust", &[0]).unwrap_err(),
             MmdbError::UnknownTable { .. }
         ));
     }

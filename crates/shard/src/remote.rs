@@ -351,7 +351,7 @@ impl ShardRead for RemoteShard {
         let probes = plan
             .probes
             .iter()
-            .map(|step| (step.column.clone(), step.kind, step.probe.clone()))
+            .map(|step| (step.column.clone(), step.probe.clone()))
             .collect();
         let req = ShardRequest::Select {
             table: plan.table.clone(),
@@ -368,7 +368,6 @@ impl ShardRead for RemoteShard {
         &self,
         table: &str,
         column: &str,
-        kind: IndexKind,
         values: &[Value],
         lanes: usize,
         threads: usize,
@@ -376,7 +375,6 @@ impl ShardRead for RemoteShard {
         let req = ShardRequest::JoinProbeBatch {
             table: table.to_owned(),
             column: column.to_owned(),
-            kind,
             values: values.to_vec(),
             lanes,
             threads,

@@ -768,12 +768,6 @@ impl ShardedState {
         Ok(self.meta(table)?.shard_key.as_str())
     }
 
-    /// Where global row `global_rid` of `table` lives: `(shard, local
-    /// RID)`. A RID past the table's end is a typed error.
-    pub fn placement_of(&self, table: &str, global_rid: u32) -> Result<(usize, u32)> {
-        self.meta(table)?.place(table, global_rid)
-    }
-
     /// Start a composable query over `table` against this generation —
     /// the one [`mmdb::Query`] builder, compiled into the one [`Plan`]
     /// with its shard [`Routing`] recorded. Conjuncts on the shard-key
@@ -1410,10 +1404,9 @@ impl<'a> Merge<'a> {
 }
 
 /// The query a routed shard runs for a shard-local `plan`: its body as
-/// a [`QuerySpec`], with `exec` as the override. Each shard resolves its
-/// own access paths, exactly as shard 0 did for the body; every shard
-/// holds the same indexes, so the answer cannot depend on which kind
-/// each picks.
+/// a [`QuerySpec`], with `exec` as the override. Each shard checks its
+/// own indexes, exactly as shard 0 did for the body; every shard holds
+/// the same indexes, and each answers from its columns' RID lists.
 fn shipped_spec(plan: &Plan, exec: Option<ExecOptions>) -> QuerySpec {
     let mut spec = QuerySpec::table(plan.table.clone());
     for step in &plan.probes {
@@ -1490,7 +1483,6 @@ fn join_job(
     let matches = state.shards[job.t].join_probe_batch(
         &j.inner_table,
         &j.inner_column,
-        j.kind,
         &job.keys,
         lanes,
         threads,
@@ -1602,12 +1594,11 @@ mod tests {
             &self,
             t: &str,
             c: &str,
-            kind: IndexKind,
             v: &[Value],
             lanes: usize,
             threads: usize,
         ) -> Result<Vec<Vec<u32>>> {
-            let sets = self.inner.join_probe_batch(t, c, kind, v, lanes, threads)?;
+            let sets = self.inner.join_probe_batch(t, c, v, lanes, threads)?;
             Ok(self.shift_sets(sets))
         }
         fn column_values(&self, t: &str, c: &str, rids: Option<&[u32]>) -> Result<Vec<Value>> {

@@ -1,11 +1,14 @@
 //! Typed storage faults: every way a store file can disappoint,
-//! named. The engine layer maps these 1:1 onto `MmdbError::Storage`.
+//! named. The engine layer's `MmdbError::Storage` carries the same
+//! [`StorageFault`].
 
 use std::fmt;
 
-/// What went wrong with a store file.
+/// Which stage of a storage conversation failed: what went wrong with a
+/// store file, in this crate's [`StoreError`] and in the engine's
+/// `MmdbError::Storage` alike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreFault {
+pub enum StorageFault {
     /// The file could not be opened or created.
     Open,
     /// A read syscall failed or came up short.
@@ -15,22 +18,24 @@ pub enum StoreFault {
     /// The bytes are not a ccindex store (bad magic, impossible
     /// offsets, truncated structure).
     Format,
-    /// The structure parsed but a checksum or internal invariant
-    /// failed — the file was damaged after it was written.
+    /// The structure parsed but a checksum, an internal invariant or a
+    /// catalog invariant failed — the file was damaged after it was
+    /// written.
     Corrupt,
     /// The file speaks a store format version this build does not.
     Version,
 }
 
-impl StoreFault {
-    fn stage(self) -> &'static str {
+impl StorageFault {
+    /// The fault as a storage error's message names it.
+    pub fn stage(self) -> &'static str {
         match self {
-            StoreFault::Open => "opening",
-            StoreFault::Read => "reading",
-            StoreFault::Write => "writing",
-            StoreFault::Format => "not a ccindex store",
-            StoreFault::Corrupt => "corrupted store",
-            StoreFault::Version => "store format version mismatch",
+            StorageFault::Open => "opening",
+            StorageFault::Read => "reading",
+            StorageFault::Write => "writing",
+            StorageFault::Format => "not a ccindex store",
+            StorageFault::Corrupt => "corrupted store",
+            StorageFault::Version => "store format version mismatch",
         }
     }
 }
@@ -42,14 +47,14 @@ pub struct StoreError {
     /// The file (or in-memory buffer label) at fault.
     pub path: String,
     /// The fault category.
-    pub fault: StoreFault,
+    pub fault: StorageFault,
     /// Human-readable specifics.
     pub detail: String,
 }
 
 impl StoreError {
     /// Build an error for `path`.
-    pub fn new(path: &str, fault: StoreFault, detail: impl Into<String>) -> Self {
+    pub fn new(path: &str, fault: StorageFault, detail: impl Into<String>) -> Self {
         Self {
             path: path.to_owned(),
             fault,
@@ -78,7 +83,7 @@ mod tests {
 
     #[test]
     fn display_names_the_file_and_fault() {
-        let e = StoreError::new("/tmp/cat.ccs", StoreFault::Corrupt, "page 3 crc mismatch");
+        let e = StoreError::new("/tmp/cat.ccs", StorageFault::Corrupt, "page 3 crc mismatch");
         let s = e.to_string();
         assert!(s.contains("/tmp/cat.ccs"), "{s}");
         assert!(s.contains("corrupted"), "{s}");

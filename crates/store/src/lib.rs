@@ -55,7 +55,7 @@ mod reader;
 mod writer;
 
 pub use bytes::crc32;
-pub use error::{StoreError, StoreFault};
+pub use error::{StorageFault, StoreError};
 pub use reader::StoreReader;
 pub use writer::{write_file, StoreWriter};
 

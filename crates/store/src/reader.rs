@@ -8,7 +8,7 @@ use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 
 use crate::bytes::ByteReader;
-use crate::error::{StoreError, StoreFault};
+use crate::error::{StorageFault, StoreError};
 use crate::{
     crc32, PageEntry, PageKind, FOOT_MAGIC, FORMAT_VERSION, HEADER_LEN, MAGIC, MAX_PAGES,
     TRAILER_LEN,
@@ -46,32 +46,32 @@ impl StoreReader {
     pub fn open_file(path: &Path) -> Result<Self, StoreError> {
         let label = path.display().to_string();
         let file = File::open(path).map_err(|e| {
-            StoreError::new(&label, StoreFault::Open, format!("opening store: {e}"))
+            StoreError::new(&label, StorageFault::Open, format!("opening store: {e}"))
         })?;
         let len = file
             .metadata()
-            .map_err(|e| StoreError::new(&label, StoreFault::Read, format!("stat: {e}")))?
+            .map_err(|e| StoreError::new(&label, StorageFault::Read, format!("stat: {e}")))?
             .len();
         Self::open(label, Source::File { file, len }, len)
     }
 
     fn open(path: String, mut source: Source, len: u64) -> Result<Self, StoreError> {
-        let fail = |fault: StoreFault, detail: String| StoreError::new(&path, fault, detail);
+        let fail = |fault: StorageFault, detail: String| StoreError::new(&path, fault, detail);
         if len < (HEADER_LEN + TRAILER_LEN) as u64 {
             return Err(fail(
-                StoreFault::Format,
+                StorageFault::Format,
                 format!("{len} bytes is shorter than an empty store"),
             ));
         }
         let corrupt =
-            |path: &str, detail: String| StoreError::new(path, StoreFault::Corrupt, detail);
+            |path: &str, detail: String| StoreError::new(path, StorageFault::Corrupt, detail);
         // Header: magic + version.
         let header = read_at(&mut source, &path, 0, HEADER_LEN as u64)?;
         let mut h = ByteReader::new(&header, &path, corrupt);
         let magic = h.bytes(4)?;
         if magic != MAGIC {
             return Err(fail(
-                StoreFault::Format,
+                StorageFault::Format,
                 format!(
                     "bad magic {:02x}{:02x}{:02x}{:02x} (not a ccindex store)",
                     magic[0], magic[1], magic[2], magic[3]
@@ -81,7 +81,7 @@ impl StoreReader {
         let version = h.u16()?;
         if version != FORMAT_VERSION {
             return Err(fail(
-                StoreFault::Version,
+                StorageFault::Version,
                 format!("file speaks store format v{version}, this build speaks v{FORMAT_VERSION}"),
             ));
         }
@@ -96,14 +96,14 @@ impl StoreReader {
         let (footer_off, footer_len, footer_crc) = (t.u64()?, t.u64()?, t.u32()?);
         if t.bytes(4)? != FOOT_MAGIC {
             return Err(fail(
-                StoreFault::Format,
+                StorageFault::Format,
                 "bad footer magic (truncated or overwritten tail)".to_owned(),
             ));
         }
         let footer_end = footer_off.checked_add(footer_len);
         if footer_off < HEADER_LEN as u64 || footer_end != Some(len - TRAILER_LEN as u64) {
             return Err(fail(
-                StoreFault::Format,
+                StorageFault::Format,
                 format!("footer span {footer_off}+{footer_len} does not fit a {len}-byte file"),
             ));
         }
@@ -111,7 +111,7 @@ impl StoreReader {
         let got_crc = crc32(&footer);
         if got_crc != footer_crc {
             return Err(fail(
-                StoreFault::Corrupt,
+                StorageFault::Corrupt,
                 format!("footer crc {got_crc:08x}, trailer says {footer_crc:08x}"),
             ));
         }
@@ -120,7 +120,7 @@ impl StoreReader {
         let count = f.u32()?;
         if count > MAX_PAGES {
             return Err(fail(
-                StoreFault::Corrupt,
+                StorageFault::Corrupt,
                 format!("page count {count} exceeds the {MAX_PAGES} cap"),
             ));
         }
@@ -129,7 +129,7 @@ impl StoreReader {
             let code = f.u8()?;
             let kind = PageKind::from_code(code).ok_or_else(|| {
                 fail(
-                    StoreFault::Corrupt,
+                    StorageFault::Corrupt,
                     format!("page {id} has unknown kind tag {code}"),
                 )
             })?;
@@ -137,7 +137,7 @@ impl StoreReader {
             let end = offset.checked_add(page_len);
             if offset < HEADER_LEN as u64 || end.is_none() || end.unwrap_or(u64::MAX) > footer_off {
                 return Err(fail(
-                    StoreFault::Corrupt,
+                    StorageFault::Corrupt,
                     format!("page {id} span {offset}+{page_len} escapes the page region"),
                 ));
             }
@@ -190,7 +190,7 @@ impl StoreReader {
         let entry = *self.pages.get(id as usize).ok_or_else(|| {
             StoreError::new(
                 &self.path,
-                StoreFault::Corrupt,
+                StorageFault::Corrupt,
                 format!("page id {id} out of range ({} pages)", self.pages.len()),
             )
         })?;
@@ -199,7 +199,7 @@ impl StoreReader {
         if got != entry.crc {
             return Err(StoreError::new(
                 &self.path,
-                StoreFault::Corrupt,
+                StorageFault::Corrupt,
                 format!("page {id} crc {got:08x}, page table says {:08x}", entry.crc),
             ));
         }
@@ -213,12 +213,12 @@ impl StoreReader {
             Some(k) if k == kind => self.read_page(id),
             Some(other) => Err(StoreError::new(
                 &self.path,
-                StoreFault::Corrupt,
+                StorageFault::Corrupt,
                 format!("page {id} is {other:?}, expected {kind:?}"),
             )),
             None => Err(StoreError::new(
                 &self.path,
-                StoreFault::Corrupt,
+                StorageFault::Corrupt,
                 format!("page id {id} out of range ({} pages)", self.pages.len()),
             )),
         }
@@ -233,7 +233,7 @@ fn read_at(source: &mut Source, path: &str, offset: u64, len: u64) -> Result<Vec
             if !fits(bytes.len() as u64) {
                 return Err(StoreError::new(
                     path,
-                    StoreFault::Format,
+                    StorageFault::Format,
                     format!("read {offset}+{len} escapes a {}-byte image", bytes.len()),
                 ));
             }
@@ -243,18 +243,18 @@ fn read_at(source: &mut Source, path: &str, offset: u64, len: u64) -> Result<Vec
             if !fits(*total) {
                 return Err(StoreError::new(
                     path,
-                    StoreFault::Format,
+                    StorageFault::Format,
                     format!("read {offset}+{len} escapes a {total}-byte file"),
                 ));
             }
             file.seek(SeekFrom::Start(offset)).map_err(|e| {
-                StoreError::new(path, StoreFault::Read, format!("seek to {offset}: {e}"))
+                StoreError::new(path, StorageFault::Read, format!("seek to {offset}: {e}"))
             })?;
             let mut buf = vec![0u8; len as usize];
             file.read_exact(&mut buf).map_err(|e| {
                 StoreError::new(
                     path,
-                    StoreFault::Read,
+                    StorageFault::Read,
                     format!("reading {len} bytes at {offset}: {e}"),
                 )
             })?;
@@ -308,7 +308,7 @@ mod tests {
     fn missing_file_is_a_typed_open_error() {
         let err = StoreReader::open_file(Path::new("/nonexistent/cat.ccs"))
             .expect_err("missing file must fail");
-        assert_eq!(err.fault, StoreFault::Open);
+        assert_eq!(err.fault, StorageFault::Open);
     }
 
     #[test]
@@ -317,7 +317,7 @@ mod tests {
         bytes[HEADER_LEN] ^= 0x01; // first byte of page 0
         let mut r = StoreReader::open_bytes(bytes, "mem").expect("table still intact");
         let err = r.read_page(0).expect_err("flipped page must fail");
-        assert_eq!(err.fault, StoreFault::Corrupt);
+        assert_eq!(err.fault, StorageFault::Corrupt);
         assert!(err.detail.contains("crc"), "{err}");
     }
 
@@ -326,7 +326,7 @@ mod tests {
         let mut bytes = sample_image();
         bytes.truncate(bytes.len() - 3);
         let err = StoreReader::open_bytes(bytes, "mem").expect_err("truncation must fail");
-        assert_eq!(err.fault, StoreFault::Format);
+        assert_eq!(err.fault, StorageFault::Format);
     }
 
     #[test]
@@ -335,7 +335,7 @@ mod tests {
         let n = bytes.len();
         bytes[n - 4..].copy_from_slice(b"XXXX");
         let err = StoreReader::open_bytes(bytes, "mem").expect_err("forged magic must fail");
-        assert_eq!(err.fault, StoreFault::Format);
+        assert_eq!(err.fault, StorageFault::Format);
         assert!(err.detail.contains("footer magic"), "{err}");
     }
 
@@ -344,7 +344,7 @@ mod tests {
         let mut bytes = sample_image();
         bytes[0] = b'X';
         let err = StoreReader::open_bytes(bytes, "mem").expect_err("forged magic must fail");
-        assert_eq!(err.fault, StoreFault::Format);
+        assert_eq!(err.fault, StorageFault::Format);
         assert!(err.detail.contains("magic"), "{err}");
     }
 
@@ -353,7 +353,7 @@ mod tests {
         let mut bytes = sample_image();
         bytes[4] = 99;
         let err = StoreReader::open_bytes(bytes, "mem").expect_err("future version must fail");
-        assert_eq!(err.fault, StoreFault::Version);
+        assert_eq!(err.fault, StorageFault::Version);
         assert!(err.detail.contains("v99"), "{err}");
     }
 
@@ -366,6 +366,6 @@ mod tests {
         let at = bytes.len() - TRAILER_LEN - 2;
         bytes[at] ^= 0xFF;
         let err = StoreReader::open_bytes(bytes, "mem").expect_err("footer damage must fail");
-        assert_eq!(err.fault, StoreFault::Corrupt);
+        assert_eq!(err.fault, StorageFault::Corrupt);
     }
 }

@@ -4,7 +4,7 @@
 use std::path::Path;
 
 use crate::bytes::ByteWriter;
-use crate::error::{StoreError, StoreFault};
+use crate::error::{StorageFault, StoreError};
 use crate::{
     crc32, PageEntry, PageKind, FOOT_MAGIC, FORMAT_VERSION, HEADER_LEN, MAGIC, MAX_PAGES,
     TRAILER_LEN,
@@ -93,7 +93,7 @@ impl StoreWriter {
 pub fn write_file(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
     let label = path.display().to_string();
     std::fs::write(path, bytes)
-        .map_err(|e| StoreError::new(&label, StoreFault::Write, format!("writing store: {e}")))
+        .map_err(|e| StoreError::new(&label, StorageFault::Write, format!("writing store: {e}")))
 }
 
 #[cfg(test)]
@@ -113,7 +113,7 @@ mod tests {
     fn write_to_unwritable_path_is_a_typed_error() {
         let err = write_file(Path::new("/nonexistent-dir/x/y.ccs"), b"abc")
             .expect_err("unwritable path must fail");
-        assert_eq!(err.fault, StoreFault::Write);
+        assert_eq!(err.fault, StorageFault::Write);
         assert!(err.path.contains("nonexistent-dir"), "{err}");
     }
 }

@@ -51,6 +51,19 @@ pub fn get_kind(r: &mut Reader<'_>) -> Result<IndexKind> {
         .ok_or_else(|| r.fail(format!("bad IndexKind tag {tag}")))
 }
 
+/// Write a kind slot: v3 keeps a kind byte in each probe step, plan
+/// join step, `Select` probe and `JoinProbeBatch`, though no plan or
+/// probe carries a kind, so the slot always holds [`IndexKind::FullCss`]'s
+/// code.
+pub(crate) fn put_kind_slot(w: &mut ByteWriter) {
+    put_kind(w, IndexKind::FullCss);
+}
+
+/// Read a kind slot: any valid code, validated and dropped.
+pub(crate) fn skip_kind_slot(r: &mut Reader<'_>) -> Result<()> {
+    get_kind(r).map(drop)
+}
+
 /// Encode an [`AggFn`].
 pub fn put_agg_fn(w: &mut ByteWriter, agg: AggFn) {
     w.u8(match agg {
@@ -487,12 +500,13 @@ fn get_span_node_at(r: &mut Reader<'_>, depth: u32) -> Result<SpanNode> {
 /// default. Each step keeps v3's reserved thread-count slot, written as
 /// what the plan runs with (1 for a probe, `exec.threads` for the join
 /// and the group) and dropped on decode: a plan records its parallelism
-/// once, in `exec`.
+/// once, in `exec`. The probe and join steps keep v3's kind slot too,
+/// written as `FullCss`'s code and dropped on decode.
 pub fn put_plan(w: &mut ByteWriter, plan: &Plan) {
     w.str(&plan.table);
     w.seq(&plan.probes, |w, p| {
         w.str(&p.column);
-        put_kind(w, p.kind);
+        put_kind_slot(w);
         put_probe(w, &p.probe);
         w.usize(1);
     });
@@ -500,7 +514,7 @@ pub fn put_plan(w: &mut ByteWriter, plan: &Plan) {
         w.str(&j.inner_table);
         w.str(&j.outer_column);
         w.str(&j.inner_column);
-        put_kind(w, j.kind);
+        put_kind_slot(w);
         w.usize(plan.exec.threads);
         w.usize(j.rows_hint);
     });
@@ -521,22 +535,22 @@ pub fn put_plan(w: &mut ByteWriter, plan: &Plan) {
 /// Decode a compiled [`Plan`].
 pub fn get_plan(r: &mut Reader<'_>) -> Result<Plan> {
     let table = r.str()?;
-    // Each step's reserved thread-count slot is read and dropped.
+    // Each step's kind and reserved thread-count slots are read and
+    // dropped.
     let probes = r.seq(|r| {
-        let step = ProbeStep {
-            column: r.str()?,
-            kind: get_kind(r)?,
-            probe: get_probe(r)?,
-        };
+        let column = r.str()?;
+        skip_kind_slot(r)?;
+        let probe = get_probe(r)?;
         r.usize()?;
-        Ok(step)
+        Ok(ProbeStep { column, probe })
     })?;
     let join = r.option(|r| {
+        let (inner_table, outer_column, inner_column) = (r.str()?, r.str()?, r.str()?);
+        skip_kind_slot(r)?;
         Ok(JoinStep {
-            inner_table: r.str()?,
-            outer_column: r.str()?,
-            inner_column: r.str()?,
-            kind: get_kind(r)?,
+            inner_table,
+            outer_column,
+            inner_column,
             rows_hint: r.usize().and_then(|_| r.usize())?,
         })
     })?;

@@ -29,8 +29,8 @@ use mmdb::{
 use crate::codec::{
     decode_error, get_agg, get_agg_fn, get_error, get_exec, get_group_row, get_join_on, get_kind,
     get_plan, get_predicate, get_probe, get_result_rows, get_span_node, put_agg, put_agg_fn,
-    put_error, put_exec, put_group_row, put_join_on, put_kind, put_plan, put_predicate, put_probe,
-    put_result_rows, put_span_node, reader, Reader,
+    put_error, put_exec, put_group_row, put_join_on, put_kind, put_kind_slot, put_plan,
+    put_predicate, put_probe, put_result_rows, put_span_node, reader, skip_kind_slot, Reader,
 };
 use crate::frame::{read_frame, write_frame};
 
@@ -58,24 +58,27 @@ pub enum ShardRequest {
         ranges: Vec<(Value, Value)>,
     },
     /// Execute a probes-only selection (the already-compiled probe
-    /// steps of a scatter plan) and return matching local RIDs.
+    /// steps of a scatter plan) and return matching local RIDs. Each
+    /// step keeps v3's kind byte between its column and its probe,
+    /// written as `FullCss`'s code and dropped on read: the shard checks
+    /// its own index.
     Select {
         /// Table to select from.
         table: String,
-        /// `(column, kind, probe)` steps, ANDed.
-        probes: Vec<(String, IndexKind, Probe)>,
+        /// `(column, probe)` steps, ANDed.
+        probes: Vec<(String, Probe)>,
         /// Execution options for the partitioned operators.
         exec: ExecOptions,
     },
-    /// Probe the `kind` index on `table.column` once per outer value;
-    /// the inner half of a distributed indexed nested-loop join.
+    /// Probe the index on `table.column` (its RID list) once per outer
+    /// value; the inner half of a distributed indexed nested-loop join.
+    /// v3's kind byte follows the column, written as `FullCss`'s code
+    /// and dropped on read.
     JoinProbeBatch {
         /// Inner table.
         table: String,
         /// Inner join column.
         column: String,
-        /// Index kind the plan resolved.
-        kind: IndexKind,
         /// Outer-side join values, one probe each.
         values: Vec<Value>,
         /// Interleave lanes per batched descent.
@@ -414,9 +417,9 @@ impl ShardRequest {
             } => {
                 w.u8(3);
                 w.str(table);
-                w.seq(probes, |w, (column, kind, probe)| {
+                w.seq(probes, |w, (column, probe)| {
                     w.str(column);
-                    put_kind(w, *kind);
+                    put_kind_slot(w);
                     put_probe(w, probe);
                 });
                 put_exec(&mut w, *exec);
@@ -424,7 +427,6 @@ impl ShardRequest {
             ShardRequest::JoinProbeBatch {
                 table,
                 column,
-                kind,
                 values,
                 lanes,
                 threads,
@@ -432,7 +434,7 @@ impl ShardRequest {
                 w.u8(4);
                 w.str(table);
                 w.str(column);
-                put_kind(&mut w, *kind);
+                put_kind_slot(&mut w);
                 w.seq(values, put_value);
                 w.usize(*lanes);
                 w.usize(*threads);
@@ -571,12 +573,17 @@ impl ShardRequest {
             },
             3 => ShardRequest::Select {
                 table: r.str()?,
-                probes: r.seq(|r| Ok((r.str()?, get_kind(r)?, get_probe(r)?)))?,
+                probes: r.seq(|r| {
+                    let column = r.str()?;
+                    skip_kind_slot(r)?;
+                    Ok((column, get_probe(r)?))
+                })?,
                 exec: get_exec(&mut r)?,
             },
             4 => {
                 let (table, column) = (r.str()?, r.str()?);
-                let (kind, values) = (get_kind(&mut r)?, r.seq(get_value)?);
+                skip_kind_slot(&mut r)?;
+                let values = r.seq(get_value)?;
                 // Bounded by the rule every decoded `ExecOptions` obeys.
                 let exec = ExecOptions {
                     lanes: r.usize()?,
@@ -587,7 +594,6 @@ impl ShardRequest {
                 ShardRequest::JoinProbeBatch {
                     table,
                     column,
-                    kind,
                     values,
                     lanes: exec.lanes,
                     threads: exec.threads,

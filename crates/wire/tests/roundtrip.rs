@@ -274,7 +274,6 @@ impl Gen {
             probes: (0..self.below(3))
                 .map(|_| ProbeStep {
                     column: self.string(),
-                    kind: self.kind(),
                     probe: self.probe(),
                 })
                 .collect(),
@@ -283,7 +282,6 @@ impl Gen {
                     inner_table: self.string(),
                     outer_column: self.string(),
                     inner_column: self.string(),
-                    kind: self.kind(),
                     rows_hint: self.below(1 << 20) as usize,
                 })
             } else {
@@ -344,14 +342,13 @@ impl Gen {
             ShardRequest::Select {
                 table: self.string(),
                 probes: (0..self.below(4))
-                    .map(|_| (self.string(), self.kind(), self.probe()))
+                    .map(|_| (self.string(), self.probe()))
                     .collect(),
                 exec: self.exec(),
             },
             ShardRequest::JoinProbeBatch {
                 table: self.string(),
                 column: self.string(),
-                kind: self.kind(),
                 values: self.values(),
                 lanes: 1 + self.below(8) as usize,
                 threads: 1 + self.below(8) as usize,
@@ -783,7 +780,6 @@ fn decoded_thread_and_lane_counts_are_bounded() {
     let join = |lanes, threads| ShardRequest::JoinProbeBatch {
         table: "t".into(),
         column: "k".into(),
-        kind: IndexKind::FullCss,
         values: vec![Value::Int(1)],
         lanes,
         threads,

@@ -10,8 +10,8 @@
 
 use ccindex_store::bytes::ByteWriter;
 use ccindex_store::{
-    crc32, PageKind, StoreError, StoreFault, StoreReader, StoreWriter, FOOT_MAGIC, FORMAT_VERSION,
-    MAGIC, MAX_PAGES,
+    crc32, PageKind, StoreError, StoreReader, StoreWriter, FOOT_MAGIC, FORMAT_VERSION, MAGIC,
+    MAX_PAGES,
 };
 use ccindex_wire::ShardRequest;
 use mmdb::persist::MANIFEST_VERSION;
@@ -316,7 +316,7 @@ fn store_case(what: &str, image: Vec<u8>, says: &str) {
     match measured(what, image, |i| StoreReader::open_bytes(i, STORE)) {
         Err(StoreError {
             path,
-            fault: StoreFault::Corrupt,
+            fault: StorageFault::Corrupt,
             detail,
         }) => {
             assert_eq!(path, STORE, "{what}");

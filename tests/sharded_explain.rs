@@ -120,22 +120,22 @@ fn a_sharded_result_explains_its_routing_and_total() {
 }
 
 const HASH_X4: [&str; 8] = [
-    "scatter sales across 4 shard(s) (hash x4 on cust)\n  probe cust -> shards {0} (pruned)\n  scatter set: {0} \n  run: shard-local — the whole plan on each routed shard, one request per shard\n  gather: merge RID sets in global row order\nper-shard plan:\n  scan sales\n    probe cust = 7 via Hash",
-    "scatter sales across 4 shard(s) (hash x4 on cust)\n  probe amount -> all shards (fanned)\n  scatter set: all shards\n  run: shard-local — the whole plan on each routed shard, one request per shard\n  gather: merge RID sets in global row order\nper-shard plan:\n  scan sales\n    probe amount in [5, 20] via FullCss",
-    "scatter sales across 4 shard(s) (hash x4 on cust)\n  probe cust -> all shards (fanned)\n  probe amount -> all shards (fanned)\n  scatter set: all shards\n  run: shard-local — the whole plan on each routed shard, one request per shard\n  gather: merge RID sets in global row order\nper-shard plan:\n  scan sales\n    probe cust in [0, 12] via FullCss\n    probe amount = 9 via FullCss\n    and 2 filters: the shortest run drives, the others test its rows' IDs",
+    "scatter sales across 4 shard(s) (hash x4 on cust)\n  probe cust -> shards {0} (pruned)\n  scatter set: {0}\n  run: shard-local — the whole plan on each routed shard, one request per shard\n  gather: merge RID sets in global row order\nper-shard plan:\n  scan sales\n    probe cust = 7",
+    "scatter sales across 4 shard(s) (hash x4 on cust)\n  probe amount -> all shards (fanned)\n  scatter set: all shards\n  run: shard-local — the whole plan on each routed shard, one request per shard\n  gather: merge RID sets in global row order\nper-shard plan:\n  scan sales\n    probe amount in [5, 20]",
+    "scatter sales across 4 shard(s) (hash x4 on cust)\n  probe cust -> all shards (fanned)\n  probe amount -> all shards (fanned)\n  scatter set: all shards\n  run: shard-local — the whole plan on each routed shard, one request per shard\n  gather: merge RID sets in global row order\nper-shard plan:\n  scan sales\n    probe cust in [0, 12]\n    probe amount = 9\n    and 2 filters: the shortest run drives, the others test its rows' IDs",
     "scatter sales across 4 shard(s) (hash x4 on cust)\n  scatter set: all shards\n  run: shard-local — the whole plan on each routed shard, one request per shard\n  gather: merge RID sets in global row order\nper-shard plan:\n  scan sales (all rows)",
-    "scatter sales across 4 shard(s) (hash x4 on cust)\n  probe amount -> all shards (fanned)\n  scatter set: all shards\n  join customers: outer probe batches bucketed by inner shard key id — co-located on outer shard key cust, joined inside each shard\n  run: shard-local — the whole plan on each routed shard, one request per shard\n  gather: merge join rows in (outer, inner) global order\nper-shard plan:\n  scan sales\n    probe amount in [5, 20] via FullCss\n    join customers on cust = id via LevelCss",
-    "scatter sales across 4 shard(s) (hash x4 on cust)\n  probe cust -> shards {0} (pruned)\n  scatter set: {0} \n  join customers: outer probe batches bucketed by inner shard key id\n  run: join streamed through the coordinator (not co-located)\n  gather: merge join rows in (outer, inner) global order\nper-shard plan:\n  scan sales\n    probe cust = 7 via Hash\n    join customers on amount = id via LevelCss",
-    "scatter sales across 4 shard(s) (hash x4 on cust)\n  probe amount -> all shards (fanned)\n  scatter set: all shards\n  join customers: outer RID chunks fanned to all 4 inner shard(s)\n  run: join streamed through the coordinator (not co-located)\n  gather: merge join rows in (outer, inner) global order\nper-shard plan:\n  scan sales\n    probe amount in [5, 20] via FullCss\n    join customers on day = region via Hash",
-    "scatter sales across 4 shard(s) (hash x4 on cust)\n  scatter set: all shards\n  join customers: outer probe batches bucketed by inner shard key id — co-located on outer shard key cust, joined inside each shard\n  run: shard-local — the whole plan on each routed shard, one request per shard\n  gather: merge per-shard partial aggregates by group value\nper-shard plan:\n  scan sales (all rows)\n    join customers on cust = id via LevelCss\n    group by region (Sum over amount)",
+    "scatter sales across 4 shard(s) (hash x4 on cust)\n  probe amount -> all shards (fanned)\n  scatter set: all shards\n  join customers: outer probe batches bucketed by inner shard key id — co-located on outer shard key cust, joined inside each shard\n  run: shard-local — the whole plan on each routed shard, one request per shard\n  gather: merge join rows in (outer, inner) global order\nper-shard plan:\n  scan sales\n    probe amount in [5, 20]\n    join customers on cust = id",
+    "scatter sales across 4 shard(s) (hash x4 on cust)\n  probe cust -> shards {0} (pruned)\n  scatter set: {0}\n  join customers: outer probe batches bucketed by inner shard key id\n  run: join streamed through the coordinator (not co-located)\n  gather: merge join rows in (outer, inner) global order\nper-shard plan:\n  scan sales\n    probe cust = 7\n    join customers on amount = id",
+    "scatter sales across 4 shard(s) (hash x4 on cust)\n  probe amount -> all shards (fanned)\n  scatter set: all shards\n  join customers: outer RID chunks fanned to all 4 inner shard(s)\n  run: join streamed through the coordinator (not co-located)\n  gather: merge join rows in (outer, inner) global order\nper-shard plan:\n  scan sales\n    probe amount in [5, 20]\n    join customers on day = region",
+    "scatter sales across 4 shard(s) (hash x4 on cust)\n  scatter set: all shards\n  join customers: outer probe batches bucketed by inner shard key id — co-located on outer shard key cust, joined inside each shard\n  run: shard-local — the whole plan on each routed shard, one request per shard\n  gather: merge per-shard partial aggregates by group value\nper-shard plan:\n  scan sales (all rows)\n    join customers on cust = id\n    group by region (Sum over amount)",
 ];
 const RANGE_X2: [&str; 8] = [
-    "scatter sales across 2 shard(s) (range x2: [0, 19] [20, 39] on cust)\n  probe cust -> shards {0} (pruned)\n  scatter set: {0} \n  run: shard-local — the whole plan on each routed shard, one request per shard\n  gather: merge RID sets in global row order\nper-shard plan:\n  scan sales\n    probe cust = 7 via Hash",
-    "scatter sales across 2 shard(s) (range x2: [0, 19] [20, 39] on cust)\n  probe amount -> all shards (fanned)\n  scatter set: all shards\n  run: shard-local — the whole plan on each routed shard, one request per shard\n  gather: merge RID sets in global row order\nper-shard plan:\n  scan sales\n    probe amount in [5, 20] via FullCss",
-    "scatter sales across 2 shard(s) (range x2: [0, 19] [20, 39] on cust)\n  probe cust -> shards {0} (pruned)\n  probe amount -> all shards (fanned)\n  scatter set: {0} \n  run: shard-local — the whole plan on each routed shard, one request per shard\n  gather: merge RID sets in global row order\nper-shard plan:\n  scan sales\n    probe cust in [0, 12] via FullCss\n    probe amount = 9 via FullCss\n    and 2 filters: the shortest run drives, the others test its rows' IDs",
+    "scatter sales across 2 shard(s) (range x2: [0, 19] [20, 39] on cust)\n  probe cust -> shards {0} (pruned)\n  scatter set: {0}\n  run: shard-local — the whole plan on each routed shard, one request per shard\n  gather: merge RID sets in global row order\nper-shard plan:\n  scan sales\n    probe cust = 7",
+    "scatter sales across 2 shard(s) (range x2: [0, 19] [20, 39] on cust)\n  probe amount -> all shards (fanned)\n  scatter set: all shards\n  run: shard-local — the whole plan on each routed shard, one request per shard\n  gather: merge RID sets in global row order\nper-shard plan:\n  scan sales\n    probe amount in [5, 20]",
+    "scatter sales across 2 shard(s) (range x2: [0, 19] [20, 39] on cust)\n  probe cust -> shards {0} (pruned)\n  probe amount -> all shards (fanned)\n  scatter set: {0}\n  run: shard-local — the whole plan on each routed shard, one request per shard\n  gather: merge RID sets in global row order\nper-shard plan:\n  scan sales\n    probe cust in [0, 12]\n    probe amount = 9\n    and 2 filters: the shortest run drives, the others test its rows' IDs",
     "scatter sales across 2 shard(s) (range x2: [0, 19] [20, 39] on cust)\n  scatter set: all shards\n  run: shard-local — the whole plan on each routed shard, one request per shard\n  gather: merge RID sets in global row order\nper-shard plan:\n  scan sales (all rows)",
-    "scatter sales across 2 shard(s) (range x2: [0, 19] [20, 39] on cust)\n  probe amount -> all shards (fanned)\n  scatter set: all shards\n  join customers: outer probe batches bucketed by inner shard key id — co-located on outer shard key cust, joined inside each shard\n  run: shard-local — the whole plan on each routed shard, one request per shard\n  gather: merge join rows in (outer, inner) global order\nper-shard plan:\n  scan sales\n    probe amount in [5, 20] via FullCss\n    join customers on cust = id via LevelCss",
-    "scatter sales across 2 shard(s) (range x2: [0, 19] [20, 39] on cust)\n  probe cust -> shards {0} (pruned)\n  scatter set: {0} \n  join customers: outer probe batches bucketed by inner shard key id\n  run: join streamed through the coordinator (not co-located)\n  gather: merge join rows in (outer, inner) global order\nper-shard plan:\n  scan sales\n    probe cust = 7 via Hash\n    join customers on amount = id via LevelCss",
-    "scatter sales across 2 shard(s) (range x2: [0, 19] [20, 39] on cust)\n  probe amount -> all shards (fanned)\n  scatter set: all shards\n  join customers: outer RID chunks fanned to all 2 inner shard(s)\n  run: join streamed through the coordinator (not co-located)\n  gather: merge join rows in (outer, inner) global order\nper-shard plan:\n  scan sales\n    probe amount in [5, 20] via FullCss\n    join customers on day = region via Hash",
-    "scatter sales across 2 shard(s) (range x2: [0, 19] [20, 39] on cust)\n  scatter set: all shards\n  join customers: outer probe batches bucketed by inner shard key id — co-located on outer shard key cust, joined inside each shard\n  run: shard-local — the whole plan on each routed shard, one request per shard\n  gather: merge per-shard partial aggregates by group value\nper-shard plan:\n  scan sales (all rows)\n    join customers on cust = id via LevelCss\n    group by region (Sum over amount)",
+    "scatter sales across 2 shard(s) (range x2: [0, 19] [20, 39] on cust)\n  probe amount -> all shards (fanned)\n  scatter set: all shards\n  join customers: outer probe batches bucketed by inner shard key id — co-located on outer shard key cust, joined inside each shard\n  run: shard-local — the whole plan on each routed shard, one request per shard\n  gather: merge join rows in (outer, inner) global order\nper-shard plan:\n  scan sales\n    probe amount in [5, 20]\n    join customers on cust = id",
+    "scatter sales across 2 shard(s) (range x2: [0, 19] [20, 39] on cust)\n  probe cust -> shards {0} (pruned)\n  scatter set: {0}\n  join customers: outer probe batches bucketed by inner shard key id\n  run: join streamed through the coordinator (not co-located)\n  gather: merge join rows in (outer, inner) global order\nper-shard plan:\n  scan sales\n    probe cust = 7\n    join customers on amount = id",
+    "scatter sales across 2 shard(s) (range x2: [0, 19] [20, 39] on cust)\n  probe amount -> all shards (fanned)\n  scatter set: all shards\n  join customers: outer RID chunks fanned to all 2 inner shard(s)\n  run: join streamed through the coordinator (not co-located)\n  gather: merge join rows in (outer, inner) global order\nper-shard plan:\n  scan sales\n    probe amount in [5, 20]\n    join customers on day = region",
+    "scatter sales across 2 shard(s) (range x2: [0, 19] [20, 39] on cust)\n  scatter set: all shards\n  join customers: outer probe batches bucketed by inner shard key id — co-located on outer shard key cust, joined inside each shard\n  run: shard-local — the whole plan on each routed shard, one request per shard\n  gather: merge per-shard partial aggregates by group value\nper-shard plan:\n  scan sales (all rows)\n    join customers on cust = id\n    group by region (Sum over amount)",
 ];
