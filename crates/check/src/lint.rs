@@ -830,7 +830,7 @@ fn weak_ordering_at_atomic_op(code_line: &str) -> bool {
 /// typed. Lines that merely sit near sockets (`Mutex::lock` poison
 /// recovery, `JoinHandle::join`) carry none of these tokens.
 fn socket_io_line(code_line: &str) -> bool {
-    const TOKENS: [&str; 15] = [
+    const TOKENS: [&str; 16] = [
         "TcpStream",
         "TcpListener",
         "UdpSocket",
@@ -838,6 +838,7 @@ fn socket_io_line(code_line: &str) -> bool {
         "::connect(",
         "read_frame",
         "write_frame",
+        "write_vectored",
         "read_request",
         "write_request",
         "read_response",
@@ -1292,6 +1293,21 @@ mod tests {
         let v = lint("fn f(r: &mut impl Read) { let p = read_frame(r, \"e\").unwrap(); }\n");
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, "W1");
+    }
+
+    #[test]
+    fn an_unwrapped_vectored_send_is_w1() {
+        let v = lint("fn f(w: &mut impl Write, b: &[IoSlice]) { w.write_vectored(b).unwrap(); }\n");
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].rule, "W1");
+        let v =
+            lint("fn f(s: &TcpStream, b: &[IoSlice]) { (&*s).write_vectored(b).expect(\"n\"); }\n");
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].rule, "W1");
+        assert!(lint(
+            "fn f(w: &mut impl Write, b: &[IoSlice]) -> Result<usize> { w.write_vectored(b).map_err(io) }\n"
+        )
+        .is_empty());
     }
 
     #[test]

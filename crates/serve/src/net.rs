@@ -39,6 +39,7 @@ use mmdb::{
     group_aggregate_pairs, AggFn, CatalogRead, CatalogState, Database, DatabaseHandle, GroupRow,
     Measure, MmdbError, Result, TransportFault,
 };
+use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -311,8 +312,11 @@ fn serve_conn(stream: &TcpStream, shared: &Arc<Shared>) {
         Err(_) => "peer".to_owned(),
     };
     let mut transfers = Transfers::default();
+    // One buffer for the connection's life: a small request arrives in
+    // one `recv`, and bytes read ahead stay for the next frame.
+    let mut reader = BufReader::new(stream);
     loop {
-        let (trace, payload) = match wire::read_frame(&mut &*stream, &endpoint) {
+        let (trace, payload) = match wire::read_frame(&mut reader, &endpoint) {
             Ok(frame) => frame,
             Err(
                 e @ MmdbError::Transport {

@@ -21,11 +21,13 @@
 //!   [`parse_knob`] rule and fails loudly on garbage.
 //! * The client caches one connection behind a mutex (scatter jobs
 //!   target distinct shards, so cross-shard fan-out still runs fully in
-//!   parallel); any I/O or framing error invalidates the cached
-//!   connection so the next call redials — the failed request itself is
-//!   **not** retried, because the server may have applied a mutation
-//!   before the connection died.
+//!   parallel). The cached connection includes its read buffer, so a
+//!   small reply is one `recv`; any I/O or framing error drops the
+//!   stream and its buffer together so the next call redials — the
+//!   failed request itself is **not** retried, because the server may
+//!   have applied a mutation before the connection died.
 
+use std::io::BufReader;
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -61,7 +63,8 @@ const INITIAL_BACKOFF: Duration = Duration::from_millis(10);
 pub struct RemoteShard {
     addr: String,
     timeout: Option<Duration>,
-    conn: Mutex<Option<TcpStream>>,
+    /// The cached connection and its read buffer, dropped together.
+    conn: Mutex<Option<BufReader<TcpStream>>>,
     /// `transport.retries` from the coordinator's registry, installed
     /// by [`ShardBackend::install_metrics`]; counts redial attempts
     /// beyond the first, per dial.
@@ -178,13 +181,13 @@ impl RemoteShard {
                 // validate, so keep serving.
                 Err(poisoned) => poisoned.into_inner(),
             };
-            let stream = match &mut *guard {
-                Some(stream) => stream,
-                idle => idle.insert(self.dial()?),
+            let conn = match &mut *guard {
+                Some(conn) => conn,
+                idle => idle.insert(BufReader::new(self.dial()?)),
             };
             let span_id = rpc.as_ref().map_or(0, obs::Span::id);
-            let outcome = wire::write_request(stream, &self.addr, req, span_id)
-                .and_then(|()| wire::read_response(stream, &self.addr));
+            let outcome = wire::write_request(conn.get_mut(), &self.addr, req, span_id)
+                .and_then(|()| wire::read_response(conn, &self.addr));
             match outcome {
                 // A typed server-side error is a *successful* exchange —
                 // keep the connection.
@@ -192,9 +195,10 @@ impl RemoteShard {
                 Ok(reply) => reply,
                 Err(e) => {
                     // The stream may hold a half-written request or a
-                    // half-read reply; drop it so the next call redials
-                    // instead of desynchronising. The failed request is
-                    // not replayed (it may not be idempotent).
+                    // half-read reply; drop it and its buffer so the
+                    // next call redials instead of desynchronising. The
+                    // failed request is not replayed (it may not be
+                    // idempotent).
                     *guard = None;
                     return Err(e);
                 }

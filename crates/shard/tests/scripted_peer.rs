@@ -11,6 +11,7 @@
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::thread::{self, JoinHandle};
+use std::time::Duration;
 
 use ccindex_obs::{Span, SpanNode};
 use ccindex_shard::{RemoteShard, ShardRead};
@@ -108,7 +109,9 @@ fn read_whole_frame(stream: &mut TcpStream) -> Vec<u8> {
 /// frame read there with the next of `replies`, then waits for the
 /// client to hang up. It returns the frames it read, whole. A client
 /// that redialled would find no one answering on the new connection.
-fn scripted_peer(replies: &[&str]) -> (String, JoinHandle<Vec<Vec<u8>>>) {
+/// With `split`, each reply leaves as two segments, its header first
+/// and the rest a moment later.
+fn scripted_peer(replies: &[&str], split: bool) -> (String, JoinHandle<Vec<Vec<u8>>>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("a loopback port");
     let addr = listener
         .local_addr()
@@ -117,10 +120,16 @@ fn scripted_peer(replies: &[&str]) -> (String, JoinHandle<Vec<Vec<u8>>>) {
     let replies: Vec<Vec<u8>> = replies.iter().map(|hex| unhex(hex)).collect();
     let peer = thread::spawn(move || {
         let (mut stream, _) = listener.accept().expect("one client");
+        stream.set_nodelay(true).expect("segments sent as written");
         let mut frames = Vec::new();
         for reply in replies {
             frames.push(read_whole_frame(&mut stream));
-            stream.write_all(&reply).expect("the scripted reply");
+            let at = if split { 18 } else { reply.len() };
+            stream.write_all(&reply[..at]).expect("the scripted reply");
+            if at < reply.len() {
+                thread::sleep(Duration::from_millis(20));
+                stream.write_all(&reply[at..]).expect("the reply's rest");
+            }
         }
         let mut rest = Vec::new();
         stream.read_to_end(&mut rest).expect("the client hangs up");
@@ -134,7 +143,7 @@ fn scripted_peer(replies: &[&str]) -> (String, JoinHandle<Vec<Vec<u8>>>) {
 /// an untraced request, a traced request and a traced response, whole.
 #[test]
 fn whole_frames_pin_protocol_v3_bytes() {
-    let (addr, peer) = scripted_peer(&[INFO, ROWS_TRACED]);
+    let (addr, peer) = scripted_peer(&[INFO, ROWS_TRACED], false);
     let shard = RemoteShard::connect(addr.as_str()).expect("the scripted handshake");
     let mut span = Span::with_id("query", 0x0102_0304_0506_0708);
     let spec = QuerySpec::table("sales").filter(eq("cust", 7));
@@ -163,7 +172,7 @@ fn whole_frames_pin_protocol_v3_bytes() {
 /// itself succeeded, so the stream is still in step.
 #[test]
 fn a_wrong_reply_variant_is_a_protocol_error_and_the_connection_serves_on() {
-    let (addr, peer) = scripted_peer(&[INFO, UNIT, COUNT_3]);
+    let (addr, peer) = scripted_peer(&[INFO, UNIT, COUNT_3], false);
     let shard = RemoteShard::connect(addr.as_str()).expect("the scripted handshake");
     match shard.rows("sales") {
         Err(MmdbError::Transport {
@@ -182,4 +191,17 @@ fn a_wrong_reply_variant_is_a_protocol_error_and_the_connection_serves_on() {
     drop(shard);
     let frames = peer.join().expect("the peer saw the frames it expected");
     assert_eq!(frames, [unhex(HELLO), unhex(ROW_COUNT), unhex(ROW_COUNT)]);
+}
+
+/// A reply whose header and payload arrive as separate segments still
+/// decodes: the client's buffered reader waits for the rest of a frame
+/// it has only begun.
+#[test]
+fn a_reply_split_across_segments_still_decodes() {
+    let (addr, peer) = scripted_peer(&[INFO, COUNT_3], true);
+    let shard = RemoteShard::connect(addr.as_str()).expect("the split handshake");
+    assert_eq!(shard.rows("sales").expect("the split reply"), 3);
+    drop(shard);
+    let frames = peer.join().expect("the peer saw the frames it expected");
+    assert_eq!(frames, [unhex(HELLO), unhex(ROW_COUNT)]);
 }

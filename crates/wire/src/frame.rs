@@ -19,12 +19,20 @@
 //! the one writer and the one reader: an untraced frame is a frame
 //! with an empty trace.
 //!
+//! A frame leaves in one vectored write (`writev`) of header, trace and
+//! payload, so on a `TCP_NODELAY` socket it is one segment and the peer
+//! wakes once for it; nothing is copied to join the three parts. The
+//! reader takes the header, trace and payload as three exact reads, so
+//! a caller reads through a buffered reader that lives as long as the
+//! connection: one `recv` then fills all three for a small frame, and
+//! any read-ahead of the next frame stays in the buffer.
+//!
 //! The reader validates magic, version, length caps, and the checksum
 //! before handing bytes to the codec — so a corrupted, truncated, or
 //! foreign-protocol stream surfaces as a typed
 //! [`MmdbError::Transport`], never a panic or a wild allocation.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 
 use ccindex_store::bytes::{crc32, crc32_update, ByteWriter};
 use mmdb::{MmdbError, Result, TransportFault};
@@ -71,9 +79,13 @@ fn check_frame_len(endpoint: &str, trace_len: usize, len: usize) -> Result<()> {
 }
 
 /// Write one frame carrying the out-of-band `trace` blob ahead of the
-/// payload, and flush it. An untraced frame is an empty `trace`. A frame
-/// past [`MAX_FRAME_LEN`] is refused before anything is written, with
-/// the decode error its reader would raise.
+/// payload, and flush it. An untraced frame is an empty `trace`. Header,
+/// trace and payload go out in one [`Write::write_vectored`] call, so a
+/// socket sends the frame as one segment; a short write or an
+/// `Interrupted` resumes where it stopped, and a writer that accepts
+/// nothing is a typed [`TransportFault::Io`]. A frame past
+/// [`MAX_FRAME_LEN`] is refused before anything is written, with the
+/// decode error its reader would raise.
 pub fn write_frame(w: &mut impl Write, endpoint: &str, trace: &[u8], payload: &[u8]) -> Result<()> {
     check_frame_len(endpoint, trace.len(), payload.len())?;
     let mut header = ByteWriter::with_capacity(HEADER_LEN);
@@ -82,12 +94,24 @@ pub fn write_frame(w: &mut impl Write, endpoint: &str, trace: &[u8], payload: &[
     header.u32(trace.len() as u32);
     header.u32(payload.len() as u32);
     header.u32(crc32_update(crc32(trace), payload));
-    w.write_all(&header.into_bytes())
-        .map_err(|e| io_err(endpoint, "writing frame header", &e))?;
-    w.write_all(trace)
-        .map_err(|e| io_err(endpoint, "writing frame trace", &e))?;
-    w.write_all(payload)
-        .map_err(|e| io_err(endpoint, "writing frame payload", &e))?;
+    let header = header.into_bytes();
+    let mut parts = [
+        IoSlice::new(&header),
+        IoSlice::new(trace),
+        IoSlice::new(payload),
+    ];
+    let mut rest = &mut parts[..];
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => {
+                let e = ErrorKind::WriteZero.into();
+                return Err(io_err(endpoint, "writing frame", &e));
+            }
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(io_err(endpoint, "writing frame", &e)),
+        }
+    }
     w.flush()
         .map_err(|e| io_err(endpoint, "flushing frame", &e))
 }
@@ -95,7 +119,11 @@ pub fn write_frame(w: &mut impl Write, endpoint: &str, trace: &[u8], payload: &[
 /// Read one frame, validating magic, version, lengths, and checksum.
 /// Returns `(trace, payload)` — the trace is empty on untraced
 /// conversations; every failure is a typed [`MmdbError::Transport`]
-/// naming `endpoint`.
+/// naming `endpoint`. The lengths are checked against [`MAX_FRAME_LEN`]
+/// before anything is allocated. Header, trace and payload are three
+/// exact reads: on a socket, pass a [`std::io::BufReader`] kept for the
+/// connection's life, so a small frame costs one `recv` and bytes read
+/// ahead are not lost between frames.
 pub fn read_frame(r: &mut impl Read, endpoint: &str) -> Result<(Vec<u8>, Vec<u8>)> {
     let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header)
@@ -288,6 +316,201 @@ mod tests {
             }
         ));
         assert!(sink.is_empty());
+    }
+
+    /// A `Write` that counts its calls and accepts at most `limit`
+    /// bytes a call across all slices, failing `Interrupted` once, on
+    /// call number `interrupt` (from 0).
+    struct Sink {
+        bytes: Vec<u8>,
+        writes: usize,
+        vectored: usize,
+        limit: usize,
+        interrupt: Option<usize>,
+    }
+
+    impl Sink {
+        fn new(limit: usize) -> Self {
+            Self {
+                bytes: Vec::new(),
+                writes: 0,
+                vectored: 0,
+                limit,
+                interrupt: None,
+            }
+        }
+
+        fn take(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            if self.interrupt == Some(self.writes + self.vectored) {
+                self.interrupt = None;
+                return Err(ErrorKind::Interrupted.into());
+            }
+            let mut room = self.limit;
+            for buf in bufs {
+                let n = buf.len().min(room);
+                self.bytes.extend_from_slice(&buf[..n]);
+                room -= n;
+            }
+            Ok(self.limit - room)
+        }
+    }
+
+    impl Write for Sink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let n = self.take(&[IoSlice::new(buf)]);
+            self.writes += 1;
+            n
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            let n = self.take(bufs);
+            self.vectored += 1;
+            n
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex digit pair"))
+            .collect()
+    }
+
+    /// An untraced request, a traced request and a traced response,
+    /// each written into a fresh `sink()` and paired with its whole-frame
+    /// bytes as `whole_frames_pin_protocol_v3_bytes` (the shard crate's
+    /// scripted peer) pins them.
+    fn golden_frames(sink: impl Fn() -> Sink) -> Vec<(Sink, Vec<u8>)> {
+        use crate::message::{write_request, write_response, ShardRequest, ShardResponse};
+        use ccindex_obs::SpanNode;
+        use mmdb::{eq, QuerySpec, ResultRows};
+
+        let mut hello = sink();
+        write_request(&mut hello, "test", &ShardRequest::Hello, 0).expect("hello");
+        let mut run = sink();
+        let spec = QuerySpec::table("sales").filter(eq("cust", 7));
+        let req = ShardRequest::RunSpec { spec };
+        write_request(&mut run, "test", &req, 0x0102_0304_0506_0708).expect("run");
+        let mut rows = sink();
+        let server = SpanNode {
+            name: "server".into(),
+            elapsed_ns: 5_000,
+            children: vec![
+                SpanNode::leaf("decode", 1_000),
+                SpanNode::leaf("execute", 3_000),
+            ],
+        };
+        let resp = ShardResponse::Rows(ResultRows::Rids(vec![0, 2]));
+        write_response(&mut rows, "test", &resp, Some(&server)).expect("rows");
+        let hello_hex = concat!("43435758", "0300", "00000000", "01000000", "8def02d2", "00");
+        let run_hex = concat!(
+            "43435758",
+            "0300",
+            "08000000",
+            "24000000",
+            "06ffd1e2",
+            "0807060504030201",
+            "0a0500000073616c65730100000004000000637573740000070000000000000000000000",
+        );
+        let rows_hex = concat!(
+            "43435758",
+            "0300",
+            "43000000",
+            "0e000000",
+            "17ecf5c3",
+            "06000000736572766572",
+            "8813000000000000",
+            "02000000",
+            "060000006465636f6465e80300000000000000000000",
+            "0700000065786563757465b80b00000000000000000000",
+            "0400020000000000000002000000",
+        );
+        vec![
+            (hello, unhex(hello_hex)),
+            (run, unhex(run_hex)),
+            (rows, unhex(rows_hex)),
+        ]
+    }
+
+    #[test]
+    fn each_frame_is_one_vectored_write_of_the_golden_bytes() {
+        for (sink, want) in golden_frames(|| Sink::new(usize::MAX)) {
+            assert_eq!((sink.vectored, sink.writes), (1, 0));
+            assert_eq!(sink.bytes, want);
+        }
+    }
+
+    #[test]
+    fn short_and_interrupted_writes_resume_to_the_same_bytes() {
+        let sink = || {
+            let mut sink = Sink::new(7);
+            sink.interrupt = Some(1);
+            sink
+        };
+        for (sink, want) in golden_frames(sink) {
+            assert!(sink.interrupt.is_none(), "the interrupt was not reached");
+            assert!(sink.vectored > 3, "{} calls", sink.vectored);
+            assert_eq!(sink.bytes, want);
+        }
+    }
+
+    #[test]
+    fn a_writer_that_accepts_nothing_is_an_io_error() {
+        let mut sink = Sink::new(0);
+        match write_frame(&mut sink, "test", b"span", b"hello shard").expect_err("write zero") {
+            MmdbError::Transport {
+                fault: TransportFault::Io,
+                detail,
+                ..
+            } => assert!(detail.contains("write zero"), "{detail}"),
+            other => panic!("wrong error: {other:?}"),
+        }
+    }
+
+    /// A `Read` over a byte slice that counts its calls.
+    struct CountingReader<'a> {
+        bytes: &'a [u8],
+        calls: usize,
+    }
+
+    impl Read for CountingReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            self.bytes.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_buffered_reader_takes_a_small_frame_in_one_read() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, "test", b"span", b"hello shard").expect("vec write");
+        let mut r = std::io::BufReader::new(CountingReader {
+            bytes: &buf,
+            calls: 0,
+        });
+        let (trace, payload) = read_frame(&mut r, "test").expect("one frame");
+        assert_eq!(
+            (&trace[..], &payload[..]),
+            (&b"span"[..], &b"hello shard"[..])
+        );
+        assert_eq!(r.get_ref().calls, 1);
+    }
+
+    #[test]
+    fn frames_read_ahead_by_one_buffered_reader_decode_in_order() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, "test", b"span", b"first").expect("vec write");
+        write_frame(&mut buf, "test", &[], b"second").expect("vec write");
+        let mut r = std::io::BufReader::new(&buf[..]);
+        let (trace, payload) = read_frame(&mut r, "test").expect("the first frame");
+        assert_eq!((&trace[..], &payload[..]), (&b"span"[..], &b"first"[..]));
+        let (trace, payload) = read_frame(&mut r, "test").expect("the read-ahead frame");
+        assert_eq!((&trace[..], &payload[..]), (&b""[..], &b"second"[..]));
+        assert!(read_frame(&mut r, "test").is_err(), "the stream is spent");
     }
 
     #[test]
