@@ -6,17 +6,25 @@
 //! duplicate-free value storage, fixed-width rows regardless of value
 //! type, and ID comparisons standing in for value comparisons.
 //!
-//! # One sort, three products
+//! # One pass or one sort, three products
 //!
-//! [`Column::from_values`] sorts `(value, rid)` pairs once — `(i64, u32)`
-//! pairs when every value is an `Int`, `(&Value, u32)` otherwise — and
-//! reads everything off that order. The deduplicated key run *is* the
-//! sorted domain; the rank of a row's run *is* its domain ID, so encoding
-//! is by rank, not by one dictionary search per row; and because those IDs
-//! are dense, the column's sorted RID list
+//! [`Column::from_values`] reads everything off the values' order, and
+//! finds that order one of two ways. A dense-enough integer column is
+//! ranked, not sorted: one pass finds `min` and `max`, a second sets a
+//! presence bit per row in the ranked domain's lines, and each row's ID
+//! is then its value's rank in those lines — the rank a probe computes.
+//! Every other column sorts `(value, rid)` pairs once — `(i64, u32)`
+//! pairs when every value is an `Int`, `(&Value, u32)` otherwise: the
+//! deduplicated key run *is* the sorted domain, and the rank of a row's
+//! run *is* its domain ID. Both ways choose the domain's representation
+//! by the same rule over the same values, so they build equal columns.
+//! The rank path is tried only when the row count could rank over the
+//! span (a column that fails it allocates nothing before its sort).
+//! Either way encoding is by rank, not by one dictionary search per row;
+//! and because the IDs are dense, the column's sorted RID list
 //! ([`RidList::for_column`](crate::rid::RidList::for_column)) is a
 //! counting sort away — no second comparison sort. The input is never
-//! cloned: the typed path copies out 8-byte keys, the generic path sorts
+//! cloned: the typed sort copies out 8-byte keys, the generic one sorts
 //! references and clones each distinct value once.
 
 use crate::domain::{Domain, Value};
@@ -48,31 +56,42 @@ fn rank_rows<K: Ord + Copy>(mut keyed: Vec<(K, u32)>) -> (Vec<K>, Vec<u32>) {
     (run, ids)
 }
 
-/// `(value, rid)` sort keys if every value is an `Int`.
-fn int_keys(values: &[Value]) -> Option<Vec<(i64, u32)>> {
+/// The least and greatest value if every value is an `Int` (`(i64::MAX,
+/// i64::MIN)` for none): one read pass, no allocation.
+fn int_bounds(values: &[Value]) -> Option<(i64, i64)> {
+    values
+        .iter()
+        .try_fold((i64::MAX, i64::MIN), |(min, max), value| match value {
+            Value::Int(v) => Some((min.min(*v), max.max(*v))),
+            Value::Str(_) => None,
+        })
+}
+
+/// `(value, rid)` sort keys of an all-`Int` column.
+fn int_keys(values: &[Value]) -> Vec<(i64, u32)> {
     let mut keyed = Vec::with_capacity(values.len());
     for (value, rid) in values.iter().zip(0u32..) {
-        match value {
-            Value::Int(v) => keyed.push((*v, rid)),
-            Value::Str(_) => return None,
+        if let Value::Int(v) = value {
+            keyed.push((*v, rid));
         }
     }
-    Some(keyed)
+    keyed
 }
 
 impl Column {
     /// Encode raw row values into a fresh column (builds the domain):
-    /// one sort of the rows, see the [module docs](self).
+    /// ranked without a sort when the integers are dense enough, else one
+    /// sort of the rows, see the [module docs](self).
     pub fn from_values(values: &[Value]) -> Self {
         assert!(
             u32::try_from(values.len()).is_ok(),
             "row IDs are 32 bits wide"
         );
-        let (domain, ids) = match int_keys(values) {
-            Some(keyed) => {
-                let (run, ids) = rank_rows(keyed);
+        let (domain, ids) = match int_bounds(values) {
+            Some((min, max)) => Domain::ranked_rows(values, min, max).unwrap_or_else(|| {
+                let (run, ids) = rank_rows(int_keys(values));
                 (Domain::from_sorted_ints(run), ids)
-            }
+            }),
             None => {
                 let (run, ids) = rank_rows(values.iter().zip(0u32..).collect());
                 let run = run.into_iter().cloned().collect();
@@ -143,7 +162,9 @@ impl Column {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::domain::LINE_INTS;
     use crate::rid::RidList;
+    use css_tree::CssLayout;
     use proptest::collection::vec;
     use proptest::prelude::*;
 
@@ -195,7 +216,7 @@ mod tests {
         (domain, ids, rids, keys)
     }
 
-    /// Identical domain, IDs, RID order and key array.
+    /// Identical domain, representation, IDs, RID order and key array.
     fn assert_matches_reference(values: &[Value]) {
         let col = Column::from_values(values);
         let rl = RidList::for_column(&col);
@@ -206,7 +227,10 @@ mod tests {
             col.domain().is_int(),
             domain.iter().all(|v| matches!(v, Value::Int(_)))
         );
-        assert_eq!(col.domain(), &Domain::from_values(values.to_vec()));
+        // The sort path's domain: equal values, and the same arm.
+        let sorted = Domain::from_values(values.to_vec());
+        assert_eq!(col.domain(), &sorted);
+        assert_eq!(col.domain().is_ranked(), sorted.is_ranked());
         assert_eq!(col.ids(), ids);
         assert_eq!(rl.rids(), rids);
         assert_eq!(rl.expanded_ids(), keys);
@@ -216,6 +240,25 @@ mod tests {
         values.into_iter().map(Value::Int).collect()
     }
 
+    /// `distinct` integers spread over `[min, min + span)`, both ends
+    /// present, as `rows` rows in a scrambled order: each value at least
+    /// once, the rest repeats.
+    fn spread(min: i64, span: u64, distinct: u64, rows: u64) -> Vec<Value> {
+        let value = |i: u64| min.wrapping_add((i * (span - 1) / (distinct - 1)) as i64);
+        (0..rows)
+            .map(|r| Value::Int(value(r * 7_919 % rows % distinct)))
+            .collect()
+    }
+
+    /// The widest span `n` distinct values rank over: as many lines as
+    /// the directory over `n` has bytes of 64.
+    fn widest(n: u64) -> u64 {
+        CssLayout::full(n as usize, 8).space_bytes(8) as u64 / 64 * LINE_INTS
+    }
+
+    /// Both builds (the `one_sort_` names predate the rank path): a dense
+    /// integer shape here (`0..300`, its reverse, the `% 11` repeats) is
+    /// ranked, the others sorted.
     #[test]
     fn one_sort_build_matches_the_reference_on_edge_shapes() {
         let text = |i: i64| Value::Str(format!("k{:03}", i.rem_euclid(7)));
@@ -247,11 +290,53 @@ mod tests {
         }
     }
 
+    /// A dense integer column is ranked without a sort; these shapes sit
+    /// at each edge of that build: the arm rule on the distinct count, the
+    /// pre-check on the row count, and the ends of `i64`.
+    #[test]
+    fn one_sort_build_matches_the_reference_on_rank_edges() {
+        let ranked = |values: &[Value]| {
+            assert_matches_reference(values);
+            Column::from_values(values).domain().is_ranked()
+        };
+        // The arm rule: 1,000 distinct values over 3,000 rows.
+        let (d, rows) = (1_000, 3_000);
+        assert!(ranked(&spread(0, widest(d), d, rows)));
+        assert!(!ranked(&spread(0, widest(d) + 1, d, rows)));
+        // The pre-check: spans the row count could rank over, but the
+        // distinct count cannot, at the row count's limit and one past.
+        assert!(widest(rows) > widest(d) + 1);
+        assert!(!ranked(&spread(0, widest(rows), d, rows)));
+        assert!(!ranked(&spread(0, widest(rows) + 1, d, rows)));
+        // Every row distinct: the pre-check is the arm rule.
+        assert!(ranked(&spread(0, widest(rows), rows, rows)));
+        assert!(!ranked(&spread(0, widest(rows) + 1, rows, rows)));
+        // One distinct value short of ranking: the smallest count whose
+        // successor has a larger directory, over the successor's widest
+        // span.
+        let short = (9..).find(|&n| widest(n + 1) > widest(n)).unwrap();
+        assert!(!ranked(&spread(0, widest(short + 1), short, 4 * short)));
+        assert!(ranked(&spread(0, widest(short + 1), short + 1, 4 * short)));
+        // One value in many rows has no directory to replace.
+        assert!(!ranked(&ints([-3; 500])));
+        // A negative `min`, and against each end of `i64`, where the
+        // offsets from `min` wrap.
+        assert!(ranked(&spread(-700, 2_000, 900, 2_500)));
+        assert!(ranked(&spread(i64::MIN, 2_000, 900, 2_500)));
+        assert!(ranked(&spread(i64::MAX - 1_999, 2_000, 900, 2_500)));
+        // Both ends of `i64`: the span wraps to all of `u64`.
+        let mut wide = spread(-450, 1_000, 1_000, 2_500);
+        wide[7] = Value::Int(i64::MIN);
+        wide[1_900] = Value::Int(i64::MAX);
+        assert!(!ranked(&wide));
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// Narrow value ranges so duplicates are the rule; `shape` picks
-        /// an all-`Int`, all-`Str` or mixed column.
+        /// an all-`Int`, all-`Str` or mixed column. An all-`Int` column
+        /// with nine or more distinct values is ranked, fewer sorted.
         #[test]
         fn one_sort_build_matches_the_reference(
             shape in 0u8..3,
@@ -269,7 +354,8 @@ mod tests {
     }
 
     /// Paper scale, for the release-mode CI step: ranks up to the row
-    /// count, prefix sums up to the row count, both extremes of `i64`.
+    /// count, prefix sums up to the row count, both extremes of `i64`,
+    /// and `refresh`'s column (uniform in `[0, 4M)`), built by rank.
     #[test]
     #[ignore = "2M rows; run with --release -- --ignored"]
     fn one_sort_build_matches_the_reference_at_two_million_rows() {
@@ -283,6 +369,8 @@ mod tests {
                 Value::Int((x % (2 * ROWS as u64)) as i64)
             })
             .collect();
+        assert_matches_reference(&uniform);
+        assert!(Column::from_values(&uniform).domain().is_ranked());
         uniform[17] = Value::Int(i64::MIN);
         uniform[ROWS as usize - 3] = Value::Int(i64::MAX);
         assert_matches_reference(&uniform);

@@ -36,12 +36,17 @@
 //! * **Generic** — anything holding a [`Value::Str`] (strings, mixed): a
 //!   sorted `[Value]`, searched by bisection over enum compares.
 //!
-//! The choice is made from the values, never by the caller (every integer
-//! domain passes through one constructor, so a stored domain is ranked
-//! again when it is opened), and an all-`Int` domain is *never* held
-//! generically — so two domains are equal exactly when they hold the same
-//! values, however each was built (from rows, from a sort's key run, from
-//! a stored page).
+//! The choice is made from the values, never by the caller, and an
+//! all-`Int` domain is *never* held generically — so two domains are
+//! equal exactly when they hold the same values, however each was built
+//! (from rows, from a sort's key run, from a stored page). An integer
+//! domain is built one of two ways, under one arm rule and one header
+//! fill: from strictly increasing values (a sort's key run, a stored page,
+//! which is ranked again when it is opened), or straight from a column's
+//! rows, whose presence bits give the distinct count, the sorted values
+//! and every row's rank without a sort. The rows are tried only when their
+//! count could rank over their span; the directory never shrinks as
+//! values are added, so fewer distinct values could not.
 //!
 //! # The §2.2 searches
 //!
@@ -104,7 +109,7 @@ type IntDirectory = FullCssTree<i64, 8>;
 
 /// Integers one rank line covers: the bits of a 64-byte line after its
 /// header.
-const LINE_INTS: u64 = 448;
+pub(crate) const LINE_INTS: u64 = 448;
 
 /// Where a rank line's header keeps the count of the set bits in the
 /// line's first `2k` words, for `k` in `0..4`: `(shift, mask)`.
@@ -116,7 +121,7 @@ const PAIR_COUNTS: [(u32, u64); 4] = [(0, 0), (32, 0xff), (40, 0x1ff), (49, 0x1f
 /// holds the counts in its first 2, 4 and 6 words. So a rank popcounts
 /// at most two words, not seven: without `popcnt`, which the baseline
 /// x86_64 target lacks, each word costs a dozen instructions.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 #[repr(C, align(64))]
 struct RankLine {
     header: u64,
@@ -134,38 +139,41 @@ struct Ranked {
     lines: Vec<RankLine>,
 }
 
+/// The arm rule: `distinct` values whose span is `span_less_one + 1`
+/// rank when their lines take no more bytes than the directory they
+/// replace would. `max - min` fits a `u64` whatever the two are; the
+/// line count and its bytes then stay far below `u64::MAX`.
+fn ranks(span_less_one: u64, distinct: usize) -> bool {
+    (span_less_one / LINE_INTS + 1) * 64 <= CssLayout::full(distinct, 8).space_bytes(8) as u64
+}
+
 impl Ranked {
-    /// The ranked form of the strictly increasing `ints`, if its lines
-    /// fit in the bytes of the directory they replace.
-    fn fitting(ints: Vec<i64>) -> Result<Self, Vec<i64>> {
-        let (Some(&min), Some(&max)) = (ints.first(), ints.last()) else {
-            return Err(ints);
-        };
-        // `max - min` fits a `u64` whatever the two are; the line count
-        // and its bytes then stay far below `u64::MAX`.
+    /// Blank lines over `[min, max]`, if `distinct` values there would
+    /// rank.
+    fn blank(min: i64, max: i64, distinct: usize) -> Option<Self> {
         let span_less_one = (max as u64).wrapping_sub(min as u64);
-        let lines = span_less_one / LINE_INTS + 1;
-        let directory = CssLayout::full(ints.len(), 8).space_bytes(8) as u64;
-        if lines * 64 > directory {
-            return Err(ints);
-        }
-        let empty = RankLine {
-            header: 0,
-            bits: [0; 7],
-        };
-        let mut ranked = Self {
+        ranks(span_less_one, distinct).then(|| Self {
+            ints: Box::default(),
             min,
             span: span_less_one + 1,
-            lines: vec![empty; lines as usize],
-            ints: ints.into_boxed_slice(),
-        };
-        for &v in &ranked.ints {
-            let off = (v as u64).wrapping_sub(min as u64);
-            let bit = off % LINE_INTS;
-            ranked.lines[(off / LINE_INTS) as usize].bits[(bit / 64) as usize] |= 1 << (bit % 64);
-        }
+            lines: vec![RankLine::default(); (span_less_one / LINE_INTS + 1) as usize],
+        })
+    }
+
+    /// Mark `v` present, if it lies in the span.
+    #[inline]
+    fn insert(&mut self, v: i64) -> Option<()> {
+        let off = self.offset(v)?;
+        let bit = off % LINE_INTS;
+        self.lines[(off / LINE_INTS) as usize].bits[(bit / 64) as usize] |= 1 << (bit % 64);
+        Some(())
+    }
+
+    /// Fill each line's header from the presence bits; the number of
+    /// values present.
+    fn count(&mut self) -> usize {
         let mut below = 0;
-        for line in &mut ranked.lines {
+        for line in &mut self.lines {
             let (mut header, mut count) = (below, 0);
             for (&(shift, _), pair) in PAIR_COUNTS.iter().zip(line.bits.chunks(2)) {
                 header |= count << shift;
@@ -174,7 +182,55 @@ impl Ranked {
             line.header = header;
             below += count;
         }
+        below as usize
+    }
+
+    /// The ranked form of the strictly increasing `ints`, if its lines
+    /// fit in the bytes of the directory they replace.
+    fn fitting(ints: Vec<i64>) -> Result<Self, Vec<i64>> {
+        let bounds = ints.first().zip(ints.last());
+        let Some(mut ranked) = bounds.and_then(|(&min, &max)| Self::blank(min, max, ints.len()))
+        else {
+            return Err(ints);
+        };
+        for &v in &ints {
+            ranked.insert(v);
+        }
+        ranked.count();
+        ranked.ints = ints.into_boxed_slice();
         Ok(ranked)
+    }
+
+    /// The ranked domain of `rows`, every one an `Int` in `[min, max]`,
+    /// and each row's ID — its rank — if the domain ranks; no sort. The
+    /// lines are only allocated if `rows.len()` distinct values would
+    /// rank: the directory never shrinks as values are added, so fewer
+    /// could not.
+    fn from_rows(rows: &[Value], min: i64, max: i64) -> Option<(Self, Vec<u32>)> {
+        let mut ranked = Self::blank(min, max, rows.len())?;
+        for row in rows {
+            ranked.insert(int(row)?)?;
+        }
+        let distinct = ranked.count();
+        if !ranks(ranked.span - 1, distinct) {
+            return None;
+        }
+        let mut ints = Vec::with_capacity(distinct);
+        for (at, line) in (0..).step_by(LINE_INTS as usize).zip(&ranked.lines) {
+            for (word, mut bits) in line.bits.into_iter().enumerate() {
+                while bits != 0 {
+                    let off: u64 = at + word as u64 * 64 + u64::from(bits.trailing_zeros());
+                    ints.push((min as u64).wrapping_add(off) as i64);
+                    bits &= bits - 1;
+                }
+            }
+        }
+        ranked.ints = ints.into_boxed_slice();
+        let mut ids = Vec::with_capacity(rows.len());
+        for row in rows {
+            ids.push(ranked.encode(int(row)?)?);
+        }
+        Some((ranked, ids))
     }
 
     /// `v - min` if `v` lies in `[min, min + span)`. Below `min` the
@@ -352,6 +408,20 @@ impl Domain {
         debug_assert!(ints.windows(2).all(|w| w[0] < w[1]));
         let repr = Ranked::fitting(ints).map_or_else(directory, |r| Repr::Ranked(Arc::new(r)));
         Self { repr }
+    }
+
+    /// The ranked domain of `rows` — every one an `Int` in `[min, max]`
+    /// — and each row's ID, if the domain ranks: what
+    /// [`Domain::from_sorted_ints`] would choose over their sorted
+    /// distinct values, built without sorting. `None` otherwise.
+    pub(crate) fn ranked_rows(rows: &[Value], min: i64, max: i64) -> Option<(Self, Vec<u32>)> {
+        let (ranked, ids) = Ranked::from_rows(rows, min, max)?;
+        Some((
+            Self {
+                repr: Repr::Ranked(Arc::new(ranked)),
+            },
+            ids,
+        ))
     }
 
     /// A generic domain over `values`, which the caller has proven
@@ -1164,6 +1234,26 @@ mod tests {
         let strided =
             |stride: i64| Domain::from_sorted_ints((0..64).map(|x| x * stride - 40).collect());
         assert!(strided(1).is_ranked() && strided(4).is_ranked() && !strided(20).is_ranked());
+    }
+
+    #[test]
+    fn the_directory_never_shrinks_as_values_are_added() {
+        // What lets a column's row count stand in for its distinct count
+        // before the rank build allocates: if `rows` values cannot rank
+        // over a span, fewer cannot either.
+        let bytes = |n: usize| CssLayout::full(n, 8).space_bytes(8);
+        for n in 1..=1 << 17 {
+            assert!(bytes(n) >= bytes(n - 1), "n = {n}");
+        }
+        // A new level starts one value past `8 · 9^k` (9^k full leaves).
+        let mut full = 8usize;
+        while full < 1 << 31 {
+            for n in full - 1..=full + 9 {
+                assert!(bytes(n + 1) >= bytes(n), "n = {n}");
+            }
+            full *= 9;
+        }
+        assert!(bytes(1 << 31) >= bytes((1 << 31) - 1));
     }
 
     /// A deterministic stream of `u64`s.

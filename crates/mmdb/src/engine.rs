@@ -362,9 +362,11 @@ fn apply_one(tables: &mut Tables, mutation: Mutation) -> Result<Option<RebuildRe
                     got,
                 });
             }
-            entry
-                .table
-                .replace_column(&column, Column::from_values(&values));
+            // The rows are freed before the RID list is rebuilt, so the
+            // raw values and the rebuild's buffers are never live at once.
+            let built = Column::from_values(&values);
+            drop(values);
+            entry.table.replace_column(&column, built);
             return Ok(Some(match entry.columns.get_mut(&column) {
                 Some(paths) => rebuild(entry.table.try_column(&column)?, paths),
                 None => RebuildReport::default(),
