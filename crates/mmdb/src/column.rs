@@ -33,27 +33,37 @@ use std::sync::Arc;
 
 /// One domain-encoded column. Cloning shares the domain and the ID array
 /// (a catalog commit copy-on-writes table entries, and must not copy
-/// rows to do it).
-#[derive(Debug, Clone)]
+/// rows to do it). Two columns are equal when their domains and IDs are;
+/// [`Column::from_values`] encodes canonically, so two columns it built
+/// are equal exactly when their values are.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Column {
     domain: Domain,
     ids: Arc<[u32]>,
 }
 
+/// `len` zeros in a fresh `Arc<[u32]>`, one allocation, for a builder to
+/// fill in place through [`Arc::get_mut`]: filling a `Vec` and
+/// converting it would allocate the array again and copy it.
+pub(crate) fn zeroed(len: usize) -> Arc<[u32]> {
+    std::iter::repeat_n(0, len).collect()
+}
+
 /// Sort rows by `(key, rid)` and read off the deduplicated key run and
 /// each row's rank in it. The pairs are distinct (RIDs are), so the
 /// unstable sort is deterministic.
-fn rank_rows<K: Ord + Copy>(mut keyed: Vec<(K, u32)>) -> (Vec<K>, Vec<u32>) {
+fn rank_rows<K: Ord + Copy>(mut keyed: Vec<(K, u32)>) -> (Vec<K>, Arc<[u32]>) {
     keyed.sort_unstable();
     let mut run: Vec<K> = Vec::new();
-    let mut ids = vec![0u32; keyed.len()];
+    let mut block = zeroed(keyed.len());
+    let ids = Arc::get_mut(&mut block).expect("a fresh array has one owner");
     for (key, rid) in keyed {
         if run.last() != Some(&key) {
             run.push(key);
         }
         ids[rid as usize] = (run.len() - 1) as u32;
     }
-    (run, ids)
+    (run, block)
 }
 
 /// The least and greatest value if every value is an `Int` (`(i64::MAX,
@@ -108,17 +118,15 @@ impl Column {
             ids.iter().all(|&id| (id as usize) < domain.len()),
             "id out of domain range"
         );
-        Self::from_proven_parts(domain, ids)
+        Self::from_proven_parts(domain, ids.into())
     }
 
     /// [`Column::from_parts`] for a caller that has already proven every
-    /// ID in range (the rank encoder, the storage validator).
-    pub(crate) fn from_proven_parts(domain: Domain, ids: Vec<u32>) -> Self {
+    /// ID in range (the rank encoder, the storage validator), over the
+    /// array it built.
+    pub(crate) fn from_proven_parts(domain: Domain, ids: Arc<[u32]>) -> Self {
         debug_assert!(ids.iter().all(|&id| (id as usize) < domain.len()));
-        Self {
-            domain,
-            ids: ids.into(),
-        }
+        Self { domain, ids }
     }
 
     /// Number of rows.

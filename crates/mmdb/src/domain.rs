@@ -67,6 +67,7 @@
 //! representation: a `Str` probe sorts after every value of a typed
 //! domain, so it encodes to `None` and lower-bounds to `len`.
 
+use crate::column::zeroed;
 use ccindex_common::{prefetch, SearchIndex, SortedArray, DEFAULT_BATCH_LANES};
 use css_tree::{CssLayout, FullCssTree};
 use std::borrow::Borrow;
@@ -206,7 +207,7 @@ impl Ranked {
     /// lines are only allocated if `rows.len()` distinct values would
     /// rank: the directory never shrinks as values are added, so fewer
     /// could not.
-    fn from_rows(rows: &[Value], min: i64, max: i64) -> Option<(Self, Vec<u32>)> {
+    fn from_rows(rows: &[Value], min: i64, max: i64) -> Option<(Self, Arc<[u32]>)> {
         let mut ranked = Self::blank(min, max, rows.len())?;
         for row in rows {
             ranked.insert(int(row)?)?;
@@ -226,9 +227,9 @@ impl Ranked {
             }
         }
         ranked.ints = ints.into_boxed_slice();
-        let mut ids = Vec::with_capacity(rows.len());
-        for row in rows {
-            ids.push(ranked.encode(int(row)?)?);
+        let mut ids = zeroed(rows.len());
+        for (id, row) in Arc::get_mut(&mut ids)?.iter_mut().zip(rows) {
+            *id = ranked.encode(int(row)?)?;
         }
         Some((ranked, ids))
     }
@@ -414,7 +415,7 @@ impl Domain {
     /// — and each row's ID, if the domain ranks: what
     /// [`Domain::from_sorted_ints`] would choose over their sorted
     /// distinct values, built without sorting. `None` otherwise.
-    pub(crate) fn ranked_rows(rows: &[Value], min: i64, max: i64) -> Option<(Self, Vec<u32>)> {
+    pub(crate) fn ranked_rows(rows: &[Value], min: i64, max: i64) -> Option<(Self, Arc<[u32]>)> {
         let (ranked, ids) = Ranked::from_rows(rows, min, max)?;
         Some((
             Self {

@@ -135,14 +135,15 @@ pub struct RebuildReport {
     pub sort_time: Duration,
     /// Per-kind rebuild times. Always empty: a kind declares an access
     /// path over the RID list and has no structure of its own to rebuild.
-    /// Kept because the serving wire's rebuild frame carries it.
+    /// The wire does not carry it; a remote shard's report has it empty
+    /// too.
     pub rebuilds: Vec<(IndexKind, Duration)>,
 }
 
 /// One catalog edit: the unit of a [`Database::apply`] batch, and what
 /// a shard backend applies and the wire carries. Names are owned, so a
 /// batch can be built once and moved to wherever it is applied.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Mutation {
     /// Register a table under its own name; [`MmdbError::DuplicateTable`]
     /// if the name is taken.

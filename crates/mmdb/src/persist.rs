@@ -276,7 +276,7 @@ fn decode_tables(r: &mut StoreReader) -> Result<BTreeMap<String, Arc<TableEntry>
                     ),
                 ));
             }
-            columns.push((col_name, Column::from_proven_parts(domain, ids)));
+            columns.push((col_name, Column::from_proven_parts(domain, ids.into())));
         }
         // Every column was proven `rows` long; only a table without
         // columns can disagree with its recorded row count.

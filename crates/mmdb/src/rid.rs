@@ -33,7 +33,7 @@
 //! traits (the baselines' agreement suite, a benchmark rung) reads the
 //! same positions a built directory over the expanded keys would return.
 
-use crate::column::Column;
+use crate::column::{zeroed, Column};
 use ccindex_common::{prefetch, AccessTracer, IndexStats, OrderedIndex, SearchIndex, SpaceReport};
 use std::sync::Arc;
 
@@ -52,35 +52,35 @@ impl RidList {
     /// [module docs](self).
     pub fn for_column(column: &Column) -> Self {
         let ids = column.ids();
-        let mut offsets = vec![0u32; column.domain().len() + 1];
+        // Both arrays are allocated once, in their final blocks.
+        let mut offsets = zeroed(column.domain().len() + 1);
+        let counts = Arc::get_mut(&mut offsets).expect("a fresh array has one owner");
         for &id in ids {
-            offsets[id as usize + 1] += 1;
+            counts[id as usize + 1] += 1;
         }
-        for id in 1..offsets.len() {
-            offsets[id] += offsets[id - 1];
+        for id in 1..counts.len() {
+            counts[id] += counts[id - 1];
         }
         // Each ID's next free sorted position, handed out in RID order.
-        let mut next = offsets[..offsets.len() - 1].to_vec();
-        let mut rids = vec![0u32; ids.len()];
+        let mut next = counts[..counts.len() - 1].to_vec();
+        let mut rids = zeroed(ids.len());
+        let sorted = Arc::get_mut(&mut rids).expect("a fresh array has one owner");
         for (&id, rid) in ids.iter().zip(0u32..) {
             let at = &mut next[id as usize];
-            rids[*at as usize] = rid;
+            sorted[*at as usize] = rid;
             *at += 1;
         }
         Self::from_parts(offsets, rids)
     }
 
     /// Assemble from a column's prefix sums and sorted RIDs.
-    pub(crate) fn from_parts(offsets: Vec<u32>, rids: Vec<u32>) -> Self {
+    pub(crate) fn from_parts(offsets: Arc<[u32]>, rids: Arc<[u32]>) -> Self {
         assert_eq!(
             offsets.last().map(|&end| end as usize),
             Some(rids.len()),
             "offsets must end at the RID count"
         );
-        Self {
-            offsets: offsets.into(),
-            rids: rids.into(),
-        }
+        Self { offsets, rids }
     }
 
     /// Number of entries.
@@ -281,6 +281,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "offsets must end at the RID count")]
     fn from_parts_validates_lengths() {
-        let _ = RidList::from_parts(vec![0, 1, 2], vec![0]);
+        let _ = RidList::from_parts(vec![0, 1, 2].into(), vec![0].into());
     }
 }

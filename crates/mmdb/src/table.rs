@@ -4,8 +4,9 @@ use crate::column::Column;
 use crate::domain::Value;
 use crate::error::{MmdbError, Result};
 
-/// A named, columnar, domain-encoded table.
-#[derive(Debug, Clone)]
+/// A named, columnar, domain-encoded table. Two tables are equal when
+/// their names, column names and encoded columns are.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     name: String,
     columns: Vec<(String, Column)>,

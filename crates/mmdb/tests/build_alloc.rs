@@ -1,10 +1,13 @@
-//! What `Column::from_values` allocates. A dense integer column is ranked
-//! without a sort, so no `(value, rid)` pairs vector exists; a sparse one
-//! is rejected before anything is allocated and goes straight to the
-//! sort. A counting global allocator records the first and the largest
-//! single request made while a column is built.
+//! What `Column::from_values` and `RidList::for_column` allocate. A dense
+//! integer column is ranked without a sort, so no `(value, rid)` pairs
+//! vector exists; a sparse one is rejected before anything is allocated
+//! and goes straight to the sort. Each final shared array (a column's
+//! IDs, a RID list's offsets and RIDs) is allocated once, in its final
+//! block, never built in a `Vec` and copied. A counting global allocator
+//! records the first and the largest single request made while a column
+//! is built, and how many requests were the size of a watched array.
 
-use mmdb::{Column, Value};
+use mmdb::{Column, RidList, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -12,13 +15,28 @@ struct Counting;
 
 static FIRST: AtomicUsize = AtomicUsize::new(0);
 static LARGEST: AtomicUsize = AtomicUsize::new(0);
+/// The byte sizes of up to two arrays being watched (0 = none).
+static WATCHED: [AtomicUsize; 2] = [AtomicUsize::new(0), AtomicUsize::new(0)];
+/// Requests of each watched array's size.
+static HITS: [AtomicUsize; 2] = [AtomicUsize::new(0), AtomicUsize::new(0)];
+
+/// A request holds a watched array if it is the array's bytes plus at
+/// most this much header (an `Arc`'s two counts, with room to spare).
+const HEADER: usize = 64;
 
 // SAFETY: every call is forwarded unchanged to the system allocator; the
 // wrapper only records the size asked for.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = FIRST.compare_exchange(0, layout.size(), Ordering::SeqCst, Ordering::SeqCst);
-        LARGEST.fetch_max(layout.size(), Ordering::SeqCst);
+        let size = layout.size();
+        let _ = FIRST.compare_exchange(0, size, Ordering::SeqCst, Ordering::SeqCst);
+        LARGEST.fetch_max(size, Ordering::SeqCst);
+        for (watched, hits) in WATCHED.iter().zip(&HITS) {
+            let bytes = watched.load(Ordering::SeqCst);
+            if bytes != 0 && (bytes..=bytes + HEADER).contains(&size) {
+                hits.fetch_add(1, Ordering::SeqCst);
+            }
+        }
         // SAFETY: the caller's contract for `alloc` is passed through.
         unsafe { System.alloc(layout) }
     }
@@ -32,15 +50,30 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-/// Build a column over `values`; the first and the largest single
-/// allocation the build made.
-fn build(values: &[Value]) -> (usize, usize) {
+/// Run `f` watching for requests the size of `u32` arrays of `lens`;
+/// its result, and how many requests each array's size drew.
+fn watching<T>(lens: [usize; 2], f: impl FnOnce() -> T) -> (T, [usize; 2]) {
+    for (watched, len) in WATCHED.iter().zip(lens) {
+        watched.store(4 * len, Ordering::SeqCst);
+    }
+    HITS.iter().for_each(|hits| hits.store(0, Ordering::SeqCst));
+    let out = f();
+    WATCHED
+        .iter()
+        .for_each(|watched| watched.store(0, Ordering::SeqCst));
+    (out, HITS.each_ref().map(|hits| hits.load(Ordering::SeqCst)))
+}
+
+/// Build a column over `values`; the column, the first and the largest
+/// single allocation the build made, and how many requests were the
+/// size of its ID array.
+fn build(values: &[Value]) -> (Column, usize, usize, usize) {
     FIRST.store(0, Ordering::SeqCst);
     LARGEST.store(0, Ordering::SeqCst);
-    let column = Column::from_values(values);
-    let seen = (FIRST.load(Ordering::SeqCst), LARGEST.load(Ordering::SeqCst));
+    let (column, [ids, _]) = watching([values.len(), 0], || Column::from_values(values));
+    let (first, largest) = (FIRST.load(Ordering::SeqCst), LARGEST.load(Ordering::SeqCst));
     assert_eq!(column.len(), values.len());
-    seen
+    (column, first, largest, ids)
 }
 
 /// `rows` values from a xorshift stream, each reduced by `shape`.
@@ -65,15 +98,26 @@ fn a_dense_column_builds_without_pairs_and_a_sparse_one_allocates_only_its_sort(
     // vector would take 16.
     const DENSE: usize = 1 << 20;
     let dense = column(DENSE, |x| (x % (2 * DENSE as u64)) as i64);
-    let (_, largest) = build(&dense);
+    let (built, _, largest, ids) = build(&dense);
     assert!(
         largest <= 8 * DENSE,
         "a {DENSE}-row dense column made a {largest}-byte allocation"
     );
+    assert_eq!(ids, 1, "the ranked column's IDs were allocated {ids} times");
+    // The RID list over it: `d + 1` offsets and one RID per row.
+    let offsets = built.domain().len() + 1;
+    let (list, hits) = watching([offsets, DENSE], || RidList::for_column(&built));
+    assert_eq!(list.len(), DENSE);
+    assert_eq!(hits, [1, 1], "offsets and RIDs allocations");
     // `serve-small`'s shape: 64k keys over 2^32 can never rank, so the
     // first allocation is the sort's pairs vector.
     const SPARSE: usize = 1 << 16;
     let sparse = column(SPARSE, |x| i64::from(x as u32));
-    let (first, _) = build(&sparse);
+    let (_, first, _, _) = build(&sparse);
     assert_eq!(first, pair * SPARSE, "allocated before the sort path");
+    // A row count whose IDs' size no doubling `Vec` of the sort passes
+    // through (64k rows' IDs are as large as the key run's 32k slots).
+    const ODD: usize = 3 << 14 | 1;
+    let (_, _, _, ids) = build(&column(ODD, |x| i64::from(x as u32)));
+    assert_eq!(ids, 1, "the sorted column's IDs were allocated {ids} times");
 }

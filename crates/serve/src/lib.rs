@@ -386,68 +386,45 @@ mod tests {
         println!("bind served");
     }
 
-    /// No coordinator sends the v3 `GroupPartial` frame any more (grouped
-    /// plans arrive whole as `RunSpec`), but a v3 server still answers
-    /// it — with the engine's own groups, and typed errors for the
-    /// malformed shapes a foreign client could send.
+    /// Tag 5 was protocol v3's grouped partial aggregate, retired in v4
+    /// (grouped plans arrive whole as `RunSpec`). A payload that still
+    /// carries it, in a well-formed v4 frame, is answered with a typed
+    /// decode error, and the connection serves on.
     #[test]
     fn shard_server_still_answers_the_group_partial_frame() {
-        use ccindex_wire::{read_response, write_request, ShardRequest, ShardResponse};
-        use mmdb::AggFn;
+        use ccindex_wire::{
+            read_response, write_frame, write_request, ShardRequest, ShardResponse,
+        };
+        use mmdb::{CatalogRead, QuerySpec, TransportFault};
         let db = catalog();
-        let want_sum = db
-            .query("sales")
-            .filter(between("amount", 10, 90))
-            .group_by("cust", sum("amount"))
-            .run()
-            .unwrap()
-            .groups()
-            .to_vec();
-        let selected = db
-            .query("sales")
-            .filter(between("amount", 10, 90))
-            .run()
-            .unwrap()
-            .rids()
-            .to_vec();
-        let want_count = db
-            .query("sales")
-            .group_by("cust", count())
-            .run()
-            .unwrap()
-            .groups()
-            .to_vec();
+        let spec = QuerySpec::table("sales").filter(eq("cust", 3));
+        let want = ShardResponse::Rows(db.run_spec(&spec).unwrap());
         let server = ShardServer::spawn(db).unwrap();
         let addr = server.addr();
         let mut stream = std::net::TcpStream::connect(&addr).unwrap();
-        let mut ask = |measure: Option<&str>, agg: AggFn, rids: Option<Vec<u32>>| {
-            let request = ShardRequest::GroupPartial {
-                table: "sales".into(),
-                group_column: "cust".into(),
-                measure: measure.map(str::to_owned),
-                agg,
-                rids,
-            };
-            write_request(&mut stream, &addr, &request, 0).unwrap();
-            read_response(&mut stream, &addr).unwrap().0
-        };
-        assert_eq!(
-            ask(Some("amount"), AggFn::Sum, Some(selected)),
-            ShardResponse::Groups(want_sum)
-        );
-        assert_eq!(
-            ask(None, AggFn::Count, None),
-            ShardResponse::Groups(want_count)
-        );
-        for (measure, agg, rids) in [
-            (Some("amount"), AggFn::Max, Some(vec![0, 60])), // rid out of range
-            (None, AggFn::Sum, None),                        // no measure
-            (Some("nocol"), AggFn::Sum, None),               // unknown column
-        ] {
-            assert!(
-                matches!(ask(measure, agg, rids), ShardResponse::Err(_)),
-                "{measure:?} {agg:?}"
-            );
+        // v3's layout: table `sales`, group column `cust`, no measure,
+        // `Count`, every row.
+        let retired = [
+            &[5u8, 5, 0, 0, 0][..],
+            b"sales",
+            &[4, 0, 0, 0],
+            b"cust",
+            &[0, 0, 0],
+        ]
+        .concat();
+        for _ in 0..2 {
+            write_frame(&mut stream, &addr, &[], &retired).unwrap();
+            match read_response(&mut stream, &addr).unwrap().0 {
+                ShardResponse::Err(MmdbError::Transport {
+                    fault: TransportFault::Decode,
+                    detail,
+                    ..
+                }) => assert!(detail.contains("bad ShardRequest tag 5"), "{detail}"),
+                other => panic!("expected a typed decode error, got {other:?}"),
+            }
+            let run = ShardRequest::RunSpec { spec: spec.clone() };
+            write_request(&mut stream, &addr, &run, 0).unwrap();
+            assert_eq!(read_response(&mut stream, &addr).unwrap().0, want);
         }
         drop(stream);
         server.shutdown();

@@ -7,18 +7,18 @@
 //! The serving discipline mirrors the in-process split the engine
 //! already has:
 //!
-//! * **reads** (whole query specs, probe batches, selections, join
-//!   fan-out, value decodes, plan compilation) run against a pinned
+//! * **reads** (whole query specs, probe batches, join fan-out, value
+//!   decodes, plan compilation) run against a pinned
 //!   [`Snapshot`](mmdb::Snapshot) from a lock-free
 //!   [`DatabaseHandle`](mmdb::DatabaseHandle) — every request answers
 //!   from one committed generation and never waits on a writer;
-//! * **catalog edits** (the six frames that each carry one
-//!   [`Mutation`](mmdb::Mutation): register/drop, index admin, column
-//!   replacement and rebuild) are one dispatch arm: the frame becomes
-//!   its mutation (`ShardRequest::into_mutation`), which serializes
-//!   through a `Mutex<Database>` as a one-mutation
-//!   [`apply`](Database::apply) and publishes a new generation through
-//!   the same commit slot the handle reads.
+//! * **catalog edits** arrive as one `Mutate` frame per batch of
+//!   [`Mutation`](mmdb::Mutation)s (register/drop, index admin, column
+//!   replacement and rebuild) and are one dispatch arm: the batch
+//!   serializes through a `Mutex<Database>` as one
+//!   [`apply`](Database::apply), which publishes one new generation
+//!   through the same commit slot the handle reads, or none if any edit
+//!   fails.
 //!
 //! Reads dispatch through the *same* `impl ShardRead for CatalogState`
 //! an in-process shard pins (see `ccindex_shard`), which is what makes
@@ -27,18 +27,15 @@
 //! socket failure is contained to its connection; a request that fails
 //! engine-side answers with the same typed
 //! [`MmdbError`](mmdb::MmdbError) the operation would have raised
-//! in-process, carried in [`ShardResponse::Err`].
+//! in-process, carried in [`ShardResponse::Err`], and so does a whole
+//! frame whose payload does not decode: the connection serves on.
 
 use crate::server::{BatchServer, ServeOptions};
 use ccindex_obs as obs;
 use ccindex_parallel::sync::Arc as MetricArc;
 use ccindex_shard::ShardRead;
 use ccindex_wire::{self as wire, ShardRequest, ShardResponse};
-use mmdb::plan::{Plan, ProbeStep};
-use mmdb::{
-    group_aggregate_pairs, AggFn, CatalogRead, CatalogState, Database, DatabaseHandle, GroupRow,
-    Measure, MmdbError, Result, TransportFault,
-};
+use mmdb::{CatalogRead, Database, DatabaseHandle, MmdbError, Result, TransportFault};
 use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -349,14 +346,14 @@ fn serve_conn(stream: &TcpStream, shared: &Arc<Shared>) {
         let decoded = timed(&mut span, "decode", || {
             ShardRequest::decode(&payload, &endpoint)
         });
-        let request = match decoded {
-            Ok(request) => request,
-            Err(_) => return,
-        };
-        let stopping = matches!(request, ShardRequest::Shutdown);
+        let stopping = matches!(decoded, Ok(ShardRequest::Shutdown));
         let executing = std::time::Instant::now();
-        let response = timed(&mut span, "execute", || {
-            respond(shared, &mut transfers, request)
+        // A payload that does not decode came in a whole, checksummed
+        // frame, so the stream is still in step: its typed error is the
+        // answer, and the connection serves on.
+        let response = timed(&mut span, "execute", || match decoded {
+            Ok(request) => respond(shared, &mut transfers, request),
+            Err(e) => ShardResponse::Err(e),
         });
         shared.execute_ns.record(obs::elapsed_ns(&executing));
         let node = span.map(obs::Span::finish);
@@ -426,23 +423,6 @@ fn respond(
                 .range_probe_batch(&table, &column, &ranges),
             A::RidSets,
         ),
-        ShardRequest::Select {
-            table,
-            probes,
-            exec,
-        } => {
-            // Rebuild the probes-only plan the coordinator compiled.
-            let plan = Plan {
-                table,
-                probes: probes
-                    .into_iter()
-                    .map(|(column, probe)| ProbeStep { column, probe })
-                    .collect(),
-                exec,
-                ..Plan::default()
-            };
-            reply(shared.handle.snapshot().select(&plan), A::Rids)
-        }
         ShardRequest::JoinProbeBatch {
             table,
             column,
@@ -455,23 +435,6 @@ fn respond(
                 .snapshot()
                 .join_probe_batch(&table, &column, &values, lanes, threads),
             A::RidSets,
-        ),
-        ShardRequest::GroupPartial {
-            table,
-            group_column,
-            measure,
-            agg,
-            rids,
-        } => reply(
-            group_partial(
-                &shared.handle.snapshot(),
-                &table,
-                &group_column,
-                measure.as_deref(),
-                agg,
-                rids.as_deref(),
-            ),
-            A::Groups,
         ),
         ShardRequest::ColumnValues {
             table,
@@ -503,6 +466,11 @@ fn respond(
             );
             A::Batch(server.run_batch(&requests))
         }
+        ShardRequest::Mutate(batch) => reply(lock_db(shared).apply(batch), |reports| A::Applied {
+            sort_ns: (reports.iter())
+                .map(|report| report.sort_time.as_nanos() as u64)
+                .collect(),
+        }),
         ShardRequest::SetExecOptions { exec } => {
             lock_db(shared).set_exec_options(exec);
             A::Unit
@@ -529,57 +497,7 @@ fn respond(
         // The connection loop raises the stop flag after this response
         // is on the wire.
         ShardRequest::Shutdown => A::Unit,
-        // The six catalog-edit frames: each is one mutation, applied as
-        // a one-mutation batch. A replacement or rebuild reports.
-        edit => {
-            let applied = edit
-                .into_mutation()
-                .and_then(|mutation| lock_db(shared).apply(vec![mutation]));
-            reply(applied, |mut reports| match reports.pop() {
-                Some(report) => rebuilt(&report),
-                None => A::Unit,
-            })
-        }
     }
-}
-
-/// Answer the v3 `GroupPartial` frame: a grouped partial aggregate over
-/// one table's rows (`rids = None`) or a selected subset, in group-value
-/// order. No coordinator sends this frame any more — grouped plans
-/// arrive whole as `RunSpec` — so the answer lives here, beside the
-/// dispatch, until the next protocol bump removes the frame. The measure
-/// goes through the planner's own check ([`Measure::resolve`]) and the
-/// rid range is validated, so a malformed request is a typed error, not
-/// a server-side panic.
-fn group_partial(
-    cat: &CatalogState,
-    table: &str,
-    group_column: &str,
-    measure: Option<&str>,
-    agg: AggFn,
-    rids: Option<&[u32]>,
-) -> Result<Vec<GroupRow>> {
-    let tbl = cat.table(table)?;
-    let group_col = tbl.try_column(group_column)?;
-    let measure = match measure {
-        None => None,
-        Some(m) => Some((table, m, tbl.try_column(m)?)),
-    };
-    let measure = Measure::resolve(agg, measure)?;
-    let rows = tbl.rows() as u32;
-    if let Some(&bad) = rids.and_then(|rids| rids.iter().find(|&&r| r >= rows)) {
-        return Err(MmdbError::rid_out_of_range(table, bad, tbl.rows()));
-    }
-    Ok(match rids {
-        Some(rids) => {
-            let pair = |i: usize| (rids[i], measure.at(rids[i]));
-            group_aggregate_pairs(group_col, rids.len(), pair, agg, 1)
-        }
-        None => {
-            let pair = |i: usize| (i as u32, measure.at(i as u32));
-            group_aggregate_pairs(group_col, rows as usize, pair, agg, 1)
-        }
-    })
 }
 
 fn lock_db(shared: &Shared) -> std::sync::MutexGuard<'_, Database> {
@@ -691,15 +609,4 @@ fn install_snapshot_chunk(
         lock_db(shared).restore_from_bytes(&state.bytes, "snapshot transfer"),
         |()| ShardResponse::Unit,
     )
-}
-
-fn rebuilt(report: &mmdb::RebuildReport) -> ShardResponse {
-    ShardResponse::Rebuilt {
-        sort_ns: report.sort_time.as_nanos() as u64,
-        rebuilds: report
-            .rebuilds
-            .iter()
-            .map(|(kind, d)| (*kind, d.as_nanos() as u64))
-            .collect(),
-    }
 }

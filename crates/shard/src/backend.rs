@@ -8,12 +8,13 @@
 //!   ([`run_spec`](ShardRead::run_spec), the one request a shard-local
 //!   plan costs per routed shard), a probe batch's routed subset, and
 //!   the pieces a join that is not co-located streams through the
-//!   coordinator (the outer exchange's probes-only selections and
-//!   column decodes, the inner exchange's join-probe batches) — plus
-//!   the per-shard plan body's compilation and snapshot export. Every
-//!   reply carries **local** RIDs; the coordinator's one merge makes
-//!   them global through the placement map, and a RID the shard does
-//!   not hold is a typed error there. It has two implementations:
+//!   coordinator (the outer exchange's selections, each a filter-only
+//!   `run_spec`, and column decodes, the inner exchange's join-probe
+//!   batches) — plus the per-shard plan body's compilation and snapshot
+//!   export. Every reply carries **local** RIDs; the coordinator's one
+//!   merge makes them global through the placement map, and a RID the
+//!   shard does not hold is a typed error there. It has two
+//!   implementations:
 //!   [`CatalogState`] (one immutable generation of an in-process engine
 //!   — what a local shard pins, and what the serving layer's
 //!   `ShardServer` answers wire requests from) and `RemoteShard` (see
@@ -27,7 +28,8 @@
 //!   [`pin`](ShardBackend::pin) to reach the read surface of its
 //!   current or frozen tip. [`LocalShard`] wraps a [`Database`] and
 //!   forwards a batch to [`Database::apply`]; `RemoteShard` implements
-//!   it over the wire, one frame per mutation.
+//!   it over the wire, one frame per batch, which its server hands to
+//!   the same [`Database::apply`].
 //!
 //! A pinned `ShardedState` holds `Arc<dyn ShardRead>` per shard, so
 //! mutating through a snapshot is not a runtime error but a method that
@@ -101,11 +103,6 @@ pub trait ShardRead: std::fmt::Debug + Send + Sync {
         ranges: &[(Value, Value)],
     ) -> Result<Vec<Vec<u32>>>;
 
-    /// Execute a probes-only selection plan (the probe steps of a
-    /// scatter template) and return the matching local RIDs, ascending
-    /// — the outer half of a join that is not co-located.
-    fn select(&self, plan: &Plan) -> Result<Vec<u32>>;
-
     /// Probe the index on `table.column` (its RID list, whichever kinds
     /// it declares) once per outer value — the inner half of a
     /// distributed indexed nested-loop join. Returns one local RID set
@@ -177,11 +174,12 @@ pub trait ShardBackend: std::fmt::Debug + Send + Sync {
     /// Apply a batch of catalog edits to this shard, in order — the one
     /// mutating entry point. Returns one [`RebuildReport`] per
     /// [`Mutation::ReplaceColumn`] and [`Mutation::RebuildColumn`], in
-    /// batch order. A local shard commits the whole batch as one
-    /// generation of its [`Database`] ([`Database::apply`]); a remote
-    /// shard sends one frame per mutation, so its server commits one
-    /// generation each, and a fault partway leaves the earlier frames
-    /// applied.
+    /// batch order. Either shard commits the whole batch as one
+    /// generation of its [`Database`] ([`Database::apply`]), or nothing
+    /// if any mutation fails: a remote shard sends the batch as one
+    /// frame, and its server applies it the same way. A transport fault
+    /// is the one exception to knowing which: if the connection drops
+    /// after the frame left, the server may have committed the batch.
     fn apply(&mut self, batch: Vec<Mutation>) -> Result<Vec<RebuildReport>>;
 
     /// Install new execution options on this shard.
@@ -234,10 +232,6 @@ impl ShardRead for CatalogState {
         ranges: &[(Value, Value)],
     ) -> Result<Vec<Vec<u32>>> {
         CatalogRead::range_probe_batch(self, table, column, ranges)
-    }
-
-    fn select(&self, plan: &Plan) -> Result<Vec<u32>> {
-        Ok(CatalogRead::execute(self, plan)?.rids().to_vec())
     }
 
     /// Materialise the outer values as a synthetic probe column and run

@@ -5,9 +5,10 @@
 //! One request, one response, one frame each, and the coordinator
 //! keeps the request count down instead of the transport hiding it: a
 //! shard-local plan is a single `RunSpec` exchange per routed shard
-//! (compilation is cached coordinator-side per generation), and only a
-//! join that is not co-located pays the `Select` → `ColumnValues` →
-//! `JoinProbeBatch` sequence. So the transport stays synchronous and
+//! (compilation is cached coordinator-side per generation), only a join
+//! that is not co-located pays the `RunSpec` (its outer selection) →
+//! `ColumnValues` → `JoinProbeBatch` sequence, and a batch of catalog
+//! edits is one `Mutate` frame. So the transport stays synchronous and
 //! dependency-free. Connection handling:
 //!
 //! * [`RemoteShard::connect`] dials with **bounded retry** (5 attempts,
@@ -37,8 +38,8 @@ use ccindex_parallel::sync::Arc as ObsArc;
 use ccindex_wire::{self as wire, ShardRequest, ShardResponse};
 use mmdb::plan::{parse_knob, Plan};
 use mmdb::{
-    ExecOptions, IndexKind, MmdbError, Mutation, QuerySpec, RebuildReport, Request, Result,
-    ResultRows, TransportFault, Value,
+    ExecOptions, MmdbError, Mutation, QuerySpec, RebuildReport, Request, Result, ResultRows,
+    TransportFault, Value,
 };
 
 use crate::backend::{ShardBackend, ShardInfo, ShardRead};
@@ -301,15 +302,13 @@ fn rid_sets(resp: ShardResponse) -> Option<Vec<Vec<u32>>> {
 fn variant_name(resp: &ShardResponse) -> &'static str {
     match resp {
         ShardResponse::RidSets(_) => "RidSets",
-        ShardResponse::Rids(_) => "Rids",
         ShardResponse::Values(_) => "Values",
-        ShardResponse::Groups(_) => "Groups",
         ShardResponse::Rows(_) => "Rows",
         ShardResponse::Batch(_) => "Batch",
         ShardResponse::Plan(_) => "Plan",
         ShardResponse::Names(_) => "Names",
         ShardResponse::Count(_) => "Count",
-        ShardResponse::Rebuilt { .. } => "Rebuilt",
+        ShardResponse::Applied { .. } => "Applied",
         ShardResponse::Info { .. } => "Info",
         ShardResponse::Unit => "Unit",
         ShardResponse::Stats { .. } => "Stats",
@@ -349,23 +348,6 @@ impl ShardRead for RemoteShard {
             ranges: ranges.to_vec(),
         };
         self.call(&req, None, rid_sets)
-    }
-
-    fn select(&self, plan: &Plan) -> Result<Vec<u32>> {
-        let probes = plan
-            .probes
-            .iter()
-            .map(|step| (step.column.clone(), step.probe.clone()))
-            .collect();
-        let req = ShardRequest::Select {
-            table: plan.table.clone(),
-            probes,
-            exec: plan.exec,
-        };
-        self.call(&req, None, |resp| match resp {
-            ShardResponse::Rids(rids) => Some(rids),
-            _ => None,
-        })
     }
 
     fn join_probe_batch(
@@ -504,28 +486,26 @@ impl ShardBackend for RemoteShard {
         Arc::new(self.clone())
     }
 
-    /// One frame per mutation, in order (the frame mapping is
-    /// `ccindex_wire`'s); the server commits each as its own generation.
-    /// An edit with a report is answered `Rebuilt`, any other `Unit`.
+    /// The whole batch in one `Mutate` frame; the server commits it as
+    /// one generation, or nothing. The reply holds one sort time per
+    /// `ReplaceColumn` and `RebuildColumn`, in batch order; a reply with
+    /// another count is refused as a wrong variant is, with a typed
+    /// `Protocol` fault.
     fn apply(&mut self, batch: Vec<Mutation>) -> Result<Vec<RebuildReport>> {
-        let mut reports = Vec::new();
-        for mutation in batch {
-            let reported = matches!(
-                mutation,
-                Mutation::ReplaceColumn(..) | Mutation::RebuildColumn(..)
-            );
-            let report = self.call(&ShardRequest::from(mutation), None, |resp| {
-                match (resp, reported) {
-                    (ShardResponse::Unit, false) => Some(None),
-                    (ShardResponse::Rebuilt { sort_ns, rebuilds }, true) => {
-                        Some(Some(rebuild_report(sort_ns, rebuilds)))
-                    }
-                    _ => None,
-                }
-            })?;
-            reports.extend(report);
-        }
-        Ok(reports)
+        let reported = (batch.iter())
+            .filter(|m| matches!(m, Mutation::ReplaceColumn(..) | Mutation::RebuildColumn(..)))
+            .count();
+        self.call(&ShardRequest::Mutate(batch), None, |resp| match resp {
+            ShardResponse::Applied { sort_ns } if sort_ns.len() == reported => Some(
+                (sort_ns.into_iter())
+                    .map(|ns| RebuildReport {
+                        sort_time: Duration::from_nanos(ns),
+                        rebuilds: Vec::new(),
+                    })
+                    .collect(),
+            ),
+            _ => None,
+        })
     }
 
     fn set_exec_options(&mut self, exec: ExecOptions) -> Result<()> {
@@ -565,15 +545,5 @@ impl ShardBackend for RemoteShard {
 
     fn install_metrics(&mut self, registry: &obs::Registry) {
         self.retries = Some(registry.counter("transport.retries"));
-    }
-}
-
-fn rebuild_report(sort_ns: u64, rebuilds: Vec<(IndexKind, u64)>) -> RebuildReport {
-    RebuildReport {
-        sort_time: Duration::from_nanos(sort_ns),
-        rebuilds: rebuilds
-            .into_iter()
-            .map(|(kind, ns)| (kind, Duration::from_nanos(ns)))
-            .collect(),
     }
 }

@@ -73,7 +73,7 @@ use mmdb::plan::{
 use mmdb::{
     between, eq, group_aggregate_pairs, on, Agg, AggFn, CatalogRead, Column, Database, ExecOptions,
     GroupRow, Handle, IndexKind, JoinRow, Measure, MmdbError, Mutation, Pinned, PredicateOp, Query,
-    QuerySpec, RebuildReport, Result, ResultRows, ResultSet, SwapSlot, Table,
+    QuerySpec, RebuildReport, Result, ResultRows, ResultSet, SwapSlot, Table, TransportFault,
 };
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
@@ -102,17 +102,16 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// typed errors each method lists); such a failure touches nothing.
 /// After that it hands each shard its part as one batch of
 /// [`Mutation`]s ([`ShardBackend::apply`]), in shard order, and
-/// publishes once. An in-process shard commits its batch as one
-/// generation, or nothing if the batch fails; a remote shard commits
-/// one generation per mutation. A backend fault on shard *k* — a
-/// [`MmdbError::Transport`] from a remote shard, say — returns `Err`
-/// with shards `0..k` already mutated and nothing published. What holds
-/// then is that the in-process composed generation is unchanged: reads
-/// through the catalog, its [`ShardedHandle`]s and its snapshots answer
-/// exactly as before, from the per-shard pins of the last commit. The
-/// backends themselves are not rolled back: committing a multi-shard
-/// mutation atomically (stage on every shard, then commit) is still to
-/// come.
+/// publishes once. Every shard, in-process or remote, commits its batch
+/// as one generation, or nothing if the batch fails. A backend fault on
+/// shard *k* — a [`MmdbError::Transport`] from a remote shard, say —
+/// returns `Err` with shards `0..k` already mutated and nothing
+/// published. What holds then is that the in-process composed
+/// generation is unchanged: reads through the catalog, its
+/// [`ShardedHandle`]s and its snapshots answer exactly as before, from
+/// the per-shard pins of the last commit. The backends themselves are
+/// not rolled back: committing a multi-shard mutation atomically (stage
+/// on every shard, then commit) is still to come.
 #[derive(Debug)]
 pub struct ShardedDatabase {
     /// The latest composed generation; every read method of this type
@@ -1026,8 +1025,9 @@ impl ShardedState {
     /// The streamed shape's two exchanges, for a join that is not
     /// co-located: matches for an outer row can live on another shard,
     /// so the outer stream comes to the coordinator. The outer exchange
-    /// has each routed shard select its rows and hand over their
-    /// join-key values — once; the coordinator cuts them into jobs,
+    /// has each routed shard select its rows (the plan's filters, shipped
+    /// as a filter-only spec to [`ShardRead::run_spec`]) and hand over
+    /// their join-key values — once; the coordinator cuts them into jobs,
     /// bucketed by the owning inner shard when the join column is the
     /// inner shard key and fanned to every inner shard otherwise (bucket
     /// order follows the outer stream, so no probe order is lost); the
@@ -1036,19 +1036,30 @@ impl ShardedState {
     fn join_exchange(&self, plan: &Plan, meta: &ShardedTable, j: &JoinStep) -> Result<Vec<Reply>> {
         let exec = plan.exec;
         let inner = self.meta(&j.inner_table)?;
-        let probes_plan = (!plan.probes.is_empty()).then(|| Plan {
-            table: plan.table.clone(),
-            probes: plan.probes.clone(),
-            exec,
-            ..Plan::default()
+        let select = (!plan.probes.is_empty()).then(|| QuerySpec {
+            join: None,
+            group: None,
+            ..shipped_spec(plan, Some(exec))
         });
         let scatter = &plan.routing.selected;
         let streams = exchange(
             exec.threads,
             scatter,
             |&s| -> Result<(Vec<u32>, Vec<Value>)> {
-                let rids: Vec<u32> = match &probes_plan {
-                    Some(plan) => self.shards[s].select(plan)?,
+                let rids: Vec<u32> = match &select {
+                    Some(spec) => match self.shards[s].run_spec(spec)? {
+                        ResultRows::Rids(rids) => rids,
+                        other => {
+                            return Err(MmdbError::transport(
+                                &self.shards[s].describe(),
+                                TransportFault::Protocol,
+                                format!(
+                                    "shard {s} answered a selection with a {} result",
+                                    other.shape()
+                                ),
+                            ))
+                        }
+                    },
                     None => (0..meta.locals[s].len() as u32).collect(),
                 };
                 if rids.is_empty() {
@@ -1056,7 +1067,7 @@ impl ShardedState {
                 }
                 // No filter means every row: ask for the whole column
                 // instead of shipping the RIDs back.
-                let wanted = probes_plan.as_ref().map(|_| rids.as_slice());
+                let wanted = select.as_ref().map(|_| rids.as_slice());
                 let keys = self.shards[s].column_values(&plan.table, &j.outer_column, wanted)?;
                 Ok((rids, keys))
             },
@@ -1526,6 +1537,10 @@ mod tests {
         /// Every RID it answers is past its rows — what a wrong or stale
         /// reply across the wire looks like to the merge.
         Shift,
+        /// Only its join-probe answers are past the inner rows: the outer
+        /// stream it hands a streamed join is faithful, so the fault
+        /// shows where the inner side is read.
+        ShiftJoinProbes,
         /// A whole query answers with a result of another shape.
         Reshape,
     }
@@ -1551,6 +1566,17 @@ mod tests {
             sets.into_iter()
                 .map(|set| set.into_iter().map(|r| self.shift(r)).collect())
                 .collect()
+        }
+
+        /// `sets` with every RID past the rows under either shift.
+        fn shift_join_probes(&self, sets: Vec<Vec<u32>>) -> Vec<Vec<u32>> {
+            match self.fault {
+                Fault::ShiftJoinProbes => sets
+                    .into_iter()
+                    .map(|set| set.into_iter().map(|r| r + SHIFT).collect())
+                    .collect(),
+                _ => self.shift_sets(sets),
+            }
         }
     }
 
@@ -1587,9 +1613,6 @@ mod tests {
             let sets = self.inner.range_probe_batch(t, c, r)?;
             Ok(self.shift_sets(sets))
         }
-        fn select(&self, plan: &Plan) -> Result<Vec<u32>> {
-            self.inner.select(plan)
-        }
         fn join_probe_batch(
             &self,
             t: &str,
@@ -1599,7 +1622,7 @@ mod tests {
             threads: usize,
         ) -> Result<Vec<Vec<u32>>> {
             let sets = self.inner.join_probe_batch(t, c, v, lanes, threads)?;
-            Ok(self.shift_sets(sets))
+            Ok(self.shift_join_probes(sets))
         }
         fn column_values(&self, t: &str, c: &str, rids: Option<&[u32]>) -> Result<Vec<Value>> {
             self.inner.column_values(t, c, rids)
@@ -1733,10 +1756,11 @@ mod tests {
         assert_names_the_shard("pruned ranges", pruned, rid);
 
         // Joins streamed through the coordinator (bucketed, but the
-        // outer table is sharded on another column): a plain one fails
-        // in the merge, a grouped one as soon as its job reads the
-        // group column at the fake's RIDs.
-        let (state, _) = with_a_fake_shard(hash(2), 1, "amount", Fault::Shift);
+        // outer table is sharded on another column), with a faithful
+        // outer stream: a plain one fails in the merge, a grouped one as
+        // soon as its job reads the group column at the fake's RIDs.
+        let fault = Fault::ShiftJoinProbes;
+        let (state, _) = with_a_fake_shard(hash(2), 1, "amount", fault);
         let join = state
             .query("sales")
             .filter(all)
@@ -1764,6 +1788,29 @@ mod tests {
             assert!(query.plan().unwrap().is_shard_local(), "{what}");
             let answer = query.run().map(|r| r.rows().clone());
             assert_names_the_shard(what, answer, other_shape);
+        }
+    }
+
+    #[test]
+    fn a_streamed_selection_of_another_shape_is_a_protocol_fault() {
+        // The outer table is sharded on another column than the join's,
+        // so the join streams, and the fake answers its selection with
+        // groups.
+        let (state, _) = with_a_fake_shard(hash(2), 1, "amount", Fault::Reshape);
+        let join = (state.query("sales"))
+            .filter(between("amount", 0, 499))
+            .join("customers", on("cust", "id"));
+        assert!(!join.plan().unwrap().is_shard_local());
+        match join.run().map(|r| r.rows().clone()) {
+            Err(MmdbError::Transport {
+                fault: TransportFault::Protocol,
+                detail,
+                ..
+            }) => assert!(
+                detail.contains("shard 1 answered a selection with a grouped result"),
+                "{detail}"
+            ),
+            other => panic!("expected a typed Protocol fault, got {other:?}"),
         }
     }
 

@@ -5,7 +5,7 @@
 //! pin the frame header (magic, version, trace length, length, CRC) as
 //! well as the trace and the payload, and they pin both directions:
 //! what the client writes is compared byte for byte, what it reads is
-//! these bytes exactly. `golden_frames_pin_protocol_v3_bytes` in the
+//! these bytes exactly. `golden_frames_pin_protocol_v4_bytes` in the
 //! wire crate pins payloads alone.
 
 use std::io::{Read, Write};
@@ -14,13 +14,14 @@ use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use ccindex_obs::{Span, SpanNode};
-use ccindex_shard::{RemoteShard, ShardRead};
-use mmdb::{eq, MmdbError, QuerySpec, ResultRows, TransportFault};
+use ccindex_shard::{RemoteShard, ShardBackend, ShardRead};
+use ccindex_wire::read_frame;
+use mmdb::{eq, IndexKind, MmdbError, Mutation, QuerySpec, ResultRows, TransportFault, Value};
 
 /// `Hello`, untraced: the first frame `RemoteShard::connect` sends.
 const HELLO: &str = concat!(
     "43435758", // magic "CCWX"
-    "0300",     // version 3
+    "0400",     // version 4
     "00000000", // trace length: no trace
     "01000000", // payload length
     "8def02d2", // CRC-32 over trace and payload
@@ -31,7 +32,7 @@ const HELLO: &str = concat!(
 /// to `HELLO`.
 const INFO: &str = concat!(
     "43435758",
-    "0300",
+    "0400",
     "00000000",
     "31000000",
     "a6239e35",
@@ -48,7 +49,7 @@ const INFO: &str = concat!(
 /// `0x0102030405060708`.
 const RUN_SPEC_TRACED: &str = concat!(
     "43435758",
-    "0300",
+    "0400",
     "08000000", // trace length: one span id
     "24000000",
     "06ffd1e2",
@@ -60,7 +61,7 @@ const RUN_SPEC_TRACED: &str = concat!(
 /// `server` 5 µs { `decode` 1 µs, `execute` 3 µs } rides in the trace.
 const ROWS_TRACED: &str = concat!(
     "43435758",
-    "0300",
+    "0400",
     "43000000", // trace length
     "0e000000",
     "17ecf5c3",
@@ -72,14 +73,89 @@ const ROWS_TRACED: &str = concat!(
     "0400020000000000000002000000", // payload: `Rows(Rids([0, 2]))`
 );
 
+/// One `Mutate` frame carrying a two-edit batch, untraced:
+/// `ReplaceColumn` of `sales.amount` with `[250, "z"]`, then
+/// `CreateIndex` of `FullCss` on `sales.cust`.
+const MUTATE: &str = concat!(
+    "43435758",
+    "0400",
+    "00000000",
+    "3f000000",
+    "2bc8b75f",
+    "0c",       // `Mutate`
+    "02000000", // two mutations
+    "04",       // `ReplaceColumn`
+    "0500000073616c657306000000616d6f756e74",
+    "0200000000fa0000000000000001010000007a", // [250, "z"]
+    "02",                                     // `CreateIndex`
+    "0500000073616c6573040000006375737405",   // sales.cust, FullCss
+);
+
+/// `Applied`, untraced: the batch committed, and its one replacement
+/// re-sorted in 1,234,567 ns.
+const APPLIED: &str = concat!(
+    "43435758",
+    "0400",
+    "00000000",
+    "0d000000",
+    "2919b7cc",
+    "09",               // `Applied`
+    "01000000",         // one sort time
+    "87d6120000000000", // 1,234,567 ns
+);
+
 /// `Rows { table: "sales" }`, untraced.
-const ROW_COUNT: &str = "434357580300000000000a00000094ea6917080500000073616c6573";
+const ROW_COUNT: &str = "434357580400000000000a00000094ea6917080500000073616c6573";
 
 /// `Unit`, untraced.
-const UNIT: &str = "43435758030000000000010000000536d0450b";
+const UNIT: &str = "43435758040000000000010000000536d0450b";
 
 /// `Count(3)`, untraced.
-const COUNT_3: &str = "434357580300000000000900000055b15ed3080300000000000000";
+const COUNT_3: &str = "434357580400000000000900000055b15ed3080300000000000000";
+
+/// What a protocol-v3 peer put on the wire for `HELLO`, `INFO`,
+/// `RUN_SPEC_TRACED` and `ROWS_TRACED`: the same payloads and
+/// checksums (the CRC covers trace and payload, not the header), under
+/// version 3.
+const V3_FRAMES: [&str; 4] = [
+    concat!("43435758", "0300", "00000000", "01000000", "8def02d2", "00"),
+    concat!(
+        "43435758",
+        "0300",
+        "00000000",
+        "31000000",
+        "a6239e35",
+        "0a",
+        "0100000000000000",
+        "0000000000000000",
+        "0000000000000000",
+        "0100000000000000",
+        "0800000000000000",
+        "0100000000000000",
+    ),
+    concat!(
+        "43435758",
+        "0300",
+        "08000000",
+        "24000000",
+        "06ffd1e2",
+        "0807060504030201",
+        "0a0500000073616c65730100000004000000637573740000070000000000000000000000",
+    ),
+    concat!(
+        "43435758",
+        "0300",
+        "43000000",
+        "0e000000",
+        "17ecf5c3",
+        "06000000736572766572",
+        "8813000000000000",
+        "02000000",
+        "060000006465636f6465e80300000000000000000000",
+        "0700000065786563757465b80b00000000000000000000",
+        "0400020000000000000002000000",
+    ),
+];
 
 fn unhex(hex: &str) -> Vec<u8> {
     (0..hex.len())
@@ -140,11 +216,13 @@ fn scripted_peer(replies: &[&str], split: bool) -> (String, JoinHandle<Vec<Vec<u
 }
 
 /// The frame header's bytes, not only the payloads', are the protocol:
-/// an untraced request, a traced request and a traced response, whole.
+/// an untraced request, a traced request and a traced response, whole,
+/// and a batch of catalog edits as exactly one `Mutate` frame and its
+/// one reply.
 #[test]
-fn whole_frames_pin_protocol_v3_bytes() {
-    let (addr, peer) = scripted_peer(&[INFO, ROWS_TRACED], false);
-    let shard = RemoteShard::connect(addr.as_str()).expect("the scripted handshake");
+fn whole_frames_pin_protocol_v4_bytes() {
+    let (addr, peer) = scripted_peer(&[INFO, ROWS_TRACED, APPLIED], false);
+    let mut shard = RemoteShard::connect(addr.as_str()).expect("the scripted handshake");
     let mut span = Span::with_id("query", 0x0102_0304_0506_0708);
     let spec = QuerySpec::table("sales").filter(eq("cust", 7));
     let rows = shard
@@ -162,9 +240,46 @@ fn whole_frames_pin_protocol_v3_bytes() {
         ],
     };
     assert_eq!(rpc.children, [server]);
+    let batch = vec![
+        Mutation::ReplaceColumn(
+            "sales".into(),
+            "amount".into(),
+            vec![Value::Int(250), Value::from("z")],
+        ),
+        Mutation::CreateIndex("sales".into(), "cust".into(), IndexKind::FullCss),
+    ];
+    let reports = shard.apply(batch).expect("the scripted batch");
+    let sorts: Vec<Duration> = reports.iter().map(|r| r.sort_time).collect();
+    assert_eq!(sorts, [Duration::from_nanos(1_234_567)]);
+    assert!(reports[0].rebuilds.is_empty());
     drop(shard);
     let frames = peer.join().expect("the peer saw the frames it expected");
-    assert_eq!(frames, [unhex(HELLO), unhex(RUN_SPEC_TRACED)]);
+    assert_eq!(
+        frames,
+        [unhex(HELLO), unhex(RUN_SPEC_TRACED), unhex(MUTATE)]
+    );
+}
+
+/// Protocol v3's whole frames are refused by a v4 reader with a typed
+/// `Version` fault naming both versions: read as bytes, and as the
+/// answer to a v4 client's handshake, which then never connects.
+#[test]
+fn whole_frames_pin_protocol_v3_bytes() {
+    let refused = |err: MmdbError| match err {
+        MmdbError::Transport {
+            fault: TransportFault::Version,
+            detail,
+            ..
+        } => assert!(detail.contains("v3") && detail.contains("v4"), "{detail}"),
+        other => panic!("expected a typed Version fault, got {other:?}"),
+    };
+    for hex in V3_FRAMES {
+        refused(read_frame(&mut &unhex(hex)[..], "v3 peer").expect_err("a v3 frame"));
+    }
+    let (addr, peer) = scripted_peer(&[V3_FRAMES[1]], false);
+    refused(RemoteShard::connect(addr.as_str()).expect_err("a v3 handshake"));
+    let frames = peer.join().expect("the peer saw the frames it expected");
+    assert_eq!(frames, [unhex(HELLO)]);
 }
 
 /// A well-formed reply of the wrong variant is a typed `Protocol` fault

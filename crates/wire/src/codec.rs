@@ -12,7 +12,8 @@ use ccindex_store::bytes::{ByteReader, ByteWriter};
 use mmdb::plan::{GroupStep, JoinStep, Plan, Probe, ProbeStep, Routing, Side};
 use mmdb::{
     between, eq, get_value, on, put_value, Agg, AggFn, ExecOptions, GroupRow, IndexKind, JoinRow,
-    MmdbError, Predicate, PredicateOp, Result, ResultRows, StorageFault, TransportFault,
+    MmdbError, Mutation, Predicate, PredicateOp, Result, ResultRows, StorageFault, TableBuilder,
+    TransportFault,
 };
 
 /// A reader over bytes received from a peer.
@@ -49,19 +50,6 @@ pub fn get_kind(r: &mut Reader<'_>) -> Result<IndexKind> {
         .get(tag)
         .copied()
         .ok_or_else(|| r.fail(format!("bad IndexKind tag {tag}")))
-}
-
-/// Write a kind slot: v3 keeps a kind byte in each probe step, plan
-/// join step, `Select` probe and `JoinProbeBatch`, though no plan or
-/// probe carries a kind, so the slot always holds [`IndexKind::FullCss`]'s
-/// code.
-pub(crate) fn put_kind_slot(w: &mut ByteWriter) {
-    put_kind(w, IndexKind::FullCss);
-}
-
-/// Read a kind slot: any valid code, validated and dropped.
-pub(crate) fn skip_kind_slot(r: &mut Reader<'_>) -> Result<()> {
-    get_kind(r).map(drop)
 }
 
 /// Encode an [`AggFn`].
@@ -497,25 +485,18 @@ fn get_span_node_at(r: &mut Reader<'_>, depth: u32) -> Result<SpanNode> {
 /// coordinator can reconstruct an identical template from a remote
 /// shard's compile). The body only: a shard compiles and runs plans in
 /// place, so the [`Routing`] is never on the wire and decodes as the
-/// default. Each step keeps v3's reserved thread-count slot, written as
-/// what the plan runs with (1 for a probe, `exec.threads` for the join
-/// and the group) and dropped on decode: a plan records its parallelism
-/// once, in `exec`. The probe and join steps keep v3's kind slot too,
-/// written as `FullCss`'s code and dropped on decode.
+/// default. A plan records its parallelism once, in `exec`, and no step
+/// carries an index kind.
 pub fn put_plan(w: &mut ByteWriter, plan: &Plan) {
     w.str(&plan.table);
     w.seq(&plan.probes, |w, p| {
         w.str(&p.column);
-        put_kind_slot(w);
         put_probe(w, &p.probe);
-        w.usize(1);
     });
     w.option(plan.join.as_ref(), |w, j| {
         w.str(&j.inner_table);
         w.str(&j.outer_column);
         w.str(&j.inner_column);
-        put_kind_slot(w);
-        w.usize(plan.exec.threads);
         w.usize(j.rows_hint);
     });
     w.option(plan.group.as_ref(), |w, g| {
@@ -526,7 +507,6 @@ pub fn put_plan(w: &mut ByteWriter, plan: &Plan) {
             w.str(m);
             put_side(w, *side);
         });
-        w.usize(plan.exec.threads);
         w.usize(g.rows_hint);
     });
     put_exec(w, plan.exec);
@@ -534,42 +514,100 @@ pub fn put_plan(w: &mut ByteWriter, plan: &Plan) {
 
 /// Decode a compiled [`Plan`].
 pub fn get_plan(r: &mut Reader<'_>) -> Result<Plan> {
-    let table = r.str()?;
-    // Each step's kind and reserved thread-count slots are read and
-    // dropped.
-    let probes = r.seq(|r| {
-        let column = r.str()?;
-        skip_kind_slot(r)?;
-        let probe = get_probe(r)?;
-        r.usize()?;
-        Ok(ProbeStep { column, probe })
-    })?;
-    let join = r.option(|r| {
-        let (inner_table, outer_column, inner_column) = (r.str()?, r.str()?, r.str()?);
-        skip_kind_slot(r)?;
-        Ok(JoinStep {
-            inner_table,
-            outer_column,
-            inner_column,
-            rows_hint: r.usize().and_then(|_| r.usize())?,
-        })
-    })?;
-    let group = r.option(|r| {
-        Ok(GroupStep {
-            column: r.str()?,
-            side: get_side(r)?,
-            agg: get_agg_fn(r)?,
-            measure: r.option(|r| Ok((r.str()?, get_side(r)?)))?,
-            rows_hint: r.usize().and_then(|_| r.usize())?,
-        })
-    })?;
-    let exec = get_exec(r)?;
     Ok(Plan {
-        table,
-        probes,
-        join,
-        group,
-        exec,
+        table: r.str()?,
+        probes: r.seq(|r| {
+            Ok(ProbeStep {
+                column: r.str()?,
+                probe: get_probe(r)?,
+            })
+        })?,
+        join: r.option(|r| {
+            Ok(JoinStep {
+                inner_table: r.str()?,
+                outer_column: r.str()?,
+                inner_column: r.str()?,
+                rows_hint: r.usize()?,
+            })
+        })?,
+        group: r.option(|r| {
+            Ok(GroupStep {
+                column: r.str()?,
+                side: get_side(r)?,
+                agg: get_agg_fn(r)?,
+                measure: r.option(|r| Ok((r.str()?, get_side(r)?)))?,
+                rows_hint: r.usize()?,
+            })
+        })?,
+        exec: get_exec(r)?,
         routing: Routing::default(),
+    })
+}
+
+/// Encode one catalog edit of a `Mutate` batch: a tag in [`Mutation`]'s
+/// declaration order, then its fields. A registered table travels as
+/// its decoded columns, in declaration order, so the receiver encodes
+/// it into its own domains.
+pub(crate) fn put_mutation(w: &mut ByteWriter, mutation: &Mutation) {
+    match mutation {
+        Mutation::Register(table) => {
+            w.u8(0);
+            w.str(table.name());
+            w.u32(table.columns().count() as u32);
+            for (name, column) in table.columns() {
+                w.str(name);
+                w.seq(&column.domain().decode_batch(column.ids()), put_value);
+            }
+        }
+        Mutation::DropTable(table) => {
+            w.u8(1);
+            w.str(table);
+        }
+        Mutation::CreateIndex(table, column, kind) => {
+            w.u8(2);
+            w.str(table);
+            w.str(column);
+            put_kind(w, *kind);
+        }
+        Mutation::DropIndex(table, column, kind) => {
+            w.u8(3);
+            w.str(table);
+            w.str(column);
+            put_kind(w, *kind);
+        }
+        Mutation::ReplaceColumn(table, column, values) => {
+            w.u8(4);
+            w.str(table);
+            w.str(column);
+            w.seq(values, put_value);
+        }
+        Mutation::RebuildColumn(table, column) => {
+            w.u8(5);
+            w.str(table);
+            w.str(column);
+        }
+    }
+}
+
+/// Decode one catalog edit. A registered table is built here, so a
+/// ragged or duplicate-named column is the typed
+/// [`MmdbError::RaggedColumn`]/[`MmdbError::DuplicateColumn`] the table
+/// constructor raises, not a decode fault: the peer learns what the
+/// engine would have refused.
+pub(crate) fn get_mutation(r: &mut Reader<'_>) -> Result<Mutation> {
+    Ok(match r.u8()? {
+        0 => {
+            let mut table = TableBuilder::new(r.str()?);
+            for (name, values) in r.seq(|r| Ok((r.str()?, r.seq(get_value)?)))? {
+                table = table.column(name, values);
+            }
+            Mutation::Register(table.build()?)
+        }
+        1 => Mutation::DropTable(r.str()?),
+        2 => Mutation::CreateIndex(r.str()?, r.str()?, get_kind(r)?),
+        3 => Mutation::DropIndex(r.str()?, r.str()?, get_kind(r)?),
+        4 => Mutation::ReplaceColumn(r.str()?, r.str()?, r.seq(get_value)?),
+        5 => Mutation::RebuildColumn(r.str()?, r.str()?),
+        other => return Err(r.fail(format!("bad Mutation tag {other}"))),
     })
 }

@@ -3,34 +3,35 @@
 //! message.
 //!
 //! [`ShardRequest`] covers the full `ShardRead` + `ShardBackend`
-//! surface — whole query specs, probe batches, probes-only selections,
-//! join-probe fan-out, value fetches, plan compilation, and the six
-//! catalog-edit frames, each carrying one [`Mutation`] (the mapping is
-//! here, once: `From<Mutation>` and [`ShardRequest::into_mutation`]) —
+//! surface — whole query specs (a join's outer selection is one too),
+//! probe batches, join-probe fan-out, value fetches, plan compilation,
+//! and one [`ShardRequest::Mutate`] frame per batch of catalog edits —
 //! plus [`ShardRequest::ExecuteBatch`], which fronts the remote
-//! `BatchServer` directly with a whole window of requests, and one v3
-//! leftover no client sends any more ([`ShardRequest::GroupPartial`]:
-//! grouped plans travel whole as [`ShardRequest::RunSpec`]; the frame
-//! goes at the next version bump). Query
-//! descriptions and serving requests are `mmdb`'s own [`QuerySpec`] and
-//! [`Request`], encoded directly: the wire has no types of its own for
-//! them.
+//! `BatchServer` directly with a whole window of requests. Query
+//! descriptions, serving requests and catalog edits are `mmdb`'s own
+//! [`QuerySpec`], [`Request`] and [`Mutation`], encoded directly: the
+//! wire has no types of its own for them.
+//!
+//! Protocol v4 carries only what a peer reads. The tags of the frames
+//! v3 retired (its probes-only selection, its grouped partial aggregate,
+//! its six one-edit frames, and the RID-set and group replies) are not
+//! reused, so a v3 payload can never pass for another message.
 
 use std::io::{Read, Write};
 
 use ccindex_obs::SpanNode;
 use ccindex_store::bytes::ByteWriter;
-use mmdb::plan::{Plan, Probe};
+use mmdb::plan::Plan;
 use mmdb::{
-    get_value, put_value, AggFn, ExecOptions, GroupRow, IndexKind, MmdbError, Mutation, QuerySpec,
-    Request, Result, ResultRows, TableBuilder, Value,
+    get_value, put_value, ExecOptions, MmdbError, Mutation, QuerySpec, Request, Result, ResultRows,
+    Value,
 };
 
 use crate::codec::{
-    decode_error, get_agg, get_agg_fn, get_error, get_exec, get_group_row, get_join_on, get_kind,
-    get_plan, get_predicate, get_probe, get_result_rows, get_span_node, put_agg, put_agg_fn,
-    put_error, put_exec, put_group_row, put_join_on, put_kind, put_kind_slot, put_plan,
-    put_predicate, put_probe, put_result_rows, put_span_node, reader, skip_kind_slot, Reader,
+    decode_error, get_agg, get_error, get_exec, get_join_on, get_kind, get_mutation, get_plan,
+    get_predicate, get_result_rows, get_span_node, put_agg, put_error, put_exec, put_join_on,
+    put_kind, put_mutation, put_plan, put_predicate, put_result_rows, put_span_node, reader,
+    Reader,
 };
 use crate::frame::{read_frame, write_frame};
 
@@ -57,23 +58,8 @@ pub enum ShardRequest {
         /// One probe per `(lo, hi)` pair.
         ranges: Vec<(Value, Value)>,
     },
-    /// Execute a probes-only selection (the already-compiled probe
-    /// steps of a scatter plan) and return matching local RIDs. Each
-    /// step keeps v3's kind byte between its column and its probe,
-    /// written as `FullCss`'s code and dropped on read: the shard checks
-    /// its own index.
-    Select {
-        /// Table to select from.
-        table: String,
-        /// `(column, probe)` steps, ANDed.
-        probes: Vec<(String, Probe)>,
-        /// Execution options for the partitioned operators.
-        exec: ExecOptions,
-    },
     /// Probe the index on `table.column` (its RID list) once per outer
     /// value; the inner half of a distributed indexed nested-loop join.
-    /// v3's kind byte follows the column, written as `FullCss`'s code
-    /// and dropped on read.
     JoinProbeBatch {
         /// Inner table.
         table: String,
@@ -85,22 +71,6 @@ pub enum ShardRequest {
         lanes: usize,
         /// Worker threads for the probe partitioning.
         threads: usize,
-    },
-    /// Grouped partial aggregate over this shard's rows. Kept so v3
-    /// stays v3: servers still answer it, but the coordinator ships
-    /// grouped plans whole ([`ShardRequest::RunSpec`]) and no longer
-    /// sends it; remove at the next protocol version.
-    GroupPartial {
-        /// Table holding the group (and measure) columns.
-        table: String,
-        /// Group-key column.
-        group_column: String,
-        /// Measure column (`None` for `Count`).
-        measure: Option<String>,
-        /// The aggregate function.
-        agg: AggFn,
-        /// Restrict to these local RIDs (`None` = all rows).
-        rids: Option<Vec<u32>>,
     },
     /// Decode column values for the given local RIDs (`None` = all
     /// rows, in RID order).
@@ -139,52 +109,10 @@ pub enum ShardRequest {
         /// The window's requests.
         requests: Vec<Request>,
     },
-    /// Register a table (name plus columns in declaration order).
-    Register {
-        /// Table name.
-        table: String,
-        /// `(column name, values)` in declaration order.
-        columns: Vec<(String, Vec<Value>)>,
-    },
-    /// Drop a table and everything built on it.
-    DropTable {
-        /// The table.
-        table: String,
-    },
-    /// Build an index.
-    CreateIndex {
-        /// Table holding the column.
-        table: String,
-        /// Column to index.
-        column: String,
-        /// Index kind to build.
-        kind: IndexKind,
-    },
-    /// Drop an index.
-    DropIndex {
-        /// Table holding the column.
-        table: String,
-        /// The indexed column.
-        column: String,
-        /// Index kind to drop.
-        kind: IndexKind,
-    },
-    /// Replace a column's values wholesale and rebuild its indexes.
-    ReplaceColumn {
-        /// Table holding the column.
-        table: String,
-        /// Column to replace.
-        column: String,
-        /// The new values (must match the table's row count).
-        values: Vec<Value>,
-    },
-    /// Rebuild a column's RID list and indexes from current values.
-    RebuildColumn {
-        /// Table holding the column.
-        table: String,
-        /// Column to rebuild.
-        column: String,
-    },
+    /// Apply a batch of catalog edits, in order, as one commit of the
+    /// server's catalog: the whole batch or, on any error, none of it.
+    /// Answered with [`ShardResponse::Applied`].
+    Mutate(Vec<Mutation>),
     /// Install new execution options.
     SetExecOptions {
         /// The options to install.
@@ -197,7 +125,7 @@ pub enum ShardRequest {
     /// [`ShardResponse::Stats`].
     Stats,
     /// Fetch chunk `chunk` of the server's serialized catalog
-    /// snapshot (protocol v3). The server pins its current generation,
+    /// snapshot. The server pins its current generation,
     /// serializes it once, and streams it back one
     /// [`ShardResponse::SnapshotChunk`] per request — queries keep
     /// being served lock-free off the same pinned snapshot in between.
@@ -206,7 +134,7 @@ pub enum ShardRequest {
         chunk: u32,
     },
     /// Deliver chunk `chunk` of a serialized catalog snapshot for the
-    /// server to install (protocol v3). The final chunk
+    /// server to install. The final chunk
     /// (`chunk == total_chunks - 1`) triggers the install, committed
     /// through the server's normal generation cycle.
     InstallSnapshotChunk {
@@ -227,12 +155,8 @@ pub enum ShardRequest {
 pub enum ShardResponse {
     /// One ascending RID set per probe, in submission order.
     RidSets(Vec<Vec<u32>>),
-    /// One ascending RID set (probes-only selection).
-    Rids(Vec<u32>),
     /// Decoded column values.
     Values(Vec<Value>),
-    /// Grouped partial-aggregate rows, in group-value order.
-    Groups(Vec<GroupRow>),
     /// Full query result rows.
     Rows(ResultRows),
     /// One result per request of an [`ShardRequest::ExecuteBatch`]
@@ -245,12 +169,12 @@ pub enum ShardResponse {
     Names(Vec<String>),
     /// A scalar count.
     Count(u64),
-    /// Index-rebuild timings (nanoseconds) from a replace/rebuild.
-    Rebuilt {
-        /// Time re-sorting the RID list, in nanoseconds.
-        sort_ns: u64,
-        /// Per-kind rebuild times, in nanoseconds.
-        rebuilds: Vec<(IndexKind, u64)>,
+    /// A [`ShardRequest::Mutate`] batch committed.
+    Applied {
+        /// The time re-sorting each RID list, in nanoseconds: one per
+        /// `ReplaceColumn` or `RebuildColumn` of the batch, in batch
+        /// order.
+        sort_ns: Vec<u64>,
     },
     /// Catalog generation info (the handshake answer).
     Info {
@@ -274,8 +198,7 @@ pub enum ShardResponse {
     /// The request failed; the same typed error the operation would
     /// have raised in-process.
     Err(MmdbError),
-    /// One chunk of a serialized catalog snapshot (protocol v3),
-    /// answering [`ShardRequest::FetchSnapshot`].
+    /// One chunk of a serialized catalog snapshot, answering [`ShardRequest::FetchSnapshot`].
     SnapshotChunk {
         /// Zero-based chunk index (echoes the request).
         chunk: u32,
@@ -369,14 +292,6 @@ fn get_one_request(r: &mut Reader<'_>) -> Result<Request> {
     })
 }
 
-fn put_opt_rids(w: &mut ByteWriter, rids: Option<&Vec<u32>>) {
-    w.option(rids, |w, rids| w.seq(rids, |w, r| w.u32(*r)));
-}
-
-fn get_opt_rids(r: &mut Reader<'_>) -> Result<Option<Vec<u32>>> {
-    r.option(|r| r.seq(|r| r.u32()))
-}
-
 // ---------------------------------------------------------------------
 // Message codecs
 // ---------------------------------------------------------------------
@@ -410,20 +325,6 @@ impl ShardRequest {
                     put_value(w, hi);
                 });
             }
-            ShardRequest::Select {
-                table,
-                probes,
-                exec,
-            } => {
-                w.u8(3);
-                w.str(table);
-                w.seq(probes, |w, (column, probe)| {
-                    w.str(column);
-                    put_kind_slot(w);
-                    put_probe(w, probe);
-                });
-                put_exec(&mut w, *exec);
-            }
             ShardRequest::JoinProbeBatch {
                 table,
                 column,
@@ -434,24 +335,9 @@ impl ShardRequest {
                 w.u8(4);
                 w.str(table);
                 w.str(column);
-                put_kind_slot(&mut w);
                 w.seq(values, put_value);
                 w.usize(*lanes);
                 w.usize(*threads);
-            }
-            ShardRequest::GroupPartial {
-                table,
-                group_column,
-                measure,
-                agg,
-                rids,
-            } => {
-                w.u8(5);
-                w.str(table);
-                w.str(group_column);
-                w.option(measure.as_ref(), |w, m| w.str(m));
-                put_agg_fn(&mut w, *agg);
-                put_opt_rids(&mut w, rids.as_ref());
             }
             ShardRequest::ColumnValues {
                 table,
@@ -461,7 +347,7 @@ impl ShardRequest {
                 w.u8(6);
                 w.str(table);
                 w.str(column);
-                put_opt_rids(&mut w, rids.as_ref());
+                w.option(rids.as_ref(), |w, rids| w.seq(rids, |w, r| w.u32(*r)));
             }
             ShardRequest::Columns { table } => {
                 w.u8(7);
@@ -483,52 +369,9 @@ impl ShardRequest {
                 w.u8(11);
                 w.seq(requests, put_one_request);
             }
-            ShardRequest::Register { table, columns } => {
+            ShardRequest::Mutate(batch) => {
                 w.u8(12);
-                w.str(table);
-                w.seq(columns, |w, (name, values)| {
-                    w.str(name);
-                    w.seq(values, put_value);
-                });
-            }
-            ShardRequest::DropTable { table } => {
-                w.u8(13);
-                w.str(table);
-            }
-            ShardRequest::CreateIndex {
-                table,
-                column,
-                kind,
-            } => {
-                w.u8(14);
-                w.str(table);
-                w.str(column);
-                put_kind(&mut w, *kind);
-            }
-            ShardRequest::DropIndex {
-                table,
-                column,
-                kind,
-            } => {
-                w.u8(15);
-                w.str(table);
-                w.str(column);
-                put_kind(&mut w, *kind);
-            }
-            ShardRequest::ReplaceColumn {
-                table,
-                column,
-                values,
-            } => {
-                w.u8(16);
-                w.str(table);
-                w.str(column);
-                w.seq(values, put_value);
-            }
-            ShardRequest::RebuildColumn { table, column } => {
-                w.u8(17);
-                w.str(table);
-                w.str(column);
+                w.seq(batch, put_mutation);
             }
             ShardRequest::SetExecOptions { exec } => {
                 w.u8(18);
@@ -571,18 +414,8 @@ impl ShardRequest {
                 column: r.str()?,
                 ranges: r.seq(|r| Ok((get_value(r)?, get_value(r)?)))?,
             },
-            3 => ShardRequest::Select {
-                table: r.str()?,
-                probes: r.seq(|r| {
-                    let column = r.str()?;
-                    skip_kind_slot(r)?;
-                    Ok((column, get_probe(r)?))
-                })?,
-                exec: get_exec(&mut r)?,
-            },
             4 => {
                 let (table, column) = (r.str()?, r.str()?);
-                skip_kind_slot(&mut r)?;
                 let values = r.seq(get_value)?;
                 // Bounded by the rule every decoded `ExecOptions` obeys.
                 let exec = ExecOptions {
@@ -599,17 +432,10 @@ impl ShardRequest {
                     threads: exec.threads,
                 }
             }
-            5 => ShardRequest::GroupPartial {
-                table: r.str()?,
-                group_column: r.str()?,
-                measure: r.option(|r| r.str())?,
-                agg: get_agg_fn(&mut r)?,
-                rids: get_opt_rids(&mut r)?,
-            },
             6 => ShardRequest::ColumnValues {
                 table: r.str()?,
                 column: r.str()?,
-                rids: get_opt_rids(&mut r)?,
+                rids: r.option(|r| r.seq(|r| r.u32()))?,
             },
             7 => ShardRequest::Columns { table: r.str()? },
             8 => ShardRequest::Rows { table: r.str()? },
@@ -622,30 +448,7 @@ impl ShardRequest {
             11 => ShardRequest::ExecuteBatch {
                 requests: r.seq(get_one_request)?,
             },
-            12 => ShardRequest::Register {
-                table: r.str()?,
-                columns: r.seq(|r| Ok((r.str()?, r.seq(get_value)?)))?,
-            },
-            13 => ShardRequest::DropTable { table: r.str()? },
-            14 => ShardRequest::CreateIndex {
-                table: r.str()?,
-                column: r.str()?,
-                kind: get_kind(&mut r)?,
-            },
-            15 => ShardRequest::DropIndex {
-                table: r.str()?,
-                column: r.str()?,
-                kind: get_kind(&mut r)?,
-            },
-            16 => ShardRequest::ReplaceColumn {
-                table: r.str()?,
-                column: r.str()?,
-                values: r.seq(get_value)?,
-            },
-            17 => ShardRequest::RebuildColumn {
-                table: r.str()?,
-                column: r.str()?,
-            },
+            12 => ShardRequest::Mutate(r.seq(get_mutation)?),
             18 => ShardRequest::SetExecOptions {
                 exec: get_exec(&mut r)?,
             },
@@ -665,84 +468,6 @@ impl ShardRequest {
     }
 }
 
-// ---------------------------------------------------------------------
-// Catalog edits: one frame per `Mutation`
-// ---------------------------------------------------------------------
-
-/// The frame that carries `mutation` — the one mapping from a catalog
-/// edit to its request. A registered table travels as its decoded
-/// columns, in declaration order.
-impl From<Mutation> for ShardRequest {
-    fn from(mutation: Mutation) -> Self {
-        match mutation {
-            Mutation::Register(t) => ShardRequest::Register {
-                table: t.name().to_owned(),
-                columns: (t.columns())
-                    .map(|(name, col)| (name.to_owned(), col.domain().decode_batch(col.ids())))
-                    .collect(),
-            },
-            Mutation::DropTable(table) => ShardRequest::DropTable { table },
-            Mutation::CreateIndex(table, column, kind) => ShardRequest::CreateIndex {
-                table,
-                column,
-                kind,
-            },
-            Mutation::DropIndex(table, column, kind) => ShardRequest::DropIndex {
-                table,
-                column,
-                kind,
-            },
-            Mutation::ReplaceColumn(table, column, values) => ShardRequest::ReplaceColumn {
-                table,
-                column,
-                values,
-            },
-            Mutation::RebuildColumn(table, column) => ShardRequest::RebuildColumn { table, column },
-        }
-    }
-}
-
-impl ShardRequest {
-    /// The catalog edit this frame carries — the inverse of
-    /// `From<Mutation>`. A `Register` frame builds its table here, so a
-    /// ragged or duplicate-named column is the typed error the table
-    /// constructor raises; a request that is not a catalog edit is
-    /// [`MmdbError::Unsupported`].
-    pub fn into_mutation(self) -> Result<Mutation> {
-        Ok(match self {
-            ShardRequest::Register { table, columns } => Mutation::Register(
-                (columns.into_iter())
-                    .fold(TableBuilder::new(table), |t, (name, values)| {
-                        t.column(name, values)
-                    })
-                    .build()?,
-            ),
-            ShardRequest::DropTable { table } => Mutation::DropTable(table),
-            ShardRequest::CreateIndex {
-                table,
-                column,
-                kind,
-            } => Mutation::CreateIndex(table, column, kind),
-            ShardRequest::DropIndex {
-                table,
-                column,
-                kind,
-            } => Mutation::DropIndex(table, column, kind),
-            ShardRequest::ReplaceColumn {
-                table,
-                column,
-                values,
-            } => Mutation::ReplaceColumn(table, column, values),
-            ShardRequest::RebuildColumn { table, column } => Mutation::RebuildColumn(table, column),
-            _ => {
-                return Err(MmdbError::Unsupported {
-                    what: "the request is not a catalog edit".to_owned(),
-                })
-            }
-        })
-    }
-}
-
 impl ShardResponse {
     /// Encode to a frame payload.
     pub fn encode(&self) -> Vec<u8> {
@@ -752,17 +477,9 @@ impl ShardResponse {
                 w.u8(0);
                 w.seq(sets, |w, rids| w.seq(rids, |w, r| w.u32(*r)));
             }
-            ShardResponse::Rids(rids) => {
-                w.u8(1);
-                w.seq(rids, |w, r| w.u32(*r));
-            }
             ShardResponse::Values(values) => {
                 w.u8(2);
                 w.seq(values, put_value);
-            }
-            ShardResponse::Groups(groups) => {
-                w.u8(3);
-                w.seq(groups, put_group_row);
             }
             ShardResponse::Rows(rows) => {
                 w.u8(4);
@@ -793,13 +510,9 @@ impl ShardResponse {
                 w.u8(8);
                 w.u64(*n);
             }
-            ShardResponse::Rebuilt { sort_ns, rebuilds } => {
+            ShardResponse::Applied { sort_ns } => {
                 w.u8(9);
-                w.u64(*sort_ns);
-                w.seq(rebuilds, |w, (kind, ns)| {
-                    put_kind(w, *kind);
-                    w.u64(*ns);
-                });
+                w.seq(sort_ns, |w, ns| w.u64(*ns));
             }
             ShardResponse::Info {
                 generation,
@@ -845,9 +558,7 @@ impl ShardResponse {
         let mut r = reader(bytes, endpoint);
         let resp = match r.u8()? {
             0 => ShardResponse::RidSets(r.seq(|r| r.seq(|r| r.u32()))?),
-            1 => ShardResponse::Rids(r.seq(|r| r.u32())?),
             2 => ShardResponse::Values(r.seq(get_value)?),
-            3 => ShardResponse::Groups(r.seq(get_group_row)?),
             4 => ShardResponse::Rows(get_result_rows(&mut r)?),
             5 => ShardResponse::Batch(r.seq(|r| {
                 Ok(match r.u8()? {
@@ -859,9 +570,8 @@ impl ShardResponse {
             6 => ShardResponse::Plan(Box::new(get_plan(&mut r)?)),
             7 => ShardResponse::Names(r.seq(|r| r.str())?),
             8 => ShardResponse::Count(r.u64()?),
-            9 => ShardResponse::Rebuilt {
-                sort_ns: r.u64()?,
-                rebuilds: r.seq(|r| Ok((get_kind(r)?, r.u64()?)))?,
+            9 => ShardResponse::Applied {
+                sort_ns: r.seq(|r| r.u64())?,
             },
             10 => ShardResponse::Info {
                 generation: r.u64()?,

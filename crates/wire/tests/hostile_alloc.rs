@@ -46,16 +46,30 @@ fn hostile_counts_reserve_at_most_their_frame() {
     // of bytes that are no request at all.
     let mut batch = vec![11u8];
     batch.extend_from_slice(&u32::MAX.to_le_bytes());
-    // `Register` (tag 12) of table `t` with one column `c` whose value
-    // count is `u32::MAX`: a count nested inside another sequence.
-    let mut register = vec![12u8];
-    register.extend_from_slice(&1u32.to_le_bytes());
-    register.push(b't');
-    register.extend_from_slice(&1u32.to_le_bytes());
-    register.extend_from_slice(&1u32.to_le_bytes());
-    register.push(b'c');
-    register.extend_from_slice(&u32::MAX.to_le_bytes());
-    for mut frame in [batch, register] {
+    // `Mutate` (tag 12) claiming `u32::MAX` mutations.
+    let mut mutations = vec![12u8];
+    mutations.extend_from_slice(&u32::MAX.to_le_bytes());
+    // One `Register` (mutation tag 0) of table `t`, up to its column
+    // count.
+    let register = |columns: u32| {
+        let mut frame = vec![12u8];
+        frame.extend_from_slice(&1u32.to_le_bytes());
+        frame.push(0);
+        frame.extend_from_slice(&1u32.to_le_bytes());
+        frame.push(b't');
+        frame.extend_from_slice(&columns.to_le_bytes());
+        frame
+    };
+    // A column count of `u32::MAX`: a count nested inside another
+    // sequence.
+    let columns = register(u32::MAX);
+    // One column `c` whose value count is `u32::MAX`: a count two
+    // sequences deep.
+    let mut values = register(1);
+    values.extend_from_slice(&1u32.to_le_bytes());
+    values.push(b'c');
+    values.extend_from_slice(&u32::MAX.to_le_bytes());
+    for mut frame in [batch, mutations, columns, values] {
         frame.resize(frame.len() + BODY, 0xFF);
         let largest = largest_reservation(&frame);
         assert!(

@@ -11,7 +11,8 @@ use ccindex_wire::{
 use mmdb::plan::{GroupStep, JoinStep, Plan, Probe, ProbeStep, Routing, Side};
 use mmdb::{
     between, count, eq, max, on, sum, Agg, AggFn, ExecOptions, GroupRow, IndexKind, JoinRow,
-    MmdbError, QuerySpec, Request, ResultRows, StorageFault, TransportFault, Value,
+    MmdbError, Mutation, QuerySpec, Request, ResultRows, StorageFault, TableBuilder,
+    TransportFault, Value,
 };
 use proptest::prelude::*;
 
@@ -307,6 +308,27 @@ impl Gen {
         }
     }
 
+    /// One catalog edit of any kind. A registered table has up to three
+    /// equal-length columns under distinct names.
+    fn mutation(&mut self) -> Mutation {
+        match self.below(6) {
+            0 => {
+                let rows = self.below(6);
+                let mut table = TableBuilder::new(self.string());
+                for i in 0..self.below(4) {
+                    let values = (0..rows).map(|_| self.value()).collect();
+                    table = table.column(format!("{i}{}", self.string()), values);
+                }
+                Mutation::Register(table.build().expect("distinct, equal-length columns"))
+            }
+            1 => Mutation::DropTable(self.string()),
+            2 => Mutation::CreateIndex(self.string(), self.string(), self.kind()),
+            3 => Mutation::DropIndex(self.string(), self.string(), self.kind()),
+            4 => Mutation::ReplaceColumn(self.string(), self.string(), self.values()),
+            _ => Mutation::RebuildColumn(self.string(), self.string()),
+        }
+    }
+
     /// A random timing tree, at most `depth` levels deep.
     fn span_node(&mut self, depth: u64) -> SpanNode {
         let children = if depth == 0 {
@@ -339,30 +361,12 @@ impl Gen {
                     .map(|_| (self.value(), self.value()))
                     .collect(),
             },
-            ShardRequest::Select {
-                table: self.string(),
-                probes: (0..self.below(4))
-                    .map(|_| (self.string(), self.probe()))
-                    .collect(),
-                exec: self.exec(),
-            },
             ShardRequest::JoinProbeBatch {
                 table: self.string(),
                 column: self.string(),
                 values: self.values(),
                 lanes: 1 + self.below(8) as usize,
                 threads: 1 + self.below(8) as usize,
-            },
-            ShardRequest::GroupPartial {
-                table: self.string(),
-                group_column: self.string(),
-                measure: if self.below(2) == 0 {
-                    Some(self.string())
-                } else {
-                    None
-                },
-                agg: self.agg_fn(),
-                rids: self.opt_rids(),
             },
             ShardRequest::ColumnValues {
                 table: self.string(),
@@ -380,34 +384,7 @@ impl Gen {
             ShardRequest::ExecuteBatch {
                 requests: (0..self.below(4)).map(|_| self.one_request()).collect(),
             },
-            ShardRequest::Register {
-                table: self.string(),
-                columns: (0..self.below(4))
-                    .map(|_| (self.string(), self.values()))
-                    .collect(),
-            },
-            ShardRequest::DropTable {
-                table: self.string(),
-            },
-            ShardRequest::CreateIndex {
-                table: self.string(),
-                column: self.string(),
-                kind: self.kind(),
-            },
-            ShardRequest::DropIndex {
-                table: self.string(),
-                column: self.string(),
-                kind: self.kind(),
-            },
-            ShardRequest::ReplaceColumn {
-                table: self.string(),
-                column: self.string(),
-                values: self.values(),
-            },
-            ShardRequest::RebuildColumn {
-                table: self.string(),
-                column: self.string(),
-            },
+            ShardRequest::Mutate((0..self.below(8)).map(|_| self.mutation()).collect()),
             ShardRequest::SetExecOptions { exec: self.exec() },
             ShardRequest::Shutdown,
             ShardRequest::Stats,
@@ -427,16 +404,7 @@ impl Gen {
     fn all_responses(&mut self) -> Vec<ShardResponse> {
         vec![
             ShardResponse::RidSets((0..self.below(4)).map(|_| self.rids()).collect()),
-            ShardResponse::Rids(self.rids()),
             ShardResponse::Values(self.values()),
-            ShardResponse::Groups(
-                (0..self.below(6))
-                    .map(|_| GroupRow {
-                        group: self.value(),
-                        value: self.next() as i64,
-                    })
-                    .collect(),
-            ),
             ShardResponse::Rows(self.result_rows()),
             ShardResponse::Batch(
                 (0..self.below(4))
@@ -452,11 +420,8 @@ impl Gen {
             ShardResponse::Plan(Box::new(self.plan())),
             ShardResponse::Names((0..self.below(5)).map(|_| self.string()).collect()),
             ShardResponse::Count(self.next()),
-            ShardResponse::Rebuilt {
-                sort_ns: self.next(),
-                rebuilds: (0..self.below(4))
-                    .map(|_| (self.kind(), self.next()))
-                    .collect(),
+            ShardResponse::Applied {
+                sort_ns: (0..self.below(4)).map(|_| self.next()).collect(),
             },
             ShardResponse::Info {
                 generation: self.next(),
@@ -631,20 +596,17 @@ fn unhex(hex: &str) -> Vec<u8> {
         .collect()
 }
 
-/// The protocol-v3 bytes of one fully-populated query description,
-/// captured from the encoder before `QuerySpec` replaced the wire's own
-/// `Spec` struct. Shared by all three golden frames.
+/// The bytes of one fully-populated query description, captured from
+/// the encoder before `QuerySpec` replaced the wire's own `Spec` struct;
+/// v3 and v4 share them. Shared by the query frames below.
 const GOLDEN_SPEC: &str = "0500000073616c65730200000006000000726567696f6e00010400000065617374\
 06000000616d6f756e7401000a0000000000000000fa000000000000000109000000637573746f6d657273\
 04000000637573740200000069640106000000726567696f6e0106000000616d6f756e7401050104000000\
 0000000008000000000000000200000000000000";
 
-/// A silent change of field order, tag or width would still satisfy
-/// every roundtrip property above; these bytes would not.
-#[test]
-fn golden_frames_pin_protocol_v3_bytes() {
-    assert_eq!(VERSION, 3);
-    let spec = QuerySpec::table("sales")
+/// The spec `GOLDEN_SPEC` encodes.
+fn golden_spec() -> QuerySpec {
+    QuerySpec::table("sales")
         .filter(eq("region", "east"))
         .filter(between("amount", 10, 250))
         .join("customers", on("cust", "id"))
@@ -654,99 +616,130 @@ fn golden_frames_pin_protocol_v3_bytes() {
             threads: 4,
             lanes: 8,
             shards: 2,
-        });
-    let compile = ShardRequest::Compile { spec: spec.clone() };
-    assert_eq!(compile.encode(), unhex(&format!("09{GOLDEN_SPEC}")));
-    let run = ShardRequest::RunSpec { spec: spec.clone() };
-    assert_eq!(run.encode(), unhex(&format!("0a{GOLDEN_SPEC}")));
+        })
+}
+
+/// `Compile`, `RunSpec` and `ExecuteBatch` payloads, written the same
+/// by v3 and v4, each with its message.
+fn golden_query_frames() -> Vec<(ShardRequest, String)> {
+    let spec = golden_spec();
     let batch = ShardRequest::ExecuteBatch {
         requests: vec![
             Request::point("sales", "cust", 7),
             Request::range("sales", "amount", -5, "z"),
-            Request::query(spec),
+            Request::query(spec.clone()),
         ],
     };
-    let want = format!(
+    let batch_hex = format!(
         "0b03000000\
          000500000073616c65730400000063757374000700000000000000\
          010500000073616c657306000000616d6f756e7400fbffffffffffffff01010000007a\
          02{GOLDEN_SPEC}"
     );
-    assert_eq!(batch.encode(), unhex(&want));
-    for req in [compile, run, batch] {
+    vec![
+        (
+            ShardRequest::Compile { spec: spec.clone() },
+            format!("09{GOLDEN_SPEC}"),
+        ),
+        (ShardRequest::RunSpec { spec }, format!("0a{GOLDEN_SPEC}")),
+        (batch, batch_hex),
+    ]
+}
+
+/// A silent change of field order, tag or width would still satisfy
+/// every roundtrip property above; these bytes would not. A batch of
+/// catalog edits is one `Mutate` frame (tag 12), each edit tagged in
+/// `Mutation`'s declaration order, and its reply one sort time per
+/// replacement or rebuild.
+#[test]
+fn golden_frames_pin_protocol_v4_bytes() {
+    assert_eq!(VERSION, 4);
+    for (req, want) in golden_query_frames() {
+        assert_eq!(req.encode(), unhex(&want), "{req:?}");
         assert_eq!(ShardRequest::decode(&req.encode(), "peer").ok(), Some(req));
     }
 
-    // The six catalog-edit frames and their two replies.
     let (sales, cust, amount) = ("sales".to_owned(), "cust".to_owned(), "amount".to_owned());
-    let edits = [
-        (
-            ShardRequest::Register {
-                table: sales.clone(),
-                columns: vec![
-                    (cust.clone(), vec![Value::Int(7), Value::Int(-1)]),
-                    ("region".into(), vec![Value::from("east"), Value::from("w")]),
-                ],
-            },
+    let register = TableBuilder::new("sales")
+        .int_column("cust", [7, -1])
+        .str_column("region", ["east", "w"])
+        .build()
+        .expect("two equal columns");
+    let mutate = ShardRequest::Mutate(vec![
+        Mutation::Register(register),
+        Mutation::DropTable(sales.clone()),
+        Mutation::CreateIndex(sales.clone(), cust.clone(), IndexKind::FullCss),
+        Mutation::DropIndex(sales.clone(), cust, IndexKind::Hash),
+        Mutation::ReplaceColumn(
+            sales.clone(),
+            amount.clone(),
+            vec![Value::Int(250), Value::from("z")],
+        ),
+        Mutation::RebuildColumn(sales, amount),
+    ]);
+    let want = concat!(
+        "0c06000000",
+        "000500000073616c65730200000004000000637573740200000000070000000000000000\
+         ffffffffffffffff06000000726567696f6e02000000010400000065617374010100000077",
+        "010500000073616c6573",
+        "020500000073616c6573040000006375737405",
+        "030500000073616c6573040000006375737407",
+        "040500000073616c657306000000616d6f756e740200000000fa0000000000000001010000007a",
+        "050500000073616c657306000000616d6f756e74",
+    );
+    assert_eq!(mutate.encode(), unhex(want));
+    assert_eq!(
+        ShardRequest::decode(&mutate.encode(), "peer").ok(),
+        Some(mutate)
+    );
+    let applied = ShardResponse::Applied {
+        sort_ns: vec![1_234_567, 89],
+    };
+    let want = "090200000087d61200000000005900000000000000";
+    assert_eq!(applied.encode(), unhex(want));
+    assert_eq!(
+        ShardResponse::decode(&applied.encode(), "peer").ok(),
+        Some(applied)
+    );
+}
+
+/// Protocol v3's golden payloads, each framed as a v3 peer framed it: a
+/// v4 reader refuses every one with a typed `Version` fault naming both
+/// versions, before its payload is read.
+#[test]
+fn golden_frames_pin_protocol_v3_bytes() {
+    let mut payloads: Vec<String> = golden_query_frames()
+        .into_iter()
+        .map(|(_, hex)| hex)
+        .collect();
+    // The six catalog-edit frames and their two replies.
+    payloads.extend(
+        [
             "0c0500000073616c65730200000004000000637573740200000000070000000000000000\
              ffffffffffffffff06000000726567696f6e02000000010400000065617374010100000077",
-        ),
-        (
-            ShardRequest::DropTable {
-                table: sales.clone(),
-            },
             "0d0500000073616c6573",
-        ),
-        (
-            ShardRequest::CreateIndex {
-                table: sales.clone(),
-                column: cust.clone(),
-                kind: IndexKind::FullCss,
-            },
             "0e0500000073616c6573040000006375737405",
-        ),
-        (
-            ShardRequest::DropIndex {
-                table: sales.clone(),
-                column: cust,
-                kind: IndexKind::Hash,
-            },
             "0f0500000073616c6573040000006375737407",
-        ),
-        (
-            ShardRequest::ReplaceColumn {
-                table: sales.clone(),
-                column: amount.clone(),
-                values: vec![Value::Int(250), Value::from("z")],
-            },
             "100500000073616c657306000000616d6f756e740200000000fa0000000000000001010000007a",
-        ),
-        (
-            ShardRequest::RebuildColumn {
-                table: sales,
-                column: amount,
-            },
             "110500000073616c657306000000616d6f756e74",
-        ),
-    ];
-    for (req, want) in edits {
-        assert_eq!(req.encode(), unhex(want), "{req:?}");
-        assert_eq!(ShardRequest::decode(&req.encode(), "peer").ok(), Some(req));
-    }
-    let rebuilt = ShardResponse::Rebuilt {
-        sort_ns: 1_234_567,
-        rebuilds: vec![(IndexKind::TTree, 89)],
-    };
-    let replies = [
-        (ShardResponse::Unit, "0b"),
-        (rebuilt, "0987d612000000000001000000035900000000000000"),
-    ];
-    for (resp, want) in replies {
-        assert_eq!(resp.encode(), unhex(want), "{resp:?}");
-        assert_eq!(
-            ShardResponse::decode(&resp.encode(), "peer").ok(),
-            Some(resp)
-        );
+            "0b",
+            "0987d612000000000001000000035900000000000000",
+        ]
+        .map(str::to_owned),
+    );
+    for hex in payloads {
+        let mut frame = Vec::new();
+        write_frame(&mut frame, "peer", &[], &unhex(&hex)).expect("vec write");
+        // The version field; the CRC covers trace and payload only.
+        frame[4..6].copy_from_slice(&3u16.to_le_bytes());
+        match read_frame(&mut &frame[..], "peer") {
+            Err(MmdbError::Transport {
+                fault: TransportFault::Version,
+                detail,
+                ..
+            }) => assert!(detail.contains("v3") && detail.contains("v4"), "{detail}"),
+            other => panic!("{hex}: expected a typed Version fault, got {other:?}"),
+        }
     }
 }
 

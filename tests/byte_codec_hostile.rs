@@ -1,7 +1,8 @@
 //! One reader, every failure, every caller: truncation, a bad tag, an
 //! oversized count, invalid UTF-8 and trailing bytes, driven through the
 //! three decoders built on `ccindex_store::bytes` — a wire request
-//! (`ShardRequest::decode`), a catalog image's manifest and domain page
+//! (`ShardRequest::decode`, its `Mutate` batch of catalog edits
+//! included), a catalog image's manifest and domain page
 //! (`Database::open_from_bytes`) and a store footer
 //! (`StoreReader::open_bytes`). Each must fail with its caller's typed
 //! error naming its label, and no single allocation made while it fails
@@ -132,6 +133,58 @@ fn wire_failures() {
     let mut trailing = valid;
     trailing.push(0);
     wire_case("wire trailing bytes", trailing, TRAILING);
+
+    // A batch of catalog edits, `Mutate`: a hostile count at each of its
+    // three depths, and an edit tag past `Mutation`'s.
+    let mut mutations = ByteWriter::new();
+    mutations.u8(12);
+    mutations.u32(u32::MAX);
+    mutations.u8(1); // `DropTable` of a `PAD`-byte name.
+    mutations.str(&"t".repeat(PAD));
+    wire_case(
+        "wire oversized mutation count",
+        mutations.into_bytes(),
+        TRUNCATED,
+    );
+
+    let mut columns = register_prefix();
+    columns.u32(u32::MAX);
+    columns.str("c");
+    columns.seq(&[Value::Str("v".repeat(PAD))], put_value);
+    wire_case(
+        "wire oversized column count",
+        columns.into_bytes(),
+        TRUNCATED,
+    );
+
+    let mut values = register_prefix();
+    values.u32(1);
+    values.str("c");
+    values.u32(u32::MAX);
+    put_value(&mut values, &Value::Str("v".repeat(PAD)));
+    wire_case("wire oversized value count", values.into_bytes(), TRUNCATED);
+
+    let mut bad_edit = ByteWriter::new();
+    bad_edit.u8(12);
+    bad_edit.u32(1);
+    bad_edit.u8(6);
+    bad_edit.bytes(&[0; PAD]);
+    wire_case(
+        "wire bad mutation tag",
+        bad_edit.into_bytes(),
+        "bad Mutation tag 6",
+    );
+}
+
+/// A `Mutate` (tag 12) of one `Register` (edit tag 0) of a `PAD`-byte
+/// table name: the caller appends the columns sequence.
+fn register_prefix() -> ByteWriter {
+    let mut w = ByteWriter::new();
+    w.u8(12);
+    w.u32(1);
+    w.u8(0);
+    w.str(&"t".repeat(PAD));
+    w
 }
 
 // ---------------------------------------------------------------------

@@ -378,31 +378,131 @@ fn wire_shutdown_stops_a_server_and_later_connects_fail_typed() {
     );
 }
 
+/// A table's `(column, values)`, in order, as a peer writes them.
+type RawColumns<'a> = Vec<(&'a str, Vec<Value>)>;
+
+/// A `Mutate` payload of `Register`s, each a table name and its raw
+/// columns, written field by field: a peer can send what no local
+/// `Table` can hold.
+fn register_batch(tables: &[(&str, RawColumns<'_>)]) -> Vec<u8> {
+    use ccindex::store::bytes::ByteWriter;
+    let mut w = ByteWriter::new();
+    w.u8(12);
+    w.u32(tables.len() as u32);
+    for (table, columns) in tables {
+        w.u8(0);
+        w.str(table);
+        w.seq(columns, |w, (column, values)| {
+            w.str(column);
+            w.seq(values, ccindex::db::put_value);
+        });
+    }
+    w.into_bytes()
+}
+
 #[test]
 fn a_register_frame_with_a_duplicate_column_is_refused_typed() {
-    use ccindex::wire::{read_response, write_request, ShardRequest, ShardResponse};
+    use ccindex::wire::{read_response, write_frame, write_request, ShardRequest, ShardResponse};
     let server = ShardServer::spawn(Database::new()).unwrap();
-    // A peer can send what no local `Table` can hold: two columns `a`.
-    let column = |values: [i64; 3]| ("a".to_owned(), values.map(Value::Int).to_vec());
-    let register = ShardRequest::Register {
-        table: "t".into(),
-        columns: vec![column([1, 2, 3]), column([7, 8, 9])],
-    };
+    let column = |name, values: &[i64]| (name, values.iter().copied().map(Value::Int).collect());
+    // Each batch registers a good table `u` first, then `t` with two
+    // columns `a`, or with a column shorter than the first.
+    let good = ("u", vec![column("k", &[1, 2])]);
+    let cases = [
+        (
+            vec![column("a", &[1, 2, 3]), column("a", &[7, 8, 9])],
+            MmdbError::DuplicateColumn {
+                table: "t".into(),
+                column: "a".into(),
+            },
+        ),
+        (
+            vec![column("a", &[1, 2, 3]), column("b", &[7, 8])],
+            MmdbError::RaggedColumn {
+                table: "t".into(),
+                column: "b".into(),
+                expected: 3,
+                got: 2,
+            },
+        ),
+    ];
     let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
-    write_request(&mut stream, "test", &register, 0).unwrap();
-    let duplicate = MmdbError::DuplicateColumn {
+    for (columns, error) in cases {
+        let batch = register_batch(&[good.clone(), ("t", columns)]);
+        write_frame(&mut stream, "test", &[], &batch).unwrap();
+        let (reply, _) = read_response(&mut stream, "test").unwrap();
+        assert_eq!(reply, ShardResponse::Err(error));
+        // Nothing of the batch was committed, and the connection still
+        // serves.
+        write_request(&mut stream, "test", &ShardRequest::Hello, 0).unwrap();
+        let (hello, _) = read_response(&mut stream, "test").unwrap();
+        assert!(
+            matches!(hello, ShardResponse::Info { generation: 0, .. }),
+            "{hello:?}"
+        );
+    }
+    server.shutdown();
+}
+
+/// A batch of catalog edits is one commit on a remote shard, as on a
+/// local one: two column replacements advance the generation by one,
+/// and a batch whose second index names an unknown column is the typed
+/// error with nothing of it applied.
+#[test]
+fn a_remote_batch_commits_as_one_generation_or_not_at_all() {
+    use ccindex::db::Mutation;
+    use ccindex::shard::LocalShard;
+    let server = ShardServer::spawn(Database::new()).unwrap();
+    let mut remote = RemoteShard::connect(server.addr()).unwrap();
+    let mut local = LocalShard::new(Database::new());
+    let ints = |values: [i64; 3]| values.map(Value::Int).to_vec();
+    let replace =
+        |column: &str, values| Mutation::ReplaceColumn("t".into(), column.into(), ints(values));
+    let index = |column: &str| Mutation::CreateIndex("t".into(), column.into(), IndexKind::FullCss);
+    let shards: [&mut dyn ShardBackend; 2] = [&mut remote, &mut local];
+    let mut outcomes = Vec::new();
+    for shard in shards {
+        let generation = |shard: &dyn ShardBackend| shard.reader().observe().unwrap().generation;
+        let table = TableBuilder::new("t")
+            .int_column("a", [3, 1, 2])
+            .int_column("b", [9, 8, 7])
+            .build()
+            .unwrap();
+        shard.apply(vec![Mutation::Register(table)]).unwrap();
+        let registered = generation(shard);
+
+        let reports = shard
+            .apply(vec![replace("a", [1, 2, 3]), replace("b", [4, 5, 6])])
+            .unwrap();
+        assert_eq!(reports.len(), 2, "{}", shard.reader().describe());
+        assert_eq!(
+            generation(shard),
+            registered + 1,
+            "{}",
+            shard.reader().describe()
+        );
+
+        let err = shard.apply(vec![index("a"), index("nocol")]).unwrap_err();
+        assert_eq!(
+            generation(shard),
+            registered + 1,
+            "{}",
+            shard.reader().describe()
+        );
+        let unindexed = shard.reader().point_probe_batch("t", "a", &ints([1, 2, 3]));
+        let values = shard.reader().column_values("t", "b", None).unwrap();
+        outcomes.push((err, unindexed, values));
+    }
+    let unknown = MmdbError::UnknownColumn {
+        table: "t".into(),
+        column: "nocol".into(),
+    };
+    let no_index = MmdbError::NoIndex {
         table: "t".into(),
         column: "a".into(),
     };
-    let (reply, _) = read_response(&mut stream, "test").unwrap();
-    assert_eq!(reply, ShardResponse::Err(duplicate));
-    // Nothing was committed, and the connection still serves.
-    write_request(&mut stream, "test", &ShardRequest::Hello, 0).unwrap();
-    let (hello, _) = read_response(&mut stream, "test").unwrap();
-    assert!(
-        matches!(hello, ShardResponse::Info { generation: 0, .. }),
-        "{hello:?}"
-    );
+    let want = (unknown, Err(no_index), ints([4, 5, 6]));
+    assert_eq!(outcomes, [want.clone(), want]);
     server.shutdown();
 }
 
@@ -465,14 +565,14 @@ fn interleaved_snapshot_transfers_each_stream_one_generation() {
 
     let chunks_a = fetch(&mut a, 0, &mut image_a);
     assert!(chunks_a >= 2, "{chunks_a} chunk(s)");
-    let replace = ShardRequest::ReplaceColumn {
-        table: "t".into(),
-        column: "v".into(),
-        values: (0..rows).map(|i| Value::Int(spread(i) + 1)).collect(),
-    };
+    let replace = ShardRequest::Mutate(vec![ccindex::db::Mutation::ReplaceColumn(
+        "t".into(),
+        "v".into(),
+        (0..rows).map(|i| Value::Int(spread(i) + 1)).collect(),
+    )]);
     assert!(matches!(
         call(&mut writer, &replace),
-        ShardResponse::Rebuilt { .. }
+        ShardResponse::Applied { .. }
     ));
     let chunks_b = fetch(&mut b, 0, &mut image_b);
     for chunk in 1..chunks_a {
