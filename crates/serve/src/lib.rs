@@ -326,7 +326,7 @@ mod tests {
     /// this test binary re-run on `bind_under_a_bad_window_knob` —
     /// because the environment is process-wide and the other tests share
     /// it; the child checks that the engines and the window start at
-    /// their defaults, and that the server binds and serves a batch.
+    /// their defaults, and that the server binds and serves a query.
     #[test]
     fn shard_server_rejects_an_unparsable_window_knob_at_bind() {
         let child = std::process::Command::new(std::env::current_exe().expect("test binary"))
@@ -355,32 +355,22 @@ mod tests {
             return; // Only meaningful as the child of the test above.
         }
         use ccindex_wire::{read_response, write_request, ShardRequest, ShardResponse};
-        use mmdb::CatalogRead;
+        use mmdb::{CatalogRead, QuerySpec};
         assert_eq!(Database::new().exec_options(), mmdb::ExecOptions::default());
         let sharded = ShardedDatabase::hash(2).unwrap();
         assert_eq!(sharded.exec_options(), mmdb::ExecOptions::default());
         let db = catalog();
         assert_eq!(BatchServer::new(&db).options(), ServeOptions::default());
         println!("defaults held");
-        let requests = vec![
-            Request::point("sales", "cust", 3),
-            Request::range("sales", "amount", 10, 40),
-        ];
-        let want = BatchServer::new(&db).run_batch(&requests);
+        let spec = QuerySpec::table("sales")
+            .filter(eq("cust", 3))
+            .filter(between("amount", 10, 40));
+        let want = ShardResponse::Rows(db.run_spec(&spec).unwrap());
         let server = ShardServer::spawn(db).expect("bind ignores the environment");
         let addr = server.addr();
         let mut stream = std::net::TcpStream::connect(&addr).unwrap();
-        write_request(
-            &mut stream,
-            &addr,
-            &ShardRequest::ExecuteBatch { requests },
-            0,
-        )
-        .unwrap();
-        assert_eq!(
-            read_response(&mut stream, &addr).unwrap().0,
-            ShardResponse::Batch(want)
-        );
+        write_request(&mut stream, &addr, &ShardRequest::RunSpec { spec }, 0).unwrap();
+        assert_eq!(read_response(&mut stream, &addr).unwrap().0, want);
         drop(stream);
         server.shutdown();
         println!("bind served");
@@ -388,8 +378,8 @@ mod tests {
 
     /// Tag 5 was protocol v3's grouped partial aggregate, retired in v4
     /// (grouped plans arrive whole as `RunSpec`). A payload that still
-    /// carries it, in a well-formed v4 frame, is answered with a typed
-    /// decode error, and the connection serves on.
+    /// carries it, in a well-formed current-version frame, is answered
+    /// with a typed decode error, and the connection serves on.
     #[test]
     fn shard_server_still_answers_the_group_partial_frame() {
         use ccindex_wire::{

@@ -29,17 +29,23 @@
 //! [`MmdbError`](mmdb::MmdbError) the operation would have raised
 //! in-process, carried in [`ShardResponse::Err`], and so does a whole
 //! frame whose payload does not decode: the connection serves on.
+//!
+//! The server holds only its live connections: a connection's thread
+//! drops its own registry entry when it ends, so the peer sees the close
+//! at once and a finished connection keeps no descriptor or thread. No
+//! request stops a server; its owner does, with
+//! [`ShardServer::shutdown`] or by dropping it.
 
-use crate::server::{BatchServer, ServeOptions};
 use ccindex_obs as obs;
 use ccindex_parallel::sync::Arc as MetricArc;
 use ccindex_shard::ShardRead;
 use ccindex_wire::{self as wire, ShardRequest, ShardResponse};
 use mmdb::{CatalogRead, Database, DatabaseHandle, MmdbError, Result, TransportFault};
+use std::collections::HashMap;
 use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 /// State shared between the owning [`ShardServer`], the accept loop,
@@ -50,18 +56,18 @@ struct Shared {
     db: Mutex<Database>,
     /// The read side: lock-free pinned snapshots of the committed tip.
     handle: DatabaseHandle,
-    /// Set once; the accept loop and shutdown paths observe it.
+    /// Set once by [`ShardServer::shutdown`]; the accept loop observes
+    /// it.
     stop: AtomicBool,
     /// The bound address, for the shutdown self-connect.
     addr: SocketAddr,
-    /// One tracked clone per live connection, so shutdown can
-    /// sever blocked readers.
-    conns: Mutex<Vec<TcpStream>>,
-    /// Connection threads, joined on shutdown.
-    workers: Mutex<Vec<JoinHandle<()>>>,
+    /// A clone of each live connection's stream, keyed by connection
+    /// id, so shutdown can sever blocked readers. A connection's thread
+    /// removes its own entry when it ends; the accept loop's thread
+    /// scope joins the threads.
+    conns: Mutex<HashMap<u64, TcpStream>>,
     /// The server's metric registry — scraped over the wire by
-    /// [`ShardRequest::Stats`], shared with the `BatchServer` that
-    /// executes [`ShardRequest::ExecuteBatch`] windows.
+    /// [`ShardRequest::Stats`].
     registry: MetricArc<obs::Registry>,
     /// `server.requests` — framed requests answered.
     requests: MetricArc<obs::Counter>,
@@ -106,14 +112,20 @@ impl Shared {
         drop(TcpStream::connect(self.addr));
     }
 
-    /// Sever every tracked connection so blocked `wire::read_frame`
-    /// calls return errors and their threads exit.
+    /// Sever every live connection so blocked `wire::read_frame` calls
+    /// return errors and their threads exit. Called after
+    /// [`Shared::begin_stop`], under the lock the accept loop registers
+    /// a connection under, so a connection is either severed here or
+    /// never served.
     fn sever(&self) {
-        let conns = self.conns.lock().unwrap_or_else(PoisonError::into_inner);
-        for conn in conns.iter() {
+        for conn in self.conns().values() {
             // An already-closed peer is fine; severing is idempotent.
             drop(conn.shutdown(Shutdown::Both));
         }
+    }
+
+    fn conns(&self) -> MutexGuard<'_, HashMap<u64, TcpStream>> {
+        self.conns.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -162,9 +174,7 @@ impl ShardServer {
         Self::bind(db, "127.0.0.1:0")
     }
 
-    /// Serve `db` on an explicit address. A remote `ExecuteBatch`
-    /// arrives already formed and runs windowless
-    /// ([`BatchServer::run_batch`]), so the server holds no window knobs.
+    /// Serve `db` on an explicit address.
     pub fn bind(db: Database, bind_addr: &str) -> Result<Self> {
         let connect_error = |what: &str, e: std::io::Error| {
             MmdbError::transport(bind_addr, TransportFault::Connect, format!("{what}: {e}"))
@@ -179,8 +189,7 @@ impl ShardServer {
             db: Mutex::new(db),
             stop: AtomicBool::new(false),
             addr,
-            conns: Mutex::new(Vec::new()),
-            workers: Mutex::new(Vec::new()),
+            conns: Mutex::new(HashMap::new()),
             requests: registry.counter("server.requests"),
             execute_ns: registry.histogram("server.execute.ns"),
             registry,
@@ -201,9 +210,8 @@ impl ShardServer {
         self.shared.addr.to_string()
     }
 
-    /// The server's metric registry (`server.*` names, plus the
-    /// `serve.*` window metrics of remote `ExecuteBatch` windows) —
-    /// what a [`ShardRequest::Stats`] scrape renders to JSON.
+    /// The server's metric registry (`server.*` names) — what a
+    /// [`ShardRequest::Stats`] scrape renders to JSON.
     pub fn registry(&self) -> &MetricArc<obs::Registry> {
         &self.shared.registry
     }
@@ -220,22 +228,11 @@ impl ShardServer {
         self.shared.begin_stop();
         self.shared.sever();
         if let Some(accept) = self.accept.take() {
-            // A panicked server thread is a bug, but the caller is
-            // already tearing down; swallowing the panic here would
-            // hide it, so propagate.
-            accept.join().expect("shard server accept thread panicked");
-        }
-        let workers = std::mem::take(
-            &mut *self
-                .shared
-                .workers
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner),
-        );
-        for worker in workers {
-            worker
-                .join()
-                .expect("shard server connection thread panicked");
+            // The accept thread returns once every connection thread has
+            // (its scope joins them). A panicked server thread is a bug,
+            // but the caller is already tearing down; swallowing the
+            // panic here would hide it, so propagate.
+            accept.join().expect("shard server thread panicked");
         }
     }
 }
@@ -256,40 +253,41 @@ impl std::fmt::Debug for ShardServer {
     }
 }
 
-/// Accept until stopped. Each accepted connection gets its own thread;
-/// a failed accept is retried unless the stop flag is up (the shutdown
-/// self-connect lands here too, and is discarded by the stop check).
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    loop {
-        let accepted = listener.accept();
-        // ORDERING: Acquire pairs with begin_stop's Release store; after
-        // observing the latch this thread only returns, so Acquire is
-        // already more than it strictly needs.
-        if shared.stop.load(Ordering::Acquire) {
-            return;
+/// Accept until stopped, then wait for the live connections to end.
+/// Each accepted connection gets its own scoped thread and a registry
+/// entry under a fresh id, which the thread removes when the connection
+/// ends. A failed accept is retried unless the stop flag is up (the
+/// shutdown self-connect lands here too, and is discarded by the stop
+/// check); a connection whose stream cannot be cloned for the registry
+/// is dropped unserved, since shutdown could not sever it.
+fn accept_loop(listener: &TcpListener, shared: &Shared) {
+    std::thread::scope(|scope| {
+        for id in 0u64.. {
+            let accepted = listener
+                .accept()
+                .and_then(|(stream, _peer)| Ok((stream.try_clone()?, stream)));
+            let mut conns = shared.conns();
+            // ORDERING: Acquire pairs with begin_stop's Release store;
+            // after observing the latch this thread only returns, so
+            // Acquire is already more than it needs. It is read under
+            // the lock `sever` takes after raising the flag, so a
+            // connection registered below is one `sever` will see.
+            if shared.stop.load(Ordering::Acquire) {
+                return;
+            }
+            let Ok((clone, stream)) = accepted else {
+                continue;
+            };
+            conns.insert(id, clone);
+            drop(conns);
+            // Best-effort: probes are small request/response pairs.
+            drop(stream.set_nodelay(true));
+            scope.spawn(move || {
+                serve_conn(&stream, shared);
+                shared.conns().remove(&id);
+            });
         }
-        let Ok((stream, _peer)) = accepted else {
-            continue;
-        };
-        // Best-effort: probes are small request/response pairs.
-        drop(stream.set_nodelay(true));
-        if let Ok(clone) = stream.try_clone() {
-            shared
-                .conns
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(clone);
-        }
-        let worker = std::thread::spawn({
-            let shared = Arc::clone(shared);
-            move || serve_conn(&stream, &shared)
-        });
-        shared
-            .workers
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(worker);
-    }
+    });
 }
 
 /// One connection's request/response loop. A read error means the
@@ -303,7 +301,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 /// children, and ships the finished tree back in the response frame —
 /// the client grafts it under its own span for one cross-process
 /// latency tree.
-fn serve_conn(stream: &TcpStream, shared: &Arc<Shared>) {
+fn serve_conn(stream: &TcpStream, shared: &Shared) {
     let endpoint = match stream.peer_addr() {
         Ok(peer) => peer.to_string(),
         Err(_) => "peer".to_owned(),
@@ -346,7 +344,6 @@ fn serve_conn(stream: &TcpStream, shared: &Arc<Shared>) {
         let decoded = timed(&mut span, "decode", || {
             ShardRequest::decode(&payload, &endpoint)
         });
-        let stopping = matches!(decoded, Ok(ShardRequest::Shutdown));
         let executing = std::time::Instant::now();
         // A payload that does not decode came in a whole, checksummed
         // frame, so the stream is still in step: its typed error is the
@@ -358,10 +355,6 @@ fn serve_conn(stream: &TcpStream, shared: &Arc<Shared>) {
         shared.execute_ns.record(obs::elapsed_ns(&executing));
         let node = span.map(obs::Span::finish);
         if wire::write_response(&mut &*stream, &endpoint, &response, node.as_ref()).is_err() {
-            return;
-        }
-        if stopping {
-            shared.begin_stop();
             return;
         }
     }
@@ -388,18 +381,11 @@ fn reply<T>(result: Result<T>, f: impl FnOnce(T) -> ShardResponse) -> ShardRespo
 /// lock-free handle and answer through its [`ShardRead`] /
 /// [`CatalogRead`] impls; mutations serialize through the database
 /// mutex; snapshot chunks advance this connection's `transfers`.
-fn respond(
-    shared: &Arc<Shared>,
-    transfers: &mut Transfers,
-    request: ShardRequest,
-) -> ShardResponse {
+fn respond(shared: &Shared, transfers: &mut Transfers, request: ShardRequest) -> ShardResponse {
     use ShardResponse as A;
     match request {
         ShardRequest::Hello => A::Info {
             generation: shared.handle.generation(),
-            swaps: shared.handle.swaps(),
-            pinned: shared.handle.pinned() as u64,
-            exec: shared.handle.snapshot().exec_options(),
         },
         ShardRequest::PointProbeBatch {
             table,
@@ -447,25 +433,11 @@ fn respond(
                 .column_values(&table, &column, rids.as_deref()),
             A::Values,
         ),
-        ShardRequest::Columns { table } => {
-            reply(shared.handle.snapshot().columns(&table), A::Names)
-        }
-        ShardRequest::Rows { table } => reply(shared.handle.snapshot().rows(&table), |rows| {
-            A::Count(rows as u64)
-        }),
         ShardRequest::Compile { spec } => {
             let plan = shared.handle.snapshot().compile(&spec).map(Box::new);
             reply(plan, A::Plan)
         }
         ShardRequest::RunSpec { spec } => reply(shared.handle.snapshot().run_spec(&spec), A::Rows),
-        ShardRequest::ExecuteBatch { requests } => {
-            let server = BatchServer::with_metrics(
-                &shared.handle,
-                ServeOptions::default(),
-                MetricArc::clone(&shared.registry),
-            );
-            A::Batch(server.run_batch(&requests))
-        }
         ShardRequest::Mutate(batch) => reply(lock_db(shared).apply(batch), |reports| A::Applied {
             sort_ns: (reports.iter())
                 .map(|report| report.sort_time.as_nanos() as u64)
@@ -494,9 +466,6 @@ fn respond(
             crc,
             &bytes,
         ),
-        // The connection loop raises the stop flag after this response
-        // is on the wire.
-        ShardRequest::Shutdown => A::Unit,
     }
 }
 

@@ -10,8 +10,11 @@
 //!   the pieces a join that is not co-located streams through the
 //!   coordinator (the outer exchange's selections, each a filter-only
 //!   `run_spec`, and column decodes, the inner exchange's join-probe
-//!   batches) — plus the per-shard plan body's compilation and snapshot
-//!   export. Every reply carries **local** RIDs; the coordinator's one
+//!   batches) — plus the per-shard plan body's compilation, snapshot
+//!   export and the generation a shard answers from. It asks no schema
+//!   question: the coordinator registered every table, so it keeps each
+//!   one's columns and per-shard row counts itself. Every reply carries
+//!   **local** RIDs; the coordinator's one
 //!   merge makes them global through the placement map, and a RID the
 //!   shard does not hold is a typed error there. It has two
 //!   implementations:
@@ -45,22 +48,6 @@ use mmdb::{
     QuerySpec, RebuildReport, Result, ResultRows, Value,
 };
 use std::sync::Arc;
-
-/// One shard's generation/exec introspection, transport-generic: the
-/// generation's own counters locally, the `Hello` handshake remotely.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardInfo {
-    /// Committed catalog generation.
-    pub generation: u64,
-    /// Generations committed so far (`0` when the reader is one frozen
-    /// generation, which does not track commits).
-    pub swaps: u64,
-    /// Snapshots currently pinned (`0` for a frozen generation, as
-    /// above).
-    pub pinned: u64,
-    /// The execution options in force.
-    pub exec: ExecOptions,
-}
 
 /// One shard's read surface: everything the scatter-gather executor
 /// asks a shard while answering a query. Every method takes `&self` and
@@ -127,12 +114,6 @@ pub trait ShardRead: std::fmt::Debug + Send + Sync {
     /// shape and generation, then served from the coordinator's cache.
     fn compile(&self, spec: &QuerySpec) -> Result<Plan>;
 
-    /// Column names of `table`, in declaration order.
-    fn columns(&self, table: &str) -> Result<Vec<String>>;
-
-    /// Row count of `table` on this shard.
-    fn rows(&self, table: &str) -> Result<usize>;
-
     /// Serialize this shard's catalog into the paged `ccindex-store`
     /// container (the same bytes [`Database::save_to`] writes to disk).
     /// A [`CatalogState`] serializes itself — its own generation, not
@@ -142,8 +123,9 @@ pub trait ShardRead: std::fmt::Debug + Send + Sync {
     /// off a pinned generation, never a lock.
     fn fetch_snapshot(&self) -> Result<Vec<u8>>;
 
-    /// Generation/exec introspection.
-    fn observe(&self) -> Result<ShardInfo>;
+    /// The committed catalog generation this reader answers from: its
+    /// own locally, the `Hello` handshake's answer remotely.
+    fn generation(&self) -> Result<u64>;
 
     /// Human-readable description for `explain()` output and errors.
     fn describe(&self) -> String;
@@ -280,29 +262,12 @@ impl ShardRead for CatalogState {
         CatalogRead::compile(self, spec)
     }
 
-    fn columns(&self, table: &str) -> Result<Vec<String>> {
-        Ok(self
-            .table(table)?
-            .columns()
-            .map(|(name, _)| name.to_owned())
-            .collect())
-    }
-
-    fn rows(&self, table: &str) -> Result<usize> {
-        Ok(self.table(table)?.rows())
-    }
-
     fn fetch_snapshot(&self) -> Result<Vec<u8>> {
         Ok(mmdb::catalog_to_bytes(self))
     }
 
-    fn observe(&self) -> Result<ShardInfo> {
-        Ok(ShardInfo {
-            generation: self.generation(),
-            swaps: 0,
-            pinned: 0,
-            exec: self.exec_options(),
-        })
+    fn generation(&self) -> Result<u64> {
+        Ok(CatalogState::generation(self))
     }
 
     fn describe(&self) -> String {

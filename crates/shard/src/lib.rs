@@ -82,7 +82,7 @@ mod partition;
 mod remote;
 mod sharded;
 
-pub use backend::{LocalShard, ShardBackend, ShardInfo, ShardRead};
+pub use backend::{LocalShard, ShardBackend, ShardRead};
 pub use partition::{HashPartitioner, Partitioner, RangePartitioner};
 pub use remote::{RemoteShard, SHARD_TIMEOUT_KNOB};
 pub use sharded::{

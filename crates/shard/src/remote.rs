@@ -9,7 +9,8 @@
 //! that is not co-located pays the `RunSpec` (its outer selection) →
 //! `ColumnValues` → `JoinProbeBatch` sequence, and a batch of catalog
 //! edits is one `Mutate` frame. So the transport stays synchronous and
-//! dependency-free. Connection handling:
+//! dependency-free. A client reads and edits a shard but cannot stop
+//! its server: only the server's owner does. Connection handling:
 //!
 //! * [`RemoteShard::connect`] dials with **bounded retry** (5 attempts,
 //!   doubling backoff from 10 ms) and performs a `Hello` handshake, so
@@ -38,11 +39,11 @@ use ccindex_parallel::sync::Arc as ObsArc;
 use ccindex_wire::{self as wire, ShardRequest, ShardResponse};
 use mmdb::plan::{parse_knob, Plan};
 use mmdb::{
-    ExecOptions, MmdbError, Mutation, QuerySpec, RebuildReport, Request, Result, ResultRows,
-    TransportFault, Value,
+    ExecOptions, MmdbError, Mutation, QuerySpec, RebuildReport, Result, ResultRows, TransportFault,
+    Value,
 };
 
-use crate::backend::{ShardBackend, ShardInfo, ShardRead};
+use crate::backend::{ShardBackend, ShardRead};
 
 /// Request deadline knob, in milliseconds. `0` disables the deadline.
 pub const SHARD_TIMEOUT_KNOB: &str = "CCINDEX_SHARD_TIMEOUT_MS";
@@ -105,7 +106,7 @@ impl RemoteShard {
         // server answers with a different frame version, which the one
         // frame reader (`wire::read_frame`, under `wire::read_response`)
         // rejects as a typed Transport error here rather than mid-query.
-        shard.observe()?;
+        shard.generation()?;
         Ok(shard)
     }
 
@@ -260,25 +261,6 @@ impl RemoteShard {
             _ => None,
         })
     }
-
-    /// Run a whole window of serving requests through the server's
-    /// `BatchServer`, one result per request in submission order.
-    pub fn execute_batch(
-        &self,
-        requests: Vec<Request>,
-    ) -> Result<Vec<std::result::Result<ResultRows, MmdbError>>> {
-        let req = ShardRequest::ExecuteBatch { requests };
-        self.call(&req, None, |resp| match resp {
-            ShardResponse::Batch(results) => Some(results),
-            _ => None,
-        })
-    }
-
-    /// Ask the server to finish in-flight connections and exit its
-    /// accept loop.
-    pub fn shutdown(&self) -> Result<()> {
-        self.call(&ShardRequest::Shutdown, None, unit)
-    }
 }
 
 fn result_rows(resp: ShardResponse) -> Option<ResultRows> {
@@ -304,10 +286,7 @@ fn variant_name(resp: &ShardResponse) -> &'static str {
         ShardResponse::RidSets(_) => "RidSets",
         ShardResponse::Values(_) => "Values",
         ShardResponse::Rows(_) => "Rows",
-        ShardResponse::Batch(_) => "Batch",
         ShardResponse::Plan(_) => "Plan",
-        ShardResponse::Names(_) => "Names",
-        ShardResponse::Count(_) => "Count",
         ShardResponse::Applied { .. } => "Applied",
         ShardResponse::Info { .. } => "Info",
         ShardResponse::Unit => "Unit",
@@ -388,22 +367,6 @@ impl ShardRead for RemoteShard {
         })
     }
 
-    fn columns(&self, table: &str) -> Result<Vec<String>> {
-        let table = table.to_owned();
-        self.call(&ShardRequest::Columns { table }, None, |resp| match resp {
-            ShardResponse::Names(names) => Some(names),
-            _ => None,
-        })
-    }
-
-    fn rows(&self, table: &str) -> Result<usize> {
-        let table = table.to_owned();
-        self.call(&ShardRequest::Rows { table }, None, |resp| match resp {
-            ShardResponse::Count(n) => Some(n as usize),
-            _ => None,
-        })
-    }
-
     fn fetch_snapshot(&self) -> Result<Vec<u8>> {
         let mut bytes: Vec<u8> = Vec::new();
         let mut next = 0u32;
@@ -455,19 +418,9 @@ impl ShardRead for RemoteShard {
         }
     }
 
-    fn observe(&self) -> Result<ShardInfo> {
+    fn generation(&self) -> Result<u64> {
         self.call(&ShardRequest::Hello, None, |resp| match resp {
-            ShardResponse::Info {
-                generation,
-                swaps,
-                pinned,
-                exec,
-            } => Some(ShardInfo {
-                generation,
-                swaps,
-                pinned,
-                exec,
-            }),
+            ShardResponse::Info { generation } => Some(generation),
             _ => None,
         })
     }

@@ -133,6 +133,9 @@ pub struct ShardedDatabase {
 struct ShardedTable {
     shard_key: String,
     rows: usize,
+    /// Column names in declaration order, as registered: neither a
+    /// column replacement nor a repartition adds or drops one.
+    columns: Vec<String>,
     /// Global RID -> (owning shard, local RID there).
     placement: Vec<(u32, u32)>,
     /// Shard -> local RID -> global RID (ascending: rows are split in
@@ -480,6 +483,7 @@ impl ShardedDatabase {
             Arc::new(ShardedTable {
                 shard_key: shard_key.to_owned(),
                 rows: table.rows(),
+                columns: table.columns().map(|(name, _)| name.to_owned()).collect(),
                 placement,
                 locals,
                 indexes: BTreeMap::new(),
@@ -544,8 +548,7 @@ impl ShardedDatabase {
         values: Vec<Value>,
     ) -> Result<ShardedRebuildReport> {
         let meta = self.tip.meta(table)?;
-        let columns = self.shards[0].reader().columns(table)?;
-        if !columns.iter().any(|c| c == column) {
+        if !meta.columns.iter().any(|c| c == column) {
             return Err(MmdbError::UnknownColumn {
                 table: table.to_owned(),
                 column: column.to_owned(),
@@ -670,10 +673,8 @@ impl ShardedDatabase {
 
         // Reassemble each column's global values from the current shards.
         let meta = &self.tip.tables[table];
-        let old_placement = meta.placement.clone();
-        let columns: Vec<String> = self.shards[0].reader().columns(table)?;
         let mut global = mmdb::TableBuilder::new(table);
-        for name in &columns {
+        for name in &meta.columns {
             let values: Vec<Value> = if name == key_column {
                 new_keys.clone()
             } else {
@@ -685,7 +686,7 @@ impl ShardedDatabase {
                     .iter()
                     .map(|shard| shard.reader().column_values(table, name, None))
                     .collect::<Result<_>>()?;
-                old_placement
+                meta.placement
                     .iter()
                     .map(|&(s, l)| shard_vals[s as usize][l as usize].clone())
                     .collect()
@@ -1525,7 +1526,6 @@ fn group_by_value(rows: impl IntoIterator<Item = (Value, i64)>, agg: AggFn) -> V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::ShardInfo;
     use crate::partition::{HashPartitioner, RangePartitioner};
     use mmdb::{count, TableBuilder, TransportFault};
 
@@ -1630,17 +1630,11 @@ mod tests {
         fn compile(&self, spec: &QuerySpec) -> Result<Plan> {
             self.inner.compile(spec)
         }
-        fn columns(&self, t: &str) -> Result<Vec<String>> {
-            self.inner.columns(t)
-        }
-        fn rows(&self, t: &str) -> Result<usize> {
-            self.inner.rows(t)
-        }
         fn fetch_snapshot(&self) -> Result<Vec<u8>> {
             self.inner.fetch_snapshot()
         }
-        fn observe(&self) -> Result<ShardInfo> {
-            self.inner.observe()
+        fn generation(&self) -> Result<u64> {
+            self.inner.generation()
         }
         fn describe(&self) -> String {
             format!("fake {}", self.inner.describe())

@@ -5,7 +5,7 @@
 //! pin the frame header (magic, version, trace length, length, CRC) as
 //! well as the trace and the payload, and they pin both directions:
 //! what the client writes is compared byte for byte, what it reads is
-//! these bytes exactly. `golden_frames_pin_protocol_v4_bytes` in the
+//! these bytes exactly. `golden_frames_pin_protocol_v5_bytes` in the
 //! wire crate pins payloads alone.
 
 use std::io::{Read, Write};
@@ -15,41 +15,36 @@ use std::time::Duration;
 
 use ccindex_obs::{Span, SpanNode};
 use ccindex_shard::{RemoteShard, ShardBackend, ShardRead};
-use ccindex_wire::read_frame;
+use ccindex_wire::{read_frame, VERSION};
 use mmdb::{eq, IndexKind, MmdbError, Mutation, QuerySpec, ResultRows, TransportFault, Value};
 
-/// `Hello`, untraced: the first frame `RemoteShard::connect` sends.
+/// `Hello`, untraced: the first frame `RemoteShard::connect` sends,
+/// and what `ShardRead::generation` asks.
 const HELLO: &str = concat!(
     "43435758", // magic "CCWX"
-    "0400",     // version 4
+    "0500",     // version 5
     "00000000", // trace length: no trace
     "01000000", // payload length
     "8def02d2", // CRC-32 over trace and payload
     "00",       // payload: `Hello`
 );
 
-/// `Info` (generation 1, default exec options), untraced: the answer
-/// to `HELLO`.
+/// `Info` (generation 1), untraced: the answer to `HELLO`.
 const INFO: &str = concat!(
     "43435758",
-    "0400",
+    "0500",
     "00000000",
-    "31000000",
-    "a6239e35",
+    "09000000",
+    "ae9e8dbf",
     "0a",               // `Info`
     "0100000000000000", // generation
-    "0000000000000000", // swaps
-    "0000000000000000", // pinned
-    "0100000000000000", // exec: threads
-    "0800000000000000", // lanes
-    "0100000000000000", // shards
 );
 
 /// `RunSpec` of `sales` where `cust = 7`, traced under span id
 /// `0x0102030405060708`.
 const RUN_SPEC_TRACED: &str = concat!(
     "43435758",
-    "0400",
+    "0500",
     "08000000", // trace length: one span id
     "24000000",
     "06ffd1e2",
@@ -61,7 +56,7 @@ const RUN_SPEC_TRACED: &str = concat!(
 /// `server` 5 µs { `decode` 1 µs, `execute` 3 µs } rides in the trace.
 const ROWS_TRACED: &str = concat!(
     "43435758",
-    "0400",
+    "0500",
     "43000000", // trace length
     "0e000000",
     "17ecf5c3",
@@ -78,7 +73,7 @@ const ROWS_TRACED: &str = concat!(
 /// `CreateIndex` of `FullCss` on `sales.cust`.
 const MUTATE: &str = concat!(
     "43435758",
-    "0400",
+    "0500",
     "00000000",
     "3f000000",
     "2bc8b75f",
@@ -95,7 +90,7 @@ const MUTATE: &str = concat!(
 /// re-sorted in 1,234,567 ns.
 const APPLIED: &str = concat!(
     "43435758",
-    "0400",
+    "0500",
     "00000000",
     "0d000000",
     "2919b7cc",
@@ -104,18 +99,76 @@ const APPLIED: &str = concat!(
     "87d6120000000000", // 1,234,567 ns
 );
 
-/// `Rows { table: "sales" }`, untraced.
-const ROW_COUNT: &str = "434357580400000000000a00000094ea6917080500000073616c6573";
-
 /// `Unit`, untraced.
-const UNIT: &str = "43435758040000000000010000000536d0450b";
+const UNIT: &str = "43435758050000000000010000000536d0450b";
 
-/// `Count(3)`, untraced.
-const COUNT_3: &str = "434357580400000000000900000055b15ed3080300000000000000";
+/// What a protocol-v4 peer put on the wire for the handshake, a traced
+/// `RunSpec` and its traced `Rows`, and a `Mutate` batch and its
+/// `Applied`: v4's `Info` carried three more fields (`swaps`, `pinned`
+/// and the exec options), and every other payload and checksum is the
+/// v5 one (the CRC covers trace and payload, not the header), under
+/// version 4.
+const V4_FRAMES: [&str; 6] = [
+    concat!("43435758", "0400", "00000000", "01000000", "8def02d2", "00"),
+    concat!(
+        "43435758",
+        "0400",
+        "00000000",
+        "31000000",
+        "a6239e35",
+        "0a",
+        "0100000000000000", // generation
+        "0000000000000000", // swaps
+        "0000000000000000", // pinned
+        "0100000000000000", // exec: threads
+        "0800000000000000", // lanes
+        "0100000000000000", // shards
+    ),
+    concat!(
+        "43435758",
+        "0400",
+        "08000000",
+        "24000000",
+        "06ffd1e2",
+        "0807060504030201",
+        "0a0500000073616c65730100000004000000637573740000070000000000000000000000",
+    ),
+    concat!(
+        "43435758",
+        "0400",
+        "43000000",
+        "0e000000",
+        "17ecf5c3",
+        "06000000736572766572",
+        "8813000000000000",
+        "02000000",
+        "060000006465636f6465e80300000000000000000000",
+        "0700000065786563757465b80b00000000000000000000",
+        "0400020000000000000002000000",
+    ),
+    concat!(
+        "43435758",
+        "0400",
+        "00000000",
+        "3f000000",
+        "2bc8b75f",
+        "0c02000000",
+        "040500000073616c657306000000616d6f756e74",
+        "0200000000fa0000000000000001010000007a",
+        "020500000073616c6573040000006375737405",
+    ),
+    concat!(
+        "43435758",
+        "0400",
+        "00000000",
+        "0d000000",
+        "2919b7cc",
+        "090100000087d6120000000000",
+    ),
+];
 
-/// What a protocol-v3 peer put on the wire for `HELLO`, `INFO`,
-/// `RUN_SPEC_TRACED` and `ROWS_TRACED`: the same payloads and
-/// checksums (the CRC covers trace and payload, not the header), under
+/// What a protocol-v3 peer put on the wire for the handshake, a traced
+/// `RunSpec` and its traced `Rows`: v4's payloads and checksums, under
 /// version 3.
 const V3_FRAMES: [&str; 4] = [
     concat!("43435758", "0300", "00000000", "01000000", "8def02d2", "00"),
@@ -217,11 +270,11 @@ fn scripted_peer(replies: &[&str], split: bool) -> (String, JoinHandle<Vec<Vec<u
 
 /// The frame header's bytes, not only the payloads', are the protocol:
 /// an untraced request, a traced request and a traced response, whole,
-/// and a batch of catalog edits as exactly one `Mutate` frame and its
-/// one reply.
+/// a batch of catalog edits as exactly one `Mutate` frame and its one
+/// reply, and the handshake's `Info` carrying the generation alone.
 #[test]
-fn whole_frames_pin_protocol_v4_bytes() {
-    let (addr, peer) = scripted_peer(&[INFO, ROWS_TRACED, APPLIED], false);
+fn whole_frames_pin_protocol_v5_bytes() {
+    let (addr, peer) = scripted_peer(&[INFO, ROWS_TRACED, APPLIED, INFO], false);
     let mut shard = RemoteShard::connect(addr.as_str()).expect("the scripted handshake");
     let mut span = Span::with_id("query", 0x0102_0304_0506_0708);
     let spec = QuerySpec::table("sales").filter(eq("cust", 7));
@@ -252,27 +305,57 @@ fn whole_frames_pin_protocol_v4_bytes() {
     let sorts: Vec<Duration> = reports.iter().map(|r| r.sort_time).collect();
     assert_eq!(sorts, [Duration::from_nanos(1_234_567)]);
     assert!(reports[0].rebuilds.is_empty());
+    assert_eq!(shard.reader().generation().expect("the scripted Info"), 1);
     drop(shard);
     let frames = peer.join().expect("the peer saw the frames it expected");
     assert_eq!(
         frames,
-        [unhex(HELLO), unhex(RUN_SPEC_TRACED), unhex(MUTATE)]
+        [
+            unhex(HELLO),
+            unhex(RUN_SPEC_TRACED),
+            unhex(MUTATE),
+            unhex(HELLO)
+        ]
     );
 }
 
-/// Protocol v3's whole frames are refused by a v4 reader with a typed
-/// `Version` fault naming both versions: read as bytes, and as the
-/// answer to a v4 client's handshake, which then never connects.
-#[test]
-fn whole_frames_pin_protocol_v3_bytes() {
-    let refused = |err: MmdbError| match err {
+/// A typed `Version` fault naming `old` and this build's version.
+fn refused(old: u16) -> impl Fn(MmdbError) {
+    move |err| match err {
         MmdbError::Transport {
             fault: TransportFault::Version,
             detail,
             ..
-        } => assert!(detail.contains("v3") && detail.contains("v4"), "{detail}"),
+        } => assert!(
+            detail.contains(&format!("v{old}")) && detail.contains(&format!("v{VERSION}")),
+            "{detail}"
+        ),
         other => panic!("expected a typed Version fault, got {other:?}"),
-    };
+    }
+}
+
+/// Protocol v4's whole frames — the bytes this test pinned while v4 was
+/// current — are refused by a v5 reader with a typed `Version` fault
+/// naming both versions: read as bytes, and as the answer to a v5
+/// client's handshake, which then never connects.
+#[test]
+fn whole_frames_pin_protocol_v4_bytes() {
+    let refused = refused(4);
+    for hex in V4_FRAMES {
+        refused(read_frame(&mut &unhex(hex)[..], "v4 peer").expect_err("a v4 frame"));
+    }
+    let (addr, peer) = scripted_peer(&[V4_FRAMES[1]], false);
+    refused(RemoteShard::connect(addr.as_str()).expect_err("a v4 handshake"));
+    let frames = peer.join().expect("the peer saw the frames it expected");
+    assert_eq!(frames, [unhex(HELLO)]);
+}
+
+/// Protocol v3's whole frames are refused by a v5 reader with a typed
+/// `Version` fault naming both versions: read as bytes, and as the
+/// answer to a v5 client's handshake, which then never connects.
+#[test]
+fn whole_frames_pin_protocol_v3_bytes() {
+    let refused = refused(3);
     for hex in V3_FRAMES {
         refused(read_frame(&mut &unhex(hex)[..], "v3 peer").expect_err("a v3 frame"));
     }
@@ -287,9 +370,9 @@ fn whole_frames_pin_protocol_v3_bytes() {
 /// itself succeeded, so the stream is still in step.
 #[test]
 fn a_wrong_reply_variant_is_a_protocol_error_and_the_connection_serves_on() {
-    let (addr, peer) = scripted_peer(&[INFO, UNIT, COUNT_3], false);
+    let (addr, peer) = scripted_peer(&[INFO, UNIT, INFO], false);
     let shard = RemoteShard::connect(addr.as_str()).expect("the scripted handshake");
-    match shard.rows("sales") {
+    match shard.generation() {
         Err(MmdbError::Transport {
             fault: TransportFault::Protocol,
             detail,
@@ -298,14 +381,12 @@ fn a_wrong_reply_variant_is_a_protocol_error_and_the_connection_serves_on() {
         other => panic!("expected a Protocol fault naming `Unit`, got {other:?}"),
     }
     assert_eq!(
-        shard
-            .rows("sales")
-            .expect("the next call on one connection"),
-        3
+        shard.generation().expect("the next call on one connection"),
+        1
     );
     drop(shard);
     let frames = peer.join().expect("the peer saw the frames it expected");
-    assert_eq!(frames, [unhex(HELLO), unhex(ROW_COUNT), unhex(ROW_COUNT)]);
+    assert_eq!(frames, [unhex(HELLO), unhex(HELLO), unhex(HELLO)]);
 }
 
 /// A reply whose header and payload arrive as separate segments still
@@ -313,10 +394,10 @@ fn a_wrong_reply_variant_is_a_protocol_error_and_the_connection_serves_on() {
 /// it has only begun.
 #[test]
 fn a_reply_split_across_segments_still_decodes() {
-    let (addr, peer) = scripted_peer(&[INFO, COUNT_3], true);
+    let (addr, peer) = scripted_peer(&[INFO, INFO], true);
     let shard = RemoteShard::connect(addr.as_str()).expect("the split handshake");
-    assert_eq!(shard.rows("sales").expect("the split reply"), 3);
+    assert_eq!(shard.generation().expect("the split reply"), 1);
     drop(shard);
     let frames = peer.join().expect("the peer saw the frames it expected");
-    assert_eq!(frames, [unhex(HELLO), unhex(ROW_COUNT)]);
+    assert_eq!(frames, [unhex(HELLO), unhex(HELLO)]);
 }

@@ -44,11 +44,12 @@ pub const MAGIC: [u8; 4] = *b"CCWX";
 
 /// Protocol version this build speaks (v2 added the trace field, v3
 /// the snapshot-transfer messages, v4 the one `Mutate` frame per batch
-/// in place of v3's retired frames and dead slots). A peer speaking any
+/// in place of v3's retired frames and dead slots, v5 dropped the
+/// frames and `Info` fields no peer needs). A peer speaking any
 /// other version gets a typed [`TransportFault::Version`] naming both
 /// versions — negotiation is explicit refusal, never a checksum
 /// coincidence.
-pub const VERSION: u16 = 4;
+pub const VERSION: u16 = 5;
 
 /// Upper bound on one frame's trace + payload bytes (guards allocation
 /// against a corrupted or hostile length field). The writer refuses a
@@ -384,7 +385,7 @@ mod tests {
 
     /// An untraced request, a traced request and a traced response,
     /// each written into a fresh `sink()` and paired with its whole-frame
-    /// bytes as `whole_frames_pin_protocol_v4_bytes` (the shard crate's
+    /// bytes as `whole_frames_pin_protocol_v5_bytes` (the shard crate's
     /// scripted peer) pins them.
     fn golden_frames(sink: impl Fn() -> Sink) -> Vec<(Sink, Vec<u8>)> {
         use crate::message::{write_request, write_response, ShardRequest, ShardResponse};
@@ -408,10 +409,10 @@ mod tests {
         };
         let resp = ShardResponse::Rows(ResultRows::Rids(vec![0, 2]));
         write_response(&mut rows, "test", &resp, Some(&server)).expect("rows");
-        let hello_hex = concat!("43435758", "0400", "00000000", "01000000", "8def02d2", "00");
+        let hello_hex = concat!("43435758", "0500", "00000000", "01000000", "8def02d2", "00");
         let run_hex = concat!(
             "43435758",
-            "0400",
+            "0500",
             "08000000",
             "24000000",
             "06ffd1e2",
@@ -420,7 +421,7 @@ mod tests {
         );
         let rows_hex = concat!(
             "43435758",
-            "0400",
+            "0500",
             "43000000",
             "0e000000",
             "17ecf5c3",

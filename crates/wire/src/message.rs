@@ -5,17 +5,19 @@
 //! [`ShardRequest`] covers the full `ShardRead` + `ShardBackend`
 //! surface — whole query specs (a join's outer selection is one too),
 //! probe batches, join-probe fan-out, value fetches, plan compilation,
-//! and one [`ShardRequest::Mutate`] frame per batch of catalog edits —
-//! plus [`ShardRequest::ExecuteBatch`], which fronts the remote
-//! `BatchServer` directly with a whole window of requests. Query
-//! descriptions, serving requests and catalog edits are `mmdb`'s own
-//! [`QuerySpec`], [`Request`] and [`Mutation`], encoded directly: the
-//! wire has no types of its own for them.
+//! and one [`ShardRequest::Mutate`] frame per batch of catalog edits.
+//! Query descriptions and catalog edits are `mmdb`'s own [`QuerySpec`]
+//! and [`Mutation`], encoded directly: the wire has no types of its own
+//! for them.
 //!
-//! Protocol v4 carries only what a peer reads. The tags of the frames
-//! v3 retired (its probes-only selection, its grouped partial aggregate,
-//! its six one-edit frames, and the RID-set and group replies) are not
-//! reused, so a v3 payload can never pass for another message.
+//! Protocol v5 carries only what the coordinator cannot work out
+//! itself. It registered every table, so it asks a shard neither for
+//! column names nor for row counts; `Info` is the generation alone; and
+//! no frame has a sender it does not need: no remote serving window,
+//! and no request that stops a server (only its owner does). The tags
+//! retired in v5 (requests 7, 8, 11 and 19, responses 5, 7 and 8) and
+//! in v4 (requests 3, 5 and 13–17, responses 1 and 3) are never reused,
+//! so a retired payload can never pass for another message.
 
 use std::io::{Read, Write};
 
@@ -23,8 +25,7 @@ use ccindex_obs::SpanNode;
 use ccindex_store::bytes::ByteWriter;
 use mmdb::plan::Plan;
 use mmdb::{
-    get_value, put_value, ExecOptions, MmdbError, Mutation, QuerySpec, Request, Result, ResultRows,
-    Value,
+    get_value, put_value, ExecOptions, MmdbError, Mutation, QuerySpec, Result, ResultRows, Value,
 };
 
 use crate::codec::{
@@ -82,16 +83,6 @@ pub enum ShardRequest {
         /// Local RIDs to decode (`None` = every row).
         rids: Option<Vec<u32>>,
     },
-    /// Column names of a table, in declaration order.
-    Columns {
-        /// The table.
-        table: String,
-    },
-    /// Row count of a table.
-    Rows {
-        /// The table.
-        table: String,
-    },
     /// Compile `spec` through the shard's planner and return the
     /// physical plan (the coordinator's scatter template).
     Compile {
@@ -103,12 +94,6 @@ pub enum ShardRequest {
         /// The query description.
         spec: QuerySpec,
     },
-    /// Run a whole window of serving requests through the shard's
-    /// `BatchServer` — one result per request, in submission order.
-    ExecuteBatch {
-        /// The window's requests.
-        requests: Vec<Request>,
-    },
     /// Apply a batch of catalog edits, in order, as one commit of the
     /// server's catalog: the whole batch or, on any error, none of it.
     /// Answered with [`ShardResponse::Applied`].
@@ -118,9 +103,6 @@ pub enum ShardRequest {
         /// The options to install.
         exec: ExecOptions,
     },
-    /// Ask the server to finish in-flight work and exit its accept
-    /// loop.
-    Shutdown,
     /// Scrape the server's metric registry; answered with
     /// [`ShardResponse::Stats`].
     Stats,
@@ -159,16 +141,9 @@ pub enum ShardResponse {
     Values(Vec<Value>),
     /// Full query result rows.
     Rows(ResultRows),
-    /// One result per request of an [`ShardRequest::ExecuteBatch`]
-    /// window, in submission order.
-    Batch(Vec<std::result::Result<ResultRows, MmdbError>>),
     /// A compiled physical plan (boxed: a plan carries its routing, and
     /// no other reply should pay for its size).
     Plan(Box<Plan>),
-    /// Column names.
-    Names(Vec<String>),
-    /// A scalar count.
-    Count(u64),
     /// A [`ShardRequest::Mutate`] batch committed.
     Applied {
         /// The time re-sorting each RID list, in nanoseconds: one per
@@ -176,16 +151,10 @@ pub enum ShardResponse {
         /// order.
         sort_ns: Vec<u64>,
     },
-    /// Catalog generation info (the handshake answer).
+    /// The handshake answer.
     Info {
         /// Committed catalog generation.
         generation: u64,
-        /// Generations committed so far.
-        swaps: u64,
-        /// Snapshots currently pinned.
-        pinned: u64,
-        /// The execution options in force.
-        exec: ExecOptions,
     },
     /// Success with nothing to return.
     Unit,
@@ -214,7 +183,7 @@ pub enum ShardResponse {
 }
 
 // ---------------------------------------------------------------------
-// QuerySpec / Request codecs
+// QuerySpec codec
 // ---------------------------------------------------------------------
 
 fn put_spec(w: &mut ByteWriter, spec: &QuerySpec) {
@@ -240,55 +209,6 @@ fn get_spec(r: &mut Reader<'_>) -> Result<QuerySpec> {
         group: r.option(|r| Ok((r.str()?, get_agg(r)?)))?,
         forced_kind: r.option(get_kind)?,
         exec: r.option(get_exec)?,
-    })
-}
-
-fn put_one_request(w: &mut ByteWriter, req: &Request) {
-    match req {
-        Request::Point {
-            table,
-            column,
-            value,
-        } => {
-            w.u8(0);
-            w.str(table);
-            w.str(column);
-            put_value(w, value);
-        }
-        Request::Range {
-            table,
-            column,
-            lo,
-            hi,
-        } => {
-            w.u8(1);
-            w.str(table);
-            w.str(column);
-            put_value(w, lo);
-            put_value(w, hi);
-        }
-        Request::Query(spec) => {
-            w.u8(2);
-            put_spec(w, spec);
-        }
-    }
-}
-
-fn get_one_request(r: &mut Reader<'_>) -> Result<Request> {
-    Ok(match r.u8()? {
-        0 => Request::Point {
-            table: r.str()?,
-            column: r.str()?,
-            value: get_value(r)?,
-        },
-        1 => Request::Range {
-            table: r.str()?,
-            column: r.str()?,
-            lo: get_value(r)?,
-            hi: get_value(r)?,
-        },
-        2 => Request::Query(get_spec(r)?),
-        other => return Err(r.fail(format!("bad Request tag {other}"))),
     })
 }
 
@@ -349,14 +269,6 @@ impl ShardRequest {
                 w.str(column);
                 w.option(rids.as_ref(), |w, rids| w.seq(rids, |w, r| w.u32(*r)));
             }
-            ShardRequest::Columns { table } => {
-                w.u8(7);
-                w.str(table);
-            }
-            ShardRequest::Rows { table } => {
-                w.u8(8);
-                w.str(table);
-            }
             ShardRequest::Compile { spec } => {
                 w.u8(9);
                 put_spec(&mut w, spec);
@@ -364,10 +276,6 @@ impl ShardRequest {
             ShardRequest::RunSpec { spec } => {
                 w.u8(10);
                 put_spec(&mut w, spec);
-            }
-            ShardRequest::ExecuteBatch { requests } => {
-                w.u8(11);
-                w.seq(requests, put_one_request);
             }
             ShardRequest::Mutate(batch) => {
                 w.u8(12);
@@ -377,7 +285,6 @@ impl ShardRequest {
                 w.u8(18);
                 put_exec(&mut w, *exec);
             }
-            ShardRequest::Shutdown => w.u8(19),
             ShardRequest::Stats => w.u8(20),
             ShardRequest::FetchSnapshot { chunk } => {
                 w.u8(21);
@@ -437,22 +344,16 @@ impl ShardRequest {
                 column: r.str()?,
                 rids: r.option(|r| r.seq(|r| r.u32()))?,
             },
-            7 => ShardRequest::Columns { table: r.str()? },
-            8 => ShardRequest::Rows { table: r.str()? },
             9 => ShardRequest::Compile {
                 spec: get_spec(&mut r)?,
             },
             10 => ShardRequest::RunSpec {
                 spec: get_spec(&mut r)?,
             },
-            11 => ShardRequest::ExecuteBatch {
-                requests: r.seq(get_one_request)?,
-            },
             12 => ShardRequest::Mutate(r.seq(get_mutation)?),
             18 => ShardRequest::SetExecOptions {
                 exec: get_exec(&mut r)?,
             },
-            19 => ShardRequest::Shutdown,
             20 => ShardRequest::Stats,
             21 => ShardRequest::FetchSnapshot { chunk: r.u32()? },
             22 => ShardRequest::InstallSnapshotChunk {
@@ -485,46 +386,17 @@ impl ShardResponse {
                 w.u8(4);
                 put_result_rows(&mut w, rows);
             }
-            ShardResponse::Batch(results) => {
-                w.u8(5);
-                w.seq(results, |w, res| match res {
-                    Ok(rows) => {
-                        w.u8(0);
-                        put_result_rows(w, rows);
-                    }
-                    Err(e) => {
-                        w.u8(1);
-                        put_error(w, e);
-                    }
-                });
-            }
             ShardResponse::Plan(plan) => {
                 w.u8(6);
                 put_plan(&mut w, plan);
-            }
-            ShardResponse::Names(names) => {
-                w.u8(7);
-                w.seq(names, |w, n| w.str(n));
-            }
-            ShardResponse::Count(n) => {
-                w.u8(8);
-                w.u64(*n);
             }
             ShardResponse::Applied { sort_ns } => {
                 w.u8(9);
                 w.seq(sort_ns, |w, ns| w.u64(*ns));
             }
-            ShardResponse::Info {
-                generation,
-                swaps,
-                pinned,
-                exec,
-            } => {
+            ShardResponse::Info { generation } => {
                 w.u8(10);
                 w.u64(*generation);
-                w.u64(*swaps);
-                w.u64(*pinned);
-                put_exec(&mut w, *exec);
             }
             ShardResponse::Unit => w.u8(11),
             ShardResponse::Err(e) => {
@@ -560,24 +432,12 @@ impl ShardResponse {
             0 => ShardResponse::RidSets(r.seq(|r| r.seq(|r| r.u32()))?),
             2 => ShardResponse::Values(r.seq(get_value)?),
             4 => ShardResponse::Rows(get_result_rows(&mut r)?),
-            5 => ShardResponse::Batch(r.seq(|r| {
-                Ok(match r.u8()? {
-                    0 => Ok(get_result_rows(r)?),
-                    1 => Err(get_error(r)?),
-                    other => return Err(r.fail(format!("bad result tag {other}"))),
-                })
-            })?),
             6 => ShardResponse::Plan(Box::new(get_plan(&mut r)?)),
-            7 => ShardResponse::Names(r.seq(|r| r.str())?),
-            8 => ShardResponse::Count(r.u64()?),
             9 => ShardResponse::Applied {
                 sort_ns: r.seq(|r| r.u64())?,
             },
             10 => ShardResponse::Info {
                 generation: r.u64()?,
-                swaps: r.u64()?,
-                pinned: r.u64()?,
-                exec: get_exec(&mut r)?,
             },
             11 => ShardResponse::Unit,
             12 => ShardResponse::Err(get_error(&mut r)?),

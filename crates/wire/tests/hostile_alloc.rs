@@ -42,10 +42,14 @@ fn largest_reservation(frame: &[u8]) -> usize {
 #[test]
 fn hostile_counts_reserve_at_most_their_frame() {
     const BODY: usize = 1 << 20;
-    // `ExecuteBatch` (tag 11) claiming `u32::MAX` requests, then 1 MiB
-    // of bytes that are no request at all.
-    let mut batch = vec![11u8];
-    batch.extend_from_slice(&u32::MAX.to_le_bytes());
+    // `PointProbeBatch` (tag 1) on `t.c` claiming `u32::MAX` values,
+    // then 1 MiB of bytes that are no value at all.
+    let mut probes = vec![1u8];
+    for name in [b't', b'c'] {
+        probes.extend_from_slice(&1u32.to_le_bytes());
+        probes.push(name);
+    }
+    probes.extend_from_slice(&u32::MAX.to_le_bytes());
     // `Mutate` (tag 12) claiming `u32::MAX` mutations.
     let mut mutations = vec![12u8];
     mutations.extend_from_slice(&u32::MAX.to_le_bytes());
@@ -69,7 +73,7 @@ fn hostile_counts_reserve_at_most_their_frame() {
     values.extend_from_slice(&1u32.to_le_bytes());
     values.push(b'c');
     values.extend_from_slice(&u32::MAX.to_le_bytes());
-    for mut frame in [batch, mutations, columns, values] {
+    for mut frame in [probes, mutations, columns, values] {
         frame.resize(frame.len() + BODY, 0xFF);
         let largest = largest_reservation(&frame);
         assert!(

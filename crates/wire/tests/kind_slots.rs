@@ -1,9 +1,9 @@
-//! Protocol v4 has no kind slots. Protocol v3 kept a byte where an index
-//! kind used to travel after a `JoinProbeBatch` column and after each
-//! probe and join step's column of a `Plan` reply, written as
-//! `FullCss`'s code and dropped on read. No plan or probe carries a kind,
-//! so v4 writes each of those column names followed directly by its
-//! next field.
+//! Since protocol v4 there are no kind slots. Protocol v3 kept a byte
+//! where an index kind used to travel after a `JoinProbeBatch` column
+//! and after each probe and join step's column of a `Plan` reply,
+//! written as `FullCss`'s code and dropped on read. No plan or probe carries a kind,
+//! so v4 and later write each of those column names followed directly
+//! by its next field.
 
 use ccindex_wire::{ShardRequest, ShardResponse};
 use mmdb::plan::{GroupStep, JoinStep, Plan, Probe, ProbeStep, Side};

@@ -11,8 +11,7 @@ use ccindex_wire::{
 use mmdb::plan::{GroupStep, JoinStep, Plan, Probe, ProbeStep, Routing, Side};
 use mmdb::{
     between, count, eq, max, on, sum, Agg, AggFn, ExecOptions, GroupRow, IndexKind, JoinRow,
-    MmdbError, Mutation, QuerySpec, Request, ResultRows, StorageFault, TableBuilder,
-    TransportFault, Value,
+    MmdbError, Mutation, QuerySpec, ResultRows, StorageFault, TableBuilder, TransportFault, Value,
 };
 use proptest::prelude::*;
 
@@ -145,23 +144,6 @@ impl Gen {
             Some(self.rids())
         } else {
             None
-        }
-    }
-
-    fn one_request(&mut self) -> Request {
-        match self.below(3) {
-            0 => Request::Point {
-                table: self.string(),
-                column: self.string(),
-                value: self.value(),
-            },
-            1 => Request::Range {
-                table: self.string(),
-                column: self.string(),
-                lo: self.value(),
-                hi: self.value(),
-            },
-            _ => Request::Query(self.spec()),
         }
     }
 
@@ -373,20 +355,10 @@ impl Gen {
                 column: self.string(),
                 rids: self.opt_rids(),
             },
-            ShardRequest::Columns {
-                table: self.string(),
-            },
-            ShardRequest::Rows {
-                table: self.string(),
-            },
             ShardRequest::Compile { spec: self.spec() },
             ShardRequest::RunSpec { spec: self.spec() },
-            ShardRequest::ExecuteBatch {
-                requests: (0..self.below(4)).map(|_| self.one_request()).collect(),
-            },
             ShardRequest::Mutate((0..self.below(8)).map(|_| self.mutation()).collect()),
             ShardRequest::SetExecOptions { exec: self.exec() },
-            ShardRequest::Shutdown,
             ShardRequest::Stats,
             ShardRequest::FetchSnapshot {
                 chunk: self.next() as u32,
@@ -406,28 +378,12 @@ impl Gen {
             ShardResponse::RidSets((0..self.below(4)).map(|_| self.rids()).collect()),
             ShardResponse::Values(self.values()),
             ShardResponse::Rows(self.result_rows()),
-            ShardResponse::Batch(
-                (0..self.below(4))
-                    .map(|_| {
-                        if self.below(2) == 0 {
-                            Ok(self.result_rows())
-                        } else {
-                            Err(self.error())
-                        }
-                    })
-                    .collect(),
-            ),
             ShardResponse::Plan(Box::new(self.plan())),
-            ShardResponse::Names((0..self.below(5)).map(|_| self.string()).collect()),
-            ShardResponse::Count(self.next()),
             ShardResponse::Applied {
                 sort_ns: (0..self.below(4)).map(|_| self.next()).collect(),
             },
             ShardResponse::Info {
                 generation: self.next(),
-                swaps: self.next(),
-                pinned: self.below(8),
-                exec: self.exec(),
             },
             ShardResponse::Unit,
             ShardResponse::Stats {
@@ -598,7 +554,7 @@ fn unhex(hex: &str) -> Vec<u8> {
 
 /// The bytes of one fully-populated query description, captured from
 /// the encoder before `QuerySpec` replaced the wire's own `Spec` struct;
-/// v3 and v4 share them. Shared by the query frames below.
+/// v3, v4 and v5 share them. Shared by the query frames below.
 const GOLDEN_SPEC: &str = "0500000073616c65730200000006000000726567696f6e00010400000065617374\
 06000000616d6f756e7401000a0000000000000000fa000000000000000109000000637573746f6d657273\
 04000000637573740200000069640106000000726567696f6e0106000000616d6f756e7401050104000000\
@@ -619,46 +575,33 @@ fn golden_spec() -> QuerySpec {
         })
 }
 
-/// `Compile`, `RunSpec` and `ExecuteBatch` payloads, written the same
-/// by v3 and v4, each with its message.
+/// `Compile` and `RunSpec` payloads, written the same by v3, v4 and v5,
+/// each with its message.
 fn golden_query_frames() -> Vec<(ShardRequest, String)> {
     let spec = golden_spec();
-    let batch = ShardRequest::ExecuteBatch {
-        requests: vec![
-            Request::point("sales", "cust", 7),
-            Request::range("sales", "amount", -5, "z"),
-            Request::query(spec.clone()),
-        ],
-    };
-    let batch_hex = format!(
-        "0b03000000\
-         000500000073616c65730400000063757374000700000000000000\
-         010500000073616c657306000000616d6f756e7400fbffffffffffffff01010000007a\
-         02{GOLDEN_SPEC}"
-    );
     vec![
         (
             ShardRequest::Compile { spec: spec.clone() },
             format!("09{GOLDEN_SPEC}"),
         ),
         (ShardRequest::RunSpec { spec }, format!("0a{GOLDEN_SPEC}")),
-        (batch, batch_hex),
     ]
 }
 
-/// A silent change of field order, tag or width would still satisfy
-/// every roundtrip property above; these bytes would not. A batch of
-/// catalog edits is one `Mutate` frame (tag 12), each edit tagged in
-/// `Mutation`'s declaration order, and its reply one sort time per
-/// replacement or rebuild.
-#[test]
-fn golden_frames_pin_protocol_v4_bytes() {
-    assert_eq!(VERSION, 4);
-    for (req, want) in golden_query_frames() {
-        assert_eq!(req.encode(), unhex(&want), "{req:?}");
-        assert_eq!(ShardRequest::decode(&req.encode(), "peer").ok(), Some(req));
-    }
+/// v3's and v4's `ExecuteBatch` (tag 11) of a point probe, a range probe
+/// and `GOLDEN_SPEC`'s query: a remote serving window, retired in v5.
+fn retired_execute_batch() -> String {
+    format!(
+        "0b03000000\
+         000500000073616c65730400000063757374000700000000000000\
+         010500000073616c657306000000616d6f756e7400fbffffffffffffff01010000007a\
+         02{GOLDEN_SPEC}"
+    )
+}
 
+/// A `Mutate` batch of one edit of each kind, in `Mutation`'s
+/// declaration order, and the payload v4 and v5 both write for it.
+fn golden_mutate() -> (ShardRequest, &'static str) {
     let (sales, cust, amount) = ("sales".to_owned(), "cust".to_owned(), "amount".to_owned());
     let register = TableBuilder::new("sales")
         .int_column("cust", [7, -1])
@@ -687,24 +630,104 @@ fn golden_frames_pin_protocol_v4_bytes() {
         "040500000073616c657306000000616d6f756e740200000000fa0000000000000001010000007a",
         "050500000073616c657306000000616d6f756e74",
     );
+    (mutate, want)
+}
+
+/// `Applied` with two sort times, as v4 and v5 both write it.
+const GOLDEN_APPLIED: &str = "090200000087d61200000000005900000000000000";
+
+/// v4's `Info` (generation 1, then `swaps` 0, `pinned` 0 and the
+/// default exec options, three fields v5 dropped).
+const V4_INFO: &str = concat!(
+    "0a",
+    "0100000000000000",
+    "0000000000000000",
+    "0000000000000000",
+    "0100000000000000",
+    "0800000000000000",
+    "0100000000000000",
+);
+
+/// Frame each payload as a `version` peer framed it and check that this
+/// build refuses every one with a typed `Version` fault naming both
+/// versions, before its payload is read.
+fn assert_refused(version: u16, payloads: &[String]) {
+    for hex in payloads {
+        let mut frame = Vec::new();
+        write_frame(&mut frame, "peer", &[], &unhex(hex)).expect("vec write");
+        // The version field; the CRC covers trace and payload only.
+        frame[4..6].copy_from_slice(&version.to_le_bytes());
+        match read_frame(&mut &frame[..], "peer") {
+            Err(MmdbError::Transport {
+                fault: TransportFault::Version,
+                detail,
+                ..
+            }) => assert!(
+                detail.contains(&format!("v{version}")) && detail.contains(&format!("v{VERSION}")),
+                "{detail}"
+            ),
+            other => panic!("{hex}: expected a typed Version fault, got {other:?}"),
+        }
+    }
+}
+
+/// A silent change of field order, tag or width would still satisfy
+/// every roundtrip property above; these bytes would not. A batch of
+/// catalog edits is one `Mutate` frame (tag 12), each edit tagged in
+/// `Mutation`'s declaration order, and its reply one sort time per
+/// replacement or rebuild. The handshake is `Hello` (tag 0), answered
+/// with `Info` (tag 10) carrying the generation alone.
+#[test]
+fn golden_frames_pin_protocol_v5_bytes() {
+    assert_eq!(VERSION, 5);
+    for (req, want) in golden_query_frames() {
+        assert_eq!(req.encode(), unhex(&want), "{req:?}");
+        assert_eq!(ShardRequest::decode(&req.encode(), "peer").ok(), Some(req));
+    }
+    let (mutate, want) = golden_mutate();
     assert_eq!(mutate.encode(), unhex(want));
     assert_eq!(
         ShardRequest::decode(&mutate.encode(), "peer").ok(),
         Some(mutate)
     );
-    let applied = ShardResponse::Applied {
-        sort_ns: vec![1_234_567, 89],
-    };
-    let want = "090200000087d61200000000005900000000000000";
-    assert_eq!(applied.encode(), unhex(want));
-    assert_eq!(
-        ShardResponse::decode(&applied.encode(), "peer").ok(),
-        Some(applied)
-    );
+    assert_eq!(ShardRequest::Hello.encode(), unhex("00"));
+    let responses = [
+        (
+            ShardResponse::Applied {
+                sort_ns: vec![1_234_567, 89],
+            },
+            GOLDEN_APPLIED,
+        ),
+        (ShardResponse::Info { generation: 1 }, "0a0100000000000000"),
+    ];
+    for (resp, want) in responses {
+        assert_eq!(resp.encode(), unhex(want), "{resp:?}");
+        assert_eq!(
+            ShardResponse::decode(&resp.encode(), "peer").ok(),
+            Some(resp)
+        );
+    }
+}
+
+/// Protocol v4's golden payloads — the query frames, the retired
+/// `ExecuteBatch` window, one `Mutate` batch, its `Applied` reply and
+/// v4's four-field `Info` — each framed as a v4 peer framed it: a v5
+/// reader refuses every one with a typed `Version` fault naming both
+/// versions, before its payload is read.
+#[test]
+fn golden_frames_pin_protocol_v4_bytes() {
+    let mut payloads: Vec<String> = golden_query_frames()
+        .into_iter()
+        .map(|(_, hex)| hex)
+        .collect();
+    payloads.push(retired_execute_batch());
+    payloads.push(golden_mutate().1.to_owned());
+    payloads.extend([GOLDEN_APPLIED, V4_INFO].map(str::to_owned));
+    assert_refused(4, &payloads);
 }
 
 /// Protocol v3's golden payloads, each framed as a v3 peer framed it: a
-/// v4 reader refuses every one with a typed `Version` fault naming both
+/// v5 reader refuses every one with a typed `Version` fault naming both
 /// versions, before its payload is read.
 #[test]
 fn golden_frames_pin_protocol_v3_bytes() {
@@ -712,6 +735,7 @@ fn golden_frames_pin_protocol_v3_bytes() {
         .into_iter()
         .map(|(_, hex)| hex)
         .collect();
+    payloads.push(retired_execute_batch());
     // The six catalog-edit frames and their two replies.
     payloads.extend(
         [
@@ -727,19 +751,44 @@ fn golden_frames_pin_protocol_v3_bytes() {
         ]
         .map(str::to_owned),
     );
-    for hex in payloads {
-        let mut frame = Vec::new();
-        write_frame(&mut frame, "peer", &[], &unhex(&hex)).expect("vec write");
-        // The version field; the CRC covers trace and payload only.
-        frame[4..6].copy_from_slice(&3u16.to_le_bytes());
-        match read_frame(&mut &frame[..], "peer") {
+    assert_refused(3, &payloads);
+}
+
+/// Every tag a v5 peer may send, and no retired one: the generators
+/// above cover each v5 variant exactly once, so every roundtrip
+/// property runs over the whole protocol and nothing else. Requests 3,
+/// 5, 7, 8, 11 and 13–17 and 19, and responses 1, 3, 5, 7 and 8, were
+/// retired by v4 and v5 and are never reused; a payload carrying one is
+/// a typed decode error.
+#[test]
+fn the_generators_cover_exactly_the_v5_tags() {
+    let mut g = Gen(7);
+    let tags = |payloads: Vec<Vec<u8>>| payloads.iter().map(|p| p[0]).collect::<Vec<u8>>();
+    let requests = tags(g.all_requests().iter().map(ShardRequest::encode).collect());
+    assert_eq!(requests, [0, 1, 2, 4, 6, 9, 10, 12, 18, 20, 21, 22]);
+    let responses = tags(
+        g.all_responses()
+            .iter()
+            .map(ShardResponse::encode)
+            .collect(),
+    );
+    assert_eq!(responses, [0, 2, 4, 6, 9, 10, 11, 13, 12, 14]);
+    let refused = |decoded: std::result::Result<(), MmdbError>| {
+        matches!(
+            decoded,
             Err(MmdbError::Transport {
-                fault: TransportFault::Version,
-                detail,
+                fault: TransportFault::Decode,
                 ..
-            }) => assert!(detail.contains("v3") && detail.contains("v4"), "{detail}"),
-            other => panic!("{hex}: expected a typed Version fault, got {other:?}"),
-        }
+            })
+        )
+    };
+    for retired in [3u8, 5, 7, 8, 11, 13, 14, 15, 16, 17, 19] {
+        let decoded = ShardRequest::decode(&[retired], "peer").map(drop);
+        assert!(refused(decoded), "request tag {retired}");
+    }
+    for retired in [1u8, 3, 5, 7, 8] {
+        let decoded = ShardResponse::decode(&[retired], "peer").map(drop);
+        assert!(refused(decoded), "response tag {retired}");
     }
 }
 

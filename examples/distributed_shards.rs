@@ -16,6 +16,16 @@
 use ccindex::db::Value;
 use ccindex::prelude::*;
 
+/// The `orders` rows shard `shard` holds: its filterless selection's
+/// RIDs, one `RunSpec` across the wire.
+fn order_rows(db: &ShardedDatabase, shard: usize) -> Result<usize, MmdbError> {
+    let all = QuerySpec::table("orders");
+    Ok(match db.backend(shard).reader().run_spec(&all)? {
+        ResultRows::Rids(rids) => rids.len(),
+        other => unreachable!("a selection answered {}", other.shape()),
+    })
+}
+
 fn main() -> Result<(), MmdbError> {
     let n = 40_000usize;
     let n_customers = 1_000i64;
@@ -68,7 +78,7 @@ fn main() -> Result<(), MmdbError> {
     for (s, addr) in addrs.iter().enumerate() {
         println!(
             "  shard {s} @ {addr}: {} order rows",
-            remote.backend(s).reader().rows("orders")?
+            order_rows(&remote, s)?
         );
     }
 
@@ -126,7 +136,7 @@ fn main() -> Result<(), MmdbError> {
     for (s, addr) in addrs.iter().enumerate() {
         println!(
             "  shard {s} @ {addr}: {} order rows",
-            remote.backend(s).reader().rows("orders")?
+            order_rows(&remote, s)?
         );
     }
     let post = remote.query("orders").filter(eq("cust", 17)).run()?;

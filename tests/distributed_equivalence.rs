@@ -360,14 +360,33 @@ fn killed_shard_surfaces_a_typed_transport_error() {
     }
 }
 
+/// Tag 19 was the `Shutdown` request, retired in v5: no peer can stop a
+/// server, only its owner. A payload that still carries it is answered
+/// with a typed decode error and the connection serves on; after
+/// `ShardServer::shutdown`, a connect fails typed.
 #[test]
 fn wire_shutdown_stops_a_server_and_later_connects_fail_typed() {
+    use ccindex::wire::{read_response, write_frame, write_request, ShardRequest, ShardResponse};
     let server = ShardServer::spawn(Database::new()).unwrap();
     let addr = server.addr();
-    let shard = RemoteShard::connect(addr.as_str()).unwrap();
-    shard.shutdown().unwrap();
-    // The wire shutdown already stopped the accept loop; joining the
-    // server returns promptly and closes the listener for good.
+    let mut stream = std::net::TcpStream::connect(&addr).unwrap();
+    for _ in 0..2 {
+        write_frame(&mut stream, "test", &[], &[19]).unwrap();
+        match read_response(&mut stream, "test").unwrap().0 {
+            ShardResponse::Err(MmdbError::Transport {
+                fault: ccindex::db::TransportFault::Decode,
+                detail,
+                ..
+            }) => assert!(detail.contains("bad ShardRequest tag 19"), "{detail}"),
+            other => panic!("expected a typed decode error, got {other:?}"),
+        }
+        write_request(&mut stream, "test", &ShardRequest::Hello, 0).unwrap();
+        let (hello, _) = read_response(&mut stream, "test").unwrap();
+        assert_eq!(hello, ShardResponse::Info { generation: 0 });
+    }
+    assert!(RemoteShard::connect(addr.as_str()).is_ok(), "still serving");
+    drop(stream);
+    // Only the owner stops the server: the listener closes for good.
     server.shutdown();
     // A fresh client cannot connect and fails with the typed connect
     // fault after bounded retries — never a hang.
@@ -436,10 +455,7 @@ fn a_register_frame_with_a_duplicate_column_is_refused_typed() {
         // serves.
         write_request(&mut stream, "test", &ShardRequest::Hello, 0).unwrap();
         let (hello, _) = read_response(&mut stream, "test").unwrap();
-        assert!(
-            matches!(hello, ShardResponse::Info { generation: 0, .. }),
-            "{hello:?}"
-        );
+        assert_eq!(hello, ShardResponse::Info { generation: 0 });
     }
     server.shutdown();
 }
@@ -462,7 +478,7 @@ fn a_remote_batch_commits_as_one_generation_or_not_at_all() {
     let shards: [&mut dyn ShardBackend; 2] = [&mut remote, &mut local];
     let mut outcomes = Vec::new();
     for shard in shards {
-        let generation = |shard: &dyn ShardBackend| shard.reader().observe().unwrap().generation;
+        let generation = |shard: &dyn ShardBackend| shard.reader().generation().unwrap();
         let table = TableBuilder::new("t")
             .int_column("a", [3, 1, 2])
             .int_column("b", [9, 8, 7])
@@ -675,13 +691,6 @@ fn one_query_spec_answers_identically_on_every_surface() {
         want,
         "RemoteShard::run_spec"
     );
-    assert_eq!(
-        remote
-            .execute_batch(vec![Request::Query(spec.clone())])
-            .unwrap(),
-        [Ok(want)],
-        "remote BatchServer window"
-    );
     server.shutdown();
 
     // One `Query::run` and one `ResultSet` on every catalog: the plain
@@ -734,6 +743,14 @@ fn one_query_spec_answers_identically_on_every_surface() {
 // ---------------------------------------------------------------------
 // One request per routed shard: trips, co-location, generations, faults
 // ---------------------------------------------------------------------
+
+/// Rows of `table` on one shard: its filterless selection's RIDs.
+fn shard_rows(shard: &dyn ccindex::shard::ShardRead, table: &str) -> usize {
+    match shard.run_spec(&QuerySpec::table(table)).unwrap() {
+        ResultRows::Rids(rids) => rids.len(),
+        other => panic!("a selection answered {other:?}"),
+    }
+}
 
 /// Framed requests the servers have answered so far, summed.
 fn server_requests(servers: &[ShardServer]) -> u64 {
@@ -955,7 +972,7 @@ fn joins_match_for_every_placement_of_the_join_columns() {
                     db.partitioner()
                 );
                 if range && shards > 1 && outer_key == "cust" {
-                    assert_eq!(db.backend(1).reader().rows("orders").unwrap(), 0, "{label}");
+                    assert_eq!(shard_rows(db.backend(1).reader(), "orders"), 0, "{label}");
                 }
                 for (threads, lanes) in EXECS {
                     db.set_exec_options(exec_at((threads, lanes))).unwrap();
@@ -984,6 +1001,80 @@ fn joins_match_for_every_placement_of_the_join_columns() {
                 }
             }
         }
+    }
+}
+
+/// The coordinator registered every table, so it knows each one's
+/// columns: a non-key `replace_column` over loopback costs each shard
+/// exactly one request (its `Mutate`), and the validation errors —
+/// unknown table, then unknown column, then ragged column — are raised
+/// before any request leaves.
+#[test]
+fn a_sharded_replace_column_is_one_request_per_shard() {
+    let rows = 300;
+    let mut un = unsharded(rows);
+    let (mut db, servers) = distributed(rows, HashPartitioner::new(2).unwrap());
+    let requests = || -> Vec<u64> {
+        (servers.iter())
+            .map(|s| {
+                s.registry()
+                    .find_counter("server.requests")
+                    .expect("registered at bind")
+                    .get()
+            })
+            .collect()
+    };
+    let amounts: Vec<Value> = (0..rows)
+        .map(|i| Value::Int((i as i64 * 7) % 1_000))
+        .collect();
+    let before = requests();
+    let report = db
+        .replace_column("orders", "amount", amounts.clone())
+        .unwrap();
+    assert!(!report.repartitioned);
+    assert_eq!(requests(), before.iter().map(|n| n + 1).collect::<Vec<_>>());
+    un.replace_column("orders", "amount", amounts).unwrap();
+    let spec = QuerySpec::table("orders").filter(between("amount", 100, 300));
+    assert_eq!(db.run_spec(&spec).unwrap(), un.run_spec(&spec).unwrap());
+
+    let before = requests();
+    let ragged = vec![Value::Int(0); rows - 1];
+    let cases = [
+        (
+            "nosuch",
+            "nocol",
+            MmdbError::UnknownTable {
+                table: "nosuch".into(),
+            },
+        ),
+        (
+            "orders",
+            "nocol",
+            MmdbError::UnknownColumn {
+                table: "orders".into(),
+                column: "nocol".into(),
+            },
+        ),
+        (
+            "orders",
+            "amount",
+            MmdbError::RaggedColumn {
+                table: "orders".into(),
+                column: "amount".into(),
+                expected: rows,
+                got: rows - 1,
+            },
+        ),
+    ];
+    for (table, column, want) in cases {
+        let err = db
+            .replace_column(table, column, ragged.clone())
+            .unwrap_err();
+        assert_eq!(err, want);
+    }
+    assert_eq!(requests(), before, "no request for a refused replacement");
+    for server in servers {
+        server.shutdown();
     }
 }
 
@@ -1174,7 +1265,7 @@ fn hostile_exec_answers_like_the_default(hostile: ExecOptions) {
     assert_eq!(shard.run_spec(&spec.clone().exec(hostile)).unwrap(), want);
     shard.set_exec_options(hostile).unwrap();
     assert_eq!(shard.run_spec(&spec).unwrap(), want);
-    assert_eq!(shard.reader().rows("t").unwrap(), rows as usize);
+    assert_eq!(shard_rows(shard.reader(), "t"), rows as usize);
     drop(shard);
     server.shutdown();
 }
