@@ -16,11 +16,18 @@
 //! typed error.
 
 use crate::column::Column;
-use crate::domain::{DomainView, Value};
+use crate::domain::{DomainView, Ints, Value};
 use crate::error::{MmdbError, Result};
 use ccindex_common::prefetch;
 
 /// Supported aggregate functions over an `Int` measure column.
+///
+/// Every one is commutative and associative, so a fold's answer does not
+/// depend on the order its rows arrive in — a selection's or a worker
+/// partition's. `Count` and `Sum` add with wrapping (two's-complement)
+/// arithmetic to keep that true in every build: a checked `+` would
+/// panic on a partial sum that overflows in one order and not in
+/// another, and a release build wraps anyway.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggFn {
     /// Row count per group.
@@ -38,7 +45,7 @@ impl AggFn {
     /// aggregates (`Count` partials merge by addition like `Sum`).
     pub fn combine(self, acc: i64, v: i64) -> i64 {
         match self {
-            AggFn::Count | AggFn::Sum => acc + v,
+            AggFn::Count | AggFn::Sum => acc.wrapping_add(v),
             AggFn::Min => acc.min(v),
             AggFn::Max => acc.max(v),
         }
@@ -56,11 +63,11 @@ pub struct GroupRow {
 
 /// What an aggregation folds per row: `1` for `Count`, otherwise the
 /// row's value in an integer measure column, resolved once into the
-/// column's in-place IDs and its domain's typed array so that the per-row
-/// read is two slice loads.
+/// column's in-place IDs and its domain's typed values so that the
+/// per-row read is two slice loads (one and an add on a dense domain).
 #[derive(Debug, Clone, Copy)]
 pub struct Measure<'a> {
-    column: Option<(&'a [u32], &'a [i64])>,
+    column: Option<(&'a [u32], Ints<'a>)>,
 }
 
 impl<'a> Measure<'a> {
@@ -97,7 +104,7 @@ impl<'a> Measure<'a> {
     pub fn at(self, rid: u32) -> i64 {
         match self.column {
             None => 1,
-            Some((ids, ints)) => ints[ids[rid as usize] as usize],
+            Some((ids, ints)) => ints.get(ids[rid as usize]),
         }
     }
 
@@ -447,6 +454,60 @@ mod tests {
             assert_eq!(max[2].value, -39, "threads={threads}");
             assert_eq!(min[1].value, 4, "threads={threads}");
             assert_eq!(min[3].value, 38, "threads={threads}");
+        }
+    }
+
+    /// Whether a partial `Sum` overflows depends on the order the rows
+    /// fold in — a selection's `(id, rid)` order, a worker's partition —
+    /// so the fold wraps: a group of `i64::MAX, 1, -1` sums to `i64::MAX`
+    /// in every order at every thread count, through the operator and
+    /// through a grouped selection whose run is in RID order or not.
+    #[test]
+    fn sums_wrap_so_every_fold_order_answers_alike() {
+        use crate::{between, sum, CatalogRead, Database, ExecOptions, IndexKind, QuerySpec};
+        let amounts = [i64::MAX, 1, -1];
+        let t = TableBuilder::new("sales")
+            .int_column("g", [7; 3])
+            .int_column("amount", amounts)
+            .build()
+            .expect("equal-length columns");
+        let (g, amount) = (t.column("g").unwrap(), t.column("amount").unwrap());
+        let want = vec![GroupRow {
+            group: Value::Int(7),
+            value: i64::MAX,
+        }];
+        for order in [[0, 1, 2], [0, 2, 1], [1, 0, 2], [2, 1, 0]] {
+            let pairs = order.map(|r| (r, r));
+            for threads in [1, 2, 8] {
+                let got = over(g, Some(amount), &pairs, AggFn::Sum, threads);
+                assert_eq!(got, want, "{order:?} threads={threads}");
+            }
+        }
+        // The band over `k` drives in `(id, rid)` order: RID order, then
+        // its reverse.
+        for k in [[0, 1, 2], [2, 1, 0]] {
+            let mut db = Database::new();
+            let t = TableBuilder::new("sales")
+                .int_column("k", k)
+                .int_column("g", [7; 3])
+                .int_column("amount", amounts);
+            db.register(t.build().unwrap()).unwrap();
+            db.create_index("sales", "k", IndexKind::FullCss).unwrap();
+            for threads in [1, 2, 8] {
+                let spec = QuerySpec::table("sales")
+                    .filter(between("k", 0, 2))
+                    .group_by("g", sum("amount"))
+                    .exec(ExecOptions {
+                        threads,
+                        ..ExecOptions::default()
+                    });
+                let got = db.run_spec(&spec).unwrap();
+                assert_eq!(
+                    got,
+                    crate::ResultRows::Groups(want.clone()),
+                    "{k:?} {threads}"
+                );
+            }
         }
     }
 

@@ -13,6 +13,9 @@
 //! ranked, not sorted: one pass finds `min` and `max`, a second sets a
 //! presence bit per row in the ranked domain's lines, and each row's ID
 //! is then its value's rank in those lines — the rank a probe computes.
+//! When every bit is set the column holds every integer of its span: its
+//! domain is dense, just `(min, len)`, and each row's ID is its value
+//! minus `min`, with no rank and no value array.
 //! Every other column sorts `(value, rid)` pairs once — `(i64, u32)`
 //! pairs when every value is an `Int`, `(&Value, u32)` otherwise: the
 //! deduplicated key run *is* the sorted domain, and the rank of a row's
@@ -238,7 +241,7 @@ mod tests {
         // The sort path's domain: equal values, and the same arm.
         let sorted = Domain::from_values(values.to_vec());
         assert_eq!(col.domain(), &sorted);
-        assert_eq!(col.domain().is_ranked(), sorted.is_ranked());
+        assert_eq!(col.domain().arm(), sorted.arm());
         assert_eq!(col.ids(), ids);
         assert_eq!(rl.rids(), rids);
         assert_eq!(rl.expanded_ids(), keys);
@@ -266,7 +269,7 @@ mod tests {
 
     /// Both builds (the `one_sort_` names predate the rank path): a dense
     /// integer shape here (`0..300`, its reverse, the `% 11` repeats) is
-    /// ranked, the others sorted.
+    /// built by rank and takes the dense arm, the others are sorted.
     #[test]
     fn one_sort_build_matches_the_reference_on_edge_shapes() {
         let text = |i: i64| Value::Str(format!("k{:03}", i.rem_euclid(7)));
@@ -298,45 +301,56 @@ mod tests {
         }
     }
 
-    /// A dense integer column is ranked without a sort; these shapes sit
-    /// at each edge of that build: the arm rule on the distinct count, the
-    /// pre-check on the row count, and the ends of `i64`.
+    /// A dense-enough integer column is built by rank without a sort;
+    /// these shapes sit at each edge of that build: the arm rule on the
+    /// distinct count, the pre-check on the row count, every integer of
+    /// the span present or all but one, and the ends of `i64`.
     #[test]
     fn one_sort_build_matches_the_reference_on_rank_edges() {
-        let ranked = |values: &[Value]| {
+        let arm = |values: &[Value]| {
             assert_matches_reference(values);
-            Column::from_values(values).domain().is_ranked()
+            Column::from_values(values).domain().arm()
         };
         // The arm rule: 1,000 distinct values over 3,000 rows.
         let (d, rows) = (1_000, 3_000);
-        assert!(ranked(&spread(0, widest(d), d, rows)));
-        assert!(!ranked(&spread(0, widest(d) + 1, d, rows)));
+        assert_eq!(arm(&spread(0, widest(d), d, rows)), "ranked");
+        assert_eq!(arm(&spread(0, widest(d) + 1, d, rows)), "css");
         // The pre-check: spans the row count could rank over, but the
         // distinct count cannot, at the row count's limit and one past.
         assert!(widest(rows) > widest(d) + 1);
-        assert!(!ranked(&spread(0, widest(rows), d, rows)));
-        assert!(!ranked(&spread(0, widest(rows) + 1, d, rows)));
+        assert_eq!(arm(&spread(0, widest(rows), d, rows)), "css");
+        assert_eq!(arm(&spread(0, widest(rows) + 1, d, rows)), "css");
         // Every row distinct: the pre-check is the arm rule.
-        assert!(ranked(&spread(0, widest(rows), rows, rows)));
-        assert!(!ranked(&spread(0, widest(rows) + 1, rows, rows)));
+        assert_eq!(arm(&spread(0, widest(rows), rows, rows)), "ranked");
+        assert_eq!(arm(&spread(0, widest(rows) + 1, rows, rows)), "css");
         // One distinct value short of ranking: the smallest count whose
         // successor has a larger directory, over the successor's widest
         // span.
         let short = (9..).find(|&n| widest(n + 1) > widest(n)).unwrap();
-        assert!(!ranked(&spread(0, widest(short + 1), short, 4 * short)));
-        assert!(ranked(&spread(0, widest(short + 1), short + 1, 4 * short)));
-        // One value in many rows has no directory to replace.
-        assert!(!ranked(&ints([-3; 500])));
+        assert_eq!(arm(&spread(0, widest(short + 1), short, 4 * short)), "css");
+        assert_eq!(
+            arm(&spread(0, widest(short + 1), short + 1, 4 * short)),
+            "ranked"
+        );
+        // Every integer of the span in many rows is dense, one value
+        // included; one integer short of that stays ranked.
+        assert_eq!(arm(&ints([-3; 500])), "dense");
+        assert_eq!(arm(&spread(-700, 900, 900, 2_500)), "dense");
+        let mut short_of_dense = spread(-700, 900, 900, 2_500);
+        short_of_dense.retain(|v| *v != Value::Int(-650));
+        assert_eq!(arm(&short_of_dense), "ranked");
         // A negative `min`, and against each end of `i64`, where the
         // offsets from `min` wrap.
-        assert!(ranked(&spread(-700, 2_000, 900, 2_500)));
-        assert!(ranked(&spread(i64::MIN, 2_000, 900, 2_500)));
-        assert!(ranked(&spread(i64::MAX - 1_999, 2_000, 900, 2_500)));
+        assert_eq!(arm(&spread(-700, 2_000, 900, 2_500)), "ranked");
+        assert_eq!(arm(&spread(i64::MIN, 2_000, 900, 2_500)), "ranked");
+        assert_eq!(arm(&spread(i64::MAX - 1_999, 2_000, 900, 2_500)), "ranked");
+        assert_eq!(arm(&spread(i64::MIN, 900, 900, 2_500)), "dense");
+        assert_eq!(arm(&spread(i64::MAX - 899, 900, 900, 2_500)), "dense");
         // Both ends of `i64`: the span wraps to all of `u64`.
         let mut wide = spread(-450, 1_000, 1_000, 2_500);
         wide[7] = Value::Int(i64::MIN);
         wide[1_900] = Value::Int(i64::MAX);
-        assert!(!ranked(&wide));
+        assert_eq!(arm(&wide), "css");
     }
 
     proptest! {
@@ -344,7 +358,8 @@ mod tests {
 
         /// Narrow value ranges so duplicates are the rule; `shape` picks
         /// an all-`Int`, all-`Str` or mixed column. An all-`Int` column
-        /// with nine or more distinct values is ranked, fewer sorted.
+        /// holding every integer of its range is dense; else one with
+        /// nine or more distinct values is ranked, fewer sorted.
         #[test]
         fn one_sort_build_matches_the_reference(
             shape in 0u8..3,
@@ -378,7 +393,7 @@ mod tests {
             })
             .collect();
         assert_matches_reference(&uniform);
-        assert!(Column::from_values(&uniform).domain().is_ranked());
+        assert_eq!(Column::from_values(&uniform).domain().arm(), "ranked");
         uniform[17] = Value::Int(i64::MIN);
         uniform[ROWS as usize - 3] = Value::Int(i64::MAX);
         assert_matches_reference(&uniform);

@@ -13,8 +13,15 @@
 //! on the 4-byte IDs and lets every index in this workspace index IDs
 //! instead of (possibly variable-length) values.
 //!
-//! # Three representations, one canonical choice
+//! # Four representations, one canonical choice
 //!
+//! * **Dense** — every integer of `[min, max]`, and nothing else
+//!   (`distinct == max − min + 1`): just `(min, len)`, no array, no
+//!   lines, no directory. A value's ID is its offset from `min`, so
+//!   encoding is one range check and a subtraction, a bound is a clamp,
+//!   decoding is `min + id`, and translating IDs between two dense
+//!   domains is one add (the identity when they share `min`) — the array
+//!   offset a dense OLAP dimension member is.
 //! * **Typed** — every value is an [`Value::Int`] (the empty domain
 //!   included): a flat, cache-line-aligned sorted `i64` array, 8 bytes per
 //!   value, under a [`FullCssTree<i64, 8>`](css_tree::FullCssTree)
@@ -22,13 +29,13 @@
 //!   directory is built where the domain is built and never stored: it is
 //!   a deterministic function of the array, rebuilt in a millisecond or
 //!   two when a saved catalog is opened.
-//! * **Ranked** — a typed domain dense enough that one presence bit per
-//!   integer of `[min, max]` costs no more than the directory would: the
-//!   sorted `i64` values, under 64-byte lines that each hold the count
-//!   of domain values below the line (and three counts within it) and 448
-//!   presence bits. A value's ID is its rank — the counts plus the
-//!   popcount of at most two words — so a search reads one line instead
-//!   of descending. The rule is
+//! * **Ranked** — a typed domain with gaps, but dense enough that one
+//!   presence bit per integer of `[min, max]` costs no more than the
+//!   directory would: the sorted `i64` values, under 64-byte lines that
+//!   each hold the count of domain values below the line (and three
+//!   counts within it) and 448 presence bits. A value's ID is its rank —
+//!   the counts plus the popcount of at most two words — so a search
+//!   reads one line instead of descending. The rule is
 //!   `⌈span / 448⌉ · 64 ≤` the directory's bytes (`span = max − min + 1`):
 //!   the lines are never larger than the directory they replace. The
 //!   directory costs about a byte a value and a line a seventh of a byte
@@ -42,11 +49,12 @@
 //! (from rows, from a sort's key run, from a stored page). An integer
 //! domain is built one of two ways, under one arm rule and one header
 //! fill: from strictly increasing values (a sort's key run, a stored page,
-//! which is ranked again when it is opened), or straight from a column's
-//! rows, whose presence bits give the distinct count, the sorted values
-//! and every row's rank without a sort. The rows are tried only when their
-//! count could rank over their span; the directory never shrinks as
-//! values are added, so fewer distinct values could not.
+//! whose arm is chosen again when it is opened), or straight from a
+//! column's rows, whose presence bits give the distinct count, the sorted
+//! values and every row's rank without a sort — and, when every bit is
+//! set, show the domain dense, each row's ID its offset. The rows are
+//! tried only when their count could rank over their span; the directory
+//! never shrinks as values are added, so fewer distinct values could not.
 //!
 //! # The §2.2 searches
 //!
@@ -56,14 +64,15 @@
 //! on a typed domain both are `search`/`search_batch_lanes` calls on the
 //! CSS-tree, so the engine's dictionary lookups descend the structure the
 //! paper proposes instead of the binary search it beats; on a ranked
-//! domain each is one line's rank. It is the only search a probe makes:
+//! domain each is one line's rank, and on a dense one a subtraction. It
+//! is the only search a probe makes:
 //! an ID addresses its rows in the column's
 //! [`RidList`](crate::rid::RidList) directly. "We can process both
 //! equality and inequality tests on domain IDs directly" —
 //! [`Domain::id_range`] turns value bounds into ID bounds with the
 //! tree's `lower_bound`, and a batch of ranges
-//! resolves all of its endpoints in one batched descent (or one rank
-//! each). Enum order (`Int` before `Str`) is kept on every
+//! resolves all of its endpoints in one batched descent (or one rank or
+//! clamp each). Enum order (`Int` before `Str`) is kept on every
 //! representation: a `Str` probe sorts after every value of a typed
 //! domain, so it encodes to `None` and lower-bounds to `len`.
 
@@ -148,6 +157,31 @@ fn ranks(span_less_one: u64, distinct: usize) -> bool {
     (span_less_one / LINE_INTS + 1) * 64 <= CssLayout::full(distinct, 8).space_bytes(8) as u64
 }
 
+/// `v - min` if `v` lies in `[min, min + span)`. Below `min` the wrapped
+/// difference is `2^64 - (min - v) > max - min`, so one unsigned compare
+/// rejects both sides.
+#[inline]
+fn offset(min: i64, span: u64, v: i64) -> Option<u64> {
+    let off = (v as u64).wrapping_sub(min as u64);
+    (off < span).then_some(off)
+}
+
+/// The ID of `v` in the dense domain `[min, min + len)`: its offset.
+#[inline]
+pub(crate) fn dense_id(min: i64, len: usize, v: i64) -> Option<u32> {
+    offset(min, len as u64, v).map(|off| off as u32)
+}
+
+/// Each row's ID under `id`, in one fresh array; `None` if a row has
+/// none.
+fn row_ids(rows: &[Value], id: impl Fn(i64) -> Option<u32>) -> Option<Arc<[u32]>> {
+    let mut ids = zeroed(rows.len());
+    for (slot, row) in Arc::get_mut(&mut ids)?.iter_mut().zip(rows) {
+        *slot = id(int(row)?)?;
+    }
+    Some(ids)
+}
+
 impl Ranked {
     /// Blank lines over `[min, max]`, if `distinct` values there would
     /// rank.
@@ -164,7 +198,7 @@ impl Ranked {
     /// Mark `v` present, if it lies in the span.
     #[inline]
     fn insert(&mut self, v: i64) -> Option<()> {
-        let off = self.offset(v)?;
+        let off = offset(self.min, self.span, v)?;
         let bit = off % LINE_INTS;
         self.lines[(off / LINE_INTS) as usize].bits[(bit / 64) as usize] |= 1 << (bit % 64);
         Some(())
@@ -202,17 +236,22 @@ impl Ranked {
         Ok(ranked)
     }
 
-    /// The ranked domain of `rows`, every one an `Int` in `[min, max]`,
-    /// and each row's ID — its rank — if the domain ranks; no sort. The
-    /// lines are only allocated if `rows.len()` distinct values would
-    /// rank: the directory never shrinks as values are added, so fewer
-    /// could not.
-    fn from_rows(rows: &[Value], min: i64, max: i64) -> Option<(Self, Arc<[u32]>)> {
+    /// The dense or ranked domain of `rows`, every one an `Int` in
+    /// `[min, max]`, and each row's ID — its offset, or its rank — if the
+    /// domain is dense or ranks; no sort. The lines are only allocated if
+    /// `rows.len()` distinct values would rank: the directory never
+    /// shrinks as values are added, so fewer could not.
+    fn from_rows(rows: &[Value], min: i64, max: i64) -> Option<(Repr, Arc<[u32]>)> {
         let mut ranked = Self::blank(min, max, rows.len())?;
         for row in rows {
             ranked.insert(int(row)?)?;
         }
         let distinct = ranked.count();
+        if distinct as u64 == ranked.span {
+            // Every bit is set: each row's ID is its offset, no rank.
+            let ids = row_ids(rows, |v| dense_id(min, distinct, v))?;
+            return Some((Repr::Dense { min, len: distinct }, ids));
+        }
         if !ranks(ranked.span - 1, distinct) {
             return None;
         }
@@ -227,20 +266,8 @@ impl Ranked {
             }
         }
         ranked.ints = ints.into_boxed_slice();
-        let mut ids = zeroed(rows.len());
-        for (id, row) in Arc::get_mut(&mut ids)?.iter_mut().zip(rows) {
-            *id = ranked.encode(int(row)?)?;
-        }
-        Some((ranked, ids))
-    }
-
-    /// `v - min` if `v` lies in `[min, min + span)`. Below `min` the
-    /// wrapped difference is `2^64 - (min - v) > max - min`, so one
-    /// unsigned compare rejects both sides.
-    #[inline]
-    fn offset(&self, v: i64) -> Option<u64> {
-        let off = (v as u64).wrapping_sub(self.min as u64);
-        (off < self.span).then_some(off)
+        let ids = row_ids(rows, |v| ranked.encode(v))?;
+        Some((Repr::Ranked(Arc::new(ranked)), ids))
     }
 
     /// The number of domain values below `min + off`, and whether
@@ -265,13 +292,13 @@ impl Ranked {
 
     #[inline]
     fn encode(&self, v: i64) -> Option<u32> {
-        let (id, present) = self.rank(self.offset(v)?);
+        let (id, present) = self.rank(offset(self.min, self.span, v)?);
         present.then_some(id)
     }
 
     #[inline]
     fn lower_bound(&self, v: i64) -> u32 {
-        match self.offset(v) {
+        match offset(self.min, self.span, v) {
             Some(off) => self.rank(off).0,
             None if v < self.min => 0,
             None => self.ints.len() as u32,
@@ -311,7 +338,7 @@ impl Ranked {
 ///
 /// Domain IDs are dense `0..len` integers in value order. Cloning shares
 /// the dictionary (and its directory or rank lines); see the [module
-/// docs](self) for the three representations.
+/// docs](self) for the four representations.
 #[derive(Debug, Clone)]
 pub struct Domain {
     repr: Repr,
@@ -319,34 +346,57 @@ pub struct Domain {
 
 #[derive(Debug, Clone)]
 enum Repr {
+    /// Every integer of `[min, min + len)`, `len >= 1`: nothing stored.
+    Dense { min: i64, len: usize },
     /// All `Int` (or empty): the tree owns the flat sorted array.
     Int(Arc<IntDirectory>),
-    /// All `Int`, dense enough that its rank lines fit in the directory's
-    /// bytes.
+    /// All `Int`, not dense but dense enough that its rank lines fit in
+    /// the directory's bytes.
     Ranked(Arc<Ranked>),
     /// Sorted, deduplicated, with at least one `Str`.
     Generic(Arc<[Value]>),
 }
 
-/// A domain's values as its representation stores them, for the callers
-/// inside the crate that work on the typed array directly (the measure
-/// scan, the storage writer).
+/// A domain's values as its representation holds them, for the callers
+/// inside the crate that read them by ID (the measure scan, the storage
+/// writer, the join translation).
+#[derive(Clone, Copy, PartialEq)]
 pub(crate) enum DomainView<'a> {
-    /// A typed domain's flat sorted array.
-    Int(&'a [i64]),
+    /// A typed domain's values.
+    Int(Ints<'a>),
     /// A generic domain's sorted values.
     Generic(&'a [Value]),
 }
 
+/// A typed domain's values, stored or computed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Ints<'a> {
+    /// A CSS or ranked domain's flat sorted array.
+    Sorted(&'a [i64]),
+    /// A dense domain: every integer of `[min, min + len)`.
+    Dense { min: i64, len: usize },
+}
+
+impl Ints<'_> {
+    /// The value of ID `id`; an ID past the end panics on either arm.
+    #[inline]
+    pub(crate) fn get(self, id: u32) -> i64 {
+        match self {
+            Ints::Sorted(ints) => ints[id as usize],
+            Ints::Dense { min, len } => {
+                assert!((id as usize) < len, "domain ID {id} of {len}");
+                min + i64::from(id)
+            }
+        }
+    }
+}
+
+/// Canonical representations: the arm is a function of the values, so
+/// two domains are equal when their views are — the same arm over the
+/// same values (a dense domain's are its `(min, len)`).
 impl PartialEq for Domain {
     fn eq(&self, other: &Self) -> bool {
-        match (self.view(), other.view()) {
-            (DomainView::Int(a), DomainView::Int(b)) => a == b,
-            (DomainView::Generic(a), DomainView::Generic(b)) => a == b,
-            // Canonical representations: an all-`Int` domain is never
-            // generic, so differing representations differ in values.
-            _ => false,
-        }
+        self.view() == other.view()
     }
 }
 
@@ -403,26 +453,31 @@ impl Domain {
 
     /// A typed domain over `ints`, which the caller has proven strictly
     /// increasing (a sort's deduplicated key run, a validated page).
-    /// Ranked when its lines fit in the directory's bytes, else under a
-    /// CSS directory.
+    /// Dense when they are every integer of their range; else ranked when
+    /// its lines fit in the directory's bytes, else under a CSS directory.
     pub(crate) fn from_sorted_ints(ints: Vec<i64>) -> Self {
         debug_assert!(ints.windows(2).all(|w| w[0] < w[1]));
-        let repr = Ranked::fitting(ints).map_or_else(directory, |r| Repr::Ranked(Arc::new(r)));
+        // Strictly increasing, so `max - min + 1 >= len`, equal iff dense.
+        let dense = (ints.first().zip(ints.last()))
+            .is_some_and(|(&min, &max)| max.abs_diff(min) == ints.len() as u64 - 1);
+        let repr = match ints.first() {
+            Some(&min) if dense => Repr::Dense {
+                min,
+                len: ints.len(),
+            },
+            _ => Ranked::fitting(ints).map_or_else(directory, |r| Repr::Ranked(Arc::new(r))),
+        };
         Self { repr }
     }
 
-    /// The ranked domain of `rows` — every one an `Int` in `[min, max]`
-    /// — and each row's ID, if the domain ranks: what
+    /// The dense or ranked domain of `rows` — every one an `Int` in
+    /// `[min, max]` — and each row's ID: what
     /// [`Domain::from_sorted_ints`] would choose over their sorted
-    /// distinct values, built without sorting. `None` otherwise.
+    /// distinct values, built without sorting. `None` if the domain is
+    /// neither.
     pub(crate) fn ranked_rows(rows: &[Value], min: i64, max: i64) -> Option<(Self, Arc<[u32]>)> {
-        let (ranked, ids) = Ranked::from_rows(rows, min, max)?;
-        Some((
-            Self {
-                repr: Repr::Ranked(Arc::new(ranked)),
-            },
-            ids,
-        ))
+        let (repr, ids) = Ranked::from_rows(rows, min, max)?;
+        Some((Self { repr }, ids))
     }
 
     /// A generic domain over `values`, which the caller has proven
@@ -436,11 +491,12 @@ impl Domain {
         }
     }
 
-    /// The values, as this domain's representation stores them.
+    /// The values, as this domain's representation holds them.
     pub(crate) fn view(&self) -> DomainView<'_> {
         match &self.repr {
-            Repr::Int(tree) => DomainView::Int(tree.array().as_slice()),
-            Repr::Ranked(ranked) => DomainView::Int(&ranked.ints),
+            &Repr::Dense { min, len } => DomainView::Int(Ints::Dense { min, len }),
+            Repr::Int(tree) => DomainView::Int(Ints::Sorted(tree.array().as_slice())),
+            Repr::Ranked(ranked) => DomainView::Int(Ints::Sorted(&ranked.ints)),
             Repr::Generic(values) => DomainView::Generic(values),
         }
     }
@@ -448,13 +504,14 @@ impl Domain {
     /// Whether every value is an `Int` (true of the empty domain) — a
     /// property of the representation, so O(1).
     pub fn is_int(&self) -> bool {
-        matches!(self.repr, Repr::Int(_) | Repr::Ranked(_))
+        !matches!(self.repr, Repr::Generic(_))
     }
 
     /// Number of distinct values.
     pub fn len(&self) -> usize {
         match self.view() {
-            DomainView::Int(ints) => ints.len(),
+            DomainView::Int(Ints::Dense { len, .. }) => len,
+            DomainView::Int(Ints::Sorted(ints)) => ints.len(),
             DomainView::Generic(values) => values.len(),
         }
     }
@@ -465,14 +522,16 @@ impl Domain {
     }
 
     /// Domain ID of `value`, if present — §2.2's "searching on the
-    /// domain": a CSS-tree descent on a typed domain, one line's rank on
-    /// a ranked one, a binary search on a generic one.
+    /// domain": an offset on a dense domain, a CSS-tree descent on a
+    /// typed one, one line's rank on a ranked one, a binary search on a
+    /// generic one.
     pub fn encode(&self, value: &Value) -> Option<u32> {
         match (&self.repr, value) {
+            (&Repr::Dense { min, len }, &Value::Int(v)) => dense_id(min, len, v),
             (Repr::Int(tree), Value::Int(v)) => tree.search(*v).map(|pos| pos as u32),
             (Repr::Ranked(ranked), Value::Int(v)) => ranked.encode(*v),
-            (Repr::Int(_) | Repr::Ranked(_), Value::Str(_)) => None,
             (Repr::Generic(values), _) => values.binary_search(value).ok().map(|i| i as u32),
+            (_, Value::Str(_)) => None,
         }
     }
 
@@ -483,10 +542,10 @@ impl Domain {
     /// the domain" (§2.2), and the query operators transform constants by
     /// the batch. A typed domain answers with one `search_batch_lanes`
     /// over its directory; a ranked domain ranks each probe, `lanes`
-    /// lines prefetched ahead; a generic domain runs as many interleaved
-    /// bisections. Probes may be owned or borrowed
-    /// (`&[Value]` or `&[&Value]`), so a caller whose probes already live
-    /// in another dictionary clones nothing.
+    /// lines prefetched ahead; a dense one subtracts; a generic domain
+    /// runs as many interleaved bisections. Probes may be owned or
+    /// borrowed (`&[Value]` or `&[&Value]`), so a caller whose probes
+    /// already live in another dictionary clones nothing.
     pub fn encode_batch<V: Borrow<Value>>(&self, values: &[V]) -> Vec<Option<u32>> {
         self.encode_batch_lanes(values, DEFAULT_BATCH_LANES)
     }
@@ -499,6 +558,7 @@ impl Domain {
         lanes: usize,
     ) -> Vec<Option<u32>> {
         match &self.repr {
+            Repr::Dense { .. } => values.iter().map(|v| self.encode(v.borrow())).collect(),
             Repr::Int(tree) => {
                 // `Str` probes sort after every `Int`: absent, unprobed.
                 let ints: Vec<i64> = values
@@ -527,23 +587,36 @@ impl Domain {
         }
     }
 
+    /// `(min, len)` if this domain is dense.
+    pub(crate) fn dense(&self) -> Option<(i64, usize)> {
+        match self.repr {
+            Repr::Dense { min, len } => Some((min, len)),
+            _ => None,
+        }
+    }
+
     /// The IDs in `other` of this domain's values at `ids` (`None` where
     /// `other` lacks the value) — the join's outer→inner translation.
-    /// Between two typed domains the probes are a gather of `i64`s, which
+    /// Between typed domains the probes are a gather of `i64`s, which
     /// take the CSS-tree's interleaved batch descent (`search_ints`) like
-    /// every other probe batch, and into a ranked domain they are ranked,
-    /// `lanes` lines prefetched ahead; a generic source lends its values
-    /// by reference.
+    /// every other probe batch; into a ranked domain they are ranked,
+    /// `lanes` lines prefetched ahead; into a dense one each is a
+    /// subtraction — from a dense one, `id + (a.min − b.min)` with a
+    /// bounds check; a generic source lends its values by reference.
     pub(crate) fn translate(&self, ids: &[u32], other: &Domain, lanes: usize) -> Vec<Option<u32>> {
         match (self.view(), &other.repr) {
+            (DomainView::Int(ints), &Repr::Dense { min, len }) => ids
+                .iter()
+                .map(|&id| dense_id(min, len, ints.get(id)))
+                .collect(),
             (DomainView::Int(ints), Repr::Int(tree)) => {
-                let probes: Vec<i64> = ids.iter().map(|&id| ints[id as usize]).collect();
+                let probes: Vec<i64> = ids.iter().map(|&id| ints.get(id)).collect();
                 search_ints(tree, &probes, lanes).collect()
             }
             (DomainView::Int(ints), Repr::Ranked(ranked)) => ranked.each(
                 ids,
                 lanes,
-                |&id| Some(ints[id as usize]),
+                |&id| Some(ints.get(id)),
                 |v| v.and_then(|v| ranked.encode(v)),
             ),
             (DomainView::Int(_), Repr::Generic(_)) => other.encode_batch(&self.decode_batch(ids)),
@@ -567,10 +640,11 @@ impl Domain {
 
     /// [`Domain::id_range`] for a whole batch of ranges, from one batched
     /// lower bound over every range's two endpoints: the first ID
-    /// `>= lo` and the first ID `> hi`, which on a typed or ranked domain
-    /// is the lower bound of `hi + 1`. A `Str` endpoint sorts after every
-    /// `Int`, and `i64::MAX` has no successor, so such an endpoint
-    /// resolves to `len` unprobed.
+    /// `>= lo` and the first ID `> hi`, which on a typed, ranked or dense
+    /// domain is the lower bound of `hi + 1` (on a dense one, the
+    /// endpoint's offset clamped to `0..=len`). A `Str` endpoint sorts
+    /// after every `Int`, and `i64::MAX` has no successor, so such an
+    /// endpoint resolves to `len` unprobed.
     pub(crate) fn id_ranges(
         &self,
         ranges: &[(&Value, &Value)],
@@ -584,6 +658,13 @@ impl Domain {
                 .collect()
         };
         let bounds: Vec<usize> = match &self.repr {
+            &Repr::Dense { min, len } => (endpoints().into_iter())
+                .map(|e| {
+                    e.map_or(len, |v| {
+                        (i128::from(v) - i128::from(min)).clamp(0, len as i128) as usize
+                    })
+                })
+                .collect(),
             Repr::Int(tree) => {
                 let endpoints = endpoints();
                 let probes: Vec<i64> = endpoints.iter().flatten().copied().collect();
@@ -620,7 +701,7 @@ impl Domain {
     /// holds no `Value` to lend).
     pub fn decode(&self, id: u32) -> Value {
         match self.view() {
-            DomainView::Int(ints) => Value::Int(ints[id as usize]),
+            DomainView::Int(ints) => Value::Int(ints.get(id)),
             DomainView::Generic(values) => values[id as usize].clone(),
         }
     }
@@ -628,27 +709,27 @@ impl Domain {
     /// Decoded values for a whole batch of IDs; `out[i]` is
     /// `decode(ids[i])` — the inverse of [`Domain::encode_batch`].
     ///
-    /// Decoding is a plain array gather (no search), so unlike encoding it
-    /// needs no interleaving; the batch form exists so result sets can
-    /// surface decoded values in one call instead of a per-row `decode`.
+    /// Decoding is a plain array gather, or `min + id` on a dense domain
+    /// (no search), so unlike encoding it needs no interleaving; the
+    /// batch form exists so result sets can surface decoded values in one
+    /// call instead of a per-row `decode`.
     pub fn decode_batch(&self, ids: &[u32]) -> Vec<Value> {
         match self.view() {
-            DomainView::Int(ints) => ids
-                .iter()
-                .map(|&id| Value::Int(ints[id as usize]))
-                .collect(),
+            DomainView::Int(ints) => ids.iter().map(|&id| Value::Int(ints.get(id))).collect(),
             DomainView::Generic(values) => {
                 ids.iter().map(|&id| values[id as usize].clone()).collect()
             }
         }
     }
 
-    /// Heap footprint of the dictionary in bytes: 8 per value plus the
+    /// Heap footprint of the dictionary in bytes: none for a dense
+    /// domain, whose `(min, len)` live inline; 8 per value plus the
     /// directory for a typed domain, or plus its rank lines (never more)
     /// for a ranked one; the enum slots plus the string bytes for a
     /// generic one.
     pub fn size_bytes(&self) -> usize {
         match &self.repr {
+            Repr::Dense { .. } => 0,
             Repr::Int(tree) => tree.array().size_bytes() + tree.space().indirect_bytes,
             Repr::Ranked(ranked) => {
                 ranked.ints.len() * 8 + ranked.lines.len() * core::mem::size_of::<RankLine>()
@@ -712,9 +793,23 @@ impl Domain {
         }
     }
 
-    /// Whether this domain took the ranked arm.
-    pub(crate) fn is_ranked(&self) -> bool {
-        matches!(self.repr, Repr::Ranked(_))
+    /// The ranked arm over strictly increasing `ints` whose lines fit,
+    /// however dense — what the dense arm is checked against.
+    pub(crate) fn ranked(ints: Vec<i64>) -> Option<Self> {
+        let ranked = Ranked::fitting(ints).ok()?;
+        Some(Self {
+            repr: Repr::Ranked(Arc::new(ranked)),
+        })
+    }
+
+    /// The arm this domain took.
+    pub(crate) fn arm(&self) -> &'static str {
+        match self.repr {
+            Repr::Dense { .. } => "dense",
+            Repr::Int(_) => "css",
+            Repr::Ranked(_) => "ranked",
+            Repr::Generic(_) => "generic",
+        }
     }
 }
 
@@ -864,7 +959,7 @@ mod tests {
     fn representation_follows_the_values() {
         let [int, css, string, mixed] = representations().map(|(d, _)| d);
         assert!(int.is_int() && css.is_int() && !string.is_int() && !mixed.is_int());
-        assert!(int.is_ranked() && !css.is_ranked());
+        assert_eq!([int.arm(), css.arm()], ["ranked", "css"]);
         assert!(Domain::from_values(vec![]).is_int(), "empty is typed");
         // The arm is how the values are searched, not what they are.
         assert_eq!(int, css);
@@ -1010,7 +1105,7 @@ mod tests {
         let source = Domain::from_values((0..5_000).map(|i| Value::Int(i * 2)).collect());
         let ranked = Domain::from_values((0..4_000).map(|i| Value::Int(i * 3 - 600)).collect());
         let sparse = Domain::from_values((0..4_000).map(|i| Value::Int(i * 13 - 600)).collect());
-        assert!(ranked.is_ranked() && !sparse.is_ranked());
+        assert_eq!([ranked.arm(), sparse.arm()], ["ranked", "css"]);
         let n = source.len() as u32;
         let dense: Vec<u32> = (0..n).collect();
         let sparse_ids: Vec<u32> = (0..n).filter(|id| id % 100 == 37).collect();
@@ -1036,14 +1131,25 @@ mod tests {
 
     #[test]
     fn size_bytes_counts_the_typed_array_and_its_directory() {
-        // Every integer of its range: 8 bytes a value, plus a line per 448.
-        let dense = Domain::from_values((0..10_000).map(Value::Int).collect());
-        assert!(dense.is_ranked());
-        assert_eq!(dense.size_bytes(), 80_000 + 10_000usize.div_ceil(448) * 64);
+        // Every integer of its range: `(min, len)` inline, nothing on the
+        // heap, however long.
+        for len in [1, 10_000, 1 << 20] {
+            let dense = Domain::from_sorted_ints((-7..len - 7).collect());
+            assert_eq!((dense.arm(), dense.size_bytes()), ("dense", 0), "{len}");
+        }
+        // Every integer but one: 8 bytes a value, plus a line per 448.
+        let ranked = Domain::from_values(
+            (0..10_001)
+                .filter(|&v| v != 5_000)
+                .map(Value::Int)
+                .collect(),
+        );
+        assert_eq!(ranked.arm(), "ranked");
+        assert_eq!(ranked.size_bytes(), 80_000 + 10_001usize.div_ceil(448) * 64);
         // A tenth full: 8 bytes a value, plus a directory of about an
         // eighth of that.
         let sparse = Domain::from_values((0..10_000).map(|i| Value::Int(i * 10)).collect());
-        assert!(!sparse.is_ranked());
+        assert_eq!(sparse.arm(), "css");
         let bytes = sparse.size_bytes();
         assert!((80_000..80_000 * 5 / 4).contains(&bytes), "{bytes}");
         let strings = Domain::from_values(vec!["ab".into(), "c".into()]);
@@ -1058,22 +1164,29 @@ mod tests {
         assert_eq!(d.id_range(&Value::Int(5), &Value::Int(1)), None);
     }
 
-    /// A domain's ranked and CSS arms over the same `ints`, the ranked one
-    /// checked to be what `from_sorted_ints` chose.
-    fn both_arms(ints: &[i64]) -> [Domain; 2] {
-        let ranked = Domain::from_sorted_ints(ints.to_vec());
-        assert!(
-            ranked.is_ranked(),
-            "{} values in [{}, {}]",
-            ints.len(),
-            ints[0],
-            ints[ints.len() - 1]
+    /// A domain's integer arms over the same `ints`: the one
+    /// `from_sorted_ints` chose (checked to be dense exactly when `ints`
+    /// is every integer of its range, else ranked), the ranked one too
+    /// when that was dense, and last the CSS one.
+    fn int_arms(ints: &[i64]) -> Vec<Domain> {
+        let chosen = Domain::from_sorted_ints(ints.to_vec());
+        let dense = ints.windows(2).all(|w| w[1] - w[0] == 1);
+        assert_eq!(
+            chosen.arm(),
+            ["ranked", "dense"][dense as usize],
+            "{ints:?}"
         );
-        [ranked, Domain::css(ints.to_vec())]
+        let ranked = dense.then(|| Domain::ranked(ints.to_vec()).expect("dense ints rank"));
+        [chosen]
+            .into_iter()
+            .chain(ranked)
+            .chain([Domain::css(ints.to_vec())])
+            .collect()
     }
 
-    /// Value sets for the ranked arm: every integer, a negative `min`,
-    /// irregular gaps, and against each end of `i64`.
+    /// Value sets for the dense and ranked arms: every integer, a
+    /// negative `min`, irregular gaps, and against each end of `i64`, at
+    /// stride 2 and at stride 1.
     fn ranked_sets() -> Vec<Vec<i64>> {
         vec![
             (0..1_000).collect(),
@@ -1083,6 +1196,9 @@ mod tests {
                 .collect(),
             (0..1_500).map(|i| i64::MIN + i * 2).collect(),
             (0..1_500).rev().map(|i| i64::MAX - i * 2).collect(),
+            (-300..700).collect(),
+            (0..1_500).map(|i| i64::MIN + i).collect(),
+            (0..1_500).rev().map(|i| i64::MAX - i).collect(),
         ]
     }
 
@@ -1112,23 +1228,31 @@ mod tests {
     #[test]
     fn ranked_and_css_arms_agree_on_every_search() {
         for ints in ranked_sets() {
-            let [ranked, css] = both_arms(&ints);
+            let mut arms = int_arms(&ints);
+            let css = arms.pop().expect("the CSS arm comes last");
             let probes = arm_probes(&ints);
             // One at a time, every integer of the range too.
             let min = ints[0];
             let every = (0..=ints[ints.len() - 1].abs_diff(min))
                 .filter_map(|off| min.checked_add_unsigned(off))
                 .map(Value::Int);
-            for probe in probes.iter().cloned().chain(every) {
+            for (probe, arm) in probes
+                .iter()
+                .cloned()
+                .chain(every)
+                .flat_map(|p| arms.iter().map(move |a| (p.clone(), a)))
+            {
                 assert_eq!(
-                    ranked.encode(&probe),
+                    arm.encode(&probe),
                     css.encode(&probe),
-                    "encode {probe:?}"
+                    "encode {probe:?} on {}",
+                    arm.arm()
                 );
                 assert_eq!(
-                    lower_bound_id(&ranked, &probe),
+                    lower_bound_id(arm, &probe),
                     lower_bound_id(&css, &probe),
-                    "lower_bound_id {probe:?}"
+                    "lower_bound_id {probe:?} on {}",
+                    arm.arm()
                 );
             }
             let want = css.encode_batch(&probes);
@@ -1145,20 +1269,15 @@ mod tests {
             let want_ranges = css.id_ranges(&ranges, 8);
             for lanes in [1, 3, 8] {
                 assert_eq!(
-                    ranked.encode_batch_lanes(&probes, lanes),
-                    want,
-                    "lanes={lanes}"
-                );
-                assert_eq!(
                     css.encode_batch_lanes(&probes, lanes),
                     want,
                     "lanes={lanes}"
                 );
-                assert_eq!(
-                    ranked.id_ranges(&ranges, lanes),
-                    want_ranges,
-                    "lanes={lanes}"
-                );
+                for arm in &arms {
+                    let at = format!("{} lanes={lanes}", arm.arm());
+                    assert_eq!(arm.encode_batch_lanes(&probes, lanes), want, "{at}");
+                    assert_eq!(arm.id_ranges(&ranges, lanes), want_ranges, "{at}");
+                }
             }
         }
     }
@@ -1167,36 +1286,44 @@ mod tests {
     fn a_wrapped_offset_never_lands_in_the_bitmap() {
         // Against `i64::MAX`, `i64::MIN - min` wraps to exactly the span;
         // against `i64::MIN`, every probe above the domain lies past it.
+        // The same holds of a dense domain's offset, at stride 1.
         let sets = ranked_sets();
-        let [low, high] = [&sets[3], &sets[4]];
-        for d in both_arms(high) {
-            for v in [i64::MIN, i64::MIN + 1, i64::MIN + 2_999] {
-                assert_eq!(d.encode(&Value::Int(v)), None);
-                assert_eq!(lower_bound_id(&d, &Value::Int(v)), 0);
+        for high in [&sets[4], &sets[7]] {
+            for d in int_arms(high) {
+                for v in [i64::MIN, i64::MIN + 1, i64::MIN + 2_999] {
+                    assert_eq!(d.encode(&Value::Int(v)), None);
+                    assert_eq!(lower_bound_id(&d, &Value::Int(v)), 0);
+                }
+                assert_eq!(d.encode(&Value::Int(i64::MAX)), Some(1_499));
             }
-            assert_eq!(d.encode(&Value::Int(i64::MAX)), Some(1_499));
         }
-        for d in both_arms(low) {
-            for v in [i64::MAX, 0, i64::MIN + 2_999, i64::MIN + 3_000] {
-                assert_eq!(d.encode(&Value::Int(v)), None);
-                assert_eq!(lower_bound_id(&d, &Value::Int(v)), 1_500);
+        for low in [&sets[3], &sets[6]] {
+            for d in int_arms(low) {
+                for v in [i64::MAX, 0, i64::MIN + 2_999, i64::MIN + 3_000] {
+                    assert_eq!(d.encode(&Value::Int(v)), None);
+                    assert_eq!(lower_bound_id(&d, &Value::Int(v)), 1_500);
+                }
+                assert_eq!(d.encode(&Value::Int(i64::MIN)), Some(0));
             }
-            assert_eq!(d.encode(&Value::Int(i64::MIN)), Some(0));
         }
     }
 
     #[test]
     fn translate_agrees_between_every_pair_of_arms() {
-        // Each set on the ranked, CSS and generic arm (the same integers
-        // beside a `Str`), translated into each other set on each arm.
+        // Each set on each integer arm and the generic one (the same
+        // integers beside a `Str`), translated into each other set on
+        // each arm: dense to dense at equal and different `min`s, with
+        // partial overlap, and between the ends of `i64`, where the
+        // shift wraps.
         let arms = |ints: &[i64]| {
             let mut values: Vec<Value> = ints.iter().copied().map(Value::Int).collect();
             values.push("z".into());
-            let [ranked, css] = both_arms(ints);
-            [ranked, css, Domain::from_values(values)]
+            let mut arms = int_arms(ints);
+            arms.push(Domain::from_values(values));
+            arms
         };
         let sets = ranked_sets();
-        let domains: Vec<[Domain; 3]> = sets[..3].iter().map(|ints| arms(ints)).collect();
+        let domains: Vec<Vec<Domain>> = [0, 1, 2, 5, 6, 7].map(|i| arms(&sets[i])).into();
         for sources in &domains {
             for source in sources {
                 let ids: Vec<u32> = (0..source.len() as u32).filter(|id| id % 3 != 1).collect();
@@ -1222,19 +1349,32 @@ mod tests {
             (0..n).map(|i| (i * (span - 1) / (n - 1)) as i64).collect()
         };
         let at = spread(directory / 64 * 448);
-        assert!(Domain::from_sorted_ints(at.clone()).is_ranked());
+        assert_eq!(Domain::from_sorted_ints(at.clone()).arm(), "ranked");
         let over = spread(directory / 64 * 448 + 1);
-        assert!(!Domain::from_sorted_ints(over).is_ranked());
+        assert_eq!(Domain::from_sorted_ints(over).arm(), "css");
         // That directory is the one the CSS arm builds and reports.
         assert_eq!(Domain::css(at).size_bytes(), n * 8 + directory);
-        // Eight values or fewer have no directory to replace.
-        assert!(!Domain::from_sorted_ints((0..8).collect()).is_ranked());
-        assert!(Domain::from_sorted_ints((0..9).collect()).is_ranked());
+        // Eight values or fewer have no directory to replace; every
+        // integer of a range is dense, however few.
+        let gapped = |n: i64| Domain::from_sorted_ints((0..=n).filter(|&v| v != 1).collect());
+        assert_eq!([gapped(8).arm(), gapped(9).arm()], ["css", "ranked"]);
+        for n in [1, 8, 9] {
+            assert_eq!(Domain::from_sorted_ints((0..n).collect()).arm(), "dense");
+        }
         // `conjunction_oracle`'s cross-arm domains: 64 integers at stride
-        // 1, 4 and 20.
-        let strided =
-            |stride: i64| Domain::from_sorted_ints((0..64).map(|x| x * stride - 40).collect());
-        assert!(strided(1).is_ranked() && strided(4).is_ranked() && !strided(20).is_ranked());
+        // 1 (from two `min`s), 4 and 20.
+        let strided = |stride: i64, min: i64| {
+            Domain::from_sorted_ints((0..64).map(|x| x * stride + min).collect()).arm()
+        };
+        assert_eq!(
+            [
+                strided(1, -40),
+                strided(1, -10),
+                strided(4, -40),
+                strided(20, -40)
+            ],
+            ["dense", "dense", "ranked", "css"]
+        );
     }
 
     #[test]
@@ -1270,9 +1410,9 @@ mod tests {
     #[test]
     fn engine_mix_dimensions_are_ranked_and_serve_small_keys_are_not() {
         // `orders.cust`, `customers.id` and `orders.amount` hold every
-        // integer of their range.
+        // integer of their range: dense.
         for len in [100_000, 10_000] {
-            assert!(Domain::from_sorted_ints((0..len).collect()).is_ranked());
+            assert_eq!(Domain::from_sorted_ints((0..len).collect()).arm(), "dense");
         }
         // 64k uniform `u32` keys spread over 2^32 integers.
         let mut next = xorshift(0x5eed);
@@ -1280,7 +1420,7 @@ mod tests {
             .map(|_| Value::Int(next() as u32 as i64))
             .collect();
         let keys = Domain::from_values(keys);
-        assert!(keys.is_int() && !keys.is_ranked());
+        assert_eq!(keys.arm(), "css");
     }
 
     #[test]
@@ -1294,11 +1434,16 @@ mod tests {
                 .collect();
             crate::column::Column::from_values(&values).domain().clone()
         };
-        // `key` is uniform in `[0, 2n)`: about 39 % of its integers.
+        // `key` is uniform in `[0, 2n)`: about 39 % of its integers,
+        // ranked. `cust` and `amount` draw every integer of theirs, and
+        // `customers.id` is `0..100k`: dense.
         let key = column(2 * ROWS);
         assert!((1_500_000..1_650_000).contains(&key.len()), "{}", key.len());
-        for d in [key, column(100_000), column(10_000)] {
-            assert!(d.is_ranked(), "{} values", d.len());
+        assert_eq!(key.arm(), "ranked");
+        let id =
+            crate::column::Column::from_values(&(0..100_000).map(Value::Int).collect::<Vec<_>>());
+        for d in [column(100_000), column(10_000), id.domain().clone()] {
+            assert_eq!(d.arm(), "dense", "{} values", d.len());
         }
     }
 

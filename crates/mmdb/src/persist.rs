@@ -371,7 +371,9 @@ fn encode_domain(domain: &Domain) -> Vec<u8> {
     let mut w = ByteWriter::with_capacity(4 + domain.len() * 9);
     w.u32(domain.len() as u32);
     match domain.view() {
-        DomainView::Int(ints) => ints.iter().for_each(|&i| put_value(&mut w, &Value::Int(i))),
+        DomainView::Int(ints) => {
+            (0..domain.len() as u32).for_each(|id| put_value(&mut w, &Value::Int(ints.get(id))))
+        }
         DomainView::Generic(values) => values.iter().for_each(|v| put_value(&mut w, v)),
     }
     w.into_bytes()
@@ -580,8 +582,9 @@ mod tests {
     }
 
     /// Open re-detects each integer arm from the stored values: a column
-    /// holding every integer of its range comes back ranked, one a
-    /// twentieth full under its CSS directory — through save → open and
+    /// holding every integer of its range comes back dense, one holding
+    /// every other integer ranked, one a twentieth full under its CSS
+    /// directory — through save → open and
     /// through a snapshot transfer — answering every point and range
     /// probe as the source does and saving the same bytes again.
     #[test]
@@ -591,12 +594,13 @@ mod tests {
         db.register(
             TableBuilder::new("t")
                 .int_column("dense", (0..3_000).map(|r| r * 7 % 2_000))
+                .int_column("ranked", (0..3_000).map(|r| r * 7 % 2_000 * 2 - 1))
                 .int_column("sparse", (0..3_000).map(|r| r * 7 % 2_000 * 20 - 9_000))
                 .build()
                 .expect("equal columns"),
         )
         .expect("fresh name");
-        for column in ["dense", "sparse"] {
+        for column in ["dense", "ranked", "sparse"] {
             db.create_index("t", column, IndexKind::FullCss)
                 .expect("index");
         }
@@ -613,15 +617,15 @@ mod tests {
             .zip(probes.iter().skip(40).step_by(5))
             .map(|(lo, hi)| (lo.clone(), hi.clone()))
             .collect();
-        let ranked = |db: &Database, column: &str| {
+        let arm = |db: &Database, column: &str| {
             let domain = db.table("t").unwrap().column(column).unwrap().domain();
-            domain.is_ranked()
+            domain.arm()
         };
         for back in [&opened, &transferred] {
             assert_eq!(back.save_to_bytes(), image);
-            for (column, is_ranked) in [("dense", true), ("sparse", false)] {
-                assert_eq!(ranked(&db, column), is_ranked, "{column}");
-                assert_eq!(ranked(back, column), is_ranked, "{column}");
+            for (column, want) in [("dense", "dense"), ("ranked", "ranked"), ("sparse", "css")] {
+                assert_eq!(arm(&db, column), want, "{column}");
+                assert_eq!(arm(back, column), want, "{column}");
                 assert_eq!(
                     back.point_probe_batch("t", column, &probes).unwrap(),
                     db.point_probe_batch("t", column, &probes).unwrap()

@@ -1235,16 +1235,21 @@ impl Plan {
         Ok(ResultSet::new(cat, self, rows, timings))
     }
 
-    /// The selection: the ascending RIDs that pass every filter (the plan
-    /// has at least one).
+    /// The selection: the RIDs that pass every filter (the plan has at
+    /// least one), ascending unless the plan groups them.
     ///
     /// The domain is kept in value order (§2.1), so every filter is an
     /// inclusive interval of domain IDs and — addressed, not searched —
     /// one run of its column's sorted RID list. The shortest run
     /// drives: only its RIDs are materialised, and each is kept when its
     /// in-place ID on every other filter's column lies in that filter's
-    /// interval. Every step resolves before any literal is read, so a
-    /// stale plan fails with the same typed error whatever its constants.
+    /// interval. A run spanning several IDs is in `(ID, RID)` order, and
+    /// is sorted by RID only when the plan returns rows: a grouped plan
+    /// folds it as it comes, since every [`AggFn`] is commutative and
+    /// associative (the same property that lets `threads > 1` fold in
+    /// partition order). Every step resolves before any literal is read,
+    /// so a stale plan fails with the same typed error whatever its
+    /// constants.
     fn select(&self, cat: &CatalogState, timings: &mut PlanTimings) -> Result<Vec<u32>> {
         let mut filters = Vec::with_capacity(self.probes.len());
         for step in &self.probes {
@@ -1283,8 +1288,9 @@ impl Plan {
                 .iter()
                 .all(|(col_ids, ids, _)| ids.contains(&col_ids[rid as usize]))
         });
-        // A run spanning several IDs is ordered by (ID, RID).
-        if driving_ids.start() != driving_ids.end() {
+        // A run spanning several IDs is ordered by (ID, RID); only rows
+        // returned need RID order, not a fold.
+        if self.group.is_none() && driving_ids.start() != driving_ids.end() {
             rids.sort_unstable();
         }
         timings.probe_ns[shortest] += elapsed_ns(&driving);

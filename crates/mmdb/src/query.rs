@@ -37,7 +37,7 @@
 
 use crate::aggregate::IdSet;
 use crate::column::Column;
-use crate::domain::Value;
+use crate::domain::{dense_id, Value};
 use crate::rid::RidList;
 use ccindex_parallel::WorkerPool;
 
@@ -173,10 +173,20 @@ pub fn indexed_nested_loop_join(
     })
 }
 
+/// How an outer ID becomes an inner one, behind one [`Translation::get`].
+enum Translation {
+    /// Between two dense domains, `(outer min, (inner min, inner len))`:
+    /// the outer value's offset in the inner domain, `id + (outer min −
+    /// inner min)` when below the inner length. No lookup.
+    Offset(i64, (i64, usize)),
+    /// Any other pair: a lookup among the IDs the stream carries.
+    Carried(Carried),
+}
+
 /// The inner-domain IDs of the outer IDs a RID stream carries, looked up
 /// by an outer ID's rank among them: a bit per outer domain ID and a
 /// count per 64 of them, not a slot per outer domain ID.
-struct Translation {
+struct Carried {
     carried: IdSet,
     ranks: Vec<u32>,
     /// One per carried outer ID, ascending.
@@ -188,21 +198,49 @@ impl Translation {
     /// domain holds its value.
     #[inline]
     fn get(&self, outer_id: u32) -> Option<u32> {
-        self.inner_ids[self.carried.rank(&self.ranks, outer_id as usize)]
+        match self {
+            &Translation::Offset(from, (min, len)) => {
+                dense_id(min, len, from + i64::from(outer_id))
+            }
+            Translation::Carried(c) => c.inner_ids[c.carried.rank(&c.ranks, outer_id as usize)],
+        }
     }
+}
+
+/// Each stream row's `(outer RID, outer ID)`, every ID also handed to
+/// `mark`, the ID `lanes` rows ahead prefetched.
+fn outer_ids(
+    outer: &Column,
+    outer_rids: &[u32],
+    lanes: usize,
+    mut mark: impl FnMut(u32),
+) -> Vec<(u32, u32)> {
+    (0..outer_rids.len())
+        .map(|i| {
+            if let Some(&ahead) = outer_rids.get(i + lanes) {
+                outer.prefetch_id(ahead);
+            }
+            let id = outer.id(outer_rids[i]);
+            mark(id);
+            (outer_rids[i], id)
+        })
+        .collect()
 }
 
 /// Consumer #3, batched and hoisted: the outer→inner domain translation —
 /// one inner-domain lookup per *distinct* outer value the RID stream
-/// carries instead of one per outer row.
+/// carries instead of one per outer row, or none at all between two dense
+/// domains, where an inner ID is the outer one shifted by the difference
+/// of their `min`s.
 ///
 /// The mark pass gathers each outer row's domain ID, prefetching the ID
-/// `lanes` rows ahead, and marks it in a domain-sized bitset; the stream's
-/// `(outer RID, outer ID)` rows come back with the translation for the
-/// probe loop. A selection that precedes the join usually carries far
-/// fewer values than the outer domain has; the bitset's set bits, read
-/// back by `trailing_zeros`, are the carried IDs in ascending order (no
-/// sort, no dedup), and so are their values. They go through one batched
+/// `lanes` rows ahead; the stream's `(outer RID, outer ID)` rows come back
+/// with the translation for the probe loop. Unless both domains are
+/// dense, the pass also marks each ID in a domain-sized bitset. A
+/// selection that precedes the join usually carries far fewer values than
+/// the outer domain has; the bitset's set bits, read back by
+/// `trailing_zeros`, are the carried IDs in ascending order (no sort, no
+/// dedup), and so are their values. They go through one batched
 /// dictionary search — a rank each into a ranked inner domain, the
 /// CSS-tree's interleaved batch descent into another typed one — whose
 /// answers a row finds by its outer ID's rank in the bitset.
@@ -214,23 +252,20 @@ fn join_translation(
     lanes: usize,
 ) -> (Vec<(u32, u32)>, Translation) {
     let domain = outer.domain();
+    if let Some(((from, _), to)) = domain.dense().zip(inner.domain().dense()) {
+        let rows = outer_ids(outer, outer_rids, lanes, |_| ());
+        return (rows, Translation::Offset(from, to));
+    }
     let mut carried = IdSet::new(domain.len());
-    let rows: Vec<(u32, u32)> = (0..outer_rids.len())
-        .map(|i| {
-            if let Some(&ahead) = outer_rids.get(i + lanes) {
-                outer.prefetch_id(ahead);
-            }
-            let id = outer.id(outer_rids[i]);
-            carried.insert(id as usize);
-            (outer_rids[i], id)
-        })
-        .collect();
+    let rows = outer_ids(outer, outer_rids, lanes, |id| {
+        carried.insert(id as usize);
+    });
     let ids: Vec<u32> = carried.iter().map(|id| id as u32).collect();
-    let translation = Translation {
+    let translation = Translation::Carried(Carried {
         ranks: carried.ranks(),
         inner_ids: domain.translate(&ids, inner.domain(), lanes),
         carried,
-    };
+    });
     (rows, translation)
 }
 

@@ -28,10 +28,13 @@
 //! every thread count, plus groupings of a few rows over a domain far
 //! wider than the rows selected.
 //!
-//! An integer domain is ranked when its rank lines fit in the bytes of
-//! the CSS directory they replace, so columns over domains at density 1,
-//! 1/4 and 1/20, and a generic one, select and join between every pair
-//! of those arms.
+//! An integer domain is dense when it holds every integer of its range,
+//! else ranked when its rank lines fit in the bytes of the CSS directory
+//! they replace, so columns over domains at density 1 (from two `min`s),
+//! 1/4 and 1/20, and a generic one, select, join and group between every
+//! pair of those arms. The dense arm's edges — one value, spans ending
+//! at either end of `i64`, one value short of dense — run the same
+//! checks, and through save → open and a snapshot transfer.
 //!
 //! The join's translation searches the inner domain once per distinct
 //! carried value, in one batch, so joins and grouped joins run over
@@ -534,19 +537,23 @@ proptest! {
     }
 }
 
-/// The cross-arm tables' columns: one domain on each arm.
-const ARMS: [&str; 4] = ["d1", "d4", "d20", "gen"];
-const ARM_STRIDES: [i64; 3] = [1, 4, 20];
+/// The cross-arm tables' columns: one domain on each arm, the dense one
+/// twice.
+const ARMS: [&str; 5] = ["d1", "s1", "d4", "d20", "gen"];
+/// Each integer arm's `(stride, min)`.
+const ARM_STRIDES: [(i64, i64); 4] = [(1, -40), (1, -10), (4, -40), (20, -40)];
 
-/// Column `arm`'s domain: 64 integers from -40 at stride 1, 4 or 20 —
-/// every integer of their range, a quarter and a twentieth of it, so
-/// ranked, ranked and under a CSS directory (`domain.rs` pins which arm
-/// each takes) — or the stride-1 integers beside two `Str`s, generic.
+/// Column `arm`'s domain: 64 integers at stride 1 from -40 and from -10,
+/// or from -40 at stride 4 or 20 — every integer of their range (twice,
+/// overlapping in `[-10, 23]`), a quarter and a twentieth of it, so
+/// dense, dense, ranked and under a CSS directory (`domain.rs` pins which
+/// arm each takes) — or the stride-1 integers from -40 beside two `Str`s,
+/// generic.
 fn arm_domain(arm: usize) -> Vec<Value> {
-    let stride = ARM_STRIDES.get(arm).copied().unwrap_or(1);
-    let ints = (0..64).map(|x| Value::Int(x * stride - 40));
+    let (stride, min) = ARM_STRIDES.get(arm).copied().unwrap_or((1, -40));
+    let ints = (0..64).map(|x| Value::Int(x * stride + min));
     match arm {
-        3 => ints.chain(["m", "z"].map(Value::from)).collect(),
+        4 => ints.chain(["m", "z"].map(Value::from)).collect(),
         _ => ints.collect(),
     }
 }
@@ -563,10 +570,13 @@ fn arm_column(arm: usize, picks: &[usize]) -> (Column, Vec<Value>) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Domains at density 1, 1/4 and 1/20 and a generic one: points and
-    /// ranges on each, and joins between every pair of them — ranked to
-    /// CSS, ranked to generic and back — through the operators at every
-    /// lane count and through the engine after a band on the outer side.
+    /// Domains at density 1 (from two `min`s), 1/4 and 1/20 and a
+    /// generic one: points and ranges on each, and joins between every
+    /// pair of them — dense to dense shifted both ways, dense to ranked,
+    /// CSS and generic, ranked to CSS, ranked to generic and back —
+    /// through the operators at every lane count and through the engine
+    /// after a band on the outer side, joined and grouped by every
+    /// aggregate.
     #[test]
     fn every_pair_of_domain_arms_selects_and_joins_like_a_row_scan(
         outer in vec(0usize..66, 0..60),
@@ -626,7 +636,201 @@ proptest! {
                         .filter(between(ARMS[arm], -40, 200))
                         .join("y", on(ARMS[arm], ARMS[to]));
                     let want = join_scan(values, &selected, inner_values);
+                    // Grouped by the outer generic column over the outer
+                    // stride-4 one: the band spans many IDs, so the fold
+                    // reads its run in `(id, rid)` order.
+                    let (gen, d4) = (&outer_side[4].1, &outer_side[2].1);
+                    for agg in AGGS {
+                        let grouped = spec.clone().group_by("gen", agg_of(agg, "d4"));
+                        let rows = want.iter().map(|j| {
+                            let Value::Int(m) = d4[j.outer_rid as usize] else { unreachable!("d4 is an Int column") };
+                            (gen[j.outer_rid as usize].clone(), m)
+                        });
+                        let groups = fold_scan(agg, rows);
+                        prop_assert_eq!(db.run_spec(&grouped), Ok(ResultRows::Groups(groups)), "{:?} {:?}", exec, grouped);
+                    }
                     prop_assert_eq!(db.run_spec(&spec), Ok(ResultRows::Joined(want)), "{:?} {:?}", exec, spec);
+                }
+            }
+        }
+    }
+}
+
+/// Columns on the dense arm's edges, each built from its 300 rows: one
+/// value; every integer of a span ending at `i64::MIN`, of one ending at
+/// `i64::MAX`, and of one from a negative `min`; and a span one value
+/// short of dense, which stays ranked. Points and ranges (endpoints
+/// inside, between and past both ends), joins between every pair —
+/// dense to dense at shifts that wrap, dense to ranked and back — and a
+/// grouped join, against a row scan: through the operators, and through
+/// the engine at each `CATALOG_EXECS` entry before and after a save →
+/// open and a snapshot transfer, which keep each arm and its bytes.
+#[test]
+fn dense_domain_edges_match_a_row_scan_through_save_and_transfer() {
+    const ROWS: i64 = 300;
+    let spread = |r: i64, m: i64| r * 7 % m;
+    let columns: Vec<(&str, Vec<Value>)> = vec![
+        ("one", vec![Value::Int(5); ROWS as usize]),
+        (
+            "low",
+            (0..ROWS)
+                .map(|r| Value::Int(i64::MIN + spread(r, 100)))
+                .collect(),
+        ),
+        (
+            "high",
+            (0..ROWS)
+                .map(|r| Value::Int(i64::MAX - spread(r, 100)))
+                .collect(),
+        ),
+        (
+            "mid",
+            (0..ROWS).map(|r| Value::Int(spread(r, 100) - 50)).collect(),
+        ),
+        // Every integer of `[0, 100]` but 50, whose rows hold 51.
+        (
+            "short",
+            (0..ROWS)
+                .map(|r| Value::Int(Some(spread(r, 101)).filter(|&v| v != 50).unwrap_or(51)))
+                .collect(),
+        ),
+    ];
+    let mut probes: Vec<Value> = [
+        i64::MIN,
+        i64::MIN + 1,
+        i64::MIN + 99,
+        i64::MIN + 100,
+        -51,
+        -50,
+        0,
+        4,
+        5,
+        6,
+        49,
+        50,
+        51,
+        100,
+        101,
+        i64::MAX - 100,
+        i64::MAX - 99,
+        i64::MAX - 1,
+        i64::MAX,
+    ]
+    .map(Value::Int)
+    .to_vec();
+    probes.push(Value::from("a"));
+    let ranges: Vec<(Value, Value)> = probes
+        .iter()
+        .flat_map(|lo| probes.iter().map(move |hi| (lo.clone(), hi.clone())))
+        .collect();
+    let built: Vec<(Column, RidList)> = columns
+        .iter()
+        .map(|(_, values)| {
+            let column = Column::from_values(values);
+            let rids = RidList::for_column(&column);
+            (column, rids)
+        })
+        .collect();
+    // Every domain but the last stores nothing: it is dense.
+    let stored: Vec<usize> = built.iter().map(|(c, _)| c.domain().size_bytes()).collect();
+    assert_eq!(stored[..4], [0; 4]);
+    assert!(stored[4] > 0, "one short of dense stays ranked");
+    let stream: Vec<u32> = (0..ROWS as u32).map(|i| i * 7 % ROWS as u32).collect();
+    for threads in [1, 2] {
+        for lanes in [1, 3, 8] {
+            let at = format!("threads={threads} lanes={lanes}");
+            for ((name, values), (column, rids)) in columns.iter().zip(&built) {
+                let points: Vec<Vec<u32>> =
+                    probes.iter().map(|p| scan(values, |v| v == p)).collect();
+                let got = point_select_many(column, rids, &probes, lanes, threads);
+                assert_eq!(got, points, "points on {name}, {at}");
+                let bands: Vec<Vec<u32>> = ranges
+                    .iter()
+                    .map(|(lo, hi)| scan(values, |v| lo <= v && v <= hi))
+                    .collect();
+                let got = range_select_many(column, rids, &ranges, lanes, threads);
+                assert_eq!(got, bands, "ranges on {name}, {at}");
+                for ((to, inner_values), (inner, inner_rids)) in columns.iter().zip(&built) {
+                    let got = indexed_nested_loop_join(
+                        column, &stream, inner, inner_rids, lanes, threads,
+                    );
+                    let want = join_scan(values, &stream, inner_values);
+                    assert_eq!(got, want, "{name} joins {to}, {at}");
+                }
+            }
+        }
+    }
+    let table = |name: &str| {
+        let named = columns
+            .iter()
+            .zip(&built)
+            .map(|((c, _), (column, _))| (c.to_string(), column.clone()));
+        Table::from_parts(name, named.collect()).unwrap()
+    };
+    let mut db = Database::new();
+    db.register(table("e")).unwrap();
+    db.register(table("f")).unwrap();
+    for (t, (c, _)) in ["e", "f"]
+        .into_iter()
+        .flat_map(|t| columns.iter().map(move |c| (t, c)))
+    {
+        db.create_index(t, c, IndexKind::FullCss).unwrap();
+    }
+    let image = db.save_to_bytes();
+    let opened = Database::open_from_bytes(image.clone(), "dense").unwrap();
+    let mut transferred = Database::new();
+    transferred.restore_from_bytes(&image, "transfer").unwrap();
+    let (mid, short) = (&columns[3].1, &columns[4].1);
+    for mut db in [db, opened, transferred] {
+        assert_eq!(db.save_to_bytes(), image);
+        for exec in CATALOG_EXECS {
+            db.set_exec_options(exec_at(exec));
+            for ((name, values), (column, _)) in columns.iter().zip(&built) {
+                let e = db.table("e").unwrap().column(name).unwrap();
+                assert_eq!(
+                    e.domain().size_bytes(),
+                    column.domain().size_bytes(),
+                    "{name}"
+                );
+                let points: Vec<Vec<u32>> =
+                    probes.iter().map(|p| scan(values, |v| v == p)).collect();
+                assert_eq!(
+                    db.point_probe_batch("e", name, &probes).unwrap(),
+                    points,
+                    "{name} {exec:?}"
+                );
+                let bands: Vec<Vec<u32>> = ranges
+                    .iter()
+                    .map(|(lo, hi)| scan(values, |v| lo <= v && v <= hi))
+                    .collect();
+                assert_eq!(
+                    db.range_probe_batch("e", name, &ranges).unwrap(),
+                    bands,
+                    "{name} {exec:?}"
+                );
+                // Every row, in a band spanning every ID.
+                let every: Vec<u32> = (0..ROWS as u32).collect();
+                for (to, inner_values) in &columns {
+                    let spec = QuerySpec::table("e")
+                        .filter(between(name, i64::MIN, i64::MAX))
+                        .join("f", on(name, to));
+                    let want = join_scan(values, &every, inner_values);
+                    let groups = fold_scan(
+                        AggFn::Sum,
+                        want.iter().map(|j| {
+                            let Value::Int(m) = mid[j.outer_rid as usize] else {
+                                unreachable!("`mid` is an Int column")
+                            };
+                            (short[j.outer_rid as usize].clone(), m)
+                        }),
+                    );
+                    let grouped = spec.clone().group_by("short", sum("mid"));
+                    assert_eq!(
+                        db.run_spec(&grouped),
+                        Ok(ResultRows::Groups(groups)),
+                        "{grouped:?}"
+                    );
+                    assert_eq!(db.run_spec(&spec), Ok(ResultRows::Joined(want)), "{spec:?}");
                 }
             }
         }

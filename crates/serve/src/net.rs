@@ -47,6 +47,14 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
+use std::time::Duration;
+
+/// The most bytes an inbound snapshot transfer may claim: `total_chunks`
+/// chunks of [`wire::SNAPSHOT_CHUNK`] bytes, at most 1 GiB (256 chunks).
+/// A larger claim, or a chunk longer than `SNAPSHOT_CHUNK`, is refused
+/// before anything is reserved, so no client can grow a connection's
+/// reassembly buffer past this.
+const MAX_INSTALL_BYTES: u64 = 1 << 30;
 
 /// State shared between the owning [`ShardServer`], the accept loop,
 /// and every connection thread.
@@ -73,6 +81,9 @@ struct Shared {
     requests: MetricArc<obs::Counter>,
     /// `server.execute.ns` — per-request engine execution time.
     execute_ns: MetricArc<obs::Histogram>,
+    /// `server.accept.errors` — failed accepts, each followed by a
+    /// back-off ([`accept_backoff`]).
+    accept_errors: MetricArc<obs::Counter>,
 }
 
 /// One connection's snapshot transfers. A transfer is one connection's
@@ -192,6 +203,7 @@ impl ShardServer {
             conns: Mutex::new(HashMap::new()),
             requests: registry.counter("server.requests"),
             execute_ns: registry.histogram("server.execute.ns"),
+            accept_errors: registry.counter("server.accept.errors"),
             registry,
         });
         let accept = std::thread::spawn({
@@ -253,14 +265,26 @@ impl std::fmt::Debug for ShardServer {
     }
 }
 
+/// How long the accept loop waits after its `failures`-th failed accept
+/// in a row: 1 ms, doubling to a 1 s cap. At the descriptor limit
+/// (`EMFILE`) every accept fails at once, and a retry without a wait
+/// spins a core until a descriptor frees.
+fn accept_backoff(failures: u32) -> Duration {
+    let doubled =
+        Duration::from_millis(1).saturating_mul(2u32.saturating_pow(failures.saturating_sub(1)));
+    doubled.min(Duration::from_secs(1))
+}
+
 /// Accept until stopped, then wait for the live connections to end.
 /// Each accepted connection gets its own scoped thread and a registry
 /// entry under a fresh id, which the thread removes when the connection
-/// ends. A failed accept is retried unless the stop flag is up (the
-/// shutdown self-connect lands here too, and is discarded by the stop
-/// check); a connection whose stream cannot be cloned for the registry
-/// is dropped unserved, since shutdown could not sever it.
+/// ends. A failed accept is counted and retried after a back-off
+/// ([`accept_backoff`]) unless the stop flag is up (the shutdown
+/// self-connect lands here too, and is discarded by the stop check); a
+/// connection whose stream cannot be cloned for the registry is dropped
+/// unserved, since shutdown could not sever it.
 fn accept_loop(listener: &TcpListener, shared: &Shared) {
+    let mut failures = 0u32;
     std::thread::scope(|scope| {
         for id in 0u64.. {
             let accepted = listener
@@ -276,8 +300,13 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
                 return;
             }
             let Ok((clone, stream)) = accepted else {
+                drop(conns);
+                failures = failures.saturating_add(1);
+                shared.accept_errors.inc();
+                std::thread::sleep(accept_backoff(failures));
                 continue;
             };
+            failures = 0;
             conns.insert(id, clone);
             drop(conns);
             // Best-effort: probes are small request/response pairs.
@@ -518,11 +547,12 @@ fn fetch_snapshot_chunk(
     }
 }
 
-/// Accept one `InstallSnapshotChunk`: validate its checksum and
-/// sequence position, reassemble into the connection's `inbound`
-/// transfer, and on the final chunk install the catalog through the
-/// engine's ordinary commit cycle. Any violation discards the partial
-/// transfer and answers typed.
+/// Accept one `InstallSnapshotChunk`: validate its size, its claimed
+/// total against [`MAX_INSTALL_BYTES`], its checksum and sequence
+/// position, reassemble into the connection's `inbound` transfer, and on
+/// the final chunk install the catalog through the engine's ordinary
+/// commit cycle. Any violation discards the partial transfer and answers
+/// typed.
 fn install_snapshot_chunk(
     shared: &Shared,
     inbound: &mut Option<InstallBuf>,
@@ -536,6 +566,22 @@ fn install_snapshot_chunk(
         return transfer_error(
             TransportFault::Protocol,
             format!("install chunk {chunk}/{total_chunks} is out of range"),
+        );
+    }
+    if bytes.len() > wire::SNAPSHOT_CHUNK {
+        return transfer_error(
+            TransportFault::Protocol,
+            format!(
+                "install chunk {chunk} carries {} bytes; a chunk holds at most {}",
+                bytes.len(),
+                wire::SNAPSHOT_CHUNK
+            ),
+        );
+    }
+    if u64::from(total_chunks) * wire::SNAPSHOT_CHUNK as u64 > MAX_INSTALL_BYTES {
+        return transfer_error(
+            TransportFault::Protocol,
+            format!("install of {total_chunks} chunk(s) exceeds the {MAX_INSTALL_BYTES}-byte cap"),
         );
     }
     if wire::crc32(bytes) != crc {
@@ -578,4 +624,16 @@ fn install_snapshot_chunk(
         lock_db(shared).restore_from_bytes(&state.bytes, "snapshot transfer"),
         |()| ShardResponse::Unit,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accept_backoff_doubles_from_a_millisecond_to_a_one_second_cap() {
+        let ms = |failures: u32| accept_backoff(failures).as_millis();
+        let schedule = [1, 2, 3, 4, 10, 11, 12, 40, u32::MAX].map(ms);
+        assert_eq!(schedule, [1, 2, 4, 8, 512, 1_000, 1_000, 1_000, 1_000]);
+    }
 }
