@@ -83,6 +83,7 @@
 
 pub mod cell;
 pub mod clock;
+pub mod counting;
 pub mod lint;
 mod rt;
 pub mod sync;

@@ -66,6 +66,7 @@ use crate::rid::RidList;
 use crate::snapshot::{CatalogState, Pinned};
 use ccindex_common::DEFAULT_BATCH_LANES;
 use ccindex_obs::elapsed_ns;
+use std::collections::BTreeSet;
 
 // ---------------------------------------------------------------------
 // Execution options
@@ -469,29 +470,6 @@ impl QuerySpec {
         self.exec = Some(options);
         self
     }
-
-    /// Whether `other` is this query with different literals: the same
-    /// table, filter columns and comparison kinds (in call order), join,
-    /// grouping, required kind and exec override — everything
-    /// [`CatalogRead::compile`] reads. Two specs of one shape compile
-    /// (against one generation) into plans that differ only in their
-    /// probe constants, which [`Plan::bind_literals`] patches — what
-    /// lets a coordinator compile a shape once and reuse the plan.
-    pub fn same_shape(&self, other: &QuerySpec) -> bool {
-        self.table == other.table
-            && self.join == other.join
-            && self.group == other.group
-            && self.forced_kind == other.forced_kind
-            && self.exec == other.exec
-            && self.filters.len() == other.filters.len()
-            && self.filters.iter().zip(&other.filters).all(|(a, b)| {
-                a.column == b.column
-                    && matches!(
-                        (&a.op, &b.op),
-                        (PredOp::Eq(_), PredOp::Eq(_)) | (PredOp::Between(..), PredOp::Between(..))
-                    )
-            })
-    }
 }
 
 /// One client request to a serving front-end (`ccindex-serve`'s
@@ -628,20 +606,84 @@ impl<'c, C: CatalogRead + ?Sized> Query<'c, C> {
     }
 }
 
-/// Check that `table.column` can answer a probe: the column is indexed
-/// ([`MmdbError::NoIndex`]), a range has an ordered kind declared there
-/// ([`MmdbError::NoOrderedIndex`]), and a `forced` kind is declared there
-/// ([`MmdbError::IndexNotBuilt`]; `NoOrderedIndex` when a range forces
-/// the unordered hash kind). Every declared kind answers through the
-/// column's one RID list, so the check chooses nothing.
-fn check_index(
-    cat: &CatalogState,
+/// What the planner reads of a catalog — names, row counts, declared
+/// index kinds and measure typing, never a row — so that the one planner,
+/// [`compile`], serves every catalog and every catalog's errors come in
+/// one order. A [`CatalogState`] answers from its entries; the sharded
+/// catalog answers from the schema its coordinator keeps, so compiling a
+/// sharded query asks no shard anything.
+pub trait Schema {
+    /// The rows one copy of a plan's body runs over — the table's own, or
+    /// one shard's (shard 0's) in a sharded catalog — which the plan's
+    /// `rows_hint`s record; [`MmdbError::UnknownTable`] when `table` is
+    /// not registered.
+    fn rows(&self, table: &str) -> Result<usize>;
+
+    /// Whether the registered table `table` has a column `column`.
+    fn has_column(&self, table: &str, column: &str) -> bool;
+
+    /// The kinds declared on `table.column`; `None` when it has none.
+    fn kinds(&self, table: &str, column: &str) -> Option<&BTreeSet<IndexKind>>;
+
+    /// Whether every value of `table.column` is an `Int` (an aggregate
+    /// measure must be).
+    fn is_int(&self, table: &str, column: &str) -> bool;
+}
+
+impl Schema for CatalogState {
+    fn rows(&self, table: &str) -> Result<usize> {
+        Ok(self.entry(table)?.table.rows())
+    }
+
+    fn has_column(&self, table: &str, column: &str) -> bool {
+        self.column(table, column).is_ok()
+    }
+
+    fn kinds(&self, table: &str, column: &str) -> Option<&BTreeSet<IndexKind>> {
+        Some(&self.entry(table).ok()?.columns.get(column)?.kinds)
+    }
+
+    fn is_int(&self, table: &str, column: &str) -> bool {
+        self.column(table, column)
+            .is_ok_and(|col| col.domain().is_int())
+    }
+}
+
+/// `table.column` exists: [`MmdbError::UnknownTable`], then
+/// [`MmdbError::UnknownColumn`].
+fn check_column<S: Schema + ?Sized>(schema: &S, table: &str, column: &str) -> Result<()> {
+    schema.rows(table)?;
+    match schema.has_column(table, column) {
+        true => Ok(()),
+        false => Err(MmdbError::UnknownColumn {
+            table: table.to_owned(),
+            column: column.to_owned(),
+        }),
+    }
+}
+
+/// Check that `table.column` can answer a probe: the column exists and is
+/// indexed ([`MmdbError::NoIndex`]), a range has an ordered kind declared
+/// there ([`MmdbError::NoOrderedIndex`]), and a `forced` kind is declared
+/// there ([`MmdbError::IndexNotBuilt`]; `NoOrderedIndex` when a range
+/// forces the unordered hash kind). Every declared kind answers through
+/// the column's one RID list, so the check chooses nothing.
+pub fn check_index<S: Schema + ?Sized>(
+    schema: &S,
     table: &str,
     column: &str,
     ranged: bool,
     forced: Option<IndexKind>,
 ) -> Result<()> {
-    let kinds = &cat.column_entry(table, column)?.kinds;
+    // Kinds are declared only on a column that exists, so the existence
+    // checks (and their errors, first) are needed only without them.
+    let Some(kinds) = schema.kinds(table, column) else {
+        check_column(schema, table, column)?;
+        return Err(MmdbError::NoIndex {
+            table: table.to_owned(),
+            column: column.to_owned(),
+        });
+    };
     let unordered = || MmdbError::NoOrderedIndex {
         table: table.to_owned(),
         column: column.to_owned(),
@@ -669,23 +711,108 @@ pub enum Side {
     Inner,
 }
 
-fn resolve_side<'db>(
-    cat: &'db CatalogState,
+fn resolve_side<S: Schema + ?Sized>(
+    schema: &S,
     outer: &str,
     inner: Option<&str>,
     column: &str,
-) -> Result<(Side, &'db Column)> {
-    if let Ok(col) = cat.column(outer, column) {
-        return Ok((Side::Outer, col));
+) -> Result<Side> {
+    if schema.has_column(outer, column) {
+        return Ok(Side::Outer);
     }
-    if let Some(inner) = inner {
-        if let Ok(col) = cat.column(inner, column) {
-            return Ok((Side::Inner, col));
-        }
+    if inner.is_some_and(|inner| schema.has_column(inner, column)) {
+        return Ok(Side::Inner);
     }
     Err(MmdbError::UnknownColumn {
         table: outer.to_owned(),
         column: column.to_owned(),
+    })
+}
+
+/// The one planner: compile `spec` against `schema` under the catalog's
+/// `exec` options (a spec's own override wins) — resolve every name,
+/// check each probed column's index, and check that a measure is
+/// integer-valued. The plan's [`Routing`] is left unsharded; a sharded
+/// catalog records its own.
+pub fn compile<S: Schema + ?Sized>(
+    schema: &S,
+    exec: ExecOptions,
+    spec: &QuerySpec,
+) -> Result<Plan> {
+    let outer = &spec.table;
+    // The planner's upper bound on the items a chunkable node can
+    // process (the driving table's row count): what an adaptive
+    // (`threads == 0`) node's worker count resolves against when the
+    // plan is *explained* rather than executed.
+    let outer_rows = schema.rows(outer)?;
+    let exec = spec.exec.map_or(exec, ExecOptions::normalized);
+
+    let mut probes = Vec::with_capacity(spec.filters.len());
+    for p in &spec.filters {
+        let ranged = matches!(p.op, PredOp::Between(..));
+        check_index(schema, outer, &p.column, ranged, spec.forced_kind)?;
+        probes.push(ProbeStep {
+            column: p.column.clone(),
+            probe: p.op.probe(),
+        });
+    }
+
+    let join = match &spec.join {
+        None => None,
+        Some((inner_table, cond)) => {
+            check_column(schema, outer, &cond.outer)?;
+            check_index(schema, inner_table, &cond.inner, false, spec.forced_kind)?;
+            Some(JoinStep {
+                inner_table: inner_table.clone(),
+                outer_column: cond.outer.clone(),
+                inner_column: cond.inner.clone(),
+                rows_hint: outer_rows,
+            })
+        }
+    };
+
+    let group = match &spec.group {
+        None => None,
+        Some((column, agg)) => {
+            let inner = join.as_ref().map(|j| j.inner_table.as_str());
+            let side = resolve_side(schema, outer, inner, column)?;
+            let (agg, measure) = agg.fn_and_measure();
+            let measure = match measure {
+                None => None,
+                Some(m) => {
+                    let side = resolve_side(schema, outer, inner, m)?;
+                    let table = match side {
+                        Side::Outer => outer.as_str(),
+                        Side::Inner => inner.unwrap_or(outer),
+                    };
+                    // The executor's own measure check, made here so a
+                    // bad measure fails at compile time.
+                    if !schema.is_int(table, m) {
+                        return Err(MmdbError::NonIntegerMeasure {
+                            table: table.to_owned(),
+                            column: m.to_owned(),
+                        });
+                    }
+                    Some((m.to_owned(), side))
+                }
+            };
+            Some(GroupStep {
+                column: column.clone(),
+                side,
+                agg,
+                measure,
+                rows_hint: outer_rows,
+            })
+        }
+    };
+
+    Ok(Plan {
+        table: outer.clone(),
+        probes,
+        join,
+        group,
+        exec,
+        routing: Routing::default(),
     })
 }
 
@@ -902,17 +1029,6 @@ pub struct DrivingRun {
 }
 
 impl Plan {
-    /// Re-point this plan's probe constants at `spec`'s literals. The
-    /// plan must have been compiled from a spec of the same shape
-    /// ([`QuerySpec::same_shape`]): compilation never reads a literal,
-    /// so the patched plan is exactly what compiling `spec` would give.
-    pub fn bind_literals(&mut self, spec: &QuerySpec) {
-        debug_assert_eq!(self.probes.len(), spec.filters.len());
-        for (step, filter) in self.probes.iter_mut().zip(&spec.filters) {
-            step.probe = filter.op.probe();
-        }
-    }
-
     /// Whether the plan runs whole wherever it is routed — in place for
     /// a `Database` plan, one request per routed shard for a sharded one
     /// — as every plan does except a sharded join that is not
@@ -1483,73 +1599,7 @@ impl CatalogRead for CatalogState {
     }
 
     fn compile(&self, spec: &QuerySpec) -> Result<Plan> {
-        let cat = self;
-        let outer = &spec.table;
-        cat.entry(outer)?;
-        let exec = spec.exec.map_or(cat.exec, ExecOptions::normalized);
-        // The planner's upper bound on the items a chunkable node can
-        // process (the driving table's row count): what an adaptive
-        // (`threads == 0`) node's worker count resolves against when the
-        // plan is *explained* rather than executed.
-        let outer_rows = cat.table(outer)?.rows();
-
-        let mut probes = Vec::with_capacity(spec.filters.len());
-        for p in &spec.filters {
-            let ranged = matches!(p.op, PredOp::Between(..));
-            check_index(cat, outer, &p.column, ranged, spec.forced_kind)?;
-            probes.push(ProbeStep {
-                column: p.column.clone(),
-                probe: p.op.probe(),
-            });
-        }
-
-        let join = match &spec.join {
-            None => None,
-            Some((inner_table, cond)) => {
-                cat.column(outer, &cond.outer)?;
-                cat.column(inner_table, &cond.inner)?;
-                check_index(cat, inner_table, &cond.inner, false, spec.forced_kind)?;
-                Some(JoinStep {
-                    inner_table: inner_table.clone(),
-                    outer_column: cond.outer.clone(),
-                    inner_column: cond.inner.clone(),
-                    rows_hint: outer_rows,
-                })
-            }
-        };
-
-        let group = match &spec.group {
-            None => None,
-            Some((column, agg)) => {
-                let inner = join.as_ref().map(|j| j.inner_table.as_str());
-                let (side, _) = resolve_side(cat, outer, inner, column)?;
-                let (agg, measure) = agg.fn_and_measure();
-                let measure = match measure {
-                    None => None,
-                    Some(m) => Some((m.to_owned(), resolve_side(cat, outer, inner, m)?.0)),
-                };
-                let step = GroupStep {
-                    column: column.clone(),
-                    side,
-                    agg,
-                    measure,
-                    rows_hint: outer_rows,
-                };
-                // The executor's own measure check, run once here too so a
-                // bad measure fails at compile time.
-                step.measure_on(cat, outer, inner)?;
-                Some(step)
-            }
-        };
-
-        Ok(Plan {
-            table: outer.clone(),
-            probes,
-            join,
-            group,
-            exec,
-            routing: Routing::default(),
-        })
+        compile(self, self.exec, spec)
     }
 
     /// Runs the plan in place; a sharded plan is refused, typed.
@@ -1811,34 +1861,24 @@ mod tests {
             .filter(between("amount", 0, 99))
             .join("customers", on("cust", "id"))
             .group_by("region", sum("amount"));
-        assert!(shape.same_shape(&other) && other.same_shape(&shape));
-        let mut rebound = db.compile(&shape).unwrap();
-        rebound.bind_literals(&other);
-        let compiled = db.compile(&other).unwrap();
-        assert_eq!(rebound, compiled);
-        assert_eq!(
-            rebound.execute(&db).unwrap().rows(),
-            compiled.execute(&db).unwrap().rows()
-        );
-        // Anything the planner reads is part of the shape.
-        for different in [
-            QuerySpec::table("customers"),
-            shape.clone().filter(eq("day", "mon")),
-            QuerySpec {
-                filters: vec![between("day", "a", "z"), between("amount", 20, 50)],
-                ..shape.clone()
-            },
-            QuerySpec {
-                filters: vec![eq("cust", 1), between("amount", 20, 50)],
-                ..shape.clone()
-            },
-            shape.clone().join("customers", on("amount", "id")),
-            shape.clone().group_by("region", max("amount")),
-            shape.clone().using(IndexKind::FullCss),
-            shape.clone().exec(ExecOptions::threads(2)),
-        ] {
-            assert!(!shape.same_shape(&different), "{different:?}");
+        // Compilation never reads a literal: the two plans differ only in
+        // their probe constants, each its own spec's.
+        let (a, b) = (db.compile(&shape).unwrap(), db.compile(&other).unwrap());
+        let without_probes = |plan: &Plan| Plan {
+            probes: Vec::new(),
+            ..plan.clone()
+        };
+        assert_eq!(without_probes(&a), without_probes(&b));
+        for (plan, spec) in [(&a, &shape), (&b, &other)] {
+            let constants: Vec<(&str, Probe)> = (spec.filters.iter())
+                .map(|f| (f.column.as_str(), f.op.probe()))
+                .collect();
+            let steps: Vec<(&str, Probe)> = (plan.probes.iter())
+                .map(|p| (p.column.as_str(), p.probe.clone()))
+                .collect();
+            assert_eq!(steps, constants);
         }
+        assert_ne!(a.probes, b.probes);
     }
 
     #[test]

@@ -7,71 +7,19 @@
 //! records the first and the largest single request made while a column
 //! is built, and how many requests were the size of a watched array.
 
+use check::counting::Counting;
 use mmdb::{Column, RidList, Value};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-struct Counting;
-
-static FIRST: AtomicUsize = AtomicUsize::new(0);
-static LARGEST: AtomicUsize = AtomicUsize::new(0);
-/// The byte sizes of up to two arrays being watched (0 = none).
-static WATCHED: [AtomicUsize; 2] = [AtomicUsize::new(0), AtomicUsize::new(0)];
-/// Requests of each watched array's size.
-static HITS: [AtomicUsize; 2] = [AtomicUsize::new(0), AtomicUsize::new(0)];
-
-/// A request holds a watched array if it is the array's bytes plus at
-/// most this much header (an `Arc`'s two counts, with room to spare).
-const HEADER: usize = 64;
-
-// SAFETY: every call is forwarded unchanged to the system allocator; the
-// wrapper only records the size asked for.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let size = layout.size();
-        let _ = FIRST.compare_exchange(0, size, Ordering::SeqCst, Ordering::SeqCst);
-        LARGEST.fetch_max(size, Ordering::SeqCst);
-        for (watched, hits) in WATCHED.iter().zip(&HITS) {
-            let bytes = watched.load(Ordering::SeqCst);
-            if bytes != 0 && (bytes..=bytes + HEADER).contains(&size) {
-                hits.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        // SAFETY: the caller's contract for `alloc` is passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
 
 #[global_allocator]
-static ALLOC: Counting = Counting;
-
-/// Run `f` watching for requests the size of `u32` arrays of `lens`;
-/// its result, and how many requests each array's size drew.
-fn watching<T>(lens: [usize; 2], f: impl FnOnce() -> T) -> (T, [usize; 2]) {
-    for (watched, len) in WATCHED.iter().zip(lens) {
-        watched.store(4 * len, Ordering::SeqCst);
-    }
-    HITS.iter().for_each(|hits| hits.store(0, Ordering::SeqCst));
-    let out = f();
-    WATCHED
-        .iter()
-        .for_each(|watched| watched.store(0, Ordering::SeqCst));
-    (out, HITS.each_ref().map(|hits| hits.load(Ordering::SeqCst)))
-}
+static ALLOC: Counting = Counting::new();
 
 /// Build a column over `values`; the column, the first and the largest
 /// single allocation the build made, and how many requests were the
 /// size of its ID array.
 fn build(values: &[Value]) -> (Column, usize, usize, usize) {
-    FIRST.store(0, Ordering::SeqCst);
-    LARGEST.store(0, Ordering::SeqCst);
-    let (column, [ids, _]) = watching([values.len(), 0], || Column::from_values(values));
-    let (first, largest) = (FIRST.load(Ordering::SeqCst), LARGEST.load(Ordering::SeqCst));
+    ALLOC.reset();
+    let (column, [ids, _]) = ALLOC.watching([values.len(), 0], || Column::from_values(values));
+    let (first, largest) = (ALLOC.first(), ALLOC.largest());
     assert_eq!(column.len(), values.len());
     (column, first, largest, ids)
 }
@@ -106,7 +54,7 @@ fn a_dense_column_builds_without_pairs_and_a_sparse_one_allocates_only_its_sort(
     assert_eq!(ids, 1, "the ranked column's IDs were allocated {ids} times");
     // The RID list over it: `d + 1` offsets and one RID per row.
     let offsets = built.domain().len() + 1;
-    let (list, hits) = watching([offsets, DENSE], || RidList::for_column(&built));
+    let (list, hits) = ALLOC.watching([offsets, DENSE], || RidList::for_column(&built));
     assert_eq!(list.len(), DENSE);
     assert_eq!(hits, [1, 1], "offsets and RIDs allocations");
     // `serve-small`'s shape: 64k keys over 2^32 can never rank, so the

@@ -8,7 +8,7 @@
 //! already has:
 //!
 //! * **reads** (whole query specs, probe batches, join fan-out, value
-//!   decodes, plan compilation) run against a pinned
+//!   decodes) run against a pinned
 //!   [`Snapshot`](mmdb::Snapshot) from a lock-free
 //!   [`DatabaseHandle`](mmdb::DatabaseHandle) — every request answers
 //!   from one committed generation and never waits on a writer;
@@ -45,7 +45,7 @@ use std::collections::HashMap;
 use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -84,6 +84,14 @@ struct Shared {
     /// `server.accept.errors` — failed accepts, each followed by a
     /// back-off ([`accept_backoff`]).
     accept_errors: MetricArc<obs::Counter>,
+    /// The last image an outbound snapshot transfer encoded, and the
+    /// generation it holds. Weak: the transfers streaming it own it, so
+    /// every transfer of one generation shares one image, and the image
+    /// is freed when the last of them ends.
+    image: Mutex<(u64, Weak<Vec<u8>>)>,
+    /// `server.snapshot.encodes` — catalog images encoded for outbound
+    /// transfers.
+    snapshot_encodes: MetricArc<obs::Counter>,
 }
 
 /// One connection's snapshot transfers. A transfer is one connection's
@@ -92,11 +100,11 @@ struct Shared {
 /// newer generation nor cancel its inbound reassembly.
 #[derive(Default)]
 struct Transfers {
-    /// The committed tip as store bytes, serialized at an outbound
+    /// The committed tip as store bytes, fixed at an outbound
     /// `FetchSnapshot` sequence's chunk 0 and released after its last
     /// chunk, so mutations committing mid-stream never splice two
     /// generations into one image.
-    outbound: Option<Vec<u8>>,
+    outbound: Option<Arc<Vec<u8>>>,
     /// Reassembly of an inbound `InstallSnapshotChunk` sequence.
     inbound: Option<InstallBuf>,
 }
@@ -204,6 +212,8 @@ impl ShardServer {
             requests: registry.counter("server.requests"),
             execute_ns: registry.histogram("server.execute.ns"),
             accept_errors: registry.counter("server.accept.errors"),
+            image: Mutex::new((0, Weak::new())),
+            snapshot_encodes: registry.counter("server.snapshot.encodes"),
             registry,
         });
         let accept = std::thread::spawn({
@@ -462,10 +472,6 @@ fn respond(shared: &Shared, transfers: &mut Transfers, request: ShardRequest) ->
                 .column_values(&table, &column, rids.as_deref()),
             A::Values,
         ),
-        ShardRequest::Compile { spec } => {
-            let plan = shared.handle.snapshot().compile(&spec).map(Box::new);
-            reply(plan, A::Plan)
-        }
         ShardRequest::RunSpec { spec } => reply(shared.handle.snapshot().run_spec(&spec), A::Rows),
         ShardRequest::Mutate(batch) => reply(lock_db(shared).apply(batch), |reports| A::Applied {
             sort_ns: (reports.iter())
@@ -507,19 +513,37 @@ fn transfer_error(fault: TransportFault, detail: String) -> ShardResponse {
     ShardResponse::Err(MmdbError::transport("snapshot transfer", fault, detail))
 }
 
-/// Answer one `FetchSnapshot` chunk. Chunk 0 serializes the committed
-/// tip into the connection's `outbound` bytes; later chunks stream those
-/// same bytes whatever commits meanwhile, and the last chunk releases
-/// them.
+/// The committed tip's image: the one a live transfer already holds for
+/// this generation, or a fresh encode. The lock is held across the
+/// encode, so transfers starting together encode once.
+fn snapshot_image(shared: &Shared) -> Arc<Vec<u8>> {
+    let snapshot = shared.handle.snapshot();
+    // One assignment updates the pair, so a poisoned lock loses nothing.
+    let mut image = shared.image.lock().unwrap_or_else(PoisonError::into_inner);
+    if image.0 == snapshot.generation() {
+        if let Some(bytes) = image.1.upgrade() {
+            return bytes;
+        }
+    }
+    shared.snapshot_encodes.inc();
+    let bytes = Arc::new(mmdb::catalog_to_bytes(&snapshot));
+    *image = (snapshot.generation(), Arc::downgrade(&bytes));
+    bytes
+}
+
+/// Answer one `FetchSnapshot` chunk. Chunk 0 fixes the committed tip's
+/// image as the connection's `outbound` bytes; later chunks stream
+/// those same bytes whatever commits meanwhile, and the last chunk
+/// releases them.
 fn fetch_snapshot_chunk(
     shared: &Shared,
-    outbound: &mut Option<Vec<u8>>,
+    outbound: &mut Option<Arc<Vec<u8>>>,
     chunk: u32,
 ) -> ShardResponse {
     if chunk == 0 {
-        *outbound = Some(mmdb::catalog_to_bytes(&shared.handle.snapshot()));
+        *outbound = Some(snapshot_image(shared));
     }
-    let Some(bytes) = outbound.as_deref() else {
+    let Some(bytes) = outbound.as_deref().map(Vec::as_slice) else {
         return transfer_error(
             TransportFault::Protocol,
             format!("snapshot chunk {chunk} requested with no transfer open"),
@@ -629,6 +653,58 @@ fn install_snapshot_chunk(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmdb::TableBuilder;
+    use std::time::Instant;
+
+    /// Transfers of one generation share one image: four connections
+    /// that fetch chunk 0 cause one encode, and once every transfer has
+    /// ended — two streamed to their last chunk, two hung up mid-stream
+    /// — no image is live.
+    #[test]
+    fn transfers_of_one_generation_share_one_image() {
+        // Distinct values spread over 2^32, so the image spans chunks.
+        let spread = |i: i64| (i * 2_654_435_761) % (1 << 32);
+        let mut db = Database::new();
+        let table = TableBuilder::new("t")
+            .int_column("v", (0..400_000).map(spread))
+            .build()
+            .expect("one column");
+        db.register(table).unwrap();
+        let server = ShardServer::spawn(db).unwrap();
+        let fetch = |stream: &mut TcpStream, chunk: u32| {
+            let request = ShardRequest::FetchSnapshot { chunk };
+            wire::write_request(&mut *stream, "test", &request, 0).unwrap();
+            match wire::read_response(stream, "test").unwrap().0 {
+                ShardResponse::SnapshotChunk { total_chunks, .. } => total_chunks,
+                other => panic!("chunk {chunk}: {other:?}"),
+            }
+        };
+        let mut streams: Vec<TcpStream> = (0..4)
+            .map(|_| TcpStream::connect(server.addr()).unwrap())
+            .collect();
+        let chunks: Vec<u32> = streams.iter_mut().map(|s| fetch(s, 0)).collect();
+        assert!(chunks[0] >= 2, "{} chunk(s)", chunks[0]);
+        let encodes = (server.registry())
+            .find_counter("server.snapshot.encodes")
+            .expect("registered at bind");
+        assert_eq!(encodes.get(), 1, "one encode for one generation");
+        let live = || server.shared.image.lock().unwrap().1.strong_count();
+        assert_eq!(live(), 4, "four transfers hold one image");
+        for stream in &mut streams[..2] {
+            for chunk in 1..chunks[0] {
+                fetch(stream, chunk);
+            }
+        }
+        assert_eq!(live(), 2, "a finished transfer lets go of its image");
+        drop(streams);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while live() > 0 {
+            assert!(Instant::now() < deadline, "{} image holders left", live());
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(encodes.get(), 1);
+        server.shutdown();
+    }
 
     #[test]
     fn accept_backoff_doubles_from_a_millisecond_to_a_one_second_cap() {

@@ -8,33 +8,13 @@
 
 use ccindex_serve::ShardServer;
 use ccindex_wire::{self as wire, read_response, write_request, ShardRequest, ShardResponse};
+use check::counting::Counting;
 use mmdb::{Database, MmdbError, TransportFault};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-struct Counting;
-
-static LARGEST: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: every call is forwarded unchanged to the system allocator; the
-// wrapper only records the size asked for.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LARGEST.fetch_max(layout.size(), Ordering::SeqCst);
-        // SAFETY: the caller's contract for `alloc` is passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
 
 #[global_allocator]
-static ALLOC: Counting = Counting;
+static ALLOC: Counting = Counting::new();
 
 /// An install chunk 0 of `total_chunks` carrying `len` bytes, with a
 /// matching checksum, framed ahead of the measurement.
@@ -54,10 +34,10 @@ fn install_frame(total_chunks: u32, len: usize) -> Vec<u8> {
 /// Send `frame` and read the answer; the answer and the largest single
 /// allocation made meanwhile.
 fn answer(stream: &mut TcpStream, frame: &[u8]) -> (ShardResponse, usize) {
-    LARGEST.store(0, Ordering::SeqCst);
+    ALLOC.reset();
     stream.write_all(frame).expect("the request leaves");
     let (response, _) = read_response(stream, "hostile").expect("the server answers");
-    (response, LARGEST.load(Ordering::SeqCst))
+    (response, ALLOC.largest())
 }
 
 // One test, so no other test thread allocates while an answer is measured.

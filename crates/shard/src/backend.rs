@@ -10,10 +10,11 @@
 //!   the pieces a join that is not co-located streams through the
 //!   coordinator (the outer exchange's selections, each a filter-only
 //!   `run_spec`, and column decodes, the inner exchange's join-probe
-//!   batches) — plus the per-shard plan body's compilation, snapshot
-//!   export and the generation a shard answers from. It asks no schema
-//!   question: the coordinator registered every table, so it keeps each
-//!   one's columns and per-shard row counts itself. Every reply carries
+//!   batches) — plus snapshot export and the generation a shard answers
+//!   from. It asks neither a schema question nor for a plan: the
+//!   coordinator registered every table and keeps each one's columns,
+//!   declared index kinds, integer typing and per-shard row counts, so
+//!   it compiles every query itself. Every reply carries
 //!   **local** RIDs; the coordinator's one
 //!   merge makes them global through the placement map, and a RID the
 //!   shard does not hold is a typed error there. It has two
@@ -42,7 +43,6 @@
 //! is out of range or a non-integer measure surfaces as the same typed
 //! error no matter which side noticed.
 
-use mmdb::plan::Plan;
 use mmdb::{
     indexed_nested_loop_join, CatalogRead, CatalogState, Column, Database, ExecOptions, Mutation,
     QuerySpec, RebuildReport, Result, ResultRows, Value,
@@ -107,12 +107,6 @@ pub trait ShardRead: std::fmt::Debug + Send + Sync {
     /// Decode column values for the given local RIDs (`None` = every
     /// row, in RID order).
     fn column_values(&self, table: &str, column: &str, rids: Option<&[u32]>) -> Result<Vec<Value>>;
-
-    /// Compile a query description through this shard's planner. Every
-    /// shard holds the same schema and indexes, so the coordinator uses
-    /// shard 0's plan as the scatter template — asked once per query
-    /// shape and generation, then served from the coordinator's cache.
-    fn compile(&self, spec: &QuerySpec) -> Result<Plan>;
 
     /// Serialize this shard's catalog into the paged `ccindex-store`
     /// container (the same bytes [`Database::save_to`] writes to disk).
@@ -256,10 +250,6 @@ impl ShardRead for CatalogState {
                 Ok(col.domain().decode_batch(col.ids()))
             }
         }
-    }
-
-    fn compile(&self, spec: &QuerySpec) -> Result<Plan> {
-        CatalogRead::compile(self, spec)
     }
 
     fn fetch_snapshot(&self) -> Result<Vec<u8>> {

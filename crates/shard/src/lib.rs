@@ -16,8 +16,9 @@
 //! * [`ShardedDatabase`] — N per-shard `Database` catalogs behind the
 //!   one `mmdb` query surface: it derefs to its composed generation
 //!   ([`ShardedState`], a `CatalogRead`), whose `query` hands back the
-//!   same [`mmdb::Query`] builder, compiles to the same [`mmdb::Plan`]
-//!   (its `routing` filled in) and answers the same
+//!   same [`mmdb::Query`] builder, compiles — on the coordinator,
+//!   through the same planner, from the schema it keeps — to the same
+//!   [`mmdb::Plan`] (its `routing` filled in) and answers the same
 //!   [`mmdb::ResultSet`]. It splits updates by shard and executes
 //!   queries scatter-gather through one exchange and one merge: a
 //!   shard-local plan (no join, or a join co-located on both shard
@@ -87,16 +88,15 @@ pub use partition::{HashPartitioner, Partitioner, RangePartitioner};
 pub use remote::{RemoteShard, SHARD_TIMEOUT_KNOB};
 pub use sharded::{
     ShardedDatabase, ShardedHandle, ShardedRebuildReport, ShardedSnapshot, ShardedState,
-    TEMPLATE_CACHE_CAPACITY,
 };
 
 #[cfg(test)]
 mod tests {
     use super::{HashPartitioner, Partitioner, RangePartitioner, ShardedDatabase, ShardedState};
-    use mmdb::plan::{JoinRouting, ShardTargets};
+    use mmdb::plan::{JoinRouting, Plan, Routing, ShardTargets};
     use mmdb::{
-        between, count, eq, on, sum, CatalogRead, Database, IndexKind, MmdbError, TableBuilder,
-        Value,
+        between, count, eq, on, sum, CatalogRead, Database, ExecOptions, IndexKind, MmdbError,
+        QuerySpec, TableBuilder, Value,
     };
 
     fn seed_tables(rows: usize) -> (mmdb::Table, mmdb::Table) {
@@ -291,6 +291,33 @@ mod tests {
         let s = db.query("sales").group_by("day", count()).run().unwrap();
         let u = un.query("sales").group_by("day", count()).run().unwrap();
         assert_eq!(s.rows(), u.rows());
+    }
+
+    /// The coordinator's plan body is the one shard 0's own planner
+    /// compiles — row hints (shard 0's rows), sides, exec — so routing
+    /// aside, the plan and its `explain()` are what a shard would say.
+    #[test]
+    fn the_coordinators_plan_body_is_shard_0s_compile() {
+        let db = sharded(200, HashPartitioner::new(4).unwrap());
+        let specs = [
+            QuerySpec::table("sales").filter(eq("cust", 3)),
+            QuerySpec::table("sales")
+                .filter(between("amount", 10, 300))
+                .join("customers", on("cust", "id"))
+                .group_by("region", sum("amount")),
+            QuerySpec::table("sales")
+                .group_by("day", count())
+                .exec(ExecOptions::threads(0)),
+        ];
+        for spec in &specs {
+            let plan = db.compile(spec).unwrap();
+            let body = Plan {
+                routing: Routing::default(),
+                ..plan
+            };
+            assert_eq!(body, db.shard(0).compile(spec).unwrap(), "{spec:?}");
+        }
+        assert!(db.shard(0).table("sales").unwrap().rows() < 200);
     }
 
     #[test]

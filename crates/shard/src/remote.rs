@@ -5,7 +5,7 @@
 //! One request, one response, one frame each, and the coordinator
 //! keeps the request count down instead of the transport hiding it: a
 //! shard-local plan is a single `RunSpec` exchange per routed shard
-//! (compilation is cached coordinator-side per generation), only a join
+//! (the coordinator compiles from the schema it keeps), only a join
 //! that is not co-located pays the `RunSpec` (its outer selection) →
 //! `ColumnValues` → `JoinProbeBatch` sequence, and a batch of catalog
 //! edits is one `Mutate` frame. So the transport stays synchronous and
@@ -37,7 +37,7 @@ use std::time::Duration;
 use ccindex_obs as obs;
 use ccindex_parallel::sync::Arc as ObsArc;
 use ccindex_wire::{self as wire, ShardRequest, ShardResponse};
-use mmdb::plan::{parse_knob, Plan};
+use mmdb::plan::parse_knob;
 use mmdb::{
     ExecOptions, MmdbError, Mutation, QuerySpec, RebuildReport, Result, ResultRows, TransportFault,
     Value,
@@ -286,7 +286,6 @@ fn variant_name(resp: &ShardResponse) -> &'static str {
         ShardResponse::RidSets(_) => "RidSets",
         ShardResponse::Values(_) => "Values",
         ShardResponse::Rows(_) => "Rows",
-        ShardResponse::Plan(_) => "Plan",
         ShardResponse::Applied { .. } => "Applied",
         ShardResponse::Info { .. } => "Info",
         ShardResponse::Unit => "Unit",
@@ -355,14 +354,6 @@ impl ShardRead for RemoteShard {
         };
         self.call(&req, None, |resp| match resp {
             ShardResponse::Values(values) => Some(values),
-            _ => None,
-        })
-    }
-
-    fn compile(&self, spec: &QuerySpec) -> Result<Plan> {
-        let req = ShardRequest::Compile { spec: spec.clone() };
-        self.call(&req, None, |resp| match resp {
-            ShardResponse::Plan(plan) => Some(*plan),
             _ => None,
         })
     }

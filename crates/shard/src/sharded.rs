@@ -14,12 +14,17 @@
 //! partitioned joins, grouped aggregation — runs unchanged *inside* a
 //! shard. The coordinator's work is routing, one exchange and one merge:
 //!
-//! * **Routing.** Compiling a query takes its per-shard body from shard
-//!   0 and records a [`Routing`] on the plan. One routing function,
-//!   `ShardedState::targets`, decides where a probe goes — equality on
-//!   the shard key prunes to one shard, a range to the overlapping
-//!   shards of a range partitioner, anything else fans to every shard —
-//!   and serves compile and both probe batches alike. Execute routes
+//! * **Compiling.** The coordinator keeps every table's schema — its
+//!   columns, their declared index kinds and whether each is
+//!   integer-valued — so it compiles a query itself, through the one
+//!   planner ([`mmdb::plan::compile`]) a [`Database`] uses: no shard is
+//!   asked anything until the plan runs, and the errors and their order
+//!   are the unsharded catalog's.
+//! * **Routing.** Compiling records a [`Routing`] on the plan. One
+//!   routing function, `ShardedState::targets`, decides where a probe
+//!   goes — equality on the shard key prunes to one shard, a range to
+//!   the overlapping shards of a range partitioner, anything else fans
+//!   to every shard — and serves compile and both probe batches alike. Execute routes
 //!   the plan's body again and refuses, typed, a plan whose routing
 //!   differs: one compiled for another shard count, partitioner or shard
 //!   key, or for an unsharded catalog.
@@ -48,12 +53,6 @@
 //!   inner)` order, and partial aggregates merge by group value: their
 //!   decoded groups are dictionary-encoded and folded by the one grouping
 //!   operator, `group_aggregate_pairs`, as a worker's partials are.
-//! * **Compilation is off the per-query path.** The per-shard body
-//!   depends on a query's *shape*, never its literals, so each composed
-//!   generation keeps a small bounded map from shape to the template
-//!   shard 0 compiled; a repeated shape costs no request, and because
-//!   every mutation through this catalog publishes a new generation with
-//!   an empty map, nothing is ever invalidated.
 //!
 //! Results are **byte-identical** to the same queries on an unsharded
 //! [`Database`] for every shard count and both partitioners — the
@@ -68,7 +67,8 @@ use ccindex_parallel::sync::Arc as MetricArc;
 use ccindex_parallel::WorkerPool;
 use mmdb::domain::Value;
 use mmdb::plan::{
-    GroupStep, JoinRouting, JoinStep, Plan, PlanTimings, Probe, Routing, ShardTargets, Side,
+    self, GroupStep, JoinRouting, JoinStep, Plan, PlanTimings, Probe, Routing, Schema,
+    ShardTargets, Side,
 };
 use mmdb::{
     between, eq, group_aggregate_pairs, on, Agg, AggFn, CatalogRead, Column, Database, ExecOptions,
@@ -78,7 +78,7 @@ use mmdb::{
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Deref;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------
 // The sharded catalog
@@ -133,9 +133,11 @@ pub struct ShardedDatabase {
 struct ShardedTable {
     shard_key: String,
     rows: usize,
-    /// Column names in declaration order, as registered: neither a
-    /// column replacement nor a repartition adds or drops one.
-    columns: Vec<String>,
+    /// Column names in declaration order, as registered (neither a
+    /// column replacement nor a repartition adds or drops one), each
+    /// with whether every value of the global column is an `Int`
+    /// ([`mmdb::Domain::is_int`]), kept current by every replacement.
+    columns: Vec<(String, bool)>,
     /// Global RID -> (owning shard, local RID there).
     placement: Vec<(u32, u32)>,
     /// Shard -> local RID -> global RID (ascending: rows are split in
@@ -178,13 +180,6 @@ struct ShardMetrics {
     /// `shard.route.pushdown`: queries executed as shard-local plans —
     /// the whole spec shipped to each routed shard.
     route_pushdown: MetricArc<obs::Counter>,
-    /// `shard.template.hits`: plan or access-path resolutions served
-    /// from the generation's template cache (no request to shard 0).
-    template_hits: MetricArc<obs::Counter>,
-    /// `shard.template.misses`: resolutions that asked shard 0 to
-    /// compile (first sight of a shape in a generation, or an error,
-    /// which is never cached).
-    template_misses: MetricArc<obs::Counter>,
 }
 
 impl ShardMetrics {
@@ -195,34 +190,8 @@ impl ShardMetrics {
             scatter_ns: registry.histogram("shard.scatter.ns"),
             gather_ns: registry.histogram("shard.gather.ns"),
             route_pushdown: registry.counter("shard.route.pushdown"),
-            template_hits: registry.counter("shard.template.hits"),
-            template_misses: registry.counter("shard.template.misses"),
             registry,
         }
-    }
-}
-
-/// How many query shapes one generation's scatter-template cache holds.
-/// Fixed, so a stream of ad-hoc specs cannot grow coordinator memory: a
-/// new shape arriving at a full cache clears it.
-pub const TEMPLATE_CACHE_CAPACITY: usize = 64;
-
-/// The scatter templates one composed generation has compiled: query
-/// shape ([`QuerySpec::same_shape`]) → the per-shard [`Plan`] shard 0
-/// compiled for the first spec of that shape. Shared by every clone and
-/// pin of the generation; [`ShardedDatabase::publish`] starts the next
-/// generation with a fresh one, so an entry never outlives the schema
-/// and indexes it was compiled against and there is no invalidation.
-#[derive(Debug, Default)]
-struct TemplateCache {
-    entries: Mutex<Vec<(QuerySpec, Plan)>>,
-}
-
-impl TemplateCache {
-    fn entries(&self) -> MutexGuard<'_, Vec<(QuerySpec, Plan)>> {
-        // Every update is a single `push` or `clear`, so the vector is
-        // valid at every step and a poisoned lock loses nothing.
-        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -250,8 +219,6 @@ pub struct ShardedState {
     /// Scatter-gather observability handles, shared by every
     /// generation, so pinned snapshots record into the same series.
     metrics: ShardMetrics,
-    /// This generation's compiled scatter templates.
-    templates: Arc<TemplateCache>,
 }
 
 /// The sharded catalog's pinned-generation guard:
@@ -337,7 +304,6 @@ impl ShardedDatabase {
             exec,
             generation: 0,
             metrics,
-            templates: Arc::default(),
         };
         Ok(Self {
             slot: SwapSlot::new(tip.clone(), 0),
@@ -483,7 +449,9 @@ impl ShardedDatabase {
             Arc::new(ShardedTable {
                 shard_key: shard_key.to_owned(),
                 rows: table.rows(),
-                columns: table.columns().map(|(name, _)| name.to_owned()).collect(),
+                columns: (table.columns())
+                    .map(|(name, col)| (name.to_owned(), col.domain().is_int()))
+                    .collect(),
                 placement,
                 locals,
                 indexes: BTreeMap::new(),
@@ -548,12 +516,12 @@ impl ShardedDatabase {
         values: Vec<Value>,
     ) -> Result<ShardedRebuildReport> {
         let meta = self.tip.meta(table)?;
-        if !meta.columns.iter().any(|c| c == column) {
+        let Some(at) = meta.columns.iter().position(|(c, _)| c == column) else {
             return Err(MmdbError::UnknownColumn {
                 table: table.to_owned(),
                 column: column.to_owned(),
             });
-        }
+        };
         if values.len() != meta.rows {
             return Err(MmdbError::RaggedColumn {
                 table: table.to_owned(),
@@ -563,14 +531,17 @@ impl ShardedDatabase {
             });
         }
         if column == meta.shard_key {
-            return self.repartition(table, column, values);
+            return self.repartition(table, at, values);
         }
+        let is_int = values.iter().all(|v| matches!(v, Value::Int(_)));
         // Route each row's new value to the shard that owns the row.
         let batches: Vec<Vec<Mutation>> = (meta.locals.iter())
             .map(|l| l.iter().map(|&g| values[g as usize].clone()).collect())
             .map(|vals| vec![Mutation::ReplaceColumn(table.into(), column.into(), vals)])
             .collect();
         let per_shard = self.apply_per_shard(batches)?;
+        let meta = Arc::make_mut(self.tip.tables.get_mut(table).expect("checked above"));
+        meta.columns[at].1 = is_int;
         // One composed commit after every shard finished its cycle:
         // snapshots see either no shard updated or all of them.
         self.publish();
@@ -621,12 +592,9 @@ impl ShardedDatabase {
     /// install the result as the next immutable [`ShardedState`]. Called
     /// exactly once at the end of every successful mutation, *after* all
     /// shards updated — a pinned snapshot never observes half a
-    /// cross-shard mutation. The new generation starts with an empty
-    /// template cache: whatever the mutation changed (an index, a
-    /// schema, the exec options), no plan compiled before it is reused.
+    /// cross-shard mutation.
     fn publish(&mut self) {
         self.tip.shards = self.shards.iter().map(|b| b.pin()).collect();
-        self.tip.templates = Arc::default();
         self.tip.generation += 1;
         self.slot.install(self.tip.clone(), self.tip.generation);
     }
@@ -663,7 +631,7 @@ impl ShardedDatabase {
     fn repartition(
         &mut self,
         table: &str,
-        key_column: &str,
+        key_at: usize,
         new_keys: Vec<Value>,
     ) -> Result<ShardedRebuildReport> {
         // Validate the new placement first — the catalog stays untouched
@@ -674,8 +642,8 @@ impl ShardedDatabase {
         // Reassemble each column's global values from the current shards.
         let meta = &self.tip.tables[table];
         let mut global = mmdb::TableBuilder::new(table);
-        for name in &meta.columns {
-            let values: Vec<Value> = if name == key_column {
+        for (at, (name, _)) in meta.columns.iter().enumerate() {
+            let values: Vec<Value> = if at == key_at {
                 new_keys.clone()
             } else {
                 // One batched fetch per shard (a single round trip for
@@ -709,6 +677,7 @@ impl ShardedDatabase {
         let meta = Arc::make_mut(self.tip.tables.get_mut(table).expect("present"));
         meta.placement = placement;
         meta.locals = locals;
+        meta.columns[key_at].1 = new_key_col.domain().is_int();
         self.publish();
         Ok(ShardedRebuildReport {
             repartitioned: true,
@@ -731,12 +700,11 @@ impl ShardedState {
     /// The catalog's metric registry: `shard.route.pruned` /
     /// `shard.route.fanned` batch routing counts, `shard.scatter.ns` /
     /// `shard.gather.ns` per-batch timing histograms,
-    /// `shard.route.pushdown` (queries run as shard-local plans) and
-    /// `shard.template.hits` / `shard.template.misses` (the
-    /// generation's scatter-template cache), plus `transport.retries`
-    /// when any shard is remote. Shared with every committed
-    /// generation, so probes through pinned snapshots record into the
-    /// same series as probes through the live [`ShardedDatabase`].
+    /// `shard.route.pushdown` (queries run as shard-local plans), plus
+    /// `transport.retries` when any shard is remote. Shared with every
+    /// committed generation, so probes through pinned snapshots record
+    /// into the same series as probes through the live
+    /// [`ShardedDatabase`].
     pub fn registry(&self) -> &MetricArc<obs::Registry> {
         &self.metrics.registry
     }
@@ -776,63 +744,14 @@ impl ShardedState {
         Query::new(self, table)
     }
 
-    /// How many query shapes this generation's scatter-template cache
-    /// holds right now — never more than [`TEMPLATE_CACHE_CAPACITY`],
-    /// and zero again after every commit.
-    pub fn cached_templates(&self) -> usize {
-        self.templates.entries().len()
-    }
-
-    /// The per-shard plan template for `spec`: names and access paths
-    /// resolved against shard 0 — through its local planner or across
-    /// the wire, so local and remote catalogs produce the same template,
-    /// and one compile is enough because every shard holds the same
-    /// tables, columns and index kinds. Shard 0 is only asked the first
-    /// time this generation sees the spec's *shape*; afterwards the
-    /// cached plan is cloned and re-pointed at `spec`'s literals.
-    fn template(&self, spec: &QuerySpec) -> Result<Plan> {
-        let cached = self
-            .templates
-            .entries()
+    /// Whether `table.column` is integer-valued; `None` when there is no
+    /// such column.
+    fn column_is_int(&self, table: &str, column: &str) -> Option<bool> {
+        let meta = self.meta(table).ok()?;
+        meta.columns
             .iter()
-            .find(|(shape, _)| shape.same_shape(spec))
-            .map(|(_, plan)| plan.clone());
-        match cached {
-            Some(mut plan) => {
-                self.metrics.template_hits.inc();
-                plan.bind_literals(spec);
-                Ok(plan)
-            }
-            None => self.compile_template(spec),
-        }
-    }
-
-    /// A template-cache miss: shard 0 compiles `spec` and the plan is
-    /// remembered under its shape. Errors are not cached, so a bad name
-    /// fails typed on every call, and the lock is only taken after the
-    /// shard has answered.
-    fn compile_template(&self, spec: &QuerySpec) -> Result<Plan> {
-        self.metrics.template_misses.inc();
-        let plan = self.shards[0].compile(spec)?;
-        let mut entries = self.templates.entries();
-        if entries.len() >= TEMPLATE_CACHE_CAPACITY {
-            entries.clear();
-        }
-        entries.push((spec.clone(), plan.clone()));
-        Ok(plan)
-    }
-
-    /// Resolve the access path of a probe batch on `table.column` —
-    /// point, or range when `ranged` — which is the compile of the
-    /// one-filter query the batch stands for, so a generation that has
-    /// compiled that shape answers from the cache.
-    fn resolve_probe(&self, table: &str, column: &str, ranged: bool) -> Result<()> {
-        let probe = match ranged {
-            true => between(column, 0, 0),
-            false => eq(column, 0),
-        };
-        self.template(&QuerySpec::table(table).filter(probe))
-            .map(drop)
+            .find(|(c, _)| c == column)
+            .map(|&(_, int)| int)
     }
 
     fn meta(&self, table: &str) -> Result<&ShardedTable> {
@@ -1183,6 +1102,28 @@ impl ShardedState {
     }
 }
 
+/// The planner's view of this generation: the schema the coordinator
+/// registered and keeps current, so compiling asks no shard. A plan's
+/// body runs on each routed shard, so its `rows_hint`s are shard 0's row
+/// count, as a shard's own compile of the body would record.
+impl Schema for ShardedState {
+    fn rows(&self, table: &str) -> Result<usize> {
+        Ok(self.meta(table)?.locals[0].len())
+    }
+
+    fn has_column(&self, table: &str, column: &str) -> bool {
+        self.column_is_int(table, column).is_some()
+    }
+
+    fn kinds(&self, table: &str, column: &str) -> Option<&BTreeSet<IndexKind>> {
+        self.meta(table).ok()?.indexes.get(column)
+    }
+
+    fn is_int(&self, table: &str, column: &str) -> bool {
+        self.column_is_int(table, column) == Some(true)
+    }
+}
+
 impl CatalogRead for ShardedState {
     fn exec_options(&self) -> ExecOptions {
         self.exec
@@ -1202,12 +1143,11 @@ impl CatalogRead for ShardedState {
         values: &[Value],
     ) -> Result<Vec<Vec<u32>>> {
         let meta = self.meta(table)?;
-        // Resolve the access path before routing, so a missing table,
-        // column or index fails typed even when routing prunes every
-        // probe away: the per-request query path errors there, and batch
-        // answers must match it byte for byte. After the generation's
-        // first batch the template cache answers it without a request.
-        self.resolve_probe(table, column, false)?;
+        // Check the access path before routing, so a missing column or
+        // index fails typed even when routing prunes every probe away:
+        // the per-request query path errors there, and batch answers
+        // must match it byte for byte.
+        plan::check_index(self, table, column, false, None)?;
         self.probe_batch(
             meta,
             column,
@@ -1228,21 +1168,20 @@ impl CatalogRead for ShardedState {
         ranges: &[(Value, Value)],
     ) -> Result<Vec<Vec<u32>>> {
         let meta = self.meta(table)?;
-        // Same upfront resolution as the point path: an unordered-only
-        // column must fail `NoOrderedIndex` even if every range routes
-        // nowhere.
-        self.resolve_probe(table, column, true)?;
+        // Same upfront check as the point path: an unordered-only column
+        // must fail `NoOrderedIndex` even if every range routes nowhere.
+        plan::check_index(self, table, column, true, None)?;
         let op: fn(&(Value, Value)) -> PredicateOp<'_> = |(lo, hi)| PredicateOp::Between(lo, hi);
         self.probe_batch(meta, column, ranges, op, |shard, rs| {
             shard.range_probe_batch(table, column, rs)
         })
     }
 
-    /// Compile `spec`: the per-shard body from this generation's
-    /// template cache (or shard 0), then its [`Routing`].
+    /// Compile `spec`: the per-shard body from the one planner over the
+    /// schema this generation keeps (no shard is asked), then its
+    /// [`Routing`].
     fn compile(&self, spec: &QuerySpec) -> Result<Plan> {
-        self.meta(&spec.table)?;
-        let mut plan = self.template(spec)?;
+        let mut plan = plan::compile(self, self.exec, spec)?;
         plan.routing = self.route(&plan)?;
         Ok(plan)
     }
@@ -1417,8 +1356,9 @@ impl<'a> Merge<'a> {
 
 /// The query a routed shard runs for a shard-local `plan`: its body as
 /// a [`QuerySpec`], with `exec` as the override. Each shard checks its
-/// own indexes, exactly as shard 0 did for the body; every shard holds
-/// the same indexes, and each answers from its columns' RID lists.
+/// own indexes, exactly as the coordinator did for the body against the
+/// declarations it keeps; every shard holds those indexes, and each
+/// answers from its columns' RID lists.
 fn shipped_spec(plan: &Plan, exec: Option<ExecOptions>) -> QuerySpec {
     let mut spec = QuerySpec::table(plan.table.clone());
     for step in &plan.probes {
@@ -1528,6 +1468,7 @@ mod tests {
     use super::*;
     use crate::partition::{HashPartitioner, RangePartitioner};
     use mmdb::{count, TableBuilder, TransportFault};
+    use std::sync::Mutex;
 
     /// What a [`Fake`] shard gets wrong.
     #[derive(Debug, Clone, Copy, PartialEq)]
@@ -1626,9 +1567,6 @@ mod tests {
         }
         fn column_values(&self, t: &str, c: &str, rids: Option<&[u32]>) -> Result<Vec<Value>> {
             self.inner.column_values(t, c, rids)
-        }
-        fn compile(&self, spec: &QuerySpec) -> Result<Plan> {
-            self.inner.compile(spec)
         }
         fn fetch_snapshot(&self) -> Result<Vec<u8>> {
             self.inner.fetch_snapshot()

@@ -5,7 +5,7 @@
 //! pin the frame header (magic, version, trace length, length, CRC) as
 //! well as the trace and the payload, and they pin both directions:
 //! what the client writes is compared byte for byte, what it reads is
-//! these bytes exactly. `golden_frames_pin_protocol_v5_bytes` in the
+//! these bytes exactly. `golden_frames_pin_protocol_v6_bytes` in the
 //! wire crate pins payloads alone.
 
 use std::io::{Read, Write};
@@ -22,7 +22,7 @@ use mmdb::{eq, IndexKind, MmdbError, Mutation, QuerySpec, ResultRows, TransportF
 /// and what `ShardRead::generation` asks.
 const HELLO: &str = concat!(
     "43435758", // magic "CCWX"
-    "0500",     // version 5
+    "0600",     // version 6
     "00000000", // trace length: no trace
     "01000000", // payload length
     "8def02d2", // CRC-32 over trace and payload
@@ -32,7 +32,7 @@ const HELLO: &str = concat!(
 /// `Info` (generation 1), untraced: the answer to `HELLO`.
 const INFO: &str = concat!(
     "43435758",
-    "0500",
+    "0600",
     "00000000",
     "09000000",
     "ae9e8dbf",
@@ -44,7 +44,7 @@ const INFO: &str = concat!(
 /// `0x0102030405060708`.
 const RUN_SPEC_TRACED: &str = concat!(
     "43435758",
-    "0500",
+    "0600",
     "08000000", // trace length: one span id
     "24000000",
     "06ffd1e2",
@@ -56,7 +56,7 @@ const RUN_SPEC_TRACED: &str = concat!(
 /// `server` 5 µs { `decode` 1 µs, `execute` 3 µs } rides in the trace.
 const ROWS_TRACED: &str = concat!(
     "43435758",
-    "0500",
+    "0600",
     "43000000", // trace length
     "0e000000",
     "17ecf5c3",
@@ -73,7 +73,7 @@ const ROWS_TRACED: &str = concat!(
 /// `CreateIndex` of `FullCss` on `sales.cust`.
 const MUTATE: &str = concat!(
     "43435758",
-    "0500",
+    "0600",
     "00000000",
     "3f000000",
     "2bc8b75f",
@@ -90,7 +90,7 @@ const MUTATE: &str = concat!(
 /// re-sorted in 1,234,567 ns.
 const APPLIED: &str = concat!(
     "43435758",
-    "0500",
+    "0600",
     "00000000",
     "0d000000",
     "2919b7cc",
@@ -100,14 +100,14 @@ const APPLIED: &str = concat!(
 );
 
 /// `Unit`, untraced.
-const UNIT: &str = "43435758050000000000010000000536d0450b";
+const UNIT: &str = "43435758060000000000010000000536d0450b";
 
 /// What a protocol-v4 peer put on the wire for the handshake, a traced
 /// `RunSpec` and its traced `Rows`, and a `Mutate` batch and its
 /// `Applied`: v4's `Info` carried three more fields (`swaps`, `pinned`
 /// and the exec options), and every other payload and checksum is the
-/// v5 one (the CRC covers trace and payload, not the header), under
-/// version 4.
+/// v5 and v6 one (the CRC covers trace and payload, not the header),
+/// under version 4.
 const V4_FRAMES: [&str; 6] = [
     concat!("43435758", "0400", "00000000", "01000000", "8def02d2", "00"),
     concat!(
@@ -273,7 +273,7 @@ fn scripted_peer(replies: &[&str], split: bool) -> (String, JoinHandle<Vec<Vec<u
 /// a batch of catalog edits as exactly one `Mutate` frame and its one
 /// reply, and the handshake's `Info` carrying the generation alone.
 #[test]
-fn whole_frames_pin_protocol_v5_bytes() {
+fn whole_frames_pin_protocol_v6_bytes() {
     let (addr, peer) = scripted_peer(&[INFO, ROWS_TRACED, APPLIED, INFO], false);
     let mut shard = RemoteShard::connect(addr.as_str()).expect("the scripted handshake");
     let mut span = Span::with_id("query", 0x0102_0304_0506_0708);
@@ -334,9 +334,46 @@ fn refused(old: u16) -> impl Fn(MmdbError) {
     }
 }
 
+/// `frame` as a `version` peer wrote it: v5 and v6 write the same
+/// payloads (v6 only retired frames), and the CRC covers trace and
+/// payload, so only the header's version field differs.
+fn framed_as(version: u16, frame: &str) -> String {
+    let field: String = (version.to_le_bytes().iter())
+        .map(|b| format!("{b:02x}"))
+        .collect();
+    format!("{}{field}{}", &frame[..8], &frame[12..])
+}
+
+/// Protocol v5's whole frames — the bytes this test pinned while v5 was
+/// current: the handshake and its `Info`, a traced `RunSpec` and its
+/// traced `Rows`, a `Mutate` batch, its `Applied` and a `Unit` — are
+/// refused by a v6 reader with a typed `Version` fault naming both
+/// versions: read as bytes, and as the answer to a v6 client's
+/// handshake, which then never connects.
+#[test]
+fn whole_frames_pin_protocol_v5_bytes() {
+    let refused = refused(5);
+    let frames = [
+        HELLO,
+        INFO,
+        RUN_SPEC_TRACED,
+        ROWS_TRACED,
+        MUTATE,
+        APPLIED,
+        UNIT,
+    ];
+    for hex in frames.map(|frame| framed_as(5, frame)) {
+        refused(read_frame(&mut &unhex(&hex)[..], "v5 peer").expect_err("a v5 frame"));
+    }
+    let (addr, peer) = scripted_peer(&[framed_as(5, INFO).as_str()], false);
+    refused(RemoteShard::connect(addr.as_str()).expect_err("a v5 handshake"));
+    let frames = peer.join().expect("the peer saw the frames it expected");
+    assert_eq!(frames, [unhex(HELLO)]);
+}
+
 /// Protocol v4's whole frames — the bytes this test pinned while v4 was
-/// current — are refused by a v5 reader with a typed `Version` fault
-/// naming both versions: read as bytes, and as the answer to a v5
+/// current — are refused by a v6 reader with a typed `Version` fault
+/// naming both versions: read as bytes, and as the answer to a v6
 /// client's handshake, which then never connects.
 #[test]
 fn whole_frames_pin_protocol_v4_bytes() {
@@ -350,9 +387,9 @@ fn whole_frames_pin_protocol_v4_bytes() {
     assert_eq!(frames, [unhex(HELLO)]);
 }
 
-/// Protocol v3's whole frames are refused by a v5 reader with a typed
+/// Protocol v3's whole frames are refused by a v6 reader with a typed
 /// `Version` fault naming both versions: read as bytes, and as the
-/// answer to a v5 client's handshake, which then never connects.
+/// answer to a v6 client's handshake, which then never connects.
 #[test]
 fn whole_frames_pin_protocol_v3_bytes() {
     let refused = refused(3);

@@ -9,9 +9,8 @@
 
 use ccindex_obs::SpanNode;
 use ccindex_store::bytes::{ByteReader, ByteWriter};
-use mmdb::plan::{GroupStep, JoinStep, Plan, Probe, ProbeStep, Routing, Side};
 use mmdb::{
-    between, eq, get_value, on, put_value, Agg, AggFn, ExecOptions, GroupRow, IndexKind, JoinRow,
+    between, eq, get_value, on, put_value, Agg, ExecOptions, GroupRow, IndexKind, JoinRow,
     MmdbError, Mutation, Predicate, PredicateOp, Result, ResultRows, StorageFault, TableBuilder,
     TransportFault,
 };
@@ -52,27 +51,6 @@ pub fn get_kind(r: &mut Reader<'_>) -> Result<IndexKind> {
         .ok_or_else(|| r.fail(format!("bad IndexKind tag {tag}")))
 }
 
-/// Encode an [`AggFn`].
-pub fn put_agg_fn(w: &mut ByteWriter, agg: AggFn) {
-    w.u8(match agg {
-        AggFn::Count => 0,
-        AggFn::Sum => 1,
-        AggFn::Min => 2,
-        AggFn::Max => 3,
-    });
-}
-
-/// Decode an [`AggFn`].
-pub fn get_agg_fn(r: &mut Reader<'_>) -> Result<AggFn> {
-    match r.u8()? {
-        0 => Ok(AggFn::Count),
-        1 => Ok(AggFn::Sum),
-        2 => Ok(AggFn::Min),
-        3 => Ok(AggFn::Max),
-        other => Err(r.fail(format!("bad AggFn tag {other}"))),
-    }
-}
-
 /// Encode an [`Agg`] (aggregate plus its measure column, if any).
 pub fn put_agg(w: &mut ByteWriter, agg: &Agg) {
     match agg {
@@ -100,47 +78,6 @@ pub fn get_agg(r: &mut Reader<'_>) -> Result<Agg> {
         2 => Ok(Agg::Min(r.str()?)),
         3 => Ok(Agg::Max(r.str()?)),
         other => Err(r.fail(format!("bad Agg tag {other}"))),
-    }
-}
-
-/// Encode a [`Side`].
-pub fn put_side(w: &mut ByteWriter, side: Side) {
-    w.u8(match side {
-        Side::Outer => 0,
-        Side::Inner => 1,
-    });
-}
-
-/// Decode a [`Side`].
-pub fn get_side(r: &mut Reader<'_>) -> Result<Side> {
-    match r.u8()? {
-        0 => Ok(Side::Outer),
-        1 => Ok(Side::Inner),
-        other => Err(r.fail(format!("bad Side tag {other}"))),
-    }
-}
-
-/// Encode a [`Probe`].
-pub fn put_probe(w: &mut ByteWriter, probe: &Probe) {
-    match probe {
-        Probe::Point(v) => {
-            w.u8(0);
-            put_value(w, v);
-        }
-        Probe::Range(lo, hi) => {
-            w.u8(1);
-            put_value(w, lo);
-            put_value(w, hi);
-        }
-    }
-}
-
-/// Decode a [`Probe`].
-pub fn get_probe(r: &mut Reader<'_>) -> Result<Probe> {
-    match r.u8()? {
-        0 => Ok(Probe::Point(get_value(r)?)),
-        1 => Ok(Probe::Range(get_value(r)?, get_value(r)?)),
-        other => Err(r.fail(format!("bad Probe tag {other}"))),
     }
 }
 
@@ -478,69 +415,6 @@ fn get_span_node_at(r: &mut Reader<'_>, depth: u32) -> Result<SpanNode> {
         name,
         elapsed_ns,
         children,
-    })
-}
-
-/// Encode a compiled [`Plan`] (all plan-node fields are public, so the
-/// coordinator can reconstruct an identical template from a remote
-/// shard's compile). The body only: a shard compiles and runs plans in
-/// place, so the [`Routing`] is never on the wire and decodes as the
-/// default. A plan records its parallelism once, in `exec`, and no step
-/// carries an index kind.
-pub fn put_plan(w: &mut ByteWriter, plan: &Plan) {
-    w.str(&plan.table);
-    w.seq(&plan.probes, |w, p| {
-        w.str(&p.column);
-        put_probe(w, &p.probe);
-    });
-    w.option(plan.join.as_ref(), |w, j| {
-        w.str(&j.inner_table);
-        w.str(&j.outer_column);
-        w.str(&j.inner_column);
-        w.usize(j.rows_hint);
-    });
-    w.option(plan.group.as_ref(), |w, g| {
-        w.str(&g.column);
-        put_side(w, g.side);
-        put_agg_fn(w, g.agg);
-        w.option(g.measure.as_ref(), |w, (m, side)| {
-            w.str(m);
-            put_side(w, *side);
-        });
-        w.usize(g.rows_hint);
-    });
-    put_exec(w, plan.exec);
-}
-
-/// Decode a compiled [`Plan`].
-pub fn get_plan(r: &mut Reader<'_>) -> Result<Plan> {
-    Ok(Plan {
-        table: r.str()?,
-        probes: r.seq(|r| {
-            Ok(ProbeStep {
-                column: r.str()?,
-                probe: get_probe(r)?,
-            })
-        })?,
-        join: r.option(|r| {
-            Ok(JoinStep {
-                inner_table: r.str()?,
-                outer_column: r.str()?,
-                inner_column: r.str()?,
-                rows_hint: r.usize()?,
-            })
-        })?,
-        group: r.option(|r| {
-            Ok(GroupStep {
-                column: r.str()?,
-                side: get_side(r)?,
-                agg: get_agg_fn(r)?,
-                measure: r.option(|r| Ok((r.str()?, get_side(r)?)))?,
-                rows_hint: r.usize()?,
-            })
-        })?,
-        exec: get_exec(r)?,
-        routing: Routing::default(),
     })
 }
 

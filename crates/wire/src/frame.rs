@@ -45,11 +45,12 @@ pub const MAGIC: [u8; 4] = *b"CCWX";
 /// Protocol version this build speaks (v2 added the trace field, v3
 /// the snapshot-transfer messages, v4 the one `Mutate` frame per batch
 /// in place of v3's retired frames and dead slots, v5 dropped the
-/// frames and `Info` fields no peer needs). A peer speaking any
+/// frames and `Info` fields no peer needs, v6 the plan frames: the
+/// coordinator compiles every query itself). A peer speaking any
 /// other version gets a typed [`TransportFault::Version`] naming both
 /// versions — negotiation is explicit refusal, never a checksum
 /// coincidence.
-pub const VERSION: u16 = 5;
+pub const VERSION: u16 = 6;
 
 /// Upper bound on one frame's trace + payload bytes (guards allocation
 /// against a corrupted or hostile length field). The writer refuses a
@@ -409,10 +410,10 @@ mod tests {
         };
         let resp = ShardResponse::Rows(ResultRows::Rids(vec![0, 2]));
         write_response(&mut rows, "test", &resp, Some(&server)).expect("rows");
-        let hello_hex = concat!("43435758", "0500", "00000000", "01000000", "8def02d2", "00");
+        let hello_hex = concat!("43435758", "0600", "00000000", "01000000", "8def02d2", "00");
         let run_hex = concat!(
             "43435758",
-            "0500",
+            "0600",
             "08000000",
             "24000000",
             "06ffd1e2",
@@ -421,7 +422,7 @@ mod tests {
         );
         let rows_hex = concat!(
             "43435758",
-            "0500",
+            "0600",
             "43000000",
             "0e000000",
             "17ecf5c3",

@@ -4,35 +4,35 @@
 //!
 //! [`ShardRequest`] covers the full `ShardRead` + `ShardBackend`
 //! surface — whole query specs (a join's outer selection is one too),
-//! probe batches, join-probe fan-out, value fetches, plan compilation,
-//! and one [`ShardRequest::Mutate`] frame per batch of catalog edits.
+//! probe batches, join-probe fan-out, value fetches, and one
+//! [`ShardRequest::Mutate`] frame per batch of catalog edits.
 //! Query descriptions and catalog edits are `mmdb`'s own [`QuerySpec`]
 //! and [`Mutation`], encoded directly: the wire has no types of its own
 //! for them.
 //!
-//! Protocol v5 carries only what the coordinator cannot work out
-//! itself. It registered every table, so it asks a shard neither for
-//! column names nor for row counts; `Info` is the generation alone; and
-//! no frame has a sender it does not need: no remote serving window,
-//! and no request that stops a server (only its owner does). The tags
-//! retired in v5 (requests 7, 8, 11 and 19, responses 5, 7 and 8) and
-//! in v4 (requests 3, 5 and 13–17, responses 1 and 3) are never reused,
-//! so a retired payload can never pass for another message.
+//! Protocol v6 carries only what the coordinator cannot work out
+//! itself. It registered every table and keeps its schema, so it asks a
+//! shard neither for column names nor for row counts, and it compiles
+//! every query itself: no frame carries a plan. `Info` is the generation
+//! alone, and no frame has a sender it does not need: no remote serving
+//! window, and no request that stops a server (only its owner does).
+//! The tags retired in v6 (request 9, response 6), in v5 (requests 7,
+//! 8, 11 and 19, responses 5, 7 and 8) and in v4 (requests 3, 5 and
+//! 13–17, responses 1 and 3) are never reused, so a retired payload can
+//! never pass for another message.
 
 use std::io::{Read, Write};
 
 use ccindex_obs::SpanNode;
 use ccindex_store::bytes::ByteWriter;
-use mmdb::plan::Plan;
 use mmdb::{
     get_value, put_value, ExecOptions, MmdbError, Mutation, QuerySpec, Result, ResultRows, Value,
 };
 
 use crate::codec::{
-    decode_error, get_agg, get_error, get_exec, get_join_on, get_kind, get_mutation, get_plan,
-    get_predicate, get_result_rows, get_span_node, put_agg, put_error, put_exec, put_join_on,
-    put_kind, put_mutation, put_plan, put_predicate, put_result_rows, put_span_node, reader,
-    Reader,
+    decode_error, get_agg, get_error, get_exec, get_join_on, get_kind, get_mutation, get_predicate,
+    get_result_rows, get_span_node, put_agg, put_error, put_exec, put_join_on, put_kind,
+    put_mutation, put_predicate, put_result_rows, put_span_node, reader, Reader,
 };
 use crate::frame::{read_frame, write_frame};
 
@@ -82,12 +82,6 @@ pub enum ShardRequest {
         column: String,
         /// Local RIDs to decode (`None` = every row).
         rids: Option<Vec<u32>>,
-    },
-    /// Compile `spec` through the shard's planner and return the
-    /// physical plan (the coordinator's scatter template).
-    Compile {
-        /// The query description.
-        spec: QuerySpec,
     },
     /// Compile and execute `spec`, returning the result rows.
     RunSpec {
@@ -141,9 +135,6 @@ pub enum ShardResponse {
     Values(Vec<Value>),
     /// Full query result rows.
     Rows(ResultRows),
-    /// A compiled physical plan (boxed: a plan carries its routing, and
-    /// no other reply should pay for its size).
-    Plan(Box<Plan>),
     /// A [`ShardRequest::Mutate`] batch committed.
     Applied {
         /// The time re-sorting each RID list, in nanoseconds: one per
@@ -269,10 +260,6 @@ impl ShardRequest {
                 w.str(column);
                 w.option(rids.as_ref(), |w, rids| w.seq(rids, |w, r| w.u32(*r)));
             }
-            ShardRequest::Compile { spec } => {
-                w.u8(9);
-                put_spec(&mut w, spec);
-            }
             ShardRequest::RunSpec { spec } => {
                 w.u8(10);
                 put_spec(&mut w, spec);
@@ -344,9 +331,6 @@ impl ShardRequest {
                 column: r.str()?,
                 rids: r.option(|r| r.seq(|r| r.u32()))?,
             },
-            9 => ShardRequest::Compile {
-                spec: get_spec(&mut r)?,
-            },
             10 => ShardRequest::RunSpec {
                 spec: get_spec(&mut r)?,
             },
@@ -385,10 +369,6 @@ impl ShardResponse {
             ShardResponse::Rows(rows) => {
                 w.u8(4);
                 put_result_rows(&mut w, rows);
-            }
-            ShardResponse::Plan(plan) => {
-                w.u8(6);
-                put_plan(&mut w, plan);
             }
             ShardResponse::Applied { sort_ns } => {
                 w.u8(9);
@@ -432,7 +412,6 @@ impl ShardResponse {
             0 => ShardResponse::RidSets(r.seq(|r| r.seq(|r| r.u32()))?),
             2 => ShardResponse::Values(r.seq(get_value)?),
             4 => ShardResponse::Rows(get_result_rows(&mut r)?),
-            6 => ShardResponse::Plan(Box::new(get_plan(&mut r)?)),
             9 => ShardResponse::Applied {
                 sort_ns: r.seq(|r| r.u64())?,
             },

@@ -3,37 +3,17 @@
 //! allocator records the largest single request made while decoding.
 
 use ccindex_wire::ShardRequest;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-struct Counting;
-
-static LARGEST: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: every call is forwarded unchanged to the system allocator; the
-// wrapper only records the size asked for.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LARGEST.fetch_max(layout.size(), Ordering::SeqCst);
-        // SAFETY: the caller's contract for `alloc` is passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use check::counting::Counting;
 
 #[global_allocator]
-static ALLOC: Counting = Counting;
+static ALLOC: Counting = Counting::new();
 
 /// Decode `frame`, which must fail, and return the largest single
 /// allocation the decode made.
 fn largest_reservation(frame: &[u8]) -> usize {
-    LARGEST.store(0, Ordering::SeqCst);
+    ALLOC.reset();
     let decoded = ShardRequest::decode(frame, "hostile");
-    let largest = LARGEST.load(Ordering::SeqCst);
+    let largest = ALLOC.largest();
     assert!(decoded.is_err(), "a hostile frame decoded");
     largest
 }

@@ -1,13 +1,11 @@
 //! Since protocol v4 there are no kind slots. Protocol v3 kept a byte
 //! where an index kind used to travel after a `JoinProbeBatch` column
-//! and after each probe and join step's column of a `Plan` reply,
-//! written as `FullCss`'s code and dropped on read. No plan or probe carries a kind,
-//! so v4 and later write each of those column names followed directly
-//! by its next field.
+//! (and in the `Plan` reply v6 retired), written as `FullCss`'s code
+//! and dropped on read. No probe carries a kind, so v4 and later write
+//! that column name followed directly by its next field.
 
-use ccindex_wire::{ShardRequest, ShardResponse};
-use mmdb::plan::{GroupStep, JoinStep, Plan, Probe, ProbeStep, Side};
-use mmdb::{AggFn, ExecOptions, Value};
+use ccindex_wire::ShardRequest;
+use mmdb::Value;
 
 /// The bytes that follow the first `name` string in `bytes`.
 fn after<'a>(bytes: &'a [u8], name: &str) -> &'a [u8] {
@@ -40,40 +38,4 @@ fn kind_slots_are_written_as_full_css_and_read_as_any_kind() {
     // The value count, then the first value's tag.
     assert_followed_by(&bytes, "jcol", &[2, 0, 0, 0, 0]);
     assert_eq!(ShardRequest::decode(&bytes, "peer").ok(), Some(join));
-
-    let plan = ShardResponse::Plan(Box::new(Plan {
-        table: "sales".into(),
-        probes: vec![
-            ProbeStep {
-                column: "pcol".into(),
-                probe: Probe::Point(Value::Int(7)),
-            },
-            ProbeStep {
-                column: "rcol".into(),
-                probe: Probe::Range(Value::Int(1), Value::Int(9)),
-            },
-        ],
-        join: Some(JoinStep {
-            inner_table: "customers".into(),
-            outer_column: "ocol".into(),
-            inner_column: "icol".into(),
-            rows_hint: 120,
-        }),
-        group: Some(GroupStep {
-            column: "region".into(),
-            side: Side::Inner,
-            agg: AggFn::Count,
-            measure: None,
-            rows_hint: 120,
-        }),
-        exec: ExecOptions::default(),
-        ..Plan::default()
-    }));
-    let bytes = plan.encode();
-    // A probe step's column is followed by its probe's tag and value;
-    // the join step's inner column by its row hint.
-    assert_followed_by(&bytes, "pcol", &[0, 0, 7, 0, 0, 0, 0, 0, 0, 0]);
-    assert_followed_by(&bytes, "rcol", &[1, 0, 1, 0, 0, 0, 0, 0, 0, 0]);
-    assert_followed_by(&bytes, "icol", &120u64.to_le_bytes());
-    assert_eq!(ShardResponse::decode(&bytes, "peer").ok(), Some(plan));
 }

@@ -8,10 +8,9 @@ use ccindex_wire::{
     decode_span_id, read_frame, read_response, write_frame, write_request, write_response,
     ShardRequest, ShardResponse, VERSION,
 };
-use mmdb::plan::{GroupStep, JoinStep, Plan, Probe, ProbeStep, Routing, Side};
 use mmdb::{
-    between, count, eq, max, on, sum, Agg, AggFn, ExecOptions, GroupRow, IndexKind, JoinRow,
-    MmdbError, Mutation, QuerySpec, ResultRows, StorageFault, TableBuilder, TransportFault, Value,
+    between, count, eq, max, on, sum, Agg, ExecOptions, GroupRow, IndexKind, JoinRow, MmdbError,
+    Mutation, QuerySpec, ResultRows, StorageFault, TableBuilder, TransportFault, Value,
 };
 use proptest::prelude::*;
 
@@ -74,32 +73,12 @@ impl Gen {
         }
     }
 
-    fn probe(&mut self) -> Probe {
-        if self.below(2) == 0 {
-            Probe::Point(self.value())
-        } else {
-            Probe::Range(self.value(), self.value())
-        }
-    }
-
     fn agg(&mut self) -> Agg {
         match self.below(4) {
             0 => count(),
             1 => sum(&self.string()),
             2 => mmdb::min(&self.string()),
             _ => max(&self.string()),
-        }
-    }
-
-    fn agg_fn(&mut self) -> AggFn {
-        [AggFn::Count, AggFn::Sum, AggFn::Min, AggFn::Max][self.below(4) as usize]
-    }
-
-    fn side(&mut self) -> Side {
-        if self.below(2) == 0 {
-            Side::Outer
-        } else {
-            Side::Inner
         }
     }
 
@@ -251,45 +230,6 @@ impl Gen {
         }
     }
 
-    fn plan(&mut self) -> Plan {
-        Plan {
-            table: self.string(),
-            probes: (0..self.below(3))
-                .map(|_| ProbeStep {
-                    column: self.string(),
-                    probe: self.probe(),
-                })
-                .collect(),
-            join: if self.below(2) == 0 {
-                Some(JoinStep {
-                    inner_table: self.string(),
-                    outer_column: self.string(),
-                    inner_column: self.string(),
-                    rows_hint: self.below(1 << 20) as usize,
-                })
-            } else {
-                None
-            },
-            group: if self.below(2) == 0 {
-                Some(GroupStep {
-                    column: self.string(),
-                    side: self.side(),
-                    agg: self.agg_fn(),
-                    measure: if self.below(2) == 0 {
-                        Some((self.string(), self.side()))
-                    } else {
-                        None
-                    },
-                    rows_hint: self.below(1 << 20) as usize,
-                })
-            } else {
-                None
-            },
-            exec: self.exec(),
-            routing: Routing::default(),
-        }
-    }
-
     /// One catalog edit of any kind. A registered table has up to three
     /// equal-length columns under distinct names.
     fn mutation(&mut self) -> Mutation {
@@ -355,7 +295,6 @@ impl Gen {
                 column: self.string(),
                 rids: self.opt_rids(),
             },
-            ShardRequest::Compile { spec: self.spec() },
             ShardRequest::RunSpec { spec: self.spec() },
             ShardRequest::Mutate((0..self.below(8)).map(|_| self.mutation()).collect()),
             ShardRequest::SetExecOptions { exec: self.exec() },
@@ -378,7 +317,6 @@ impl Gen {
             ShardResponse::RidSets((0..self.below(4)).map(|_| self.rids()).collect()),
             ShardResponse::Values(self.values()),
             ShardResponse::Rows(self.result_rows()),
-            ShardResponse::Plan(Box::new(self.plan())),
             ShardResponse::Applied {
                 sort_ns: (0..self.below(4)).map(|_| self.next()).collect(),
             },
@@ -575,18 +513,50 @@ fn golden_spec() -> QuerySpec {
         })
 }
 
-/// `Compile` and `RunSpec` payloads, written the same by v3, v4 and v5,
-/// each with its message.
-fn golden_query_frames() -> Vec<(ShardRequest, String)> {
+/// `RunSpec`'s payload, written the same by v3 through v6.
+fn golden_run_spec() -> (ShardRequest, String) {
     let spec = golden_spec();
-    vec![
-        (
-            ShardRequest::Compile { spec: spec.clone() },
-            format!("09{GOLDEN_SPEC}"),
-        ),
-        (ShardRequest::RunSpec { spec }, format!("0a{GOLDEN_SPEC}")),
-    ]
+    (ShardRequest::RunSpec { spec }, format!("0a{GOLDEN_SPEC}"))
 }
+
+/// v3's to v5's `Compile` (tag 9) of `GOLDEN_SPEC`, and `RunSpec`'s
+/// payload: the query frames every peer before v6 wrote. `Compile` is
+/// retired in v6, as the coordinator compiles every query itself.
+fn pre_v6_query_frames() -> Vec<String> {
+    vec![format!("09{GOLDEN_SPEC}"), golden_run_spec().1]
+}
+
+/// v5's `Plan` reply (tag 6) to a compile of `GOLDEN_SPEC` on a catalog
+/// of 120 `sales` rows: the body, the row hints and the exec options.
+/// Retired in v6 with `Compile`.
+const RETIRED_PLAN: &str = concat!(
+    "06",
+    "0500000073616c6573",
+    "02000000",
+    "06000000726567696f6e",
+    "00",
+    "010400000065617374",
+    "06000000616d6f756e74",
+    "01",
+    "000a00000000000000",
+    "00fa00000000000000",
+    "01",
+    "09000000637573746f6d657273",
+    "0400000063757374",
+    "020000006964",
+    "7800000000000000",
+    "01",
+    "06000000726567696f6e",
+    "01",
+    "01",
+    "01",
+    "06000000616d6f756e74",
+    "00",
+    "7800000000000000",
+    "0400000000000000",
+    "0800000000000000",
+    "0200000000000000",
+);
 
 /// v3's and v4's `ExecuteBatch` (tag 11) of a point probe, a range probe
 /// and `GOLDEN_SPEC`'s query: a remote serving window, retired in v5.
@@ -600,7 +570,7 @@ fn retired_execute_batch() -> String {
 }
 
 /// A `Mutate` batch of one edit of each kind, in `Mutation`'s
-/// declaration order, and the payload v4 and v5 both write for it.
+/// declaration order, and the payload v4, v5 and v6 all write for it.
 fn golden_mutate() -> (ShardRequest, &'static str) {
     let (sales, cust, amount) = ("sales".to_owned(), "cust".to_owned(), "amount".to_owned());
     let register = TableBuilder::new("sales")
@@ -633,8 +603,11 @@ fn golden_mutate() -> (ShardRequest, &'static str) {
     (mutate, want)
 }
 
-/// `Applied` with two sort times, as v4 and v5 both write it.
+/// `Applied` with two sort times, as v4, v5 and v6 all write it.
 const GOLDEN_APPLIED: &str = "090200000087d61200000000005900000000000000";
+
+/// `Info` of generation 1, as v5 and v6 both write it.
+const V5_INFO: &str = "0a0100000000000000";
 
 /// v4's `Info` (generation 1, then `swaps` 0, `pinned` 0 and the
 /// default exec options, three fields v5 dropped).
@@ -678,12 +651,11 @@ fn assert_refused(version: u16, payloads: &[String]) {
 /// replacement or rebuild. The handshake is `Hello` (tag 0), answered
 /// with `Info` (tag 10) carrying the generation alone.
 #[test]
-fn golden_frames_pin_protocol_v5_bytes() {
-    assert_eq!(VERSION, 5);
-    for (req, want) in golden_query_frames() {
-        assert_eq!(req.encode(), unhex(&want), "{req:?}");
-        assert_eq!(ShardRequest::decode(&req.encode(), "peer").ok(), Some(req));
-    }
+fn golden_frames_pin_protocol_v6_bytes() {
+    assert_eq!(VERSION, 6);
+    let (req, want) = golden_run_spec();
+    assert_eq!(req.encode(), unhex(&want), "{req:?}");
+    assert_eq!(ShardRequest::decode(&req.encode(), "peer").ok(), Some(req));
     let (mutate, want) = golden_mutate();
     assert_eq!(mutate.encode(), unhex(want));
     assert_eq!(
@@ -698,7 +670,7 @@ fn golden_frames_pin_protocol_v5_bytes() {
             },
             GOLDEN_APPLIED,
         ),
-        (ShardResponse::Info { generation: 1 }, "0a0100000000000000"),
+        (ShardResponse::Info { generation: 1 }, V5_INFO),
     ];
     for (resp, want) in responses {
         assert_eq!(resp.encode(), unhex(want), "{resp:?}");
@@ -709,17 +681,28 @@ fn golden_frames_pin_protocol_v5_bytes() {
     }
 }
 
+/// Protocol v5's golden payloads — `Compile` and its `Plan` reply (both
+/// retired in v6), `RunSpec`, one `Mutate` batch, its `Applied` reply,
+/// `Hello` and `Info` — each framed as a v5 peer framed it: a v6 reader
+/// refuses every one with a typed `Version` fault naming both versions,
+/// before its payload is read.
+#[test]
+fn golden_frames_pin_protocol_v5_bytes() {
+    let mut payloads = pre_v6_query_frames();
+    payloads.push(RETIRED_PLAN.to_owned());
+    payloads.push(golden_mutate().1.to_owned());
+    payloads.extend([GOLDEN_APPLIED, "00", V5_INFO].map(str::to_owned));
+    assert_refused(5, &payloads);
+}
+
 /// Protocol v4's golden payloads — the query frames, the retired
 /// `ExecuteBatch` window, one `Mutate` batch, its `Applied` reply and
-/// v4's four-field `Info` — each framed as a v4 peer framed it: a v5
+/// v4's four-field `Info` — each framed as a v4 peer framed it: a v6
 /// reader refuses every one with a typed `Version` fault naming both
 /// versions, before its payload is read.
 #[test]
 fn golden_frames_pin_protocol_v4_bytes() {
-    let mut payloads: Vec<String> = golden_query_frames()
-        .into_iter()
-        .map(|(_, hex)| hex)
-        .collect();
+    let mut payloads = pre_v6_query_frames();
     payloads.push(retired_execute_batch());
     payloads.push(golden_mutate().1.to_owned());
     payloads.extend([GOLDEN_APPLIED, V4_INFO].map(str::to_owned));
@@ -727,14 +710,11 @@ fn golden_frames_pin_protocol_v4_bytes() {
 }
 
 /// Protocol v3's golden payloads, each framed as a v3 peer framed it: a
-/// v5 reader refuses every one with a typed `Version` fault naming both
+/// v6 reader refuses every one with a typed `Version` fault naming both
 /// versions, before its payload is read.
 #[test]
 fn golden_frames_pin_protocol_v3_bytes() {
-    let mut payloads: Vec<String> = golden_query_frames()
-        .into_iter()
-        .map(|(_, hex)| hex)
-        .collect();
+    let mut payloads = pre_v6_query_frames();
     payloads.push(retired_execute_batch());
     // The six catalog-edit frames and their two replies.
     payloads.extend(
@@ -754,25 +734,25 @@ fn golden_frames_pin_protocol_v3_bytes() {
     assert_refused(3, &payloads);
 }
 
-/// Every tag a v5 peer may send, and no retired one: the generators
-/// above cover each v5 variant exactly once, so every roundtrip
+/// Every tag a v6 peer may send, and no retired one: the generators
+/// above cover each v6 variant exactly once, so every roundtrip
 /// property runs over the whole protocol and nothing else. Requests 3,
-/// 5, 7, 8, 11 and 13–17 and 19, and responses 1, 3, 5, 7 and 8, were
-/// retired by v4 and v5 and are never reused; a payload carrying one is
-/// a typed decode error.
+/// 5, 7, 8, 9, 11, 13–17 and 19, and responses 1, 3, 5, 6, 7 and 8,
+/// were retired by v4, v5 and v6 and are never reused; a payload
+/// carrying one is a typed decode error.
 #[test]
-fn the_generators_cover_exactly_the_v5_tags() {
+fn the_generators_cover_exactly_the_v6_tags() {
     let mut g = Gen(7);
     let tags = |payloads: Vec<Vec<u8>>| payloads.iter().map(|p| p[0]).collect::<Vec<u8>>();
     let requests = tags(g.all_requests().iter().map(ShardRequest::encode).collect());
-    assert_eq!(requests, [0, 1, 2, 4, 6, 9, 10, 12, 18, 20, 21, 22]);
+    assert_eq!(requests, [0, 1, 2, 4, 6, 10, 12, 18, 20, 21, 22]);
     let responses = tags(
         g.all_responses()
             .iter()
             .map(ShardResponse::encode)
             .collect(),
     );
-    assert_eq!(responses, [0, 2, 4, 6, 9, 10, 11, 13, 12, 14]);
+    assert_eq!(responses, [0, 2, 4, 9, 10, 11, 13, 12, 14]);
     let refused = |decoded: std::result::Result<(), MmdbError>| {
         matches!(
             decoded,
@@ -782,11 +762,11 @@ fn the_generators_cover_exactly_the_v5_tags() {
             })
         )
     };
-    for retired in [3u8, 5, 7, 8, 11, 13, 14, 15, 16, 17, 19] {
+    for retired in [3u8, 5, 7, 8, 9, 11, 13, 14, 15, 16, 17, 19] {
         let decoded = ShardRequest::decode(&[retired], "peer").map(drop);
         assert!(refused(decoded), "request tag {retired}");
     }
-    for retired in [1u8, 3, 5, 7, 8] {
+    for retired in [1u8, 3, 5, 6, 7, 8] {
         let decoded = ShardResponse::decode(&[retired], "peer").map(drop);
         assert!(refused(decoded), "response tag {retired}");
     }

@@ -15,32 +15,12 @@ use ccindex_store::{
     MAX_PAGES,
 };
 use ccindex_wire::ShardRequest;
+use check::counting::Counting;
 use mmdb::persist::MANIFEST_VERSION;
 use mmdb::{put_value, Database, MmdbError, StorageFault, TransportFault, Value};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-struct Counting;
-
-static LARGEST: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: every call is forwarded unchanged to the system allocator; the
-// wrapper only records the size asked for.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LARGEST.fetch_max(layout.size(), Ordering::SeqCst);
-        // SAFETY: the caller's contract for `alloc` is passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
 
 #[global_allocator]
-static ALLOC: Counting = Counting;
+static ALLOC: Counting = Counting::new();
 
 /// Bytes every input carries beyond its failure, so the fixed-size
 /// allocations a decode makes on its way (an error message, a header
@@ -59,9 +39,9 @@ const NOT_UTF8: &str = "not UTF-8";
 /// the input.
 fn measured<I: AsRef<[u8]>, T>(what: &str, input: I, decode: impl FnOnce(I) -> T) -> T {
     let len = input.as_ref().len();
-    LARGEST.store(0, Ordering::SeqCst);
+    ALLOC.reset();
     let out = decode(input);
-    let largest = LARGEST.load(Ordering::SeqCst);
+    let largest = ALLOC.largest();
     assert!(
         largest <= len,
         "{what}: decoding {len} bytes allocated {largest} at once"

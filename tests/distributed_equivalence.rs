@@ -776,7 +776,7 @@ fn counter(db: &ShardedDatabase, name: &str) -> u64 {
 fn a_warm_shape_costs_one_request_per_routed_shard() {
     let rows = 600;
     let (db, servers) = distributed(rows, HashPartitioner::new(2).unwrap());
-    // (pipeline, wire requests per run once the shape is warm, shard-local runs)
+    // (pipeline, wire requests per run, cold or warm, shard-local runs)
     let shapes: [(&str, u64, u64); 7] = [
         ("point_key", 1, 1),        // pruned to the owning shard
         ("range_key", 2, 1),        // hash layout: ranges fan
@@ -786,49 +786,42 @@ fn a_warm_shape_costs_one_request_per_routed_shard() {
         ("conjunction", 1, 1),      // one conjunct on the shard key prunes
         ("all", 0, 0),              // placement metadata answers
     ];
+    // The coordinator compiles from the schema it keeps, so a shape's
+    // first run costs what every later one does.
     for (what, trips, pushdowns) in shapes {
-        let warm = run_sharded(&db, what);
-        let (hits, misses) = (
-            counter(&db, "shard.template.hits"),
-            counter(&db, "shard.template.misses"),
-        );
         let pushed = counter(&db, "shard.route.pushdown");
         let before = server_requests(&servers);
-        assert_eq!(run_sharded(&db, what), warm, "`{what}` is repeatable");
+        let cold = run_sharded(&db, what);
+        assert_eq!(
+            server_requests(&servers) - before,
+            trips,
+            "`{what}`: wire requests for a cold shape"
+        );
+        let before = server_requests(&servers);
+        assert_eq!(run_sharded(&db, what), cold, "`{what}` is repeatable");
         assert_eq!(
             server_requests(&servers) - before,
             trips,
             "`{what}`: wire requests for a warm shape"
         );
-        assert_eq!(counter(&db, "shard.template.hits"), hits + 1, "`{what}`");
-        assert_eq!(counter(&db, "shard.template.misses"), misses, "`{what}`");
         assert_eq!(
             counter(&db, "shard.route.pushdown"),
-            pushed + pushdowns,
+            pushed + 2 * pushdowns,
             "`{what}`"
         );
     }
-    // Other literals are the same shape: still no compile.
-    let misses = counter(&db, "shard.template.misses");
+    // Other literals cost the same.
     let before = server_requests(&servers);
     db.query("orders").filter(eq("cust", 77)).run().unwrap();
     assert_eq!(server_requests(&servers) - before, 1);
-    assert_eq!(counter(&db, "shard.template.misses"), misses);
 
-    // A probe batch resolves its access path through the same cache: a
-    // warm pruned batch costs as many requests as shards with work.
-    // The batch stands for the one-filter point query, whose template the
-    // queries above already cached: a hit, no compile, no slot of its own.
+    // A probe batch checks its access path against the same schema: a
+    // pruned batch costs as many requests as shards with work, from its
+    // first call.
     let values: Vec<Value> = (0..64).map(|i| Value::Int(i % KEY_SPACE)).collect();
-    let (cached, hits, misses) = (
-        db.cached_templates(),
-        counter(&db, "shard.template.hits"),
-        counter(&db, "shard.template.misses"),
-    );
+    let before = server_requests(&servers);
     let want = db.point_probe_batch("orders", "cust", &values).unwrap();
-    assert_eq!(db.cached_templates(), cached);
-    assert_eq!(counter(&db, "shard.template.hits"), hits + 1);
-    assert_eq!(counter(&db, "shard.template.misses"), misses);
+    assert_eq!(server_requests(&servers) - before, 2, "a cold batch");
     let before = server_requests(&servers);
     assert_eq!(
         db.point_probe_batch("orders", "cust", &values).unwrap(),
@@ -853,13 +846,15 @@ fn a_warm_shape_costs_one_request_per_routed_shard() {
     let before = server_requests(&servers);
     db.range_probe_batch("orders", "cust", &ranges).unwrap();
     assert_eq!(server_requests(&servers) - before, 2);
-    // Validation still beats routing, warm or cold, and is never cached.
+    // Validation still beats routing, and asks no shard.
+    let before = server_requests(&servers);
     for _ in 0..2 {
         assert!(matches!(
             db.point_probe_batch("orders", "nocol", &[]).unwrap_err(),
             MmdbError::UnknownColumn { .. }
         ));
     }
+    assert_eq!(server_requests(&servers), before);
     for server in servers {
         server.shutdown();
     }
@@ -1078,9 +1073,13 @@ fn a_sharded_replace_column_is_one_request_per_shard() {
     }
 }
 
+/// The coordinator keeps no plans: each generation compiles from its own
+/// schema. Across `drop_index`/`create_index` its answers and errors are
+/// the unsharded catalog's, a snapshot pinned before a drop still
+/// compiles against its own generation, and no stream of shapes costs
+/// more than its routed requests — an erroring spec asks no shard.
 #[test]
 fn the_template_cache_dies_with_its_generation_and_stays_bounded() {
-    use ccindex::shard::TEMPLATE_CACHE_CAPACITY;
     let rows = 300;
     let mut un = unsharded(rows);
     let (mut db, servers) = distributed(rows, HashPartitioner::new(2).unwrap());
@@ -1114,15 +1113,20 @@ fn the_template_cache_dies_with_its_generation_and_stays_bounded() {
         let same = |db: &ShardedDatabase, un: &Database, when: &str| {
             for _ in 0..2 {
                 assert_eq!(db.run_spec(&spec), un.run_spec(&spec), "{when}: {spec:?}");
+                assert_eq!(
+                    db.compile(&spec).map(drop),
+                    un.compile(&spec).map(drop),
+                    "{when}: {spec:?}"
+                );
             }
         };
         same(&db, &un, "before");
-        assert!(db.run_spec(&spec).is_ok());
-        assert!(db.cached_templates() >= 1);
+        let want = db.run_spec(&spec).unwrap();
+        let planned = db.compile(&spec).unwrap();
+        let pinned = db.snapshot();
 
         un.drop_index(table, column, kind).unwrap();
         db.drop_index(table, column, kind).unwrap();
-        assert_eq!(db.cached_templates(), 0, "publish() resets");
         same(&db, &un, "after drop_index");
         let err = db.run_spec(&spec).unwrap_err();
         assert!(
@@ -1132,63 +1136,195 @@ fn the_template_cache_dies_with_its_generation_and_stays_bounded() {
             ),
             "{err:?}"
         );
-        assert_eq!(db.cached_templates(), 0, "errors are not cached");
+        // The pin compiles against the generation it holds, where the
+        // index is still declared, and asks no shard.
+        let before = server_requests(&servers);
+        assert_eq!(pinned.compile(&spec), Ok(planned));
+        assert_eq!(server_requests(&servers), before);
+        drop(pinned);
 
         un.create_index(table, column, kind).unwrap();
         db.create_index(table, column, kind).unwrap();
         same(&db, &un, "after create_index");
-        assert!(db.run_spec(&spec).is_ok());
+        assert_eq!(db.run_spec(&spec).unwrap(), want);
     }
 
-    // Typed planning errors are the unsharded catalog's, run after run.
+    // Typed planning errors are the unsharded catalog's, run after run,
+    // and cost no request.
     for bad in [
         QuerySpec::table("nope"),
         QuerySpec::table("orders").filter(eq("nocol", 1)),
         QuerySpec::table("orders").group_by("day", sum("day")),
         QuerySpec::table("orders").join("customers", on("cust", "nocol")),
     ] {
-        let misses = counter(&db, "shard.template.misses");
-        let cached = db.cached_templates();
+        let before = server_requests(&servers);
         for _ in 0..2 {
             let err = db.run_spec(&bad).unwrap_err();
             assert_eq!(err, un.run_spec(&bad).unwrap_err());
         }
-        assert_eq!(db.cached_templates(), cached, "{bad:?}");
-        // An unknown outer table fails in the coordinator's own metadata.
-        let asked = if bad.table == "nope" { 0 } else { 2 };
-        assert_eq!(counter(&db, "shard.template.misses"), misses + asked);
+        assert_eq!(server_requests(&servers), before, "{bad:?}");
     }
 
-    // A pinned snapshot shares its generation's cache; the next
-    // generation starts empty while the pin keeps its own.
-    let pinned = db.snapshot();
+    // Seventy ad-hoc shapes each cost exactly their one routed request:
+    // the coordinator keeps nothing per shape.
     let warm = QuerySpec::table("orders").filter(eq("cust", 7));
-    db.run_spec(&warm).unwrap();
-    let cached = pinned.cached_templates();
-    assert!(cached >= 1);
-    let hits = counter(&db, "shard.template.hits");
-    pinned.run_spec(&warm).unwrap();
-    assert_eq!(counter(&db, "shard.template.hits"), hits + 1);
-    db.create_index("orders", "day", IndexKind::FullCss)
-        .unwrap();
-    assert_eq!(db.cached_templates(), 0);
-    assert_eq!(pinned.cached_templates(), cached);
-
-    // Ad-hoc shapes cannot grow the map past its capacity.
     let want = un.run_spec(&warm).unwrap();
-    for lanes in 1..=TEMPLATE_CACHE_CAPACITY + 6 {
+    for lanes in 1..=70 {
         let spec = warm.clone().exec(ExecOptions {
             lanes,
             ..ExecOptions::default()
         });
+        let before = server_requests(&servers);
         assert_eq!(db.run_spec(&spec).unwrap(), want);
-        let cached = db.cached_templates();
-        assert!(
-            (1..=TEMPLATE_CACHE_CAPACITY).contains(&cached),
-            "{cached} shapes cached after {lanes}"
-        );
+        assert_eq!(server_requests(&servers) - before, 1, "lanes {lanes}");
     }
-    assert_eq!(db.cached_templates(), 6, "cleared once, at capacity");
+    for server in servers {
+        server.shutdown();
+    }
+}
+
+/// `tagged`: an integer shard key `k` and a measure `v` that is an
+/// integer on every row but one, whose `Str` sits on a row hash x2
+/// places on shard 1 — shard 0's rows alone would pass as a measure.
+fn tagged() -> Table {
+    let placed = HashPartitioner::new(2).unwrap();
+    let on_shard_1 = (0..40)
+        .find(|&k| placed.shard_of(&Value::Int(k)).unwrap() == 1)
+        .expect("hash x2 places some key on shard 1");
+    TableBuilder::new("tagged")
+        .int_column("k", 0..40)
+        .column(
+            "v",
+            (0..40)
+                .map(|k| match k == on_shard_1 {
+                    true => Value::from("x"),
+                    false => Value::Int(k * 3),
+                })
+                .collect(),
+        )
+        .build()
+        .expect("equal columns")
+}
+
+/// Planning specs whose errors each come from a different check, and
+/// two that plan: all compiled and run through every catalog.
+fn planning_battery() -> Vec<QuerySpec> {
+    let orders = || QuerySpec::table("orders");
+    vec![
+        QuerySpec::table("nope"),
+        orders().filter(eq("nocol", 1)),
+        QuerySpec::table("customers").filter(eq("region", "e")), // NoIndex
+        orders().filter(between("day", "a", "z")),               // NoOrderedIndex
+        orders().filter(eq("day", "mon")).using(IndexKind::FullCss), // IndexNotBuilt
+        orders()
+            .filter(between("cust", 1, 9))
+            .using(IndexKind::Hash), // NoOrderedIndex
+        orders().join("customers", on("cust", "region")),        // NoIndex, inner side
+        orders().join("nope", on("cust", "id")),
+        orders().join("customers", on("nocol", "id")),
+        orders().group_by("nocol", count()),
+        orders().group_by("day", sum("nocol")), // a missing measure
+        orders().group_by("cust", sum("day")),  // a Str measure
+        QuerySpec::table("tagged").group_by("k", sum("v")), // a Str on shard 1 only
+        QuerySpec::table("tagged")
+            .filter(eq("k", 3))
+            .group_by("k", count()),
+        orders()
+            .filter(between("amount", 10, 900))
+            .join("customers", on("cust", "id"))
+            .group_by("region", max("amount")),
+    ]
+}
+
+/// A sharded catalog plans every spec of the battery exactly as the
+/// unsharded one does — the same typed error, in the same order of
+/// checks — in process and over loopback, and asks no shard to: only a
+/// run that gets past planning costs requests.
+#[test]
+fn sharded_planning_errors_are_the_unsharded_ones() {
+    let rows = 200;
+    let mut un = unsharded(rows);
+    un.register(tagged()).unwrap();
+    un.create_index("tagged", "k", IndexKind::FullCss).unwrap();
+    let mut local = local_sharded(rows, HashPartitioner::new(2).unwrap());
+    let (mut remote, servers) = distributed(rows, HashPartitioner::new(2).unwrap());
+    for db in [&mut local, &mut remote] {
+        db.register(tagged(), "k").unwrap();
+        db.create_index("tagged", "k", IndexKind::FullCss).unwrap();
+    }
+    let battery = planning_battery();
+    let planned = battery.iter().filter(|s| un.compile(s).is_ok()).count();
+    assert_eq!(planned, 2, "two specs plan, the rest fail typed");
+    for db in [&local, &remote] {
+        for spec in &battery {
+            let before = server_requests(&servers);
+            assert_eq!(
+                db.compile(spec).map(drop),
+                un.compile(spec).map(drop),
+                "plan: {spec:?}"
+            );
+            assert_eq!(server_requests(&servers), before, "compiled: {spec:?}");
+            assert_eq!(db.run_spec(spec), un.run_spec(spec), "run: {spec:?}");
+            if un.compile(spec).is_err() {
+                assert_eq!(server_requests(&servers), before, "refused: {spec:?}");
+            }
+        }
+    }
+
+    // A replacement re-types its column: `v` all integers sums, and a
+    // `Str` in the shard key `k` (a repartition) fails as a measure.
+    let ints: Vec<Value> = (0..40).map(Value::Int).collect();
+    let mut keys = ints.clone();
+    keys[5] = Value::from("k5");
+    un.replace_column("tagged", "v", ints.clone()).unwrap();
+    un.replace_column("tagged", "k", keys.clone()).unwrap();
+    for db in [&mut local, &mut remote] {
+        db.replace_column("tagged", "v", ints.clone()).unwrap();
+        db.replace_column("tagged", "k", keys.clone()).unwrap();
+    }
+    let by_k = QuerySpec::table("tagged").group_by("k", sum("v"));
+    let by_v = QuerySpec::table("tagged").group_by("v", sum("k"));
+    assert!(un.compile(&by_k).is_ok() && un.compile(&by_v).is_err());
+    for db in [&local, &remote] {
+        for spec in [&by_k, &by_v] {
+            assert_eq!(db.compile(spec).map(drop), un.compile(spec).map(drop));
+            assert_eq!(db.run_spec(spec), un.run_spec(spec), "{spec:?}");
+        }
+    }
+    for server in servers {
+        server.shutdown();
+    }
+}
+
+/// The coordinator compiles without its shards, so a dead shard 0 takes
+/// down only the queries routed to it: a shape never run before, pruned
+/// to shard 1, answers, and the same shape routed to shard 0 is a typed
+/// transport error.
+#[test]
+fn a_dead_shard_0_leaves_queries_pruned_to_shard_1_answering() {
+    let rows = 300;
+    let un = unsharded(rows);
+    let (db, mut servers) = distributed(rows, HashPartitioner::new(2).unwrap());
+    let placed = HashPartitioner::new(2).unwrap();
+    let key_on = |s: usize| {
+        (0..KEY_SPACE)
+            .find(|&k| placed.shard_of(&Value::Int(k)).unwrap() == s)
+            .expect("hash x2 places keys on both shards")
+    };
+    let shape = |k: i64| {
+        QuerySpec::table("orders")
+            .filter(eq("cust", k))
+            .group_by("day", sum("amount"))
+    };
+    servers.remove(0).shutdown();
+    let alive = shape(key_on(1));
+    assert_eq!(db.compile(&alive).unwrap().routing.selected, [1]);
+    assert_eq!(db.run_spec(&alive), un.run_spec(&alive));
+    let err = db.run_spec(&shape(key_on(0))).unwrap_err();
+    assert!(
+        matches!(err, MmdbError::Transport { .. }),
+        "expected a typed transport error, got {err:?}"
+    );
     for server in servers {
         server.shutdown();
     }
@@ -1208,9 +1344,9 @@ fn a_shard_killed_between_shard_local_queries_is_a_typed_transport_error() {
     assert_eq!(grouped().run().unwrap().groups().len(), 4);
     let pushed = counter(&db, "shard.route.pushdown");
     servers.remove(1).shutdown();
-    // The template is cached, so shard 0 is not even asked to compile:
-    // the error comes from the gather barrier, whole — never the
-    // surviving shard's partial groups.
+    // The coordinator compiles without asking a shard, so the error
+    // comes from the gather barrier, whole — never the surviving
+    // shard's partial groups.
     for _ in 0..2 {
         let err = grouped().run().unwrap_err();
         assert!(
