@@ -26,7 +26,8 @@
 //! Either way encoding is by rank, not by one dictionary search per row;
 //! and because the IDs are dense, the column's sorted RID list
 //! ([`RidList::for_column`](crate::rid::RidList::for_column)) is a
-//! counting sort away — no second comparison sort. The input is never
+//! counting sort away, radix-clustered so it runs in cache — no second
+//! comparison sort. The input is never
 //! cloned: the typed sort copies out 8-byte keys, the generic one sorts
 //! references and clones each distinct value once.
 

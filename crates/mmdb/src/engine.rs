@@ -41,7 +41,8 @@
 //!
 //! Updates follow the paper's OLAP cycle (§2.3): mutate a column
 //! wholesale, then [`Database::rebuild_column`] re-sorts it into a fresh
-//! RID list — one counting sort, which is the whole rebuild: no kind has
+//! RID list — one counting sort, radix-clustered when the domain is
+//! wide, which is the whole rebuild: no kind has
 //! a structure of its own to rebuild.
 //!
 //! Every catalog edit is a [`Mutation`], and there is one way to apply

@@ -6,12 +6,13 @@
 //! index from scratch after a batch of updates" rather than patch it. So
 //! the image stores only what open cannot derive — each column's domain
 //! dictionary and in-place ID array — and open rebuilds the rest. A
-//! column's sorted RID list is [`RidList::for_column`], a counting sort
-//! of the stored IDs, never a comparison sort; proving a stored copy of
-//! it would cost as much as building it. No index kind holds a structure
-//! of its own (the RID list answers every kind), so a kind is stored as
-//! its code. No row is re-encoded. That is the cold start `ccbench`'s
-//! `refresh` workload measures (`setup_s`, `mmdb.catalog_decode_ms`).
+//! column's sorted RID list is [`RidList::for_column`], a radix-clustered
+//! counting sort of the stored IDs, never a comparison sort; proving a
+//! stored copy of it would cost as much as building it. No index kind
+//! holds a structure of its own (the RID list answers every kind), so a
+//! kind is stored as its code. No row is re-encoded. That is the cold
+//! start `ccbench`'s `refresh` workload measures (`setup_s`,
+//! `mmdb.catalog_decode_ms`).
 //!
 //! Layout inside the store container (see `ccindex_store` for the
 //! container format — header, checksummed pages, page table, manifest,
@@ -35,7 +36,7 @@
 //!
 //! Everything read back is **validated before construction**: domain
 //! sortedness, ID ranges (every stored ID inside its domain before the
-//! column, and so the counting sort's offsets, is built), and every
+//! column, and so the RID list's offsets, is built), and every
 //! index record (a column of its table, listed once, with at least one
 //! kind, each kind known and listed once). A bit-flipped, truncated, or
 //! hostile file surfaces as a typed [`MmdbError::Storage`]; what the
@@ -154,8 +155,9 @@ pub fn catalog_to_bytes(state: &CatalogState) -> Vec<u8> {
             m.u32(w.page(PageKind::DomainValues, &encode_domain(col.domain())));
             m.u32(ids_page(&mut w, col.ids()));
         }
-        // An indexed column's RID list is the counting sort of its
-        // stored IDs, so its record is its name and its kinds' codes.
+        // An indexed column's RID list is the (radix-clustered) counting
+        // sort of its stored IDs, so its record is its name and its
+        // kinds' codes.
         m.u32(entry.columns.len() as u32);
         for (col_name, col_entry) in &entry.columns {
             m.str(col_name);
@@ -316,7 +318,7 @@ fn decode_tables(r: &mut StoreReader) -> Result<BTreeMap<String, Arc<TableEntry>
                 }
             }
             // Every ID was proven inside its domain before `col` was
-            // built, so the counting sort's offsets index safely.
+            // built, so the sort's clusters and offsets index safely.
             let rids = RidList::for_column(col);
             col_entries.insert(col_name, ColumnEntry { rids, kinds });
         }
@@ -834,7 +836,7 @@ mod tests {
     }
 
     /// The RID list is the counting sort of the stored IDs, which indexes
-    /// `offsets` by ID: an out-of-domain ID on an indexed column is typed
+    /// its clusters and `offsets` by ID: an out-of-domain ID on an indexed column is typed
     /// corruption before any list is built, never a panic.
     #[test]
     fn hostile_rid_key_pages_are_typed_corruption_before_the_fold() {

@@ -3,7 +3,9 @@
 //! vector exists; a sparse one is rejected before anything is allocated
 //! and goes straight to the sort. Each final shared array (a column's
 //! IDs, a RID list's offsets and RIDs) is allocated once, in its final
-//! block, never built in a `Vec` and copied. A counting global allocator
+//! block, never built in a `Vec` and copied. A RID list's build keeps no
+//! array the size of its domain besides its offsets, and no scratch
+//! larger than one 8-byte pair a row. A counting global allocator
 //! records the first and the largest single request made while a column
 //! is built, and how many requests were the size of a watched array.
 
@@ -22,6 +24,21 @@ fn build(values: &[Value]) -> (Column, usize, usize, usize) {
     let (first, largest) = (ALLOC.first(), ALLOC.largest());
     assert_eq!(column.len(), values.len());
     (column, first, largest, ids)
+}
+
+/// Sort `column`'s RIDs: no request is larger than `bytes`, and one
+/// (its offsets) is the size of its domain.
+fn assert_sort_scratch(column: &Column, bytes: usize) {
+    let d = column.domain().len();
+    ALLOC.reset();
+    let (list, [domain_sized, _]) = ALLOC.watching([d, 0], || RidList::for_column(column));
+    assert_eq!(list.len(), column.len());
+    let largest = ALLOC.largest();
+    assert!(
+        largest <= bytes,
+        "a {largest}-byte allocation sorting {d} IDs"
+    );
+    assert_eq!(domain_sized, 1, "domain-sized allocations sorting {d} IDs");
 }
 
 /// `rows` values from a xorshift stream, each reduced by `shape`.
@@ -57,6 +74,14 @@ fn a_dense_column_builds_without_pairs_and_a_sparse_one_allocates_only_its_sort(
     let (list, hits) = ALLOC.watching([offsets, DENSE], || RidList::for_column(&built));
     assert_eq!(list.len(), DENSE);
     assert_eq!(hits, [1, 1], "offsets and RIDs allocations");
+    // Its domain is clustered: the pairs take 8 B a row, and nothing but
+    // the offsets is the domain's size.
+    assert!(offsets > 1 << 14, "{offsets} offsets are one cluster");
+    assert_sort_scratch(&built, 8 * DENSE);
+    // `engine-mix`'s `amount` shape, 10k IDs: one cluster, no scratch.
+    let (narrow, _, _, _) = build(&column(DENSE, |x| (x % 10_000) as i64));
+    assert_eq!(narrow.domain().len(), 10_000);
+    assert_sort_scratch(&narrow, 4 * DENSE + 64);
     // `serve-small`'s shape: 64k keys over 2^32 can never rank, so the
     // first allocation is the sort's pairs vector.
     const SPARSE: usize = 1 << 16;

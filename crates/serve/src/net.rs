@@ -84,6 +84,9 @@ struct Shared {
     /// `server.accept.errors` — failed accepts, each followed by a
     /// back-off ([`accept_backoff`]).
     accept_errors: MetricArc<obs::Counter>,
+    /// `server.connections` — live connections: the size of `conns`, set
+    /// under its lock whenever an entry is added or removed.
+    connections: MetricArc<obs::Gauge>,
     /// The last image an outbound snapshot transfer encoded, and the
     /// generation it holds. Weak: the transfers streaming it own it, so
     /// every transfer of one generation shares one image, and the image
@@ -212,6 +215,7 @@ impl ShardServer {
             requests: registry.counter("server.requests"),
             execute_ns: registry.histogram("server.execute.ns"),
             accept_errors: registry.counter("server.accept.errors"),
+            connections: registry.gauge("server.connections"),
             image: Mutex::new((0, Weak::new())),
             snapshot_encodes: registry.counter("server.snapshot.encodes"),
             registry,
@@ -318,12 +322,15 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
             };
             failures = 0;
             conns.insert(id, clone);
+            shared.connections.set(conns.len() as u64);
             drop(conns);
             // Best-effort: probes are small request/response pairs.
             drop(stream.set_nodelay(true));
             scope.spawn(move || {
                 serve_conn(&stream, shared);
-                shared.conns().remove(&id);
+                let mut conns = shared.conns();
+                conns.remove(&id);
+                shared.connections.set(conns.len() as u64);
             });
         }
     });

@@ -142,3 +142,41 @@ fn a_connection_the_server_ends_closes_for_the_peer() {
     hello_and_close(&addr);
     server.shutdown();
 }
+
+/// `server.connections` counts the live connections: 1 while one client
+/// holds its connection open, and back to 0 once each client of a run
+/// of sequential connect → `Hello` → close cycles has hung up.
+#[test]
+fn the_connections_gauge_returns_to_zero_after_each_client_hangs_up() {
+    const CYCLES: usize = 50;
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let server = ShardServer::spawn(Database::new()).expect("a loopback port");
+    let addr = server.addr();
+    let gauge = (server.registry())
+        .find_gauge("server.connections")
+        .expect("the gauge is registered");
+    assert_eq!(gauge.get(), 0);
+    // A connection's thread removes its entry once it reads the close;
+    // the deadline only bounds a failure.
+    let settled = || {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while gauge.get() != 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        gauge.get()
+    };
+    for _ in 0..CYCLES {
+        hello_and_close(&addr);
+    }
+    assert_eq!(settled(), 0, "live connections after {CYCLES} closed ones");
+    // Accepting raises the gauge before the connection is served, so
+    // once `Hello` is answered it reads the one open connection.
+    let mut stream = TcpStream::connect(&addr).expect("the server accepts");
+    write_request(&mut stream, &addr, &ShardRequest::Hello, 0).expect("the request leaves");
+    read_response(&mut stream, &addr).expect("the handshake answers");
+    assert_eq!(gauge.get(), 1);
+    drop(stream);
+    assert_eq!(settled(), 0, "live connections after the last one closed");
+    assert!(gauge.high_water() >= 1, "the gauge never rose");
+    server.shutdown();
+}

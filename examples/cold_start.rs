@@ -5,7 +5,8 @@
 //! The container stores only what open cannot derive: each column's
 //! domain values and in-place IDs, as validated, CRC-checksummed pages.
 //! `Database::open_from` decodes those and rebuilds each indexed
-//! column's RID list by a counting sort of its IDs, the same build
+//! column's RID list by a counting sort of its IDs (radix-clustered so
+//! each cluster sorts in cache), the same build
 //! `create_index` runs; no index kind holds a structure of its own. A
 //! corrupted or truncated file surfaces as a typed `MmdbError::Storage`
 //! — never a panic.
@@ -52,7 +53,7 @@ fn main() -> Result<(), MmdbError> {
 
     // Cold start: reopen from disk. No row is encoded again: the pages
     // decode straight into the domains and ID arrays, and each RID list
-    // is a counting sort of its column's IDs.
+    // is a counting sort of its column's IDs, run cluster by cluster.
     let t0 = Instant::now();
     let reopened = Database::open_from(&path)?;
     let opened = t0.elapsed();
