@@ -21,19 +21,19 @@
 //! its prefix sums (each ID's first sorted position — the `offsets`
 //! kept), then one scatter of the rows into place. Done directly over a
 //! large domain, both passes are one random read-modify-write per row
-//! into `d`-sized arrays far larger than cache. So a domain wider than
-//! `ONE_CLUSTER` (16k) IDs is first radix-clustered (Boncz, Manegold and
-//! Kersten, VLDB 1999): the rows are counted per cluster of consecutive
-//! IDs, and their `(id, rid)` pairs are scattered into their clusters —
-//! at most `FANOUT` (64) sequential write streams. Each cluster is then
-//! counting-sorted on its own, and its arrays — its slice of `offsets`
-//! and of the RIDs — stay in cache while it is. A smaller domain is the
-//! one-cluster case: no partition pass, no scratch.
+//! into arrays far larger than cache. So unless the direct sort's
+//! cursors and the lines they write fit in cache, the rows are first
+//! radix-clustered (Boncz, Manegold and Kersten, VLDB 1999): they are
+//! counting-sorted by their IDs' high bits, as `(id, rid)` pairs, into
+//! clusters of consecutive IDs — at most `FANOUT` (64) sequential write
+//! streams. Each cluster is then counting-sorted on its own, and its
+//! arrays — its slice of `offsets` and of the RIDs — stay in cache
+//! while it is. A sort that fits in cache is the one-cluster case: no
+//! partition pass, no scratch.
 //!
-//! The sort is **stable** by construction: the partition pass walks the
-//! rows in RID order, so each cluster holds its pairs in RID order, and
-//! each cluster's sort walks them backwards, handing each ID's positions
-//! out right to left. Rows with equal keys land in ascending RID order —
+//! The sort is **stable** by construction: each counting sort walks its
+//! rows backwards, handing each key's positions out right to left, so
+//! each cluster holds its pairs in RID order, and so does each ID's run:
 //! exactly the `(id, rid)` order a comparison sort would produce, so the
 //! arrays do not depend on the cluster boundaries.
 //!
@@ -49,12 +49,19 @@ use crate::column::{zeroed, Column};
 use ccindex_common::{prefetch, AccessTracer, IndexStats, OrderedIndex, SearchIndex, SpaceReport};
 use std::sync::Arc;
 
-/// The widest domain [`RidList::for_column`] sorts as one cluster, with
-/// no partition pass. Up to here the direct counting sort's cursors
-/// stay in cache; clustering a smaller domain only adds the pass. On
-/// 2M rows (Xeon, 48 KB L1d and 2 MB L2 a core, medians of 11): 10k IDs
-/// sort in ≈ 18 ms directly and ≈ 37 ms in clusters of 2k–8k IDs.
-const ONE_CLUSTER: usize = 1 << 14;
+/// The most bytes the direct counting sort may address at random for
+/// [`RidList::for_column`] to run it as one cluster, with no partition
+/// pass: its `d` cursors, and the cache line each writes into (16 RIDs,
+/// but no more lines than the rows fill). Three quarters of a 2 MB L2:
+/// below it the cursors and their lines stay in cache, and clustering
+/// only adds a pass and its scratch's page faults. Measured on a Xeon
+/// with 48 KB L1d and 2 MB L2 a core: 2M rows over 10k IDs sort in
+/// ≈ 18 ms directly and ≈ 37 ms in clusters of 2k–8k IDs, over 50k IDs
+/// in ≈ 37 and ≈ 24; `serve-small`'s one-off build (64k rows, 64k IDs)
+/// read `setup_s` 2.3 ms directly and 3.0 clustered; 256k rows over
+/// 20k IDs sort in ≈ 1.9 ms directly and ≈ 3.0 clustered, and over 240k
+/// IDs in ≈ 5.4 and ≈ 4.9 (first call in a fresh process).
+const ONE_CLUSTER_BYTES: usize = 3 << 19;
 
 /// The most clusters one partition pass scatters to: the cluster width
 /// is the power of two that keeps the count at most this. Each cluster
@@ -77,7 +84,7 @@ pub struct RidList {
 impl RidList {
     /// Sort the column's rows by value (stable: equal keys keep RID
     /// order) — a counting sort over the column's dense IDs, radix-
-    /// clustered first when the domain is wider than 16k IDs; see
+    /// clustered first unless the direct sort runs in cache; see
     /// the [module docs](self). The one scratch array, 8 bytes a row for
     /// a clustered domain, is freed before the list is returned.
     pub fn for_column(column: &Column) -> Self {
@@ -88,32 +95,24 @@ impl RidList {
         let mut rids = zeroed(ids.len());
         let firsts = Arc::get_mut(&mut offsets).expect("a fresh array has one owner");
         let sorted = Arc::get_mut(&mut rids).expect("a fresh array has one owner");
-        if d <= ONE_CLUSTER {
-            let rows = ids.iter().copied().zip(0..ids.len() as u32);
-            sort_cluster(rows, 0, &mut firsts[..d], sorted);
+        let rows = ids.iter().copied().zip(0..ids.len() as u32);
+        if one_cluster(d, ids.len()) {
+            counting_sort(rows, 0, &mut firsts[..d], sorted);
         } else {
-            // Clusters of `1 << shift` IDs, at most `FANOUT` of them.
+            // The same sort on the IDs' high bits partitions `(id, rid)`
+            // pairs into clusters of `1 << shift` IDs, at most `FANOUT`.
             let shift = d.div_ceil(FANOUT).next_power_of_two().trailing_zeros();
             let mut bounds = vec![0u32; ((d - 1) >> shift) + 2];
-            for &id in ids {
-                bounds[(id >> shift) as usize + 1] += 1;
-            }
-            for c in 1..bounds.len() {
-                bounds[c] += bounds[c - 1];
-            }
-            // Each cluster's next free slot, handed out in RID order.
-            let mut next = bounds[..bounds.len() - 1].to_vec();
             let mut pairs = vec![0u64; ids.len()];
-            for (&id, rid) in ids.iter().zip(0u32..) {
-                let at = &mut next[(id >> shift) as usize];
-                pairs[*at as usize] = u64::from(id) << 32 | u64::from(rid);
-                *at += 1;
-            }
-            let clusters = bounds.windows(2).zip(firsts[..d].chunks_mut(1 << shift));
-            for (lo, (run, firsts)) in (0u32..).step_by(1 << shift).zip(clusters) {
+            let keyed = rows.map(|(id, rid)| (id >> shift, u64::from(id) << 32 | u64::from(rid)));
+            let clusters = bounds.len() - 1;
+            counting_sort(keyed, 0, &mut bounds[..clusters], &mut pairs);
+            bounds[clusters] = ids.len() as u32;
+            let slices = bounds.windows(2).zip(firsts[..d].chunks_mut(1 << shift));
+            for (lo, (run, firsts)) in (0u32..).step_by(1 << shift).zip(slices) {
                 let cluster = &pairs[run[0] as usize..run[1] as usize];
                 let rows = cluster.iter().map(|&p| ((p >> 32) as u32 - lo, p as u32));
-                sort_cluster(rows, run[0], firsts, sorted);
+                counting_sort(rows, run[0], firsts, sorted);
             }
         }
         firsts[d] = ids.len() as u32;
@@ -202,30 +201,36 @@ impl RidList {
     }
 }
 
-/// Counting-sort one cluster's `(id, rid)` rows, given in RID order
-/// with IDs relative to the cluster's first: each ID's count goes to its
-/// slot of `firsts`, the prefix sums from `base` (the cluster's first
-/// sorted position) turn each slot into its ID's end, and walking the
-/// rows backwards hands positions out right to left, so each slot ends
-/// at its ID's first position and equal IDs keep RID order.
-fn sort_cluster(
-    rows: impl DoubleEndedIterator<Item = (u32, u32)> + Clone,
+/// Whether `n` rows over `d` IDs sort as one cluster: see
+/// [`ONE_CLUSTER_BYTES`].
+fn one_cluster(d: usize, n: usize) -> bool {
+    4 * (d + n.min(16 * d)) <= ONE_CLUSTER_BYTES
+}
+
+/// Counting-sort `(key, item)` rows, given in RID order, into `sorted`
+/// by key: each key's count goes to its slot of `firsts`, the prefix
+/// sums from `base` (the first sorted position) turn each slot into its
+/// key's end, and walking the rows backwards hands positions out right
+/// to left, so each slot ends at its key's first position and equal
+/// keys keep RID order.
+fn counting_sort<T>(
+    rows: impl DoubleEndedIterator<Item = (u32, T)> + Clone,
     base: u32,
     firsts: &mut [u32],
-    sorted: &mut [u32],
+    sorted: &mut [T],
 ) {
-    for (id, _) in rows.clone() {
-        firsts[id as usize] += 1;
+    for (key, _) in rows.clone() {
+        firsts[key as usize] += 1;
     }
     let mut end = base;
     for first in firsts.iter_mut() {
         end += *first;
         *first = end;
     }
-    for (id, rid) in rows.rev() {
-        let at = &mut firsts[id as usize];
+    for (key, item) in rows.rev() {
+        let at = &mut firsts[key as usize];
         *at -= 1;
-        sorted[*at as usize] = rid;
+        sorted[*at as usize] = item;
     }
 }
 
@@ -392,29 +397,36 @@ mod tests {
             .collect()
     }
 
+    /// The widest domain sorted as one cluster when each ID carries
+    /// `per_id` rows.
+    fn widest_one_cluster(per_id: usize) -> usize {
+        (1..)
+            .find(|&d| !one_cluster(d + 1, per_id * (d + 1)))
+            .unwrap()
+    }
+
     /// Either side of the one-cluster bound, and clustered domains whose
     /// last cluster is full, one ID short of full, and one ID wide.
     #[test]
     fn the_build_matches_a_comparison_sort_at_the_cluster_edges() {
-        let clustered = |clusters: usize| clusters * (ONE_CLUSTER / 32);
-        for d in [
-            ONE_CLUSTER - 1,
-            ONE_CLUSTER,
-            ONE_CLUSTER + 1,
-            clustered(FANOUT),
-            clustered(FANOUT) - 1,
-            clustered(FANOUT) + 1,
-            4 * ONE_CLUSTER + 1,
-        ] {
-            assert_matches_oracle(d, random_ids(3 * d, d));
+        let edge = widest_one_cluster(16);
+        assert!(one_cluster(edge, 16 * edge) && !one_cluster(edge + 1, 16 * (edge + 1)));
+        for d in [edge - 1, edge, edge + 1] {
+            assert_matches_oracle(d, random_ids(16 * d, d));
+        }
+        // 512-ID clusters, 64 of them.
+        let full = 512 * FANOUT;
+        for d in [full, full - 1, full + 1] {
+            assert!(!one_cluster(d, 12 * d));
+            assert_matches_oracle(d, random_ids(12 * d, d));
         }
     }
 
     /// The shapes a cluster's sort meets at its extremes.
     #[test]
     fn the_build_matches_a_comparison_sort_on_extreme_shapes() {
-        let d = 3 * ONE_CLUSTER + 5;
         // One row per ID, in a scrambled order.
+        let d = widest_one_cluster(1) + 3;
         let mut once: Vec<u32> = (0..d as u32).collect();
         let mut x = 0x9e37_79b9_u64;
         for i in (1..once.len()).rev() {
@@ -423,12 +435,16 @@ mod tests {
             x ^= x << 17;
             once.swap(i, (x % (i as u64 + 1)) as usize);
         }
+        assert!(!one_cluster(d, d));
         assert_matches_oracle(d, once);
+        // A domain wide enough to be clustered under a few rows.
+        let d = ONE_CLUSTER_BYTES / 4 + 5;
+        assert!(!one_cluster(d, 0));
         // Every row on one ID: the first, one inside, the last.
-        for id in [0, ONE_CLUSTER as u32 + 7, d as u32 - 1] {
+        for id in [0, d as u32 / 3, d as u32 - 1] {
             assert_matches_oracle(d, vec![id; 5000]);
         }
-        // Every row in the last, partial cluster; and rows on the one
+        // Every row in the last, partial cluster; and rows on one
         // cluster's last ID.
         let width = d.div_ceil(FANOUT).next_power_of_two();
         let last = (d - 1) / width * width;
@@ -436,7 +452,7 @@ mod tests {
             .into_iter()
             .map(|i| i + last as u32);
         assert_matches_oracle(d, tail.collect());
-        assert_matches_oracle(ONE_CLUSTER, vec![ONE_CLUSTER as u32 - 1; 100]);
+        assert_matches_oracle(1000, vec![999; 100]);
         // No rows: an empty domain, and a clustered one no row carries.
         assert_matches_oracle(0, Vec::new());
         assert_matches_oracle(d, Vec::new());
@@ -447,14 +463,14 @@ mod tests {
     /// be clustered.
     #[test]
     fn the_build_matches_a_comparison_sort_over_a_ranked_domain() {
-        let rows = 4 * ONE_CLUSTER;
+        let rows = 1 << 18;
         let values: Vec<Value> = random_ids(rows, 2 * rows)
             .into_iter()
             .map(|v| Value::Int(i64::from(v) - 1000))
             .collect();
         let column = Column::from_values(&values);
         assert_eq!(column.domain().arm(), "ranked");
-        assert!(column.domain().len() > ONE_CLUSTER);
+        assert!(!one_cluster(column.domain().len(), rows));
         assert_column_matches_oracle(&column);
     }
 

@@ -27,8 +27,8 @@ fn build(values: &[Value]) -> (Column, usize, usize, usize) {
 }
 
 /// Sort `column`'s RIDs: no request is larger than `bytes`, and one
-/// (its offsets) is the size of its domain.
-fn assert_sort_scratch(column: &Column, bytes: usize) {
+/// (its offsets) is the size of its domain. The largest request.
+fn assert_sort_scratch(column: &Column, bytes: usize) -> usize {
     let d = column.domain().len();
     ALLOC.reset();
     let (list, [domain_sized, _]) = ALLOC.watching([d, 0], || RidList::for_column(column));
@@ -39,6 +39,7 @@ fn assert_sort_scratch(column: &Column, bytes: usize) {
         "a {largest}-byte allocation sorting {d} IDs"
     );
     assert_eq!(domain_sized, 1, "domain-sized allocations sorting {d} IDs");
+    largest
 }
 
 /// `rows` values from a xorshift stream, each reduced by `shape`.
@@ -74,10 +75,10 @@ fn a_dense_column_builds_without_pairs_and_a_sparse_one_allocates_only_its_sort(
     let (list, hits) = ALLOC.watching([offsets, DENSE], || RidList::for_column(&built));
     assert_eq!(list.len(), DENSE);
     assert_eq!(hits, [1, 1], "offsets and RIDs allocations");
-    // Its domain is clustered: the pairs take 8 B a row, and nothing but
-    // the offsets is the domain's size.
-    assert!(offsets > 1 << 14, "{offsets} offsets are one cluster");
-    assert_sort_scratch(&built, 8 * DENSE);
+    // Its domain is clustered: the pairs, 8 B a row, are the largest
+    // request, and nothing but the offsets is the domain's size.
+    let largest = assert_sort_scratch(&built, 8 * DENSE);
+    assert_eq!(largest, 8 * DENSE, "the pairs are the largest request");
     // `engine-mix`'s `amount` shape, 10k IDs: one cluster, no scratch.
     let (narrow, _, _, _) = build(&column(DENSE, |x| (x % 10_000) as i64));
     assert_eq!(narrow.domain().len(), 10_000);
