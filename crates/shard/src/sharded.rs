@@ -24,10 +24,9 @@
 //!   routing function, `ShardedState::targets`, decides where a probe
 //!   goes — equality on the shard key prunes to one shard, a range to
 //!   the overlapping shards of a range partitioner, anything else fans
-//!   to every shard — and serves compile and both probe batches alike.
-//!   Execute checks the recorded routing against this generation field
-//!   by field, without routing the body again, and refuses, typed, a
-//!   plan whose routing differs: one compiled for another shard count, partitioner or shard
+//!   to every shard — and serves compile and both probe batches alike. Execute routes
+//!   the plan's body again and refuses, typed, a plan whose routing
+//!   differs: one compiled for another shard count, partitioner or shard
 //!   key, or for an unsharded catalog.
 //! * **The exchange** runs one fat job per target shard on the shared
 //!   [`ccindex_parallel::WorkerPool`]. A plan is *shard-local* when it
@@ -68,7 +67,7 @@ use ccindex_parallel::sync::Arc as MetricArc;
 use ccindex_parallel::WorkerPool;
 use mmdb::domain::Value;
 use mmdb::plan::{
-    self, GroupStep, JoinRouting, JoinStep, Plan, PlanTimings, Probe, ProbeStep, Routing, Schema,
+    self, GroupStep, JoinRouting, JoinStep, Plan, PlanTimings, Probe, Routing, Schema,
     ShardTargets, Side,
 };
 use mmdb::{
@@ -789,65 +788,38 @@ impl ShardedState {
     /// step through [`ShardedState::targets`], the scatter set as the
     /// intersection of every pruning, and the join bucketed when its
     /// inner column is the inner table's shard key. Compile records it;
-    /// execute checks the recorded one against this generation in place
-    /// ([`ShardedState::routes_as_recorded`]), so a plan compiled against
-    /// another catalog shape is refused instead of silently dropping rows.
+    /// execute recomputes it, so a plan compiled against another catalog
+    /// shape is refused instead of silently dropping rows.
     fn route(&self, plan: &Plan) -> Result<Routing> {
         let meta = self.meta(&plan.table)?;
-        let probe_targets: Vec<ShardTargets> = (plan.probes.iter())
-            .map(|step| self.step_targets(meta, step))
+        let probe_targets: Vec<ShardTargets> = plan
+            .probes
+            .iter()
+            .map(|step| {
+                let op = match &step.probe {
+                    Probe::Point(v) => PredicateOp::Eq(v),
+                    Probe::Range(lo, hi) => PredicateOp::Between(lo, hi),
+                };
+                self.targets(meta, &step.column, op)
+            })
             .collect();
+        let mut selected: Vec<usize> = (0..self.shards.len()).collect();
+        for target in &probe_targets {
+            if let ShardTargets::Pruned(routed) = target {
+                selected.retain(|s| routed.contains(s));
+            }
+        }
+        let join = plan.join.as_ref().map(|j| match self.meta(&j.inner_table) {
+            Ok(inner) if inner.shard_key == j.inner_column => JoinRouting::Bucketed,
+            _ => JoinRouting::Fanned,
+        });
         Ok(Routing {
             shards: self.shards.len(),
             partitioner: self.partitioner.describe(),
             shard_key: meta.shard_key.clone(),
-            selected: self.selected(&probe_targets).collect(),
             probe_targets,
-            join: self.join_routing(plan),
-        })
-    }
-
-    /// Whether `plan` records the [`Routing`] [`ShardedState::route`]
-    /// gives it here, compared field by field without building one.
-    fn routes_as_recorded(&self, plan: &Plan) -> Result<bool> {
-        let (r, meta) = (&plan.routing, self.meta(&plan.table)?);
-        Ok(r.shards == self.shards.len()
-            && r.shard_key == meta.shard_key
-            && r.partitioner == self.partitioner.describe()
-            && r.join == self.join_routing(plan)
-            && r.probe_targets.len() == plan.probes.len()
-            && (plan.probes.iter().zip(&r.probe_targets))
-                .all(|(step, targets)| self.step_targets(meta, step) == *targets)
-            && self
-                .selected(&r.probe_targets)
-                .eq(r.selected.iter().copied()))
-    }
-
-    /// One probe step's targets.
-    fn step_targets(&self, meta: &ShardedTable, step: &ProbeStep) -> ShardTargets {
-        let op = match &step.probe {
-            Probe::Point(v) => PredicateOp::Eq(v),
-            Probe::Range(lo, hi) => PredicateOp::Between(lo, hi),
-        };
-        self.targets(meta, &step.column, op)
-    }
-
-    /// The scatter set, ascending: the shards every probe step reaches.
-    fn selected<'a>(&self, targets: &'a [ShardTargets]) -> impl Iterator<Item = usize> + 'a {
-        (0..self.shards.len()).filter(|s| {
-            targets.iter().all(|t| match t {
-                ShardTargets::All => true,
-                ShardTargets::Pruned(routed) => routed.contains(s),
-            })
-        })
-    }
-
-    /// Bucketed when the join's inner column is the inner table's shard
-    /// key, fanned otherwise; `None` without a join.
-    fn join_routing(&self, plan: &Plan) -> Option<JoinRouting> {
-        plan.join.as_ref().map(|j| match self.meta(&j.inner_table) {
-            Ok(inner) if inner.shard_key == j.inner_column => JoinRouting::Bucketed,
-            _ => JoinRouting::Fanned,
+            selected,
+            join,
         })
     }
 
@@ -1219,17 +1191,14 @@ impl CatalogRead for ShardedState {
     /// pinned [`ShardedSnapshot`]; byte-identical output. Names
     /// re-resolve, and the plan's routing must be the one this
     /// generation gives its body — same shard count, partitioner and
-    /// shard keys, checked in place — so a plan compiled against a different catalog shape
+    /// shard keys — so a plan compiled against a different catalog shape
     /// (or an unsharded one) fails typed, never drops rows. The exchange
     /// runs the body on the routed shards and the one merge composes the
     /// replies; the result's timings carry the total only, as there is no
     /// per-node breakdown across shards.
     fn execute(&self, plan: &Plan) -> Result<ResultSet<'_, Self>> {
         let started = std::time::Instant::now();
-        if !self.routes_as_recorded(plan)? {
-            // The refusal names both routings.
-            plan.routing.check(&self.route(plan)?)?;
-        }
+        plan.routing.check(&self.route(plan)?)?;
         let meta = self.meta(&plan.table)?;
         let rows = if plan.probes.is_empty() && plan.join.is_none() && plan.group.is_none() {
             // Every row qualifies, and the placement metadata already
