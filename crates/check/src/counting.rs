@@ -1,8 +1,9 @@
 //! A counting global allocator, for tests that bound what code
 //! allocates: it forwards every call to the system allocator unchanged
 //! and records, of the requests made since the last
-//! [`reset`](Counting::reset), the first one's size and the largest, and
-//! how many requests were the size of up to two watched arrays.
+//! [`reset`](Counting::reset), how many there were, the first one's size
+//! and the largest, the largest block freed, and how many requests were
+//! the size of up to two watched arrays.
 //!
 //! A test binary installs it as its global allocator and measures one
 //! step at a time (one `#[test]` per binary, so no other test thread
@@ -33,8 +34,10 @@ const HEADER: usize = 64;
 /// The counting allocator; see the [module docs](self).
 #[derive(Debug)]
 pub struct Counting {
+    requests: AtomicUsize,
     first: AtomicUsize,
     largest: AtomicUsize,
+    largest_freed: AtomicUsize,
     /// The byte sizes of up to two arrays being watched (0 = none).
     watched: [AtomicUsize; 2],
     /// Requests of each watched array's size.
@@ -45,17 +48,27 @@ impl Counting {
     /// An allocator with nothing recorded.
     pub const fn new() -> Self {
         Self {
+            requests: AtomicUsize::new(0),
             first: AtomicUsize::new(0),
             largest: AtomicUsize::new(0),
+            largest_freed: AtomicUsize::new(0),
             watched: [AtomicUsize::new(0), AtomicUsize::new(0)],
             hits: [AtomicUsize::new(0), AtomicUsize::new(0)],
         }
     }
 
-    /// Forget the first and the largest request.
+    /// Forget the requests and the frees made so far.
     pub fn reset(&self) {
+        self.requests.store(0, Ordering::SeqCst);
         self.first.store(0, Ordering::SeqCst);
         self.largest.store(0, Ordering::SeqCst);
+        self.largest_freed.store(0, Ordering::SeqCst);
+    }
+
+    /// How many requests were made since the last reset (a `realloc` is
+    /// one).
+    pub fn requests(&self) -> usize {
+        self.requests.load(Ordering::SeqCst)
     }
 
     /// The size of the first request since the last reset (0 if none).
@@ -66,6 +79,11 @@ impl Counting {
     /// The size of the largest request since the last reset.
     pub fn largest(&self) -> usize {
         self.largest.load(Ordering::SeqCst)
+    }
+
+    /// The size of the largest block freed since the last reset.
+    pub fn largest_freed(&self) -> usize {
+        self.largest_freed.load(Ordering::SeqCst)
     }
 
     /// Run `f` watching for requests the size of `u32` arrays of `lens`
@@ -97,6 +115,7 @@ unsafe impl GlobalAlloc for Counting {
     // through to `System` unchanged.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let size = layout.size();
+        self.requests.fetch_add(1, Ordering::SeqCst);
         let _ = (self.first).compare_exchange(0, size, Ordering::SeqCst, Ordering::SeqCst);
         self.largest.fetch_max(size, Ordering::SeqCst);
         for (watched, hits) in self.watched.iter().zip(&self.hits) {
@@ -112,6 +131,8 @@ unsafe impl GlobalAlloc for Counting {
     // SAFETY: the caller upholds `dealloc`'s contract, which passes
     // through to `System` unchanged.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        self.largest_freed
+            .fetch_max(layout.size(), Ordering::SeqCst);
         // SAFETY: `ptr` came from `System.alloc` with this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }

@@ -6,33 +6,40 @@
 //! duplicate-free value storage, fixed-width rows regardless of value
 //! type, and ID comparisons standing in for value comparisons.
 //!
-//! # One pass or one sort, three products
+//! # One read of the rows, then one pass or one sort, three products
 //!
-//! [`Column::from_values`] reads everything off the values' order, and
-//! finds that order one of two ways. A dense-enough integer column is
-//! ranked, not sorted: one pass finds `min` and `max`, a second sets a
-//! presence bit per row in the ranked domain's lines, and each row's ID
-//! is then its value's rank in those lines — the rank a probe computes.
-//! When every bit is set the column holds every integer of its span: its
-//! domain is dense, just `(min, len)`, and each row's ID is its value
-//! minus `min`, with no rank and no value array.
-//! Every other column sorts `(value, rid)` pairs once — `(i64, u32)`
-//! pairs when every value is an `Int`, `(&Value, u32)` otherwise: the
-//! deduplicated key run *is* the sorted domain, and the rank of a row's
-//! run *is* its domain ID. Both ways choose the domain's representation
-//! by the same rule over the same values, so they build equal columns.
-//! The rank path is tried only when the row count could rank over the
-//! span (a column that fails it allocates nothing before its sort).
-//! Either way encoding is by rank, not by one dictionary search per row;
-//! and because the IDs are dense, the column's sorted RID list
-//! ([`RidList::for_column`](crate::rid::RidList::for_column)) is a
-//! counting sort away, radix-clustered so it runs in cache — no second
-//! comparison sort. The input is never
-//! cloned: the typed sort copies out 8-byte keys, the generic one sorts
-//! references and clones each distinct value once.
+//! [`Column::from_values`] takes the rows by value and reads them once:
+//! each `Int` moves out as its `i64` into the rows' own buffer, so an
+//! integer column (or one from
+//! [`TableBuilder::int_column`](crate::table::TableBuilder::int_column))
+//! is encoded from 8-byte integers and no 24-byte `Value` outlives the
+//! read. Everything then comes off the values' order, found one of two
+//! ways. A dense-enough integer column is ranked, not sorted: one pass
+//! over the integers finds `min` and `max`, a second sets a presence bit
+//! per row in the ranked domain's lines, and a third writes each row's
+//! ID — its value's rank in those lines, the rank a probe computes —
+//! straight into the ID array. When every bit is set the column holds
+//! every integer of its span: its domain is dense, just `(min, len)`,
+//! and each row's ID is its value minus `min`, with no rank and no
+//! value array. Every other column sorts `(value, rid)` pairs once —
+//! `(i64, u32)` pairs over the integers, `(&Value, u32)` when a `Str` is
+//! present: the deduplicated key run *is* the sorted domain, and the
+//! rank of a row's run *is* its domain ID. Both ways choose the domain's
+//! representation by the same rule over the same values, so they build
+//! equal columns. The rank path is tried only when the row count could
+//! rank over the span (a column that fails it allocates nothing before
+//! its sort). Either way encoding is by rank, not by one dictionary
+//! search per row; and because the IDs are dense, the column's sorted
+//! RID list ([`RidList::for_column`](crate::rid::RidList::for_column)) is
+//! a counting sort away, radix-clustered so it runs in cache — no second
+//! comparison sort. A column holding a `Str` is read as `Value`s: if its
+//! first row is one it is sorted at once, by reference, cloning each
+//! distinct value once; a `Str` met later is set aside with its row
+//! while the rest convert, and the rows are reassembled for the sort.
 
 use crate::domain::{Domain, Value};
 use ccindex_common::prefetch;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// One domain-encoded column. Cloning shares the domain and the ID array
@@ -70,49 +77,70 @@ fn rank_rows<K: Ord + Copy>(mut keyed: Vec<(K, u32)>) -> (Vec<K>, Arc<[u32]>) {
     (run, block)
 }
 
-/// The least and greatest value if every value is an `Int` (`(i64::MAX,
-/// i64::MIN)` for none): one read pass, no allocation.
-fn int_bounds(values: &[Value]) -> Option<(i64, i64)> {
-    values
-        .iter()
-        .try_fold((i64::MAX, i64::MIN), |(min, max), value| match value {
-            Value::Int(v) => Some((min.min(*v), max.max(*v))),
-            Value::Str(_) => None,
-        })
-}
-
-/// `(value, rid)` sort keys of an all-`Int` column.
-fn int_keys(values: &[Value]) -> Vec<(i64, u32)> {
-    let mut keyed = Vec::with_capacity(values.len());
-    for (value, rid) in values.iter().zip(0u32..) {
-        if let Value::Int(v) = value {
-            keyed.push((*v, rid));
-        }
-    }
-    keyed
-}
-
 impl Column {
-    /// Encode raw row values into a fresh column (builds the domain):
-    /// ranked without a sort when the integers are dense enough, else one
-    /// sort of the rows, see the [module docs](self).
-    pub fn from_values(values: &[Value]) -> Self {
+    /// Encode raw row values into a fresh column (builds the domain), see
+    /// the [module docs](self). The rows are taken by value (a borrowed
+    /// slice is cloned first, unless its first row is a `Str`) and read
+    /// once: each `Int` moves out as its `i64` into the rows' own buffer,
+    /// which is freed before this returns, and the column is encoded from
+    /// those integers. A `Str` met on the way is set aside with its row,
+    /// and the rows are reassembled and sorted generically; a column whose
+    /// first row is a `Str` is sorted generically at once, with no
+    /// conversion.
+    pub fn from_values<'a>(values: impl Into<Cow<'a, [Value]>>) -> Self {
+        let values = values.into();
+        if let Some(Value::Str(_)) = values.first() {
+            return Self::from_generic(&values);
+        }
+        let mut strs = Vec::new();
+        let ints: Vec<i64> = (values.into_owned().into_iter().enumerate())
+            .map(|(rid, value)| match value {
+                Value::Int(v) => v,
+                value => {
+                    strs.push((rid, value));
+                    0
+                }
+            })
+            .collect();
+        if strs.is_empty() {
+            return Self::from_ints(&ints);
+        }
+        let mut values: Vec<Value> = ints.into_iter().map(Value::Int).collect();
+        for (rid, value) in strs {
+            values[rid] = value;
+        }
+        Self::from_generic(&values)
+    }
+
+    /// Encode integer rows: one pass finds `min` and `max`; a column
+    /// dense enough to rank is then read twice more (its presence bits,
+    /// then each row's ID), any other is built by one sort of
+    /// `(i64, u32)` pairs.
+    pub(crate) fn from_ints(ints: &[i64]) -> Self {
+        assert!(
+            u32::try_from(ints.len()).is_ok(),
+            "row IDs are 32 bits wide"
+        );
+        let (min, max) = (ints.iter()).fold((i64::MAX, i64::MIN), |(min, max), &v| {
+            (min.min(v), max.max(v))
+        });
+        let (domain, ids) = Domain::ranked_rows(ints, min, max).unwrap_or_else(|| {
+            let (run, ids) = rank_rows(ints.iter().copied().zip(0u32..).collect());
+            (Domain::from_sorted_ints(run), ids)
+        });
+        Self::from_proven_parts(domain, ids)
+    }
+
+    /// Encode rows holding a `Str`: one sort of `(&Value, u32)` pairs,
+    /// cloning each distinct value once.
+    fn from_generic(values: &[Value]) -> Self {
         assert!(
             u32::try_from(values.len()).is_ok(),
             "row IDs are 32 bits wide"
         );
-        let (domain, ids) = match int_bounds(values) {
-            Some((min, max)) => Domain::ranked_rows(values, min, max).unwrap_or_else(|| {
-                let (run, ids) = rank_rows(int_keys(values));
-                (Domain::from_sorted_ints(run), ids)
-            }),
-            None => {
-                let (run, ids) = rank_rows(values.iter().zip(0u32..).collect());
-                let run = run.into_iter().cloned().collect();
-                (Domain::from_sorted_values(run), ids)
-            }
-        };
-        Self::from_proven_parts(domain, ids)
+        let (run, ids) = rank_rows(values.iter().zip(0u32..).collect());
+        let run = run.into_iter().cloned().collect();
+        Self::from_proven_parts(Domain::from_sorted_values(run), ids)
     }
 
     /// Construct from pre-encoded parts, checking every ID against the
@@ -176,6 +204,7 @@ mod tests {
     use super::*;
     use crate::domain::LINE_INTS;
     use crate::rid::RidList;
+    use crate::table::TableBuilder;
     use css_tree::CssLayout;
     use proptest::collection::vec;
     use proptest::prelude::*;
@@ -354,6 +383,58 @@ mod tests {
         assert_eq!(arm(&wide), "css");
     }
 
+    /// The edges of the typed conversion: where the first `Str` sits
+    /// decides whether the rows are converted, then reassembled, or
+    /// sorted generically at once; each must build what the reference
+    /// does, whether the rows are owned or borrowed.
+    #[test]
+    fn one_sort_build_matches_the_reference_where_the_strings_sit() {
+        let text = |i: i64| Value::Str(format!("k{:03}", i % 7));
+        let mixed = |is_str: &dyn Fn(i64) -> bool| -> Vec<Value> {
+            (0..300)
+                .map(|i| {
+                    if is_str(i) {
+                        text(i)
+                    } else {
+                        Value::Int(i % 5)
+                    }
+                })
+                .collect()
+        };
+        let shapes = [
+            vec![],
+            mixed(&|i| i == 0),
+            mixed(&|i| i == 299),
+            mixed(&|i| i % 37 == 5),
+            mixed(&|i| i % 37 == 0),
+            mixed(&|i| i == 0 || i % 2 == 1),
+        ];
+        for values in shapes {
+            assert_matches_reference(&values);
+            assert_eq!(
+                Column::from_values(values.clone()),
+                Column::from_values(&values)
+            );
+        }
+    }
+
+    /// The builder encodes each column as it is added, and still refuses
+    /// a ragged column and a repeated name at `build`, in the same words.
+    #[test]
+    fn the_builder_refuses_ragged_and_repeated_columns_at_build() {
+        let good = || TableBuilder::new("t").column("a", ints(0..3));
+        let ragged = good().column("b", vec![Value::from("x")]).build();
+        assert_eq!(
+            ragged.unwrap_err().to_string(),
+            "table `t`: column `b` has 1 rows, expected 3"
+        );
+        let repeated = good().str_column("a", ["x", "y", "z"]).build();
+        assert_eq!(
+            repeated.unwrap_err().to_string(),
+            "table `t` declares column `a` twice"
+        );
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -402,5 +483,13 @@ mod tests {
         assert_matches_reference(&ints((0..ROWS).rev()));
         // A thousand groups of two thousand rows each.
         assert_matches_reference(&ints((0..ROWS).map(|i| (i * 7919) % 1000)));
+        // Mixed, a `Str` at each end: sorted generically at once. Then
+        // an `Int` first and the `Str` one row in: converted, then
+        // reassembled.
+        uniform[0] = Value::from("first");
+        uniform[ROWS as usize - 1] = Value::from("last");
+        assert_matches_reference(&uniform);
+        uniform.swap(0, 1);
+        assert_matches_reference(&uniform);
     }
 }

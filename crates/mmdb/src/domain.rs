@@ -76,7 +76,6 @@
 //! representation: a `Str` probe sorts after every value of a typed
 //! domain, so it encodes to `None` and lower-bounds to `len`.
 
-use crate::column::zeroed;
 use ccindex_common::{prefetch, SearchIndex, SortedArray, DEFAULT_BATCH_LANES};
 use css_tree::{CssLayout, FullCssTree};
 use std::borrow::Borrow;
@@ -172,16 +171,6 @@ pub(crate) fn dense_id(min: i64, len: usize, v: i64) -> Option<u32> {
     offset(min, len as u64, v).map(|off| off as u32)
 }
 
-/// Each row's ID under `id`, in one fresh array; `None` if a row has
-/// none.
-fn row_ids(rows: &[Value], id: impl Fn(i64) -> Option<u32>) -> Option<Arc<[u32]>> {
-    let mut ids = zeroed(rows.len());
-    for (slot, row) in Arc::get_mut(&mut ids)?.iter_mut().zip(rows) {
-        *slot = id(int(row)?)?;
-    }
-    Some(ids)
-}
-
 impl Ranked {
     /// Blank lines over `[min, max]`, if `distinct` values there would
     /// rank.
@@ -236,20 +225,23 @@ impl Ranked {
         Ok(ranked)
     }
 
-    /// The dense or ranked domain of `rows`, every one an `Int` in
-    /// `[min, max]`, and each row's ID — its offset, or its rank — if the
-    /// domain is dense or ranks; no sort. The lines are only allocated if
+    /// The dense or ranked domain of `rows`, every one in `[min, max]`,
+    /// and each row's ID — its offset, or its rank — if the domain is
+    /// dense or ranks; no sort. The lines are only allocated if
     /// `rows.len()` distinct values would rank: the directory never
-    /// shrinks as values are added, so fewer could not.
-    fn from_rows(rows: &[Value], min: i64, max: i64) -> Option<(Repr, Arc<[u32]>)> {
+    /// shrinks as values are added, so fewer could not. Every row is
+    /// then inserted in the span, so each has an ID, collected straight
+    /// into the final array.
+    fn from_rows(rows: &[i64], min: i64, max: i64) -> Option<(Repr, Arc<[u32]>)> {
         let mut ranked = Self::blank(min, max, rows.len())?;
-        for row in rows {
-            ranked.insert(int(row)?)?;
+        for &v in rows {
+            ranked.insert(v)?;
         }
         let distinct = ranked.count();
+        let offsets = rows.iter().map(|&v| (v as u64).wrapping_sub(min as u64));
         if distinct as u64 == ranked.span {
             // Every bit is set: each row's ID is its offset, no rank.
-            let ids = row_ids(rows, |v| dense_id(min, distinct, v))?;
+            let ids = offsets.map(|off| off as u32).collect();
             return Some((Repr::Dense { min, len: distinct }, ids));
         }
         if !ranks(ranked.span - 1, distinct) {
@@ -266,7 +258,7 @@ impl Ranked {
             }
         }
         ranked.ints = ints.into_boxed_slice();
-        let ids = row_ids(rows, |v| ranked.encode(v))?;
+        let ids = offsets.map(|off| ranked.rank(off).0).collect();
         Some((Repr::Ranked(Arc::new(ranked)), ids))
     }
 
@@ -470,12 +462,11 @@ impl Domain {
         Self { repr }
     }
 
-    /// The dense or ranked domain of `rows` — every one an `Int` in
-    /// `[min, max]` — and each row's ID: what
-    /// [`Domain::from_sorted_ints`] would choose over their sorted
-    /// distinct values, built without sorting. `None` if the domain is
-    /// neither.
-    pub(crate) fn ranked_rows(rows: &[Value], min: i64, max: i64) -> Option<(Self, Arc<[u32]>)> {
+    /// The dense or ranked domain of `rows` — every one in `[min, max]`
+    /// — and each row's ID: what [`Domain::from_sorted_ints`] would
+    /// choose over their sorted distinct values, built without sorting.
+    /// `None` if the domain is neither.
+    pub(crate) fn ranked_rows(rows: &[i64], min: i64, max: i64) -> Option<(Self, Arc<[u32]>)> {
         let (repr, ids) = Ranked::from_rows(rows, min, max)?;
         Some((Self { repr }, ids))
     }
@@ -1441,7 +1432,7 @@ mod tests {
         assert!((1_500_000..1_650_000).contains(&key.len()), "{}", key.len());
         assert_eq!(key.arm(), "ranked");
         let id =
-            crate::column::Column::from_values(&(0..100_000).map(Value::Int).collect::<Vec<_>>());
+            crate::column::Column::from_values((0..100_000).map(Value::Int).collect::<Vec<_>>());
         for d in [column(100_000), column(10_000), id.domain().clone()] {
             assert_eq!(d.arm(), "dense", "{} values", d.len());
         }

@@ -364,10 +364,11 @@ fn apply_one(tables: &mut Tables, mutation: Mutation) -> Result<Option<RebuildRe
                     got,
                 });
             }
-            // The rows are freed before the RID list is rebuilt, so the
-            // raw values and the rebuild's buffers are never live at once.
-            let built = Column::from_values(&values);
-            drop(values);
+            // The encode takes the rows and reads each once (an `Int`
+            // moves out as its `i64` into the rows' own buffer), then
+            // frees that buffer before the RID list is rebuilt: the raw
+            // values and the rebuild's buffers are never live at once.
+            let built = Column::from_values(values);
             entry.table.replace_column(&column, built);
             return Ok(Some(match entry.columns.get_mut(&column) {
                 Some(paths) => rebuild(entry.table.try_column(&column)?, paths),

@@ -278,7 +278,7 @@ fn decode_tables(r: &mut StoreReader) -> Result<BTreeMap<String, Arc<TableEntry>
                     ),
                 ));
             }
-            columns.push((col_name, Column::from_proven_parts(domain, ids.into())));
+            columns.push((col_name, Column::from_proven_parts(domain, ids)));
         }
         // Every column was proven `rows` long; only a table without
         // columns can disagree with its recorded row count.
@@ -443,7 +443,7 @@ fn ids_page(w: &mut StoreWriter, ids: &[u32]) -> u32 {
 
 /// Read back an [`ids_page`]; a count that disagrees with the page's
 /// length is a typed corruption error.
-fn decode_ids(r: &mut StoreReader, page: u32, label: &str) -> Result<Vec<u32>> {
+fn decode_ids(r: &mut StoreReader, page: u32, label: &str) -> Result<Arc<[u32]>> {
     let bytes = r.read_page_expect(page, PageKind::ColumnIds)?;
     let mut c = ByteReader::new(&bytes, label, corrupt);
     let count = c.u32()? as usize;

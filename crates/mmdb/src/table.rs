@@ -13,11 +13,15 @@ pub struct Table {
     rows: usize,
 }
 
-/// Builder collecting raw columns before encoding.
+/// Builder encoding each column as it is added, so no raw copy of a
+/// column outlives its encode. [`TableBuilder::int_column`] collects its
+/// `i64`s once, 8 B a row; [`TableBuilder::column`] reads its `Value`s
+/// once ([`Column::from_values`]). An integer column's encode then reads
+/// its `i64`s at most three times (bounds, presence bits, ranks).
 #[derive(Debug, Default)]
 pub struct TableBuilder {
     name: String,
-    columns: Vec<(String, Vec<Value>)>,
+    columns: Vec<(String, Column)>,
 }
 
 impl TableBuilder {
@@ -29,19 +33,20 @@ impl TableBuilder {
         }
     }
 
-    /// Add a raw column (all columns must have equal length at `build`).
-    pub fn column(mut self, name: impl Into<String>, values: Vec<Value>) -> Self {
-        self.columns.push((name.into(), values));
-        self
+    /// Encode and add a column ([`Column::from_values`]; all columns must
+    /// have equal length at `build`).
+    pub fn column(self, name: impl Into<String>, values: Vec<Value>) -> Self {
+        self.encoded(name, Column::from_values(values))
     }
 
-    /// Convenience: an integer column.
+    /// Convenience: an integer column, encoded from its `i64`s.
     pub fn int_column(
         self,
         name: impl Into<String>,
         values: impl IntoIterator<Item = i64>,
     ) -> Self {
-        self.column(name, values.into_iter().map(Value::Int).collect())
+        let ints: Vec<i64> = values.into_iter().collect();
+        self.encoded(name, Column::from_ints(&ints))
     }
 
     /// Convenience: a string column.
@@ -56,16 +61,17 @@ impl TableBuilder {
         )
     }
 
-    /// Encode every column and produce the table. Fails with
-    /// [`MmdbError::RaggedColumn`] — naming the table and the first
+    fn encoded(mut self, name: impl Into<String>, column: Column) -> Self {
+        self.columns.push((name.into(), column));
+        self
+    }
+
+    /// Produce the table ([`Table::from_parts`]). Fails with
+    /// [`MmdbError::DuplicateColumn`] when two columns share a name, and
+    /// with [`MmdbError::RaggedColumn`] — naming the table and the first
     /// offending column — when column lengths disagree.
     pub fn build(self) -> Result<Table> {
-        let columns = self
-            .columns
-            .into_iter()
-            .map(|(name, vals)| (name, Column::from_values(&vals)))
-            .collect();
-        Table::from_parts(self.name, columns)
+        Table::from_parts(self.name, self.columns)
     }
 }
 

@@ -465,7 +465,7 @@ fn respond(shared: &Shared, transfers: &mut Transfers, request: ShardRequest) ->
             shared
                 .handle
                 .snapshot()
-                .join_probe_batch(&table, &column, &values, lanes, threads),
+                .join_probe_batch(&table, &column, values, lanes, threads),
             A::RidSets,
         ),
         ShardRequest::ColumnValues {

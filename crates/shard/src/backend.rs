@@ -99,7 +99,7 @@ pub trait ShardRead: std::fmt::Debug + Send + Sync {
         &self,
         table: &str,
         column: &str,
-        values: &[Value],
+        values: Vec<Value>,
         lanes: usize,
         threads: usize,
     ) -> Result<Vec<Vec<u32>>>;
@@ -219,14 +219,14 @@ impl ShardRead for CatalogState {
         &self,
         table: &str,
         column: &str,
-        values: &[Value],
+        values: Vec<Value>,
         lanes: usize,
         threads: usize,
     ) -> Result<Vec<Vec<u32>>> {
         let inner_col = self.table(table)?.try_column(column)?;
         let inner_rids = self.rid_list(table, column)?;
         let probe_col = Column::from_values(values);
-        let probe_rids: Vec<u32> = (0..values.len() as u32).collect();
+        let probe_rids: Vec<u32> = (0..probe_col.len() as u32).collect();
         let rows = indexed_nested_loop_join(
             &probe_col,
             &probe_rids,
@@ -235,7 +235,7 @@ impl ShardRead for CatalogState {
             lanes,
             threads,
         );
-        let mut out = vec![Vec::new(); values.len()];
+        let mut out = vec![Vec::new(); probe_rids.len()];
         for row in rows {
             out[row.outer_rid as usize].push(row.inner_rid);
         }

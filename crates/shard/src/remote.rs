@@ -332,14 +332,14 @@ impl ShardRead for RemoteShard {
         &self,
         table: &str,
         column: &str,
-        values: &[Value],
+        values: Vec<Value>,
         lanes: usize,
         threads: usize,
     ) -> Result<Vec<Vec<u32>>> {
         let req = ShardRequest::JoinProbeBatch {
             table: table.to_owned(),
             column: column.to_owned(),
-            values: values.to_vec(),
+            values,
             lanes,
             threads,
         };

@@ -636,15 +636,15 @@ impl ShardedDatabase {
     ) -> Result<ShardedRebuildReport> {
         // Validate the new placement first — the catalog stays untouched
         // when a new key has no owning shard.
-        let new_key_col = Column::from_values(&new_keys);
+        let new_key_col = Column::from_values(new_keys);
         let (placement, locals) = self.place_rows(&new_key_col)?;
 
         // Reassemble each column's global values from the current shards.
         let meta = &self.tip.tables[table];
-        let mut global = mmdb::TableBuilder::new(table);
+        let mut global = Vec::with_capacity(meta.columns.len());
         for (at, (name, _)) in meta.columns.iter().enumerate() {
-            let values: Vec<Value> = if at == key_at {
-                new_keys.clone()
+            let column = if at == key_at {
+                new_key_col.clone()
             } else {
                 // One batched fetch per shard (a single round trip for
                 // a remote shard) — the row loop below then runs on
@@ -654,14 +654,14 @@ impl ShardedDatabase {
                     .iter()
                     .map(|shard| shard.reader().column_values(table, name, None))
                     .collect::<Result<_>>()?;
-                meta.placement
-                    .iter()
+                let values = (meta.placement.iter())
                     .map(|&(s, l)| shard_vals[s as usize][l as usize].clone())
-                    .collect()
+                    .collect::<Vec<_>>();
+                Column::from_values(values)
             };
-            global = global.column(name, values);
+            global.push((name.clone(), column));
         }
-        let global = global.build()?;
+        let global = mmdb::Table::from_parts(table, global)?;
 
         // One batch per shard swaps in its re-split table and re-creates
         // the indexes, so a local shard commits it as one generation.
@@ -1435,7 +1435,7 @@ fn join_job(
     let matches = state.shards[job.t].join_probe_batch(
         &j.inner_table,
         &j.inner_column,
-        &job.keys,
+        job.keys.to_vec(),
         lanes,
         threads,
     )?;
@@ -1459,8 +1459,8 @@ fn join_job(
 /// domains differ, but decoded values agree).
 fn group_by_value(rows: impl IntoIterator<Item = (Value, i64)>, agg: AggFn) -> Vec<GroupRow> {
     let (groups, values): (Vec<Value>, Vec<i64>) = rows.into_iter().unzip();
-    let column = Column::from_values(&groups);
-    group_aggregate_pairs(&column, groups.len(), |i| (i as u32, values[i]), agg, 1)
+    let column = Column::from_values(groups);
+    group_aggregate_pairs(&column, values.len(), |i| (i as u32, values[i]), agg, 1)
 }
 
 #[cfg(test)]
@@ -1558,7 +1558,7 @@ mod tests {
             &self,
             t: &str,
             c: &str,
-            v: &[Value],
+            v: Vec<Value>,
             lanes: usize,
             threads: usize,
         ) -> Result<Vec<Vec<u32>>> {

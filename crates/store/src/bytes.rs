@@ -262,8 +262,9 @@ impl<'a, E> ByteReader<'a, E> {
     }
 
     /// `n` little-endian `u32`s in one bounds check (the bulk form of
-    /// [`u32`](Self::u32)).
-    pub fn u32s(&mut self, n: usize) -> Result<Vec<u32>, E> {
+    /// [`u32`](Self::u32)), collected into the caller's container: a
+    /// `Vec`, or an `Arc<[u32]>` allocated once at its exact length.
+    pub fn u32s<C: FromIterator<u32>>(&mut self, n: usize) -> Result<C, E> {
         let bytes = self.bytes(n.saturating_mul(4))?;
         Ok(bytes
             .chunks_exact(4)
@@ -449,8 +450,8 @@ mod tests {
         says(reader(&[1, 0, 0, 0, 0xFF]).str(), "not UTF-8");
         says(reader(&[0]).expect_end(), "1 trailing bytes");
         says(reader(&[0xFF; 4]).seq(|r| r.u8()), "truncated");
-        says(reader(&[0; 7]).u32s(2), "truncated");
-        says(reader(&[0; 3]).u32s(usize::MAX), "truncated");
+        says(reader(&[0; 7]).u32s::<Vec<u32>>(2), "truncated");
+        says(reader(&[0; 3]).u32s::<Vec<u32>>(usize::MAX), "truncated");
     }
 
     #[test]
